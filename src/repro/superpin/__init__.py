@@ -25,8 +25,8 @@ from .faults import FaultKind, FaultPlan, FaultSpec
 from .journal import (damage_journal, frame_blob, program_digest,
                       RunJournal, run_key, unframe_blob)
 from .merge import merge_slices
-from .parallel import (execute_slices, record_boundary_signature,
-                       record_signatures, SliceTimings)
+from .parallel import (record_boundary_signature, record_signatures,
+                       SliceTimings)
 from .recording import (damage_recording, load_recording, Recording,
                         save_recording)
 from .runtime import replay_recording, run_superpin, SuperPinReport
@@ -54,8 +54,8 @@ __all__ = [
     "SerialBaseline", "Boundary",
     "BoundaryReason", "ControlProcess", "Interval", "MasterTimeline",
     "FaultKind", "FaultPlan", "FaultSpec", "merge_slices",
-    "execute_slices", "record_boundary_signature",
-    "record_signatures", "SliceTimings", "run_superpin", "SuperPinReport",
+    "record_boundary_signature", "record_signatures", "SliceTimings",
+    "run_superpin", "SuperPinReport",
     "charge_slices_in_order", "SharedCacheStats",
     "SharedCodeCacheDirectory", "AutoMerge", "resolve_shared_areas",
     "SharedArea", "DEFAULT_QUICK_REGS", "DetectionStats",

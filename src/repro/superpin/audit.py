@@ -532,7 +532,7 @@ class AuditInputs:
 
 def perform_audit(inputs: AuditInputs, report, tracer=NULL_TRACER,
                   metrics=NULL_METRICS) -> AuditReport:
-    """Run the full differential audit for one completed SuperPin run."""
+    """Run the full differential audit for one completed live run."""
     timeline = report.timeline
     guard = timeline.total_instructions * 2 + 100_000
     with tracer.span("audit.reference", cat="audit"):
@@ -544,6 +544,18 @@ def perform_audit(inputs: AuditInputs, report, tracer=NULL_TRACER,
         serial = run_serial_baseline(
             inputs.program, inputs.tool, inputs.serial_kernel,
             max_instructions=guard)
+    return audit_against(reference, serial, report, tracer, metrics)
+
+
+def audit_against(reference: ReferenceRun, serial: SerialBaseline | None,
+                  report, tracer=NULL_TRACER,
+                  metrics=NULL_METRICS) -> AuditReport:
+    """Compare a run against its references and publish the outcome.
+
+    The one place audit counters and ``audit.divergence`` instants are
+    emitted — for a live run's re-executed references and for a
+    replay's recorded ones (``serial`` None) alike.
+    """
     with tracer.span("audit.compare", cat="audit"):
         audit = compare_run(report, reference, serial)
     metrics.inc("superpin.audit.checks", audit.checks)

@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import enum
 import os
-import pickle
 import time
 from dataclasses import dataclass
 
@@ -185,22 +184,6 @@ def tamper_result(result) -> None:
         result.syscall_digest = "tampered:" + result.syscall_digest[:16]
 
 
-def tamper_blob(blob: bytes) -> bytes:
-    """Apply :func:`tamper_result` to a framed worker result blob.
-
-    Re-frames the tampered pickle so the falsification survives the
-    frame checksum — tamper models a *lying* worker, not a damaged
-    wire, and must still reach the audit undetected by framing.
-    """
-    from .journal import frame_blob, unframe_blob
-    result, fork_seconds, run_seconds, snapshot = pickle.loads(
-        unframe_blob(blob))
-    tamper_result(result)
-    return frame_blob(
-        pickle.dumps((result, fork_seconds, run_seconds, snapshot),
-                     pickle.HIGHEST_PROTOCOL))
-
-
 def maybe_inject(plan: FaultPlan | None, index: int, attempt: int,
                  where: str) -> FaultSpec | None:
     """Fire the plan's fault for this attempt, if any.
@@ -211,7 +194,7 @@ def maybe_inject(plan: FaultPlan | None, index: int, attempt: int,
     ``tamper`` spec — for ``corrupt`` the caller substitutes
     :data:`CORRUPT_BLOB` (worker) or raises :class:`CorruptResultFault`
     (parent); for ``tamper`` it runs the slice and passes the result
-    blob through :func:`tamper_blob` — and None when no fault fires.
+    through :func:`tamper_result` — and None when no fault fires.
     """
     spec = plan.spec_for(index, attempt) if plan is not None else None
     if spec is None:

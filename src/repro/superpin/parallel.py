@@ -1,10 +1,8 @@
-"""Two-phase slice execution: signatures up front, slices fanned out.
+"""Signature phase, slice worker entry point, measured slice timings.
 
-The paper's whole point is that instrumented timeslices run *in
-parallel* on idle cores.  The discrete-event scheduler (:mod:`repro.sched`)
-models that parallelism; this module provides the real thing by
-splitting the old interleaved signature+slice loop into two explicit
-phases:
+The pipeline splits the old interleaved signature+slice loop into two
+explicit phases; this module holds the first and the unit of work of
+the second:
 
 1. **Signature phase** (:func:`record_signatures`) — every interior
    boundary's signature is recorded before any slice runs.  Legal
@@ -14,61 +12,47 @@ phases:
    :meth:`~repro.machine.memory.Memory.scratch_fork`, never on the
    snapshot itself — forking the snapshot would freeze its pages and
    charge the real slice a phantom COW fault per resident page).
-2. **Slice phase** (:func:`execute_slices`) — slice contents are fully
-   determined at fork time: record/playback removes every kernel
-   dependence, the same determinism property rr exploits to re-execute
-   recordings on other cores.  With ``-spworkers N`` the slices fan out
-   over a :class:`concurrent.futures.ProcessPoolExecutor`; with the
-   default ``-spworkers 0`` they run sequentially in-process, producing
-   bit-identical results.
+2. **Slice job** (:func:`slice_job` / :func:`run_slice_job`) — a slice's
+   contents are fully determined at fork time: record/playback removes
+   every kernel dependence, the same determinism property rr exploits
+   to re-execute recordings on other cores.  A job is one tuple —
+   boundary snapshot, interval records, end signature, tool-context
+   template, SP handle, config, warm payload — and its outcome one
+   ``(result, fork_seconds, run_seconds, metrics)`` record.  Which
+   process runs the job, and whether either side is ever pickled, is
+   the executor's business (:mod:`repro.superpin.supervisor`).
 
-Workers receive one pickled payload — boundary snapshot, interval
-records, end signature, tool-context template, SP handle, config — and
-return a pickled ``(result, fork_seconds, run_seconds, metrics)``
-4-tuple, framed with a length prefix and checksum
-(:func:`~repro.superpin.journal.frame_blob`) so wire damage surfaces as
-a structured :class:`~repro.superpin.faults.CorruptResultFault`.  Pickling one tuple keeps shared references (tool ↔ SP handle
-↔ areas) coherent inside the worker; on the way back,
-:class:`~repro.superpin.sharedmem.resolve_shared_areas` maps every
-:class:`SharedArea` reference in the returned tool context onto the
-parent's canonical instance, so slice-end merge functions still write
-the one true region.  The metrics element is the worker registry's
-snapshot (None when ``-spmetrics`` is off); the parent merges it so
-counter totals are identical regardless of worker count.
+Pickling a job as one tuple keeps shared references (tool ↔ SP handle ↔
+areas) coherent on the far side; an outcome record crossing a process
+boundary or entering the journal is framed with a length prefix and
+checksum (:func:`frame_record`) so damage surfaces as a structured
+:class:`~repro.superpin.faults.CorruptResultFault`.
 
-Shared-code-cache charging is deliberately *not* done while slices run:
-:func:`repro.superpin.sharedcache.charge_slices_in_order` re-attributes
-compile costs in slice-index order afterwards, so the §8 extension's
-figures are identical regardless of worker completion order.
-
-Wall-clock self-timing is structured tracing (:mod:`repro.obs`): the
-executors emit ``slice.pickle`` / ``slice.fork`` / ``slice.run`` spans
-(and the merge phase emits ``slice.merge``), with worker-side durations
-synthesized onto parallel tracks at completion so a Chrome-trace export
-shows the fan-out as real timeline lanes.  :class:`SliceTimings` — the
-measured counterpart to the virtual-cycle figures, used by
-``SuperPinReport.measured_parallelism`` — is now a *view* over those
-spans (:func:`slice_timings_from_records`), not separate bookkeeping.
+Wall-clock self-timing is structured tracing (:mod:`repro.obs`): each
+landed slice is placed on the timeline as ``slice`` / ``slice.fork`` /
+``slice.run`` spans (:func:`synthesize_slice_spans`; the merge phase
+adds ``slice.merge``).  :class:`SliceTimings` — the measured counterpart
+to the virtual-cycle figures, used by
+``SuperPinReport.measured_parallelism`` — is a *view* over those spans
+(:func:`slice_timings_from_records`), not separate bookkeeping.
 """
 
 from __future__ import annotations
 
 import pickle
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 
 from ..machine.cpu import CpuState
 from ..machine.process import Process
 from ..obs.metrics import metrics_for, NULL_METRICS
-from ..obs.tracer import ensure_tracer, NULL_TRACER, TrackAllocator
+from ..obs.tracer import NULL_TRACER, TrackAllocator
 from .api import SliceToolContext, SPControl
 from .control import Boundary, MasterTimeline
-from .journal import frame_blob, unframe_blob
-from .sharedmem import resolve_shared_areas
+from .journal import frame_blob
 from .signature import (DEFAULT_QUICK_REGS, record_signature,
                         select_quick_registers, Signature)
-from .slices import run_slice, SliceResult
+from .slices import run_slice
 from .switches import SuperPinConfig
 
 
@@ -189,241 +173,87 @@ def record_signatures(timeline: MasterTimeline,
     return signatures
 
 
-# -- slice phase --------------------------------------------------------------
+# -- slice job ----------------------------------------------------------------
 
-def _end_signature(signatures: list[Signature], k: int) -> Signature | None:
-    return signatures[k] if k < len(signatures) else None
+def slice_job(timeline: MasterTimeline, signatures: list[Signature],
+              template: SliceToolContext, sp: SPControl,
+              config: SuperPinConfig, k: int, warm=None,
+              export_warm: bool = False) -> tuple:
+    """Everything slice ``k`` needs to run, as one picklable tuple.
 
-
-def _slice_payload(timeline: MasterTimeline, signatures: list[Signature],
-                   template: SliceToolContext, sp: SPControl,
-                   config: SuperPinConfig, k: int, tracer,
-                   warm=None, export_warm: bool = False) -> bytes:
-    """Pickle one slice's full worker payload (traced as slice.pickle).
-
-    ``warm`` is the frozen warm-cache payload shipped to the slice;
-    ``export_warm`` marks the pilot, which returns its compiled traces
-    for the control process to fold.
+    ``signatures[k]`` is the end signature slice ``k`` must detect (the
+    final slice has none).  ``warm`` is the frozen warm-cache payload
+    shipped to the slice; ``export_warm`` marks the pilot, which returns
+    its compiled traces for the control process to fold.
     """
-    with tracer.span("slice.pickle", cat="slice", args={"slice": k}):
-        return pickle.dumps(
-            (timeline.boundaries[k], timeline.intervals[k],
-             _end_signature(signatures, k), template, sp, config,
-             warm, export_warm),
-            pickle.HIGHEST_PROTOCOL)
+    return (timeline.boundaries[k], timeline.intervals[k],
+            signatures[k] if k < len(signatures) else None,
+            template, sp, config, warm, export_warm)
 
 
-def _worker_run_slice(payload: bytes) -> bytes:
-    """Process-pool entry point: one pickled payload in, one result out.
+def run_slice_job(work) -> tuple:
+    """Worker entry point: run one :func:`slice_job`.
 
-    Returns ``(result, fork_seconds, run_seconds, metrics)`` pickled and
-    *framed* (length prefix + sha256, :func:`~repro.superpin.journal.
-    frame_blob`), so a short read or bit flip on the way back surfaces
-    as :class:`~repro.superpin.faults.CorruptResultFault` — which the
-    supervisor's retry ladder handles — instead of a raw
-    ``UnpicklingError``.  ``metrics`` is the worker-local registry
-    snapshot, or None when ``-spmetrics`` is off.
+    ``work`` is the job tuple itself or its pickle; materializing a
+    pickled job is the real fork analogue and is timed as
+    ``fork_seconds`` (None for a live tuple — nothing was forked).
+    Returns ``(result, fork_seconds, run_seconds, metrics)`` where
+    ``metrics`` is the job-local registry snapshot (None when
+    ``-spmetrics`` is off), which the control process merges — so
+    counter totals are identical wherever the job ran.
     """
-    t0 = time.perf_counter()
+    fork_seconds = None
+    if isinstance(work, bytes):
+        t0 = time.perf_counter()
+        work = pickle.loads(work)
+        fork_seconds = time.perf_counter() - t0
     (boundary, interval, end_signature, template, sp,
-     config, warm, export_warm) = pickle.loads(payload)
-    fork_seconds = time.perf_counter() - t0
+     config, warm, export_warm) = work
     metrics = metrics_for(config.spmetrics)
     t0 = time.perf_counter()
     result = run_slice(boundary, interval, end_signature, template, sp,
                        config, metrics=metrics, warm=warm,
                        export_warm=export_warm)
-    run_seconds = time.perf_counter() - t0
-    return frame_blob(pickle.dumps(
-        (result, fork_seconds, run_seconds, metrics.snapshot()),
-        pickle.HIGHEST_PROTOCOL))
+    return (result, fork_seconds, time.perf_counter() - t0,
+            metrics.snapshot())
+
+
+def frame_record(record: tuple) -> bytes:
+    """Pickle and frame a :func:`run_slice_job` outcome record.
+
+    The frame (length prefix + sha256,
+    :func:`~repro.superpin.journal.frame_blob`) makes a short read or bit
+    flip surface as :class:`~repro.superpin.faults.CorruptResultFault` —
+    which the supervisor's retry ladder handles — instead of a raw
+    ``UnpicklingError``.
+    """
+    return frame_blob(pickle.dumps(record, pickle.HIGHEST_PROTOCOL))
 
 
 def synthesize_slice_spans(tracer, tracks: TrackAllocator, k: int,
-                           done_at: float, fork_seconds: float,
+                           done_at: float, fork_seconds: float | None,
                            run_seconds: float,
                            args: dict | None = None) -> int:
-    """Place a completed slice's worker-side spans on the timeline.
+    """Place a completed slice's spans on the timeline.
 
-    The worker reports *durations*; the parent knows the completion
-    instant on its own clock.  Anchoring the span chain at
+    The job reports *durations*; the control process knows the
+    completion instant on its own clock.  Anchoring the span chain at
     ``done_at - fork - run`` reconstructs the execution window, and the
     track allocator lanes concurrent windows apart so the trace renders
-    the fan-out as parallel tracks.  Returns the track used.
+    the fan-out as parallel tracks.  ``slice.fork`` appears only when a
+    pickled job was materialized.  Returns the track used.
     """
-    start = max(0.0, done_at - fork_seconds - run_seconds)
+    run_start = max(0.0, done_at - run_seconds)
+    start = max(0.0, run_start - (fork_seconds or 0.0))
     track = tracks.place(start, done_at)
     slice_args = {"slice": k}
     if args:
         slice_args.update(args)
     parent = tracer.add_span("slice", start, done_at, cat="slice",
                              track=track, args=slice_args)
-    tracer.add_span("slice.fork", start, start + fork_seconds,
-                    cat="slice", track=track, args={"slice": k},
-                    parent_id=parent)
-    tracer.add_span("slice.run", start + fork_seconds, done_at,
-                    cat="slice", track=track, args={"slice": k},
-                    parent_id=parent)
+    if fork_seconds is not None:
+        tracer.add_span("slice.fork", start, run_start, cat="slice",
+                        track=track, args={"slice": k}, parent_id=parent)
+    tracer.add_span("slice.run", run_start, done_at, cat="slice",
+                    track=track, args={"slice": k}, parent_id=parent)
     return track
-
-
-def execute_slices(timeline: MasterTimeline, signatures: list[Signature],
-                   template: SliceToolContext, sp: SPControl,
-                   config: SuperPinConfig, tracer=None,
-                   metrics=NULL_METRICS, prewarm=None, warm_store=None,
-                   on_progress=None
-                   ) -> tuple[list[SliceResult], list[SliceTimings]]:
-    """Slice phase: execute every timeslice, honouring ``-spworkers``.
-
-    Returns results ordered by slice index (regardless of completion
-    order) plus per-slice wall-clock timings — the latter a view over
-    the spans this call emitted into ``tracer`` (a private tracer is
-    used when the caller passes none).  Results are functionally
-    identical between the sequential fallback and any worker count —
-    the parity is enforced by the test suite.
-
-    ``prewarm`` is a warm payload loaded from the persistent trace
-    store: with it, *every* slice (the pilot included) starts warm and
-    the pilot export protocol is skipped entirely.  ``warm_store`` is
-    the :class:`~repro.superpin.sharedcache.WarmTraceStore` the pilot's
-    exports fold into on the cold path, so the caller can persist the
-    frozen payload afterwards.  ``on_progress``, when given, is called
-    in the parent as ``on_progress("slice", {"completed": n,
-    "total": n_slices})`` after each slice result lands — the streaming
-    hook the serve daemon forwards to its clients.
-    """
-    tracer = ensure_tracer(tracer)
-    mark = tracer.mark()
-    if config.spworkers <= 0:
-        results = _execute_sequential(timeline, signatures, template, sp,
-                                      config, tracer, metrics, prewarm,
-                                      warm_store, on_progress)
-    else:
-        results = _execute_parallel(timeline, signatures, template, sp,
-                                    config, tracer, metrics, prewarm,
-                                    warm_store, on_progress)
-    timings = slice_timings_from_records(tracer.records_since(mark),
-                                         len(timeline.intervals),
-                                         metrics=metrics)
-    return results, timings
-
-
-def _notify(on_progress, completed: int, total: int) -> None:
-    if on_progress is not None:
-        on_progress("slice", {"completed": completed, "total": total})
-
-
-def _execute_sequential(timeline: MasterTimeline,
-                        signatures: list[Signature],
-                        template: SliceToolContext, sp: SPControl,
-                        config: SuperPinConfig, tracer, metrics,
-                        prewarm=None, warm_store=None, on_progress=None
-                        ) -> list[SliceResult]:
-    """In-process execution (``-spworkers 0``): no pickling, no pool.
-
-    Warm cache: slice 0 is the pilot; its exports freeze the payload
-    every later slice installs — the same pilot-then-rest protocol the
-    parallel executor uses, so results match for any worker count.
-    With ``prewarm`` (a persistent-store hit) there is no pilot: every
-    slice installs the stored payload directly.
-    """
-    from .sharedcache import WarmTraceStore
-    n_slices = len(timeline.intervals)
-    warmcache = config.spwarmcache
-    pilot = warmcache and prewarm is None and n_slices > 1
-    warm = prewarm if warmcache else None
-    results: list[SliceResult] = []
-    for k, interval in enumerate(timeline.intervals):
-        with tracer.span("slice", cat="slice", args={"slice": k}):
-            with tracer.span("slice.run", cat="slice",
-                             args={"slice": k}):
-                results.append(run_slice(timeline.boundaries[k], interval,
-                                         _end_signature(signatures, k),
-                                         template, sp, config,
-                                         metrics=metrics, warm=warm,
-                                         export_warm=pilot and k == 0))
-        if pilot and k == 0:
-            store = warm_store if warm_store is not None \
-                else WarmTraceStore()
-            warm = store.fold_pilot(results[0])
-        _notify(on_progress, len(results), n_slices)
-    return results
-
-
-def _execute_parallel(timeline: MasterTimeline,
-                      signatures: list[Signature],
-                      template: SliceToolContext, sp: SPControl,
-                      config: SuperPinConfig, tracer, metrics,
-                      prewarm=None, warm_store=None, on_progress=None
-                      ) -> list[SliceResult]:
-    """Fan slices out over ``-spworkers`` processes.
-
-    Payloads are pickled explicitly (one blob per slice) so the
-    serialization cost is measured, and — because tool, SP handle and
-    area references travel inside one tuple — the worker sees the same
-    object graph a deep copy would have produced.
-
-    Warm cache: the pilot (slice 0) is submitted alone and awaited; its
-    exports freeze the warm payload, then slices 1..n-1 are submitted
-    all at once with it.  The pilot serialization point costs one slice
-    of latency and buys every other slice a hot working set.  With
-    ``prewarm`` (a persistent-store hit) the pilot barrier disappears:
-    every slice is submitted at once, all of them warm.
-    """
-    from .sharedcache import WarmTraceStore
-    n_slices = len(timeline.intervals)
-    workers = min(config.spworkers, n_slices) or 1
-    warmcache = config.spwarmcache
-    pilot = warmcache and prewarm is None and n_slices > 1
-
-    results: dict[int, SliceResult] = {}
-    tracks = TrackAllocator()
-
-    def collect(k: int, blob: bytes) -> SliceResult:
-        done_at = tracer.now()
-        with tracer.span("slice.pickle", cat="slice",
-                         args={"slice": k, "op": "decode"}):
-            with resolve_shared_areas(sp.areas):
-                (result, fork_seconds, run_seconds,
-                 snapshot) = pickle.loads(unframe_blob(blob))
-        metrics.merge(snapshot)
-        synthesize_slice_spans(tracer, tracks, k, done_at,
-                               fork_seconds, run_seconds)
-        results[k] = result
-        _notify(on_progress, len(results), n_slices)
-        return result
-
-    pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        warm = prewarm if warmcache else None
-        first = 0
-        if pilot:
-            payload = _slice_payload(timeline, signatures, template, sp,
-                                     config, 0, tracer, export_warm=True)
-            blob = pool.submit(_worker_run_slice, payload).result()
-            store = warm_store if warm_store is not None \
-                else WarmTraceStore()
-            warm = store.fold_pilot(collect(0, blob))
-            first = 1
-        futures = {}
-        for k in range(first, n_slices):
-            payload = _slice_payload(timeline, signatures, template, sp,
-                                     config, k, tracer, warm=warm)
-            futures[pool.submit(_worker_run_slice, payload)] = k
-        pending = set(futures)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                k = futures[future]
-                blob = future.result()  # re-raises worker exceptions
-                collect(k, blob)
-    except BaseException:
-        # Fail fast: abort the run promptly instead of draining every
-        # still-queued slice through the pool (which is what the plain
-        # context manager's shutdown(wait=True) would do).
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    pool.shutdown()
-    for track in range(1, tracks.num_tracks + 1):
-        tracer.name_track(track, f"slice lane {track}")
-    return [results[k] for k in range(n_slices)]

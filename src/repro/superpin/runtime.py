@@ -7,27 +7,27 @@
    process, which records syscalls and cuts timeslices (§4.1–§4.3).
 3. **Signature phase** — every interior boundary's signature is recorded
    from its snapshot up front, with the adaptive quick-register
-   lookahead (§4.4).
+   lookahead (§4.4); ``-sprecord`` saves the artifact here.
 4. **Slice phase** — every timeslice re-executes under instrumentation
-   from its fork snapshot until it detects the next signature (§3).
-   With ``-spworkers N`` the slices fan out over N worker processes
-   (:mod:`repro.superpin.parallel`); the default ``-spworkers 0`` runs
-   them sequentially in-process with identical results.  The phase runs
+   from its fork snapshot until it detects the next signature (§3),
+   in-process or over ``-spworkers N`` processes with identical results,
    under the :mod:`~repro.superpin.supervisor` fault policy
-   (``-spfaults``): per-slice deadlines, bounded retries, and — under
-   ``degrade`` — completion with holes instead of an aborted run.
+   (``-spfaults``).
 5. **Merge phase** — slice results fold into the shared areas in slice
    order; the master tool's ``fini`` runs last (§4.5).
 6. **Timing phase** — the discrete-event scheduler replays the run
    against the machine model to produce virtual wall-clock figures (§6).
+7. **Audit** (``-spaudit``) — the differential oracle.
 
 Phases 3 and 4 are separate (rather than interleaved per-slice) so that
 phase 4 has no ordering constraints at all: every slice's inputs — fork
 snapshot, recorded syscalls, end signature — exist before any slice
-runs.  This is sound because slice contents are fully determined at
-fork time (record/playback removes every kernel dependence), the same
-property SuperPin itself relies on.  Alongside the *modeled* timing
-figures, the runtime keeps *measured* host wall-clock counters
+runs.  That is also what makes a recording replayable:
+``replay_recording`` loads those inputs from the artifact instead of
+producing them, and then runs the *same* phases 4–7
+(:func:`_run_pipeline`) — rr's discipline, replay as the recording run
+through the same machinery.  Alongside the *modeled* timing figures,
+the runtime keeps *measured* host wall-clock counters
 (:class:`~repro.superpin.parallel.SliceTimings`) so the two can be
 compared.
 """
@@ -35,6 +35,7 @@ compared.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass, field
 
 from ..errors import ConfigError
@@ -48,7 +49,7 @@ from ..sched.machine_model import MachineModel, PAPER_MACHINE
 from ..sched.stats import TimingReport
 from ..sched.timing import CostModel, DEFAULT_COST_MODEL
 from .api import SliceToolContext, SPControl
-from .audit import (AuditInputs, AuditReport, compare_run, perform_audit,
+from .audit import (audit_against, AuditInputs, AuditReport, perform_audit,
                     reference_from_recording)
 from .control import ControlProcess, MasterTimeline
 from .journal import (damage_journal, program_digest, run_key, RunJournal)
@@ -309,10 +310,6 @@ def run_superpin(program: Program, tool: Pintool,
     tracer = ensure_tracer(tracer)
     metrics = metrics_for(config.spmetrics)
 
-    def phase(name: str) -> None:
-        if on_progress is not None:
-            on_progress("phase", {"phase": name})
-
     # Selective instrumentation (-spfilter): parse the spec against this
     # program's symbol table and pin it on the tool *before* anything
     # copies the tool — the slice template, and crucially the audit's
@@ -323,37 +320,31 @@ def run_superpin(program: Program, tool: Pintool,
         tool.instrument_filter = parse_filter(config.spfilter, program)
 
     # The differential audit (-spaudit) re-runs the program from scratch
-    # twice, so it needs pristine copies of everything the audited run
-    # is about to mutate: the tool *before* setup registers state on it,
-    # and the kernel *before* the master consumes its clock/RNG/files.
-    audit_inputs: AuditInputs | None = None
+    # twice — reference + serial baseline, then the lockstep comparison —
+    # so it needs pristine copies of everything the audited run is about
+    # to mutate: the tool *before* setup registers state on it, and the
+    # kernel *before* the master consumes its clock/RNG/files.
+    audit = None
     if config.spaudit:
         kernel = kernel if kernel is not None else Kernel()
-        audit_inputs = AuditInputs(
+        audit = functools.partial(perform_audit, AuditInputs(
             program=program,
             tool=copy.deepcopy(tool),
             reference_kernel=copy.deepcopy(kernel),
             serial_kernel=copy.deepcopy(kernel),
-        )
+        ))
 
     # 1. Tool setup through the SP API.
-    sp = SPControl(config)
-    tool.setup(sp)
-    if not sp.initialized:
-        raise ConfigError(
-            f"tool {tool.name!r} did not call SP_Init; SuperPin requires "
-            f"tools written against the SP API (paper §5)")
-    template = SliceToolContext.from_control(tool, sp)
+    sp = _setup_tool(tool, config)
 
     # 2. Control phase: run the master, cut timeslices.
-    phase("control")
+    _phase(on_progress, "control")
     with tracer.span("control_phase", cat="phase"):
-        control = ControlProcess(program, config, kernel=kernel,
-                                 tracer=tracer, metrics=metrics)
-        timeline = control.run()
+        timeline = ControlProcess(program, config, kernel=kernel,
+                                  tracer=tracer, metrics=metrics).run()
 
     # 3. Signature phase: all boundary signatures, before any slice runs.
-    phase("signature")
+    _phase(on_progress, "signature")
     with tracer.span("signature_phase", cat="phase") as signature_span:
         signatures = record_signatures(timeline, config, tracer=tracer)
 
@@ -367,12 +358,59 @@ def run_superpin(program: Program, tool: Pintool,
                 config.sprecord, timeline, signatures, config,
                 metrics=metrics)
 
-    # 3c. -spjournal / -spresume: open (or resume) the write-ahead run
-    #     journal keyed by program + tool + result-affecting config.
+    # 4-7. Slices, merge, timing, audit: the half a replay shares.
+    report = _run_pipeline(timeline, signatures, tool, sp, config,
+                           program_digest(program), audit=audit,
+                           machine=machine, cost=cost,
+                           compute_timing=compute_timing, tracer=tracer,
+                           metrics=metrics, on_progress=on_progress)
+    report.signature_phase_seconds = signature_span.duration
+    if recording_manifest is not None:
+        report.recording_path = config.sprecord
+        report.recording_id = recording_manifest["recording_id"]
+    return report
+
+
+def _phase(on_progress, name: str) -> None:
+    if on_progress is not None:
+        on_progress("phase", {"phase": name})
+
+
+def _setup_tool(tool: Pintool, config: SuperPinConfig,
+                replay_source: str | None = None) -> SPControl:
+    """Register ``tool`` through the SP API; returns the run's handle."""
+    sp = SPControl(config)
+    sp.replay_source = replay_source
+    tool.setup(sp)
+    if not sp.initialized:
+        raise ConfigError(
+            f"tool {tool.name!r} did not call SP_Init; SuperPin requires "
+            f"tools written against the SP API (paper §5)")
+    return sp
+
+
+def _run_pipeline(timeline: MasterTimeline, signatures: list[Signature],
+                  tool: Pintool, sp: SPControl, config: SuperPinConfig,
+                  source_digest: str, *, damaged=None, audit=None,
+                  machine: MachineModel, cost: CostModel,
+                  compute_timing: bool, tracer: Tracer, metrics,
+                  on_progress) -> SuperPinReport:
+    """Pipeline phases 4-7, shared by live runs and replays.
+
+    Everything downstream of "a timeline and its signatures exist":
+    where they came from — a master just run, or a verified recording —
+    only shows in ``source_digest`` (program digest or recording id, the
+    content half of the journal and trace-store keys), ``damaged`` (the
+    slice sections a tolerant recording load gave up on) and ``audit``
+    (``(report, tracer, metrics) -> AuditReport``: the oracle to hold
+    the finished run against, or None).
+    """
+    # -spjournal / -spresume: open (or resume) the write-ahead run
+    # journal keyed by source + tool + result-affecting config.
     journal = None
     preloaded = None
     if config.spjournal is not None:
-        key = run_key(program_digest(program), type(tool).__name__, config)
+        key = run_key(source_digest, type(tool).__name__, config)
         if config.spresume:
             journal, preloaded = RunJournal.resume(config.spjournal, key,
                                                    metrics=metrics)
@@ -380,23 +418,25 @@ def run_superpin(program: Program, tool: Pintool,
             journal = RunJournal.create(config.spjournal, key,
                                         metrics=metrics)
 
-    # 3d. -sptracestore: the persistent warm-cache tier.  A hit hands
-    #     every slice (pilot included) the stored payload, so a repeat
-    #     run compiles zero pilot traces cold; a miss runs the normal
-    #     pilot protocol and persists its frozen exports afterwards.
+    # -sptracestore: the persistent warm-cache tier.  A hit hands every
+    # slice (pilot included) the stored payload, so a repeat run — or a
+    # second replay of the same artifact, whose slice shapes are its own
+    # — compiles zero pilot traces cold; a miss runs the normal pilot
+    # protocol and persists its frozen exports afterwards.
     prewarm, warm_store, save_warm = _trace_store_lookup(
-        config, metrics, program_digest(program))
+        config, metrics, source_digest)
 
-    # 4. Slice phase: sequential in-process, or fanned out (-spworkers),
-    #    under the -spfaults supervision policy.
-    phase("slice")
+    # 4. Slice phase: in-process, or fanned out (-spworkers), under the
+    #    -spfaults supervision policy.
+    template = SliceToolContext.from_control(tool, sp)
+    _phase(on_progress, "slice")
     with tracer.span("slice_phase", cat="phase") as slice_span:
         try:
             supervised = supervise_slices(timeline, signatures, template,
                                           sp, config, tracer=tracer,
                                           metrics=metrics, journal=journal,
                                           preloaded=preloaded,
-                                          prewarm=prewarm,
+                                          damaged=damaged, prewarm=prewarm,
                                           warm_store=warm_store,
                                           on_progress=on_progress)
         finally:
@@ -414,7 +454,7 @@ def run_superpin(program: Program, tool: Pintool,
         charge_slices_in_order(results)
 
     # 5. Merge in slice order, then fini on the master tool.
-    phase("merge")
+    _phase(on_progress, "merge")
     with tracer.span("merge_phase", cat="phase"):
         merge_seconds = merge_slices(sp, results, tracer=tracer,
                                      metrics=metrics)
@@ -425,7 +465,7 @@ def run_superpin(program: Program, tool: Pintool,
 
     # 6. Timing.  A degraded run has holes, and the event simulation
     #    needs every slice's figures — so no timing report for it.
-    phase("timing")
+    _phase(on_progress, "timing")
     with tracer.span("timing_phase", cat="phase"):
         timing = (simulate(timeline, results, config, machine=machine,
                            cost=cost) if compute_timing and not degraded
@@ -441,22 +481,16 @@ def run_superpin(program: Program, tool: Pintool,
         slice_timings=timings,
         slice_outcomes=supervised.outcomes,
         degraded_slices=degraded,
-        signature_phase_seconds=signature_span.duration,
         slice_phase_seconds=slice_span.duration,
         trace=tracer,
         metrics=metrics,
     )
-    if recording_manifest is not None:
-        report.recording_path = config.sprecord
-        report.recording_id = recording_manifest["recording_id"]
 
-    # 7. Differential audit (-spaudit): reference + serial baseline runs,
-    #    then the lockstep comparison.  Detection, not enforcement — a
+    # 7. Differential audit (-spaudit).  Detection, not enforcement — a
     #    divergent run still returns its report, with the evidence on it.
-    if audit_inputs is not None:
+    if audit is not None:
         with tracer.span("audit_phase", cat="phase"):
-            report.audit = perform_audit(audit_inputs, report,
-                                         tracer=tracer, metrics=metrics)
+            report.audit = audit(report, tracer, metrics)
     return report
 
 
@@ -469,8 +503,8 @@ def _trace_store_lookup(config: SuperPinConfig, metrics,
     * ``prewarm`` — the verified stored payload on a hit (every slice
       starts warm, no pilot), else None;
     * ``warm_store`` — on a miss, the
-      :class:`~repro.superpin.sharedcache.WarmTraceStore` the executors
-      fold the pilot's exports into;
+      :class:`~repro.superpin.sharedcache.WarmTraceStore` the slice
+      phase folds the pilot's exports into;
     * ``save_warm`` — call after the slice phase; on a miss it persists
       the frozen payload (no-op on hits or when no store is configured).
     """
@@ -517,8 +551,10 @@ def replay_recording(source, tool, config: SuperPinConfig | None = None,
     sources its boundaries, signatures and recorded syscall streams from
     the verified artifact at ``source``; the master is never re-run (no
     ``control_phase`` or ``signature_phase`` span exists on a replay's
-    trace).  Each tool gets a *fresh* timeline — slice execution mutates
-    boundary COW forks, so nothing loaded is shared between runs.
+    trace), and from the slice phase on a replay *is* a live run — the
+    same pipeline, phase events and report.  Each tool gets a *fresh*
+    timeline — slice execution mutates boundary COW forks, so nothing
+    loaded is shared between runs.
 
     Pass a list/tuple of tools to amortize "record once" across many
     analyses: returns a list of reports in tool order.  Under
@@ -528,127 +564,37 @@ def replay_recording(source, tool, config: SuperPinConfig | None = None,
     """
     config = config or SuperPinConfig()
     single = not isinstance(tool, (list, tuple))
-    tools = [tool] if single else list(tool)
     if config.spfilter is not None:
         raise ConfigError(
             "-spfilter needs the program's symbol table, which a "
             "recording artifact does not carry; apply the filter at "
             "record time instead")
-    reports = [_replay_one(source, one, config, machine, cost,
-                           compute_timing, tracer, on_progress)
-               for one in tools]
+    reports = []
+    for one in [tool] if single else tool:
+        run_tracer = ensure_tracer(tracer)
+        metrics = metrics_for(config.spmetrics)
+        # Load and verify the artifact.  Only the degrade policy may
+        # adopt a per-slice hole; everything else must reject damage
+        # outright.
+        with run_tracer.span("replay_load", cat="phase"):
+            recording = load_recording(
+                source, metrics=metrics,
+                tolerate_damaged=config.spfaults == "degrade")
+        sp = _setup_tool(one, config, replay_source=recording.path)
+        # -spaudit on a replay is free: the artifact carries the
+        # reference checkpoints and stream digests, so the oracle
+        # compares against recorded truth without re-running anything.
+        audit = (functools.partial(audit_against,
+                                   reference_from_recording(recording.meta),
+                                   None) if config.spaudit else None)
+        report = _run_pipeline(
+            recording.build_timeline(), recording.signatures(), one, sp,
+            config, recording.recording_id, damaged=recording.damaged,
+            audit=audit, machine=machine, cost=cost,
+            compute_timing=compute_timing, tracer=run_tracer,
+            metrics=metrics, on_progress=on_progress)
+        report.recording_path = recording.path
+        report.recording_id = recording.recording_id
+        metrics.inc("superpin.recording.replayed_slices", report.num_slices)
+        reports.append(report)
     return reports[0] if single else reports
-
-
-def _replay_one(source, tool: Pintool, config: SuperPinConfig,
-                machine: MachineModel, cost: CostModel,
-                compute_timing: bool, tracer,
-                on_progress=None) -> SuperPinReport:
-    tracer = ensure_tracer(tracer)
-    metrics = metrics_for(config.spmetrics)
-
-    # Load and verify the artifact.  Only the degrade policy may adopt a
-    # per-slice hole; everything else must reject damage outright.
-    with tracer.span("replay_load", cat="phase"):
-        recording = load_recording(
-            source, metrics=metrics,
-            tolerate_damaged=config.spfaults == "degrade")
-
-    sp = SPControl(config)
-    sp.replay_source = recording.path
-    tool.setup(sp)
-    if not sp.initialized:
-        raise ConfigError(
-            f"tool {tool.name!r} did not call SP_Init; SuperPin requires "
-            f"tools written against the SP API (paper §5)")
-    template = SliceToolContext.from_control(tool, sp)
-
-    timeline = recording.build_timeline()
-    signatures = recording.signatures()
-
-    journal = None
-    preloaded = None
-    if config.spjournal is not None:
-        key = run_key(recording.recording_id, type(tool).__name__, config)
-        if config.spresume:
-            journal, preloaded = RunJournal.resume(config.spjournal, key,
-                                                   metrics=metrics)
-        else:
-            journal = RunJournal.create(config.spjournal, key,
-                                        metrics=metrics)
-
-    # Persistent trace store (-sptracestore): replays key their entries
-    # by recording id — a recording's slice shapes are its own, so a
-    # second replay of the same artifact starts warm (satellite fix:
-    # replays/resumes no longer bypass the warm tier).
-    prewarm, warm_store, save_warm = _trace_store_lookup(
-        config, metrics, recording.recording_id)
-
-    if on_progress is not None:
-        on_progress("phase", {"phase": "slice"})
-    with tracer.span("slice_phase", cat="phase") as slice_span:
-        try:
-            supervised = supervise_slices(timeline, signatures, template,
-                                          sp, config, tracer=tracer,
-                                          metrics=metrics, journal=journal,
-                                          preloaded=preloaded,
-                                          damaged=recording.damaged,
-                                          prewarm=prewarm,
-                                          warm_store=warm_store,
-                                          on_progress=on_progress)
-        finally:
-            if journal is not None:
-                journal.close()
-    save_warm()
-    _apply_artifact_faults(config, len(timeline.intervals))
-    results, timings = supervised.results, supervised.timings
-    degraded = supervised.degraded
-    metrics.inc("superpin.recording.replayed_slices", len(results))
-
-    if config.spsharedcache:
-        from .sharedcache import charge_slices_in_order
-        charge_slices_in_order(results)
-
-    with tracer.span("merge_phase", cat="phase"):
-        merge_seconds = merge_slices(sp, results, tracer=tracer,
-                                     metrics=metrics)
-    for timing_record in timings:
-        timing_record.merge_seconds = merge_seconds.get(
-            timing_record.index, 0.0)
-    tool.fini()
-
-    with tracer.span("timing_phase", cat="phase"):
-        timing = (simulate(timeline, results, config, machine=machine,
-                           cost=cost) if compute_timing and not degraded
-                  else None)
-    report = SuperPinReport(
-        config=config,
-        timeline=timeline,
-        slices=results,
-        signatures=signatures,
-        tool=tool,
-        timing=timing,
-        exit_code=timeline.exit_code,
-        slice_timings=timings,
-        slice_outcomes=supervised.outcomes,
-        degraded_slices=degraded,
-        slice_phase_seconds=slice_span.duration,
-        trace=tracer,
-        metrics=metrics,
-        recording_path=recording.path,
-        recording_id=recording.recording_id,
-    )
-
-    # -spaudit on a replay is free: the artifact carries the reference
-    # checkpoints and stream digests, so the oracle compares against
-    # recorded truth without re-running anything.
-    if config.spaudit:
-        with tracer.span("audit_phase", cat="phase"):
-            reference = reference_from_recording(recording.meta)
-            report.audit = compare_run(report, reference, None)
-        metrics.inc("superpin.audit.checks", report.audit.checks)
-        metrics.inc("superpin.audit.divergences",
-                    len(report.audit.divergences))
-        for kind, count in sorted(report.audit.by_kind().items()):
-            metrics.inc(f"superpin.audit.divergence.{kind}", count)
-    return report

@@ -124,19 +124,15 @@ class SliceResult:
 def run_slice(boundary: Boundary, interval: Interval,
               end_signature: Signature | None,
               template: SliceToolContext, sp: SPControl,
-              config: SuperPinConfig,
-              shared_directory=None, metrics=NULL_METRICS,
+              config: SuperPinConfig, metrics=NULL_METRICS,
               warm=None, export_warm: bool = False) -> SliceResult:
     """Execute slice ``interval.index`` and return its result.
 
     ``end_signature`` is the next boundary's signature (None for the
-    final slice, which runs to program exit instead).  When
-    ``shared_directory`` is given (the §8 shared-code-cache extension),
-    compile costs are attributed to the first slice that compiled each
-    trace; later slices record reuses instead.  ``metrics`` receives the
-    slice's observability counters (JIT compiles live, cache hit totals
-    folded at slice end); in a worker process it is a worker-local
-    registry whose snapshot the parent merges.
+    final slice, which runs to program exit instead).  ``metrics``
+    receives the slice's observability counters (JIT compiles live,
+    cache hit totals folded at slice end) — a job-local registry whose
+    snapshot the control process merges.
 
     ``warm`` is the frozen warm-cache payload (WarmTrace entries, or
     None); ``export_warm`` asks the slice to export its own compiled
@@ -266,9 +262,6 @@ def run_slice(boundary: Boundary, interval: Interval,
             cache, config.jit_backend)
         if vm.tc2 is not None:
             result_record.sb_chains = vm.tc2.chains()
-    if shared_directory is not None:
-        from .sharedcache import charge_result
-        charge_result(result_record, shared_directory)
     if metrics.enabled:
         # Hot-path counters are folded once per slice from CacheStats
         # rather than incremented per dispatch.

@@ -1,4 +1,4 @@
-"""Slice supervision: fault isolation for the parallel slice phase.
+"""The slice phase's one executor: supervised slices over two transports.
 
 The paper's control process survives misbehaving slices — a slice that
 never detects its ending signature is killed by the runaway guard
@@ -10,65 +10,72 @@ whose *execution* fails — worker crash, hang, corrupted result,
 runaway — can simply be re-run, in another worker or in-process,
 without affecting any other slice.
 
-Supervision wraps :mod:`repro.superpin.parallel` with:
+:func:`supervise_slices` is the whole slice phase: one pending / in
+flight / done loop over :func:`~repro.superpin.parallel.run_slice_job`
+attempts, whose **transport** is either a call in this process
+(``-spworkers 0``) or a submit to a process pool (``-spworkers N``).
+Around every attempt, whatever the transport:
+
+* the **attempt ladder** — a failed slice is re-executed on the
+  transport up to ``-spretries`` times (exponential backoff between),
+  then once in-process, and then the **policy** (``-spfaults``)
+  decides: ``retry`` raises :class:`~repro.errors.SliceExecutionError`;
+  ``degrade`` records the slice as a hole (:class:`SliceOutcome` with
+  status ``degraded``), merges the survivors in slice order, and
+  completes the run with ``all_exact == False``.  ``failfast`` is the
+  same ladder with no rungs: the first failure raises, cancelling
+  everything still queued;
+* the **pilot → warm-payload protocol** (``-spwarmcache``): slice 0
+  runs to resolution alone and its compiled traces are baked into
+  every later slice's job;
+* the **journal**: every landed result is appended write-ahead, and a
+  resumed run's journaled results are adopted instead of re-executed.
+
+The pool transport adds what only separate processes need:
 
 * a **wall-clock deadline** per slice, derived from its master
   instruction count plus a configurable floor
   (:func:`slice_deadline`); a worker still running past it is reaped
   (worker processes terminated, pool rebuilt, innocent in-flight
-  slices resubmitted without touching their retry budget);
-* **bounded retries with backoff**: a failed slice is re-executed in a
-  fresh worker up to ``-spretries`` times, then once in-process (the
-  sequential fallback), with exponential backoff between retries;
+  slices resubmitted without touching their retry budget).  An
+  in-process attempt cannot be preempted by a single-threaded parent,
+  so there only injected hangs surface as
+  :class:`~repro.errors.SliceDeadlineError`;
 * **pool reconstruction**: a ``BrokenProcessPool`` (a worker died)
   rebuilds the pool and resubmits every in-flight slice instead of
-  aborting the run;
-* a **policy switch** (``-spfaults``): ``failfast`` aborts the run on
-  the first failure, cancelling everything still queued; ``retry``
-  exhausts the retry ladder then raises
-  :class:`~repro.errors.SliceExecutionError`; ``degrade`` records the
-  slice as a hole (:class:`SliceOutcome` with status ``degraded``),
-  merges the survivors in slice order, and completes the run with
-  ``all_exact == False``.
+  aborting the run.
 
 Every attempt is recorded as a :class:`SliceAttempt` on the slice's
 :class:`SliceOutcome`, which lands on ``SuperPinReport.slice_outcomes``
 — the structured answer to "what happened to slice k and why".
 
-Retries are bit-exact: worker attempts re-materialize the slice from
-its original pickled payload, and the in-process fallback runs the
-*same* payload through the same worker entry point (pickle round trip
-included), so a recovered slice's result — counters, cow faults,
-compile log — is identical to a clean first-attempt run.  Sequential
-supervision (``-spworkers 0`` with a non-failfast policy or a fault
-plan) uses the identical payload path, which is what makes the
-``spworkers in {0, N}`` parity properties hold under injected faults.
-
-Deadlines are enforced by reaping *worker* attempts; an in-process
-attempt cannot be preempted by a single-threaded parent, so only
-injected hangs surface as :class:`~repro.errors.SliceDeadlineError`
-there.
+Retries are bit-exact: every retry re-materializes the slice from its
+original pickled job, through the same worker entry point, so a
+recovered slice's result — counters, cow faults, compile log — is
+identical to a clean first-attempt run.
 """
 
 from __future__ import annotations
 
+import functools
 import pickle
 import time
 from collections import deque
+from itertools import islice
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
-from ..errors import SliceExecutionError
+from ..errors import SliceDeadlineError, SliceExecutionError
 from ..obs.metrics import NULL_METRICS
 from ..obs.tracer import ensure_tracer, TrackAllocator
 from .api import SliceToolContext, SPControl
 from .control import Interval, MasterTimeline
 from .faults import (CORRUPT_BLOB, CorruptResultFault, FaultKind, FaultPlan,
-                     maybe_inject, tamper_blob)
+                     maybe_inject, tamper_result)
 from .journal import unframe_blob
-from .parallel import (SliceTimings, _slice_payload, _worker_run_slice,
-                       execute_slices, slice_timings_from_records,
+from .parallel import (frame_record, run_slice_job, slice_job,
+                       slice_timings_from_records, SliceTimings,
                        synthesize_slice_spans)
 from .sharedmem import resolve_shared_areas
 from .signature import Signature
@@ -82,7 +89,8 @@ class SliceAttempt:
 
     #: Ordinal execution number for this slice (1-based).
     number: int
-    #: Where the attempt ran: ``"worker"`` or ``"inprocess"``.
+    #: Where the result came from: ``"worker"``, ``"inprocess"``, or
+    #: ``"journal"`` (adopted on resume, never run).
     where: str
     #: Host wall-clock seconds the attempt was in flight.
     seconds: float = 0.0
@@ -148,26 +156,37 @@ def slice_deadline(interval: Interval, config: SuperPinConfig) -> float:
             + interval.instructions * config.slice_deadline_per_ins)
 
 
-def _attempt_slice(payload: bytes, index: int, attempt: int,
-                   plan: FaultPlan | None, where: str = "worker") -> bytes:
+def _attempt_slice(work, index: int, attempt: int,
+                   plan: FaultPlan | None, where: str) -> tuple:
     """Execute one slice attempt: fault injection, then the real run.
 
-    This is both the pool entry point (``where == "worker"``) and the
-    in-process fallback (``where == "inprocess"``) — one code path, so
-    a fallback result is bit-identical to a worker result.
+    One code path for both transports — ``work`` is the pickled job, or
+    (in-process, when nothing can re-read the bytes) the live job tuple
+    — so an in-process result is bit-identical to a worker result.
+    Returns the :func:`~repro.superpin.parallel.run_slice_job` record.
     """
     spec = maybe_inject(plan, index, attempt, where)
     if spec is not None and spec.kind is FaultKind.CORRUPT:
-        if where == "worker":
-            return CORRUPT_BLOB
         raise CorruptResultFault(
             f"injected corrupt result: slice {index} attempt {attempt}")
-    blob = _worker_run_slice(payload)
+    record = run_slice_job(work)
     if spec is not None and spec.kind is FaultKind.TAMPER:
         # Silent corruption: the attempt looks like a clean success to
         # the supervisor; only the -spaudit oracle can catch it.
-        blob = tamper_blob(blob)
-    return blob
+        tamper_result(record[0])
+    return record
+
+
+def _worker_attempt(payload: bytes, index: int, attempt: int,
+                    plan: FaultPlan | None) -> bytes:
+    """Process-pool entry point: one attempt, its record framed."""
+    try:
+        return frame_record(
+            _attempt_slice(payload, index, attempt, plan, "worker"))
+    except CorruptResultFault:
+        # A corrupt fault in a worker is garbage on the wire, so the
+        # parent's undecodable-blob handling is what gets exercised.
+        return CORRUPT_BLOB
 
 
 def supervise_slices(timeline: MasterTimeline, signatures: list[Signature],
@@ -178,12 +197,12 @@ def supervise_slices(timeline: MasterTimeline, signatures: list[Signature],
                      on_progress=None) -> SupervisedSlices:
     """Run the slice phase under the configured fault policy.
 
-    With the default ``failfast`` policy, no fault plan and no
-    durability hooks this is a thin wrapper over
-    :func:`~repro.superpin.parallel.execute_slices` (no supervision
-    overhead on the happy path); otherwise the supervised sequential or
-    parallel executor runs.  Either way the phase's spans land in
-    ``tracer`` and its counters in ``metrics``.
+    Returns results ordered by slice index (regardless of completion
+    order), per-slice wall-clock timings — a view over the spans this
+    call emitted into ``tracer`` (a private tracer when the caller
+    passes none) — and one :class:`SliceOutcome` per slice.  Results
+    are identical for any worker count, policy and journal setting; the
+    parity is enforced by the test suite.  Counters land in ``metrics``.
 
     Durability hooks:
 
@@ -203,35 +222,14 @@ def supervise_slices(timeline: MasterTimeline, signatures: list[Signature],
     * ``warm_store`` — the
       :class:`~repro.superpin.sharedcache.WarmTraceStore` the pilot's
       exports fold into, so the runtime can persist the frozen payload.
-    * ``on_progress`` — parent-side ``("slice", {completed, total})``
-      callback streamed to serve-daemon clients.
+    * ``on_progress`` — called in this process as ``on_progress("slice",
+      {"completed": n, "total": n_slices})`` after each slice result
+      lands (the hook the serve daemon streams to its clients); an
+      exception it raises aborts the phase.
     """
-    if (config.spfaults == "failfast" and config.fault_plan is None
-            and journal is None and not preloaded and not damaged):
-        results, timings = execute_slices(timeline, signatures, template,
-                                          sp, config, tracer=tracer,
-                                          metrics=metrics, prewarm=prewarm,
-                                          warm_store=warm_store,
-                                          on_progress=on_progress)
-        where = "worker" if config.spworkers > 0 else "inprocess"
-        outcomes = [
-            SliceOutcome(
-                index=k, status="ok",
-                attempts=[SliceAttempt(number=1, where=where,
-                                       seconds=timings[k].total_seconds)],
-                deadline_seconds=slice_deadline(interval, config))
-            for k, interval in enumerate(timeline.intervals)]
-        return SupervisedSlices(results=results, timings=timings,
-                                outcomes=outcomes)
-    supervisor = _Supervisor(timeline, signatures, template, sp, config,
-                             tracer=tracer, metrics=metrics,
-                             journal=journal, preloaded=preloaded,
-                             damaged=damaged, prewarm=prewarm,
-                             warm_store=warm_store,
-                             on_progress=on_progress)
-    if config.spworkers <= 0:
-        return supervisor.run_sequential()
-    return supervisor.run_parallel()
+    return _Supervisor(timeline, signatures, template, sp, config, tracer,
+                       metrics, journal, preloaded, damaged, prewarm,
+                       warm_store, on_progress).run()
 
 
 @dataclass
@@ -240,18 +238,22 @@ class _Flight:
 
     index: int
     attempt: int
-    started: float
+    #: ``perf_counter()`` when a worker (approximately) took the attempt
+    #: up and its deadline clock started; None while it is still queued.
+    started: float | None = None
+
+    def elapsed(self, now: float) -> float:
+        return 0.0 if self.started is None else now - self.started
 
 
 class _Supervisor:
-    """One supervised slice phase: payloads, attempts, policy."""
+    """One supervised slice phase: jobs, attempts, policy."""
 
     def __init__(self, timeline: MasterTimeline,
                  signatures: list[Signature], template: SliceToolContext,
-                 sp: SPControl, config: SuperPinConfig, tracer=None,
-                 metrics=NULL_METRICS, journal=None, preloaded=None,
-                 damaged=None, prewarm=None, warm_store=None,
-                 on_progress=None):
+                 sp: SPControl, config: SuperPinConfig, tracer, metrics,
+                 journal, preloaded, damaged, prewarm, warm_store,
+                 on_progress):
         self.sp = sp
         self.config = config
         self.tracer = ensure_tracer(tracer)
@@ -260,7 +262,6 @@ class _Supervisor:
         self.on_progress = on_progress
         self._mark = self.tracer.mark()
         self._tracks = TrackAllocator()
-        self.plan: FaultPlan | None = config.fault_plan
         self.journal = journal
         self.n_slices = len(timeline.intervals)
         self.outcomes = [
@@ -272,11 +273,7 @@ class _Supervisor:
         # artifact has no trustworthy spec for them, so they are never
         # attempted — the same hole a degraded execution leaves.
         for k, err in sorted((damaged or {}).items()):
-            self.outcomes[k].status = "degraded"
-            self.outcomes[k].error = str(err)
-            self.metrics.inc("superpin.supervisor.degraded_slices")
-            self.tracer.instant("slice.degraded", cat="supervisor",
-                                args={"slice": k, "error": str(err)})
+            self._degrade(k, err)
         # Journaled results from a resumed run are adopted as-is; a blob
         # that fails to decode is simply re-executed.
         for k, blob in sorted((preloaded or {}).items()):
@@ -286,73 +283,92 @@ class _Supervisor:
         #: plan sees.  Resubmissions after a neighbour's reap re-run the
         #: *same* attempt number (the original never got to finish).
         self.executions = [0] * self.n_slices
-        #: Per-slice charged failures; the retry budget compares
-        #: against ``spretries``.
+        #: Per-slice charged failures, spent against the attempt ladder.
         self.failures = [0] * self.n_slices
+        # The attempt ladder: a failed slice re-runs on the transport
+        # ``spretries`` times, then once in-process, so a fault plan
+        # fires on the same attempt numbers for any worker count.
+        # ``failfast`` is the same ladder with no rungs.
+        failfast = config.spfaults == "failfast"
+        self._retries, self._fallbacks = ((0, 0) if failfast
+                                          else (config.spretries, 1))
+        # The transport: a process pool, or (0 workers) this process.
+        self._workers = max(0, min(config.spworkers, self.n_slices))
         self._pool: ProcessPoolExecutor | None = None
-        self._timeline = timeline
-        self._signatures = signatures
-        self._template = template
-        #: Warm-cache pilot protocol: slice 0 runs (and, if needed,
-        #: retries) to resolution first; its exports freeze the warm
-        #: payload baked into every later slice's pickled payload.
-        #: Retries re-run the slice's original payload, so a retried
-        #: slice automatically re-receives its warm set.  A persistent
-        #: trace-store hit (``prewarm``) replaces the protocol wholesale:
-        #: every slice — the pilot included — bakes the stored payload
-        #: in, so no slice compiles the shared working set cold.
-        warmcache = config.spwarmcache
-        self._pilot = (warmcache and prewarm is None
-                       and self.n_slices > 1)
+        self._flights: dict = {}
+        # A job is pickled only when something may read the bytes: a
+        # pool worker, or a retry — which needs the pristine boundary,
+        # because run_slice runs on ``boundary.mem_fork`` itself (a
+        # ``fork()`` there would charge phantom COW faults).
+        self._pickle_jobs = self._workers > 0 or not failfast
         self.payloads: list[bytes | None] = [None] * self.n_slices
-        if self._pilot:
-            if self._pilot_resolved():
-                # The pilot arrived from the journal (or was degraded):
-                # its exports are intact in the adopted result, so the
-                # warm payload freezes without re-running slice 0.
-                self._release_rest()
-            else:
-                self.payloads[0] = self._make_payload(0, warm=None,
-                                                      export_warm=True)
-        else:
-            warm = prewarm if warmcache else None
-            for k in range(self.n_slices):
-                if self._todo(k):
-                    self.payloads[k] = self._make_payload(k, warm=warm)
-
-    def _make_payload(self, k: int, warm=None,
-                      export_warm: bool = False) -> bytes:
-        return _slice_payload(self._timeline, self._signatures,
-                              self._template, self.sp, self.config, k,
-                              self.tracer, warm=warm,
-                              export_warm=export_warm)
+        self._job = functools.partial(slice_job, timeline, signatures,
+                                      template, sp, config)
+        #: Warm-cache pilot protocol: slice 0 runs (and, if needed,
+        #: retries) to resolution alone; its exports freeze the warm
+        #: payload baked into every later slice's job.  The pilot
+        #: serialization point costs one slice of latency and buys every
+        #: other slice a hot working set.  A persistent trace-store hit
+        #: (``prewarm``) replaces the protocol wholesale: every slice —
+        #: the pilot included — bakes the stored payload in, so no slice
+        #: compiles the shared working set cold.
+        self._pilot = (config.spwarmcache and prewarm is None
+                       and self.n_slices > 1)
+        self._warm = prewarm if config.spwarmcache else None
+        self._pending: deque[int] = deque(
+            k for k in ([0] if self._pilot else range(self.n_slices))
+            if self._todo(k))
 
     def _todo(self, k: int) -> bool:
         """True while slice ``k`` still needs an execution attempt."""
         return (k not in self.results
                 and self.outcomes[k].status != "degraded")
 
-    def _adopt(self, k: int, blob: bytes) -> bool:
+    def _work(self, k: int):
+        """Slice ``k``'s job: its pickle (built once, so every retry
+        re-materializes the same warm set) or, when nothing can re-read
+        the bytes, the live tuple."""
+        if self.payloads[k] is not None:
+            return self.payloads[k]
+        job = self._job(k, warm=self._warm, export_warm=self._pilot)
+        if not self._pickle_jobs:
+            return job
+        with self.tracer.span("slice.pickle", cat="slice",
+                              args={"slice": k}):
+            self.payloads[k] = pickle.dumps(job, pickle.HIGHEST_PROTOCOL)
+        return self.payloads[k]
+
+    def _decode(self, k: int, blob: bytes) -> tuple:
+        """Unframe and unpickle a result blob (traced as slice.pickle)."""
+        with self.tracer.span("slice.pickle", cat="slice",
+                              args={"slice": k, "op": "decode"}):
+            data = unframe_blob(blob)
+            with resolve_shared_areas(self.sp.areas):
+                try:
+                    return pickle.loads(data)
+                except Exception as exc:
+                    raise CorruptResultFault(
+                        f"slice {k} returned an undecodable result "
+                        f"blob: {exc}") from exc
+
+    def _adopt(self, k: int, blob: bytes) -> None:
         """Adopt a journaled framed result blob for slice ``k``.
 
-        Returns False (slice re-executes) when the blob does not decode
-        — a journal entry survived its checksum but pickles to garbage,
+        A blob that does not decode leaves the slice to re-execute — a
+        journal entry survived its checksum but pickles to garbage,
         which only tampering can produce; re-execution is the safe
         response either way.
         """
         try:
-            with resolve_shared_areas(self.sp.areas):
-                (result, _fork_seconds, _run_seconds,
-                 snapshot) = pickle.loads(unframe_blob(blob))
-        except Exception:
-            return False
+            result, _, _, snapshot = self._decode(k, blob)
+        except CorruptResultFault:
+            return
         self.metrics.merge(snapshot)
         self.results[k] = result
         self.outcomes[k].attempts.append(
             SliceAttempt(number=0, where="journal", seconds=0.0))
         self.metrics.inc("superpin.journal.resumed_slices")
         self._notify()
-        return True
 
     def _notify(self) -> None:
         """Stream slice completion to the caller (serve daemon hook)."""
@@ -360,45 +376,162 @@ class _Supervisor:
             self.on_progress("slice", {"completed": len(self.results),
                                        "total": self.n_slices})
 
-    def _pilot_resolved(self) -> bool:
-        """True once slice 0 has a result or was given up on."""
-        return 0 in self.results or self.outcomes[0].status == "degraded"
-
     def _release_rest(self) -> None:
-        """Pilot resolved: freeze the warm payload, build the rest.
+        """Pilot resolved: freeze the warm payload, queue the rest.
 
-        A degraded pilot (no result) freezes an empty payload — later
-        slices simply run cold, the same as ``-spwarmcache 0``.
+        A degraded pilot (no result) freezes nothing — later slices
+        simply run cold, the same as ``-spwarmcache 0``.  An adopted
+        pilot's exports are intact in its journaled result, so the warm
+        payload freezes without re-running slice 0.
         """
-        from .sharedcache import WarmTraceStore
-        warm = None
         if 0 in self.results:
+            from .sharedcache import WarmTraceStore
             store = self.warm_store if self.warm_store is not None \
                 else WarmTraceStore()
-            warm = store.fold_pilot(self.results[0])
-        for k in range(1, self.n_slices):
-            if self._todo(k):
-                self.payloads[k] = self._make_payload(k, warm=warm)
+            self._warm = store.fold_pilot(self.results[0])
         self._pilot = False
+        self._pending.extend(k for k in range(1, self.n_slices)
+                             if self._todo(k))
 
-    # -- shared bookkeeping ------------------------------------------------
+    # -- the executor --------------------------------------------------------
 
-    def _record_success(self, k: int, attempt: int, where: str,
-                        seconds: float, blob: bytes) -> None:
-        """Decode a result blob and file it; raises if the blob is bad."""
-        done_at = self.tracer.now()
-        with self.tracer.span("slice.pickle", cat="slice",
-                              args={"slice": k, "op": "decode"}):
+    def run(self) -> SupervisedSlices:
+        pending, flights = self._pending, self._flights
+        if self._workers:
+            self._pool = ProcessPoolExecutor(max_workers=self._workers)
+        try:
+            while pending or flights or self._pilot:
+                if self._pilot and not self._todo(0):
+                    self._release_rest()
+                if self._pool is None:
+                    if pending:
+                        self._attempt_here(pending.popleft())
+                    continue
+                # Sliding window: one attempt per worker plus one queued
+                # behind them, so a freed worker never idles for a round
+                # trip through this process.  The pool serves its queue
+                # FIFO, so the front `workers` flights are (approximately)
+                # running: their deadline clocks start here, the queued
+                # one's only once it moves up — every clock is fair.
+                while pending and len(flights) <= self._workers:
+                    self._submit(pending.popleft())
+                if not flights:
+                    # Everything left was adopted or degraded; loop
+                    # around (and usually exit) instead of waiting on
+                    # an empty flight set.
+                    continue
+                now = time.perf_counter()
+                running = list(islice(flights.values(), self._workers))
+                for flight in running:
+                    if flight.started is None:
+                        flight.started = now
+                timeout = min(self.outcomes[f.index].deadline_seconds
+                              - f.elapsed(now) for f in running)
+                done, _ = wait(set(flights), timeout=max(timeout, 0.01),
+                               return_when=FIRST_COMPLETED)
+                if not done:
+                    self._reap_expired()
+                    continue
+                self._process_done(done)
+        except BaseException:
+            # Abort promptly (a failure under failfast or retry, a
+            # cancelling on_progress) instead of draining queued slices.
+            self._teardown(self._pool, flights)
+            raise
+        if self._pool is not None:
+            self._pool.shutdown()
+        timings = slice_timings_from_records(
+            self.tracer.records_since(self._mark), self.n_slices,
+            metrics=self.metrics)
+        for track in range(1, self._tracks.num_tracks + 1):
+            self.tracer.name_track(track, f"slice lane {track}")
+        return SupervisedSlices(
+            results=[self.results[k] for k in sorted(self.results)],
+            timings=timings, outcomes=self.outcomes)
+
+    def _attempt_here(self, k: int) -> None:
+        """In-process transport, and the ladder's last-resort fallback.
+
+        Cannot be preempted by a single-threaded parent, so only
+        injected hangs surface as a deadline error here.
+        """
+        work = self._work(k)
+        self.executions[k] += 1
+        attempt = self.executions[k]
+        t0 = time.perf_counter()
+        try:
+            # Shared areas in a pickled job resolve to the canonical
+            # instances: in the control process's own address space a
+            # slice's writes land in the one true region, exactly as the
+            # live tuple's ``__deepcopy__`` has it.
             with resolve_shared_areas(self.sp.areas):
-                try:
-                    (result, fork_seconds, run_seconds,
-                     snapshot) = pickle.loads(unframe_blob(blob))
-                except CorruptResultFault:
-                    raise
-                except Exception as exc:
-                    raise CorruptResultFault(
-                        f"slice {k} attempt {attempt} returned an "
-                        f"undecodable result blob: {exc}") from exc
+                record = _attempt_slice(work, k, attempt,
+                                        self.config.fault_plan, "inprocess")
+        except Exception as exc:
+            self._record_failure(k, attempt, "inprocess",
+                                 time.perf_counter() - t0, exc)
+            self._after_failure(k, exc)
+        else:
+            self._land(k, attempt, "inprocess", time.perf_counter() - t0,
+                       self.tracer.now(), record)
+
+    def _submit(self, k: int, attempt: int | None = None) -> None:
+        """Launch one worker attempt (new attempt number unless given)."""
+        payload = self._work(k)
+        if attempt is None:
+            self.executions[k] += 1
+            attempt = self.executions[k]
+        try:
+            future = self._pool.submit(_worker_attempt, payload, k,
+                                       attempt, self.config.fault_plan)
+        except (BrokenProcessPool, RuntimeError):
+            # The pool died between bookkeeping and submit; rebuild and
+            # try once more (a second failure propagates).
+            self._rebuild_pool()
+            future = self._pool.submit(_worker_attempt, payload, k,
+                                       attempt, self.config.fault_plan)
+        self._flights[future] = _Flight(index=k, attempt=attempt)
+
+    def _process_done(self, done) -> None:
+        for future in done:
+            flight = self._flights.pop(future, None)
+            if flight is None:
+                continue
+            k, attempt = flight.index, flight.attempt
+            seconds = flight.elapsed(time.perf_counter())
+            done_at = self.tracer.now()
+            try:
+                blob = future.result()
+                record = self._decode(k, blob)
+            except BrokenProcessPool as exc:
+                # A worker died; every in-flight future died with it and
+                # the culprit is unknowable, so all of them are charged
+                # and rescheduled (innocents succeed on their next try).
+                casualties = [flight] + list(self._flights.values())
+                self._flights.clear()
+                self._rebuild_pool()
+                now = time.perf_counter()
+                for casualty in casualties:
+                    self._record_failure(
+                        casualty.index, casualty.attempt, "worker",
+                        min(seconds, casualty.elapsed(now)),
+                        "worker process died (process pool broken)")
+                    self._after_failure(casualty.index, exc)
+                return
+            except Exception as exc:
+                self._record_failure(k, attempt, "worker", seconds, exc)
+                self._after_failure(k, exc)
+            else:
+                self._land(k, attempt, "worker", seconds, done_at, record,
+                           blob)
+
+    # -- attempt bookkeeping and the policy ladder ---------------------------
+
+    def _land(self, k: int, attempt: int, where: str, seconds: float,
+              done_at: float, record: tuple,
+              blob: bytes | None = None) -> None:
+        """File a successful attempt's record for slice ``k``."""
+        result, fork_seconds, run_seconds, snapshot = record
         self.metrics.merge(snapshot)
         synthesize_slice_spans(self.tracer, self._tracks, k, done_at,
                                fork_seconds, run_seconds,
@@ -410,8 +543,10 @@ class _Supervisor:
         if self.journal is not None:
             # Write-ahead: the framed blob lands durably *before* the
             # run proceeds (appended pre-fold, so an adopted pilot still
-            # carries its warm exports on resume).
-            self.journal.append(k, blob)
+            # carries its warm exports on resume).  Only here does an
+            # in-process record get framed at all.
+            self.journal.append(
+                k, blob if blob is not None else frame_record(record))
 
     def _record_failure(self, k: int, attempt: int, where: str,
                         seconds: float, error: BaseException | str,
@@ -429,198 +564,38 @@ class _Supervisor:
             self.failures[k] += 1
             self.metrics.inc("superpin.supervisor.failed_attempts")
 
-    def _backoff(self, k: int) -> None:
-        base = self.config.slice_retry_backoff
-        if base > 0:
-            time.sleep(base * (2 ** max(0, self.failures[k] - 1)))
-
-    def _fail_fast(self, k: int, error: BaseException) -> None:
-        raise SliceExecutionError(
-            f"slice {k} failed under -spfaults failfast: {error}",
-            index=k, attempts=self.outcomes[k].attempts) from error
-
-    def _exhausted(self, k: int, error: BaseException) -> None:
-        """All attempts spent: raise (retry) or degrade (degrade)."""
-        if self.config.spfaults == "retry":
+    def _after_failure(self, k: int, error: BaseException) -> None:
+        """Route a charged failure down the attempt ladder."""
+        if self.failures[k] <= self._retries:
+            self.metrics.inc("superpin.supervisor.retries")
+            self.tracer.instant("slice.retry", cat="supervisor",
+                                args={"slice": k,
+                                      "failures": self.failures[k]})
+            base = self.config.slice_retry_backoff
+            if base > 0:
+                time.sleep(base * (2 ** max(0, self.failures[k] - 1)))
+            self._pending.append(k)
+        elif self.failures[k] <= self._retries + self._fallbacks:
+            self.metrics.inc("superpin.supervisor.inprocess_fallbacks")
+            self._attempt_here(k)
+        elif self.config.spfaults == "degrade":
+            self._degrade(k, error)
+        else:
             raise SliceExecutionError(
                 f"slice {k} failed after "
-                f"{self.outcomes[k].num_attempts} attempts: {error}",
+                f"{self.outcomes[k].num_attempts} attempt(s) under "
+                f"-spfaults {self.config.spfaults}: {error}",
                 index=k, attempts=self.outcomes[k].attempts) from error
+
+    def _degrade(self, k: int, error) -> None:
+        """Give up on slice ``k``: leave a hole in the merge."""
         self.outcomes[k].status = "degraded"
         self.outcomes[k].error = str(error)
         self.metrics.inc("superpin.supervisor.degraded_slices")
         self.tracer.instant("slice.degraded", cat="supervisor",
                             args={"slice": k, "error": str(error)})
 
-    def _run_inprocess(self, k: int) -> None:
-        """Final fallback: one in-process attempt from the payload."""
-        self.executions[k] += 1
-        attempt = self.executions[k]
-        self.metrics.inc("superpin.supervisor.inprocess_fallbacks")
-        t0 = time.perf_counter()
-        try:
-            blob = _attempt_slice(self.payloads[k], k, attempt, self.plan,
-                                  where="inprocess")
-            self._record_success(k, attempt, "inprocess",
-                                 time.perf_counter() - t0, blob)
-        except Exception as exc:
-            self._record_failure(k, attempt, "inprocess",
-                                 time.perf_counter() - t0, exc)
-            self._exhausted(k, exc)
-
-    def _finish(self) -> SupervisedSlices:
-        ordered = [self.results[k] for k in sorted(self.results)]
-        timings = slice_timings_from_records(
-            self.tracer.records_since(self._mark), self.n_slices,
-            metrics=self.metrics)
-        for track in range(1, self._tracks.num_tracks + 1):
-            self.tracer.name_track(track, f"slice lane {track}")
-        return SupervisedSlices(results=ordered, timings=timings,
-                                outcomes=self.outcomes)
-
-    # -- sequential supervision (-spworkers 0) -----------------------------
-
-    def run_sequential(self) -> SupervisedSlices:
-        """All attempts in-process, same payload path as the workers.
-
-        The attempt budget matches the parallel ladder (1 initial +
-        ``spretries`` retries + 1 fallback) so a fault plan fires on the
-        same attempt numbers regardless of worker count.
-        """
-        for k in range(self.n_slices):
-            if not self._todo(k):
-                continue
-            if self.payloads[k] is None:
-                self._release_rest()
-            while True:
-                self.executions[k] += 1
-                attempt = self.executions[k]
-                t0 = time.perf_counter()
-                try:
-                    blob = _attempt_slice(self.payloads[k], k, attempt,
-                                          self.plan, where="inprocess")
-                    self._record_success(k, attempt, "inprocess",
-                                         time.perf_counter() - t0, blob)
-                    break
-                except Exception as exc:
-                    self._record_failure(k, attempt, "inprocess",
-                                         time.perf_counter() - t0, exc)
-                    if self.config.spfaults == "failfast":
-                        self._fail_fast(k, exc)
-                    # +1: the parallel ladder's in-process fallback slot.
-                    if self.failures[k] > self.config.spretries + 1:
-                        self._exhausted(k, exc)
-                        break
-                    self._backoff(k)
-        return self._finish()
-
-    # -- parallel supervision (-spworkers N) -------------------------------
-
-    def run_parallel(self) -> SupervisedSlices:
-        self._workers = min(self.config.spworkers, self.n_slices) or 1
-        self._pool = ProcessPoolExecutor(max_workers=self._workers)
-        # The pilot runs to resolution alone; _release_rest then queues
-        # the remaining slices with the frozen warm payload.
-        self._pending: deque[int] = deque(
-            [0] if self._pilot
-            else [k for k in range(self.n_slices) if self._todo(k)])
-        self._flights: dict = {}
-        try:
-            while self._pending or self._flights or self._pilot:
-                if self._pilot and self._pilot_resolved():
-                    self._release_rest()
-                    self._pending.extend(
-                        k for k in range(1, self.n_slices)
-                        if self._todo(k))
-                # Sliding window: at most `workers` futures in flight,
-                # so every submitted attempt is (approximately) running
-                # and its deadline clock is fair.
-                while self._pending and len(self._flights) < self._workers:
-                    self._submit(self._pending.popleft())
-                if not self._flights:
-                    # Everything left was adopted or degraded; loop
-                    # around (and usually exit) instead of waiting on
-                    # an empty flight set.
-                    continue
-                timeout = min(
-                    max(0.0, self.outcomes[f.index].deadline_seconds
-                        - (time.perf_counter() - f.started))
-                    for f in self._flights.values())
-                done, _ = wait(set(self._flights),
-                               timeout=max(timeout, 0.01),
-                               return_when=FIRST_COMPLETED)
-                if not done:
-                    self._reap_expired()
-                    continue
-                self._process_done(done)
-        except BaseException:
-            self._teardown(self._pool, self._flights)
-            raise
-        self._pool.shutdown()
-        return self._finish()
-
-    def _submit(self, k: int, attempt: int | None = None) -> None:
-        """Launch one worker attempt (new attempt number unless given)."""
-        if attempt is None:
-            self.executions[k] += 1
-            attempt = self.executions[k]
-        try:
-            future = self._pool.submit(_attempt_slice, self.payloads[k], k,
-                                       attempt, self.plan)
-        except (BrokenProcessPool, RuntimeError):
-            # The pool died between bookkeeping and submit; rebuild and
-            # try once more (a second failure propagates).
-            self._rebuild_pool()
-            future = self._pool.submit(_attempt_slice, self.payloads[k], k,
-                                       attempt, self.plan)
-        self._flights[future] = _Flight(index=k, attempt=attempt,
-                                        started=time.perf_counter())
-
-    def _process_done(self, done) -> None:
-        for future in done:
-            flight = self._flights.pop(future, None)
-            if flight is None:
-                continue
-            k, attempt = flight.index, flight.attempt
-            seconds = time.perf_counter() - flight.started
-            try:
-                blob = future.result()
-                self._record_success(k, attempt, "worker", seconds, blob)
-            except BrokenProcessPool as exc:
-                # A worker died; every in-flight future died with it and
-                # the culprit is unknowable, so all of them are charged
-                # and rescheduled (innocents succeed on their next try).
-                casualties = [flight] + list(self._flights.values())
-                self._flights.clear()
-                self._rebuild_pool()
-                now = time.perf_counter()
-                for casualty in casualties:
-                    self._record_failure(
-                        casualty.index, casualty.attempt, "worker",
-                        min(seconds, now - casualty.started),
-                        "worker process died (process pool broken)")
-                    self._after_failure(casualty.index, exc)
-                return
-            except SliceExecutionError:
-                raise
-            except Exception as exc:
-                self._record_failure(k, attempt, "worker", seconds, exc)
-                self._after_failure(k, exc)
-
-    def _after_failure(self, k: int, error: BaseException) -> None:
-        """Route a charged failure through the policy ladder."""
-        if self.config.spfaults == "failfast":
-            self._teardown(self._pool, self._flights)
-            self._fail_fast(k, error)
-        if self.failures[k] <= self.config.spretries:
-            self.metrics.inc("superpin.supervisor.retries")
-            self.tracer.instant("slice.retry", cat="supervisor",
-                                args={"slice": k,
-                                      "failures": self.failures[k]})
-            self._backoff(k)
-            self._pending.append(k)
-        else:
-            self._run_inprocess(k)
+    # -- pool upkeep ---------------------------------------------------------
 
     def _reap_expired(self) -> None:
         """Kill the pool if any in-flight slice blew its deadline.
@@ -634,7 +609,7 @@ class _Supervisor:
         now = time.perf_counter()
         expired, innocent = [], []
         for flight in self._flights.values():
-            if (now - flight.started
+            if (flight.elapsed(now)
                     > self.outcomes[flight.index].deadline_seconds):
                 expired.append(flight)
             else:
@@ -653,31 +628,29 @@ class _Supervisor:
         for flight in innocent:
             self._record_failure(
                 flight.index, flight.attempt, "worker",
-                now - flight.started,
+                flight.elapsed(now),
                 "interrupted by pool teardown (neighbour reaped); "
                 "resubmitted", charged=False)
             self._submit(flight.index, attempt=flight.attempt)
         for flight in expired:
+            deadline = self.outcomes[flight.index].deadline_seconds
             self._record_failure(
                 flight.index, flight.attempt, "worker",
-                now - flight.started,
-                f"deadline exceeded "
-                f"({self.outcomes[flight.index].deadline_seconds:.2f}s); "
-                f"worker reaped")
-            deadline = self.outcomes[flight.index].deadline_seconds
+                flight.elapsed(now),
+                f"deadline exceeded ({deadline:.2f}s); worker reaped")
             self._after_failure(
                 flight.index,
-                TimeoutError(f"slice {flight.index} missed its "
-                             f"{deadline:.2f}s deadline"))
+                SliceDeadlineError(f"slice {flight.index} missed its "
+                                   f"{deadline:.2f}s deadline"))
 
     def _rebuild_pool(self) -> None:
         self.metrics.inc("superpin.supervisor.pool_rebuilds")
         self.tracer.instant("pool.rebuild", cat="supervisor")
-        self._teardown(self._pool, None, kill=True)
+        self._teardown(self._pool, None)
         self._pool = ProcessPoolExecutor(max_workers=self._workers)
 
     @staticmethod
-    def _teardown(pool, flights, kill: bool = True) -> None:
+    def _teardown(pool, flights) -> None:
         """Shut a pool down promptly: cancel queued work, kill workers.
 
         ``shutdown(cancel_futures=True)`` alone would wait for running
@@ -688,18 +661,15 @@ class _Supervisor:
         """
         if pool is None:
             return
-        if flights:
-            for future in flights:
-                future.cancel()
-        processes = []
-        if kill:
-            try:
-                processes = list((getattr(pool, "_processes", None)
-                                  or {}).values())
-                for process in processes:
-                    process.terminate()
-            except Exception:
-                processes = []
+        for future in flights or ():
+            future.cancel()
+        try:
+            processes = list((getattr(pool, "_processes", None)
+                              or {}).values())
+            for process in processes:
+                process.terminate()
+        except Exception:
+            processes = []
         try:
             pool.shutdown(wait=False, cancel_futures=True)
         except Exception:

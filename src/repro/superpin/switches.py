@@ -89,11 +89,11 @@ The reproduction adds knobs the paper fixes implicitly: the virtual clock
 rate that converts milliseconds to simulated cycles, and the signature
 parameters of §4.4 (stack words recorded, quick-register lookahead).
 
-CI hook: the environment variables ``SUPERPIN_SPWORKERS`` and
-``SUPERPIN_SPFAULTS`` override the *defaults* of ``spworkers`` and
-``spfaults`` (explicit constructor arguments and parsed switches always
-win).  The fault-injection CI job uses them to push the whole test suite
-through the supervised parallel slice phase without editing every test.
+CI hook: the environment variable ``SUPERPIN_SPWORKERS`` overrides the
+*default* of ``spworkers`` (explicit constructor arguments and parsed
+switches always win).  The fault-injection CI job uses it to push the
+whole test suite through the process-pool transport without editing
+every test.
 """
 
 from __future__ import annotations
@@ -114,10 +114,6 @@ FAULT_POLICIES = ("failfast", "retry", "degrade")
 
 def _default_spworkers() -> int:
     return int(os.environ.get("SUPERPIN_SPWORKERS", "0") or 0)
-
-
-def _default_spfaults() -> str:
-    return os.environ.get("SUPERPIN_SPFAULTS", "failfast") or "failfast"
 
 
 @dataclass
@@ -144,7 +140,7 @@ class SuperPinConfig:
     #: fresh workers, then once in-process, then raises; ``degrade``
     #: retries the same way but on final failure records the slice as a
     #: hole and completes the run with the surviving slices.
-    spfaults: str = field(default_factory=_default_spfaults)
+    spfaults: str = "failfast"
     #: Worker re-executions per failed slice before the in-process
     #: fallback (policies ``retry``/``degrade``).
     spretries: int = 2

@@ -1,10 +1,11 @@
 """Failure injection: corrupted recordings must fail loudly, not wrongly.
 
 The tamper tests run the whole slice phase through
-:func:`~repro.superpin.parallel.execute_slices`, parametrized over
+:func:`~repro.superpin.supervisor.supervise_slices`, parametrized over
 ``spworkers in {0, 2}`` — a corrupted recording must surface the same
-loud failure whether the slice runs in-process or in a worker (the
-worker's exception pickles back across the pool boundary).  The parity
+loud failure (a ``SliceExecutionError`` whose cause is the slice's own
+error) whether the slice runs in-process or in a worker (the worker's
+exception pickles back across the pool boundary).  The parity
 tests close the loop with the supervision subsystem: an injected
 worker crash under ``-spfaults retry`` must be invisible in the merged
 output.
@@ -12,12 +13,12 @@ output.
 
 import pytest
 
-from repro.errors import DivergenceError, ReproError
+from repro.errors import DivergenceError, ReproError, SliceExecutionError
 from repro.isa import assemble
 from repro.machine import Kernel, SyscallRecord
-from repro.superpin import (ControlProcess, execute_slices, FaultPlan,
-                            record_signatures, run_slice, run_superpin,
-                            SliceToolContext, SPControl, SuperPinConfig)
+from repro.superpin import (ControlProcess, FaultPlan, record_signatures,
+                            run_slice, run_superpin, SliceToolContext,
+                            SPControl, SuperPinConfig, supervise_slices)
 from repro.superpin.sysrecord import RecordedSyscall
 from repro.tools import ICount2
 
@@ -81,7 +82,8 @@ def pipeline(request):
 def _run_phase(pipeline):
     """Run the full slice phase under the fixture's worker mode."""
     timeline, template, sp, config, signatures = pipeline
-    return execute_slices(timeline, signatures, template, sp, config)
+    return supervise_slices(timeline, signatures, template, sp,
+                            config).results
 
 
 def _first_interval_with_records(timeline):
@@ -93,7 +95,7 @@ def _first_interval_with_records(timeline):
 
 class TestTamperedRecords:
     def test_baseline_runs_clean(self, pipeline):
-        results, _ = _run_phase(pipeline)
+        results = _run_phase(pipeline)
         assert all(r.exact for r in results)
 
     def test_wrong_retval_breaks_nothing_silently(self, pipeline):
@@ -117,8 +119,10 @@ class TestTamperedRecords:
         timeline, *_ = pipeline
         interval = _first_interval_with_records(timeline)
         interval.records.pop(0)
-        with pytest.raises(DivergenceError):
+        with pytest.raises(SliceExecutionError) as info:
             _run_phase(pipeline)
+        assert isinstance(info.value.__cause__, DivergenceError)
+        assert len(info.value.attempts) == 1
 
     def test_swapped_record_order_detected(self, pipeline):
         timeline, *_ = pipeline
@@ -132,8 +136,10 @@ class TestTamperedRecords:
             pytest.skip("need two distinct records in one interval")
         interval.records[0], interval.records[1] = \
             interval.records[1], interval.records[0]
-        with pytest.raises(DivergenceError, match="mismatch"):
+        with pytest.raises(SliceExecutionError, match="mismatch") as info:
             _run_phase(pipeline)
+        assert isinstance(info.value.__cause__, DivergenceError)
+        assert "mismatch" in str(info.value.__cause__)
 
     def test_single_slice_entry_point_still_loud(self):
         """The lower-level run_slice entry point (used by ablations)

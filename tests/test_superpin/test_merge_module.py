@@ -4,9 +4,9 @@ import random
 
 from repro.isa import assemble
 from repro.machine import Kernel
-from repro.superpin import (AutoMerge, ControlProcess, execute_slices,
-                            merge_slices, record_signatures, SliceEnd,
-                            SliceToolContext, SPControl, SuperPinConfig)
+from repro.superpin import (AutoMerge, ControlProcess, merge_slices,
+                            record_signatures, SliceEnd, SliceToolContext,
+                            SPControl, SuperPinConfig, supervise_slices)
 from repro.superpin.slices import SliceResult
 from repro.tools import ICount2
 from tests.conftest import MULTISLICE
@@ -76,8 +76,8 @@ class TestMergeOrdering:
             timeline = ControlProcess(program, config,
                                       kernel=Kernel(seed=42)).run()
             signatures = record_signatures(timeline, config)
-            results, _ = execute_slices(timeline, signatures, template,
-                                        sp, config)
+            results = supervise_slices(timeline, signatures, template,
+                                       sp, config).results
             if shuffle:
                 random.Random(7).shuffle(results)
             merge_slices(sp, results)

@@ -13,7 +13,8 @@ import pytest
 from repro.errors import ConfigError, RecordingCorruptError
 from repro.isa import assemble
 from repro.machine import Kernel
-from repro.superpin import (damage_recording, FaultKind, load_recording,
+from repro.superpin import (damage_recording, FaultKind, FaultPlan,
+                            load_recording,
                             parse_switches, replay_recording,
                             run_superpin, RunJournal, run_key,
                             program_digest, SuperPinConfig)
@@ -124,6 +125,38 @@ class TestReplayParity:
         assert report.audit is not None
         assert report.audit.ok
         assert report.audit.checks > 0
+
+    def test_replay_streams_the_live_phase_events(self, program, recorded):
+        """One pipeline: a replay announces the phases a live run does,
+        minus the two the artifact replaces."""
+        path, _, _ = recorded
+
+        def phases(run):
+            seen = []
+            run(lambda event, payload: event == "phase"
+                and seen.append(payload["phase"]))
+            return seen
+        live = phases(lambda cb: run_superpin(
+            program, ICount2(), _config(), kernel=Kernel(seed=42),
+            on_progress=cb))
+        replay = phases(lambda cb: replay_recording(
+            path, ICount2(), _config(), on_progress=cb))
+        assert live == ["control", "signature", "slice", "merge", "timing"]
+        assert replay == live[2:]
+
+    def test_tampered_replay_audit_leaves_divergence_instants(self,
+                                                              recorded):
+        """A replay's -spaudit publishes like a live run's: counters and
+        the ``audit.divergence`` instants on the trace."""
+        path, _, _ = recorded
+        report = replay_recording(path, ICount2(), _config(
+            spaudit=True, fault_plan=FaultPlan.parse("tamper@1")))
+        assert not report.audit.ok
+        instants = [r for r in report.trace.records
+                    if r.name == "audit.divergence"]
+        assert any(r.args["slice"] == 1 for r in instants)
+        assert len(instants) == len(report.audit.divergences) \
+            == report.metrics.counters["superpin.audit.divergences"]
 
     def test_tool_can_ask_if_replaying(self, recorded):
         path, _, _ = recorded

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import InstrumentationError, RunawaySliceError
+from repro.errors import (InstrumentationError, RunawaySliceError,
+                          SliceExecutionError)
 from repro.isa import abi, assemble
 from repro.machine import Kernel
 from repro.pin import Pintool
@@ -107,9 +108,10 @@ class TestToolIsolation:
 class TestRunaway:
     """A never-matching signature must fail loudly, never loop forever.
 
-    Depending on what the slice meets first, that is either a
-    DivergenceError (an un-recorded syscall) or a RunawaySliceError
-    (instruction budget exhausted).  Both paths are covered.
+    Depending on what the slice meets first, the SliceExecutionError's
+    cause is either a DivergenceError (an un-recorded syscall) or a
+    RunawaySliceError (instruction budget exhausted).  Both paths are
+    covered.
     """
 
     @staticmethod
@@ -133,11 +135,12 @@ class TestRunaway:
         original, sabotaged = self._sabotage(parallel_mod)
         parallel_mod.record_boundary_signature = sabotaged
         try:
-            with pytest.raises(DivergenceError):
+            with pytest.raises(SliceExecutionError) as info:
                 run_superpin(multislice_program, ICount2(),
                              SuperPinConfig(spmsec=500, clock_hz=10_000,
                                             spfaults="failfast"),
                              kernel=Kernel(seed=42))
+            assert isinstance(info.value.__cause__, DivergenceError)
         finally:
             parallel_mod.record_boundary_signature = original
 
@@ -158,11 +161,13 @@ lp: addi t0, t0, 1
         original, sabotaged = self._sabotage(parallel_mod)
         parallel_mod.record_boundary_signature = sabotaged
         try:
-            with pytest.raises(RunawaySliceError):
+            with pytest.raises(SliceExecutionError,
+                               match="without detecting") as info:
                 run_superpin(program, ICount2(),
                              SuperPinConfig(spmsec=1000, clock_hz=10_000,
                                             spfaults="failfast"),
                              kernel=Kernel(seed=42))
+            assert isinstance(info.value.__cause__, RunawaySliceError)
         finally:
             parallel_mod.record_boundary_signature = original
 

@@ -1,10 +1,14 @@
-"""Slice supervision: deadlines, retries, pool rebuild, degradation.
+"""The one slice executor: transport/policy/journal parity, deadlines,
+retries, pool rebuild, degradation.
 
 Every failure here is *injected* through the deterministic
-:mod:`repro.superpin.faults` harness, so the retry/degrade/reap paths
+:mod:`repro.superpin.faults` harness (or, for the default-path
+deadline, a tool that really stalls), so the retry/degrade/reap paths
 run in CI on every push, not just in anger.
 """
 
+import dataclasses
+import itertools
 import time
 
 import pytest
@@ -13,15 +17,18 @@ from repro.errors import (ConfigError, RunawaySliceError,
                           SliceDeadlineError, SliceExecutionError)
 from repro.isa import assemble
 from repro.machine import Kernel
-from repro.superpin import (FaultKind, FaultPlan, FaultSpec, run_superpin,
-                            slice_deadline, SuperPinConfig)
+from repro.obs import MetricsRegistry
+from repro.superpin import (ControlProcess, FAULT_POLICIES, FaultKind,
+                            FaultPlan, FaultSpec, record_signatures,
+                            run_superpin, slice_deadline, SliceToolContext,
+                            SPControl, SuperPinConfig, supervise_slices)
 from repro.superpin.faults import (CORRUPT_BLOB, maybe_inject,
                                    WorkerCrashFault)
 from repro.tools import ICount2, ITrace
 from tests.conftest import MULTISLICE
 
-#: Both slice-phase execution modes; every supervision property must
-#: hold under each (sequential supervised and parallel supervised).
+#: Both slice-phase transports; every supervision property must hold
+#: under each (in-process and process pool).
 WORKER_MODES = [0, 2]
 
 
@@ -62,6 +69,146 @@ def program():
 @pytest.fixture(scope="module")
 def clean(program):
     return _clean_report(program)
+
+
+class TestExecutorParity:
+    """Transport, policy and journal choose *how* a slice is run and
+    kept, never what it computes or what the run reports."""
+
+    MATRIX = list(itertools.product(WORKER_MODES, FAULT_POLICIES,
+                                    (False, True)))
+
+    @staticmethod
+    def _observe(program, tmp_path, spworkers, spfaults, journaled):
+        progress = []
+        tool = ICount2()
+        config = SuperPinConfig(
+            spmsec=500, clock_hz=10_000, spworkers=spworkers,
+            spfaults=spfaults, spjournal=str(
+                tmp_path / f"{spworkers}-{spfaults}.journal")
+            if journaled else None)
+        report = run_superpin(
+            program, tool, config, kernel=Kernel(seed=42),
+            on_progress=lambda event, payload: event == "slice"
+            and progress.append((payload["completed"], payload["total"])))
+        results = [
+            {**{f.name: getattr(r, f.name) for f in dataclasses.fields(r)
+                if f.name != "tool_ctx"},
+             "tool.icount": r.tool_ctx.tool.icount,
+             "area_locals": r.tool_ctx.area_locals}
+            for r in report.slices]
+        spans = [{r.name for r in report.trace.records
+                  if r.args and r.args.get("slice") == k
+                  and r.name not in ("slice.pickle", "slice.fork")}
+                 for k in range(report.num_slices)]
+        attempts = [[(a.number, a.ok) for a in o.attempts]
+                    for o in report.slice_outcomes]
+        return {"results": results, "total": tool.total,
+                "stdout": report.stdout, "spans": spans,
+                "attempts": attempts, "progress": progress,
+                "where": {a.where for o in report.slice_outcomes
+                          for a in o.attempts}}
+
+    def test_transport_policy_journal_are_invisible(self, program,
+                                                    tmp_path):
+        baseline = None
+        for spworkers, spfaults, journaled in self.MATRIX:
+            seen = self._observe(program, tmp_path, spworkers, spfaults,
+                                 journaled)
+            assert seen.pop("where") \
+                == {"worker" if spworkers else "inprocess"}
+            n = len(seen["results"])
+            assert n >= 3
+            assert seen["attempts"] == [[(1, True)]] * n
+            assert seen["progress"] == [(k + 1, n) for k in range(n)]
+            assert seen["spans"] == [{"slice", "slice.run",
+                                      "slice.merge"}] * n
+            baseline = baseline or seen
+            assert seen == baseline, (spworkers, spfaults, journaled)
+
+    @pytest.mark.parametrize("spfaults, journaled, pickled", [
+        ("failfast", False, False), ("failfast", True, False),
+        ("retry", False, True)])
+    def test_inprocess_serialises_only_what_is_read(self, program,
+                                                    tmp_path, spfaults,
+                                                    journaled, pickled):
+        """No pickle nobody reads: in-process, a job is pickled only
+        when the policy could retry it."""
+        report, _ = _clean_report(
+            program, spfaults=spfaults,
+            spjournal=str(tmp_path / "run.journal") if journaled else None)
+        names = [r.name for r in report.trace.records]
+        assert ("slice.pickle" in names) == pickled
+        assert ("slice.fork" in names) == pickled
+        assert names.count("slice.pickle") \
+            == (report.num_slices if pickled else 0)
+
+    def test_progress_hook_exception_aborts_under_any_policy(self,
+                                                             program):
+        """Cancellation (an ``on_progress`` that raises) is not a slice
+        failure: no retry ladder may swallow it."""
+        class Cancelled(Exception):
+            pass
+
+        def cancel(event, payload):
+            if event == "slice":
+                raise Cancelled
+        for spworkers in WORKER_MODES:
+            with pytest.raises(Cancelled):
+                run_superpin(program, ICount2(), SuperPinConfig(
+                    spmsec=500, clock_hz=10_000, spworkers=spworkers,
+                    spfaults="retry"), kernel=Kernel(seed=42),
+                    on_progress=cancel)
+
+
+class StallingICount(ICount2):
+    """Stalls far past any deadline in slice 1's analysis routine."""
+
+    stall = False
+
+    def tool_reset(self, slice_num):
+        super().tool_reset(slice_num)
+        self.stall = slice_num == 1
+
+    def docount(self, count):
+        if self.stall:
+            time.sleep(60.0)
+        super().docount(count)
+
+
+class SlowStartICount(ICount2):
+    """Slices 1 and 2 each take 0.6 s before they execute anything."""
+
+    def tool_reset(self, slice_num):
+        super().tool_reset(slice_num)
+        if slice_num in (1, 2):
+            time.sleep(0.6)
+
+
+class TestDefaultPathDeadline:
+    def test_stalled_worker_is_reaped_under_failfast(self, program):
+        """-spworkers N with the default policy and no fault plan still
+        enforces the slice deadline (it used to wait for ever)."""
+        config = SuperPinConfig(spmsec=500, clock_hz=10_000, spworkers=2,
+                                slice_deadline_floor=0.5,
+                                slice_deadline_per_ins=0.0)
+        assert config.spfaults == "failfast" and config.fault_plan is None
+        timeline = ControlProcess(program, config,
+                                  kernel=Kernel(seed=42)).run()
+        sp = SPControl(config)
+        tool = StallingICount()
+        tool.setup(sp)
+        metrics = MetricsRegistry()
+        t0 = time.perf_counter()
+        with pytest.raises(SliceExecutionError) as info:
+            supervise_slices(timeline, record_signatures(timeline, config),
+                             SliceToolContext.from_control(tool, sp), sp,
+                             config, metrics=metrics)
+        assert time.perf_counter() - t0 < 15
+        assert info.value.index == 1
+        assert isinstance(info.value.__cause__, SliceDeadlineError)
+        assert "deadline exceeded" in info.value.attempts[-1].error
+        assert metrics.counter("superpin.supervisor.deadline_hits") == 1
 
 
 class TestFaultPlan:
@@ -272,6 +419,20 @@ class TestDeadlineReaping:
         assert any("deadline exceeded" in a.error for a in reaped)
         # Far less than the 60s hang: the deadline (1s) did the work.
         assert elapsed < 30
+
+    def test_queue_wait_does_not_run_the_deadline_clock(self, program):
+        """One worker, two slow slices back to back: the second queues
+        behind the first for most of its deadline, then needs most of a
+        deadline itself.  Its clock must start when a worker takes it
+        up, not when it was submitted."""
+        report, tool = _clean_report(
+            program, tool_cls=SlowStartICount, spworkers=1,
+            spfaults="retry", spmetrics=True,
+            slice_deadline_floor=1.0, slice_deadline_per_ins=0.0)
+        assert report.all_exact
+        assert report.metrics.counter(
+            "superpin.supervisor.deadline_hits") == 0
+        assert report.supervision_summary()["failed_attempts"] == 0
 
     def test_hang_on_every_attempt_degrades(self, program):
         plan = FaultPlan(specs=(FaultSpec(kind=FaultKind.HANG,

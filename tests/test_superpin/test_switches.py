@@ -80,7 +80,6 @@ class TestSupervisionSwitches:
 
     def test_defaults(self, monkeypatch):
         monkeypatch.delenv("SUPERPIN_SPWORKERS", raising=False)
-        monkeypatch.delenv("SUPERPIN_SPFAULTS", raising=False)
         config = SuperPinConfig()
         assert config.spfaults == "failfast"
         assert config.spretries == 2
@@ -88,12 +87,10 @@ class TestSupervisionSwitches:
         assert config.slice_deadline_floor > 0
 
     def test_env_overrides_defaults_only(self, monkeypatch):
-        """The CI hook: env vars move the defaults, explicit values and
-        parsed switches still win."""
+        """The CI hook: the env var moves the default, explicit values
+        and parsed switches still win."""
         monkeypatch.setenv("SUPERPIN_SPWORKERS", "3")
-        monkeypatch.setenv("SUPERPIN_SPFAULTS", "retry")
         assert SuperPinConfig().spworkers == 3
-        assert SuperPinConfig().spfaults == "retry"
         assert SuperPinConfig(spworkers=0, spfaults="degrade").spworkers \
             == 0
         config = parse_switches(["-spworkers", "1", "-spfaults",
