@@ -39,8 +39,11 @@ class CacheStats:
     #: statistic, and linked dispatches are counted separately.
     linked_dispatches: int = 0
     #: Traces installed from a cross-slice warm payload rather than
-    #: compiled from guest memory (see repro.superpin.sharedcache).
+    #: compiled from guest memory (see repro.superpin.warmstore).
     warm_starts: int = 0
+    #: Warm entries whose consistency check failed (different local
+    #: instrumentation or guest bytes); built cold instead.
+    warm_mismatches: int = 0
     #: Inserts over an address that was already cached: the old trace is
     #: evicted (and unlinked) and its bubble charge refunded, so neither
     #: ``allocated_words`` nor ``compiles`` double-counts.

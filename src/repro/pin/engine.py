@@ -95,11 +95,12 @@ class PinVM:
         #: dispatcher only on cold exits.  Architecturally invisible —
         #: differential tests enforce identical results either way.
         self.link_traces = link_traces
-        #: Cross-slice warm-start directory (``WarmStartSet``) consulted
-        #: by the dispatcher miss path, or None.  Entries are lowered
-        #: lazily with *this* engine's instrumentation, so a warm trace
-        #: is architecturally identical to a cold compile.
-        self.warm_traces = None
+        #: Cross-slice warm payload as ``pc -> WarmTrace``, consulted by
+        #: the dispatcher miss path; each entry serves at most once
+        #: (after that the trace is cached normally).  Entries are
+        #: lowered lazily with *this* engine's instrumentation, so a
+        #: warm trace is architecturally identical to a cold compile.
+        self.warm_traces: dict[int, object] = {}
         #: Redundancy suppression (repro.pin.suppress): legal back-edge
         #: loops compile with their invariant instrumentation summarized
         #: to one call per loop exit.
@@ -165,14 +166,21 @@ class PinVM:
         """Register ``observer(outcome)`` called after every syscall."""
         self.syscall_observers.append(observer)
 
-    def install_warm(self, warm) -> None:
-        """Attach a warm-start directory (see superpin.sharedcache).
+    def install_warm(self, payload) -> None:
+        """Install a warm payload (see repro.superpin.warmstore).
 
         Installation is lazy: nothing compiles until the dispatcher
         actually misses on a warm address, so cache statistics, compile
-        order and bubble accounting stay identical to a cold run.
+        order and bubble accounting stay identical to a cold run.  The
+        payload's promoted chains become this engine's TC2 promotion
+        profile: each chain promotes the moment its segments are cached,
+        so warm runs start hot instead of re-earning every superblock
+        through the execution counter.
         """
-        self.warm_traces = warm
+        for entry in payload.traces:
+            self.warm_traces.setdefault(entry.address, entry)
+        if self.tc2 is not None:
+            self.tc2.install_profile(payload.chains)
 
     # -- syscall plumbing ----------------------------------------------------
 
@@ -271,17 +279,19 @@ class PinVM:
                 if trace is None:
                     trace = cache.lookup(pc)
                 if trace is None:
-                    warm = self.warm_traces
-                    trace = warm.build(pc, jit) if warm is not None \
-                        else None
-                    if trace is not None:
-                        cache.stats.warm_starts += 1
+                    entry = self.warm_traces.pop(pc, None)
+                    if entry is None:
+                        trace, warm = jit.compile(pc), False
                     else:
-                        trace = jit.compile(pc)
-                        if self.metrics.enabled:
-                            self.metrics.inc("pin.jit.compiles")
-                            self.metrics.observe("pin.jit.trace_ins",
-                                                 trace.num_ins)
+                        trace, warm = jit.build_warm(entry)
+                        if not warm:
+                            cache.stats.warm_mismatches += 1
+                    if warm:
+                        cache.stats.warm_starts += 1
+                    elif self.metrics.enabled:
+                        self.metrics.inc("pin.jit.compiles")
+                        self.metrics.observe("pin.jit.trace_ins",
+                                             trace.num_ins)
                     cache.insert(pc, trace, trace.num_ins)
                     if tc2 is not None:
                         tc2.note_insert(trace)

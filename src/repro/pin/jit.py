@@ -103,6 +103,23 @@ class Jit:
                              trace_obj.fall_address,
                              [bbl.num_ins for bbl in trace_obj.bbls])
 
+    def export_warm(self, trace):
+        """``trace`` as a warm-payload record: address and length only —
+        closures over live VM state cannot cross a process boundary."""
+        # Imported here: pin sits below superpin, and the record type
+        # lives with the store that persists it.
+        from ..superpin.warmstore import WarmTrace
+        return WarmTrace(trace.start, trace.num_ins)
+
+    def build_warm(self, entry):
+        """Build the trace a warm entry names: ``(trace, warm)``.
+
+        Nothing executable was shipped, so this is an ordinary compile;
+        it still counts as a warm start because the payload, not guest
+        discovery, named the trace.
+        """
+        return self.compile(entry.address), True
+
     def compile_step(self, address: int) -> CompiledTrace:
         """Lower a single-instruction trace (exact-budget stepping).
 

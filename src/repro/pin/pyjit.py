@@ -99,8 +99,6 @@ class SourceJit:
     def _build(self, address: int, trace_obj, emitter,
                code=None) -> SourceCompiledTrace:
         if emitter.suppressed:
-            # Counted at build (not lower) time so a warm-path
-            # consistency mismatch that re-lowers cold counts once.
             self._engine.instr_stats.summarized_loops += 1
         if code is None:
             source, namespace = emitter.finish(address)
@@ -122,29 +120,34 @@ class SourceJit:
         trace_obj, emitter = self._lower(address)
         return self._build(address, trace_obj, emitter)
 
-    def compile_warm(self, address: int, source: str,
-                     code_bytes: bytes) -> SourceCompiledTrace | None:
-        """Install a trace from a warm-cache entry, or None on mismatch.
+    def export_warm(self, trace: SourceCompiledTrace):
+        """``trace`` as a warm-payload record: the generated source (the
+        consistency key) and the marshalled code object."""
+        # Imported here: pin sits below superpin, and the record type
+        # lives with the store that persists it.
+        from ..superpin.warmstore import WarmTrace
+        return WarmTrace(trace.start, trace.num_ins, trace.source,
+                         marshal.dumps(trace.fn.__code__))
+
+    def build_warm(self, entry) -> tuple[SourceCompiledTrace, bool]:
+        """Build the trace a warm entry names: ``(trace, warm)``.
 
         Lowering and instrumentation still run locally (the analysis
-        resolvers must bind *this* slice's tool closures), and the
-        regenerated source text is compared against the warm entry —
-        that string comparison is the §8 "consistency check".  On a
-        match the marshalled code object is exec'd directly, skipping
+        resolvers must bind *this* slice's tool closures) — exactly
+        once, so trace callbacks fire as in a cold build — and the
+        regenerated source text is compared against the entry's: that
+        string comparison is the §8 "consistency check".  On a match the
+        marshalled code object is rebound directly, skipping
         ``compile()`` — the dominant cost of a cold source-backend
-        compile.  A mismatch (different instrumentation, different
-        guest bytes) falls back to a cold compile at the caller.
+        build.  On a mismatch (different instrumentation, different
+        guest bytes) the cold build finishes from the same lowering and
+        the foreign code object is never unmarshalled.
         """
+        address = entry.address
         trace_obj, emitter = self._lower(address)
-        if emitter.source_text(address) != source:
-            return None
-        return self._build(address, trace_obj, emitter,
-                           code=marshal.loads(code_bytes))
-
-    @staticmethod
-    def export_code(trace: SourceCompiledTrace) -> bytes:
-        """Marshal a compiled trace's code object for the warm payload."""
-        return marshal.dumps(trace.fn.__code__)
+        warm = emitter.source_text(address) == entry.source
+        code = marshal.loads(entry.code) if warm else None
+        return self._build(address, trace_obj, emitter, code), warm
 
 
 class _Emitter:

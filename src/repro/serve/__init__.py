@@ -7,7 +7,7 @@ arrive over a unix socket (newline-delimited JSON,
 queue (:mod:`repro.serve.jobs`), execute against one shared worker pool
 (:mod:`repro.serve.server`), and — because every job runs against the
 daemon's persistent trace store
-(:mod:`repro.superpin.trace_store`) — a resubmitted program starts warm
+(:mod:`repro.superpin.warmstore`) — a resubmitted program starts warm
 with zero pilot compiles.
 
 Clients: :class:`repro.serve.client.ServeClient` (blocking, used by

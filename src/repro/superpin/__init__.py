@@ -30,8 +30,6 @@ from .parallel import (record_boundary_signature, record_signatures,
 from .recording import (damage_recording, load_recording, Recording,
                         save_recording)
 from .runtime import replay_recording, run_superpin, SuperPinReport
-from .sharedcache import (charge_slices_in_order, SharedCacheStats,
-                          SharedCodeCacheDirectory)
 from .sharedmem import AutoMerge, resolve_shared_areas, SharedArea
 from .signature import (DEFAULT_QUICK_REGS, DetectionStats,
                         record_signature, select_quick_registers, Signature,
@@ -43,9 +41,9 @@ from .switches import (DEFAULT_CLOCK_HZ, FAULT_POLICIES, parse_switches,
                        SuperPinConfig)
 from .sysrecord import PlaybackHandler, RecordedSyscall
 from .timetravel import DebugSession, StopEvent, TimeTravelEngine
-from .trace_store import (damage_store_chains, damage_store_entry,
-                          isa_fingerprint, store_key, trace_store_for,
-                          TraceStore)
+from .warmstore import (charge_slices_in_order, damage_store_chains,
+                        damage_store_entry, isa_fingerprint, store_key,
+                        trace_store_for, TraceStore)
 
 __all__ = [
     "END_SLICE_TOKEN", "SliceToolContext", "SPControl", "AuditInputs",
@@ -56,8 +54,7 @@ __all__ = [
     "FaultKind", "FaultPlan", "FaultSpec", "merge_slices",
     "record_boundary_signature", "record_signatures", "SliceTimings",
     "run_superpin", "SuperPinReport",
-    "charge_slices_in_order", "SharedCacheStats",
-    "SharedCodeCacheDirectory", "AutoMerge", "resolve_shared_areas",
+    "charge_slices_in_order", "AutoMerge", "resolve_shared_areas",
     "SharedArea", "DEFAULT_QUICK_REGS", "DetectionStats",
     "record_signature", "select_quick_registers", "Signature",
     "SignatureDetector", "run_slice", "SliceEnd", "SliceResult",

@@ -60,7 +60,7 @@ from .signature import Signature
 from .slices import SliceResult
 from .supervisor import SliceOutcome, supervise_slices
 from .switches import SuperPinConfig
-from .trace_store import store_key, trace_store_for
+from .warmstore import charge_slices_in_order, WarmStore
 
 
 @dataclass
@@ -418,13 +418,12 @@ def _run_pipeline(timeline: MasterTimeline, signatures: list[Signature],
             journal = RunJournal.create(config.spjournal, key,
                                         metrics=metrics)
 
-    # -sptracestore: the persistent warm-cache tier.  A hit hands every
-    # slice (pilot included) the stored payload, so a repeat run — or a
-    # second replay of the same artifact, whose slice shapes are its own
-    # — compiles zero pilot traces cold; a miss runs the normal pilot
-    # protocol and persists its frozen exports afterwards.
-    prewarm, warm_store, save_warm = _trace_store_lookup(
-        config, metrics, source_digest)
+    # The run's warm store; with -sptracestore, over a disk entry.  A hit
+    # hands every slice (pilot included) the stored payload, so a repeat
+    # run — or a second replay of the same artifact, whose slice shapes
+    # are its own — compiles zero pilot traces cold; a miss runs the
+    # normal pilot protocol and persists its frozen exports at the fold.
+    warm = WarmStore.for_run(config, source_digest, metrics)
 
     # 4. Slice phase: in-process, or fanned out (-spworkers), under the
     #    -spfaults supervision policy.
@@ -436,13 +435,11 @@ def _run_pipeline(timeline: MasterTimeline, signatures: list[Signature],
                                           sp, config, tracer=tracer,
                                           metrics=metrics, journal=journal,
                                           preloaded=preloaded,
-                                          damaged=damaged, prewarm=prewarm,
-                                          warm_store=warm_store,
+                                          damaged=damaged, warm=warm,
                                           on_progress=on_progress)
         finally:
             if journal is not None:
                 journal.close()
-    save_warm()
     _apply_artifact_faults(config, len(timeline.intervals))
     results, timings = supervised.results, supervised.timings
     degraded = supervised.degraded
@@ -450,7 +447,6 @@ def _run_pipeline(timeline: MasterTimeline, signatures: list[Signature],
     # Shared-code-cache attribution (§8) is a slice-ordered post-pass, so
     # the figures do not depend on slice completion order.
     if config.spsharedcache:
-        from .sharedcache import charge_slices_in_order
         charge_slices_in_order(results)
 
     # 5. Merge in slice order, then fini on the master tool.
@@ -492,32 +488,6 @@ def _run_pipeline(timeline: MasterTimeline, signatures: list[Signature],
         with tracer.span("audit_phase", cat="phase"):
             report.audit = audit(report, tracer, metrics)
     return report
-
-
-def _trace_store_lookup(config: SuperPinConfig, metrics,
-                        source_digest: str):
-    """Resolve the persistent trace store for one run.
-
-    Returns ``(prewarm, warm_store, save_warm)``:
-
-    * ``prewarm`` — the verified stored payload on a hit (every slice
-      starts warm, no pilot), else None;
-    * ``warm_store`` — on a miss, the
-      :class:`~repro.superpin.sharedcache.WarmTraceStore` the slice
-      phase folds the pilot's exports into;
-    * ``save_warm`` — call after the slice phase; on a miss it persists
-      the frozen payload (no-op on hits or when no store is configured).
-    """
-    store = trace_store_for(config, metrics)
-    if store is None:
-        return None, None, lambda: None
-    key = store_key(source_digest, config)
-    prewarm = store.load(key)
-    if prewarm is not None:
-        return prewarm, None, lambda: None
-    from .sharedcache import WarmTraceStore
-    warm_store = WarmTraceStore()
-    return None, warm_store, lambda: store.save(key, warm_store.freeze())
 
 
 def _apply_artifact_faults(config: SuperPinConfig, num_slices: int) -> None:

@@ -121,6 +121,49 @@ class SliceResult:
                 and self.reason in (SliceEnd.MATCHED, SliceEnd.EXIT))
 
 
+def fork_boundary(boundary: Boundary, interval: Interval) -> Process:
+    """Fork one slice's execution state from its boundary snapshot.
+
+    Registers, kernel layout (with the bubble released so code-cache
+    allocations land there, §4.1), thread scheduler and a single-use
+    :class:`PlaybackHandler` (``process.syscall_handler``) are fresh per
+    call; memory is ``boundary.mem_fork`` itself — a ``fork()`` there
+    would charge the slice phantom COW faults — so a boundary executes
+    once (retries and time travel re-materialize it from its pickle).
+    """
+    if boundary.is_hole:
+        raise DivergenceError(
+            f"slice {interval.index} has no boundary snapshot (degraded-"
+            f"slice placeholder) — it cannot be executed, only skipped")
+    cpu = CpuState()
+    cpu.restore(boundary.cpu_snapshot)
+    layout = boundary.layout_fork.fork()
+    layout.do_munmap(abi.BUBBLE_BASE, abi.BUBBLE_WORDS)
+    manager = (boundary.thread_fork.fork()
+               if boundary.thread_fork is not None else None)
+    # A fresh list per execution: PlaybackHandler's cursor contract is
+    # single-use, and sharing the interval's own list would let a
+    # re-execution of the same interval (retry, time travel) observe a
+    # mutation made through the handler's view.
+    handler = PlaybackHandler(list(interval.records), layout,
+                              interval.index, thread_manager=manager)
+    return Process(cpu, boundary.mem_fork, handler)
+
+
+def slice_vm(process: Process, config: SuperPinConfig,
+             forced_boundaries: frozenset[int] = frozenset(),
+             metrics=NULL_METRICS, suppress_loops: bool = False) -> PinVM:
+    """The engine a slice re-executes on: a cold code cache in the
+    bubble, and ``config``'s backend, linking and tier-2 rule (TC2 finds
+    its chains by following direct links, so it needs linking)."""
+    cache = CodeCache(abi.BUBBLE_BASE, abi.BUBBLE_WORDS, metrics=metrics)
+    return PinVM(process, forced_boundaries=forced_boundaries,
+                 code_cache=cache, jit_backend=config.jit_backend,
+                 link_traces=config.splinktraces, metrics=metrics,
+                 suppress_loops=suppress_loops,
+                 tc2_threshold=config.sptc2 if config.splinktraces else 0)
+
+
 def run_slice(boundary: Boundary, interval: Interval,
               end_signature: Signature | None,
               template: SliceToolContext, sp: SPControl,
@@ -134,41 +177,21 @@ def run_slice(boundary: Boundary, interval: Interval,
     cache hit totals folded at slice end) — a job-local registry whose
     snapshot the control process merges.
 
-    ``warm`` is the frozen warm-cache payload (WarmTrace entries, or
-    None); ``export_warm`` asks the slice to export its own compiled
+    ``warm`` is the frozen :class:`~repro.superpin.warmstore.WarmPayload`
+    (or None); ``export_warm`` asks the slice to export its own compiled
     traces on the result — set only for the pilot slice.
     """
     index = interval.index
-    if boundary.is_hole:
-        raise DivergenceError(
-            f"slice {index} has no boundary snapshot (degraded-slice "
-            f"placeholder) — it cannot be executed, only skipped")
 
     # 1. Fork state: registers, COW memory, kernel layout.
-    cpu = CpuState()
-    cpu.restore(boundary.cpu_snapshot)
-    layout = boundary.layout_fork.fork()
-    # Release the bubble so code-cache allocations land there (§4.1).
-    layout.do_munmap(abi.BUBBLE_BASE, abi.BUBBLE_WORDS)
-    manager = (boundary.thread_fork.fork()
-               if boundary.thread_fork is not None else None)
-    # A fresh list per execution: PlaybackHandler's cursor contract is
-    # single-use, and sharing the interval's own list would let a
-    # re-execution of the same interval (retry, time travel) observe a
-    # mutation made through the handler's view.
-    handler = PlaybackHandler(list(interval.records), layout, index,
-                              thread_manager=manager)
-    process = Process(cpu, boundary.mem_fork, handler)
+    process = fork_boundary(boundary, interval)
+    handler = process.syscall_handler
     cow_mark = process.mem.cow_faults
 
     # 2. Build the slice VM with its own cold code cache in the bubble.
-    cache = CodeCache(abi.BUBBLE_BASE, abi.BUBBLE_WORDS, metrics=metrics)
     forced = frozenset({end_signature.pc}) if end_signature else frozenset()
-    vm = PinVM(process, forced_boundaries=forced, code_cache=cache,
-               jit_backend=config.jit_backend,
-               link_traces=config.splinktraces, metrics=metrics,
-               suppress_loops=config.spsuppress,
-               tc2_threshold=config.sptc2 if config.splinktraces else 0)
+    vm = slice_vm(process, config, forced, metrics, config.spsuppress)
+    cache = vm.cache
 
     # 3. Fork the tool context and attach instrumentation.  Sampling
     #    (-spsample N) activates the tool on every Nth slice only; the
@@ -184,17 +207,8 @@ def run_slice(boundary: Boundary, interval: Interval,
         detector.attach()
     # Warm cache last: installation is lazy, but keeping it after every
     # add_trace_callback (each of which flushes) keeps the order obvious.
-    warm_set = None
-    if warm:
-        from .sharedcache import WarmStartSet
-        warm_set = WarmStartSet(warm)
-        vm.install_warm(warm_set)
-        if vm.tc2 is not None:
-            # The pilot's promoted chains become this slice's promotion
-            # profile: each chain promotes the moment its segments are
-            # cached, so warm slices start hot instead of re-earning
-            # every superblock through the execution counter.
-            vm.tc2.install_profile(getattr(warm, "chains", ()))
+    if warm is not None:
+        vm.install_warm(warm)
 
     # 4. Slice-begin callbacks (reset local statistics; paper Figure 2).
     if ctx.reset_fun is not None:
@@ -242,7 +256,7 @@ def run_slice(boundary: Boundary, interval: Interval,
         compile_log=tuple(cache.insert_log),
         linked_dispatches=cache.stats.linked_dispatches,
         warm_starts=cache.stats.warm_starts,
-        warm_mismatches=warm_set.mismatches if warm_set else 0,
+        warm_mismatches=cache.stats.warm_mismatches,
         end_pc=vm.cpu.pc,
         end_cpu_hash=vm.cpu.fingerprint(),
         syscall_digest=handler.stream_digest,
@@ -257,9 +271,10 @@ def run_slice(boundary: Boundary, interval: Interval,
         tc2_mispredicts=vm.tc2.stats.mispredicts if vm.tc2 else 0,
     )
     if export_warm:
-        from .sharedcache import export_warm_traces
-        result_record.warm_exports = export_warm_traces(
-            cache, config.jit_backend)
+        # The surviving (post-flush) cache contents, as the backend
+        # chooses to ship them.
+        result_record.warm_exports = tuple(
+            vm.jit.export_warm(trace) for trace in cache.live_traces())
         if vm.tc2 is not None:
             result_record.sb_chains = vm.tc2.chains()
     if metrics.enabled:

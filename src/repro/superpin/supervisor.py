@@ -81,6 +81,7 @@ from .sharedmem import resolve_shared_areas
 from .signature import Signature
 from .slices import SliceResult
 from .switches import SuperPinConfig
+from .warmstore import WarmStore
 
 
 @dataclass
@@ -193,7 +194,7 @@ def supervise_slices(timeline: MasterTimeline, signatures: list[Signature],
                      template: SliceToolContext, sp: SPControl,
                      config: SuperPinConfig, tracer=None,
                      metrics=NULL_METRICS, journal=None, preloaded=None,
-                     damaged=None, prewarm=None, warm_store=None,
+                     damaged=None, warm=None,
                      on_progress=None) -> SupervisedSlices:
     """Run the slice phase under the configured fault policy.
 
@@ -215,21 +216,18 @@ def supervise_slices(timeline: MasterTimeline, signatures: list[Signature],
       recording's load tolerated for that slice (``-spfaults degrade``
       only); these slices are degraded upfront, never attempted.
 
-    Warm-cache hooks (see :mod:`repro.superpin.trace_store`):
-
-    * ``prewarm`` — payload from a persistent-store hit; every slice
-      (pilot included) starts warm and the pilot protocol is skipped.
-    * ``warm_store`` — the
-      :class:`~repro.superpin.sharedcache.WarmTraceStore` the pilot's
-      exports fold into, so the runtime can persist the frozen payload.
+    * ``warm`` — the run's :class:`~repro.superpin.warmstore.WarmStore`
+      (default: a memory-only one).  Its ``lookup()`` hit starts every
+      slice, pilot included, warm and skips the pilot protocol; on a
+      miss the pilot's exports ``fold()`` into it.
     * ``on_progress`` — called in this process as ``on_progress("slice",
       {"completed": n, "total": n_slices})`` after each slice result
       lands (the hook the serve daemon streams to its clients); an
       exception it raises aborts the phase.
     """
     return _Supervisor(timeline, signatures, template, sp, config, tracer,
-                       metrics, journal, preloaded, damaged, prewarm,
-                       warm_store, on_progress).run()
+                       metrics, journal, preloaded, damaged, warm,
+                       on_progress).run()
 
 
 @dataclass
@@ -252,13 +250,12 @@ class _Supervisor:
     def __init__(self, timeline: MasterTimeline,
                  signatures: list[Signature], template: SliceToolContext,
                  sp: SPControl, config: SuperPinConfig, tracer, metrics,
-                 journal, preloaded, damaged, prewarm, warm_store,
-                 on_progress):
+                 journal, preloaded, damaged, warm, on_progress):
         self.sp = sp
         self.config = config
         self.tracer = ensure_tracer(tracer)
         self.metrics = metrics
-        self.warm_store = warm_store
+        self.warm = warm if warm is not None else WarmStore()
         self.on_progress = on_progress
         self._mark = self.tracer.mark()
         self._tracks = TrackAllocator()
@@ -308,13 +305,13 @@ class _Supervisor:
         #: retries) to resolution alone; its exports freeze the warm
         #: payload baked into every later slice's job.  The pilot
         #: serialization point costs one slice of latency and buys every
-        #: other slice a hot working set.  A persistent trace-store hit
-        #: (``prewarm``) replaces the protocol wholesale: every slice —
-        #: the pilot included — bakes the stored payload in, so no slice
-        #: compiles the shared working set cold.
-        self._pilot = (config.spwarmcache and prewarm is None
+        #: other slice a hot working set.  A warm-store ``lookup()`` hit
+        #: replaces the protocol wholesale: every slice — the pilot
+        #: included — bakes the stored payload in, so no slice compiles
+        #: the shared working set cold.
+        self._payload = self.warm.lookup() if config.spwarmcache else None
+        self._pilot = (config.spwarmcache and self._payload is None
                        and self.n_slices > 1)
-        self._warm = prewarm if config.spwarmcache else None
         self._pending: deque[int] = deque(
             k for k in ([0] if self._pilot else range(self.n_slices))
             if self._todo(k))
@@ -330,7 +327,7 @@ class _Supervisor:
         the bytes, the live tuple."""
         if self.payloads[k] is not None:
             return self.payloads[k]
-        job = self._job(k, warm=self._warm, export_warm=self._pilot)
+        job = self._job(k, warm=self._payload, export_warm=self._pilot)
         if not self._pickle_jobs:
             return job
         with self.tracer.span("slice.pickle", cat="slice",
@@ -385,10 +382,7 @@ class _Supervisor:
         payload freezes without re-running slice 0.
         """
         if 0 in self.results:
-            from .sharedcache import WarmTraceStore
-            store = self.warm_store if self.warm_store is not None \
-                else WarmTraceStore()
-            self._warm = store.fold_pilot(self.results[0])
+            self._payload = self.warm.fold(self.results[0])
         self._pilot = False
         self._pending.extend(k for k in range(1, self.n_slices)
                              if self._todo(k))

@@ -21,6 +21,24 @@ Switch                  Meaning
                         deadline adds a per-instruction allowance
 ``-spinject <spec>``    deterministic fault injection, e.g.
                         ``crash@0,hang@2:*`` (see superpin.faults)
+``-spclock <hz>``       virtual cycles per virtual second: converts
+                        ``-spmsec`` to a master instruction budget
+                        (only ratios of times are reported, which clock
+                        scaling preserves)
+``-spadaptive <0|1>``   §8 adaptive timeslice throttling: shrink
+                        timeslices toward the expected end of execution
+                        to cut the pipeline delay (off by default;
+                        needs ``-spexpected``)
+``-spexpected <msec>``  expected run duration in virtual milliseconds,
+                        e.g. from a prior run (for ``-spadaptive``)
+``-spsharedcache <0|1>`` §8 shared code cache in the *virtual* timing
+                        model: each trace's compile cost is charged to
+                        the first slice that needs it, later slices pay
+                        a consistency check (see superpin.warmstore;
+                        off by default)
+``-spjit <backend>``    JIT backend of the slice engines: ``closure``
+                        (threaded code, the default) or ``source``
+                        (generated Python, see repro.pin.pyjit)
 ``-sptrace <path>``     export the run's structured trace (repro.obs):
                         ``*.jsonl`` writes an event log, anything else
                         writes Chrome-trace JSON (load in Perfetto)
@@ -80,7 +98,7 @@ Switch                  Meaning
                         filter/suppress config) and shared across runs
                         and processes, so a repeated program starts hot
                         with zero pilot cold compiles (see
-                        superpin.trace_store; requires -spwarmcache)
+                        superpin.warmstore; requires -spwarmcache)
 ``-sptracestorelimit``  size budget in bytes for the trace store;
                         least-recently-used entries are evicted past it
 ======================= ==================================================
@@ -249,7 +267,7 @@ class SuperPinConfig:
     #: Resume from the journal at ``spjournal``: adopt its valid entry
     #: prefix and re-execute only the missing slices.
     spresume: bool = False
-    # --- persistent cross-run trace store (superpin.trace_store) -----------
+    # --- persistent cross-run trace store (superpin.warmstore) -------------
     #: Directory of the persistent trace store, or None (off).  With the
     #: store configured (and ``spwarmcache`` on), the run looks its warm
     #: payload up by content address before the slice phase: a hit warms

@@ -40,14 +40,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import DivergenceError, TimeTravelError
-from ..isa import abi
 from ..machine.cpu import CpuState
 from ..machine.process import Process
 from ..pin.args import (IARG_END, IARG_MEMORYWRITE_EA, IARG_PTR,
                         IPOINT_BEFORE)
-from ..pin.codecache import CodeCache
 from ..pin.engine import PinVM, RunState
 from .recording import Recording
+from .slices import fork_boundary, slice_vm
 from .switches import SuperPinConfig
 from .sysrecord import PlaybackHandler
 
@@ -275,21 +274,12 @@ class TimeTravelEngine:
 
     def _fork_boundary(self, k: int) -> _LiveState:
         boundary, interval = self.recording.slice_spec(k)
-        if boundary.is_hole:  # pragma: no cover - damaged checked earlier
-            raise TimeTravelError(
-                f"slice {k} has no boundary snapshot", kind="hole")
-        cpu = CpuState()
-        cpu.restore(boundary.cpu_snapshot)
-        layout = boundary.layout_fork.fork()
-        layout.do_munmap(abi.BUBBLE_BASE, abi.BUBBLE_WORDS)
-        manager = (boundary.thread_fork.fork()
-                   if boundary.thread_fork is not None else None)
-        records = list(interval.records)
-        handler = PlaybackHandler(records, layout, k,
-                                  thread_manager=manager)
-        return _LiveState(k=k, local=0, cpu=cpu, mem=boundary.mem_fork,
-                          layout=layout, manager=manager, handler=handler,
-                          records=records)
+        process = fork_boundary(boundary, interval)
+        handler = process.syscall_handler
+        return _LiveState(k=k, local=0, cpu=process.cpu, mem=process.mem,
+                          layout=handler.layout,
+                          manager=handler.thread_manager, handler=handler,
+                          records=interval.records)
 
     def _fork_ckpt(self, ckpt: _Ckpt) -> _LiveState:
         cpu = CpuState()
@@ -313,15 +303,7 @@ class TimeTravelEngine:
         vm = state.vm
         if vm is None:
             process = Process(state.cpu, state.mem, state.handler)
-            config = self.config
-            cache = CodeCache(abi.BUBBLE_BASE, abi.BUBBLE_WORDS)
-            vm = PinVM(process, code_cache=cache,
-                       jit_backend=config.jit_backend,
-                       link_traces=config.splinktraces,
-                       suppress_loops=False,
-                       tc2_threshold=(config.sptc2
-                                      if config.splinktraces else 0))
-            state.vm = vm
+            state.vm = vm = slice_vm(process, self.config)
         result = vm.run(max_instructions=delta, exact_budget=True)
         if result.instructions != delta:
             raise DivergenceError(
@@ -409,14 +391,7 @@ class TimeTravelEngine:
                                         IARG_MEMORYWRITE_EA, IARG_END)
 
         process = Process(state.cpu, state.mem, state.handler)
-        config = self.config
-        cache = CodeCache(abi.BUBBLE_BASE, abi.BUBBLE_WORDS)
-        vm = PinVM(process, code_cache=cache,
-                   jit_backend=config.jit_backend,
-                   link_traces=config.splinktraces,
-                   suppress_loops=False,
-                   tc2_threshold=(config.sptc2
-                                  if config.splinktraces else 0))
+        vm = slice_vm(process, self.config)
         vm.add_trace_callback(instrument)
         result = vm.run(max_instructions=span, exact_budget=True)
         if result.instructions != span:

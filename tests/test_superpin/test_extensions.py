@@ -1,10 +1,12 @@
 """§8 future-work extensions: adaptive timeslices, shared code cache."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.machine import Kernel
-from repro.superpin import (parse_switches, run_superpin,
-                            SharedCodeCacheDirectory, SuperPinConfig)
+from repro.superpin import (charge_slices_in_order, parse_switches,
+                            run_superpin, SuperPinConfig)
 from repro.tools import ICount2
 from repro.workloads import build
 
@@ -96,18 +98,32 @@ class TestSharedCodeCache:
         assert parse_switches(["-spsharedcache", "1"]).spsharedcache
 
 
+def _charged(*compile_logs):
+    """Stub slice results (in reverse index order) after attribution."""
+    results = [SimpleNamespace(index=k, compile_log=tuple(log))
+               for k, log in enumerate(compile_logs)]
+    charge_slices_in_order(reversed(results))
+    return results
+
+
 class TestDirectory:
+    """§8 attribution as a view over the slices' compile logs."""
+
     def test_charge_first_then_reuse(self):
-        directory = SharedCodeCacheDirectory()
-        assert directory.charge(0x1000, 10) is True
-        assert directory.charge(0x1000, 10) is False
-        assert directory.stats.first_compiles == 1
-        assert directory.stats.reuses == 1
+        first, second = _charged([(0x1000, 10)],
+                                 [(0x1000, 10), (0x2000, 3)])
+        # The lowest-indexed slice to compile a trace pays for it, in
+        # whatever order the results arrive ...
+        assert (first.compiles, first.compiled_ins) == (1, 10)
+        assert first.shared_cache_reuses == 0
+        # ... and every later compilation is a reuse.
+        assert (second.compiles, second.compiled_ins) == (1, 3)
+        assert second.shared_cache_reuses == 1
 
     def test_keyed_by_address_and_length(self):
         """Detection-split traces (same start, different length) do not
         alias with the full-length trace compiled by other slices."""
-        directory = SharedCodeCacheDirectory()
-        assert directory.charge(0x1000, 10) is True
-        assert directory.charge(0x1000, 4) is True
-        assert len(directory) == 2
+        first, second = _charged([(0x1000, 10)], [(0x1000, 4)])
+        assert (first.compiles, second.compiles) == (1, 1)
+        assert (first.compiled_ins, second.compiled_ins) == (10, 4)
+        assert second.shared_cache_reuses == 0

@@ -178,3 +178,24 @@ class TestSelectiveSwitches:
     def test_empty_filter_rejected(self):
         with pytest.raises(ConfigError):
             SuperPinConfig(spfilter="   ")
+
+
+class TestSwitchTables:
+    """Every switch the parser accepts is documented where users look."""
+
+    @pytest.mark.parametrize("where", ["switches.py docstring", "README.md"])
+    def test_every_switch_is_listed(self, where):
+        import os
+        import re
+
+        from repro.superpin import switches
+        if where == "README.md":
+            path = os.path.join(os.path.dirname(__file__), "..", "..",
+                                "README.md")
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+        else:
+            text = switches.__doc__
+        missing = [flag for flag in switches._FLAG_PARSERS
+                   if not re.search("`" + re.escape(flag) + "[ `]", text)]
+        assert missing == []

@@ -26,11 +26,11 @@ import pytest
 from repro.isa import assemble
 from repro.machine import Kernel
 from repro.superpin import (damage_store_chains, damage_store_entry,
-                            program_digest, replay_recording,
+                            FaultPlan, program_digest, replay_recording,
                             run_superpin, store_key, SuperPinConfig,
                             trace_store_for, TraceStore)
 from repro.superpin.journal import damage_journal
-from repro.superpin.sharedcache import WarmPayload, WarmTrace
+from repro.superpin.warmstore import WarmPayload, WarmTrace
 from repro.tools import ICount2
 from tests.conftest import MULTISLICE
 
@@ -47,11 +47,11 @@ def store_dir(tmp_path):
     return str(tmp_path / "store")
 
 
-def _payload(n=3, base=0x100):
-    return tuple(
+def _payload(n=3, base=0x100, chains=()):
+    return WarmPayload(tuple(
         WarmTrace(address=base + 16 * i, num_ins=4,
                   source=f"trace_{i}", code=None)
-        for i in range(n))
+        for i in range(n)), chains)
 
 
 def _report(program, store, **kwargs):
@@ -90,7 +90,7 @@ class TestStoreBasics:
 
     def test_empty_payload_not_stored(self, store_dir):
         store = TraceStore(store_dir)
-        store.save("k" * 64, ())
+        store.save("k" * 64, WarmPayload())
         assert len(store) == 0
 
     def test_key_sensitivity(self, program):
@@ -191,6 +191,7 @@ class TestWarmStartProof:
         assert c1["pin.cache.persistent_saves"] == 1
         assert c2["pin.cache.persistent_hits"] == 1
         assert c2.get("pin.cache.persistent_misses", 0) == 0
+        assert c2.get("pin.cache.persistent_saves", 0) == 0
         # The acceptance criterion: zero pilot-slice cold compiles on
         # the warm run (every pilot trace came from the store).
         assert _pilot_cold(first) > 0
@@ -223,6 +224,21 @@ class TestWarmStartProof:
         # The freshly re-written entry serves the next run warm again.
         third, _ = _report(program, store_dir)
         assert third.metrics.counters["pin.cache.persistent_hits"] == 1
+
+    def test_no_pilot_payload_stores_nothing(self, program, store_dir):
+        """The payload persists at the fold; a pilot that never folds —
+        degraded, or a single-slice run with no pilot protocol at all —
+        leaves the store empty rather than saving a useless entry."""
+        degraded, _ = _report(program, store_dir, spfaults="degrade",
+                              spretries=1,
+                              fault_plan=FaultPlan.parse("crash@0:*"))
+        assert degraded.degraded_slices == [0]
+        single, _ = _report(program, store_dir, spmsec=10_000_000)
+        assert single.num_slices == 1
+        for report in (degraded, single):
+            assert "pin.cache.persistent_saves" \
+                not in report.metrics.counters
+        assert TraceStore(store_dir).keys() == []
 
     def test_disabled_warmcache_disables_store(self, program, store_dir):
         report, _ = _report(program, store_dir, spwarmcache=False)
@@ -275,9 +291,9 @@ class TestSuperblockChains:
     def test_chains_round_trip(self, store_dir):
         store = TraceStore(store_dir)
         chains = ((0x100, 0x110, 0x120), (0x200,))
-        store.save("k" * 64, WarmPayload(_payload(), chains))
+        store.save("k" * 64, _payload(chains=chains))
         loaded = store.load("k" * 64)
-        assert loaded == _payload()  # tuple contract unchanged
+        assert loaded.traces == _payload().traces
         assert loaded.chains == chains
 
     def test_plain_payload_loads_with_empty_chains(self, store_dir):
@@ -331,13 +347,13 @@ _HAMMER = """
 import os, pickle, sys
 sys.path.insert(0, {src!r})
 from repro.superpin import TraceStore, damage_store_entry
-from repro.superpin.sharedcache import WarmTrace
+from repro.superpin.warmstore import WarmPayload, WarmTrace
 
 root, seed = sys.argv[1], int(sys.argv[2])
 keys = [chr(ord('a') + i) * 64 for i in range(4)]
-payloads = {{key: tuple(WarmTrace(address=0x100 + 16 * i, num_ins=4,
-                                  source=f"{{key[:1]}}_{{i}}", code=None)
-                        for i in range(3))
+payloads = {{key: WarmPayload(tuple(
+    WarmTrace(address=0x100 + 16 * i, num_ins=4,
+              source=f"{{key[:1]}}_{{i}}", code=None) for i in range(3)))
             for key in keys}}
 store = TraceStore(root, limit_bytes=700)
 for round in range(120):

@@ -10,8 +10,14 @@ properties under test:
   both backends and any worker count;
 - supervisor retries re-receive the same frozen payload;
 - a degraded pilot falls back to an all-cold run instead of wedging;
-- consistency-check mismatches compile cold and are counted.
+- consistency-check mismatches compile cold — lowering once — and are
+  counted;
+- the whole table {backend} x {no store, cold miss, hit} x {workers} is
+  one behaviour.
 """
+
+import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,22 +25,35 @@ from repro.isa import assemble
 from repro.machine import Kernel, load_program
 from repro.pin import PinVM, RunState
 from repro.superpin import (FaultPlan, run_superpin, SuperPinConfig)
-from repro.superpin.sharedcache import (WarmStartSet, WarmTrace,
-                                        WarmTraceStore)
-from repro.tools import ICount2
+from repro.superpin.warmstore import WarmPayload, WarmStore, WarmTrace
+from repro.tools import TOOLS
 from tests.conftest import LOOP_SUM, MULTISLICE
 
 BACKENDS = ["closure", "source"]
 WORKER_MODES = [0, 2]
 
 
-def _report(program, **kwargs):
+def _report(program, tool_name="icount2", **kwargs):
     kwargs.setdefault("spmsec", 500)
     kwargs.setdefault("clock_hz", 10_000)
-    tool = ICount2()
+    tool = TOOLS[tool_name]()
     report = run_superpin(program, tool, SuperPinConfig(**kwargs),
                           kernel=Kernel(seed=42))
     return report, tool
+
+
+def _slice_fields(report, skip=()):
+    """Every SliceResult field but the tool context, minus ``skip``."""
+    return [{f.name: getattr(s, f.name) for f in dataclasses.fields(s)
+             if f.name != "tool_ctx" and f.name not in skip}
+            for s in report.slices]
+
+
+#: Host-level bookkeeping a warm start (or its TC2 profile) may move;
+#: everything else on a SliceResult is architectural.
+_WARM_ONLY = {"warm_starts", "warm_mismatches", "linked_dispatches",
+              "cache_hit_rate", "tc2_promotions", "tc2_dispatches",
+              "tc2_mispredicts"}
 
 
 def _fingerprint(report):
@@ -156,44 +175,107 @@ class TestConsistencyCheck:
         bogus = WarmTrace(address=program.entry, num_ins=3,
                           source="def __trace__():  # not this trace\n",
                           code=b"never unmarshalled")
-        warm = WarmStartSet([bogus])
-        vm.install_warm(warm)
+        vm.install_warm(WarmPayload((bogus,)))
         result = vm.run()
         assert result.state is RunState.EXIT
-        assert warm.mismatches == 1
+        assert vm.cache.stats.warm_mismatches == 1
         assert vm.cache.stats.warm_starts == 0
         assert vm.cache.stats.compiles > 0
 
     def test_entries_serve_at_most_once(self):
         """After the first (mismatching) consultation the entry is gone;
-        re-execution of the same pc hits the code cache, not the set."""
+        re-execution of the same pc hits the code cache, not the
+        payload."""
         program = assemble(LOOP_SUM)
         process = load_program(program, Kernel(seed=42))
         vm = PinVM(process, jit_backend="source")
-        warm = WarmStartSet([WarmTrace(address=program.entry, num_ins=3,
-                                       source="x", code=b"y")])
-        vm.install_warm(warm)
+        vm.install_warm(WarmPayload((WarmTrace(
+            address=program.entry, num_ins=3, source="x", code=b"y"),)))
         vm.run()
-        assert warm.mismatches == 1  # consulted exactly once
-        assert len(warm) == 0
+        assert vm.cache.stats.warm_mismatches == 1  # consulted exactly once
+        assert vm.warm_traces == {}
+
+    @pytest.mark.parametrize("spfilter", ["routine:main", "opcode:syscall"])
+    def test_mismatch_lowers_once(self, program, spfilter):
+        """Regression: a source-backend mismatch used to lower the trace
+        twice (warm attempt, then a cold compile), so trace callbacks
+        fired twice and the filter counters double-counted.  Every
+        instrumentation counter must equal the cold run's."""
+        warm, warm_tool = _report(program, "memtrace", spfilter=spfilter,
+                                  jit_backend="source")
+        cold, cold_tool = _report(program, "memtrace", spfilter=spfilter,
+                                  jit_backend="source", spwarmcache=False)
+        assert warm.total_warm_mismatches > 0  # the path is exercised
+        assert _slice_fields(warm, _WARM_ONLY) \
+            == _slice_fields(cold, _WARM_ONLY)
+        assert warm_tool.report() == cold_tool.report()
+
+
+def _pilot(*exports, chains=()):
+    return SimpleNamespace(warm_exports=tuple(exports), sb_chains=chains)
 
 
 class TestStoreSemantics:
     def test_fold_first_wins_and_freeze_sorts(self):
-        store = WarmTraceStore()
         first = WarmTrace(address=8, num_ins=2, source="a")
-        store.fold([WarmTrace(address=16, num_ins=1), first])
-        store.fold([WarmTrace(address=8, num_ins=2, source="b")])
-        payload = store.freeze()
-        assert [e.address for e in payload] == [8, 16]
-        assert payload[0] is first
+        pilot = _pilot(WarmTrace(address=16, num_ins=1), first,
+                       WarmTrace(address=8, num_ins=2, source="b"),
+                       chains=[[8, 16]])
+        payload = WarmStore().fold(pilot)
+        assert [e.address for e in payload.traces] == [8, 16]
+        assert payload.traces[0] is first
+        assert payload.chains == ((8, 16),)
+        # Stripped, so reports don't drag trace sources around.
+        assert pilot.warm_exports == () and pilot.sb_chains == ()
 
     def test_fold_after_freeze_is_noop(self):
         """Retries must never mutate the frozen payload: every slice,
         on any attempt, sees the same warm set."""
-        store = WarmTraceStore()
-        store.fold([WarmTrace(address=8, num_ins=2)])
-        payload = store.freeze()
-        store.fold([WarmTrace(address=99, num_ins=1)])
-        assert store.freeze() is payload
-        assert len(payload) == 1
+        store = WarmStore()
+        payload = store.fold(_pilot(WarmTrace(address=8, num_ins=2)))
+        assert store.fold(_pilot(WarmTrace(address=99, num_ins=1))) \
+            is payload
+        assert len(payload.traces) == 1
+        assert store.lookup() is payload
+
+
+_PERSISTENT = {
+    "none": {},
+    "miss": {"pin.cache.persistent_misses": 1,
+             "pin.cache.persistent_saves": 1},
+    "hit": {"pin.cache.persistent_hits": 1},
+}
+
+
+class TestParityTable:
+    @pytest.mark.parametrize("store_state", list(_PERSISTENT))
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_workers_and_store_states_agree(self, program, tmp_path,
+                                            backend, store_state):
+        runs = []
+        for spworkers in WORKER_MODES:
+            kwargs = dict(jit_backend=backend, spworkers=spworkers,
+                          spmetrics=True)
+            if store_state != "none":
+                kwargs["sptracestore"] = str(tmp_path / f"w{spworkers}")
+            if store_state == "hit":
+                _report(program, **kwargs)  # the run that fills the store
+            runs.append(_report(program, **kwargs))
+        (seq, seq_tool), (par, par_tool) = runs
+        # Any worker count: the same results, counters and tool output.
+        assert _slice_fields(seq) == _slice_fields(par)
+        assert seq.metrics.counters == par.metrics.counters
+        assert seq_tool.report() == par_tool.report()
+        # Against the cold reference only the warm bookkeeping differs.
+        cold, cold_tool = _report(program, jit_backend=backend,
+                                  spwarmcache=False)
+        assert _slice_fields(seq, _WARM_ONLY) \
+            == _slice_fields(cold, _WARM_ONLY)
+        assert seq_tool.report() == cold_tool.report()
+        assert {name: value for name, value in seq.metrics.counters.items()
+                if "persistent" in name} == _PERSISTENT[store_state]
+        # A hit warms every slice, the pilot included; otherwise the
+        # pilot is the one slice that compiles cold.
+        pilot = seq.slices[0]
+        assert (pilot.warm_starts == pilot.compiles) \
+            == (store_state == "hit")
