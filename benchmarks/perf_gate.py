@@ -83,6 +83,10 @@ REQUIRED_NONZERO = (
     # stopped engaging.
     "pin.tc2.promotions",
     "pin.tc2.dispatches",
+    # The master's hot tier: this 127k-instruction run has loops well
+    # past the head threshold, so zero means the control phase has gone
+    # back to interpreting everything.
+    "superpin.control.master.jit_instructions",
 )
 
 

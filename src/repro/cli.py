@@ -229,6 +229,8 @@ def _cmd_run(args, extra: list[str]) -> int:
         print(f"tier 2: {instr['tc2_promotions']} superblock promotions, "
               f"{instr['tc2_dispatches']} dispatches, "
               f"{instr['tc2_mispredicts']} mispredicts")
+    if report.timeline.master is not None:
+        print(f"master: {report.timeline.master.summary()}")
     det = report.detection_summary()
     print(f"detection: {det['quick_checks']} quick checks, "
           f"{det['full_checks']} full "

@@ -1,9 +1,16 @@
 """Direct interpreter: the machine's native execution reference.
 
-This is what "running the application natively" means in the reproduction.
-The SuperPin master process also executes through this interpreter
-(uninstrumented), with the control process regaining control after every
-system call — the moral equivalent of the paper's ptrace supervision.
+This is what "running the application natively" means in the reproduction,
+and the reference the ``-spaudit`` oracle re-runs.  It is also the *cold
+tier* of the SuperPin master (``repro.superpin.control.MasterEngine``):
+the master interprets until a loop gets hot, runs the loop as generated
+code, and comes back here for everything else — with the control process
+regaining control after every system call either way, the moral
+equivalent of the paper's ptrace supervision.  For that client ``run``
+can count arrivals at the targets of taken backward branches and stop
+(``StopReason.HOT``) at one that has been reached often enough; with the
+count off — every other caller — the loop pays one comparison per taken
+branch.
 
 The hot loop is deliberately monolithic: one function, local aliases,
 inlined memory access and a decode cache keyed by the raw instruction word
@@ -36,6 +43,7 @@ class StopReason(enum.Enum):
     EXIT = "exit"          # guest exited (exit syscall or halt)
     SYSCALL = "syscall"    # a syscall completed and stop_after_syscall is set
     BUDGET = "budget"      # instruction budget exhausted
+    HOT = "hot"            # a taken backward branch landed on a hot head
 
 
 @dataclass
@@ -58,13 +66,25 @@ class Interpreter:
         self.stop_after_syscall = stop_after_syscall
         self.total_instructions = 0
         self.total_syscalls = 0
+        #: Loop head -> arrivals over taken backward branches and jumps,
+        #: counted only by runs given a ``hot_threshold``.
+        self.head_arrivals: dict[int, int] = {}
         self._decode_cache: dict[int, Decoded] = {}
 
-    def run(self, max_instructions: int | None = None) -> StepResult:
+    def run(self, max_instructions: int | None = None,
+            hot_threshold: int | None = None) -> StepResult:
         """Execute until exit, budget exhaustion, or (optionally) a syscall.
 
         Returns a :class:`StepResult`; the process's ``exited`` /
-        ``exit_code`` fields are updated on exit.
+        ``exit_code`` fields are updated on exit.  A guest fault leaves
+        ``cpu.pc`` at the faulting instruction, which does not count as
+        retired.
+
+        With ``hot_threshold`` set, every taken backward conditional
+        branch or ``j`` counts one arrival at its target, and the run
+        stops with ``StopReason.HOT`` — right after the branch, ``cpu.pc``
+        at the target — on the arrival that reaches the threshold and on
+        every later one.
         """
         proc = self.process
         if proc.exited:
@@ -79,6 +99,7 @@ class Interpreter:
         dcache = self._decode_cache
         handler = proc.syscall_handler
         stop_after_syscall = self.stop_after_syscall
+        heads = self.head_arrivals if hot_threshold is not None else None
 
         budget = max_instructions if max_instructions is not None else -1
         pc = cpu.pc
@@ -111,6 +132,8 @@ class Interpreter:
                 if count == budget:
                     result = StepResult(StopReason.BUDGET, count)
                     break
+                # Counted before it executes; a fault un-counts it below.
+                count += 1
 
                 # --- fetch + decode ---
                 if strict:
@@ -122,7 +145,6 @@ class Interpreter:
                     dec = decode(word, pc=pc)
                     dcache[word] = dec
                 op, rd, rs, rt, imm = dec
-                count += 1
                 npc = pc + 1
 
                 # --- execute (ordered roughly by dynamic frequency) ---
@@ -159,9 +181,17 @@ class Interpreter:
                 elif op == op_bne:
                     if regs[rs] != regs[rt]:
                         npc = imm
+                        if imm <= pc and heads is not None:
+                            n = heads[imm] = heads.get(imm, 0) + 1
+                            if n >= hot_threshold:
+                                break
                 elif op == op_beq:
                     if regs[rs] == regs[rt]:
                         npc = imm
+                        if imm <= pc and heads is not None:
+                            n = heads[imm] = heads.get(imm, 0) + 1
+                            if n >= hot_threshold:
+                                break
                 elif op == op_blt:
                     a, b = regs[rs], regs[rt]
                     if a & _SIGN:
@@ -170,6 +200,10 @@ class Interpreter:
                         b -= 1 << 64
                     if a < b:
                         npc = imm
+                        if imm <= pc and heads is not None:
+                            n = heads[imm] = heads.get(imm, 0) + 1
+                            if n >= hot_threshold:
+                                break
                 elif op == op_bge:
                     a, b = regs[rs], regs[rt]
                     if a & _SIGN:
@@ -178,6 +212,10 @@ class Interpreter:
                         b -= 1 << 64
                     if a >= b:
                         npc = imm
+                        if imm <= pc and heads is not None:
+                            n = heads[imm] = heads.get(imm, 0) + 1
+                            if n >= hot_threshold:
+                                break
                 elif op == op_sub:
                     if rd:
                         regs[rd] = (regs[rs] - regs[rt]) & MASK64
@@ -189,6 +227,10 @@ class Interpreter:
                         regs[rd] = (regs[rs] * regs[rt]) & MASK64
                 elif op == op_j:
                     npc = imm
+                    if imm <= pc and heads is not None:
+                        n = heads[imm] = heads.get(imm, 0) + 1
+                        if n >= hot_threshold:
+                            break
                 elif op == op_call:
                     regs[31] = npc
                     npc = imm
@@ -276,7 +318,6 @@ class Interpreter:
                 elif op == op_div or op == op_mod:
                     a, b = regs[rs], regs[rt]
                     if b == 0:
-                        cpu.pc = pc
                         raise ArithmeticFault("division by zero", pc=pc)
                     if a & _SIGN:
                         a -= 1 << 64
@@ -323,9 +364,17 @@ class Interpreter:
                 elif op == op_bltu:
                     if regs[rs] < regs[rt]:
                         npc = imm
+                        if imm <= pc and heads is not None:
+                            n = heads[imm] = heads.get(imm, 0) + 1
+                            if n >= hot_threshold:
+                                break
                 elif op == op_bgeu:
                     if regs[rs] >= regs[rt]:
                         npc = imm
+                        if imm <= pc and heads is not None:
+                            n = heads[imm] = heads.get(imm, 0) + 1
+                            if n >= hot_threshold:
+                                break
                 elif op == op_jr:
                     npc = regs[rs]
                 elif op == op_callr:
@@ -339,12 +388,15 @@ class Interpreter:
                 pc = npc
         except GuestFault:
             cpu.pc = pc
-            self.total_instructions += count
+            self.total_instructions += count - 1
             raise
 
+        if result is None:
+            # Left the loop on a hot backward branch: land on its target.
+            pc = npc
+            result = StepResult(StopReason.HOT, count)
         cpu.pc = pc
         self.total_instructions += count
-        assert result is not None
         return result
 
 

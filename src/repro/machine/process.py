@@ -70,8 +70,9 @@ def load_program(program: Program, kernel: Kernel,
         raise LoaderError("program has no segments")
     mem = Memory(strict=strict_memory)
     for segment in program.segments:
-        mem.write_block(segment.base, segment.words)
+        # Map first: in strict mode the write itself is policed.
         mem.map_region(segment.base, len(segment.words))
+        mem.write_block(segment.base, segment.words)
     mem.map_region(abi.STACK_TOP - abi.STACK_WORDS, abi.STACK_WORDS)
 
     cpu = CpuState(pc=program.entry)

@@ -101,8 +101,8 @@ class ThreadManager:
 
     def install_trampoline(self, mem: Memory) -> None:
         """Write the thread-exit trampoline into guest memory."""
-        mem.write_block(EXIT_TRAMPOLINE, _TRAMPOLINE_WORDS)
         mem.map_region(EXIT_TRAMPOLINE, len(_TRAMPOLINE_WORDS))
+        mem.write_block(EXIT_TRAMPOLINE, _TRAMPOLINE_WORDS)
 
     # -- forking (slice snapshots) --------------------------------------------
 

@@ -29,6 +29,8 @@ class RunState(enum.Enum):
     EXIT = "exit"        # guest exited normally
     STOPPED = "stopped"  # an analysis routine raised StopRun
     BUDGET = "budget"    # instruction budget exhausted (runaway guard)
+    SYSCALL = "syscall"  # a trace retired a syscall (stop_after_syscall)
+    COLD = "cold"        # the compile gate handed the next pc back
 
 
 @dataclass
@@ -63,7 +65,8 @@ class PinVM:
                  link_traces: bool = True,
                  metrics=NULL_METRICS,
                  suppress_loops: bool = False,
-                 tc2_threshold: int = 0):
+                 tc2_threshold: int = 0,
+                 compile_gate=None):
         self.process = process
         self.cpu = process.cpu
         self.mem = process.mem
@@ -119,6 +122,15 @@ class PinVM:
         #: the metrics registry at slice end (``pin.filter.*`` /
         #: ``pin.suppress.*``).
         self.instr_stats = InstrumentationStats()
+        #: ``gate(pc) -> bool`` for an engine that is the hot tier of a
+        #: tiered executor (the SuperPin master) and has a cold tier to
+        #: hand back to: on a dispatcher miss the gate decides whether
+        #: ``pc`` is worth compiling, and a refusal ends the run with
+        #: ``RunState.COLD``, nothing compiled or inserted.  With a gate
+        #: set an exact-budget run also returns ``COLD`` where it would
+        #: otherwise land the tail on step traces — the cold tier lands
+        #: it.  None (every instrumenting client) compiles every miss.
+        self.compile_gate = compile_gate
         #: Unwind markers maintained by generated code (source backend).
         self._stop_pc = 0
         self._stop_count = 0
@@ -217,7 +229,8 @@ class PinVM:
         return trace
 
     def run(self, max_instructions: int | None = None,
-            exact_budget: bool = False) -> PinRunResult:
+            exact_budget: bool = False,
+            stop_after_syscall: bool = False) -> PinRunResult:
         """Execute the guest under instrumentation.
 
         Runs until the guest exits, an analysis routine raises
@@ -236,6 +249,13 @@ class PinVM:
         pre-emptively, and the last few instructions land through
         single-instruction step traces (still instrumented, kept outside
         the code cache).
+
+        With ``stop_after_syscall`` the run returns ``SYSCALL`` right
+        after any trace that retired a syscall (a syscall always ends
+        its trace), ``cpu.pc`` where the handler left it — the
+        interpreter's mode of that name; the outcome itself goes to the
+        syscall observers.  A guest fault leaves ``cpu.pc`` at the
+        faulting instruction, which does not count as retired.
         """
         cpu = self.cpu
         cache = self.cache
@@ -250,6 +270,7 @@ class PinVM:
         budget = max_instructions if max_instructions is not None else -1
         budgeted = budget >= 0
         exact = exact_budget and budgeted
+        gate = self.compile_gate
         # Tier-2 bookkeeping: superblock runners count their own
         # dispatches and per-segment executions; the deltas correct
         # ``traces_executed`` so tier-2 runs report the same figure a
@@ -268,7 +289,7 @@ class PinVM:
         trace: CompiledTrace | None = None
         prev: CompiledTrace | None = None
         while not self.exited:
-            if budget >= 0 and executed >= budget:
+            if budgeted and executed >= budget:
                 state = RunState.BUDGET
                 break
             if trace is None:
@@ -279,6 +300,9 @@ class PinVM:
                 if trace is None:
                     trace = cache.lookup(pc)
                 if trace is None:
+                    if gate is not None and not gate(pc):
+                        state = RunState.COLD
+                        break
                     entry = self.warm_traces.pop(pc, None)
                     if entry is None:
                         trace, warm = jit.compile(pc), False
@@ -310,6 +334,9 @@ class PinVM:
                     if fallback is not None:
                         trace = fallback
                 if trace.unbounded or trace.num_ins > remaining:
+                    if gate is not None:
+                        state = RunState.COLD
+                        break
                     # Worst-case retirement exceeds the allowance: land
                     # the tail one instrumented instruction at a time.
                     trace = self._step_trace(pc)
@@ -339,6 +366,7 @@ class PinVM:
                     stop_token = stop.args[0] if stop.args else None
                     break
                 except GuestFault:
+                    cpu.pc = self._stop_pc
                     if tc2 is not None:
                         traces_executed += (
                             (tc2_stats.segments - seg_mark)
@@ -374,6 +402,7 @@ class PinVM:
                     stop_token = stop.args[0] if stop.args else None
                     break
                 except GuestFault:
+                    cpu.pc = trace.addresses[i]
                     if tc2 is not None:
                         traces_executed += (
                             (tc2_stats.segments - seg_mark)
@@ -394,6 +423,9 @@ class PinVM:
                     executed += i + 1
                     pc = result
             cpu.pc = pc
+            if stop_after_syscall and self.total_syscalls != start_syscalls:
+                state = RunState.SYSCALL
+                break
             if linking and not step_sub:
                 # Linked fast path: chain straight to the successor if
                 # this exit was patched on an earlier transition.  A
@@ -411,6 +443,10 @@ class PinVM:
 
         if self.exited:
             state = RunState.EXIT
+            # ``halt`` marks only the engine; an exit syscall already
+            # marked the process (dispatch_syscall).
+            self.process.exited = True
+            self.process.exit_code = self.exit_code
         tc2_dispatches = 0
         if tc2 is not None:
             tc2_dispatches = tc2_stats.dispatches - disp_mark

@@ -309,7 +309,6 @@ class Jit:
             def sem_divmod() -> None:
                 a, b = regs[rs], regs[rt]
                 if b == 0:
-                    cpu.pc = address
                     raise ArithmeticFault("division by zero", pc=address)
                 if a & _SIGN:
                     a -= 1 << 64

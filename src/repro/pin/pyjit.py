@@ -409,7 +409,6 @@ class _Emitter:
             self.line(f"_a = regs[{rs}]")
             self.line(f"_b = regs[{rt}]")
             self.line("if _b == 0:")
-            self.line(f"    cpu.pc = {ins.address}")
             self.line(f"    raise ArithmeticFault('division by zero', "
                       f"pc={ins.address})")
             self.line("if _a & SGN: _a -= W")

@@ -193,11 +193,8 @@ def _build_runner(engine, segments, stats):
                                 i += 1
                                 continue
                             break
-                    except StopRun:
+                    except (StopRun, GuestFault):
                         engine._stop_pc = addrs[k][i]
-                        engine._stop_count = executed + i
-                        raise
-                    except GuestFault:
                         engine._stop_count = executed + i
                         raise
                     if result is None:

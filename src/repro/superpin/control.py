@@ -1,7 +1,9 @@
 """The control process: master supervision and slice-boundary policy.
 
 SuperPin runs the original application at full speed under a monitor (the
-paper uses ptrace; we use the interpreter's stop-after-syscall mode).
+paper uses ptrace; we use the engines' stop-after-syscall mode).  "Full
+speed" here is :class:`MasterEngine`: the interpreter for cold code,
+generated code for loops that have proved hot.
 After every system call the control process either records the call for
 playback or forces a new timeslice; independently, a timer bounds each
 timeslice (paper §4.2–§4.3).  At every boundary it captures a slice
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 from ..errors import ReproError
 from ..isa import abi
-from ..machine.interpreter import Interpreter, StopReason
+from ..machine.interpreter import Interpreter, StepResult, StopReason
 from ..machine.kernel import (EMULATE, FORCE_SLICE, Kernel, MemLayout,
                               REPLAY, SyscallRecord, THREAD)
 from ..machine.threads import ThreadManager
@@ -30,6 +32,8 @@ from ..machine.process import load_program, Process
 from ..isa.program import Program
 from ..obs.metrics import NULL_METRICS
 from ..obs.tracer import NULL_TRACER
+from ..pin.engine import PinVM, RunState
+from ..pin.trace import MAX_TRACE_INS
 from .switches import SuperPinConfig
 from .sysrecord import RecordedSyscall, StreamDigest
 
@@ -131,10 +135,165 @@ class MasterTimeline:
     #: whose replays must be auditable without re-running the master).
     final_pc: int = -1
     final_cpu_hash: str = ""
+    #: How the master's tiers shared the run; None on a timeline built
+    #: from a recording (no master ran).
+    master: "MasterStats | None" = None
 
     @property
     def num_slices(self) -> int:
         return len(self.intervals)
+
+
+@dataclass(frozen=True)
+class MasterStats:
+    """How the master's two tiers shared one control phase."""
+
+    #: Master instructions retired, both tiers.
+    instructions: int
+    #: Loop heads that reached :data:`HOT_HEAD_ARRIVALS`.
+    hot_heads: int
+    #: Instructions retired in generated code.
+    jit_instructions: int
+    #: Traces compiled for the master, and their guest instructions.
+    compiled_traces: int
+    compiled_ins: int
+    #: Interpreter -> generated code hand-overs.
+    engine_switches: int
+
+    def counters(self) -> dict[str, int]:
+        """The ``superpin.control.master.*`` counters / span args."""
+        return {"hot_heads": self.hot_heads,
+                "jit_instructions": self.jit_instructions,
+                "compiled_ins": self.compiled_ins,
+                "engine_switches": self.engine_switches}
+
+    def summary(self) -> str:
+        share = (self.jit_instructions / self.instructions
+                 if self.instructions else 0.0)
+        return (f"{share:.0%} of {self.instructions:,} instructions in "
+                f"generated code; {self.hot_heads} hot heads, "
+                f"{self.compiled_traces} traces, "
+                f"{self.engine_switches} engine switches")
+
+
+#: Arrivals at a loop head (the target of a taken backward branch) before
+#: the master runs it as generated code, and dispatcher misses on any
+#: other exit of generated code before that exit is compiled too.
+#: Constants fixed by the sweep in ROADMAP.md ("Recent", PR 14), not
+#: switches.  Head: the source backend's ``compile()`` costs 38.5 us per
+#: guest instruction and wins back 1/3.16 - 1/8.7 us per instruction it
+#: then retires, so a loop breaks even after ~190 trips; 200 is fastest
+#: on long runs (gzip-loop's control phase 121 -> 53 ms) but a loop that
+#: stops soon after has paid a compile worth 60% of all it ran (the 8k-
+#: instruction mcf daemon job: 3.0 -> 4.5 ms); at 1000 that worst case
+#: is 12%, short jobs pay nothing, and long runs give back 7 ms.  Exit:
+#: with 1, generated code compiles every cold instruction it runs into
+#: (gcc-footprint at head threshold 100: 241 traces, 35 -> 88 ms; 73 ms
+#: with 8); each further miss costs a hot exit one more bounce through
+#: the interpreter (1 -> 8 -> 32: 57 -> 61 -> 63 ms on gzip-loop).
+HOT_HEAD_ARRIVALS = 1000
+SIDE_EXIT_MISSES = 8
+
+
+class MasterEngine:
+    """The master's executor: interpret cold code, run hot loops as
+    generated code.
+
+    ``run(budget) -> StepResult`` is :meth:`Interpreter.run`'s contract
+    (with ``stop_after_syscall``) over the same :class:`Process`, so the
+    control process cannot tell which tier retired an instruction.  The
+    interpreter runs, counting arrivals at loop heads, until one is hot;
+    an uninstrumented source-backend :class:`PinVM` then runs from that
+    head until it reaches code its compile gate refuses, a syscall, or
+    the last trace that fits the budget; the interpreter takes over
+    again, and always lands a budget's tail.  The ``PinVM`` is built on
+    the first hot head, so a run without one pays only the head count.
+
+    ``head_threshold=None`` never leaves the interpreter — the reference
+    the parity tests compare every other pair of thresholds against.
+    """
+
+    def __init__(self, process: Process, head_threshold: int | None,
+                 exit_threshold: int):
+        self.process = process
+        self.head_threshold = head_threshold
+        self.exit_threshold = exit_threshold
+        self.engine_switches = 0
+        self._interp = Interpreter(process, stop_after_syscall=True)
+        self._vm: PinVM | None = None
+        #: pc -> dispatcher misses on a not-hot exit of generated code.
+        self._exit_misses: dict[int, int] = {}
+        #: Filled by the PinVM's syscall observer, emptied by ``run``.
+        self._outcomes: list = []
+
+    @property
+    def total_instructions(self) -> int:
+        vm = self._vm
+        return self._interp.total_instructions + (
+            vm.total_instructions if vm is not None else 0)
+
+    @property
+    def total_syscalls(self) -> int:
+        vm = self._vm
+        return self._interp.total_syscalls + (
+            vm.total_syscalls if vm is not None else 0)
+
+    def run(self, max_instructions: int | None = None) -> StepResult:
+        interp = self._interp
+        outcomes = self._outcomes
+        executed = 0
+        while True:
+            left = (None if max_instructions is None
+                    else max_instructions - executed)
+            # A trace is only sure to fit a budget of MAX_TRACE_INS or
+            # more; below that the interpreter lands the tail uncounted.
+            roomy = left is None or left >= MAX_TRACE_INS
+            step = interp.run(
+                left, hot_threshold=self.head_threshold if roomy else None)
+            executed += step.instructions
+            if step.reason is not StopReason.HOT:
+                return StepResult(step.reason, executed, step.outcome)
+            if left is not None:
+                left -= step.instructions
+                if left < MAX_TRACE_INS:
+                    continue
+            vm = self._vm
+            if vm is None:
+                vm = self._vm = PinVM(self.process, jit_backend="source",
+                                      compile_gate=self._admit)
+                vm.add_syscall_observer(outcomes.append)
+            self.engine_switches += 1
+            hot = vm.run(left, exact_budget=True, stop_after_syscall=True)
+            executed += hot.instructions
+            outcome = outcomes.pop() if outcomes else None
+            if hot.state is RunState.EXIT:
+                return StepResult(StopReason.EXIT, executed, outcome)
+            if hot.state is RunState.SYSCALL:
+                return StepResult(StopReason.SYSCALL, executed, outcome)
+            if hot.state is RunState.BUDGET:
+                return StepResult(StopReason.BUDGET, executed)
+            # COLD: the interpreter goes on from here.
+
+    def _admit(self, pc: int) -> bool:
+        """The PinVM's compile gate: a hot head compiles at once, any
+        other exit of generated code once it has missed often enough."""
+        if self._interp.head_arrivals.get(pc, 0) >= self.head_threshold:
+            return True
+        misses = self._exit_misses[pc] = self._exit_misses.get(pc, 0) + 1
+        return misses >= self.exit_threshold
+
+    def stats(self) -> MasterStats:
+        vm = self._vm
+        jit, traces, ins = (0, 0, 0) if vm is None else (
+            vm.total_instructions, vm.cache.stats.compiles,
+            vm.cache.stats.compiled_ins)
+        # No arrival is ever counted under a None threshold.
+        return MasterStats(
+            instructions=self.total_instructions,
+            hot_heads=sum(1 for n in self._interp.head_arrivals.values()
+                          if n >= self.head_threshold),
+            jit_instructions=jit, compiled_traces=traces,
+            compiled_ins=ins, engine_switches=self.engine_switches)
 
 
 class ControlProcess:
@@ -177,7 +336,7 @@ class ControlProcess:
     def run(self) -> MasterTimeline:
         """Run the master to completion, producing the timeline."""
         process = self.process
-        interp = Interpreter(process, stop_after_syscall=True)
+        master = MasterEngine(process, HOT_HEAD_ARRIVALS, SIDE_EXIT_MISSES)
 
         boundaries: list[Boundary] = []
         intervals: list[Interval] = []
@@ -188,7 +347,7 @@ class ControlProcess:
         exit_code = 0
 
         while True:
-            result = interp.run(max_instructions=budget)
+            result = master.run(max_instructions=budget)
             current.instructions += result.instructions
             budget -= result.instructions
 
@@ -216,7 +375,7 @@ class ControlProcess:
                     # The recorded syscall retired the last budgeted
                     # instruction: cut the timeslice here rather than
                     # re-entering the interpreter with a zero budget
-                    # (interp.run(0) stops instantly with BUDGET/0, so
+                    # (master.run(0) stops instantly with BUDGET/0, so
                     # the timer boundary would be attributed one
                     # iteration late).
                     boundary_reason = BoundaryReason.TIMEOUT
@@ -231,7 +390,7 @@ class ControlProcess:
             intervals.append(current)
             boundaries.append(self._take_boundary(
                 len(boundaries), boundary_reason,
-                interp.total_instructions))
+                master.total_instructions))
             self.metrics.inc("superpin.control.cuts."
                              + boundary_reason.value)
             if self.tracer.enabled:
@@ -239,19 +398,23 @@ class ControlProcess:
                     "timeslice.cut", cat="control",
                     args={"boundary": len(boundaries) - 1,
                           "reason": boundary_reason.value,
-                          "instructions": interp.total_instructions})
+                          "instructions": master.total_instructions})
             current = Interval(index=len(intervals))
-            budget = self._next_budget(interp.total_instructions)
+            budget = self._next_budget(master.total_instructions)
 
+        tiers = master.stats()
+        for name, value in tiers.counters().items():
+            self.metrics.inc("superpin.control.master." + name, value)
         return MasterTimeline(
             boundaries=boundaries,
             intervals=intervals,
             exit_code=exit_code,
-            total_instructions=interp.total_instructions,
-            total_syscalls=interp.total_syscalls,
+            total_instructions=tiers.instructions,
+            total_syscalls=master.total_syscalls,
             kernel=self.kernel,
             final_pc=process.cpu.pc,
             final_cpu_hash=process.cpu.fingerprint(),
+            master=tiers,
         )
 
     def _next_budget(self, executed_instructions: int) -> int:

@@ -4,7 +4,8 @@
 
 1. **Setup** — the tool registers itself through the SP API (§5).
 2. **Control phase** — the master runs uninstrumented under the control
-   process, which records syscalls and cuts timeslices (§4.1–§4.3).
+   process (interpreted while cold, hot loops as generated code), which
+   records syscalls and cuts timeslices (§4.1–§4.3).
 3. **Signature phase** — every interior boundary's signature is recorded
    from its snapshot up front, with the adaptive quick-register
    lookahead (§4.4); ``-sprecord`` saves the artifact here.
@@ -339,9 +340,11 @@ def run_superpin(program: Program, tool: Pintool,
 
     # 2. Control phase: run the master, cut timeslices.
     _phase(on_progress, "control")
-    with tracer.span("control_phase", cat="phase"):
+    with tracer.span("control_phase", cat="phase") as control_span:
         timeline = ControlProcess(program, config, kernel=kernel,
                                   tracer=tracer, metrics=metrics).run()
+        for name, value in timeline.master.counters().items():
+            control_span.set(name, value)
 
     # 3. Signature phase: all boundary signatures, before any slice runs.
     _phase(on_progress, "signature")

@@ -1,5 +1,6 @@
 """Command-line interface."""
 
+import re
 
 from repro.cli import main
 
@@ -20,6 +21,10 @@ class TestRun:
         assert "mode: SuperPin" in out
         assert "slices:" in out
         assert "breakdown:" in out
+        # The master's tier line: share in generated code and what it cost.
+        assert re.search(r"master: \d+% of [\d,]+ instructions in generated "
+                         r"code; \d+ hot heads, \d+ traces, \d+ engine "
+                         r"switches", out)
 
     def test_classic_pin_run(self, capsys):
         code = main(["run", "-t", "icount1", "-w", "eon",

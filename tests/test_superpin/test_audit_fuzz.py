@@ -10,6 +10,10 @@ class: REPLAY (``time``/``getpid``/``getrandom``/``write``), EMULATE
 boundary forcing and record playback are fuzzed alongside the signature
 machinery.
 
+One more pass forces the master's two-tier engine to switch tiers
+every few instructions (thresholds (2, 1)), so every hand-over between
+its interpreter and its generated code runs under the audit.
+
 The same harness then mutation-tests the oracle: seeded ``tamper`` and
 unrecoverable ``corrupt`` injections must yield a nonzero
 ``superpin.audit.divergences`` count on every seed.
@@ -189,6 +193,32 @@ def test_fuzzed_pipeline_is_divergence_free(seed, name):
     # The run must have been non-trivial for the assertion to mean much.
     assert report.num_slices >= 3
     assert audit.checks >= 10 * report.num_slices
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_fuzzed_pipeline_with_master_switching_every_few_instructions(
+        seed, monkeypatch):
+    """The same programs with the master's tier thresholds forced to
+    (2, 1): 90-trip loops never get hot on their own, so this is the
+    pass that puts every hand-over between the master's interpreter and
+    its generated code — at loop heads, cold exits, syscalls of all
+    three classes and timeslice cuts — under the audit's reference run,
+    which is the plain interpreter."""
+    from repro.superpin import control
+    monkeypatch.setattr(control, "HOT_HEAD_ARRIVALS", 2)
+    monkeypatch.setattr(control, "SIDE_EXIT_MISSES", 1)
+    program = assemble(random_syscall_program(seed))
+    name = "workers" if seed in SEEDS[:2] else "seq-warm-linked"
+    report = run_superpin(program, ICount2(), _config(name),
+                          kernel=Kernel(seed=seed))
+    audit = report.audit
+    _dump_artifact(f"s{seed}-{name}-master-2-1", audit)
+    assert audit.ok, f"seed {seed}: {audit.summary()}\n" \
+        + "\n".join(f"  {d}" for d in audit.divergences[:10])
+    # Every block's loop got hot, and the tiers kept changing over.
+    master = report.timeline.master
+    assert master.hot_heads >= 4 and master.jit_instructions > 0
+    assert master.engine_switches > 50
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])

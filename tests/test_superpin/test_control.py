@@ -161,9 +161,10 @@ lp: addi t0, t0, 1
         budgets = []
 
         class SpyInterpreter(Interpreter):
-            def run(self, max_instructions=-1):
+            def run(self, max_instructions=-1, **kwargs):
                 budgets.append(max_instructions)
-                return super().run(max_instructions=max_instructions)
+                return super().run(max_instructions=max_instructions,
+                                   **kwargs)
 
         monkeypatch.setattr(control_mod, "Interpreter", SpyInterpreter)
         config = SuperPinConfig(spmsec=2, clock_hz=1000)  # 2-instr slices

@@ -1,0 +1,385 @@
+"""The two-tier master: one oracle, stressed.
+
+``MasterEngine`` interprets cold code and runs hot loops as generated
+code; which tier retired an instruction must be invisible.  The oracle
+is the master that never leaves the interpreter (head threshold None):
+every other pair of thresholds — down to a switch every few
+instructions — must yield the same ``MasterTimeline`` field by field,
+the same ``recording_id``, and the same ``StepResult`` call by call.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.errors import GuestFault
+from repro.isa import assemble
+from repro.machine import Interpreter, Kernel, load_program, StopReason
+from repro.pin import PinVM
+from repro.pin.trace import MAX_TRACE_INS
+from repro.superpin import (BoundaryReason, ControlProcess,
+                            record_signatures, run_superpin,
+                            SuperPinConfig)
+from repro.superpin import control
+from repro.superpin.control import MasterEngine
+from repro.superpin.recording import save_recording
+from repro.tools import ICount2
+from repro.workloads import SPEC2000
+from repro.workloads.generators import build_workload
+
+from ..conftest import MULTISLICE
+from .test_threads_superpin import THREADED
+
+SHIPPED = (control.HOT_HEAD_ARRIVALS, control.SIDE_EXIT_MISSES)
+#: The interpreter-only master every other pair is compared against.
+REFERENCE = (None, control.SIDE_EXIT_MISSES)
+FORCED = [(1, 1), (2, 1), (7, 3)]
+
+
+def syscall_loop(syscall: str, trips: int = 1500) -> str:
+    """A loop that is hot under every pair, with a syscall in its body
+    (and a conditional side path, so generated code has a cold exit)."""
+    return f"""
+.entry main
+main:
+    li   s0, 0
+    li   s1, {trips}
+lp: addi t0, t0, 3
+    st   t0, 0x9000(s0)
+    andi t1, s0, 63
+    bnez t1, go
+    muli t0, t0, 5
+go: andi t1, s0, 255
+    bnez t1, nx
+{syscall}
+sys:
+nx: inc  s0
+    blt  s0, s1, lp
+    li   a0, SYS_EXIT
+    mov  a1, t0
+    syscall
+.data
+fname: .ascii "log"
+"""
+
+
+REPLAY_LOOP = syscall_loop("    li   a0, SYS_TIME\n    syscall")
+FORCE_LOOP = syscall_loop(
+    "    li   a0, SYS_OPEN\n    la   a1, fname\n    li   a2, 3\n"
+    "    li   a3, 1\n    syscall\n    mov  a1, rv\n"
+    "    li   a0, SYS_CLOSE\n    syscall")
+
+
+def _suite(name: str, scale: float):
+    return build_workload(SPEC2000[name], scale=scale).program
+
+
+def _slices(n: int, **extra) -> SuperPinConfig:
+    """``n``-instruction timeslices."""
+    return SuperPinConfig(spmsec=n, clock_hz=1000, **extra)
+
+
+#: name -> (program, config).  Timeslices of 97, 100 and 131
+#: instructions are coprime to the loops' lengths, so over a run the
+#: cuts visit every position of a loop body: mid-trace, the backward
+#: branch itself, the syscall (``test_cuts_land_everywhere`` checks).
+CASES = {
+    "gzip": lambda: (_suite("gzip", 0.2), SuperPinConfig()),
+    "gcc": lambda: (_suite("gcc", 0.03), SuperPinConfig()),
+    "mcf": lambda: (_suite("mcf", 0.1), SuperPinConfig()),
+    "threads": lambda: (assemble(THREADED), _slices(500)),
+    "replay-loop": lambda: (assemble(REPLAY_LOOP), _slices(131)),
+    "force-loop": lambda: (assemble(FORCE_LOOP), _slices(100)),
+    "sysrecs-0": lambda: (assemble(REPLAY_LOOP), _slices(700, spsysrecs=0)),
+    "adaptive": lambda: (assemble(MULTISLICE), SuperPinConfig(
+        spmsec=300, clock_hz=10_000, spadaptive=True,
+        expected_duration_msec=2000)),
+    "cuts-97": lambda: (assemble(REPLAY_LOOP), _slices(97)),
+}
+
+
+def force_thresholds(monkeypatch, pair) -> None:
+    monkeypatch.setattr(control, "HOT_HEAD_ARRIVALS", pair[0])
+    monkeypatch.setattr(control, "SIDE_EXIT_MISSES", pair[1])
+
+
+def build_timeline(monkeypatch, program, config, pair, seed=42):
+    force_thresholds(monkeypatch, pair)
+    return ControlProcess(program, config, kernel=Kernel(seed=seed)).run()
+
+
+def timeline_view(timeline) -> dict:
+    """Everything a slice, a recording or the audit reads off a
+    timeline, keyed so a mismatch names its field."""
+    view = {
+        "exit_code": timeline.exit_code,
+        "total_instructions": timeline.total_instructions,
+        "total_syscalls": timeline.total_syscalls,
+        "final_pc": timeline.final_pc,
+        "final_cpu_hash": timeline.final_cpu_hash,
+        "stdout": timeline.kernel.stdout_text(),
+        "num_boundaries": len(timeline.boundaries),
+    }
+    for b in timeline.boundaries:
+        key = f"boundary[{b.index}]."
+        view[key + "reason"] = b.reason
+        view[key + "cpu_snapshot"] = b.cpu_snapshot
+        view[key + "master_instructions"] = b.master_instructions
+        view[key + "resident_pages"] = b.resident_pages
+        view[key + "memory"] = list(b.mem_fork._pages.items())
+        view[key + "layout"] = b.layout_fork
+        view[key + "threads"] = (
+            None if b.thread_fork is None else
+            (b.thread_fork.current_tid, list(b.thread_fork.ready),
+             b.thread_fork.threads))
+    for i in timeline.intervals:
+        key = f"interval[{i.index}]."
+        view[key + "instructions"] = i.instructions
+        view[key + "syscalls"] = i.syscalls
+        view[key + "records"] = i.records
+        view[key + "master_cow_faults"] = i.master_cow_faults
+        view[key + "end_reason"] = i.end_reason
+        view[key + "is_last"] = i.is_last
+    return view
+
+
+def recording_id(timeline, config, path) -> str:
+    signatures = record_signatures(timeline, config)
+    return save_recording(str(path), timeline, signatures,
+                          config)["recording_id"]
+
+
+def assert_same_timeline(got, want, label) -> None:
+    assert got.keys() == want.keys(), label
+    for field in want:
+        assert got[field] == want[field], f"{label}: {field}"
+
+
+class TestTimelineParity:
+    @pytest.mark.parametrize("case", CASES)
+    def test_every_threshold_pair_matches_the_reference(
+            self, case, monkeypatch, tmp_path):
+        program, config = CASES[case]()
+        reference = build_timeline(monkeypatch, program, config, REFERENCE)
+        assert reference.master.jit_instructions == 0
+        want = timeline_view(reference)
+        want_id = recording_id(reference, config, tmp_path / "ref.sprec")
+        for pair in FORCED + [SHIPPED]:
+            timeline = build_timeline(monkeypatch, program, config, pair)
+            assert_same_timeline(timeline_view(timeline), want,
+                                 f"{case} {pair}")
+            assert recording_id(timeline, config,
+                                tmp_path / "mixed.sprec") == want_id, pair
+            if pair in FORCED:
+                # The parity above means something only if the hot tier
+                # really ran.
+                assert timeline.master.jit_instructions > 0, (case, pair)
+
+    def test_cuts_land_everywhere(self, monkeypatch):
+        """The short-timeslice cases cut on the backward branch, on the
+        syscall and mid-body — where the tiers hand over."""
+        program = assemble(REPLAY_LOOP)
+        head, after_sys = program.symbol("lp"), program.symbol("sys")
+        timeline = build_timeline(monkeypatch, program, _slices(97), (2, 1))
+        cut_pcs = {b.cpu_snapshot[0] for b in timeline.boundaries
+                   if b.reason is BoundaryReason.TIMEOUT}
+        assert head in cut_pcs                  # the branch retired last
+        assert after_sys in cut_pcs             # the syscall retired last
+        assert cut_pcs & set(range(head + 1, after_sys - 1))  # mid-body
+        # ... out of generated code: every timeslice went through it.
+        master = timeline.master
+        assert master.engine_switches >= len(timeline.boundaries)
+        assert 3 * master.jit_instructions > master.instructions
+
+    def test_shipped_thresholds_engage_on_a_long_loop(self, monkeypatch):
+        program, config = CASES["gzip"]()
+        master = build_timeline(monkeypatch, program, config, SHIPPED).master
+        assert master.hot_heads > 0
+        assert 2 * master.jit_instructions > master.instructions
+        assert master.compiled_ins < 200
+
+    @settings(max_examples=15, deadline=None)
+    @given(budget=st.integers(min_value=1, max_value=400),
+           pair=st.sampled_from(FORCED))
+    def test_any_timeslice_any_loop(self, budget, pair):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            for source in (REPLAY_LOOP, FORCE_LOOP):
+                program = assemble(source)
+                want = timeline_view(build_timeline(
+                    monkeypatch, program, _slices(budget), REFERENCE))
+                got = timeline_view(build_timeline(
+                    monkeypatch, program, _slices(budget), pair))
+                assert_same_timeline(got, want, f"{budget} {pair}")
+
+
+def _engines(program, pair, seed=7):
+    """An interpreter and a mixed master over two loads of ``program``."""
+    reference = Interpreter(load_program(program, Kernel(seed=seed)),
+                            stop_after_syscall=True)
+    mixed = MasterEngine(load_program(program, Kernel(seed=seed)), *pair)
+    return reference, mixed
+
+
+def _state(engine):
+    process = engine.process
+    return (process.cpu.snapshot(), process.exited, process.exit_code,
+            engine.total_instructions, engine.total_syscalls,
+            list(process.mem._pages.items()), process.mem.cow_faults)
+
+
+class TestRunContract:
+    """``MasterEngine.run`` is ``Interpreter.run``, call for call."""
+
+    HALTING = """
+.entry main
+main:
+    li   t0, 0
+    li   t1, 50
+lp: inc  t0
+    blt  t0, t1, lp
+    mov  a0, t0
+    halt
+"""
+
+    @settings(max_examples=20, deadline=None)
+    @given(budgets=st.lists(st.integers(min_value=40, max_value=600),
+                            min_size=1, max_size=6),
+           pair=st.sampled_from(FORCED),
+           source=st.sampled_from([REPLAY_LOOP, FORCE_LOOP, THREADED,
+                                   HALTING]))
+    def test_same_step_results(self, budgets, pair, source):
+        reference, mixed = _engines(assemble(source), pair)
+        for turn in itertools.count():
+            budget = budgets[turn % len(budgets)]
+            want, got = reference.run(budget), mixed.run(budget)
+            assert (got.reason, got.instructions) \
+                == (want.reason, want.instructions), turn
+            assert (got.outcome and got.outcome.record) \
+                == (want.outcome and want.outcome.record), turn
+            assert _state(mixed) == _state(reference), turn
+            if want.reason is StopReason.EXIT:
+                break
+        assert mixed.run(10).reason is StopReason.EXIT  # and stays exited
+
+    def test_unbudgeted_run(self):
+        reference, mixed = _engines(assemble(self.HALTING), (2, 1))
+        want, got = reference.run(), mixed.run()
+        assert (got.reason, got.instructions, got.outcome) \
+            == (want.reason, want.instructions, None)
+        assert _state(mixed) == _state(reference)
+        assert mixed.stats().jit_instructions > 0
+
+    def test_hot_head_that_never_fits_the_budget(self):
+        """Forward progress: a hot loop whose trace is longer than what
+        is left of the budget goes back to the interpreter, which lands
+        the tail — a budget is never spent on hand-overs."""
+        body = "\n".join("    addi t2, t2, 1" for _ in range(50))
+        source = (".entry main\nmain:\n    li t0, 0\n    li t1, 400\n"
+                  f"lp:\n{body}\n    inc t0\n    blt t0, t1, lp\n    halt\n")
+        reference, mixed = _engines(assemble(source), (1, 1))
+        for budget in (10, MAX_TRACE_INS - 1, MAX_TRACE_INS, 100, 131):
+            before = mixed.engine_switches
+            want, got = reference.run(budget), mixed.run(budget)
+            assert (got.reason, got.instructions) \
+                == (want.reason, want.instructions) \
+                == (StopReason.BUDGET, budget)
+            assert _state(mixed) == _state(reference)
+            assert mixed.engine_switches - before <= MAX_TRACE_INS
+        # Budgets that cannot hold a trace never reach generated code.
+        assert mixed.engine_switches <= 3
+        assert mixed.stats().jit_instructions > 0
+
+
+class TestLazyHotTier:
+    def test_no_hot_head_no_pinvm(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("control phase built a PinVM")
+        monkeypatch.setattr(control, "PinVM", refuse)
+        # gcc-style code: many short loops, none reaches the threshold.
+        timeline = ControlProcess(_suite("gcc", 0.03), SuperPinConfig(),
+                                  kernel=Kernel(seed=1)).run()
+        master = timeline.master
+        assert master.instructions == timeline.total_instructions > 10_000
+        assert (master.hot_heads, master.jit_instructions,
+                master.compiled_ins, master.engine_switches) == (0, 0, 0, 0)
+
+    def test_thresholds_are_not_options(self):
+        import dataclasses
+        assert not [f.name for f in dataclasses.fields(SuperPinConfig)
+                    if "hot" in f.name or "master" in f.name]
+
+
+class TestEndToEnd:
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_run_superpin_parity_and_clean_audit(self, workers,
+                                                 monkeypatch):
+        program = assemble(MULTISLICE)
+        runs = {}
+        for pair in (REFERENCE, (2, 1), SHIPPED):
+            force_thresholds(monkeypatch, pair)
+            tool = ICount2()
+            report = run_superpin(
+                program, tool, SuperPinConfig(
+                    spmsec=500, clock_hz=10_000, spworkers=workers,
+                    spaudit=True, spmetrics=True),
+                kernel=Kernel(seed=9))
+            assert report.audit.ok, (pair, report.audit.summary())
+            assert report.all_exact
+            runs[pair] = (tool.report(), report.stdout, report.exit_code,
+                          report.num_slices,
+                          [s.instructions for s in report.slices],
+                          report.timing.total_cycles)
+            # One fold at the end of the control phase: four counters,
+            # and the same four on the phase's span.
+            want = report.timeline.master.counters()
+            assert set(want) == {"hot_heads", "jit_instructions",
+                                 "compiled_ins", "engine_switches"}
+            counters = report.metrics.counters
+            assert {name: counters.get("superpin.control.master." + name, 0)
+                    for name in want} == want
+            span, = (r for r in report.trace.records
+                     if r.name == "control_phase")
+            assert span.args == want
+        assert runs[(2, 1)] == runs[SHIPPED] == runs[REFERENCE]
+
+
+FAULTS = {
+    "div": "    li   t2, 0\n    div  t3, t0, t2",
+    "ld": "    li   t2, 0x7000000\n    ld   t3, 0(t2)",
+    "st": "    li   t2, 0x7000000\n    st   t0, 0(t2)",
+}
+
+
+class TestFaultParity:
+    """On a guest fault every engine stops in the same place: ``cpu.pc``
+    at the faulting instruction, which is not counted as retired."""
+
+    @pytest.mark.parametrize("kind", FAULTS)
+    def test_engines_agree_on_a_fault(self, kind):
+        program = assemble(
+            ".entry main\nmain:\n    li   t0, 0\n    li   t1, 5\n"
+            "lp: inc  t0\n    blt  t0, t1, lp\n"
+            f"{FAULTS[kind]}\nbad:\n    halt\n")
+        fault_pc = program.symbol("bad") - 1
+
+        def load():
+            return load_program(program, Kernel(), strict_memory=True)
+
+        engines = {
+            "interpreter": Interpreter(load()),
+            "closure": PinVM(load(), jit_backend="closure"),
+            "source": PinVM(load(), jit_backend="source"),
+            "mixed": MasterEngine(load(), 2, 1),  # the loop is hot by then
+        }
+        seen = {}
+        for name, engine in engines.items():
+            with pytest.raises(GuestFault):
+                engine.run()
+            seen[name] = (engine.process.cpu.snapshot(),
+                          engine.total_instructions)
+        assert engines["mixed"].stats().jit_instructions > 0
+        pc, retired = seen["interpreter"][0][0], seen["interpreter"][1]
+        assert (pc, retired) == (fault_pc, 2 + 2 * 5 + 1)
+        for name in engines:
+            assert seen[name] == seen["interpreter"], name
