@@ -37,6 +37,7 @@ from repro.fsutil import atomic_write  # noqa: E402
 from repro.machine import Kernel  # noqa: E402
 from repro.obs import write_trace  # noqa: E402
 from repro.superpin import run_superpin, SuperPinConfig  # noqa: E402
+from repro.superpin.slices import PLACEMENT_COUNTERS  # noqa: E402
 from repro.tools import TOOLS  # noqa: E402
 from repro.workloads import build  # noqa: E402
 
@@ -87,6 +88,10 @@ REQUIRED_NONZERO = (
     # past the head threshold, so zero means the control phase has gone
     # back to interpreting everything.
     "superpin.control.master.jit_instructions",
+    # The resident slice machines: this multi-slice run recompiles the
+    # same four hot functions in every slice, so zero means the workers'
+    # pools have silently stopped engaging.
+    "pin.jit.skeleton_reuses",
 )
 
 
@@ -163,6 +168,10 @@ def compare(current, baseline):
             )
         elif now is None:
             failures.append(f"counter {name}: disappeared (baseline {base})")
+        elif name in PLACEMENT_COUNTERS:
+            # Which worker ran which slices decides these, run by run:
+            # they must exist (and reuses be nonzero, above), no more.
+            continue
         elif base > 0 and not base / TOLERANCE <= now <= base * TOLERANCE:
             failures.append(
                 f"counter {name}: {now} outside "

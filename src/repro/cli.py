@@ -225,6 +225,10 @@ def _cmd_run(args, extra: list[str]) -> int:
     if report.total_warm_mismatches:
         print(f"warm cache: {report.total_warm_mismatches} consistency "
               f"mismatches (those traces compiled cold)")
+    jit = report.jit_summary()
+    if jit is not None:
+        print(f"jit: {jit['compiles']:,} compiles, {jit['pooled']:,} from "
+              f"pooled skeletons, {jit['seconds']:.2f} s")
     if config.sptc2 > 0 and instr["tc2_promotions"]:
         print(f"tier 2: {instr['tc2_promotions']} superblock promotions, "
               f"{instr['tc2_dispatches']} dispatches, "

@@ -116,6 +116,46 @@ class Memory:
         self._frozen |= shared
         return child
 
+    def adopt(self, other: "Memory") -> None:
+        """Become ``other`` while staying the same object.
+
+        Takes over ``other``'s page table, freeze set, regions,
+        strictness and counters *by reference* — nothing is copied and
+        nothing is frozen, so no COW fault is charged that running on
+        ``other`` itself would not be.  What holds this object — JIT
+        closures over the bound ``read`` / ``write`` — now addresses
+        ``other``'s memory; that is the context switch of a resident
+        slice machine (:mod:`repro.superpin.slices`).  ``other`` is spent:
+        it shares its tables with this object from here on and must not
+        be used again.
+        """
+        self._pages = other._pages
+        self._frozen = other._frozen
+        self.strict = other.strict
+        self._regions = other._regions
+        self.cow_faults = other.cow_faults
+        self.pages_copied = other.pages_copied
+
+    def same_words(self, addr: int, words: list[int]) -> bool:
+        """True when the ``len(words)`` words at ``addr`` equal ``words``.
+
+        Reads exactly what reading them one at a time up to the first
+        difference would (so strict mode faults where it would), but a
+        lenient memory compares one list slice per page touched.
+        """
+        if self.strict:
+            return all(self.read(addr + i) == word
+                       for i, word in enumerate(words))
+        done, count = 0, len(words)
+        while done < count:
+            offset = (addr + done) & _OFFSET_MASK
+            span = min(count - done, PAGE_WORDS - offset)
+            page = self._pages.get((addr + done) >> PAGE_SHIFT, _ZERO_PAGE)
+            if page[offset:offset + span] != words[done:done + span]:
+                return False
+            done += span
+        return True
+
     def scratch_fork(self) -> "Memory":
         """COW child for throwaway runs; the parent is left untouched.
 

@@ -11,6 +11,7 @@ into).
 from __future__ import annotations
 
 import enum
+import time
 from dataclasses import dataclass
 
 from ..errors import GuestFault
@@ -19,7 +20,7 @@ from ..machine.process import Process
 from ..obs.metrics import NULL_METRICS
 from .codecache import CodeCache
 from .filter import InstrumentationStats
-from .jit import CompiledTrace, EXIT_GUEST, Jit, StopRun
+from .jit import CompiledTrace, EXIT_GUEST, Jit, JitStats, StopRun
 from .trace import MAX_TRACE_INS
 
 
@@ -67,20 +68,15 @@ class PinVM:
                  suppress_loops: bool = False,
                  tc2_threshold: int = 0,
                  compile_gate=None):
+        # What lasts as long as the engine: the machine state it runs
+        # on, and the JIT whose code closes over that state.  Everything
+        # else belongs to one run and is (re)built by ``reset``.
         self.process = process
         self.cpu = process.cpu
         self.mem = process.mem
         self.max_trace_ins = max_trace_ins
-        self.forced_boundaries = forced_boundaries or frozenset()
-        #: Observability counters (repro.obs).  JIT compiles are counted
-        #: live (a compile is already slow); per-dispatch cache lookups
-        #: stay in CacheStats and are folded into the registry at slice
-        #: end, keeping the dispatch loop free of metric calls.
-        self.metrics = metrics
-        # Note: an empty CodeCache is falsy (it has __len__), so test
-        # identity rather than truth.
-        self.cache = (code_cache if code_cache is not None
-                      else CodeCache(metrics=metrics))
+        #: [analysis_calls, inline_checks] — mutated by compiled steps.
+        self.counters = [0, 0]
         if jit_backend == "closure":
             self.jit = Jit(self)
         elif jit_backend == "source":
@@ -92,6 +88,39 @@ class PinVM:
                 f"unknown jit_backend {jit_backend!r}; "
                 f"choose 'closure' or 'source'")
         self.jit_backend = jit_backend
+        self.reset(forced_boundaries=forced_boundaries,
+                   code_cache=code_cache, link_traces=link_traces,
+                   metrics=metrics, suppress_loops=suppress_loops,
+                   tc2_threshold=tc2_threshold, compile_gate=compile_gate)
+
+    def reset(self, forced_boundaries: frozenset[int] | None = None,
+              code_cache: CodeCache | None = None,
+              link_traces: bool = True,
+              metrics=NULL_METRICS,
+              suppress_loops: bool = False,
+              tc2_threshold: int = 0,
+              compile_gate=None) -> None:
+        """Make this engine what a newly built one would be.
+
+        The constructor's second half, and the whole of a context switch
+        for an engine that stays resident across runs (a slice machine,
+        :mod:`repro.superpin.slices`): every per-run field is rebuilt
+        here and nowhere else, so a run on a reset engine is bit for bit
+        a run on a fresh one — cold code cache, no callbacks, zeroed
+        statistics.  What survives is identity only: ``process`` /
+        ``cpu`` / ``mem``, the ``counters`` list (zeroed in place —
+        generated code holds it) and ``jit``.
+        """
+        self.forced_boundaries = forced_boundaries or frozenset()
+        #: Observability counters (repro.obs).  JIT compiles are counted
+        #: live (a compile is already slow); per-dispatch cache lookups
+        #: stay in CacheStats and are folded into the registry at slice
+        #: end, keeping the dispatch loop free of metric calls.
+        self.metrics = metrics
+        # Note: an empty CodeCache is falsy (it has __len__), so test
+        # identity rather than truth.
+        self.cache = (code_cache if code_cache is not None
+                      else CodeCache(metrics=metrics))
         #: Direct trace linking (Pin's exit-stub patching): steady-state
         #: execution chains trace -> trace through per-trace ``links``
         #: dicts, patched lazily on first transition, touching the
@@ -122,6 +151,9 @@ class PinVM:
         #: the metrics registry at slice end (``pin.filter.*`` /
         #: ``pin.suppress.*``).
         self.instr_stats = InstrumentationStats()
+        #: What the JIT's in-process pool did for this run (see
+        #: repro.pin.jit), folded at slice end like ``instr_stats``.
+        self.jit_stats = JitStats()
         #: ``gate(pc) -> bool`` for an engine that is the hot tier of a
         #: tiered executor (the SuperPin master) and has a cold tier to
         #: hand back to: on a dispatcher miss the gate decides whether
@@ -146,8 +178,7 @@ class PinVM:
         self.trace_callbacks: list[tuple[object, object, object]] = []
         #: Called with each SyscallOutcome right after a syscall executes.
         self.syscall_observers: list[object] = []
-        #: [analysis_calls, inline_checks] — mutated by compiled steps.
-        self.counters = [0, 0]
+        self.counters[:] = (0, 0)
         self.exited = False
         self.exit_code = 0
         self.total_instructions = 0
@@ -303,6 +334,10 @@ class PinVM:
                     if gate is not None and not gate(pc):
                         state = RunState.COLD
                         break
+                    timed = self.metrics.enabled
+                    if timed:
+                        # A miss is already slow: time each directly.
+                        compile_start = time.perf_counter()
                     entry = self.warm_traces.pop(pc, None)
                     if entry is None:
                         trace, warm = jit.compile(pc), False
@@ -310,9 +345,13 @@ class PinVM:
                         trace, warm = jit.build_warm(entry)
                         if not warm:
                             cache.stats.warm_mismatches += 1
+                    if timed:
+                        self.metrics.observe(
+                            "pin.jit.compile_seconds",
+                            time.perf_counter() - compile_start)
                     if warm:
                         cache.stats.warm_starts += 1
-                    elif self.metrics.enabled:
+                    elif timed:
                         self.metrics.inc("pin.jit.compiles")
                         self.metrics.observe("pin.jit.trace_ins",
                                              trace.num_ins)

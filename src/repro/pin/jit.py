@@ -12,10 +12,37 @@ time.  Un-instrumented instructions lower to their bare semantics closure,
 so the instrumented-to-native overhead ratio is governed by the analysis
 calls — which is the regime the paper's icount1/icount2 comparison
 explores.
+
+**Compile once per process.**  A compile has a half that depends on who
+is instrumenting — run the trace callbacks, plan suppression, wrap the
+instrumented instructions — and a half that does not: decode the trace
+and lower each instruction's architectural semantics.  A :class:`Jit`
+whose ``pool`` is a dict (the JIT of a resident slice machine,
+:mod:`repro.superpin.slices`; every other ``PinVM`` leaves it ``None``
+and retains nothing) keeps the second half per trace start pc as a
+*skeleton* and redoes only the first half when a later run on the same
+engine misses on that pc.  The pool is tool-independent by construction,
+and that is its whole safety argument:
+
+* pooled code **may capture** only what lives as long as the engine —
+  ``engine`` itself, ``engine.cpu``, ``cpu.regs`` and the bound
+  ``mem.read`` / ``mem.write`` — plus constants decoded from the guest
+  word;
+* pooled code **must never capture** anything a run owns: a tool or its
+  analysis routines, a signature detector, a syscall handler, the code
+  cache, TC2, the metrics registry, resolvers, or ``_Call`` lists.  All
+  of those reach compiled code only through the per-run wrapper
+  (:meth:`Jit._lower_calls`), which is rebuilt on every compile.
+
+A skeleton is reused only when it is exactly what ``build_trace`` would
+produce now (:meth:`Jit._reuse`); the callbacks run every time, so a
+tool that keeps instrument-time state sees every compile it would see
+on a fresh engine.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import ArithmeticFault
@@ -76,32 +103,131 @@ class CompiledTrace:
         self.exec_count = 0
 
 
+@dataclass
+class JitStats:
+    """What a JIT's pool did during one run (``pin.jit.skeleton_*``).
+
+    Host-side only: pooling changes how long a compile takes, never
+    what it produces, so none of this reaches a ``SliceResult``.
+    """
+
+    #: Compiles served from pooled work (closure backend: a skeleton;
+    #: source backend: a code object for the same source text).
+    skeleton_reuses: int = 0
+    #: Pooled skeletons thrown away because the guest words under them
+    #: changed (self-modified code, another program at that address).
+    rejects_words: int = 0
+    #: ... because this run's forced boundaries cut the trace somewhere
+    #: else than the run that pooled it.
+    rejects_cut: int = 0
+
+
+class _Skeleton:
+    """The run-independent half of one compiled trace."""
+
+    __slots__ = ("trace_obj", "instructions", "sems", "addresses",
+                 "bbl_sizes", "words", "cut")
+
+    def __init__(self, trace_obj: TraceObj, sems: list[Step]):
+        self.trace_obj = trace_obj
+        self.instructions = trace_obj.instructions
+        #: ``sems[i]`` is the semantics closure of ``instructions[i]``.
+        self.sems = sems
+        self.addresses = [ins.address for ins in self.instructions]
+        self.bbl_sizes = [bbl.num_ins for bbl in trace_obj.bbls]
+        #: Validation data, filled in by the first *reuse* (a run that
+        #: never revisits a trace — most daemon jobs — pays nothing).
+        self.words: list[int] | None = None
+        self.cut = False
+
+
 class Jit:
     """Compiles guest code regions for one engine."""
 
     def __init__(self, engine):
         self._engine = engine
+        #: ``start pc -> _Skeleton`` kept across runs of this engine, or
+        #: None (retain nothing).  Set by whoever keeps the engine
+        #: resident; see the module docstring.
+        self.pool: dict[int, _Skeleton] | None = None
 
     def compile(self, address: int) -> CompiledTrace:
         """Build, instrument and lower the trace starting at ``address``."""
         engine = self._engine
-        trace_obj = build_trace(engine.mem, address,
-                                forced_boundaries=engine.forced_boundaries,
-                                max_ins=engine.max_trace_ins)
+        skeleton = self._skeleton(address)
+        trace_obj = skeleton.trace_obj
         run_trace_callbacks(engine, trace_obj)
 
         plan = plan_suppression(engine, trace_obj)
         if plan is not None:
-            return self._compile_suppressed(trace_obj, plan)
+            return self._compile_suppressed(skeleton, plan)
 
-        steps: list[Step] = []
-        addresses: list[int] = []
-        for ins in trace_obj.instructions:
-            steps.append(self._lower_ins(ins))
-            addresses.append(ins.address)
-        return CompiledTrace(address, steps, addresses,
-                             trace_obj.fall_address,
-                             [bbl.num_ins for bbl in trace_obj.bbls])
+        lower = self._lower_calls
+        steps = [lower(ins, sem) for ins, sem
+                 in zip(skeleton.instructions, skeleton.sems)]
+        return CompiledTrace(address, steps, skeleton.addresses,
+                             trace_obj.fall_address, skeleton.bbl_sizes)
+
+    # -- the run-independent half ----------------------------------------------
+
+    def _skeleton(self, address: int) -> _Skeleton:
+        """The decoded trace at ``address`` and its semantics closures:
+        pooled if this engine built it before and it is still what
+        ``build_trace`` would produce, otherwise built (and pooled)."""
+        engine = self._engine
+        pool = self.pool
+        if pool is not None:
+            skeleton = pool.get(address)
+            if skeleton is not None and self._reuse(skeleton, address):
+                return skeleton
+        trace_obj = build_trace(engine.mem, address,
+                                forced_boundaries=engine.forced_boundaries,
+                                max_ins=engine.max_trace_ins)
+        lower = self._lower_semantics
+        skeleton = _Skeleton(trace_obj, [lower(ins) for ins
+                                         in trace_obj.instructions])
+        if pool is not None:
+            pool[address] = skeleton
+        return skeleton
+
+    def _reuse(self, skeleton: _Skeleton, address: int) -> bool:
+        """True — with ``skeleton`` wiped of the last run's
+        instrumentation — if it is exactly the trace ``build_trace``
+        would decode now.
+
+        ``build_trace`` is a function of the guest words, the start pc,
+        the forced boundaries and the length cap.  The cap is the
+        engine's; the rest is checked here: (1) no forced boundary of
+        this run lies strictly inside the trace — it would have to be
+        re-cut there so detection sits at a trace head; (2) a trace
+        that ended early *because* a boundary was forced at its end may
+        only be reused where that end is forced again — anywhere else
+        it must extend; (3) the guest words are the ones decoded, which
+        is also what catches code the master rewrote between two
+        boundaries and another program loaded at the same address.
+        """
+        engine = self._engine
+        stats = engine.jit_stats
+        instructions = skeleton.instructions
+        if skeleton.words is None:
+            skeleton.words = [ins.raw for ins in instructions]
+            last = instructions[-1].info
+            skeleton.cut = (len(instructions) < engine.max_trace_ins
+                            and not (last.is_control
+                                     and not last.is_cond_branch))
+        forced = engine.forced_boundaries
+        end = address + len(instructions)
+        if (any(address < pc < end for pc in forced)
+                or (skeleton.cut and end not in forced)):
+            stats.rejects_cut += 1
+            return False
+        if not engine.mem.same_words(address, skeleton.words):
+            stats.rejects_words += 1
+            return False
+        for ins in instructions:
+            ins.clear_calls()
+        stats.skeleton_reuses += 1
+        return True
 
     def export_warm(self, trace):
         """``trace`` as a warm-payload record: address and length only —
@@ -137,13 +263,14 @@ class Jit:
                                 max_ins=1)
         run_trace_callbacks(engine, trace_obj)
         ins = trace_obj.instructions[0]
-        return CompiledTrace(address, [self._lower_ins(ins)],
-                             [ins.address], trace_obj.fall_address,
+        step = self._lower_calls(ins, self._lower_semantics(ins))
+        return CompiledTrace(address, [step], [ins.address],
+                             trace_obj.fall_address,
                              [bbl.num_ins for bbl in trace_obj.bbls])
 
     # -- redundancy suppression ----------------------------------------------
 
-    def _compile_suppressed(self, trace_obj: TraceObj,
+    def _compile_suppressed(self, skeleton: _Skeleton,
                             plan: LoopPlan) -> SuppressedLoopTrace:
         """Lower a planned loop into its summarized form.
 
@@ -155,16 +282,21 @@ class Jit:
         markers for the rare post-loop suffix.
         """
         engine = self._engine
+        trace_obj = skeleton.trace_obj
         stats = engine.instr_stats
         stats.summarized_loops += 1
         counters = engine.counters
 
-        body_sems = [self._lower_semantics(ins) for ins in plan.body[:-1]]
-        tail_sem = self._lower_semantics(plan.tail)
-        rest_steps = [self._lower_ins(ins) for ins in plan.rest]
-        rest_addrs = [ins.address for ins in plan.rest]
-        start = plan.start
+        # The plan's body is the trace's first BBL and its rest the
+        # remainder, so the skeleton's closures map onto it by position.
+        sems = skeleton.sems
         m = plan.body_len
+        body_sems = sems[:m - 1]
+        tail_sem = sems[m - 1]
+        rest_steps = [self._lower_calls(ins, sem)
+                      for ins, sem in zip(plan.rest, sems[m:])]
+        rest_addrs = skeleton.addresses[m:]
+        start = plan.start
         n_rest = len(rest_steps)
         summaries = tuple(plan.summaries)
         n_calls = len(summaries)
@@ -214,38 +346,34 @@ class Jit:
             return (None, base + n_rest)
 
         return SuppressedLoopTrace(
-            start=start, fn=fn, num_ins=trace_obj.num_ins,
-            fall_address=fall,
-            bbl_sizes=[bbl.num_ins for bbl in trace_obj.bbls])
+            start=start, fn=fn, num_ins=len(sems),
+            fall_address=fall, bbl_sizes=skeleton.bbl_sizes)
 
     # -- lowering ------------------------------------------------------------
 
-    def _lower_ins(self, ins: Ins) -> Step:
-        sem = self._lower_semantics(ins)
+    def _lower_calls(self, ins: Ins, sem: Step) -> Step:
+        """The run-dependent half: ``sem`` wrapped in ``ins``'s analysis
+        calls — or ``sem`` itself when it has none, which is every
+        instruction of a fast-path trace and most of any other."""
+        if not (ins.before_calls or ins.if_then or ins.after_calls
+                or ins.taken_calls):
+            return sem
         engine = self._engine
         cpu, mem = engine.cpu, engine.mem
 
-        def lower_calls(calls):
-            return tuple(
-                (call.fn, build_resolver(call.specs, ins, cpu, mem))
-                for call in calls)
-
-        def lower_taken(calls):
-            return tuple(
-                (call.fn,
-                 build_resolver(call.specs, ins, cpu, mem, taken_target=0))
-                for call in calls)
+        def lower_calls(calls, taken_target=None):
+            return tuple([
+                (call.fn, build_resolver(call.specs, ins, cpu, mem,
+                                         taken_target=taken_target))
+                for call in calls]) if calls else ()
 
         before = lower_calls(ins.before_calls)
         after = lower_calls(ins.after_calls)
-        taken = lower_taken(ins.taken_calls)
+        taken = lower_calls(ins.taken_calls, taken_target=0)
         if_then = tuple(
             (pair[0].fn, build_resolver(pair[0].specs, ins, cpu, mem),
              pair[1].fn, build_resolver(pair[1].specs, ins, cpu, mem))
             for pair in ins.if_then)
-
-        if not (before or after or taken or if_then):
-            return sem
 
         counters = engine.counters  # [analysis_calls, inline_checks]
 

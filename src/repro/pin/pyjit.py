@@ -77,9 +77,19 @@ class SourceJit:
 
     def __init__(self, engine):
         self._engine = engine
+        #: ``source text -> code object`` kept across runs of this
+        #: engine, or None (retain nothing) — the in-process form of
+        #: ``build_warm``, set by whoever keeps the engine resident (a
+        #: slice machine, repro.superpin.slices).  A code object binds
+        #: nothing: every name it uses resolves in the namespace it is
+        #: rebound over, which each compile builds anew from this run's
+        #: tool closures — so, as on the closure backend, nothing a run
+        #: owns is ever pooled.
+        self.pool: dict[str, types.CodeType] | None = None
 
     def _lower(self, address: int):
-        """Build, instrument and emit one trace; no compile() yet."""
+        """Build, instrument and emit one trace — ``(trace, emitter,
+        source text)``; no compile() yet."""
         engine = self._engine
         trace_obj = build_trace(engine.mem, address,
                                 forced_boundaries=engine.forced_boundaries,
@@ -94,21 +104,32 @@ class SourceJit:
             for index, ins in enumerate(trace_obj.instructions):
                 emitter.lower(index, ins)
             emitter.line(f"return (None, {len(trace_obj.instructions)})")
-        return trace_obj, emitter
+        return trace_obj, emitter, emitter.source_text(address)
 
-    def _build(self, address: int, trace_obj, emitter,
-               code=None) -> SourceCompiledTrace:
+    def _build(self, address: int, trace_obj, emitter, source: str,
+               warm_code: bytes | None = None) -> SourceCompiledTrace:
+        """Turn an emitted trace into a function by the cheapest means
+        that applies: a pooled code object for the same text, else the
+        warm entry's marshalled one (``warm_code``, already checked
+        against the text), else ``compile()``."""
+        engine = self._engine
         if emitter.suppressed:
-            self._engine.instr_stats.summarized_loops += 1
+            engine.instr_stats.summarized_loops += 1
+        pool = self.pool
+        code = pool.get(source) if pool is not None else None
+        if code is not None:
+            engine.jit_stats.skeleton_reuses += 1
+        elif warm_code is not None:
+            code = marshal.loads(warm_code)
         if code is None:
-            source, namespace = emitter.finish(address)
-            fn = namespace["__trace__"]
+            fn = emitter.finish(source, address)
+            code = fn.__code__
         else:
-            # Warm path: ``code`` is the function's own (marshalled)
-            # code object; rebinding it over this emitter's namespace
-            # skips compile() entirely.
-            source = emitter.source_text(address)
+            # Rebinding the function's own code object over this
+            # emitter's namespace skips compile() entirely.
             fn = types.FunctionType(code, emitter.namespace, "__trace__")
+        if pool is not None:
+            pool[source] = code
         return SourceCompiledTrace(
             start=address, fn=fn,
             num_ins=len(trace_obj.instructions),
@@ -117,8 +138,7 @@ class SourceJit:
             unbounded=emitter.suppressed)
 
     def compile(self, address: int) -> SourceCompiledTrace:
-        trace_obj, emitter = self._lower(address)
-        return self._build(address, trace_obj, emitter)
+        return self._build(address, *self._lower(address))
 
     def export_warm(self, trace: SourceCompiledTrace):
         """``trace`` as a warm-payload record: the generated source (the
@@ -141,13 +161,16 @@ class SourceJit:
         ``compile()`` — the dominant cost of a cold source-backend
         build.  On a mismatch (different instrumentation, different
         guest bytes) the cold build finishes from the same lowering and
-        the foreign code object is never unmarshalled.
+        the foreign code object is never unmarshalled.  The payload
+        decides ``warm`` before the pool is looked at, so ``warm_starts``
+        and ``warm_mismatches`` read the same on a resident engine; the
+        pool only spares a matching entry its ``marshal.loads``.
         """
         address = entry.address
-        trace_obj, emitter = self._lower(address)
-        warm = emitter.source_text(address) == entry.source
-        code = marshal.loads(entry.code) if warm else None
-        return self._build(address, trace_obj, emitter, code), warm
+        trace_obj, emitter, source = self._lower(address)
+        warm = source == entry.source
+        return self._build(address, trace_obj, emitter, source,
+                           entry.code if warm else None), warm
 
 
 class _Emitter:
@@ -512,8 +535,8 @@ class _Emitter:
         header = f"def __trace__():  # trace @ {address:#x}\n"
         return header + "\n".join(self._lines) + "\n"
 
-    def finish(self, address: int) -> tuple[str, dict]:
-        source = self.source_text(address)
+    def finish(self, source: str, address: int):
+        """``compile()`` the trace's source; returns its function."""
         code = compile(source, f"<superpin-trace-{address:#x}>", "exec")
         exec(code, self.namespace)  # noqa: S102 - this *is* the JIT
-        return source, self.namespace
+        return self.namespace["__trace__"]

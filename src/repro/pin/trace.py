@@ -105,6 +105,22 @@ class Ins:
 
     # -- instrumentation attachment ------------------------------------------
 
+    def clear_calls(self) -> None:
+        """Detach every analysis call: the instruction as just decoded.
+
+        For a JIT that keeps decoded traces across runs (repro.pin.jit):
+        the next run's callbacks must start from a bare instruction.
+        """
+        if self.before_calls:
+            self.before_calls = []
+        if self.after_calls:
+            self.after_calls = []
+        if self.taken_calls:
+            self.taken_calls = []
+        if self.if_then:
+            self.if_then = []
+        self._pending_if = None
+
     def insert_call(self, ipoint: IPoint, fn, *iargs, summary=None) -> None:
         """Attach an analysis call (``INS_InsertCall``).
 

@@ -34,7 +34,7 @@ from .sharedmem import AutoMerge, resolve_shared_areas, SharedArea
 from .signature import (DEFAULT_QUICK_REGS, DetectionStats,
                         record_signature, select_quick_registers, Signature,
                         SignatureDetector)
-from .slices import run_slice, SliceEnd, SliceResult
+from .slices import run_slice, SliceEnd, SliceMachine, SliceResult
 from .supervisor import (slice_deadline, SliceAttempt, SliceOutcome,
                          supervise_slices, SupervisedSlices)
 from .switches import (DEFAULT_CLOCK_HZ, FAULT_POLICIES, parse_switches,
@@ -57,7 +57,8 @@ __all__ = [
     "charge_slices_in_order", "AutoMerge", "resolve_shared_areas",
     "SharedArea", "DEFAULT_QUICK_REGS", "DetectionStats",
     "record_signature", "select_quick_registers", "Signature",
-    "SignatureDetector", "run_slice", "SliceEnd", "SliceResult",
+    "SignatureDetector", "run_slice", "SliceEnd", "SliceMachine",
+    "SliceResult",
     "slice_deadline", "SliceAttempt", "SliceOutcome", "supervise_slices",
     "SupervisedSlices", "DEFAULT_CLOCK_HZ", "FAULT_POLICIES",
     "parse_switches", "SuperPinConfig", "PlaybackHandler",

@@ -191,8 +191,13 @@ def slice_job(timeline: MasterTimeline, signatures: list[Signature],
             template, sp, config, warm, export_warm)
 
 
-def run_slice_job(work) -> tuple:
+def run_slice_job(work, machine=None) -> tuple:
     """Worker entry point: run one :func:`slice_job`.
+
+    ``machine`` is the resident :class:`~repro.superpin.slices.
+    SliceMachine` of whoever is executing jobs one after another (the
+    executor's, or a pool worker's own); without one the slice gets a
+    machine of its own.
 
     ``work`` is the job tuple itself or its pickle; materializing a
     pickled job is the real fork analogue and is timed as
@@ -213,7 +218,7 @@ def run_slice_job(work) -> tuple:
     t0 = time.perf_counter()
     result = run_slice(boundary, interval, end_signature, template, sp,
                        config, metrics=metrics, warm=warm,
-                       export_warm=export_warm)
+                       export_warm=export_warm, machine=machine)
     return (result, fork_seconds, time.perf_counter() - t0,
             metrics.snapshot())
 

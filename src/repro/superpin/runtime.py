@@ -167,6 +167,21 @@ class SuperPinReport:
         """
         return sum(s.warm_mismatches for s in self.slices)
 
+    def jit_summary(self) -> dict[str, float] | None:
+        """Host-side compile work of the slice phase, or None without
+        ``-spmetrics``: every dispatcher miss (each one a ``compile`` in
+        the virtual account), how many of them the resident machines
+        served from pooled work (:mod:`repro.pin.jit`), and the directly
+        measured seconds all of them took."""
+        if self.metrics is None or not self.metrics.enabled:
+            return None
+        timed = self.metrics.histogram("pin.jit.compile_seconds")
+        return {
+            "compiles": int(self.metrics.counter("pin.cache.compiles")),
+            "pooled": int(self.metrics.counter("pin.jit.skeleton_reuses")),
+            "seconds": timed.total if timed is not None else 0.0,
+        }
+
     def instrumentation_summary(self) -> dict[str, int]:
         """Selective-instrumentation and suppression totals (-spfilter /
         -spsuppress / -spsample) aggregated across slices."""

@@ -5,6 +5,21 @@ snapshot + kernel-layout fork), releases the code-cache bubble, replays
 the master's recorded system calls, and runs under full instrumentation
 until it detects the next boundary's signature (or program exit, for the
 final slice).
+
+**A slice is a context switch.**  Whoever runs slices one after another
+— the supervisor's in-process transport, a pool worker for as long as it
+lives — owns one :class:`SliceMachine` (one ``CpuState``, one ``Memory``,
+one ``PinVM``) and :func:`run_slice` switches it onto each boundary:
+registers restored in place, the boundary's memory fork adopted, the
+engine reset.  Everything a slice is measured by stays per slice — it
+starts with a cold code cache in a freshly released bubble and compiles
+every trace it runs, so its ``SliceResult`` is bit for bit the one a
+newly built machine produces.  That cold cache is a property of the
+*virtual* account (the paper's "compilation slowdown", §1); in host time
+the machine's JIT keeps the run-independent half of each compile
+(:mod:`repro.pin.jit`), so a trace an earlier slice compiled is
+re-instrumented, not re-translated.  There is no switch for this and no
+second path: a caller without a machine gets one made on the spot.
 """
 
 from __future__ import annotations
@@ -16,6 +31,7 @@ from dataclasses import dataclass
 from ..errors import DivergenceError, RunawaySliceError
 from ..isa import abi
 from ..machine.cpu import CpuState
+from ..machine.memory import Memory
 from ..machine.process import Process
 from ..obs.metrics import NULL_METRICS
 from ..pin.codecache import CodeCache
@@ -25,6 +41,16 @@ from .control import Boundary, Interval
 from .signature import (DetectionStats, Signature, SignatureDetector)
 from .switches import SuperPinConfig
 from .sysrecord import PlaybackHandler
+
+
+#: Counters of host-side work a slice was spared (``JitStats``), in the
+#: order :func:`run_slice` folds them.  Unlike every other slice counter
+#: these depend on *placement* — which machine ran which slices before
+#: this one — so they differ between worker counts and must stay out of
+#: anything compared across runs.
+PLACEMENT_COUNTERS = ("pin.jit.skeleton_reuses",
+                      "pin.jit.skeleton_rejects.words",
+                      "pin.jit.skeleton_rejects.forced_cut")
 
 
 class SliceEnd(enum.Enum):
@@ -121,54 +147,120 @@ class SliceResult:
                 and self.reason in (SliceEnd.MATCHED, SliceEnd.EXIT))
 
 
-def fork_boundary(boundary: Boundary, interval: Interval) -> Process:
-    """Fork one slice's execution state from its boundary snapshot.
+def boundary_handler(boundary: Boundary,
+                     interval: Interval) -> PlaybackHandler:
+    """The single-use syscall playback for one execution of ``interval``.
 
-    Registers, kernel layout (with the bubble released so code-cache
-    allocations land there, §4.1), thread scheduler and a single-use
-    :class:`PlaybackHandler` (``process.syscall_handler``) are fresh per
-    call; memory is ``boundary.mem_fork`` itself — a ``fork()`` there
-    would charge the slice phantom COW faults — so a boundary executes
-    once (retries and time travel re-materialize it from its pickle).
+    Kernel layout (with the bubble released so code-cache allocations
+    land there, §4.1), thread scheduler and record list are fresh per
+    call: :class:`PlaybackHandler`'s cursor contract is single-use, and
+    sharing the interval's own list would let a re-execution of the
+    same interval (retry, time travel) observe a mutation made through
+    the handler's view.
     """
     if boundary.is_hole:
         raise DivergenceError(
             f"slice {interval.index} has no boundary snapshot (degraded-"
             f"slice placeholder) — it cannot be executed, only skipped")
-    cpu = CpuState()
-    cpu.restore(boundary.cpu_snapshot)
     layout = boundary.layout_fork.fork()
     layout.do_munmap(abi.BUBBLE_BASE, abi.BUBBLE_WORDS)
     manager = (boundary.thread_fork.fork()
                if boundary.thread_fork is not None else None)
-    # A fresh list per execution: PlaybackHandler's cursor contract is
-    # single-use, and sharing the interval's own list would let a
-    # re-execution of the same interval (retry, time travel) observe a
-    # mutation made through the handler's view.
-    handler = PlaybackHandler(list(interval.records), layout,
-                              interval.index, thread_manager=manager)
+    return PlaybackHandler(list(interval.records), layout,
+                           interval.index, thread_manager=manager)
+
+
+def fork_boundary(boundary: Boundary, interval: Interval) -> Process:
+    """Fork one slice's execution state from its boundary snapshot.
+
+    Registers and the playback handler (:func:`boundary_handler`,
+    ``process.syscall_handler``) are fresh per call; memory is
+    ``boundary.mem_fork`` itself — a ``fork()`` there would charge the
+    slice phantom COW faults — so a boundary executes once (retries and
+    time travel re-materialize it from its pickle).
+    """
+    handler = boundary_handler(boundary, interval)
+    cpu = CpuState()
+    cpu.restore(boundary.cpu_snapshot)
     return Process(cpu, boundary.mem_fork, handler)
+
+
+def _run_settings(config: SuperPinConfig, forced_boundaries: frozenset[int],
+                  metrics, suppress_loops: bool) -> dict:
+    """What every slice-shaped run starts from, as ``PinVM.reset``
+    arguments: a cold code cache in the bubble, and ``config``'s
+    linking and tier-2 rule (TC2 finds its chains by following direct
+    links, so it needs linking)."""
+    return dict(
+        forced_boundaries=forced_boundaries,
+        code_cache=CodeCache(abi.BUBBLE_BASE, abi.BUBBLE_WORDS,
+                             metrics=metrics),
+        link_traces=config.splinktraces, metrics=metrics,
+        suppress_loops=suppress_loops,
+        tc2_threshold=config.sptc2 if config.splinktraces else 0)
 
 
 def slice_vm(process: Process, config: SuperPinConfig,
              forced_boundaries: frozenset[int] = frozenset(),
              metrics=NULL_METRICS, suppress_loops: bool = False) -> PinVM:
-    """The engine a slice re-executes on: a cold code cache in the
-    bubble, and ``config``'s backend, linking and tier-2 rule (TC2 finds
-    its chains by following direct links, so it needs linking)."""
-    cache = CodeCache(abi.BUBBLE_BASE, abi.BUBBLE_WORDS, metrics=metrics)
-    return PinVM(process, forced_boundaries=forced_boundaries,
-                 code_cache=cache, jit_backend=config.jit_backend,
-                 link_traces=config.splinktraces, metrics=metrics,
-                 suppress_loops=suppress_loops,
-                 tc2_threshold=config.sptc2 if config.splinktraces else 0)
+    """A new engine for one slice-shaped run on ``process``: what time
+    travel runs on, and what a :class:`SliceMachine` starts from."""
+    return PinVM(process, jit_backend=config.jit_backend,
+                 **_run_settings(config, forced_boundaries, metrics,
+                                 suppress_loops))
+
+
+class SliceMachine:
+    """One resident ``CpuState`` + ``Memory`` + ``PinVM`` that slices
+    run on one after another.
+
+    Owned by whoever executes slices sequentially and never shared
+    between two of them (two concurrent runs in one process own two
+    machines).  Its identity is what compiled code closes over, so the
+    engine's JIT may keep compiled work from slice to slice
+    (``vm.jit.pool``); its *state* belongs to the slice it was last
+    switched onto, and every :meth:`switch` replaces all of it — a slice
+    that raised mid-run leaves nothing the next one can see.
+    """
+
+    def __init__(self):
+        self.process = Process(CpuState(), Memory(), None)
+        self.vm: PinVM | None = None
+
+    def switch(self, boundary: Boundary, interval: Interval,
+               config: SuperPinConfig,
+               forced_boundaries: frozenset[int] = frozenset(),
+               metrics=NULL_METRICS) -> PinVM:
+        """Context-switch onto ``boundary``; returns the engine, reset
+        and ready to be instrumented.  ``boundary.mem_fork`` is adopted
+        — the slice runs on that fork's own pages, charged exactly the
+        COW faults it would be charged running on the fork itself — and
+        is spent afterwards, like any executed boundary."""
+        process = self.process
+        process.syscall_handler = boundary_handler(boundary, interval)
+        process.exited = False
+        process.exit_code = 0
+        process.cpu.restore(boundary.cpu_snapshot)
+        process.mem.adopt(boundary.mem_fork)
+        vm = self.vm
+        if vm is None or vm.jit_backend != config.jit_backend:
+            # Compiled work is pooled per backend: the machine serves
+            # one at a time, and starts over when asked for the other.
+            vm = self.vm = slice_vm(process, config, forced_boundaries,
+                                    metrics, config.spsuppress)
+            vm.jit.pool = {}
+        else:
+            vm.reset(**_run_settings(config, forced_boundaries, metrics,
+                                     config.spsuppress))
+        return vm
 
 
 def run_slice(boundary: Boundary, interval: Interval,
               end_signature: Signature | None,
               template: SliceToolContext, sp: SPControl,
               config: SuperPinConfig, metrics=NULL_METRICS,
-              warm=None, export_warm: bool = False) -> SliceResult:
+              warm=None, export_warm: bool = False,
+              machine: SliceMachine | None = None) -> SliceResult:
     """Execute slice ``interval.index`` and return its result.
 
     ``end_signature`` is the next boundary's signature (None for the
@@ -180,17 +272,22 @@ def run_slice(boundary: Boundary, interval: Interval,
     ``warm`` is the frozen :class:`~repro.superpin.warmstore.WarmPayload`
     (or None); ``export_warm`` asks the slice to export its own compiled
     traces on the result — set only for the pilot slice.
+
+    ``machine`` is the caller's resident :class:`SliceMachine`; one who
+    runs a single slice may leave it out.
     """
     index = interval.index
+    if machine is None:
+        machine = SliceMachine()
 
-    # 1. Fork state: registers, COW memory, kernel layout.
-    process = fork_boundary(boundary, interval)
+    # 1-2. Context switch: registers, COW memory and kernel layout of
+    #    the boundary; the engine reset, with its own cold code cache in
+    #    the bubble.
+    forced = frozenset({end_signature.pc}) if end_signature else frozenset()
+    vm = machine.switch(boundary, interval, config, forced, metrics)
+    process = vm.process
     handler = process.syscall_handler
     cow_mark = process.mem.cow_faults
-
-    # 2. Build the slice VM with its own cold code cache in the bubble.
-    forced = frozenset({end_signature.pc}) if end_signature else frozenset()
-    vm = slice_vm(process, config, forced, metrics, config.spsuppress)
     cache = vm.cache
 
     # 3. Fork the tool context and attach instrumentation.  Sampling
@@ -298,6 +395,11 @@ def run_slice(boundary: Boundary, interval: Interval,
                     result_record.warm_mismatches)
         # (pin.cache.reinserts is counted live inside CodeCache.insert,
         # like pin.cache.compiles.)
+        jstats = vm.jit_stats
+        for name, value in zip(PLACEMENT_COUNTERS, (
+                jstats.skeleton_reuses, jstats.rejects_words,
+                jstats.rejects_cut)):
+            metrics.inc(name, value)
         istats = vm.instr_stats
         metrics.inc("pin.filter.fastpath_traces", istats.fastpath_traces)
         metrics.inc("pin.filter.skipped_callbacks",

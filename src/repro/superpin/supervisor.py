@@ -31,6 +31,14 @@ Around every attempt, whatever the transport:
 * the **journal**: every landed result is appended write-ahead, and a
   resumed run's journaled results are adopted instead of re-executed.
 
+Each transport runs its attempts on a resident
+:class:`~repro.superpin.slices.SliceMachine` — this phase's own for
+in-process attempts, each pool worker's own for as long as the worker
+lives — so a slice is a context switch and a trace an earlier slice of
+the same process compiled is re-instrumented, not re-translated.  The
+machine shows in no result: a retried slice lands on a machine that ran
+other slices and still produces the clean first attempt's record.
+
 The pool transport adds what only separate processes need:
 
 * a **wall-clock deadline** per slice, derived from its master
@@ -79,7 +87,7 @@ from .parallel import (frame_record, run_slice_job, slice_job,
                        synthesize_slice_spans)
 from .sharedmem import resolve_shared_areas
 from .signature import Signature
-from .slices import SliceResult
+from .slices import SliceMachine, SliceResult
 from .switches import SuperPinConfig
 from .warmstore import WarmStore
 
@@ -158,19 +166,22 @@ def slice_deadline(interval: Interval, config: SuperPinConfig) -> float:
 
 
 def _attempt_slice(work, index: int, attempt: int,
-                   plan: FaultPlan | None, where: str) -> tuple:
+                   plan: FaultPlan | None, where: str,
+                   machine: SliceMachine | None) -> tuple:
     """Execute one slice attempt: fault injection, then the real run.
 
     One code path for both transports — ``work`` is the pickled job, or
     (in-process, when nothing can re-read the bytes) the live job tuple
     — so an in-process result is bit-identical to a worker result.
-    Returns the :func:`~repro.superpin.parallel.run_slice_job` record.
+    ``machine`` is the resident machine of whoever is making the
+    attempt.  Returns the
+    :func:`~repro.superpin.parallel.run_slice_job` record.
     """
     spec = maybe_inject(plan, index, attempt, where)
     if spec is not None and spec.kind is FaultKind.CORRUPT:
         raise CorruptResultFault(
             f"injected corrupt result: slice {index} attempt {attempt}")
-    record = run_slice_job(work)
+    record = run_slice_job(work, machine)
     if spec is not None and spec.kind is FaultKind.TAMPER:
         # Silent corruption: the attempt looks like a clean success to
         # the supervisor; only the -spaudit oracle can catch it.
@@ -178,12 +189,27 @@ def _attempt_slice(work, index: int, attempt: int,
     return record
 
 
+#: The resident machine of *this pool worker*, made by the pool's
+#: initializer: every slice a worker runs is a context switch onto it,
+#: for as long as the worker lives.  None in every process that is not a
+#: pool worker — the in-process transport keeps its machine on the
+#: supervisor, so no two runs in one process ever share one.
+_worker_machine: SliceMachine | None = None
+
+
+def _init_worker() -> None:
+    """``ProcessPoolExecutor`` initializer (runs once, in the worker)."""
+    global _worker_machine
+    _worker_machine = SliceMachine()
+
+
 def _worker_attempt(payload: bytes, index: int, attempt: int,
                     plan: FaultPlan | None) -> bytes:
     """Process-pool entry point: one attempt, its record framed."""
     try:
         return frame_record(
-            _attempt_slice(payload, index, attempt, plan, "worker"))
+            _attempt_slice(payload, index, attempt, plan, "worker",
+                           _worker_machine))
     except CorruptResultFault:
         # A corrupt fault in a worker is garbage on the wire, so the
         # parent's undecodable-blob handling is what gets exercised.
@@ -292,10 +318,14 @@ class _Supervisor:
         # The transport: a process pool, or (0 workers) this process.
         self._workers = max(0, min(config.spworkers, self.n_slices))
         self._pool: ProcessPoolExecutor | None = None
+        #: Where in-process attempts run (the 0-worker transport and the
+        #: ladder's last rung): this phase's own resident machine, gone
+        #: with it.
+        self._machine = SliceMachine()
         self._flights: dict = {}
         # A job is pickled only when something may read the bytes: a
         # pool worker, or a retry — which needs the pristine boundary,
-        # because run_slice runs on ``boundary.mem_fork`` itself (a
+        # because run_slice adopts ``boundary.mem_fork``'s own pages (a
         # ``fork()`` there would charge phantom COW faults).
         self._pickle_jobs = self._workers > 0 or not failfast
         self.payloads: list[bytes | None] = [None] * self.n_slices
@@ -392,7 +422,7 @@ class _Supervisor:
     def run(self) -> SupervisedSlices:
         pending, flights = self._pending, self._flights
         if self._workers:
-            self._pool = ProcessPoolExecutor(max_workers=self._workers)
+            self._pool = self._new_pool()
         try:
             while pending or flights or self._pilot:
                 if self._pilot and not self._todo(0):
@@ -460,7 +490,8 @@ class _Supervisor:
             # live tuple's ``__deepcopy__`` has it.
             with resolve_shared_areas(self.sp.areas):
                 record = _attempt_slice(work, k, attempt,
-                                        self.config.fault_plan, "inprocess")
+                                        self.config.fault_plan, "inprocess",
+                                        self._machine)
         except Exception as exc:
             self._record_failure(k, attempt, "inprocess",
                                  time.perf_counter() - t0, exc)
@@ -641,7 +672,11 @@ class _Supervisor:
         self.metrics.inc("superpin.supervisor.pool_rebuilds")
         self.tracer.instant("pool.rebuild", cat="supervisor")
         self._teardown(self._pool, None)
-        self._pool = ProcessPoolExecutor(max_workers=self._workers)
+        self._pool = self._new_pool()
+
+    def _new_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(max_workers=self._workers,
+                                   initializer=_init_worker)
 
     @staticmethod
     def _teardown(pool, flights) -> None:

@@ -143,6 +143,15 @@ def sigkill_at_slice(slice_num: int, value=None) -> None:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
+def virtual_counters(metrics) -> dict:
+    """A run's counters minus the ones that depend on which resident
+    machine ran which slices (``PLACEMENT_COUNTERS``): what must be
+    equal for any worker count."""
+    from repro.superpin.slices import PLACEMENT_COUNTERS
+    return {name: value for name, value in metrics.counters.items()
+            if name not in PLACEMENT_COUNTERS}
+
+
 def run_native(program, seed: int = 42, max_instructions: int = 50_000_000):
     """Run a program natively; return (process, interpreter, kernel)."""
     kernel = Kernel(seed=seed)

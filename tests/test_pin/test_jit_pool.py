@@ -1,0 +1,276 @@
+"""A resident engine: ``PinVM.reset`` and the JIT's in-process pool.
+
+The oracle throughout is the freshly built engine: a reset engine must
+*be* one (attribute by attribute), and a compile served from the pool
+must produce the trace a fresh compile produces — so every validity
+check in ``Jit._reuse`` has a test here that fails if it is dropped.
+"""
+
+import dataclasses
+
+import pytest
+
+from repro.isa import assemble
+from repro.machine import Kernel, load_program
+from repro.pin import CodeCache, PinVM, RunState
+from repro.tools import ICount1, ICount2
+from tests.conftest import MULTISLICE
+
+BACKENDS = ["closure", "source"]
+
+#: What outlives a reset, by identity ...
+RESIDENT = {"process", "cpu", "mem", "counters", "jit"}
+#: ... and what is fixed at construction.
+CONSTRUCTION = RESIDENT | {"max_trace_ins", "jit_backend"}
+
+_ATOMS = (int, float, str, bytes, bool, type(None), frozenset)
+
+
+def _image(value, engine, seen=None):
+    """A comparable picture of ``value``: plain data all the way down,
+    with the owning engine and reference cycles replaced by tokens."""
+    seen = set() if seen is None else seen
+    if value is engine:
+        return "<engine>"
+    if isinstance(value, _ATOMS) or callable(value):
+        return value
+    if id(value) in seen:
+        return "<cycle>"
+    seen = seen | {id(value)}
+    if isinstance(value, dict):
+        return {key: _image(item, engine, seen)
+                for key, item in value.items()}
+    if isinstance(value, (list, tuple, set)):
+        return [_image(item, engine, seen) for item in value]
+    names = (list(vars(value)) if hasattr(value, "__dict__")
+             else [name for klass in type(value).__mro__
+                   for name in getattr(klass, "__slots__", ())])
+    return (type(value).__name__,
+            {name: _image(getattr(value, name), engine, seen)
+             for name in names})
+
+
+def _dirty_engine(backend):
+    """An engine every per-run field of which a run has touched."""
+    process = load_program(assemble(MULTISLICE), Kernel(seed=42))
+    vm = PinVM(process, jit_backend=backend, tc2_threshold=2,
+               suppress_loops=True, forced_boundaries=frozenset({3}))
+    ICount2().activate(vm)
+    vm.add_syscall_observer(lambda outcome: None)
+    vm.warm_traces[1] = object()
+    assert vm.run(max_instructions=5000,
+                  exact_budget=True).state is RunState.BUDGET
+    assert vm.tc2.stats.promotions and vm._step_cache
+    return vm
+
+
+class TestReset:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_reset_engine_equals_fresh_engine(self, backend):
+        settings = dict(forced_boundaries=frozenset({7}),
+                        link_traces=True, suppress_loops=False,
+                        tc2_threshold=5)
+        used = _dirty_engine(backend)
+        kept = {name: getattr(used, name) for name in RESIDENT}
+        used.reset(code_cache=CodeCache(), **settings)
+        fresh = PinVM(load_program(assemble(MULTISLICE), Kernel(seed=42)),
+                      jit_backend=backend, code_cache=CodeCache(),
+                      **settings)
+        assert set(vars(used)) == set(vars(fresh))
+        for name in set(vars(fresh)) - RESIDENT:
+            assert (_image(getattr(used, name), used)
+                    == _image(getattr(fresh, name), fresh)), name
+        for name, value in kept.items():
+            assert getattr(used, name) is value, name
+        assert used.counters == [0, 0]
+
+    def test_reset_builds_every_per_run_field(self):
+        """The constructor sets the resident identities and calls
+        ``reset`` for the rest: a per-run field added later cannot be
+        initialised in one place and forgotten in the other."""
+        vm = PinVM(load_program(assemble(MULTISLICE), Kernel(seed=42)))
+        names = set(vars(vm))
+        for name in names - CONSTRUCTION:
+            delattr(vm, name)
+        vm.reset()
+        assert set(vars(vm)) == names
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_second_run_on_a_reset_engine_is_a_first_run(self, backend):
+        def measure(vm):
+            tool = ICount2()
+            tool.activate(vm)
+            result = vm.run(max_instructions=4000)
+            return (dataclasses.astuple(result), tool.icount,
+                    dataclasses.astuple(vm.cache.stats),
+                    vm.cache.insert_log, vm.cpu.snapshot())
+
+        def fresh():
+            return PinVM(load_program(assemble(MULTISLICE),
+                                      Kernel(seed=42)),
+                         jit_backend=backend, tc2_threshold=4)
+
+        expected = measure(fresh())
+        vm = fresh()
+        vm.jit.pool = {}
+        measure(vm)
+        again = load_program(assemble(MULTISLICE), Kernel(seed=42))
+        vm.process.syscall_handler = again.syscall_handler
+        vm.process.exited = False
+        vm.cpu.restore(again.cpu.snapshot())
+        vm.mem.adopt(again.mem)
+        vm.reset(tc2_threshold=4)
+        assert measure(vm) == expected
+        assert vm.jit_stats.skeleton_reuses > 0
+
+
+#: Straight-line code, so trace shape is decided by the forced
+#: boundaries alone: one trace from ``main`` to the syscall.
+STRAIGHT = """
+.entry main
+main:
+    li   t0, 1
+    addi t0, t0, 2
+    addi t0, t0, 3
+    addi t0, t0, 4
+    addi t0, t0, 5
+    li   a0, SYS_EXIT
+    mov  a1, t0
+    syscall
+"""
+
+
+def _shape(trace):
+    return trace.start, trace.num_ins, trace.fall_address, trace.addresses
+
+
+class TestSkeletonValidity:
+    """Each test compiles on a pooled engine what a fresh engine
+    compiles under the same conditions and demands the same trace."""
+
+    def setup_method(self):
+        self.program = assemble(STRAIGHT)
+        self.entry = self.program.entry
+        self.vm = PinVM(load_program(self.program, Kernel(seed=1)))
+        self.vm.jit.pool = {}
+
+    def fresh_shape(self, forced=frozenset(), patch=None):
+        process = load_program(self.program, Kernel(seed=1))
+        if patch:
+            process.mem.write(*patch)
+        vm = PinVM(process, forced_boundaries=forced)
+        return _shape(vm.jit.compile(self.entry))
+
+    def test_unchanged_trace_is_reused(self):
+        first = self.vm.jit.compile(self.entry)
+        self.vm.reset()
+        second = self.vm.jit.compile(self.entry)
+        assert self.vm.jit_stats.skeleton_reuses == 1
+        assert _shape(second) == _shape(first) == self.fresh_shape()
+        # Uninstrumented steps *are* the pooled semantics closures.
+        assert second.steps == first.steps
+
+    def test_boundary_inside_a_pooled_trace_recuts_it(self):
+        self.vm.jit.compile(self.entry)
+        forced = frozenset({self.entry + 3})
+        self.vm.reset(forced_boundaries=forced)
+        recut = self.vm.jit.compile(self.entry)
+        assert self.vm.jit_stats.rejects_cut == 1
+        assert self.vm.jit_stats.skeleton_reuses == 0
+        assert recut.num_ins == 3 and recut.fall_address == self.entry + 3
+        assert _shape(recut) == self.fresh_shape(forced)
+
+    def test_cut_skeleton_extends_where_its_end_is_not_forced(self):
+        forced = frozenset({self.entry + 3})
+        self.vm.reset(forced_boundaries=forced)
+        assert self.vm.jit.compile(self.entry).num_ins == 3
+        self.vm.reset()
+        whole = self.vm.jit.compile(self.entry)
+        assert self.vm.jit_stats.rejects_cut == 1
+        assert whole.num_ins == 8
+        assert _shape(whole) == self.fresh_shape()
+
+    def test_cut_skeleton_is_reused_where_its_end_is_forced_again(self):
+        forced = frozenset({self.entry + 3})
+        self.vm.reset(forced_boundaries=forced)
+        self.vm.jit.compile(self.entry)
+        self.vm.reset(forced_boundaries=forced)
+        again = self.vm.jit.compile(self.entry)
+        assert self.vm.jit_stats.skeleton_reuses == 1
+        assert _shape(again) == self.fresh_shape(forced)
+
+    def test_a_boundary_at_the_trace_head_cuts_nothing(self):
+        self.vm.jit.compile(self.entry)
+        self.vm.reset(forced_boundaries=frozenset({self.entry}))
+        assert self.vm.jit.compile(self.entry).num_ins == 8
+        assert self.vm.jit_stats.skeleton_reuses == 1
+
+    def test_rewritten_guest_word_is_decoded_again(self):
+        self.vm.jit.compile(self.entry)
+        donor = self.vm.mem.read(self.entry + 7)       # the syscall
+        patch = (self.entry + 2, donor)
+        self.vm.mem.write(*patch)
+        self.vm.reset()
+        changed = self.vm.jit.compile(self.entry)
+        assert self.vm.jit_stats.rejects_words == 1
+        assert changed.num_ins == 3
+        assert _shape(changed) == self.fresh_shape(patch=patch)
+
+    def test_reuse_starts_from_bare_instructions(self):
+        """The last run's analysis calls must not survive into the next
+        run's trace: reuse re-instruments, it does not inherit."""
+        tool = ICount1()
+        tool.activate(self.vm)
+        self.vm.run()
+        assert tool.icount == 8
+        self.vm.process.exited = False
+        self.vm.cpu.restore((self.entry, (0,) * 32))
+        self.vm.reset()
+        result = self.vm.run()
+        assert self.vm.jit_stats.skeleton_reuses == 1
+        assert result.analysis_calls == 0 and tool.icount == 8
+
+    def test_off_a_machine_nothing_is_retained(self):
+        vm = PinVM(load_program(self.program, Kernel(seed=1)))
+        assert vm.jit.pool is None
+        vm.jit.compile(self.entry)
+        vm.reset()
+        vm.jit.compile(self.entry)
+        assert vm.jit.pool is None
+        assert vm.jit_stats.skeleton_reuses == 0
+
+
+class TestSourcePool:
+    def setup_method(self):
+        self.program = assemble(STRAIGHT)
+        self.entry = self.program.entry
+        self.vm = PinVM(load_program(self.program, Kernel(seed=1)),
+                        jit_backend="source")
+        self.vm.jit.pool = {}
+
+    def test_same_text_rebinds_the_pooled_code_object(self):
+        first = self.vm.jit.compile(self.entry)
+        self.vm.reset()
+        second = self.vm.jit.compile(self.entry)
+        assert self.vm.jit_stats.skeleton_reuses == 1
+        assert second.fn.__code__ is first.fn.__code__
+        assert second.fn is not first.fn
+        assert second.fn.__globals__ is not first.fn.__globals__
+
+    def test_other_instrumentation_is_other_text(self):
+        self.vm.jit.compile(self.entry)
+        self.vm.reset()
+        ICount1().activate(self.vm)
+        self.vm.jit.compile(self.entry)
+        assert self.vm.jit_stats.skeleton_reuses == 0
+        assert len(self.vm.jit.pool) == 2
+
+    def test_warm_entry_decides_warm_before_the_pool_is_asked(self):
+        entry = self.vm.jit.export_warm(self.vm.jit.compile(self.entry))
+        self.vm.reset()
+        trace, warm = self.vm.jit.build_warm(entry)
+        assert warm and self.vm.jit_stats.skeleton_reuses == 1
+        stale = dataclasses.replace(entry, source=entry.source + "#")
+        self.vm.reset()
+        trace, warm = self.vm.jit.build_warm(stale)
+        assert not warm and self.vm.jit_stats.skeleton_reuses == 1
