@@ -38,6 +38,9 @@ from repro.machine import Kernel  # noqa: E402
 from repro.obs import write_trace  # noqa: E402
 from repro.superpin import run_superpin, SuperPinConfig  # noqa: E402
 from repro.superpin.slices import PLACEMENT_COUNTERS  # noqa: E402
+from repro.superpin.supervisor import (  # noqa: E402
+    LANDED_BEFORE_MASTER_END,
+)
 from repro.tools import TOOLS  # noqa: E402
 from repro.workloads import build  # noqa: E402
 
@@ -92,7 +95,20 @@ REQUIRED_NONZERO = (
     # same four hot functions in every slice, so zero means the workers'
     # pools have silently stopped engaging.
     "pin.jit.skeleton_reuses",
+    # The streamed pipeline: on this two-worker run slice results land
+    # while the master is still cutting, so zero means the barrier
+    # between the master and the slice phase is back.
+    LANDED_BEFORE_MASTER_END,
 )
+
+#: Counters that must *equal* the baseline: functions of the guest and
+#: the timeslice alone.  ``ready_before_master_end`` is ``slices - 1``.
+REQUIRED_EQUAL = ("superpin.stream.ready_before_master_end",)
+
+#: Counters the host decides, run by run — which worker ran which
+#: slices, how far the master had got when a result landed.  They must
+#: exist (and the required ones be nonzero, above), no more.
+HOST_COUNTERS = (*PLACEMENT_COUNTERS, LANDED_BEFORE_MASTER_END)
 
 
 def _run_once(store_dir, trace_path=None):
@@ -168,10 +184,14 @@ def compare(current, baseline):
             )
         elif now is None:
             failures.append(f"counter {name}: disappeared (baseline {base})")
-        elif name in PLACEMENT_COUNTERS:
-            # Which worker ran which slices decides these, run by run:
-            # they must exist (and reuses be nonzero, above), no more.
+        elif name in HOST_COUNTERS:
             continue
+        elif name in REQUIRED_EQUAL:
+            if now != base:
+                failures.append(
+                    f"counter {name}: {now} != baseline {base} "
+                    f"(deterministic: must be equal)"
+                )
         elif base > 0 and not base / TOLERANCE <= now <= base * TOLERANCE:
             failures.append(
                 f"counter {name}: {now} outside "

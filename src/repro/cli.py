@@ -251,11 +251,17 @@ def _cmd_run(args, extra: list[str]) -> int:
             f"{name} {seconds(value):.2f}s"
             for name, value in breakdown.items()))
     wall = report.wallclock_summary()
-    print(f"measured: signatures {wall['signature_phase_seconds']:.3f}s, "
-          f"slice phase {wall['slice_phase_seconds']:.3f}s "
+    print(f"measured: control {wall['control_phase_seconds']:.3f}s, "
+          f"signatures {wall['signature_phase_seconds']:.3f}s "
+          f"({wall['master_overlap_seconds']:.3f}s of both beside "
+          f"slices), slice phase {wall['slice_phase_seconds']:.3f}s "
           f"(run {wall['slice_run_seconds']:.3f}s, "
           f"pickle {wall['slice_pickle_seconds']:.3f}s, "
           f"parallelism {wall['measured_parallelism']:.2f}x)")
+    print(f"pipeline: first result after "
+          f"{wall['first_result_seconds']:.3f}s, last "
+          f"{wall['pipeline_delay_seconds']:.3f}s after the master "
+          f"ended (pipeline delay)")
     if config.sptrace:
         from .obs import write_trace
         kind = write_trace(config.sptrace, report.trace, report.metrics)

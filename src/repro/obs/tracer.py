@@ -10,7 +10,8 @@ origin, cheap enough to leave on for every run: a span costs two clock
 reads, one small object and one list append.
 
 Spans carry a **track** number — the rendering lane.  Track 0 is the
-main (control) process; the parallel slice phase places each slice's
+main (control) process; the master, once it overlaps the slices, draws
+on :data:`MASTER_TRACK`; the parallel slice phase places each slice's
 synthesized fork/run spans on the lowest concurrently-free track via
 :class:`TrackAllocator`, so a Chrome-trace export shows the fan-out as
 N parallel worker lanes (see :mod:`repro.obs.export`).
@@ -25,6 +26,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+
+#: The master's rendering lane while it overlaps the slice phase: above
+#: the main track, clear of the slice lanes (1, 2, ...).
+MASTER_TRACK = -1
 
 
 @dataclass(slots=True)

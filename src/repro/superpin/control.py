@@ -14,6 +14,16 @@ The control phase is purely *functional*: it produces a
 :class:`MasterTimeline` describing what happened and when (in instruction
 time).  The discrete-event scheduler later replays this timeline against
 a machine model to produce wall-clock figures.
+
+The master is a **generator** (:meth:`ControlProcess.cuts`): it yields
+each boundary the moment it is cut and then sleeps until asked for the
+next, which is how the runtime overlaps it with the slices in host time
+(the paper's Figure 1: a slice is forked while the master keeps
+running).  ``ControlProcess.timeline`` is "what has been yielded so
+far": after the yield of boundary *k*, ``boundaries[:k + 1]`` and
+``intervals[:k]`` are final and never touched again; the totals, the
+final architectural state and :class:`MasterStats` are filled when the
+generator is exhausted.  :meth:`ControlProcess.run` is the drained form.
 """
 
 from __future__ import annotations
@@ -317,6 +327,10 @@ class ControlProcess:
         #: replays audit against the digests instead of a live master).
         self._digest = (StreamDigest()
                         if (config.spaudit or config.sprecord) else None)
+        #: What :meth:`cuts` has yielded so far; final at its exhaustion.
+        self.timeline = MasterTimeline(
+            boundaries=[], intervals=[], exit_code=0, total_instructions=0,
+            total_syscalls=0, kernel=self.kernel)
 
     def _reserve_bubble(self) -> None:
         """Reserve the code-cache bubble before the application runs (§4.1).
@@ -335,16 +349,28 @@ class ControlProcess:
 
     def run(self) -> MasterTimeline:
         """Run the master to completion, producing the timeline."""
+        for _ in self.cuts():
+            pass
+        return self.timeline
+
+    def cuts(self):
+        """Run the master, yielding each boundary as it is cut.
+
+        The start boundary is taken, not cut: it is on the timeline
+        before the first yield.  A consumer that stops asking (closes the
+        generator) stops the master where it stands; the timeline then
+        holds a prefix of the full run's boundaries and intervals and no
+        totals.
+        """
         process = self.process
         master = MasterEngine(process, HOT_HEAD_ARRIVALS, SIDE_EXIT_MISSES)
 
-        boundaries: list[Boundary] = []
-        intervals: list[Interval] = []
+        timeline = self.timeline
+        boundaries, intervals = timeline.boundaries, timeline.intervals
         boundaries.append(self._take_boundary(0, BoundaryReason.START, 0))
         current = Interval(index=0)
         budget = self._next_budget(0)
         cow_mark = process.mem.cow_faults
-        exit_code = 0
 
         while True:
             result = master.run(max_instructions=budget)
@@ -356,7 +382,6 @@ class ControlProcess:
                     # The exit syscall: the final slice replays it to stop.
                     current.syscalls += 1
                     self._append_record(current, result.outcome.record)
-                exit_code = process.exit_code
                 current.is_last = True
                 current.master_cow_faults = (process.mem.cow_faults
                                              - cow_mark)
@@ -401,21 +426,17 @@ class ControlProcess:
                           "instructions": master.total_instructions})
             current = Interval(index=len(intervals))
             budget = self._next_budget(master.total_instructions)
+            yield boundaries[-1]
 
         tiers = master.stats()
         for name, value in tiers.counters().items():
             self.metrics.inc("superpin.control.master." + name, value)
-        return MasterTimeline(
-            boundaries=boundaries,
-            intervals=intervals,
-            exit_code=exit_code,
-            total_instructions=tiers.instructions,
-            total_syscalls=master.total_syscalls,
-            kernel=self.kernel,
-            final_pc=process.cpu.pc,
-            final_cpu_hash=process.cpu.fingerprint(),
-            master=tiers,
-        )
+        timeline.exit_code = process.exit_code
+        timeline.total_instructions = tiers.instructions
+        timeline.total_syscalls = master.total_syscalls
+        timeline.final_pc = process.cpu.pc
+        timeline.final_cpu_hash = process.cpu.fingerprint()
+        timeline.master = tiers
 
     def _next_budget(self, executed_instructions: int) -> int:
         """Instruction budget for the next timeslice.

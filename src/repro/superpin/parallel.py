@@ -1,17 +1,18 @@
-"""Signature phase, slice worker entry point, measured slice timings.
+"""Signature recording, slice worker entry point, measured slice timings.
 
-The pipeline splits the old interleaved signature+slice loop into two
-explicit phases; this module holds the first and the unit of work of
-the second:
+The two units of work the pipeline is made of:
 
-1. **Signature phase** (:func:`record_signatures`) — every interior
-   boundary's signature is recorded before any slice runs.  Legal
-   because a signature reads only its own boundary snapshot, and
+1. **A boundary's signature** (:func:`record_boundary_signature`) — the
+   end signature of the slice before it, recorded the moment the
+   boundary is cut.  It reads only its own boundary snapshot, which is
+   what lets the master run on while earlier slices execute, and
    recording leaves that snapshot's copy-on-write state untouched (the
    quick-register lookahead runs on a throwaway
    :meth:`~repro.machine.memory.Memory.scratch_fork`, never on the
    snapshot itself — forking the snapshot would freeze its pages and
    charge the real slice a phantom COW fault per resident page).
+   :func:`record_signatures` is the drained form: the same call over a
+   timeline that is already final.
 2. **Slice job** (:func:`slice_job` / :func:`run_slice_job`) — a slice's
    contents are fully determined at fork time: record/playback removes
    every kernel dependence, the same determinism property rr exploits
@@ -157,13 +158,15 @@ def record_boundary_signature(boundary: Boundary,
 def record_signatures(timeline: MasterTimeline,
                       config: SuperPinConfig,
                       tracer=NULL_TRACER) -> list[Signature]:
-    """Signature phase: record every interior boundary's signature.
+    """Record every interior boundary's signature of a final timeline.
 
     ``signatures[k]`` is the signature of boundary ``k + 1`` — the end
     signature slice ``k`` must detect (the final slice has none; it runs
-    to the replayed exit).  Recording everything up front is what allows
-    the slice phase to run in any order: each signature reads only its
-    own boundary snapshot and mutates nothing.
+    to the replayed exit).  A live run records each as its boundary is
+    cut (``runtime._MasterStream``); this is the same call drained, for
+    callers that drive the phases themselves.  Either way slices may run
+    in any order: each signature reads only its own boundary snapshot
+    and mutates nothing.
     """
     signatures = []
     for k, boundary in enumerate(timeline.boundaries[1:]):

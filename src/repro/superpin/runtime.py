@@ -3,34 +3,42 @@
 ``run_superpin(program, tool, config)`` performs the full pipeline:
 
 1. **Setup** — the tool registers itself through the SP API (§5).
-2. **Control phase** — the master runs uninstrumented under the control
-   process (interpreted while cold, hot loops as generated code), which
-   records syscalls and cuts timeslices (§4.1–§4.3).
-3. **Signature phase** — every interior boundary's signature is recorded
-   from its snapshot up front, with the adaptive quick-register
-   lookahead (§4.4); ``-sprecord`` saves the artifact here.
-4. **Slice phase** — every timeslice re-executes under instrumentation
+2. **The master stream** — the master runs uninstrumented under the
+   control process (interpreted while cold, hot loops as generated
+   code), which records syscalls and cuts timeslices (§4.1–§4.3); the
+   moment a boundary is cut its signature is recorded from its
+   snapshot, with the adaptive quick-register lookahead (§4.4).  One
+   generator (:class:`_MasterStream`) does both, a cut at a time;
+   ``-sprecord`` saves the artifact as its tail.
+3. **Slice phase** — every timeslice re-executes under instrumentation
    from its fork snapshot until it detects the next signature (§3),
    in-process or over ``-spworkers N`` processes with identical results,
    under the :mod:`~repro.superpin.supervisor` fault policy
-   (``-spfaults``).
-5. **Merge phase** — slice results fold into the shared areas in slice
+   (``-spfaults``).  The supervisor *consumes* the master stream: slice
+   ``k`` is released the moment signature ``k`` exists, so with workers
+   the master, the signatures and the slices overlap in host time — the
+   paper's Figure 1.  With no workers the same loop exhausts the master
+   before its first slice: the sequential run is the streamed run with
+   nothing to overlap, and the parity oracle for it.
+4. **Merge phase** — slice results fold into the shared areas in slice
    order; the master tool's ``fini`` runs last (§4.5).
-6. **Timing phase** — the discrete-event scheduler replays the run
+5. **Timing phase** — the discrete-event scheduler replays the run
    against the machine model to produce virtual wall-clock figures (§6).
-7. **Audit** (``-spaudit``) — the differential oracle.
+6. **Audit** (``-spaudit``) — the differential oracle.
 
-Phases 3 and 4 are separate (rather than interleaved per-slice) so that
-phase 4 has no ordering constraints at all: every slice's inputs — fork
-snapshot, recorded syscalls, end signature — exist before any slice
-runs.  That is also what makes a recording replayable:
-``replay_recording`` loads those inputs from the artifact instead of
-producing them, and then runs the *same* phases 4–7
-(:func:`_run_pipeline`) — rr's discipline, replay as the recording run
-through the same machinery.  Alongside the *modeled* timing figures,
-the runtime keeps *measured* host wall-clock counters
-(:class:`~repro.superpin.parallel.SliceTimings`) so the two can be
-compared.
+Nothing orders the slices among themselves: every slice's inputs — fork
+snapshot, recorded syscalls, end signature — are final before it is
+released, and each signature reads only its own boundary's snapshot.
+That is also what makes a recording replayable: ``replay_recording``
+loads those inputs from the artifact instead of producing them, and then
+runs the *same* phases 3–6 (:func:`_run_pipeline`, with no stream: the
+timeline is already final) — rr's discipline, replay as the recording
+run through the same machinery.  Alongside the *modeled* timing figures,
+the runtime keeps *measured* host wall-clock figures
+(:class:`~repro.superpin.parallel.SliceTimings`, and the pipeline's own:
+how long the master was busy, how much of that overlapped slices, when
+the first result landed, and the paper's pipeline delay in host seconds)
+so the two can be compared.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from ..errors import ConfigError
 from ..isa.program import Program
 from ..machine.kernel import Kernel
 from ..obs.metrics import metrics_for, MetricsRegistry
-from ..obs.tracer import ensure_tracer, Tracer
+from ..obs.tracer import ensure_tracer, MASTER_TRACK, Tracer
 from ..pin.pintool import Pintool
 from ..sched.events import simulate
 from ..sched.machine_model import MachineModel, PAPER_MACHINE
@@ -52,10 +60,11 @@ from ..sched.timing import CostModel, DEFAULT_COST_MODEL
 from .api import SliceToolContext, SPControl
 from .audit import (audit_against, AuditInputs, AuditReport, perform_audit,
                     reference_from_recording)
+from . import parallel
 from .control import ControlProcess, MasterTimeline
 from .journal import (damage_journal, program_digest, run_key, RunJournal)
 from .merge import merge_slices
-from .parallel import SliceTimings, record_signatures
+from .parallel import SliceTimings
 from .recording import damage_recording, load_recording, save_recording
 from .signature import Signature
 from .slices import SliceResult
@@ -82,9 +91,21 @@ class SuperPinReport:
     #: Indexes of slices the ``degrade`` policy gave up on — holes in
     #: the merge.  Empty on a fully successful run.
     degraded_slices: list[int] = field(default_factory=list)
-    #: Measured host seconds spent recording all boundary signatures.
+    #: Measured host seconds the master was busy cutting timeslices, and
+    #: recording all boundary signatures: sums over the stream's steps,
+    #: not wall extents (0.0 on a replay — no master ran).
+    control_phase_seconds: float = 0.0
     signature_phase_seconds: float = 0.0
-    #: Measured host seconds for the whole slice phase, end to end.
+    #: The part of those that elapsed after the first slice was released
+    #: — master work a worker process could overlap (0.0 when drained).
+    master_overlap_seconds: float = 0.0
+    #: Host seconds from the start of the run to the first slice result.
+    first_result_seconds: float = 0.0
+    #: The paper's pipeline delay in host seconds: master exhaustion to
+    #: the last slice result (the whole slice phase when drained).
+    pipeline_delay_seconds: float = 0.0
+    #: Measured host seconds for the whole slice phase: first release
+    #: to the last result and the pool's shutdown.
     slice_phase_seconds: float = 0.0
     #: The run's structured trace (repro.obs): phase spans, per-slice
     #: pickle/fork/run/merge spans, supervision events.  None only for
@@ -230,19 +251,20 @@ class SuperPinReport:
         0.0 rather than a division error or a misleading mean.
         """
         if not self.slice_timings:
-            return {
-                "signature_phase_seconds": 0.0,
-                "slice_phase_seconds": 0.0,
-                "slice_run_seconds": 0.0,
-                "slice_pickle_seconds": 0.0,
-                "slice_fork_seconds": 0.0,
-                "slice_merge_seconds": 0.0,
-                "mean_slice_run_seconds": 0.0,
-                "measured_parallelism": 0.0,
-            }
+            return dict.fromkeys((
+                "control_phase_seconds", "signature_phase_seconds",
+                "master_overlap_seconds", "first_result_seconds",
+                "pipeline_delay_seconds", "slice_phase_seconds",
+                "slice_run_seconds", "slice_pickle_seconds",
+                "slice_fork_seconds", "slice_merge_seconds",
+                "mean_slice_run_seconds", "measured_parallelism"), 0.0)
         run_seconds = sum(t.run_seconds for t in self.slice_timings)
         return {
+            "control_phase_seconds": self.control_phase_seconds,
             "signature_phase_seconds": self.signature_phase_seconds,
+            "master_overlap_seconds": self.master_overlap_seconds,
+            "first_result_seconds": self.first_result_seconds,
+            "pipeline_delay_seconds": self.pipeline_delay_seconds,
             "slice_phase_seconds": self.slice_phase_seconds,
             "slice_run_seconds": run_seconds,
             "slice_pickle_seconds": sum(t.pickle_seconds
@@ -307,10 +329,16 @@ def run_superpin(program: Program, tool: Pintool,
 
     ``on_progress(event, payload)``, when given, is invoked in this
     process as the run advances — ``("phase", {"phase": name})`` at
-    each phase boundary and ``("slice", {completed, total})`` per slice
-    result.  The serve daemon forwards these to its clients as
-    streaming events; exceptions it raises abort the run (that is how
-    job cancellation preempts a running job).
+    each phase boundary and ``("slice", {completed, total, final})`` per
+    slice result.  ``control`` and ``signature`` are announced when the
+    master stream starts; ``slice`` when the first slice is released —
+    with workers that is one cut into the master's run, and until the
+    master is exhausted ``total`` is the slices cut so far and ``final``
+    false; ``merge`` after the last result has landed (from ``slice`` to
+    ``merge``, and only then, a worker process may be busy).  The serve
+    daemon forwards these to its clients as streaming events; exceptions
+    it raises abort the run (that is how job cancellation preempts a
+    running job).
     """
     config = config or SuperPinConfig()
     if not config.sp:
@@ -353,45 +381,159 @@ def run_superpin(program: Program, tool: Pintool,
     # 1. Tool setup through the SP API.
     sp = _setup_tool(tool, config)
 
-    # 2. Control phase: run the master, cut timeslices.
-    _phase(on_progress, "control")
-    with tracer.span("control_phase", cat="phase") as control_span:
-        timeline = ControlProcess(program, config, kernel=kernel,
-                                  tracer=tracer, metrics=metrics).run()
-        for name, value in timeline.master.counters().items():
-            control_span.set(name, value)
+    # 2. The master, its signatures and (-sprecord) the artifact: one
+    #    stream, stepped by the slice phase that consumes it.
+    progress = _Progress(on_progress, tracer)
+    master = _MasterStream(program, config, kernel, tracer, metrics,
+                           progress)
 
-    # 3. Signature phase: all boundary signatures, before any slice runs.
-    _phase(on_progress, "signature")
-    with tracer.span("signature_phase", cat="phase") as signature_span:
-        signatures = record_signatures(timeline, config, tracer=tracer)
-
-    # 3b. -sprecord: everything the slice phase consumes now exists, and
-    #     nothing has mutated the boundary snapshots yet — serialize the
-    #     durable artifact here, before any slice touches a COW fork.
-    recording_manifest = None
-    if config.sprecord is not None:
-        with tracer.span("record_phase", cat="phase"):
-            recording_manifest = save_recording(
-                config.sprecord, timeline, signatures, config,
-                metrics=metrics)
-
-    # 4-7. Slices, merge, timing, audit: the half a replay shares.
-    report = _run_pipeline(timeline, signatures, tool, sp, config,
-                           program_digest(program), audit=audit,
-                           machine=machine, cost=cost,
+    # 3-6. Slices, merge, timing, audit: the half a replay shares.
+    report = _run_pipeline(master.timeline, master.signatures, tool, sp,
+                           config, program_digest(program), master=master,
+                           audit=audit, machine=machine, cost=cost,
                            compute_timing=compute_timing, tracer=tracer,
-                           metrics=metrics, on_progress=on_progress)
-    report.signature_phase_seconds = signature_span.duration
-    if recording_manifest is not None:
+                           metrics=metrics, progress=progress)
+    if master.recording_manifest is not None:
         report.recording_path = config.sprecord
-        report.recording_id = recording_manifest["recording_id"]
+        report.recording_id = master.recording_manifest["recording_id"]
     return report
 
 
-def _phase(on_progress, name: str) -> None:
-    if on_progress is not None:
-        on_progress("phase", {"phase": name})
+class _Progress:
+    """The run's ``on_progress`` relay, which also keeps the instants
+    (tracer clock) the report's host-time figures are made of."""
+
+    def __init__(self, on_progress, tracer: Tracer):
+        self.on_progress = on_progress
+        self.tracer = tracer
+        self.origin = tracer.now()
+        #: phase name -> when it was announced.
+        self.began: dict[str, float] = {}
+        self.first_result: float | None = None
+        self.last_result: float | None = None
+
+    def __call__(self, event: str, payload: dict) -> None:
+        now = self.tracer.now()
+        if event == "phase":
+            self.began.setdefault(payload["phase"], now)
+        elif event == "slice":
+            if self.first_result is None:
+                self.first_result = now
+            self.last_result = now
+        if self.on_progress is not None:
+            self.on_progress(event, payload)
+
+    def phase(self, name: str) -> None:
+        self("phase", {"phase": name})
+
+
+class _MasterStream:
+    """The live master as the slice phase's ``stream``.
+
+    :meth:`steps` is the generator :func:`~repro.superpin.supervisor.
+    supervise_slices` advances: each ``next()`` lets the master cut one
+    more boundary onto ``timeline`` and appends that boundary's
+    signature to ``signatures`` — after the ``k``-th, slices ``< k`` have
+    everything they need.  At exhaustion both are final and, under
+    ``-sprecord``, the artifact is on disk: the boundaries are still
+    pristine there, whatever has run meanwhile — a drained run has
+    released nothing yet, and the pool transport pickles a boundary, it
+    never adopts its pages.
+
+    The stream times itself: ``control_seconds`` / ``signature_seconds``
+    are the sums of its steps (*busy* time — between steps the master
+    sleeps, as the paper's does), ``overlap_seconds`` the part that ran
+    after the slice phase was announced.  The ``control_phase`` /
+    ``signature_phase`` spans are the wall extents of the same work; in
+    the trace the busy time is the total of the ``control.step`` /
+    ``signature`` spans.  Once a slice has been released the master's
+    spans go on their own track, so they nest in a Chrome export
+    instead of straddling ``slice_phase``.
+    """
+
+    def __init__(self, program: Program, config: SuperPinConfig, kernel,
+                 tracer: Tracer, metrics, progress: _Progress):
+        self.config = config
+        self.tracer = tracer
+        self.metrics = metrics
+        self.progress = progress
+        self.control_seconds = 0.0
+        self.signature_seconds = 0.0
+        self.overlap_seconds = 0.0
+        #: When the master exited (tracer clock); None until it has.
+        self.done_at: float | None = None
+        self.recording_manifest: dict | None = None
+        self.began = tracer.now()
+        # Loading the program is the master's first step.
+        self.control = ControlProcess(program, config, kernel=kernel,
+                                      tracer=tracer, metrics=metrics)
+        loaded = tracer.now()
+        self._step(self.began, loaded, loaded)
+        self.timeline = self.control.timeline
+        self.signatures: list[Signature] = []
+
+    def _track(self) -> int:
+        """The master's own lane once a slice has been released."""
+        return MASTER_TRACK if "slice" in self.progress.began else 0
+
+    def _step(self, resumed: float, cut: float, now: float,
+              args: dict | None = None) -> None:
+        """Account one step: the master ran ``[resumed, cut]``, the
+        signature recorder ``[cut, now]``."""
+        self.control_seconds += cut - resumed
+        self.signature_seconds += now - cut
+        track = self._track()
+        if track == MASTER_TRACK:
+            self.overlap_seconds += now - resumed
+        self.tracer.add_span("control.step", resumed, cut, cat="control",
+                             track=track, args=args)
+        if now > cut:
+            self.tracer.add_span("signature", cut, now, cat="signature",
+                                 track=track, args=args)
+
+    def steps(self):
+        tracer, config = self.tracer, self.config
+        self.progress.phase("control")
+        self.progress.phase("signature")
+        cuts = self.control.cuts()
+        first_cut = last_signed = None
+        try:
+            resumed = tracer.now()
+            for boundary in cuts:
+                cut = tracer.now()
+                # Through the module: tests sabotage the recorder there.
+                self.signatures.append(
+                    parallel.record_boundary_signature(boundary, config))
+                last_signed = tracer.now()
+                if first_cut is None:
+                    first_cut = cut
+                self._step(resumed, cut, last_signed,
+                           {"boundary": boundary.index})
+                yield
+                resumed = tracer.now()
+            self.done_at = tracer.now()
+            self._step(resumed, self.done_at, self.done_at)
+        finally:
+            # Also when the consumer stops asking (an aborted run closes
+            # the stream): the master stops where it stands.
+            cuts.close()
+            end = tracer.now()
+            track = self._track()
+            master = self.timeline.master
+            tracer.add_span(
+                "control_phase", self.began, end, cat="phase", track=track,
+                args=master.counters() if master is not None else None)
+            if first_cut is None:  # a run of one slice signs nothing
+                first_cut = last_signed = end
+            tracer.add_span("signature_phase", first_cut, last_signed,
+                            cat="phase", track=track)
+            if track == MASTER_TRACK:
+                tracer.name_track(MASTER_TRACK, "master")
+        if config.sprecord is not None:
+            with tracer.span("record_phase", cat="phase"):
+                self.recording_manifest = save_recording(
+                    config.sprecord, self.timeline, self.signatures,
+                    config, metrics=self.metrics)
 
 
 def _setup_tool(tool: Pintool, config: SuperPinConfig,
@@ -409,19 +551,22 @@ def _setup_tool(tool: Pintool, config: SuperPinConfig,
 
 def _run_pipeline(timeline: MasterTimeline, signatures: list[Signature],
                   tool: Pintool, sp: SPControl, config: SuperPinConfig,
-                  source_digest: str, *, damaged=None, audit=None,
+                  source_digest: str, *, master: _MasterStream | None = None,
+                  damaged=None, audit=None,
                   machine: MachineModel, cost: CostModel,
                   compute_timing: bool, tracer: Tracer, metrics,
-                  on_progress) -> SuperPinReport:
-    """Pipeline phases 4-7, shared by live runs and replays.
+                  progress: _Progress) -> SuperPinReport:
+    """Pipeline phases 3-6, shared by live runs and replays.
 
-    Everything downstream of "a timeline and its signatures exist":
-    where they came from — a master just run, or a verified recording —
-    only shows in ``source_digest`` (program digest or recording id, the
-    content half of the journal and trace-store keys), ``damaged`` (the
-    slice sections a tolerant recording load gave up on) and ``audit``
-    (``(report, tracer, metrics) -> AuditReport``: the oracle to hold
-    the finished run against, or None).
+    Everything downstream of "a timeline and its signatures exist, or
+    are being produced": where they come from — ``master``, a live
+    stream the slice phase advances, or (None) a verified recording,
+    final already — otherwise only shows in ``source_digest`` (program
+    digest or recording id, the content half of the journal and
+    trace-store keys), ``damaged`` (the slice sections a tolerant
+    recording load gave up on) and ``audit`` (``(report, tracer,
+    metrics) -> AuditReport``: the oracle to hold the finished run
+    against, or None).
     """
     # -spjournal / -spresume: open (or resume) the write-ahead run
     # journal keyed by source + tool + result-affecting config.
@@ -443,21 +588,25 @@ def _run_pipeline(timeline: MasterTimeline, signatures: list[Signature],
     # normal pilot protocol and persists its frozen exports at the fold.
     warm = WarmStore.for_run(config, source_digest, metrics)
 
-    # 4. Slice phase: in-process, or fanned out (-spworkers), under the
-    #    -spfaults supervision policy.
+    # 3. Slice phase: in-process, or fanned out (-spworkers), under the
+    #    -spfaults supervision policy — and, on a live run, the master
+    #    it consumes.  The phase begins when the supervisor announces
+    #    the first release.
     template = SliceToolContext.from_control(tool, sp)
-    _phase(on_progress, "slice")
-    with tracer.span("slice_phase", cat="phase") as slice_span:
-        try:
-            supervised = supervise_slices(timeline, signatures, template,
-                                          sp, config, tracer=tracer,
-                                          metrics=metrics, journal=journal,
-                                          preloaded=preloaded,
-                                          damaged=damaged, warm=warm,
-                                          on_progress=on_progress)
-        finally:
-            if journal is not None:
-                journal.close()
+    try:
+        supervised = supervise_slices(
+            timeline, signatures, template, sp, config, tracer=tracer,
+            metrics=metrics, journal=journal, preloaded=preloaded,
+            damaged=damaged, warm=warm, on_progress=progress,
+            stream=master.steps() if master is not None else None)
+    finally:
+        if journal is not None:
+            journal.close()
+        # The phase ran from the first release (zero-length when the
+        # run was aborted before one).
+        ended = tracer.now()
+        released = progress.began.get("slice", ended)
+        tracer.add_span("slice_phase", released, ended, cat="phase")
     _apply_artifact_faults(config, len(timeline.intervals))
     results, timings = supervised.results, supervised.timings
     degraded = supervised.degraded
@@ -467,8 +616,8 @@ def _run_pipeline(timeline: MasterTimeline, signatures: list[Signature],
     if config.spsharedcache:
         charge_slices_in_order(results)
 
-    # 5. Merge in slice order, then fini on the master tool.
-    _phase(on_progress, "merge")
+    # 4. Merge in slice order, then fini on the master tool.
+    progress.phase("merge")
     with tracer.span("merge_phase", cat="phase"):
         merge_seconds = merge_slices(sp, results, tracer=tracer,
                                      metrics=metrics)
@@ -477,9 +626,9 @@ def _run_pipeline(timeline: MasterTimeline, signatures: list[Signature],
             timing_record.index, 0.0)
     tool.fini()
 
-    # 6. Timing.  A degraded run has holes, and the event simulation
+    # 5. Timing.  A degraded run has holes, and the event simulation
     #    needs every slice's figures — so no timing report for it.
-    _phase(on_progress, "timing")
+    progress.phase("timing")
     with tracer.span("timing_phase", cat="phase"):
         timing = (simulate(timeline, results, config, machine=machine,
                            cost=cost) if compute_timing and not degraded
@@ -495,12 +644,23 @@ def _run_pipeline(timeline: MasterTimeline, signatures: list[Signature],
         slice_timings=timings,
         slice_outcomes=supervised.outcomes,
         degraded_slices=degraded,
-        slice_phase_seconds=slice_span.duration,
+        slice_phase_seconds=ended - released,
         trace=tracer,
         metrics=metrics,
     )
+    # Host-time account of the pipeline.  With no master (a replay) the
+    # pipeline delay is the whole slice phase, as on a drained run.
+    master_done = released
+    if master is not None:
+        report.control_phase_seconds = master.control_seconds
+        report.signature_phase_seconds = master.signature_seconds
+        report.master_overlap_seconds = master.overlap_seconds
+        master_done = master.done_at
+    if progress.last_result is not None:
+        report.first_result_seconds = progress.first_result - progress.origin
+        report.pipeline_delay_seconds = progress.last_result - master_done
 
-    # 7. Differential audit (-spaudit).  Detection, not enforcement — a
+    # 6. Differential audit (-spaudit).  Detection, not enforcement — a
     #    divergent run still returns its report, with the evidence on it.
     if audit is not None:
         with tracer.span("audit_phase", cat="phase"):
@@ -580,7 +740,8 @@ def replay_recording(source, tool, config: SuperPinConfig | None = None,
             config, recording.recording_id, damaged=recording.damaged,
             audit=audit, machine=machine, cost=cost,
             compute_timing=compute_timing, tracer=run_tracer,
-            metrics=metrics, on_progress=on_progress)
+            metrics=metrics,
+            progress=_Progress(on_progress, run_tracer))
         report.recording_path = recording.path
         report.recording_id = recording.recording_id
         metrics.inc("superpin.recording.replayed_slices", report.num_slices)

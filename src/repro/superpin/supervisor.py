@@ -31,6 +31,21 @@ Around every attempt, whatever the transport:
 * the **journal**: every landed result is appended write-ahead, and a
   resumed run's journaled results are adopted instead of re-executed.
 
+The same loop is the consumer of the **master stream**.  On a live run
+the timeline and its signatures are still growing when the phase
+starts: ``stream`` is a generator whose every ``next()`` lets the master
+cut one more boundary and records its signature, and slice ``k`` is
+*ready* once ``signatures[k]`` exists or the master is exhausted — the
+paper's sleep condition.  Per-slice tables are appended as slices become
+ready; with a pool the loop advances the master one cut per turn,
+between a submit and a bounded wait, so the master, the signatures and
+the slices overlap in host time and supervision (deadline clocks,
+reaping) never waits for the master; with no workers it exhausts the
+master before the first in-process attempt — nothing to overlap with —
+which is the order a run with ``stream=None`` (a replay, a timeline
+already final) has anyway.  Cooperative and single-threaded: no lock,
+and nothing a run reports depends on how the turns interleaved.
+
 Each transport runs its attempts on a resident
 :class:`~repro.superpin.slices.SliceMachine` — this phase's own for
 in-process attempts, each pool worker's own for as long as the worker
@@ -66,6 +81,7 @@ identical to a clean first-attempt run.
 from __future__ import annotations
 
 import functools
+import multiprocessing
 import pickle
 import time
 from collections import deque
@@ -153,6 +169,20 @@ class SupervisedSlices:
         return [o.index for o in self.outcomes if o.status == "degraded"]
 
 
+#: Results that landed while the master was still running — what the
+#: overlap bought.  Depends on host scheduling (and is zero on a drained
+#: run), so like ``PLACEMENT_COUNTERS`` it must stay out of anything
+#: compared across runs.
+LANDED_BEFORE_MASTER_END = "superpin.stream.landed_before_master_end"
+
+
+#: The longest the loop waits for a result between two cuts of a live
+#: master.  Polling ``future.done()`` instead read 12% slower in a
+#: two-core spell (0.251 against 0.224 s raw on ``gzip-loop``, ROADMAP
+#: item 1); 0.5 ms reads the same as this.
+MASTER_PAUSE_SECONDS = 0.0002
+
+
 def slice_deadline(interval: Interval, config: SuperPinConfig) -> float:
     """Wall-clock deadline for one slice, in host seconds.
 
@@ -220,8 +250,8 @@ def supervise_slices(timeline: MasterTimeline, signatures: list[Signature],
                      template: SliceToolContext, sp: SPControl,
                      config: SuperPinConfig, tracer=None,
                      metrics=NULL_METRICS, journal=None, preloaded=None,
-                     damaged=None, warm=None,
-                     on_progress=None) -> SupervisedSlices:
+                     damaged=None, warm=None, on_progress=None,
+                     stream=None) -> SupervisedSlices:
     """Run the slice phase under the configured fault policy.
 
     Returns results ordered by slice index (regardless of completion
@@ -247,13 +277,21 @@ def supervise_slices(timeline: MasterTimeline, signatures: list[Signature],
       slice, pilot included, warm and skips the pilot protocol; on a
       miss the pilot's exports ``fold()`` into it.
     * ``on_progress`` — called in this process as ``on_progress("slice",
-      {"completed": n, "total": n_slices})`` after each slice result
-      lands (the hook the serve daemon streams to its clients); an
-      exception it raises aborts the phase.
+      {"completed": n, "total": slices cut so far, "final": bool})``
+      after each slice result lands (the hook the serve daemon streams
+      to its clients; ``total`` is only the run's slice count once
+      ``final``), and as ``("phase", {"phase": "slice"})`` when the
+      first slice is released; an exception it raises aborts the phase.
+    * ``stream`` — the live master: an iterator whose every ``next()``
+      cuts one more boundary onto ``timeline`` and appends its signature
+      to ``signatures``, exhausted when both are final.  None means they
+      already are (a replay, a caller that drove the phases itself).
+      Slice ``k`` is ready once ``signatures[k]`` exists or the master
+      is exhausted.  An aborted phase closes the stream.
     """
     return _Supervisor(timeline, signatures, template, sp, config, tracer,
                        metrics, journal, preloaded, damaged, warm,
-                       on_progress).run()
+                       on_progress, stream).run()
 
 
 @dataclass
@@ -276,7 +314,7 @@ class _Supervisor:
     def __init__(self, timeline: MasterTimeline,
                  signatures: list[Signature], template: SliceToolContext,
                  sp: SPControl, config: SuperPinConfig, tracer, metrics,
-                 journal, preloaded, damaged, warm, on_progress):
+                 journal, preloaded, damaged, warm, on_progress, stream):
         self.sp = sp
         self.config = config
         self.tracer = ensure_tracer(tracer)
@@ -286,28 +324,27 @@ class _Supervisor:
         self._mark = self.tracer.mark()
         self._tracks = TrackAllocator()
         self.journal = journal
-        self.n_slices = len(timeline.intervals)
-        self.outcomes = [
-            SliceOutcome(index=k,
-                         deadline_seconds=slice_deadline(interval, config))
-            for k, interval in enumerate(timeline.intervals)]
+        #: Growing while the master is live: ``signatures[k]`` existing
+        #: is what makes slice ``k`` ready (its boundary and interval
+        #: were final a moment earlier).
+        self.timeline = timeline
+        self.signatures = signatures
+        #: The live master; None once it is exhausted (or never ran
+        #: here), which makes every remaining slice ready.
+        self._stream = stream
+        # Per-slice tables, appended as slices become ready (`_release`).
+        self.outcomes: list[SliceOutcome] = []
         self.results: dict[int, SliceResult] = {}
-        # Damaged recording sections degrade their slices upfront: the
-        # artifact has no trustworthy spec for them, so they are never
-        # attempted — the same hole a degraded execution leaves.
-        for k, err in sorted((damaged or {}).items()):
-            self._degrade(k, err)
-        # Journaled results from a resumed run are adopted as-is; a blob
-        # that fails to decode is simply re-executed.
-        for k, blob in sorted((preloaded or {}).items()):
-            if 0 <= k < self.n_slices and self._todo(k):
-                self._adopt(k, blob)
         #: Per-slice execution counter — the attempt numbers the fault
         #: plan sees.  Resubmissions after a neighbour's reap re-run the
         #: *same* attempt number (the original never got to finish).
-        self.executions = [0] * self.n_slices
+        self.executions: list[int] = []
         #: Per-slice charged failures, spent against the attempt ladder.
-        self.failures = [0] * self.n_slices
+        self.failures: list[int] = []
+        #: Pickled jobs of slices that have not landed yet.
+        self.payloads: list[bytes | None] = []
+        self._preloaded = preloaded or {}
+        self._damaged = damaged or {}
         # The attempt ladder: a failed slice re-runs on the transport
         # ``spretries`` times, then once in-process, so a fault plan
         # fires on the same attempt numbers for any worker count.
@@ -315,8 +352,9 @@ class _Supervisor:
         failfast = config.spfaults == "failfast"
         self._retries, self._fallbacks = ((0, 0) if failfast
                                           else (config.spretries, 1))
-        # The transport: a process pool, or (0 workers) this process.
-        self._workers = max(0, min(config.spworkers, self.n_slices))
+        # The transport: a process pool (built at the first submit), or
+        # (0 workers) this process.
+        self._workers = max(0, config.spworkers)
         self._pool: ProcessPoolExecutor | None = None
         #: Where in-process attempts run (the 0-worker transport and the
         #: ladder's last rung): this phase's own resident machine, gone
@@ -328,7 +366,6 @@ class _Supervisor:
         # because run_slice adopts ``boundary.mem_fork``'s own pages (a
         # ``fork()`` there would charge phantom COW faults).
         self._pickle_jobs = self._workers > 0 or not failfast
-        self.payloads: list[bytes | None] = [None] * self.n_slices
         self._job = functools.partial(slice_job, timeline, signatures,
                                       template, sp, config)
         #: Warm-cache pilot protocol: slice 0 runs (and, if needed,
@@ -338,13 +375,14 @@ class _Supervisor:
         #: other slice a hot working set.  A warm-store ``lookup()`` hit
         #: replaces the protocol wholesale: every slice — the pilot
         #: included — bakes the stored payload in, so no slice compiles
-        #: the shared working set cold.
+        #: the shared working set cold.  Whether slice 0 *is* a pilot is
+        #: decided when it becomes ready: a run that turns out to have
+        #: one slice never was one.
         self._payload = self.warm.lookup() if config.spwarmcache else None
-        self._pilot = (config.spwarmcache and self._payload is None
-                       and self.n_slices > 1)
-        self._pending: deque[int] = deque(
-            k for k in ([0] if self._pilot else range(self.n_slices))
-            if self._todo(k))
+        self._pilot = False
+        self._pending: deque[int] = deque()
+        #: Slices ``[0, _queued)`` have been offered to ``_pending``.
+        self._queued = 0
 
     def _todo(self, k: int) -> bool:
         """True while slice ``k`` still needs an execution attempt."""
@@ -398,74 +436,153 @@ class _Supervisor:
         self._notify()
 
     def _notify(self) -> None:
-        """Stream slice completion to the caller (serve daemon hook)."""
-        if self.on_progress is not None:
-            self.on_progress("slice", {"completed": len(self.results),
-                                       "total": self.n_slices})
+        """Stream slice completion to the caller (serve daemon hook).
 
-    def _release_rest(self) -> None:
-        """Pilot resolved: freeze the warm payload, queue the rest.
-
-        A degraded pilot (no result) freezes nothing — later slices
-        simply run cold, the same as ``-spwarmcache 0``.  An adopted
-        pilot's exports are intact in its journaled result, so the warm
-        payload freezes without re-running slice 0.
+        While the master is live the total is the slices cut so far —
+        the interval it is running is one too — and not ``final``.
         """
-        if 0 in self.results:
-            self._payload = self.warm.fold(self.results[0])
-        self._pilot = False
-        self._pending.extend(k for k in range(1, self.n_slices)
-                             if self._todo(k))
+        if self.on_progress is not None:
+            live = self._stream is not None
+            self.on_progress("slice", {
+                "completed": len(self.results),
+                "total": len(self.timeline.intervals) + live,
+                "final": not live})
+
+    def _advance(self) -> None:
+        """Let the master cut one more boundary, or find it exhausted."""
+        try:
+            next(self._stream)
+        except StopIteration:
+            self._stream = None
+            # Every slice but the last was ready before the master ended
+            # (deterministic); how many of them had landed by then is
+            # what the overlap bought (zero when drained).
+            self.metrics.inc("superpin.stream.ready_before_master_end",
+                             len(self.signatures))
+            self.metrics.inc(LANDED_BEFORE_MASTER_END, 0)
+        else:
+            self.metrics.observe(
+                "superpin.stream.ready_queue_depth",
+                len(self.signatures) - self._queued + len(self._pending))
+
+    def _release(self) -> None:
+        """Queue what has become ready: the pilot, then whatever has
+        arrived.
+
+        Slice ``k`` is ready once ``signatures[k]`` exists or the master
+        is exhausted — the paper's sleep condition.  A ready slice gets
+        its row in the per-slice tables; a damaged recording section
+        degrades it on the spot (the artifact has no trustworthy spec
+        for it, so it is never attempted — the same hole a degraded
+        execution leaves) and a journaled result is adopted as-is (a
+        blob that fails to decode is simply re-executed).  While the
+        pilot is unresolved only it is queued.  A degraded pilot (no
+        result) freezes nothing — later slices simply run cold, the same
+        as ``-spwarmcache 0``; an adopted pilot's exports are intact in
+        its journaled result, so the warm payload freezes without
+        re-running slice 0.
+        """
+        live = self._stream is not None
+        ready = (len(self.signatures) if live
+                 else len(self.timeline.intervals))
+        if not self.outcomes and ready and self.on_progress is not None:
+            self.on_progress("phase", {"phase": "slice"})
+        for k in range(len(self.outcomes), ready):
+            self.outcomes.append(SliceOutcome(
+                index=k, deadline_seconds=slice_deadline(
+                    self.timeline.intervals[k], self.config)))
+            self.executions.append(0)
+            self.failures.append(0)
+            self.payloads.append(None)
+            if k == 0:
+                self._pilot = bool(self.config.spwarmcache
+                                   and self._payload is None
+                                   and (live or ready > 1))
+            if k in self._damaged:
+                self._degrade(k, self._damaged[k])
+            elif k in self._preloaded:
+                self._adopt(k, self._preloaded[k])
+        if self._pilot and not self._todo(0):
+            if 0 in self.results:
+                self._payload = self.warm.fold(self.results[0])
+            self._pilot = False
+        limit = 1 if self._pilot else ready
+        for k in range(self._queued, limit):
+            if self._todo(k):
+                self._pending.append(k)
+        self._queued = max(self._queued, limit)
 
     # -- the executor --------------------------------------------------------
 
     def run(self) -> SupervisedSlices:
         pending, flights = self._pending, self._flights
-        if self._workers:
-            self._pool = self._new_pool()
         try:
-            while pending or flights or self._pilot:
-                if self._pilot and not self._todo(0):
-                    self._release_rest()
-                if self._pool is None:
-                    if pending:
-                        self._attempt_here(pending.popleft())
+            while True:
+                if self._stream is not None:
+                    self._advance()
+                    if not self._workers:
+                        # One process has nothing to overlap the master
+                        # with, and an in-process slice adopts its
+                        # boundary's pages, which -sprecord (the
+                        # stream's tail) must serialize first: drain.
+                        continue
+                self._release()
+                if not (pending or flights or self._stream is not None):
+                    break
+                if not self._workers:
+                    self._attempt_here(pending.popleft())
                     continue
                 # Sliding window: one attempt per worker plus one queued
                 # behind them, so a freed worker never idles for a round
-                # trip through this process.  The pool serves its queue
-                # FIFO, so the front `workers` flights are (approximately)
-                # running: their deadline clocks start here, the queued
-                # one's only once it moves up — every clock is fair.
-                while pending and len(flights) <= self._workers:
+                # trip through this process — plus one more while the
+                # master is live, because then that round trip waits for
+                # a cut to finish (measured, ROADMAP item 1).  The pool
+                # serves its queue FIFO, so the front `workers` flights
+                # are (approximately) running: their deadline clocks
+                # start here, a queued one's only once it moves up —
+                # every clock is fair.
+                live = self._stream is not None
+                while pending and len(flights) <= self._workers + live:
                     self._submit(pending.popleft())
                 if not flights:
-                    # Everything left was adopted or degraded; loop
-                    # around (and usually exit) instead of waiting on
-                    # an empty flight set.
+                    # Nothing ready yet, or everything left was adopted
+                    # or degraded; loop around (to the master, or out)
+                    # instead of waiting on an empty flight set.
                     continue
                 now = time.perf_counter()
                 running = list(islice(flights.values(), self._workers))
                 for flight in running:
                     if flight.started is None:
                         flight.started = now
-                timeout = min(self.outcomes[f.index].deadline_seconds
-                              - f.elapsed(now) for f in running)
-                done, _ = wait(set(flights), timeout=max(timeout, 0.01),
+                if live:
+                    # The next turn of the loop is the master's next
+                    # cut: wait just long enough for the pool's own
+                    # threads to take the GIL (the master is CPU-bound
+                    # Python in this one; without the pause they move a
+                    # job to a worker tens of milliseconds late).
+                    timeout = MASTER_PAUSE_SECONDS
+                else:
+                    timeout = max(0.01, min(
+                        self.outcomes[f.index].deadline_seconds
+                        - f.elapsed(now) for f in running))
+                done, _ = wait(set(flights), timeout=timeout,
                                return_when=FIRST_COMPLETED)
-                if not done:
-                    self._reap_expired()
-                    continue
                 self._process_done(done)
+                # Every turn, not only an idle one: neighbours that keep
+                # landing must not keep a hung worker alive.
+                self._reap_expired()
         except BaseException:
             # Abort promptly (a failure under failfast or retry, a
-            # cancelling on_progress) instead of draining queued slices.
+            # cancelling on_progress) instead of draining queued slices,
+            # and stop the master where it stands.
+            if self._stream is not None:
+                self._stream.close()
             self._teardown(self._pool, flights)
             raise
         if self._pool is not None:
             self._pool.shutdown()
         timings = slice_timings_from_records(
-            self.tracer.records_since(self._mark), self.n_slices,
+            self.tracer.records_since(self._mark), len(self.outcomes),
             metrics=self.metrics)
         for track in range(1, self._tracks.num_tracks + 1):
             self.tracer.name_track(track, f"slice lane {track}")
@@ -506,6 +623,8 @@ class _Supervisor:
         if attempt is None:
             self.executions[k] += 1
             attempt = self.executions[k]
+        if self._pool is None:
+            self._pool = self._new_pool()
         try:
             future = self._pool.submit(_worker_attempt, payload, k,
                                        attempt, self.config.fault_plan)
@@ -562,8 +681,13 @@ class _Supervisor:
                                fork_seconds, run_seconds,
                                args={"attempt": attempt, "where": where})
         self.results[k] = result
+        # Nothing can re-read a landed slice's job: a long run holds
+        # in-flight pickles only.
+        self.payloads[k] = None
         self.outcomes[k].attempts.append(
             SliceAttempt(number=attempt, where=where, seconds=seconds))
+        if self._stream is not None:
+            self.metrics.inc(LANDED_BEFORE_MASTER_END)
         self._notify()
         if self.journal is not None:
             # Write-ahead: the framed blob lands durably *before* the
@@ -675,8 +799,22 @@ class _Supervisor:
         self._pool = self._new_pool()
 
     def _new_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=self._workers,
-                                   initializer=_init_worker)
+        """A pool of forked workers.
+
+        ``fork``, explicitly: it is the mechanism being reproduced (a
+        slice is a fork of the master), and a worker must inherit the
+        loaded program rather than re-import it — under ``forkserver``
+        (the POSIX default from Python 3.14) every worker of every run
+        would pay the import, about one whole small run.  A fork pool
+        launches all its workers at the first submit, so once the master
+        is exhausted it is sized to no more than the slices there are.
+        """
+        workers = self._workers
+        if self._stream is None:
+            workers = min(workers, len(self.outcomes))
+        return ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker,
+            mp_context=multiprocessing.get_context("fork"))
 
     @staticmethod
     def _teardown(pool, flights) -> None:

@@ -145,11 +145,14 @@ def sigkill_at_slice(slice_num: int, value=None) -> None:
 
 def virtual_counters(metrics) -> dict:
     """A run's counters minus the ones that depend on which resident
-    machine ran which slices (``PLACEMENT_COUNTERS``): what must be
-    equal for any worker count."""
+    machine ran which slices (``PLACEMENT_COUNTERS``) or on how far the
+    master had got when a result landed: what must be equal for any
+    worker count."""
     from repro.superpin.slices import PLACEMENT_COUNTERS
+    from repro.superpin.supervisor import LANDED_BEFORE_MASTER_END
+    host = (*PLACEMENT_COUNTERS, LANDED_BEFORE_MASTER_END)
     return {name: value for name, value in metrics.counters.items()
-            if name not in PLACEMENT_COUNTERS}
+            if name not in host}
 
 
 def run_native(program, seed: int = 42, max_instructions: int = 50_000_000):

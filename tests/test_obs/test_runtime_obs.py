@@ -43,8 +43,15 @@ class TestRunTrace:
     def test_phase_seconds_come_from_the_trace(self, multislice_program):
         report = _run(multislice_program)
         tracer = report.trace
+        # The master's two figures are busy time — the totals of its
+        # steps — inside the wall extent of their phase spans.
+        assert report.control_phase_seconds \
+            == pytest.approx(tracer.total("control.step"))
         assert report.signature_phase_seconds \
-            == tracer.total("signature_phase")
+            == pytest.approx(tracer.total("signature"))
+        assert 0.0 < report.signature_phase_seconds \
+            < tracer.total("signature_phase") \
+            < tracer.total("control_phase")
         assert report.slice_phase_seconds == tracer.total("slice_phase")
         assert report.slice_phase_seconds > 0.0
 

@@ -90,7 +90,14 @@ class TestExecutorParity:
         report = run_superpin(
             program, tool, config, kernel=Kernel(seed=42),
             on_progress=lambda event, payload: event == "slice"
-            and progress.append((payload["completed"], payload["total"])))
+            and progress.append(payload))
+        # While the master is live (workers only) ``total`` is the
+        # slices cut so far; from its exhaustion on it is the run's.
+        n = report.num_slices
+        assert all(p["total"] == n if p["final"] else p["total"] <= n
+                   for p in progress)
+        assert progress[-1]["final"]
+        progress = [p["completed"] for p in progress]
         results = [
             {**{f.name: getattr(r, f.name) for f in dataclasses.fields(r)
                 if f.name != "tool_ctx"},
@@ -120,7 +127,7 @@ class TestExecutorParity:
             n = len(seen["results"])
             assert n >= 3
             assert seen["attempts"] == [[(1, True)]] * n
-            assert seen["progress"] == [(k + 1, n) for k in range(n)]
+            assert seen["progress"] == list(range(1, n + 1))
             assert seen["spans"] == [{"slice", "slice.run",
                                       "slice.merge"}] * n
             baseline = baseline or seen
