@@ -95,6 +95,10 @@ REQUIRED_NONZERO = (
     # same four hot functions in every slice, so zero means the workers'
     # pools have silently stopped engaging.
     "pin.jit.skeleton_reuses",
+    # ... and the same four functions are where the run's time goes, so
+    # zero means no trace is being lowered to generated code any more
+    # (heat lost between slices, or the threshold out of reach).
+    "pin.jit.hot_compiles",
     # The streamed pipeline: on this two-worker run slice results land
     # while the master is still cutting, so zero means the barrier
     # between the master and the slice phase is back.

@@ -228,7 +228,9 @@ def _cmd_run(args, extra: list[str]) -> int:
     jit = report.jit_summary()
     if jit is not None:
         print(f"jit: {jit['compiles']:,} compiles, {jit['pooled']:,} from "
-              f"pooled skeletons, {jit['seconds']:.2f} s")
+              f"pooled skeletons, {jit['hot']:,} hot "
+              f"({jit['hot_share']:.0%} of instructions in generated "
+              f"code), {jit['seconds']:.2f} s")
     if config.sptc2 > 0 and instr["tc2_promotions"]:
         print(f"tier 2: {instr['tc2_promotions']} superblock promotions, "
               f"{instr['tc2_dispatches']} dispatches, "

@@ -25,8 +25,7 @@ from .engine import PinRunResult, PinVM, RunState
 from .filter import (InstrumentationStats, InstrumentFilter, OPCODE_CLASSES,
                      parse_filter)
 from .jit import CompiledTrace, EXIT_GUEST, Jit, StopRun
-from .suppress import (LOOP_TRIP_CAP, LoopPlan, plan_suppression,
-                       SuppressedLoopTrace)
+from .suppress import LOOP_TRIP_CAP, LoopPlan, plan_suppression
 from .pintool import NullSuperPin, Pintool, run_with_pin
 from .pyjit import SourceCompiledTrace, SourceJit
 from .superblock import (MAX_SEGMENTS, Superblock, Tc2Stats,
@@ -52,7 +51,6 @@ __all__ = [
     "SourceCompiledTrace", "SourceJit",
     "InstrumentFilter", "InstrumentationStats", "OPCODE_CLASSES",
     "parse_filter", "LOOP_TRIP_CAP", "LoopPlan", "plan_suppression",
-    "SuppressedLoopTrace",
     "MAX_SEGMENTS", "Superblock", "Tc2Stats", "TranslationCache2",
     "Pintool", "run_with_pin", "Bbl", "build_trace", "Ins", "MAX_TRACE_INS",
     "TraceObj",

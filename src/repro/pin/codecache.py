@@ -59,6 +59,17 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
 
+def retarget_links(holders, old, new) -> None:
+    """Point every direct link of ``holders`` that targets ``old`` at
+    ``new``: links are the only road steady-state execution takes, so
+    whatever supersedes a trace must inherit the roads into it."""
+    for holder in holders:
+        links = holder.links
+        for pc, target in links.items():
+            if target is old:
+                links[pc] = new
+
+
 class CodeCache:
     """Maps trace start address -> compiled trace, with bubble accounting."""
 
@@ -146,6 +157,22 @@ class CodeCache:
         self.insert_log.append((address, num_ins))
         self.metrics.inc("pin.cache.compiles")
         self.metrics.inc("pin.cache.compiled_ins", num_ins)
+
+    def replace(self, old, new) -> None:
+        """Put ``new`` where ``old`` is cached: the same trace in another
+        lowering (repro.pin.engine promotes a hot trace in mid-run).
+
+        Not an insert: the virtual compile already happened and is
+        accounted — statistics, the insert log and the bubble charge
+        stay as they are.  ``new`` takes ``old``'s place in every link
+        and every superblock that holds ``old`` as a segment, so
+        nothing can still reach the replaced code.
+        """
+        self._traces[old.start] = new
+        retarget_links(self._traces.values(), old, new)
+        if self._tc2 is not None:
+            retarget_links(self._tc2.live_blocks(), old, new)
+            self._tc2.replace_segment(old, new)
 
     def _evict_one(self, address: int) -> None:
         """Drop one cached trace: unlink it everywhere, refund its charge.

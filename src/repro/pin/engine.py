@@ -20,7 +20,7 @@ from ..machine.process import Process
 from ..obs.metrics import NULL_METRICS
 from .codecache import CodeCache
 from .filter import InstrumentationStats
-from .jit import CompiledTrace, EXIT_GUEST, Jit, JitStats, StopRun
+from .jit import CompiledTrace, EXIT_GUEST, Jit, JitStats, NEVER, StopRun
 from .trace import MAX_TRACE_INS
 
 
@@ -77,6 +77,9 @@ class PinVM:
         self.max_trace_ins = max_trace_ins
         #: [analysis_calls, inline_checks] — mutated by compiled steps.
         self.counters = [0, 0]
+        # One JIT, two lowerings (repro.pin.jit): "closure" starts every
+        # trace as threaded code and lets the JIT lower the hot ones to
+        # generated code; "source" pins every trace to generated code.
         if jit_backend == "closure":
             self.jit = Jit(self)
         elif jit_backend == "source":
@@ -259,6 +262,31 @@ class PinVM:
             self._step_cache[pc] = trace
         return trace
 
+    def _promote(self, trace):
+        """``trace`` has run ``hot_at`` times: put its generated-code
+        form in its place; returns what to execute now.
+
+        The swap is invisible to the virtual account — no callback
+        runs, nothing is compiled, inserted, charged or evicted, TC2
+        keeps its chains — so only host time can tell a promoted run
+        from an unpromoted one.
+        """
+        timed = self.metrics.enabled
+        if timed:
+            started = time.perf_counter()
+        new = (self.jit.promote(trace)
+               if self.cache.get(trace.start) is trace else None)
+        trace.hot_at = NEVER
+        if new is None:
+            return trace
+        new.links, trace.links = trace.links, {}
+        new.exec_count = trace.exec_count
+        self.cache.replace(trace, new)
+        if timed:
+            self.metrics.observe("pin.jit.promote_seconds",
+                                 time.perf_counter() - started)
+        return new
+
     def run(self, max_instructions: int | None = None,
             exact_budget: bool = False,
             stop_after_syscall: bool = False) -> PinRunResult:
@@ -311,6 +339,13 @@ class PinVM:
         tc2_stats = tc2.stats if tc2 is not None else None
         seg_mark = tc2_stats.segments if tc2 is not None else 0
         disp_mark = tc2_stats.dispatches if tc2 is not None else 0
+        stepped_mark = tc2_stats.stepped if tc2 is not None else 0
+        # A pooled engine keeps heat (see repro.pin.jit): it counts
+        # every trace execution and promotes a trace that crosses its
+        # mark.  ``generated`` is what the source path retired.
+        promoting = jit.pool is not None
+        counting = promoting or threshold
+        generated = 0
         state = RunState.EXIT
         stop_token: object | None = None
 
@@ -381,14 +416,27 @@ class PinVM:
                     trace = self._step_trace(pc)
                     step_sub = True
             traces_executed += 1
-            if threshold and not step_sub and trace.tier == 1:
-                hotness = trace.exec_count + 1
-                trace.exec_count = hotness
-                if hotness == threshold:
-                    tc2.maybe_promote(trace)
+            if counting and not step_sub:
+                if trace.tier == 1:
+                    if promoting:
+                        heat = trace.heat
+                        # (None: compiled before the pool was set.)
+                        if heat is not None:
+                            runs = heat[0] + 1
+                            heat[0] = runs
+                            if runs >= trace.hot_at:
+                                trace = self._promote(trace)
+                    if threshold:
+                        hotness = trace.exec_count + 1
+                        trace.exec_count = hotness
+                        if hotness == threshold:
+                            tc2.maybe_promote(trace)
+                elif promoting and trace.tally[0] >= trace.ripe_at:
+                    for segment in tc2.ripe_segments(trace):
+                        self._promote(segment)
 
             if trace.is_source:
-                # Generated-code backend: one call runs the whole trace.
+                # Generated code or a superblock: one call runs it all.
                 # A budget-bounded run hands a superblock its remaining
                 # allowance so the runner can stop at the same segment
                 # boundary the dispatch loop would have stopped at.
@@ -400,6 +448,7 @@ class PinVM:
                         result, completed = trace.fn()
                 except StopRun as stop:
                     executed += self._stop_count
+                    generated += self._stop_count
                     cpu.pc = self._stop_pc
                     state = RunState.STOPPED
                     stop_token = stop.args[0] if stop.args else None
@@ -415,6 +464,7 @@ class PinVM:
                     cache.stats.linked_dispatches += linked
                     raise
                 executed += completed
+                generated += completed
                 if result is None:
                     assert trace.fall_address is not None
                     pc = trace.fall_address
@@ -491,6 +541,10 @@ class PinVM:
             tc2_dispatches = tc2_stats.dispatches - disp_mark
             traces_executed += ((tc2_stats.segments - seg_mark)
                                 - tc2_dispatches)
+            generated -= tc2_stats.stepped - stepped_mark
+            if promoting:
+                tc2.fold_heat()
+        self.jit_stats.hot_instructions += generated
         self.total_instructions += executed
         self.total_traces_executed += traces_executed
         cache.stats.linked_dispatches += linked

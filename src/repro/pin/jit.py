@@ -1,7 +1,8 @@
-"""JIT: lowers instrumented traces into executable step closures.
+"""The JIT: one compile path, two lowerings of an instrumented trace.
 
-The compiled form of a trace is a list of *steps*, one per guest
-instruction.  A step is a zero-argument closure returning:
+**Threaded code** (this module) is the cold lowering: the compiled form
+of a trace is a list of *steps*, one per guest instruction.  A step is
+a zero-argument closure returning:
 
 * ``None``       — fall through to the next step;
 * an int >= 0    — transfer control to that guest address (trace exit);
@@ -13,35 +14,51 @@ so the instrumented-to-native overhead ratio is governed by the analysis
 calls — which is the regime the paper's icount1/icount2 comparison
 explores.
 
+**Generated code** (:mod:`repro.pin.pyjit`) is the hot lowering: the
+whole trace becomes one Python function.  It costs about three times as
+much to produce and runs two to three times faster, so which one a trace
+gets is decided per trace, from what the process has observed
+(:data:`HOT_EXECUTIONS_PER_COMPILE`), by the one :meth:`Jit.compile`
+both go through: same skeleton, same callbacks, same suppression plan.
+``jit_backend="source"`` (:class:`~repro.pin.pyjit.SourceJit`) is this
+JIT with the decision pinned to "generated".
+
 **Compile once per process.**  A compile has a half that depends on who
 is instrumenting — run the trace callbacks, plan suppression, wrap the
 instrumented instructions — and a half that does not: decode the trace
 and lower each instruction's architectural semantics.  A :class:`Jit`
 whose ``pool`` is a dict (the JIT of a resident slice machine,
-:mod:`repro.superpin.slices`; every other ``PinVM`` leaves it ``None``
-and retains nothing) keeps the second half per trace start pc as a
-*skeleton* and redoes only the first half when a later run on the same
-engine misses on that pc.  The pool is tool-independent by construction,
-and that is its whole safety argument:
+:mod:`repro.superpin.slices`, and of serial Pin's one engine; every
+other ``PinVM`` leaves it ``None`` and retains nothing) keeps the second
+half per trace start pc as a *skeleton* and redoes only the first half
+when a later run on the same engine misses on that pc.  The pool is
+tool-independent by construction, and that is its whole safety argument:
 
 * pooled code **may capture** only what lives as long as the engine —
   ``engine`` itself, ``engine.cpu``, ``cpu.regs`` and the bound
   ``mem.read`` / ``mem.write`` — plus constants decoded from the guest
-  word;
+  word; pooled *text* and code objects bind nothing at all;
 * pooled code **must never capture** anything a run owns: a tool or its
   analysis routines, a signature detector, a syscall handler, the code
   cache, TC2, the metrics registry, resolvers, or ``_Call`` lists.  All
-  of those reach compiled code only through the per-run wrapper
-  (:meth:`Jit._lower_calls`), which is rebuilt on every compile.
+  of those reach compiled code only through the per-run half
+  (:meth:`Jit._lower_calls`, the emitter's namespace), which is rebuilt
+  on every compile.
 
 A skeleton is reused only when it is exactly what ``build_trace`` would
 produce now (:meth:`Jit._reuse`); the callbacks run every time, so a
 tool that keeps instrument-time state sees every compile it would see
 on a fresh engine.
+
+**Heat** is what a pooled JIT remembers about execution: per trace
+start pc, how often the trace has run and how often it has been
+compiled, for the life of the engine (:attr:`Jit.heat`).
 """
 
 from __future__ import annotations
 
+import marshal
+import types
 from dataclasses import dataclass
 from typing import Callable
 
@@ -49,12 +66,35 @@ from ..errors import ArithmeticFault
 from ..isa.instructions import MASK64, Op
 from .args import build_resolver
 from .filter import run_trace_callbacks
-from .suppress import LOOP_TRIP_CAP, LoopPlan, SuppressedLoopTrace, \
-    plan_suppression
+from .suppress import LoopPlan, plan_suppression
 from .trace import build_trace, Ins, TraceObj
 
 #: Sentinel step result: the guest has exited.
 EXIT_GUEST = -2
+
+#: A trace is lowered to generated code once the engine has seen it run
+#: this many times *per compile* of it.  Per compile, not in total: a
+#: slice re-instruments and re-emits every trace it touches, so what a
+#: generated function must repay is one emission, each time — a trace
+#: that runs 14 times in each of 12 slices never qualifies, one that
+#: runs 320 times in each of two does.  Sized by the sweep in ROADMAP.md
+#: ("Measured and left alone"); ``float("inf")`` is the pure
+#: threaded-code reference, 1 lowers every repeated trace hot.
+HOT_EXECUTIONS_PER_COMPILE = 150
+
+#: A cached threaded-code trace is promoted in the middle of a run (see
+#: ``PinVM._promote``) when its executions per compile, this compile
+#: included, reach this many times the threshold above.  More evidence
+#: than at a compile, for two reasons: the first promotion of a trace
+#: pays a cold ``compile()`` (worth ≈ 190 executions), and the run may
+#: be about to end — a daemon job whose loop stops at 220 has nothing
+#: to repay it with.  Long runs cannot tell 1 from 3 (the traces that
+#: matter run thousands of times); short ones can (ROADMAP.md).
+PROMOTE_FACTOR = 3
+
+#: ``hot_at`` of a trace that is never promoted (an int: the dispatch
+#: loop compares execution counts against it).
+NEVER = 1 << 62
 
 _SIGN = 1 << 63
 
@@ -71,10 +111,10 @@ class StopRun(Exception):
 
 
 class CompiledTrace:
-    """Executable form of one trace (threaded-code backend)."""
+    """Executable form of one trace (threaded code)."""
 
     __slots__ = ("start", "steps", "addresses", "fall_address", "num_ins",
-                 "bbl_sizes", "links", "exec_count")
+                 "bbl_sizes", "links", "exec_count", "heat", "hot_at")
 
     is_source = False
     #: Compile tier (see repro.pin.superblock): 1 = threaded code,
@@ -98,21 +138,29 @@ class CompiledTrace:
         #: by the engine (Pin's exit-stub patching).  Cleared wholesale
         #: by CodeCache.flush — a link must never outlive its target.
         self.links: dict[int, object] = {}
-        #: Executions since compile (or since the last failed
-        #: promotion); the TC2 promotion trigger.
+        #: The TC2 promotion trigger — *not* an execution count: only
+        #: maintained when ``-sptc2 > 0``, zeroed by a declined
+        #: promotion, a superblock eviction and a TC2 flush, and blind
+        #: to runs inside a superblock.  Executions are ``heat[0]``.
         self.exec_count = 0
+        #: This pc's ``[executions, compiles]`` cell of ``Jit.heat``
+        #: (None off a pooled engine) and the ``executions`` at which
+        #: the engine re-lowers this trace as generated code.
+        self.heat: list[int] | None = None
+        self.hot_at = NEVER
 
 
 @dataclass
 class JitStats:
-    """What a JIT's pool did during one run (``pin.jit.skeleton_*``).
+    """What a JIT's pool and its choice of lowering did during one run
+    (``pin.jit.*``).
 
-    Host-side only: pooling changes how long a compile takes, never
-    what it produces, so none of this reaches a ``SliceResult``.
+    Host-side only: pooling changes how long a compile takes and the
+    lowering how fast its product runs, never what either computes, so
+    none of this reaches a ``SliceResult``.
     """
 
-    #: Compiles served from pooled work (closure backend: a skeleton;
-    #: source backend: a code object for the same source text).
+    #: Compiles whose decoded trace came from the pool.
     skeleton_reuses: int = 0
     #: Pooled skeletons thrown away because the guest words under them
     #: changed (self-modified code, another program at that address).
@@ -120,19 +168,36 @@ class JitStats:
     #: ... because this run's forced boundaries cut the trace somewhere
     #: else than the run that pooled it.
     rejects_cut: int = 0
+    #: Compiles lowered to generated code.
+    hot_compiles: int = 0
+    #: Cached threaded-code traces re-lowered as generated code when
+    #: they crossed the mark in the middle of the run.
+    promotions: int = 0
+    #: Guest instructions retired in generated code.
+    hot_instructions: int = 0
 
 
 class _Skeleton:
     """The run-independent half of one compiled trace."""
 
-    __slots__ = ("trace_obj", "instructions", "sems", "addresses",
-                 "bbl_sizes", "words", "cut")
+    __slots__ = ("trace_obj", "instructions", "sems", "texts", "codes",
+                 "addresses", "bbl_sizes", "words", "cut")
 
-    def __init__(self, trace_obj: TraceObj, sems: list[Step]):
+    def __init__(self, trace_obj: TraceObj):
         self.trace_obj = trace_obj
         self.instructions = trace_obj.instructions
+        #: What each lowering keeps of its run-independent work, filled
+        #: in by the first compile that takes it.  Threaded code:
         #: ``sems[i]`` is the semantics closure of ``instructions[i]``.
-        self.sems = sems
+        self.sems: list[Step] | None = None
+        #: Generated code: ``texts[i]`` is the semantics source of
+        #: ``instructions[i]`` (None where it depends on the run), and
+        #: ``codes`` maps a whole trace's source text to its code
+        #: object — one entry per distinct instrumentation.  A code
+        #: object binds nothing: every name it uses resolves in the
+        #: namespace it is rebound over, built anew by each compile.
+        self.texts: list[tuple[str, ...] | None] | None = None
+        self.codes: dict[str, object] | None = None
         self.addresses = [ins.address for ins in self.instructions]
         self.bbl_sizes = [bbl.num_ins for bbl in trace_obj.bbls]
         #: Validation data, filled in by the first *reuse* (a run that
@@ -144,48 +209,104 @@ class _Skeleton:
 class Jit:
     """Compiles guest code regions for one engine."""
 
+    #: True pins every trace to the generated-code lowering
+    #: (:class:`~repro.pin.pyjit.SourceJit`).
+    all_generated = False
+
     def __init__(self, engine):
         self._engine = engine
         #: ``start pc -> _Skeleton`` kept across runs of this engine, or
         #: None (retain nothing).  Set by whoever keeps the engine
         #: resident; see the module docstring.
         self.pool: dict[int, _Skeleton] | None = None
+        #: ``start pc -> [executions, compiles]``, monotone for the life
+        #: of a pooled engine (empty off one): what the choice of
+        #: lowering — and a profile — reads.  Compiles are counted here;
+        #: executions by whoever runs the trace (the dispatch loop
+        #: through ``trace.heat``, a superblock through its tally).
+        self.heat: dict[int, list[int]] = {}
 
-    def compile(self, address: int) -> CompiledTrace:
-        """Build, instrument and lower the trace starting at ``address``."""
+    def compile(self, address: int, warm=None):
+        """Build, instrument and lower the trace starting at ``address``
+        — as generated code if it has earned it, else as threaded code.
+
+        ``warm`` is the warm entry that named the trace, for a backend
+        that ships code objects (:meth:`build_warm`).
+        """
         engine = self._engine
         skeleton = self._skeleton(address)
         trace_obj = skeleton.trace_obj
         run_trace_callbacks(engine, trace_obj)
-
         plan = plan_suppression(engine, trace_obj)
-        if plan is not None:
-            return self._compile_suppressed(skeleton, plan)
 
-        lower = self._lower_calls
-        steps = [lower(ins, sem) for ins, sem
-                 in zip(skeleton.instructions, skeleton.sems)]
-        return CompiledTrace(address, steps, skeleton.addresses,
-                             trace_obj.fall_address, skeleton.bbl_sizes)
+        cell = (self.heat.setdefault(address, [0, 0])
+                if self.pool is not None else None)
+        # A summarized loop has one lowering: a loop is what generated
+        # code is for, and its invocations retire whole iterations.
+        if (self.all_generated or plan is not None
+                or (cell is not None and cell[1] and cell[0]
+                    >= cell[1] * HOT_EXECUTIONS_PER_COMPILE)):
+            trace = self._lower_generated(skeleton, plan, warm)
+            engine.jit_stats.hot_compiles += 1
+        else:
+            if skeleton.sems is None:
+                skeleton.sems = [self._lower_semantics(ins)
+                                 for ins in skeleton.instructions]
+            lower = self._lower_calls
+            steps = [lower(ins, sem) for ins, sem
+                     in zip(skeleton.instructions, skeleton.sems)]
+            trace = CompiledTrace(address, steps, skeleton.addresses,
+                                  trace_obj.fall_address,
+                                  skeleton.bbl_sizes)
+        if cell is not None:
+            cell[1] += 1
+            trace.heat = cell
+            if not trace.is_source:
+                trace.hot_at = self._mark(cell)
+        return trace
+
+    @staticmethod
+    def _mark(cell: list[int]) -> int:
+        """The ``executions`` at which the product of this pc's latest
+        compile has earned generated code."""
+        return min(cell[1] * HOT_EXECUTIONS_PER_COMPILE * PROMOTE_FACTOR,
+                   NEVER)
+
+    def promote(self, trace: CompiledTrace):
+        """The generated-code form of cached threaded-code ``trace``,
+        which has just crossed its mark — or None.
+
+        Re-lowered from the still-instrumented ``TraceObj`` the pooled
+        skeleton holds, so no trace callback runs: a virtual compile
+        fires its callbacks once, however often its product is
+        re-lowered.  That is only sound for the product of this pc's
+        latest compile off this very skeleton (anything else carries
+        other instrumentation), which is what the two checks establish.
+        """
+        skeleton = self.pool.get(trace.start)
+        if (skeleton is None or skeleton.addresses is not trace.addresses
+                or trace.hot_at != self._mark(trace.heat)):
+            return None
+        new = self._lower_generated(skeleton, None)
+        new.heat = trace.heat
+        self._engine.jit_stats.promotions += 1
+        return new
 
     # -- the run-independent half ----------------------------------------------
 
     def _skeleton(self, address: int) -> _Skeleton:
-        """The decoded trace at ``address`` and its semantics closures:
-        pooled if this engine built it before and it is still what
-        ``build_trace`` would produce, otherwise built (and pooled)."""
+        """The decoded trace at ``address``: pooled if this engine built
+        it before and it is still what ``build_trace`` would produce,
+        otherwise built (and pooled)."""
         engine = self._engine
         pool = self.pool
         if pool is not None:
             skeleton = pool.get(address)
             if skeleton is not None and self._reuse(skeleton, address):
                 return skeleton
-        trace_obj = build_trace(engine.mem, address,
-                                forced_boundaries=engine.forced_boundaries,
-                                max_ins=engine.max_trace_ins)
-        lower = self._lower_semantics
-        skeleton = _Skeleton(trace_obj, [lower(ins) for ins
-                                         in trace_obj.instructions])
+        skeleton = _Skeleton(build_trace(
+            engine.mem, address, forced_boundaries=engine.forced_boundaries,
+            max_ins=engine.max_trace_ins))
         if pool is not None:
             pool[address] = skeleton
         return skeleton
@@ -268,88 +389,48 @@ class Jit:
                              trace_obj.fall_address,
                              [bbl.num_ins for bbl in trace_obj.bbls])
 
-    # -- redundancy suppression ----------------------------------------------
+    # -- lowering ------------------------------------------------------------
 
-    def _compile_suppressed(self, skeleton: _Skeleton,
-                            plan: LoopPlan) -> SuppressedLoopTrace:
-        """Lower a planned loop into its summarized form.
-
-        The body semantics run per iteration; the invariant
-        instrumentation fires once per loop exit (or per
-        ``LOOP_TRIP_CAP`` trips) as ``summary(iterations, *args)``.
-        The result uses the source-backend calling convention so one
-        invocation can retire many instructions with exact unwind
-        markers for the rare post-loop suffix.
-        """
+    def _lower_generated(self, skeleton: _Skeleton, plan: LoopPlan | None,
+                         warm=None):
+        """Lower ``skeleton``'s instrumented trace to one generated
+        function (see :mod:`repro.pin.pyjit`), by the cheapest means
+        that applies: a pooled code object for the same text, else the
+        warm entry's marshalled one when its text is this text (the §8
+        consistency check), else ``compile()``."""
+        # Imported here: pyjit builds on this module.
+        from .pyjit import _Emitter, SourceCompiledTrace
         engine = self._engine
         trace_obj = skeleton.trace_obj
-        stats = engine.instr_stats
-        stats.summarized_loops += 1
-        counters = engine.counters
-
-        # The plan's body is the trace's first BBL and its rest the
-        # remainder, so the skeleton's closures map onto it by position.
-        sems = skeleton.sems
-        m = plan.body_len
-        body_sems = sems[:m - 1]
-        tail_sem = sems[m - 1]
-        rest_steps = [self._lower_calls(ins, sem)
-                      for ins, sem in zip(plan.rest, sems[m:])]
-        rest_addrs = skeleton.addresses[m:]
-        start = plan.start
-        n_rest = len(rest_steps)
-        summaries = tuple(plan.summaries)
-        n_calls = len(summaries)
-        cap = LOOP_TRIP_CAP
-        fall = trace_obj.fall_address
-        resume_pc = rest_addrs[0] if rest_addrs else fall
-
-        def fire(iterations: int) -> None:
-            counters[0] += n_calls
-            stats.loop_entries += 1
-            stats.summarized_calls += n_calls
-            stats.suppressed_calls += (iterations - 1) * n_calls
-            for summary, args in summaries:
-                summary(iterations, *args)
-
-        def fn() -> tuple[int | None, int]:
-            trips = 0
-            while True:
-                for sem in body_sems:
-                    sem()
-                # The tail branches to the head when taken (plan
-                # legality), so any non-None result is the back edge.
-                if tail_sem() is None:
-                    break
-                trips += 1
-                if trips >= cap:
-                    # Return to the dispatcher so the instruction
-                    # budget and StopRun seams stay live; the direct
-                    # link re-enters this trace on the next dispatch.
-                    engine._stop_pc = start
-                    engine._stop_count = trips * m
-                    fire(trips)
-                    return (start, trips * m)
-            iterations = trips + 1
-            base = iterations * m
-            engine._stop_pc = resume_pc
-            engine._stop_count = base
-            fire(iterations)
-            i = 0
-            while i < n_rest:
-                engine._stop_pc = rest_addrs[i]
-                engine._stop_count = base + i
-                result = rest_steps[i]()
-                if result is not None:
-                    return (result, base + i + 1)
-                i += 1
-            return (None, base + n_rest)
-
-        return SuppressedLoopTrace(
-            start=start, fn=fn, num_ins=len(sems),
-            fall_address=fall, bbl_sizes=skeleton.bbl_sizes)
-
-    # -- lowering ------------------------------------------------------------
+        address = trace_obj.address
+        if skeleton.codes is None and self.pool is not None:
+            skeleton.texts = [None] * len(skeleton.instructions)
+            skeleton.codes = {}
+        emitter = _Emitter(engine)
+        if plan is not None:
+            engine.instr_stats.summarized_loops += 1
+            emitter.emit_suppressed_loop(plan)
+        else:
+            emitter.lower_all(skeleton.instructions, skeleton.texts)
+        source = emitter.source_text(address)
+        codes = skeleton.codes
+        code = codes.get(source) if codes is not None else None
+        if (code is None and warm is not None
+                and warm.source == source):
+            code = marshal.loads(warm.code)
+        if code is None:
+            fn = emitter.finish(source, address)
+            code = fn.__code__
+        else:
+            # Rebinding the code object over this emitter's namespace
+            # skips compile() entirely.
+            fn = types.FunctionType(code, emitter.namespace, "__trace__")
+        if codes is not None:
+            codes[source] = code
+        return SourceCompiledTrace(
+            start=address, fn=fn, num_ins=len(skeleton.instructions),
+            fall_address=trace_obj.fall_address, source=source,
+            bbl_sizes=skeleton.bbl_sizes, unbounded=plan is not None)
 
     def _lower_calls(self, ins: Ins, sem: Step) -> Step:
         """The run-dependent half: ``sem`` wrapped in ``ins``'s analysis

@@ -1,15 +1,21 @@
-"""Source-generating JIT backend.
+"""The generated-code lowering.
 
-The default backend (:mod:`repro.pin.jit`) lowers each instruction to a
-closure — classic threaded code.  This backend goes one step further and
-*generates Python source* for the whole trace, compiles it with
-``compile``/``exec``, and runs straight-line generated code with no
-per-instruction dispatch.  It is the moral equivalent of Pin's
-code-cache emission: the trace becomes one callable, branches become
-early returns, and instrumentation is spliced between statements.
+Threaded code (:mod:`repro.pin.jit`) lowers each instruction to a
+closure.  This lowering goes one step further and *generates Python
+source* for the whole trace, compiles it with ``compile``/``exec``, and
+runs straight-line generated code with no per-instruction dispatch.  It
+is the moral equivalent of Pin's code-cache emission: the trace becomes
+one callable, branches become early returns, and instrumentation is
+spliced between statements.
 
-Contract (shared with the closure backend, enforced by differential
-tests in ``tests/test_pin/test_pyjit.py``):
+:class:`_Emitter` is the lowering; which traces get it is the JIT's
+decision (:meth:`repro.pin.jit.Jit.compile`).  :class:`SourceJit` is
+that JIT with the decision pinned — ``PinVM(..., jit_backend="source")``
+or ``SuperPinConfig(jit_backend="source")``: every trace generated, the
+reference the differential tests hold the default against.
+
+Contract (shared with threaded code, enforced by differential tests in
+``tests/test_pin/test_pyjit.py`` and ``test_tiering.py``):
 
 * identical architectural effects and instruction counts;
 * identical analysis-call ordering (if/then pairs run before plain
@@ -17,23 +23,18 @@ tests in ``tests/test_pin/test_pyjit.py``):
 * :class:`~repro.pin.jit.StopRun` unwinds to the raising instruction's
   boundary — the generated code maintains ``engine._stop_pc`` /
   ``engine._stop_count`` markers before any statement that can raise.
-
-Select it with ``PinVM(..., jit_backend="source")`` or
-``SuperPinConfig(jit_backend="source")``.
 """
 
 from __future__ import annotations
 
 import marshal
-import types
 
 from ..errors import ArithmeticFault
 from ..isa.instructions import MASK64, Op
 from .args import build_resolver
-from .filter import run_trace_callbacks
-from .jit import EXIT_GUEST, StopRun
-from .suppress import LOOP_TRIP_CAP, LoopPlan, plan_suppression
-from .trace import build_trace, Ins
+from .jit import EXIT_GUEST, Jit, NEVER
+from .suppress import LOOP_TRIP_CAP, LoopPlan
+from .trace import Ins
 
 
 class SourceCompiledTrace:
@@ -46,11 +47,13 @@ class SourceCompiledTrace:
     """
 
     __slots__ = ("start", "fn", "num_ins", "fall_address", "source",
-                 "bbl_sizes", "links", "exec_count", "unbounded")
+                 "bbl_sizes", "links", "exec_count", "unbounded", "heat")
 
     is_source = True
     #: Compile tier (see repro.pin.superblock): eligible for TC2.
     tier = 1
+    #: Already generated code: nothing to promote to.
+    hot_at = NEVER
 
     def __init__(self, start: int, fn, num_ins: int,
                  fall_address: int | None, source: str,
@@ -64,81 +67,21 @@ class SourceCompiledTrace:
         #: Direct trace links: exit pc -> successor trace (see
         #: repro.pin.jit.CompiledTrace.links).
         self.links: dict[int, object] = {}
-        #: Executions since compile; the TC2 promotion trigger.
+        #: The TC2 promotion trigger, and ``Jit.heat``'s cell for this
+        #: pc (see repro.pin.jit.CompiledTrace).
         self.exec_count = 0
+        self.heat: list[int] | None = None
         #: True when the trace contains a summarized loop: one ``fn()``
         #: call may then retire far more than ``num_ins`` instructions,
         #: so the engine's exact-budget mode single-steps it instead.
         self.unbounded = unbounded
 
 
-class SourceJit:
-    """Compiles guest traces into generated Python functions."""
+class SourceJit(Jit):
+    """The JIT with every trace lowered to generated code, and the one
+    backend whose warm entries carry code."""
 
-    def __init__(self, engine):
-        self._engine = engine
-        #: ``source text -> code object`` kept across runs of this
-        #: engine, or None (retain nothing) — the in-process form of
-        #: ``build_warm``, set by whoever keeps the engine resident (a
-        #: slice machine, repro.superpin.slices).  A code object binds
-        #: nothing: every name it uses resolves in the namespace it is
-        #: rebound over, which each compile builds anew from this run's
-        #: tool closures — so, as on the closure backend, nothing a run
-        #: owns is ever pooled.
-        self.pool: dict[str, types.CodeType] | None = None
-
-    def _lower(self, address: int):
-        """Build, instrument and emit one trace — ``(trace, emitter,
-        source text)``; no compile() yet."""
-        engine = self._engine
-        trace_obj = build_trace(engine.mem, address,
-                                forced_boundaries=engine.forced_boundaries,
-                                max_ins=engine.max_trace_ins)
-        run_trace_callbacks(engine, trace_obj)
-
-        emitter = _Emitter(engine)
-        plan = plan_suppression(engine, trace_obj)
-        if plan is not None:
-            emitter.emit_suppressed_loop(plan)
-        else:
-            for index, ins in enumerate(trace_obj.instructions):
-                emitter.lower(index, ins)
-            emitter.line(f"return (None, {len(trace_obj.instructions)})")
-        return trace_obj, emitter, emitter.source_text(address)
-
-    def _build(self, address: int, trace_obj, emitter, source: str,
-               warm_code: bytes | None = None) -> SourceCompiledTrace:
-        """Turn an emitted trace into a function by the cheapest means
-        that applies: a pooled code object for the same text, else the
-        warm entry's marshalled one (``warm_code``, already checked
-        against the text), else ``compile()``."""
-        engine = self._engine
-        if emitter.suppressed:
-            engine.instr_stats.summarized_loops += 1
-        pool = self.pool
-        code = pool.get(source) if pool is not None else None
-        if code is not None:
-            engine.jit_stats.skeleton_reuses += 1
-        elif warm_code is not None:
-            code = marshal.loads(warm_code)
-        if code is None:
-            fn = emitter.finish(source, address)
-            code = fn.__code__
-        else:
-            # Rebinding the function's own code object over this
-            # emitter's namespace skips compile() entirely.
-            fn = types.FunctionType(code, emitter.namespace, "__trace__")
-        if pool is not None:
-            pool[source] = code
-        return SourceCompiledTrace(
-            start=address, fn=fn,
-            num_ins=len(trace_obj.instructions),
-            fall_address=trace_obj.fall_address, source=source,
-            bbl_sizes=[bbl.num_ins for bbl in trace_obj.bbls],
-            unbounded=emitter.suppressed)
-
-    def compile(self, address: int) -> SourceCompiledTrace:
-        return self._build(address, *self._lower(address))
+    all_generated = True
 
     def export_warm(self, trace: SourceCompiledTrace):
         """``trace`` as a warm-payload record: the generated source (the
@@ -158,19 +101,16 @@ class SourceJit:
         regenerated source text is compared against the entry's: that
         string comparison is the §8 "consistency check".  On a match the
         marshalled code object is rebound directly, skipping
-        ``compile()`` — the dominant cost of a cold source-backend
-        build.  On a mismatch (different instrumentation, different
-        guest bytes) the cold build finishes from the same lowering and
-        the foreign code object is never unmarshalled.  The payload
-        decides ``warm`` before the pool is looked at, so ``warm_starts``
-        and ``warm_mismatches`` read the same on a resident engine; the
+        ``compile()`` — the dominant cost of a cold build.  On a
+        mismatch (different instrumentation, different guest bytes) the
+        cold build finishes from the same lowering and the foreign code
+        object is never unmarshalled.  The payload decides ``warm``
+        before the pool is looked at, so ``warm_starts`` and
+        ``warm_mismatches`` read the same on a resident engine; the
         pool only spares a matching entry its ``marshal.loads``.
         """
-        address = entry.address
-        trace_obj, emitter, source = self._lower(address)
-        warm = source == entry.source
-        return self._build(address, trace_obj, emitter, source,
-                           entry.code if warm else None), warm
+        trace = self.compile(entry.address, entry)
+        return trace, trace.source == entry.source
 
 
 class _Emitter:
@@ -280,11 +220,36 @@ class _Emitter:
 
     # -- per-instruction lowering ---------------------------------------------
 
-    def lower(self, index: int, ins: Ins) -> None:
+    def lower(self, index: int, ins: Ins,
+              texts: list[tuple[str, ...] | None] | None = None) -> None:
+        """Lower one instruction: its calls around its semantics.
+
+        ``texts`` is the trace's pool of semantics text (None: keep
+        none): ``texts[index]`` holds the lines :meth:`_semantics` emits
+        for this instruction when no taken-branch call is spliced into
+        them — a function of the decoded instruction and its position
+        alone — and is filled in here the first time they are emitted.
+        """
         taken, after = self._emit_calls(index, ins)
-        self._semantics(index, ins, taken)
+        lines = self._lines
+        if texts is None or taken:
+            self._semantics(index, ins, taken)
+        elif texts[index] is not None:
+            lines.extend(texts[index])
+        else:
+            mark = len(lines)
+            self._semantics(index, ins, taken)
+            texts[index] = tuple(lines[mark:])
         for stmt in after:
             self.line(stmt)
+
+    def lower_all(self, instructions: list[Ins],
+                  texts: list[tuple[str, ...] | None] | None) -> None:
+        """Lower a whole trace, top to bottom (``texts``: see
+        :meth:`lower`)."""
+        for index, ins in enumerate(instructions):
+            self.lower(index, ins, texts)
+        self.line(f"return (None, {len(instructions)})")
 
     # -- redundancy suppression ----------------------------------------------
 

@@ -3,10 +3,13 @@
 The engine's compile tiers:
 
 * **tier 0** — cold compile: the dispatcher misses and the JIT lowers a
-  fresh trace into the code cache (``repro.pin.jit`` / ``pyjit``).
-* **tier 1** — linked threaded code: compiled traces chain straight to
-  their successors through patched exit links (PR 4), touching the
-  dispatcher only on cold exits.
+  fresh trace into the code cache (``repro.pin.jit``).
+* **tier 1** — linked traces: compiled traces chain straight to their
+  successors through patched exit links (PR 4), touching the dispatcher
+  only on cold exits.  Which *lowering* a tier-1 trace has — threaded
+  code or generated code — is the JIT's choice per trace and orthogonal
+  to the tier: a superblock runs either, and a segment that turns hot
+  is swapped for its generated form in place (``replace_segment``).
 * **tier 2** — hot superblocks (this module): once a trace's execution
   counter crosses the promotion threshold (``-sptc2 N``), the hottest
   chain of linked tier-1 traces is straightened into one
@@ -33,6 +36,11 @@ traces.  Eviction is two-way coupled with the code cache (see
 ``CodeCache.attach_tc2``): flushing or evicting a tier-1 trace evicts
 every dependent superblock, and evicting a superblock strips every link
 that targets it — the same stale-link invariant tier 1 maintains.
+
+A superblock also keeps the execution counts of its segments for the
+JIT's heat (``Superblock.tally``): the dispatch loop never sees them.
+They are read when the block is dispatched, so a loop that never leaves
+its superblock is not promoted in that run.
 """
 
 from __future__ import annotations
@@ -42,8 +50,9 @@ import time
 from ..errors import GuestFault
 from ..isa import abi
 from ..obs.metrics import NULL_METRICS
-from .codecache import TRACE_HEADER_WORDS, WORDS_PER_COMPILED_INS
-from .jit import EXIT_GUEST, StopRun
+from .codecache import (retarget_links, TRACE_HEADER_WORDS,
+                        WORDS_PER_COMPILED_INS)
+from .jit import EXIT_GUEST, NEVER, StopRun
 
 #: Cache words charged per superblock over its segments' instruction
 #: words (entry stub, guard table, loop back-edge).
@@ -64,7 +73,7 @@ class Tc2Stats:
     """Counters for the second translation cache (``pin.tc2.*``)."""
 
     __slots__ = ("promotions", "dispatches", "mispredicts", "evictions",
-                 "bytes", "segments")
+                 "bytes", "segments", "stepped")
 
     def __init__(self):
         self.promotions = 0
@@ -79,6 +88,10 @@ class Tc2Stats:
         #: the engine's ``traces_executed`` correction is
         #: ``segments - dispatches``.
         self.segments = 0
+        #: Instructions retired by threaded-code segments — what the
+        #: engine subtracts from a superblock's count to know how much
+        #: of it ran as generated code (``pin.jit.hot_instructions``).
+        self.stepped = 0
 
 
 class Superblock:
@@ -94,19 +107,34 @@ class Superblock:
     """
 
     __slots__ = ("start", "fn", "num_ins", "fall_address", "bbl_sizes",
-                 "links", "segment_starts", "exec_count", "unbounded")
+                 "links", "segments", "segment_starts", "exec_count",
+                 "unbounded", "tally", "ripe_at")
 
     is_source = True
     tier = 2
 
-    def __init__(self, start: int, fn, num_ins: int,
-                 bbl_sizes: list[int], segment_starts: tuple[int, ...]):
+    def __init__(self, start: int, segments: tuple, num_ins: int,
+                 bbl_sizes: list[int]):
         self.start = start
-        self.fn = fn
         self.num_ins = num_ins
         self.fall_address = None
         self.bbl_sizes = bbl_sizes
-        self.segment_starts = segment_starts
+        #: The tier-1 traces the runner executes, in chain order;
+        #: ``fn`` is rebuilt over them when one is replaced by its
+        #: generated-code form (``TranslationCache2.replace_segment``).
+        self.segments = segments
+        self.segment_starts = tuple(seg.start for seg in segments)
+        self.fn = None
+        #: Segment executions not yet folded into ``Jit.heat``.  A
+        #: dispatch runs its segments in chain order from the head, so
+        #: one ``divmod`` at its end says how often each ran:
+        #: ``tally[0]`` counts whole passes over the chain, ``tally[r]``
+        #: dispatches whose last, partial pass ran the first ``r``.
+        self.tally = [0] * len(segments)
+        #: The ``tally[0]`` at which a threaded-code segment may have
+        #: crossed its ``hot_at`` (the engine then asks
+        #: ``ripe_segments``); ``NEVER`` when none can.
+        self.ripe_at = NEVER
         #: Exit links out of the superblock (side exits and the chain's
         #: final continuation), patched by the engine like any trace's.
         self.links: dict[int, object] = {}
@@ -117,7 +145,7 @@ class Superblock:
         self.unbounded = False
 
 
-def _build_runner(engine, segments, stats):
+def _build_runner(engine, segments, stats, tally):
     """Compile a segment chain into one superblock runner.
 
     The runner executes each segment's already-lowered code in order,
@@ -157,6 +185,7 @@ def _build_runner(engine, segments, stats):
     def run(limit: int = -1, exact: bool = False):
         stats.dispatches += 1
         executed = 0
+        stepped = 0
         segs_run = 0
         k = 0
         try:
@@ -196,14 +225,18 @@ def _build_runner(engine, segments, stats):
                     except (StopRun, GuestFault):
                         engine._stop_pc = addrs[k][i]
                         engine._stop_count = executed + i
+                        stepped += i
                         raise
                     if result is None:
                         executed += n
+                        stepped += n
                         out = falls[k]
                     elif result == EXIT_GUEST:
+                        stepped += i + 1
                         return EXIT_GUEST, executed + i + 1
                     else:
                         executed += i + 1
+                        stepped += i + 1
                         out = result
                 k += 1
                 if k == n_segs:
@@ -221,6 +254,11 @@ def _build_runner(engine, segments, stats):
             # One fold per dispatch (the engine's traces_executed
             # correction reads this, including on a GuestFault unwind).
             stats.segments += segs_run
+            stats.stepped += stepped
+            passes, partial = divmod(segs_run, n_segs)
+            tally[0] += passes
+            if partial:
+                tally[partial] += 1
 
     return run
 
@@ -327,11 +365,8 @@ class TranslationCache2:
         for seg in chain:
             bbl_sizes.extend(seg.bbl_sizes)
         head = chain[0]
-        block = Superblock(head.start,
-                           _build_runner(self._engine, tuple(chain),
-                                         self.stats),
-                           total_ins, bbl_sizes,
-                           tuple(seg.start for seg in chain))
+        block = Superblock(head.start, tuple(chain), total_ins, bbl_sizes)
+        self._rebuild(block)
         block.unbounded = any(getattr(seg, "unbounded", False)
                               for seg in chain)
         self._blocks[block.start] = block
@@ -342,14 +377,66 @@ class TranslationCache2:
         # Retarget every existing link into the head: steady-state
         # execution never consults the dispatcher, so inbound links are
         # the only road into the new tier for already-linked callers.
-        for holder in self._link_holders():
-            links = holder.links
-            for pc in [pc for pc, target in links.items()
-                       if target is head]:
-                links[pc] = block
+        retarget_links(self._link_holders(), head, block)
         self.stats.promotions += 1
         self.stats.bytes += need * WORD_BYTES
         return block
+
+    # -- heat: segment executions, and segments that turn hot --------------
+
+    def _rebuild(self, block: Superblock) -> None:
+        """(Re)build ``block``'s runner over its current segments."""
+        block.fn = _build_runner(self._engine, block.segments, self.stats,
+                                 block.tally)
+        self._mark(block)
+
+    @staticmethod
+    def _mark(block: Superblock) -> None:
+        """Set ``ripe_at``: the whole passes after which the nearest
+        threaded-code segment reaches its ``hot_at``."""
+        block.ripe_at = block.tally[0] + min(
+            (seg.hot_at - seg.heat[0] for seg in block.segments
+             if seg.hot_at != NEVER), default=NEVER)
+
+    def _fold(self, block: Superblock) -> None:
+        """Credit ``block``'s tally to its segments' heat cells."""
+        tally = block.tally
+        runs = tally[0]
+        tally[0] = 0
+        for index in range(len(tally) - 1, -1, -1):
+            # Partial passes longer than ``index`` ran this segment too.
+            heat = block.segments[index].heat
+            if heat is not None:
+                heat[0] += runs
+            runs += tally[index]
+            tally[index] = 0
+
+    def fold_heat(self) -> None:
+        """Run end: every live superblock's tally goes to ``Jit.heat``."""
+        for block in self._blocks.values():
+            self._fold(block)
+            self._mark(block)
+
+    def ripe_segments(self, block: Superblock) -> list:
+        """``block`` has reached ``ripe_at``: its threaded-code
+        segments that have in fact crossed their mark (whole passes
+        undercount a segment's executions by the partial ones, so the
+        list may be empty)."""
+        self._fold(block)
+        self._mark(block)
+        return [seg for seg in block.segments
+                if seg.hot_at != NEVER and seg.heat[0] >= seg.hot_at]
+
+    def replace_segment(self, old, new) -> None:
+        """Tier-1 trace ``old`` was replaced in the code cache by
+        ``new``, the same trace in another lowering: every superblock
+        running ``old`` runs ``new`` from now on.  Nothing is promoted,
+        evicted or charged — the chain is the same chain."""
+        for start in self._by_segment.get(old.start, ()):
+            block = self._blocks[start]
+            block.segments = tuple(new if seg is old else seg
+                                   for seg in block.segments)
+            self._rebuild(block)
 
     # -- warm promotion profiles -------------------------------------------
 
@@ -419,6 +506,7 @@ class TranslationCache2:
         block = self._blocks.pop(start, None)
         if block is None:
             return
+        self._fold(block)
         block.links.clear()
         for seg_start in block.segment_starts:
             holders = self._by_segment.get(seg_start)
@@ -449,6 +537,7 @@ class TranslationCache2:
         if self._blocks:
             self.stats.evictions += len(self._blocks)
             for block in self._blocks.values():
+                self._fold(block)
                 block.links.clear()
             for trace in self._cache.live_traces():
                 links = trace.links

@@ -67,38 +67,6 @@ class LoopPlan:
     summaries: list[tuple[object, tuple]]
 
 
-class SuppressedLoopTrace:
-    """Executable form of a summarized loop (closure backend).
-
-    Presents the source-backend calling convention (``fn() -> (result,
-    executed)`` with ``is_source = True``) so the engine's unwind
-    markers — not per-step indices — account for progress: a single
-    invocation can retire many thousands of instructions.
-    """
-
-    __slots__ = ("start", "fn", "num_ins", "fall_address", "bbl_sizes",
-                 "links", "exec_count")
-
-    is_source = True
-    #: Compile tier (see repro.pin.superblock): eligible for TC2.
-    tier = 1
-    #: One invocation may retire up to ``LOOP_TRIP_CAP * body_len``
-    #: instructions — far more than ``num_ins`` — so the engine's
-    #: exact-budget mode must never run this trace whole.
-    unbounded = True
-
-    def __init__(self, start: int, fn, num_ins: int,
-                 fall_address: int | None, bbl_sizes: list[int]):
-        self.start = start
-        self.fn = fn
-        self.num_ins = num_ins
-        self.fall_address = fall_address
-        self.bbl_sizes = bbl_sizes
-        self.links: dict[int, object] = {}
-        #: Executions since compile; the TC2 promotion trigger.
-        self.exec_count = 0
-
-
 def plan_suppression(engine, trace_obj: TraceObj) -> LoopPlan | None:
     """Plan a summarized lowering for ``trace_obj``, or None.
 

@@ -19,6 +19,7 @@ Trace-building rules (a faithful simplification of Pin's):
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from ..errors import InstrumentationError
@@ -59,11 +60,17 @@ class Ins:
         opnum, self.rd, self.rs, self.rt, self.imm = decode(raw, pc=address)
         self.op: Op = Op(opnum)
         self.info: OpInfo = INFO[self.op]
-        self.before_calls: list[_Call] = []
-        self.after_calls: list[_Call] = []
-        self.taken_calls: list[_Call] = []
+        # Most instructions never get a call: the four collections are
+        # the shared empty tuple until something is attached (readers
+        # only iterate, measure and test them).  A decoded trace a JIT
+        # keeps for the life of the process (repro.pin.jit) is then a
+        # fraction of the objects, to allocate and for the collector to
+        # walk.
+        self.before_calls: Sequence[_Call] = ()
+        self.after_calls: Sequence[_Call] = ()
+        self.taken_calls: Sequence[_Call] = ()
         #: (if_call, then_call) pairs, paper §4.4's quick/full check shape.
-        self.if_then: list[tuple[_Call, _Call]] = []
+        self.if_then: Sequence[tuple[_Call, _Call]] = ()
         self._pending_if: _Call | None = None
 
     # -- classification ------------------------------------------------------
@@ -111,15 +118,16 @@ class Ins:
         For a JIT that keeps decoded traces across runs (repro.pin.jit):
         the next run's callbacks must start from a bare instruction.
         """
-        if self.before_calls:
-            self.before_calls = []
-        if self.after_calls:
-            self.after_calls = []
-        if self.taken_calls:
-            self.taken_calls = []
-        if self.if_then:
-            self.if_then = []
+        self.before_calls = self.after_calls = self.taken_calls = ()
+        self.if_then = ()
         self._pending_if = None
+
+    def _attach(self, slot: str, item) -> None:
+        calls = getattr(self, slot)
+        if calls:
+            calls.append(item)
+        else:
+            setattr(self, slot, [item])
 
     def insert_call(self, ipoint: IPoint, fn, *iargs, summary=None) -> None:
         """Attach an analysis call (``INS_InsertCall``).
@@ -131,19 +139,19 @@ class Ins:
         specs = parse_iargs(iargs)
         call = _Call(fn, specs, ipoint, summary=summary)
         if ipoint is IPoint.BEFORE:
-            self.before_calls.append(call)
+            self._attach("before_calls", call)
         elif ipoint is IPoint.AFTER:
             if self.info.is_control:
                 raise InstrumentationError(
                     f"IPOINT_AFTER is invalid on control instruction "
                     f"{self.disassemble()!r}; use IPOINT_TAKEN_BRANCH")
-            self.after_calls.append(call)
+            self._attach("after_calls", call)
         elif ipoint is IPoint.TAKEN_BRANCH:
             if not self.is_branch:
                 raise InstrumentationError(
                     f"IPOINT_TAKEN_BRANCH on non-branch "
                     f"{self.disassemble()!r}")
-            self.taken_calls.append(call)
+            self._attach("taken_calls", call)
         else:  # pragma: no cover
             raise InstrumentationError(f"unknown ipoint {ipoint}")
 
@@ -183,8 +191,8 @@ class Ins:
         if self._pending_if is None:
             raise InstrumentationError(
                 "insert_then_call without a preceding insert_if_call")
-        self.if_then.append(
-            (self._pending_if, _Call(fn, parse_iargs(iargs), ipoint)))
+        self._attach("if_then", (self._pending_if,
+                                 _Call(fn, parse_iargs(iargs), ipoint)))
         self._pending_if = None
 
     def __repr__(self) -> str:

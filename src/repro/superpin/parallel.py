@@ -51,7 +51,7 @@ from ..obs.tracer import NULL_TRACER, TrackAllocator
 from .api import SliceToolContext, SPControl
 from .control import Boundary, MasterTimeline
 from .journal import frame_blob
-from .signature import (DEFAULT_QUICK_REGS, record_signature,
+from .signature import (DEFAULT_QUICK_REGS, Lookahead, record_signature,
                         select_quick_registers, Signature)
 from .slices import run_slice
 from .switches import SuperPinConfig
@@ -128,8 +128,9 @@ def slice_timings_from_records(records, n_slices: int,
 
 # -- signature phase ----------------------------------------------------------
 
-def record_boundary_signature(boundary: Boundary,
-                              config: SuperPinConfig) -> Signature:
+def record_boundary_signature(boundary: Boundary, config: SuperPinConfig,
+                              lookahead: Lookahead | None = None
+                              ) -> Signature:
     """Record the signature of one boundary snapshot (recording mode).
 
     Runs the §4.4 quick-register lookahead on a *throwaway* scratch copy
@@ -140,15 +141,22 @@ def record_boundary_signature(boundary: Boundary,
     and the real slice — which later runs on that same snapshot — would
     be charged a phantom ``cow_fault`` on its first write to each page,
     corrupting the §6 fork-overhead figures.
+
+    ``lookahead`` is the caller's resident lookahead machine — whoever
+    records a run of boundaries keeps one, so each lookahead reuses
+    what the last one decoded; without it a fresh engine is built.
     """
     cpu = CpuState()
     cpu.restore(boundary.cpu_snapshot)
     quick = None
     adaptive = False
     if config.quickreg_adaptive:
-        scratch_proc = Process(cpu.copy(), boundary.mem_fork.scratch_fork(),
-                               syscall_handler=None)
-        quick = select_quick_registers(scratch_proc, config)
+        scratch = boundary.mem_fork.scratch_fork()
+        if lookahead is not None:
+            quick = lookahead.select(boundary.cpu_snapshot, scratch, config)
+        else:
+            quick = select_quick_registers(
+                Process(cpu.copy(), scratch, syscall_handler=None), config)
         adaptive = quick is not None
     return record_signature(cpu, boundary.mem_fork, config,
                             quick_regs=quick or DEFAULT_QUICK_REGS,
@@ -169,10 +177,12 @@ def record_signatures(timeline: MasterTimeline,
     and mutates nothing.
     """
     signatures = []
+    lookahead = Lookahead()
     for k, boundary in enumerate(timeline.boundaries[1:]):
         with tracer.span("signature", cat="signature",
                          args={"boundary": k + 1}):
-            signatures.append(record_boundary_signature(boundary, config))
+            signatures.append(
+                record_boundary_signature(boundary, config, lookahead))
     return signatures
 
 

@@ -66,7 +66,7 @@ from .journal import (damage_journal, program_digest, run_key, RunJournal)
 from .merge import merge_slices
 from .parallel import SliceTimings
 from .recording import damage_recording, load_recording, save_recording
-from .signature import Signature
+from .signature import Lookahead, Signature
 from .slices import SliceResult
 from .supervisor import SliceOutcome, supervise_slices
 from .switches import SuperPinConfig
@@ -192,14 +192,23 @@ class SuperPinReport:
         """Host-side compile work of the slice phase, or None without
         ``-spmetrics``: every dispatcher miss (each one a ``compile`` in
         the virtual account), how many of them the resident machines
-        served from pooled work (:mod:`repro.pin.jit`), and the directly
-        measured seconds all of them took."""
+        served from pooled work and how many they lowered to generated
+        code (:mod:`repro.pin.jit`), the share of the slices'
+        instructions that retired in generated code — compiled so or
+        promoted in mid-run — and the directly measured seconds all the
+        compiles took."""
         if self.metrics is None or not self.metrics.enabled:
             return None
+        counter = self.metrics.counter
         timed = self.metrics.histogram("pin.jit.compile_seconds")
+        instructions = counter("superpin.slices.instructions")
         return {
-            "compiles": int(self.metrics.counter("pin.cache.compiles")),
-            "pooled": int(self.metrics.counter("pin.jit.skeleton_reuses")),
+            "compiles": int(counter("pin.cache.compiles")),
+            "pooled": int(counter("pin.jit.skeleton_reuses")),
+            "hot": int(counter("pin.jit.hot_compiles")),
+            "promotions": int(counter("pin.jit.promotions")),
+            "hot_share": (counter("pin.jit.hot_instructions") / instructions
+                          if instructions else 0.0),
             "seconds": timed.total if timed is not None else 0.0,
         }
 
@@ -471,6 +480,9 @@ class _MasterStream:
         self._step(self.began, loaded, loaded)
         self.timeline = self.control.timeline
         self.signatures: list[Signature] = []
+        #: Every boundary's quick-register lookahead runs on this one
+        #: machine (see repro.superpin.signature.Lookahead).
+        self.lookahead = Lookahead()
 
     def _track(self) -> int:
         """The master's own lane once a slice has been released."""
@@ -502,8 +514,8 @@ class _MasterStream:
             for boundary in cuts:
                 cut = tracer.now()
                 # Through the module: tests sabotage the recorder there.
-                self.signatures.append(
-                    parallel.record_boundary_signature(boundary, config))
+                self.signatures.append(parallel.record_boundary_signature(
+                    boundary, config, lookahead=self.lookahead))
                 last_signed = tracer.now()
                 if first_cut is None:
                     first_cut = cut

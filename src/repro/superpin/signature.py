@@ -123,6 +123,43 @@ def select_quick_registers(snapshot_process: Process,
     """
     scratch = snapshot_process.fork(
         syscall_handler=_LookaheadSyscallBarrier())
+    return _most_written(PinVM(scratch), config)
+
+
+class Lookahead:
+    """One resident machine for a run's quick-register lookaheads.
+
+    The recorder looks ahead at every boundary, a score of blocks each
+    time and mostly the same blocks: the master is usually cut inside
+    the loop it was cut in last time.  On one engine whose JIT keeps a
+    pool (:mod:`repro.pin.jit`), boundary *k + 1* re-instruments what
+    boundary *k* decoded.  :meth:`select` is
+    :func:`select_quick_registers` for a scratch memory the caller
+    hands over — the choice is the same by construction (same engine
+    defaults, same instrumentation, same bounded run) and by test.
+    """
+
+    def __init__(self):
+        self._process = Process(CpuState(), Memory(),
+                                _LookaheadSyscallBarrier())
+        self._vm = PinVM(self._process)
+        self._vm.jit.pool = {}
+
+    def select(self, cpu_snapshot, scratch: Memory,
+               config: SuperPinConfig) -> tuple[int, int] | None:
+        """The quick registers for the state ``(cpu_snapshot,
+        scratch)``; ``scratch`` is adopted and spent."""
+        process = self._process
+        process.cpu.restore(cpu_snapshot)
+        process.mem.adopt(scratch)
+        process.exited = False
+        self._vm.reset()
+        return _most_written(self._vm, config)
+
+
+def _most_written(vm: PinVM, config: SuperPinConfig
+                  ) -> tuple[int, int] | None:
+    """Run the lookahead on ``vm`` (fresh or just reset) and rank."""
     writes = [0] * 32
     blocks_left = [config.quickreg_block_count]
 
@@ -151,7 +188,6 @@ def select_quick_registers(snapshot_process: Process,
                     ins.insert_call(IPOINT_BEFORE, count_writes,
                                     IARG_PTR, dests, IARG_END)
 
-    vm = PinVM(scratch)
     vm.add_trace_callback(instrument)
     # Bounded run: the block counter or the syscall barrier stops it; the
     # budget is a backstop for straight-line code.

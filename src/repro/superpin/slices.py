@@ -18,8 +18,11 @@ newly built machine produces.  That cold cache is a property of the
 *virtual* account (the paper's "compilation slowdown", §1); in host time
 the machine's JIT keeps the run-independent half of each compile
 (:mod:`repro.pin.jit`), so a trace an earlier slice compiled is
-re-instrumented, not re-translated.  There is no switch for this and no
-second path: a caller without a machine gets one made on the spot.
+re-instrumented, not re-translated — and it remembers how often each
+trace ran per compile, so the traces that carry the slices' work are
+lowered to generated code, the rest to threaded code.  There is no
+switch for this and no second path: a caller without a machine gets one
+made on the spot.
 """
 
 from __future__ import annotations
@@ -43,14 +46,18 @@ from .switches import SuperPinConfig
 from .sysrecord import PlaybackHandler
 
 
-#: Counters of host-side work a slice was spared (``JitStats``), in the
-#: order :func:`run_slice` folds them.  Unlike every other slice counter
-#: these depend on *placement* — which machine ran which slices before
-#: this one — so they differ between worker counts and must stay out of
-#: anything compared across runs.
+#: Counters of host-side work a slice was spared and of how its code
+#: was lowered (``JitStats``), in the order :func:`run_slice` folds
+#: them.  Unlike every other slice counter these depend on *placement*
+#: — which machine ran which slices before this one, and so what its
+#: pool held and its heat had seen — so they differ between worker
+#: counts and must stay out of anything compared across runs.
 PLACEMENT_COUNTERS = ("pin.jit.skeleton_reuses",
                       "pin.jit.skeleton_rejects.words",
-                      "pin.jit.skeleton_rejects.forced_cut")
+                      "pin.jit.skeleton_rejects.forced_cut",
+                      "pin.jit.hot_compiles",
+                      "pin.jit.promotions",
+                      "pin.jit.hot_instructions")
 
 
 class SliceEnd(enum.Enum):
@@ -217,10 +224,11 @@ class SliceMachine:
     Owned by whoever executes slices sequentially and never shared
     between two of them (two concurrent runs in one process own two
     machines).  Its identity is what compiled code closes over, so the
-    engine's JIT may keep compiled work from slice to slice
-    (``vm.jit.pool``); its *state* belongs to the slice it was last
-    switched onto, and every :meth:`switch` replaces all of it — a slice
-    that raised mid-run leaves nothing the next one can see.
+    engine's JIT may keep compiled work and execution counts from slice
+    to slice (``vm.jit.pool``, ``vm.jit.heat``); its *state* belongs to
+    the slice it was last switched onto, and every :meth:`switch`
+    replaces all of it — a slice that raised mid-run leaves nothing the
+    next one can see.
     """
 
     def __init__(self):
@@ -398,7 +406,8 @@ def run_slice(boundary: Boundary, interval: Interval,
         jstats = vm.jit_stats
         for name, value in zip(PLACEMENT_COUNTERS, (
                 jstats.skeleton_reuses, jstats.rejects_words,
-                jstats.rejects_cut)):
+                jstats.rejects_cut, jstats.hot_compiles,
+                jstats.promotions, jstats.hot_instructions)):
             metrics.inc(name, value)
         istats = vm.instr_stats
         metrics.inc("pin.filter.fastpath_traces", istats.fastpath_traces)

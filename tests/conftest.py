@@ -13,6 +13,31 @@ from repro.machine import Kernel, load_program
 from repro.machine.interpreter import Interpreter
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--jit-hot-threshold", type=float, default=None, metavar="N",
+        help="run with repro.pin.jit.HOT_EXECUTIONS_PER_COMPILE = N: 1 "
+             "lowers every repeated trace to generated code (and promotes "
+             "every cached one on its third execution), so the whole "
+             "suite checks that the choice of lowering is invisible; "
+             "inf is pure threaded code")
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _jit_hot_threshold(request):
+    """``--jit-hot-threshold``: a test-side patch of the module constant
+    (pool workers are forked, so they inherit it)."""
+    threshold = request.config.getoption("--jit-hot-threshold")
+    if threshold is None:
+        yield
+        return
+    from repro.pin import jit
+    shipped = jit.HOT_EXECUTIONS_PER_COMPILE
+    jit.HOT_EXECUTIONS_PER_COMPILE = threshold
+    yield
+    jit.HOT_EXECUTIONS_PER_COMPILE = shipped
+
+
 # --- canned programs -----------------------------------------------------------
 
 LOOP_SUM = """

@@ -1,15 +1,25 @@
 """Signature recording, quick-register selection, detection (§4.4)."""
 
 
+import pytest
+
 from repro.isa import assemble
 from repro.isa.registers import RA, SP
 from repro.machine import Kernel, load_program
 from repro.machine.cpu import CpuState
 from repro.machine.interpreter import Interpreter
-from repro.superpin import (DEFAULT_QUICK_REGS, record_signature,
-                            run_superpin, select_quick_registers,
-                            SuperPinConfig)
+from repro.pin import jit
+from repro.superpin import (ControlProcess, DEFAULT_QUICK_REGS,
+                            record_boundary_signature, record_signature,
+                            record_signatures, run_superpin,
+                            select_quick_registers, SuperPinConfig)
+from repro.superpin.signature import Lookahead
 from repro.tools import ICount2
+from repro.workloads import build
+from tests.conftest import MULTISLICE
+from tests.test_superpin.test_audit_fuzz import (random_syscall_program,
+                                                 SEEDS)
+from tests.test_superpin.test_threads_superpin import THREADED
 
 
 class TestRecording:
@@ -267,3 +277,67 @@ done:
         # The false positive fires: slices end early, undercounting.
         assert not report.all_exact
         assert tool.total < native
+
+
+#: As imported, before any ``--jit-hot-threshold`` patch.
+SHIPPED = jit.HOT_EXECUTIONS_PER_COMPILE
+
+
+def _bench_guest(name, scale):
+    return lambda: build(name, scale=scale).program
+
+
+class TestResidentLookahead:
+    """One lookahead machine serves every boundary of a run; what it
+    chooses — and so every ``Signature`` — must be what a freshly built
+    engine chooses at that boundary."""
+
+    GUESTS = {
+        # The four bench guests (artifact-service's is gzip again).
+        "gzip": _bench_guest("gzip", 0.1),
+        "gcc": _bench_guest("gcc", 0.03),
+        "mcf": _bench_guest("mcf", 0.05),
+        "multislice": lambda: assemble(MULTISLICE),
+        "threads": lambda: assemble(THREADED),
+        **{f"fuzz{seed}": (lambda seed=seed: assemble(
+            random_syscall_program(seed))) for seed in SEEDS},
+    }
+
+    @pytest.mark.parametrize("guest", list(GUESTS))
+    def test_same_signatures_as_a_fresh_engine_per_boundary(self, guest):
+        config = SuperPinConfig(
+            spmsec=50 if guest.startswith("fuzz") else 300,
+            clock_hz=10_000)
+        timeline = ControlProcess(self.GUESTS[guest](), config,
+                                  kernel=Kernel(seed=42)).run()
+        fresh = [record_boundary_signature(boundary, config)
+                 for boundary in timeline.boundaries[1:]]
+        assert len(fresh) >= 2
+        assert any(s.adaptive and s.quick_regs != DEFAULT_QUICK_REGS
+                   for s in fresh)
+        assert record_signatures(timeline, config) == fresh
+        # ... in any order, and on a machine other programs have used.
+        lookahead = Lookahead()
+        for boundary, expected in reversed(
+                list(zip(timeline.boundaries[1:], fresh))):
+            assert record_boundary_signature(
+                boundary, config, lookahead) == expected
+        other = ControlProcess(assemble(MULTISLICE), config,
+                               kernel=Kernel(seed=42)).run()
+        record_boundary_signature(other.boundaries[1], config, lookahead)
+        assert record_boundary_signature(
+            timeline.boundaries[1], config, lookahead) == fresh[0]
+
+    def test_the_machine_does_reuse_what_it_decoded(self, monkeypatch):
+        monkeypatch.setattr(jit, "HOT_EXECUTIONS_PER_COMPILE", SHIPPED)
+        config = SuperPinConfig(spmsec=300, clock_hz=10_000)
+        timeline = ControlProcess(assemble(MULTISLICE), config,
+                                  kernel=Kernel(seed=42)).run()
+        lookahead = Lookahead()
+        reuses = []
+        for boundary in timeline.boundaries[1:]:
+            record_boundary_signature(boundary, config, lookahead)
+            reuses.append(lookahead._vm.jit_stats.skeleton_reuses)
+        assert reuses[0] == 0 and sum(reuses) > 0
+        # Twenty blocks a boundary never make a trace hot.
+        assert lookahead._vm.jit_stats.hot_compiles == 0

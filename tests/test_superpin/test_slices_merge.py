@@ -119,8 +119,8 @@ class TestRunaway:
         from repro.superpin.signature import Signature
         original = parallel_mod.record_boundary_signature
 
-        def sabotaged(boundary, config):
-            signature = original(boundary, config)
+        def sabotaged(boundary, config, **kwargs):
+            signature = original(boundary, config, **kwargs)
             bad_regs = list(signature.regs)
             bad_regs[8] ^= 0xDEAD  # corrupt t0's recorded value
             return Signature(pc=signature.pc, regs=tuple(bad_regs),

@@ -84,9 +84,9 @@ def slow_master(monkeypatch, seconds: float) -> None:
     master is live whatever the host does."""
     record = parallel.record_boundary_signature
 
-    def slow(boundary, config):
+    def slow(boundary, config, **kwargs):
         time.sleep(seconds)
-        return record(boundary, config)
+        return record(boundary, config, **kwargs)
     monkeypatch.setattr(parallel, "record_boundary_signature", slow)
 
 
@@ -327,9 +327,9 @@ from repro.tools import ICount2
 from tests.conftest import MULTISLICE
 
 record = parallel.record_boundary_signature
-def slow(boundary, config):
+def slow(boundary, config, **kwargs):
     time.sleep(0.01)
-    return record(boundary, config)
+    return record(boundary, config, **kwargs)
 parallel.record_boundary_signature = slow
 
 def kill_mid_stream(event, payload):
