@@ -99,6 +99,11 @@ REQUIRED_NONZERO = (
     # zero means no trace is being lowered to generated code any more
     # (heat lost between slices, or the threshold out of reach).
     "pin.jit.hot_compiles",
+    # ... and icount2 declares its instrumentation pure, so zero means
+    # every tool has silently dropped back to instrumenting every
+    # compile (the declaration, the adoption or a per-trace condition
+    # broke).
+    "pin.jit.instrumentation_reuses",
     # The streamed pipeline: on this two-worker run slice results land
     # while the master is still cutting, so zero means the barrier
     # between the master and the slice phase is back.

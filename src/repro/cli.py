@@ -228,7 +228,8 @@ def _cmd_run(args, extra: list[str]) -> int:
     jit = report.jit_summary()
     if jit is not None:
         print(f"jit: {jit['compiles']:,} compiles, {jit['pooled']:,} from "
-              f"pooled skeletons, {jit['hot']:,} hot "
+              f"pooled skeletons, {jit['served']:,} without "
+              f"re-instrumenting, {jit['hot']:,} hot "
               f"({jit['hot_share']:.0%} of instructions in generated "
               f"code), {jit['seconds']:.2f} s")
     if config.sptc2 > 0 and instr["tc2_promotions"]:

@@ -28,27 +28,51 @@ is instrumenting — run the trace callbacks, plan suppression, wrap the
 instrumented instructions — and a half that does not: decode the trace
 and lower each instruction's architectural semantics.  A :class:`Jit`
 whose ``pool`` is a dict (the JIT of a resident slice machine,
-:mod:`repro.superpin.slices`, and of serial Pin's one engine; every
-other ``PinVM`` leaves it ``None`` and retains nothing) keeps the second
-half per trace start pc as a *skeleton* and redoes only the first half
-when a later run on the same engine misses on that pc.  The pool is
-tool-independent by construction, and that is its whole safety argument:
+:mod:`repro.superpin.slices`, of the signature lookahead's machine and
+of serial Pin's one engine; every other ``PinVM`` leaves it ``None`` and
+retains nothing) keeps the second half per trace start pc as a
+*skeleton* and redoes only the first half when a later run on the same
+engine misses on that pc.  A skeleton is reused only when it is exactly
+what ``build_trace`` would produce now (:meth:`Jit._reuse`).
 
-* pooled code **may capture** only what lives as long as the engine —
-  ``engine`` itself, ``engine.cpu``, ``cpu.regs`` and the bound
-  ``mem.read`` / ``mem.write`` — plus constants decoded from the guest
-  word; pooled *text* and code objects bind nothing at all;
-* pooled code **must never capture** anything a run owns: a tool or its
-  analysis routines, a signature detector, a syscall handler, the code
-  cache, TC2, the metrics registry, resolvers, or ``_Call`` lists.  All
-  of those reach compiled code only through the per-run half
-  (:meth:`Jit._lower_calls`, the emitter's namespace), which is rebuilt
-  on every compile.
+**Instrument once per process, under a contract.**  The first half is a
+known answer too when whoever instruments says so: a tool that declares
+:attr:`~repro.pin.pintool.Pintool.pure_instrumentation` promises that
+what it attaches is a function of the trace.  The engine's owner then
+names one resident object (:attr:`Jit.retain_for` — a slice machine's
+resident tool, whose state is the current slice's own copy) and the
+pool keeps, beside the skeleton, what the last *verified* compile
+produced: the still-instrumented ``TraceObj``, the threaded-code steps,
+the generated function, the filter's counts.  A trace is instrumented
+on its first compile, instrumented again and compared on its second
+(the paper's §8 consistency check, in host time: a mismatch is an
+:class:`~repro.errors.InstrumentationError`, never a wrong count), and
+*served* from the third on — no callback, no wrapper, a new trace
+object around kept code.  Everything a compile is accounted by happens
+after that and is unchanged.  What the code observes sends a trace down
+the ordinary path instead, with nothing kept: a head that is the
+slice's signature pc (the detector's if/then there is per slice by
+nature; ``build_trace`` and rule 1 of :meth:`Jit._reuse` make the
+target a trace *head*, never an interior instruction), any if/then, a
+routine or summary that is not a bound method of the resident object,
+an ``IARG_PTR`` value that is not an immutable constant.  The rules:
 
-A skeleton is reused only when it is exactly what ``build_trace`` would
-produce now (:meth:`Jit._reuse`); the callbacks run every time, so a
-tool that keeps instrument-time state sees every compile it would see
-on a fresh engine.
+* pooled semantics (skeletons) **may capture** only what lives as long
+  as the engine — ``engine`` itself, ``engine.cpu``, ``cpu.regs`` and
+  the bound ``mem.read`` / ``mem.write`` — plus constants decoded from
+  the guest word; pooled *text* and code objects bind nothing at all;
+* kept instrumented code **may also capture** bound methods of
+  ``retain_for``, argument resolvers over ``cpu`` / ``mem``, and
+  ``engine.counters`` (zeroed in place);
+* nothing pooled or kept **may capture** what ``PinVM.reset`` replaces
+  or a run owns: ``instr_stats`` / ``jit_stats`` (generated code
+  reaches them through ``E``), the code cache, TC2, the metrics
+  registry, a signature detector, a syscall handler, a slice's own
+  copy of the tool, or any other object a callback handed over.
+
+An undeclared tool keeps the whole first half: its callbacks run on
+every compile, so a tool that keeps instrument-time state sees every
+compile it would see on a fresh engine.
 
 **Heat** is what a pooled JIT remembers about execution: per trace
 start pc, how often the trace has run and how often it has been
@@ -62,7 +86,7 @@ import types
 from dataclasses import dataclass
 from typing import Callable
 
-from ..errors import ArithmeticFault
+from ..errors import ArithmeticFault, InstrumentationError
 from ..isa.instructions import MASK64, Op
 from .args import build_resolver
 from .filter import run_trace_callbacks
@@ -175,13 +199,23 @@ class JitStats:
     promotions: int = 0
     #: Guest instructions retired in generated code.
     hot_instructions: int = 0
+    #: Compiles served from kept instrumented code: no trace callback,
+    #: no call wrapper (see "Instrument once per process").
+    instrumentation_reuses: int = 0
+    #: First reuses: instrumented again and compared with what the
+    #: previous compile attached.
+    instrumentation_checks: int = 0
+    #: Compiles under a declaring tool sent down the ordinary path by
+    #: something observed: a signature-pc head, an if/then, a routine
+    #: that is no bound method of the resident tool, a mutable argument.
+    instrumentation_declined: int = 0
 
 
 class _Skeleton:
     """The run-independent half of one compiled trace."""
 
     __slots__ = ("trace_obj", "instructions", "sems", "texts", "codes",
-                 "addresses", "bbl_sizes", "words", "cut")
+                 "addresses", "bbl_sizes", "words", "cut", "owner", "kept")
 
     def __init__(self, trace_obj: TraceObj):
         self.trace_obj = trace_obj
@@ -204,6 +238,70 @@ class _Skeleton:
         #: never revisits a trace — most daemon jobs — pays nothing).
         self.words: list[int] | None = None
         self.cut = False
+        #: The ``Jit.retain_for`` whose instrumentation ``trace_obj``
+        #: still carries (None: anyone's, or none), and what the last
+        #: verified compile under it produced.  ``kept`` is only ever
+        #: set while ``trace_obj`` carries exactly the instrumentation
+        #: it was lowered from.
+        self.owner: object | None = None
+        self.kept: _Kept | None = None
+
+
+class _Kept:
+    """The run-dependent half of one compiled trace, verified pure."""
+
+    __slots__ = ("skipped", "fastpath", "plan", "steps", "fn", "source")
+
+    def __init__(self, skipped: int, fastpath: int, plan: LoopPlan | None):
+        #: What the filter counted while the callbacks ran
+        #: (``skipped_callbacks`` / ``fastpath_traces``), re-applied by
+        #: every compile served from here.
+        self.skipped = skipped
+        self.fastpath = fastpath
+        self.plan = plan
+        #: Each lowering's product, filled in by the first compile (or
+        #: promotion) that takes it.
+        self.steps: list[Step] | None = None
+        self.fn = None
+        self.source: str | None = None
+
+
+def _constant(value) -> bool:
+    """True for a value no analysis routine can change."""
+    if isinstance(value, (tuple, frozenset)):
+        return all(_constant(item) for item in value)
+    return value is None or isinstance(value, (int, float, str, bytes))
+
+
+def _calls(instructions: list[Ins]) -> list[tuple]:
+    """What is attached to ``instructions`` right now, comparable with
+    what is attached after ``clear_calls`` and another instrumentation
+    (``clear_calls`` rebinds the collections, it does not empty them)."""
+    return [(ins.before_calls, ins.after_calls, ins.taken_calls,
+             ins.if_then) for ins in instructions]
+
+
+def _servable(attached: list[tuple], owner) -> bool:
+    """True when code lowered from what :func:`_calls` found binds
+    nothing a later run must not see: no if/then pair, every routine
+    and summary a bound method of ``owner``, every argument value an
+    immutable constant."""
+    method = types.MethodType
+    for before, after, taken, if_then in attached:
+        if if_then:
+            return False
+        for calls in (before, after, taken):
+            for call in calls:
+                fn, summary = call.fn, call.summary
+                if (type(fn) is not method or fn.__self__ is not owner
+                        or (summary is not None
+                            and (type(summary) is not method
+                                 or summary.__self__ is not owner))):
+                    return False
+                for _, value in call.specs:
+                    if not _constant(value):
+                        return False
+    return True
 
 
 class Jit:
@@ -225,19 +323,89 @@ class Jit:
         #: executions by whoever runs the trace (the dispatch loop
         #: through ``trace.heat``, a superblock through its tally).
         self.heat: dict[int, list[int]] = {}
+        #: The resident object whose bound methods kept instrumented
+        #: code may bind — set, per run, by whoever knows that the
+        #: instrumentation about to be registered is a pure function of
+        #: the trace and comes from this object alone (a slice machine
+        #: for a declaring tool; the signature lookahead for its own
+        #: counters).  None: instrument every compile, keep nothing.
+        self.retain_for: object | None = None
+
+    def forget_instrumentation(self) -> None:
+        """Drop everything kept for ``retain_for`` and its predecessors
+        (skeletons stay: they are nobody's)."""
+        self.retain_for = None
+        for skeleton in self.pool.values():
+            skeleton.owner = skeleton.kept = None
 
     def compile(self, address: int, warm=None):
         """Build, instrument and lower the trace starting at ``address``
         — as generated code if it has earned it, else as threaded code.
 
         ``warm`` is the warm entry that named the trace, for a backend
-        that ships code objects (:meth:`build_warm`).
+        that ships code objects (:meth:`build_warm`).  Under
+        ``retain_for`` the instrumenting half is served from what an
+        earlier compile kept, checked against it, or marked for the
+        next (module docstring); the lowering and everything the caller
+        accounts the compile by are the same either way.
         """
         engine = self._engine
-        skeleton = self._skeleton(address)
+        stats = engine.jit_stats
+        istats = engine.instr_stats
+        skeleton, reused = self._skeleton(address)
         trace_obj = skeleton.trace_obj
-        run_trace_callbacks(engine, trace_obj)
-        plan = plan_suppression(engine, trace_obj)
+
+        # Who may be served, or checked: a trace this very resident
+        # object instrumented last, at a head the slice's detector does
+        # not instrument (the signature pc is only ever a trace head).
+        owner = self.retain_for
+        kept = reference = None
+        if owner is not None and address in engine.forced_boundaries:
+            owner = None
+            stats.instrumentation_declined += 1
+        if reused and owner is not None and skeleton.owner is owner:
+            kept = skeleton.kept
+            if kept is None:
+                # First reuse: what the previous compile attached is
+                # still on the trace, and is the reference.
+                reference = _calls(skeleton.instructions)
+
+        if kept is not None:
+            stats.instrumentation_reuses += 1
+            istats.skipped_callbacks += kept.skipped
+            istats.fastpath_traces += kept.fastpath
+            plan = kept.plan
+        else:
+            # Nobody's until the callbacks have run to the end: one that
+            # raises leaves a half-instrumented trace behind.
+            skeleton.owner = skeleton.kept = None
+            if reused:
+                for ins in skeleton.instructions:
+                    ins.clear_calls()
+            skipped, fastpath = (istats.skipped_callbacks,
+                                 istats.fastpath_traces)
+            run_trace_callbacks(engine, trace_obj)
+            plan = plan_suppression(engine, trace_obj)
+            if reference is not None:
+                attached = _calls(skeleton.instructions)
+                if not _servable(attached, owner):
+                    owner = None
+                    stats.instrumentation_declined += 1
+                else:
+                    # ``_Call`` equality: ipoint, routine and summary
+                    # (bound methods of one object: their functions),
+                    # arguments.
+                    stats.instrumentation_checks += 1
+                    if attached != reference:
+                        raise InstrumentationError(
+                            f"{type(owner).__name__} declares "
+                            f"pure_instrumentation, but its second "
+                            f"instrumentation of the trace at "
+                            f"{address:#x} differs from its first")
+                    skeleton.kept = _Kept(
+                        istats.skipped_callbacks - skipped,
+                        istats.fastpath_traces - fastpath, plan)
+            skeleton.owner = owner
 
         cell = (self.heat.setdefault(address, [0, 0])
                 if self.pool is not None else None)
@@ -247,15 +415,10 @@ class Jit:
                 or (cell is not None and cell[1] and cell[0]
                     >= cell[1] * HOT_EXECUTIONS_PER_COMPILE)):
             trace = self._lower_generated(skeleton, plan, warm)
-            engine.jit_stats.hot_compiles += 1
+            stats.hot_compiles += 1
         else:
-            if skeleton.sems is None:
-                skeleton.sems = [self._lower_semantics(ins)
-                                 for ins in skeleton.instructions]
-            lower = self._lower_calls
-            steps = [lower(ins, sem) for ins, sem
-                     in zip(skeleton.instructions, skeleton.sems)]
-            trace = CompiledTrace(address, steps, skeleton.addresses,
+            trace = CompiledTrace(address, self._lower_threaded(skeleton),
+                                  skeleton.addresses,
                                   trace_obj.fall_address,
                                   skeleton.bbl_sizes)
         if cell is not None:
@@ -277,8 +440,9 @@ class Jit:
         which has just crossed its mark — or None.
 
         Re-lowered from the still-instrumented ``TraceObj`` the pooled
-        skeleton holds, so no trace callback runs: a virtual compile
-        fires its callbacks once, however often its product is
+        skeleton holds (or taken from what an earlier slice kept of
+        it), so no trace callback runs: a virtual compile fires its
+        callbacks at most once, however often its product is
         re-lowered.  That is only sound for the product of this pc's
         latest compile off this very skeleton (anything else carries
         other instrumentation), which is what the two checks establish.
@@ -294,27 +458,27 @@ class Jit:
 
     # -- the run-independent half ----------------------------------------------
 
-    def _skeleton(self, address: int) -> _Skeleton:
-        """The decoded trace at ``address``: pooled if this engine built
-        it before and it is still what ``build_trace`` would produce,
-        otherwise built (and pooled)."""
+    def _skeleton(self, address: int) -> tuple[_Skeleton, bool]:
+        """The decoded trace at ``address`` and whether it is a pooled
+        one: pooled if this engine built it before and it is still what
+        ``build_trace`` would produce, otherwise built (and pooled)."""
         engine = self._engine
         pool = self.pool
         if pool is not None:
             skeleton = pool.get(address)
             if skeleton is not None and self._reuse(skeleton, address):
-                return skeleton
+                return skeleton, True
         skeleton = _Skeleton(build_trace(
             engine.mem, address, forced_boundaries=engine.forced_boundaries,
             max_ins=engine.max_trace_ins))
         if pool is not None:
             pool[address] = skeleton
-        return skeleton
+        return skeleton, False
 
     def _reuse(self, skeleton: _Skeleton, address: int) -> bool:
-        """True — with ``skeleton`` wiped of the last run's
-        instrumentation — if it is exactly the trace ``build_trace``
-        would decode now.
+        """True if ``skeleton`` is exactly the trace ``build_trace``
+        would decode now (it still carries the instrumentation of its
+        last compile).
 
         ``build_trace`` is a function of the guest words, the start pc,
         the forced boundaries and the length cap.  The cap is the
@@ -345,8 +509,6 @@ class Jit:
         if not engine.mem.same_words(address, skeleton.words):
             stats.rejects_words += 1
             return False
-        for ins in instructions:
-            ins.clear_calls()
         stats.skeleton_reuses += 1
         return True
 
@@ -391,42 +553,68 @@ class Jit:
 
     # -- lowering ------------------------------------------------------------
 
+    def _lower_threaded(self, skeleton: _Skeleton) -> list[Step]:
+        """``skeleton``'s instrumented trace as threaded code: the kept
+        steps, else each pooled semantics closure wrapped in its
+        instruction's calls."""
+        kept = skeleton.kept
+        if kept is not None and kept.steps is not None:
+            return kept.steps
+        if skeleton.sems is None:
+            skeleton.sems = [self._lower_semantics(ins)
+                             for ins in skeleton.instructions]
+        lower = self._lower_calls
+        steps = [lower(ins, sem) for ins, sem
+                 in zip(skeleton.instructions, skeleton.sems)]
+        if kept is not None:
+            kept.steps = steps
+        return steps
+
     def _lower_generated(self, skeleton: _Skeleton, plan: LoopPlan | None,
                          warm=None):
         """Lower ``skeleton``'s instrumented trace to one generated
         function (see :mod:`repro.pin.pyjit`), by the cheapest means
-        that applies: a pooled code object for the same text, else the
-        warm entry's marshalled one when its text is this text (the §8
-        consistency check), else ``compile()``."""
+        that applies: the kept function, else a pooled code object for
+        the same text, else the warm entry's marshalled one when its
+        text is this text (the §8 consistency check), else
+        ``compile()``."""
         # Imported here: pyjit builds on this module.
         from .pyjit import _Emitter, SourceCompiledTrace
         engine = self._engine
         trace_obj = skeleton.trace_obj
         address = trace_obj.address
-        if skeleton.codes is None and self.pool is not None:
-            skeleton.texts = [None] * len(skeleton.instructions)
-            skeleton.codes = {}
-        emitter = _Emitter(engine)
+        kept = skeleton.kept
         if plan is not None:
             engine.instr_stats.summarized_loops += 1
-            emitter.emit_suppressed_loop(plan)
+        if kept is not None and kept.fn is not None:
+            fn, source = kept.fn, kept.source
         else:
-            emitter.lower_all(skeleton.instructions, skeleton.texts)
-        source = emitter.source_text(address)
-        codes = skeleton.codes
-        code = codes.get(source) if codes is not None else None
-        if (code is None and warm is not None
-                and warm.source == source):
-            code = marshal.loads(warm.code)
-        if code is None:
-            fn = emitter.finish(source, address)
-            code = fn.__code__
-        else:
-            # Rebinding the code object over this emitter's namespace
-            # skips compile() entirely.
-            fn = types.FunctionType(code, emitter.namespace, "__trace__")
-        if codes is not None:
-            codes[source] = code
+            if skeleton.codes is None and self.pool is not None:
+                skeleton.texts = [None] * len(skeleton.instructions)
+                skeleton.codes = {}
+            emitter = _Emitter(engine)
+            if plan is not None:
+                emitter.emit_suppressed_loop(plan)
+            else:
+                emitter.lower_all(skeleton.instructions, skeleton.texts)
+            source = emitter.source_text(address)
+            codes = skeleton.codes
+            code = codes.get(source) if codes is not None else None
+            if (code is None and warm is not None
+                    and warm.source == source):
+                code = marshal.loads(warm.code)
+            if code is None:
+                fn = emitter.finish(source, address)
+                code = fn.__code__
+            else:
+                # Rebinding the code object over this emitter's
+                # namespace skips compile() entirely.
+                fn = types.FunctionType(code, emitter.namespace,
+                                        "__trace__")
+            if codes is not None:
+                codes[source] = code
+            if kept is not None:
+                kept.fn, kept.source = fn, source
         return SourceCompiledTrace(
             start=address, fn=fn, num_ins=len(skeleton.instructions),
             fall_address=trace_obj.fall_address, source=source,

@@ -70,6 +70,22 @@ class Pintool:
     #: merely the fast path consistent with that semantics.
     instrument_filter = None
 
+    #: The purity contract: True declares that what
+    #: :meth:`instrument_trace` attaches is a function of the trace,
+    #: :attr:`instrument_filter` and the constructor arguments alone —
+    #: the same calls, in the same order, with the same arguments, every
+    #: time it sees that trace — and that running it changes nothing on
+    #: the tool.  A resident slice machine may then keep the
+    #: instrumented, lowered code of a trace and serve a later compile
+    #: from it without calling :meth:`instrument_trace` again
+    #: (:mod:`repro.pin.jit`); the first reuse of every trace is still
+    #: re-instrumented and compared, so a false declaration raises
+    #: :class:`~repro.errors.InstrumentationError` instead of producing
+    #: a wrong result.  The promise is made by the class that *defines*
+    #: ``instrument_trace`` (:func:`declares_pure_instrumentation`): a
+    #: subclass that overrides the method makes its own or none.
+    pure_instrumentation = False
+
     def setup(self, sp) -> None:
         """One-time initialization; ``sp`` is the SuperPin API handle."""
 
@@ -91,6 +107,20 @@ class Pintool:
     def report(self) -> dict:
         """Machine-readable results; tools override for their own schema."""
         return {}
+
+
+def declares_pure_instrumentation(tool) -> bool:
+    """True when the class that defines ``tool``'s ``instrument_trace``
+    itself sets :attr:`Pintool.pure_instrumentation`.
+
+    A promise about a method is not inherited by another method: an
+    override that counts its calls, or instruments differently, under a
+    base class that declared would otherwise be silently covered.
+    """
+    for klass in type(tool).__mro__:
+        if "instrument_trace" in vars(klass):
+            return bool(vars(klass).get("pure_instrumentation", False))
+    return False
 
 
 def run_with_pin(program, tool: Pintool, kernel: Kernel | None = None,

@@ -266,17 +266,19 @@ class _Emitter:
         start = plan.start
         m = plan.body_len
         n_calls = len(plan.summaries)
-        sup = self._bind("sup", self._engine.instr_stats)
         bound = []
         for j, (summary, args) in enumerate(plan.summaries):
             bound.append((self._bind(f"sf{j}", summary),
                           self._bind(f"sa{j}", args)))
 
         def fire(iters: str, trips: str) -> None:
+            # Through ``E``: ``PinVM.reset`` replaces ``instr_stats``,
+            # and this function may outlive the run that emitted it.
             self.line(f"ctr[0] += {n_calls}")
-            self.line(f"{sup}.loop_entries += 1")
-            self.line(f"{sup}.summarized_calls += {n_calls}")
-            self.line(f"{sup}.suppressed_calls += {trips} * {n_calls}")
+            self.line("_s = E.instr_stats")
+            self.line("_s.loop_entries += 1")
+            self.line(f"_s.summarized_calls += {n_calls}")
+            self.line(f"_s.suppressed_calls += {trips} * {n_calls}")
             for fn_name, args_name in bound:
                 self.line(f"{fn_name}({iters}, *{args_name})")
 

@@ -20,6 +20,7 @@ five entry points the paper documents:
 
 from __future__ import annotations
 
+import uuid
 from dataclasses import dataclass, field
 
 from ..errors import InstrumentationError
@@ -145,10 +146,18 @@ class SliceToolContext:
     begin_functions: list[tuple[object, object]] = field(default_factory=list)
     end_functions: list[tuple[object, object]] = field(default_factory=list)
     area_locals: list[object] = field(default_factory=list)
+    #: Which template this is a copy of: stamped once per run by
+    #: :meth:`from_control`, carried by every copy and pickle.  What a
+    #: resident slice machine keeps of one slice's instrumentation it
+    #: serves only to copies of the same template
+    #: (:meth:`repro.superpin.slices.SliceMachine.adopt`); a context
+    #: built by hand has none and is served nothing.
+    template_id: str | None = None
 
     @classmethod
     def from_control(cls, tool, sp: SPControl) -> "SliceToolContext":
         return cls(tool=tool, reset_fun=sp.reset_fun,
                    begin_functions=list(sp.begin_functions),
                    end_functions=list(sp.end_functions),
-                   area_locals=list(sp.area_locals))
+                   area_locals=list(sp.area_locals),
+                   template_id=uuid.uuid4().hex)

@@ -192,7 +192,9 @@ class SuperPinReport:
         """Host-side compile work of the slice phase, or None without
         ``-spmetrics``: every dispatcher miss (each one a ``compile`` in
         the virtual account), how many of them the resident machines
-        served from pooled work and how many they lowered to generated
+        served from pooled work, how many of those without running a
+        trace callback (a tool that declares its instrumentation pure)
+        and how many they lowered to generated
         code (:mod:`repro.pin.jit`), the share of the slices'
         instructions that retired in generated code — compiled so or
         promoted in mid-run — and the directly measured seconds all the
@@ -205,6 +207,7 @@ class SuperPinReport:
         return {
             "compiles": int(counter("pin.cache.compiles")),
             "pooled": int(counter("pin.jit.skeleton_reuses")),
+            "served": int(counter("pin.jit.instrumentation_reuses")),
             "hot": int(counter("pin.jit.hot_compiles")),
             "promotions": int(counter("pin.jit.promotions")),
             "hot_share": (counter("pin.jit.hot_instructions") / instructions

@@ -112,6 +112,65 @@ class _LookaheadSyscallBarrier:
         raise _LookaheadDone("lookahead-syscall")
 
 
+class _WriteCounter:
+    """The lookahead's instrumentation: a block budget and per-register
+    write counts, fed by bound methods so that a resident lookahead
+    engine can keep the instrumented code (:mod:`repro.pin.jit`: what
+    :meth:`instrument` attaches is a function of the trace alone, and
+    its ``IARG_PTR`` values are tuples of ints)."""
+
+    def __init__(self):
+        self.writes = [0] * 32
+        self.blocks_left = 0
+
+    def count_block(self) -> None:
+        self.blocks_left -= 1
+        if self.blocks_left < 0:
+            raise _LookaheadDone("lookahead-blocks")
+
+    def count_writes(self, dests: tuple[int, ...]) -> None:
+        writes = self.writes
+        for dest in dests:
+            writes[dest] += 1
+
+    def instrument(self, trace, value) -> None:
+        for bbl in trace.bbls:
+            bbl.head.insert_call(IPOINT_BEFORE, self.count_block, IARG_END)
+            for ins in bbl.instructions:
+                if ins.info.is_syscall:
+                    # The lookahead barrier stops *before* a syscall
+                    # executes, so its rv write never happens here.
+                    continue
+                # Static write-set from the ISA metadata: explicit rd
+                # plus implicit destinations (push/pop move sp, calls
+                # write ra) — counted at execution time.
+                dests = written_registers(ins.op, ins.rd)
+                if dests:
+                    ins.insert_call(IPOINT_BEFORE, self.count_writes,
+                                    IARG_PTR, dests, IARG_END)
+
+    def most_written(self, vm: PinVM, config: SuperPinConfig
+                     ) -> tuple[int, int] | None:
+        """Run the lookahead on ``vm`` (fresh or just reset) and rank."""
+        writes = self.writes
+        writes[:] = [0] * 32
+        self.blocks_left = config.quickreg_block_count
+        vm.add_trace_callback(self.instrument)
+        # Bounded run: the block counter or the syscall barrier stops
+        # it; the budget is a backstop for straight-line code.
+        vm.run(max_instructions=config.quickreg_block_count * 64 + 64)
+
+        ranked = sorted(range(1, 32), key=lambda r: (-writes[r], r))
+        top = [r for r in ranked if writes[r] > 0][:2]
+        if not top:
+            return None
+        if len(top) == 1:
+            fallback = DEFAULT_QUICK_REGS[0] \
+                if top[0] != DEFAULT_QUICK_REGS[0] else DEFAULT_QUICK_REGS[1]
+            top.append(fallback)
+        return (top[0], top[1])
+
+
 def select_quick_registers(snapshot_process: Process,
                            config: SuperPinConfig) -> tuple[int, int] | None:
     """Recording mode: find the two most-written registers.
@@ -123,7 +182,7 @@ def select_quick_registers(snapshot_process: Process,
     """
     scratch = snapshot_process.fork(
         syscall_handler=_LookaheadSyscallBarrier())
-    return _most_written(PinVM(scratch), config)
+    return _WriteCounter().most_written(PinVM(scratch), config)
 
 
 class Lookahead:
@@ -132,8 +191,9 @@ class Lookahead:
     The recorder looks ahead at every boundary, a score of blocks each
     time and mostly the same blocks: the master is usually cut inside
     the loop it was cut in last time.  On one engine whose JIT keeps a
-    pool (:mod:`repro.pin.jit`), boundary *k + 1* re-instruments what
-    boundary *k* decoded.  :meth:`select` is
+    pool and one resident :class:`_WriteCounter` it may bind
+    (:mod:`repro.pin.jit`), boundary *k + 1* runs the instrumented code
+    boundary *k* and *k - 1* compiled.  :meth:`select` is
     :func:`select_quick_registers` for a scratch memory the caller
     hands over — the choice is the same by construction (same engine
     defaults, same instrumentation, same bounded run) and by test.
@@ -142,8 +202,10 @@ class Lookahead:
     def __init__(self):
         self._process = Process(CpuState(), Memory(),
                                 _LookaheadSyscallBarrier())
+        self._counter = _WriteCounter()
         self._vm = PinVM(self._process)
         self._vm.jit.pool = {}
+        self._vm.jit.retain_for = self._counter
 
     def select(self, cpu_snapshot, scratch: Memory,
                config: SuperPinConfig) -> tuple[int, int] | None:
@@ -154,54 +216,7 @@ class Lookahead:
         process.mem.adopt(scratch)
         process.exited = False
         self._vm.reset()
-        return _most_written(self._vm, config)
-
-
-def _most_written(vm: PinVM, config: SuperPinConfig
-                  ) -> tuple[int, int] | None:
-    """Run the lookahead on ``vm`` (fresh or just reset) and rank."""
-    writes = [0] * 32
-    blocks_left = [config.quickreg_block_count]
-
-    def count_block() -> None:
-        blocks_left[0] -= 1
-        if blocks_left[0] < 0:
-            raise _LookaheadDone("lookahead-blocks")
-
-    def count_writes(dests: tuple[int, ...]) -> None:
-        for dest in dests:
-            writes[dest] += 1
-
-    def instrument(trace, value) -> None:
-        for bbl in trace.bbls:
-            bbl.head.insert_call(IPOINT_BEFORE, count_block, IARG_END)
-            for ins in bbl.instructions:
-                if ins.info.is_syscall:
-                    # The lookahead barrier stops *before* a syscall
-                    # executes, so its rv write never happens here.
-                    continue
-                # Static write-set from the ISA metadata: explicit rd
-                # plus implicit destinations (push/pop move sp, calls
-                # write ra) — counted at execution time.
-                dests = written_registers(ins.op, ins.rd)
-                if dests:
-                    ins.insert_call(IPOINT_BEFORE, count_writes,
-                                    IARG_PTR, dests, IARG_END)
-
-    vm.add_trace_callback(instrument)
-    # Bounded run: the block counter or the syscall barrier stops it; the
-    # budget is a backstop for straight-line code.
-    vm.run(max_instructions=config.quickreg_block_count * 64 + 64)
-
-    ranked = sorted(range(1, 32), key=lambda r: (-writes[r], r))
-    top = [r for r in ranked if writes[r] > 0][:2]
-    if not top:
-        return None
-    if len(top) == 1:
-        fallback = DEFAULT_QUICK_REGS[0] if top[0] != DEFAULT_QUICK_REGS[0] \
-            else DEFAULT_QUICK_REGS[1]
-        top.append(fallback)
-    return (top[0], top[1])
+        return self._counter.most_written(self._vm, config)
 
 
 class SignatureDetector:
@@ -223,15 +238,18 @@ class SignatureDetector:
         self.vm.add_trace_callback(self._instrument)
 
     def _instrument(self, trace, value) -> None:
-        target = self.signature.pc
+        # The signature pc is a forced boundary of the slice's engine,
+        # so ``build_trace`` starts a trace there and never carries one
+        # across it (a pooled trace that does is re-cut,
+        # ``Jit._reuse``): the target is a trace head or absent.
+        if trace.address != self.signature.pc:
+            return
         q0, q1 = self.signature.quick_regs
-        for ins in trace.instructions:
-            if ins.address == target:
-                ins.insert_if_call(IPOINT_BEFORE, self._quick_check,
-                                   IARG_REG_VALUE, q0,
-                                   IARG_REG_VALUE, q1, IARG_END)
-                ins.insert_then_call(IPOINT_BEFORE, self._full_check,
-                                     IARG_END)
+        head = trace.bbls[0].head
+        head.insert_if_call(IPOINT_BEFORE, self._quick_check,
+                            IARG_REG_VALUE, q0,
+                            IARG_REG_VALUE, q1, IARG_END)
+        head.insert_then_call(IPOINT_BEFORE, self._full_check, IARG_END)
 
     # -- analysis routines ----------------------------------------------------
 

@@ -20,9 +20,15 @@ the machine's JIT keeps the run-independent half of each compile
 (:mod:`repro.pin.jit`), so a trace an earlier slice compiled is
 re-instrumented, not re-translated — and it remembers how often each
 trace ran per compile, so the traces that carry the slices' work are
-lowered to generated code, the rest to threaded code.  There is no
-switch for this and no second path: a caller without a machine gets one
-made on the spot.
+lowered to generated code, the rest to threaded code.  The slice's own
+copy of the tool is a context switch as well: for a tool that declares
+its instrumentation pure the machine keeps one resident object of the
+tool's class and each slice's copy becomes *its* state
+(:meth:`SliceMachine.adopt`), so code compiled against the resident
+object's methods stays valid from slice to slice and the JIT serves a
+trace's third compile onwards without instrumenting again.  There is no
+switch for any of this and no second path: a caller without a machine
+gets one made on the spot.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from ..machine.process import Process
 from ..obs.metrics import NULL_METRICS
 from ..pin.codecache import CodeCache
 from ..pin.engine import PinVM, RunState
+from ..pin.pintool import declares_pure_instrumentation
 from .api import END_SLICE_TOKEN, SliceToolContext, SPControl
 from .control import Boundary, Interval
 from .signature import (DetectionStats, Signature, SignatureDetector)
@@ -57,7 +64,10 @@ PLACEMENT_COUNTERS = ("pin.jit.skeleton_reuses",
                       "pin.jit.skeleton_rejects.forced_cut",
                       "pin.jit.hot_compiles",
                       "pin.jit.promotions",
-                      "pin.jit.hot_instructions")
+                      "pin.jit.hot_instructions",
+                      "pin.jit.instrumentation_reuses",
+                      "pin.jit.instrumentation_checks",
+                      "pin.jit.instrumentation_declined")
 
 
 class SliceEnd(enum.Enum):
@@ -234,6 +244,10 @@ class SliceMachine:
     def __init__(self):
         self.process = Process(CpuState(), Memory(), None)
         self.vm: PinVM | None = None
+        #: The resident tool (see :meth:`adopt`) and what it serves:
+        #: ``(template id, tool class, -spsuppress)``.
+        self._resident = None
+        self._serving: tuple | None = None
 
     def switch(self, boundary: Boundary, interval: Interval,
                config: SuperPinConfig,
@@ -260,7 +274,46 @@ class SliceMachine:
         else:
             vm.reset(**_run_settings(config, forced_boundaries, metrics,
                                      config.spsuppress))
+            vm.jit.retain_for = None
         return vm
+
+    def adopt(self, ctx: SliceToolContext, config: SuperPinConfig):
+        """The tool object to activate for the slice the machine was
+        just switched onto: ``ctx.tool``, the slice's own copy — or,
+        for a tool that declares its instrumentation pure, the
+        machine's resident object of the same class *adopting* that
+        copy's state.
+
+        Adoption is ``Memory.adopt`` for tools: ``resident.__dict__``
+        becomes ``ctx.tool.__dict__`` itself — one state under two
+        names, nothing copied, no indirection on any analysis call — so
+        what the slice's routines do through the resident object is
+        done to the copy ``SliceResult.tool_ctx`` carries, and the next
+        adoption leaves that copy behind for good.  Compiled code binds
+        the resident object's methods, which is what lets the JIT keep
+        it (``Jit.retain_for``).  One machine serves one template at a
+        time: anything kept for another run, tool class or
+        ``-spsuppress`` setting is dropped first.  A context without a
+        template id, and a tool class with ``__slots__`` (state a
+        ``__dict__`` does not hold), are activated as they are.
+        """
+        tool = ctx.tool
+        klass = type(tool)
+        if (ctx.template_id is None
+                or not declares_pure_instrumentation(tool)
+                or any(vars(base).get("__slots__")
+                       for base in klass.__mro__)):
+            return tool
+        jit = self.vm.jit
+        serving = (ctx.template_id, klass, config.spsuppress)
+        if serving != self._serving:
+            self._serving = serving
+            self._resident = object.__new__(klass)
+            jit.forget_instrumentation()
+        resident = self._resident
+        resident.__dict__ = tool.__dict__
+        jit.retain_for = resident
+        return resident
 
 
 def run_slice(boundary: Boundary, interval: Interval,
@@ -305,7 +358,7 @@ def run_slice(boundary: Boundary, interval: Interval,
     instrumented = config.spsample == 0 or index % config.spsample == 0
     ctx: SliceToolContext = copy.deepcopy(template)
     if instrumented:
-        ctx.tool.activate(vm)
+        machine.adopt(ctx, config).activate(vm)
     detector: SignatureDetector | None = None
     if end_signature is not None:
         detector = SignatureDetector(end_signature, vm)
@@ -407,7 +460,10 @@ def run_slice(boundary: Boundary, interval: Interval,
         for name, value in zip(PLACEMENT_COUNTERS, (
                 jstats.skeleton_reuses, jstats.rejects_words,
                 jstats.rejects_cut, jstats.hot_compiles,
-                jstats.promotions, jstats.hot_instructions)):
+                jstats.promotions, jstats.hot_instructions,
+                jstats.instrumentation_reuses,
+                jstats.instrumentation_checks,
+                jstats.instrumentation_declined)):
             metrics.inc(name, value)
         istats = vm.instr_stats
         metrics.inc("pin.filter.fastpath_traces", istats.fastpath_traces)

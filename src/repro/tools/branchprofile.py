@@ -17,6 +17,7 @@ class BranchProfile(Pintool):
     """Counts executions and taken-edges for every conditional branch."""
 
     name = "branchprofile"
+    pure_instrumentation = True
 
     def __init__(self):
         #: site address -> [executed, taken]

@@ -29,6 +29,7 @@ class DCacheSim(Pintool):
     """Direct-mapped data-cache hit/miss simulator."""
 
     name = "dcache"
+    pure_instrumentation = True
 
     def __init__(self, sets: int = 256, line_words: int = 8):
         self.sets = sets

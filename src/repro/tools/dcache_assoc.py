@@ -41,6 +41,7 @@ class AssocDCacheSim(Pintool):
     """``ways``-associative LRU data-cache simulator (SuperPin-aware)."""
 
     name = "dcache_assoc"
+    pure_instrumentation = True
 
     def __init__(self, sets: int = 64, ways: int = 2, line_words: int = 8):
         self.sets = sets

@@ -26,6 +26,7 @@ class ICount2(Pintool):
     """Basic-block granularity instruction counter (Figure 2)."""
 
     name = "icount2"
+    pure_instrumentation = True
 
     def __init__(self):
         self.icount = 0
@@ -100,6 +101,7 @@ class ICount1(ICount2):
     """Per-instruction counter: one analysis call for every instruction."""
 
     name = "icount1"
+    pure_instrumentation = True
 
     def docount1(self) -> None:
         self.icount += 1

@@ -18,6 +18,7 @@ class ITrace(Pintool):
     """Records the address of every executed instruction."""
 
     name = "itrace"
+    pure_instrumentation = True
 
     def __init__(self, max_entries: int = 0):
         #: 0 means unlimited; otherwise the trace is truncated (the tool

@@ -30,6 +30,7 @@ class MemCheck(Pintool):
     """Reports loads from never-initialized memory words."""
 
     name = "memcheck"
+    pure_instrumentation = True
 
     def __init__(self, initialized: set[int] | None = None):
         #: Addresses considered pre-initialized (the loaded image plus

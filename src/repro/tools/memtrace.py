@@ -16,6 +16,7 @@ class MemTrace(Pintool):
     """
 
     name = "memtrace"
+    pure_instrumentation = True
 
     def __init__(self, max_entries: int = 0):
         self.max_entries = max_entries

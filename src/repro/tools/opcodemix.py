@@ -9,7 +9,8 @@ region, so the tool registers *no* slice-end function at all.
 from __future__ import annotations
 
 from ..isa.instructions import Op
-from ..pin.args import IARG_END, IPOINT_BEFORE
+from ..pin.api import INS_MatchesFilter
+from ..pin.args import IARG_END, IARG_UINT64, IPOINT_BEFORE
 from ..pin.pintool import Pintool
 from ..superpin.sharedmem import AutoMerge
 
@@ -21,6 +22,7 @@ class OpcodeMix(Pintool):
     """Per-opcode dynamic execution counts."""
 
     name = "opcodemix"
+    pure_instrumentation = True
 
     def __init__(self):
         self.counts: list[int] = [0] * _VECTOR_LEN
@@ -28,6 +30,10 @@ class OpcodeMix(Pintool):
 
     def bump(self, opnum: int) -> None:
         self.counts[opnum] += 1
+
+    def bump_summary(self, iterations: int, opnum: int) -> None:
+        """Summary form: ``iterations`` loop trips of ``bump(opnum)``."""
+        self.counts[opnum] += iterations
 
     def tool_reset(self, slice_num: int) -> None:
         for i in range(_VECTOR_LEN):
@@ -40,27 +46,15 @@ class OpcodeMix(Pintool):
         self.shared = area if hasattr(area, "merge_from") else None
 
     def instrument_trace(self, trace, vm) -> None:
-        from ..pin.api import INS_MatchesFilter
         for ins in trace.instructions:
             # Per-instruction filter check keeps the counted set stable
             # across serial and sliced trace shapes.  The opcode is
-            # static; fold it into the argument list and declare the
-            # affine summary form for loop suppression.
-            if not INS_MatchesFilter(ins, self.instrument_filter):
-                continue
-            bump, bump_summary = self.bump_factory(int(ins.op))
-            ins.insert_summarized_call(IPOINT_BEFORE, bump, bump_summary,
-                                       IARG_END)
-
-    def bump_factory(self, opnum: int):
-        counts = self.counts
-
-        def bump() -> None:
-            counts[opnum] += 1
-
-        def bump_summary(iterations: int) -> None:
-            counts[opnum] += iterations
-        return bump, bump_summary
+            # static: it travels as a literal argument, and the call
+            # declares its affine summary form for loop suppression.
+            if INS_MatchesFilter(ins, self.instrument_filter):
+                ins.insert_summarized_call(
+                    IPOINT_BEFORE, self.bump, self.bump_summary,
+                    IARG_UINT64, int(ins.op), IARG_END)
 
     # -- results --------------------------------------------------------------
 

@@ -20,6 +20,7 @@ class SampledProfiler(Pintool):
     """Flat function profile from slice-prefix samples (SP_EndSlice)."""
 
     name = "sampler"
+    pure_instrumentation = True
 
     def __init__(self, sample_instructions: int = 1000):
         self.sample_instructions = sample_instructions

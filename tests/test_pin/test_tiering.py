@@ -7,9 +7,13 @@ repeated compile hot, at infinity nothing is ever generated, and the
 shipped value sits between.  Whatever it is, and under ``-spjit source``
 too, a run must produce the same slices, the same tool report, the same
 per-slice callback counts and the same audit verdict — only host time
-and the ``pin.jit.*`` placement counters may tell the runs apart.
+and the ``pin.jit.*`` placement counters may tell the runs apart.  The
+same holds for code a resident machine *keeps* under a tool's purity
+declaration: it is kept per lowering and served in whichever one the
+heat asks for.
 """
 
+import collections
 import dataclasses
 import math
 
@@ -21,12 +25,15 @@ from repro.machine import Kernel, load_program
 from repro.machine.interpreter import Interpreter
 from repro.pin import (IARG_END, IPOINT_BEFORE, jit, PinVM, Pintool,
                        run_with_pin, RunState, StopRun)
+from repro.pin.pintool import declares_pure_instrumentation
 from repro.pin.pyjit import SourceCompiledTrace
 from repro.superpin import run_superpin, SuperPinConfig
+from repro.superpin.slices import SliceMachine
 from repro.tools import ICount1, ICount2
 from tests.conftest import MULTISLICE, virtual_counters
 from tests.test_pin import test_jit_pool
-from tests.test_superpin.test_slice_machine import (REWRITTEN,
+from tests.test_superpin.test_slice_machine import (REWRITTEN, slice_image,
+                                                    SlicePhase,
                                                     TOOL_FACTORIES)
 from tests.test_superpin.test_threads_superpin import THREADED
 
@@ -48,7 +55,9 @@ def threshold(monkeypatch):
 def _counting(klass):
     """``klass`` with its trace callback counted on the instance (each
     slice's deep copy then holds that slice's own count), importable by
-    name so a pool worker can unpickle it."""
+    name so a pool worker can unpickle it.  An override that declares
+    nothing: instrumented on every compile, whatever ``klass``
+    promised."""
     def instrument_trace(self, trace, vm):
         self.callbacks_seen += 1
         klass.instrument_trace(self, trace, vm)
@@ -77,9 +86,9 @@ GUESTS = {
 BACKEND_OWNED = ("warm_starts", "warm_mismatches", "warm_exports")
 
 
-def pipeline_image(guest, tool, **overrides):
+def pipeline_image(guest, tool, counted=True, **overrides):
     source, settings = GUESTS[guest]
-    instance = COUNTING[tool]()
+    instance = (COUNTING if counted else TOOL_FACTORIES)[tool]()
     report = run_superpin(
         assemble(source), instance,
         SuperPinConfig(clock_hz=10_000, spmetrics=True,
@@ -90,7 +99,8 @@ def pipeline_image(guest, tool, **overrides):
         image = {f.name: getattr(result, f.name)
                  for f in dataclasses.fields(result)
                  if f.name != "tool_ctx"}
-        image["callbacks_seen"] = result.tool_ctx.tool.callbacks_seen
+        if counted:
+            image["callbacks_seen"] = result.tool_ctx.tool.callbacks_seen
         slices.append(image)
     audit = report.audit.ok if report.audit is not None else None
     return {"slices": slices, "tool": instance.report(),
@@ -98,7 +108,8 @@ def pipeline_image(guest, tool, **overrides):
             "audit": audit, "counters": virtual_counters(report.metrics),
             "jit": {name: report.metrics.counter(f"pin.jit.{name}")
                     for name in ("hot_compiles", "promotions",
-                                 "hot_instructions")}}
+                                 "hot_instructions",
+                                 "instrumentation_reuses")}}
 
 
 def without(image, *names):
@@ -129,6 +140,18 @@ def assert_lowering_is_invisible(threshold, guest, tool, **overrides):
     theirs = without(source, *BACKEND_OWNED)
     theirs.pop("counters")
     assert theirs == plain
+    if declares_pure_instrumentation(TOOL_FACTORIES[tool]()):
+        # The declaration standing (the tool itself, uncounted): code
+        # kept from slice to slice is served in either lowering, and
+        # nothing but the callback count can tell.
+        uncounted = without(reference, "callbacks_seen")
+        for name, value in THRESHOLDS.items():
+            threshold(value)
+            served = pipeline_image(guest, tool, counted=False, **overrides)
+            assert without(served) == uncounted, name
+            assert (served["jit"]["instrumentation_reuses"] > 0
+                    or guest != "multislice"), name
+        threshold(SHIPPED)
     return images
 
 
@@ -386,7 +409,7 @@ lp: addi s0, s0, -1
                                 Kernel(seed=42)), tc2_threshold=4)
         vm.run()
         assert vm.jit.heat == {} and vm.jit.pool is None
-        assert dataclasses.astuple(vm.jit_stats) == (0,) * 6
+        assert not any(dataclasses.astuple(vm.jit_stats))
 
 
 # --- the rule -----------------------------------------------------------------
@@ -453,6 +476,67 @@ class TestHeat:
                 was = before.get(pc, (0, 0))
                 assert executions > was[0] and compiles == was[1] + 1
             before = {pc: tuple(cell) for pc, cell in vm.jit.heat.items()}
+
+
+# --- kept code meets heat ---------------------------------------------------
+
+class Tallied(ICount2):
+    """``ICount2`` declaring for itself, its callbacks tallied per trace
+    on the class — where a slice's copy of the tool does not reach."""
+
+    pure_instrumentation = True
+    seen = collections.Counter()
+
+    def instrument_trace(self, trace, vm):
+        self.seen[trace.address] += 1
+        ICount2.instrument_trace(self, trace, vm)
+
+
+def test_kept_code_turns_hot_without_a_callback(threshold):
+    """Three slices verify and keep threaded code; then the traces are
+    wanted hot — at a compile, and in mid-run — and are lowered from
+    the ``TraceObj`` that was kept with them, uninstrumented anew."""
+    fresh = SlicePhase(MULTISLICE, Tallied()).run_all()[0]
+    Tallied.seen.clear()
+    machine = SliceMachine()
+    phase = SlicePhase(MULTISLICE, Tallied())
+    assert phase.n >= 5
+
+    def run(k):
+        result = phase.run(k, machine)
+        image = slice_image(result)
+        if k == 0:
+            phase.payload = phase.store.fold(result)
+        assert image == fresh[k]
+        cache = machine.vm.cache
+        return {pc: cache.get(pc) for pc, _ in result.compile_log}
+
+    threshold(math.inf)
+    for k in range(3):
+        run(k)
+    assert machine.vm.jit_stats.instrumentation_reuses > 0
+    assert machine.vm.jit_stats.hot_compiles == 0
+    before = dict(Tallied.seen)
+
+    threshold(1)
+    compiled = run(3)
+    stats = machine.vm.jit_stats
+    assert stats.hot_compiles > 0 and stats.instrumentation_reuses > 0
+    quiet = [pc for pc, trace in compiled.items()
+             if trace.is_source and Tallied.seen[pc] == before.get(pc) == 2]
+    assert quiet
+
+    threshold(math.inf)
+    compiled = run(4)
+    threaded = [trace for pc, trace in compiled.items()
+                if not trace.is_source
+                and Tallied.seen[pc] == before.get(pc)]
+    assert threaded
+    before = dict(Tallied.seen)
+    for trace in threaded:
+        promoted = machine.vm.jit.promote(trace)
+        assert promoted.is_source and promoted.start == trace.start
+    assert Tallied.seen == before
 
 
 # --- pool validity on the hot path -------------------------------------------

@@ -334,10 +334,16 @@ class TestResidentLookahead:
         timeline = ControlProcess(assemble(MULTISLICE), config,
                                   kernel=Kernel(seed=42)).run()
         lookahead = Lookahead()
-        reuses = []
+        reuses, served = [], []
         for boundary in timeline.boundaries[1:]:
             record_boundary_signature(boundary, config, lookahead)
-            reuses.append(lookahead._vm.jit_stats.skeleton_reuses)
+            stats = lookahead._vm.jit_stats
+            reuses.append(stats.skeleton_reuses)
+            served.append(stats.instrumentation_reuses)
+            assert stats.instrumentation_declined == 0
         assert reuses[0] == 0 and sum(reuses) > 0
+        # ... nor instrument a block a third time: its counters are
+        # bound methods of one resident object.
+        assert served[:2] == [0, 0] and sum(served) > 0
         # Twenty blocks a boundary never make a trace hot.
         assert lookahead._vm.jit_stats.hot_compiles == 0

@@ -4,20 +4,26 @@ One oracle, the fresh machine: whatever runs on a ``SliceMachine`` that
 ran other slices before — in any order, of any program, to any end —
 must produce the ``SliceResult`` a newly built machine produces, field
 by field, and the merged tool results with it.  Only host-side counters
-(``PLACEMENT_COUNTERS``) may tell the two apart.
+(``PLACEMENT_COUNTERS``) may tell the two apart — and, for a tool that
+declares its instrumentation pure, how often its trace callback ran.
 """
 
+import collections
 import dataclasses
 import marshal
+import pickle
 import threading
 
 import pytest
 
-from repro.errors import DivergenceError, RunawaySliceError
+from repro.errors import (DivergenceError, InstrumentationError,
+                          RunawaySliceError, SliceExecutionError)
 from repro.isa import assemble
 from repro.machine import Kernel
-from repro.pin import IARG_END, IARG_PTR, IPOINT_BEFORE, Pintool
+from repro.pin import (IARG_END, IARG_PTR, IARG_UINT64, IPOINT_BEFORE,
+                       Pintool)
 from repro.pin.filter import parse_filter
+from repro.pin.pintool import declares_pure_instrumentation
 from repro.superpin import (ControlProcess, FaultPlan, merge_slices,
                             record_signatures, run_superpin, SliceEnd,
                             SliceToolContext, SPControl, SuperPinConfig)
@@ -26,7 +32,7 @@ from repro.superpin.parallel import run_slice_job, slice_job
 from repro.superpin.slices import (PLACEMENT_COUNTERS, run_slice,
                                    SliceMachine)
 from repro.superpin.warmstore import WarmStore
-from repro.tools import TOOLS
+from repro.tools import ICount2, TOOLS
 from tests.conftest import MULTISLICE, virtual_counters
 from tests.test_superpin.test_threads_superpin import THREADED
 
@@ -79,7 +85,9 @@ class TraceRecords(Pintool):
 def counting(tool):
     """``tool`` with its trace callback counted on the instance — the
     instance is deep-copied into each slice, so every slice's copy ends
-    up holding that slice's own count."""
+    up holding that slice's own count.  The subclass overrides
+    ``instrument_trace`` and declares nothing, so whatever its base
+    promised it is instrumented on every compile."""
     klass = type(tool)
     tool.__class__ = type(klass.__name__, (klass,), {
         "callbacks_seen": 0,
@@ -114,7 +122,7 @@ class SlicePhase:
         program = assemble(source)
         if config.spfilter is not None:
             tool.instrument_filter = parse_filter(config.spfilter, program)
-        self.tool = counting(tool)
+        self.tool = tool
         self.sp = SPControl(config)
         tool.setup(self.sp)
         self.template = SliceToolContext.from_control(tool, self.sp)
@@ -124,12 +132,19 @@ class SlicePhase:
         self.n = len(self.timeline.intervals)
         self.store = WarmStore()
         self.payload = None
+        #: Every slice's counters (empty without ``spmetrics``): one
+        #: dict a slice in run order, and their sum.
+        self.slice_counters = []
+        self.counters = collections.Counter()
 
     def run(self, k, machine=None, metrics_out=None):
         job = slice_job(self.timeline, self.signatures, self.template,
                         self.sp, self.config, k, warm=self.payload,
                         export_warm=(k == 0))
         result, _, _, snapshot = run_slice_job(job, machine)
+        if snapshot is not None:
+            self.slice_counters.append(snapshot["counters"])
+            self.counters.update(snapshot["counters"])
         if metrics_out is not None:
             metrics_out.append(snapshot)
         return result
@@ -153,10 +168,11 @@ class SlicePhase:
 
 def slice_image(result):
     """Every ``SliceResult`` field, with the tool context reduced to the
-    slice's own trace-callback count."""
+    slice's own trace-callback count (of a :func:`counting` tool)."""
     image = {f.name: getattr(result, f.name)
              for f in dataclasses.fields(result) if f.name != "tool_ctx"}
-    image["callbacks_seen"] = result.tool_ctx.tool.callbacks_seen
+    if hasattr(result.tool_ctx.tool, "callbacks_seen"):
+        image["callbacks_seen"] = result.tool_ctx.tool.callbacks_seen
     # ``marshal`` flags objects other things hold a reference to, so the
     # bytes of one code object vary with who else keeps it alive (here:
     # the pool); what they decode to is what ships.
@@ -167,15 +183,36 @@ def slice_image(result):
     return image
 
 
-def assert_resident_equals_fresh(source, make_tool, **overrides):
-    fresh = SlicePhase(source, make_tool(), **overrides).run_all()
+def assert_resident_equals_fresh(source, make_tool, served=True,
+                                 **overrides):
+    """The fresh-machine oracle, twice: with the tool's trace callback
+    counted (an undeclared subclass — every compile instruments, and
+    the count is part of the image), and, where the tool declares its
+    instrumentation pure, with the declaration standing — the same
+    image but for the count, from compiles that were ``served`` (None:
+    either way)."""
+    fresh = SlicePhase(source, counting(make_tool()), **overrides).run_all()
     assert len(fresh[0]) >= 3
     for order in (forwards, backwards):
         machine = SliceMachine()
-        resident = SlicePhase(source, make_tool(), **overrides).run_all(
-            order, lambda k: machine)
-        assert resident == fresh, order.__name__
+        phase = SlicePhase(source, counting(make_tool()), spmetrics=True,
+                           **overrides)
+        assert phase.run_all(order, lambda k: machine) == fresh, \
+            order.__name__
         assert machine.vm.jit.pool
+        assert phase.counters["pin.jit.instrumentation_reuses"] == 0
+    if not declares_pure_instrumentation(make_tool()):
+        return
+    uncounted = ([{name: value for name, value in image.items()
+                   if name != "callbacks_seen"} for image in fresh[0]],
+                 fresh[1])
+    for order in (forwards, backwards):
+        machine = SliceMachine()
+        phase = SlicePhase(source, make_tool(), spmetrics=True, **overrides)
+        assert phase.run_all(order, lambda k: machine) == uncounted, \
+            order.__name__
+        reuses = phase.counters["pin.jit.instrumentation_reuses"]
+        assert served is None or (reuses > 0) == served
 
 
 class TestParityWithAFreshMachine:
@@ -191,9 +228,11 @@ class TestParityWithAFreshMachine:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_sampled_slices(self, backend):
         """``-spsample 2``: tool-free and instrumented slices alternate
-        on one machine, so every reuse changes instrumentation."""
+        on one machine, so every reuse changes instrumentation — and
+        nothing a tool-free slice compiled may be served to the next."""
         assert_resident_equals_fresh(MULTISLICE, TOOLS["icount1"],
-                                     jit_backend=backend, spsample=2)
+                                     served=False, jit_backend=backend,
+                                     spsample=2)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_cooperative_threads(self, backend):
@@ -289,8 +328,10 @@ class TestPoolValidity:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_master_rewrote_an_instruction_between_boundaries(self,
                                                               backend):
+        # (Every trace a second slice of this guest revisits starts at
+        # that slice's signature pc: none is ever served.)
         assert_resident_equals_fresh(REWRITTEN, TOOLS["icount1"],
-                                     jit_backend=backend)
+                                     served=None, jit_backend=backend)
         phase = SlicePhase(REWRITTEN, TOOLS["icount1"](),
                            jit_backend=backend, spmetrics=True)
         assert phase.timeline.exit_code == 500 * (1 + 5)
@@ -337,6 +378,164 @@ class TestPoolValidity:
             assert (signature.pc, ) <= tuple(
                 address for address, _ in result.compile_log
                 if address == signature.pc)
+            # What the detector (it instruments the head alone) and the
+            # JIT (it serves no trace that starts there) rely on: the
+            # signature pc is never an interior instruction.
+            assert not any(address < signature.pc < address + num_ins
+                           for address, num_ins in result.compile_log)
+
+
+class Liar(ICount2):
+    """Declares its instrumentation pure and attaches another routine on
+    every second compile of a trace (the tally is the class's, so it
+    lasts as long as the process — what a slice's copy does not)."""
+
+    pure_instrumentation = True
+    compiles = collections.Counter()
+
+    def docount_too(self, count):
+        self.icount += count
+
+    def instrument_trace(self, trace, vm):
+        self.compiles[trace.address] += 1
+        routine = (self.docount if self.compiles[trace.address] % 2
+                   else self.docount_too)
+        for bbl in trace.bbls:
+            bbl.head.insert_call(IPOINT_BEFORE, routine, IARG_UINT64,
+                                 bbl.num_ins, IARG_END)
+
+
+class ClosureCount(ICount2):
+    """Declares, but its routines are closures over the slice's state:
+    nothing a later slice could be served."""
+
+    pure_instrumentation = True
+
+    def instrument_trace(self, trace, vm):
+        for bbl in trace.bbls:
+            def docount(count, tool=self):
+                tool.icount += count
+            bbl.head.insert_call(IPOINT_BEFORE, docount, IARG_UINT64,
+                                 bbl.num_ins, IARG_END)
+
+
+class SlottedCount(ICount2):
+    """Declares, but keeps state a ``__dict__`` does not hold."""
+
+    __slots__ = ("extra",)
+    pure_instrumentation = True
+
+    def instrument_trace(self, trace, vm):
+        ICount2.instrument_trace(self, trace, vm)
+
+
+class TestPureInstrumentation:
+    """What a declaration buys, what it costs a tool that lies, and the
+    shapes that quietly stay on the instrument-every-compile path."""
+
+    def run_on_one_machine(self, make_tool, **overrides):
+        machine = SliceMachine()
+        phase = SlicePhase(MULTISLICE, make_tool(), spmetrics=True,
+                           **overrides)
+        return phase, phase.run_all(machine_for=lambda k: machine)
+
+    def test_the_shipped_tools_declare(self):
+        assert all(declares_pure_instrumentation(factory())
+                   for factory in TOOLS.values())
+        assert not declares_pure_instrumentation(TraceRecords())
+
+    @pytest.mark.parametrize("tool", ["icount2", "branchprofile"])
+    def test_an_overriding_subclass_is_not_covered_by_its_base(self, tool):
+        """``counting`` overrides ``instrument_trace`` under a base that
+        declares: it sees one callback per compile, as on a fresh
+        machine."""
+        assert not declares_pure_instrumentation(counting(TOOLS[tool]()))
+        phase, (images, _) = self.run_on_one_machine(
+            lambda: counting(TOOLS[tool]()))
+        assert [image["callbacks_seen"] for image in images] \
+            == [image["compiles"] for image in images]
+        assert phase.counters["pin.jit.skeleton_reuses"] > 0
+        assert not any(phase.counters[f"pin.jit.instrumentation_{what}"]
+                       for what in ("reuses", "checks", "declined"))
+
+    @pytest.mark.parametrize("tool", ["memtrace", "dcache", "opcodemix"])
+    def test_a_finished_slices_tool_context_is_left_alone(self, tool):
+        """The resident tool is slice *k*'s copy only until slice
+        *k + 1* adopts its own."""
+        machine = SliceMachine()
+        phase = SlicePhase(MULTISLICE, TOOLS[tool](), spmetrics=True)
+        previous = None
+        for k in range(phase.n):
+            result = phase.run(k, machine)
+            if previous is not None:
+                assert pickle.dumps(previous.tool_ctx) == before
+            previous, before = result, pickle.dumps(result.tool_ctx)
+        assert phase.counters["pin.jit.instrumentation_reuses"] > 0
+
+    def test_a_false_declaration_is_loud_and_never_served(self):
+        Liar.compiles.clear()
+        machine = SliceMachine()
+        phase = SlicePhase(MULTISLICE, Liar(), spmetrics=True)
+        phase.run(0, machine)
+        for k in range(1, phase.n):
+            with pytest.raises(InstrumentationError,
+                               match="Liar declares pure_instrumentation"):
+                phase.run(k, machine)
+            assert machine.vm.jit_stats.instrumentation_reuses == 0
+        assert phase.counters["pin.jit.instrumentation_reuses"] == 0
+
+    @pytest.mark.parametrize("spworkers", [0, 2])
+    def test_a_false_declaration_fails_the_run(self, spworkers):
+        Liar.compiles.clear()
+        with pytest.raises(SliceExecutionError) as failure:
+            run_superpin(assemble(MULTISLICE), Liar(),
+                         SuperPinConfig(**CONFIG, spworkers=spworkers),
+                         kernel=Kernel(seed=42))
+        assert isinstance(failure.value.__cause__, InstrumentationError)
+
+    def test_two_templates_of_one_tool_share_nothing(self):
+        """Another run's template — here with another ``-spfilter`` —
+        starts from what a new machine knows about instrumentation (it
+        keeps the decoded traces: those are nobody's)."""
+        machine = SliceMachine()
+        SlicePhase(MULTISLICE, TOOLS["icount1"]()).run_all(
+            machine_for=lambda k: machine)
+        fresh = SlicePhase(MULTISLICE, TOOLS["icount1"](),
+                           spfilter="opcode:mem").run_all()
+        filtered = SlicePhase(MULTISLICE, TOOLS["icount1"](),
+                              spfilter="opcode:mem", spmetrics=True)
+        assert filtered.run_all(machine_for=lambda k: machine) == fresh
+        first = filtered.slice_counters[0]
+        assert first["pin.jit.skeleton_reuses"] > 0
+        assert first["pin.jit.instrumentation_reuses"] == 0
+        assert first["pin.jit.instrumentation_checks"] == 0
+        assert filtered.counters["pin.jit.instrumentation_reuses"] > 0
+
+    @pytest.mark.parametrize("spsuppress", [False, True])
+    @pytest.mark.parametrize("klass", [ClosureCount, SlottedCount])
+    def test_shapes_that_stay_on_the_old_path(self, klass, spsuppress):
+        fresh = SlicePhase(MULTISLICE, klass(),
+                           spsuppress=spsuppress).run_all()
+        phase, resident = self.run_on_one_machine(klass,
+                                                  spsuppress=spsuppress)
+        assert resident == fresh
+        assert resident[1] == SlicePhase(
+            MULTISLICE, ICount2(), spsuppress=spsuppress).run_all()[1]
+        assert phase.counters["pin.jit.skeleton_reuses"] > 0
+        assert phase.counters["pin.jit.instrumentation_reuses"] == 0
+        # A closure is observed (and declined) trace by trace; a tool
+        # with slots is never adopted, so nothing is even considered.
+        assert (phase.counters["pin.jit.instrumentation_declined"] > 0) \
+            == (klass is ClosureCount)
+
+    def test_a_context_built_by_hand_is_served_nothing(self):
+        phase = SlicePhase(MULTISLICE, TOOLS["icount2"](), spmetrics=True)
+        phase.template = dataclasses.replace(phase.template,
+                                             template_id=None)
+        machine = SliceMachine()
+        assert phase.run_all(machine_for=lambda k: machine) \
+            == SlicePhase(MULTISLICE, TOOLS["icount2"]()).run_all()
+        assert phase.counters["pin.jit.instrumentation_reuses"] == 0
 
 
 class Exploding(Pintool):
@@ -428,7 +627,7 @@ class TestAfterASliceThatDidNotEndWell:
 
 
 def _report(source=MULTISLICE, tool="icount2", **overrides):
-    tool = TOOLS[tool]()
+    tool = TOOLS[tool]() if isinstance(tool, str) else tool
     report = run_superpin(assemble(source), tool,
                           SuperPinConfig(**{**CONFIG, **overrides}),
                           kernel=Kernel(seed=42))
@@ -477,6 +676,28 @@ class TestThroughThePipeline:
     def test_audit_is_clean(self, overrides):
         report, _, _ = _report(spaudit=True, **overrides)
         assert report.audit.ok, report.audit.summary()
+
+    @pytest.mark.parametrize("spworkers", [0, 2])
+    @pytest.mark.parametrize("tool", sorted(set(TOOLS) - {"sampler"}))
+    def test_every_shipped_tool_is_served_and_audits_clean(self, tool,
+                                                           spworkers):
+        report, _, _ = _report(tool=tool, spworkers=spworkers,
+                               spaudit=True, spmetrics=True)
+        assert report.audit.ok, report.audit.summary()
+        assert report.metrics.counter("pin.jit.instrumentation_reuses") > 0
+
+    def test_the_sampler_is_served_too(self):
+        """It ends every slice early (``SP_EndSlice``), which the audit
+        reports by design; the oracle here is the same tool instrumented
+        on every compile."""
+        served, *declared = _report(tool="sampler", spworkers=0,
+                                    spmetrics=True)
+        assert served.metrics.counter("pin.jit.instrumentation_reuses") > 0
+        # (In-process: a ``counting`` class cannot be pickled.)
+        plain, *undeclared = _report(tool=counting(TOOLS["sampler"]()),
+                                     spworkers=0, spmetrics=True)
+        assert plain.metrics.counter("pin.jit.instrumentation_reuses") == 0
+        assert declared == undeclared
 
     def test_two_runs_on_two_threads_own_two_machines(self, clean):
         """The in-process path has no module state: concurrent runs in
