@@ -17,11 +17,10 @@ small shifts (say a JIT policy change) update the baseline without
 flapping, while a counter that doubles fails loudly.
 
 The gate runs the workload *twice* against a throwaway persistent
-trace store (-sptracestore): the first (cold) run populates the store,
-the second (warm) run is the one gated.  The warm run must record
-``pin.cache.persistent_hits > 0`` and compile zero pilot-slice traces
-cold — if the persistent tier silently stops engaging, the gate fails
-even though nothing got slower.
+trace store (-sptracestore): the first run populates the store, the
+second is the one gated.  It must record ``pin.cache.persistent_hits >
+0`` and report zero pilot cold compiles — if the persistent tier
+silently stops engaging, the gate fails even though nothing got slower.
 """
 
 import argparse
@@ -36,7 +35,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.fsutil import atomic_write  # noqa: E402
 from repro.machine import Kernel  # noqa: E402
 from repro.obs import write_trace  # noqa: E402
-from repro.superpin import run_superpin, SuperPinConfig  # noqa: E402
+from repro.superpin import (  # noqa: E402
+    pilot_cold_compiles, run_superpin, SuperPinConfig,
+)
 from repro.superpin.slices import PLACEMENT_COUNTERS  # noqa: E402
 from repro.superpin.supervisor import (  # noqa: E402
     LANDED_BEFORE_MASTER_END,
@@ -73,9 +74,9 @@ WALLCLOCK_KEYS = (
 )
 
 #: Counters that must stay nonzero: a zero means the optimisation
-#: (trace linking / warm code cache, both default-on) silently stopped
-#: engaging, which the 2x band alone would only catch as a huge swing
-#: in its neighbours.
+#: (trace linking, default-on) or the account (warm starts) silently
+#: stopped engaging, which the 2x band alone would only catch as a huge
+#: swing in its neighbours.
 REQUIRED_NONZERO = (
     "pin.cache.linked_dispatches",
     "pin.cache.warm_starts",
@@ -134,18 +135,17 @@ def _run_once(store_dir, trace_path=None):
 
 
 def measure(trace_path=None):
-    """Cold run to populate the trace store, warm run to gate."""
+    """One run to populate the trace store, a second to gate."""
     store_dir = tempfile.mkdtemp(prefix="spgate-store-")
     try:
-        cold = _run_once(store_dir)
-        warm = _run_once(store_dir, trace_path=trace_path)
+        first = _run_once(store_dir)
+        gated = _run_once(store_dir, trace_path=trace_path)
     finally:
         shutil.rmtree(store_dir, ignore_errors=True)
-    if not cold.metrics.counters.get("pin.cache.persistent_saves"):
-        print("warning: cold run saved no trace-store entry",
+    if not first.metrics.counters.get("pin.cache.persistent_saves"):
+        print("warning: the first run saved no trace-store entry",
               file=sys.stderr)
-    pilot = warm.slices[0]
-    wall = warm.wallclock_summary()
+    wall = gated.wallclock_summary()
     return {
         "workload": WORKLOAD,
         "scale": SCALE,
@@ -154,8 +154,8 @@ def measure(trace_path=None):
         "filter": FILTER,
         "suppress": SUPPRESS,
         "wallclock": {key: wall[key] for key in WALLCLOCK_KEYS},
-        "counters": dict(warm.metrics.counters),
-        "pilot_cold_compiles": pilot.compiles - pilot.warm_starts,
+        "counters": dict(gated.metrics.counters),
+        "pilot_cold_compiles": pilot_cold_compiles(gated.slices),
     }
 
 
@@ -180,8 +180,8 @@ def compare(current, baseline):
             )
     if current.get("pilot_cold_compiles", 0):
         failures.append(
-            f"warm run compiled {current['pilot_cold_compiles']} pilot "
-            f"traces cold; a persistent-store hit must warm the pilot"
+            f"second run reports {current['pilot_cold_compiles']} pilot "
+            f"cold compiles; a persistent-store hit must name them all"
         )
     base_counters = baseline["counters"]
     for name in sorted(set(base_counters) | set(current["counters"])):

@@ -1,4 +1,4 @@
-"""Service smoke test: boot the daemon, prove the cross-run warm start.
+"""Service smoke test: boot the daemon, prove the cross-run store hit.
 
 The CI `service-smoke` job's driver (also runnable locally):
 
@@ -10,8 +10,8 @@ run — and asserts:
 
 - all three complete with correct, matching reports;
 - the second identical job hits the persistent trace store
-  (``pin.cache.persistent_hits > 0``) and compiles zero pilot-slice
-  traces cold;
+  (``pin.cache.persistent_hits > 0``) and reports zero pilot cold
+  compiles;
 - the distinct job keys its own entry (cold, no false sharing).
 
 On success the daemon is shut down gracefully and its state dir (job
@@ -107,9 +107,9 @@ def main(argv=None):
                             f"persistent trace store")
         if finals[j2]["result"]["pilot_cold_compiles"] != 0:
             problems.append(
-                f"{j2} compiled "
+                f"{j2} reports "
                 f"{finals[j2]['result']['pilot_cold_compiles']} pilot "
-                f"traces cold; a store hit must warm the pilot")
+                f"cold compiles; a store hit must name them all")
         if (finals[j1]["result"]["tool_report"]
                 != finals[j2]["result"]["tool_report"]):
             problems.append("identical jobs produced different reports")

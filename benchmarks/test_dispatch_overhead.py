@@ -1,13 +1,10 @@
-"""Dispatch-overhead microbenchmark: trace linking and the warm cache.
+"""Dispatch-overhead microbenchmark: trace linking and the TC2 tier.
 
-Measures the two host-level costs this optimisation pair removes:
-
-- **dict dispatch** — a call-heavy guest maximises trace-to-trace
-  transitions; with ``-splinktraces`` each transition chains through a
-  patched direct link instead of the dispatcher's hash lookup;
-- **re-JIT** — a multi-slice run re-compiles the same working set in
-  every slice; with ``-spwarmcache`` later slices install the pilot's
-  traces instead of invoking the JIT cold.
+Measures the host-level cost of **dict dispatch** — a call-heavy guest
+maximises trace-to-trace transitions; with ``-splinktraces`` each
+transition chains through a patched direct link instead of the
+dispatcher's hash lookup, and with ``-sptc2`` hot chains run as
+superblocks.
 
 Functional parity is asserted unconditionally; the wall-clock
 comparisons are printed (and exported by the bench-smoke CI job) with
@@ -20,9 +17,6 @@ from repro.harness import format_table
 from repro.isa import assemble
 from repro.machine import Kernel, load_program
 from repro.pin import PinVM
-from repro.superpin import run_superpin, SuperPinConfig
-from repro.tools import ICount2
-from repro.workloads import build
 
 #: Tiny leaf calls split execution into many short traces: the loop
 #: body is ~10 traces, so per-transition dispatch cost dominates.
@@ -173,50 +167,3 @@ def test_tier_ablation_tc2_vs_linked(save_figure):
                 "Tiered compilation: linked tier-1 vs TC2 superblocks\n"
                 f"(call-heavy guest, best of {REPEATS})\n\n{table}")
 
-
-def test_warm_cache_rejit_overhead(bench_scale, save_figure):
-    """Cross-slice re-JIT: cold JIT invocations and slice-phase wall
-    clock with the warm cache on vs off (source backend, where a warm
-    start skips CPython ``compile()``)."""
-    scale = max(bench_scale, 0.25)
-    built = build("gzip", scale=scale)
-    rows = []
-    results = {}
-    for label, warm in (("cold", False), ("warm", True)):
-        tool = ICount2()
-        config = SuperPinConfig(spworkers=2, spmetrics=True,
-                                jit_backend="source",
-                                spwarmcache=warm, splinktraces=warm)
-        t0 = time.perf_counter()
-        report = run_superpin(built.program, tool, config,
-                              kernel=Kernel(seed=42))
-        elapsed = time.perf_counter() - t0
-        counters = dict(report.metrics.counters)
-        results[label] = (report, tool, counters, elapsed)
-        rows.append([label,
-                     str(counters["pin.cache.compiles"]),
-                     str(counters["pin.jit.compiles"]),
-                     str(counters.get("pin.cache.warm_starts", 0)),
-                     str(counters.get("pin.cache.linked_dispatches", 0)),
-                     f"{elapsed:.3f}"])
-
-    cold_report, cold_tool, cold_counters, _ = results["cold"]
-    warm_report, warm_tool, warm_counters, _ = results["warm"]
-    # Parity first: the optimisation must be invisible in the output.
-    assert warm_tool.total == cold_tool.total
-    assert warm_report.stdout == cold_report.stdout
-    assert warm_counters["pin.cache.compiles"] \
-        == cold_counters["pin.cache.compiles"]
-    # The actual savings: fewer cold JIT invocations, nonzero warm
-    # starts, dispatcher traffic replaced by linked dispatches.
-    assert warm_counters["pin.cache.warm_starts"] > 0
-    assert warm_counters["pin.jit.compiles"] \
-        < cold_counters["pin.jit.compiles"]
-    assert warm_counters["pin.cache.linked_dispatches"] > 0
-
-    table = format_table(
-        ["mode", "cache compiles", "cold JIT compiles", "warm starts",
-         "linked dispatches", "total (s)"], rows)
-    save_figure("dispatch_warm_cache",
-                f"Warm code cache: re-JIT work across slices "
-                f"(gzip, scale {scale}, 2 workers)\n\n{table}")

@@ -222,9 +222,6 @@ def _cmd_run(args, extra: list[str]) -> int:
               f"({samp['sampled_slices']} sampled, "
               f"{samp['skipped_slices']} tool-free) — tool report is an "
               f"approximation")
-    if report.total_warm_mismatches:
-        print(f"warm cache: {report.total_warm_mismatches} consistency "
-              f"mismatches (those traces compiled cold)")
     jit = report.jit_summary()
     if jit is not None:
         print(f"jit: {jit['compiles']:,} compiles, {jit['pooled']:,} from "

@@ -38,12 +38,6 @@ class CacheStats:
     #: part of ``lookups``/``hits``: hit_rate stays an honest dispatcher
     #: statistic, and linked dispatches are counted separately.
     linked_dispatches: int = 0
-    #: Traces installed from a cross-slice warm payload rather than
-    #: compiled from guest memory (see repro.superpin.warmstore).
-    warm_starts: int = 0
-    #: Warm entries whose consistency check failed (different local
-    #: instrumentation or guest bytes); built cold instead.
-    warm_mismatches: int = 0
     #: Inserts over an address that was already cached: the old trace is
     #: evicted (and unlinked) and its bubble charge refunded, so neither
     #: ``allocated_words`` nor ``compiles`` double-counts.
@@ -109,8 +103,8 @@ class CodeCache:
         return trace
 
     def get(self, address: int):
-        """Uncounted lookup for internal plumbing (TC2 promotion, warm
-        profiles); dispatcher statistics stay honest."""
+        """Uncounted lookup for internal plumbing (TC2 eviction, mid-run
+        promotion); dispatcher statistics stay honest."""
         return self._traces.get(address)
 
     def can_fit(self, num_ins: int) -> bool:
@@ -226,7 +220,7 @@ class CodeCache:
         self.stats.flushes += 1
 
     def live_traces(self):
-        """The currently cached traces (for warm-cache export)."""
+        """The currently cached traces."""
         return self._traces.values()
 
     def __len__(self) -> int:

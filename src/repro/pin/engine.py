@@ -130,12 +130,6 @@ class PinVM:
         #: dispatcher only on cold exits.  Architecturally invisible —
         #: differential tests enforce identical results either way.
         self.link_traces = link_traces
-        #: Cross-slice warm payload as ``pc -> WarmTrace``, consulted by
-        #: the dispatcher miss path; each entry serves at most once
-        #: (after that the trace is cached normally).  Entries are
-        #: lowered lazily with *this* engine's instrumentation, so a
-        #: warm trace is architecturally identical to a cold compile.
-        self.warm_traces: dict[int, object] = {}
         #: Redundancy suppression (repro.pin.suppress): legal back-edge
         #: loops compile with their invariant instrumentation summarized
         #: to one call per loop exit.
@@ -211,22 +205,6 @@ class PinVM:
     def add_syscall_observer(self, observer) -> None:
         """Register ``observer(outcome)`` called after every syscall."""
         self.syscall_observers.append(observer)
-
-    def install_warm(self, payload) -> None:
-        """Install a warm payload (see repro.superpin.warmstore).
-
-        Installation is lazy: nothing compiles until the dispatcher
-        actually misses on a warm address, so cache statistics, compile
-        order and bubble accounting stay identical to a cold run.  The
-        payload's promoted chains become this engine's TC2 promotion
-        profile: each chain promotes the moment its segments are cached,
-        so warm runs start hot instead of re-earning every superblock
-        through the execution counter.
-        """
-        for entry in payload.traces:
-            self.warm_traces.setdefault(entry.address, entry)
-        if self.tc2 is not None:
-            self.tc2.install_profile(payload.chains)
 
     # -- syscall plumbing ----------------------------------------------------
 
@@ -373,26 +351,15 @@ class PinVM:
                     if timed:
                         # A miss is already slow: time each directly.
                         compile_start = time.perf_counter()
-                    entry = self.warm_traces.pop(pc, None)
-                    if entry is None:
-                        trace, warm = jit.compile(pc), False
-                    else:
-                        trace, warm = jit.build_warm(entry)
-                        if not warm:
-                            cache.stats.warm_mismatches += 1
+                    trace = jit.compile(pc)
                     if timed:
                         self.metrics.observe(
                             "pin.jit.compile_seconds",
                             time.perf_counter() - compile_start)
-                    if warm:
-                        cache.stats.warm_starts += 1
-                    elif timed:
                         self.metrics.inc("pin.jit.compiles")
                         self.metrics.observe("pin.jit.trace_ins",
                                              trace.num_ins)
                     cache.insert(pc, trace, trace.num_ins)
-                    if tc2 is not None:
-                        tc2.note_insert(trace)
                 if linking and prev is not None:
                     # Patch the predecessor's exit stub: the next time
                     # it exits to ``pc`` the dispatcher is bypassed.

@@ -6,7 +6,7 @@ one address range, one instruction class).  An :class:`InstrumentFilter`
 names that subset, and a trace callback registered with a filter is
 simply *skipped* for traces containing no matching instruction — the
 trace then compiles as an uninstrumented fast-path trace: bare
-semantics, no analysis calls, still linkable and warm-cacheable.
+semantics, no analysis calls, still linkable.
 
 The spec grammar (``-spfilter``) is a comma-separated OR of terms::
 

@@ -81,7 +81,6 @@ compiled, for the life of the engine (:attr:`Jit.heat`).
 
 from __future__ import annotations
 
-import marshal
 import types
 from dataclasses import dataclass
 from typing import Callable
@@ -338,13 +337,11 @@ class Jit:
         for skeleton in self.pool.values():
             skeleton.owner = skeleton.kept = None
 
-    def compile(self, address: int, warm=None):
+    def compile(self, address: int):
         """Build, instrument and lower the trace starting at ``address``
         — as generated code if it has earned it, else as threaded code.
 
-        ``warm`` is the warm entry that named the trace, for a backend
-        that ships code objects (:meth:`build_warm`).  Under
-        ``retain_for`` the instrumenting half is served from what an
+        Under ``retain_for`` the instrumenting half is served from what an
         earlier compile kept, checked against it, or marked for the
         next (module docstring); the lowering and everything the caller
         accounts the compile by are the same either way.
@@ -414,7 +411,7 @@ class Jit:
         if (self.all_generated or plan is not None
                 or (cell is not None and cell[1] and cell[0]
                     >= cell[1] * HOT_EXECUTIONS_PER_COMPILE)):
-            trace = self._lower_generated(skeleton, plan, warm)
+            trace = self._lower_generated(skeleton, plan)
             stats.hot_compiles += 1
         else:
             trace = CompiledTrace(address, self._lower_threaded(skeleton),
@@ -512,23 +509,6 @@ class Jit:
         stats.skeleton_reuses += 1
         return True
 
-    def export_warm(self, trace):
-        """``trace`` as a warm-payload record: address and length only —
-        closures over live VM state cannot cross a process boundary."""
-        # Imported here: pin sits below superpin, and the record type
-        # lives with the store that persists it.
-        from ..superpin.warmstore import WarmTrace
-        return WarmTrace(trace.start, trace.num_ins)
-
-    def build_warm(self, entry):
-        """Build the trace a warm entry names: ``(trace, warm)``.
-
-        Nothing executable was shipped, so this is an ordinary compile;
-        it still counts as a warm start because the payload, not guest
-        discovery, named the trace.
-        """
-        return self.compile(entry.address), True
-
     def compile_step(self, address: int) -> CompiledTrace:
         """Lower a single-instruction trace (exact-budget stepping).
 
@@ -570,14 +550,11 @@ class Jit:
             kept.steps = steps
         return steps
 
-    def _lower_generated(self, skeleton: _Skeleton, plan: LoopPlan | None,
-                         warm=None):
+    def _lower_generated(self, skeleton: _Skeleton, plan: LoopPlan | None):
         """Lower ``skeleton``'s instrumented trace to one generated
         function (see :mod:`repro.pin.pyjit`), by the cheapest means
         that applies: the kept function, else a pooled code object for
-        the same text, else the warm entry's marshalled one when its
-        text is this text (the §8 consistency check), else
-        ``compile()``."""
+        the same text, else ``compile()``."""
         # Imported here: pyjit builds on this module.
         from .pyjit import _Emitter, SourceCompiledTrace
         engine = self._engine
@@ -600,9 +577,6 @@ class Jit:
             source = emitter.source_text(address)
             codes = skeleton.codes
             code = codes.get(source) if codes is not None else None
-            if (code is None and warm is not None
-                    and warm.source == source):
-                code = marshal.loads(warm.code)
             if code is None:
                 fn = emitter.finish(source, address)
                 code = fn.__code__

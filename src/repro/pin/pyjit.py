@@ -27,8 +27,6 @@ Contract (shared with threaded code, enforced by differential tests in
 
 from __future__ import annotations
 
-import marshal
-
 from ..errors import ArithmeticFault
 from ..isa.instructions import MASK64, Op
 from .args import build_resolver
@@ -78,39 +76,9 @@ class SourceCompiledTrace:
 
 
 class SourceJit(Jit):
-    """The JIT with every trace lowered to generated code, and the one
-    backend whose warm entries carry code."""
+    """The JIT with every trace lowered to generated code."""
 
     all_generated = True
-
-    def export_warm(self, trace: SourceCompiledTrace):
-        """``trace`` as a warm-payload record: the generated source (the
-        consistency key) and the marshalled code object."""
-        # Imported here: pin sits below superpin, and the record type
-        # lives with the store that persists it.
-        from ..superpin.warmstore import WarmTrace
-        return WarmTrace(trace.start, trace.num_ins, trace.source,
-                         marshal.dumps(trace.fn.__code__))
-
-    def build_warm(self, entry) -> tuple[SourceCompiledTrace, bool]:
-        """Build the trace a warm entry names: ``(trace, warm)``.
-
-        Lowering and instrumentation still run locally (the analysis
-        resolvers must bind *this* slice's tool closures) — exactly
-        once, so trace callbacks fire as in a cold build — and the
-        regenerated source text is compared against the entry's: that
-        string comparison is the §8 "consistency check".  On a match the
-        marshalled code object is rebound directly, skipping
-        ``compile()`` — the dominant cost of a cold build.  On a
-        mismatch (different instrumentation, different guest bytes) the
-        cold build finishes from the same lowering and the foreign code
-        object is never unmarshalled.  The payload decides ``warm``
-        before the pool is looked at, so ``warm_starts`` and
-        ``warm_mismatches`` read the same on a resident engine; the
-        pool only spares a matching entry its ``marshal.loads``.
-        """
-        trace = self.compile(entry.address, entry)
-        return trace, trace.source == entry.source
 
 
 class _Emitter:
@@ -497,7 +465,8 @@ class _Emitter:
     def source_text(self, address: int) -> str:
         """The trace's full source.  Deterministic for a given trace
         shape + instrumentation, so two slices lowering the same trace
-        produce byte-identical text — the warm-cache consistency key.
+        produce byte-identical text — the key of a pooled skeleton's
+        code objects (``_Skeleton.codes``).
         """
         header = f"def __trace__():  # trace @ {address:#x}\n"
         return header + "\n".join(self._lines) + "\n"

@@ -287,10 +287,6 @@ class TranslationCache2:
         self._allocated = 0
         #: segment start -> superblock starts depending on it.
         self._by_segment: dict[int, set[int]] = {}
-        #: Warm promotion profile: head start -> chain of segment starts
-        #: (installed from the pilot's exports; see ``install_profile``).
-        self._profile: dict[int, tuple[int, ...]] = {}
-        self._members: frozenset[int] = frozenset()
         self.stats = Tc2Stats()
 
     # -- dispatch ----------------------------------------------------------
@@ -438,46 +434,8 @@ class TranslationCache2:
                                    for seg in block.segments)
             self._rebuild(block)
 
-    # -- warm promotion profiles -------------------------------------------
-
-    def install_profile(self, chains) -> None:
-        """Adopt the pilot's promoted chains as a warm profile.
-
-        Each chain promotes as soon as every segment is cached — no
-        threshold wait — so warm slices start hot.  Nothing compiles at
-        promotion time (segments are the slice's own cached traces), so
-        compile accounting stays untouched.
-        """
-        for chain in chains:
-            chain = tuple(chain)
-            if chain and chain[0] not in self._profile:
-                self._profile[chain[0]] = chain
-        members = set()
-        for chain in self._profile.values():
-            members.update(chain)
-        self._members = frozenset(members)
-
-    def note_insert(self, trace) -> None:
-        """Dispatcher-insert hook: try profiled promotions this trace
-        completes."""
-        if trace.start not in self._members:
-            return
-        cache_get = self._cache.get
-        for head_start, chain in self._profile.items():
-            if head_start in self._blocks or trace.start not in chain:
-                continue
-            segments = [cache_get(address) for address in chain]
-            if any(seg is None or getattr(seg, "tier", 0) != 1
-                   for seg in segments):
-                continue
-            started = time.perf_counter() if self.metrics.enabled else 0.0
-            if (self._install(segments) is not None
-                    and self.metrics.enabled):
-                self.metrics.observe("pin.tc2.promote_seconds",
-                                     time.perf_counter() - started)
-
     def chains(self) -> tuple[tuple[int, ...], ...]:
-        """Live superblock chains (segment starts), for warm export."""
+        """Live superblock chains (segment starts)."""
         return tuple(self._blocks[start].segment_starts
                      for start in sorted(self._blocks))
 

@@ -10,11 +10,14 @@ out over ``-spworkers`` worker processes, and because the run's
 (``call_soon_threadsafe``), which a process boundary would forbid.
 
 Every job runs against the daemon's persistent trace store
-(``<state_dir>/trace_store``) unless its switches name their own, which
-is the service's economics: the first submission of a program pays the
-pilot compile, every later identical submission — any tenant, any
-connection, even after a daemon restart — starts warm with zero pilot
-compiles (``pin.cache.persistent_hits`` > 0 on its counters).
+(``<state_dir>/trace_store``) unless its switches name their own: the
+first submission of a program leaves the trace heads its first slice
+compiled there, and every later identical submission — any tenant, any
+connection, even after a daemon restart — finds them
+(``pin.cache.persistent_hits`` > 0 on its counters) and reports zero
+pilot cold compiles.  That is an account of what a process-spanning
+code cache *would* save, not a saving: each job still compiles on its
+own machines (:mod:`repro.superpin.warmstore`).
 
 Durability: accepted submissions are fsynced to ``<state_dir>/
 jobs.jsonl`` before the client hears "queued", so a SIGKILLed daemon
@@ -411,8 +414,7 @@ def build_job_config(spec: dict, trace_store_dir: str | None):
 
     The daemon forces metrics on (clients consume the counters) and
     points jobs without their own ``-sptracestore`` at the daemon's
-    shared store — the cross-run warm tier is the service's whole
-    point, so it is the default, not an opt-in.
+    shared store (the default, not an opt-in).
     """
     from ..superpin import parse_switches, SuperPinConfig
     switches = list(spec.get("switches", []))
@@ -453,10 +455,7 @@ def run_job_spec(spec: dict, trace_store_dir: str | None,
 
 def job_result(report, tool) -> dict:
     """The client-visible summary of one finished run."""
-    pilot_cold = 0
-    if report.slices:
-        pilot = report.slices[0]
-        pilot_cold = pilot.compiles - pilot.warm_starts
+    from ..superpin import pilot_cold_compiles
     counters = dict(report.metrics.counters) if report.metrics else {}
     return {
         "exit_code": report.exit_code,
@@ -464,6 +463,6 @@ def job_result(report, tool) -> dict:
         "all_exact": report.all_exact,
         "degraded_slices": list(report.degraded_slices),
         "tool_report": tool.report(),
-        "pilot_cold_compiles": pilot_cold,
+        "pilot_cold_compiles": pilot_cold_compiles(report.slices),
         "counters": counters,
     }

@@ -41,8 +41,8 @@ from .switches import (DEFAULT_CLOCK_HZ, FAULT_POLICIES, parse_switches,
                        SuperPinConfig)
 from .sysrecord import PlaybackHandler, RecordedSyscall
 from .timetravel import DebugSession, StopEvent, TimeTravelEngine
-from .warmstore import (charge_slices_in_order, damage_store_chains,
-                        damage_store_entry, isa_fingerprint, store_key,
+from .warmstore import (charge_slices_in_order, damage_store_entry,
+                        isa_fingerprint, pilot_cold_compiles, store_key,
                         trace_store_for, TraceStore)
 
 __all__ = [
@@ -65,8 +65,7 @@ __all__ = [
     "RecordedSyscall", "damage_journal", "frame_blob", "program_digest",
     "RunJournal", "run_key", "unframe_blob", "damage_recording",
     "load_recording", "Recording", "save_recording", "replay_recording",
-    "reference_from_recording", "damage_store_chains",
-    "damage_store_entry", "isa_fingerprint",
-    "store_key", "trace_store_for", "TraceStore",
+    "reference_from_recording", "damage_store_entry", "isa_fingerprint",
+    "pilot_cold_compiles", "store_key", "trace_store_for", "TraceStore",
     "DebugSession", "StopEvent", "TimeTravelEngine",
 ]

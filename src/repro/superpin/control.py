@@ -204,6 +204,10 @@ class MasterStats:
 HOT_HEAD_ARRIVALS = 1000
 SIDE_EXIT_MISSES = 8
 
+#: The shortest timeslice adaptive throttling (``-spadaptive``) shrinks
+#: to, in virtual milliseconds.
+MIN_TIMESLICE_MSEC = 50
+
 
 class MasterEngine:
     """The master's executor: interpret cold code, run hot loops as
@@ -458,7 +462,7 @@ class ControlProcess:
         remaining = expected_total - executed_instructions
         if remaining <= 0:
             return standard
-        floor = max(1, config.min_timeslice_msec * config.clock_hz // 1000)
+        floor = max(1, MIN_TIMESLICE_MSEC * config.clock_hz // 1000)
         throttled = remaining // (config.spmp + 1)
         return max(floor, min(standard, throttled))
 

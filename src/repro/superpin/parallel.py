@@ -18,7 +18,7 @@ The two units of work the pipeline is made of:
    every kernel dependence, the same determinism property rr exploits
    to re-execute recordings on other cores.  A job is one tuple —
    boundary snapshot, interval records, end signature, tool-context
-   template, SP handle, config, warm payload — and its outcome one
+   template, SP handle, config — and its outcome one
    ``(result, fork_seconds, run_seconds, metrics)`` record.  Which
    process runs the job, and whether either side is ever pickled, is
    the executor's business (:mod:`repro.superpin.supervisor`).
@@ -153,10 +153,10 @@ def record_boundary_signature(boundary: Boundary, config: SuperPinConfig,
     if config.quickreg_adaptive:
         scratch = boundary.mem_fork.scratch_fork()
         if lookahead is not None:
-            quick = lookahead.select(boundary.cpu_snapshot, scratch, config)
+            quick = lookahead.select(boundary.cpu_snapshot, scratch)
         else:
             quick = select_quick_registers(
-                Process(cpu.copy(), scratch, syscall_handler=None), config)
+                Process(cpu.copy(), scratch, syscall_handler=None))
         adaptive = quick is not None
     return record_signature(cpu, boundary.mem_fork, config,
                             quick_regs=quick or DEFAULT_QUICK_REGS,
@@ -190,18 +190,15 @@ def record_signatures(timeline: MasterTimeline,
 
 def slice_job(timeline: MasterTimeline, signatures: list[Signature],
               template: SliceToolContext, sp: SPControl,
-              config: SuperPinConfig, k: int, warm=None,
-              export_warm: bool = False) -> tuple:
+              config: SuperPinConfig, k: int) -> tuple:
     """Everything slice ``k`` needs to run, as one picklable tuple.
 
     ``signatures[k]`` is the end signature slice ``k`` must detect (the
-    final slice has none).  ``warm`` is the frozen warm-cache payload
-    shipped to the slice; ``export_warm`` marks the pilot, which returns
-    its compiled traces for the control process to fold.
+    final slice has none).
     """
     return (timeline.boundaries[k], timeline.intervals[k],
             signatures[k] if k < len(signatures) else None,
-            template, sp, config, warm, export_warm)
+            template, sp, config)
 
 
 def run_slice_job(work, machine=None) -> tuple:
@@ -225,13 +222,11 @@ def run_slice_job(work, machine=None) -> tuple:
         t0 = time.perf_counter()
         work = pickle.loads(work)
         fork_seconds = time.perf_counter() - t0
-    (boundary, interval, end_signature, template, sp,
-     config, warm, export_warm) = work
+    boundary, interval, end_signature, template, sp, config = work
     metrics = metrics_for(config.spmetrics)
     t0 = time.perf_counter()
     result = run_slice(boundary, interval, end_signature, template, sp,
-                       config, metrics=metrics, warm=warm,
-                       export_warm=export_warm, machine=machine)
+                       config, metrics=metrics, machine=machine)
     return (result, fork_seconds, time.perf_counter() - t0,
             metrics.snapshot())
 

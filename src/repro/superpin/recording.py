@@ -55,9 +55,9 @@ from ..errors import RecordingCorruptError
 from ..fsutil import atomic_write
 from ..machine.cpu import fingerprint_state
 from ..obs.metrics import NULL_METRICS
-from .control import Boundary, Interval, MasterTimeline
-from .journal import _KEY_FIELDS
-from .signature import Signature
+from .control import (Boundary, Interval, MasterTimeline,
+                      MIN_TIMESLICE_MSEC)
+from .signature import QUICKREG_BLOCK_COUNT, Signature
 from .sysrecord import recorded_stream_digest
 
 #: Artifact magic; the trailing revision digit is the format version.
@@ -66,6 +66,23 @@ _LEN = struct.Struct("<Q")
 
 #: Current artifact format version (bump on incompatible layout change).
 FORMAT_VERSION = 1
+
+#: ``meta["config"]`` of format 1: the result-affecting config of the
+#: recording run, under the names and in the order the format was
+#: defined with.  Nothing reads the table back, but the section is
+#: hashed into ``recording_id``, so the three names that have since
+#: stopped being fields (one value was ever in use) keep their slot and
+#: that value: the same program and config still record to the same id.
+_META_CONFIG = (
+    "spmsec", "spmp", "spsysrecs", "clock_hz", "jit_backend",
+    "splinktraces", "spwarmcache", "spsharedcache", "spfilter",
+    "spsuppress", "spsample", "spadaptive", "expected_duration_msec",
+    "min_timeslice_msec", "signature_stack_words", "quickreg_block_count",
+    "quickreg_adaptive", "slice_runaway_factor", "slice_runaway_slack",
+)
+_RETIRED_CONFIG = {"spwarmcache": True,
+                   "min_timeslice_msec": MIN_TIMESLICE_MSEC,
+                   "quickreg_block_count": QUICKREG_BLOCK_COUNT}
 
 #: Sections whose damage is never tolerable — without them there is no
 #: run shape to degrade around.
@@ -106,8 +123,8 @@ def save_recording(path, timeline: MasterTimeline,
         "interval_instructions": [i.instructions
                                   for i in timeline.intervals],
         "interval_syscalls": [i.syscalls for i in timeline.intervals],
-        "config": {name: getattr(config, name, None)
-                   for name in _KEY_FIELDS},
+        "config": {name: getattr(config, name, _RETIRED_CONFIG.get(name))
+                   for name in _META_CONFIG},
     }
     sections: list[tuple[str, bytes]] = [
         ("meta", pickle.dumps(meta, pickle.HIGHEST_PROTOCOL)),

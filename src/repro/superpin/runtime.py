@@ -70,7 +70,7 @@ from .signature import Lookahead, Signature
 from .slices import SliceResult
 from .supervisor import SliceOutcome, supervise_slices
 from .switches import SuperPinConfig
-from .warmstore import charge_slices_in_order, WarmStore
+from .warmstore import charge_slices_in_order
 
 
 @dataclass
@@ -178,16 +178,6 @@ class SuperPinReport:
             "full_check_rate": (full / quick) if quick else 0.0,
         }
 
-    @property
-    def total_warm_mismatches(self) -> int:
-        """Warm-cache entries whose consistency check failed, run-wide.
-
-        A systematically nonzero value means the pilot's instrumentation
-        no longer matches the slices' (e.g. sampling skipped the tool on
-        some slices) and those slices compiled cold.
-        """
-        return sum(s.warm_mismatches for s in self.slices)
-
     def jit_summary(self) -> dict[str, float] | None:
         """Host-side compile work of the slice phase, or None without
         ``-spmetrics``: every dispatcher miss (each one a ``compile`` in
@@ -227,7 +217,6 @@ class SuperPinReport:
                                     for s in self.slices),
             "suppressed_calls": sum(s.suppressed_calls
                                     for s in self.slices),
-            "warm_mismatches": self.total_warm_mismatches,
             "tc2_promotions": sum(s.tc2_promotions for s in self.slices),
             "tc2_dispatches": sum(s.tc2_dispatches for s in self.slices),
             "tc2_mispredicts": sum(s.tc2_mispredicts
@@ -596,13 +585,6 @@ def _run_pipeline(timeline: MasterTimeline, signatures: list[Signature],
             journal = RunJournal.create(config.spjournal, key,
                                         metrics=metrics)
 
-    # The run's warm store; with -sptracestore, over a disk entry.  A hit
-    # hands every slice (pilot included) the stored payload, so a repeat
-    # run — or a second replay of the same artifact, whose slice shapes
-    # are its own — compiles zero pilot traces cold; a miss runs the
-    # normal pilot protocol and persists its frozen exports at the fold.
-    warm = WarmStore.for_run(config, source_digest, metrics)
-
     # 3. Slice phase: in-process, or fanned out (-spworkers), under the
     #    -spfaults supervision policy — and, on a live run, the master
     #    it consumes.  The phase begins when the supervisor announces
@@ -612,7 +594,8 @@ def _run_pipeline(timeline: MasterTimeline, signatures: list[Signature],
         supervised = supervise_slices(
             timeline, signatures, template, sp, config, tracer=tracer,
             metrics=metrics, journal=journal, preloaded=preloaded,
-            damaged=damaged, warm=warm, on_progress=progress,
+            damaged=damaged, source_digest=source_digest,
+            on_progress=progress,
             stream=master.steps() if master is not None else None)
     finally:
         if journal is not None:

@@ -42,6 +42,10 @@ from .switches import SuperPinConfig
 #: Default quick-check registers when the recorder finds no candidate.
 DEFAULT_QUICK_REGS = (SP, RA)
 
+#: Basic blocks the recorder may observe when choosing the two
+#: quick-check registers (paper: "a specified block count").
+QUICKREG_BLOCK_COUNT = 20
+
 
 @dataclass(frozen=True)
 class Signature:
@@ -149,16 +153,15 @@ class _WriteCounter:
                     ins.insert_call(IPOINT_BEFORE, self.count_writes,
                                     IARG_PTR, dests, IARG_END)
 
-    def most_written(self, vm: PinVM, config: SuperPinConfig
-                     ) -> tuple[int, int] | None:
+    def most_written(self, vm: PinVM) -> tuple[int, int] | None:
         """Run the lookahead on ``vm`` (fresh or just reset) and rank."""
         writes = self.writes
         writes[:] = [0] * 32
-        self.blocks_left = config.quickreg_block_count
+        self.blocks_left = QUICKREG_BLOCK_COUNT
         vm.add_trace_callback(self.instrument)
         # Bounded run: the block counter or the syscall barrier stops
         # it; the budget is a backstop for straight-line code.
-        vm.run(max_instructions=config.quickreg_block_count * 64 + 64)
+        vm.run(max_instructions=QUICKREG_BLOCK_COUNT * 64 + 64)
 
         ranked = sorted(range(1, 32), key=lambda r: (-writes[r], r))
         top = [r for r in ranked if writes[r] > 0][:2]
@@ -171,18 +174,18 @@ class _WriteCounter:
         return (top[0], top[1])
 
 
-def select_quick_registers(snapshot_process: Process,
-                           config: SuperPinConfig) -> tuple[int, int] | None:
+def select_quick_registers(snapshot_process: Process
+                           ) -> tuple[int, int] | None:
     """Recording mode: find the two most-written registers.
 
-    Runs the first ``quickreg_block_count`` basic blocks of the new
+    Runs the first :data:`QUICKREG_BLOCK_COUNT` basic blocks of the new
     slice's code on a scratch COW fork under write-counting
     instrumentation.  Returns None when no register was written (the
     caller falls back to :data:`DEFAULT_QUICK_REGS`).
     """
     scratch = snapshot_process.fork(
         syscall_handler=_LookaheadSyscallBarrier())
-    return _WriteCounter().most_written(PinVM(scratch), config)
+    return _WriteCounter().most_written(PinVM(scratch))
 
 
 class Lookahead:
@@ -207,8 +210,8 @@ class Lookahead:
         self._vm.jit.pool = {}
         self._vm.jit.retain_for = self._counter
 
-    def select(self, cpu_snapshot, scratch: Memory,
-               config: SuperPinConfig) -> tuple[int, int] | None:
+    def select(self, cpu_snapshot,
+               scratch: Memory) -> tuple[int, int] | None:
         """The quick registers for the state ``(cpu_snapshot,
         scratch)``; ``scratch`` is adopted and spent."""
         process = self._process
@@ -216,7 +219,7 @@ class Lookahead:
         process.mem.adopt(scratch)
         process.exited = False
         self._vm.reset()
-        return self._counter.most_written(self._vm, config)
+        return self._counter.most_written(self._vm)
 
 
 class SignatureDetector:

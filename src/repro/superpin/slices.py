@@ -112,15 +112,12 @@ class SliceResult:
     #: Trace transitions that chained through a direct link instead of
     #: the dispatcher dict (``-splinktraces``; informational).
     linked_dispatches: int = 0
-    #: Traces installed from the warm payload (``-spwarmcache``); still
-    #: counted in ``compiles`` — warm execution is architecturally
-    #: identical to cold, only the host compile work differs.
+    #: Distinct trace heads of ``compile_log`` that slice 0 (or a
+    #: ``-sptracestore`` entry) had compiled before: a view over the
+    #: run's compile logs, filled in slice order once the slices have
+    #: landed (:func:`~repro.superpin.warmstore.count_warm_starts`) —
+    #: still counted in ``compiles``, and 0 on a bare ``run_slice``.
     warm_starts: int = 0
-    #: Warm entries whose consistency check failed (compiled cold).
-    warm_mismatches: int = 0
-    #: Warm-cache entries this slice exported for the control process
-    #: to fold (pilot slice only; cleared once folded).
-    warm_exports: tuple = ()
     #: Architectural end state, for the differential audit: the pc the
     #: slice stopped at and a fingerprint of its final register file.
     end_pc: int = -1
@@ -151,11 +148,6 @@ class SliceResult:
     tc2_promotions: int = 0
     tc2_dispatches: int = 0
     tc2_mispredicts: int = 0
-    #: Superblock chains (tuples of segment start addresses) this slice
-    #: promoted — exported by the pilot alongside ``warm_exports`` and
-    #: folded into the warm payload as a promotion profile (cleared
-    #: once folded).
-    sb_chains: tuple = ()
 
     @property
     def exact(self) -> bool:
@@ -320,7 +312,6 @@ def run_slice(boundary: Boundary, interval: Interval,
               end_signature: Signature | None,
               template: SliceToolContext, sp: SPControl,
               config: SuperPinConfig, metrics=NULL_METRICS,
-              warm=None, export_warm: bool = False,
               machine: SliceMachine | None = None) -> SliceResult:
     """Execute slice ``interval.index`` and return its result.
 
@@ -329,10 +320,6 @@ def run_slice(boundary: Boundary, interval: Interval,
     receives the slice's observability counters (JIT compiles live,
     cache hit totals folded at slice end) — a job-local registry whose
     snapshot the control process merges.
-
-    ``warm`` is the frozen :class:`~repro.superpin.warmstore.WarmPayload`
-    (or None); ``export_warm`` asks the slice to export its own compiled
-    traces on the result — set only for the pilot slice.
 
     ``machine`` is the caller's resident :class:`SliceMachine`; one who
     runs a single slice may leave it out.
@@ -363,10 +350,6 @@ def run_slice(boundary: Boundary, interval: Interval,
     if end_signature is not None:
         detector = SignatureDetector(end_signature, vm)
         detector.attach()
-    # Warm cache last: installation is lazy, but keeping it after every
-    # add_trace_callback (each of which flushes) keeps the order obvious.
-    if warm is not None:
-        vm.install_warm(warm)
 
     # 4. Slice-begin callbacks (reset local statistics; paper Figure 2).
     if ctx.reset_fun is not None:
@@ -413,8 +396,6 @@ def run_slice(boundary: Boundary, interval: Interval,
         exit_code=result.exit_code,
         compile_log=tuple(cache.insert_log),
         linked_dispatches=cache.stats.linked_dispatches,
-        warm_starts=cache.stats.warm_starts,
-        warm_mismatches=cache.stats.warm_mismatches,
         end_pc=vm.cpu.pc,
         end_cpu_hash=vm.cpu.fingerprint(),
         syscall_digest=handler.stream_digest,
@@ -428,13 +409,6 @@ def run_slice(boundary: Boundary, interval: Interval,
         tc2_dispatches=vm.tc2.stats.dispatches if vm.tc2 else 0,
         tc2_mispredicts=vm.tc2.stats.mispredicts if vm.tc2 else 0,
     )
-    if export_warm:
-        # The surviving (post-flush) cache contents, as the backend
-        # chooses to ship them.
-        result_record.warm_exports = tuple(
-            vm.jit.export_warm(trace) for trace in cache.live_traces())
-        if vm.tc2 is not None:
-            result_record.sb_chains = vm.tc2.chains()
     if metrics.enabled:
         # Hot-path counters are folded once per slice from CacheStats
         # rather than incremented per dispatch.
@@ -451,9 +425,6 @@ def run_slice(boundary: Boundary, interval: Interval,
         metrics.inc("pin.cache.hits", cache.stats.hits)
         metrics.inc("pin.cache.linked_dispatches",
                     cache.stats.linked_dispatches)
-        metrics.inc("pin.cache.warm_starts", cache.stats.warm_starts)
-        metrics.inc("pin.cache.warm_mismatches",
-                    result_record.warm_mismatches)
         # (pin.cache.reinserts is counted live inside CodeCache.insert,
         # like pin.cache.compiles.)
         jstats = vm.jit_stats

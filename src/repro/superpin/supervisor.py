@@ -25,9 +25,6 @@ Around every attempt, whatever the transport:
   completes the run with ``all_exact == False``.  ``failfast`` is the
   same ladder with no rungs: the first failure raises, cancelling
   everything still queued;
-* the **pilot → warm-payload protocol** (``-spwarmcache``): slice 0
-  runs to resolution alone and its compiled traces are baked into
-  every later slice's job;
 * the **journal**: every landed result is appended write-ahead, and a
   resumed run's journaled results are adopted instead of re-executed.
 
@@ -76,6 +73,12 @@ Retries are bit-exact: every retry re-materializes the slice from its
 original pickled job, through the same worker entry point, so a
 recovered slice's result — counters, cow faults, compile log — is
 identical to a clean first-attempt run.
+
+What the slices' compile logs say about each other — ``warm_starts``,
+the compiles an earlier slice had paid for — is counted once, in slice
+order, when every slice has landed
+(:func:`~repro.superpin.warmstore.count_warm_starts`): no slice waits
+for another.
 """
 
 from __future__ import annotations
@@ -105,7 +108,7 @@ from .sharedmem import resolve_shared_areas
 from .signature import Signature
 from .slices import SliceMachine, SliceResult
 from .switches import SuperPinConfig
-from .warmstore import WarmStore
+from .warmstore import count_warm_starts
 
 
 @dataclass
@@ -250,7 +253,7 @@ def supervise_slices(timeline: MasterTimeline, signatures: list[Signature],
                      template: SliceToolContext, sp: SPControl,
                      config: SuperPinConfig, tracer=None,
                      metrics=NULL_METRICS, journal=None, preloaded=None,
-                     damaged=None, warm=None, on_progress=None,
+                     damaged=None, source_digest=None, on_progress=None,
                      stream=None) -> SupervisedSlices:
     """Run the slice phase under the configured fault policy.
 
@@ -272,10 +275,10 @@ def supervise_slices(timeline: MasterTimeline, signatures: list[Signature],
       recording's load tolerated for that slice (``-spfaults degrade``
       only); these slices are degraded upfront, never attempted.
 
-    * ``warm`` — the run's :class:`~repro.superpin.warmstore.WarmStore`
-      (default: a memory-only one).  Its ``lookup()`` hit starts every
-      slice, pilot included, warm and skips the pilot protocol; on a
-      miss the pilot's exports ``fold()`` into it.
+    * ``source_digest`` — what is being executed (program digest or
+      recording id): the content half of the ``-sptracestore`` key the
+      warm account reads and fills.  None (a caller that drove the
+      phases itself) counts ``warm_starts`` against slice 0 alone.
     * ``on_progress`` — called in this process as ``on_progress("slice",
       {"completed": n, "total": slices cut so far, "final": bool})``
       after each slice result lands (the hook the serve daemon streams
@@ -290,7 +293,7 @@ def supervise_slices(timeline: MasterTimeline, signatures: list[Signature],
       is exhausted.  An aborted phase closes the stream.
     """
     return _Supervisor(timeline, signatures, template, sp, config, tracer,
-                       metrics, journal, preloaded, damaged, warm,
+                       metrics, journal, preloaded, damaged, source_digest,
                        on_progress, stream).run()
 
 
@@ -314,12 +317,13 @@ class _Supervisor:
     def __init__(self, timeline: MasterTimeline,
                  signatures: list[Signature], template: SliceToolContext,
                  sp: SPControl, config: SuperPinConfig, tracer, metrics,
-                 journal, preloaded, damaged, warm, on_progress, stream):
+                 journal, preloaded, damaged, source_digest, on_progress,
+                 stream):
         self.sp = sp
         self.config = config
         self.tracer = ensure_tracer(tracer)
         self.metrics = metrics
-        self.warm = warm if warm is not None else WarmStore()
+        self._source_digest = source_digest
         self.on_progress = on_progress
         self._mark = self.tracer.mark()
         self._tracks = TrackAllocator()
@@ -368,21 +372,7 @@ class _Supervisor:
         self._pickle_jobs = self._workers > 0 or not failfast
         self._job = functools.partial(slice_job, timeline, signatures,
                                       template, sp, config)
-        #: Warm-cache pilot protocol: slice 0 runs (and, if needed,
-        #: retries) to resolution alone; its exports freeze the warm
-        #: payload baked into every later slice's job.  The pilot
-        #: serialization point costs one slice of latency and buys every
-        #: other slice a hot working set.  A warm-store ``lookup()`` hit
-        #: replaces the protocol wholesale: every slice — the pilot
-        #: included — bakes the stored payload in, so no slice compiles
-        #: the shared working set cold.  Whether slice 0 *is* a pilot is
-        #: decided when it becomes ready: a run that turns out to have
-        #: one slice never was one.
-        self._payload = self.warm.lookup() if config.spwarmcache else None
-        self._pilot = False
         self._pending: deque[int] = deque()
-        #: Slices ``[0, _queued)`` have been offered to ``_pending``.
-        self._queued = 0
 
     def _todo(self, k: int) -> bool:
         """True while slice ``k`` still needs an execution attempt."""
@@ -390,12 +380,12 @@ class _Supervisor:
                 and self.outcomes[k].status != "degraded")
 
     def _work(self, k: int):
-        """Slice ``k``'s job: its pickle (built once, so every retry
-        re-materializes the same warm set) or, when nothing can re-read
-        the bytes, the live tuple."""
+        """Slice ``k``'s job: its pickle (built once, kept until the
+        slice lands) or, when nothing can re-read the bytes, the live
+        tuple."""
         if self.payloads[k] is not None:
             return self.payloads[k]
-        job = self._job(k, warm=self._payload, export_warm=self._pilot)
+        job = self._job(k)
         if not self._pickle_jobs:
             return job
         with self.tracer.span("slice.pickle", cat="slice",
@@ -463,11 +453,11 @@ class _Supervisor:
         else:
             self.metrics.observe(
                 "superpin.stream.ready_queue_depth",
-                len(self.signatures) - self._queued + len(self._pending))
+                len(self.signatures) - len(self.outcomes)
+                + len(self._pending))
 
     def _release(self) -> None:
-        """Queue what has become ready: the pilot, then whatever has
-        arrived.
+        """Queue what has become ready.
 
         Slice ``k`` is ready once ``signatures[k]`` exists or the master
         is exhausted — the paper's sleep condition.  A ready slice gets
@@ -475,12 +465,7 @@ class _Supervisor:
         degrades it on the spot (the artifact has no trustworthy spec
         for it, so it is never attempted — the same hole a degraded
         execution leaves) and a journaled result is adopted as-is (a
-        blob that fails to decode is simply re-executed).  While the
-        pilot is unresolved only it is queued.  A degraded pilot (no
-        result) freezes nothing — later slices simply run cold, the same
-        as ``-spwarmcache 0``; an adopted pilot's exports are intact in
-        its journaled result, so the warm payload freezes without
-        re-running slice 0.
+        blob that fails to decode is simply re-executed).
         """
         live = self._stream is not None
         ready = (len(self.signatures) if live
@@ -494,23 +479,12 @@ class _Supervisor:
             self.executions.append(0)
             self.failures.append(0)
             self.payloads.append(None)
-            if k == 0:
-                self._pilot = bool(self.config.spwarmcache
-                                   and self._payload is None
-                                   and (live or ready > 1))
             if k in self._damaged:
                 self._degrade(k, self._damaged[k])
             elif k in self._preloaded:
                 self._adopt(k, self._preloaded[k])
-        if self._pilot and not self._todo(0):
-            if 0 in self.results:
-                self._payload = self.warm.fold(self.results[0])
-            self._pilot = False
-        limit = 1 if self._pilot else ready
-        for k in range(self._queued, limit):
             if self._todo(k):
                 self._pending.append(k)
-        self._queued = max(self._queued, limit)
 
     # -- the executor --------------------------------------------------------
 
@@ -586,9 +560,11 @@ class _Supervisor:
             metrics=self.metrics)
         for track in range(1, self._tracks.num_tracks + 1):
             self.tracer.name_track(track, f"slice lane {track}")
-        return SupervisedSlices(
-            results=[self.results[k] for k in sorted(self.results)],
-            timings=timings, outcomes=self.outcomes)
+        results = [self.results[k] for k in sorted(self.results)]
+        count_warm_starts(results, self.config, self._source_digest,
+                          self.metrics)
+        return SupervisedSlices(results=results, timings=timings,
+                                outcomes=self.outcomes)
 
     def _attempt_here(self, k: int) -> None:
         """In-process transport, and the ladder's last-resort fallback.
@@ -691,9 +667,8 @@ class _Supervisor:
         self._notify()
         if self.journal is not None:
             # Write-ahead: the framed blob lands durably *before* the
-            # run proceeds (appended pre-fold, so an adopted pilot still
-            # carries its warm exports on resume).  Only here does an
-            # in-process record get framed at all.
+            # run proceeds.  Only here does an in-process record get
+            # framed at all.
             self.journal.append(
                 k, blob if blob is not None else frame_record(record))
 

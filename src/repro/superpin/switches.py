@@ -47,10 +47,6 @@ Switch                  Meaning
 ``-splinktraces <0|1>`` direct trace linking in slice engines: chain
                         trace->trace through patched exit links,
                         bypassing the dispatcher (on by default)
-``-spwarmcache <0|1>``  cross-slice warm code cache: the pilot slice's
-                        compiled traces ship with every later slice's
-                        payload so slices start hot (on by default;
-                        effective with ``-spworkers`` or sequential)
 ``-sptc2 <N>``          tiered compilation: promote trace chains into
                         hot superblocks in a second translation cache
                         once a trace executes N times (see
@@ -92,13 +88,13 @@ Switch                  Meaning
 ``-spresume <0|1>``     resume from ``-spjournal``: adopt the journaled
                         slices and re-execute only the missing ones,
                         with byte-identical merged results
-``-sptracestore <dir>`` persistent cross-run trace store: compiled
-                        warm-cache payloads are content-addressed by
-                        (program digest, ISA fingerprint, JIT backend,
-                        filter/suppress config) and shared across runs
-                        and processes, so a repeated program starts hot
-                        with zero pilot cold compiles (see
-                        superpin.warmstore; requires -spwarmcache)
+``-sptracestore <dir>`` persistent cross-run trace store: the trace
+                        heads a program's first slice compiled, content-
+                        addressed by (program digest, ISA fingerprint)
+                        and shared across runs and processes, so a
+                        repeated program counts ``warm_starts`` from
+                        its first slice on (an account, not a speed-up;
+                        see superpin.warmstore)
 ``-sptracestorelimit``  size budget in bytes for the trace store;
                         least-recently-used entries are evicted past it
 ======================= ==================================================
@@ -176,9 +172,6 @@ class SuperPinConfig:
     clock_hz: int = DEFAULT_CLOCK_HZ
     #: Stack words captured in a signature (paper: "top 100 words").
     signature_stack_words: int = 100
-    #: Basic blocks the recorder may observe when choosing the two
-    #: quick-check registers (paper: "a specified block count").
-    quickreg_block_count: int = 20
     #: Disable the adaptive quick-register selection (ablation switch).
     quickreg_adaptive: bool = True
     #: Runaway guard: a slice may execute at most this multiple of the
@@ -192,7 +185,6 @@ class SuperPinConfig:
     #: duration (profile-guided, e.g. from a prior run).
     spadaptive: bool = False
     expected_duration_msec: int = 0
-    min_timeslice_msec: int = 50
     #: Share the code cache across timeslices: each trace is compiled by
     #: the first slice to need it; later slices pay only a small
     #: consistency check (paper §8's proposed compilation-overhead fix).
@@ -212,12 +204,6 @@ class SuperPinConfig:
     #: compiled traces chain straight to their successors, touching the
     #: dispatcher only on cold exits.  Architecturally invisible.
     splinktraces: bool = True
-    #: Cross-slice warm code cache: slice 0 runs first (the pilot), its
-    #: compiled traces are folded into a warm payload, and every later
-    #: slice installs them before running instead of re-JITting the
-    #: working set from guest memory.  The payload is frozen after the
-    #: pilot so results stay identical for any worker count.
-    spwarmcache: bool = True
     #: Tier-2 promotion threshold (``-sptc2 N``): a tier-1 trace that
     #: executes N times has its hottest link chain straightened into a
     #: superblock served from the second translation cache
@@ -269,11 +255,10 @@ class SuperPinConfig:
     spresume: bool = False
     # --- persistent cross-run trace store (superpin.warmstore) -------------
     #: Directory of the persistent trace store, or None (off).  With the
-    #: store configured (and ``spwarmcache`` on), the run looks its warm
-    #: payload up by content address before the slice phase: a hit warms
-    #: *every* slice — the pilot included — so a repeated program pays
-    #: zero cold compiles; a miss runs the normal pilot protocol and
-    #: persists the frozen payload for the next run.
+    #: store configured the warm account looks the program's warm set
+    #: up by content address: on a hit every slice — the first included
+    #: — counts its ``warm_starts`` against the stored trace heads; on a
+    #: miss the first slice's heads are saved for the next run.
     sptracestore: str | None = None
     #: Size budget (bytes) for the trace store directory; past it the
     #: least-recently-used entries are evicted.
@@ -393,7 +378,6 @@ _FLAG_PARSERS = {
     "-sptrace": ("sptrace", str),
     "-spmetrics": ("spmetrics", lambda v: bool(int(v))),
     "-splinktraces": ("splinktraces", lambda v: bool(int(v))),
-    "-spwarmcache": ("spwarmcache", lambda v: bool(int(v))),
     "-sptc2": ("sptc2", int),
     "-spaudit": ("spaudit", lambda v: bool(int(v))),
     "-spfilter": ("spfilter", str),

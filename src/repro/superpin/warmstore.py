@@ -1,4 +1,4 @@
-"""The warm store: the repo's one answer to "don't recompile" (§8).
+"""The warm account, the trace store, and §8 attribution.
 
     "The best approach for dramatically reducing the compilation
     overhead may be to share the code cache across all timeslices via
@@ -6,87 +6,68 @@
     extra consistency checks from other slices, but we feel that the
     reduction in overhead will outweigh the costs."
 
-One payload, two tiers, one view:
+The shared cache has one host-time implementation — the resident slice
+machine, which keeps each trace's decoded, instrumented and lowered code
+from slice to slice and checks it at the trace's second compile
+(:mod:`repro.pin.jit`) — and the slices' compile logs carry everything
+else anybody asks about it.  This module holds the two *views* over
+those logs and the one thing that outlives a run:
 
-* **The payload** — :class:`WarmPayload`: the pilot slice's compiled
-  traces as :class:`WarmTrace` records plus its promoted TC2 chains.
-  What a record carries is the JIT backend's business
-  (``jit.export_warm`` / ``jit.build_warm`` in :mod:`repro.pin`): the
-  closure backend ships address and length only — closures over live VM
-  state cannot cross a process — and rebuilds through an ordinary
-  compile; the source backend ships the generated source text and the
-  marshalled code object, and skips ``compile()`` when the locally
-  regenerated text matches (the paper's "consistency check").  The
-  payload is *advisory*: it is re-verified where it is consumed, every
-  install goes through the ordinary ``CodeCache.insert``, and so
-  compiles, compile logs, bubble accounting and every virtual-timing
-  input are byte-identical to a cold run (``-spwarmcache 0``, the
-  reference the parity tests compare against).
-* **Memory tier** — :class:`WarmStore`, one per run.  ``lookup()``
-  answers "is there a payload before any slice ran" (a disk hit: every
-  slice, the pilot included, starts warm); ``fold(pilot_result)``
-  freezes the pilot's exports into the payload every later slice — and
-  every supervisor retry — ships with, so results are identical for any
-  worker count and completion order.
-* **Disk tier** — :class:`TraceStore` (``-sptracestore``): the frozen
-  payload, content-addressed by :func:`store_key` (program digest or
-  recording id, ISA/codegen fingerprint, and every config field that
-  shapes compiled traces), one ``<key>.spwc`` file per entry: magic,
-  SHA-256 of the payload, pickled ``{"traces", "chains"}`` sections.
-  Written with :func:`repro.fsutil.atomic_write`, so concurrent writers
-  race to a *complete* file; every load recomputes the digest and a
-  mismatch evicts the entry and reports a miss; the directory is
-  size-bounded with LRU eviction by access time.  The digest is unkeyed:
-  it detects bit rot and truncation, **not** a hostile writer — hits are
-  unpickled and source-backend code objects executed, so the directory
-  must be as trusted as the code itself.
-* **§8 attribution is a view** — :func:`charge_slices_in_order`
-  (``-spsharedcache``) re-attributes compile cost over the slices'
-  compile logs after the fact; it stores nothing.
+* **The warm account** — :func:`count_warm_starts`.  The *warm set* is
+  the trace heads slice 0 compiled; ``warm_starts`` of a later slice is
+  how many distinct heads of its own compile log the set names — the
+  compiles an earlier slice of the run had already paid for once.  A
+  function of the compile logs in slice order and nothing else, so it is
+  the same number for any worker count, completion order, retry, journal
+  adoption or ``-spsharedcache`` setting; it stores nothing and no slice
+  is ever told about it.  :func:`pilot_cold_compiles` is the same view's
+  other column.
+* **§8 attribution** — :func:`charge_slices_in_order`
+  (``-spsharedcache``) re-attributes compile cost over the same logs in
+  the *virtual* account; it stores nothing either.
+* **The trace store** — :class:`TraceStore` (``-sptracestore``): the
+  warm set of one program, kept across runs under :func:`store_key`.  On
+  a hit the stored heads are the warm set and slice 0 is counted against
+  them like every other slice; on a miss slice 0's heads are saved.  An
+  entry changes what a run *reports*, never what it executes.  The tier
+  exists because the frozen benchmark (``bench/layers.py``, pinned by
+  ``tests/test_bench_contract.py``) drives ``trace_store_for`` /
+  ``store_key`` / ``load`` / ``save`` / ``size_bytes`` and expects a
+  cold run to leave an entry; deleting it, ``-sptracestore`` and
+  ``-sptracestorelimit`` waits for benchmark round 2 (ROADMAP item 3),
+  exactly like ``-spjit`` and ``-sptc2``.  A process-spanning warm tier
+  that saves host time would be a resident slice machine per daemon
+  worker, not this file.
 
-Counters (``-spmetrics``): ``pin.cache.persistent_hits`` / ``_misses``
-/ ``_saves`` / ``_evictions`` / ``_corrupt`` / ``_chain_drops``.
+  One ``<key>.spwc`` file per entry: magic, SHA-256 of the payload, the
+  heads as a JSON list of integers.  Written with
+  :func:`repro.fsutil.atomic_write`, so concurrent writers race to a
+  *complete* file; every load recomputes the digest and validates the
+  list like any outside input, and a failure evicts the entry and
+  reports a miss; the directory is size-bounded with LRU eviction by
+  access time.  Nothing read from the directory is unpickled,
+  unmarshalled or executed: the digest is unkeyed, and what a hostile
+  writer can change is a counter.
+
+Counters (``-spmetrics``): ``pin.cache.warm_starts`` and
+``pin.cache.persistent_hits`` / ``_misses`` / ``_saves`` /
+``_evictions`` / ``_corrupt``.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import json
 import os
-import pickle
-from dataclasses import dataclass
 
 from ..fsutil import atomic_write, fsync_directory
 from ..obs.metrics import NULL_METRICS
 
-
-@dataclass(frozen=True)
-class WarmTrace:
-    """One transportable trace; ``source``/``code`` are backend-owned."""
-
-    address: int
-    num_ins: int
-    #: Generated source text (source backend) — the consistency key.
-    source: str | None = None
-    #: ``marshal.dumps`` of the compiled code object (source backend).
-    code: bytes | None = None
-
-
-@dataclass(frozen=True)
-class WarmPayload:
-    """The frozen warm payload: trace records plus TC2 promotion chains
-    (tuples of segment start addresses, installed as a promotion profile
-    so warm slices start *hot*, not merely warm)."""
-
-    traces: tuple = ()
-    chains: tuple = ()
-
-
-#: Entry-file magic + format revision.  Bump when the payload schema
-#: changes shape.  Revision 2 pickles a section dict — ``traces`` (the
-#: WarmTrace tuple) plus ``chains`` (TC2 promotion chains); other
-#: revisions fail the magic check and evict like any corrupt file.
-STORE_MAGIC = b"SPTS2\n"
+#: Entry-file magic + format revision.  Revision 3 is a JSON list of
+#: trace heads; older revisions (pickled trace records) fail the magic
+#: check and are evicted like any corrupt file.
+STORE_MAGIC = b"SPTS3\n"
 _HEADER_LEN = len(STORE_MAGIC) + 32
 ENTRY_SUFFIX = ".spwc"
 
@@ -96,73 +77,46 @@ DEFAULT_STORE_LIMIT = 64 * 1024 * 1024
 
 @functools.lru_cache(maxsize=None)
 def isa_fingerprint() -> str:
-    """Digest of every module that shapes compiled trace code.
+    """Digest of every module that shapes where a trace *starts*: the
+    ISA encoding and semantics, the trace builder and the dispatch loop.
 
-    Hashing the *source* of the ISA encoding and both JIT backends makes
-    the store self-invalidating: any change to instruction semantics or
-    code generation changes the fingerprint, so old entries simply stop
-    matching instead of feeding stale generated code to a new engine.
+    Hashing their source makes the store self-invalidating: a change to
+    any of them changes the fingerprint, so old entries stop matching
+    instead of naming heads a new engine never compiles.
     """
     import inspect
 
     from ..isa import encoding, instructions
-    from ..pin import engine, jit, pyjit, superblock, suppress, trace
+    from ..pin import engine, trace
 
     digest = hashlib.sha256()
-    for module in (encoding, instructions, trace, jit, pyjit, suppress,
-                   superblock, engine):
+    for module in (encoding, instructions, trace, engine):
         digest.update(inspect.getsource(module).encode("utf-8"))
     return digest.hexdigest()
 
 
-#: Config fields that shape compiled trace *code* (not results): the
-#: JIT backend picks the code representation, the filter/suppression
-#: settings change what instrumentation is woven in, linking keeps keys
-#: honest if it ever changes code, and the TC2 threshold shapes which
-#: promotion chains the payload carries.
-_KEY_FIELDS = ("jit_backend", "spfilter", "spsuppress", "splinktraces",
-               "sptc2")
-
-
 def store_key(source_digest: str, config) -> str:
-    """Content address of one program+config's warm payload.
+    """Content address of one program's warm set.
 
     ``source_digest`` identifies the code being executed — a program
     pickle digest for live runs, a recording id for replays (the two
     deliberately key separate entries: a recording's slice shapes are
-    its own).
+    its own).  ``config`` is the frozen benchmark's call shape and
+    shapes nothing: no switch moves a trace head (backend, filter,
+    suppression, linking and TC2 all leave the compile logs of
+    ``tests/conftest.MULTISLICE`` and the bench guests unchanged).
     """
-    fields = tuple(getattr(config, name, None) for name in _KEY_FIELDS)
-    token = repr((source_digest, isa_fingerprint(), fields)).encode()
+    token = repr((source_digest, isa_fingerprint())).encode()
     return hashlib.sha256(token).hexdigest()
 
 
-def _valid_chains(chains) -> bool:
-    """Structural validity of a persisted TC2 chain section.
-
-    Traces are re-verified per entry where they are consumed; chains
-    have no such second line of defence, so a load checks the shape a
-    promotion profile requires: a tuple of non-empty tuples of
-    addresses.
-    """
-    if not isinstance(chains, tuple):
-        return False
-    for chain in chains:
-        if not isinstance(chain, tuple) or not chain:
-            return False
-        for address in chain:
-            if not isinstance(address, int) or isinstance(address, bool):
-                return False
-    return True
-
-
-def _frame(sections: dict) -> bytes:
-    payload = pickle.dumps(sections, pickle.HIGHEST_PROTOCOL)
+def _frame(heads) -> bytes:
+    payload = json.dumps(list(heads)).encode("ascii")
     return STORE_MAGIC + hashlib.sha256(payload).digest() + payload
 
 
-def _unframe(data: bytes) -> dict | None:
-    """The verified, decoded sections of an entry file, or None."""
+def _unframe(data: bytes) -> tuple[int, ...] | None:
+    """The verified, validated heads of an entry file, or None."""
     if len(data) < _HEADER_LEN or not data.startswith(STORE_MAGIC):
         return None
     payload = data[_HEADER_LEN:]
@@ -170,11 +124,15 @@ def _unframe(data: bytes) -> dict | None:
     if hashlib.sha256(payload).digest() != digest:
         return None
     try:
-        sections = pickle.loads(payload)
-        sections["traces"] = tuple(sections["traces"])
-    except Exception:
+        heads = json.loads(payload)
+    except (ValueError, RecursionError):
         return None
-    return sections
+    # The digest is unkeyed, so a well-framed entry is still outside
+    # input: a non-empty list of addresses (``True`` is an int).
+    if (not isinstance(heads, list) or not heads
+            or any(type(head) is not int or head < 0 for head in heads)):
+        return None
+    return tuple(heads)
 
 
 class TraceStore:
@@ -190,46 +148,40 @@ class TraceStore:
     def _path(self, key: str) -> str:
         return os.path.join(self.root, key + ENTRY_SUFFIX)
 
-    def load(self, key: str) -> WarmPayload | None:
-        """Return the verified warm payload for ``key``, or None.
+    def load(self, key: str) -> tuple[int, ...] | None:
+        """Return the verified warm set stored under ``key``, or None.
 
         Counts a ``persistent_hit`` or ``persistent_miss``; a corrupt
-        entry (bad magic, bad digest, undecodable payload) is evicted
-        on the spot and reported as a miss — damaged bytes are never
-        returned.  A hit refreshes the entry's access time, which is
-        what the LRU eviction orders by.
+        entry (bad magic, bad digest, anything but a non-empty JSON list
+        of addresses) is evicted on the spot and reported as a miss —
+        damaged bytes are never returned.  A hit refreshes the entry's
+        access time, which is what the LRU eviction orders by.
         """
         path = self._path(key)
-        sections = self._read(path)
-        if sections is None:
+        heads = self._read(path)
+        if heads is None:
             self.metrics.inc("pin.cache.persistent_misses")
             return None
-        chains = sections.get("chains", ())
-        if not _valid_chains(chains):
-            # A bad TC2 section must not poison the tier-1 warm start:
-            # drop the chains, keep the traces.
-            self.metrics.inc("pin.cache.persistent_chain_drops")
-            chains = ()
         try:
             os.utime(path)
         except OSError:
-            pass  # evicted or unlinked concurrently; the payload stands
+            pass  # evicted or unlinked concurrently; the heads stand
         self.metrics.inc("pin.cache.persistent_hits")
-        return WarmPayload(sections["traces"], chains)
+        return heads
 
-    def _read(self, path: str) -> dict | None:
-        """The verified sections at ``path``; None when the entry is
+    def _read(self, path: str) -> tuple[int, ...] | None:
+        """The verified heads at ``path``; None when the entry is
         absent or corrupt (and then evicted)."""
         try:
             with open(path, "rb") as handle:
                 data = handle.read()
         except OSError:
             return None
-        sections = _unframe(data)
-        if sections is None:
+        heads = _unframe(data)
+        if heads is None:
             self.metrics.inc("pin.cache.persistent_corrupt")
             self._unlink(path)
-        return sections
+        return heads
 
     def _unlink(self, path: str) -> bool:
         try:
@@ -239,17 +191,16 @@ class TraceStore:
         self.metrics.inc("pin.cache.persistent_evictions")
         return True
 
-    def save(self, key: str, payload: WarmPayload) -> None:
-        """Persist one frozen warm payload; enforce the size budget.
+    def save(self, key: str, heads) -> None:
+        """Persist one warm set; enforce the size budget.
 
-        Empty payloads are not stored (an empty entry would turn every
-        future run into a useless "hit" that warms nothing).
+        An empty set is not stored (an empty entry would turn every
+        future run into a useless "hit" that names nothing).
         """
-        if not payload.traces:
+        if not heads:
             return
         path = self._path(key)
-        atomic_write(path, _frame({"traces": payload.traces,
-                                   "chains": payload.chains}))
+        atomic_write(path, _frame(heads))
         fsync_directory(path)
         self.metrics.inc("pin.cache.persistent_saves")
         self._enforce_limit(keep=path)
@@ -302,24 +253,12 @@ class TraceStore:
 
 
 def trace_store_for(config, metrics=NULL_METRICS) -> TraceStore | None:
-    """The run's :class:`TraceStore`, or None when not configured.
-
-    The store only participates when the warm cache itself is on: the
-    payload *is* the warm payload, and with ``-spwarmcache 0`` there is
-    nothing to install it into.
-    """
-    if config.sptracestore is None or not config.spwarmcache:
+    """The run's :class:`TraceStore`, or None when not configured."""
+    if config.sptracestore is None:
         return None
     return TraceStore(config.sptracestore,
                       limit_bytes=config.sptracestore_limit,
                       metrics=metrics)
-
-
-def _rewrite_entry(root, key: str, edit) -> None:
-    path = TraceStore(root)._path(key)
-    with open(path, "rb") as handle:
-        data = handle.read()
-    atomic_write(path, edit(data))
 
 
 def damage_store_entry(root, key: str) -> None:
@@ -329,68 +268,62 @@ def damage_store_entry(root, key: str) -> None:
     entry keeps its magic and length but fails its digest, which a load
     must detect and evict.
     """
-    _rewrite_entry(root, key, lambda data: (
-        data[:_HEADER_LEN] + bytes([data[_HEADER_LEN] ^ 0x01])
-        + data[_HEADER_LEN + 1:]))
+    path = TraceStore(root)._path(key)
+    with open(path, "rb") as handle:
+        data = handle.read()
+    atomic_write(path, data[:_HEADER_LEN]
+                 + bytes([data[_HEADER_LEN] ^ 0x01])
+                 + data[_HEADER_LEN + 1:])
 
 
-def damage_store_chains(root, key: str) -> None:
-    """Corrupt only the TC2 chain section of an entry (test hook).
+def _heads(result) -> set[int]:
+    """The trace heads ``result``'s slice compiled."""
+    return {pc for pc, _ in result.compile_log}
 
-    Rewrites the entry with a structurally invalid ``chains`` section
-    and a *recomputed* (valid) digest: the file verifies, the traces
-    decode, and only the chain validation can catch the rot — the load
-    must drop the chains while still warming tier 1.
+
+def count_warm_starts(results, config, source_digest: str | None = None,
+                      metrics=NULL_METRICS) -> None:
+    """The warm account, as a view: fill every result's ``warm_starts``.
+
+    ``results`` are the surviving slice results in slice order.  The
+    warm set is the heads slice 0 compiled, and slice 0 itself — which
+    paid for them — counts none; a hole at slice 0 names nothing, so
+    every slice counts zero.  With ``source_digest`` (the content half
+    of :func:`store_key`; None: no disk tier for this caller) and
+    ``-sptracestore``, a stored set takes slice 0's place and slice 0
+    is counted against it too; on a miss slice 0's heads are saved.
+    Re-compiles after a cache flush are one head: a trace starts warm
+    once.  ``pin.cache.warm_starts`` is incremented here and nowhere
+    else.
     """
-    _rewrite_entry(root, key, lambda data: _frame(
-        {**_unframe(data), "chains": ("not-a-chain",)}))
+    first = results[0] if results and results[0].index == 0 else None
+    own = _heads(first) if first is not None else set()
+    stored = None
+    disk = (trace_store_for(config, metrics)
+            if source_digest is not None else None)
+    if disk is not None:
+        key = store_key(source_digest, config)
+        stored = disk.load(key)
+        if stored is None:
+            disk.save(key, sorted(own))  # (an empty set is not stored)
+    named = own if stored is None else frozenset(stored)
+    for result in results:
+        # Slice 0 paid for its own heads; nobody in this run paid for a
+        # stored set.
+        result.warm_starts = (0 if stored is None and result is first
+                              else len(named & _heads(result)))
+    metrics.inc("pin.cache.warm_starts",
+                sum(result.warm_starts for result in results))
 
 
-class WarmStore:
-    """One run's warm tier: a memory-held payload over an optional disk
-    entry (``disk`` + ``key``).  Frozen once — by a disk hit or by the
-    first fold — so every slice, on any attempt, sees the same warm set.
-    """
-
-    def __init__(self, disk: TraceStore | None = None, key: str = ""):
-        self._disk = disk
-        self._key = key
-        self._frozen: WarmPayload | None = None
-
-    @classmethod
-    def for_run(cls, config, source_digest: str,
-                metrics=NULL_METRICS) -> WarmStore:
-        """The store of one pipeline run (``-sptracestore`` or not)."""
-        disk = trace_store_for(config, metrics)
-        # An empty TraceStore is falsy (it has __len__): test identity.
-        key = "" if disk is None else store_key(source_digest, config)
-        return cls(disk, key)
-
-    def lookup(self) -> WarmPayload | None:
-        """The payload known before any slice ran (a disk hit), or None."""
-        if self._frozen is None and self._disk is not None:
-            self._frozen = self._disk.load(self._key)
-        return self._frozen
-
-    def fold(self, pilot) -> WarmPayload:
-        """Freeze the pilot slice's exports into the run's payload.
-
-        Dedupes (first wins) and sorts the exported traces for
-        determinism, adopts the pilot's superblock chains, persists the
-        payload to the disk tier, and strips the exports off ``pilot``
-        so reports don't drag trace sources around.
-        """
-        if self._frozen is None:
-            first: dict[tuple[int, int], WarmTrace] = {}
-            for entry in pilot.warm_exports:
-                first.setdefault((entry.address, entry.num_ins), entry)
-            self._frozen = WarmPayload(
-                tuple(first[shape] for shape in sorted(first)),
-                tuple(tuple(chain) for chain in pilot.sb_chains))
-            if self._disk is not None:
-                self._disk.save(self._key, self._frozen)
-        pilot.warm_exports = pilot.sb_chains = ()
-        return self._frozen
+def pilot_cold_compiles(results) -> int:
+    """Trace heads slice 0 compiled that no stored warm set named —
+    all of them without a ``-sptracestore`` hit, none on a hit of this
+    program's own entry; 0 when slice 0 left no result.  Read off
+    counted ``results`` (:func:`count_warm_starts`)."""
+    if not results or results[0].index != 0:
+        return 0
+    return len(_heads(results[0])) - results[0].warm_starts
 
 
 def charge_slices_in_order(results) -> None:

@@ -57,7 +57,6 @@ def _dirty_engine(backend):
                suppress_loops=True, forced_boundaries=frozenset({3}))
     ICount2().activate(vm)
     vm.add_syscall_observer(lambda outcome: None)
-    vm.warm_traces[1] = object()
     assert vm.run(max_instructions=5000,
                   exact_budget=True).state is RunState.BUDGET
     assert vm.tc2.stats.promotions and vm._step_cache
@@ -274,13 +273,3 @@ class TestSourcePool:
         assert self.vm.jit_stats.skeleton_reuses == 1
         assert second.fn.__code__ is not first.fn.__code__
         assert len(self.vm.jit.pool[self.entry].codes) == 2
-
-    def test_warm_entry_decides_warm_before_the_pool_is_asked(self):
-        entry = self.vm.jit.export_warm(self.vm.jit.compile(self.entry))
-        self.vm.reset()
-        trace, warm = self.vm.jit.build_warm(entry)
-        assert warm and self.vm.jit_stats.skeleton_reuses == 1
-        stale = dataclasses.replace(entry, source=entry.source + "#")
-        self.vm.reset()
-        trace, warm = self.vm.jit.build_warm(stale)
-        assert not warm and self.vm.jit_stats.skeleton_reuses == 1

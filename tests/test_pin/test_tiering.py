@@ -80,11 +80,6 @@ GUESTS = {
     "rewritten": (REWRITTEN, dict(spmsec=500)),
 }
 
-#: The warm payload's shape is the backend's own (``source`` ships
-#: code, and checks it against the local text); everything else must
-#: also equal ``-spjit source``.
-BACKEND_OWNED = ("warm_starts", "warm_mismatches", "warm_exports")
-
 
 def pipeline_image(guest, tool, counted=True, **overrides):
     source, settings = GUESTS[guest]
@@ -134,12 +129,8 @@ def assert_lowering_is_invisible(threshold, guest, tool, **overrides):
     assert images["1"]["jit"]["hot_instructions"] > 0
     for name in ("1", "shipped"):
         assert without(images[name]) == without(reference), name
-    # ``source`` names its own counters (code-shipping warm entries).
-    plain = without(reference, *BACKEND_OWNED)
-    plain.pop("counters")
-    theirs = without(source, *BACKEND_OWNED)
-    theirs.pop("counters")
-    assert theirs == plain
+    # Closure ≡ source on every slice field, ``warm_starts`` included.
+    assert without(source) == without(reference)
     if declares_pure_instrumentation(TOOL_FACTORIES[tool]()):
         # The declaration standing (the tool itself, uncounted): code
         # kept from slice to slice is served in either lowering, and
@@ -504,10 +495,7 @@ def test_kept_code_turns_hot_without_a_callback(threshold):
 
     def run(k):
         result = phase.run(k, machine)
-        image = slice_image(result)
-        if k == 0:
-            phase.payload = phase.store.fold(result)
-        assert image == fresh[k]
+        assert slice_image(result) == fresh[k]
         cache = machine.vm.cache
         return {pc: cache.get(pc) for pc, _ in result.compile_log}
 

@@ -2,7 +2,7 @@
 
 Drives N random-but-terminating, syscall-bearing programs through the
 full SuperPin pipeline under a matrix of configurations — sequential and
-worker fan-out, warm and cold caches, linked and unlinked traces,
+worker fan-out, linked and unlinked traces,
 adaptive timeslices — with ``-spaudit`` on, asserting every combination
 is divergence-free.  The generator deliberately exercises every syscall
 class: REPLAY (``time``/``getpid``/``getrandom``/``write``), EMULATE
@@ -147,14 +147,15 @@ def random_syscall_program(seed: int, blocks: int = 4, block_len: int = 5,
 #: in at least one entry; the worker/adaptive entries run on a seed
 #: subset to stay inside the CI budget.
 CONFIGS = {
-    "seq-cold": dict(spworkers=0, spwarmcache=False, splinktraces=False),
-    "seq-warm-linked": dict(spworkers=0, spwarmcache=True,
-                            splinktraces=True),
+    # Cold dispatch: no links, so no TC2 — every trace transition goes
+    # through the dispatcher.
+    "seq-cold": dict(spworkers=0, splinktraces=False),
+    "seq-linked": dict(spworkers=0),
     "workers": dict(spworkers=2),
     "adaptive": dict(spworkers=0, spadaptive=True,
                      expected_duration_msec=600),
 }
-_BROAD = ("seq-cold", "seq-warm-linked")     # every seed
+_BROAD = ("seq-cold", "seq-linked")          # every seed
 _NARROW = ("workers", "adaptive")            # seed subset
 
 MATRIX = ([(seed, name) for seed in SEEDS for name in _BROAD]
@@ -208,7 +209,7 @@ def test_fuzzed_pipeline_with_master_switching_every_few_instructions(
     monkeypatch.setattr(control, "HOT_HEAD_ARRIVALS", 2)
     monkeypatch.setattr(control, "SIDE_EXIT_MISSES", 1)
     program = assemble(random_syscall_program(seed))
-    name = "workers" if seed in SEEDS[:2] else "seq-warm-linked"
+    name = "workers" if seed in SEEDS[:2] else "seq-linked"
     report = run_superpin(program, ICount2(), _config(name),
                           kernel=Kernel(seed=seed))
     audit = report.audit
@@ -225,7 +226,7 @@ def test_fuzzed_pipeline_with_master_switching_every_few_instructions(
 def test_seeded_tamper_always_detected(seed):
     """Mutation test: a silently falsified slice must never audit clean."""
     program = assemble(random_syscall_program(seed))
-    config = _config("seq-warm-linked",
+    config = _config("seq-linked",
                      fault_plan=FaultPlan.parse("tamper@1"))
     report = run_superpin(program, ICount2(), config,
                           kernel=Kernel(seed=seed))

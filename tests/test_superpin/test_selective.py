@@ -194,42 +194,3 @@ class TestSampling:
         # divergence.
         assert audit.merged_tool_report != audit.serial_tool_report
 
-
-class TestWarmMismatchVisibility:
-    def test_sampling_under_source_backend_surfaces_mismatches(
-            self, multislice_program):
-        """Satellite: WarmStartSet.mismatches must be exported.  With
-        sampling on, tool-free slices compile different source text than
-        the instrumented pilot, so warm consistency checks fail — and
-        before the fix those failures were counted and thrown away."""
-        tool = ICount2()
-        report = run_superpin(
-            multislice_program, tool,
-            SuperPinConfig(spsample=2, jit_backend="source",
-                           spmetrics=True, spwarmcache=True, **BASE),
-            kernel=Kernel(seed=42))
-        if report.num_slices < 3:
-            pytest.skip("needs several slices to exercise the warm cache")
-        assert report.total_warm_mismatches > 0
-        assert (report.metrics.counters.get("pin.cache.warm_mismatches")
-                == report.total_warm_mismatches)
-        instr = report.instrumentation_summary()
-        assert instr["warm_mismatches"] == report.total_warm_mismatches
-
-    def test_mismatches_always_reach_metrics_and_report(
-            self, multislice_program):
-        """Whatever the baseline mismatch count is (slices legitimately
-        differ from the pilot at their forced-boundary pcs), the metric
-        and the report must agree — before the fix the counter never
-        left the slice."""
-        tool = ICount2()
-        report = run_superpin(
-            multislice_program, tool,
-            SuperPinConfig(jit_backend="source", spwarmcache=True,
-                           spmetrics=True, **BASE),
-            kernel=Kernel(seed=42))
-        assert (report.metrics.counters.get("pin.cache.warm_mismatches",
-                                            0)
-                == report.total_warm_mismatches)
-        assert report.total_warm_mismatches \
-            == sum(s.warm_mismatches for s in report.slices)

@@ -80,7 +80,7 @@ lp: addi t3, t3, 1
         process = load_program(program, Kernel())
         # Start the lookahead *inside* the loop.
         Interpreter(process).run(max_instructions=5)
-        quick = select_quick_registers(process, SuperPinConfig())
+        quick = select_quick_registers(process)
         assert quick is not None
         assert 11 in quick  # t3 is r11
 
@@ -93,7 +93,7 @@ lp: nop
     j lp
 """)
         process = load_program(program, Kernel())
-        quick = select_quick_registers(process, SuperPinConfig())
+        quick = select_quick_registers(process)
         assert quick is None  # caller then uses DEFAULT_QUICK_REGS
 
     def test_lookahead_does_not_mutate_snapshot(self):
@@ -109,7 +109,7 @@ lp: addi t3, t3, 1
 """)
         process = load_program(program, Kernel())
         before_regs = list(process.cpu.regs)
-        select_quick_registers(process, SuperPinConfig())
+        select_quick_registers(process)
         assert process.cpu.regs == before_regs
         assert process.mem.read(0x8001) == 0  # scratch fork absorbed writes
 
@@ -123,7 +123,7 @@ main:
     j    main
 """)
         process = load_program(program, Kernel())
-        quick = select_quick_registers(process, SuperPinConfig())
+        quick = select_quick_registers(process)
         # Bounded observation before the syscall still yields candidates.
         assert quick is not None
 
@@ -150,7 +150,7 @@ lp: st   t3, 0x8000(zero)
 """)
         process = load_program(program, Kernel())
         Interpreter(process).run(max_instructions=8)  # inside the loop
-        quick = select_quick_registers(process, SuperPinConfig())
+        quick = select_quick_registers(process)
         assert quick is not None
         assert quick[0] in (11, 12)  # t3/t4: the only written registers
         assert SP not in quick  # nothing pushed: sp never moves
@@ -177,7 +177,7 @@ lp: push t3
 """)
         process = load_program(program, Kernel())
         Interpreter(process).run(max_instructions=10)
-        quick = select_quick_registers(process, SuperPinConfig())
+        quick = select_quick_registers(process)
         assert quick is not None
         # sp: 6 writes/iteration vs 3 for t4 and 2 for t3/t5.
         assert quick[0] == SP
@@ -199,7 +199,7 @@ leaf:
 """)
         process = load_program(program, Kernel())
         Interpreter(process).run(max_instructions=6)
-        quick = select_quick_registers(process, SuperPinConfig())
+        quick = select_quick_registers(process)
         assert quick is not None
         assert RA in quick  # call's implicit link-register write
 

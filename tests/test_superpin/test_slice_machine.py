@@ -10,7 +10,6 @@ declares its instrumentation pure, how often its trace callback ran.
 
 import collections
 import dataclasses
-import marshal
 import pickle
 import threading
 
@@ -31,7 +30,6 @@ from repro.superpin.control import Boundary
 from repro.superpin.parallel import run_slice_job, slice_job
 from repro.superpin.slices import (PLACEMENT_COUNTERS, run_slice,
                                    SliceMachine)
-from repro.superpin.warmstore import WarmStore
 from repro.tools import ICount2, TOOLS
 from tests.conftest import MULTISLICE, virtual_counters
 from tests.test_superpin.test_threads_superpin import THREADED
@@ -107,9 +105,7 @@ def forwards(n):
 
 
 def backwards(n):
-    """Slice order reversed behind the pilot (slice 0 runs first on any
-    transport: its exports are the warm payload of all the others)."""
-    return [0, *range(n - 1, 0, -1)]
+    return range(n - 1, -1, -1)
 
 
 class SlicePhase:
@@ -130,8 +126,6 @@ class SlicePhase:
                                        kernel=Kernel(seed=42)).run()
         self.signatures = record_signatures(self.timeline, config)
         self.n = len(self.timeline.intervals)
-        self.store = WarmStore()
-        self.payload = None
         #: Every slice's counters (empty without ``spmetrics``): one
         #: dict a slice in run order, and their sum.
         self.slice_counters = []
@@ -139,8 +133,7 @@ class SlicePhase:
 
     def run(self, k, machine=None, metrics_out=None):
         job = slice_job(self.timeline, self.signatures, self.template,
-                        self.sp, self.config, k, warm=self.payload,
-                        export_warm=(k == 0))
+                        self.sp, self.config, k)
         result, _, _, snapshot = run_slice_job(job, machine)
         if snapshot is not None:
             self.slice_counters.append(snapshot["counters"])
@@ -151,15 +144,13 @@ class SlicePhase:
 
     def run_all(self, order=forwards, machine_for=lambda k: None):
         """Every slice once; returns what the rest of the pipeline would
-        see: per-slice fields (exports before the fold strips them),
-        per-slice callback counts, and the merged tool report."""
+        see: per-slice fields, per-slice callback counts, and the merged
+        tool report."""
         images = {}
         results = {}
         for k in order(self.n):
             result = results[k] = self.run(k, machine_for(k))
             images[k] = slice_image(result)
-            if k == 0:
-                self.payload = self.store.fold(result)
         ordered = [results[k] for k in range(self.n)]
         merge_slices(self.sp, ordered)
         self.tool.fini()
@@ -173,13 +164,6 @@ def slice_image(result):
              for f in dataclasses.fields(result) if f.name != "tool_ctx"}
     if hasattr(result.tool_ctx.tool, "callbacks_seen"):
         image["callbacks_seen"] = result.tool_ctx.tool.callbacks_seen
-    # ``marshal`` flags objects other things hold a reference to, so the
-    # bytes of one code object vary with who else keeps it alive (here:
-    # the pool); what they decode to is what ships.
-    image["warm_exports"] = tuple(
-        dataclasses.replace(entry, code=marshal.loads(entry.code))
-        if entry.code is not None else entry
-        for entry in result.warm_exports)
     return image
 
 
@@ -241,19 +225,16 @@ class TestParityWithAFreshMachine:
         assert_resident_equals_fresh(THREADED, TOOLS["icount2"],
                                      jit_backend=backend, spmsec=1000)
 
-    def test_no_link_no_tc2_no_warm(self):
+    def test_no_link_no_tc2(self):
         assert_resident_equals_fresh(
-            MULTISLICE, TOOLS["icount2"], splinktraces=False,
-            spwarmcache=False)
+            MULTISLICE, TOOLS["icount2"], splinktraces=False)
 
     def test_reuse_is_observed_and_host_side_only(self):
         phase = SlicePhase(MULTISLICE, TOOLS["icount2"](), spmetrics=True)
         machine = SliceMachine()
         snapshots = []
         for k in range(phase.n):
-            result = phase.run(k, machine, snapshots)
-            if k == 0:
-                phase.payload = phase.store.fold(result)
+            phase.run(k, machine, snapshots)
         reuses = [s["counters"]["pin.jit.skeleton_reuses"]
                   for s in snapshots]
         assert reuses[0] == 0 and sum(reuses) > 0

@@ -145,23 +145,21 @@ def assert_same_run(streamed, drained, but=()) -> None:
 
 
 class TestParityTable:
-    """Guest × tool × workers × warm cache × backend: streamed ≡ drained."""
+    """Guest × tool × workers × backend: streamed ≡ drained."""
 
     @pytest.mark.parametrize("tool", TOOLS)
     @pytest.mark.parametrize("guest", GUESTS)
     def test_streamed_equals_drained(self, guest, tool):
         source, shape = GUESTS[guest]
-        for warm in (True, False):
-            for backend in ("closure", "source"):
-                config = dict(shape, spwarmcache=warm, jit_backend=backend,
-                              spaudit=True)
-                drained = observe(*run(source, TOOLS[tool], spworkers=0,
-                                       **config))
-                assert drained["audit"][0], drained["audit"]
-                for workers in (1, 2):
-                    streamed = observe(*run(source, TOOLS[tool],
-                                            spworkers=workers, **config))
-                    assert_same_run(streamed, drained)
+        for backend in ("closure", "source"):
+            config = dict(shape, jit_backend=backend, spaudit=True)
+            drained = observe(*run(source, TOOLS[tool], spworkers=0,
+                                   **config))
+            assert drained["audit"][0], drained["audit"]
+            for workers in (1, 2):
+                streamed = observe(*run(source, TOOLS[tool],
+                                        spworkers=workers, **config))
+                assert_same_run(streamed, drained)
 
     def test_the_guests_have_the_shapes_they_are_named_for(self):
         slices = {name: run(source, **shape)[0].num_slices
@@ -173,20 +171,6 @@ class TestParityTable:
         forced = run(FORCE_LOOP, **GUESTS["forced-boundaries"][1])[0]
         assert any(b.reason.value == "syscall"
                    for b in forced.timeline.boundaries)
-
-    def test_a_run_of_one_slice_never_was_a_pilot(self, tmp_path):
-        """Slice 0 only exports its traces (here: to a trace store)
-        when there is a second slice to bake them into — known when it
-        becomes ready, not before."""
-        for workers in (0, 2):
-            config = dict(spworkers=workers, spmetrics=True, spmsec=500,
-                          clock_hz=10_000,
-                          sptracestore=str(tmp_path / f"w{workers}"))
-            one, _ = run(LOOP_SUM, **config)
-            two, _ = run(TWO_SLICES, **config)
-            assert not one.metrics.counter("pin.cache.persistent_saves")
-            assert two.metrics.counter("pin.cache.persistent_saves") == 1
-            assert two.slices[1].warm_starts > 0
 
     @pytest.mark.parametrize("extra", [
         dict(spsharedcache=True), dict(spsample=2),
@@ -200,8 +184,8 @@ class TestParityTable:
 
     @pytest.mark.parametrize("state", ["miss", "hit"])
     def test_trace_store(self, tmp_path, state):
-        """A hit has no pilot: every slice that has arrived is released
-        at once.  A miss runs the pilot protocol and persists."""
+        """A hit counts slice 0 against the stored heads; a miss saves
+        slice 0's.  Either way for any worker count."""
         config = GUESTS["multislice"][1]
         seen = {}
         for workers in (0, 2):
@@ -214,9 +198,7 @@ class TestParityTable:
                                **config)
             hits = report.metrics.counter("pin.cache.persistent_hits")
             assert (hits > 0) == (state == "hit")
-            pilot = report.slices[0]
-            assert (pilot.compiles == pilot.warm_starts) \
-                == (state == "hit")
+            assert (report.slices[0].warm_starts > 0) == (state == "hit")
             seen[workers] = observe(report, tool), \
                 virtual_counters(report.metrics)
         assert_same_run(seen[2][0], seen[0][0])

@@ -103,24 +103,22 @@ class TestCacheSwitches:
     def test_defaults_on(self):
         config = SuperPinConfig()
         assert config.splinktraces is True
-        assert config.spwarmcache is True
+        assert config.sptc2 == 16
 
     def test_parse_disable(self):
-        config = parse_switches(["-splinktraces", "0",
-                                 "-spwarmcache", "0"])
+        config = parse_switches(["-splinktraces", "0", "-sptc2", "0"])
         assert config.splinktraces is False
-        assert config.spwarmcache is False
+        assert config.sptc2 == 0
 
     def test_parse_explicit_enable(self):
-        config = parse_switches(["-splinktraces", "1",
-                                 "-spwarmcache", "1"])
+        config = parse_switches(["-splinktraces", "1", "-sptc2", "4"])
         assert config.splinktraces is True
-        assert config.spwarmcache is True
+        assert config.sptc2 == 4
 
     def test_independent(self):
-        config = parse_switches(["-spwarmcache", "0"])
+        config = parse_switches(["-sptc2", "0"])
         assert config.splinktraces is True
-        assert config.spwarmcache is False
+        assert config.sptc2 == 0
 
 
 class TestValidation:

@@ -1,20 +1,22 @@
-"""Persistent trace store (-sptracestore): the cross-run warm tier.
+"""Persistent trace store (-sptracestore): a program's warm set on disk.
 
 Properties under test:
 
 - entries round-trip and verify; corrupt entries are evicted and never
-  returned (the acceptance criterion: damaged bytes must not execute);
-- keys are sensitive to everything that shapes compiled code (program,
-  backend, filter config) and nothing else;
+  returned;
+- keys are sensitive to what shapes a trace head (the program) and to
+  no switch;
 - LRU eviction enforces the size budget without evicting the entry
   just written;
-- the warm-start proof: a second identical run records
-  ``pin.cache.persistent_hits > 0`` and compiles *zero* pilot traces
-  cold, with byte-identical results, for any worker count;
-- replays and journal resumes go through the same store (the satellite
-  fix — they previously bypassed the warm path entirely);
+- a second identical run records ``pin.cache.persistent_hits > 0`` and
+  reports *zero* pilot cold compiles, with byte-identical results, for
+  any worker count;
+- replays and journal resumes go through the same store;
 - two processes hammering one store never observe a torn or invalid
-  payload.
+  entry.
+
+(What a well-framed but malformed entry does to a run is in
+``test_warmcache.TestWarmAccount``.)
 """
 
 import os
@@ -25,12 +27,11 @@ import pytest
 
 from repro.isa import assemble
 from repro.machine import Kernel
-from repro.superpin import (damage_store_chains, damage_store_entry,
-                            FaultPlan, program_digest, replay_recording,
-                            run_superpin, store_key, SuperPinConfig,
-                            trace_store_for, TraceStore)
+from repro.superpin import (damage_store_entry, FaultPlan,
+                            pilot_cold_compiles, program_digest,
+                            replay_recording, run_superpin, store_key,
+                            SuperPinConfig, trace_store_for, TraceStore)
 from repro.superpin.journal import damage_journal
-from repro.superpin.warmstore import WarmPayload, WarmTrace
 from repro.tools import ICount2
 from tests.conftest import MULTISLICE
 
@@ -47,11 +48,8 @@ def store_dir(tmp_path):
     return str(tmp_path / "store")
 
 
-def _payload(n=3, base=0x100, chains=()):
-    return WarmPayload(tuple(
-        WarmTrace(address=base + 16 * i, num_ins=4,
-                  source=f"trace_{i}", code=None)
-        for i in range(n)), chains)
+def _payload(n=3, base=0x100):
+    return tuple(base + 16 * i for i in range(n))
 
 
 def _report(program, store, **kwargs):
@@ -71,9 +69,12 @@ def _fingerprint(report):
             for s in report.slices]
 
 
+def _warm(report):
+    return [s.warm_starts for s in report.slices]
+
+
 def _pilot_cold(report):
-    pilot = report.slices[0]
-    return pilot.compiles - pilot.warm_starts
+    return pilot_cold_compiles(report.slices)
 
 
 class TestStoreBasics:
@@ -90,7 +91,7 @@ class TestStoreBasics:
 
     def test_empty_payload_not_stored(self, store_dir):
         store = TraceStore(store_dir)
-        store.save("k" * 64, WarmPayload())
+        store.save("k" * 64, ())
         assert len(store) == 0
 
     def test_key_sensitivity(self, program):
@@ -98,21 +99,25 @@ class TestStoreBasics:
         base = store_key(digest, SuperPinConfig())
         assert store_key(digest, SuperPinConfig()) == base
         assert store_key("other-digest", SuperPinConfig()) != base
-        assert store_key(
-            digest, SuperPinConfig(jit_backend="source")) != base
-        assert store_key(
-            digest, SuperPinConfig(spsuppress=True)) != base
-        # The TC2 threshold shapes the persisted promotion chains.
-        assert store_key(digest, SuperPinConfig(sptc2=0)) != base
-        assert store_key(digest, SuperPinConfig(sptc2=64)) != base
-        # Fields that do not shape compiled code do not shape the key.
-        assert store_key(digest, SuperPinConfig(spworkers=2)) == base
-        assert store_key(digest, SuperPinConfig(spmsec=250)) == base
+        # No switch moves a trace head, so none shapes the key.
+        for other in (dict(jit_backend="source"), dict(spsuppress=True),
+                      dict(sptc2=0), dict(splinktraces=False),
+                      dict(spworkers=2), dict(spmsec=250)):
+            assert store_key(digest, SuperPinConfig(**other)) == base
+
+    @pytest.mark.parametrize("other", [
+        dict(jit_backend="source"), dict(spsuppress=True),
+        dict(spfilter="opcode:mem"), dict(sptc2=0),
+        dict(splinktraces=False)], ids=lambda other: next(iter(other)))
+    def test_no_switch_moves_a_trace_head(self, program, other):
+        """Why ``store_key`` reads nothing off the config."""
+        base, _ = _report(program, None)
+        report, _ = _report(program, None, **other)
+        assert [s.compile_log for s in report.slices] \
+            == [s.compile_log for s in base.slices]
 
     def test_trace_store_for_gating(self, store_dir):
         assert trace_store_for(SuperPinConfig()) is None
-        off = SuperPinConfig(sptracestore=store_dir, spwarmcache=False)
-        assert trace_store_for(off) is None
         on = SuperPinConfig(sptracestore=store_dir)
         assert isinstance(trace_store_for(on), TraceStore)
 
@@ -192,12 +197,13 @@ class TestWarmStartProof:
         assert c2["pin.cache.persistent_hits"] == 1
         assert c2.get("pin.cache.persistent_misses", 0) == 0
         assert c2.get("pin.cache.persistent_saves", 0) == 0
-        # The acceptance criterion: zero pilot-slice cold compiles on
-        # the warm run (every pilot trace came from the store).
+        # Zero pilot cold compiles on the second run: the stored set
+        # named every head slice 0 compiled — and nothing else moved.
         assert _pilot_cold(first) > 0
         assert _pilot_cold(second) == 0
-        # And the warm tier is architecturally invisible.
         assert _fingerprint(first) == _fingerprint(second)
+        assert _warm(first)[0] == 0 < _warm(second)[0]
+        assert _warm(first)[1:] == _warm(second)[1:]
 
     def test_warm_run_identical_to_storeless_run(self, program, tmp_path):
         baseline, base_tool = _report(program, None, sptracestore=None)
@@ -218,34 +224,32 @@ class TestWarmStartProof:
         counters = dict(second.metrics.counters)
         assert counters["pin.cache.persistent_corrupt"] == 1
         assert counters.get("pin.cache.persistent_hits", 0) == 0
-        # The damaged entry was evicted and re-saved by the cold run.
+        # The damaged entry was evicted and re-saved by the recount.
         assert counters["pin.cache.persistent_saves"] == 1
         assert _fingerprint(first) == _fingerprint(second)
-        # The freshly re-written entry serves the next run warm again.
+        # The freshly re-written entry is the next run's hit.
         third, _ = _report(program, store_dir)
         assert third.metrics.counters["pin.cache.persistent_hits"] == 1
 
     def test_no_pilot_payload_stores_nothing(self, program, store_dir):
-        """The payload persists at the fold; a pilot that never folds —
-        degraded, or a single-slice run with no pilot protocol at all —
-        leaves the store empty rather than saving a useless entry."""
+        """A run whose slice 0 left no result has no warm set to save."""
         degraded, _ = _report(program, store_dir, spfaults="degrade",
                               spretries=1,
                               fault_plan=FaultPlan.parse("crash@0:*"))
         assert degraded.degraded_slices == [0]
-        single, _ = _report(program, store_dir, spmsec=10_000_000)
-        assert single.num_slices == 1
-        for report in (degraded, single):
-            assert "pin.cache.persistent_saves" \
-                not in report.metrics.counters
+        assert "pin.cache.persistent_saves" \
+            not in degraded.metrics.counters
         assert TraceStore(store_dir).keys() == []
 
-    def test_disabled_warmcache_disables_store(self, program, store_dir):
-        report, _ = _report(program, store_dir, spwarmcache=False)
-        assert not any(name.startswith("pin.cache.persistent")
-                       for name in report.metrics.counters)
-        assert os.path.isdir(store_dir) is False or \
-            TraceStore(store_dir).keys() == []
+    def test_a_run_of_one_slice_saves_and_hits(self, program, store_dir):
+        """What the daemon's one-slice jobs see on resubmission."""
+        first, _ = _report(program, store_dir, spmsec=10_000_000)
+        second, _ = _report(program, store_dir, spmsec=10_000_000)
+        assert first.num_slices == second.num_slices == 1
+        assert first.metrics.counters["pin.cache.persistent_saves"] == 1
+        assert second.metrics.counters["pin.cache.persistent_hits"] == 1
+        assert _pilot_cold(first) > 0
+        assert _pilot_cold(second) == 0
 
 
 class TestReplayAndResumeWarm:
@@ -270,9 +274,11 @@ class TestReplayAndResumeWarm:
 
     def test_resume_goes_through_the_store(self, program, tmp_path):
         # A crash-resumed run re-executes its journal's missing suffix;
-        # with the store populated, those re-executions start warm.
+        # adopted and re-executed slices are counted alike, against the
+        # entry the first run saved.
         store = str(tmp_path / "store")
         journal = str(tmp_path / "run.spjournal")
+        _report(program, store)
         full, _ = _report(program, store, spjournal=journal)
         assert full.num_slices >= 3
         damage_journal(journal, "truncate")
@@ -283,77 +289,17 @@ class TestReplayAndResumeWarm:
         assert resumed.resumed_slices < resumed.num_slices
         assert counters["pin.cache.persistent_hits"] == 1
         assert _fingerprint(full) == _fingerprint(resumed)
-
-
-class TestSuperblockChains:
-    """The persisted TC2 section (satellite of the -sptc2 tentpole)."""
-
-    def test_chains_round_trip(self, store_dir):
-        store = TraceStore(store_dir)
-        chains = ((0x100, 0x110, 0x120), (0x200,))
-        store.save("k" * 64, _payload(chains=chains))
-        loaded = store.load("k" * 64)
-        assert loaded.traces == _payload().traces
-        assert loaded.chains == chains
-
-    def test_plain_payload_loads_with_empty_chains(self, store_dir):
-        store = TraceStore(store_dir)
-        store.save("p" * 64, _payload())
-        assert store.load("p" * 64).chains == ()
-
-    def test_warm_run_promotes_from_stored_profile(self, program,
-                                                   store_dir):
-        """The second run's pilot starts with the first run's promotion
-        profile: superblocks appear without re-earning the threshold,
-        and the reports stay byte-identical."""
-        first, _ = _report(program, store_dir)
-        second, _ = _report(program, store_dir)
-        c1 = dict(first.metrics.counters)
-        c2 = dict(second.metrics.counters)
-        assert c1["pin.tc2.promotions"] > 0
-        assert c2["pin.tc2.promotions"] > 0
-        assert c2["pin.cache.persistent_hits"] == 1
-        assert _pilot_cold(second) == 0
-        assert _fingerprint(first) == _fingerprint(second)
-
-    def test_damaged_chains_keep_tier1_warm(self, program, store_dir):
-        """A rotten chain section must not poison the entry: the load
-        drops the chains (counted) and still warms tier 1 — zero pilot
-        cold compiles, byte-identical results."""
-        first, _ = _report(program, store_dir)
-        key = store_key(program_digest(program),
-                        SuperPinConfig(sptracestore=store_dir))
-        damage_store_chains(store_dir, key)
-        second, _ = _report(program, store_dir)
-        counters = dict(second.metrics.counters)
-        assert counters["pin.cache.persistent_chain_drops"] == 1
-        assert counters["pin.cache.persistent_hits"] == 1
-        assert counters.get("pin.cache.persistent_corrupt", 0) == 0
-        assert _pilot_cold(second) == 0
-        assert _fingerprint(first) == _fingerprint(second)
-        # Promotions still happen the slow way (threshold re-earned).
-        assert dict(second.metrics.counters)["pin.tc2.promotions"] > 0
-
-    def test_sptc2_off_persists_no_chains(self, program, store_dir):
-        _report(program, store_dir, sptc2=0)
-        key = store_key(program_digest(program),
-                        SuperPinConfig(sptracestore=store_dir, sptc2=0))
-        loaded = TraceStore(store_dir).load(key)
-        assert loaded is not None
-        assert loaded.chains == ()
+        assert _warm(full) == _warm(resumed) and _warm(full)[0] > 0
 
 
 _HAMMER = """
-import os, pickle, sys
+import os, sys
 sys.path.insert(0, {src!r})
 from repro.superpin import TraceStore, damage_store_entry
-from repro.superpin.warmstore import WarmPayload, WarmTrace
 
 root, seed = sys.argv[1], int(sys.argv[2])
 keys = [chr(ord('a') + i) * 64 for i in range(4)]
-payloads = {{key: WarmPayload(tuple(
-    WarmTrace(address=0x100 + 16 * i, num_ins=4,
-              source=f"{{key[:1]}}_{{i}}", code=None) for i in range(3)))
+payloads = {{key: tuple(ord(key[0]) * 4096 + 16 * i for i in range(40))
             for key in keys}}
 store = TraceStore(root, limit_bytes=700)
 for round in range(120):

@@ -1,36 +1,46 @@
-"""Cross-slice warm code cache (-spwarmcache): fast, invisible, durable.
+"""The warm account: ``warm_starts`` is a view over the compile logs.
 
-Slice 0 (the pilot) exports its compiled traces; the control process
-freezes them into a warm payload shipped with every later slice.  The
-properties under test:
+Slice 0's compiled trace heads are the warm set (a ``-sptracestore``
+entry takes their place on a hit, and then slice 0 is counted too);
+``warm_starts[k]`` is how many distinct heads of slice k's compile log
+the set names.  The properties under test:
 
-- warm starts actually happen (the payload is consumed, not decorative);
-- warm execution is *architecturally invisible* — tool output and every
-  per-slice figure are byte-identical with the switch on or off, for
-  both backends and any worker count;
-- supervisor retries re-receive the same frozen payload;
-- a degraded pilot falls back to an all-cold run instead of wedging;
-- consistency-check mismatches compile cold — lowering once — and are
-  counted;
-- the whole table {backend} x {no store, cold miss, hit} x {workers} is
-  one behaviour.
+- the count *is* that expression — for both backends, any worker count
+  and every store state, with the totals the pilot → payload protocol
+  used to produce (pinned from the revision that still had it);
+- nothing but slice order shapes it: not the worker count, not
+  ``-spsharedcache``, sampling, a degraded slice or a retry (a SIGKILLed
+  run resumed from its journal: ``test_streaming.TestRecordingAndJournal`` and
+  ``test_trace_store`` compare every slice field, this one included);
+- no slice waits for another: slice 1 lands while slice 0 is stalled;
+- a store entry is outside input: anything but a list of addresses is
+  evicted, recounted and re-saved.
 """
 
 import dataclasses
-from types import SimpleNamespace
+import hashlib
+import json
+import time
 
 import pytest
 
 from repro.isa import assemble
-from repro.machine import Kernel, load_program
-from repro.pin import PinVM, RunState
-from repro.superpin import (FaultPlan, run_superpin, SuperPinConfig)
-from repro.superpin.warmstore import WarmPayload, WarmStore, WarmTrace
+from repro.machine import Kernel
+from repro.superpin import (FaultPlan, parallel, program_digest,
+                            run_superpin, store_key, SuperPinConfig,
+                            TraceStore)
+from repro.superpin.warmstore import pilot_cold_compiles, STORE_MAGIC
 from repro.tools import TOOLS
-from tests.conftest import LOOP_SUM, MULTISLICE, virtual_counters
+from tests.conftest import MULTISLICE, virtual_counters
+from tests.test_superpin.test_threads_superpin import THREADED
 
 BACKENDS = ["closure", "source"]
 WORKER_MODES = [0, 2]
+
+#: ``sum(warm_starts)`` on MULTISLICE at the parent of the account's
+#: introduction, where a dispatcher miss popped a shipped payload entry:
+#: without a store hit, and with slice 0 counted against the stored set.
+PINNED = {"none": 34, "miss": 34, "hit": 41}
 
 
 def _report(program, tool_name="icount2", **kwargs):
@@ -42,26 +52,28 @@ def _report(program, tool_name="icount2", **kwargs):
     return report, tool
 
 
-def _slice_fields(report, skip=()):
-    """Every SliceResult field but the tool context, minus ``skip``."""
+def _slice_fields(report):
+    """Every SliceResult field but the tool context."""
     return [{f.name: getattr(s, f.name) for f in dataclasses.fields(s)
-             if f.name != "tool_ctx" and f.name not in skip}
-            for s in report.slices]
+             if f.name != "tool_ctx"} for s in report.slices]
 
 
-#: Host-level bookkeeping a warm start (or its TC2 profile) may move;
-#: everything else on a SliceResult is architectural.
-_WARM_ONLY = {"warm_starts", "warm_mismatches", "linked_dispatches",
-              "cache_hit_rate", "tc2_promotions", "tc2_dispatches",
-              "tc2_mispredicts"}
+def _heads(result):
+    return {pc for pc, _ in result.compile_log}
 
 
-def _fingerprint(report):
-    return [(s.index, s.reason, s.exact, s.instructions,
-             s.expected_instructions, s.traces_executed, s.analysis_calls,
-             s.compiles, s.compiled_ins, s.replayed_syscalls,
-             s.emulated_syscalls, s.cow_faults, s.compile_log)
-            for s in report.slices]
+def _expected(report, stored=None):
+    """The account, spelled out over ``report``'s compile logs."""
+    by_index = {s.index: s for s in report.slices}
+    if stored is not None:
+        return {k: len(_heads(s) & stored) for k, s in by_index.items()}
+    named = _heads(by_index[0]) if 0 in by_index else set()
+    return {k: len(_heads(s) & named) if k else 0
+            for k, s in by_index.items()}
+
+
+def _counted(report):
+    return {s.index: s.warm_starts for s in report.slices}
 
 
 @pytest.fixture(scope="module")
@@ -77,84 +89,26 @@ class TestWarmStartsHappen:
                             spworkers=spworkers)
         assert report.num_slices >= 3
         by_index = {s.index: s for s in report.slices}
-        # The pilot runs cold and its exports are folded then stripped.
+        # Slice 0 paid for the warm set; the working set recurs, so the
+        # later slices name it — and a warm start is still a compile.
         assert by_index[0].warm_starts == 0
-        assert by_index[0].warm_exports == ()
-        # The application working set recurs, so later slices hit the
-        # payload — and warm installs still count as ordinary compiles.
         assert sum(s.warm_starts for s in report.slices) > 0
-        for s in report.slices:
-            # Warm installs flow through the ordinary insert path, so
-            # they are a subset of this slice's compiles.  Mismatches
-            # (boundary-split traces whose shape differs from the
-            # pilot's) legitimately compile cold instead.
-            assert s.warm_starts <= s.compiles
-            assert s.warm_starts + s.warm_mismatches <= s.compiles
+        assert all(s.warm_starts <= s.compiles for s in report.slices)
 
     def test_metrics_counter_folded(self, program):
-        report, _ = _report(program, spworkers=2, spmetrics=True,
-                            jit_backend="source")
+        report, _ = _report(program, spworkers=2, spmetrics=True)
         counters = dict(report.metrics.counters)
-        assert counters["pin.cache.warm_starts"] > 0
-        assert counters["pin.cache.linked_dispatches"] > 0
-        # Warm starts replace cold JIT invocations, not cache inserts.
+        assert counters["pin.cache.warm_starts"] \
+            == sum(s.warm_starts for s in report.slices) > 0
+        # Every dispatcher miss is a JIT compile and a cache insert.
         assert counters["pin.jit.compiles"] \
-            == counters["pin.cache.compiles"] \
-            - counters["pin.cache.warm_starts"]
-
-    def test_switch_off_runs_cold(self, program):
-        report, _ = _report(program, spwarmcache=False, spworkers=2)
-        assert all(s.warm_starts == 0 for s in report.slices)
-        assert all(s.warm_exports == () for s in report.slices)
-
-
-class TestArchitecturalIdentity:
-    @pytest.mark.parametrize("spworkers", WORKER_MODES)
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_warm_on_off_identical(self, program, backend, spworkers):
-        warm_report, warm_tool = _report(program, jit_backend=backend,
-                                         spworkers=spworkers)
-        cold_report, cold_tool = _report(program, jit_backend=backend,
-                                         spworkers=spworkers,
-                                         spwarmcache=False,
-                                         splinktraces=False)
-        assert warm_tool.total == cold_tool.total
-        assert warm_report.stdout == cold_report.stdout
-        assert warm_report.exit_code == cold_report.exit_code
-        assert _fingerprint(warm_report) == _fingerprint(cold_report)
-        assert warm_report.detection_summary() \
-            == cold_report.detection_summary()
-
-    def test_timing_model_unaffected(self, program):
-        """The virtual timing figures are computed from compile counts
-        a warm start must not perturb."""
-        warm_report, _ = _report(program, spworkers=2)
-        cold_report, _ = _report(program, spworkers=2, spwarmcache=False)
-        assert warm_report.timing.total_cycles \
-            == cold_report.timing.total_cycles
+            == counters["pin.cache.compiles"]
 
 
 class TestSupervisionInteraction:
     @pytest.mark.parametrize("spworkers", WORKER_MODES)
-    def test_retried_slice_rereceives_payload(self, program, spworkers):
-        """A crash-then-retry on a non-pilot slice must re-ship the same
-        frozen warm payload — the retried attempt still starts warm and
-        the output is identical to a clean run."""
-        clean_report, clean_tool = _report(program, spworkers=spworkers)
-        report, tool = _report(program, spworkers=spworkers,
-                               spfaults="retry",
-                               fault_plan=FaultPlan.parse("crash@2"))
-        assert report.slice_outcomes[2].recovered
-        by_index = {s.index: s for s in report.slices}
-        assert by_index[2].warm_starts > 0
-        assert tool.total == clean_tool.total
-        assert _fingerprint(report) == _fingerprint(clean_report)
-
-    @pytest.mark.parametrize("spworkers", WORKER_MODES)
     def test_degraded_pilot_falls_back_cold(self, program, spworkers):
-        """If the pilot slice itself is unrecoverable under -spfaults
-        degrade, the rest of the run proceeds cold rather than waiting
-        for exports that will never come."""
+        """A hole at slice 0 names nothing: every slice counts zero."""
         report, _ = _report(program, spworkers=spworkers,
                             spfaults="degrade", spretries=1,
                             fault_plan=FaultPlan.parse("crash@0:*"))
@@ -162,81 +116,6 @@ class TestSupervisionInteraction:
         assert 0 not in {s.index for s in report.slices}
         assert all(s.warm_starts == 0 for s in report.slices)
         assert all(s.exact for s in report.slices)
-
-
-class TestConsistencyCheck:
-    def test_mismatched_source_compiles_cold(self):
-        """A payload entry whose source text does not match the locally
-        regenerated trace is rejected (counted), and the dispatcher
-        compiles cold — never executes the foreign code object."""
-        program = assemble(LOOP_SUM)
-        process = load_program(program, Kernel(seed=42))
-        vm = PinVM(process, jit_backend="source")
-        bogus = WarmTrace(address=program.entry, num_ins=3,
-                          source="def __trace__():  # not this trace\n",
-                          code=b"never unmarshalled")
-        vm.install_warm(WarmPayload((bogus,)))
-        result = vm.run()
-        assert result.state is RunState.EXIT
-        assert vm.cache.stats.warm_mismatches == 1
-        assert vm.cache.stats.warm_starts == 0
-        assert vm.cache.stats.compiles > 0
-
-    def test_entries_serve_at_most_once(self):
-        """After the first (mismatching) consultation the entry is gone;
-        re-execution of the same pc hits the code cache, not the
-        payload."""
-        program = assemble(LOOP_SUM)
-        process = load_program(program, Kernel(seed=42))
-        vm = PinVM(process, jit_backend="source")
-        vm.install_warm(WarmPayload((WarmTrace(
-            address=program.entry, num_ins=3, source="x", code=b"y"),)))
-        vm.run()
-        assert vm.cache.stats.warm_mismatches == 1  # consulted exactly once
-        assert vm.warm_traces == {}
-
-    @pytest.mark.parametrize("spfilter", ["routine:main", "opcode:syscall"])
-    def test_mismatch_lowers_once(self, program, spfilter):
-        """Regression: a source-backend mismatch used to lower the trace
-        twice (warm attempt, then a cold compile), so trace callbacks
-        fired twice and the filter counters double-counted.  Every
-        instrumentation counter must equal the cold run's."""
-        warm, warm_tool = _report(program, "memtrace", spfilter=spfilter,
-                                  jit_backend="source")
-        cold, cold_tool = _report(program, "memtrace", spfilter=spfilter,
-                                  jit_backend="source", spwarmcache=False)
-        assert warm.total_warm_mismatches > 0  # the path is exercised
-        assert _slice_fields(warm, _WARM_ONLY) \
-            == _slice_fields(cold, _WARM_ONLY)
-        assert warm_tool.report() == cold_tool.report()
-
-
-def _pilot(*exports, chains=()):
-    return SimpleNamespace(warm_exports=tuple(exports), sb_chains=chains)
-
-
-class TestStoreSemantics:
-    def test_fold_first_wins_and_freeze_sorts(self):
-        first = WarmTrace(address=8, num_ins=2, source="a")
-        pilot = _pilot(WarmTrace(address=16, num_ins=1), first,
-                       WarmTrace(address=8, num_ins=2, source="b"),
-                       chains=[[8, 16]])
-        payload = WarmStore().fold(pilot)
-        assert [e.address for e in payload.traces] == [8, 16]
-        assert payload.traces[0] is first
-        assert payload.chains == ((8, 16),)
-        # Stripped, so reports don't drag trace sources around.
-        assert pilot.warm_exports == () and pilot.sb_chains == ()
-
-    def test_fold_after_freeze_is_noop(self):
-        """Retries must never mutate the frozen payload: every slice,
-        on any attempt, sees the same warm set."""
-        store = WarmStore()
-        payload = store.fold(_pilot(WarmTrace(address=8, num_ins=2)))
-        assert store.fold(_pilot(WarmTrace(address=99, num_ins=1))) \
-            is payload
-        assert len(payload.traces) == 1
-        assert store.lookup() is payload
 
 
 _PERSISTENT = {
@@ -266,16 +145,113 @@ class TestParityTable:
         assert _slice_fields(seq) == _slice_fields(par)
         assert virtual_counters(seq.metrics) == virtual_counters(par.metrics)
         assert seq_tool.report() == par_tool.report()
-        # Against the cold reference only the warm bookkeeping differs.
-        cold, cold_tool = _report(program, jit_backend=backend,
-                                  spwarmcache=False)
-        assert _slice_fields(seq, _WARM_ONLY) \
-            == _slice_fields(cold, _WARM_ONLY)
-        assert seq_tool.report() == cold_tool.report()
         assert {name: value for name, value in seq.metrics.counters.items()
                 if "persistent" in name} == _PERSISTENT[store_state]
-        # A hit warms every slice, the pilot included; otherwise the
-        # pilot is the one slice that compiles cold.
-        pilot = seq.slices[0]
-        assert (pilot.warm_starts == pilot.compiles) \
+        # The count is the expression over the compile logs — against
+        # the stored heads on a hit, where slice 0 counts too — and the
+        # number the payload protocol produced, on either backend.
+        stored = _heads(seq.slices[0]) if store_state == "hit" else None
+        assert _counted(seq) == _expected(seq, stored)
+        assert sum(_counted(seq).values()) == PINNED[store_state]
+        assert (pilot_cold_compiles(seq.slices) == 0) \
             == (store_state == "hit")
+
+
+class TestWarmAccount:
+    @pytest.mark.parametrize("guest", ["threads", "sysforced"])
+    def test_identity_on_other_guests(self, guest):
+        source, shape = {
+            "threads": (THREADED, dict(spmsec=1000)),
+            "sysforced": (MULTISLICE, dict(spmsec=100_000, spsysrecs=3)),
+        }[guest]
+        counts = []
+        for backend in BACKENDS:
+            for spworkers in WORKER_MODES:
+                report, _ = _report(assemble(source), jit_backend=backend,
+                                    spworkers=spworkers, **shape)
+                assert report.num_slices >= 3
+                assert _counted(report) == _expected(report)
+                counts.append(_counted(report))
+        assert all(count == counts[0] for count in counts)
+        assert sum(counts[0].values()) > 0
+
+    @pytest.mark.parametrize("spworkers", WORKER_MODES)
+    def test_slice_order_and_nothing_else(self, program, spworkers):
+        clean, _ = _report(program, spworkers=spworkers)
+        expected = _counted(clean)
+        # -spsharedcache rewrites ``compiles``, not the compile log.
+        shared, _ = _report(program, spworkers=spworkers,
+                            spsharedcache=True)
+        assert _counted(shared) == expected
+        # Sampled-out slices compile the same heads tool-free.
+        sampled, _ = _report(program, spworkers=spworkers, spsample=2)
+        assert _counted(sampled) == expected
+        # A recovered slice is the clean slice; a hole past slice 0
+        # takes only its own row out.
+        retried, _ = _report(program, spworkers=spworkers,
+                             spfaults="retry",
+                             fault_plan=FaultPlan.parse("crash@2"))
+        assert retried.slice_outcomes[2].recovered
+        assert _counted(retried) == expected
+        holed, _ = _report(program, spworkers=spworkers,
+                           spfaults="degrade", spretries=0,
+                           fault_plan=FaultPlan.parse("crash@2:*"))
+        assert holed.degraded_slices == [2]
+        assert _counted(holed) == {k: n for k, n in expected.items()
+                                   if k != 2}
+
+    def test_slice_one_lands_while_slice_zero_is_stalled(self, program,
+                                                         monkeypatch):
+        """No slice waits for another.  (Under the pilot protocol slice 1
+        was released only once slice 0 had landed.)"""
+        run_slice = parallel.run_slice
+
+        def stalled(boundary, interval, *args, **kwargs):
+            if interval.index == 0:
+                time.sleep(0.5)
+            return run_slice(boundary, interval, *args, **kwargs)
+        monkeypatch.setattr(parallel, "run_slice", stalled)
+        report, _ = _report(program, spworkers=2)
+        landed = {r.args["slice"]: r.end for r in report.trace.records
+                  if r.name == "slice"}
+        assert landed[1] < landed[0]
+        assert _counted(report) == _expected(report)
+
+    @pytest.mark.parametrize("entry", [
+        [16, "32"], [16, -1], [16, True], [16, 1.5], {"16": 1}, [], 7],
+        ids=repr)
+    def test_a_malformed_entry_is_recounted_and_resaved(self, program,
+                                                        tmp_path, entry):
+        """A well-framed entry (valid digest) holding anything but a
+        non-empty list of addresses is evicted as corrupt."""
+        root = str(tmp_path / "store")
+        first, _ = _report(program, sptracestore=root, spmetrics=True)
+        key = store_key(program_digest(program), first.config)
+        store = TraceStore(root)
+        good = store.load(key)
+        assert good == tuple(sorted(_heads(first.slices[0])))
+        payload = json.dumps(entry).encode()
+        with open(store._path(key), "wb") as handle:
+            handle.write(STORE_MAGIC + hashlib.sha256(payload).digest()
+                         + payload)
+        second, _ = _report(program, sptracestore=root, spmetrics=True)
+        counters = dict(second.metrics.counters)
+        assert counters["pin.cache.persistent_corrupt"] == 1
+        assert counters["pin.cache.persistent_saves"] == 1
+        assert "pin.cache.persistent_hits" not in counters
+        assert _counted(second) == _counted(first)
+        assert store.load(key) == good
+
+    def test_a_stored_set_is_only_ever_a_counter(self, program, tmp_path):
+        """What a hostile writer can change: ``warm_starts``, and
+        nothing else a run reports."""
+        root = str(tmp_path / "store")
+        clean, clean_tool = _report(program)
+        key = store_key(program_digest(program), clean.config)
+        TraceStore(root).save(key, [1, 2, 3])
+        report, tool = _report(program, sptracestore=root)
+        assert all(s.warm_starts == 0 for s in report.slices)
+        for result in clean.slices:
+            result.warm_starts = 0
+        assert _slice_fields(report) == _slice_fields(clean)
+        assert tool.report() == clean_tool.report()
