@@ -12,6 +12,13 @@ can count arrivals at the targets of taken backward branches and stop
 count off — every other caller — the loop pays one comparison per taken
 branch.
 
+It is deliberately *not* built from the JIT's semantics table
+(``repro.pin.jit.SEMANTICS``): an oracle that shared its statement of
+what an instruction does with the code it judges could only agree with
+it.  Where the two ever differ, this file decides and the table is
+brought to it (``tests/test_machine/test_golden_model.py`` holds every
+row against it, register aliasing and both memory modes included).
+
 The hot loop is deliberately monolithic: one function, local aliases,
 inlined memory access and a decode cache keyed by the raw instruction word
 (identical words decode identically, so the cache needs no invalidation

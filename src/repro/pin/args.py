@@ -12,6 +12,14 @@ The JIT lowers each specifier list into a *resolver* closure that builds
 the positional argument tuple at analysis-call time.  Static specifiers
 (literals, the instruction pointer) are folded into constants, so a call
 using only static arguments costs a single tuple reference per execution.
+
+Two resolvers know something about an opcode's effect outside the JIT's
+semantics table (``repro.pin.jit.SEMANTICS``): ``_ea_resolver`` and
+``_taken_predicate`` answer what an instruction *will* do, before it
+runs, as a value handed to an analysis routine — a per-call closure over
+the registers, where a table row is statements that *do* it.  They stay
+here for that reason; ``tests/test_pin/test_args.py`` holds them to what
+the instruction then does.
 """
 
 from __future__ import annotations

@@ -1,5 +1,11 @@
 """The JIT: one compile path, two lowerings of an instrumented trace.
 
+**What an instruction does is written once**, as data
+(:data:`SEMANTICS`), and so is how its analysis calls are woven around
+it (:func:`weave`); the two lowerings are two instantiations of that
+text, so they agree with each other by construction and there is one
+table to hold against the one oracle, the interpreter.
+
 **Threaded code** (this module) is the cold lowering: the compiled form
 of a trace is a list of *steps*, one per guest instruction.  A step is
 a zero-argument closure returning:
@@ -8,11 +14,13 @@ a zero-argument closure returning:
 * an int >= 0    — transfer control to that guest address (trace exit);
 * ``EXIT_GUEST`` — the guest terminated (exit syscall or halt).
 
-Instrumentation is woven around the instruction semantics at lowering
-time.  Un-instrumented instructions lower to their bare semantics closure,
-so the instrumented-to-native overhead ratio is governed by the analysis
-calls — which is the regime the paper's icount1/icount2 comparison
-explores.
+A step is the generated code of one instruction: its row and its calls
+formatted with the operands as *names*, inside a factory ``make(E, cpu,
+regs, ..., rd, rs, ...)`` compiled once per process per ``(op, rd != 0,
+call shape)`` (:func:`step_source`).  Un-instrumented instructions are
+their bare row, so the instrumented-to-native overhead ratio is governed
+by the analysis calls — which is the regime the paper's icount1/icount2
+comparison explores.
 
 **Generated code** (:mod:`repro.pin.pyjit`) is the hot lowering: the
 whole trace becomes one Python function.  It costs about three times as
@@ -24,9 +32,9 @@ both go through: same skeleton, same callbacks, same suppression plan.
 JIT with the decision pinned to "generated".
 
 **Compile once per process.**  A compile has a half that depends on who
-is instrumenting — run the trace callbacks, plan suppression, wrap the
-instrumented instructions — and a half that does not: decode the trace
-and lower each instruction's architectural semantics.  A :class:`Jit`
+is instrumenting — run the trace callbacks, plan suppression, weave the
+calls into the instrumented instructions — and a half that does not:
+decode the trace and lower every other instruction.  A :class:`Jit`
 whose ``pool`` is a dict (the JIT of a resident slice machine,
 :mod:`repro.superpin.slices`, of the signature lookahead's machine and
 of serial Pin's one engine; every other ``PinVM`` leaves it ``None`` and
@@ -60,7 +68,9 @@ an ``IARG_PTR`` value that is not an immutable constant.  The rules:
 * pooled semantics (skeletons) **may capture** only what lives as long
   as the engine — ``engine`` itself, ``engine.cpu``, ``cpu.regs`` and
   the bound ``mem.read`` / ``mem.write`` — plus constants decoded from
-  the guest word; pooled *text* and code objects bind nothing at all;
+  the guest word; pooled *text* and code objects bind nothing at all,
+  and neither does a step factory (its globals are :data:`CONSTANTS`),
+  which is what lets every engine of a process share it;
 * kept instrumented code **may also capture** bound methods of
   ``retain_for``, argument resolvers over ``cpu`` / ``mem``, and
   ``engine.counters`` (zeroed in place);
@@ -119,8 +129,6 @@ PROMOTE_FACTOR = 3
 #: loop compares execution counts against it).
 NEVER = 1 << 62
 
-_SIGN = 1 << 63
-
 Step = Callable[[], int | None]
 
 
@@ -131,6 +139,236 @@ class StopRun(Exception):
     ``SP_EndSlice``.  The engine unwinds to the instruction boundary of
     the step that raised: the instruction itself does *not* execute.
     """
+
+
+# -- what an instruction does -------------------------------------------------
+#
+# Written once, as data, and instantiated by both lowerings (module
+# docstring).  Where an order matters the interpreter's is the one
+# written down: it is the oracle, and the one other place that knows an
+# opcode's effect (:mod:`repro.machine.interpreter` says why it stays).
+
+#: The operand fields a row may use, and (:func:`operands`) their values
+#: for one instruction: the three register numbers, the immediate as
+#: decoded / as an unsigned word / as a shift count, the next pc, this pc.
+OPERANDS = ("rd", "rs", "rt", "imm", "immM", "sh", "npc", "pc")
+
+#: Names every instantiation of a row resolves the same way, beside
+#: ``E`` (the engine), ``cpu``, ``regs``, ``RD`` / ``WR`` (the bound
+#: memory accessors) and ``ctr`` (``engine.counters``).
+CONSTANTS = {"M": MASK64, "SGN": 1 << 63, "W": 1 << 64, "EXIT": EXIT_GUEST,
+             "ArithmeticFault": ArithmeticFault}
+
+# The shared pieces: an operand as a signed integer, and the truncating
+# quotient ``div`` and ``mod`` both start from.
+_A = ("_a = regs[{rs}]", "if _a & SGN: _a -= W")
+_B = ("_b = regs[{rt}]", "if _b & SGN: _b -= W")
+_QUOTIENT = _A + _B + (
+    "if _b == 0: raise ArithmeticFault('division by zero', pc={pc})",
+    "_q = abs(_a) // abs(_b)",
+    "if (_a < 0) != (_b < 0): _q = -_q")
+
+
+def _alu(value: str, *prelude: str):
+    """A row that only computes ``rd``: every line goes with the write."""
+    return tuple("@" + text
+                 for text in (*prelude, "regs[{rd}] = " + value)), (), False
+
+
+def _branch(condition: str, *prelude: str):
+    return prelude, ((condition, "{imm}"),), False
+
+
+def _jump(target: str, *body: str):
+    return body, ((None, target),), False
+
+
+#: ``Op -> (body, exits, raises)``.  ``body`` is Python statements over
+#: the names above and the operand fields; a line marked ``@`` exists
+#: only to write ``rd`` and is dropped when that is the zero register (a
+#: load still performs its access: only its write is marked).  ``exits``
+#: are ``(condition or None, target)`` pairs tried in order after the
+#: body — an instruction none of whose exits is taken falls through.
+#: ``raises``: the body can raise whatever the memory mode (it says
+#: ``raise`` or calls out of the table), so generated code sets its
+#: unwind markers there; ``RD`` / ``WR`` raise in strict mode only.
+SEMANTICS: dict[Op, tuple[tuple[str, ...], tuple, bool]] = {
+    Op.ADD: _alu("(regs[{rs}] + regs[{rt}]) & M"),
+    Op.SUB: _alu("(regs[{rs}] - regs[{rt}]) & M"),
+    Op.MUL: _alu("(regs[{rs}] * regs[{rt}]) & M"),
+    Op.DIV: (_QUOTIENT + ("@regs[{rd}] = _q & M",), (), True),
+    Op.MOD: (_QUOTIENT + ("@regs[{rd}] = (_a - _q * _b) & M",), (), True),
+    Op.AND: _alu("regs[{rs}] & regs[{rt}]"),
+    Op.OR: _alu("regs[{rs}] | regs[{rt}]"),
+    Op.XOR: _alu("regs[{rs}] ^ regs[{rt}]"),
+    Op.SHL: _alu("(regs[{rs}] << (regs[{rt}] & 63)) & M"),
+    Op.SHR: _alu("regs[{rs}] >> (regs[{rt}] & 63)"),
+    Op.SAR: _alu("(_a >> (regs[{rt}] & 63)) & M", *_A),
+    Op.SLT: _alu("1 if _a < _b else 0", *_A, *_B),
+    Op.SLTU: _alu("1 if regs[{rs}] < regs[{rt}] else 0"),
+    Op.ADDI: _alu("(regs[{rs}] + {imm}) & M"),
+    Op.MULI: _alu("(regs[{rs}] * {imm}) & M"),
+    Op.ANDI: _alu("regs[{rs}] & {immM}"),
+    Op.ORI: _alu("regs[{rs}] | {immM}"),
+    Op.XORI: _alu("regs[{rs}] ^ {immM}"),
+    Op.SHLI: _alu("(regs[{rs}] << {sh}) & M"),
+    Op.SHRI: _alu("regs[{rs}] >> {sh}"),
+    Op.SARI: _alu("(_a >> {sh}) & M", *_A),
+    Op.SLTI: _alu("1 if _a < {imm} else 0", *_A),
+    Op.LI: _alu("{immM}"),
+    Op.LD: (("_t = RD((regs[{rs}] + {imm}) & M)", "@regs[{rd}] = _t"), (),
+            False),
+    Op.ST: (("WR((regs[{rs}] + {imm}) & M, regs[{rt}])",), (), False),
+    Op.PUSH: (("_a = (regs[29] - 1) & M", "regs[29] = _a",
+               "WR(_a, regs[{rs}])"), (), False),
+    Op.POP: (("_a = regs[29]", "_t = RD(_a)", "@regs[{rd}] = _t",
+              "regs[29] = (_a + 1) & M"), (), False),
+    Op.J: _jump("{imm}"),
+    Op.JR: _jump("regs[{rs}]"),
+    Op.CALL: _jump("{imm}", "regs[31] = {npc}"),
+    Op.CALLR: _jump("regs[{rs}]", "regs[31] = {npc}"),
+    Op.RET: _jump("regs[31]"),
+    Op.BEQ: _branch("regs[{rs}] == regs[{rt}]"),
+    Op.BNE: _branch("regs[{rs}] != regs[{rt}]"),
+    Op.BLT: _branch("_a < _b", *_A, *_B),
+    Op.BGE: _branch("_a >= _b", *_A, *_B),
+    Op.BLTU: _branch("regs[{rs}] < regs[{rt}]"),
+    Op.BGEU: _branch("regs[{rs}] >= regs[{rt}]"),
+    Op.SYSCALL: (("cpu.pc = {npc}", "E.dispatch_syscall()"),
+                 (("E.exited", "EXIT"), (None, "cpu.pc")), True),
+    Op.HALT: _jump("EXIT", "cpu.pc = {pc}", "E.exited = True",
+                   "E.exit_code = regs[1]"),
+    Op.NOP: ((), (), False),
+}
+
+
+def operands(ins: Ins) -> tuple:
+    """``ins``'s value for each of :data:`OPERANDS`."""
+    imm, address = ins.imm, ins.address
+    return (ins.rd, ins.rs, ins.rt, imm, imm & MASK64, imm & 63,
+            address + 1, address)
+
+
+def statements(op: Op, writes: bool, fields: dict, ret: str,
+               taken=()) -> list[str]:
+    """What ``op`` does, as Python statements: its row's body with the
+    operands formatted from ``fields`` (the ``rd`` lines only if
+    ``writes``), then each exit as ``[if condition:] taken;
+    ret % target``."""
+    body, exits, _ = SEMANTICS[op]
+    lines = [text.lstrip("@").format_map(fields) for text in body
+             if writes or text[0] != "@"]
+    for condition, target in exits:
+        pad = ""
+        if condition is not None:
+            lines.append(f"if {condition.format_map(fields)}:")
+            pad = "    "
+        lines.extend([pad + stmt for stmt in taken])
+        lines.append(pad + ret % target.format_map(fields))
+    return lines
+
+
+# -- the calls woven around it ------------------------------------------------
+
+#: The call shape ``(if/then pairs, before, taken, after)`` of an
+#: instruction nothing is attached to — which is most instructions.
+BARE = (0, 0, 0, 0)
+
+
+def call_shape(ins: Ins) -> tuple[int, int, int, int]:
+    """How many calls of each kind ``ins`` carries (:data:`BARE` itself
+    when none, so callers can test identity)."""
+    if not (ins.before_calls or ins.if_then or ins.after_calls
+            or ins.taken_calls):
+        return BARE
+    return (len(ins.if_then), len(ins.before_calls), len(ins.taken_calls),
+            len(ins.after_calls))
+
+
+def weave(shape: tuple[int, int, int, int], qualifier: str = ""):
+    """The statements of an instruction's analysis calls, from their
+    shape alone: ``(names, before, taken, after)``.
+
+    ``before`` runs ahead of the instruction, ``taken`` ahead of each
+    exit (:func:`statements`), ``after`` on fall-through; ``names`` are
+    the routines and argument resolvers the statements call, in the
+    order :func:`call_values` lists their values.  If/then pairs run
+    before plain before-calls: SuperPin's signature check must fire
+    before any tool analysis at the boundary instruction, because that
+    instruction belongs to the *next* slice (§4.4).
+    """
+    n_if, n_before, n_taken, n_after = shape
+    names: list[str] = []
+    before: list[str] = []
+    for j in range(n_if):
+        pair = [f"_{stem}{qualifier}{j}" for stem in ("if", "ir", "th", "tr")]
+        names += pair
+        before += ("ctr[1] += 1", "if {}(*{}()):".format(*pair[:2]),
+                   "    ctr[0] += 1", "    {}(*{}())".format(*pair[2:]))
+
+    def plain(stem: str, n: int) -> list[str]:
+        lines = [f"ctr[0] += {n}"] if n else []
+        for j in range(n):
+            fn, resolver = f"_{stem}{qualifier}{j}", f"_{stem}r{qualifier}{j}"
+            names.extend((fn, resolver))
+            lines.append(f"{fn}(*{resolver}())")
+        return lines
+
+    before += plain("bf", n_before)
+    taken = plain("tk", n_taken)
+    return names, before, taken, plain("af", n_after)
+
+
+def call_values(ins: Ins, cpu, mem) -> list:
+    """What :func:`weave`'s names stand for on ``ins``."""
+    values: list = []
+    for if_call, then_call in ins.if_then:
+        values += (if_call.fn, build_resolver(if_call.specs, ins, cpu, mem),
+                   then_call.fn,
+                   build_resolver(then_call.specs, ins, cpu, mem))
+    for calls, taken_target in ((ins.before_calls, None),
+                                (ins.taken_calls, 0),
+                                (ins.after_calls, None)):
+        for call in calls:
+            values += (call.fn, build_resolver(call.specs, ins, cpu, mem,
+                                               taken_target=taken_target))
+    return values
+
+
+# -- threaded code: a row at per-instruction granularity ----------------------
+
+_NAMES = dict(zip(OPERANDS, OPERANDS))
+
+#: ``(op, rd != 0, call shape) -> make``, compiled once per process.  A
+#: factory binds nothing (its globals are :data:`CONSTANTS`), so engines
+#: share it like a pooled code object; what a *step* binds is what its
+#: engine passed to ``make``.
+_FACTORIES: dict[tuple, Callable[..., Step]] = {}
+_FACTORY_GLOBALS = dict(CONSTANTS)
+
+
+def step_source(op: Op, writes: bool,
+                shape: tuple[int, int, int, int] = BARE) -> str:
+    """The source of the step factory for ``op``: the generated code of
+    one instruction, with the operands as parameters."""
+    names, before, taken, after = weave(shape)
+    lines = before + statements(op, writes, _NAMES, "return %s", taken) + after
+    parameters = ", ".join(("E", "cpu", "regs", "RD", "WR", "ctr",
+                            *OPERANDS, *names))
+    return (f"def make({parameters}):\n    def step():\n"
+            + "".join(f"        {line}\n" for line in lines or ["pass"])
+            + "    return step\n")
+
+
+def _factory(key: tuple) -> Callable[..., Step]:
+    code = compile(step_source(*key),
+                   f"<superpin-step-{key[0].name.lower()}>", "exec")
+    # Into a scope of its own: the daemon's job threads compile at once,
+    # and two of them compiling one key store equivalent factories.
+    scope: dict = {}
+    exec(code, _FACTORY_GLOBALS, scope)  # noqa: S102 - this *is* the JIT
+    make = _FACTORIES[key] = scope["make"]
+    return make
 
 
 class CompiledTrace:
@@ -221,8 +459,9 @@ class _Skeleton:
         self.instructions = trace_obj.instructions
         #: What each lowering keeps of its run-independent work, filled
         #: in by the first compile that takes it.  Threaded code:
-        #: ``sems[i]`` is the semantics closure of ``instructions[i]``.
-        self.sems: list[Step] | None = None
+        #: ``sems[i]`` is the call-free step of ``instructions[i]``
+        #: (None until a compile finds nothing attached to it).
+        self.sems: list[Step | None] | None = None
         #: Generated code: ``texts[i]`` is the semantics source of
         #: ``instructions[i]`` (None where it depends on the run), and
         #: ``codes`` maps a whole trace's source text to its code
@@ -526,26 +765,47 @@ class Jit:
                                 max_ins=1)
         run_trace_callbacks(engine, trace_obj)
         ins = trace_obj.instructions[0]
-        step = self._lower_calls(ins, self._lower_semantics(ins))
-        return CompiledTrace(address, [step], [ins.address],
+        return CompiledTrace(address, [self._step(ins, call_shape(ins))],
+                             [ins.address],
                              trace_obj.fall_address,
                              [bbl.num_ins for bbl in trace_obj.bbls])
 
     # -- lowering ------------------------------------------------------------
 
+    def _step(self, ins: Ins, shape: tuple[int, int, int, int]) -> Step:
+        """``ins`` as one threaded-code step, its analysis calls (of
+        ``shape``) woven in: its row's factory over this engine and its
+        operands."""
+        engine = self._engine
+        cpu, mem = engine.cpu, engine.mem
+        key = (ins.op, ins.rd != 0, shape)
+        make = _FACTORIES.get(key) or _factory(key)
+        return make(engine, cpu, cpu.regs, mem.read, mem.write,
+                    engine.counters, *operands(ins),
+                    *(call_values(ins, cpu, mem) if shape is not BARE
+                      else ()))
+
     def _lower_threaded(self, skeleton: _Skeleton) -> list[Step]:
         """``skeleton``'s instrumented trace as threaded code: the kept
-        steps, else each pooled semantics closure wrapped in its
-        instruction's calls."""
+        steps, else one step per instruction — the pooled one where
+        nothing is attached, which is every instruction of a fast-path
+        trace and most of any other."""
         kept = skeleton.kept
         if kept is not None and kept.steps is not None:
             return kept.steps
-        if skeleton.sems is None:
-            skeleton.sems = [self._lower_semantics(ins)
-                             for ins in skeleton.instructions]
-        lower = self._lower_calls
-        steps = [lower(ins, sem) for ins, sem
-                 in zip(skeleton.instructions, skeleton.sems)]
+        sems = skeleton.sems
+        if sems is None:
+            sems = skeleton.sems = [None] * len(skeleton.instructions)
+        steps = []
+        for index, ins in enumerate(skeleton.instructions):
+            shape = call_shape(ins)
+            if shape is not BARE:
+                step = self._step(ins, shape)
+            else:
+                step = sems[index]
+                if step is None:
+                    step = sems[index] = self._step(ins, BARE)
+            steps.append(step)
         if kept is not None:
             kept.steps = steps
         return steps
@@ -593,311 +853,3 @@ class Jit:
             start=address, fn=fn, num_ins=len(skeleton.instructions),
             fall_address=trace_obj.fall_address, source=source,
             bbl_sizes=skeleton.bbl_sizes, unbounded=plan is not None)
-
-    def _lower_calls(self, ins: Ins, sem: Step) -> Step:
-        """The run-dependent half: ``sem`` wrapped in ``ins``'s analysis
-        calls — or ``sem`` itself when it has none, which is every
-        instruction of a fast-path trace and most of any other."""
-        if not (ins.before_calls or ins.if_then or ins.after_calls
-                or ins.taken_calls):
-            return sem
-        engine = self._engine
-        cpu, mem = engine.cpu, engine.mem
-
-        def lower_calls(calls, taken_target=None):
-            return tuple([
-                (call.fn, build_resolver(call.specs, ins, cpu, mem,
-                                         taken_target=taken_target))
-                for call in calls]) if calls else ()
-
-        before = lower_calls(ins.before_calls)
-        after = lower_calls(ins.after_calls)
-        taken = lower_calls(ins.taken_calls, taken_target=0)
-        if_then = tuple(
-            (pair[0].fn, build_resolver(pair[0].specs, ins, cpu, mem),
-             pair[1].fn, build_resolver(pair[1].specs, ins, cpu, mem))
-            for pair in ins.if_then)
-
-        counters = engine.counters  # [analysis_calls, inline_checks]
-
-        def step() -> int | None:
-            # If/then pairs run before plain before-calls: SuperPin's
-            # signature check must fire before any tool analysis at the
-            # boundary instruction, because that instruction belongs to
-            # the *next* slice (§4.4).
-            for if_fn, if_resolve, then_fn, then_resolve in if_then:
-                counters[1] += 1
-                if if_fn(*if_resolve()):
-                    counters[0] += 1
-                    then_fn(*then_resolve())
-            if before:
-                counters[0] += len(before)
-                for fn, resolve in before:
-                    fn(*resolve())
-            result = sem()
-            if result is None:
-                if after:
-                    counters[0] += len(after)
-                    for fn, resolve in after:
-                        fn(*resolve())
-            elif result >= 0 and taken:
-                counters[0] += len(taken)
-                for fn, resolve in taken:
-                    fn(*resolve())
-            return result
-
-        return step
-
-    def _lower_semantics(self, ins: Ins) -> Step:
-        """Compile one instruction's architectural semantics to a closure."""
-        engine = self._engine
-        cpu = engine.cpu
-        regs = cpu.regs
-        mem = engine.mem
-        op = ins.op
-        rd, rs, rt, imm = ins.rd, ins.rs, ins.rt, ins.imm
-        address = ins.address
-
-        # --- ALU (register) ---
-        if op is Op.ADD:
-            if rd == 0:
-                return lambda: None
-            return lambda: (regs.__setitem__(
-                rd, (regs[rs] + regs[rt]) & MASK64), None)[1]
-        if op is Op.SUB:
-            if rd == 0:
-                return lambda: None
-            return lambda: (regs.__setitem__(
-                rd, (regs[rs] - regs[rt]) & MASK64), None)[1]
-        if op is Op.MUL:
-            if rd == 0:
-                return lambda: None
-            return lambda: (regs.__setitem__(
-                rd, (regs[rs] * regs[rt]) & MASK64), None)[1]
-        if op in (Op.DIV, Op.MOD):
-            want_div = op is Op.DIV
-
-            def sem_divmod() -> None:
-                a, b = regs[rs], regs[rt]
-                if b == 0:
-                    raise ArithmeticFault("division by zero", pc=address)
-                if a & _SIGN:
-                    a -= 1 << 64
-                if b & _SIGN:
-                    b -= 1 << 64
-                q = abs(a) // abs(b)
-                if (a < 0) != (b < 0):
-                    q = -q
-                if rd:
-                    regs[rd] = (q if want_div else a - q * b) & MASK64
-                return None
-            return sem_divmod
-        if op is Op.AND:
-            if rd == 0:
-                return lambda: None
-            return lambda: (regs.__setitem__(rd, regs[rs] & regs[rt]),
-                            None)[1]
-        if op is Op.OR:
-            if rd == 0:
-                return lambda: None
-            return lambda: (regs.__setitem__(rd, regs[rs] | regs[rt]),
-                            None)[1]
-        if op is Op.XOR:
-            if rd == 0:
-                return lambda: None
-            return lambda: (regs.__setitem__(rd, regs[rs] ^ regs[rt]),
-                            None)[1]
-        if op is Op.SHL:
-            if rd == 0:
-                return lambda: None
-            return lambda: (regs.__setitem__(
-                rd, (regs[rs] << (regs[rt] & 63)) & MASK64), None)[1]
-        if op is Op.SHR:
-            if rd == 0:
-                return lambda: None
-            return lambda: (regs.__setitem__(
-                rd, regs[rs] >> (regs[rt] & 63)), None)[1]
-        if op is Op.SAR:
-            if rd == 0:
-                return lambda: None
-
-            def sem_sar() -> None:
-                a = regs[rs]
-                if a & _SIGN:
-                    a -= 1 << 64
-                regs[rd] = (a >> (regs[rt] & 63)) & MASK64
-                return None
-            return sem_sar
-        if op in (Op.SLT, Op.SLTU):
-            if rd == 0:
-                return lambda: None
-            if op is Op.SLTU:
-                return lambda: (regs.__setitem__(
-                    rd, 1 if regs[rs] < regs[rt] else 0), None)[1]
-
-            def sem_slt() -> None:
-                a, b = regs[rs], regs[rt]
-                if a & _SIGN:
-                    a -= 1 << 64
-                if b & _SIGN:
-                    b -= 1 << 64
-                regs[rd] = 1 if a < b else 0
-                return None
-            return sem_slt
-
-        # --- ALU (immediate) ---
-        if op is Op.ADDI:
-            if rd == 0:
-                return lambda: None
-            return lambda: (regs.__setitem__(
-                rd, (regs[rs] + imm) & MASK64), None)[1]
-        if op is Op.MULI:
-            if rd == 0:
-                return lambda: None
-            return lambda: (regs.__setitem__(
-                rd, (regs[rs] * imm) & MASK64), None)[1]
-        if op is Op.ANDI:
-            if rd == 0:
-                return lambda: None
-            masked = imm & MASK64
-            return lambda: (regs.__setitem__(rd, regs[rs] & masked),
-                            None)[1]
-        if op is Op.ORI:
-            if rd == 0:
-                return lambda: None
-            masked = imm & MASK64
-            return lambda: (regs.__setitem__(rd, regs[rs] | masked),
-                            None)[1]
-        if op is Op.XORI:
-            if rd == 0:
-                return lambda: None
-            masked = imm & MASK64
-            return lambda: (regs.__setitem__(rd, regs[rs] ^ masked),
-                            None)[1]
-        if op is Op.SHLI:
-            if rd == 0:
-                return lambda: None
-            sh = imm & 63
-            return lambda: (regs.__setitem__(
-                rd, (regs[rs] << sh) & MASK64), None)[1]
-        if op is Op.SHRI:
-            if rd == 0:
-                return lambda: None
-            sh = imm & 63
-            return lambda: (regs.__setitem__(rd, regs[rs] >> sh), None)[1]
-        if op is Op.SARI:
-            if rd == 0:
-                return lambda: None
-            sh = imm & 63
-
-            def sem_sari() -> None:
-                a = regs[rs]
-                if a & _SIGN:
-                    a -= 1 << 64
-                regs[rd] = (a >> sh) & MASK64
-                return None
-            return sem_sari
-        if op is Op.SLTI:
-            if rd == 0:
-                return lambda: None
-
-            def sem_slti() -> None:
-                a = regs[rs]
-                if a & _SIGN:
-                    a -= 1 << 64
-                regs[rd] = 1 if a < imm else 0
-                return None
-            return sem_slti
-
-        # --- data movement ---
-        if op is Op.LI:
-            if rd == 0:
-                return lambda: None
-            value = imm & MASK64
-            return lambda: (regs.__setitem__(rd, value), None)[1]
-        if op is Op.LD:
-            if rd == 0:
-                return lambda: None
-            read = mem.read
-            return lambda: (regs.__setitem__(
-                rd, read((regs[rs] + imm) & MASK64)), None)[1]
-        if op is Op.ST:
-            write = mem.write
-            return lambda: (write((regs[rs] + imm) & MASK64, regs[rt]),
-                            None)[1]
-        if op is Op.PUSH:
-            write = mem.write
-
-            def sem_push() -> None:
-                addr = (regs[29] - 1) & MASK64
-                regs[29] = addr
-                write(addr, regs[rs])
-                return None
-            return sem_push
-        if op is Op.POP:
-            read = mem.read
-
-            def sem_pop() -> None:
-                addr = regs[29]
-                if rd:
-                    regs[rd] = read(addr)
-                regs[29] = (addr + 1) & MASK64
-                return None
-            return sem_pop
-
-        # --- control ---
-        if op is Op.J:
-            return lambda: imm
-        if op is Op.JR:
-            return lambda: regs[rs]
-        if op is Op.CALL:
-            npc = address + 1
-            return lambda: (regs.__setitem__(31, npc), imm)[1]
-        if op is Op.CALLR:
-            npc = address + 1
-            return lambda: (regs.__setitem__(31, npc), regs[rs])[1]
-        if op is Op.RET:
-            return lambda: regs[31]
-        if op is Op.BEQ:
-            return lambda: imm if regs[rs] == regs[rt] else None
-        if op is Op.BNE:
-            return lambda: imm if regs[rs] != regs[rt] else None
-        if op is Op.BLTU:
-            return lambda: imm if regs[rs] < regs[rt] else None
-        if op is Op.BGEU:
-            return lambda: imm if regs[rs] >= regs[rt] else None
-        if op in (Op.BLT, Op.BGE):
-            want_lt = op is Op.BLT
-
-            def sem_signed_branch() -> int | None:
-                a, b = regs[rs], regs[rt]
-                if a & _SIGN:
-                    a -= 1 << 64
-                if b & _SIGN:
-                    b -= 1 << 64
-                taken = a < b if want_lt else a >= b
-                return imm if taken else None
-            return sem_signed_branch
-
-        # --- system ---
-        if op is Op.SYSCALL:
-            npc = address + 1
-
-            def sem_syscall() -> int:
-                cpu.pc = npc
-                engine.dispatch_syscall()
-                if engine.exited:
-                    return EXIT_GUEST
-                return cpu.pc
-            return sem_syscall
-        if op is Op.HALT:
-            def sem_halt() -> int:
-                cpu.pc = address
-                engine.exited = True
-                engine.exit_code = regs[1]
-                return EXIT_GUEST
-            return sem_halt
-        if op is Op.NOP:
-            return lambda: None
-
-        raise AssertionError(f"unhandled opcode {op}")  # pragma: no cover

@@ -1,9 +1,9 @@
 """The generated-code lowering.
 
 Threaded code (:mod:`repro.pin.jit`) lowers each instruction to a
-closure.  This lowering goes one step further and *generates Python
-source* for the whole trace, compiles it with ``compile``/``exec``, and
-runs straight-line generated code with no per-instruction dispatch.  It
+closure.  This lowering *generates Python source* for the whole trace
+from the same table, compiles it with ``compile``/``exec``, and runs
+straight-line generated code with no per-instruction dispatch.  It
 is the moral equivalent of Pin's code-cache emission: the trace becomes
 one callable, branches become early returns, and instrumentation is
 spliced between statements.
@@ -14,23 +14,30 @@ that JIT with the decision pinned — ``PinVM(..., jit_backend="source")``
 or ``SuperPinConfig(jit_backend="source")``: every trace generated, the
 reference the differential tests hold the default against.
 
-Contract (shared with threaded code, enforced by differential tests in
-``tests/test_pin/test_pyjit.py`` and ``test_tiering.py``):
+Contract (shared with threaded code):
 
-* identical architectural effects and instruction counts;
+* identical architectural effects — by construction: both lowerings
+  format the same row of :data:`repro.pin.jit.SEMANTICS`, this one with
+  the operands as literals;
 * identical analysis-call ordering (if/then pairs run before plain
-  before-calls at the same instruction — the SuperPin detection rule);
-* :class:`~repro.pin.jit.StopRun` unwinds to the raising instruction's
-  boundary — the generated code maintains ``engine._stop_pc`` /
-  ``engine._stop_count`` markers before any statement that can raise.
+  before-calls at the same instruction — the SuperPin detection rule) —
+  by construction too: the statements come from one
+  :func:`repro.pin.jit.weave`, qualified here by instruction index;
+* identical instruction counts, and :class:`~repro.pin.jit.StopRun` and
+  faults unwind to the raising instruction's boundary — the generated
+  code maintains ``engine._stop_pc`` / ``engine._stop_count`` markers
+  before any statement that can raise.  This, the dispatch loop and the
+  summarized loop are what this module still states on its own, and what
+  the differential tests (``tests/test_pin/test_pyjit.py``,
+  ``test_tiering.py``, ``test_semantics_table.py``) guard; the table
+  itself is held against the interpreter in
+  ``tests/test_machine/test_golden_model.py``.
 """
 
 from __future__ import annotations
 
-from ..errors import ArithmeticFault
-from ..isa.instructions import MASK64, Op
-from .args import build_resolver
-from .jit import EXIT_GUEST, Jit, NEVER
+from .jit import (BARE, CONSTANTS, Jit, NEVER, OPERANDS, SEMANTICS,
+                  call_shape, call_values, operands, statements, weave)
 from .suppress import LOOP_TRIP_CAP, LoopPlan
 from .trace import Ins
 
@@ -81,6 +88,11 @@ class SourceJit(Jit):
     all_generated = True
 
 
+def _literals(ins: Ins) -> dict[str, int]:
+    """``ins``'s operand fields by name, for formatting its row."""
+    return dict(zip(OPERANDS, operands(ins)))
+
+
 class _Emitter:
     """Builds the source text and the exec namespace for one trace."""
 
@@ -96,17 +108,13 @@ class _Emitter:
         #: instructions relative to ``_base``).
         self._count_base: str | None = None
         self.namespace: dict[str, object] = {
+            **CONSTANTS,
             "E": engine,
             "cpu": engine.cpu,
             "regs": engine.cpu.regs,
             "RD": engine.mem.read,
             "WR": engine.mem.write,
             "ctr": engine.counters,
-            "M": MASK64,
-            "SGN": 1 << 63,
-            "W": 1 << 64,
-            "EXIT": EXIT_GUEST,
-            "ArithmeticFault": ArithmeticFault,
         }
 
     # -- low-level text helpers ----------------------------------------------
@@ -127,64 +135,29 @@ class _Emitter:
 
     # -- instrumentation ------------------------------------------------------
 
-    def _emit_calls(self, index: int, ins: Ins) -> tuple[str, str]:
-        """Emit if/then and before calls; return (taken_code, after_code).
-
-        Taken/after calls are returned as statement strings for the
-        semantics emitter to splice at the right control point.
-        """
-        engine = self._engine
-        cpu, mem = engine.cpu, engine.mem
-        has_calls = (ins.before_calls or ins.if_then or ins.taken_calls
-                     or ins.after_calls)
+    def _emit_calls(self, index: int, ins: Ins
+                    ) -> tuple[list[str], list[str]]:
+        """Emit the unwind markers and whatever runs ahead of ``ins``;
+        return its (taken, after) statements for the caller to splice
+        at the right control point (:func:`repro.pin.jit.weave`)."""
+        shape = call_shape(ins)
+        mem = self._engine.mem
         # Strict memory mode can fault on any access, so every memory
         # instruction needs exact unwind markers there.
-        may_fault = (ins.op in (Op.DIV, Op.MOD)
-                     or (mem.strict and (ins.is_memory_read
-                                         or ins.is_memory_write)))
-        if has_calls or may_fault:
+        if (shape is not BARE or SEMANTICS[ins.op][2]
+                or (mem.strict and (ins.is_memory_read
+                                    or ins.is_memory_write))):
             # Progress markers so StopRun/faults unwind exactly.
             self.line(f"E._stop_pc = {ins.address}")
             self.line(f"E._stop_count = {self._count(index)}")
-
-        for j, (if_call, then_call) in enumerate(ins.if_then):
-            if_fn = self._bind(f"if{index}_{j}", if_call.fn)
-            if_res = self._bind(f"ir{index}_{j}", build_resolver(
-                if_call.specs, ins, cpu, mem))
-            then_fn = self._bind(f"th{index}_{j}", then_call.fn)
-            then_res = self._bind(f"tr{index}_{j}", build_resolver(
-                then_call.specs, ins, cpu, mem))
-            self.line("ctr[1] += 1")
-            self.line(f"if {if_fn}(*{if_res}()):")
-            self.line("    ctr[0] += 1")
-            self.line(f"    {then_fn}(*{then_res}())")
-
-        if ins.before_calls:
-            self.line(f"ctr[0] += {len(ins.before_calls)}")
-            for j, call in enumerate(ins.before_calls):
-                fn = self._bind(f"bf{index}_{j}", call.fn)
-                res = self._bind(f"br{index}_{j}", build_resolver(
-                    call.specs, ins, cpu, mem))
-                self.line(f"{fn}(*{res}())")
-
-        taken_stmts = []
-        if ins.taken_calls:
-            taken_stmts.append(f"ctr[0] += {len(ins.taken_calls)}")
-            for j, call in enumerate(ins.taken_calls):
-                fn = self._bind(f"tk{index}_{j}", call.fn)
-                res = self._bind(f"tkr{index}_{j}", build_resolver(
-                    call.specs, ins, cpu, mem, taken_target=0))
-                taken_stmts.append(f"{fn}(*{res}())")
-
-        after_stmts = []
-        if ins.after_calls:
-            after_stmts.append(f"ctr[0] += {len(ins.after_calls)}")
-            for j, call in enumerate(ins.after_calls):
-                fn = self._bind(f"af{index}_{j}", call.fn)
-                res = self._bind(f"ar{index}_{j}", build_resolver(
-                    call.specs, ins, cpu, mem))
-                after_stmts.append(f"{fn}(*{res}())")
-        return taken_stmts, after_stmts
+        if shape is BARE:
+            return (), ()
+        names, before, taken, after = weave(shape, f"{index}_")
+        self.namespace.update(
+            zip(names, call_values(ins, self._engine.cpu, mem)))
+        for stmt in before:
+            self.line(stmt)
+        return taken, after
 
     # -- per-instruction lowering ---------------------------------------------
 
@@ -254,29 +227,17 @@ class _Emitter:
         self.line("while True:")
         self._indent += 1
         for ins in plan.body[:-1]:
-            self._semantics(0, ins, [])
+            self._semantics(0, ins, ())
 
+        # The back edge: the tail's row, its one exit kept as the
+        # loop's continuation test (None: a ``j``, always taken).
         tail = plan.tail
-        rs, rt = tail.rs, tail.rt
-        conds = {
-            Op.BEQ: f"regs[{rs}] == regs[{rt}]",
-            Op.BNE: f"regs[{rs}] != regs[{rt}]",
-            Op.BLTU: f"regs[{rs}] < regs[{rt}]",
-            Op.BGEU: f"regs[{rs}] >= regs[{rt}]",
-        }
-        if plan.uncond:
-            cond = None
-        elif tail.op in conds:
-            cond = conds[tail.op]
-        else:  # BLT / BGE
-            self.line(f"_a = regs[{rs}]")
-            self.line("if _a & SGN: _a -= W")
-            self.line(f"_b = regs[{rt}]")
-            self.line("if _b & SGN: _b -= W")
-            cond = "_a < _b" if tail.op is Op.BLT else "_a >= _b"
-
+        fields = _literals(tail)
+        body, ((cond, _),), _ = SEMANTICS[tail.op]
+        for text in body:
+            self.line(text.format_map(fields))
         if cond is not None:
-            self.line(f"if {cond}:")
+            self.line(f"if {cond.format_map(fields)}:")
             self._indent += 1
         self.line("_trips += 1")
         self.line(f"if _trips >= {LOOP_TRIP_CAP}:")
@@ -306,159 +267,13 @@ class _Emitter:
             self.lower(offset, ins)
         self.line(f"return (None, {self._count(len(plan.rest))})")
 
-    def _semantics(self, index: int, ins: Ins,
-                   taken: list[str]) -> None:
-        op = ins.op
-        rd, rs, rt, imm = ins.rd, ins.rs, ins.rt, ins.imm
-        retired = self._count(index + 1)
-
-        def ret(target: str) -> None:
-            for stmt in taken:
-                self.line(stmt)
-            self.line(f"return ({target}, {retired})")
-
-        # --- ALU register forms ---
-        simple_rrr = {
-            Op.ADD: f"(regs[{rs}] + regs[{rt}]) & M",
-            Op.SUB: f"(regs[{rs}] - regs[{rt}]) & M",
-            Op.MUL: f"(regs[{rs}] * regs[{rt}]) & M",
-            Op.AND: f"regs[{rs}] & regs[{rt}]",
-            Op.OR: f"regs[{rs}] | regs[{rt}]",
-            Op.XOR: f"regs[{rs}] ^ regs[{rt}]",
-            Op.SHL: f"(regs[{rs}] << (regs[{rt}] & 63)) & M",
-            Op.SHR: f"regs[{rs}] >> (regs[{rt}] & 63)",
-            Op.SLTU: f"1 if regs[{rs}] < regs[{rt}] else 0",
-        }
-        if op in simple_rrr:
-            if rd:
-                self.line(f"regs[{rd}] = {simple_rrr[op]}")
-            return
-        simple_rri = {
-            Op.ADDI: f"(regs[{rs}] + {imm}) & M",
-            Op.MULI: f"(regs[{rs}] * {imm}) & M",
-            Op.ANDI: f"regs[{rs}] & {imm & MASK64}",
-            Op.ORI: f"regs[{rs}] | {imm & MASK64}",
-            Op.XORI: f"regs[{rs}] ^ {imm & MASK64}",
-            Op.SHLI: f"(regs[{rs}] << {imm & 63}) & M",
-            Op.SHRI: f"regs[{rs}] >> {imm & 63}",
-            Op.LI: f"{imm & MASK64}",
-        }
-        if op in simple_rri:
-            if rd:
-                self.line(f"regs[{rd}] = {simple_rri[op]}")
-            return
-        if op in (Op.SAR, Op.SARI, Op.SLT, Op.SLTI):
-            if not rd:
-                return
-            self.line(f"_a = regs[{rs}]")
-            self.line("if _a & SGN: _a -= W")
-            if op is Op.SAR:
-                self.line(f"regs[{rd}] = (_a >> (regs[{rt}] & 63)) & M")
-            elif op is Op.SARI:
-                self.line(f"regs[{rd}] = (_a >> {imm & 63}) & M")
-            elif op is Op.SLTI:
-                self.line(f"regs[{rd}] = 1 if _a < {imm} else 0")
-            else:  # SLT
-                self.line(f"_b = regs[{rt}]")
-                self.line("if _b & SGN: _b -= W")
-                self.line(f"regs[{rd}] = 1 if _a < _b else 0")
-            return
-        if op in (Op.DIV, Op.MOD):
-            self.line(f"_a = regs[{rs}]")
-            self.line(f"_b = regs[{rt}]")
-            self.line("if _b == 0:")
-            self.line(f"    raise ArithmeticFault('division by zero', "
-                      f"pc={ins.address})")
-            self.line("if _a & SGN: _a -= W")
-            self.line("if _b & SGN: _b -= W")
-            self.line("_q = abs(_a) // abs(_b)")
-            self.line("if (_a < 0) != (_b < 0): _q = -_q")
-            if rd:
-                if op is Op.DIV:
-                    self.line(f"regs[{rd}] = _q & M")
-                else:
-                    self.line(f"regs[{rd}] = (_a - _q * _b) & M")
-            return
-
-        # --- memory ---
-        if op is Op.LD:
-            if rd:
-                self.line(f"regs[{rd}] = RD((regs[{rs}] + {imm}) & M)")
-            return
-        if op is Op.ST:
-            self.line(f"WR((regs[{rs}] + {imm}) & M, regs[{rt}])")
-            return
-        if op is Op.PUSH:
-            self.line("_a = (regs[29] - 1) & M")
-            self.line("regs[29] = _a")
-            self.line(f"WR(_a, regs[{rs}])")
-            return
-        if op is Op.POP:
-            if rd:
-                self.line(f"regs[{rd}] = RD(regs[29])")
-            self.line("regs[29] = (regs[29] + 1) & M")
-            return
-
-        # --- control ---
-        if op is Op.J:
-            ret(str(imm))
-            return
-        if op is Op.JR:
-            ret(f"regs[{rs}]")
-            return
-        if op is Op.CALL:
-            self.line(f"regs[31] = {ins.address + 1}")
-            ret(str(imm))
-            return
-        if op is Op.CALLR:
-            self.line(f"_t = regs[{rs}]")
-            self.line(f"regs[31] = {ins.address + 1}")
-            ret("_t")
-            return
-        if op is Op.RET:
-            ret("regs[31]")
-            return
-        conds = {
-            Op.BEQ: f"regs[{rs}] == regs[{rt}]",
-            Op.BNE: f"regs[{rs}] != regs[{rt}]",
-            Op.BLTU: f"regs[{rs}] < regs[{rt}]",
-            Op.BGEU: f"regs[{rs}] >= regs[{rt}]",
-        }
-        if op in conds:
-            self.line(f"if {conds[op]}:")
-            self._indent += 1
-            ret(str(imm))
-            self._indent -= 1
-            return
-        if op in (Op.BLT, Op.BGE):
-            self.line(f"_a = regs[{rs}]")
-            self.line("if _a & SGN: _a -= W")
-            self.line(f"_b = regs[{rt}]")
-            self.line("if _b & SGN: _b -= W")
-            cmp = "_a < _b" if op is Op.BLT else "_a >= _b"
-            self.line(f"if {cmp}:")
-            self._indent += 1
-            ret(str(imm))
-            self._indent -= 1
-            return
-
-        # --- system ---
-        if op is Op.SYSCALL:
-            self.line(f"cpu.pc = {ins.address + 1}")
-            self.line("E.dispatch_syscall()")
-            self.line("if E.exited:")
-            self.line(f"    return (EXIT, {retired})")
-            self.line(f"return (cpu.pc, {retired})")
-            return
-        if op is Op.HALT:
-            self.line(f"cpu.pc = {ins.address}")
-            self.line("E.exited = True")
-            self.line("E.exit_code = regs[1]")
-            self.line(f"return (EXIT, {retired})")
-            return
-        if op is Op.NOP:
-            return
-        raise AssertionError(f"unhandled opcode {op}")  # pragma: no cover
+    def _semantics(self, index: int, ins: Ins, taken) -> None:
+        """Emit ``ins``'s row with its operands as literals; every exit
+        returns the retired count with its target."""
+        for stmt in statements(ins.op, ins.rd != 0, _literals(ins),
+                               f"return (%s, {self._count(index + 1)})",
+                               taken):
+            self.line(stmt)
 
     # -- finalization ---------------------------------------------------------
 

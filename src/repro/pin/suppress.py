@@ -59,8 +59,6 @@ class LoopPlan:
     body_len: int
     #: The back-edge branch (``body[-1]``).
     tail: Ins
-    #: True for a single-BBL ``j head`` loop (exits only via the cap).
-    uncond: bool
     #: Instructions after the loop (the branch-not-taken suffix).
     rest: list[Ins]
     #: ``(summary_fn, static_args)`` per summarized call, program order.
@@ -84,11 +82,9 @@ def plan_suppression(engine, trace_obj: TraceObj) -> LoopPlan | None:
         return None
     start = trace_obj.address
     tail = body[-1]
-    if tail.info.is_cond_branch and tail.imm == start:
-        uncond = False
-    elif tail.op is Op.J and tail.imm == start:
-        uncond = True
-    else:
+    # A conditional back edge, or ``j head`` (exits only via the cap).
+    if (not (tail.info.is_cond_branch or tail.op is Op.J)
+            or tail.imm != start):
         return None
 
     forced = engine.forced_boundaries
@@ -117,4 +113,4 @@ def plan_suppression(engine, trace_obj: TraceObj) -> LoopPlan | None:
 
     rest = [ins for bbl in bbls[1:] for ins in bbl.instructions]
     return LoopPlan(start=start, body=body, body_len=len(body), tail=tail,
-                    uncond=uncond, rest=rest, summaries=summaries)
+                    rest=rest, summaries=summaries)
