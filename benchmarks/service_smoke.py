@@ -1,4 +1,5 @@
-"""Service smoke test: boot the daemon, prove the cross-run store hit.
+"""Service smoke test: boot the daemon, prove the cross-run store hit
+and the resident machines' saving.
 
 The CI `service-smoke` job's driver (also runnable locally):
 
@@ -13,6 +14,14 @@ run — and asserts:
   (``pin.cache.persistent_hits > 0``) and reports zero pilot cold
   compiles;
 - the distinct job keys its own entry (cold, no false sharing).
+
+Those three fan their slices out (``-spworkers 2``), so nothing they run
+touches the daemon's in-process machines.  Two more identical jobs
+*without* ``-spworkers`` follow, one after the other, and the daemon's
+``status`` must then show that the second ran on what the first left
+behind — ``serve.machines.hits >= 1``, ``serve.programs.hits >= 1``,
+``pin.jit.skeleton_reuses`` above the first's — with an identical tool
+report; both jobs' ``run_seconds`` are printed.
 
 On success the daemon is shut down gracefully and its state dir (job
 log, metrics/trace-store exports) is copied to ``--artifacts`` for
@@ -36,6 +45,9 @@ IDENTICAL = {"workload": "gzip", "scale": 0.15, "tool": "icount2",
              "seed": 42, "switches": ["-spworkers", "2"]}
 DISTINCT = {"workload": "mcf", "scale": 0.15, "tool": "icount1",
             "seed": 42, "switches": ["-spworkers", "2"]}
+#: The job that runs in the daemon's own process, on its residents.
+INPROCESS = {"workload": "gzip", "scale": 0.15, "tool": "icount2",
+             "seed": 42}
 
 
 def boot_daemon(socket_path, state_dir):
@@ -116,6 +128,37 @@ def main(argv=None):
         if hits(finals[j3]) != 0:
             problems.append(f"{j3} (distinct program) hit another "
                             f"program's entry")
+
+        # Two identical in-process jobs, the second after the first is
+        # done: it runs on the machine the first gave back.
+        cold, warm = (client.submit(INPROCESS, tenant="alice")["final"]
+                      for _ in range(2))
+        status = client.status()
+        counters = status["daemon"]["counters"]
+        records = {job["job_id"]: job for job in status["jobs"]}
+        reuses = {}
+        for name, final in (("first in-process", cold),
+                            ("second", warm)):
+            if final["event"] != "done":
+                raise SystemExit(f"in-process job failed: {final}")
+            job_counters = final["result"]["counters"]
+            reuses[name] = job_counters["pin.jit.skeleton_reuses"]
+            print(f"{final['job_id']} ({name}): run "
+                  f"{records[final['job_id']]['run_seconds']:.3f} s, "
+                  f"{reuses[name]:.0f} of "
+                  f"{job_counters['pin.jit.compiles']:.0f} compiles from "
+                  f"pooled skeletons")
+        print("daemon: " + ", ".join(
+            f"{name} {counters[name]:.0f}" for name in sorted(counters)
+            if name.startswith(("serve.machines.", "serve.programs."))))
+        if counters["serve.machines.hits"] < 1:
+            problems.append("no job ran on a resident machine")
+        if counters["serve.programs.hits"] < 1:
+            problems.append("no job found its program resident")
+        if reuses["second"] <= reuses["first in-process"]:
+            problems.append("the second job reused no more than the first")
+        if warm["result"]["tool_report"] != cold["result"]["tool_report"]:
+            problems.append("warm and cold jobs produced different reports")
         if problems:
             for problem in problems:
                 print(f"FAIL: {problem}", file=sys.stderr)

@@ -461,6 +461,12 @@ def _cmd_submit(args, extra: list[str]) -> int:
           f"{result['num_slices']} slices, "
           f"persistent hits {hits}, "
           f"pilot cold compiles {result['pilot_cold_compiles']}")
+    # Placement counters: how much of the job's compile work the
+    # daemon's resident machine had done for an earlier job.
+    counters = result["counters"]
+    print(f"jit: {counters.get('pin.jit.compiles', 0):.0f} compiles, "
+          f"{counters.get('pin.jit.skeleton_reuses', 0):.0f} from pooled "
+          f"skeletons, {counters.get('pin.jit.hot_compiles', 0):.0f} hot")
     print(f"tool report: {result['tool_report']}")
     return 0
 
@@ -491,6 +497,18 @@ def _cmd_status(args) -> int:
               f"{daemon['workers']} workers")
         for tenant, depth in sorted(daemon["queue_depths"].items()):
             print(f"  queue[{tenant}]: {depth}")
+        kept, counters = daemon["residents"], daemon["counters"]
+        print(f"  residents: {kept['idle_machines']} idle machines, "
+              f"{kept['programs']} programs ({kept['slots']} slots); "
+              + "; ".join(
+                  f"{what} {counters.get(f'serve.{what}.hits', 0):.0f} hits"
+                  f" / {counters.get(f'serve.{what}.misses', 0):.0f} misses"
+                  for what in ("machines", "programs")))
+        for name, histogram in daemon["histograms"].items():
+            print(f"  {name}: mean "
+                  f"{1e3 * histogram['total'] / histogram['count']:.2f} ms, "
+                  f"max {1e3 * histogram['max']:.2f} ms "
+                  f"over {histogram['count']} jobs")
         for job in snapshot["jobs"]:
             print(f"  {job['job_id']} [{job['tenant']}] {job['state']} "
                   f"{job['program']}/{job['tool']}")

@@ -292,7 +292,9 @@ class PinVM:
         its trace), ``cpu.pc`` where the handler left it — the
         interpreter's mode of that name; the outcome itself goes to the
         syscall observers.  A guest fault leaves ``cpu.pc`` at the
-        faulting instruction, which does not count as retired.
+        faulting instruction, which does not count as retired — whether
+        an instruction raised it or the fetch of the next trace did —
+        and the engine's totals count everything retired before it.
         """
         cpu = self.cpu
         cache = self.cache
@@ -332,170 +334,177 @@ class PinVM:
         # ``prev`` is the trace that just executed, awaiting a patch.
         trace: CompiledTrace | None = None
         prev: CompiledTrace | None = None
-        while not self.exited:
-            if budgeted and executed >= budget:
-                state = RunState.BUDGET
-                break
-            if trace is None:
-                # The dispatcher prefers TC2: a promoted superblock
-                # shadows its head trace (which stays cached for
-                # mid-chain entries and mispredict fallback).
-                trace = tc2.get(pc) if tc2 is not None else None
+        try:
+            while not self.exited:
+                if budgeted and executed >= budget:
+                    state = RunState.BUDGET
+                    break
                 if trace is None:
-                    trace = cache.lookup(pc)
-                if trace is None:
-                    if gate is not None and not gate(pc):
-                        state = RunState.COLD
-                        break
-                    timed = self.metrics.enabled
-                    if timed:
-                        # A miss is already slow: time each directly.
-                        compile_start = time.perf_counter()
-                    trace = jit.compile(pc)
-                    if timed:
-                        self.metrics.observe(
-                            "pin.jit.compile_seconds",
-                            time.perf_counter() - compile_start)
-                        self.metrics.inc("pin.jit.compiles")
-                        self.metrics.observe("pin.jit.trace_ins",
-                                             trace.num_ins)
-                    cache.insert(pc, trace, trace.num_ins)
-                if linking and prev is not None:
-                    # Patch the predecessor's exit stub: the next time
-                    # it exits to ``pc`` the dispatcher is bypassed.
-                    prev.links[pc] = trace
-            step_sub = False
-            if exact:
-                remaining = budget - executed
-                if trace.tier == 2 and (trace.unbounded
-                                        or trace.num_ins > remaining):
-                    # A superblock that cannot finish inside the
-                    # allowance demotes to its still-cached tier-1 head.
-                    fallback = cache.lookup(pc)
-                    if fallback is not None:
-                        trace = fallback
-                if trace.unbounded or trace.num_ins > remaining:
-                    if gate is not None:
-                        state = RunState.COLD
-                        break
-                    # Worst-case retirement exceeds the allowance: land
-                    # the tail one instrumented instruction at a time.
-                    trace = self._step_trace(pc)
-                    step_sub = True
-            traces_executed += 1
-            if counting and not step_sub:
-                if trace.tier == 1:
-                    if promoting:
-                        heat = trace.heat
-                        # (None: compiled before the pool was set.)
-                        if heat is not None:
-                            runs = heat[0] + 1
-                            heat[0] = runs
-                            if runs >= trace.hot_at:
-                                trace = self._promote(trace)
-                    if threshold:
-                        hotness = trace.exec_count + 1
-                        trace.exec_count = hotness
-                        if hotness == threshold:
-                            tc2.maybe_promote(trace)
-                elif promoting and trace.tally[0] >= trace.ripe_at:
-                    for segment in tc2.ripe_segments(trace):
-                        self._promote(segment)
+                    # The dispatcher prefers TC2: a promoted superblock
+                    # shadows its head trace (which stays cached for
+                    # mid-chain entries and mispredict fallback).
+                    trace = tc2.get(pc) if tc2 is not None else None
+                    if trace is None:
+                        trace = cache.lookup(pc)
+                    if trace is None:
+                        if gate is not None and not gate(pc):
+                            state = RunState.COLD
+                            break
+                        timed = self.metrics.enabled
+                        if timed:
+                            # A miss is already slow: time each directly.
+                            compile_start = time.perf_counter()
+                        trace = jit.compile(pc)
+                        if timed:
+                            self.metrics.observe(
+                                "pin.jit.compile_seconds",
+                                time.perf_counter() - compile_start)
+                            self.metrics.inc("pin.jit.compiles")
+                            self.metrics.observe("pin.jit.trace_ins",
+                                                 trace.num_ins)
+                        cache.insert(pc, trace, trace.num_ins)
+                    if linking and prev is not None:
+                        # Patch the predecessor's exit stub: the next time
+                        # it exits to ``pc`` the dispatcher is bypassed.
+                        prev.links[pc] = trace
+                step_sub = False
+                if exact:
+                    remaining = budget - executed
+                    if trace.tier == 2 and (trace.unbounded
+                                            or trace.num_ins > remaining):
+                        # A superblock that cannot finish inside the
+                        # allowance demotes to its still-cached tier-1 head.
+                        fallback = cache.lookup(pc)
+                        if fallback is not None:
+                            trace = fallback
+                    if trace.unbounded or trace.num_ins > remaining:
+                        if gate is not None:
+                            state = RunState.COLD
+                            break
+                        # Worst-case retirement exceeds the allowance: land
+                        # the tail one instrumented instruction at a time.
+                        trace = self._step_trace(pc)
+                        step_sub = True
+                traces_executed += 1
+                if counting and not step_sub:
+                    if trace.tier == 1:
+                        if promoting:
+                            heat = trace.heat
+                            # (None: compiled before the pool was set.)
+                            if heat is not None:
+                                runs = heat[0] + 1
+                                heat[0] = runs
+                                if runs >= trace.hot_at:
+                                    trace = self._promote(trace)
+                        if threshold:
+                            hotness = trace.exec_count + 1
+                            trace.exec_count = hotness
+                            if hotness == threshold:
+                                tc2.maybe_promote(trace)
+                    elif promoting and trace.tally[0] >= trace.ripe_at:
+                        for segment in tc2.ripe_segments(trace):
+                            self._promote(segment)
 
-            if trace.is_source:
-                # Generated code or a superblock: one call runs it all.
-                # A budget-bounded run hands a superblock its remaining
-                # allowance so the runner can stop at the same segment
-                # boundary the dispatch loop would have stopped at.
-                try:
-                    if budgeted and trace.tier == 2:
-                        result, completed = trace.fn(budget - executed,
-                                                     exact)
+                if trace.is_source:
+                    # Generated code or a superblock: one call runs it all.
+                    # A budget-bounded run hands a superblock its remaining
+                    # allowance so the runner can stop at the same segment
+                    # boundary the dispatch loop would have stopped at.
+                    try:
+                        if budgeted and trace.tier == 2:
+                            result, completed = trace.fn(budget - executed,
+                                                         exact)
+                        else:
+                            result, completed = trace.fn()
+                    except StopRun as stop:
+                        executed += self._stop_count
+                        generated += self._stop_count
+                        cpu.pc = self._stop_pc
+                        state = RunState.STOPPED
+                        stop_token = stop.args[0] if stop.args else None
+                        break
+                    except GuestFault:
+                        executed += self._stop_count
+                        generated += self._stop_count
+                        cpu.pc = self._stop_pc
+                        raise
+                    executed += completed
+                    generated += completed
+                    if result is None:
+                        assert trace.fall_address is not None
+                        pc = trace.fall_address
+                    elif result == EXIT_GUEST:
+                        break
                     else:
-                        result, completed = trace.fn()
-                except StopRun as stop:
-                    executed += self._stop_count
-                    generated += self._stop_count
-                    cpu.pc = self._stop_pc
-                    state = RunState.STOPPED
-                    stop_token = stop.args[0] if stop.args else None
-                    break
-                except GuestFault:
-                    cpu.pc = self._stop_pc
-                    if tc2 is not None:
-                        traces_executed += (
-                            (tc2_stats.segments - seg_mark)
-                            - (tc2_stats.dispatches - disp_mark))
-                    self.total_instructions += executed + self._stop_count
-                    self.total_traces_executed += traces_executed
-                    cache.stats.linked_dispatches += linked
-                    raise
-                executed += completed
-                generated += completed
-                if result is None:
-                    assert trace.fall_address is not None
-                    pc = trace.fall_address
-                elif result == EXIT_GUEST:
-                    break
+                        pc = result
                 else:
-                    pc = result
-            else:
-                steps = trace.steps
-                n = trace.num_ins
-                i = 0
-                result: int | None = None
-                try:
-                    while i < n:
-                        result = steps[i]()
-                        if result is None:
-                            i += 1
-                            continue
+                    steps = trace.steps
+                    n = trace.num_ins
+                    i = 0
+                    result: int | None = None
+                    try:
+                        while i < n:
+                            result = steps[i]()
+                            if result is None:
+                                i += 1
+                                continue
+                            break
+                    except StopRun as stop:
+                        executed += i
+                        cpu.pc = trace.addresses[i]
+                        state = RunState.STOPPED
+                        stop_token = stop.args[0] if stop.args else None
                         break
-                except StopRun as stop:
-                    executed += i
-                    cpu.pc = trace.addresses[i]
-                    state = RunState.STOPPED
-                    stop_token = stop.args[0] if stop.args else None
-                    break
-                except GuestFault:
-                    cpu.pc = trace.addresses[i]
-                    if tc2 is not None:
-                        traces_executed += (
-                            (tc2_stats.segments - seg_mark)
-                            - (tc2_stats.dispatches - disp_mark))
-                    self.total_instructions += executed + i
-                    self.total_traces_executed += traces_executed
-                    cache.stats.linked_dispatches += linked
-                    raise
+                    except GuestFault:
+                        executed += i
+                        cpu.pc = trace.addresses[i]
+                        raise
 
-                if result is None:  # fell off the end of the trace
-                    executed += n
-                    assert trace.fall_address is not None
-                    pc = trace.fall_address
-                elif result == EXIT_GUEST:
-                    executed += i + 1
+                    if result is None:  # fell off the end of the trace
+                        executed += n
+                        assert trace.fall_address is not None
+                        pc = trace.fall_address
+                    elif result == EXIT_GUEST:
+                        executed += i + 1
+                        break
+                    else:
+                        executed += i + 1
+                        pc = result
+                cpu.pc = pc
+                if (stop_after_syscall
+                        and self.total_syscalls != start_syscalls):
+                    state = RunState.SYSCALL
                     break
+                if linking and not step_sub:
+                    # Linked fast path: chain straight to the successor if
+                    # this exit was patched on an earlier transition.  A
+                    # flush clears every ``links`` dict, so a stale link can
+                    # never survive an invalidation.
+                    prev = trace
+                    trace = prev.links.get(pc)
+                    if trace is not None:
+                        linked += 1
                 else:
-                    executed += i + 1
-                    pc = result
-            cpu.pc = pc
-            if stop_after_syscall and self.total_syscalls != start_syscalls:
-                state = RunState.SYSCALL
-                break
-            if linking and not step_sub:
-                # Linked fast path: chain straight to the successor if
-                # this exit was patched on an earlier transition.  A
-                # flush clears every ``links`` dict, so a stale link can
-                # never survive an invalidation.
-                prev = trace
-                trace = prev.links.get(pc)
-                if trace is not None:
-                    linked += 1
-            else:
-                # Step traces live outside the cache; they must neither
-                # receive nor become link targets.
-                prev = None
-                trace = None
+                    # Step traces live outside the cache; they must neither
+                    # receive nor become link targets.
+                    prev = None
+                    trace = None
+        finally:
+            # Folded once, here, for every way out of the loop: a
+            # return, a guest fault raised by a step — or out of a
+            # compile, before the trace it was for ever ran.
+            tc2_dispatches = 0
+            if tc2 is not None:
+                tc2_dispatches = tc2_stats.dispatches - disp_mark
+                traces_executed += ((tc2_stats.segments - seg_mark)
+                                    - tc2_dispatches)
+                generated -= tc2_stats.stepped - stepped_mark
+                if promoting:
+                    tc2.fold_heat()
+            self.jit_stats.hot_instructions += generated
+            self.total_instructions += executed
+            self.total_traces_executed += traces_executed
+            cache.stats.linked_dispatches += linked
 
         if self.exited:
             state = RunState.EXIT
@@ -503,18 +512,6 @@ class PinVM:
             # marked the process (dispatch_syscall).
             self.process.exited = True
             self.process.exit_code = self.exit_code
-        tc2_dispatches = 0
-        if tc2 is not None:
-            tc2_dispatches = tc2_stats.dispatches - disp_mark
-            traces_executed += ((tc2_stats.segments - seg_mark)
-                                - tc2_dispatches)
-            generated -= tc2_stats.stepped - stepped_mark
-            if promoting:
-                tc2.fold_heat()
-        self.jit_stats.hot_instructions += generated
-        self.total_instructions += executed
-        self.total_traces_executed += traces_executed
-        cache.stats.linked_dispatches += linked
         return PinRunResult(
             state=state,
             instructions=executed,

@@ -5,9 +5,10 @@ instrumentation requests stop paying per-run startup: submissions
 arrive over a unix socket (newline-delimited JSON,
 :mod:`repro.serve.protocol`), flow through a bounded per-tenant job
 queue (:mod:`repro.serve.jobs`), execute against one shared worker pool
-(:mod:`repro.serve.server`), and every job runs against the daemon's
-persistent trace store (``-sptracestore``), so a resubmitted program
-reports zero pilot cold compiles.
+(:mod:`repro.serve.server`) on the programs and machines earlier jobs
+left resident there, and every job runs against the daemon's persistent
+trace store (``-sptracestore``), so a resubmitted program reports zero
+pilot cold compiles.
 
 Clients: :class:`repro.serve.client.ServeClient` (blocking, used by
 ``superpin submit`` / ``superpin status``), or any program that speaks

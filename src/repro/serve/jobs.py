@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -55,6 +56,12 @@ class Job:
     #: Set to preempt the job; checked at every progress event.
     cancel_flag: threading.Event = field(default_factory=threading.Event,
                                          repr=False)
+    #: When this daemon accepted (or recovered) the job, handed it to a
+    #: job thread, and saw it finish (``time.monotonic()``).  In memory
+    #: only: the job log records transitions, not times.
+    accepted_at: float = field(default_factory=time.monotonic, repr=False)
+    dispatched_at: float | None = field(default=None, repr=False)
+    finished_at: float | None = field(default=None, repr=False)
 
     @property
     def finished(self) -> bool:
@@ -70,6 +77,12 @@ class Job:
             record["error"] = self.error
         if self.result is not None:
             record["result"] = self.result
+        if self.dispatched_at is not None:
+            record["queue_wait_seconds"] = (self.dispatched_at
+                                            - self.accepted_at)
+            if self.finished_at is not None:
+                record["run_seconds"] = (self.finished_at
+                                         - self.dispatched_at)
         return record
 
 

@@ -9,15 +9,23 @@ out over ``-spworkers`` worker processes, and because the run's
 ``on_progress`` callback must hand events back to the loop
 (``call_soon_threadsafe``), which a process boundary would forbid.
 
-Every job runs against the daemon's persistent trace store
+What a finished job leaves behind is the daemon's, not the job's
+(:class:`Residents`): the assembled program, and the machines the job's
+in-process slices and its master's signature lookaheads ran on, with
+every trace they decoded.  The next job that names the same program
+checks both out — a context switch, not a cold start — and what it may
+reuse of them is still decided trace by trace, by the checks that decide
+it between two slices of one run.
+
+Every job also runs against the daemon's persistent trace store
 (``<state_dir>/trace_store``) unless its switches name their own: the
 first submission of a program leaves the trace heads its first slice
 compiled there, and every later identical submission — any tenant, any
 connection, even after a daemon restart — finds them
 (``pin.cache.persistent_hits`` > 0 on its counters) and reports zero
-pilot cold compiles.  That is an account of what a process-spanning
-code cache *would* save, not a saving: each job still compiles on its
-own machines (:mod:`repro.superpin.warmstore`).
+pilot cold compiles.  That is an account, in virtual time, of what a
+code cache shared between runs saves (:mod:`repro.superpin.warmstore`);
+the saving in host time is the residents'.
 
 Durability: accepted submissions are fsynced to ``<state_dir>/
 jobs.jsonl`` before the client hears "queued", so a SIGKILLed daemon
@@ -28,9 +36,14 @@ but not finished (:func:`repro.serve.jobs.recover_jobs`).
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import dataclasses
+import hashlib
 import json
 import os
+import threading
+import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
 from ..fsutil import atomic_write
@@ -42,6 +55,101 @@ from .protocol import (encode_line, decode_line, MAX_LINE_BYTES,
 
 #: Events a subscriber queue can carry; ``done``/``failed`` terminate.
 TERMINAL_EVENTS = ("done", "failed")
+
+#: Idle residents (and programs) the daemon keeps per job thread.  One
+#: is what a thread serving one program needs; the rest is room for the
+#: programs of a few tenants to alternate without evicting each other.
+#: A constant, not a switch: an idle resident of a bench job guest
+#: weighs well under a megabyte (docs/serving.md has the measurement).
+RESIDENTS_PER_WORKER = 4
+
+
+class Residents:
+    """What the jobs this daemon has finished left behind, by what a
+    job *names*: one table from the SHA-256 of a submitted text, or a
+    suite workload's ``(name, clock_hz, scale)``, to the assembled
+    program and the idle *residents* last used for it.
+
+    A resident is a :class:`~repro.superpin.slices.SliceMachine`: the
+    machine a run's in-process slices context-switch onto, and (its
+    ``lookahead``) the one its master signs boundaries on.  Both keep
+    what is nobody's — decoded traces, pooled steps, code objects, how
+    hot each trace ran — so a job that names a program the daemon has
+    run decodes next to nothing.  The key is a locality hint and nothing
+    more: what a job reuses of a resident is decided per trace, against
+    the guest words now loaded (``Jit._reuse``), exactly as between two
+    slices of one run, and code *instrumented* for one job is forgotten
+    when the next adopts its own tool (``SliceMachine.adopt``).
+
+    A job holds its resident **exclusively** from :meth:`checkout` until
+    it ends; two concurrent jobs of one program hold two.  Only a job
+    that finished gives its resident back — one that raised or was
+    cancelled drops it, uninspected.  Programs are shared, never written
+    (nothing writes a ``Program`` once it is assembled).  At most
+    ``slots`` programs and ``slots`` idle residents are kept; the least
+    recently used program goes first, its residents with it.
+    """
+
+    def __init__(self, workers: int, metrics):
+        self.slots = RESIDENTS_PER_WORKER * max(workers, 1)
+        self.metrics = metrics
+        self._lock = threading.Lock()
+        #: ``key -> (program, idle residents)``, least recently used
+        #: first.  An entry whose residents are all checked out still
+        #: serves its program.
+        self._entries: OrderedDict = OrderedDict()
+        for counter in ("serve.programs.hits", "serve.programs.misses",
+                        "serve.machines.hits", "serve.machines.misses",
+                        "serve.machines.evictions",
+                        "serve.machines.dropped"):
+            metrics.inc(counter, 0)
+
+    def _idle(self) -> int:
+        return sum(len(idle) for _, idle in self._entries.values())
+
+    def kept(self) -> dict:
+        """How much is resident right now (``status`` shows it)."""
+        with self._lock:
+            return {"slots": self.slots, "programs": len(self._entries),
+                    "idle_machines": self._idle()}
+
+    @contextlib.contextmanager
+    def checkout(self, key, build):
+        """``with residents.checkout(key, build) as (program, resident)``:
+        the program ``key`` names (``build()`` makes it on a miss) and a
+        resident nobody else holds, for the length of the block."""
+        from ..superpin.slices import SliceMachine
+        inc = self.metrics.inc
+        program = resident = None
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                program, idle = entry
+                if idle:
+                    resident = idle.pop()
+            inc("serve.programs.misses" if entry is None
+                else "serve.programs.hits")
+            inc("serve.machines.misses" if resident is None
+                else "serve.machines.hits")
+        if program is None:
+            program = build()
+        if resident is None:
+            resident = SliceMachine()
+        try:
+            yield program, resident
+        except BaseException:
+            with self._lock:
+                inc("serve.machines.dropped")
+            raise
+        with self._lock:
+            entries = self._entries
+            _, idle = entries.setdefault(key, (program, []))
+            entries.move_to_end(key)
+            idle.append(resident)
+            while len(entries) > self.slots or self._idle() > self.slots:
+                _, (_, evicted) = entries.popitem(last=False)
+                inc("serve.machines.evictions", len(evicted))
 
 
 class ServeDaemon:
@@ -55,6 +163,7 @@ class ServeDaemon:
         self.queue = JobQueue(max_depth=max_depth)
         self.jobs: dict[str, Job] = {}
         self.metrics = metrics_for(spmetrics)
+        self.residents = Residents(workers, self.metrics)
         self.trace_store_dir = os.path.join(self.state_dir, "trace_store")
         self._subscribers: dict[str, list[asyncio.Queue]] = {}
         self._next_id = 1
@@ -131,6 +240,7 @@ class ServeDaemon:
         """Shutdown artifact: daemon counters + every job's record."""
         snapshot = {
             "counters": dict(self.metrics.counters),
+            "histograms": self._histograms(),
             "trace_store": sorted(os.listdir(self.trace_store_dir))
             if os.path.isdir(self.trace_store_dir) else [],
             "jobs": [self.jobs[job_id].public()
@@ -158,10 +268,19 @@ class ServeDaemon:
                 self._dispatch(job)
             await self._kick.wait()
 
+    def _histograms(self) -> dict:
+        """The daemon's latency histograms, as ``status`` and the
+        shutdown export carry them (observed on the loop thread only)."""
+        return {name: histogram.as_dict() for name, histogram
+                in self.metrics.histograms.items()}
+
     def _dispatch(self, job: Job) -> None:
         job.state = "running"
+        job.dispatched_at = time.monotonic()
         self._running += 1
         self.metrics.inc("serve.jobs.dispatched")
+        self.metrics.observe("serve.job.queue_wait_seconds",
+                             job.dispatched_at - job.accepted_at)
         self._emit(job.job_id, {"event": "state", "job_id": job.job_id,
                                 "state": "running"})
         future = self._loop.run_in_executor(self._executor,
@@ -182,11 +301,14 @@ class ServeDaemon:
                  "kind": event, "payload": payload})
 
         report, tool = run_job_spec(job.spec, self.trace_store_dir,
-                                    on_progress=on_progress)
+                                    self.residents, on_progress=on_progress)
         return job_result(report, tool)
 
     def _job_finished(self, job: Job, future) -> None:
         self._running -= 1
+        job.finished_at = time.monotonic()
+        self.metrics.observe("serve.job.run_seconds",
+                             job.finished_at - job.dispatched_at)
         error = future.exception()
         if error is None:
             job.state = "done"
@@ -387,6 +509,8 @@ class ServeDaemon:
                 "queue_depths": self.queue.depths(),
                 "max_depth": self.queue.max_depth,
                 "counters": dict(self.metrics.counters),
+                "histograms": self._histograms(),
+                "residents": self.residents.kept(),
             },
             "jobs": [self.jobs[jid].public() for jid in sorted(self.jobs)],
         }
@@ -425,31 +549,42 @@ def build_job_config(spec: dict, trace_store_dir: str | None):
     return dataclasses.replace(config, **overrides)
 
 
+def named_program(spec: dict, config):
+    """What a job spec names, as :meth:`Residents.checkout` takes it:
+    ``(key, build)`` — a suite workload at the configured clock rate and
+    a scale, or inline assembly by the SHA-256 of its text."""
+    if spec.get("workload") is not None:
+        from ..workloads import build
+        name, scale = spec["workload"], spec.get("scale", 0.25)
+        return ((name, config.clock_hz, scale),
+                lambda: build(name, clock_hz=config.clock_hz,
+                              scale=scale).program)
+    from ..isa import assemble
+    text = spec["asm"]
+    return (hashlib.sha256(text.encode("utf-8")).hexdigest(),
+            lambda: assemble(text, name="<submitted>"))
+
+
 def run_job_spec(spec: dict, trace_store_dir: str | None,
-                 on_progress=None):
+                 residents: Residents, on_progress=None):
     """Run one job spec to completion; returns ``(report, tool)``.
 
-    Program source is either a suite workload (built at the configured
-    clock rate and scale) or inline assembly; the kernel seed comes
-    from the spec so identical submissions are identical runs — which
-    is what makes the second one a guaranteed trace-store hit.
+    The program and the machines come from ``residents`` — kept from
+    the last job that named the same program, or made now — and go back
+    there if the run finishes.  The kernel seed comes from the spec, so
+    identical submissions are identical runs: same results whatever the
+    daemon has run before, and the second a guaranteed trace-store hit.
     """
-    from ..isa import assemble
     from ..machine import Kernel
     from ..superpin import run_superpin
     from ..tools import TOOLS
-    from ..workloads import build
     config = build_job_config(spec, trace_store_dir)
-    if spec.get("workload") is not None:
-        built = build(spec["workload"], clock_hz=config.clock_hz,
-                      scale=spec.get("scale", 0.25))
-        program = built.program
-    else:
-        program = assemble(spec["asm"], name="<submitted>")
     tool = TOOLS[spec.get("tool", "icount2")]()
-    report = run_superpin(program, tool, config,
-                          kernel=Kernel(seed=spec.get("seed", 42)),
-                          on_progress=on_progress)
+    key, build = named_program(spec, config)
+    with residents.checkout(key, build) as (program, resident):
+        report = run_superpin(program, tool, config,
+                              kernel=Kernel(seed=spec.get("seed", 42)),
+                              on_progress=on_progress, resident=resident)
     return report, tool
 
 

@@ -318,7 +318,7 @@ def run_superpin(program: Program, tool: Pintool,
                  cost: CostModel = DEFAULT_COST_MODEL,
                  compute_timing: bool = True,
                  tracer: Tracer | None = None,
-                 on_progress=None) -> SuperPinReport:
+                 on_progress=None, resident=None) -> SuperPinReport:
     """Run ``program`` with ``tool`` under SuperPin end to end.
 
     Every run is traced (repro.obs): phases become top-level spans,
@@ -340,6 +340,14 @@ def run_superpin(program: Program, tool: Pintool,
     daemon forwards these to its clients as streaming events; exceptions
     it raises abort the run (that is how job cancellation preempts a
     running job).
+
+    ``resident`` is a :class:`~repro.superpin.slices.SliceMachine` the
+    caller keeps between runs and lends to this one *exclusively*: the
+    in-process slice attempts run on it and the master signs boundaries
+    on its lookahead, instead of on machines built for the run — so a
+    trace an earlier run decoded is not decoded again.  Which machine
+    ran what shows only in ``PLACEMENT_COUNTERS``; None (every caller
+    but the serve daemon) builds both as before.
     """
     config = config or SuperPinConfig()
     if not config.sp:
@@ -351,7 +359,8 @@ def run_superpin(program: Program, tool: Pintool,
         return replay_recording(config.spreplay, tool, config,
                                 machine=machine, cost=cost,
                                 compute_timing=compute_timing,
-                                tracer=tracer, on_progress=on_progress)
+                                tracer=tracer, on_progress=on_progress,
+                                resident=resident)
     tracer = ensure_tracer(tracer)
     metrics = metrics_for(config.spmetrics)
 
@@ -386,14 +395,15 @@ def run_superpin(program: Program, tool: Pintool,
     #    stream, stepped by the slice phase that consumes it.
     progress = _Progress(on_progress, tracer)
     master = _MasterStream(program, config, kernel, tracer, metrics,
-                           progress)
+                           progress, resident)
 
     # 3-6. Slices, merge, timing, audit: the half a replay shares.
     report = _run_pipeline(master.timeline, master.signatures, tool, sp,
                            config, program_digest(program), master=master,
                            audit=audit, machine=machine, cost=cost,
                            compute_timing=compute_timing, tracer=tracer,
-                           metrics=metrics, progress=progress)
+                           metrics=metrics, progress=progress,
+                           resident=resident)
     if master.recording_manifest is not None:
         report.recording_path = config.sprecord
         report.recording_id = master.recording_manifest["recording_id"]
@@ -453,7 +463,8 @@ class _MasterStream:
     """
 
     def __init__(self, program: Program, config: SuperPinConfig, kernel,
-                 tracer: Tracer, metrics, progress: _Progress):
+                 tracer: Tracer, metrics, progress: _Progress,
+                 resident=None):
         self.config = config
         self.tracer = tracer
         self.metrics = metrics
@@ -473,8 +484,10 @@ class _MasterStream:
         self.timeline = self.control.timeline
         self.signatures: list[Signature] = []
         #: Every boundary's quick-register lookahead runs on this one
-        #: machine (see repro.superpin.signature.Lookahead).
-        self.lookahead = Lookahead()
+        #: machine (see repro.superpin.signature.Lookahead): the
+        #: caller's resident's, or one that goes with the run.
+        self.lookahead = (resident.lookahead if resident is not None
+                          else Lookahead())
 
     def _track(self) -> int:
         """The master's own lane once a slice has been released."""
@@ -559,7 +572,7 @@ def _run_pipeline(timeline: MasterTimeline, signatures: list[Signature],
                   damaged=None, audit=None,
                   machine: MachineModel, cost: CostModel,
                   compute_timing: bool, tracer: Tracer, metrics,
-                  progress: _Progress) -> SuperPinReport:
+                  progress: _Progress, resident=None) -> SuperPinReport:
     """Pipeline phases 3-6, shared by live runs and replays.
 
     Everything downstream of "a timeline and its signatures exist, or
@@ -570,7 +583,8 @@ def _run_pipeline(timeline: MasterTimeline, signatures: list[Signature],
     trace-store keys), ``damaged`` (the slice sections a tolerant
     recording load gave up on) and ``audit`` (``(report, tracer,
     metrics) -> AuditReport``: the oracle to hold the finished run
-    against, or None).
+    against, or None).  ``resident`` is the caller's machine for the
+    slice phase's in-process attempts (:func:`run_superpin`).
     """
     # -spjournal / -spresume: open (or resume) the write-ahead run
     # journal keyed by source + tool + result-affecting config.
@@ -596,7 +610,8 @@ def _run_pipeline(timeline: MasterTimeline, signatures: list[Signature],
             metrics=metrics, journal=journal, preloaded=preloaded,
             damaged=damaged, source_digest=source_digest,
             on_progress=progress,
-            stream=master.steps() if master is not None else None)
+            stream=master.steps() if master is not None else None,
+            resident=resident)
     finally:
         if journal is not None:
             journal.close()
@@ -690,7 +705,8 @@ def replay_recording(source, tool, config: SuperPinConfig | None = None,
                      machine: MachineModel = PAPER_MACHINE,
                      cost: CostModel = DEFAULT_COST_MODEL,
                      compute_timing: bool = True,
-                     tracer: Tracer | None = None, on_progress=None):
+                     tracer: Tracer | None = None, on_progress=None,
+                     resident=None):
     """Replay a recording artifact under one tool — or a list of tools.
 
     The "replay many" half of ``-sprecord``/``-spreplay``: every run
@@ -707,6 +723,8 @@ def replay_recording(source, tool, config: SuperPinConfig | None = None,
     ``-spfaults degrade`` a damaged slice section degrades that slice
     (hole in the merge) instead of failing the whole replay; any other
     policy raises :class:`~repro.errors.RecordingCorruptError` on load.
+    ``resident`` is :func:`run_superpin`'s: every replay's in-process
+    attempts run on it, one after another.
     """
     config = config or SuperPinConfig()
     single = not isinstance(tool, (list, tuple))
@@ -739,7 +757,7 @@ def replay_recording(source, tool, config: SuperPinConfig | None = None,
             audit=audit, machine=machine, cost=cost,
             compute_timing=compute_timing, tracer=run_tracer,
             metrics=metrics,
-            progress=_Progress(on_progress, run_tracer))
+            progress=_Progress(on_progress, run_tracer), resident=resident)
         report.recording_path = recording.path
         report.recording_id = recording.recording_id
         metrics.inc("superpin.recording.replayed_slices", report.num_slices)

@@ -22,6 +22,7 @@ bounds checking.
 from __future__ import annotations
 
 import enum
+import threading
 
 from ..errors import InstrumentationError
 
@@ -36,9 +37,14 @@ class AutoMerge(enum.Enum):
     CONCAT = 4
 
 
-#: While set, :func:`_restore_shared_area` resolves unpickled areas to
-#: these canonical instances (keyed by name) instead of building copies.
-_RESOLVE_AREAS: dict[str, "SharedArea"] | None = None
+#: While ``_SCOPE.areas`` is set, :func:`_restore_shared_area` resolves
+#: what *this thread* unpickles to these canonical instances (keyed by
+#: name) instead of building copies.  Per thread: two runs on two
+#: threads of one process (two serve-daemon jobs) each unpickle inside a
+#: scope of their own, and every run names its areas ``area0``,
+#: ``area1``, ... — one shared slot would hand a slice of one run the
+#: other run's region.
+_SCOPE = threading.local()
 
 
 class resolve_shared_areas:
@@ -60,20 +66,18 @@ class resolve_shared_areas:
         self._previous: dict[str, SharedArea] | None = None
 
     def __enter__(self) -> "resolve_shared_areas":
-        global _RESOLVE_AREAS
-        self._previous = _RESOLVE_AREAS
-        _RESOLVE_AREAS = self._areas
+        self._previous = getattr(_SCOPE, "areas", None)
+        _SCOPE.areas = self._areas
         return self
 
     def __exit__(self, *exc) -> None:
-        global _RESOLVE_AREAS
-        _RESOLVE_AREAS = self._previous
+        _SCOPE.areas = self._previous
 
 
 def _restore_shared_area(name: str, size: int, mode_value: int,
                          data: list) -> "SharedArea":
     """Pickle reconstructor for :class:`SharedArea` (see ``__reduce__``)."""
-    registry = _RESOLVE_AREAS
+    registry = getattr(_SCOPE, "areas", None)
     if registry is not None and name in registry:
         return registry[name]
     area = SharedArea(name, size, AutoMerge(mode_value))

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import copy
 import enum
+import functools
 from dataclasses import dataclass
 
 from ..errors import DivergenceError, RunawaySliceError
@@ -48,7 +49,8 @@ from ..pin.engine import PinVM, RunState
 from ..pin.pintool import declares_pure_instrumentation
 from .api import END_SLICE_TOKEN, SliceToolContext, SPControl
 from .control import Boundary, Interval
-from .signature import (DetectionStats, Signature, SignatureDetector)
+from .signature import (DetectionStats, Lookahead, Signature,
+                        SignatureDetector)
 from .switches import SuperPinConfig
 from .sysrecord import PlaybackHandler
 
@@ -225,12 +227,19 @@ class SliceMachine:
 
     Owned by whoever executes slices sequentially and never shared
     between two of them (two concurrent runs in one process own two
-    machines).  Its identity is what compiled code closes over, so the
-    engine's JIT may keep compiled work and execution counts from slice
-    to slice (``vm.jit.pool``, ``vm.jit.heat``); its *state* belongs to
-    the slice it was last switched onto, and every :meth:`switch`
+    machines): a supervisor for its in-process attempts, a pool worker
+    for as long as it lives, or — the one owner that outlives a run —
+    the serve daemon, which lends it to one job at a time as that job's
+    ``resident`` (:class:`repro.serve.server.Residents`).  Its identity
+    is what compiled code closes over, so the engine's JIT may keep
+    compiled work and execution counts from slice to slice, and from
+    run to run (``vm.jit.pool``, ``vm.jit.heat``); its *state* belongs
+    to the slice it was last switched onto, and every :meth:`switch`
     replaces all of it — a slice that raised mid-run leaves nothing the
-    next one can see.
+    next one can see.  What crosses a run is what is nobody's: every
+    reuse is still decided trace by trace (``Jit._reuse``), and kept
+    *instrumented* code never crosses one — each run's template has an
+    id of its own, so :meth:`adopt` forgets it.
     """
 
     def __init__(self):
@@ -240,6 +249,13 @@ class SliceMachine:
         #: ``(template id, tool class, -spsuppress)``.
         self._resident = None
         self._serving: tuple | None = None
+
+    @functools.cached_property
+    def lookahead(self) -> Lookahead:
+        """The signing half of a run's resident: the machine its master
+        stream records boundary signatures on.  Made at first use — a
+        pool worker's machine never signs a boundary."""
+        return Lookahead()
 
     def switch(self, boundary: Boundary, interval: Interval,
                config: SuperPinConfig,

@@ -44,10 +44,11 @@ already final) has anyway.  Cooperative and single-threaded: no lock,
 and nothing a run reports depends on how the turns interleaved.
 
 Each transport runs its attempts on a resident
-:class:`~repro.superpin.slices.SliceMachine` — this phase's own for
-in-process attempts, each pool worker's own for as long as the worker
-lives — so a slice is a context switch and a trace an earlier slice of
-the same process compiled is re-instrumented, not re-translated.  The
+:class:`~repro.superpin.slices.SliceMachine` — this phase's own (or the
+one its caller lends it, ``resident``) for in-process attempts, each
+pool worker's own for as long as the worker lives — so a slice is a
+context switch and a trace an earlier slice of the same process
+compiled is re-instrumented, not re-translated.  The
 machine shows in no result: a retried slice lands on a machine that ran
 other slices and still produces the clean first attempt's record.
 
@@ -254,7 +255,7 @@ def supervise_slices(timeline: MasterTimeline, signatures: list[Signature],
                      config: SuperPinConfig, tracer=None,
                      metrics=NULL_METRICS, journal=None, preloaded=None,
                      damaged=None, source_digest=None, on_progress=None,
-                     stream=None) -> SupervisedSlices:
+                     stream=None, resident=None) -> SupervisedSlices:
     """Run the slice phase under the configured fault policy.
 
     Returns results ordered by slice index (regardless of completion
@@ -291,10 +292,14 @@ def supervise_slices(timeline: MasterTimeline, signatures: list[Signature],
       already are (a replay, a caller that drove the phases itself).
       Slice ``k`` is ready once ``signatures[k]`` exists or the master
       is exhausted.  An aborted phase closes the stream.
+    * ``resident`` — a :class:`~repro.superpin.slices.SliceMachine` the
+      caller owns and lends to this phase alone, to run its in-process
+      attempts on (the serve daemon's, which has run other jobs on it).
+      None builds one that goes with the phase.  Shows in no result.
     """
     return _Supervisor(timeline, signatures, template, sp, config, tracer,
                        metrics, journal, preloaded, damaged, source_digest,
-                       on_progress, stream).run()
+                       on_progress, stream, resident).run()
 
 
 @dataclass
@@ -318,7 +323,7 @@ class _Supervisor:
                  signatures: list[Signature], template: SliceToolContext,
                  sp: SPControl, config: SuperPinConfig, tracer, metrics,
                  journal, preloaded, damaged, source_digest, on_progress,
-                 stream):
+                 stream, resident=None):
         self.sp = sp
         self.config = config
         self.tracer = ensure_tracer(tracer)
@@ -361,9 +366,9 @@ class _Supervisor:
         self._workers = max(0, config.spworkers)
         self._pool: ProcessPoolExecutor | None = None
         #: Where in-process attempts run (the 0-worker transport and the
-        #: ladder's last rung): this phase's own resident machine, gone
-        #: with it.
-        self._machine = SliceMachine()
+        #: ladder's last rung): the caller's resident machine, or this
+        #: phase's own, gone with it.
+        self._machine = resident if resident is not None else SliceMachine()
         self._flights: dict = {}
         # A job is pickled only when something may read the bytes: a
         # pool worker, or a retry — which needs the pristine boundary,

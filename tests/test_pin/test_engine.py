@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.errors import CodeCacheOverflowError, InstrumentationError
+from repro.errors import (CodeCacheOverflowError, InstrumentationError,
+                          MemoryFault)
 from repro.isa import abi, assemble
 from repro.machine import Kernel, load_program
+from repro.machine.interpreter import Interpreter
 from repro.pin import (CodeCache, IARG_END, IARG_INST_PTR, IARG_REG_VALUE,
                        IARG_UINT64, IPOINT_AFTER, IPOINT_BEFORE,
                        IPOINT_TAKEN_BRANCH, PinVM, RunState, StopRun)
@@ -61,6 +63,57 @@ class TestExecution:
         vm, _, kernel = make_vm(MULTISLICE)
         vm.run()
         assert kernel.stdout_text() == "done"
+
+
+#: Retires 104 instructions, then jumps where nothing is mapped: under
+#: strict memory the fault is raised by the *fetch* — in ``PinVM`` out of
+#: a compile, outside every trace.
+JUMPS_OFF_THE_MAP = """
+.entry main
+main:
+    li   t0, 0
+    li   t1, 50
+loop:
+    addi t0, t0, 1
+    bne  t0, t1, loop
+    li   t3, 0x700000
+    jr   t3
+"""
+
+
+class TestFaultOutOfACompile:
+    @pytest.mark.parametrize("tc2_threshold", [0, 16])
+    @pytest.mark.parametrize("backend", ["closure", "source"])
+    def test_totals_count_what_retired_before_it(self, backend,
+                                                 tc2_threshold):
+        """The engine's totals after the fault are those of a run that
+        the budget stopped just before the compile that raised it."""
+        program = assemble(JUMPS_OFF_THE_MAP)
+
+        def engine():
+            return PinVM(load_program(program, Kernel(seed=42),
+                                      strict_memory=True),
+                         jit_backend=backend, tc2_threshold=tc2_threshold)
+
+        interp = Interpreter(load_program(program, Kernel(seed=42),
+                                          strict_memory=True))
+        with pytest.raises(MemoryFault):
+            interp.run()
+        assert interp.total_instructions == 104
+
+        stopped = engine()
+        assert stopped.run(max_instructions=104).state is RunState.BUDGET
+        faulted = engine()
+        with pytest.raises(MemoryFault):
+            faulted.run()
+        assert faulted.cpu.pc == stopped.cpu.pc == 0x700000
+        totals = [(vm.total_instructions, vm.total_traces_executed,
+                   vm.cache.stats.linked_dispatches, list(vm.cpu.regs))
+                  for vm in (faulted, stopped)]
+        assert totals[0] == totals[1]
+        assert totals[0][0] == 104 and totals[0][2] > 0
+        if tc2_threshold:
+            assert faulted.tc2.stats.dispatches > 0
 
 
 class TestInstrumentation:

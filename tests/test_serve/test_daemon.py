@@ -7,12 +7,17 @@ end.  The headline properties:
 - three concurrent submissions (two identical + one distinct) all
   complete, and the second identical job proves the warm start —
   ``pin.cache.persistent_hits > 0``, zero pilot-slice cold compiles;
+- a job that names a program the daemon has run runs on the machines
+  that job left behind (``pin.jit.skeleton_reuses > 0`` on a one-slice
+  guest) and reports what it reported cold; a restarted daemon has kept
+  nothing;
 - admission control rejects past the queue bound with a clean error;
 - queued and running jobs cancel;
 - SIGKILL mid-job loses nothing durable: a restart on the same state
   dir recovers every accepted-but-unfinished job and runs it.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -180,6 +185,57 @@ class TestServiceSmoke:
         assert slices
         last = slices[-1]["payload"]
         assert last["completed"] == last["total"] > 1
+
+
+def _reuses(final):
+    return final["result"]["counters"]["pin.jit.skeleton_reuses"]
+
+
+class TestResidents:
+    def test_a_then_b_then_a_and_a_restart(self, daemon):
+        """DISTINCT is a one-slice guest: nothing within a cold job of
+        it can reuse anything, so a reuse is another job's work."""
+        server = daemon(workers=1)
+        client = server.client()
+        # (In-process: only those slices run on the daemon's machines.)
+        one_slice, other = ({**spec, "switches": FAST_SWITCHES
+                             + ["-spworkers", "0"]}
+                            for spec in (DISTINCT, IDENTICAL))
+        first, other, again = (client.submit(spec)["final"] for spec in
+                               (one_slice, other, one_slice))
+        assert {f["event"] for f in (first, other, again)} == {"done"}
+        assert first["result"]["num_slices"] == 1
+        assert _reuses(first) == 0 < _reuses(again)
+        assert again["result"]["tool_report"] \
+            == first["result"]["tool_report"]
+
+        snapshot = client.status()["daemon"]
+        counters = snapshot["counters"]
+        assert (counters["serve.programs.hits"],
+                counters["serve.programs.misses"]) == (1, 2)
+        assert (counters["serve.machines.hits"],
+                counters["serve.machines.misses"]) == (1, 2)
+        assert counters["serve.machines.dropped"] == 0
+        assert snapshot["residents"]["idle_machines"] == 2
+        for name in ("serve.job.queue_wait_seconds",
+                     "serve.job.run_seconds"):
+            assert snapshot["histograms"][name]["count"] == 3
+        job = client.status("j0003")["job"]
+        assert 0 <= job["queue_wait_seconds"] and 0 < job["run_seconds"] \
+            <= snapshot["histograms"]["serve.job.run_seconds"]["max"]
+
+        # A new process has kept nothing: cold again, and as right.
+        server.sigkill()
+        revived = daemon(workers=1, root=server.root)
+        cold = revived.client().submit(one_slice)["final"]
+        assert cold["event"] == "done" and _reuses(cold) == 0
+        assert cold["result"]["tool_report"] \
+            == first["result"]["tool_report"]
+        revived.stop()
+        with open(os.path.join(revived.state, "metrics.json")) as handle:
+            exported = json.load(handle)
+        assert exported["counters"]["serve.machines.misses"] == 1
+        assert exported["histograms"]["serve.job.run_seconds"]["count"] == 1
 
 
 class TestAdmissionAndCancel:

@@ -6,6 +6,7 @@ per-slice figures as the sequential in-process path, for any N.
 """
 
 import pickle
+import threading
 
 import pytest
 
@@ -241,6 +242,48 @@ class TestSharedAreaPickling:
         area = SharedArea("area0", 1)
         pair = pickle.loads(pickle.dumps((area, area)))
         assert pair[0] is pair[1]
+
+    def test_scopes_on_two_threads_do_not_see_each_other(self):
+        """Two runs on two threads of one process (two serve-daemon
+        jobs) both name their first area ``area0`` and unpickle inside
+        scopes that overlap in time; the scope was once one module
+        global, and the first to unpickle got the other run's region."""
+        runs = {}
+        for name in "ab":
+            sp = SPControl(SuperPinConfig())
+            area = sp.SP_CreateSharedArea([0], 1, AutoMerge.ADD)
+            runs[name] = (sp, area, pickle.dumps(area))
+        assert runs["a"][1].name == runs["b"][1].name
+        a_entered, b_entered, a_left = (threading.Event() for _ in range(3))
+        resolved = {}
+
+        def run_a():
+            sp, _, blob = runs["a"]
+            with resolve_shared_areas(sp.areas):
+                a_entered.set()
+                assert b_entered.wait(timeout=30)
+                resolved["a"] = pickle.loads(blob)
+            a_left.set()
+
+        def run_b():
+            sp, _, blob = runs["b"]
+            assert a_entered.wait(timeout=30)
+            with resolve_shared_areas(sp.areas):
+                b_entered.set()
+                assert a_left.wait(timeout=30)
+                resolved["b"] = pickle.loads(blob)
+
+        threads = [threading.Thread(target=run_a),
+                   threading.Thread(target=run_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert resolved["a"] is runs["a"][1]
+        assert resolved["b"] is runs["b"][1]
+        # And nothing outlives the scopes, on this thread or those.
+        assert pickle.loads(runs["a"][2]) is not runs["a"][1]
 
 
 class _Span:

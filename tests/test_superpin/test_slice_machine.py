@@ -24,8 +24,9 @@ from repro.pin import (IARG_END, IARG_PTR, IARG_UINT64, IPOINT_BEFORE,
 from repro.pin.filter import parse_filter
 from repro.pin.pintool import declares_pure_instrumentation
 from repro.superpin import (ControlProcess, FaultPlan, merge_slices,
-                            record_signatures, run_superpin, SliceEnd,
-                            SliceToolContext, SPControl, SuperPinConfig)
+                            record_signatures, replay_recording,
+                            run_superpin, SliceEnd, SliceToolContext,
+                            SPControl, SuperPinConfig)
 from repro.superpin.control import Boundary
 from repro.superpin.parallel import run_slice_job, slice_job
 from repro.superpin.slices import (PLACEMENT_COUNTERS, run_slice,
@@ -607,14 +608,17 @@ class TestAfterASliceThatDidNotEndWell:
         self.check_clean_run_on(machine, expected)
 
 
-def _report(source=MULTISLICE, tool="icount2", **overrides):
+def _report(source=MULTISLICE, tool="icount2", resident=None, **overrides):
     tool = TOOLS[tool]() if isinstance(tool, str) else tool
     report = run_superpin(assemble(source), tool,
                           SuperPinConfig(**{**CONFIG, **overrides}),
-                          kernel=Kernel(seed=42))
-    fields = [{f.name: getattr(s, f.name) for f in dataclasses.fields(s)
-               if f.name != "tool_ctx"} for s in report.slices]
-    return report, fields, tool.report()
+                          kernel=Kernel(seed=42), resident=resident)
+    return report, _slice_fields(report), tool.report()
+
+
+def _slice_fields(report):
+    return [{f.name: getattr(s, f.name) for f in dataclasses.fields(s)
+             if f.name != "tool_ctx"} for s in report.slices]
 
 
 class TestThroughThePipeline:
@@ -633,19 +637,34 @@ class TestThroughThePipeline:
         assert virtual_counters(report.metrics) \
             == virtual_counters(clean[0].metrics)
 
+    @pytest.fixture(scope="class")
+    def clean_fine(self):
+        return _report(spworkers=0, spmetrics=True, spmsec=150)
+
     @pytest.mark.parametrize("spworkers", [0, 2])
     @pytest.mark.parametrize("policy", ["retry", "degrade"])
-    def test_retried_slice_lands_on_a_used_machine(self, clean, policy,
-                                                   spworkers):
+    def test_retried_slice_lands_on_a_used_machine(self, clean_fine,
+                                                   policy, spworkers):
+        """Which machine a slice lands on is the scheduler's business:
+        every injected crash rebuilds the pool, and a rebuilt pool's
+        workers have run nothing.  So the guest is cut into more slices
+        than the run can have built machines — then some machine landed
+        two, and any two slices of this guest share traces (every
+        ordered pair of the 21 was run on one machine: the second reuses
+        at least three skeletons)."""
         report, fields, tool_report = _report(
             spworkers=spworkers, spfaults=policy, spmetrics=True,
-            slice_retry_backoff=0.0,
+            slice_retry_backoff=0.0, spmsec=150,
             fault_plan=FaultPlan.parse("crash@1,corrupt@2,crash@3:2"))
         # (A crashed worker takes its in-flight neighbours down with it,
         # so the pool transport may recover more than the three named.)
         assert report.supervision_summary()["recovered_slices"] >= 3
         assert not report.degraded_slices
-        assert (fields, tool_report) == clean[1:]
+        assert (fields, tool_report) == clean_fine[1:]
+        # The supervisor's own machine, and two workers a pool.
+        machines = 1 + spworkers * (1 + report.metrics.counter(
+            "superpin.supervisor.pool_rebuilds"))
+        assert report.num_slices > machines
         assert report.metrics.counter("pin.jit.skeleton_reuses") > 0
 
     @pytest.mark.parametrize("overrides", [
@@ -702,3 +721,120 @@ class TestThroughThePipeline:
             assert not thread.is_alive()
         assert outcomes["a"] == outcomes["c"] == clean[1:]
         assert outcomes["b"] == _report(OTHER, "icount1", spworkers=0)[1:]
+
+
+class Weighted(ICount2):
+    """Declares its instrumentation pure — and within one run it is: a
+    function of the trace and of a constructor argument."""
+
+    pure_instrumentation = True
+
+    def __init__(self, weight):
+        super().__init__()
+        self.weight = weight
+
+    def instrument_trace(self, trace, vm):
+        for bbl in trace.bbls:
+            bbl.head.insert_call(IPOINT_BEFORE, self.docount, IARG_UINT64,
+                                 bbl.num_ins * self.weight, IARG_END)
+
+
+class TestAResidentAcrossRuns:
+    """A machine its caller keeps between runs (the serve daemon's
+    residents): every run on it is the run on machines of its own,
+    only sooner."""
+
+    #: ``(source, tool, overrides)``: two programs loaded at the same
+    #: base, three tools, a filter, suppression, both lowerings, both
+    #: transports.  Runs 2, 4 and 9 repeat a program the resident's
+    #: current engine has run in-process (one engine serves one
+    #: lowering: run 5 starts over, and so does run 8).
+    SEQUENCE = [
+        (MULTISLICE, "icount2", {}),
+        (OTHER, "icount1", {}),
+        (MULTISLICE, "icount2", {}),
+        (MULTISLICE, "memtrace", dict(spfilter="opcode:mem")),
+        (OTHER, "icount1", dict(spsuppress=True)),
+        (MULTISLICE, "icount1", dict(jit_backend="source")),
+        (MULTISLICE, "icount2", dict(spworkers=2)),
+        (OTHER, "memtrace", dict(spworkers=2)),
+        (MULTISLICE, "icount2", {}),
+        (MULTISLICE, "icount1", {}),
+    ]
+    REPEATS = (2, 4, 9)
+
+    @staticmethod
+    def image(report, tool):
+        return (_slice_fields(report), tool.report(), report.stdout,
+                report.exit_code, virtual_counters(report.metrics),
+                report.timing, report.degraded_slices)
+
+    def run(self, step, resident):
+        source, tool, overrides = step
+        # (In-process unless the step says otherwise, whatever
+        # SUPERPIN_SPWORKERS makes the default.)
+        report, _, _ = _report(source, tool, resident, spmetrics=True,
+                               **{"spworkers": 0, **overrides})
+        return report, self.image(report, report.tool)
+
+    def test_every_run_equals_the_run_without_it(self, tmp_path):
+        resident = SliceMachine()
+        for number, step in enumerate(self.SEQUENCE):
+            _, alone = self.run(step, None)
+            report, image = self.run(step, resident)
+            assert image == alone, number
+            counter = report.metrics.counter
+            if number in self.REPEATS:
+                # Every trace it compiled the resident had met before:
+                # reused, unless a forced cut or the other program's
+                # words at that address say otherwise.
+                assert counter("pin.jit.skeleton_reuses") == (
+                    counter("pin.jit.compiles")
+                    - counter("pin.jit.skeleton_rejects.words")
+                    - counter("pin.jit.skeleton_rejects.forced_cut")) > 0
+        assert resident.lookahead._vm.jit.pool
+
+        # One replay, and a live run after it.
+        path = str(tmp_path / "multislice.sprec")
+        _report(sprecord=path)
+        config = SuperPinConfig(**CONFIG, spmetrics=True, spworkers=0)
+        images = []
+        for machine in (None, resident):
+            tool = TOOLS["icount1"]()
+            report = replay_recording(path, tool, config, resident=machine)
+            images.append(self.image(report, tool))
+        assert images[0] == images[1]
+        assert report.metrics.counter("pin.jit.skeleton_reuses") > 0
+        assert self.run(self.SEQUENCE[1], resident)[1] \
+            == self.run(self.SEQUENCE[1], None)[1]
+
+    def test_a_one_slice_run_reuses_only_on_a_resident(self):
+        """What a daemon job reads to tell warm from cold."""
+        resident = SliceMachine()
+        reuses = [_report(OTHER, "icount1", machine, spmetrics=True,
+                          spmsec=5000, spworkers=0)[0].metrics.counter(
+                              "pin.jit.skeleton_reuses")
+                  for machine in (None, resident, resident)]
+        assert reuses[0] == reuses[1] == 0 < reuses[2]
+
+    def test_kept_instrumentation_does_not_cross_runs(self):
+        """Two runs of one tool class configured differently: what the
+        first run's copies were served is not what the second's get."""
+        resident = SliceMachine()
+        for weight in (1, 2, 1):
+            report, _, tool_report = _report(tool=Weighted(weight),
+                                             resident=resident,
+                                             spmetrics=True, spworkers=0)
+            instructions = sum(s.instructions for s in report.slices)
+            assert tool_report["icount"] == weight * instructions
+            # Served within the run, from what this run itself kept.
+            assert report.metrics.counter(
+                "pin.jit.instrumentation_reuses") > 0
+
+    def test_a_false_declaration_still_fails_its_own_run(self):
+        resident = SliceMachine()
+        _report(resident=resident, spworkers=0)
+        Liar.compiles.clear()
+        with pytest.raises(SliceExecutionError) as failure:
+            _report(tool=Liar(), resident=resident, spworkers=0)
+        assert isinstance(failure.value.__cause__, InstrumentationError)
