@@ -23,6 +23,18 @@ behind — ``serve.machines.hits >= 1``, ``serve.programs.hits >= 1``,
 ``pin.jit.skeleton_reuses`` above the first's — with an identical tool
 report; both jobs' ``run_seconds`` are printed.
 
+Last, a job small enough to be one slice, none of whose loops arrives a
+thousand times in one run, goes in again and again (a dozen times at
+most).  Of the second the smoke requires ``pin.jit.
+instrumentation_checks > 0``: its one slice compiles every trace once,
+so every check is one against what the *first job's* template left
+attached (a daemon that forgets kept code between jobs reports 0).  It
+stops at the first job whose master ran generated code
+(``superpin.control.master.jit_instructions > 0`` — the resident master
+counts arrivals over its life, so the loop gets hot after a few jobs),
+prints which one that was, and fails if none did; every one must report
+what the first reported.
+
 On success the daemon is shut down gracefully and its state dir (job
 log, metrics/trace-store exports) is copied to ``--artifacts`` for
 upload.
@@ -48,6 +60,10 @@ DISTINCT = {"workload": "mcf", "scale": 0.15, "tool": "icount1",
 #: The job that runs in the daemon's own process, on its residents.
 INPROCESS = {"workload": "gzip", "scale": 0.15, "tool": "icount2",
              "seed": 42}
+#: One slice, and no loop that arrives 1,000 times in one run.
+ONE_SLICE = {"workload": "gzip", "scale": 0.01, "tool": "icount2",
+             "seed": 42}
+REPEATS = 12
 
 
 def boot_daemon(socket_path, state_dir):
@@ -159,6 +175,38 @@ def main(argv=None):
             problems.append("the second job reused no more than the first")
         if warm["result"]["tool_report"] != cold["result"]["tool_report"]:
             problems.append("warm and cold jobs produced different reports")
+
+        # The same small job until its master runs generated code.
+        first = hot_at = None
+        for number in range(1, REPEATS + 1):
+            final = client.submit(ONE_SLICE, tenant="alice")["final"]
+            if final["event"] != "done":
+                raise SystemExit(f"one-slice job failed: {final}")
+            result = final["result"]
+            job_counters = result["counters"]
+            first = first or result
+            if (result["num_slices"], result["tool_report"]) \
+                    != (1, first["tool_report"]):
+                problems.append(f"one-slice job {number} reports "
+                                f"{result['num_slices']} slices, "
+                                f"{result['tool_report']}")
+            if number == 2 and not job_counters[
+                    "pin.jit.instrumentation_checks"]:
+                problems.append("the second one-slice job compared nothing "
+                                "with what the first left attached")
+            if job_counters["superpin.control.master.jit_instructions"]:
+                hot_at = number
+                break
+        if hot_at is None:
+            problems.append(f"the master never ran generated code in "
+                            f"{REPEATS} identical jobs")
+        else:
+            generated = job_counters[
+                "superpin.control.master.jit_instructions"]
+            print(f"{final['job_id']} (one-slice job {hot_at}): the master "
+                  f"turned hot, {generated:.0f} of "
+                  f"{job_counters['superpin.slices.instructions']:.0f} "
+                  f"instructions in generated code")
         if problems:
             for problem in problems:
                 print(f"FAIL: {problem}", file=sys.stderr)

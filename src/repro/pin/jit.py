@@ -41,7 +41,10 @@ of serial Pin's one engine; every other ``PinVM`` leaves it ``None`` and
 retains nothing) keeps the second half per trace start pc as a
 *skeleton* and redoes only the first half when a later run on the same
 engine misses on that pc.  A skeleton is reused only when it is exactly
-what ``build_trace`` would produce now (:meth:`Jit._reuse`).
+what ``build_trace`` would produce now (:meth:`Jit._refusal`) — and a head
+keeps the few shapes ``build_trace`` has produced for it
+(:data:`VARIANTS_PER_HEAD`): a slice whose signature pc falls inside a
+hot trace cuts it there, and neither shape evicts the other.
 
 **Instrument once per process, under a contract.**  The first half is a
 known answer too when whoever instruments says so: a tool that declares
@@ -57,10 +60,17 @@ on its first compile, instrumented again and compared on its second
 :class:`~repro.errors.InstrumentationError`, never a wrong count), and
 *served* from the third on — no callback, no wrapper, a new trace
 object around kept code.  Everything a compile is accounted by happens
-after that and is unchanged.  What the code observes sends a trace down
+after that and is unchanged.  The owner also names *which* registration
+of the resident object's a run is (:attr:`Jit.template` — a slice
+machine's run template): what another one left is never served on its
+word, but the first compile under the new one is already the comparing
+one, and where the calls (and the suppression plan) are equal it takes
+over the kept lowering instead of producing it again — where they are
+not, another run's filter or constructor argument is no lie, and the
+trace starts over.  What the code observes sends a trace down
 the ordinary path instead, with nothing kept: a head that is the
 slice's signature pc (the detector's if/then there is per slice by
-nature; ``build_trace`` and rule 1 of :meth:`Jit._reuse` make the
+nature; ``build_trace`` and rule 1 of :meth:`Jit._refusal` make the
 target a trace *head*, never an interior instruction), any if/then, a
 routine or summary that is not a bound method of the resident object,
 an ``IARG_PTR`` value that is not an immutable constant.  The rules:
@@ -124,6 +134,14 @@ HOT_EXECUTIONS_PER_COMPILE = 150
 #: to repay it with.  Long runs cannot tell 1 from 3 (the traces that
 #: matter run thousands of times); short ones can (ROADMAP.md).
 PROMOTE_FACTOR = 3
+
+#: Decoded shapes the pool keeps per trace head, most recently used
+#: first.  ``build_trace`` cuts a trace at the first forced boundary
+#: inside it, so a head has one shape more than there are signature pcs
+#: inside its whole-length trace: over the bench guests' live runs 56 to
+#: 276 shapes on 29 to 267 heads, eight or nine on the hottest loop's
+#: and one or two on most.  The least recently used goes first.
+VARIANTS_PER_HEAD = 8
 
 #: ``hot_at`` of a trace that is never promoted (an int: the dispatch
 #: loop compares execution counts against it).
@@ -452,7 +470,8 @@ class _Skeleton:
     """The run-independent half of one compiled trace."""
 
     __slots__ = ("trace_obj", "instructions", "sems", "texts", "codes",
-                 "addresses", "bbl_sizes", "words", "cut", "owner", "kept")
+                 "addresses", "bbl_sizes", "words", "cut", "owner",
+                 "template", "kept")
 
     def __init__(self, trace_obj: TraceObj):
         self.trace_obj = trace_obj
@@ -477,11 +496,13 @@ class _Skeleton:
         self.words: list[int] | None = None
         self.cut = False
         #: The ``Jit.retain_for`` whose instrumentation ``trace_obj``
-        #: still carries (None: anyone's, or none), and what the last
-        #: verified compile under it produced.  ``kept`` is only ever
-        #: set while ``trace_obj`` carries exactly the instrumentation
-        #: it was lowered from.
+        #: still carries (None: anyone's, or none), under which
+        #: ``(Jit.template, memory strictness)`` it attached it, and
+        #: what the last verified compile under those produced.
+        #: ``kept`` is only ever set while ``trace_obj`` carries exactly
+        #: the instrumentation it was lowered from.
         self.owner: object | None = None
+        self.template: tuple | None = None
         self.kept: _Kept | None = None
 
 
@@ -509,6 +530,14 @@ def _constant(value) -> bool:
     if isinstance(value, (tuple, frozenset)):
         return all(_constant(item) for item in value)
     return value is None or isinstance(value, (int, float, str, bytes))
+
+
+def _same_plan(plan: LoopPlan | None, other: LoopPlan | None) -> bool:
+    """True when two suppression plans of one skeleton lower alike."""
+    if plan is None or other is None:
+        return plan is other
+    return (plan.body_len == other.body_len
+            and plan.summaries == other.summaries)
 
 
 def _calls(instructions: list[Ins]) -> list[tuple]:
@@ -551,10 +580,12 @@ class Jit:
 
     def __init__(self, engine):
         self._engine = engine
-        #: ``start pc -> _Skeleton`` kept across runs of this engine, or
-        #: None (retain nothing).  Set by whoever keeps the engine
-        #: resident; see the module docstring.
-        self.pool: dict[int, _Skeleton] | None = None
+        #: ``start pc -> [_Skeleton, ...]`` kept across runs of this
+        #: engine — the shapes decoded at that head, at most
+        #: :data:`VARIANTS_PER_HEAD`, most recently used first — or None
+        #: (retain nothing).  Set by whoever keeps the engine resident;
+        #: see the module docstring.
+        self.pool: dict[int, list[_Skeleton]] | None = None
         #: ``start pc -> [executions, compiles]``, monotone for the life
         #: of a pooled engine (empty off one): what the choice of
         #: lowering — and a profile — reads.  Compiles are counted here;
@@ -568,13 +599,19 @@ class Jit:
         #: for a declaring tool; the signature lookahead for its own
         #: counters).  None: instrument every compile, keep nothing.
         self.retain_for: object | None = None
+        #: Which registration of ``retain_for``'s callbacks this run is
+        #: (a slice machine: the run template's id).  What was kept
+        #: under another value is compared again before it is used, and
+        #: may differ; under the same value a difference is a lie.
+        self.template: object | None = None
 
     def forget_instrumentation(self) -> None:
         """Drop everything kept for ``retain_for`` and its predecessors
         (skeletons stay: they are nobody's)."""
         self.retain_for = None
-        for skeleton in self.pool.values():
-            skeleton.owner = skeleton.kept = None
+        for variants in self.pool.values():
+            for skeleton in variants:
+                skeleton.owner = skeleton.kept = None
 
     def compile(self, address: int):
         """Build, instrument and lower the trace starting at ``address``
@@ -594,16 +631,23 @@ class Jit:
         # Who may be served, or checked: a trace this very resident
         # object instrumented last, at a head the slice's detector does
         # not instrument (the signature pc is only ever a trace head).
+        # Served: what this template verified, lowered for this memory
+        # mode (generated code sets its unwind markers by it, and the
+        # suppression plan reads it).  Checked: everything else of the
+        # owner's — this template's first compile, or another's work.
         owner = self.retain_for
-        kept = reference = None
+        template = (self.template, engine.mem.strict)
+        kept = reference = previous = None
         if owner is not None and address in engine.forced_boundaries:
             owner = None
             stats.instrumentation_declined += 1
         if reused and owner is not None and skeleton.owner is owner:
-            kept = skeleton.kept
-            if kept is None:
-                # First reuse: what the previous compile attached is
-                # still on the trace, and is the reference.
+            previous = skeleton.kept
+            if previous is not None and skeleton.template == template:
+                kept = previous
+            else:
+                # What the previous compile attached is still on the
+                # trace, and is the reference.
                 reference = _calls(skeleton.instructions)
 
         if kept is not None:
@@ -614,6 +658,7 @@ class Jit:
         else:
             # Nobody's until the callbacks have run to the end: one that
             # raises leaves a half-instrumented trace behind.
+            attached_under = skeleton.template
             skeleton.owner = skeleton.kept = None
             if reused:
                 for ins in skeleton.instructions:
@@ -632,16 +677,30 @@ class Jit:
                     # (bound methods of one object: their functions),
                     # arguments.
                     stats.instrumentation_checks += 1
-                    if attached != reference:
+                    was_template, was_strict = attached_under
+                    if attached == reference:
+                        verified = skeleton.kept = _Kept(
+                            istats.skipped_callbacks - skipped,
+                            istats.fastpath_traces - fastpath, plan)
+                        # Equal calls lower to equal steps — and, where
+                        # the plan and the memory mode it was emitted
+                        # under are equal too, to the same function.
+                        if previous is not None and _same_plan(
+                                plan, previous.plan):
+                            verified.steps = previous.steps
+                            if was_strict == engine.mem.strict:
+                                verified.fn = previous.fn
+                                verified.source = previous.source
+                    elif was_template == self.template:
                         raise InstrumentationError(
                             f"{type(owner).__name__} declares "
                             f"pure_instrumentation, but its second "
                             f"instrumentation of the trace at "
                             f"{address:#x} differs from its first")
-                    skeleton.kept = _Kept(
-                        istats.skipped_callbacks - skipped,
-                        istats.fastpath_traces - fastpath, plan)
+                    # (Another template's: its filter or constructor
+                    # argument is its own.  This is a first compile.)
             skeleton.owner = owner
+            skeleton.template = template
 
         cell = (self.heat.setdefault(address, [0, 0])
                 if self.pool is not None else None)
@@ -683,9 +742,10 @@ class Jit:
         latest compile off this very skeleton (anything else carries
         other instrumentation), which is what the two checks establish.
         """
-        skeleton = self.pool.get(trace.start)
-        if (skeleton is None or skeleton.addresses is not trace.addresses
-                or trace.hot_at != self._mark(trace.heat)):
+        skeleton = next(
+            (variant for variant in self.pool.get(trace.start, ())
+             if variant.addresses is trace.addresses), None)
+        if skeleton is None or trace.hot_at != self._mark(trace.heat):
             return None
         new = self._lower_generated(skeleton, None)
         new.heat = trace.heat
@@ -697,24 +757,39 @@ class Jit:
     def _skeleton(self, address: int) -> tuple[_Skeleton, bool]:
         """The decoded trace at ``address`` and whether it is a pooled
         one: pooled if this engine built it before and it is still what
-        ``build_trace`` would produce, otherwise built (and pooled)."""
+        ``build_trace`` would produce, otherwise built (and pooled,
+        beside the other shapes of this head)."""
         engine = self._engine
         pool = self.pool
+        variants = refused = None
         if pool is not None:
-            skeleton = pool.get(address)
-            if skeleton is not None and self._reuse(skeleton, address):
-                return skeleton, True
+            variants = pool.setdefault(address, [])
+            stats = engine.jit_stats
+            for position, skeleton in enumerate(variants):
+                refused = self._refusal(skeleton, address)
+                if refused is None:
+                    if position:
+                        variants.insert(0, variants.pop(position))
+                    stats.skeleton_reuses += 1
+                    return skeleton, True
+            # One reject a compile, by why the last shape tried was not
+            # what ``build_trace`` would produce.
+            if refused == "cut":
+                stats.rejects_cut += 1
+            elif refused == "words":
+                stats.rejects_words += 1
         skeleton = _Skeleton(build_trace(
             engine.mem, address, forced_boundaries=engine.forced_boundaries,
             max_ins=engine.max_trace_ins))
-        if pool is not None:
-            pool[address] = skeleton
+        if variants is not None:
+            del variants[VARIANTS_PER_HEAD - 1:]
+            variants.insert(0, skeleton)
         return skeleton, False
 
-    def _reuse(self, skeleton: _Skeleton, address: int) -> bool:
-        """True if ``skeleton`` is exactly the trace ``build_trace``
+    def _refusal(self, skeleton: _Skeleton, address: int) -> str | None:
+        """None if ``skeleton`` is exactly the trace ``build_trace``
         would decode now (it still carries the instrumentation of its
-        last compile).
+        last compile), else why not: ``"cut"`` or ``"words"``.
 
         ``build_trace`` is a function of the guest words, the start pc,
         the forced boundaries and the length cap.  The cap is the
@@ -728,7 +803,6 @@ class Jit:
         boundaries and another program loaded at the same address.
         """
         engine = self._engine
-        stats = engine.jit_stats
         instructions = skeleton.instructions
         if skeleton.words is None:
             skeleton.words = [ins.raw for ins in instructions]
@@ -740,13 +814,10 @@ class Jit:
         end = address + len(instructions)
         if (any(address < pc < end for pc in forced)
                 or (skeleton.cut and end not in forced)):
-            stats.rejects_cut += 1
-            return False
+            return "cut"
         if not engine.mem.same_words(address, skeleton.words):
-            stats.rejects_words += 1
-            return False
-        stats.skeleton_reuses += 1
-        return True
+            return "words"
+        return None
 
     def compile_step(self, address: int) -> CompiledTrace:
         """Lower a single-instruction trace (exact-budget stepping).

@@ -11,11 +11,12 @@ out over ``-spworkers`` worker processes, and because the run's
 
 What a finished job leaves behind is the daemon's, not the job's
 (:class:`Residents`): the assembled program, and the machines the job's
-in-process slices and its master's signature lookaheads ran on, with
-every trace they decoded.  The next job that names the same program
-checks both out — a context switch, not a cold start — and what it may
-reuse of them is still decided trace by trace, by the checks that decide
-it between two slices of one run.
+in-process slices, its master and its master's signature lookaheads ran
+on, with every trace they decoded and every loop the master found hot.
+The next job that names the same program checks both out — a context
+switch, not a cold start — and what it may reuse of them is still
+decided trace by trace, by the checks that decide it between two slices
+of one run.
 
 Every job also runs against the daemon's persistent trace store
 (``<state_dir>/trace_store``) unless its switches name their own: the
@@ -71,15 +72,19 @@ class Residents:
     program and the idle *residents* last used for it.
 
     A resident is a :class:`~repro.superpin.slices.SliceMachine`: the
-    machine a run's in-process slices context-switch onto, and (its
-    ``lookahead``) the one its master signs boundaries on.  Both keep
-    what is nobody's — decoded traces, pooled steps, code objects, how
-    hot each trace ran — so a job that names a program the daemon has
-    run decodes next to nothing.  The key is a locality hint and nothing
-    more: what a job reuses of a resident is decided per trace, against
-    the guest words now loaded (``Jit._reuse``), exactly as between two
-    slices of one run, and code *instrumented* for one job is forgotten
-    when the next adopts its own tool (``SliceMachine.adopt``).
+    machine a run's in-process slices context-switch onto, (its
+    ``lookahead``) the one its master signs boundaries on, and (its
+    ``master``) the engine its master runs on.  All three keep what is
+    nobody's — decoded traces, pooled steps, code objects, how hot each
+    trace ran, how often each loop head was reached — so a job that
+    names a program the daemon has run decodes next to nothing and runs
+    its loops as generated code from their first trip.  The key is a
+    locality hint and nothing more: what a job reuses of a resident is
+    decided per trace, against the guest words now loaded
+    (``Jit._refusal``), exactly as between two slices of one run, and
+    code *instrumented* for one job serves the next only where that
+    job's tool attaches the same calls, compared trace by trace
+    (``SliceMachine.adopt``, ``Jit.template``).
 
     A job holds its resident **exclusively** from :meth:`checkout` until
     it ends; two concurrent jobs of one program hold two.  Only a job
@@ -398,6 +403,9 @@ class ServeDaemon:
             await writer.drain()
             self._stop.set()
             self._kick.set()
+            for queues in self._subscribers.values():
+                for queue in queues:
+                    queue.put_nowait(None)
             return False
         if op == "status":
             writer.write(encode_line(self._status(request.get("job_id"))))
@@ -429,22 +437,22 @@ class ServeDaemon:
         return True
 
     async def _stream(self, queue: asyncio.Queue, writer) -> None:
-        """Forward a job's events until its terminal event."""
-        while True:
-            getter = asyncio.ensure_future(queue.get())
-            stopper = asyncio.ensure_future(self._stop.wait())
-            done, _pending = await asyncio.wait(
-                {getter, stopper},
-                return_when=asyncio.FIRST_COMPLETED)
-            if getter not in done:
-                getter.cancel()
-                stopper.cancel()
-                return
-            stopper.cancel()
-            event = getter.result()
-            writer.write(encode_line(event))
+        """Forward a job's events until its terminal event, or until a
+        shutdown (which puts ``None`` on every subscriber's queue).
+
+        A job thread holds the GIL while it runs, so the events of a
+        small job reach the loop together, at its end: whatever has
+        queued goes out in one write and one drain."""
+        while not self._stop.is_set():
+            events = [await queue.get()]
+            while not queue.empty():
+                events.append(queue.get_nowait())
+            stopped = None in events
+            if stopped:
+                del events[events.index(None):]
+            writer.write(b"".join(map(encode_line, events)))
             await writer.drain()
-            if event.get("event") in TERMINAL_EVENTS:
+            if stopped or events[-1].get("event") in TERMINAL_EVENTS:
                 return
 
     # -- request implementations -------------------------------------------

@@ -201,6 +201,10 @@ class MasterStats:
 #: (gcc-footprint at head threshold 100: 241 traces, 35 -> 88 ms; 73 ms
 #: with 8); each further miss costs a hot exit one more bounce through
 #: the interpreter (1 -> 8 -> 32: 57 -> 61 -> 63 ms on gzip-loop).
+#: Both are counted over the life of the engine, which is one run —
+#: unless its caller keeps it (``MasterEngine(resident=True)``): a job
+#: of a few thousand instructions never repays a ``compile()``, the
+#: daemon that serves it again does, on the second job.
 HOT_HEAD_ARRIVALS = 1000
 SIDE_EXIT_MISSES = 8
 
@@ -225,13 +229,25 @@ class MasterEngine:
 
     ``head_threshold=None`` never leaves the interpreter — the reference
     the parity tests compare every other pair of thresholds against.
+
+    ``resident``: the engine outlives the run (a
+    :class:`~repro.superpin.slices.SliceMachine`'s ``master``, which the
+    serve daemon lends to one job after another) and :meth:`switch`
+    puts it onto each run's freshly loaded image.  What it keeps is
+    what is nobody's: the arrival and miss counts — so a loop gets hot
+    over the engine's life, exactly as ``Jit.heat`` counts, and a later
+    run leaves the interpreter on its first trip — and a pooled JIT
+    whose kept code a run only gets trace by trace, against the words
+    now loaded (``Jit._refusal``): another program on the same engine is
+    slow, never wrong.  State, totals and thresholds are per run.
     """
 
-    def __init__(self, process: Process, head_threshold: int | None,
-                 exit_threshold: int):
+    def __init__(self, process: Process, head_threshold: int | None = None,
+                 exit_threshold: int = 0, resident: bool = False):
         self.process = process
         self.head_threshold = head_threshold
         self.exit_threshold = exit_threshold
+        self.resident = resident
         self.engine_switches = 0
         self._interp = Interpreter(process, stop_after_syscall=True)
         self._vm: PinVM | None = None
@@ -239,6 +255,33 @@ class MasterEngine:
         self._exit_misses: dict[int, int] = {}
         #: Filled by the PinVM's syscall observer, emptied by ``run``.
         self._outcomes: list = []
+
+    def switch(self, image: Process, head_threshold: int | None,
+               exit_threshold: int) -> None:
+        """Context-switch this resident engine onto ``image``, a process
+        just loaded, and start a run: registers restored in place, the
+        image's memory adopted (``image`` is spent), its syscall handler
+        and thread manager taken over, the hot tier reset to a cold code
+        cache, every total zeroed — what
+        :meth:`~repro.superpin.slices.SliceMachine.switch` does for a
+        boundary."""
+        process = self.process
+        process.cpu.restore(image.cpu.snapshot())
+        process.mem.adopt(image.mem)
+        process.syscall_handler = image.syscall_handler
+        process.thread_manager = image.thread_manager
+        process.exited = False
+        process.exit_code = 0
+        self.head_threshold = head_threshold
+        self.exit_threshold = exit_threshold
+        self.engine_switches = 0
+        interp = self._interp
+        interp.total_instructions = interp.total_syscalls = 0
+        self._outcomes.clear()
+        vm = self._vm
+        if vm is not None:
+            vm.reset(compile_gate=self._admit)
+            vm.add_syscall_observer(self._outcomes.append)
 
     @property
     def total_instructions(self) -> int:
@@ -276,6 +319,11 @@ class MasterEngine:
                 vm = self._vm = PinVM(self.process, jit_backend="source",
                                       compile_gate=self._admit)
                 vm.add_syscall_observer(outcomes.append)
+                if self.resident:
+                    # It attaches nothing, so a trace's second compile
+                    # verifies trivially and its third is served.
+                    vm.jit.pool = {}
+                    vm.jit.retain_for = self
             self.engine_switches += 1
             hot = vm.run(left, exact_budget=True, stop_after_syscall=True)
             executed += hot.instructions
@@ -301,11 +349,14 @@ class MasterEngine:
         jit, traces, ins = (0, 0, 0) if vm is None else (
             vm.total_instructions, vm.cache.stats.compiles,
             vm.cache.stats.compiled_ins)
-        # No arrival is ever counted under a None threshold.
+        # No arrival is ever counted under a None threshold (a resident
+        # engine may hold earlier runs' counts, and then shows none).
+        threshold = self.head_threshold
         return MasterStats(
             instructions=self.total_instructions,
-            hot_heads=sum(1 for n in self._interp.head_arrivals.values()
-                          if n >= self.head_threshold),
+            hot_heads=0 if threshold is None else sum(
+                1 for n in self._interp.head_arrivals.values()
+                if n >= threshold),
             jit_instructions=jit, compiled_traces=traces,
             compiled_ins=ins, engine_switches=self.engine_switches)
 
@@ -315,7 +366,8 @@ class ControlProcess:
 
     def __init__(self, program: Program, config: SuperPinConfig,
                  kernel: Kernel | None = None,
-                 tracer=NULL_TRACER, metrics=NULL_METRICS):
+                 tracer=NULL_TRACER, metrics=NULL_METRICS,
+                 master: "MasterEngine | None" = None):
         self.program = program
         self.config = config
         self.kernel = kernel if kernel is not None else Kernel()
@@ -324,6 +376,10 @@ class ControlProcess:
         self.tracer = tracer
         self.metrics = metrics
         self.process: Process = load_program(self.program, self.kernel)
+        #: The caller's resident engine to run the master on (it is
+        #: switched onto the loaded image when :meth:`cuts` starts), or
+        #: None: one is made for the run.
+        self.master = master
         self._reserve_bubble()
         self._record_counter = 0
         #: Incremental at-record-time stream digest.  Sealed per interval
@@ -366,8 +422,14 @@ class ControlProcess:
         holds a prefix of the full run's boundaries and intervals and no
         totals.
         """
+        master = self.master
+        if master is None:
+            master = MasterEngine(self.process, HOT_HEAD_ARRIVALS,
+                                  SIDE_EXIT_MISSES)
+        else:
+            master.switch(self.process, HOT_HEAD_ARRIVALS, SIDE_EXIT_MISSES)
+            self.process = master.process
         process = self.process
-        master = MasterEngine(process, HOT_HEAD_ARRIVALS, SIDE_EXIT_MISSES)
 
         timeline = self.timeline
         boundaries, intervals = timeline.boundaries, timeline.intervals

@@ -343,11 +343,13 @@ def run_superpin(program: Program, tool: Pintool,
 
     ``resident`` is a :class:`~repro.superpin.slices.SliceMachine` the
     caller keeps between runs and lends to this one *exclusively*: the
-    in-process slice attempts run on it and the master signs boundaries
-    on its lookahead, instead of on machines built for the run — so a
-    trace an earlier run decoded is not decoded again.  Which machine
-    ran what shows only in ``PLACEMENT_COUNTERS``; None (every caller
-    but the serve daemon) builds both as before.
+    in-process slice attempts run on it, the master runs on its
+    ``master`` engine and signs boundaries on its lookahead, instead of
+    on machines built for the run — so a trace an earlier run decoded
+    is not decoded again, and a loop earlier runs found hot runs as
+    generated code from its first trip.  Which machine ran what shows
+    only in ``PLACEMENT_COUNTERS`` and ``superpin.control.master.*``;
+    None (every caller but the serve daemon) builds all three as before.
     """
     config = config or SuperPinConfig()
     if not config.sp:
@@ -476,16 +478,17 @@ class _MasterStream:
         self.done_at: float | None = None
         self.recording_manifest: dict | None = None
         self.began = tracer.now()
-        # Loading the program is the master's first step.
-        self.control = ControlProcess(program, config, kernel=kernel,
-                                      tracer=tracer, metrics=metrics)
+        # Loading the program is the master's first step.  The master
+        # runs, and every boundary's quick-register lookahead, on the
+        # caller's resident's engines, or on ones that go with the run.
+        self.control = ControlProcess(
+            program, config, kernel=kernel, tracer=tracer, metrics=metrics,
+            master=resident.master if resident is not None else None)
         loaded = tracer.now()
         self._step(self.began, loaded, loaded)
         self.timeline = self.control.timeline
         self.signatures: list[Signature] = []
-        #: Every boundary's quick-register lookahead runs on this one
-        #: machine (see repro.superpin.signature.Lookahead): the
-        #: caller's resident's, or one that goes with the run.
+        #: (See repro.superpin.signature.Lookahead.)
         self.lookahead = (resident.lookahead if resident is not None
                           else Lookahead())
 

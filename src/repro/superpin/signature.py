@@ -244,7 +244,7 @@ class SignatureDetector:
         # The signature pc is a forced boundary of the slice's engine,
         # so ``build_trace`` starts a trace there and never carries one
         # across it (a pooled trace that does is re-cut,
-        # ``Jit._reuse``): the target is a trace head or absent.
+        # ``Jit._refusal``): the target is a trace head or absent.
         if trace.address != self.signature.pc:
             return
         q0, q1 = self.signature.quick_regs

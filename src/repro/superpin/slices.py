@@ -48,7 +48,7 @@ from ..pin.codecache import CodeCache
 from ..pin.engine import PinVM, RunState
 from ..pin.pintool import declares_pure_instrumentation
 from .api import END_SLICE_TOKEN, SliceToolContext, SPControl
-from .control import Boundary, Interval
+from .control import Boundary, Interval, MasterEngine
 from .signature import (DetectionStats, Lookahead, Signature,
                         SignatureDetector)
 from .switches import SuperPinConfig
@@ -236,17 +236,19 @@ class SliceMachine:
     run to run (``vm.jit.pool``, ``vm.jit.heat``); its *state* belongs
     to the slice it was last switched onto, and every :meth:`switch`
     replaces all of it — a slice that raised mid-run leaves nothing the
-    next one can see.  What crosses a run is what is nobody's: every
-    reuse is still decided trace by trace (``Jit._reuse``), and kept
-    *instrumented* code never crosses one — each run's template has an
-    id of its own, so :meth:`adopt` forgets it.
+    next one can see.  What crosses a run is what is nobody's, or what a
+    check re-earns: every reuse is still decided trace by trace
+    (``Jit._refusal``), and kept *instrumented* code crosses a run only
+    where the next run's tool attaches the same calls — each run's
+    template has an id of its own, which :meth:`adopt` hands the JIT, and
+    the first compile of a trace under a new id is the comparing one.
     """
 
     def __init__(self):
         self.process = Process(CpuState(), Memory(), None)
         self.vm: PinVM | None = None
         #: The resident tool (see :meth:`adopt`) and what it serves:
-        #: ``(template id, tool class, -spsuppress)``.
+        #: ``(tool class, -spsuppress)``.
         self._resident = None
         self._serving: tuple | None = None
 
@@ -256,6 +258,15 @@ class SliceMachine:
         stream records boundary signatures on.  Made at first use — a
         pool worker's machine never signs a boundary."""
         return Lookahead()
+
+    @functools.cached_property
+    def master(self) -> MasterEngine:
+        """The executing half: the engine a run's master runs on, with
+        the generated code and the arrival counts of every run before
+        (:meth:`MasterEngine.switch`).  Made at first use, like
+        :attr:`lookahead`."""
+        return MasterEngine(Process(CpuState(), Memory(), None),
+                            resident=True)
 
     def switch(self, boundary: Boundary, interval: Interval,
                config: SuperPinConfig,
@@ -299,11 +310,15 @@ class SliceMachine:
         done to the copy ``SliceResult.tool_ctx`` carries, and the next
         adoption leaves that copy behind for good.  Compiled code binds
         the resident object's methods, which is what lets the JIT keep
-        it (``Jit.retain_for``).  One machine serves one template at a
-        time: anything kept for another run, tool class or
-        ``-spsuppress`` setting is dropped first.  A context without a
-        template id, and a tool class with ``__slots__`` (state a
-        ``__dict__`` does not hold), are activated as they are.
+        it (``Jit.retain_for``).  One machine serves one tool class
+        and ``-spsuppress`` setting at a time: anything kept for another
+        is dropped first.  Another *template* of the same two — the
+        next run's, perhaps under another ``-spfilter`` or built with
+        another argument — keeps the resident object, and so the code
+        bound to it, and names itself to the JIT (``Jit.template``),
+        which compares before it reuses.  A context without a template
+        id, and a tool class with ``__slots__`` (state a ``__dict__``
+        does not hold), are activated as they are.
         """
         tool = ctx.tool
         klass = type(tool)
@@ -313,7 +328,7 @@ class SliceMachine:
                        for base in klass.__mro__)):
             return tool
         jit = self.vm.jit
-        serving = (ctx.template_id, klass, config.spsuppress)
+        serving = (klass, config.spsuppress)
         if serving != self._serving:
             self._serving = serving
             self._resident = object.__new__(klass)
@@ -321,6 +336,7 @@ class SliceMachine:
         resident = self._resident
         resident.__dict__ = tool.__dict__
         jit.retain_for = resident
+        jit.template = ctx.template_id
         return resident
 
 

@@ -168,16 +168,24 @@ def sigkill_at_slice(slice_num: int, value=None) -> None:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
-def virtual_counters(metrics) -> dict:
-    """A run's counters minus the ones that depend on which resident
-    machine ran which slices (``PLACEMENT_COUNTERS``) or on how far the
-    master had got when a result landed: what must be equal for any
-    worker count."""
+def placement_counter(name: str) -> bool:
+    """True for a counter that depends on which resident machine ran
+    which slices (``PLACEMENT_COUNTERS``), on what the resident master
+    had run before (``superpin.control.master.*``: a loop gets hot over
+    the engine's life) or on how far the master had got when a result
+    landed."""
     from repro.superpin.slices import PLACEMENT_COUNTERS
     from repro.superpin.supervisor import LANDED_BEFORE_MASTER_END
-    host = (*PLACEMENT_COUNTERS, LANDED_BEFORE_MASTER_END)
+    return (name in PLACEMENT_COUNTERS or name == LANDED_BEFORE_MASTER_END
+            or name.startswith("superpin.control.master."))
+
+
+def virtual_counters(metrics) -> dict:
+    """A run's counters minus the :func:`placement_counter` ones: what
+    must be equal for any worker count, and with or without a
+    resident."""
     return {name: value for name, value in metrics.counters.items()
-            if name not in host}
+            if not placement_counter(name)}
 
 
 def run_native(program, seed: int = 42, max_instructions: int = 50_000_000):

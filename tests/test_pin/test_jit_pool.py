@@ -3,7 +3,7 @@
 The oracle throughout is the freshly built engine: a reset engine must
 *be* one (attribute by attribute), and a compile served from the pool
 must produce the trace a fresh compile produces — so every validity
-check in ``Jit._reuse`` has a test here that fails if it is dropped.
+check in ``Jit._refusal`` has a test here that fails if it is dropped.
 """
 
 import dataclasses
@@ -13,6 +13,7 @@ import pytest
 from repro.isa import assemble
 from repro.machine import Kernel, load_program
 from repro.pin import CodeCache, PinVM, RunState
+from repro.pin.jit import VARIANTS_PER_HEAD
 from repro.tools import ICount1, ICount2
 from tests.conftest import MULTISLICE
 
@@ -205,6 +206,43 @@ class TestSkeletonValidity:
         assert self.vm.jit_stats.skeleton_reuses == 1
         assert _shape(again) == self.fresh_shape(forced)
 
+    def test_two_cuts_of_one_head_do_not_evict_each_other(self):
+        """Runs that force their boundary at two places inside one
+        trace, in turn: each shape is decoded once and then reused —
+        a forced cut refuses a candidate, it does not replace it."""
+        cuts = [frozenset({self.entry + 3}), frozenset({self.entry + 5})]
+        for turn, forced in enumerate(cuts + cuts + [frozenset()] + cuts):
+            self.vm.reset(forced_boundaries=forced)
+            trace = self.vm.jit.compile(self.entry)
+            assert _shape(trace) == self.fresh_shape(forced), turn
+            stats = self.vm.jit_stats
+            # Turn 0 meets an empty pool; turns 1 and 4 a head whose
+            # shapes are all other cuts: one reject a compile.
+            assert (stats.skeleton_reuses, stats.rejects_cut) \
+                == ((0, turn == 1 or turn == 4) if turn in (0, 1, 4)
+                    else (1, 0)), turn
+        assert len(self.vm.jit.pool[self.entry]) == 3
+
+    def test_a_head_keeps_a_bounded_number_of_shapes(self):
+        source = ".entry main\nmain:\n" + "    addi t0, t0, 1\n" * (
+            VARIANTS_PER_HEAD + 4) + "    halt\n"
+        vm = PinVM(load_program(assemble(source), Kernel(seed=1)),
+                   jit_backend=self.backend)
+        vm.jit.pool = {}
+        entry = vm.cpu.pc
+        for cut in range(1, VARIANTS_PER_HEAD + 3):
+            vm.reset(forced_boundaries=frozenset({entry + cut}))
+            assert vm.jit.compile(entry).num_ins == cut
+        assert len(vm.jit.pool[entry]) == VARIANTS_PER_HEAD
+        # The most recent are kept, the first went first.
+        vm.reset(forced_boundaries=frozenset({entry + VARIANTS_PER_HEAD}))
+        vm.jit.compile(entry)
+        assert vm.jit_stats.skeleton_reuses == 1
+        vm.reset(forced_boundaries=frozenset({entry + 1}))
+        vm.jit.compile(entry)
+        assert (vm.jit_stats.skeleton_reuses,
+                vm.jit_stats.rejects_cut) == (0, 1)
+
     def test_a_boundary_at_the_trace_head_cuts_nothing(self):
         self.vm.jit.compile(self.entry)
         self.vm.reset(forced_boundaries=frozenset({self.entry}))
@@ -272,4 +310,4 @@ class TestSourcePool:
         # The decoded trace is shared; the code object is per text.
         assert self.vm.jit_stats.skeleton_reuses == 1
         assert second.fn.__code__ is not first.fn.__code__
-        assert len(self.vm.jit.pool[self.entry].codes) == 2
+        assert len(self.vm.jit.pool[self.entry][0].codes) == 2

@@ -182,3 +182,78 @@ class TestSpecChecks:
             {"workload": "gzip", "switches": ["-sptracestore", mine]},
             store)
         assert config.sptracestore == mine
+
+
+class _Wire:
+    """The writer half of a client connection: what was written, one
+    entry a ``write``."""
+
+    def __init__(self):
+        self.writes = []
+        self.drains = 0
+
+    def write(self, data):
+        self.writes.append(data)
+
+    async def drain(self):
+        self.drains += 1
+
+
+class TestEventStream:
+    """``ServeDaemon._stream``: a job's events reach the loop together
+    (its thread held the GIL), and leave it together."""
+
+    @staticmethod
+    def stream(tmp_path, scenario):
+        import asyncio
+        from repro.serve.server import ServeDaemon
+
+        async def main():
+            daemon = ServeDaemon(tmp_path / "d.sock", tmp_path / "state",
+                                 workers=0)
+            daemon._stop, daemon._kick = asyncio.Event(), asyncio.Event()
+            wire = _Wire()
+            queue = daemon._subscribe("j0001")
+            streaming = asyncio.ensure_future(daemon._stream(queue, wire))
+            await scenario(daemon)
+            await asyncio.wait_for(streaming, timeout=10)
+            return wire
+
+        return asyncio.run(main())
+
+    @staticmethod
+    def progress(n):
+        return {"event": "progress", "job_id": "j0001", "n": n}
+
+    def test_what_has_queued_goes_out_in_one_write_in_order(self, tmp_path):
+        events = [self.progress(n) for n in range(9)] + [
+            {"event": "done", "job_id": "j0001", "result": {}}]
+
+        async def ten_events_at_once(daemon):
+            for event in events:
+                daemon._emit("j0001", event)
+
+        wire = self.stream(tmp_path, ten_events_at_once)
+        assert wire.writes == [b"".join(map(encode_line, events))]
+        assert wire.drains == 1
+
+    def test_a_shutdown_ends_a_stream_without_a_terminal_event(self,
+                                                               tmp_path):
+        import asyncio
+
+        async def shutdown_mid_job(daemon):
+            daemon._emit("j0001", self.progress(0))
+            await asyncio.sleep(0)      # the stream takes it
+            daemon._emit("j0001", self.progress(1))
+            assert not await daemon._handle_request("shutdown", {}, _Wire())
+
+        wire = self.stream(tmp_path, shutdown_mid_job)
+        assert b"".join(wire.writes) == b"".join(
+            encode_line(self.progress(n)) for n in (0, 1))
+
+    def test_a_stream_that_starts_after_the_shutdown_ends_at_once(
+            self, tmp_path):
+        async def already_stopping(daemon):
+            daemon._stop.set()
+
+        assert self.stream(tmp_path, already_stopping).writes == []

@@ -21,9 +21,8 @@ from repro.obs.metrics import metrics_for
 from repro.serve.jobs import JobCancelled
 from repro.serve.server import (job_result, named_program, Residents,
                                 RESIDENTS_PER_WORKER, run_job_spec)
-from repro.superpin.slices import PLACEMENT_COUNTERS
 from repro.tools import TOOLS
-from tests.conftest import LOOP_SUM, MULTISLICE
+from tests.conftest import LOOP_SUM, MULTISLICE, placement_counter
 from tests.test_superpin.test_slice_machine import Exploding, OTHER
 
 #: In-process jobs (whatever SUPERPIN_SPWORKERS makes the default): the
@@ -43,11 +42,13 @@ def new_residents(workers=1):
 
 def serve(residents, spec, on_progress=None):
     """One job, as the daemon's job thread runs it: the client-visible
-    result, and the placement counters apart."""
+    result, and apart what depends on what its resident ran before —
+    the placement counters, and how the master's tiers shared the run."""
     result = job_result(*run_job_spec(spec, None, residents,
                                       on_progress=on_progress))
     counters = result["counters"]
-    placement = {name: counters.pop(name) for name in PLACEMENT_COUNTERS}
+    placement = {name: counters.pop(name) for name in list(counters)
+                 if placement_counter(name)}
     return result, placement
 
 
@@ -184,11 +185,20 @@ class TestExclusivity:
 
 
 class TestAJobThatDidNotFinish:
+    """Its resident is dropped whole — machine, lookahead and master:
+    the next identical job is a cold one, down to the counters only a
+    resident's history moves."""
+
     def check_next_job_is_cold(self, residents, cold):
         assert residents.kept()["idle_machines"] == 0
         assert residents.metrics.counter("serve.machines.dropped") == 1
         assert serve(residents, spec_for(MULTISLICE)) == cold["multislice"]
         assert residents.kept()["idle_machines"] == 1
+        # (Not vacuous: on a resident that ran the program before, the
+        # master runs the loop generated from its first trip.)
+        _, warm = serve(residents, spec_for(MULTISLICE))
+        jit = "superpin.control.master.jit_instructions"
+        assert warm[jit] > cold["multislice"][1][jit] > 0
 
     def test_a_slice_that_raises_drops_the_resident(self, cold,
                                                     monkeypatch):

@@ -24,6 +24,7 @@ from repro.superpin import (BoundaryReason, ControlProcess,
 from repro.superpin import control
 from repro.superpin.control import MasterEngine
 from repro.superpin.recording import save_recording
+from repro.superpin.slices import SliceMachine
 from repro.tools import ICount2
 from repro.workloads import SPEC2000
 from repro.workloads.generators import build_workload
@@ -37,7 +38,7 @@ REFERENCE = (None, control.SIDE_EXIT_MISSES)
 FORCED = [(1, 1), (2, 1), (7, 3)]
 
 
-def syscall_loop(syscall: str, trips: int = 1500) -> str:
+def syscall_loop(syscall: str, trips: int = 1500, step: int = 3) -> str:
     """A loop that is hot under every pair, with a syscall in its body
     (and a conditional side path, so generated code has a cold exit)."""
     return f"""
@@ -45,7 +46,7 @@ def syscall_loop(syscall: str, trips: int = 1500) -> str:
 main:
     li   s0, 0
     li   s1, {trips}
-lp: addi t0, t0, 3
+lp: addi t0, t0, {step}
     st   t0, 0x9000(s0)
     andi t1, s0, 63
     bnez t1, go
@@ -138,6 +139,8 @@ def timeline_view(timeline) -> dict:
         view[key + "instructions"] = i.instructions
         view[key + "syscalls"] = i.syscalls
         view[key + "records"] = i.records
+        view[key + "record_classes"] = (i.replay_records, i.emulate_records)
+        view[key + "stream_digest"] = i.stream_digest
         view[key + "master_cow_faults"] = i.master_cow_faults
         view[key + "end_reason"] = i.end_reason
         view[key + "is_last"] = i.is_last
@@ -342,6 +345,155 @@ class TestEndToEnd:
                      if r.name == "control_phase")
             assert span.args == want
         assert runs[(2, 1)] == runs[SHIPPED] == runs[REFERENCE]
+
+
+#: A loop that arrives 399 times a run — hot on no run of its own, hot
+#: in the third run of a resident engine — and the same text at the
+#: same addresses with other constants: another program.
+SHORT_LOOP = syscall_loop("    li   a0, SYS_TIME\n    syscall", trips=400)
+OTHER_LOOP = syscall_loop("    li   a0, SYS_TIME\n    syscall", trips=400,
+                          step=11)
+
+#: Walks memory from ``start`` by ``stride``: two data words decide
+#: whether strict memory lets the second trip's load through.
+WALKER = """
+.entry main
+main:
+    la   t4, start
+    ld   t2, 0(t4)
+    ld   t5, 1(t4)
+    li   s0, 0
+    li   s1, 400
+lp: ld   t3, 0(t2)
+    add  t2, t2, t5
+    inc  s0
+    blt  s0, s1, lp
+    li   a0, SYS_EXIT
+    mov  a1, s0
+    syscall
+.data
+start: .word 0x9000, {stride}
+"""
+
+
+class TestAResidentMaster:
+    """A resident master is a fresh master, only sooner: whatever the
+    engine ran before, a run on it yields the timeline of a run on an
+    engine of its own — and of the master that never leaves the
+    interpreter."""
+
+    #: ``(name, source, config, kernel seed, strict memory)``, in the
+    #: order one resident runs them.
+    RUNS = [
+        ("seed-1", SHORT_LOOP, _slices(131, spaudit=True), 1, False),
+        ("seed-2", SHORT_LOOP, _slices(131, spaudit=True), 2, False),
+        ("seed-3", SHORT_LOOP, _slices(131, spaudit=True), 3, False),
+        ("seed-4", SHORT_LOOP, _slices(97), 4, False),
+        ("other", OTHER_LOOP, _slices(131, spaudit=True), 5, False),
+        ("again", SHORT_LOOP, _slices(131, spaudit=True), 1, False),
+        ("strict", SHORT_LOOP, _slices(100), 2, True),
+        ("threads", THREADED, _slices(500), 9, False),
+        ("after-threads", SHORT_LOOP, _slices(131), 3, False),
+    ]
+    #: Runs of the short loop on an engine that has seen 1,000 arrivals.
+    WARM = {"seed-3", "seed-4", "again", "strict", "after-threads"}
+
+    @staticmethod
+    def master_run(monkeypatch, pair, run, engine=None):
+        _, source, config, seed, strict = run
+        force_thresholds(monkeypatch, pair)
+        control_process = ControlProcess(assemble(source), config,
+                                         kernel=Kernel(seed=seed),
+                                         master=engine)
+        control_process.process.mem.strict = strict
+        return control_process.run()
+
+    def test_every_run_is_the_run_on_an_engine_of_its_own(self,
+                                                          monkeypatch):
+        resident = SliceMachine()
+        for run in self.RUNS:
+            name = run[0]
+            want = timeline_view(self.master_run(monkeypatch, REFERENCE,
+                                                 run))
+            alone = self.master_run(monkeypatch, SHIPPED, run)
+            assert_same_timeline(timeline_view(alone), want, name)
+            timeline = self.master_run(monkeypatch, SHIPPED, run,
+                                       resident.master)
+            assert_same_timeline(timeline_view(timeline), want, name)
+            if name in self.WARM:
+                # No loop of this guest arrives 1,000 times in one run.
+                assert alone.master.jit_instructions == 0, name
+                assert timeline.master.jit_instructions > 0, name
+            if name == "other":
+                # Hot at once, by the first program's arrivals — and
+                # the first program's loop refused, word by word.
+                assert timeline.master.jit_instructions > 0
+                assert resident.master._vm.jit_stats.rejects_words > 0
+            if name == "again":
+                # Generated from the first trip, from code it kept.
+                master = timeline.master
+                assert 2 * master.jit_instructions > master.instructions
+                assert master.compiled_traces \
+                    == resident.master._vm.jit_stats.skeleton_reuses > 0
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_through_the_pipeline(self, workers, monkeypatch, tmp_path):
+        """The same, for whole runs (``-spworkers``, ``-sprecord``): the
+        recording's content address covers every boundary's registers
+        and memory words and every interval's records."""
+        program = assemble(SHORT_LOOP)
+
+        def pipeline(pair, seed, resident=None):
+            force_thresholds(monkeypatch, pair)
+            tool = ICount2()
+            report = run_superpin(
+                program, tool, _slices(131, spworkers=workers,
+                                       sprecord=str(tmp_path / "r.sprec")),
+                kernel=Kernel(seed=seed), resident=resident)
+            timeline = report.timeline
+            return report, (
+                report.recording_id, tool.report(), report.stdout,
+                report.exit_code, report.all_exact,
+                [s.instructions for s in report.slices],
+                timeline.total_instructions, timeline.total_syscalls,
+                timeline.final_pc, timeline.final_cpu_hash)
+
+        resident = SliceMachine()
+        for seed in (1, 2, 3, 4):
+            _, want = pipeline(REFERENCE, seed)
+            alone, image = pipeline(SHIPPED, seed)
+            assert image == want
+            report, image = pipeline(SHIPPED, seed, resident)
+            assert image == want and report.all_exact
+        assert alone.timeline.master.jit_instructions == 0
+        assert report.timeline.master.jit_instructions > 0
+
+    def test_kept_code_is_lowered_for_the_memory_mode_it_runs_under(self):
+        """Generated code sets its unwind markers by the memory mode: a
+        trace kept by lenient runs is lowered again for a strict one,
+        and a fault in it stops where the interpreter stops."""
+        lenient = assemble(WALKER.format(stride=0))
+        wild = assemble(WALKER.format(stride=0x7000000))
+        engine = SliceMachine().master
+        # Hot in the third run, verified in the fourth, served from
+        # then on.
+        for _ in range(5):
+            engine.switch(load_program(lenient, Kernel()), *SHIPPED)
+            assert engine.run().reason is StopReason.EXIT
+        assert engine._vm.jit_stats.instrumentation_reuses > 0
+        reference = Interpreter(load_program(wild, Kernel(),
+                                             strict_memory=True))
+        engine.switch(load_program(wild, Kernel(), strict_memory=True),
+                      *SHIPPED)
+        for executor in (reference, engine):
+            with pytest.raises(GuestFault):
+                executor.run()
+        # (It came out of generated code: the loop's second trip.)
+        assert engine.engine_switches == 1
+        assert (engine.process.cpu.snapshot(), engine.total_instructions) \
+            == (reference.process.cpu.snapshot(),
+                reference.total_instructions)
+        assert reference.process.cpu.pc == wild.symbol("lp")
 
 
 FAULTS = {

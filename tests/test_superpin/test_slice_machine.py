@@ -23,6 +23,7 @@ from repro.pin import (IARG_END, IARG_PTR, IARG_UINT64, IPOINT_BEFORE,
                        Pintool)
 from repro.pin.filter import parse_filter
 from repro.pin.pintool import declares_pure_instrumentation
+from repro.pin.pyjit import _Emitter
 from repro.superpin import (ControlProcess, FaultPlan, merge_slices,
                             record_signatures, replay_recording,
                             run_superpin, SliceEnd, SliceToolContext,
@@ -367,6 +368,40 @@ class TestPoolValidity:
                            for address, num_ins in result.compile_log)
 
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_slices_that_cut_a_hot_trace_keep_each_others_shapes(
+            self, backend, monkeypatch):
+        """Two slices whose signature pcs fall at two places inside the
+        hot loop's trace, run in turn on one machine: the second time
+        round neither decodes (nor ``compile()``s) anything, and both
+        are the slices a fresh machine runs, compile logs included."""
+        fresh = SlicePhase(MULTISLICE, TOOLS["icount2"](),
+                           jit_backend=backend)
+        pcs = [signature.pc for signature in fresh.signatures[1:3]]
+        loop = assemble(MULTISLICE).symbol("wl")
+        assert pcs[0] != pcs[1] and all(loop < pc < loop + 5 for pc in pcs)
+        want = {k: slice_image(fresh.run(k)) for k in (1, 2)}
+        assert all(any(address == loop for address, _ in
+                       want[k]["compile_log"]) for k in (1, 2))
+        machine = SliceMachine()
+        cold_compiles = []
+        finish = _Emitter.finish
+        monkeypatch.setattr(_Emitter, "finish", lambda *args: (
+            cold_compiles.append(args[2]), finish(*args))[1])
+        for turn in range(2):
+            phase = SlicePhase(MULTISLICE, TOOLS["icount2"](),
+                               jit_backend=backend, spmetrics=True)
+            del cold_compiles[:]       # (the phase's master made some)
+            for k in (1, 2):
+                assert slice_image(phase.run(k, machine)) == want[k]
+            if turn:
+                assert phase.counters["pin.jit.skeleton_reuses"] \
+                    == phase.counters["pin.jit.compiles"] > 0
+                assert not phase.counters[
+                    "pin.jit.skeleton_rejects.forced_cut"]
+                assert not cold_compiles
+
+
 class Liar(ICount2):
     """Declares its instrumentation pure and attaches another routine on
     every second compile of a trace (the tally is the class's, so it
@@ -475,10 +510,12 @@ class TestPureInstrumentation:
                          kernel=Kernel(seed=42))
         assert isinstance(failure.value.__cause__, InstrumentationError)
 
-    def test_two_templates_of_one_tool_share_nothing(self):
-        """Another run's template — here with another ``-spfilter`` —
-        starts from what a new machine knows about instrumentation (it
-        keeps the decoded traces: those are nobody's)."""
+    def test_two_templates_of_one_tool_share_what_verifies(self):
+        """Another run's template — here with another ``-spfilter`` — is
+        held, trace by trace, against what the last one left attached:
+        nothing is served on the old template's word, nothing raises
+        (a filter is no lie), and where the calls differ the trace
+        starts over."""
         machine = SliceMachine()
         SlicePhase(MULTISLICE, TOOLS["icount1"]()).run_all(
             machine_for=lambda k: machine)
@@ -490,8 +527,66 @@ class TestPureInstrumentation:
         first = filtered.slice_counters[0]
         assert first["pin.jit.skeleton_reuses"] > 0
         assert first["pin.jit.instrumentation_reuses"] == 0
-        assert first["pin.jit.instrumentation_checks"] == 0
+        assert first["pin.jit.instrumentation_checks"] > 0
         assert filtered.counters["pin.jit.instrumentation_reuses"] > 0
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_the_same_calls_take_over_the_kept_lowering(self, backend,
+                                                        monkeypatch):
+        """A second template that attaches what the first did: its first
+        compile of a trace is the comparing one, and hands back the very
+        step list / generated function the first template's last compile
+        of it did — the lowering is what is skipped."""
+        fresh = SlicePhase(MULTISLICE, ICount2(),
+                           jit_backend=backend).run_all()
+        machine = SliceMachine()
+        assert SlicePhase(MULTISLICE, ICount2(), jit_backend=backend
+                          ).run_all(machine_for=lambda k: machine) == fresh
+        # (Its master runs now, and may lower what it likes.)
+        second = SlicePhase(MULTISLICE, ICount2(), jit_backend=backend,
+                            spmetrics=True)
+        jit = machine.vm.jit
+        before = {skeleton: skeleton.kept for variants in jit.pool.values()
+                  for skeleton in variants if skeleton.kept is not None}
+        handed = []
+        compile_trace = jit.compile
+        monkeypatch.setattr(jit, "compile", lambda address: (
+            handed.append(compile_trace(address)), handed[-1])[1])
+
+        generated = {skeleton.trace_obj.address
+                     for skeleton, kept in before.items()
+                     if kept.fn is not None}
+        finish = _Emitter.finish
+
+        def finish_new_text_only(emitter, source, address):
+            assert address not in generated, \
+                f"the kept trace at {address:#x} was lowered again"
+            return finish(emitter, source, address)
+        monkeypatch.setattr(_Emitter, "finish", finish_new_text_only)
+
+        taken_over = []
+
+        def after_the_first_slice(k):
+            if k == 1:
+                products = {id(getattr(trace, name, None))
+                            for trace in handed for name in ("steps", "fn")}
+                for skeleton, kept in before.items():
+                    again = skeleton.kept
+                    # (Not compiled by slice 0, or at its signature pc.)
+                    if again is kept or again is None:
+                        continue
+                    assert again.steps is kept.steps
+                    assert again.fn is kept.fn
+                    lowering = kept.steps if kept.fn is None else kept.fn
+                    assert lowering is not None and id(lowering) in products
+                    taken_over.append(skeleton)
+            return machine
+
+        assert second.run_all(machine_for=after_the_first_slice) == fresh
+        first = second.slice_counters[0]
+        assert first["pin.jit.instrumentation_reuses"] == 0
+        assert first["pin.jit.instrumentation_checks"] \
+            >= len(taken_over) > 0
 
     @pytest.mark.parametrize("spsuppress", [False, True])
     @pytest.mark.parametrize("klass", [ClosureCount, SlottedCount])
@@ -817,9 +912,10 @@ class TestAResidentAcrossRuns:
                   for machine in (None, resident, resident)]
         assert reuses[0] == reuses[1] == 0 < reuses[2]
 
-    def test_kept_instrumentation_does_not_cross_runs(self):
-        """Two runs of one tool class configured differently: what the
-        first run's copies were served is not what the second's get."""
+    def test_kept_instrumentation_does_not_cross_runs_unchecked(self):
+        """Three runs of one tool class built with two arguments: what
+        the first run's copies were served is what the second's get only
+        where a comparison says it is the same — here, never."""
         resident = SliceMachine()
         for weight in (1, 2, 1):
             report, _, tool_report = _report(tool=Weighted(weight),
@@ -827,9 +923,10 @@ class TestAResidentAcrossRuns:
                                              spmetrics=True, spworkers=0)
             instructions = sum(s.instructions for s in report.slices)
             assert tool_report["icount"] == weight * instructions
-            # Served within the run, from what this run itself kept.
-            assert report.metrics.counter(
-                "pin.jit.instrumentation_reuses") > 0
+            counter = report.metrics.counter
+            assert counter("pin.jit.instrumentation_checks") > 0
+            # Served within the run, from what this run itself verified.
+            assert counter("pin.jit.instrumentation_reuses") > 0
 
     def test_a_false_declaration_still_fails_its_own_run(self):
         resident = SliceMachine()
