@@ -105,6 +105,12 @@ REQUIRED_NONZERO = (
     # compile (the declaration, the adoption or a per-trace condition
     # broke).
     "pin.jit.instrumentation_reuses",
+    # ... and those functions' loops are single traces branching to
+    # their own heads, in the slices and in the master, so zero means
+    # generated code has gone back to one dispatch a trip (the loop
+    # form is not being built, or its allowance never reaches two).
+    "pin.jit.loop_trips",
+    "superpin.control.master.loop_trips",
     # The streamed pipeline: on this two-worker run slice results land
     # while the master is still cutting, so zero means the barrier
     # between the master and the slice phase is back.

@@ -61,14 +61,17 @@ class Memory:
         return any(lo <= addr < hi for lo, hi in self._regions)
 
     def _check(self, addr: int) -> None:
-        if self.strict and not self.is_mapped(addr):
+        """Strict mode's test, made by ``read`` / ``write`` only when
+        ``strict`` is set: a lenient access pays no frame for it."""
+        if not self.is_mapped(addr):
             raise MemoryFault(f"access to unmapped address {addr:#x}")
 
     # -- scalar access -------------------------------------------------------
 
     def read(self, addr: int) -> int:
         """Read the word at ``addr`` (0 for untouched memory)."""
-        self._check(addr)
+        if self.strict:
+            self._check(addr)
         page = self._pages.get(addr >> PAGE_SHIFT)
         if page is None:
             return 0
@@ -76,7 +79,8 @@ class Memory:
 
     def write(self, addr: int, value: int) -> None:
         """Write ``value`` (already masked to 64 bits by the caller)."""
-        self._check(addr)
+        if self.strict:
+            self._check(addr)
         index = addr >> PAGE_SHIFT
         page = self._pages.get(index)
         if page is None:

@@ -160,9 +160,12 @@ class PinVM:
         #: otherwise land the tail on step traces — the cold tier lands
         #: it.  None (every instrumenting client) compiles every miss.
         self.compile_gate = compile_gate
-        #: Unwind markers maintained by generated code (source backend).
+        #: Unwind markers maintained by generated code (source backend);
+        #: a loop form that raises also leaves the executions it had
+        #: started, the raising one included.
         self._stop_pc = 0
         self._stop_count = 0
+        self._stop_trips = 0
         #: Single-instruction traces for the exact-budget mode, keyed by
         #: pc.  Kept outside the code cache so exact landings never
         #: change trace shapes, statistics or bubble accounting; cleared
@@ -320,12 +323,14 @@ class PinVM:
         seg_mark = tc2_stats.segments if tc2 is not None else 0
         disp_mark = tc2_stats.dispatches if tc2 is not None else 0
         stepped_mark = tc2_stats.stepped if tc2 is not None else 0
+        looped_mark = tc2_stats.looped if tc2 is not None else 0
         # A pooled engine keeps heat (see repro.pin.jit): it counts
         # every trace execution and promotes a trace that crosses its
         # mark.  ``generated`` is what the source path retired.
         promoting = jit.pool is not None
         counting = promoting or threshold
         generated = 0
+        looped = 0
         state = RunState.EXIT
         stop_token: object | None = None
 
@@ -410,8 +415,55 @@ class PinVM:
                     # A budget-bounded run hands a superblock its remaining
                     # allowance so the runner can stop at the same segment
                     # boundary the dispatch loop would have stopped at.
+                    loop = None
+                    if trace is prev:
+                        # The trace that just ran left by a back edge
+                        # to its own head: if it has a loop form
+                        # (repro.pin.pyjit), that takes the next ones
+                        # itself, for as many executions as this loop
+                        # would have dispatched through the link without
+                        # doing anything else — while the budget test
+                        # passes (a whole trace fits, in exact mode) and
+                        # short of the execution that promotes into TC2.
+                        # Fewer is correct too: it comes back sooner.
+                        loop = trace.loop
+                        if loop is None and trace.origin is not None:
+                            loop = jit.loop_form(trace)
+                        if loop is not None:
+                            if not budgeted:
+                                allowance = NEVER
+                            elif exact:
+                                allowance = remaining // trace.num_ins
+                            else:
+                                allowance = -((executed - budget)
+                                              // trace.num_ins)
+                            if threshold:
+                                allowance = min(allowance,
+                                                threshold - trace.exec_count)
+                            if allowance < 2:
+                                # One at a time the plain function is
+                                # the faster of the two.
+                                loop = None
                     try:
-                        if budgeted and trace.tier == 2:
+                        if loop is not None:
+                            try:
+                                result, completed, trips = loop(allowance)
+                            except BaseException:
+                                trips = self._stop_trips
+                                raise
+                            finally:
+                                # Every execution after the first is one
+                                # the dispatch loop would have counted,
+                                # and reached through the link.
+                                looped += trips
+                                trips -= 1
+                                traces_executed += trips
+                                linked += trips
+                                if threshold:
+                                    trace.exec_count += trips
+                                if promoting and trace.heat is not None:
+                                    trace.heat[0] += trips
+                        elif budgeted and trace.tier == 2:
                             result, completed = trace.fn(budget - executed,
                                                          exact)
                         else:
@@ -499,9 +551,11 @@ class PinVM:
                 traces_executed += ((tc2_stats.segments - seg_mark)
                                     - tc2_dispatches)
                 generated -= tc2_stats.stepped - stepped_mark
+                looped += tc2_stats.looped - looped_mark
                 if promoting:
                     tc2.fold_heat()
             self.jit_stats.hot_instructions += generated
+            self.jit_stats.loop_trips += looped
             self.total_instructions += executed
             self.total_traces_executed += traces_executed
             cache.stats.linked_dispatches += linked

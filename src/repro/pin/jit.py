@@ -94,6 +94,11 @@ An undeclared tool keeps the whole first half: its callbacks run on
 every compile, so a tool that keeps instrument-time state sees every
 compile it would see on a fresh engine.
 
+A generated trace's *loop form* (:mod:`repro.pin.pyjit`) is a second
+function over the same names, lowered lazily from the same still-attached
+calls: pooled by its text in ``codes`` and kept beside ``fn``, under the
+same rules.
+
 **Heat** is what a pooled JIT remembers about execution: per trace
 start pc, how often the trace has run and how often it has been
 compiled, for the life of the engine (:attr:`Jit.heat`).
@@ -267,13 +272,15 @@ def operands(ins: Ins) -> tuple:
             address + 1, address)
 
 
-def statements(op: Op, writes: bool, fields: dict, ret: str,
-               taken=()) -> list[str]:
+def statements(op: Op, writes: bool, fields: dict, leave,
+               taken=(), rows=SEMANTICS) -> list[str]:
     """What ``op`` does, as Python statements: its row's body with the
     operands formatted from ``fields`` (the ``rd`` lines only if
     ``writes``), then each exit as ``[if condition:] taken;
-    ret % target``."""
-    body, exits, _ = SEMANTICS[op]
+    leave(target)`` — ``leave`` gives the statements that leave the
+    code for the formatted ``target``.  ``rows`` is the table, or a
+    re-spelling of it (the loop form's, with the registers in locals)."""
+    body, exits, _ = rows[op]
     lines = [text.lstrip("@").format_map(fields) for text in body
              if writes or text[0] != "@"]
     for condition, target in exits:
@@ -282,7 +289,8 @@ def statements(op: Op, writes: bool, fields: dict, ret: str,
             lines.append(f"if {condition.format_map(fields)}:")
             pad = "    "
         lines.extend([pad + stmt for stmt in taken])
-        lines.append(pad + ret % target.format_map(fields))
+        lines.extend([pad + stmt
+                      for stmt in leave(target.format_map(fields))])
     return lines
 
 
@@ -370,7 +378,9 @@ def step_source(op: Op, writes: bool,
     """The source of the step factory for ``op``: the generated code of
     one instruction, with the operands as parameters."""
     names, before, taken, after = weave(shape)
-    lines = before + statements(op, writes, _NAMES, "return %s", taken) + after
+    lines = before + statements(op, writes, _NAMES,
+                                lambda target: (f"return {target}",),
+                                taken) + after
     parameters = ", ".join(("E", "cpu", "regs", "RD", "WR", "ctr",
                             *OPERANDS, *names))
     return (f"def make({parameters}):\n    def step():\n"
@@ -454,6 +464,10 @@ class JitStats:
     promotions: int = 0
     #: Guest instructions retired in generated code.
     hot_instructions: int = 0
+    #: Loop forms lowered (:meth:`Jit.loop_form`; one served from kept
+    #: code is not counted), and trace executions that ran inside one.
+    loop_builds: int = 0
+    loop_trips: int = 0
     #: Compiles served from kept instrumented code: no trace callback,
     #: no call wrapper (see "Instrument once per process").
     instrumentation_reuses: int = 0
@@ -471,7 +485,7 @@ class _Skeleton:
 
     __slots__ = ("trace_obj", "instructions", "sems", "texts", "codes",
                  "addresses", "bbl_sizes", "words", "cut", "owner",
-                 "template", "kept")
+                 "template", "kept", "loops")
 
     def __init__(self, trace_obj: TraceObj):
         self.trace_obj = trace_obj
@@ -489,6 +503,10 @@ class _Skeleton:
         #: namespace it is rebound over, built anew by each compile.
         self.texts: list[tuple[str, ...] | None] | None = None
         self.codes: dict[str, object] | None = None
+        #: Whether a direct exit of the trace targets its own head —
+        #: what gives its generated form a loop form — read off the
+        #: decoded instructions by the first generated lowering.
+        self.loops: bool | None = None
         self.addresses = [ins.address for ins in self.instructions]
         self.bbl_sizes = [bbl.num_ins for bbl in trace_obj.bbls]
         #: Validation data, filled in by the first *reuse* (a run that
@@ -509,7 +527,8 @@ class _Skeleton:
 class _Kept:
     """The run-dependent half of one compiled trace, verified pure."""
 
-    __slots__ = ("skipped", "fastpath", "plan", "steps", "fn", "source")
+    __slots__ = ("skipped", "fastpath", "plan", "steps", "fn", "source",
+                 "loop")
 
     def __init__(self, skipped: int, fastpath: int, plan: LoopPlan | None):
         #: What the filter counted while the callbacks ran
@@ -523,6 +542,7 @@ class _Kept:
         self.steps: list[Step] | None = None
         self.fn = None
         self.source: str | None = None
+        self.loop = None
 
 
 def _constant(value) -> bool:
@@ -691,6 +711,7 @@ class Jit:
                             if was_strict == engine.mem.strict:
                                 verified.fn = previous.fn
                                 verified.source = previous.source
+                                verified.loop = previous.loop
                     elif was_template == self.template:
                         raise InstrumentationError(
                             f"{type(owner).__name__} declares "
@@ -905,22 +926,62 @@ class Jit:
                 emitter.emit_suppressed_loop(plan)
             else:
                 emitter.lower_all(skeleton.instructions, skeleton.texts)
-            source = emitter.source_text(address)
-            codes = skeleton.codes
-            code = codes.get(source) if codes is not None else None
-            if code is None:
-                fn = emitter.finish(source, address)
-                code = fn.__code__
-            else:
-                # Rebinding the code object over this emitter's
-                # namespace skips compile() entirely.
-                fn = types.FunctionType(code, emitter.namespace,
-                                        "__trace__")
-            if codes is not None:
-                codes[source] = code
+            fn, source = self._function(skeleton, emitter)
             if kept is not None:
                 kept.fn, kept.source = fn, source
+        if skeleton.loops is None:
+            skeleton.loops = any(
+                ins.imm == address and any(
+                    target == "{imm}" for _, target in SEMANTICS[ins.op][1])
+                for ins in skeleton.instructions)
+        # A summarized loop already holds its loop.
         return SourceCompiledTrace(
             start=address, fn=fn, num_ins=len(skeleton.instructions),
             fall_address=trace_obj.fall_address, source=source,
-            bbl_sizes=skeleton.bbl_sizes, unbounded=plan is not None)
+            bbl_sizes=skeleton.bbl_sizes, unbounded=plan is not None,
+            origin=skeleton if skeleton.loops and plan is None else None)
+
+    @staticmethod
+    def _function(skeleton: _Skeleton, emitter):
+        """What ``emitter`` has emitted for ``skeleton``'s trace, as
+        ``(function, source)``: a pooled code object for the same text
+        rebound over the emitter's namespace — which skips ``compile()``
+        entirely — else compiled, and pooled."""
+        address = skeleton.trace_obj.address
+        source = emitter.source_text(address)
+        codes = skeleton.codes
+        code = codes.get(source) if codes is not None else None
+        if code is not None:
+            return types.FunctionType(code, emitter.namespace,
+                                      "__trace__"), source
+        fn = emitter.finish(source, address)
+        if codes is not None:
+            codes[source] = fn.__code__
+        return fn, source
+
+    def loop_form(self, trace):
+        """Generated ``trace``'s loop form (:mod:`repro.pin.pyjit`),
+        lowered the first time it is asked for — when the dispatch loop
+        first follows the trace's link to itself, or a superblock is
+        built over it alone — or None: the trace has none.
+
+        Lowered from the instrumentation the skeleton still carries,
+        which is the trace's own for as long as the trace is cached (a
+        compile of its pc is a dispatcher miss on it), and kept beside
+        ``fn`` where that is kept.
+        """
+        loop = trace.loop
+        skeleton = trace.origin
+        if loop is None and skeleton is not None:
+            kept = skeleton.kept
+            loop = kept.loop if kept is not None else None
+            if loop is None:
+                from .pyjit import _LoopEmitter
+                emitter = _LoopEmitter(self._engine, trace.start)
+                emitter.lower_all(skeleton.instructions, None)
+                loop, _ = self._function(skeleton, emitter)
+                self._engine.jit_stats.loop_builds += 1
+                if kept is not None:
+                    kept.loop = loop
+            trace.loop = loop
+        return loop

@@ -26,16 +26,59 @@ Contract (shared with threaded code):
 * identical instruction counts, and :class:`~repro.pin.jit.StopRun` and
   faults unwind to the raising instruction's boundary — the generated
   code maintains ``engine._stop_pc`` / ``engine._stop_count`` markers
-  before any statement that can raise.  This, the dispatch loop and the
-  summarized loop are what this module still states on its own, and what
-  the differential tests (``tests/test_pin/test_pyjit.py``,
+  before any statement that can raise.  This, the dispatch loop, the
+  summarized loop and the loop form are what this module still states
+  on its own, and what the differential tests
+  (``tests/test_pin/test_pyjit.py``, ``test_looped.py``,
   ``test_tiering.py``, ``test_semantics_table.py``) guard; the table
   itself is held against the interpreter in
   ``tests/test_machine/test_golden_model.py``.
+
+**The loop form** (:class:`_LoopEmitter`).  One function per trace
+execution bounds the cost of a guest instruction from below by a Python
+call per trip of a loop.  A trace one of whose direct exits targets its
+own head therefore has a second product, built the first time its back
+edge is taken (:meth:`repro.pin.jit.Jit.loop_form`): ``loop(n) ->
+(result, retired, executions)`` — the same rows and the same calls
+around one ``while True:``, the back edge a ``continue`` for as long as
+fewer than ``n`` executions have run.  **``loop(1)`` is ``fn()``**,
+state for state and count for count, and ``loop(n)`` is ``n`` dispatches
+of ``fn`` that each left by the back edge: that is the whole contract,
+the reference every test holds it against, and why there is no switch
+for it.  How large ``n`` may be is the caller's to say
+(:meth:`repro.pin.engine.PinVM.run`, a one-segment superblock's
+runner): every per-execution decision — budget, TC2 promotion — still
+happens at the execution it would have.  What differs inside:
+
+* the retired count runs on a base (``E._stop_count = _base + k``), so
+  the unwind markers stay exact across trips, and one ``except
+  BaseException`` around the loop leaves ``executions`` on the engine
+  (``_stop_trips``) before re-raising — the caller folds the trips a
+  stop or a fault interrupted exactly as it folds a return's;
+* the registers the rows name are locals, loaded once at entry — a
+  formatting of the same rows (``regs[n]`` reads ``rn``), not a second
+  table.  The written ones are stored back in the epilogue every exit
+  breaks to, in the unwind handler, and ahead of anything that can
+  observe the register file: an if/then pair (the signature detector reads ``cpu.regs``
+  itself), a call any of whose arguments is not static
+  (:func:`repro.pin.args.try_static_args`), a ``syscall``.  A call
+  that was handed ``IARG_CONTEXT`` is followed by a reload, and while
+  it (or a syscall) has the register file the handler stores nothing
+  over what it wrote (``_own``).  A call with static arguments only —
+  ``icount``'s — sees no register and costs nothing, and a store-back
+  writes only the registers that may differ from the register file
+  where it stands (:meth:`_LoopEmitter._trip`).
+
+The plain function stays because a loop form entered one execution at a
+time is slower than it; the capture rules of :mod:`repro.pin.jit` hold
+for both (a loop form is pooled by its text and kept beside ``fn``).
 """
 
 from __future__ import annotations
 
+import re
+
+from .args import IArg, try_static_args
 from .jit import (BARE, CONSTANTS, Jit, NEVER, OPERANDS, SEMANTICS,
                   call_shape, call_values, operands, statements, weave)
 from .suppress import LOOP_TRIP_CAP, LoopPlan
@@ -48,11 +91,15 @@ class SourceCompiledTrace:
     ``fn() -> (result, executed)`` where ``result`` follows the step
     protocol (None = fell off the end, >= 0 = branch target,
     EXIT_GUEST = guest exited) and ``executed`` counts retired
-    instructions for that invocation.
+    instructions for that invocation.  ``loop`` is the trace's loop
+    form (module docstring), ``loop(n) -> (result, executed,
+    executions)``, once :meth:`repro.pin.jit.Jit.loop_form` has built
+    it.
     """
 
     __slots__ = ("start", "fn", "num_ins", "fall_address", "source",
-                 "bbl_sizes", "links", "exec_count", "unbounded", "heat")
+                 "bbl_sizes", "links", "exec_count", "unbounded", "heat",
+                 "loop", "origin")
 
     is_source = True
     #: Compile tier (see repro.pin.superblock): eligible for TC2.
@@ -62,9 +109,16 @@ class SourceCompiledTrace:
 
     def __init__(self, start: int, fn, num_ins: int,
                  fall_address: int | None, source: str,
-                 bbl_sizes: list[int], unbounded: bool = False):
+                 bbl_sizes: list[int], unbounded: bool = False,
+                 origin=None):
         self.start = start
         self.fn = fn
+        #: The loop form, None until the dispatch loop first follows
+        #: this trace's link to itself — and for ever unless ``origin``,
+        #: the pooled skeleton it is then lowered from, is set: only a
+        #: trace with a direct exit to its own head has one.
+        self.loop = None
+        self.origin = origin
         self.num_ins = num_ins
         self.fall_address = fall_address
         self.source = source
@@ -95,6 +149,9 @@ def _literals(ins: Ins) -> dict[str, int]:
 
 class _Emitter:
     """Builds the source text and the exec namespace for one trace."""
+
+    #: The spelling of the semantics table this emitter formats.
+    _rows = SEMANTICS
 
     def __init__(self, engine):
         self._engine = engine
@@ -131,7 +188,7 @@ class _Emitter:
         """Retired-instruction count expression for offset ``n``."""
         if self._count_base is None:
             return str(n)
-        return f"{self._count_base} + {n}"
+        return f"{self._count_base} + {n}" if n else self._count_base
 
     # -- instrumentation ------------------------------------------------------
 
@@ -155,9 +212,23 @@ class _Emitter:
         names, before, taken, after = weave(shape, f"{index}_")
         self.namespace.update(
             zip(names, call_values(ins, self._engine.cpu, mem)))
-        for stmt in before:
+        for stmt in self._exposed(before, ins, ins.before_calls,
+                                  ins.if_then):
             self.line(stmt)
-        return taken, after
+        return (self._exposed(taken, ins, ins.taken_calls),
+                self._exposed(after, ins, ins.after_calls))
+
+    def _exposed(self, stmts, ins: Ins, calls, pairs=()):
+        """``stmts`` — the ``calls`` and if/then ``pairs`` of one ipoint
+        of ``ins`` — with whatever must surround them for the calls to
+        see the guest's registers: nothing, where the registers live in
+        ``regs``."""
+        return stmts
+
+    def _leave(self, target, retired: int) -> tuple[str, ...]:
+        """The statements that leave the trace for ``target`` with
+        ``retired`` instructions retired."""
+        return (f"return ({target}, {self._count(retired)})",)
 
     # -- per-instruction lowering ---------------------------------------------
 
@@ -190,7 +261,8 @@ class _Emitter:
         :meth:`lower`)."""
         for index, ins in enumerate(instructions):
             self.lower(index, ins, texts)
-        self.line(f"return (None, {len(instructions)})")
+        for stmt in self._leave(None, len(instructions)):
+            self.line(stmt)
 
     # -- redundancy suppression ----------------------------------------------
 
@@ -271,8 +343,8 @@ class _Emitter:
         """Emit ``ins``'s row with its operands as literals; every exit
         returns the retired count with its target."""
         for stmt in statements(ins.op, ins.rd != 0, _literals(ins),
-                               f"return (%s, {self._count(index + 1)})",
-                               taken):
+                               lambda target: self._leave(target, index + 1),
+                               taken, self._rows):
             self.line(stmt)
 
     # -- finalization ---------------------------------------------------------
@@ -291,3 +363,178 @@ class _Emitter:
         code = compile(source, f"<superpin-trace-{address:#x}>", "exec")
         exec(code, self.namespace)  # noqa: S102 - this *is* the JIT
         return self.namespace["__trace__"]
+
+
+# -- the loop form -------------------------------------------------------------
+
+_REG = re.compile(r"regs\[(\{\w+\}|\d+)\]")
+_REG_WRITE = re.compile(r"@?regs\[(\{\w+\}|\d+)\] = ")
+
+
+def _localized(row):
+    """``row`` of :data:`SEMANTICS` with every ``regs[n]`` spelled as
+    the local ``rn``: a formatting of the row, not a second table."""
+    body, exits, raises = row
+    return (tuple(_REG.sub(r"r\1", text) for text in body),
+            tuple((cond and _REG.sub(r"r\1", cond), _REG.sub(r"r\1", target))
+                  for cond, target in exits), raises)
+
+
+def _registers(row, writes: bool) -> tuple[tuple, tuple]:
+    """The registers ``row`` names and those it writes — operand fields
+    (``"rd"``) or numbers (29) — with its ``rd`` lines (``writes``) or
+    without."""
+    body, exits, _ = row
+    lines = [text for text in body if writes or text[0] != "@"]
+    texts = lines + [text for exit in exits for text in exit if text]
+
+    def key(name: str):
+        return int(name) if name.isdigit() else name.strip("{}")
+    return (tuple({key(name) for text in texts
+                   for name in _REG.findall(text)}),
+            tuple({key(match[1]) for match in map(_REG_WRITE.match, lines)
+                   if match}))
+
+
+#: The table as the loop form formats it, and what each row touches.
+_LOCAL_ROWS = {op: _localized(row) for op, row in SEMANTICS.items()}
+_TOUCHES = {op: (_registers(row, False), _registers(row, True))
+            for op, row in SEMANTICS.items()}
+
+#: Stand-ins for "store back the registers that may differ" and "load
+#: the named registers", known once every row has been emitted.
+_SPILL, _RELOAD = "<spill>", "<reload>"
+
+
+class _LoopEmitter(_Emitter):
+    """Builds the loop form of a trace with a direct exit to its own
+    head (module docstring): the same rows and the same calls, with the
+    counts relative to ``_base``, the back edge a ``continue``, every
+    other exit a ``break`` to one epilogue, and the registers the rows
+    name in locals."""
+
+    _rows = _LOCAL_ROWS
+
+    def __init__(self, engine, head: int):
+        super().__init__(engine)
+        self._head = str(head)
+        self._count_base = "_base"
+        self._indent = 3
+        self._named: set[int] = set()
+        self._written: set[int] = set()
+        #: What happens to the registers, in emission order, as ``(line
+        #: number, what, nested)``: a stand-in and whether it sits
+        #: inside an exit's ``if``; ``(None, written registers, _)``
+        #: for a row; ``(None, None, _)`` at a back edge.
+        self._events: list[tuple] = []
+        #: True once something is handed the register file to change —
+        #: the locals are then not the registers for a while (``_own``).
+        self._lends = False
+        self._lent = False
+
+    def line(self, text: str) -> None:
+        stmt = text.lstrip()
+        if stmt == _SPILL or stmt == _RELOAD:
+            # (Indented past the trip's own level: inside an exit.)
+            self._events.append((len(self._lines), stmt,
+                                 len(text) != len(stmt)))
+        elif stmt == "continue":
+            self._events.append((None, None, True))
+        super().line(text)
+
+    def _exposed(self, stmts, ins: Ins, calls, pairs=()):
+        """Store the registers back ahead of calls that can observe
+        them — an if/then pair (the signature detector reads the
+        register file itself), any argument that is not static — and
+        load them again after a call that was handed ``IARG_CONTEXT``.
+        Calls with static arguments only see no register and cost
+        nothing."""
+        if not stmts or not (pairs or any(
+                try_static_args(call.specs, ins) is None for call in calls)):
+            return stmts
+        calls = (*calls, *(call for pair in pairs for call in pair))
+        if not any(kind is IArg.CONTEXT
+                   for call in calls for kind, _ in call.specs):
+            return [_SPILL, *stmts]
+        self._lends = True
+        return [_SPILL, "_own = False", *stmts, _RELOAD, "_own = True"]
+
+    def _leave(self, target, retired: int) -> tuple[str, ...]:
+        if self._lent:
+            return (f"return ({target}, {self._count(retired)}, _x)",)
+        out = (f"_base += {retired}", f"_to = {target}", "break")
+        if target != self._head:
+            return out
+        # The back edge: stay while the caller's allowance lasts.
+        return ("if _x < _n:", "    _x += 1", f"    _base += {retired}",
+                "    continue", *out)
+
+    def _semantics(self, index: int, ins: Ins, taken) -> None:
+        fields = _literals(ins)
+        named, written = _TOUCHES[ins.op][ins.rd != 0]
+        written = [fields.get(key, key) for key in written]
+        self._named.update(fields.get(key, key) for key in named)
+        self._written.update(written)
+        # A syscall reads and writes the register file where it lives,
+        # and both its exits leave: the registers are handed over for
+        # good, and nothing stores the locals over what it wrote.
+        if ins.is_syscall:
+            self._lends = self._lent = True
+            self.line(_SPILL)
+            self.line("_own = False")
+        self._events.append((None, written, False))
+        super()._semantics(index, ins, taken)
+        self._lent = False
+
+    @staticmethod
+    def _store(registers) -> str:
+        return "; ".join(f"regs[{n}] = r{n}"
+                         for n in sorted(registers)) or "pass"
+
+    def _trip(self, dirty: set, load: str | None = None) -> set:
+        """Walk a trip's events top to bottom, given the registers that
+        may differ from the register file at its top; returns those
+        that may at its back edges, and with ``load`` spells out every
+        stand-in on the way.  A store-back on the trip's own level (not
+        inside an exit's ``if``) leaves the register file current, so
+        the next one stores only what was written since."""
+        dirty = set(dirty)
+        at_back_edges: set = set()
+        lines = self._lines
+        for number, what, nested in self._events:
+            if number is None:
+                if what is None:
+                    at_back_edges |= dirty
+                else:
+                    dirty.update(what)
+                continue
+            if load is not None:
+                lines[number] = lines[number].replace(
+                    what, load if what == _RELOAD else self._store(dirty))
+            if not nested:
+                dirty = set()
+        return at_back_edges
+
+    def source_text(self, address: int) -> str:
+        load = "; ".join(f"r{n} = regs[{n}]"
+                         for n in sorted(self._named)) or "pass"
+        spill = self._store(self._written)
+        # A trip starts with the registers just loaded, or from a back
+        # edge: what may differ there is what may at the back edges of
+        # a trip that started clean (starting with that adds nothing).
+        self._trip(self._trip(set()), load)
+        body = "\n".join(self._lines)
+        own = "    _own = True\n" if self._lends else ""
+        unwind = f"if _own: {spill}" if self._lends else spill
+        return (f"def __trace__(_n):  # loop @ {address:#x}\n"
+                f"    {load}\n"
+                f"    _base = 0\n"
+                f"    _x = 1\n{own}"
+                f"    try:\n"
+                f"        while True:\n{body}\n"
+                f"    except BaseException:\n"
+                f"        {unwind}\n"
+                f"        E._stop_trips = _x\n"
+                f"        raise\n"
+                f"    {spill}\n"
+                f"    return (_to, _base, _x)\n")

@@ -73,7 +73,7 @@ class Tc2Stats:
     """Counters for the second translation cache (``pin.tc2.*``)."""
 
     __slots__ = ("promotions", "dispatches", "mispredicts", "evictions",
-                 "bytes", "segments", "stepped")
+                 "bytes", "segments", "stepped", "looped")
 
     def __init__(self):
         self.promotions = 0
@@ -92,6 +92,9 @@ class Tc2Stats:
         #: engine subtracts from a superblock's count to know how much
         #: of it ran as generated code (``pin.jit.hot_instructions``).
         self.stepped = 0
+        #: Segment executions that ran inside a segment's loop form
+        #: (``pin.jit.loop_trips``).
+        self.looped = 0
 
 
 class Superblock:
@@ -112,6 +115,9 @@ class Superblock:
 
     is_source = True
     tier = 2
+    #: What the dispatch loop reads of a generated trace that links to
+    #: itself: a superblock has no loop form, its runner is its loop.
+    loop = origin = None
 
     def __init__(self, start: int, segments: tuple, num_ins: int,
                  bbl_sizes: list[int]):
@@ -169,6 +175,12 @@ def _build_runner(engine, segments, stats, tally):
       engine lands the remaining handful of instructions through tier 1
       / single steps.
     """
+    if len(segments) == 1 and segments[0].is_source:
+        # The one shape where a segment's back edge is the block's own.
+        loop = engine.jit.loop_form(segments[0])
+        if loop is not None:
+            return _build_loop_runner(engine, segments[0], loop, stats,
+                                      tally)
     # Per-segment lookup tables, hoisted out of the dispatch loop: the
     # steady state must stay allocation-free and attribute-load-light,
     # or the runner would cost as much as the engine loop it replaces.
@@ -259,6 +271,53 @@ def _build_runner(engine, segments, stats, tally):
             tally[0] += passes
             if partial:
                 tally[partial] += 1
+
+    return run
+
+
+def _build_loop_runner(engine, segment, loop, stats, tally):
+    """The runner of a self-loop block over one generated ``segment``:
+    the segment's loop form (:mod:`repro.pin.pyjit`) takes the block's
+    back edge itself, for as many executions as the general runner's
+    tests at that edge would have let through — ``limit`` not reached,
+    and in ``exact`` mode a whole segment still fitting — and hands
+    back how many it ran, which is what ``segs_run`` and the tally
+    count.  Same contract as the general runner otherwise."""
+    start = segment.start
+    num_ins = segment.num_ins
+    fall = segment.fall_address
+
+    def run(limit: int = -1, exact: bool = False):
+        stats.dispatches += 1
+        executed = 0
+        segs_run = 0
+        try:
+            while True:
+                if limit < 0:
+                    allowance = NEVER
+                elif exact:
+                    allowance = (limit - executed) // num_ins
+                    if not allowance:
+                        return start, executed
+                else:
+                    allowance = -((executed - limit) // num_ins)
+                try:
+                    out, completed, trips = loop(allowance)
+                except BaseException:
+                    # The markers are relative to this call; rebase.
+                    engine._stop_count += executed
+                    segs_run += engine._stop_trips
+                    raise
+                executed += completed
+                segs_run += trips
+                if out is None:
+                    out = fall
+                if out != start or 0 <= limit <= executed:
+                    return out, executed
+        finally:
+            stats.segments += segs_run
+            stats.looped += segs_run
+            tally[0] += segs_run
 
     return run
 

@@ -169,13 +169,17 @@ class MasterStats:
     compiled_ins: int
     #: Interpreter -> generated code hand-overs.
     engine_switches: int
+    #: Trace executions that ran inside a trace's loop form
+    #: (``JitStats.loop_trips``).
+    loop_trips: int = 0
 
     def counters(self) -> dict[str, int]:
         """The ``superpin.control.master.*`` counters / span args."""
         return {"hot_heads": self.hot_heads,
                 "jit_instructions": self.jit_instructions,
                 "compiled_ins": self.compiled_ins,
-                "engine_switches": self.engine_switches}
+                "engine_switches": self.engine_switches,
+                "loop_trips": self.loop_trips}
 
     def summary(self) -> str:
         share = (self.jit_instructions / self.instructions
@@ -183,7 +187,8 @@ class MasterStats:
         return (f"{share:.0%} of {self.instructions:,} instructions in "
                 f"generated code; {self.hot_heads} hot heads, "
                 f"{self.compiled_traces} traces, "
-                f"{self.engine_switches} engine switches")
+                f"{self.engine_switches} engine switches, "
+                f"{self.loop_trips:,} trace executions inside loop forms")
 
 
 #: Arrivals at a loop head (the target of a taken backward branch) before
@@ -346,9 +351,9 @@ class MasterEngine:
 
     def stats(self) -> MasterStats:
         vm = self._vm
-        jit, traces, ins = (0, 0, 0) if vm is None else (
+        jit, traces, ins, loop_trips = (0, 0, 0, 0) if vm is None else (
             vm.total_instructions, vm.cache.stats.compiles,
-            vm.cache.stats.compiled_ins)
+            vm.cache.stats.compiled_ins, vm.jit_stats.loop_trips)
         # No arrival is ever counted under a None threshold (a resident
         # engine may hold earlier runs' counts, and then shows none).
         threshold = self.head_threshold
@@ -358,7 +363,8 @@ class MasterEngine:
                 1 for n in self._interp.head_arrivals.values()
                 if n >= threshold),
             jit_instructions=jit, compiled_traces=traces,
-            compiled_ins=ins, engine_switches=self.engine_switches)
+            compiled_ins=ins, engine_switches=self.engine_switches,
+            loop_trips=loop_trips)
 
 
 class ControlProcess:

@@ -187,13 +187,15 @@ class SuperPinReport:
         and how many they lowered to generated
         code (:mod:`repro.pin.jit`), the share of the slices'
         instructions that retired in generated code — compiled so or
-        promoted in mid-run — and the directly measured seconds all the
-        compiles took."""
+        promoted in mid-run — the share of their trace executions that
+        ran inside a loop form, and the directly measured seconds all
+        the compiles took."""
         if self.metrics is None or not self.metrics.enabled:
             return None
         counter = self.metrics.counter
         timed = self.metrics.histogram("pin.jit.compile_seconds")
         instructions = counter("superpin.slices.instructions")
+        executions = sum(s.traces_executed for s in self.slices)
         return {
             "compiles": int(counter("pin.cache.compiles")),
             "pooled": int(counter("pin.jit.skeleton_reuses")),
@@ -202,6 +204,9 @@ class SuperPinReport:
             "promotions": int(counter("pin.jit.promotions")),
             "hot_share": (counter("pin.jit.hot_instructions") / instructions
                           if instructions else 0.0),
+            "loop_builds": int(counter("pin.jit.loop_builds")),
+            "loop_share": (counter("pin.jit.loop_trips") / executions
+                           if executions else 0.0),
             "seconds": timed.total if timed is not None else 0.0,
         }
 

@@ -67,6 +67,8 @@ PLACEMENT_COUNTERS = ("pin.jit.skeleton_reuses",
                       "pin.jit.hot_compiles",
                       "pin.jit.promotions",
                       "pin.jit.hot_instructions",
+                      "pin.jit.loop_builds",
+                      "pin.jit.loop_trips",
                       "pin.jit.instrumentation_reuses",
                       "pin.jit.instrumentation_checks",
                       "pin.jit.instrumentation_declined")
@@ -464,6 +466,7 @@ def run_slice(boundary: Boundary, interval: Interval,
                 jstats.skeleton_reuses, jstats.rejects_words,
                 jstats.rejects_cut, jstats.hot_compiles,
                 jstats.promotions, jstats.hot_instructions,
+                jstats.loop_builds, jstats.loop_trips,
                 jstats.instrumentation_reuses,
                 jstats.instrumentation_checks,
                 jstats.instrumentation_declined)):

@@ -38,6 +38,27 @@ def _jit_hot_threshold(request):
     jit.HOT_EXECUTIONS_PER_COMPILE = shipped
 
 
+def loop_one_everywhere(monkeypatch) -> None:
+    """Every generated trace runs as ``loop(1)`` of its loop form — any
+    trace, looping or not — in place of its plain function, which is
+    kept for speed only: the two must be one another, state for state
+    and count for count (``repro.pin.pyjit``)."""
+    from repro.pin.jit import Jit
+    from repro.pin.pyjit import _LoopEmitter
+    lower = Jit._lower_generated
+
+    def lowered(self, skeleton, plan):
+        trace = lower(self, skeleton, plan)
+        if plan is None:
+            emitter = _LoopEmitter(self._engine, trace.start)
+            emitter.lower_all(skeleton.instructions, None)
+            loop = emitter.finish(emitter.source_text(trace.start),
+                                  trace.start)
+            trace.fn = lambda: loop(1)[:2]
+        return trace
+    monkeypatch.setattr(Jit, "_lower_generated", lowered)
+
+
 # --- canned programs -----------------------------------------------------------
 
 LOOP_SUM = """

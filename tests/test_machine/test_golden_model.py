@@ -23,6 +23,7 @@ from repro.machine.interpreter import Interpreter
 from repro.machine.memory import Memory
 from repro.machine.process import Process
 from repro.pin import jit, PinVM
+from tests.conftest import loop_one_everywhere
 
 M64 = (1 << 64) - 1
 
@@ -144,8 +145,10 @@ main:
 # guest with its register fields drawn from {zero, one shared register,
 # sp, ra} — so every way two fields, or a field and an implicit operand,
 # can name the same register occurs — over corner values, under both
-# memory modes and four engines: the interpreter, each lowering, and a
-# threaded trace promoted to generated code in the middle of a run.
+# memory modes and five engines: the interpreter, each lowering, a
+# threaded trace promoted to generated code in the middle of a run, and
+# generated code's loop form (the same rows over registers in locals),
+# run one execution at a time in place of the plain function.
 
 CODE, TAKEN, DATA = 0x1000, 0x1040, 0x8000
 ZERO, SHARED, SP, RA = 0, 8, 29, 31
@@ -155,7 +158,7 @@ _FIELD = (ZERO, SHARED, SP, RA)
 _POOL = _CORNERS + [DATA + 8, TAKEN]
 _VALUES = [(_POOL[i], _POOL[(i + 3) % len(_POOL)], _POOL[(i + 7) % len(_POOL)])
            for i in range(len(_POOL))]
-_ENGINES = ("interp", "closure", "source", "promoted")
+_ENGINES = ("interp", "closure", "source", "promoted", "loop")
 
 
 def test_every_opcode_has_exactly_one_row():
@@ -239,6 +242,10 @@ def _run(engine, word, values, strict, a0):
         interp = Interpreter(process)
         return _outcome(process, lambda: interp.run(max_instructions=2),
                         lambda: interp.total_instructions)
+    if engine == "loop":
+        with pytest.MonkeyPatch.context() as patch:
+            loop_one_everywhere(patch)
+            return _run("source", word, values, strict, a0)
     vm = PinVM(process, jit_backend=("closure" if engine == "promoted"
                                      else engine))
 

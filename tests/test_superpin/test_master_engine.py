@@ -72,6 +72,24 @@ FORCE_LOOP = syscall_loop(
     "    li   a0, SYS_CLOSE\n    syscall")
 
 
+#: A loop that is one trace branching to its own head — what generated
+#: code runs as a loop form — five instructions a trip.
+SELF_LOOP = """
+.entry main
+main:
+    li   s0, 0
+    li   s1, 1200
+lp: addi t0, t0, 3
+    st   t0, 0x9000(s0)
+    add  t2, t2, t0
+    inc  s0
+    blt  s0, s1, lp
+    li   a0, SYS_EXIT
+    mov  a1, t2
+    syscall
+"""
+
+
 def _suite(name: str, scale: float):
     return build_workload(SPEC2000[name], scale=scale).program
 
@@ -97,7 +115,12 @@ CASES = {
         spmsec=300, clock_hz=10_000, spadaptive=True,
         expected_duration_msec=2000)),
     "cuts-97": lambda: (assemble(REPLAY_LOOP), _slices(97)),
+    "self-loop": lambda: (assemble(SELF_LOOP), _slices(97)),
 }
+
+#: The cases whose hot loops are single traces: there the parity below
+#: is parity of the loop form (``repro.pin.pyjit``) with the interpreter.
+LOOP_FORMS = ("gzip", "gcc", "mcf", "self-loop")
 
 
 def force_thresholds(monkeypatch, pair) -> None:
@@ -178,6 +201,8 @@ class TestTimelineParity:
                 # The parity above means something only if the hot tier
                 # really ran.
                 assert timeline.master.jit_instructions > 0, (case, pair)
+                if case in LOOP_FORMS:
+                    assert timeline.master.loop_trips > 0, (case, pair)
 
     def test_cuts_land_everywhere(self, monkeypatch):
         """The short-timeslice cases cut on the backward branch, on the
@@ -265,6 +290,21 @@ lp: inc  t0
                 break
         assert mixed.run(10).reason is StopReason.EXIT  # and stays exited
 
+    @pytest.mark.parametrize("budget", range(200, 210))
+    def test_budgets_that_end_on_every_trip_of_a_loop_form(self, budget):
+        """Ten consecutive budgets over a five-instruction trip: the
+        exact-mode allowance stops the loop form on every trip, at every
+        distance from the budget's end."""
+        reference, mixed = _engines(assemble(SELF_LOOP), (2, 1))
+        while True:
+            want, got = reference.run(budget), mixed.run(budget)
+            assert (got.reason, got.instructions) \
+                == (want.reason, want.instructions)
+            assert _state(mixed) == _state(reference)
+            if want.reason is StopReason.EXIT:
+                break
+        assert mixed.stats().loop_trips > 500
+
     def test_unbudgeted_run(self):
         reference, mixed = _engines(assemble(self.HALTING), (2, 1))
         want, got = reference.run(), mixed.run()
@@ -333,11 +373,12 @@ class TestEndToEnd:
                           report.num_slices,
                           [s.instructions for s in report.slices],
                           report.timing.total_cycles)
-            # One fold at the end of the control phase: four counters,
-            # and the same four on the phase's span.
+            # One fold at the end of the control phase: five counters,
+            # and the same five on the phase's span.
             want = report.timeline.master.counters()
             assert set(want) == {"hot_heads", "jit_instructions",
-                                 "compiled_ins", "engine_switches"}
+                                 "compiled_ins", "engine_switches",
+                                 "loop_trips"}
             counters = report.metrics.counters
             assert {name: counters.get("superpin.control.master." + name, 0)
                     for name in want} == want
