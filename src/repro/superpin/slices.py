@@ -8,12 +8,13 @@ final slice).
 
 **A slice is a context switch.**  Whoever runs slices one after another
 — the supervisor's in-process transport, a pool worker for as long as it
-lives — owns one :class:`SliceMachine` (one ``CpuState``, one ``Memory``,
-one ``PinVM``) and :func:`run_slice` switches it onto each boundary:
-registers restored in place, the boundary's memory fork adopted, the
-engine reset.  Everything a slice is measured by stays per slice — it
-starts with a cold code cache in a freshly released bubble and compiles
-every trace it runs, so its ``SliceResult`` is bit for bit the one a
+lives, a time-travel engine for its landings and scans — owns one
+:class:`SliceMachine` (one ``CpuState``, one ``Memory``, one ``PinVM``)
+and :func:`run_slice` switches it onto each boundary: registers restored
+in place, the boundary's memory fork adopted, the engine reset.
+Everything a slice is measured by stays per slice — it starts with a
+cold code cache in a freshly released bubble and compiles every trace it
+runs, so its ``SliceResult`` is bit for bit the one a
 newly built machine produces.  That cold cache is a property of the
 *virtual* account (the paper's "compilation slowdown", §1); in host time
 the machine's JIT keeps the run-independent half of each compile
@@ -72,6 +73,15 @@ PLACEMENT_COUNTERS = ("pin.jit.skeleton_reuses",
                       "pin.jit.instrumentation_reuses",
                       "pin.jit.instrumentation_checks",
                       "pin.jit.instrumentation_declined")
+
+
+def placement_counts(jstats) -> tuple[int, ...]:
+    """A run's ``JitStats`` in :data:`PLACEMENT_COUNTERS` order."""
+    return (jstats.skeleton_reuses, jstats.rejects_words,
+            jstats.rejects_cut, jstats.hot_compiles, jstats.promotions,
+            jstats.hot_instructions, jstats.loop_builds, jstats.loop_trips,
+            jstats.instrumentation_reuses, jstats.instrumentation_checks,
+            jstats.instrumentation_declined)
 
 
 class SliceEnd(enum.Enum):
@@ -183,46 +193,6 @@ def boundary_handler(boundary: Boundary,
                            interval.index, thread_manager=manager)
 
 
-def fork_boundary(boundary: Boundary, interval: Interval) -> Process:
-    """Fork one slice's execution state from its boundary snapshot.
-
-    Registers and the playback handler (:func:`boundary_handler`,
-    ``process.syscall_handler``) are fresh per call; memory is
-    ``boundary.mem_fork`` itself — a ``fork()`` there would charge the
-    slice phantom COW faults — so a boundary executes once (retries and
-    time travel re-materialize it from its pickle).
-    """
-    handler = boundary_handler(boundary, interval)
-    cpu = CpuState()
-    cpu.restore(boundary.cpu_snapshot)
-    return Process(cpu, boundary.mem_fork, handler)
-
-
-def _run_settings(config: SuperPinConfig, forced_boundaries: frozenset[int],
-                  metrics, suppress_loops: bool) -> dict:
-    """What every slice-shaped run starts from, as ``PinVM.reset``
-    arguments: a cold code cache in the bubble, and ``config``'s
-    linking and tier-2 rule (TC2 finds its chains by following direct
-    links, so it needs linking)."""
-    return dict(
-        forced_boundaries=forced_boundaries,
-        code_cache=CodeCache(abi.BUBBLE_BASE, abi.BUBBLE_WORDS,
-                             metrics=metrics),
-        link_traces=config.splinktraces, metrics=metrics,
-        suppress_loops=suppress_loops,
-        tc2_threshold=config.sptc2 if config.splinktraces else 0)
-
-
-def slice_vm(process: Process, config: SuperPinConfig,
-             forced_boundaries: frozenset[int] = frozenset(),
-             metrics=NULL_METRICS, suppress_loops: bool = False) -> PinVM:
-    """A new engine for one slice-shaped run on ``process``: what time
-    travel runs on, and what a :class:`SliceMachine` starts from."""
-    return PinVM(process, jit_backend=config.jit_backend,
-                 **_run_settings(config, forced_boundaries, metrics,
-                                 suppress_loops))
-
-
 class SliceMachine:
     """One resident ``CpuState`` + ``Memory`` + ``PinVM`` that slices
     run on one after another.
@@ -230,20 +200,23 @@ class SliceMachine:
     Owned by whoever executes slices sequentially and never shared
     between two of them (two concurrent runs in one process own two
     machines): a supervisor for its in-process attempts, a pool worker
-    for as long as it lives, or — the one owner that outlives a run —
-    the serve daemon, which lends it to one job at a time as that job's
-    ``resident`` (:class:`repro.serve.server.Residents`).  Its identity
-    is what compiled code closes over, so the engine's JIT may keep
-    compiled work and execution counts from slice to slice, and from
-    run to run (``vm.jit.pool``, ``vm.jit.heat``); its *state* belongs
-    to the slice it was last switched onto, and every :meth:`switch`
-    replaces all of it — a slice that raised mid-run leaves nothing the
-    next one can see.  What crosses a run is what is nobody's, or what a
-    check re-earns: every reuse is still decided trace by trace
-    (``Jit._refusal``), and kept *instrumented* code crosses a run only
-    where the next run's tool attaches the same calls — each run's
-    template has an id of its own, which :meth:`adopt` hands the JIT, and
-    the first compile of a trace under a new id is the comparing one.
+    for as long as it lives, a time-travel engine
+    (:class:`~repro.superpin.timetravel.TimeTravelEngine`) for every
+    state it lands on or scans from, or — the one owner that outlives a
+    run — the serve daemon, which lends it to one job at a time as that
+    job's ``resident`` (:class:`repro.serve.server.Residents`).  Its
+    identity is what compiled code closes over, so the engine's JIT may
+    keep compiled work and execution counts from slice to slice, and
+    from run to run (``vm.jit.pool``, ``vm.jit.heat``); its *state*
+    belongs to the slice it was last switched onto, and every
+    :meth:`switch` replaces all of it — a slice that raised mid-run
+    leaves nothing the next one can see.  What crosses a run is what is
+    nobody's, or what a check re-earns: every reuse is still decided
+    trace by trace (``Jit._refusal``), and kept *instrumented* code
+    crosses a run only where the next run's tool attaches the same calls
+    — each run's template has an id of its own, which :meth:`adopt`
+    hands the JIT, and the first compile of a trace under a new id is
+    the comparing one.
     """
 
     def __init__(self):
@@ -273,28 +246,47 @@ class SliceMachine:
     def switch(self, boundary: Boundary, interval: Interval,
                config: SuperPinConfig,
                forced_boundaries: frozenset[int] = frozenset(),
-               metrics=NULL_METRICS) -> PinVM:
-        """Context-switch onto ``boundary``; returns the engine, reset
-        and ready to be instrumented.  ``boundary.mem_fork`` is adopted
-        — the slice runs on that fork's own pages, charged exactly the
-        COW faults it would be charged running on the fork itself — and
-        is spent afterwards, like any executed boundary."""
+               metrics=NULL_METRICS, state: tuple | None = None) -> PinVM:
+        """Context-switch onto a state and return the engine, reset and
+        ready to be instrumented.
+
+        A state is ``(cpu snapshot, memory to adopt, playback
+        handler)``.  ``boundary`` and ``interval`` name the one a slice
+        starts from — the boundary's registers and memory fork, and
+        :func:`boundary_handler`'s single-use playback — and time travel
+        resumes a micro-checkpoint by passing ``state`` itself (and None
+        for the two).  The memory is adopted — the run is on that fork's
+        own pages, charged exactly the COW faults it would be charged
+        running on the fork itself — and is spent afterwards, like any
+        executed boundary.  The engine starts what every slice-shaped
+        run starts from: a cold code cache in the bubble, and
+        ``config``'s linking and tier-2 rule (TC2 finds its chains by
+        following direct links, so it needs linking)."""
+        cpu_snapshot, mem, handler = state or (
+            boundary.cpu_snapshot, boundary.mem_fork,
+            boundary_handler(boundary, interval))
         process = self.process
-        process.syscall_handler = boundary_handler(boundary, interval)
+        process.syscall_handler = handler
         process.exited = False
         process.exit_code = 0
-        process.cpu.restore(boundary.cpu_snapshot)
-        process.mem.adopt(boundary.mem_fork)
+        process.cpu.restore(cpu_snapshot)
+        process.mem.adopt(mem)
+        settings = dict(
+            forced_boundaries=forced_boundaries,
+            code_cache=CodeCache(abi.BUBBLE_BASE, abi.BUBBLE_WORDS,
+                                 metrics=metrics),
+            link_traces=config.splinktraces, metrics=metrics,
+            suppress_loops=config.spsuppress,
+            tc2_threshold=config.sptc2 if config.splinktraces else 0)
         vm = self.vm
         if vm is None or vm.jit_backend != config.jit_backend:
             # Compiled work is pooled per backend: the machine serves
             # one at a time, and starts over when asked for the other.
-            vm = self.vm = slice_vm(process, config, forced_boundaries,
-                                    metrics, config.spsuppress)
+            vm = self.vm = PinVM(process, jit_backend=config.jit_backend,
+                                 **settings)
             vm.jit.pool = {}
         else:
-            vm.reset(**_run_settings(config, forced_boundaries, metrics,
-                                     config.spsuppress))
+            vm.reset(**settings)
             vm.jit.retain_for = None
         return vm
 
@@ -461,15 +453,8 @@ def run_slice(boundary: Boundary, interval: Interval,
                     cache.stats.linked_dispatches)
         # (pin.cache.reinserts is counted live inside CodeCache.insert,
         # like pin.cache.compiles.)
-        jstats = vm.jit_stats
-        for name, value in zip(PLACEMENT_COUNTERS, (
-                jstats.skeleton_reuses, jstats.rejects_words,
-                jstats.rejects_cut, jstats.hot_compiles,
-                jstats.promotions, jstats.hot_instructions,
-                jstats.loop_builds, jstats.loop_trips,
-                jstats.instrumentation_reuses,
-                jstats.instrumentation_checks,
-                jstats.instrumentation_declined)):
+        for name, value in zip(PLACEMENT_COUNTERS,
+                               placement_counts(vm.jit_stats)):
             metrics.inc(name, value)
         istats = vm.instr_stats
         metrics.inc("pin.filter.fastpath_traces", istats.fastpath_traces)

@@ -19,9 +19,14 @@ How ``goto N`` works:
    inside slice ``k``, else the slice boundary itself — unpickled
    **fresh** (:meth:`Recording.slice_spec`), so the COW fork, the
    playback cursor and the record list all start pristine;
-3. drive the pin engine forward with an exact instruction budget
-   (``PinVM.run(..., exact_budget=True)``), which lands on the same
-   architectural boundary across tier 0/1/2 and both JIT backends;
+3. context-switch the engine's one resident
+   :class:`~repro.superpin.slices.SliceMachine` onto that state — the
+   switch every other executor of slices makes — and drive it forward
+   with an exact instruction budget (``PinVM.run(...,
+   exact_budget=True)``), which lands on the same architectural boundary
+   across tier 0/1/2 and both JIT backends.  The code cache is cold per
+   state, as a slice's is; what the machine's JIT learnt on the way to
+   earlier landings (decoded traces, verified lowerings, heat) is not;
 4. cache the landing state as an ephemeral micro-checkpoint.  Long
    advances also drop an anchor checkpoint :data:`CKPT_STRIDE`
    instructions short of the target, so a run of ``step-back`` commands
@@ -30,23 +35,30 @@ How ``goto N`` works:
 Breakpoint/watchpoint scans re-execute one slice at a time from its
 boundary under counting instrumentation (a per-BBL retired-instruction
 base plus the static in-BBL offset gives every hit an exact global
-icount), collect all hits, then ``goto`` the chosen one.  Scans run with
-loop suppression forced off — summarized loops replace the per-iteration
-analysis calls a watchpoint needs.
+icount), collect all hits, then ``goto`` the chosen one.  A scan *takes*
+the machine — nothing is live afterwards, and the next read of the
+current position re-materializes it from its own micro-checkpoint.
+Scans run with loop suppression forced off — summarized loops replace
+the per-iteration analysis calls a watchpoint needs.
+
+The machine has one state at a time and :attr:`TimeTravelEngine._state`
+is that state or None: whatever moves the machine takes the state first
+and puts back what it landed on, so a command that raises leaves nothing
+live and the next one starts from a checkpoint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..errors import DivergenceError, TimeTravelError
-from ..machine.cpu import CpuState
-from ..machine.process import Process
+from ..obs.metrics import metrics_for
 from ..pin.args import (IARG_END, IARG_MEMORYWRITE_EA, IARG_PTR,
                         IPOINT_BEFORE)
-from ..pin.engine import PinVM, RunState
+from ..pin.engine import PinVM
+from ..pin.jit import JitStats
 from .recording import Recording
-from .slices import fork_boundary, slice_vm
+from .slices import PLACEMENT_COUNTERS, placement_counts, SliceMachine
 from .switches import SuperPinConfig
 from .sysrecord import PlaybackHandler
 
@@ -58,6 +70,16 @@ CKPT_STRIDE = 512
 #: Micro-checkpoint cache bound (boundaries are not cached — the
 #: recording itself is their store).
 CKPT_CACHE_SIZE = 16
+
+#: What an engine counts of its own work (``superpin.timetravel.<name>``):
+#: every ``goto`` is one of ``in_place`` (advanced from — or already at —
+#: the live state), ``from_checkpoint`` or ``from_boundary``;
+#: ``reexecuted_instructions`` is every guest instruction the machine
+#: retired for the session, landings and scans; ``scans`` are the
+#: ``continue`` / ``reverse-continue`` / ``lastwrite`` commands and
+#: ``scanned_slices`` the slices they re-executed.
+COUNTERS = ("gotos", "in_place", "from_checkpoint", "from_boundary",
+            "reexecuted_instructions", "scans", "scanned_slices")
 
 
 @dataclass(frozen=True)
@@ -102,18 +124,14 @@ class _Ckpt:
 
 @dataclass
 class _LiveState:
-    """The currently materialized execution state."""
+    """The state the engine's machine is on: ``vm`` is the machine's
+    engine, and its ``cpu``, ``mem`` and playback handler are this
+    state's for as long as nothing else is switched onto."""
 
     k: int
     local: int
-    cpu: CpuState
-    mem: object
-    layout: object
-    manager: object | None
-    handler: PlaybackHandler
+    vm: PinVM
     records: list
-    vm: PinVM | None = None
-    exited: bool = False
 
 
 class TimeTravelEngine:
@@ -126,6 +144,23 @@ class TimeTravelEngine:
         self.breakpoints: set[int] = set()
         self.watchpoints: set[int] = set()
         self.position = 0
+        #: What the session re-executed, by :data:`COUNTERS` name, and
+        #: what the machine's JIT spared it and how it lowered the rest:
+        #: every run of the machine counts into this one ``JitStats``.
+        #: :meth:`stats` is both under their metric names, and
+        #: ``metrics`` (``-spmetrics``) is brought level with it by
+        #: every command that moved the machine.
+        self.counters = dict.fromkeys(COUNTERS, 0)
+        self.jit_stats = JitStats()
+        self.metrics = metrics_for(self.config.spmetrics)
+        #: The one machine every state of this session is switched onto
+        #: — its engine is built by the first — and what it runs under:
+        #: ``config`` with loop suppression off (a summarized loop fits
+        #: no exact budget, and a scan needs every analysis call).
+        self._machine = SliceMachine()
+        self._run_config = replace(self.config, spsuppress=False)
+        #: The state the machine is on, or None: nothing is live (before
+        #: the first landing, after a scan, after a command that raised).
         self._state: _LiveState | None = None
         #: (k, local) -> _Ckpt, insertion-ordered for LRU eviction.
         self._ckpts: dict[tuple[int, int], _Ckpt] = {}
@@ -151,19 +186,23 @@ class TimeTravelEngine:
         k = self.recording.slice_for_icount(icount)
         self._check_hole(k)
         start, _ = self.recording.slice_span(k)
-        state = self._state
-        if (state is not None and state.k == k
-                and start + state.local == icount):
-            pass  # already there
-        elif (state is not None and state.k == k and not state.exited
-                and start + state.local < icount):
-            # Forward within the live slice: just advance in place.
-            self._advance(state, icount - start - state.local)
+        self.counters["gotos"] += 1
+        # Taken while the machine moves: if it raises, nothing is live.
+        state, self._state = self._state, None
+        ahead = (icount - start - state.local
+                 if state is not None and state.k == k else -1)
+        if ahead == 0 or (ahead > 0 and not state.vm.exited):
+            # At or forward of the live state: advance in place.
+            self.counters["in_place"] += 1
+            if ahead:
+                self._advance(state, ahead)
         else:
-            self._state = state = self._materialize(k, icount - start)
+            state = self._materialize(k, icount - start)
+        self._state = state
         self.position = icount
         self._cache_ckpt(state)
-        return StopEvent(kind=kind, icount=icount, pc=state.cpu.pc)
+        self._publish()
+        return StopEvent(kind=kind, icount=icount, pc=state.vm.cpu.pc)
 
     def step(self, n: int = 1) -> StopEvent:
         if n < 1:
@@ -187,6 +226,7 @@ class TimeTravelEngine:
         """Run forward to the next breakpoint/watchpoint hit, or the end."""
         pos = self.position
         k0 = self.recording.slice_for_icount(pos)
+        self.counters["scans"] += 1
         for k in range(k0, self.recording.num_slices):
             hits = [h for h in self._scan_slice(k) if h.icount > pos]
             if hits:
@@ -201,6 +241,7 @@ class TimeTravelEngine:
         """Run backward to the previous hit, or the start of the run."""
         pos = self.position
         k0 = self.recording.slice_for_icount(max(pos - 1, 0))
+        self.counters["scans"] += 1
         for k in range(k0, -1, -1):
             hits = [h for h in self._scan_slice(k) if h.icount < pos]
             if hits:
@@ -224,6 +265,7 @@ class TimeTravelEngine:
             return None
         k0 = self.recording.slice_for_icount(min(limit - 1,
                                                  self.total_instructions))
+        self.counters["scans"] += 1
         for k in range(k0, -1, -1):
             hits = [h for h in self._scan_slice(k, watch_only={addr})
                     if h.icount < limit]
@@ -233,15 +275,34 @@ class TimeTravelEngine:
 
     def registers(self) -> tuple[int, tuple[int, ...]]:
         """``(pc, regs)`` at the current position."""
-        return self._require_state().cpu.snapshot()
+        return self._require_state().vm.cpu.snapshot()
 
     def state_fingerprint(self) -> str:
         """Architectural-state hash at the current position."""
-        return self._require_state().cpu.fingerprint()
+        return self._require_state().vm.cpu.fingerprint()
 
     def read_memory(self, addr: int, count: int = 1) -> list[int]:
         """Guest memory words at the current position."""
-        return self._require_state().mem.read_block(addr, count)
+        return self._require_state().vm.mem.read_block(addr, count)
+
+    def stats(self) -> dict[str, int]:
+        """What the session re-executed and what it was spared, by
+        metric name: ``superpin.timetravel.*`` and the machine's
+        ``pin.jit.*`` placement counters.  Like those anywhere, the
+        figures depend on the session's history, not only on where it
+        stands."""
+        out = {f"superpin.timetravel.{name}": value
+               for name, value in self.counters.items()}
+        out.update(zip(PLACEMENT_COUNTERS,
+                       placement_counts(self.jit_stats)))
+        return out
+
+    def _publish(self) -> None:
+        """Bring ``metrics`` level with :meth:`stats`."""
+        metrics = self.metrics
+        if metrics.enabled:
+            for name, value in self.stats().items():
+                metrics.inc(name, value - metrics.counter(name))
 
     # -- state materialization ----------------------------------------------
 
@@ -259,8 +320,12 @@ class TimeTravelEngine:
 
     def _materialize(self, k: int, local: int) -> _LiveState:
         base = self._best_ckpt(k, local)
-        state = (self._fork_ckpt(base) if base is not None
-                 else self._fork_boundary(k))
+        if base is not None:
+            self.counters["from_checkpoint"] += 1
+            state = self._fork_ckpt(base)
+        else:
+            self.counters["from_boundary"] += 1
+            state = self._fork_boundary(k)
         delta = local - state.local
         if delta > CKPT_STRIDE:
             # Drop an anchor just short of the target so a subsequent
@@ -272,47 +337,53 @@ class TimeTravelEngine:
             self._advance(state, delta)
         return state
 
+    # Two ways of naming a state to ``SliceMachine.switch``.  Either way
+    # the playback handler and the record list it reads are fresh, the
+    # engine is reset, and ``self`` is whom the JIT keeps instrumented
+    # code for: a landing attaches nothing, which is template None; a
+    # scan names what it attaches (``_scan_slice``).
+
     def _fork_boundary(self, k: int) -> _LiveState:
         boundary, interval = self.recording.slice_spec(k)
-        process = fork_boundary(boundary, interval)
-        handler = process.syscall_handler
-        return _LiveState(k=k, local=0, cpu=process.cpu, mem=process.mem,
-                          layout=handler.layout,
-                          manager=handler.thread_manager, handler=handler,
-                          records=interval.records)
+        vm = self._machine.switch(boundary, interval, self._run_config)
+        return self._switched(vm, k, 0, interval.records)
 
     def _fork_ckpt(self, ckpt: _Ckpt) -> _LiveState:
-        cpu = CpuState()
-        cpu.restore(ckpt.cpu)
-        mem = ckpt.mem.fork()          # re-fork: the cached copy stays pristine
         layout = ckpt.layout.fork()
         manager = ckpt.manager.fork() if ckpt.manager is not None else None
         records = list(ckpt.records)
         handler = PlaybackHandler(records, layout, ckpt.k,
                                   thread_manager=manager,
                                   start_pos=ckpt.consumed)
-        return _LiveState(k=ckpt.k, local=ckpt.local, cpu=cpu, mem=mem,
-                          layout=layout, manager=manager, handler=handler,
-                          records=records)
+        # The memory is re-forked: the cached copy stays pristine.
+        vm = self._machine.switch(
+            None, None, self._run_config,
+            state=(ckpt.cpu, ckpt.mem.fork(), handler))
+        return self._switched(vm, ckpt.k, ckpt.local, records)
+
+    def _switched(self, vm: PinVM, k: int, local: int,
+                  records: list) -> _LiveState:
+        # (The reset gave the engine a ``JitStats`` of its own: the
+        # session's takes its place, so every run counts into one.)
+        vm.jit_stats = self.jit_stats
+        vm.jit.retain_for = self
+        vm.jit.template = None
+        return _LiveState(k=k, local=local, vm=vm, records=records)
 
     def _advance(self, state: _LiveState, delta: int) -> None:
         """Drive ``state`` forward exactly ``delta`` instructions."""
-        if state.exited:
+        vm = state.vm
+        if vm.exited:
             raise TimeTravelError(
                 "cannot advance past program exit", kind="state")
-        vm = state.vm
-        if vm is None:
-            process = Process(state.cpu, state.mem, state.handler)
-            state.vm = vm = slice_vm(process, self.config)
         result = vm.run(max_instructions=delta, exact_budget=True)
+        self.counters["reexecuted_instructions"] += result.instructions
         if result.instructions != delta:
             raise DivergenceError(
                 f"slice {state.k}: exact-budget advance retired "
                 f"{result.instructions} of {delta} instructions "
                 f"(state {result.state.value})")
         state.local += delta
-        if result.state is RunState.EXIT:
-            state.exited = True
 
     # -- micro-checkpoints ---------------------------------------------------
 
@@ -331,20 +402,23 @@ class TimeTravelEngine:
 
     def _cache_ckpt(self, state: _LiveState) -> None:
         key = (state.k, state.local)
-        if key in self._ckpts:
-            self._ckpts.pop(key)  # refresh LRU position
-        else:
+        cached = self._ckpts.pop(key, None)
+        if cached is None:
+            # (A state already cached equals ``state`` by determinism:
+            # re-forking it would only freeze the live pages again.)
             while len(self._ckpts) >= CKPT_CACHE_SIZE:
                 self._ckpts.pop(next(iter(self._ckpts)))
-        self._ckpts[key] = _Ckpt(
-            k=state.k, local=state.local,
-            cpu=state.cpu.snapshot(),
-            mem=state.mem.fork(),
-            layout=state.layout.fork(),
-            manager=(state.manager.fork()
-                     if state.manager is not None else None),
-            consumed=state.handler.consumed,
-            records=state.records)
+            handler = state.vm.process.syscall_handler
+            manager = handler.thread_manager
+            cached = _Ckpt(
+                k=state.k, local=state.local,
+                cpu=state.vm.cpu.snapshot(),
+                mem=state.vm.mem.fork(),
+                layout=handler.layout.fork(),
+                manager=manager.fork() if manager is not None else None,
+                consumed=handler.consumed,
+                records=state.records)
+        self._ckpts[key] = cached  # at the LRU's end either way
 
     # -- breakpoint / watchpoint scans ---------------------------------------
 
@@ -365,7 +439,6 @@ class TimeTravelEngine:
         if watch_only is None and not self.breakpoints \
                 and not self.watchpoints:
             return []
-        state = self._fork_boundary(k)
         self._scan_hits = []
         self._scan_retired = 0
         self._scan_bbl_base = 0
@@ -374,32 +447,40 @@ class TimeTravelEngine:
                             else set(self.watchpoints))
         scan_bps = frozenset() if watch_only is not None \
             else frozenset(self.breakpoints)
-
-        def instrument(trace, value) -> None:
-            for bbl in trace.bbls:
-                bbl.head.insert_call(IPOINT_BEFORE, self._scan_enter_bbl,
-                                     IARG_PTR, bbl.num_ins, IARG_END)
-                for j, ins in enumerate(bbl.instructions):
-                    if ins.address in scan_bps:
-                        ins.insert_call(IPOINT_BEFORE, self._scan_bp,
-                                        IARG_PTR, j,
-                                        IARG_PTR, ins.address, IARG_END)
-                    if self._scan_addrs and ins.is_memory_write:
-                        ins.insert_call(IPOINT_BEFORE, self._scan_wp,
-                                        IARG_PTR, j,
-                                        IARG_PTR, ins.address,
-                                        IARG_MEMORYWRITE_EA, IARG_END)
-
-        process = Process(state.cpu, state.mem, state.handler)
-        vm = slice_vm(process, self.config)
-        vm.add_trace_callback(instrument)
+        # A scan takes the machine.  The template is everything
+        # ``_scan_instrument`` reads: code kept under another breakpoint
+        # set, or for watching where this scan does not, is compared
+        # before it is served (repro.pin.jit) — never served stale.
+        self._state = None
+        vm = self._fork_boundary(k).vm
+        vm.jit.template = ("scan", scan_bps, bool(self._scan_addrs))
+        vm.add_trace_callback(self._scan_instrument, vm.jit.template)
         result = vm.run(max_instructions=span, exact_budget=True)
+        self.counters["scanned_slices"] += 1
+        self.counters["reexecuted_instructions"] += result.instructions
+        self._publish()
         if result.instructions != span:
             raise DivergenceError(
                 f"slice {k}: scan retired {result.instructions} of "
                 f"{span} instructions (state {result.state.value})")
         hits, self._scan_hits = self._scan_hits, []
         return hits
+
+    def _scan_instrument(self, trace, template) -> None:
+        _, scan_bps, watching = template
+        for bbl in trace.bbls:
+            bbl.head.insert_call(IPOINT_BEFORE, self._scan_enter_bbl,
+                                 IARG_PTR, bbl.num_ins, IARG_END)
+            for j, ins in enumerate(bbl.instructions):
+                if ins.address in scan_bps:
+                    ins.insert_call(IPOINT_BEFORE, self._scan_bp,
+                                    IARG_PTR, j,
+                                    IARG_PTR, ins.address, IARG_END)
+                if watching and ins.is_memory_write:
+                    ins.insert_call(IPOINT_BEFORE, self._scan_wp,
+                                    IARG_PTR, j,
+                                    IARG_PTR, ins.address,
+                                    IARG_MEMORYWRITE_EA, IARG_END)
 
     # Analysis routines: the per-BBL base plus the static in-BBL offset
     # gives each hit an exact retired-before count without per-
@@ -471,6 +552,7 @@ class DebugSession:
             "regs                dump the register file",
             "mem ADDR [COUNT]    dump guest memory words",
             "info                recording summary",
+            "stats               what the session re-executed, and was spared",
             "quit                leave the debugger",
         ]
 
@@ -570,6 +652,10 @@ class DebugSession:
             lines.append(f"  slice {k}: [{start}, {end}){state}")
         return lines
 
+    def _cmd_stats(self, args: list[str]) -> list[str]:
+        return [f"{name} = {value}"
+                for name, value in self.engine.stats().items()]
+
     def _cmd_quit(self, args: list[str]) -> None:
         return None
 
@@ -588,5 +674,6 @@ class DebugSession:
         "regs": _cmd_regs,
         "mem": _cmd_mem,
         "info": _cmd_info,
+        "stats": _cmd_stats,
         "quit": _cmd_quit, "q": _cmd_quit,
     }
