@@ -8,27 +8,21 @@ at insertion time::
                    IARG_REG_VALUE, regs.T0,
                    IARG_END)
 
-The JIT lowers each specifier list into a *resolver* closure that builds
-the positional argument tuple at analysis-call time.  Static specifiers
-(literals, the instruction pointer) are folded into constants, so a call
-using only static arguments costs a single tuple reference per execution.
-
-Two resolvers know something about an opcode's effect outside the JIT's
-semantics table (``repro.pin.jit.SEMANTICS``): ``_ea_resolver`` and
-``_taken_predicate`` answer what an instruction *will* do, before it
-runs, as a value handed to an analysis routine — a per-call closure over
-the registers, where a table row is statements that *do* it.  They stay
-here for that reason; ``tests/test_pin/test_args.py`` holds them to what
-the instruction then does.
+This module is the specifiers and what they may name; what each one
+*is* at run time is written by the JIT (``repro.pin.jit.weave``): every
+argument is an expression in the lowered code of the call itself —
+``regs[8]``, the instruction's address expression, a literal — formatted
+from the same operand fields as the instruction's row of
+``repro.pin.jit.SEMANTICS``.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable
 
 from ..errors import InstrumentationError
-from ..isa.instructions import Format, MASK64
+from ..isa.instructions import MASK64
+from ..isa.registers import NUM_REGS
 
 
 class IPoint(enum.Enum):
@@ -61,6 +55,11 @@ class IArg(enum.Enum):
     CONTEXT = "context"          # the CpuState object
     END = "end"                  # terminator
 
+    # Hashed by identity, in C: a compile hashes the kinds of every call
+    # it lowers (``repro.pin.jit``'s step factories are keyed by them),
+    # and ``Enum``'s own hash is a Python call.
+    __hash__ = object.__hash__
+
 
 IARG_UINT64 = IArg.UINT64
 IARG_ADDRINT = IArg.ADDRINT
@@ -76,7 +75,7 @@ IARG_CONTEXT = IArg.CONTEXT
 IARG_END = IArg.END
 
 #: Specifiers that consume the next positional value in the IARG list.
-_TAKES_VALUE = {IArg.UINT64, IArg.ADDRINT, IArg.PTR, IArg.REG_VALUE}
+_TAKES_VALUE = {IARG_UINT64, IARG_ADDRINT, IARG_PTR, IARG_REG_VALUE}
 
 
 def parse_iargs(raw: tuple) -> list[tuple[IArg, object]]:
@@ -94,7 +93,7 @@ def parse_iargs(raw: tuple) -> list[tuple[IArg, object]]:
         if not isinstance(kind, IArg):
             raise InstrumentationError(
                 f"expected an IARG specifier at position {i}, got {kind!r}")
-        if kind is IArg.END:
+        if kind is IARG_END:
             if i != len(raw) - 1:
                 raise InstrumentationError("arguments after IARG_END")
             return specs
@@ -108,77 +107,40 @@ def parse_iargs(raw: tuple) -> list[tuple[IArg, object]]:
             i += 1
 
 
-Resolver = Callable[[], tuple]
+#: What an instruction must be for a specifier to mean anything, and
+#: what is raised when it is not.
+_NEEDS = {
+    IARG_MEMORYREAD_EA: ("is_memory_read",
+                         "does not read memory (IARG_MEMORYREAD_EA)"),
+    IARG_MEMORYWRITE_EA: ("is_memory_write",
+                          "does not write memory (IARG_MEMORYWRITE_EA)"),
+    IARG_BRANCH_TAKEN: ("is_branch", "is not a branch (IARG_BRANCH_TAKEN)"),
+    IARG_BRANCH_TARGET: ("is_branch", "has no branch target"),
+    IARG_SYSCALL_NUMBER: ("is_syscall",
+                          "is not a syscall (IARG_SYSCALL_NUMBER)"),
+}
+_ADDRESSES = (IARG_MEMORYREAD_EA, IARG_MEMORYWRITE_EA)
 
 
-def build_resolver(specs: list[tuple[IArg, object]], ins, cpu, mem,
-                   taken_target: int | None = None) -> Resolver:
-    """Compile (kind, value) pairs into a zero-argument tuple builder.
-
-    ``ins`` is the :class:`~repro.pin.trace.Ins` being instrumented; the
-    resolver closes over the live ``cpu``/``mem`` of the executing engine.
-    Fully static argument lists fold to a constant tuple.
-    """
-    parts: list[Callable[[], object]] = []
-    static: list[object] = []
-    all_static = True
-    regs = cpu.regs
-
+def check_iargs(specs: list[tuple[IArg, object]], ins,
+                ipoint: IPoint) -> None:
+    """Raise :class:`InstrumentationError` unless ``ins`` (a
+    :class:`~repro.pin.trace.Ins`) has everything ``specs`` name at
+    ``ipoint``.  An effective address is Pin's at ``IPOINT_BEFORE``
+    only: by ``IPOINT_AFTER`` the instruction may have moved its own
+    base register (``pop``, ``ld t0, 4(t0)``)."""
     for kind, value in specs:
-        if kind in (IArg.UINT64, IArg.ADDRINT):
-            const = int(value) & MASK64  # type: ignore[arg-type]
-            parts.append(lambda c=const: c)
-            static.append(const)
-        elif kind is IArg.PTR:
-            parts.append(lambda v=value: v)
-            static.append(value)
-        elif kind is IArg.INST_PTR:
-            parts.append(lambda a=ins.address: a)
-            static.append(ins.address)
-        elif kind is IArg.REG_VALUE:
-            regnum = int(value)  # type: ignore[arg-type]
-            parts.append(lambda r=regnum: regs[r])
-            all_static = False
-        elif kind in (IArg.MEMORYREAD_EA, IArg.MEMORYWRITE_EA):
-            if kind is IArg.MEMORYREAD_EA and not ins.is_memory_read:
+        if kind in _NEEDS:
+            attribute, what = _NEEDS[kind]
+            if not getattr(ins, attribute):
+                raise InstrumentationError(f"{ins} {what}")
+            if ipoint is IPOINT_AFTER and kind in _ADDRESSES:
                 raise InstrumentationError(
-                    f"{ins} does not read memory (IARG_MEMORYREAD_EA)")
-            if kind is IArg.MEMORYWRITE_EA and not ins.is_memory_write:
-                raise InstrumentationError(
-                    f"{ins} does not write memory (IARG_MEMORYWRITE_EA)")
-            parts.append(_ea_resolver(ins, regs))
-            all_static = False
-        elif kind is IArg.BRANCH_TAKEN:
-            if taken_target is not None:
-                parts.append(lambda: 1)
-                static.append(1)
-            else:
-                predicate = _taken_predicate(ins, regs)
-                parts.append(lambda p=predicate: 1 if p() else 0)
-                all_static = False
-        elif kind is IArg.BRANCH_TARGET:
-            parts.append(_target_resolver(ins, regs, taken_target))
-            all_static = False
-        elif kind is IArg.SYSCALL_NUMBER:
-            if not ins.is_syscall:
-                raise InstrumentationError(
-                    f"{ins} is not a syscall (IARG_SYSCALL_NUMBER)")
-            parts.append(lambda: regs[2])  # a0
-            all_static = False
-        elif kind is IArg.CONTEXT:
-            parts.append(lambda: cpu)
-            all_static = False
-        else:  # pragma: no cover
-            raise InstrumentationError(f"unhandled IARG {kind}")
-
-    if all_static:
-        const_tuple = tuple(static)
-        return lambda: const_tuple
-    return lambda: tuple(part() for part in parts)
-
-
-#: Specifier kinds whose value is fully known at instrumentation time.
-_STATIC_KINDS = (IArg.UINT64, IArg.ADDRINT, IArg.PTR, IArg.INST_PTR)
+                    f"{ins}: IARG_{kind.name} is defined at IPOINT_BEFORE "
+                    f"only")
+        elif kind is IARG_REG_VALUE and int(value) not in range(NUM_REGS):
+            raise InstrumentationError(
+                f"{ins}: IARG_REG_VALUE {value!r} is not a register")
 
 
 def try_static_args(specs: list[tuple[IArg, object]], ins) -> tuple | None:
@@ -193,61 +155,12 @@ def try_static_args(specs: list[tuple[IArg, object]], ins) -> tuple | None:
     """
     static: list[object] = []
     for kind, value in specs:
-        if kind in (IArg.UINT64, IArg.ADDRINT):
+        if kind in (IARG_UINT64, IARG_ADDRINT):
             static.append(int(value) & MASK64)  # type: ignore[arg-type]
-        elif kind is IArg.PTR:
+        elif kind is IARG_PTR:
             static.append(value)
-        elif kind is IArg.INST_PTR:
+        elif kind is IARG_INST_PTR:
             static.append(ins.address)
         else:
             return None
     return tuple(static)
-
-
-def _ea_resolver(ins, regs) -> Callable[[], int]:
-    """Effective-address computation for LD/ST/PUSH/POP."""
-    from ..isa.instructions import Op
-    op = ins.op
-    if op in (Op.LD, Op.ST):
-        base, offset = ins.rs, ins.imm
-        return lambda: (regs[base] + offset) & MASK64
-    if op is Op.PUSH:
-        return lambda: (regs[29] - 1) & MASK64
-    if op is Op.POP:
-        return lambda: regs[29]
-    raise InstrumentationError(f"{ins} has no memory operand")
-
-
-def _taken_predicate(ins, regs) -> Callable[[], bool]:
-    """Pre-execution branch-taken predicate for a conditional branch."""
-    from ..isa.instructions import Op, to_signed
-    rs, rt = ins.rs, ins.rt
-    op = ins.op
-    if op is Op.BEQ:
-        return lambda: regs[rs] == regs[rt]
-    if op is Op.BNE:
-        return lambda: regs[rs] != regs[rt]
-    if op is Op.BLT:
-        return lambda: to_signed(regs[rs]) < to_signed(regs[rt])
-    if op is Op.BGE:
-        return lambda: to_signed(regs[rs]) >= to_signed(regs[rt])
-    if op is Op.BLTU:
-        return lambda: regs[rs] < regs[rt]
-    if op is Op.BGEU:
-        return lambda: regs[rs] >= regs[rt]
-    if ins.info.is_uncond:
-        return lambda: True
-    raise InstrumentationError(f"{ins} is not a branch (IARG_BRANCH_TAKEN)")
-
-
-def _target_resolver(ins, regs, taken_target: int | None
-                     ) -> Callable[[], int]:
-    from ..isa.instructions import Format as F
-    if ins.info.format in (F.I, F.BRANCH):
-        return lambda t=ins.imm: t
-    if ins.info.format is F.R:  # jr / callr
-        reg = ins.rs
-        return lambda: regs[reg]
-    if ins.info.is_ret:
-        return lambda: regs[31]
-    raise InstrumentationError(f"{ins} has no branch target")

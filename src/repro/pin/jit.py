@@ -17,9 +17,11 @@ a zero-argument closure returning:
 A step is the generated code of one instruction: its row and its calls
 formatted with the operands as *names*, inside a factory ``make(E, cpu,
 regs, ..., rd, rs, ...)`` compiled once per process per ``(op, rd != 0,
-call shape)`` (:func:`step_source`).  Un-instrumented instructions are
-their bare row, so the instrumented-to-native overhead ratio is governed
-by the analysis calls — which is the regime the paper's icount1/icount2
+call shape)`` (:func:`step_source`) — the shape being each call's
+argument kinds, since every argument is an expression in the step
+itself (:func:`weave`).  Un-instrumented instructions are their bare
+row, so the instrumented-to-native overhead ratio is governed by the
+analysis calls — which is the regime the paper's icount1/icount2
 comparison explores.
 
 **Generated code** (:mod:`repro.pin.pyjit`) is the hot lowering: the
@@ -82,7 +84,7 @@ an ``IARG_PTR`` value that is not an immutable constant.  The rules:
   and neither does a step factory (its globals are :data:`CONSTANTS`),
   which is what lets every engine of a process share it;
 * kept instrumented code **may also capture** bound methods of
-  ``retain_for``, argument resolvers over ``cpu`` / ``mem``, and
+  ``retain_for``, the ``IARG_PTR`` constants they are handed, and
   ``engine.counters`` (zeroed in place);
 * nothing pooled or kept **may capture** what ``PinVM.reset`` replaces
   or a run owns: ``instr_stats`` / ``jit_stats`` (generated code
@@ -112,10 +114,13 @@ from typing import Callable
 
 from ..errors import ArithmeticFault, InstrumentationError
 from ..isa.instructions import MASK64, Op
-from .args import build_resolver
+from .args import (IARG_ADDRINT, IARG_BRANCH_TAKEN, IARG_BRANCH_TARGET,
+                   IARG_CONTEXT, IARG_INST_PTR, IARG_MEMORYREAD_EA,
+                   IARG_MEMORYWRITE_EA, IARG_PTR, IARG_REG_VALUE,
+                   IARG_SYSCALL_NUMBER, IARG_UINT64, IArg)
 from .filter import run_trace_callbacks
 from .suppress import LoopPlan, plan_suppression
-from .trace import build_trace, Ins, TraceObj
+from .trace import BARE, build_trace, Ins, TraceObj
 
 #: Sentinel step result: the guest has exited.
 EXIT_GUEST = -2
@@ -191,6 +196,13 @@ _QUOTIENT = _A + _B + (
     "_q = abs(_a) // abs(_b)",
     "if (_a < 0) != (_b < 0): _q = -_q")
 
+#: Where a memory instruction's access goes, from before it runs: the
+#: address its row hands ``RD`` / ``WR``, and what ``IARG_MEMORYREAD_EA``
+#: / ``IARG_MEMORYWRITE_EA`` hand a routine (:func:`weave`).
+_EA = "(regs[{rs}] + {imm}) & M"
+ADDRESS = {Op.LD: _EA, Op.ST: _EA, Op.PUSH: "(regs[29] - 1) & M",
+           Op.POP: "regs[29]"}
+
 
 def _alu(value: str, *prelude: str):
     """A row that only computes ``rd``: every line goes with the write."""
@@ -214,7 +226,9 @@ def _jump(target: str, *body: str):
 #: body — an instruction none of whose exits is taken falls through.
 #: ``raises``: the body can raise whatever the memory mode (it says
 #: ``raise`` or calls out of the table), so generated code sets its
-#: unwind markers there; ``RD`` / ``WR`` raise in strict mode only.
+#: unwind markers there; ``RD`` / ``WR`` raise in strict mode only.  A
+#: branch's condition is one expression (a signed compare flips the sign
+#: bits), so an analysis call ahead of the branch can be handed it.
 SEMANTICS: dict[Op, tuple[tuple[str, ...], tuple, bool]] = {
     Op.ADD: _alu("(regs[{rs}] + regs[{rt}]) & M"),
     Op.SUB: _alu("(regs[{rs}] - regs[{rt}]) & M"),
@@ -239,12 +253,11 @@ SEMANTICS: dict[Op, tuple[tuple[str, ...], tuple, bool]] = {
     Op.SARI: _alu("(_a >> {sh}) & M", *_A),
     Op.SLTI: _alu("1 if _a < {imm} else 0", *_A),
     Op.LI: _alu("{immM}"),
-    Op.LD: (("_t = RD((regs[{rs}] + {imm}) & M)", "@regs[{rd}] = _t"), (),
-            False),
-    Op.ST: (("WR((regs[{rs}] + {imm}) & M, regs[{rt}])",), (), False),
-    Op.PUSH: (("_a = (regs[29] - 1) & M", "regs[29] = _a",
+    Op.LD: ((f"_t = RD({ADDRESS[Op.LD]})", "@regs[{rd}] = _t"), (), False),
+    Op.ST: ((f"WR({ADDRESS[Op.ST]}, regs[{{rt}}])",), (), False),
+    Op.PUSH: ((f"_a = {ADDRESS[Op.PUSH]}", "regs[29] = _a",
                "WR(_a, regs[{rs}])"), (), False),
-    Op.POP: (("_a = regs[29]", "_t = RD(_a)", "@regs[{rd}] = _t",
+    Op.POP: ((f"_a = {ADDRESS[Op.POP]}", "_t = RD(_a)", "@regs[{rd}] = _t",
               "regs[29] = (_a + 1) & M"), (), False),
     Op.J: _jump("{imm}"),
     Op.JR: _jump("regs[{rs}]"),
@@ -253,8 +266,8 @@ SEMANTICS: dict[Op, tuple[tuple[str, ...], tuple, bool]] = {
     Op.RET: _jump("regs[31]"),
     Op.BEQ: _branch("regs[{rs}] == regs[{rt}]"),
     Op.BNE: _branch("regs[{rs}] != regs[{rt}]"),
-    Op.BLT: _branch("_a < _b", *_A, *_B),
-    Op.BGE: _branch("_a >= _b", *_A, *_B),
+    Op.BLT: _branch("(regs[{rs}] ^ SGN) < (regs[{rt}] ^ SGN)"),
+    Op.BGE: _branch("(regs[{rs}] ^ SGN) >= (regs[{rt}] ^ SGN)"),
     Op.BLTU: _branch("regs[{rs}] < regs[{rt}]"),
     Op.BGEU: _branch("regs[{rs}] >= regs[{rt}]"),
     Op.SYSCALL: (("cpu.pc = {npc}", "E.dispatch_syscall()"),
@@ -296,69 +309,107 @@ def statements(op: Op, writes: bool, fields: dict, leave,
 
 # -- the calls woven around it ------------------------------------------------
 
-#: The call shape ``(if/then pairs, before, taken, after)`` of an
-#: instruction nothing is attached to — which is most instructions.
-BARE = (0, 0, 0, 0)
+#: Arguments whose value the tool gives as a number, formatted like an
+#: operand field: a literal in generated code, a factory parameter in
+#: threaded code.  (An ``IARG_PTR`` object is a name in both.)
+_NUMBERS = (IARG_UINT64, IARG_ADDRINT, IARG_REG_VALUE)
+
+#: ``IARG_BRANCH_TARGET`` ahead of a row whose exit reads a register its
+#: body writes: ``callr ra`` writes the link, then jumps through it.
+_TARGET_BEFORE = {Op.CALLR: "({npc} if {rs} == 31 else regs[{rs}])"}
 
 
-def call_shape(ins: Ins) -> tuple[int, int, int, int]:
-    """How many calls of each kind ``ins`` carries (:data:`BARE` itself
-    when none, so callers can test identity)."""
-    if not (ins.before_calls or ins.if_then or ins.after_calls
-            or ins.taken_calls):
-        return BARE
-    return (len(ins.if_then), len(ins.before_calls), len(ins.taken_calls),
-            len(ins.after_calls))
+def _argument(op: Op, kind: IArg, taken: bool, slot: str) -> str:
+    """What a call at ``op`` is handed for ``kind``, as an expression
+    over the row's operand fields evaluated where the call runs — ahead
+    of the row, or (``taken``) on its taken edge, after its body.
+    ``slot`` names the value the tool gave, if any."""
+    if kind is IARG_REG_VALUE:
+        return f"regs[{{{slot}}}]"
+    if kind is IARG_PTR:
+        return slot
+    if kind in _NUMBERS:
+        return f"{{{slot}}}"
+    if kind is IARG_MEMORYREAD_EA or kind is IARG_MEMORYWRITE_EA:
+        return ADDRESS[op]
+    if kind is IARG_BRANCH_TAKEN or kind is IARG_BRANCH_TARGET:
+        condition, target = SEMANTICS[op][1][-1]
+        if kind is IARG_BRANCH_TARGET:
+            return target if taken else _TARGET_BEFORE.get(op, target)
+        if taken or condition is None:
+            return "1"
+        return f"(1 if {condition} else 0)"
+    return {IARG_INST_PTR: "{pc}", IARG_SYSCALL_NUMBER: "regs[2]",
+            IARG_CONTEXT: "cpu"}[kind]
 
 
-def weave(shape: tuple[int, int, int, int], qualifier: str = ""):
-    """The statements of an instruction's analysis calls, from their
-    shape alone: ``(names, before, taken, after)``.
+def weave(op: Op, shape: tuple, qualifier: str = ""):
+    """The statements of the analysis calls of an ``op`` of call
+    ``shape``: ``(names, fields, before, taken, after)``.
 
-    ``before`` runs ahead of the instruction, ``taken`` ahead of each
-    exit (:func:`statements`), ``after`` on fall-through; ``names`` are
-    the routines and argument resolvers the statements call, in the
+    Each call is ``fn(a, b)``, every argument an expression formatted
+    from the operand fields as the row is (:func:`_argument`) — the
+    statements are text over :data:`OPERANDS` and ``fields``, for the
+    caller to format.  ``before`` runs ahead of the instruction,
+    ``taken`` ahead of each exit (:func:`statements`), ``after`` on
+    fall-through.  ``names`` are the routines and ``IARG_PTR`` objects
+    the statements call and pass, ``fields`` the numbers they format
+    (``IARG_UINT64`` values, ``IARG_REG_VALUE`` registers); both in the
     order :func:`call_values` lists their values.  If/then pairs run
     before plain before-calls: SuperPin's signature check must fire
     before any tool analysis at the boundary instruction, because that
     instruction belongs to the *next* slice (§4.4).
     """
-    n_if, n_before, n_taken, n_after = shape
+    pairs, *plain_calls = shape
     names: list[str] = []
+    fields: list[str] = []
+
+    def call(fn: str, kinds: tuple[IArg, ...], taken: bool = False) -> str:
+        names.append(fn)
+        arguments = []
+        for k, kind in enumerate(kinds):
+            slot = f"{fn}a{k}"
+            if kind is IARG_PTR:
+                names.append(slot)
+            elif kind in _NUMBERS:
+                fields.append(slot)
+            arguments.append(_argument(op, kind, taken, slot))
+        return f"{fn}({', '.join(arguments)})"
+
     before: list[str] = []
-    for j in range(n_if):
-        pair = [f"_{stem}{qualifier}{j}" for stem in ("if", "ir", "th", "tr")]
-        names += pair
-        before += ("ctr[1] += 1", "if {}(*{}()):".format(*pair[:2]),
-                   "    ctr[0] += 1", "    {}(*{}())".format(*pair[2:]))
+    for j, (if_kinds, then_kinds) in enumerate(pairs):
+        check = call(f"_if{qualifier}{j}", if_kinds)
+        then = call(f"_th{qualifier}{j}", then_kinds)
+        before += ("ctr[1] += 1", f"if {check}:", "    ctr[0] += 1",
+                   "    " + then)
 
-    def plain(stem: str, n: int) -> list[str]:
-        lines = [f"ctr[0] += {n}"] if n else []
-        for j in range(n):
-            fn, resolver = f"_{stem}{qualifier}{j}", f"_{stem}r{qualifier}{j}"
-            names.extend((fn, resolver))
-            lines.append(f"{fn}(*{resolver}())")
-        return lines
+    def plain(stem: str, calls: tuple, taken: bool = False) -> list[str]:
+        lines = [f"ctr[0] += {len(calls)}"] if calls else []
+        return lines + [call(f"_{stem}{qualifier}{j}", kinds, taken)
+                        for j, kinds in enumerate(calls)]
 
-    before += plain("bf", n_before)
-    taken = plain("tk", n_taken)
-    return names, before, taken, plain("af", n_after)
+    before += plain("bf", plain_calls[0])
+    taken = plain("tk", plain_calls[1], True)
+    return names, fields, before, taken, plain("af", plain_calls[2])
 
 
-def call_values(ins: Ins, cpu, mem) -> list:
-    """What :func:`weave`'s names stand for on ``ins``."""
-    values: list = []
-    for if_call, then_call in ins.if_then:
-        values += (if_call.fn, build_resolver(if_call.specs, ins, cpu, mem),
-                   then_call.fn,
-                   build_resolver(then_call.specs, ins, cpu, mem))
-    for calls, taken_target in ((ins.before_calls, None),
-                                (ins.taken_calls, 0),
-                                (ins.after_calls, None)):
-        for call in calls:
-            values += (call.fn, build_resolver(call.specs, ins, cpu, mem,
-                                               taken_target=taken_target))
-    return values
+def call_values(ins: Ins) -> tuple[list, list[int]]:
+    """What :func:`weave`'s ``names`` and ``fields`` stand for on
+    ``ins``: its routines and ``IARG_PTR`` objects, and its numbers."""
+    objects: list = []
+    numbers: list[int] = []
+    pairs = [call for pair in ins.if_then for call in pair]
+    for call in (*pairs, *ins.before_calls, *ins.taken_calls,
+                 *ins.after_calls):
+        objects.append(call.fn)
+        for kind, value in call.specs:
+            if kind is IARG_PTR:
+                objects.append(value)
+            elif kind is IARG_REG_VALUE:
+                numbers.append(int(value))
+            elif kind in _NUMBERS:
+                numbers.append(int(value) & MASK64)
+    return objects, numbers
 
 
 # -- threaded code: a row at per-instruction granularity ----------------------
@@ -373,16 +424,19 @@ _FACTORIES: dict[tuple, Callable[..., Step]] = {}
 _FACTORY_GLOBALS = dict(CONSTANTS)
 
 
-def step_source(op: Op, writes: bool,
-                shape: tuple[int, int, int, int] = BARE) -> str:
+def step_source(op: Op, writes: bool, shape: tuple = BARE) -> str:
     """The source of the step factory for ``op``: the generated code of
-    one instruction, with the operands as parameters."""
-    names, before, taken, after = weave(shape)
+    one instruction, with the operands — and the numbers its calls are
+    handed — as parameters."""
+    names, fields, *calls = weave(op, shape)
+    spelled = dict(_NAMES, **dict(zip(fields, fields)))
+    before, taken, after = ([stmt.format_map(spelled) for stmt in part]
+                            for part in calls)
     lines = before + statements(op, writes, _NAMES,
                                 lambda target: (f"return {target}",),
                                 taken) + after
     parameters = ", ".join(("E", "cpu", "regs", "RD", "WR", "ctr",
-                            *OPERANDS, *names))
+                            *OPERANDS, *names, *fields))
     return (f"def make({parameters}):\n    def step():\n"
             + "".join(f"        {line}\n" for line in lines or ["pass"])
             + "    return step\n")
@@ -857,25 +911,27 @@ class Jit:
                                 max_ins=1)
         run_trace_callbacks(engine, trace_obj)
         ins = trace_obj.instructions[0]
-        return CompiledTrace(address, [self._step(ins, call_shape(ins))],
+        return CompiledTrace(address, [self._step(ins, ins.shape)],
                              [ins.address],
                              trace_obj.fall_address,
                              [bbl.num_ins for bbl in trace_obj.bbls])
 
     # -- lowering ------------------------------------------------------------
 
-    def _step(self, ins: Ins, shape: tuple[int, int, int, int]) -> Step:
+    def _step(self, ins: Ins, shape: tuple) -> Step:
         """``ins`` as one threaded-code step, its analysis calls (of
-        ``shape``) woven in: its row's factory over this engine and its
-        operands."""
+        ``shape``) woven in: its row's factory over this engine, its
+        operands and its calls' values."""
         engine = self._engine
         cpu, mem = engine.cpu, engine.mem
         key = (ins.op, ins.rd != 0, shape)
         make = _FACTORIES.get(key) or _factory(key)
+        values = ()
+        if shape is not BARE:
+            objects, numbers = call_values(ins)
+            values = objects + numbers
         return make(engine, cpu, cpu.regs, mem.read, mem.write,
-                    engine.counters, *operands(ins),
-                    *(call_values(ins, cpu, mem) if shape is not BARE
-                      else ()))
+                    engine.counters, *operands(ins), *values)
 
     def _lower_threaded(self, skeleton: _Skeleton) -> list[Step]:
         """``skeleton``'s instrumented trace as threaded code: the kept
@@ -890,7 +946,7 @@ class Jit:
             sems = skeleton.sems = [None] * len(skeleton.instructions)
         steps = []
         for index, ins in enumerate(skeleton.instructions):
-            shape = call_shape(ins)
+            shape = ins.shape
             if shape is not BARE:
                 step = self._step(ins, shape)
             else:

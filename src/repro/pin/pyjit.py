@@ -55,17 +55,18 @@ happens at the execution it would have.  What differs inside:
   BaseException`` around the loop leaves ``executions`` on the engine
   (``_stop_trips``) before re-raising — the caller folds the trips a
   stop or a fault interrupted exactly as it folds a return's;
-* the registers the rows name are locals, loaded once at entry — a
-  formatting of the same rows (``regs[n]`` reads ``rn``), not a second
-  table.  The written ones are stored back in the epilogue every exit
-  breaks to, in the unwind handler, and ahead of anything that can
-  observe the register file: an if/then pair (the signature detector reads ``cpu.regs``
-  itself), a call any of whose arguments is not static
-  (:func:`repro.pin.args.try_static_args`), a ``syscall``.  A call
-  that was handed ``IARG_CONTEXT`` is followed by a reload, and while
-  it (or a syscall) has the register file the handler stores nothing
-  over what it wrote (``_own``).  A call with static arguments only —
-  ``icount``'s — sees no register and costs nothing, and a store-back
+* the registers the rows and the calls' arguments name are locals,
+  loaded once at entry — a formatting of the same rows and arguments
+  (``regs[n]`` reads ``rn``), not a second table.  A routine sees guest
+  registers through its arguments, Pin's contract, so the written ones
+  are stored back only in the epilogue every exit breaks to, in the
+  unwind handler, and ahead of what reads the register file itself:
+  the *then* half of an if/then pair (the signature detector's full
+  check reads ``cpu.regs``; its quick check is handed two registers,
+  from the locals, so only a match pays), a call handed
+  ``IARG_CONTEXT``, a ``syscall``.  The context call is followed by a
+  reload, and while it (or a syscall) has the register file the
+  handler stores nothing over what it wrote (``_own``).  A store-back
   writes only the registers that may differ from the register file
   where it stands (:meth:`_LoopEmitter._trip`).
 
@@ -78,9 +79,9 @@ from __future__ import annotations
 
 import re
 
-from .args import IArg, try_static_args
+from .args import IARG_CONTEXT
 from .jit import (BARE, CONSTANTS, Jit, NEVER, OPERANDS, SEMANTICS,
-                  call_shape, call_values, operands, statements, weave)
+                  call_values, operands, statements, weave)
 from .suppress import LOOP_TRIP_CAP, LoopPlan
 from .trace import Ins
 
@@ -197,7 +198,7 @@ class _Emitter:
         """Emit the unwind markers and whatever runs ahead of ``ins``;
         return its (taken, after) statements for the caller to splice
         at the right control point (:func:`repro.pin.jit.weave`)."""
-        shape = call_shape(ins)
+        shape = ins.shape
         mem = self._engine.mem
         # Strict memory mode can fault on any access, so every memory
         # instruction needs exact unwind markers there.
@@ -209,14 +210,21 @@ class _Emitter:
             self.line(f"E._stop_count = {self._count(index)}")
         if shape is BARE:
             return (), ()
-        names, before, taken, after = weave(shape, f"{index}_")
-        self.namespace.update(
-            zip(names, call_values(ins, self._engine.cpu, mem)))
+        names, fields, *calls = weave(ins.op, shape, f"{index}_")
+        objects, numbers = call_values(ins)
+        self.namespace.update(zip(names, objects))
+        spelled = dict(_literals(ins), **dict(zip(fields, map(str, numbers))))
+        before, taken, after = (self._format(part, spelled) for part in calls)
         for stmt in self._exposed(before, ins, ins.before_calls,
                                   ins.if_then):
             self.line(stmt)
         return (self._exposed(taken, ins, ins.taken_calls),
                 self._exposed(after, ins, ins.after_calls))
+
+    def _format(self, stmts, fields: dict) -> list[str]:
+        """Woven call statements, their arguments spelled from
+        ``fields``: the operands and numbers as literals."""
+        return [stmt.format_map(fields) for stmt in stmts]
 
     def _exposed(self, stmts, ins: Ins, calls, pairs=()):
         """``stmts`` — the ``calls`` and if/then ``pairs`` of one ipoint
@@ -442,20 +450,31 @@ class _LoopEmitter(_Emitter):
             self._events.append((None, None, True))
         super().line(text)
 
+    def _format(self, stmts, fields: dict) -> list[str]:
+        """... and every register an argument names read from its local,
+        loaded with the others at entry."""
+        stmts = super()._format(stmts, fields)
+        self._named.update(int(n) for stmt in stmts
+                           for n in _REG.findall(stmt))
+        return [_REG.sub(r"r\1", stmt) for stmt in stmts]
+
     def _exposed(self, stmts, ins: Ins, calls, pairs=()):
-        """Store the registers back ahead of calls that can observe
-        them — an if/then pair (the signature detector reads the
-        register file itself), any argument that is not static — and
-        load them again after a call that was handed ``IARG_CONTEXT``.
-        Calls with static arguments only see no register and cost
-        nothing."""
-        if not stmts or not (pairs or any(
-                try_static_args(call.specs, ins) is None for call in calls)):
-            return stmts
+        """Store the registers back where a routine reads the register
+        file itself: inside an if/then pair, ahead of its then half (the
+        signature detector's full check reads ``cpu.regs``; its quick
+        check is handed two registers, which read the locals, so only a
+        match pays), and ahead of a call handed ``IARG_CONTEXT`` — which
+        may write them too: they are loaded again after it.  Every other
+        argument is an expression over the locals and costs nothing."""
+        if pairs:
+            # (weave's then half: the one call indented under its check.)
+            stmts = [line for stmt in stmts
+                     for line in ((f"    {_SPILL}", stmt)
+                                  if stmt.startswith("    _th") else (stmt,))]
         calls = (*calls, *(call for pair in pairs for call in pair))
-        if not any(kind is IArg.CONTEXT
+        if not any(kind is IARG_CONTEXT
                    for call in calls for kind, _ in call.specs):
-            return [_SPILL, *stmts]
+            return stmts
         self._lends = True
         return [_SPILL, "_own = False", *stmts, _RELOAD, "_own = True"]
 

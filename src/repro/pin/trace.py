@@ -26,7 +26,8 @@ from ..errors import InstrumentationError
 from ..isa.disassembler import disassemble_word
 from ..isa.encoding import decode
 from ..isa.instructions import INFO, Op, OpInfo
-from .args import IPoint, parse_iargs
+from .args import (check_iargs, IPoint, IPOINT_AFTER, IPOINT_BEFORE,
+                   IPOINT_TAKEN_BRANCH, parse_iargs)
 
 #: Maximum instructions per trace (mirrors Pin's trace length cap).
 MAX_TRACE_INS = 64
@@ -45,6 +46,16 @@ class _Call:
     #: suppress) may then fire the summary once per loop instead of the
     #: per-iteration call.  None means the call is never summarizable.
     summary: object | None = None
+    #: The kind of each argument, in order.
+    kinds: tuple = field(default=(), repr=False, compare=False)
+
+
+#: The call shape of an instruction nothing is attached to (see
+#: :attr:`Ins.shape`) — which is most instructions.
+BARE = ((), (), (), ())
+
+#: Where each collection of calls is counted in :attr:`Ins.shape`.
+_SLOTS = ("if_then", "before_calls", "taken_calls", "after_calls")
 
 
 class Ins:
@@ -52,7 +63,7 @@ class Ins:
 
     __slots__ = ("address", "raw", "op", "rd", "rs", "rt", "imm", "info",
                  "before_calls", "after_calls", "taken_calls", "if_then",
-                 "_pending_if", "_next")
+                 "shape", "_pending_if", "_next")
 
     def __init__(self, address: int, raw: int):
         self.address = address
@@ -71,6 +82,12 @@ class Ins:
         self.taken_calls: Sequence[_Call] = ()
         #: (if_call, then_call) pairs, paper §4.4's quick/full check shape.
         self.if_then: Sequence[tuple[_Call, _Call]] = ()
+        #: The argument kinds of each call, by ipoint: ``(((if kinds,
+        #: then kinds), ...), (before kinds, ...), (taken kinds, ...),
+        #: (after kinds, ...))`` — what the JIT lowers the calls by
+        #: (``repro.pin.jit.weave``); :data:`BARE` itself when nothing is
+        #: attached, so readers can test identity.
+        self.shape: tuple = BARE
         self._pending_if: _Call | None = None
 
     # -- classification ------------------------------------------------------
@@ -120,14 +137,28 @@ class Ins:
         """
         self.before_calls = self.after_calls = self.taken_calls = ()
         self.if_then = ()
+        self.shape = BARE
         self._pending_if = None
 
-    def _attach(self, slot: str, item) -> None:
+    def _attach(self, slot: str, item, kinds: tuple) -> None:
         calls = getattr(self, slot)
         if calls:
             calls.append(item)
         else:
             setattr(self, slot, [item])
+        shape = list(self.shape)
+        shape[_SLOTS.index(slot)] += (kinds,)
+        self.shape = tuple(shape)
+
+    def _call(self, ipoint: IPoint, fn, iargs: tuple,
+              summary=None) -> _Call:
+        """A call of ``fn`` at ``ipoint``, handed what ``iargs`` name —
+        all of which this instruction must have there
+        (:func:`~repro.pin.args.check_iargs`)."""
+        specs = parse_iargs(iargs)
+        check_iargs(specs, self, ipoint)
+        return _Call(fn, specs, ipoint, summary,
+                     tuple([kind for kind, _ in specs]))
 
     def insert_call(self, ipoint: IPoint, fn, *iargs, summary=None) -> None:
         """Attach an analysis call (``INS_InsertCall``).
@@ -136,24 +167,24 @@ class Ins:
         (see :class:`_Call`); use :meth:`insert_summarized_call` for the
         C-style spelling.
         """
-        specs = parse_iargs(iargs)
-        call = _Call(fn, specs, ipoint, summary=summary)
-        if ipoint is IPoint.BEFORE:
-            self._attach("before_calls", call)
-        elif ipoint is IPoint.AFTER:
+        if ipoint is IPOINT_BEFORE:
+            slot = "before_calls"
+        elif ipoint is IPOINT_AFTER:
             if self.info.is_control:
                 raise InstrumentationError(
                     f"IPOINT_AFTER is invalid on control instruction "
                     f"{self.disassemble()!r}; use IPOINT_TAKEN_BRANCH")
-            self._attach("after_calls", call)
-        elif ipoint is IPoint.TAKEN_BRANCH:
+            slot = "after_calls"
+        elif ipoint is IPOINT_TAKEN_BRANCH:
             if not self.is_branch:
                 raise InstrumentationError(
                     f"IPOINT_TAKEN_BRANCH on non-branch "
                     f"{self.disassemble()!r}")
-            self._attach("taken_calls", call)
+            slot = "taken_calls"
         else:  # pragma: no cover
             raise InstrumentationError(f"unknown ipoint {ipoint}")
+        call = self._call(ipoint, fn, iargs, summary)
+        self._attach(slot, call, call.kinds)
 
     def insert_summarized_call(self, ipoint: IPoint, fn, summary,
                                *iargs) -> None:
@@ -177,22 +208,22 @@ class Ins:
         paper's signature detection); the paired ``insert_then_call`` runs
         only when the predicate returns non-zero.
         """
-        if ipoint is not IPoint.BEFORE:
+        if ipoint is not IPOINT_BEFORE:
             raise InstrumentationError("if/then calls support IPOINT_BEFORE")
         if self._pending_if is not None:
             raise InstrumentationError(
                 "insert_if_call called twice without insert_then_call")
-        self._pending_if = _Call(fn, parse_iargs(iargs), ipoint)
+        self._pending_if = self._call(ipoint, fn, iargs)
 
     def insert_then_call(self, ipoint: IPoint, fn, *iargs) -> None:
         """Attach the expensive half of an if/then pair."""
-        if ipoint is not IPoint.BEFORE:
+        if ipoint is not IPOINT_BEFORE:
             raise InstrumentationError("if/then calls support IPOINT_BEFORE")
         if self._pending_if is None:
             raise InstrumentationError(
                 "insert_then_call without a preceding insert_if_call")
-        self._attach("if_then", (self._pending_if,
-                                 _Call(fn, parse_iargs(iargs), ipoint)))
+        check, then = self._pending_if, self._call(ipoint, fn, iargs)
+        self._attach("if_then", (check, then), (check.kinds, then.kinds))
         self._pending_if = None
 
     def __repr__(self) -> str:

@@ -11,8 +11,9 @@ from ..superpin.sharedmem import AutoMerge
 class MemTrace(Pintool):
     """Records every data read/write address; reports footprint stats.
 
-    The address stream merges by concatenation (slice order) like itrace;
-    the distinct-address footprint merges manually as a set union.
+    The address stream merges by concatenation (slice order) like itrace,
+    cut back to ``max_entries`` if set — serial Pin's stream; the
+    distinct-address footprint merges manually as a set union.
     """
 
     name = "memtrace"
@@ -55,6 +56,8 @@ class MemTrace(Pintool):
         stats["reads"] += self.reads
         stats["writes"] += self.writes
         stats["footprint"] |= self.footprint
+        if self.max_entries and self.shared_stream is not None:
+            del self.shared_stream.data[self.max_entries:]
         self._merged += 1
 
     def setup(self, sp) -> None:

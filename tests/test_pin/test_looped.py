@@ -383,9 +383,9 @@ def stop_before(value):
 
 
 def stop_if_then(value):
-    """... from the ``then`` half of an if/then pair with static
-    arguments: both halves read the register file themselves, as the
-    signature detector does."""
+    """... from the ``then`` half of an if/then pair, as the signature
+    detector's: the if half is handed its register, the then half reads
+    the register file itself."""
     def instrument(vm, log):
         regs = vm.cpu.regs
 
@@ -398,7 +398,8 @@ def stop_if_then(value):
             for ins in trace.instructions:
                 if ins.mnemonic == "st":
                     ins.insert_if_call(IPOINT_BEFORE,
-                                       lambda: regs[T0] == value, IARG_END)
+                                       lambda t0: t0 == value,
+                                       IARG_REG_VALUE, T0, IARG_END)
                     ins.insert_then_call(IPOINT_BEFORE, then, IARG_END)
         vm.add_trace_callback(callback)
     return instrument
@@ -621,11 +622,17 @@ def edited(pattern: str, replacement: str):
 
 #: Each rule of the loop form's register discipline, removed, and who
 #: must notice: the rule is not redundant and the tests are not blind.
+#: (A routine sees guest registers through its arguments, which read
+#: the locals: only a routine that reads the register file itself — a
+#: then half, one handed the context — needs a store-back.)
 MUTANTS = {
     "no store-back ahead of a call that can read a register": (
         "_exposed", lambda emitter, stmts, *rest: stmts,
-        ["a value and an address", "a write through the context",
-         "an if/then pair", "a stop from a call handed a register"]),
+        ["a write through the context", "an if/then pair"]),
+    "arguments formatted over `regs[...]` instead of the locals inside a "
+    "loop form": (
+        "_format", pyjit._Emitter._format,
+        ["a value and an address"]),
     "no reload after a call that was handed the context": (
         "_exposed", lambda emitter, *args: [
             stmt for stmt in _EXPOSED(emitter, *args)

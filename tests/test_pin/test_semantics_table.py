@@ -23,9 +23,9 @@ from repro.isa import assemble
 from repro.isa.instructions import Op
 from repro.machine import Kernel, load_program
 from repro.machine.interpreter import Interpreter
-from repro.pin import (IARG_END, IARG_REG_VALUE, IPOINT_AFTER, IPOINT_BEFORE,
-                       IPOINT_TAKEN_BRANCH, jit, NullSuperPin, PinVM,
-                       run_with_pin, RunState, StopRun)
+from repro.pin import (IARG_END, IARG_REG_VALUE, IArg, IPOINT_AFTER,
+                       IPOINT_BEFORE, IPOINT_TAKEN_BRANCH, jit, NullSuperPin,
+                       PinVM, run_with_pin, RunState, StopRun)
 from repro.tools import ICount1, ICount2, MemTrace
 from tests.conftest import FACT, MULTISLICE
 
@@ -330,8 +330,18 @@ def test_a_factory_is_keyed_by_what_its_text_depends_on():
     assert "regs[rd]" not in jit.step_source(Op.POP, False)
     assert "RD(" in jit.step_source(Op.POP, False)
     bare = jit.step_source(Op.BEQ, False)
-    woven = jit.step_source(Op.BEQ, False, (1, 1, 1, 0))
+    reg = (IArg.REG_VALUE,)
+    woven = jit.step_source(Op.BEQ, False, (((reg, ()),), (reg,),
+                                            ((IArg.BRANCH_TARGET,),), ()))
     assert all(line in woven for line in bare.splitlines()[1:])
+    # Every argument is an expression in the step: a register by the
+    # number the factory is handed, a target from the row's operands.
+    assert "_if0(regs[_if0a0])" in woven and "_tk0(imm)" in woven
+    # Its kinds are in the key: an address is the row's own.
+    address = jit.step_source(Op.LD, True, ((), ((IArg.MEMORYREAD_EA,),),
+                                            (), ()))
+    assert f"_bf0({jit.ADDRESS[Op.LD].format(rs='rs', imm='imm')})" \
+        in address
 
 
 def test_factories_compile_from_several_threads(monkeypatch):
@@ -352,7 +362,7 @@ def test_factories_compile_from_several_threads(monkeypatch):
     monkeypatch.setattr(jit, "_FACTORY_GLOBALS", Shared(jit.CONSTANTS))
     interval = sys.getswitchinterval()
     keys = [(op, writes, shape) for op in Op for writes in (False, True)
-            for shape in (jit.BARE, (0, 1, 0, 0))]
+            for shape in (jit.BARE, ((), ((IArg.UINT64,),), (), ()))]
     made = [{}, {}]
     failures = []
 

@@ -5,7 +5,8 @@ import pytest
 from repro.isa import assemble
 from repro.machine import Kernel
 from repro.pin import run_with_pin
-from repro.superpin import run_superpin, SliceEnd, SuperPinConfig
+from repro.superpin import (replay_recording, run_superpin, SliceEnd,
+                            SuperPinConfig)
 from repro.tools import (BranchProfile, ITrace, MemTrace, OpcodeMix,
                          SampledProfiler)
 from tests.conftest import MULTISLICE, run_native
@@ -91,6 +92,55 @@ class TestMemTrace:
         assert serial.report() == parallel.report()
         assert serial.stream == parallel.stream
         assert serial.report()["footprint_words"] > 100
+
+
+def first_slice_volume(program, tool_cls) -> int:
+    """How many entries slice 0 of an uncapped run buffers."""
+    volumes = []
+
+    class Measured(tool_cls):
+        def merge(self, slice_num, value):
+            volumes.append(len(self.buffer if tool_cls is ITrace
+                               else self.accesses))
+            super().merge(slice_num, value)
+    run_superpin(program, Measured(), SuperPinConfig(**CFG),
+                 kernel=Kernel(seed=42))
+    return volumes[0]
+
+
+class TestCappedTraces:
+    """A cap is the merged trace's, as it is serial Pin's: every executor
+    keeps serial Pin's first ``max_entries`` entries and counts the rest
+    as dropped — below, at and above what one slice buffers."""
+
+    @pytest.mark.parametrize("tool_cls", [ITrace, MemTrace])
+    def test_every_executor_keeps_serial_pins_first_entries(
+            self, tool_cls, multislice_program, tmp_path):
+        volume = first_slice_volume(multislice_program, tool_cls)
+
+        def outcome(tool):
+            stream = tool.trace if tool_cls is ITrace else tool.stream
+            return stream, tool.report()
+        recording = str(tmp_path / "run.sprec")
+        for cap in (volume // 3, volume, 2 * volume + 7):
+            serial = tool_cls(max_entries=cap)
+            run_with_pin(multislice_program, serial, Kernel(seed=42))
+            want = outcome(serial)
+            assert len(want[0]) == cap
+            runs = {}
+            for workers in (0, 2):
+                tool = tool_cls(max_entries=cap)
+                report = run_superpin(
+                    multislice_program, tool,
+                    SuperPinConfig(**CFG, spworkers=workers,
+                                   sprecord=recording),
+                    kernel=Kernel(seed=42))
+                assert report.num_slices > 2
+                runs[f"w{workers}"] = outcome(tool)
+            tool = tool_cls(max_entries=cap)
+            replay_recording(recording, tool, SuperPinConfig(**CFG))
+            runs["replay"] = outcome(tool)
+            assert runs == {name: want for name in runs}, cap
 
 
 class TestSampler:
