@@ -229,8 +229,8 @@ def _cmd_run(args, extra: list[str]) -> int:
               f"re-instrumenting, {jit['hot']:,} hot "
               f"({jit['hot_share']:.0%} of instructions in generated "
               f"code, {jit['loop_share']:.0%} of trace executions inside "
-              f"{jit['loop_builds']:,} loop forms), "
-              f"{jit['seconds']:.2f} s")
+              f"{jit['loop_builds']:,} loop forms, {jit['interned']:,} "
+              f"from the process's code pool), {jit['seconds']:.2f} s")
     if config.sptc2 > 0 and instr["tc2_promotions"]:
         print(f"tier 2: {instr['tc2_promotions']} superblock promotions, "
               f"{instr['tc2_dispatches']} dispatches, "

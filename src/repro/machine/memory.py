@@ -141,15 +141,19 @@ class Memory:
         self.pages_copied = other.pages_copied
 
     def same_words(self, addr: int, words: list[int]) -> bool:
-        """True when the ``len(words)`` words at ``addr`` equal ``words``.
+        """True when the ``len(words)`` words at ``addr`` equal ``words``,
+        compared one list slice per page touched.
 
-        Reads exactly what reading them one at a time up to the first
-        difference would (so strict mode faults where it would), but a
-        lenient memory compares one list slice per page touched.
+        The words are a decoded trace's: in strict mode the first is
+        read as a fetch (and faults if unmapped), and an unmapped word
+        after it is a difference — the decoder would have stopped ahead
+        of it (:func:`repro.pin.trace.build_trace`).
         """
         if self.strict:
-            return all(self.read(addr + i) == word
-                       for i, word in enumerate(words))
+            self.read(addr)
+            ahead = range(addr + 1, addr + len(words))
+            if not all(map(self.is_mapped, ahead)):
+                return False
         done, count = 0, len(words)
         while done < count:
             offset = (addr + done) & _OFFSET_MASK

@@ -48,6 +48,14 @@ keeps the few shapes ``build_trace`` has produced for it
 (:data:`VARIANTS_PER_HEAD`): a slice whose signature pc falls inside a
 hot trace cuts it there, and neither shape evicts the other.
 
+Generated *text* goes one step further, to the whole process: every
+generated lowering of every engine — a trace's function, its loop form,
+a mid-run promotion, a scan — looks its source up in one bounded pool of
+code objects (:data:`_INTERN`) before it calls ``compile()``, so a later
+run, another engine or a forked pool worker rebinds what an earlier one
+compiled.  What a compile is accounted by does not move; only what its
+``compile()`` costs does.
+
 **Instrument once per process, under a contract.**  The first half is a
 known answer too when whoever instruments says so: a tool that declares
 :attr:`~repro.pin.pintool.Pintool.pure_instrumentation` promises that
@@ -98,8 +106,8 @@ compile it would see on a fresh engine.
 
 A generated trace's *loop form* (:mod:`repro.pin.pyjit`) is a second
 function over the same names, lowered lazily from the same still-attached
-calls: pooled by its text in ``codes`` and kept beside ``fn``, under the
-same rules.
+calls: interned by its text like every generated function and kept
+beside ``fn``, under the same rules.
 
 **Heat** is what a pooled JIT remembers about execution: per trace
 start pc, how often the trace has run and how often it has been
@@ -109,6 +117,7 @@ compiled, for the life of the engine (:attr:`Jit.heat`).
 from __future__ import annotations
 
 import types
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -120,7 +129,7 @@ from .args import (IARG_ADDRINT, IARG_BRANCH_TAKEN, IARG_BRANCH_TARGET,
                    IARG_SYSCALL_NUMBER, IARG_UINT64, IArg)
 from .filter import run_trace_callbacks
 from .suppress import LoopPlan, plan_suppression
-from .trace import BARE, build_trace, Ins, TraceObj
+from .trace import BARE, BOUNDARY, build_trace, HOLE, Ins, TraceObj
 
 #: Sentinel step result: the guest has exited.
 EXIT_GUEST = -2
@@ -152,6 +161,23 @@ PROMOTE_FACTOR = 3
 #: 276 shapes on 29 to 267 heads, eight or nine on the hottest loop's
 #: and one or two on most.  The least recently used goes first.
 VARIANTS_PER_HEAD = 8
+
+#: Generated code objects the process keeps (:data:`_INTERN`).  Serial
+#: Pin and SuperPin at zero and two workers on the bench's ``gzip``
+#: guest intern 63 texts between them (33 KB of text, 71 KB of code
+#: marshalled), on its ``mcf`` guest 62; the bound leaves room for a
+#: daemon's or a test session's many programs at under 2 MB.
+INTERN_BOUND = 1024
+
+#: ``source text -> code object`` of the generated lowerings the process
+#: has compiled, least recently used first.  Module state beside
+#: :data:`_FACTORIES`, and sound for the same reason: text and code
+#: object bind nothing (:meth:`Jit._function` rebinds the code over each
+#: emitter's own namespace), so equal text is equal code in any engine,
+#: thread or forked pool worker.  No lock: each access is one
+#: ``OrderedDict`` operation, atomic under the GIL, so job threads never
+#: see a torn pool and a fork never inherits a held lock.
+_INTERN: OrderedDict[str, types.CodeType] = OrderedDict()
 
 #: ``hot_at`` of a trace that is never promoted (an int: the dispatch
 #: loop compares execution counts against it).
@@ -506,13 +532,17 @@ class JitStats:
     #: Compiles whose decoded trace came from the pool.
     skeleton_reuses: int = 0
     #: Pooled skeletons thrown away because the guest words under them
-    #: changed (self-modified code, another program at that address).
+    #: changed (self-modified code, another program at that address, a
+    #: mapping under strict memory).
     rejects_words: int = 0
     #: ... because this run's forced boundaries cut the trace somewhere
     #: else than the run that pooled it.
     rejects_cut: int = 0
     #: Compiles lowered to generated code.
     hot_compiles: int = 0
+    #: Generated lowerings (functions and loop forms) whose text the
+    #: process had compiled before: rebound, no ``compile()``.
+    intern_hits: int = 0
     #: Cached threaded-code traces re-lowered as generated code when
     #: they crossed the mark in the middle of the run.
     promotions: int = 0
@@ -537,9 +567,9 @@ class JitStats:
 class _Skeleton:
     """The run-independent half of one compiled trace."""
 
-    __slots__ = ("trace_obj", "instructions", "sems", "texts", "codes",
-                 "addresses", "bbl_sizes", "words", "cut", "owner",
-                 "template", "kept", "loops")
+    __slots__ = ("trace_obj", "instructions", "sems", "texts",
+                 "addresses", "bbl_sizes", "words", "owner", "template",
+                 "kept", "loops")
 
     def __init__(self, trace_obj: TraceObj):
         self.trace_obj = trace_obj
@@ -550,13 +580,10 @@ class _Skeleton:
         #: (None until a compile finds nothing attached to it).
         self.sems: list[Step | None] | None = None
         #: Generated code: ``texts[i]`` is the semantics source of
-        #: ``instructions[i]`` (None where it depends on the run), and
-        #: ``codes`` maps a whole trace's source text to its code
-        #: object — one entry per distinct instrumentation.  A code
-        #: object binds nothing: every name it uses resolves in the
-        #: namespace it is rebound over, built anew by each compile.
+        #: ``instructions[i]`` (None where it depends on the run).  The
+        #: code object for a whole trace's text is the process's
+        #: (:data:`_INTERN`), not the skeleton's.
         self.texts: list[tuple[str, ...] | None] | None = None
-        self.codes: dict[str, object] | None = None
         #: Whether a direct exit of the trace targets its own head —
         #: what gives its generated form a loop form — read off the
         #: decoded instructions by the first generated lowering.
@@ -566,7 +593,6 @@ class _Skeleton:
         #: Validation data, filled in by the first *reuse* (a run that
         #: never revisits a trace — most daemon jobs — pays nothing).
         self.words: list[int] | None = None
-        self.cut = False
         #: The ``Jit.retain_for`` whose instrumentation ``trace_obj``
         #: still carries (None: anyone's, or none), under which
         #: ``(Jit.template, memory strictness)`` it attached it, and
@@ -867,30 +893,32 @@ class Jit:
         last compile), else why not: ``"cut"`` or ``"words"``.
 
         ``build_trace`` is a function of the guest words, the start pc,
-        the forced boundaries and the length cap.  The cap is the
-        engine's; the rest is checked here: (1) no forced boundary of
-        this run lies strictly inside the trace — it would have to be
-        re-cut there so detection sits at a trace head; (2) a trace
-        that ended early *because* a boundary was forced at its end may
-        only be reused where that end is forced again — anywhere else
-        it must extend; (3) the guest words are the ones decoded, which
-        is also what catches code the master rewrote between two
-        boundaries and another program loaded at the same address.
+        the forced boundaries, the length cap and — under strict memory
+        — which words are mapped.  The cap is the engine's; the rest is
+        checked here: (1) no forced boundary of this run lies strictly
+        inside the trace — it would have to be re-cut there so detection
+        sits at a trace head; (2) a trace that ended *because* a
+        boundary was forced at its end (``TraceObj.ended``) may only be
+        reused where that end is forced again — anywhere else it must
+        extend; (3) the guest words are the ones decoded and, under
+        strict memory, still mapped, which is also what catches code the
+        master rewrote between two boundaries and another program loaded
+        at the same address; (4) a trace that ended ahead of an unmapped
+        word still finds one there.
         """
         engine = self._engine
-        instructions = skeleton.instructions
+        mem = engine.mem
         if skeleton.words is None:
-            skeleton.words = [ins.raw for ins in instructions]
-            last = instructions[-1].info
-            skeleton.cut = (len(instructions) < engine.max_trace_ins
-                            and not (last.is_control
-                                     and not last.is_cond_branch))
+            skeleton.words = [ins.raw for ins in skeleton.instructions]
         forced = engine.forced_boundaries
-        end = address + len(instructions)
+        end = address + len(skeleton.words)
+        ended = skeleton.trace_obj.ended
         if (any(address < pc < end for pc in forced)
-                or (skeleton.cut and end not in forced)):
+                or (ended is BOUNDARY and end not in forced)):
             return "cut"
-        if not engine.mem.same_words(address, skeleton.words):
+        if (not mem.same_words(address, skeleton.words)
+                or (ended is HOLE
+                    and (not mem.strict or mem.is_mapped(end)))):
             return "words"
         return None
 
@@ -961,8 +989,8 @@ class Jit:
     def _lower_generated(self, skeleton: _Skeleton, plan: LoopPlan | None):
         """Lower ``skeleton``'s instrumented trace to one generated
         function (see :mod:`repro.pin.pyjit`), by the cheapest means
-        that applies: the kept function, else a pooled code object for
-        the same text, else ``compile()``."""
+        that applies: the kept function, else the process's code object
+        for the same text, else ``compile()``."""
         # Imported here: pyjit builds on this module.
         from .pyjit import _Emitter, SourceCompiledTrace
         engine = self._engine
@@ -974,15 +1002,14 @@ class Jit:
         if kept is not None and kept.fn is not None:
             fn, source = kept.fn, kept.source
         else:
-            if skeleton.codes is None and self.pool is not None:
+            if skeleton.texts is None and self.pool is not None:
                 skeleton.texts = [None] * len(skeleton.instructions)
-                skeleton.codes = {}
             emitter = _Emitter(engine)
             if plan is not None:
                 emitter.emit_suppressed_loop(plan)
             else:
                 emitter.lower_all(skeleton.instructions, skeleton.texts)
-            fn, source = self._function(skeleton, emitter)
+            fn, source = self._function(emitter, address)
             if kept is not None:
                 kept.fn, kept.source = fn, source
         if skeleton.loops is None:
@@ -997,22 +1024,25 @@ class Jit:
             bbl_sizes=skeleton.bbl_sizes, unbounded=plan is not None,
             origin=skeleton if skeleton.loops and plan is None else None)
 
-    @staticmethod
-    def _function(skeleton: _Skeleton, emitter):
-        """What ``emitter`` has emitted for ``skeleton``'s trace, as
-        ``(function, source)``: a pooled code object for the same text
-        rebound over the emitter's namespace — which skips ``compile()``
-        entirely — else compiled, and pooled."""
-        address = skeleton.trace_obj.address
+    def _function(self, emitter, address: int):
+        """What ``emitter`` has emitted for the trace at ``address``, as
+        ``(function, source)``: the process's code object for the same
+        text (:data:`_INTERN`) rebound over the emitter's namespace —
+        which skips ``compile()`` entirely — else compiled, and
+        interned.  The one way any generated lowering gets its code."""
         source = emitter.source_text(address)
-        codes = skeleton.codes
-        code = codes.get(source) if codes is not None else None
+        # Taken out and put back as the most recent: a thread looking in
+        # between compiles the text itself, which only costs its time.
+        code = _INTERN.pop(source, None)
         if code is not None:
+            _INTERN[source] = code
+            self._engine.jit_stats.intern_hits += 1
             return types.FunctionType(code, emitter.namespace,
                                       "__trace__"), source
         fn = emitter.finish(source, address)
-        if codes is not None:
-            codes[source] = fn.__code__
+        _INTERN[source] = fn.__code__
+        if len(_INTERN) > INTERN_BOUND:
+            _INTERN.popitem(last=False)
         return fn, source
 
     def loop_form(self, trace):
@@ -1035,7 +1065,7 @@ class Jit:
                 from .pyjit import _LoopEmitter
                 emitter = _LoopEmitter(self._engine, trace.start)
                 emitter.lower_all(skeleton.instructions, None)
-                loop, _ = self._function(skeleton, emitter)
+                loop, _ = self._function(emitter, trace.start)
                 self._engine.jit_stats.loop_builds += 1
                 if kept is not None:
                     kept.loop = loop

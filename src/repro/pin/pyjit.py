@@ -72,7 +72,12 @@ happens at the execution it would have.  What differs inside:
 
 The plain function stays because a loop form entered one execution at a
 time is slower than it; the capture rules of :mod:`repro.pin.jit` hold
-for both (a loop form is pooled by its text and kept beside ``fn``).
+for both (a loop form is interned by its text and kept beside ``fn``).
+
+**Compiled once per process.**  :meth:`_Emitter.finish` is the only
+``compile()`` of generated text; :meth:`repro.pin.jit.Jit._function`
+calls it only for text the process's pool (``jit._INTERN``) lacks, and
+otherwise rebinds the pooled code object over this emitter's namespace.
 """
 
 from __future__ import annotations
@@ -359,15 +364,18 @@ class _Emitter:
 
     def source_text(self, address: int) -> str:
         """The trace's full source.  Deterministic for a given trace
-        shape + instrumentation, so two slices lowering the same trace
-        produce byte-identical text — the key of a pooled skeleton's
-        code objects (``_Skeleton.codes``).
+        shape + instrumentation + memory mode, so two slices (two
+        engines, two processes) lowering the same trace produce
+        byte-identical text — the key of the process's code objects
+        (``jit._INTERN``).
         """
         header = f"def __trace__():  # trace @ {address:#x}\n"
         return header + "\n".join(self._lines) + "\n"
 
     def finish(self, source: str, address: int):
-        """``compile()`` the trace's source; returns its function."""
+        """``compile()`` the trace's source; returns its function.
+        Called for a text the process has not compiled (or has
+        evicted) only: ``Jit._function`` rebinds the rest."""
         code = compile(source, f"<superpin-trace-{address:#x}>", "exec")
         exec(code, self.namespace)  # noqa: S102 - this *is* the JIT
         return self.namespace["__trace__"]

@@ -14,7 +14,10 @@ Trace-building rules (a faithful simplification of Pin's):
 * a conditional branch ends the current *basic block* but not the trace;
 * an unconditional transfer (``j``/``jr``/``call``/``callr``/``ret``), a
   ``syscall``, a ``halt``, the instruction-count cap, or a *forced
-  boundary* (used by SuperPin's signature detection, §4.4) ends the trace.
+  boundary* (used by SuperPin's signature detection, §4.4) ends the trace;
+* under strict memory, so does an unmapped word after the first: the
+  trace falls through to it, and fetching it faults only if execution
+  gets there — where the interpreter's fetch would.
 """
 
 from __future__ import annotations
@@ -261,16 +264,25 @@ class Bbl:
         return f"Bbl({self.address:#x}, {self.num_ins} ins)"
 
 
+#: Why ``build_trace`` ended a trace (:attr:`TraceObj.ended`): its last
+#: instruction transfers control, the length cap, a forced boundary at
+#: ``fall_address``, an unmapped word there (strict memory).
+TRANSFER, CAP, BOUNDARY, HOLE = "transfer", "cap", "boundary", "hole"
+
+
 class TraceObj:
     """A compiled-unit-to-be: the object handed to trace callbacks."""
 
     def __init__(self, address: int, bbls: list[Bbl],
-                 fall_address: int | None):
+                 fall_address: int | None, ended: str):
         self.address = address
         self.bbls = bbls
         #: Address executed next when the trace falls off its end (None
         #: when the trace ends in an unconditional transfer).
         self.fall_address = fall_address
+        #: Why the trace ends where it does: :data:`TRANSFER`,
+        #: :data:`CAP`, :data:`BOUNDARY` or :data:`HOLE`.
+        self.ended = ended
 
     @property
     def instructions(self) -> list[Ins]:
@@ -292,17 +304,24 @@ def build_trace(mem, start: int, forced_boundaries: frozenset[int] | None
     ``forced_boundaries`` are addresses that must begin their own trace —
     SuperPin registers its signature-detection address here so detection
     always sits at a trace head and per-BBL tools (icount2) stay exact
-    when a slice stops there.
+    when a slice stops there.  Only the word at ``start`` is read
+    unconditionally (under strict memory it faults there if unmapped).
     """
     bbls: list[Bbl] = []
     current = Bbl()
     pc = start
     total = 0
     fall_address: int | None = None
+    ended = TRANSFER
 
     while True:
-        if total >= max_ins or (forced_boundaries and pc != start
-                                and pc in forced_boundaries):
+        if total >= max_ins:
+            ended = CAP
+        elif pc != start and forced_boundaries and pc in forced_boundaries:
+            ended = BOUNDARY
+        elif pc != start and mem.strict and not mem.is_mapped(pc):
+            ended = HOLE
+        if ended is not TRANSFER:
             fall_address = pc
             break
         ins = Ins(pc, mem.read(pc))
@@ -321,4 +340,4 @@ def build_trace(mem, start: int, forced_boundaries: frozenset[int] | None
 
     if current.instructions:
         bbls.append(current)
-    return TraceObj(start, bbls, fall_address)
+    return TraceObj(start, bbls, fall_address, ended)

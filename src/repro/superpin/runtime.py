@@ -183,13 +183,14 @@ class SuperPinReport:
         ``-spmetrics``: every dispatcher miss (each one a ``compile`` in
         the virtual account), how many of them the resident machines
         served from pooled work, how many of those without running a
-        trace callback (a tool that declares its instrumentation pure)
-        and how many they lowered to generated
-        code (:mod:`repro.pin.jit`), the share of the slices'
-        instructions that retired in generated code — compiled so or
-        promoted in mid-run — the share of their trace executions that
-        ran inside a loop form, and the directly measured seconds all
-        the compiles took."""
+        trace callback (a tool that declares its instrumentation pure),
+        how many they lowered to generated code (:mod:`repro.pin.jit`)
+        and how many generated lowerings found their code in the
+        process's pool instead of calling ``compile()``, the share of
+        the slices' instructions that retired in generated code —
+        compiled so or promoted in mid-run — the share of their trace
+        executions that ran inside a loop form, and the directly
+        measured seconds all the compiles took."""
         if self.metrics is None or not self.metrics.enabled:
             return None
         counter = self.metrics.counter
@@ -201,6 +202,7 @@ class SuperPinReport:
             "pooled": int(counter("pin.jit.skeleton_reuses")),
             "served": int(counter("pin.jit.instrumentation_reuses")),
             "hot": int(counter("pin.jit.hot_compiles")),
+            "interned": int(counter("pin.jit.intern_hits")),
             "promotions": int(counter("pin.jit.promotions")),
             "hot_share": (counter("pin.jit.hot_instructions") / instructions
                           if instructions else 0.0),

@@ -60,12 +60,14 @@ from .sysrecord import PlaybackHandler
 #: was lowered (``JitStats``), in the order :func:`run_slice` folds
 #: them.  Unlike every other slice counter these depend on *placement*
 #: — which machine ran which slices before this one, and so what its
-#: pool held and its heat had seen — so they differ between worker
-#: counts and must stay out of anything compared across runs.
+#: pool held and its heat had seen; for ``intern_hits``, what the
+#: process had compiled before — so they differ between worker counts
+#: and must stay out of anything compared across runs.
 PLACEMENT_COUNTERS = ("pin.jit.skeleton_reuses",
                       "pin.jit.skeleton_rejects.words",
                       "pin.jit.skeleton_rejects.forced_cut",
                       "pin.jit.hot_compiles",
+                      "pin.jit.intern_hits",
                       "pin.jit.promotions",
                       "pin.jit.hot_instructions",
                       "pin.jit.loop_builds",
@@ -78,8 +80,9 @@ PLACEMENT_COUNTERS = ("pin.jit.skeleton_reuses",
 def placement_counts(jstats) -> tuple[int, ...]:
     """A run's ``JitStats`` in :data:`PLACEMENT_COUNTERS` order."""
     return (jstats.skeleton_reuses, jstats.rejects_words,
-            jstats.rejects_cut, jstats.hot_compiles, jstats.promotions,
-            jstats.hot_instructions, jstats.loop_builds, jstats.loop_trips,
+            jstats.rejects_cut, jstats.hot_compiles, jstats.intern_hits,
+            jstats.promotions, jstats.hot_instructions, jstats.loop_builds,
+            jstats.loop_trips,
             jstats.instrumentation_reuses, jstats.instrumentation_checks,
             jstats.instrumentation_declined)
 

@@ -7,12 +7,15 @@ check in ``Jit._refusal`` has a test here that fails if it is dropped.
 """
 
 import dataclasses
+import sys
+import threading
+from collections import OrderedDict
 
 import pytest
 
 from repro.isa import assemble
 from repro.machine import Kernel, load_program
-from repro.pin import CodeCache, PinVM, RunState
+from repro.pin import CodeCache, jit, PinVM, RunState
 from repro.pin.jit import VARIANTS_PER_HEAD
 from repro.tools import ICount1, ICount2
 from tests.conftest import MULTISLICE
@@ -260,6 +263,36 @@ class TestSkeletonValidity:
         assert changed.num_ins == 3
         assert _shape(changed) == self.fresh_shape(patch=patch)
 
+    def test_a_trace_that_stops_ahead_of_a_hole_is_reused_until_it_fills(
+            self):
+        """Under strict memory ``build_trace`` ends a trace ahead of an
+        unmapped word: that end is no forced cut to refuse for ever, and
+        a mapping over the hole is a change of the words under it."""
+        source = ".entry main\nmain:\n    li t0, 1\n    beq t0, t0, main\n"
+
+        def strict():
+            process = load_program(assemble(source), Kernel(seed=1),
+                                   strict_memory=True)
+            return PinVM(process, jit_backend=self.backend)
+
+        vm = strict()
+        vm.jit.pool = {}
+        entry = vm.cpu.pc
+        for turn in range(2):
+            vm.reset()
+            trace = vm.jit.compile(entry)
+            assert (trace.num_ins, trace.fall_address) == (2, entry + 2)
+        assert (vm.jit_stats.skeleton_reuses, vm.jit_stats.rejects_cut,
+                vm.jit_stats.rejects_words) == (1, 0, 0)
+        vm.mem.map_region(entry + 2, 1)
+        vm.reset()
+        longer = vm.jit.compile(entry)
+        assert vm.jit_stats.rejects_words == 1
+        fresh = strict()
+        fresh.mem.map_region(entry + 2, 1)
+        assert _shape(longer) == _shape(fresh.jit.compile(entry))
+        assert longer.num_ins == 3
+
     def test_reuse_starts_from_bare_instructions(self):
         """The last run's analysis calls must not survive into the next
         run's trace: reuse re-instruments, it does not inherit."""
@@ -298,6 +331,7 @@ class TestSourcePool:
         self.vm.reset()
         second = self.vm.jit.compile(self.entry)
         assert self.vm.jit_stats.skeleton_reuses == 1
+        assert self.vm.jit_stats.intern_hits == 1
         assert second.fn.__code__ is first.fn.__code__
         assert second.fn is not first.fn
         assert second.fn.__globals__ is not first.fn.__globals__
@@ -309,5 +343,125 @@ class TestSourcePool:
         second = self.vm.jit.compile(self.entry)
         # The decoded trace is shared; the code object is per text.
         assert self.vm.jit_stats.skeleton_reuses == 1
+        assert second.source != first.source
         assert second.fn.__code__ is not first.fn.__code__
-        assert len(self.vm.jit.pool[self.entry][0].codes) == 2
+        assert jit._INTERN[first.source] is first.fn.__code__
+        assert jit._INTERN[second.source] is second.fn.__code__
+
+
+#: Memory traffic, so strict and lenient memory lower it differently
+#: (strict mode sets unwind markers ahead of every access).
+MEMORY = """
+.entry main
+main:
+    li   t0, 7
+    st   t0, 0x9000(zero)
+    ld   t1, 0x9000(zero)
+    li   a0, SYS_EXIT
+    mov  a1, t1
+    syscall
+"""
+
+
+def _engine(source=STRAIGHT, strict=False, tool=None):
+    """A bare engine (no skeleton pool) that generates every trace."""
+    process = load_program(assemble(source), Kernel(seed=1),
+                           strict_memory=strict)
+    vm = PinVM(process, jit_backend="source")
+    if tool is not None:
+        tool().activate(vm)
+    return vm
+
+
+@pytest.fixture
+def intern(monkeypatch):
+    """An empty code pool of its own, bounded at :data:`INTERN_BOUND`."""
+    pool = OrderedDict()
+    monkeypatch.setattr(jit, "_INTERN", pool)
+    return pool
+
+
+class TestTheProcessCodePool:
+    """Generated code objects are the process's, by text: any engine
+    rebinds what another compiled, over its own namespace."""
+
+    def test_two_engines_share_code_and_not_namespaces(self, intern):
+        one, two = _engine(), _engine()
+        first = one.jit.compile(one.cpu.pc)
+        second = two.jit.compile(two.cpu.pc)
+        assert (one.jit_stats.intern_hits, two.jit_stats.intern_hits) \
+            == (0, 1)
+        assert second.fn.__code__ is first.fn.__code__
+        assert second.fn.__globals__ is not first.fn.__globals__
+        assert second.fn.__globals__["E"] is two
+        assert first.fn.__globals__["E"] is one
+        one.run()
+        two.run()
+        assert one.process.exit_code == two.process.exit_code == 15
+
+    @pytest.mark.parametrize("other", [
+        dict(tool=ICount1), dict(source=MEMORY, strict=True)],
+        ids=["instrumentation", "strict-memory"])
+    def test_another_lowering_is_another_code_object(self, intern, other):
+        source = other.get("source", STRAIGHT)
+        plain = _engine(source)
+        first = plain.jit.compile(plain.cpu.pc)
+        vm = _engine(**{"source": source, **other})
+        second = vm.jit.compile(vm.cpu.pc)
+        assert second.source != first.source
+        assert second.fn.__code__ is not first.fn.__code__
+        assert vm.jit_stats.intern_hits == 0
+        assert len(intern) == 2
+
+    def test_the_bound_evicts_the_least_recently_used(self, intern,
+                                                      monkeypatch):
+        monkeypatch.setattr(jit, "INTERN_BOUND", 2)
+        vm = _engine()
+        entry = vm.cpu.pc
+        sources = {}
+
+        def compile_cut(cut):
+            vm.reset(forced_boundaries=frozenset({entry + cut}))
+            hits = vm.jit_stats.intern_hits
+            sources[cut] = vm.jit.compile(entry).source
+            return vm.jit_stats.intern_hits - hits
+
+        assert [compile_cut(cut) for cut in (3, 5, 3, 6)] == [0, 0, 1, 0]
+        # 5 was used least recently when 6 came in.
+        assert list(intern) == [sources[3], sources[6]]
+        assert [compile_cut(cut) for cut in (3, 5)] == [1, 0]
+        assert list(intern) == [sources[3], sources[5]]
+
+    def test_two_threads_compiling_at_once_raise_nothing_and_agree(
+            self, intern, monkeypatch):
+        """The daemon's job threads compile at once.  Four shapes over a
+        pool of two keep both threads evicting while they look up."""
+        monkeypatch.setattr(jit, "INTERN_BOUND", 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        start = threading.Barrier(2)
+        seen: dict[str, list] = {}
+
+        def job(name):
+            vm = _engine()
+            entry = vm.cpu.pc
+            start.wait()
+            for turn in range(60):
+                cut = 3 + turn % 4
+                vm.reset(forced_boundaries=frozenset({entry + cut}))
+                trace = vm.jit.compile(entry)
+                seen.setdefault(name, []).append(
+                    (trace.source, trace.fn.__code__.co_code))
+
+        try:
+            threads = [threading.Thread(target=job, args=(name,))
+                       for name in "ab"]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen["a"]) == 60 and seen["a"] == seen["b"]
+        assert len(intern) <= 2 + len(threads)

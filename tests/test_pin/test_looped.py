@@ -12,6 +12,7 @@ leave.
 
 import builtins
 import re
+from collections import OrderedDict
 
 import pytest
 
@@ -693,10 +694,13 @@ class TestRegistersInLocals:
 
 
 class CompileCount:
-    """How often ``builtins.compile`` built a trace's or a loop's code."""
+    """How often ``builtins.compile`` built a trace's or a loop's code,
+    from an empty code pool (``jit._INTERN``: the process's pool would
+    serve what earlier tests compiled)."""
 
     def __init__(self, monkeypatch):
         self.loops = self.traces = 0
+        monkeypatch.setattr(jit, "_INTERN", OrderedDict())
         real = builtins.compile
 
         def counted(source, filename, *args, **kwargs):

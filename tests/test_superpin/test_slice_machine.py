@@ -20,7 +20,7 @@ from repro.errors import (DivergenceError, InstrumentationError,
 from repro.isa import assemble
 from repro.machine import Kernel
 from repro.pin import (IARG_END, IARG_PTR, IARG_UINT64, IPOINT_BEFORE,
-                       Pintool)
+                       jit, Pintool, run_with_pin)
 from repro.pin.filter import parse_filter
 from repro.pin.pintool import declares_pure_instrumentation
 from repro.pin.pyjit import _Emitter
@@ -816,6 +816,36 @@ class TestThroughThePipeline:
             assert not thread.is_alive()
         assert outcomes["a"] == outcomes["c"] == clean[1:]
         assert outcomes["b"] == _report(OTHER, "icount1", spworkers=0)[1:]
+
+
+class TestOneCodePoolPerProcess:
+    """Generated code objects are the process's (``jit._INTERN``), and
+    a pool worker is forked from the process."""
+
+    def test_forked_workers_inherit_what_an_earlier_run_compiled(
+            self, monkeypatch):
+        """An in-process run, then a two-worker run, in one process:
+        the workers fork from a parent whose pool holds the first run's
+        slice code, so they rebind it instead of compiling — far more
+        often than workers forked from an empty pool — and the account
+        does not move."""
+        monkeypatch.setattr(jit, "_INTERN", collections.OrderedDict())
+        cold, _, _ = _report(spworkers=2, spmetrics=True)
+        monkeypatch.setattr(jit, "_INTERN", collections.OrderedDict())
+        alone, alone_fields, _ = _report(spworkers=0, spmetrics=True)
+        warm, warm_fields, tool_report = _report(spworkers=2,
+                                                 spmetrics=True)
+        hits = warm.metrics.counter("pin.jit.intern_hits")
+        assert hits > cold.metrics.counter("pin.jit.intern_hits")
+        assert warm.jit_summary()["interned"] == hits
+        serial = TOOLS["icount2"]()
+        run_with_pin(assemble(MULTISLICE), serial, kernel=Kernel(seed=42))
+        assert tool_report == serial.report()
+        assert [s.compiles for s in warm.slices] \
+            == [s.compiles for s in alone.slices]
+        assert warm_fields == alone_fields
+        assert virtual_counters(warm.metrics) \
+            == virtual_counters(alone.metrics)
 
 
 class Weighted(ICount2):
