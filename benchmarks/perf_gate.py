@@ -83,11 +83,6 @@ REQUIRED_NONZERO = (
     "pin.cache.persistent_hits",
     "pin.filter.fastpath_traces",
     "pin.suppress.summarized_loops",
-    # Tier-2 execution (-sptc2, default-on): zero promotions or zero
-    # superblock dispatches means the hot-trace optimizer silently
-    # stopped engaging.
-    "pin.tc2.promotions",
-    "pin.tc2.dispatches",
     # The master's hot tier: this 127k-instruction run has loops well
     # past the head threshold, so zero means the control phase has gone
     # back to interpreting everything.

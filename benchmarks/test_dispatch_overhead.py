@@ -1,10 +1,10 @@
-"""Dispatch-overhead microbenchmark: trace linking and the TC2 tier.
+"""Dispatch-overhead microbenchmark: trace linking and the loop form.
 
 Measures the host-level cost of **dict dispatch** — a call-heavy guest
 maximises trace-to-trace transitions; with ``-splinktraces`` each
 transition chains through a patched direct link instead of the
-dispatcher's hash lookup, and with ``-sptc2`` hot chains run as
-superblocks.
+dispatcher's hash lookup — and of a dispatch per trip of a self-loop,
+which a generated trace's loop form takes inside one function.
 
 Functional parity is asserted unconditionally; the wall-clock
 comparisons are printed (and exported by the bench-smoke CI job) with
@@ -119,29 +119,28 @@ def test_dispatch_linked_vs_unlinked(save_figure):
                 f"(call-heavy guest, best of {REPEATS})\n\n{table}")
 
 
-def _run_tiered(program, backend, tc2_threshold):
+def _run_generated(program):
     process = load_program(program, Kernel(seed=42))
-    vm = PinVM(process, jit_backend=backend, link_traces=True,
-               tc2_threshold=tc2_threshold)
+    vm = PinVM(process, jit_backend="source")
     t0 = time.perf_counter()
     result = vm.run()
     elapsed = time.perf_counter() - t0
     return result, vm, elapsed
 
 
-def _loop_form_row(monkeypatch):
-    """The ``loop form`` row: the self-loop guest as generated code,
-    every trip a dispatch of the trace's function (``Jit.loop_form``
-    patched to decline) against trips inside its loop form."""
+def test_loop_form_vs_dispatched(save_figure, monkeypatch):
+    """The self-loop guest as generated code: every trip a dispatch of
+    the trace's function (``Jit.loop_form`` patched to decline) against
+    trips inside its loop form."""
     from repro.pin.jit import Jit
     program = assemble(SELF_LOOP)
     looped_res, looped_vm, looped_s = min(
-        (_run_tiered(program, "source", 0) for _ in range(REPEATS)),
+        (_run_generated(program) for _ in range(REPEATS)),
         key=lambda r: r[2])
     with monkeypatch.context() as patch:
         patch.setattr(Jit, "loop_form", lambda self, trace: None)
         plain_res, plain_vm, plain_s = min(
-            (_run_tiered(program, "source", 0) for _ in range(REPEATS)),
+            (_run_generated(program) for _ in range(REPEATS)),
             key=lambda r: r[2])
 
     # Architectural identity, exactly: an internal back edge *is* a
@@ -157,70 +156,13 @@ def _loop_form_row(monkeypatch):
     # Generous sanity bound only; the printed table is the figure.
     assert looped_s < plain_s * 1.2
 
-    return ["loop form", str(looped_res.traces_executed),
-            str(stats.loop_builds), "-", str(stats.loop_trips), "-",
-            f"{plain_s * 1e3:.1f}", f"{looped_s * 1e3:.1f}",
-            f"{plain_s / looped_s:.2f}x"]
-
-
-def test_tier_ablation_tc2_vs_linked(save_figure, monkeypatch):
-    """Tier ablation: linked tier-1 threaded code vs TC2 superblocks.
-
-    Promotion straightens the hot call chain (and its closing back
-    edge) into superblocks, so in steady state nearly every former
-    trace execution happens *inside* a superblock: one engine dispatch
-    retires a whole chain iteration instead of one trace.  Parity is
-    asserted exactly; the wall-clock speedup is printed and held to a
-    generous sanity bound only (CI hosts jitter).
-    """
-    program = assemble(CALL_HEAVY)
-    rows = []
-    for backend in ("closure", "source"):
-        runs1 = [_run_tiered(program, backend, 0) for _ in range(REPEATS)]
-        runs2 = [_run_tiered(program, backend, 16)
-                 for _ in range(REPEATS)]
-        tier1_res, tier1_vm, tier1_s = min(runs1, key=lambda r: r[2])
-        tc2_res, tc2_vm, tc2_s = min(runs2, key=lambda r: r[2])
-
-        # Architectural identity: tier 2 changes nothing observable.
-        assert tc2_res.instructions == tier1_res.instructions
-        assert tc2_res.traces_executed == tier1_res.traces_executed
-        assert tc2_res.exit_code == tier1_res.exit_code
-        assert tc2_vm.cache.stats.compiles == tier1_vm.cache.stats.compiles
-
-        # Steady state lives in TC2: superblock segments account for
-        # nearly every (corrected) trace execution, and each dispatch
-        # covers many segments (the straightened loop back edge).
-        stats = tc2_vm.tc2.stats
-        assert tier1_res.tc2_dispatches == 0
-        assert stats.promotions > 0
-        assert stats.dispatches > 0
-        assert stats.segments > 0.9 * tc2_res.traces_executed
-        assert stats.segments > 10 * stats.dispatches
-        assert stats.mispredicts < 0.01 * stats.segments
-
-        # Generous sanity bound only; the printed table is the figure.
-        assert tc2_s < tier1_s * 1.2
-
-        rows.append([backend,
-                     str(tc2_res.traces_executed),
-                     str(stats.promotions),
-                     str(stats.dispatches),
-                     str(stats.segments),
-                     str(stats.mispredicts),
-                     f"{tier1_s * 1e3:.1f}",
-                     f"{tc2_s * 1e3:.1f}",
-                     f"{tier1_s / tc2_s:.2f}x"])
-    rows.append(_loop_form_row(monkeypatch))
     table = format_table(
-        ["backend", "transitions", "promotions", "sb dispatches",
-         "sb segments", "mispredicts", "tier1 (ms)", "tc2 (ms)",
-         "speedup"], rows)
-    save_figure("dispatch_tier_ablation",
-                "Tiered compilation: linked tier-1 vs TC2 superblocks\n"
-                f"(call-heavy guest, best of {REPEATS}; the loop form "
-                "row is a self-loop guest as\ngenerated code: loop "
-                "builds for promotions, trips inside the loop form for\n"
-                "segments, every trip dispatched against looped for the "
-                f"two timings)\n\n{table}")
-
+        ["transitions", "loop builds", "trips inside", "dispatched (ms)",
+         "looped (ms)", "speedup"],
+        [[str(looped_res.traces_executed), str(stats.loop_builds),
+          str(stats.loop_trips), f"{plain_s * 1e3:.1f}",
+          f"{looped_s * 1e3:.1f}", f"{plain_s / looped_s:.2f}x"]])
+    save_figure("dispatch_loop_form",
+                "The loop form: a self-loop as generated code, every trip "
+                "dispatched\nagainst trips inside its loop form "
+                f"(best of {REPEATS})\n\n{table}")

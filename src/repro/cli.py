@@ -65,7 +65,7 @@ def main(argv: list[str] | None = None) -> int:
     debug_p.add_argument("--script", default=None,
                          help="batch command file (one command per line) "
                               "instead of the interactive REPL")
-    # -sp* switches (jit backend, tc2, degrade policy) ride in the
+    # -sp* switches (jit backend, degrade policy) ride in the
     # unparsed remainder, like 'run'.
 
     fig_p = sub.add_parser("figure", help="regenerate a paper figure")
@@ -231,10 +231,6 @@ def _cmd_run(args, extra: list[str]) -> int:
               f"code, {jit['loop_share']:.0%} of trace executions inside "
               f"{jit['loop_builds']:,} loop forms, {jit['interned']:,} "
               f"from the process's code pool), {jit['seconds']:.2f} s")
-    if config.sptc2 > 0 and instr["tc2_promotions"]:
-        print(f"tier 2: {instr['tc2_promotions']} superblock promotions, "
-              f"{instr['tc2_dispatches']} dispatches, "
-              f"{instr['tc2_mispredicts']} mispredicts")
     if report.timeline.master is not None:
         print(f"master: {report.timeline.master.summary()}")
     det = report.detection_summary()

@@ -28,8 +28,6 @@ from .jit import CompiledTrace, EXIT_GUEST, Jit, StopRun
 from .suppress import LOOP_TRIP_CAP, LoopPlan, plan_suppression
 from .pintool import NullSuperPin, Pintool, run_with_pin
 from .pyjit import SourceCompiledTrace, SourceJit
-from .superblock import (MAX_SEGMENTS, Superblock, Tc2Stats,
-                         TranslationCache2)
 from .trace import Bbl, build_trace, Ins, MAX_TRACE_INS, TraceObj
 
 __all__ = [
@@ -51,7 +49,6 @@ __all__ = [
     "SourceCompiledTrace", "SourceJit",
     "InstrumentFilter", "InstrumentationStats", "OPCODE_CLASSES",
     "parse_filter", "LOOP_TRIP_CAP", "LoopPlan", "plan_suppression",
-    "MAX_SEGMENTS", "Superblock", "Tc2Stats", "TranslationCache2",
     "Pintool", "run_with_pin", "Bbl", "build_trace", "Ins", "MAX_TRACE_INS",
     "TraceObj",
 ]

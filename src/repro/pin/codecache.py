@@ -53,17 +53,6 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
 
-def retarget_links(holders, old, new) -> None:
-    """Point every direct link of ``holders`` that targets ``old`` at
-    ``new``: links are the only road steady-state execution takes, so
-    whatever supersedes a trace must inherit the roads into it."""
-    for holder in holders:
-        links = holder.links
-        for pc, target in links.items():
-            if target is old:
-                links[pc] = new
-
-
 class CodeCache:
     """Maps trace start address -> compiled trace, with bubble accounting."""
 
@@ -84,15 +73,6 @@ class CodeCache:
         #: Every insert as (address, num_ins) — consumed by the shared
         #: code-cache directory to attribute compile costs.
         self.insert_log: list[tuple[int, int]] = []
-        #: The second translation cache coupled to this cache, or None.
-        #: Tier-1 invalidations cascade into it: a flush drops every
-        #: superblock and an eviction kills the superblocks built over
-        #: the evicted trace (see repro.pin.superblock).
-        self._tc2 = None
-
-    def attach_tc2(self, tc2) -> None:
-        """Couple a TranslationCache2 for cascading invalidation."""
-        self._tc2 = tc2
 
     def lookup(self, address: int):
         """Return the compiled trace at ``address`` or None (counted)."""
@@ -103,8 +83,8 @@ class CodeCache:
         return trace
 
     def get(self, address: int):
-        """Uncounted lookup for internal plumbing (TC2 eviction, mid-run
-        promotion); dispatcher statistics stay honest."""
+        """Uncounted lookup for internal plumbing (mid-run promotion);
+        dispatcher statistics stay honest."""
         return self._traces.get(address)
 
     def can_fit(self, num_ins: int) -> bool:
@@ -159,14 +139,15 @@ class CodeCache:
         Not an insert: the virtual compile already happened and is
         accounted — statistics, the insert log and the bubble charge
         stay as they are.  ``new`` takes ``old``'s place in every link
-        and every superblock that holds ``old`` as a segment, so
+        — links are the only road steady-state execution takes — so
         nothing can still reach the replaced code.
         """
         self._traces[old.start] = new
-        retarget_links(self._traces.values(), old, new)
-        if self._tc2 is not None:
-            retarget_links(self._tc2.live_blocks(), old, new)
-            self._tc2.replace_segment(old, new)
+        for trace in self._traces.values():
+            links = trace.links
+            for pc, target in links.items():
+                if target is old:
+                    links[pc] = new
 
     def _evict_one(self, address: int) -> None:
         """Drop one cached trace: unlink it everywhere, refund its charge.
@@ -186,11 +167,6 @@ class CodeCache:
             for pc in [pc for pc, target in tlinks.items()
                        if target is old]:
                 del tlinks[pc]
-        if self._tc2 is not None:
-            # Superblocks built over the evicted trace die with it, and
-            # superblock links into it are stripped — tier 2 must never
-            # keep evicted tier-1 code reachable.
-            self._tc2.on_evict(old, address)
         refund = self._charges.pop(address, 0)
         self._cursor -= refund
         self.stats.allocated_words -= refund
@@ -206,10 +182,6 @@ class CodeCache:
         """
         self.metrics.inc("pin.cache.evicted_traces", len(self._traces))
         self.metrics.inc("pin.cache.flushes")
-        if self._tc2 is not None:
-            # Tier 2 is built entirely from tier-1 trace objects: a
-            # tier-1 flush invalidates every superblock wholesale.
-            self._tc2.flush()
         for trace in self._traces.values():
             links = getattr(trace, "links", None)
             if links:

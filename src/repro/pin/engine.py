@@ -14,7 +14,7 @@ import enum
 import time
 from dataclasses import dataclass
 
-from ..errors import GuestFault
+from ..errors import ConfigError, GuestFault
 from ..machine.kernel import SyscallOutcome
 from ..machine.process import Process
 from ..obs.metrics import NULL_METRICS
@@ -50,9 +50,6 @@ class PinRunResult:
     #: Trace transitions taken through a direct link, bypassing the
     #: dispatcher (0 when linking is disabled).
     linked_dispatches: int = 0
-    #: Superblock executions served from the second translation cache
-    #: (0 when TC2 is disabled; see repro.pin.superblock).
-    tc2_dispatches: int = 0
 
 
 class PinVM:
@@ -68,6 +65,12 @@ class PinVM:
                  suppress_loops: bool = False,
                  tc2_threshold: int = 0,
                  compile_gate=None):
+        # ``tc2_threshold`` is accepted for bench/layers.py's engine
+        # probe only: the second translation cache is gone.
+        if tc2_threshold:
+            raise ConfigError(
+                f"tc2_threshold must be 0 (the second translation cache "
+                f"was removed), got {tc2_threshold}")
         # What lasts as long as the engine: the machine state it runs
         # on, and the JIT whose code closes over that state.  Everything
         # else belongs to one run and is (re)built by ``reset``.
@@ -86,7 +89,6 @@ class PinVM:
             from .pyjit import SourceJit
             self.jit = SourceJit(self)
         else:
-            from ..errors import ConfigError
             raise ConfigError(
                 f"unknown jit_backend {jit_backend!r}; "
                 f"choose 'closure' or 'source'")
@@ -94,14 +96,13 @@ class PinVM:
         self.reset(forced_boundaries=forced_boundaries,
                    code_cache=code_cache, link_traces=link_traces,
                    metrics=metrics, suppress_loops=suppress_loops,
-                   tc2_threshold=tc2_threshold, compile_gate=compile_gate)
+                   compile_gate=compile_gate)
 
     def reset(self, forced_boundaries: frozenset[int] | None = None,
               code_cache: CodeCache | None = None,
               link_traces: bool = True,
               metrics=NULL_METRICS,
               suppress_loops: bool = False,
-              tc2_threshold: int = 0,
               compile_gate=None) -> None:
         """Make this engine what a newly built one would be.
 
@@ -134,16 +135,6 @@ class PinVM:
         #: loops compile with their invariant instrumentation summarized
         #: to one call per loop exit.
         self.suppress_loops = suppress_loops
-        #: Tier-2 execution (repro.pin.superblock): promote trace chains
-        #: whose execution counter crosses ``tc2_threshold`` into hot
-        #: superblocks in a second translation cache.  Chains are found
-        #: by following direct links, so TC2 requires linking.
-        self.tc2 = None
-        if tc2_threshold > 0 and link_traces:
-            from .superblock import TranslationCache2
-            self.tc2 = TranslationCache2(self, tc2_threshold, self.cache,
-                                         metrics=metrics)
-            self.cache.attach_tc2(self.tc2)
         #: Selective-instrumentation / suppression counters, folded into
         #: the metrics registry at slice end (``pin.filter.*`` /
         #: ``pin.suppress.*``).
@@ -200,9 +191,7 @@ class PinVM:
         """
         self.trace_callbacks.append((callback, value, trace_filter))
         self._step_cache.clear()
-        if len(self.cache) or (self.tc2 is not None and len(self.tc2)):
-            # Flushing tier 1 cascades into TC2 (CodeCache.attach_tc2),
-            # so late instrumentation can never reach a stale superblock.
+        if len(self.cache):
             self.cache.flush()
 
     def add_syscall_observer(self, observer) -> None:
@@ -248,9 +237,9 @@ class PinVM:
         form in its place; returns what to execute now.
 
         The swap is invisible to the virtual account — no callback
-        runs, nothing is compiled, inserted, charged or evicted, TC2
-        keeps its chains — so only host time can tell a promoted run
-        from an unpromoted one.
+        runs, nothing is compiled, inserted, charged or evicted, every
+        link into the trace follows it — so only host time can tell a
+        promoted run from an unpromoted one.
         """
         timed = self.metrics.enabled
         if timed:
@@ -261,7 +250,6 @@ class PinVM:
         if new is None:
             return trace
         new.links, trace.links = trace.links, {}
-        new.exec_count = trace.exec_count
         self.cache.replace(trace, new)
         if timed:
             self.metrics.observe("pin.jit.promote_seconds",
@@ -283,12 +271,11 @@ class PinVM:
         ``BUDGET`` — the interpreter's semantics: the Nth instruction
         executes even when it is a syscall, and ``cpu.pc`` is then the
         next unexecuted instruction.  Guest exit at or before the Nth
-        instruction still reports ``EXIT``.  Mechanism: a trace (any
-        tier) only runs whole when its worst-case retirement fits the
-        remaining allowance; superblocks stop at segment boundaries
-        pre-emptively, and the last few instructions land through
-        single-instruction step traces (still instrumented, kept outside
-        the code cache).
+        instruction still reports ``EXIT``.  Mechanism: a trace (either
+        lowering) only runs whole when its worst-case retirement fits
+        the remaining allowance, and the last few instructions land
+        through single-instruction step traces (still instrumented, kept
+        outside the code cache).
 
         With ``stop_after_syscall`` the run returns ``SYSCALL`` right
         after any trace that retired a syscall (a syscall always ends
@@ -313,22 +300,10 @@ class PinVM:
         budgeted = budget >= 0
         exact = exact_budget and budgeted
         gate = self.compile_gate
-        # Tier-2 bookkeeping: superblock runners count their own
-        # dispatches and per-segment executions; the deltas correct
-        # ``traces_executed`` so tier-2 runs report the same figure a
-        # pure tier-1 run would (each segment was one tier-1 trace).
-        tc2 = self.tc2
-        threshold = tc2.threshold if tc2 is not None else 0
-        tc2_stats = tc2.stats if tc2 is not None else None
-        seg_mark = tc2_stats.segments if tc2 is not None else 0
-        disp_mark = tc2_stats.dispatches if tc2 is not None else 0
-        stepped_mark = tc2_stats.stepped if tc2 is not None else 0
-        looped_mark = tc2_stats.looped if tc2 is not None else 0
         # A pooled engine keeps heat (see repro.pin.jit): it counts
         # every trace execution and promotes a trace that crosses its
         # mark.  ``generated`` is what the source path retired.
         promoting = jit.pool is not None
-        counting = promoting or threshold
         generated = 0
         looped = 0
         state = RunState.EXIT
@@ -345,12 +320,7 @@ class PinVM:
                     state = RunState.BUDGET
                     break
                 if trace is None:
-                    # The dispatcher prefers TC2: a promoted superblock
-                    # shadows its head trace (which stays cached for
-                    # mid-chain entries and mispredict fallback).
-                    trace = tc2.get(pc) if tc2 is not None else None
-                    if trace is None:
-                        trace = cache.lookup(pc)
+                    trace = cache.lookup(pc)
                     if trace is None:
                         if gate is not None and not gate(pc):
                             state = RunState.COLD
@@ -375,13 +345,6 @@ class PinVM:
                 step_sub = False
                 if exact:
                     remaining = budget - executed
-                    if trace.tier == 2 and (trace.unbounded
-                                            or trace.num_ins > remaining):
-                        # A superblock that cannot finish inside the
-                        # allowance demotes to its still-cached tier-1 head.
-                        fallback = cache.lookup(pc)
-                        if fallback is not None:
-                            trace = fallback
                     if trace.unbounded or trace.num_ins > remaining:
                         if gate is not None:
                             state = RunState.COLD
@@ -391,30 +354,17 @@ class PinVM:
                         trace = self._step_trace(pc)
                         step_sub = True
                 traces_executed += 1
-                if counting and not step_sub:
-                    if trace.tier == 1:
-                        if promoting:
-                            heat = trace.heat
-                            # (None: compiled before the pool was set.)
-                            if heat is not None:
-                                runs = heat[0] + 1
-                                heat[0] = runs
-                                if runs >= trace.hot_at:
-                                    trace = self._promote(trace)
-                        if threshold:
-                            hotness = trace.exec_count + 1
-                            trace.exec_count = hotness
-                            if hotness == threshold:
-                                tc2.maybe_promote(trace)
-                    elif promoting and trace.tally[0] >= trace.ripe_at:
-                        for segment in tc2.ripe_segments(trace):
-                            self._promote(segment)
+                if promoting and not step_sub:
+                    heat = trace.heat
+                    # (None: compiled before the pool was set.)
+                    if heat is not None:
+                        runs = heat[0] + 1
+                        heat[0] = runs
+                        if runs >= trace.hot_at:
+                            trace = self._promote(trace)
 
                 if trace.is_source:
-                    # Generated code or a superblock: one call runs it all.
-                    # A budget-bounded run hands a superblock its remaining
-                    # allowance so the runner can stop at the same segment
-                    # boundary the dispatch loop would have stopped at.
+                    # Generated code: one call runs it all.
                     loop = None
                     if trace is prev:
                         # The trace that just ran left by a back edge
@@ -423,8 +373,7 @@ class PinVM:
                         # itself, for as many executions as this loop
                         # would have dispatched through the link without
                         # doing anything else — while the budget test
-                        # passes (a whole trace fits, in exact mode) and
-                        # short of the execution that promotes into TC2.
+                        # passes (a whole trace fits, in exact mode).
                         # Fewer is correct too: it comes back sooner.
                         loop = trace.loop
                         if loop is None and trace.origin is not None:
@@ -437,9 +386,6 @@ class PinVM:
                             else:
                                 allowance = -((executed - budget)
                                               // trace.num_ins)
-                            if threshold:
-                                allowance = min(allowance,
-                                                threshold - trace.exec_count)
                             if allowance < 2:
                                 # One at a time the plain function is
                                 # the faster of the two.
@@ -459,13 +405,8 @@ class PinVM:
                                 trips -= 1
                                 traces_executed += trips
                                 linked += trips
-                                if threshold:
-                                    trace.exec_count += trips
                                 if promoting and trace.heat is not None:
                                     trace.heat[0] += trips
-                        elif budgeted and trace.tier == 2:
-                            result, completed = trace.fn(budget - executed,
-                                                         exact)
                         else:
                             result, completed = trace.fn()
                     except StopRun as stop:
@@ -545,15 +486,6 @@ class PinVM:
             # Folded once, here, for every way out of the loop: a
             # return, a guest fault raised by a step — or out of a
             # compile, before the trace it was for ever ran.
-            tc2_dispatches = 0
-            if tc2 is not None:
-                tc2_dispatches = tc2_stats.dispatches - disp_mark
-                traces_executed += ((tc2_stats.segments - seg_mark)
-                                    - tc2_dispatches)
-                generated -= tc2_stats.stepped - stepped_mark
-                looped += tc2_stats.looped - looped_mark
-                if promoting:
-                    tc2.fold_heat()
             self.jit_stats.hot_instructions += generated
             self.jit_stats.loop_trips += looped
             self.total_instructions += executed
@@ -576,5 +508,4 @@ class PinVM:
             exit_code=self.exit_code,
             stop_token=stop_token,
             linked_dispatches=linked,
-            tc2_dispatches=tc2_dispatches,
         )

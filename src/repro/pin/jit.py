@@ -96,7 +96,7 @@ an ``IARG_PTR`` value that is not an immutable constant.  The rules:
   ``engine.counters`` (zeroed in place);
 * nothing pooled or kept **may capture** what ``PinVM.reset`` replaces
   or a run owns: ``instr_stats`` / ``jit_stats`` (generated code
-  reaches them through ``E``), the code cache, TC2, the metrics
+  reaches them through ``E``), the code cache, the metrics
   registry, a signature detector, a syscall handler, a slice's own
   copy of the tool, or any other object a callback handed over.
 
@@ -483,12 +483,9 @@ class CompiledTrace:
     """Executable form of one trace (threaded code)."""
 
     __slots__ = ("start", "steps", "addresses", "fall_address", "num_ins",
-                 "bbl_sizes", "links", "exec_count", "heat", "hot_at")
+                 "bbl_sizes", "links", "heat", "hot_at")
 
     is_source = False
-    #: Compile tier (see repro.pin.superblock): 1 = threaded code,
-    #: eligible for promotion into a TC2 superblock.
-    tier = 1
     #: A bounded trace retires at most ``num_ins`` instructions per
     #: invocation — the property the engine's exact-budget mode relies
     #: on.  Summarized loop traces override this (one invocation may
@@ -507,11 +504,6 @@ class CompiledTrace:
         #: by the engine (Pin's exit-stub patching).  Cleared wholesale
         #: by CodeCache.flush — a link must never outlive its target.
         self.links: dict[int, object] = {}
-        #: The TC2 promotion trigger — *not* an execution count: only
-        #: maintained when ``-sptc2 > 0``, zeroed by a declined
-        #: promotion, a superblock eviction and a TC2 flush, and blind
-        #: to runs inside a superblock.  Executions are ``heat[0]``.
-        self.exec_count = 0
         #: This pc's ``[executions, compiles]`` cell of ``Jit.heat``
         #: (None off a pooled engine) and the ``executions`` at which
         #: the engine re-lowers this trace as generated code.
@@ -689,8 +681,7 @@ class Jit:
         #: ``start pc -> [executions, compiles]``, monotone for the life
         #: of a pooled engine (empty off one): what the choice of
         #: lowering — and a profile — reads.  Compiles are counted here;
-        #: executions by whoever runs the trace (the dispatch loop
-        #: through ``trace.heat``, a superblock through its tally).
+        #: executions by the dispatch loop, through ``trace.heat``.
         self.heat: dict[int, list[int]] = {}
         #: The resident object whose bound methods kept instrumented
         #: code may bind — set, per run, by whoever knows that the
@@ -1048,8 +1039,8 @@ class Jit:
     def loop_form(self, trace):
         """Generated ``trace``'s loop form (:mod:`repro.pin.pyjit`),
         lowered the first time it is asked for — when the dispatch loop
-        first follows the trace's link to itself, or a superblock is
-        built over it alone — or None: the trace has none.
+        first follows the trace's link to itself — or None: the trace
+        has none.
 
         Lowered from the instrumentation the skeleton still carries,
         which is the trace's own for as long as the trace is cached (a

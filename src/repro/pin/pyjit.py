@@ -46,9 +46,9 @@ state for state and count for count, and ``loop(n)`` is ``n`` dispatches
 of ``fn`` that each left by the back edge: that is the whole contract,
 the reference every test holds it against, and why there is no switch
 for it.  How large ``n`` may be is the caller's to say
-(:meth:`repro.pin.engine.PinVM.run`, a one-segment superblock's
-runner): every per-execution decision — budget, TC2 promotion — still
-happens at the execution it would have.  What differs inside:
+(:meth:`repro.pin.engine.PinVM.run`): every per-execution decision —
+the budget — still happens at the execution it would have.  What
+differs inside:
 
 * the retired count runs on a base (``E._stop_count = _base + k``), so
   the unwind markers stay exact across trips, and one ``except
@@ -104,12 +104,10 @@ class SourceCompiledTrace:
     """
 
     __slots__ = ("start", "fn", "num_ins", "fall_address", "source",
-                 "bbl_sizes", "links", "exec_count", "unbounded", "heat",
-                 "loop", "origin")
+                 "bbl_sizes", "links", "unbounded", "heat", "loop",
+                 "origin")
 
     is_source = True
-    #: Compile tier (see repro.pin.superblock): eligible for TC2.
-    tier = 1
     #: Already generated code: nothing to promote to.
     hot_at = NEVER
 
@@ -132,9 +130,8 @@ class SourceCompiledTrace:
         #: Direct trace links: exit pc -> successor trace (see
         #: repro.pin.jit.CompiledTrace.links).
         self.links: dict[int, object] = {}
-        #: The TC2 promotion trigger, and ``Jit.heat``'s cell for this
-        #: pc (see repro.pin.jit.CompiledTrace).
-        self.exec_count = 0
+        #: ``Jit.heat``'s cell for this pc (see
+        #: repro.pin.jit.CompiledTrace).
         self.heat: list[int] | None = None
         #: True when the trace contains a summarized loop: one ``fn()``
         #: call may then retire far more than ``num_ins`` instructions,

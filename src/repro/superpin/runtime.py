@@ -224,10 +224,6 @@ class SuperPinReport:
                                     for s in self.slices),
             "suppressed_calls": sum(s.suppressed_calls
                                     for s in self.slices),
-            "tc2_promotions": sum(s.tc2_promotions for s in self.slices),
-            "tc2_dispatches": sum(s.tc2_dispatches for s in self.slices),
-            "tc2_mispredicts": sum(s.tc2_mispredicts
-                                   for s in self.slices),
         }
 
     def sampling_summary(self) -> dict[str, int]:

@@ -160,9 +160,8 @@ class SliceResult:
     summarized_loops: int = 0
     #: Per-iteration analysis calls avoided by loop summarization.
     suppressed_calls: int = 0
-    #: Tier-2 figures (``-sptc2``; informational — architecturally
-    #: invisible like linking, so they never enter merge or audit).
-    tc2_promotions: int = 0
+    #: Always 0: read by bench/layers.py's ``engine.tc2_*`` rows only
+    #: (the second translation cache was removed).
     tc2_dispatches: int = 0
     tc2_mispredicts: int = 0
 
@@ -263,8 +262,8 @@ class SliceMachine:
         running on the fork itself — and is spent afterwards, like any
         executed boundary.  The engine starts what every slice-shaped
         run starts from: a cold code cache in the bubble, and
-        ``config``'s linking and tier-2 rule (TC2 finds its chains by
-        following direct links, so it needs linking)."""
+        ``config``'s linking — serial Pin's engine, but for the
+        signature detector the caller registers."""
         cpu_snapshot, mem, handler = state or (
             boundary.cpu_snapshot, boundary.mem_fork,
             boundary_handler(boundary, interval))
@@ -279,8 +278,7 @@ class SliceMachine:
             code_cache=CodeCache(abi.BUBBLE_BASE, abi.BUBBLE_WORDS,
                                  metrics=metrics),
             link_traces=config.splinktraces, metrics=metrics,
-            suppress_loops=config.spsuppress,
-            tc2_threshold=config.sptc2 if config.splinktraces else 0)
+            suppress_loops=config.spsuppress)
         vm = self.vm
         if vm is None or vm.jit_backend != config.jit_backend:
             # Compiled work is pooled per backend: the machine serves
@@ -434,9 +432,6 @@ def run_slice(boundary: Boundary, interval: Interval,
         skipped_callbacks=vm.instr_stats.skipped_callbacks,
         summarized_loops=vm.instr_stats.summarized_loops,
         suppressed_calls=vm.instr_stats.suppressed_calls,
-        tc2_promotions=vm.tc2.stats.promotions if vm.tc2 else 0,
-        tc2_dispatches=vm.tc2.stats.dispatches if vm.tc2 else 0,
-        tc2_mispredicts=vm.tc2.stats.mispredicts if vm.tc2 else 0,
     )
     if metrics.enabled:
         # Hot-path counters are folded once per slice from CacheStats
@@ -470,17 +465,6 @@ def run_slice(boundary: Boundary, interval: Interval,
                     istats.summarized_calls)
         metrics.inc("pin.suppress.suppressed_calls",
                     istats.suppressed_calls)
-        if vm.tc2 is not None:
-            # Tier-2 counters fold once per slice like the cache stats;
-            # the promotion-span histogram (pin.tc2.promote_seconds) is
-            # observed live at promotion time.
-            tc2_stats = vm.tc2.stats
-            metrics.inc("pin.tc2.promotions", tc2_stats.promotions)
-            metrics.inc("pin.tc2.dispatches", tc2_stats.dispatches)
-            metrics.inc("pin.tc2.mispredicts", tc2_stats.mispredicts)
-            metrics.inc("pin.tc2.evictions", tc2_stats.evictions)
-            metrics.inc("pin.tc2.bytes", tc2_stats.bytes)
-            metrics.inc("pin.tc2.segments", tc2_stats.segments)
         if not instrumented:
             metrics.inc("superpin.sample.skipped_slices")
         metrics.observe("superpin.slice.instructions",

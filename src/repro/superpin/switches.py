@@ -47,12 +47,6 @@ Switch                  Meaning
 ``-splinktraces <0|1>`` direct trace linking in slice engines: chain
                         trace->trace through patched exit links,
                         bypassing the dispatcher (on by default)
-``-sptc2 <N>``          tiered compilation: promote trace chains into
-                        hot superblocks in a second translation cache
-                        once a trace executes N times (see
-                        repro.pin.superblock).  0 disables tier 2; the
-                        default trip count is 16.  Requires
-                        ``-splinktraces`` (chains follow direct links)
 ``-spaudit <0|1>``      differential replay audit: re-run the program
                         uninstrumented (and once under serial Pin) and
                         compare every slice's architectural end state,
@@ -204,14 +198,9 @@ class SuperPinConfig:
     #: compiled traces chain straight to their successors, touching the
     #: dispatcher only on cold exits.  Architecturally invisible.
     splinktraces: bool = True
-    #: Tier-2 promotion threshold (``-sptc2 N``): a tier-1 trace that
-    #: executes N times has its hottest link chain straightened into a
-    #: superblock served from the second translation cache
-    #: (repro.pin.superblock).  Architecturally invisible — the same
-    #: compiled segment code runs, and any side exit falls back to
-    #: tier 1.  0 disables tier 2; effective only with
-    #: ``splinktraces`` (promotion chains follow direct links).
-    sptc2: int = 16
+    #: Read by bench/layers.py's engine probe only; 0 is the one legal
+    #: value (the second translation cache and ``-sptc2`` were removed).
+    sptc2: int = 0
     # --- differential replay audit (off by default) ------------------------
     #: Run the lockstep divergence oracle: a reference (uninstrumented)
     #: run records per-boundary architectural checkpoints and syscall
@@ -314,9 +303,10 @@ class SuperPinConfig:
         if self.spsample < 0:
             raise ConfigError(
                 f"-spsample must be >= 0, got {self.spsample}")
-        if self.sptc2 < 0:
+        if self.sptc2:
             raise ConfigError(
-                f"-sptc2 must be >= 0, got {self.sptc2}")
+                f"sptc2 must be 0 (the second translation cache was "
+                f"removed), got {self.sptc2}")
         if self.spfilter is not None and not str(self.spfilter).strip():
             raise ConfigError("-spfilter spec must not be empty")
         for name, flag in (("sprecord", "-sprecord"),
@@ -378,7 +368,6 @@ _FLAG_PARSERS = {
     "-sptrace": ("sptrace", str),
     "-spmetrics": ("spmetrics", lambda v: bool(int(v))),
     "-splinktraces": ("splinktraces", lambda v: bool(int(v))),
-    "-sptc2": ("sptc2", int),
     "-spaudit": ("spaudit", lambda v: bool(int(v))),
     "-spfilter": ("spfilter", str),
     "-spsuppress": ("spsuppress", lambda v: bool(int(v))),

@@ -35,7 +35,7 @@ those logs and the one thing that outlives a run:
   ``store_key`` / ``load`` / ``save`` / ``size_bytes`` and expects a
   cold run to leave an entry; deleting it, ``-sptracestore`` and
   ``-sptracestorelimit`` waits for benchmark round 2 (ROADMAP item 3),
-  exactly like ``-spjit`` and ``-sptc2``.  A process-spanning warm tier
+  exactly like ``-spjit``.  A process-spanning warm tier
   that saves host time would be a resident slice machine per daemon
   worker, not this file.
 
@@ -103,7 +103,7 @@ def store_key(source_digest: str, config) -> str:
     deliberately key separate entries: a recording's slice shapes are
     its own).  ``config`` is the frozen benchmark's call shape and
     shapes nothing: no switch moves a trace head (backend, filter,
-    suppression, linking and TC2 all leave the compile logs of
+    suppression and linking all leave the compile logs of
     ``tests/conftest.MULTISLICE`` and the bench guests unchanged).
     """
     token = repr((source_digest, isa_fingerprint())).encode()

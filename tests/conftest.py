@@ -59,6 +59,18 @@ def loop_one_everywhere(monkeypatch) -> None:
     monkeypatch.setattr(Jit, "_lower_generated", lowered)
 
 
+def promote_at(monkeypatch, executions: int) -> None:
+    """A pooled engine's threaded-code trace is swapped for generated
+    code in mid-run (``PinVM._promote``) at its ``executions``-th
+    execution, and compiled as generated code from then on: the one
+    change of lowering a run can make, at a point the test chooses.
+    Only a pooled engine (``vm.jit.pool`` set) keeps the heat it is
+    counted in."""
+    from repro.pin import jit
+    monkeypatch.setattr(jit, "HOT_EXECUTIONS_PER_COMPILE", executions)
+    monkeypatch.setattr(jit, "PROMOTE_FACTOR", 1)
+
+
 # --- canned programs -----------------------------------------------------------
 
 LOOP_SUM = """

@@ -10,7 +10,7 @@ from repro.machine.interpreter import Interpreter
 from repro.pin import (CodeCache, IARG_END, IARG_INST_PTR, IARG_REG_VALUE,
                        IARG_UINT64, IPOINT_AFTER, IPOINT_BEFORE,
                        IPOINT_TAKEN_BRANCH, PinVM, RunState, StopRun)
-from tests.conftest import LOOP_SUM, MULTISLICE, run_native
+from tests.conftest import LOOP_SUM, MULTISLICE, promote_at, run_native
 
 
 def make_vm(source: str, seed: int = 42, **kwargs):
@@ -82,18 +82,24 @@ loop:
 
 
 class TestFaultOutOfACompile:
-    @pytest.mark.parametrize("tc2_threshold", [0, 16])
+    @pytest.mark.parametrize("promote", [0, 16])
     @pytest.mark.parametrize("backend", ["closure", "source"])
-    def test_totals_count_what_retired_before_it(self, backend,
-                                                 tc2_threshold):
+    def test_totals_count_what_retired_before_it(self, backend, promote,
+                                                 monkeypatch):
         """The engine's totals after the fault are those of a run that
-        the budget stopped just before the compile that raised it."""
+        the budget stopped just before the compile that raised it —
+        also when the loop before it was promoted in mid-run."""
         program = assemble(JUMPS_OFF_THE_MAP)
+        if promote:
+            promote_at(monkeypatch, promote)
 
         def engine():
-            return PinVM(load_program(program, Kernel(seed=42),
-                                      strict_memory=True),
-                         jit_backend=backend, tc2_threshold=tc2_threshold)
+            vm = PinVM(load_program(program, Kernel(seed=42),
+                                    strict_memory=True),
+                       jit_backend=backend)
+            if promote:
+                vm.jit.pool = {}
+            return vm
 
         interp = Interpreter(load_program(program, Kernel(seed=42),
                                           strict_memory=True))
@@ -112,8 +118,8 @@ class TestFaultOutOfACompile:
                   for vm in (faulted, stopped)]
         assert totals[0] == totals[1]
         assert totals[0][0] == 104 and totals[0][2] > 0
-        if tc2_threshold:
-            assert faulted.tc2.stats.dispatches > 0
+        assert (faulted.jit_stats.promotions > 0) == bool(
+            promote and backend == "closure")
 
 
 class TestInstrumentation:

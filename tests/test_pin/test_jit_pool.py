@@ -57,13 +57,13 @@ def _image(value, engine, seen=None):
 def _dirty_engine(backend):
     """An engine every per-run field of which a run has touched."""
     process = load_program(assemble(MULTISLICE), Kernel(seed=42))
-    vm = PinVM(process, jit_backend=backend, tc2_threshold=2,
-               suppress_loops=True, forced_boundaries=frozenset({3}))
+    vm = PinVM(process, jit_backend=backend, suppress_loops=True,
+               forced_boundaries=frozenset({3}))
     ICount2().activate(vm)
     vm.add_syscall_observer(lambda outcome: None)
     assert vm.run(max_instructions=5000,
                   exact_budget=True).state is RunState.BUDGET
-    assert vm.tc2.stats.promotions and vm._step_cache
+    assert vm._step_cache
     return vm
 
 
@@ -71,8 +71,7 @@ class TestReset:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_reset_engine_equals_fresh_engine(self, backend):
         settings = dict(forced_boundaries=frozenset({7}),
-                        link_traces=True, suppress_loops=False,
-                        tc2_threshold=5)
+                        link_traces=True, suppress_loops=False)
         used = _dirty_engine(backend)
         kept = {name: getattr(used, name) for name in RESIDENT}
         used.reset(code_cache=CodeCache(), **settings)
@@ -111,7 +110,7 @@ class TestReset:
         def fresh():
             return PinVM(load_program(assemble(MULTISLICE),
                                       Kernel(seed=42)),
-                         jit_backend=backend, tc2_threshold=4)
+                         jit_backend=backend)
 
         expected = measure(fresh())
         vm = fresh()
@@ -122,7 +121,7 @@ class TestReset:
         vm.process.exited = False
         vm.cpu.restore(again.cpu.snapshot())
         vm.mem.adopt(again.mem)
-        vm.reset(tc2_threshold=4)
+        vm.reset()
         assert measure(vm) == expected
         assert vm.jit_stats.skeleton_reuses > 0
 

@@ -31,8 +31,8 @@ from repro.superpin import control, run_superpin, SuperPinConfig
 from repro.superpin.slices import PLACEMENT_COUNTERS, SliceMachine
 from repro.tools import ICount2, TOOLS
 from repro.workloads import build
-from tests.conftest import (loop_one_everywhere, MULTISLICE, random_program,
-                            virtual_counters)
+from tests.conftest import (loop_one_everywhere, MULTISLICE, promote_at,
+                            random_program, virtual_counters)
 from tests.test_superpin.test_slice_machine import slice_image, SlicePhase
 
 T0, T2 = 8, 10
@@ -236,14 +236,27 @@ def image(vm, log=None) -> dict:
             "log": None if log is None else list(log)}
 
 
-def engine(source, backend="source", strict=False, instrument=None, **kwargs):
+def engine(source, backend="source", strict=False, instrument=None,
+           pooled=False, **kwargs):
     vm = PinVM(load_program(assemble(source), Kernel(seed=3),
                             strict_memory=strict),
                jit_backend=backend, **kwargs)
+    if pooled:
+        vm.jit.pool = {}
     log = []
     if instrument is not None:
         instrument(vm, log)
     return vm, log
+
+
+def promoted(monkeypatch, executions: int) -> dict:
+    """``engine`` settings: 0, generated code from a trace's first
+    compile; n, threaded code, pooled, each trace swapped in mid-run for
+    its generated form — loop form and all — at its n-th execution."""
+    if not executions:
+        return {}
+    promote_at(monkeypatch, executions)
+    return {"backend": "closure", "pooled": True}
 
 
 def finish(vm, log, **run_kwargs) -> dict:
@@ -274,24 +287,23 @@ def same_state(got: dict, want: dict) -> bool:
 
 
 class TestLoopNIsNDispatches:
-    @pytest.mark.parametrize("tc2", [0, 4])
+    @pytest.mark.parametrize("promote", [0, 4])
     @pytest.mark.parametrize("allowance", [1, 2, 3, 8, NEVER])
-    def test_same_run_by_fn_alone_and_by_loop(self, allowance, tc2,
+    def test_same_run_by_fn_alone_and_by_loop(self, allowance, promote,
                                               monkeypatch):
+        settings = promoted(monkeypatch, promote)
         with monkeypatch.context() as reference:
             without_loop_forms(reference)
             want = finish(*engine(LOOPS, instrument=record_everything,
-                                  tc2_threshold=tc2))
+                                  **settings))
         allow_at_most(monkeypatch, allowance)
-        vm, log = engine(LOOPS, instrument=record_everything,
-                         tc2_threshold=tc2)
+        vm, log = engine(LOOPS, instrument=record_everything, **settings)
         assert finish(vm, log) == want
         assert vm.jit_stats.loop_builds >= 3
         assert vm.jit_stats.loop_trips > 0
-        if tc2:
-            # (Promoted at the same executions, or the linked count
-            # above would already differ.)
-            assert vm.tc2.stats.promotions > 0
+        # (Promoted at the same executions, or the counts above would
+        # already differ.)
+        assert (vm.jit_stats.promotions > 0) == bool(promote)
 
     def test_and_by_threaded_code_and_the_interpreter(self):
         looped = finish(*engine(LOOPS, instrument=record_everything))
@@ -342,17 +354,18 @@ class TestBudgets:
                                       else RunState.EXIT), n
 
     @pytest.mark.parametrize("exact", [False, True])
-    @pytest.mark.parametrize("tc2", [0, 2])
+    @pytest.mark.parametrize("promote", [0, 2])
     def test_every_budget_stops_where_dispatched_code_stops(
-            self, exact, tc2, monkeypatch):
+            self, exact, promote, monkeypatch):
         """Both modes, every n, every count and the order of every
         call — and a second run from there to the end."""
         total = by_interpreter(THREE_VISITS)[0]["instructions"]
+        settings = promoted(monkeypatch, promote)
 
         def runs():
             out = []
             for n in range(total + 2):
-                vm, log = engine(THREE_VISITS, tc2_threshold=tc2,
+                vm, log = engine(THREE_VISITS, **settings,
                                  instrument=record_everything)
                 first = finish(vm, log, max_instructions=n,
                                exact_budget=exact)
@@ -509,11 +522,13 @@ class TestUnwinding:
         assert raised == fault.__name__ and same_state(got, state)
 
     @pytest.mark.parametrize("trip", [4, 5, 8])
-    @pytest.mark.parametrize("tc2", [0, 4])
-    def test_totals_after_a_fault_are_a_budget_stopped_runs(self, trip, tc2,
+    @pytest.mark.parametrize("promote", [0, 4])
+    def test_totals_after_a_fault_are_a_budget_stopped_runs(self, trip,
+                                                            promote,
                                                             monkeypatch):
         """``TestFaultOutOfACompile``'s property, for a fault inside a
-        loop form: the division is the trace's first instruction, so
+        loop form (or, promoted late, before the trace has one): the
+        division is the trace's first instruction, so
         the fault falls on a trace boundary, and a run the budget stops
         there has executed the same traces through the same links —
         less the one execution the fault interrupted, which the
@@ -521,27 +536,26 @@ class TestUnwinding:
         reached by the dispatcher's lookup, which the stopped run never
         makes.)"""
         source = faults_on(trip, "div")
+        settings = promoted(monkeypatch, promote)
 
         def fault():
-            vm, _ = engine(source, tc2_threshold=tc2)
+            vm, _ = engine(source, **settings)
             with pytest.raises(ArithmeticFault):
                 vm.run()
             return vm
         faulted = fault()
-        assert faulted.jit_stats.loop_trips > 0
-        stopped, _ = engine(source, tc2_threshold=tc2)
+        # (Trip k is the loop trace's execution k - 1: promoted at its
+        # ``promote``-th execution, that one runs ``fn``, the next ones
+        # its loop form.)
+        assert (faulted.jit_stats.promotions > 0) == (0 < promote < trip)
+        assert (faulted.jit_stats.loop_trips > 0) == (trip > promote + 1)
+        stopped, _ = engine(source, **settings)
         assert stopped.run(
             max_instructions=faulted.total_instructions).state \
             is RunState.BUDGET
         assert image(faulted) == {
             **image(stopped),
             "traces_executed": stopped.total_traces_executed + 1}
-        if tc2:
-            # (The interrupted execution may be the promoting one.)
-            without_loop_forms(monkeypatch)
-            dispatched = fault()
-            assert (faulted.tc2.stats.promotions, faulted.tc2.chains()) == (
-                dispatched.tc2.stats.promotions, dispatched.tc2.chains())
 
 
 def watch_registers(vm, log):
@@ -726,18 +740,6 @@ class TestLazyAndPaidOnce:
         vm.run()
         assert count.loops == vm.jit_stats.loop_builds == 1
 
-    def test_a_multi_segment_superblock_still_calls_fn(self, monkeypatch):
-        count = CompileCount(monkeypatch)
-        vm, _ = engine(DIAMOND, tc2_threshold=4)
-        assert vm.run().tc2_dispatches > 0
-        assert {len(chain) for chain in vm.tc2.chains()} == {2}
-        assert (count.loops, vm.tc2.stats.looped) == (0, 0)
-        # A one-segment self-loop block runs the segment's loop form.
-        vm, _ = engine(THREE_VISITS, tc2_threshold=2)
-        vm.run()
-        assert {len(chain) for chain in vm.tc2.chains()} == {1}
-        assert 0 < vm.tc2.stats.looped <= vm.jit_stats.loop_trips
-
     @pytest.mark.parametrize("tool", ["icount2", "memtrace"])
     def test_the_second_round_on_a_machine_builds_nothing(
             self, tool, monkeypatch):
@@ -789,13 +791,12 @@ def guest(name):
 class TestThroughThePipeline:
     """Every ``SliceResult`` field, every counter outside
     ``PLACEMENT_COUNTERS`` and the tool's report: equal with loop forms
-    live and without — at every TC2 threshold (the allowance stops one
-    short of the promoting execution), with and without workers, with
-    every repeated trace generated and the master hot from its second
-    arrival."""
+    live and without — with every repeated trace generated, or with
+    each promoted in mid-run at its first or sixteenth execution, with
+    and without workers, and the master hot from its second arrival."""
 
-    @pytest.mark.parametrize("name, sptc2, workers, extra", [
-        *[(name, sptc2, 0, {}) for sptc2 in (0, 1, 16)
+    @pytest.mark.parametrize("name, promote, workers, extra", [
+        *[(name, promote, 0, {}) for promote in (0, 1, 16)
           for name in ("multislice", "gzip", "gcc", "mcf")],
         *[(name, 16, 2, {}) for name in ("multislice", "gzip", "gcc",
                                          "mcf")],
@@ -803,9 +804,12 @@ class TestThroughThePipeline:
         ("multislice", 16, 0, {"splinktraces": False}),
         ("gzip", 16, 0, {"spsuppress": True}),
     ])
-    def test_same_slices_with_and_without(self, name, sptc2, workers,
+    def test_same_slices_with_and_without(self, name, promote, workers,
                                           extra, monkeypatch):
-        monkeypatch.setattr(jit, "HOT_EXECUTIONS_PER_COMPILE", 1)
+        if promote:
+            promote_at(monkeypatch, promote)
+        else:
+            monkeypatch.setattr(jit, "HOT_EXECUTIONS_PER_COMPILE", 1)
         monkeypatch.setattr(control, "HOT_HEAD_ARRIVALS", 2)
         monkeypatch.setattr(control, "SIDE_EXIT_MISSES", 1)
         program, timing = guest(name)
@@ -814,7 +818,7 @@ class TestThroughThePipeline:
             tool = TOOLS["memtrace" if name == "mcf" else "icount2"]()
             report = run_superpin(
                 program, tool, SuperPinConfig(
-                    spworkers=workers, sptc2=sptc2, spmetrics=True,
+                    spworkers=workers, spmetrics=True,
                     **timing, **extra), kernel=Kernel(seed=11))
             return ([slice_image(result) for result in report.slices],
                     virtual_counters(report.metrics), tool.report(),
@@ -833,6 +837,8 @@ class TestThroughThePipeline:
         # gzip's loops summarized ones; the master has neither.)
         assert got[3]["superpin.control.master.loop_trips"] > 0
         assert got[3]["pin.jit.loop_trips"] > 0 or extra
+        if promote:
+            assert got[3]["pin.jit.promotions"] > 0
 
     @pytest.mark.parametrize("suppress", [False, True])
     @pytest.mark.parametrize("strict", [False, True])

@@ -30,7 +30,7 @@ from repro.pin.pyjit import SourceCompiledTrace
 from repro.superpin import run_superpin, SuperPinConfig
 from repro.superpin.slices import SliceMachine
 from repro.tools import ICount1, ICount2
-from tests.conftest import MULTISLICE, virtual_counters
+from tests.conftest import MULTISLICE, promote_at, virtual_counters
 from tests.test_pin import test_jit_pool
 from tests.test_superpin.test_slice_machine import (REWRITTEN, slice_image,
                                                     SlicePhase,
@@ -270,17 +270,20 @@ class TestSerialPin:
             assert (vm.jit_stats.hot_instructions > 0) == (name != "inf")
         assert outcomes["1"] == outcomes["shipped"] == outcomes["inf"]
 
-    @pytest.mark.parametrize("tc2", [0, 4])
+    @pytest.mark.parametrize("promote", [0, 4])
     def test_exact_budget_lands_inside_a_promoted_trace(self, threshold,
-                                                        tc2):
-        # (A superblock is asked for ripe segments when it is
-        # dispatched, so the loop must be left and entered again.)
+                                                        promote,
+                                                        monkeypatch):
+        # (0: promoted at the 60th execution, by the shipped factor.)
         source = MULTISLICE
-        threshold(20)
+        if promote:
+            promote_at(monkeypatch, promote)
+        else:
+            threshold(20)
         for budget in (1600, 1601, 1603, 2300, 3070, 5001):
             process = load_program(assemble(source), Kernel(seed=42))
             reference = Interpreter(process).run(max_instructions=budget)
-            vm = pooled_vm(source, tc2_threshold=tc2)
+            vm = pooled_vm(source)
             tool = CallbackCounter()
             tool.activate(vm)
             result = vm.run(max_instructions=budget, exact_budget=True)
@@ -338,33 +341,6 @@ lp: addi s0, s0, -1
         assert faults["1"] == faults["shipped"] == faults["inf"]
         assert faults["inf"][0] == faults["inf"][1]
 
-    def test_promotion_while_tc2_holds_the_trace_as_a_segment(
-            self, threshold):
-        """TC2 promotes the loop chain at 4 executions; the segments
-        cross the mark inside the superblock and are swapped in place —
-        the chain is the same chain, so every TC2 figure is unmoved."""
-        runs = {}
-        for name, value in (("swap", 40), ("never", math.inf)):
-            threshold(value)
-            tool = ICount1()
-            vm = pooled_vm(MULTISLICE, tc2_threshold=4)
-            tool.activate(vm)
-            result = vm.run()
-            tc2 = vm.tc2.stats
-            runs[name] = (landing(vm, result), tool.icount,
-                          result.tc2_dispatches, tc2.promotions,
-                          tc2.mispredicts, tc2.evictions, tc2.segments,
-                          tc2.bytes, vm.tc2.chains())
-            blocks = list(vm.tc2.live_blocks())
-            generated = [seg for block in blocks for seg in block.segments
-                         if isinstance(seg, SourceCompiledTrace)]
-            assert bool(generated) == (name == "swap")
-            assert (vm.jit_stats.promotions > 0) == (name == "swap")
-            for block in blocks:
-                assert all(vm.cache.get(seg.start) is seg
-                           for seg in block.segments)
-        assert runs["swap"] == runs["never"]
-
     def test_late_callback_flushes_promoted_code_too(self, threshold):
         """A callback added after promotion invalidates the generated
         trace with everything else; recompiles instrument once each."""
@@ -397,7 +373,7 @@ lp: addi s0, s0, -1
     def test_unpooled_engines_never_promote(self, threshold):
         threshold(1)
         vm = PinVM(load_program(assemble(LOOP.format(trips=50)),
-                                Kernel(seed=42)), tc2_threshold=4)
+                                Kernel(seed=42)))
         vm.run()
         assert vm.jit.heat == {} and vm.jit.pool is None
         assert not any(dataclasses.astuple(vm.jit_stats))
@@ -443,15 +419,18 @@ class TestHeat:
         # it generated, the last falling through into the exit code.
         assert once.hot_instructions == 51 * 5 + 3
 
-    @pytest.mark.parametrize("tc2", [0, 4])
-    def test_heat_counts_every_execution_once(self, tc2):
-        """Executions are exact whoever ran the trace — the dispatch
-        loop or a superblock — so the cells add up to the engine's own
-        ``traces_executed``."""
-        vm = pooled_vm(MULTISLICE, tc2_threshold=tc2)
+    @pytest.mark.parametrize("promote", [0, 4])
+    def test_heat_counts_every_execution_once(self, promote, monkeypatch):
+        """Executions are exact whether the dispatch loop or a loop
+        form ran the trace, before or after its promotion, so the cells
+        add up to the engine's own ``traces_executed``."""
+        if promote:
+            promote_at(monkeypatch, promote)
+        vm = pooled_vm(MULTISLICE)
         ICount2().activate(vm)
         result = vm.run()
-        assert (tc2 == 0) == (result.tc2_dispatches == 0)
+        if promote:
+            assert vm.jit_stats.promotions > 0
         cells = vm.jit.heat.values()
         assert sum(cell[0] for cell in cells) == result.traces_executed
         assert sum(cell[1] for cell in cells) == vm.cache.stats.compiles
@@ -462,7 +441,7 @@ class TestHeat:
         vm = pooled_vm(LOOP.format(trips=30))
         before = {}
         for _ in range(3):
-            self.run_loop(vm, 30, tc2_threshold=4)
+            self.run_loop(vm, 30)
             for pc, (executions, compiles) in vm.jit.heat.items():
                 was = before.get(pc, (0, 0))
                 assert executions > was[0] and compiles == was[1] + 1

@@ -147,8 +147,8 @@ def random_syscall_program(seed: int, blocks: int = 4, block_len: int = 5,
 #: in at least one entry; the worker/adaptive entries run on a seed
 #: subset to stay inside the CI budget.
 CONFIGS = {
-    # Cold dispatch: no links, so no TC2 — every trace transition goes
-    # through the dispatcher.
+    # Cold dispatch: no links — every trace transition goes through
+    # the dispatcher.
     "seq-cold": dict(spworkers=0, splinktraces=False),
     "seq-linked": dict(spworkers=0),
     "workers": dict(spworkers=2),

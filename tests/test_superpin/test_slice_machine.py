@@ -227,7 +227,7 @@ class TestParityWithAFreshMachine:
         assert_resident_equals_fresh(THREADED, TOOLS["icount2"],
                                      jit_backend=backend, spmsec=1000)
 
-    def test_no_link_no_tc2(self):
+    def test_no_link(self):
         assert_resident_equals_fresh(
             MULTISLICE, TOOLS["icount2"], splinktraces=False)
 

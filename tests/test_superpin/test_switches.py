@@ -3,8 +3,13 @@
 import pytest
 
 from repro.errors import ConfigError
+from repro.isa import assemble
+from repro.machine import Kernel, load_program
+from repro.pin import PinVM
 from repro.superpin import (FaultKind, FaultPlan, parse_switches,
-                            SuperPinConfig)
+                            run_superpin, SuperPinConfig)
+from repro.tools import ICount2
+from tests.conftest import MULTISLICE
 
 
 class TestParsing:
@@ -101,24 +106,40 @@ class TestSupervisionSwitches:
 
 class TestCacheSwitches:
     def test_defaults_on(self):
-        config = SuperPinConfig()
-        assert config.splinktraces is True
-        assert config.sptc2 == 16
+        assert SuperPinConfig().splinktraces is True
 
     def test_parse_disable(self):
-        config = parse_switches(["-splinktraces", "0", "-sptc2", "0"])
-        assert config.splinktraces is False
-        assert config.sptc2 == 0
+        assert parse_switches(["-splinktraces", "0"]).splinktraces is False
 
     def test_parse_explicit_enable(self):
-        config = parse_switches(["-splinktraces", "1", "-sptc2", "4"])
-        assert config.splinktraces is True
-        assert config.sptc2 == 4
+        assert parse_switches(["-splinktraces", "1"]).splinktraces is True
 
-    def test_independent(self):
-        config = parse_switches(["-sptc2", "0"])
-        assert config.splinktraces is True
-        assert config.sptc2 == 0
+
+class TestNoSecondTranslationCache:
+    """The three names the frozen benchmark still reads accept only 0."""
+
+    def test_config_field_accepts_only_zero(self):
+        assert SuperPinConfig().sptc2 == 0
+        with pytest.raises(ConfigError, match="sptc2 must be 0"):
+            SuperPinConfig(sptc2=4)
+
+    def test_switch_is_unknown(self):
+        with pytest.raises(ConfigError, match="unknown SuperPin switch"):
+            parse_switches(["-sptc2", "4"])
+
+    def test_engine_keyword_accepts_only_zero(self):
+        process = load_program(assemble(MULTISLICE), Kernel(seed=42))
+        assert PinVM(process, tc2_threshold=0).run().instructions > 0
+        with pytest.raises(ConfigError, match="tc2_threshold must be 0"):
+            PinVM(process, tc2_threshold=4)
+
+    def test_slices_report_zero(self):
+        report = run_superpin(assemble(MULTISLICE), ICount2(),
+                              SuperPinConfig(spmsec=500, clock_hz=10_000),
+                              kernel=Kernel(seed=42))
+        assert len(report.slices) > 1
+        assert {(s.tc2_dispatches, s.tc2_mispredicts)
+                for s in report.slices} == {(0, 0)}
 
 
 class TestValidation:

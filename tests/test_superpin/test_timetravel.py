@@ -25,10 +25,13 @@ from repro.superpin import (damage_recording, DebugSession, load_recording,
 from repro.superpin.slices import PLACEMENT_COUNTERS
 from repro.superpin.timetravel import CKPT_CACHE_SIZE
 from repro.tools import ICount2
-from tests.conftest import MULTISLICE
+from tests.conftest import MULTISLICE, promote_at
 
 JIT_BACKENDS = ["closure", "source"]
-TC2 = [0, 4]
+LINKING = [True, False]
+#: 0: the shipped lowering rule; n: a landing's threaded traces are
+#: promoted in mid-run at their n-th execution (``promote_at``).
+PROMOTE = [0, 4]
 
 #: Probe icounts: slice starts, syscall-exact landings (763/767/1534),
 #: mid-loop interiors, a cross-slice point and the final state.
@@ -71,18 +74,19 @@ def master_states(program):
     return out
 
 
-def _engine(path, backend="closure", tc2=0):
+def _engine(path, backend="closure"):
     recording = load_recording(path)
-    return TimeTravelEngine(recording, SuperPinConfig(
-        jit_backend=backend, sptc2=tc2))
+    return TimeTravelEngine(recording, SuperPinConfig(jit_backend=backend))
 
 
 class TestGotoDeterminism:
     @pytest.mark.parametrize("backend", JIT_BACKENDS)
-    @pytest.mark.parametrize("tc2", TC2)
+    @pytest.mark.parametrize("promote", PROMOTE)
     def test_repeated_visits_are_byte_identical(self, recorded, backend,
-                                                tc2):
-        tt = _engine(recorded, backend, tc2)
+                                                promote, monkeypatch):
+        if promote:
+            promote_at(monkeypatch, promote)
+        tt = _engine(recorded, backend)
         first = {}
         for icount in PROBES:
             tt.goto(icount)
@@ -96,18 +100,22 @@ class TestGotoDeterminism:
                 f"icount {icount} drifted on revisit"
 
     @pytest.mark.parametrize("backend", JIT_BACKENDS)
-    @pytest.mark.parametrize("tc2", TC2)
+    @pytest.mark.parametrize("promote", PROMOTE)
     def test_goto_matches_master_timeline(self, recorded, master_states,
-                                          backend, tc2):
+                                          backend, promote, monkeypatch):
         """The replay-side landing equals the master's own state —
         without the master ever being re-run by the engine."""
-        tt = _engine(recorded, backend, tc2)
+        if promote:
+            promote_at(monkeypatch, promote)
+        tt = _engine(recorded, backend)
         for icount in PROBES:
             tt.goto(icount)
             pc, regs = master_states[icount]
             assert tt.registers() == (pc, regs), f"icount {icount}"
             assert tt.state_fingerprint() \
                 == fingerprint_state(pc, regs)
+        if promote and backend == "closure":
+            assert tt.jit_stats.promotions > 0
 
     def test_goto_rejects_out_of_range(self, recorded):
         tt = _engine(recorded)
@@ -162,10 +170,13 @@ class TestStepping:
 
 class TestWatchpoints:
     @pytest.mark.parametrize("backend", JIT_BACKENDS)
-    @pytest.mark.parametrize("tc2", TC2)
+    @pytest.mark.parametrize("promote", PROMOTE)
     def test_watchpoint_in_the_past_finds_last_writer(self, recorded,
-                                                      backend, tc2):
-        tt = _engine(recorded, backend, tc2)
+                                                      backend, promote,
+                                                      monkeypatch):
+        if promote:
+            promote_at(monkeypatch, promote)
+        tt = _engine(recorded, backend)
         hit = tt.last_write_before(WATCH_ADDR, 1534)
         assert hit is not None and hit.icount < 1534
         # The hit is the *about to write* point: the target word changes
@@ -414,14 +425,15 @@ def _fails_short(monkeypatch):
 
 class TestOneMachinePerEngine:
     @pytest.mark.parametrize("backend", JIT_BACKENDS)
-    @pytest.mark.parametrize("tc2", [0, 4, 16])
+    @pytest.mark.parametrize("linking", LINKING)
     def test_any_order_lands_on_the_master_timeline(self, travelled,
-                                                    backend, tc2):
+                                                    backend, linking):
         """(a) A long-lived engine — whatever it visited before, and in
         whatever order — lands where the interpreter was, and so does
         an engine built for that one target."""
         recording, timeline = travelled
-        config = SuperPinConfig(jit_backend=backend, sptc2=tc2)
+        config = SuperPinConfig(jit_backend=backend,
+                                splinktraces=linking)
         tt = TimeTravelEngine(recording, config)
         targets = sorted(timeline)
         shuffled = random.Random(7).sample(targets, len(targets))

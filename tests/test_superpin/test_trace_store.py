@@ -101,14 +101,13 @@ class TestStoreBasics:
         assert store_key("other-digest", SuperPinConfig()) != base
         # No switch moves a trace head, so none shapes the key.
         for other in (dict(jit_backend="source"), dict(spsuppress=True),
-                      dict(sptc2=0), dict(splinktraces=False),
+                      dict(splinktraces=False),
                       dict(spworkers=2), dict(spmsec=250)):
             assert store_key(digest, SuperPinConfig(**other)) == base
 
     @pytest.mark.parametrize("other", [
         dict(jit_backend="source"), dict(spsuppress=True),
-        dict(spfilter="opcode:mem"), dict(sptc2=0),
-        dict(splinktraces=False)], ids=lambda other: next(iter(other)))
+        dict(spfilter="opcode:mem"), dict(splinktraces=False)], ids=lambda other: next(iter(other)))
     def test_no_switch_moves_a_trace_head(self, program, other):
         """Why ``store_key`` reads nothing off the config."""
         base, _ = _report(program, None)
