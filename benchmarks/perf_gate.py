@@ -83,9 +83,10 @@ REQUIRED_NONZERO = (
     "pin.cache.persistent_hits",
     "pin.filter.fastpath_traces",
     "pin.suppress.summarized_loops",
-    # The master's hot tier: this 127k-instruction run has loops well
-    # past the head threshold, so zero means the control phase has gone
-    # back to interpreting everything.
+    # The master is serial Pin's engine with no tool: this
+    # 127k-instruction run's loops run thousands of times, so zero means
+    # the master no longer lowers what its heat shows is hot (it has
+    # lost the JIT's pool, or runs threaded code only).
     "superpin.control.master.jit_instructions",
     # The resident slice machines: this multi-slice run recompiles the
     # same four hot functions in every slice, so zero means the workers'

@@ -23,15 +23,17 @@ behind — ``serve.machines.hits >= 1``, ``serve.programs.hits >= 1``,
 ``pin.jit.skeleton_reuses`` above the first's — with an identical tool
 report; both jobs' ``run_seconds`` are printed.
 
-Last, a job small enough to be one slice, none of whose loops arrives a
-thousand times in one run, goes in again and again (a dozen times at
-most).  Of the second the smoke requires ``pin.jit.
+Last, a job small enough to be one slice, none of whose loops runs
+often enough in one run to earn generated code, goes in again and again
+(a dozen times at most).  Of the second the smoke requires ``pin.jit.
 instrumentation_checks > 0``: its one slice compiles every trace once,
 so every check is one against what the *first job's* template left
 attached (a daemon that forgets kept code between jobs reports 0).  It
 stops at the first job whose master ran generated code
 (``superpin.control.master.jit_instructions > 0`` — the resident master
-counts arrivals over its life, so the loop gets hot after a few jobs),
+is serial Pin's engine and keeps its ``Jit.heat`` over its life, and a
+compile it serves from kept code costs nothing to repay, so the loop is
+lowered generated after a few jobs),
 prints which one that was, and fails if none did; every one must report
 what the first reported.
 

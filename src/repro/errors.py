@@ -167,6 +167,12 @@ class CodeCacheOverflowError(ReproError):
     """
 
 
+class SelfModifyingCodeError(ReproError):
+    """A guest store rewrote cached code where the engine cannot stop
+    exactly after it: the storing instruction has calls after it, or
+    runs inside a summarized loop.  Raised instead of a wrong count."""
+
+
 class ConfigError(ReproError):
     """Invalid SuperPin switch or configuration value."""
 

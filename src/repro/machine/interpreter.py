@@ -1,16 +1,9 @@
-"""Direct interpreter: the machine's native execution reference.
+"""Direct interpreter: the machine's native reference and oracle only.
 
-This is what "running the application natively" means in the reproduction,
-and the reference the ``-spaudit`` oracle re-runs.  It is also the *cold
-tier* of the SuperPin master (``repro.superpin.control.MasterEngine``):
-the master interprets until a loop gets hot, runs the loop as generated
-code, and comes back here for everything else — with the control process
-regaining control after every system call either way, the moral
-equivalent of the paper's ptrace supervision.  For that client ``run``
-can count arrivals at the targets of taken backward branches and stop
-(``StopReason.HOT``) at one that has been reached often enough; with the
-count off — every other caller — the loop pays one comparison per taken
-branch.
+This is what "running the application natively" means in the
+reproduction's golden model, and the reference the ``-spaudit`` oracle
+re-runs.  No executor of a run is built on it: the SuperPin master is
+serial Pin's engine with no tool (:mod:`repro.superpin.control`).
 
 It is deliberately *not* built from the JIT's semantics table
 (``repro.pin.jit.SEMANTICS``): an oracle that shared its statement of
@@ -22,8 +15,11 @@ row against it, register aliasing and both memory modes included).
 The hot loop is deliberately monolithic: one function, local aliases,
 inlined memory access and a decode cache keyed by the raw instruction word
 (identical words decode identically, so the cache needs no invalidation
-even under code writes).  This is the standard shape for interpreters in
-CPython, where attribute lookups and function calls dominate cost.
+even under code writes).  Its inlined stores call no code watcher
+(:meth:`repro.machine.memory.Memory.watch_code`): the oracle runs on a
+process of its own, which no engine has cached code from.  This is the
+standard shape for interpreters in CPython, where attribute lookups and
+function calls dominate cost.
 """
 
 from __future__ import annotations
@@ -50,7 +46,6 @@ class StopReason(enum.Enum):
     EXIT = "exit"          # guest exited (exit syscall or halt)
     SYSCALL = "syscall"    # a syscall completed and stop_after_syscall is set
     BUDGET = "budget"      # instruction budget exhausted
-    HOT = "hot"            # a taken backward branch landed on a hot head
 
 
 @dataclass
@@ -73,25 +68,15 @@ class Interpreter:
         self.stop_after_syscall = stop_after_syscall
         self.total_instructions = 0
         self.total_syscalls = 0
-        #: Loop head -> arrivals over taken backward branches and jumps,
-        #: counted only by runs given a ``hot_threshold``.
-        self.head_arrivals: dict[int, int] = {}
         self._decode_cache: dict[int, Decoded] = {}
 
-    def run(self, max_instructions: int | None = None,
-            hot_threshold: int | None = None) -> StepResult:
+    def run(self, max_instructions: int | None = None) -> StepResult:
         """Execute until exit, budget exhaustion, or (optionally) a syscall.
 
         Returns a :class:`StepResult`; the process's ``exited`` /
         ``exit_code`` fields are updated on exit.  A guest fault leaves
         ``cpu.pc`` at the faulting instruction, which does not count as
         retired.
-
-        With ``hot_threshold`` set, every taken backward conditional
-        branch or ``j`` counts one arrival at its target, and the run
-        stops with ``StopReason.HOT`` — right after the branch, ``cpu.pc``
-        at the target — on the arrival that reaches the threshold and on
-        every later one.
         """
         proc = self.process
         if proc.exited:
@@ -106,12 +91,10 @@ class Interpreter:
         dcache = self._decode_cache
         handler = proc.syscall_handler
         stop_after_syscall = self.stop_after_syscall
-        heads = self.head_arrivals if hot_threshold is not None else None
 
         budget = max_instructions if max_instructions is not None else -1
         pc = cpu.pc
         count = 0
-        result: StepResult | None = None
 
         # Opcode constants as locals (global lookups are slow in the loop).
         op_nop, op_halt, op_syscall = int(Op.NOP), int(Op.HALT), \
@@ -188,17 +171,9 @@ class Interpreter:
                 elif op == op_bne:
                     if regs[rs] != regs[rt]:
                         npc = imm
-                        if imm <= pc and heads is not None:
-                            n = heads[imm] = heads.get(imm, 0) + 1
-                            if n >= hot_threshold:
-                                break
                 elif op == op_beq:
                     if regs[rs] == regs[rt]:
                         npc = imm
-                        if imm <= pc and heads is not None:
-                            n = heads[imm] = heads.get(imm, 0) + 1
-                            if n >= hot_threshold:
-                                break
                 elif op == op_blt:
                     a, b = regs[rs], regs[rt]
                     if a & _SIGN:
@@ -207,10 +182,6 @@ class Interpreter:
                         b -= 1 << 64
                     if a < b:
                         npc = imm
-                        if imm <= pc and heads is not None:
-                            n = heads[imm] = heads.get(imm, 0) + 1
-                            if n >= hot_threshold:
-                                break
                 elif op == op_bge:
                     a, b = regs[rs], regs[rt]
                     if a & _SIGN:
@@ -219,10 +190,6 @@ class Interpreter:
                         b -= 1 << 64
                     if a >= b:
                         npc = imm
-                        if imm <= pc and heads is not None:
-                            n = heads[imm] = heads.get(imm, 0) + 1
-                            if n >= hot_threshold:
-                                break
                 elif op == op_sub:
                     if rd:
                         regs[rd] = (regs[rs] - regs[rt]) & MASK64
@@ -234,10 +201,6 @@ class Interpreter:
                         regs[rd] = (regs[rs] * regs[rt]) & MASK64
                 elif op == op_j:
                     npc = imm
-                    if imm <= pc and heads is not None:
-                        n = heads[imm] = heads.get(imm, 0) + 1
-                        if n >= hot_threshold:
-                            break
                 elif op == op_call:
                     regs[31] = npc
                     npc = imm
@@ -371,17 +334,9 @@ class Interpreter:
                 elif op == op_bltu:
                     if regs[rs] < regs[rt]:
                         npc = imm
-                        if imm <= pc and heads is not None:
-                            n = heads[imm] = heads.get(imm, 0) + 1
-                            if n >= hot_threshold:
-                                break
                 elif op == op_bgeu:
                     if regs[rs] >= regs[rt]:
                         npc = imm
-                        if imm <= pc and heads is not None:
-                            n = heads[imm] = heads.get(imm, 0) + 1
-                            if n >= hot_threshold:
-                                break
                 elif op == op_jr:
                     npc = regs[rs]
                 elif op == op_callr:
@@ -398,10 +353,6 @@ class Interpreter:
             self.total_instructions += count - 1
             raise
 
-        if result is None:
-            # Left the loop on a hot backward branch: land on its target.
-            pc = npc
-            result = StepResult(StopReason.HOT, count)
         cpu.pc = pc
         self.total_instructions += count
         return result

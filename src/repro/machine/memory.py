@@ -14,6 +14,11 @@ whole address space behaves like anonymous demand-zero memory, which is
 what the synthetic workloads assume.  A *strict* mode instead faults on
 access outside regions registered with :meth:`Memory.map_region`, used by
 tests and by the kernel to police wild pointers.
+
+An engine that caches decoded code watches its words
+(:meth:`Memory.watch_code`): a write to one calls the engine back once
+it has landed.  Their pages share the write slow path with copy-on-write
+pages, so a write to any other page pays nothing for the watch.
 """
 
 from __future__ import annotations
@@ -31,7 +36,11 @@ class Memory:
     """Guest physical memory (word addressed, demand-zero, COW forkable)."""
 
     __slots__ = ("_pages", "_frozen", "strict", "_regions", "cow_faults",
-                 "pages_copied")
+                 "pages_copied", "_guarded", "_code_pages", "_code_words",
+                 "on_code_write")
+
+    #: What a pickle carries: the address space, not who watches it.
+    _STATE = __slots__[:6]
 
     def __init__(self, strict: bool = False):
         self._pages: dict[int, list[int]] = {}
@@ -43,6 +52,25 @@ class Memory:
         self.cow_faults = 0
         #: Pages copied eagerly or via COW, total.
         self.pages_copied = 0
+        #: Pages a write takes the slow path for: at least the frozen
+        #: ones and those holding watched code words.
+        self._guarded: set[int] = set()
+        #: Pages holding, and addresses of, watched code words — at
+        #: least those some cached code still holds.
+        self._code_pages: set[int] = set()
+        self._code_words: set[int] = set()
+        #: ``callback(addr)``, called right after a write lands on a
+        #: watched word: the watching engine's invalidation.
+        self.on_code_write = None
+
+    def __getstate__(self):
+        return None, {name: getattr(self, name) for name in self._STATE}
+
+    def __setstate__(self, state):
+        self.__init__()
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self._guarded = set(self._frozen)
 
     # -- mapping bookkeeping (strict mode / kernel VMAs) --------------------
 
@@ -78,21 +106,47 @@ class Memory:
         return page[addr & _OFFSET_MASK]
 
     def write(self, addr: int, value: int) -> None:
-        """Write ``value`` (already masked to 64 bits by the caller)."""
+        """Write ``value`` (already masked to 64 bits by the caller);
+        on a watched code word, then call :attr:`on_code_write`."""
         if self.strict:
             self._check(addr)
         index = addr >> PAGE_SHIFT
         page = self._pages.get(index)
-        if page is None:
-            page = _ZERO_PAGE[:]
-            self._pages[index] = page
-        elif index in self._frozen:
-            page = page[:]
-            self._pages[index] = page
-            self._frozen.discard(index)
-            self.cow_faults += 1
-            self.pages_copied += 1
+        if page is None or index in self._guarded:
+            if page is None:
+                page = _ZERO_PAGE[:]
+                self._pages[index] = page
+            elif index in self._frozen:
+                page = page[:]
+                self._pages[index] = page
+                self._frozen.discard(index)
+                self.cow_faults += 1
+                self.pages_copied += 1
+            if index not in self._code_pages:
+                self._guarded.discard(index)
+            elif addr in self._code_words:
+                page[addr & _OFFSET_MASK] = value
+                self.on_code_write(addr)
+                return
         page[addr & _OFFSET_MASK] = value
+
+    # -- cached-code watch ---------------------------------------------------
+
+    def watch_code(self, addr: int, count: int) -> None:
+        """Call :attr:`on_code_write` on a write to any of the ``count``
+        words at ``addr`` (an engine has decoded and cached them)."""
+        self._code_words.update(range(addr, addr + count))
+        for index in {addr >> PAGE_SHIFT, (addr + count - 1) >> PAGE_SHIFT}:
+            self._code_pages.add(index)
+            self._guarded.add(index)
+
+    def unwatch_code(self, addr: int | None = None) -> None:
+        """Stop watching the word at ``addr``, or (None) every word."""
+        if addr is not None:
+            self._code_words.discard(addr)
+        else:
+            self._code_words.clear()
+            self._code_pages.clear()
 
     # -- bulk access ---------------------------------------------------------
 
@@ -115,16 +169,19 @@ class Memory:
         child._regions = list(self._regions)
         shared = set(self._pages)
         child._frozen = set(shared)
+        child._guarded = set(shared)
         # The parent's own pages also become frozen: a parent write must
         # not be visible to the child.
         self._frozen |= shared
+        self._guarded |= shared
         return child
 
     def adopt(self, other: "Memory") -> None:
         """Become ``other`` while staying the same object.
 
         Takes over ``other``'s page table, freeze set, regions,
-        strictness and counters *by reference* — nothing is copied and
+        strictness, counters and code watch *by reference* (the watch
+        callback stays this object's) — nothing is copied and
         nothing is frozen, so no COW fault is charged that running on
         ``other`` itself would not be.  What holds this object — JIT
         closures over the bound ``read`` / ``write`` — now addresses
@@ -139,6 +196,9 @@ class Memory:
         self._regions = other._regions
         self.cow_faults = other.cow_faults
         self.pages_copied = other.pages_copied
+        self._guarded = other._guarded
+        self._code_pages = other._code_pages
+        self._code_words = other._code_words
 
     def same_words(self, addr: int, words: list[int]) -> bool:
         """True when the ``len(words)`` words at ``addr`` equal ``words``,
@@ -182,6 +242,7 @@ class Memory:
         child._pages = dict(self._pages)
         child._regions = list(self._regions)
         child._frozen = set(self._pages)
+        child._guarded = set(self._pages)
         return child
 
     def deep_copy(self) -> "Memory":

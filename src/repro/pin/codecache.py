@@ -42,6 +42,9 @@ class CacheStats:
     #: evicted (and unlinked) and its bubble charge refunded, so neither
     #: ``allocated_words`` nor ``compiles`` double-counts.
     reinserts: int = 0
+    #: Traces evicted because the guest wrote a word they decoded
+    #: (self-modifying code; :meth:`CodeCache.invalidate`).
+    invalidations: int = 0
 
     @property
     def misses(self) -> int:
@@ -148,6 +151,16 @@ class CodeCache:
             for pc, target in links.items():
                 if target is old:
                     links[pc] = new
+
+    def invalidate(self, word: int) -> bool:
+        """Evict every cached trace that decoded the guest word at
+        ``word`` (it has just been written); True if there was one."""
+        stale = [trace.start for trace in self._traces.values()
+                 if trace.start <= word < trace.start + trace.num_ins]
+        for address in stale:
+            self._evict_one(address)
+        self.stats.invalidations += len(stale)
+        return bool(stale)
 
     def _evict_one(self, address: int) -> None:
         """Drop one cached trace: unlink it everywhere, refund its charge.

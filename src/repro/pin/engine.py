@@ -6,15 +6,25 @@ next region is already in the code cache or must be compiled; the JIT
 compiles and instruments traces; system calls are emulated through the
 process's syscall handler (the seam SuperPin's record/playback plugs
 into).
+
+Like Pin, the engine is transparent to self-modifying code: a guest
+write to a word some cached trace decoded
+(:meth:`~repro.machine.memory.Memory.watch_code`) evicts every such
+trace.  If the executing trace would still run the old decode (a later
+instruction, or a loop form's next trip), it also stops right after the
+store, which counts as retired, exactly where the interpreter's store
+takes effect; any other trace finishes as compiled.
 """
 
 from __future__ import annotations
 
 import enum
+import sys
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from ..errors import ConfigError, GuestFault
+from ..errors import ConfigError, GuestFault, SelfModifyingCodeError
 from ..machine.kernel import SyscallOutcome
 from ..machine.process import Process
 from ..obs.metrics import NULL_METRICS
@@ -31,7 +41,53 @@ class RunState(enum.Enum):
     STOPPED = "stopped"  # an analysis routine raised StopRun
     BUDGET = "budget"    # instruction budget exhausted (runaway guard)
     SYSCALL = "syscall"  # a trace retired a syscall (stop_after_syscall)
-    COLD = "cold"        # the compile gate handed the next pc back
+
+
+class _CodeWritten(Exception):
+    """Raised out of a guest store that rewrote code the executing trace
+    would still run: ``(next pc, instructions the execution retired, the
+    store included)``."""
+
+
+def _stop_after(word: int) -> tuple[int, int] | None:
+    """Where the trace executing in :meth:`PinVM.run` must stop because
+    the guest just wrote ``word`` — if it would still run its decode of
+    it: a later instruction, or any of a loop form's — or a named error
+    where it cannot stop exactly there.  Read off the stack (the
+    dispatch loop's locals; a generated function's line, mapped to its
+    instruction by ``__lines__``, and count base), so the store fast path
+    pays nothing for the question."""
+    frame, generated = sys._getframe(3), None
+    while frame is not None and frame.f_code is not _RUN:
+        if generated is None and "__lines__" in frame.f_globals:
+            generated = frame
+        frame = frame.f_back
+    if frame is None:
+        return None
+    where = frame.f_locals
+    trace = where["trace"]
+    offset = word - trace.start
+    if not 0 <= offset < trace.num_ins:
+        return None
+    if not trace.is_source:
+        index = base = where["i"]
+        stale = offset > index
+    elif trace.unbounded:
+        index = base = 0
+        stale = True
+    else:
+        index = bisect_right(generated.f_globals["__lines__"],
+                             generated.f_lineno) - 1
+        base = generated.f_locals.get("_base", 0) + index
+        stale = offset > index or where["loop"] is not None
+    if not stale:
+        return None
+    if trace.unbounded or trace.instructions[index].after_calls:
+        raise SelfModifyingCodeError(
+            f"a store in the trace at {trace.start:#x} rewrote code the "
+            f"trace would still run, inside a summarized loop or ahead "
+            f"of its own after-calls")
+    return trace.start + index + 1, base + 1
 
 
 @dataclass
@@ -63,8 +119,7 @@ class PinVM:
                  link_traces: bool = True,
                  metrics=NULL_METRICS,
                  suppress_loops: bool = False,
-                 tc2_threshold: int = 0,
-                 compile_gate=None):
+                 tc2_threshold: int = 0):
         # ``tc2_threshold`` is accepted for bench/layers.py's engine
         # probe only: the second translation cache is gone.
         if tc2_threshold:
@@ -95,15 +150,13 @@ class PinVM:
         self.jit_backend = jit_backend
         self.reset(forced_boundaries=forced_boundaries,
                    code_cache=code_cache, link_traces=link_traces,
-                   metrics=metrics, suppress_loops=suppress_loops,
-                   compile_gate=compile_gate)
+                   metrics=metrics, suppress_loops=suppress_loops)
 
     def reset(self, forced_boundaries: frozenset[int] | None = None,
               code_cache: CodeCache | None = None,
               link_traces: bool = True,
               metrics=NULL_METRICS,
-              suppress_loops: bool = False,
-              compile_gate=None) -> None:
+              suppress_loops: bool = False) -> None:
         """Make this engine what a newly built one would be.
 
         The constructor's second half, and the whole of a context switch
@@ -142,15 +195,12 @@ class PinVM:
         #: What the JIT's in-process pool did for this run (see
         #: repro.pin.jit), folded at slice end like ``instr_stats``.
         self.jit_stats = JitStats()
-        #: ``gate(pc) -> bool`` for an engine that is the hot tier of a
-        #: tiered executor (the SuperPin master) and has a cold tier to
-        #: hand back to: on a dispatcher miss the gate decides whether
-        #: ``pc`` is worth compiling, and a refusal ends the run with
-        #: ``RunState.COLD``, nothing compiled or inserted.  With a gate
-        #: set an exact-budget run also returns ``COLD`` where it would
-        #: otherwise land the tail on step traces — the cold tier lands
-        #: it.  None (every instrumenting client) compiles every miss.
-        self.compile_gate = compile_gate
+        #: The guest words the cache decoded are watched from here on
+        #: (module docstring); True while a trace may be executing,
+        #: False inside a syscall and outside :meth:`run`.
+        self.mem.unwatch_code()
+        self.mem.on_code_write = self._code_written
+        self._executing = False
         #: Unwind markers maintained by generated code (source backend);
         #: a loop form that raises also leaves the executions it had
         #: started, the raising one included.
@@ -201,8 +251,12 @@ class PinVM:
     # -- syscall plumbing ----------------------------------------------------
 
     def dispatch_syscall(self) -> SyscallOutcome:
-        """Route a guest syscall through the process's handler."""
+        """Route a guest syscall through the process's handler.  Code it
+        writes is invalidated, and the trace goes on: a syscall ends
+        its trace anyway."""
+        self._executing = False
         outcome = self.process.syscall_handler.do_syscall(self.cpu, self.mem)
+        self._executing = True
         self.total_syscalls += 1
         if outcome.exited:
             self.exited = True
@@ -212,6 +266,17 @@ class PinVM:
         for observer in self.syscall_observers:
             observer(outcome)
         return outcome
+
+    def _code_written(self, word: int) -> None:
+        """The guest just wrote ``word``, which cached code decoded:
+        evict what decoded it, and stop the executing trace after the
+        store if it would still run the old decode."""
+        self.mem.unwatch_code(word)
+        self._step_cache.pop(word, None)
+        if self.cache.invalidate(word) and self._executing:
+            stop = _stop_after(word)
+            if stop is not None:
+                raise _CodeWritten(*stop)
 
     # -- execution -----------------------------------------------------------
 
@@ -230,6 +295,7 @@ class PinVM:
                 self._step_jit = Jit(self)
             trace = self._step_jit.compile_step(pc)
             self._step_cache[pc] = trace
+            self.mem.watch_code(pc, 1)
         return trace
 
     def _promote(self, trace):
@@ -299,7 +365,6 @@ class PinVM:
         budget = max_instructions if max_instructions is not None else -1
         budgeted = budget >= 0
         exact = exact_budget and budgeted
-        gate = self.compile_gate
         # A pooled engine keeps heat (see repro.pin.jit): it counts
         # every trace execution and promotes a trace that crosses its
         # mark.  ``generated`` is what the source path retired.
@@ -314,6 +379,7 @@ class PinVM:
         # ``prev`` is the trace that just executed, awaiting a patch.
         trace: CompiledTrace | None = None
         prev: CompiledTrace | None = None
+        self._executing = True
         try:
             while not self.exited:
                 if budgeted and executed >= budget:
@@ -322,9 +388,6 @@ class PinVM:
                 if trace is None:
                     trace = cache.lookup(pc)
                     if trace is None:
-                        if gate is not None and not gate(pc):
-                            state = RunState.COLD
-                            break
                         timed = self.metrics.enabled
                         if timed:
                             # A miss is already slow: time each directly.
@@ -338,23 +401,23 @@ class PinVM:
                             self.metrics.observe("pin.jit.trace_ins",
                                                  trace.num_ins)
                         cache.insert(pc, trace, trace.num_ins)
+                        self.mem.watch_code(pc, trace.num_ins)
                     if linking and prev is not None:
                         # Patch the predecessor's exit stub: the next time
                         # it exits to ``pc`` the dispatcher is bypassed.
                         prev.links[pc] = trace
-                step_sub = False
+                # A step trace, or a trace a code write stopped: no link
+                # to or from it.
+                unlinked = False
                 if exact:
                     remaining = budget - executed
                     if trace.unbounded or trace.num_ins > remaining:
-                        if gate is not None:
-                            state = RunState.COLD
-                            break
                         # Worst-case retirement exceeds the allowance: land
                         # the tail one instrumented instruction at a time.
                         trace = self._step_trace(pc)
-                        step_sub = True
+                        unlinked = True
                 traces_executed += 1
-                if promoting and not step_sub:
+                if promoting and not unlinked:
                     heat = trace.heat
                     # (None: compiled before the pool was set.)
                     if heat is not None:
@@ -421,6 +484,9 @@ class PinVM:
                         generated += self._stop_count
                         cpu.pc = self._stop_pc
                         raise
+                    except _CodeWritten as written:
+                        result, completed = written.args
+                        unlinked = True
                     executed += completed
                     generated += completed
                     if result is None:
@@ -444,14 +510,17 @@ class PinVM:
                             break
                     except StopRun as stop:
                         executed += i
-                        cpu.pc = trace.addresses[i]
+                        cpu.pc = trace.instructions[i].address
                         state = RunState.STOPPED
                         stop_token = stop.args[0] if stop.args else None
                         break
                     except GuestFault:
                         executed += i
-                        cpu.pc = trace.addresses[i]
+                        cpu.pc = trace.instructions[i].address
                         raise
+                    except _CodeWritten as written:
+                        result = written.args[0]
+                        unlinked = True
 
                     if result is None:  # fell off the end of the trace
                         executed += n
@@ -468,7 +537,7 @@ class PinVM:
                         and self.total_syscalls != start_syscalls):
                     state = RunState.SYSCALL
                     break
-                if linking and not step_sub:
+                if linking and not unlinked:
                     # Linked fast path: chain straight to the successor if
                     # this exit was patched on an earlier transition.  A
                     # flush clears every ``links`` dict, so a stale link can
@@ -478,11 +547,13 @@ class PinVM:
                     if trace is not None:
                         linked += 1
                 else:
-                    # Step traces live outside the cache; they must neither
-                    # receive nor become link targets.
+                    # Step traces live outside the cache, and a trace a
+                    # code write stopped may be evicted: they must
+                    # neither receive nor become link targets.
                     prev = None
                     trace = None
         finally:
+            self._executing = False
             # Folded once, here, for every way out of the loop: a
             # return, a guest fault raised by a step — or out of a
             # compile, before the trace it was for ever ran.
@@ -509,3 +580,6 @@ class PinVM:
             stop_token=stop_token,
             linked_dispatches=linked,
         )
+
+
+_RUN = PinVM.run.__code__

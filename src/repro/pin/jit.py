@@ -111,7 +111,8 @@ beside ``fn``, under the same rules.
 
 **Heat** is what a pooled JIT remembers about execution: per trace
 start pc, how often the trace has run and how often it has been
-compiled, for the life of the engine (:attr:`Jit.heat`).
+compiled — served compiles aside — for the life of the engine
+(:attr:`Jit.heat`).
 """
 
 from __future__ import annotations
@@ -139,7 +140,9 @@ EXIT_GUEST = -2
 #: slice re-instruments and re-emits every trace it touches, so what a
 #: generated function must repay is one emission, each time — a trace
 #: that runs 14 times in each of 12 slices never qualifies, one that
-#: runs 320 times in each of two does.  Sized by the sweep in ROADMAP.md
+#: runs 320 times in each of two does.  A compile *served* from kept
+#: code emits nothing (it reuses the kept function once there is one),
+#: so it is not counted.  Sized by the sweep in ROADMAP.md
 #: ("Measured and left alone"); ``float("inf")`` is the pure
 #: threaded-code reference, 1 lowers every repeated trace hot.
 HOT_EXECUTIONS_PER_COMPILE = 150
@@ -482,8 +485,8 @@ def _factory(key: tuple) -> Callable[..., Step]:
 class CompiledTrace:
     """Executable form of one trace (threaded code)."""
 
-    __slots__ = ("start", "steps", "addresses", "fall_address", "num_ins",
-                 "bbl_sizes", "links", "heat", "hot_at")
+    __slots__ = ("start", "steps", "instructions", "fall_address",
+                 "num_ins", "bbl_sizes", "links", "heat", "hot_at")
 
     is_source = False
     #: A bounded trace retires at most ``num_ins`` instructions per
@@ -492,11 +495,13 @@ class CompiledTrace:
     #: retire thousands of instructions).
     unbounded = False
 
-    def __init__(self, start: int, steps: list[Step], addresses: list[int],
-                 fall_address: int | None, bbl_sizes: list[int]):
+    def __init__(self, start: int, steps: list[Step],
+                 instructions: list[Ins], fall_address: int | None,
+                 bbl_sizes: list[int]):
         self.start = start
         self.steps = steps
-        self.addresses = addresses
+        #: The instrumented instructions the steps were lowered from.
+        self.instructions = instructions
         self.fall_address = fall_address
         self.num_ins = len(steps)
         self.bbl_sizes = bbl_sizes
@@ -560,7 +565,7 @@ class _Skeleton:
     """The run-independent half of one compiled trace."""
 
     __slots__ = ("trace_obj", "instructions", "sems", "texts",
-                 "addresses", "bbl_sizes", "words", "owner", "template",
+                 "bbl_sizes", "words", "owner", "template",
                  "kept", "loops")
 
     def __init__(self, trace_obj: TraceObj):
@@ -580,7 +585,6 @@ class _Skeleton:
         #: what gives its generated form a loop form — read off the
         #: decoded instructions by the first generated lowering.
         self.loops: bool | None = None
-        self.addresses = [ins.address for ins in self.instructions]
         self.bbl_sizes = [bbl.num_ins for bbl in trace_obj.bbls]
         #: Validation data, filled in by the first *reuse* (a run that
         #: never revisits a trace — most daemon jobs — pays nothing).
@@ -672,6 +676,11 @@ class Jit:
 
     def __init__(self, engine):
         self._engine = engine
+        cpu, mem = engine.cpu, engine.mem
+        #: What every threaded step binds of its engine: what lives as
+        #: long as the engine does (the capture rules above).
+        self._binds = (engine, cpu, cpu.regs, mem.read, mem.write,
+                       engine.counters)
         #: ``start pc -> [_Skeleton, ...]`` kept across runs of this
         #: engine — the shapes decoded at that head, at most
         #: :data:`VARIANTS_PER_HEAD`, most recently used first — or None
@@ -680,7 +689,8 @@ class Jit:
         self.pool: dict[int, list[_Skeleton]] | None = None
         #: ``start pc -> [executions, compiles]``, monotone for the life
         #: of a pooled engine (empty off one): what the choice of
-        #: lowering — and a profile — reads.  Compiles are counted here;
+        #: lowering — and a profile — reads.  Compiles are counted here,
+        #: but for served ones (:data:`HOT_EXECUTIONS_PER_COMPILE`);
         #: executions by the dispatch loop, through ``trace.heat``.
         self.heat: dict[int, list[int]] = {}
         #: The resident object whose bound methods kept instrumented
@@ -805,11 +815,12 @@ class Jit:
             stats.hot_compiles += 1
         else:
             trace = CompiledTrace(address, self._lower_threaded(skeleton),
-                                  skeleton.addresses,
+                                  skeleton.instructions,
                                   trace_obj.fall_address,
                                   skeleton.bbl_sizes)
         if cell is not None:
-            cell[1] += 1
+            if kept is None:
+                cell[1] += 1
             trace.heat = cell
             if not trace.is_source:
                 trace.hot_at = self._mark(cell)
@@ -836,7 +847,7 @@ class Jit:
         """
         skeleton = next(
             (variant for variant in self.pool.get(trace.start, ())
-             if variant.addresses is trace.addresses), None)
+             if variant.instructions is trace.instructions), None)
         if skeleton is None or trace.hot_at != self._mark(trace.heat):
             return None
         new = self._lower_generated(skeleton, None)
@@ -931,7 +942,7 @@ class Jit:
         run_trace_callbacks(engine, trace_obj)
         ins = trace_obj.instructions[0]
         return CompiledTrace(address, [self._step(ins, ins.shape)],
-                             [ins.address],
+                             trace_obj.instructions,
                              trace_obj.fall_address,
                              [bbl.num_ins for bbl in trace_obj.bbls])
 
@@ -941,16 +952,13 @@ class Jit:
         """``ins`` as one threaded-code step, its analysis calls (of
         ``shape``) woven in: its row's factory over this engine, its
         operands and its calls' values."""
-        engine = self._engine
-        cpu, mem = engine.cpu, engine.mem
         key = (ins.op, ins.rd != 0, shape)
         make = _FACTORIES.get(key) or _factory(key)
         values = ()
         if shape is not BARE:
             objects, numbers = call_values(ins)
             values = objects + numbers
-        return make(engine, cpu, cpu.regs, mem.read, mem.write,
-                    engine.counters, *operands(ins), *values)
+        return make(*self._binds, *operands(ins), *values)
 
     def _lower_threaded(self, skeleton: _Skeleton) -> list[Step]:
         """``skeleton``'s instrumented trace as threaded code: the kept
@@ -1012,7 +1020,8 @@ class Jit:
         return SourceCompiledTrace(
             start=address, fn=fn, num_ins=len(skeleton.instructions),
             fall_address=trace_obj.fall_address, source=source,
-            bbl_sizes=skeleton.bbl_sizes, unbounded=plan is not None,
+            bbl_sizes=skeleton.bbl_sizes,
+            instructions=skeleton.instructions, unbounded=plan is not None,
             origin=skeleton if skeleton.loops and plan is None else None)
 
     def _function(self, emitter, address: int):

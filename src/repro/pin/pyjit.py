@@ -104,8 +104,8 @@ class SourceCompiledTrace:
     """
 
     __slots__ = ("start", "fn", "num_ins", "fall_address", "source",
-                 "bbl_sizes", "links", "unbounded", "heat", "loop",
-                 "origin")
+                 "bbl_sizes", "instructions", "links", "unbounded", "heat",
+                 "loop", "origin")
 
     is_source = True
     #: Already generated code: nothing to promote to.
@@ -113,8 +113,8 @@ class SourceCompiledTrace:
 
     def __init__(self, start: int, fn, num_ins: int,
                  fall_address: int | None, source: str,
-                 bbl_sizes: list[int], unbounded: bool = False,
-                 origin=None):
+                 bbl_sizes: list[int], instructions: list[Ins],
+                 unbounded: bool = False, origin=None):
         self.start = start
         self.fn = fn
         #: The loop form, None until the dispatch loop first follows
@@ -127,6 +127,8 @@ class SourceCompiledTrace:
         self.fall_address = fall_address
         self.source = source
         self.bbl_sizes = bbl_sizes
+        #: The instrumented instructions ``fn`` was lowered from.
+        self.instructions = instructions
         #: Direct trace links: exit pc -> successor trace (see
         #: repro.pin.jit.CompiledTrace.links).
         self.links: dict[int, object] = {}
@@ -162,6 +164,10 @@ class _Emitter:
         self._indent = 1
         #: True once a summarized loop has been emitted for this trace.
         self.suppressed = False
+        #: Where in ``_lines`` each :meth:`lower` began: the function's
+        #: ``__lines__`` maps a source line back to its instruction (how
+        #: the engine stops a trace right after a store into its code).
+        self._starts: list[int] = []
         #: Instruction-count base expression: None for an absolute count
         #: (the normal whole-trace lowering), or a variable name (the
         #: post-loop suffix of a summarized trace counts retired
@@ -252,6 +258,7 @@ class _Emitter:
         them — a function of the decoded instruction and its position
         alone — and is filled in here the first time they are emitted.
         """
+        self._starts.append(len(self._lines))
         taken, after = self._emit_calls(index, ins)
         lines = self._lines
         if texts is None or taken:
@@ -367,6 +374,7 @@ class _Emitter:
         (``jit._INTERN``).
         """
         header = f"def __trace__():  # trace @ {address:#x}\n"
+        self.namespace["__lines__"] = tuple(2 + n for n in self._starts)
         return header + "\n".join(self._lines) + "\n"
 
     def finish(self, source: str, address: int):
@@ -550,12 +558,15 @@ class _LoopEmitter(_Emitter):
         body = "\n".join(self._lines)
         own = "    _own = True\n" if self._lends else ""
         unwind = f"if _own: {spill}" if self._lends else spill
-        return (f"def __trace__(_n):  # loop @ {address:#x}\n"
+        head = (f"def __trace__(_n):  # loop @ {address:#x}\n"
                 f"    {load}\n"
                 f"    _base = 0\n"
                 f"    _x = 1\n{own}"
                 f"    try:\n"
-                f"        while True:\n{body}\n"
+                f"        while True:\n")
+        first = head.count("\n") + 1
+        self.namespace["__lines__"] = tuple(first + n for n in self._starts)
+        return (f"{head}{body}\n"
                 f"    except BaseException:\n"
                 f"        {unwind}\n"
                 f"        E._stop_trips = _x\n"

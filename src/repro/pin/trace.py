@@ -60,6 +60,10 @@ BARE = ((), (), (), ())
 #: Where each collection of calls is counted in :attr:`Ins.shape`.
 _SLOTS = ("if_then", "before_calls", "taken_calls", "after_calls")
 
+#: Opcode number -> (``Op``, its ``OpInfo``): one dict hit where calling
+#: the enum costs a dozen times as much, on every instruction decoded.
+_OPS = {int(op): (op, INFO[op]) for op in Op}
+
 
 class Ins:
     """One decoded instruction inside a trace being instrumented."""
@@ -72,8 +76,9 @@ class Ins:
         self.address = address
         self.raw = raw
         opnum, self.rd, self.rs, self.rt, self.imm = decode(raw, pc=address)
-        self.op: Op = Op(opnum)
-        self.info: OpInfo = INFO[self.op]
+        self.op: Op
+        self.info: OpInfo
+        self.op, self.info = _OPS[opnum]
         # Most instructions never get a call: the four collections are
         # the shared empty tuple until something is attached (readers
         # only iterate, measure and test them).  A decoded trace a JIT

@@ -1,9 +1,13 @@
 """The control process: master supervision and slice-boundary policy.
 
 SuperPin runs the original application at full speed under a monitor (the
-paper uses ptrace; we use the engines' stop-after-syscall mode).  "Full
-speed" here is :class:`MasterEngine`: the interpreter for cold code,
-generated code for loops that have proved hot.
+paper uses ptrace; we use the engine's stop-after-syscall mode).  "Full
+speed" here is serial Pin's engine with no tool: a :class:`PinVM` whose
+JIT lowers what the run has proved hot exactly as it does for serial Pin
+(``Jit.heat``, mid-run promotion, loop forms), run with exact budgets.
+The master is Pin running the application uninstrumented, as a slice is
+Pin running it instrumented; the interpreter is only the oracle the
+audit and the tests hold it against.
 After every system call the control process either records the call for
 playback or forces a new timeslice; independently, a timer bounds each
 timeslice (paper §4.2–§4.3).  At every boundary it captures a slice
@@ -33,7 +37,6 @@ from dataclasses import dataclass, field
 
 from ..errors import ReproError
 from ..isa import abi
-from ..machine.interpreter import Interpreter, StepResult, StopReason
 from ..machine.kernel import (EMULATE, FORCE_SLICE, Kernel, MemLayout,
                               REPLAY, SyscallRecord, THREAD)
 from ..machine.threads import ThreadManager
@@ -43,7 +46,6 @@ from ..isa.program import Program
 from ..obs.metrics import NULL_METRICS
 from ..obs.tracer import NULL_TRACER
 from ..pin.engine import PinVM, RunState
-from ..pin.trace import MAX_TRACE_INS
 from .switches import SuperPinConfig
 from .sysrecord import RecordedSyscall, StreamDigest
 
@@ -145,8 +147,8 @@ class MasterTimeline:
     #: whose replays must be auditable without re-running the master).
     final_pc: int = -1
     final_cpu_hash: str = ""
-    #: How the master's tiers shared the run; None on a timeline built
-    #: from a recording (no master ran).
+    #: What the master's engine did; None on a timeline built from a
+    #: recording (no master ran).
     master: "MasterStats | None" = None
 
     @property
@@ -156,215 +158,50 @@ class MasterTimeline:
 
 @dataclass(frozen=True)
 class MasterStats:
-    """How the master's two tiers shared one control phase."""
+    """What the master's engine did in one control phase."""
 
-    #: Master instructions retired, both tiers.
+    #: Master instructions retired.
     instructions: int
-    #: Loop heads that reached :data:`HOT_HEAD_ARRIVALS`.
-    hot_heads: int
-    #: Instructions retired in generated code.
+    #: Of those, retired in generated code (``JitStats.hot_instructions``).
     jit_instructions: int
     #: Traces compiled for the master, and their guest instructions.
     compiled_traces: int
     compiled_ins: int
-    #: Interpreter -> generated code hand-overs.
-    engine_switches: int
     #: Trace executions that ran inside a trace's loop form
     #: (``JitStats.loop_trips``).
-    loop_trips: int = 0
+    loop_trips: int
+    #: Cached traces evicted because the guest wrote a word they decoded
+    #: (``CacheStats.invalidations``: self-modifying code).
+    code_invalidations: int
+
+    @classmethod
+    def of(cls, vm: PinVM) -> "MasterStats":
+        jit, cache = vm.jit_stats, vm.cache.stats
+        return cls(instructions=vm.total_instructions,
+                   jit_instructions=jit.hot_instructions,
+                   compiled_traces=cache.compiles,
+                   compiled_ins=cache.compiled_ins,
+                   loop_trips=jit.loop_trips,
+                   code_invalidations=cache.invalidations)
 
     def counters(self) -> dict[str, int]:
         """The ``superpin.control.master.*`` counters / span args."""
-        return {"hot_heads": self.hot_heads,
-                "jit_instructions": self.jit_instructions,
+        return {"jit_instructions": self.jit_instructions,
                 "compiled_ins": self.compiled_ins,
-                "engine_switches": self.engine_switches,
-                "loop_trips": self.loop_trips}
+                "loop_trips": self.loop_trips,
+                "code_invalidations": self.code_invalidations}
 
     def summary(self) -> str:
         share = (self.jit_instructions / self.instructions
                  if self.instructions else 0.0)
         return (f"{share:.0%} of {self.instructions:,} instructions in "
-                f"generated code; {self.hot_heads} hot heads, "
-                f"{self.compiled_traces} traces, "
-                f"{self.engine_switches} engine switches, "
+                f"generated code; {self.compiled_traces} traces, "
                 f"{self.loop_trips:,} trace executions inside loop forms")
 
-
-#: Arrivals at a loop head (the target of a taken backward branch) before
-#: the master runs it as generated code, and dispatcher misses on any
-#: other exit of generated code before that exit is compiled too.
-#: Constants fixed by the sweep in ROADMAP.md ("Recent", PR 14), not
-#: switches.  Head: the source backend's ``compile()`` costs 38.5 us per
-#: guest instruction and wins back 1/3.16 - 1/8.7 us per instruction it
-#: then retires, so a loop breaks even after ~190 trips; 200 is fastest
-#: on long runs (gzip-loop's control phase 121 -> 53 ms) but a loop that
-#: stops soon after has paid a compile worth 60% of all it ran (the 8k-
-#: instruction mcf daemon job: 3.0 -> 4.5 ms); at 1000 that worst case
-#: is 12%, short jobs pay nothing, and long runs give back 7 ms.  Exit:
-#: with 1, generated code compiles every cold instruction it runs into
-#: (gcc-footprint at head threshold 100: 241 traces, 35 -> 88 ms; 73 ms
-#: with 8); each further miss costs a hot exit one more bounce through
-#: the interpreter (1 -> 8 -> 32: 57 -> 61 -> 63 ms on gzip-loop).
-#: Both are counted over the life of the engine, which is one run —
-#: unless its caller keeps it (``MasterEngine(resident=True)``): a job
-#: of a few thousand instructions never repays a ``compile()``, the
-#: daemon that serves it again does, on the second job.
-HOT_HEAD_ARRIVALS = 1000
-SIDE_EXIT_MISSES = 8
 
 #: The shortest timeslice adaptive throttling (``-spadaptive``) shrinks
 #: to, in virtual milliseconds.
 MIN_TIMESLICE_MSEC = 50
-
-
-class MasterEngine:
-    """The master's executor: interpret cold code, run hot loops as
-    generated code.
-
-    ``run(budget) -> StepResult`` is :meth:`Interpreter.run`'s contract
-    (with ``stop_after_syscall``) over the same :class:`Process`, so the
-    control process cannot tell which tier retired an instruction.  The
-    interpreter runs, counting arrivals at loop heads, until one is hot;
-    an uninstrumented source-backend :class:`PinVM` then runs from that
-    head until it reaches code its compile gate refuses, a syscall, or
-    the last trace that fits the budget; the interpreter takes over
-    again, and always lands a budget's tail.  The ``PinVM`` is built on
-    the first hot head, so a run without one pays only the head count.
-
-    ``head_threshold=None`` never leaves the interpreter — the reference
-    the parity tests compare every other pair of thresholds against.
-
-    ``resident``: the engine outlives the run (a
-    :class:`~repro.superpin.slices.SliceMachine`'s ``master``, which the
-    serve daemon lends to one job after another) and :meth:`switch`
-    puts it onto each run's freshly loaded image.  What it keeps is
-    what is nobody's: the arrival and miss counts — so a loop gets hot
-    over the engine's life, exactly as ``Jit.heat`` counts, and a later
-    run leaves the interpreter on its first trip — and a pooled JIT
-    whose kept code a run only gets trace by trace, against the words
-    now loaded (``Jit._refusal``): another program on the same engine is
-    slow, never wrong.  State, totals and thresholds are per run.
-    """
-
-    def __init__(self, process: Process, head_threshold: int | None = None,
-                 exit_threshold: int = 0, resident: bool = False):
-        self.process = process
-        self.head_threshold = head_threshold
-        self.exit_threshold = exit_threshold
-        self.resident = resident
-        self.engine_switches = 0
-        self._interp = Interpreter(process, stop_after_syscall=True)
-        self._vm: PinVM | None = None
-        #: pc -> dispatcher misses on a not-hot exit of generated code.
-        self._exit_misses: dict[int, int] = {}
-        #: Filled by the PinVM's syscall observer, emptied by ``run``.
-        self._outcomes: list = []
-
-    def switch(self, image: Process, head_threshold: int | None,
-               exit_threshold: int) -> None:
-        """Context-switch this resident engine onto ``image``, a process
-        just loaded, and start a run: registers restored in place, the
-        image's memory adopted (``image`` is spent), its syscall handler
-        and thread manager taken over, the hot tier reset to a cold code
-        cache, every total zeroed — what
-        :meth:`~repro.superpin.slices.SliceMachine.switch` does for a
-        boundary."""
-        process = self.process
-        process.cpu.restore(image.cpu.snapshot())
-        process.mem.adopt(image.mem)
-        process.syscall_handler = image.syscall_handler
-        process.thread_manager = image.thread_manager
-        process.exited = False
-        process.exit_code = 0
-        self.head_threshold = head_threshold
-        self.exit_threshold = exit_threshold
-        self.engine_switches = 0
-        interp = self._interp
-        interp.total_instructions = interp.total_syscalls = 0
-        self._outcomes.clear()
-        vm = self._vm
-        if vm is not None:
-            vm.reset(compile_gate=self._admit)
-            vm.add_syscall_observer(self._outcomes.append)
-
-    @property
-    def total_instructions(self) -> int:
-        vm = self._vm
-        return self._interp.total_instructions + (
-            vm.total_instructions if vm is not None else 0)
-
-    @property
-    def total_syscalls(self) -> int:
-        vm = self._vm
-        return self._interp.total_syscalls + (
-            vm.total_syscalls if vm is not None else 0)
-
-    def run(self, max_instructions: int | None = None) -> StepResult:
-        interp = self._interp
-        outcomes = self._outcomes
-        executed = 0
-        while True:
-            left = (None if max_instructions is None
-                    else max_instructions - executed)
-            # A trace is only sure to fit a budget of MAX_TRACE_INS or
-            # more; below that the interpreter lands the tail uncounted.
-            roomy = left is None or left >= MAX_TRACE_INS
-            step = interp.run(
-                left, hot_threshold=self.head_threshold if roomy else None)
-            executed += step.instructions
-            if step.reason is not StopReason.HOT:
-                return StepResult(step.reason, executed, step.outcome)
-            if left is not None:
-                left -= step.instructions
-                if left < MAX_TRACE_INS:
-                    continue
-            vm = self._vm
-            if vm is None:
-                vm = self._vm = PinVM(self.process, jit_backend="source",
-                                      compile_gate=self._admit)
-                vm.add_syscall_observer(outcomes.append)
-                if self.resident:
-                    # It attaches nothing, so a trace's second compile
-                    # verifies trivially and its third is served.
-                    vm.jit.pool = {}
-                    vm.jit.retain_for = self
-            self.engine_switches += 1
-            hot = vm.run(left, exact_budget=True, stop_after_syscall=True)
-            executed += hot.instructions
-            outcome = outcomes.pop() if outcomes else None
-            if hot.state is RunState.EXIT:
-                return StepResult(StopReason.EXIT, executed, outcome)
-            if hot.state is RunState.SYSCALL:
-                return StepResult(StopReason.SYSCALL, executed, outcome)
-            if hot.state is RunState.BUDGET:
-                return StepResult(StopReason.BUDGET, executed)
-            # COLD: the interpreter goes on from here.
-
-    def _admit(self, pc: int) -> bool:
-        """The PinVM's compile gate: a hot head compiles at once, any
-        other exit of generated code once it has missed often enough."""
-        if self._interp.head_arrivals.get(pc, 0) >= self.head_threshold:
-            return True
-        misses = self._exit_misses[pc] = self._exit_misses.get(pc, 0) + 1
-        return misses >= self.exit_threshold
-
-    def stats(self) -> MasterStats:
-        vm = self._vm
-        jit, traces, ins, loop_trips = (0, 0, 0, 0) if vm is None else (
-            vm.total_instructions, vm.cache.stats.compiles,
-            vm.cache.stats.compiled_ins, vm.jit_stats.loop_trips)
-        # No arrival is ever counted under a None threshold (a resident
-        # engine may hold earlier runs' counts, and then shows none).
-        threshold = self.head_threshold
-        return MasterStats(
-            instructions=self.total_instructions,
-            hot_heads=0 if threshold is None else sum(
-                1 for n in self._interp.head_arrivals.values()
-                if n >= threshold),
-            jit_instructions=jit, compiled_traces=traces,
-            compiled_ins=ins, engine_switches=self.engine_switches,
-            loop_trips=loop_trips)
 
 
 class ControlProcess:
@@ -373,7 +210,7 @@ class ControlProcess:
     def __init__(self, program: Program, config: SuperPinConfig,
                  kernel: Kernel | None = None,
                  tracer=NULL_TRACER, metrics=NULL_METRICS,
-                 master: "MasterEngine | None" = None):
+                 master: PinVM | None = None):
         self.program = program
         self.config = config
         self.kernel = kernel if kernel is not None else Kernel()
@@ -382,9 +219,10 @@ class ControlProcess:
         self.tracer = tracer
         self.metrics = metrics
         self.process: Process = load_program(self.program, self.kernel)
-        #: The caller's resident engine to run the master on (it is
-        #: switched onto the loaded image when :meth:`cuts` starts), or
-        #: None: one is made for the run.
+        #: The caller's resident engine to run the master on (a
+        #: :class:`~repro.superpin.slices.SliceMachine`'s ``master``; it
+        #: is switched onto the loaded image when :meth:`cuts` starts),
+        #: or None: one is made for the run.
         self.master = master
         self._reserve_bubble()
         self._record_counter = 0
@@ -430,12 +268,24 @@ class ControlProcess:
         """
         master = self.master
         if master is None:
-            master = MasterEngine(self.process, HOT_HEAD_ARRIVALS,
-                                  SIDE_EXIT_MISSES)
+            master = PinVM(self.process)
+            master.jit.pool = {}
         else:
-            master.switch(self.process, HOT_HEAD_ARRIVALS, SIDE_EXIT_MISSES)
-            self.process = master.process
+            # The context switch: registers restored in place, the
+            # image's memory adopted (``image`` is spent), its syscall
+            # handler and threads taken over, the engine reset.
+            image, process = self.process, master.process
+            process.cpu.restore(image.cpu.snapshot())
+            process.mem.adopt(image.mem)
+            process.syscall_handler = image.syscall_handler
+            process.thread_manager = image.thread_manager
+            process.exited = False
+            process.exit_code = 0
+            master.reset()
+            self.process = process
         process = self.process
+        outcomes: list = []
+        master.add_syscall_observer(outcomes.append)
 
         timeline = self.timeline
         boundaries, intervals = timeline.boundaries, timeline.intervals
@@ -445,15 +295,17 @@ class ControlProcess:
         cow_mark = process.mem.cow_faults
 
         while True:
-            result = master.run(max_instructions=budget)
+            result = master.run(budget, exact_budget=True,
+                                stop_after_syscall=True)
+            outcome = outcomes.pop() if outcomes else None
             current.instructions += result.instructions
             budget -= result.instructions
 
-            if result.reason is StopReason.EXIT:
-                if result.outcome is not None:
+            if result.state is RunState.EXIT:
+                if outcome is not None:
                     # The exit syscall: the final slice replays it to stop.
                     current.syscalls += 1
-                    self._append_record(current, result.outcome.record)
+                    self._append_record(current, outcome.record)
                 current.is_last = True
                 current.master_cow_faults = (process.mem.cow_faults
                                              - cow_mark)
@@ -461,9 +313,8 @@ class ControlProcess:
                 intervals.append(current)
                 break
 
-            if result.reason is StopReason.SYSCALL:
-                assert result.outcome is not None
-                record = result.outcome.record
+            if result.state is RunState.SYSCALL:
+                record = outcome.record
                 current.syscalls += 1
                 boundary_reason = self._record_or_force(current, record)
                 if boundary_reason is None:
@@ -471,7 +322,7 @@ class ControlProcess:
                         continue
                     # The recorded syscall retired the last budgeted
                     # instruction: cut the timeslice here rather than
-                    # re-entering the interpreter with a zero budget
+                    # re-entering the engine with a zero budget
                     # (master.run(0) stops instantly with BUDGET/0, so
                     # the timer boundary would be attributed one
                     # iteration late).
@@ -500,15 +351,15 @@ class ControlProcess:
             budget = self._next_budget(master.total_instructions)
             yield boundaries[-1]
 
-        tiers = master.stats()
-        for name, value in tiers.counters().items():
+        stats = MasterStats.of(master)
+        for name, value in stats.counters().items():
             self.metrics.inc("superpin.control.master." + name, value)
         timeline.exit_code = process.exit_code
-        timeline.total_instructions = tiers.instructions
+        timeline.total_instructions = stats.instructions
         timeline.total_syscalls = master.total_syscalls
         timeline.final_pc = process.cpu.pc
         timeline.final_cpu_hash = process.cpu.fingerprint()
-        timeline.master = tiers
+        timeline.master = stats
 
     def _next_budget(self, executed_instructions: int) -> int:
         """Instruction budget for the next timeslice.

@@ -3,9 +3,9 @@
 ``run_superpin(program, tool, config)`` performs the full pipeline:
 
 1. **Setup** — the tool registers itself through the SP API (§5).
-2. **The master stream** — the master runs uninstrumented under the
-   control process (interpreted while cold, hot loops as generated
-   code), which records syscalls and cuts timeslices (§4.1–§4.3); the
+2. **The master stream** — the master runs uninstrumented (serial
+   Pin's engine with no tool) under the control process, which
+   records syscalls and cuts timeslices (§4.1–§4.3); the
    moment a boundary is cut its signature is recorded from its
    snapshot, with the adaptive quick-register lookahead (§4.4).  One
    generator (:class:`_MasterStream`) does both, a cut at a time;

@@ -49,7 +49,7 @@ from ..pin.codecache import CodeCache
 from ..pin.engine import PinVM, RunState
 from ..pin.pintool import declares_pure_instrumentation
 from .api import END_SLICE_TOKEN, SliceToolContext, SPControl
-from .control import Boundary, Interval, MasterEngine
+from .control import Boundary, Interval
 from .signature import (DetectionStats, Lookahead, Signature,
                         SignatureDetector)
 from .switches import SuperPinConfig
@@ -237,13 +237,23 @@ class SliceMachine:
         return Lookahead()
 
     @functools.cached_property
-    def master(self) -> MasterEngine:
-        """The executing half: the engine a run's master runs on, with
-        the generated code and the arrival counts of every run before
-        (:meth:`MasterEngine.switch`).  Made at first use, like
+    def master(self) -> PinVM:
+        """The executing half: the engine a run's master runs on — serial
+        Pin's engine with no tool — switched onto each run's freshly
+        loaded image (:meth:`ControlProcess.cuts
+        <repro.superpin.control.ControlProcess.cuts>`).  What it keeps
+        from run to run is what serial Pin's engine keeps, its JIT's
+        pool and heat: a loop earns generated code over the engine's
+        life, and kept code is reused only trace by trace against the
+        words now loaded (``Jit._refusal``) — another program on the
+        same engine is slow, never wrong.  Made at first use, like
         :attr:`lookahead`."""
-        return MasterEngine(Process(CpuState(), Memory(), None),
-                            resident=True)
+        vm = PinVM(Process(CpuState(), Memory(), None))
+        vm.jit.pool = {}
+        # It attaches nothing, so a trace's second compile verifies
+        # trivially and its third is served.
+        vm.jit.retain_for = vm
+        return vm
 
     def switch(self, boundary: Boundary, interval: Interval,
                config: SuperPinConfig,

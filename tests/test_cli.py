@@ -21,10 +21,11 @@ class TestRun:
         assert "mode: SuperPin" in out
         assert "slices:" in out
         assert "breakdown:" in out
-        # The master's tier line: share in generated code and what it cost.
+        # The master's engine line: share in generated code and what it
+        # cost.
         assert re.search(r"master: \d+% of [\d,]+ instructions in generated "
-                         r"code; \d+ hot heads, \d+ traces, \d+ engine "
-                         r"switches", out)
+                         r"code; \d+ traces, [\d,]+ trace executions inside "
+                         r"loop forms", out)
 
     def test_classic_pin_run(self, capsys):
         code = main(["run", "-t", "icount1", "-w", "eon",

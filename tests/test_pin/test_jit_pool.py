@@ -144,7 +144,7 @@ main:
 
 def _shape(trace):
     return (trace.start, trace.num_ins, trace.fall_address,
-            trace.bbl_sizes, getattr(trace, "addresses", None))
+            trace.bbl_sizes, [ins.address for ins in trace.instructions])
 
 
 class TestSkeletonValidity:

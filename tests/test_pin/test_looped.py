@@ -27,7 +27,7 @@ from repro.pin import (IARG_BRANCH_TARGET, IARG_CONTEXT, IARG_END,
 from repro.pin import jit, pyjit
 from repro.pin.jit import Jit, NEVER
 from repro.pin.pintool import NullSuperPin
-from repro.superpin import control, run_superpin, SuperPinConfig
+from repro.superpin import run_superpin, SuperPinConfig
 from repro.superpin.slices import PLACEMENT_COUNTERS, SliceMachine
 from repro.tools import ICount2, TOOLS
 from repro.workloads import build
@@ -793,7 +793,7 @@ class TestThroughThePipeline:
     ``PLACEMENT_COUNTERS`` and the tool's report: equal with loop forms
     live and without — with every repeated trace generated, or with
     each promoted in mid-run at its first or sixteenth execution, with
-    and without workers, and the master hot from its second arrival."""
+    and without workers; the master, serial Pin's engine, the same."""
 
     @pytest.mark.parametrize("name, promote, workers, extra", [
         *[(name, promote, 0, {}) for promote in (0, 1, 16)
@@ -810,8 +810,6 @@ class TestThroughThePipeline:
             promote_at(monkeypatch, promote)
         else:
             monkeypatch.setattr(jit, "HOT_EXECUTIONS_PER_COMPILE", 1)
-        monkeypatch.setattr(control, "HOT_HEAD_ARRIVALS", 2)
-        monkeypatch.setattr(control, "SIDE_EXIT_MISSES", 1)
         program, timing = guest(name)
 
         def run():

@@ -181,11 +181,10 @@ class TestPipelineTable:
     def test_audit_is_divergence_free(self, threshold, guest, spworkers):
         images = assert_lowering_is_invisible(
             threshold, guest, "icount2", spworkers=spworkers, spaudit=True)
-        # (The audit's serial-Pin reference caches ``f`` across the
-        # rewrite — no engine invalidates on a guest write — so that
-        # guest's verdict is a divergence, under every lowering.)
-        assert all(image["audit"] is (guest != "rewritten")
-                   for image in images.values())
+        # (``rewritten`` included: the audit's serial-Pin reference
+        # invalidates ``f`` on the guest's write to it, as the master
+        # and the slices do, under every lowering.)
+        assert all(image["audit"] is True for image in images.values())
 
     def test_slices_do_run_generated_code_at_the_shipped_threshold(
             self, threshold):

@@ -36,6 +36,8 @@ from repro.machine import Kernel
 from repro.superpin import FaultPlan, run_superpin, SuperPinConfig
 from repro.tools import ICount2
 
+from ..conftest import promote_at
+
 _ALU_RRR = ("add", "sub", "mul", "and", "or", "xor", "slt")
 _ALU_RRI = ("addi", "muli", "andi", "ori", "xori")
 _TEMPS = ("t0", "t1", "t2", "t3", "t4", "t5")
@@ -197,29 +199,27 @@ def test_fuzzed_pipeline_is_divergence_free(seed, name):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_fuzzed_pipeline_with_master_switching_every_few_instructions(
-        seed, monkeypatch):
-    """The same programs with the master's tier thresholds forced to
-    (2, 1): 90-trip loops never get hot on their own, so this is the
-    pass that puts every hand-over between the master's interpreter and
-    its generated code — at loop heads, cold exits, syscalls of all
-    three classes and timeslice cuts — under the audit's reference run,
-    which is the plain interpreter."""
-    from repro.superpin import control
-    monkeypatch.setattr(control, "HOT_HEAD_ARRIVALS", 2)
-    monkeypatch.setattr(control, "SIDE_EXIT_MISSES", 1)
+def test_fuzzed_pipeline_with_every_trace_promoted_early(seed, monkeypatch):
+    """The same programs with every cached trace promoted to generated
+    code at its second execution (``promote_at(2)``): 90-trip loops are
+    never promoted at the shipped mark, so this is the pass that puts
+    the master's and the slices' mid-run promotions and loop forms — cut
+    at loop heads, side exits, syscalls of all three classes and
+    timeslice ends — under the audit's reference run, which is the plain
+    interpreter."""
+    promote_at(monkeypatch, 2)
     program = assemble(random_syscall_program(seed))
     name = "workers" if seed in SEEDS[:2] else "seq-linked"
     report = run_superpin(program, ICount2(), _config(name),
                           kernel=Kernel(seed=seed))
     audit = report.audit
-    _dump_artifact(f"s{seed}-{name}-master-2-1", audit)
+    _dump_artifact(f"s{seed}-{name}-promote-2", audit)
     assert audit.ok, f"seed {seed}: {audit.summary()}\n" \
         + "\n".join(f"  {d}" for d in audit.divergences[:10])
-    # Every block's loop got hot, and the tiers kept changing over.
+    # The master's loops ran as generated code, and as loop forms.
     master = report.timeline.master
-    assert master.hot_heads >= 4 and master.jit_instructions > 0
-    assert master.engine_switches > 50
+    assert 2 * master.jit_instructions > master.instructions
+    assert master.loop_trips > 0
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])

@@ -136,7 +136,7 @@ main:
 
 class TestBudgetClamp:
     """A recorded syscall retiring the last budgeted instruction must cut
-    a boundary, not re-enter the interpreter with a zero budget."""
+    a boundary, not re-enter the master's engine with a zero budget."""
 
     # The SYS_TIME syscall retires as instruction 2 — exactly the
     # 2-instruction timeslice budget below.
@@ -154,24 +154,23 @@ lp: addi t0, t0, 1
     syscall
 """
 
-    def test_interpreter_never_gets_nonpositive_budget(self, monkeypatch):
-        from repro.machine.interpreter import Interpreter
+    def test_master_never_gets_nonpositive_budget(self, monkeypatch):
+        from repro.pin import PinVM
         from repro.superpin import control as control_mod
 
         budgets = []
 
-        class SpyInterpreter(Interpreter):
-            def run(self, max_instructions=-1, **kwargs):
+        class SpyVM(PinVM):
+            def run(self, max_instructions=None, **kwargs):
                 budgets.append(max_instructions)
-                return super().run(max_instructions=max_instructions,
-                                   **kwargs)
+                return super().run(max_instructions, **kwargs)
 
-        monkeypatch.setattr(control_mod, "Interpreter", SpyInterpreter)
+        monkeypatch.setattr(control_mod, "PinVM", SpyVM)
         config = SuperPinConfig(spmsec=2, clock_hz=1000)  # 2-instr slices
         assert config.timeslice_instructions == 2
         timeline = run_control(self.EXACT_BUDGET, config)
 
-        assert budgets, "spy interpreter never ran"
+        assert budgets, "spy engine never ran"
         assert all(b > 0 for b in budgets)
         # The exhausted budget cut a timer boundary right at the syscall.
         assert timeline.boundaries[1].reason is BoundaryReason.TIMEOUT

@@ -1,46 +1,101 @@
-"""The two-tier master: one oracle, stressed.
+"""The master is serial Pin's engine with no tool: one oracle, stressed.
 
-``MasterEngine`` interprets cold code and runs hot loops as generated
-code; which tier retired an instruction must be invisible.  The oracle
-is the master that never leaves the interpreter (head threshold None):
-every other pair of thresholds — down to a switch every few
-instructions — must yield the same ``MasterTimeline`` field by field,
-the same ``recording_id``, and the same ``StepResult`` call by call.
+The master runs as an uninstrumented ``PinVM`` under the JIT's own
+policy — threaded code first, generated code and loop forms for what
+the run proves hot, traces promoted in mid-run — with exact budgets and
+``stop_after_syscall``.  Which lowering retired an instruction must be
+invisible.  The oracle is the interpreter behind the same interface
+(:class:`Oracle`, test-side): every lowering — as shipped, and with
+every cached trace promoted at its first or sixteenth execution
+(``promote_at``) — must yield the same ``MasterTimeline`` field by
+field, the same ``recording_id``, and the same result run by run.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import GuestFault
 from repro.isa import assemble
-from repro.machine import Interpreter, Kernel, load_program, StopReason
-from repro.pin import PinVM
+from repro.machine import Interpreter, Kernel, load_program
+from repro.pin import jit, PinVM
+from repro.pin.codecache import CodeCache
+from repro.pin.engine import RunState
+from repro.pin.jit import JitStats
 from repro.pin.trace import MAX_TRACE_INS
 from repro.superpin import (BoundaryReason, ControlProcess,
                             record_signatures, run_superpin,
                             SuperPinConfig)
 from repro.superpin import control
-from repro.superpin.control import MasterEngine
 from repro.superpin.recording import save_recording
 from repro.superpin.slices import SliceMachine
 from repro.tools import ICount2
 from repro.workloads import SPEC2000
 from repro.workloads.generators import build_workload
 
-from ..conftest import MULTISLICE
+from ..conftest import MULTISLICE, promote_at
 from .test_threads_superpin import THREADED
 
-SHIPPED = (control.HOT_HEAD_ARRIVALS, control.SIDE_EXIT_MISSES)
-#: The interpreter-only master every other pair is compared against.
-REFERENCE = (None, control.SIDE_EXIT_MISSES)
-FORCED = [(1, 1), (2, 1), (7, 3)]
+#: ``promote_at`` values: 0 is the shipped policy (whatever
+#: ``--jit-hot-threshold`` says); n > 0 promotes every cached trace of a
+#: pooled engine to generated code at its n-th execution, and compiles
+#: every repeated trace generated.
+PROMOTE = (0, 1, 16)
+SHIPPED = jit.HOT_EXECUTIONS_PER_COMPILE
+#: Reference axis value: the master is the interpreter (:class:`Oracle`).
+ORACLE = "oracle"
+
+
+class Oracle:
+    """The interpreter behind the master engine's interface: what
+    ``ControlProcess.cuts`` asks of a ``PinVM``, answered by
+    ``Interpreter(process, stop_after_syscall=True)``."""
+
+    def __init__(self, process):
+        self.process = process
+        self._interp = Interpreter(process, stop_after_syscall=True)
+        self._observers = []
+        self.jit = SimpleNamespace(pool=None)
+        self.jit_stats = JitStats()
+        self.cache = CodeCache()
+
+    def add_syscall_observer(self, observer):
+        self._observers.append(observer)
+
+    @property
+    def total_instructions(self):
+        return self._interp.total_instructions
+
+    @property
+    def total_syscalls(self):
+        return self._interp.total_syscalls
+
+    def run(self, budget, exact_budget, stop_after_syscall):
+        assert exact_budget and stop_after_syscall
+        step = self._interp.run(budget)
+        if step.outcome is not None:
+            for observer in self._observers:
+                observer(step.outcome)
+        return SimpleNamespace(state=RunState(step.reason.value),
+                               instructions=step.instructions)
+
+
+def lowering(monkeypatch, promote) -> None:
+    """Run the master (and every other engine) at one point of the
+    axis: the oracle, the shipped policy, or ``promote_at(promote)``."""
+    if promote == ORACLE:
+        monkeypatch.setattr(control, "PinVM", Oracle)
+    elif promote:
+        promote_at(monkeypatch, promote)
+    else:
+        monkeypatch.setattr(jit, "HOT_EXECUTIONS_PER_COMPILE", SHIPPED)
 
 
 def syscall_loop(syscall: str, trips: int = 1500, step: int = 3) -> str:
-    """A loop that is hot under every pair, with a syscall in its body
-    (and a conditional side path, so generated code has a cold exit)."""
+    """A loop with a syscall in its body (and a conditional side path,
+    so generated code has a cold exit)."""
     return f"""
 .entry main
 main:
@@ -103,9 +158,11 @@ def _slices(n: int, **extra) -> SuperPinConfig:
 #: instructions are coprime to the loops' lengths, so over a run the
 #: cuts visit every position of a loop body: mid-trace, the backward
 #: branch itself, the syscall (``test_cuts_land_everywhere`` checks).
+#: The first four are the bench's guests at their workloads' scales.
 CASES = {
     "gzip": lambda: (_suite("gzip", 0.2), SuperPinConfig()),
     "gcc": lambda: (_suite("gcc", 0.03), SuperPinConfig()),
+    "gcc-0.085": lambda: (_suite("gcc", 0.085), SuperPinConfig()),
     "mcf": lambda: (_suite("mcf", 0.1), SuperPinConfig()),
     "threads": lambda: (assemble(THREADED), _slices(500)),
     "replay-loop": lambda: (assemble(REPLAY_LOOP), _slices(131)),
@@ -123,14 +180,11 @@ CASES = {
 LOOP_FORMS = ("gzip", "gcc", "mcf", "self-loop")
 
 
-def force_thresholds(monkeypatch, pair) -> None:
-    monkeypatch.setattr(control, "HOT_HEAD_ARRIVALS", pair[0])
-    monkeypatch.setattr(control, "SIDE_EXIT_MISSES", pair[1])
-
-
-def build_timeline(monkeypatch, program, config, pair, seed=42):
-    force_thresholds(monkeypatch, pair)
-    return ControlProcess(program, config, kernel=Kernel(seed=seed)).run()
+def build_timeline(monkeypatch, program, config, promote, seed=42):
+    with monkeypatch.context() as patch:
+        lowering(patch, promote)
+        return ControlProcess(program, config,
+                              kernel=Kernel(seed=seed)).run()
 
 
 def timeline_view(timeline) -> dict:
@@ -183,70 +237,82 @@ def assert_same_timeline(got, want, label) -> None:
 
 
 class TestTimelineParity:
+    @pytest.mark.parametrize("promote", PROMOTE)
     @pytest.mark.parametrize("case", CASES)
     def test_every_threshold_pair_matches_the_reference(
-            self, case, monkeypatch, tmp_path):
+            self, case, promote, monkeypatch, tmp_path):
         program, config = CASES[case]()
-        reference = build_timeline(monkeypatch, program, config, REFERENCE)
+        reference = build_timeline(monkeypatch, program, config, ORACLE)
         assert reference.master.jit_instructions == 0
         want = timeline_view(reference)
         want_id = recording_id(reference, config, tmp_path / "ref.sprec")
-        for pair in FORCED + [SHIPPED]:
-            timeline = build_timeline(monkeypatch, program, config, pair)
-            assert_same_timeline(timeline_view(timeline), want,
-                                 f"{case} {pair}")
-            assert recording_id(timeline, config,
-                                tmp_path / "mixed.sprec") == want_id, pair
-            if pair in FORCED:
-                # The parity above means something only if the hot tier
-                # really ran.
-                assert timeline.master.jit_instructions > 0, (case, pair)
-                if case in LOOP_FORMS:
-                    assert timeline.master.loop_trips > 0, (case, pair)
+        timeline = build_timeline(monkeypatch, program, config, promote)
+        assert_same_timeline(timeline_view(timeline), want,
+                             f"{case} {promote}")
+        assert recording_id(timeline, config,
+                            tmp_path / "master.sprec") == want_id
+        assert timeline.master.code_invalidations == 0
+        if promote:
+            # The parity above means something only if generated code
+            # really ran.
+            assert timeline.master.jit_instructions > 0
+            if case in LOOP_FORMS:
+                assert timeline.master.loop_trips > 0
 
     def test_cuts_land_everywhere(self, monkeypatch):
         """The short-timeslice cases cut on the backward branch, on the
-        syscall and mid-body — where the tiers hand over."""
+        syscall and mid-body — where a loop form or a trace must stop
+        exactly."""
         program = assemble(REPLAY_LOOP)
         head, after_sys = program.symbol("lp"), program.symbol("sys")
-        timeline = build_timeline(monkeypatch, program, _slices(97), (2, 1))
+        timeline = build_timeline(monkeypatch, program, _slices(97), 1)
         cut_pcs = {b.cpu_snapshot[0] for b in timeline.boundaries
                    if b.reason is BoundaryReason.TIMEOUT}
         assert head in cut_pcs                  # the branch retired last
         assert after_sys in cut_pcs             # the syscall retired last
         assert cut_pcs & set(range(head + 1, after_sys - 1))  # mid-body
-        # ... out of generated code: every timeslice went through it.
+        # ... out of generated code.
         master = timeline.master
-        assert master.engine_switches >= len(timeline.boundaries)
         assert 3 * master.jit_instructions > master.instructions
 
     def test_shipped_thresholds_engage_on_a_long_loop(self, monkeypatch):
+        """Serial Pin's heat policy, unpatched: gzip's loops are
+        promoted in mid-run and run as loop forms."""
         program, config = CASES["gzip"]()
-        master = build_timeline(monkeypatch, program, config, SHIPPED).master
-        assert master.hot_heads > 0
+        master = build_timeline(monkeypatch, program, config, 0).master
         assert 2 * master.jit_instructions > master.instructions
-        assert master.compiled_ins < 200
+        assert master.loop_trips > 0
+        assert master.compiled_ins < 400
 
     @settings(max_examples=15, deadline=None)
     @given(budget=st.integers(min_value=1, max_value=400),
-           pair=st.sampled_from(FORCED))
-    def test_any_timeslice_any_loop(self, budget, pair):
+           promote=st.sampled_from(PROMOTE))
+    def test_any_timeslice_any_loop(self, budget, promote):
         with pytest.MonkeyPatch.context() as monkeypatch:
             for source in (REPLAY_LOOP, FORCE_LOOP):
                 program = assemble(source)
                 want = timeline_view(build_timeline(
-                    monkeypatch, program, _slices(budget), REFERENCE))
+                    monkeypatch, program, _slices(budget), ORACLE))
                 got = timeline_view(build_timeline(
-                    monkeypatch, program, _slices(budget), pair))
-                assert_same_timeline(got, want, f"{budget} {pair}")
+                    monkeypatch, program, _slices(budget), promote))
+                assert_same_timeline(got, want, f"{budget} {promote}")
 
 
-def _engines(program, pair, seed=7):
-    """An interpreter and a mixed master over two loads of ``program``."""
+def _engines(program, seed=7):
+    """An interpreter and the master's engine over two loads of
+    ``program``."""
     reference = Interpreter(load_program(program, Kernel(seed=seed)),
                             stop_after_syscall=True)
-    mixed = MasterEngine(load_program(program, Kernel(seed=seed)), *pair)
-    return reference, mixed
+    master = PinVM(load_program(program, Kernel(seed=seed)))
+    master.jit.pool = {}
+    return reference, master
+
+
+def _run(master, budget=None):
+    outcomes = []
+    master.syscall_observers[:] = [outcomes.append]
+    result = master.run(budget, exact_budget=True, stop_after_syscall=True)
+    return result, outcomes[-1] if outcomes else None
 
 
 def _state(engine):
@@ -257,7 +323,9 @@ def _state(engine):
 
 
 class TestRunContract:
-    """``MasterEngine.run`` is ``Interpreter.run``, call for call."""
+    """The master's ``PinVM.run(budget, exact_budget=True,
+    stop_after_syscall=True)`` is ``Interpreter.run(budget)``, call for
+    call."""
 
     HALTING = """
 .entry main
@@ -273,80 +341,72 @@ lp: inc  t0
     @settings(max_examples=20, deadline=None)
     @given(budgets=st.lists(st.integers(min_value=40, max_value=600),
                             min_size=1, max_size=6),
-           pair=st.sampled_from(FORCED),
+           promote=st.sampled_from(PROMOTE),
            source=st.sampled_from([REPLAY_LOOP, FORCE_LOOP, THREADED,
                                    HALTING]))
-    def test_same_step_results(self, budgets, pair, source):
-        reference, mixed = _engines(assemble(source), pair)
-        for turn in itertools.count():
-            budget = budgets[turn % len(budgets)]
-            want, got = reference.run(budget), mixed.run(budget)
-            assert (got.reason, got.instructions) \
-                == (want.reason, want.instructions), turn
-            assert (got.outcome and got.outcome.record) \
-                == (want.outcome and want.outcome.record), turn
-            assert _state(mixed) == _state(reference), turn
-            if want.reason is StopReason.EXIT:
-                break
-        assert mixed.run(10).reason is StopReason.EXIT  # and stays exited
+    def test_same_step_results(self, budgets, promote, source):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            lowering(monkeypatch, promote)
+            reference, master = _engines(assemble(source))
+            for turn in itertools.count():
+                budget = budgets[turn % len(budgets)]
+                want = reference.run(budget)
+                got, outcome = _run(master, budget)
+                assert (got.state.value, got.instructions) \
+                    == (want.reason.value, want.instructions), turn
+                assert (outcome and outcome.record) \
+                    == (want.outcome and want.outcome.record), turn
+                assert _state(master) == _state(reference), turn
+                if got.state is RunState.EXIT:
+                    break
+            # ... and stays exited.
+            assert _run(master, 10)[0].state is RunState.EXIT
 
     @pytest.mark.parametrize("budget", range(200, 210))
-    def test_budgets_that_end_on_every_trip_of_a_loop_form(self, budget):
+    def test_budgets_that_end_on_every_trip_of_a_loop_form(
+            self, budget, monkeypatch):
         """Ten consecutive budgets over a five-instruction trip: the
         exact-mode allowance stops the loop form on every trip, at every
         distance from the budget's end."""
-        reference, mixed = _engines(assemble(SELF_LOOP), (2, 1))
+        promote_at(monkeypatch, 2)
+        reference, master = _engines(assemble(SELF_LOOP))
         while True:
-            want, got = reference.run(budget), mixed.run(budget)
-            assert (got.reason, got.instructions) \
-                == (want.reason, want.instructions)
-            assert _state(mixed) == _state(reference)
-            if want.reason is StopReason.EXIT:
+            want, (got, _) = reference.run(budget), _run(master, budget)
+            assert (got.state.value, got.instructions) \
+                == (want.reason.value, want.instructions)
+            assert _state(master) == _state(reference)
+            if got.state is RunState.EXIT:
                 break
-        assert mixed.stats().loop_trips > 500
+        assert master.jit_stats.loop_trips > 500
 
-    def test_unbudgeted_run(self):
-        reference, mixed = _engines(assemble(self.HALTING), (2, 1))
-        want, got = reference.run(), mixed.run()
-        assert (got.reason, got.instructions, got.outcome) \
-            == (want.reason, want.instructions, None)
-        assert _state(mixed) == _state(reference)
-        assert mixed.stats().jit_instructions > 0
+    def test_unbudgeted_run(self, monkeypatch):
+        promote_at(monkeypatch, 2)
+        reference, master = _engines(assemble(self.HALTING))
+        want, (got, outcome) = reference.run(), _run(master)
+        assert (got.state.value, got.instructions, outcome) \
+            == (want.reason.value, want.instructions, None)
+        assert _state(master) == _state(reference)
+        assert master.jit_stats.hot_instructions > 0
 
-    def test_hot_head_that_never_fits_the_budget(self):
+    def test_hot_head_that_never_fits_the_budget(self, monkeypatch):
         """Forward progress: a hot loop whose trace is longer than what
-        is left of the budget goes back to the interpreter, which lands
-        the tail — a budget is never spent on hand-overs."""
+        is left of the budget lands the tail on step traces — a budget
+        is never overrun, and never spent on nothing."""
+        promote_at(monkeypatch, 1)
         body = "\n".join("    addi t2, t2, 1" for _ in range(50))
         source = (".entry main\nmain:\n    li t0, 0\n    li t1, 400\n"
                   f"lp:\n{body}\n    inc t0\n    blt t0, t1, lp\n    halt\n")
-        reference, mixed = _engines(assemble(source), (1, 1))
+        reference, master = _engines(assemble(source))
         for budget in (10, MAX_TRACE_INS - 1, MAX_TRACE_INS, 100, 131):
-            before = mixed.engine_switches
-            want, got = reference.run(budget), mixed.run(budget)
-            assert (got.reason, got.instructions) \
-                == (want.reason, want.instructions) \
-                == (StopReason.BUDGET, budget)
-            assert _state(mixed) == _state(reference)
-            assert mixed.engine_switches - before <= MAX_TRACE_INS
-        # Budgets that cannot hold a trace never reach generated code.
-        assert mixed.engine_switches <= 3
-        assert mixed.stats().jit_instructions > 0
+            want, (got, _) = reference.run(budget), _run(master, budget)
+            assert (got.state, got.instructions) \
+                == (RunState.BUDGET, want.instructions) \
+                == (RunState.BUDGET, budget)
+            assert _state(master) == _state(reference)
+        assert master.jit_stats.hot_instructions > 0
 
 
 class TestLazyHotTier:
-    def test_no_hot_head_no_pinvm(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("control phase built a PinVM")
-        monkeypatch.setattr(control, "PinVM", refuse)
-        # gcc-style code: many short loops, none reaches the threshold.
-        timeline = ControlProcess(_suite("gcc", 0.03), SuperPinConfig(),
-                                  kernel=Kernel(seed=1)).run()
-        master = timeline.master
-        assert master.instructions == timeline.total_instructions > 10_000
-        assert (master.hot_heads, master.jit_instructions,
-                master.compiled_ins, master.engine_switches) == (0, 0, 0, 0)
-
     def test_thresholds_are_not_options(self):
         import dataclasses
         assert not [f.name for f in dataclasses.fields(SuperPinConfig)
@@ -359,38 +419,39 @@ class TestEndToEnd:
                                                  monkeypatch):
         program = assemble(MULTISLICE)
         runs = {}
-        for pair in (REFERENCE, (2, 1), SHIPPED):
-            force_thresholds(monkeypatch, pair)
-            tool = ICount2()
-            report = run_superpin(
-                program, tool, SuperPinConfig(
-                    spmsec=500, clock_hz=10_000, spworkers=workers,
-                    spaudit=True, spmetrics=True),
-                kernel=Kernel(seed=9))
-            assert report.audit.ok, (pair, report.audit.summary())
+        for promote in (ORACLE, *PROMOTE):
+            with monkeypatch.context() as patch:
+                lowering(patch, promote)
+                tool = ICount2()
+                report = run_superpin(
+                    program, tool, SuperPinConfig(
+                        spmsec=500, clock_hz=10_000, spworkers=workers,
+                        spaudit=True, spmetrics=True),
+                    kernel=Kernel(seed=9))
+            assert report.audit.ok, (promote, report.audit.summary())
             assert report.all_exact
-            runs[pair] = (tool.report(), report.stdout, report.exit_code,
-                          report.num_slices,
-                          [s.instructions for s in report.slices],
-                          report.timing.total_cycles)
-            # One fold at the end of the control phase: five counters,
-            # and the same five on the phase's span.
+            runs[promote] = (tool.report(), report.stdout,
+                             report.exit_code, report.num_slices,
+                             [s.instructions for s in report.slices],
+                             report.timing.total_cycles)
+            # One fold at the end of the control phase: four counters,
+            # and the same four on the phase's span.
             want = report.timeline.master.counters()
-            assert set(want) == {"hot_heads", "jit_instructions",
-                                 "compiled_ins", "engine_switches",
-                                 "loop_trips"}
+            assert set(want) == {"jit_instructions", "compiled_ins",
+                                 "loop_trips", "code_invalidations"}
             counters = report.metrics.counters
             assert {name: counters.get("superpin.control.master." + name, 0)
                     for name in want} == want
             span, = (r for r in report.trace.records
                      if r.name == "control_phase")
             assert span.args == want
-        assert runs[(2, 1)] == runs[SHIPPED] == runs[REFERENCE]
+        assert all(run == runs[ORACLE] for run in runs.values())
 
 
-#: A loop that arrives 399 times a run — hot on no run of its own, hot
-#: in the third run of a resident engine — and the same text at the
-#: same addresses with other constants: another program.
+#: A loop of 400 trips a run — promoted on no run of its own (the mark
+#: is 450 executions), compiled generated on a resident engine's second
+#: — and the same text at the same addresses with other constants:
+#: another program.
 SHORT_LOOP = syscall_loop("    li   a0, SYS_TIME\n    syscall", trips=400)
 OTHER_LOOP = syscall_loop("    li   a0, SYS_TIME\n    syscall", trips=400,
                           step=11)
@@ -420,8 +481,7 @@ start: .word 0x9000, {stride}
 class TestAResidentMaster:
     """A resident master is a fresh master, only sooner: whatever the
     engine ran before, a run on it yields the timeline of a run on an
-    engine of its own — and of the master that never leaves the
-    interpreter."""
+    engine of its own — and of the oracle."""
 
     #: ``(name, source, config, kernel seed, strict memory)``, in the
     #: order one resident runs them.
@@ -436,46 +496,47 @@ class TestAResidentMaster:
         ("threads", THREADED, _slices(500), 9, False),
         ("after-threads", SHORT_LOOP, _slices(131), 3, False),
     ]
-    #: Runs of the short loop on an engine that has seen 1,000 arrivals.
-    WARM = {"seed-3", "seed-4", "again", "strict", "after-threads"}
+    #: Runs of the short loop on an engine that has seen it run before.
+    WARM = {"seed-2", "seed-3", "seed-4", "again", "strict",
+            "after-threads"}
 
     @staticmethod
-    def master_run(monkeypatch, pair, run, engine=None):
+    def master_run(monkeypatch, promote, run, engine=None):
         _, source, config, seed, strict = run
-        force_thresholds(monkeypatch, pair)
-        control_process = ControlProcess(assemble(source), config,
-                                         kernel=Kernel(seed=seed),
-                                         master=engine)
-        control_process.process.mem.strict = strict
-        return control_process.run()
+        with monkeypatch.context() as patch:
+            lowering(patch, promote)
+            control_process = ControlProcess(assemble(source), config,
+                                             kernel=Kernel(seed=seed),
+                                             master=engine)
+            control_process.process.mem.strict = strict
+            return control_process.run()
 
     def test_every_run_is_the_run_on_an_engine_of_its_own(self,
                                                           monkeypatch):
         resident = SliceMachine()
         for run in self.RUNS:
             name = run[0]
-            want = timeline_view(self.master_run(monkeypatch, REFERENCE,
-                                                 run))
-            alone = self.master_run(monkeypatch, SHIPPED, run)
+            want = timeline_view(self.master_run(monkeypatch, ORACLE, run))
+            alone = self.master_run(monkeypatch, 0, run)
             assert_same_timeline(timeline_view(alone), want, name)
-            timeline = self.master_run(monkeypatch, SHIPPED, run,
+            timeline = self.master_run(monkeypatch, 0, run,
                                        resident.master)
             assert_same_timeline(timeline_view(timeline), want, name)
             if name in self.WARM:
-                # No loop of this guest arrives 1,000 times in one run.
+                # No loop of this guest earns generated code in one run.
                 assert alone.master.jit_instructions == 0, name
                 assert timeline.master.jit_instructions > 0, name
             if name == "other":
-                # Hot at once, by the first program's arrivals — and
+                # Generated at once, by the first program's heat — and
                 # the first program's loop refused, word by word.
                 assert timeline.master.jit_instructions > 0
-                assert resident.master._vm.jit_stats.rejects_words > 0
+                assert resident.master.jit_stats.rejects_words > 0
             if name == "again":
                 # Generated from the first trip, from code it kept.
                 master = timeline.master
                 assert 2 * master.jit_instructions > master.instructions
                 assert master.compiled_traces \
-                    == resident.master._vm.jit_stats.skeleton_reuses > 0
+                    == resident.master.jit_stats.skeleton_reuses > 0
 
     @pytest.mark.parametrize("workers", [0, 2])
     def test_through_the_pipeline(self, workers, monkeypatch, tmp_path):
@@ -484,13 +545,15 @@ class TestAResidentMaster:
         and memory words and every interval's records."""
         program = assemble(SHORT_LOOP)
 
-        def pipeline(pair, seed, resident=None):
-            force_thresholds(monkeypatch, pair)
-            tool = ICount2()
-            report = run_superpin(
-                program, tool, _slices(131, spworkers=workers,
-                                       sprecord=str(tmp_path / "r.sprec")),
-                kernel=Kernel(seed=seed), resident=resident)
+        def pipeline(promote, seed, resident=None):
+            with monkeypatch.context() as patch:
+                lowering(patch, promote)
+                tool = ICount2()
+                report = run_superpin(
+                    program, tool, _slices(
+                        131, spworkers=workers,
+                        sprecord=str(tmp_path / "r.sprec")),
+                    kernel=Kernel(seed=seed), resident=resident)
             timeline = report.timeline
             return report, (
                 report.recording_id, tool.report(), report.stdout,
@@ -501,36 +564,39 @@ class TestAResidentMaster:
 
         resident = SliceMachine()
         for seed in (1, 2, 3, 4):
-            _, want = pipeline(REFERENCE, seed)
-            alone, image = pipeline(SHIPPED, seed)
+            _, want = pipeline(ORACLE, seed)
+            alone, image = pipeline(0, seed)
             assert image == want
-            report, image = pipeline(SHIPPED, seed, resident)
+            report, image = pipeline(0, seed, resident)
             assert image == want and report.all_exact
         assert alone.timeline.master.jit_instructions == 0
         assert report.timeline.master.jit_instructions > 0
 
-    def test_kept_code_is_lowered_for_the_memory_mode_it_runs_under(self):
+    def test_kept_code_is_lowered_for_the_memory_mode_it_runs_under(
+            self, monkeypatch):
         """Generated code sets its unwind markers by the memory mode: a
-        trace kept by lenient runs is lowered again for a strict one,
-        and a fault in it stops where the interpreter stops."""
+        trace generated by lenient runs is lowered again for a strict
+        one, and a fault in it stops where the interpreter stops."""
+        lowering(monkeypatch, 0)
         lenient = assemble(WALKER.format(stride=0))
         wild = assemble(WALKER.format(stride=0x7000000))
-        engine = SliceMachine().master
-        # Hot in the third run, verified in the fourth, served from
-        # then on.
-        for _ in range(5):
-            engine.switch(load_program(lenient, Kernel()), *SHIPPED)
-            assert engine.run().reason is StopReason.EXIT
-        assert engine._vm.jit_stats.instrumentation_reuses > 0
+        resident = SliceMachine()
+        for _ in range(3):
+            timeline = ControlProcess(lenient, _slices(100),
+                                      master=resident.master).run()
+        assert timeline.master.jit_instructions > 0
         reference = Interpreter(load_program(wild, Kernel(),
                                              strict_memory=True))
-        engine.switch(load_program(wild, Kernel(), strict_memory=True),
-                      *SHIPPED)
-        for executor in (reference, engine):
-            with pytest.raises(GuestFault):
-                executor.run()
+        with pytest.raises(GuestFault):
+            reference.run()
+        master = ControlProcess(wild, _slices(10_000),
+                                master=resident.master)
+        master.process.mem.strict = True
+        with pytest.raises(GuestFault):
+            master.run()
+        engine = resident.master
         # (It came out of generated code: the loop's second trip.)
-        assert engine.engine_switches == 1
+        assert engine.cache.get(wild.symbol("lp")).is_source
         assert (engine.process.cpu.snapshot(), engine.total_instructions) \
             == (reference.process.cpu.snapshot(),
                 reference.total_instructions)
@@ -549,7 +615,7 @@ class TestFaultParity:
     at the faulting instruction, which is not counted as retired."""
 
     @pytest.mark.parametrize("kind", FAULTS)
-    def test_engines_agree_on_a_fault(self, kind):
+    def test_engines_agree_on_a_fault(self, kind, monkeypatch):
         program = assemble(
             ".entry main\nmain:\n    li   t0, 0\n    li   t1, 5\n"
             "lp: inc  t0\n    blt  t0, t1, lp\n"
@@ -559,11 +625,14 @@ class TestFaultParity:
         def load():
             return load_program(program, Kernel(), strict_memory=True)
 
+        promote_at(monkeypatch, 2)  # the loop is generated by then
+        master = PinVM(load())
+        master.jit.pool = {}
         engines = {
             "interpreter": Interpreter(load()),
             "closure": PinVM(load(), jit_backend="closure"),
             "source": PinVM(load(), jit_backend="source"),
-            "mixed": MasterEngine(load(), 2, 1),  # the loop is hot by then
+            "master": master,
         }
         seen = {}
         for name, engine in engines.items():
@@ -571,7 +640,7 @@ class TestFaultParity:
                 engine.run()
             seen[name] = (engine.process.cpu.snapshot(),
                           engine.total_instructions)
-        assert engines["mixed"].stats().jit_instructions > 0
+        assert master.jit_stats.hot_instructions > 0
         pc, retired = seen["interpreter"][0][0], seen["interpreter"][1]
         assert (pc, retired) == (fault_pc, 2 + 2 * 5 + 1)
         for name in engines:

@@ -246,14 +246,14 @@ class TestParityWithAFreshMachine:
                 ["count"]) == snapshots[1]["counters"]["pin.cache.compiles"]
 
 
-#: ``f`` runs in phase A, is rewritten, and runs again in phase C.  No
-#: engine here invalidates cached code on a guest write, so the guest
-#: keeps every code cache out of it: the filler B is longer than a
-#: timeslice (the slice that performs the rewrite starts inside it and
-#: has never cached ``f`` itself), and the call loops stay below the
-#: master's hot-loop threshold (it interprets them).  Engines agree on
-#: this guest; only a pool that trusted its old decode of ``f`` would
-#: not.
+#: ``f`` runs in phase A, is rewritten, and runs again in phase C.  The
+#: master and serial Pin cache ``f`` in phase A, so the store evicts it
+#: (``repro.pin.engine``); the filler B is longer than a timeslice, so
+#: the slice that performs the rewrite starts inside it and has never
+#: cached ``f`` itself — and a pool that trusted its old decode of ``f``
+#: from an earlier slice would run the old ``f`` in phase C.  Every
+#: engine agrees with the interpreter on this guest
+#: (``test_self_modifying.py`` holds them to it).
 REWRITTEN = """
 .entry main
 main:
