@@ -3,7 +3,8 @@
 The fig3/fig5 counting tools re-measured with the -spfilter /
 -spsuppress switches, isolating what each recovers:
 
-* **suppress** — summarized loops, tool results bit-identical to full;
+* **suppress** — loops summarized in their loop forms, tool results
+  bit-identical to full;
 * **filter** — instruction-subset instrumentation (here ``func0``),
   non-matching traces compile as uninstrumented fast paths;
 * **filter+suppress** — the combination the acceptance bar measures:

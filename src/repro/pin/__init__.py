@@ -25,7 +25,6 @@ from .engine import PinRunResult, PinVM, RunState
 from .filter import (InstrumentationStats, InstrumentFilter, OPCODE_CLASSES,
                      parse_filter)
 from .jit import CompiledTrace, EXIT_GUEST, Jit, StopRun
-from .suppress import LOOP_TRIP_CAP, LoopPlan, plan_suppression
 from .pintool import NullSuperPin, Pintool, run_with_pin
 from .pyjit import SourceCompiledTrace, SourceJit
 from .trace import Bbl, build_trace, Ins, MAX_TRACE_INS, TraceObj
@@ -48,7 +47,6 @@ __all__ = [
     "CompiledTrace", "EXIT_GUEST", "Jit", "StopRun", "NullSuperPin",
     "SourceCompiledTrace", "SourceJit",
     "InstrumentFilter", "InstrumentationStats", "OPCODE_CLASSES",
-    "parse_filter", "LOOP_TRIP_CAP", "LoopPlan", "plan_suppression",
-    "Pintool", "run_with_pin", "Bbl", "build_trace", "Ins", "MAX_TRACE_INS",
-    "TraceObj",
+    "parse_filter", "Pintool", "run_with_pin", "Bbl", "build_trace", "Ins",
+    "MAX_TRACE_INS", "TraceObj",
 ]

@@ -148,8 +148,9 @@ def try_static_args(specs: list[tuple[IArg, object]], ins) -> tuple | None:
 
     Returns the argument tuple when every specifier is static (literal,
     pointer, or the instruction address) — the legality condition for
-    loop summarization (repro.pin.suppress): an invariant payload can be
-    fired once with a trip count instead of once per iteration.  Any
+    loop summarization (:func:`repro.pin.jit.summarizable`): an
+    invariant payload can be fired once with a trip count instead of
+    once per iteration.  Any
     dynamic specifier (register value, effective address, branch state)
     returns None.
     """

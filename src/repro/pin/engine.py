@@ -72,9 +72,6 @@ def _stop_after(word: int) -> tuple[int, int] | None:
     if not trace.is_source:
         index = base = where["i"]
         stale = offset > index
-    elif trace.unbounded:
-        index = base = 0
-        stale = True
     else:
         index = bisect_right(generated.f_globals["__lines__"],
                              generated.f_lineno) - 1
@@ -82,11 +79,10 @@ def _stop_after(word: int) -> tuple[int, int] | None:
         stale = offset > index or where["loop"] is not None
     if not stale:
         return None
-    if trace.unbounded or trace.instructions[index].after_calls:
+    if trace.instructions[index].after_calls:
         raise SelfModifyingCodeError(
             f"a store in the trace at {trace.start:#x} rewrote code the "
-            f"trace would still run, inside a summarized loop or ahead "
-            f"of its own after-calls")
+            f"trace would still run, ahead of its own after-calls")
     return trace.start + index + 1, base + 1
 
 
@@ -184,9 +180,9 @@ class PinVM:
         #: dispatcher only on cold exits.  Architecturally invisible —
         #: differential tests enforce identical results either way.
         self.link_traces = link_traces
-        #: Redundancy suppression (repro.pin.suppress): legal back-edge
-        #: loops compile with their invariant instrumentation summarized
-        #: to one call per loop exit.
+        #: Redundancy suppression (``-spsuppress``): a loop form whose
+        #: calls are all summarizable fires each summary once per exit
+        #: instead of the calls on every trip (repro.pin.pyjit).
         self.suppress_loops = suppress_loops
         #: Selective-instrumentation / suppression counters, folded into
         #: the metrics registry at slice end (``pin.filter.*`` /
@@ -411,7 +407,7 @@ class PinVM:
                 unlinked = False
                 if exact:
                     remaining = budget - executed
-                    if trace.unbounded or trace.num_ins > remaining:
+                    if trace.num_ins > remaining:
                         # Worst-case retirement exceeds the allowance: land
                         # the tail one instrumented instruction at a time.
                         trace = self._step_trace(pc)

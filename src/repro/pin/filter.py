@@ -176,9 +176,9 @@ class InstrumentationStats:
     #: Traces compiled with zero analysis calls because every attached
     #: callback was filtered out — the uninstrumented fast path.
     fastpath_traces: int = 0
-    #: Back-edge loop traces compiled in summarized form.
+    #: Compiles of a trace whose loop form summarizes.
     summarized_loops: int = 0
-    #: Times a summarized loop ran to an exit (one summary burst each).
+    #: Exits from such a loop form (one summary burst each).
     loop_entries: int = 0
     #: Summary invocations fired (counted in ``analysis_calls`` too).
     summarized_calls: int = 0

@@ -29,13 +29,13 @@ whole trace becomes one Python function.  It costs about three times as
 much to produce and runs two to three times faster, so which one a trace
 gets is decided per trace, from what the process has observed
 (:data:`HOT_EXECUTIONS_PER_COMPILE`), by the one :meth:`Jit.compile`
-both go through: same skeleton, same callbacks, same suppression plan.
+both go through: same skeleton, same callbacks.
 ``jit_backend="source"`` (:class:`~repro.pin.pyjit.SourceJit`) is this
 JIT with the decision pinned to "generated".
 
 **Compile once per process.**  A compile has a half that depends on who
-is instrumenting — run the trace callbacks, plan suppression, weave the
-calls into the instrumented instructions — and a half that does not:
+is instrumenting — run the trace callbacks, weave the calls into the
+instrumented instructions — and a half that does not:
 decode the trace and lower every other instruction.  A :class:`Jit`
 whose ``pool`` is a dict (the JIT of a resident slice machine,
 :mod:`repro.superpin.slices`, of the signature lookahead's machine and
@@ -74,16 +74,16 @@ after that and is unchanged.  The owner also names *which* registration
 of the resident object's a run is (:attr:`Jit.template` — a slice
 machine's run template): what another one left is never served on its
 word, but the first compile under the new one is already the comparing
-one, and where the calls (and the suppression plan) are equal it takes
-over the kept lowering instead of producing it again — where they are
-not, another run's filter or constructor argument is no lie, and the
-trace starts over.  What the code observes sends a trace down
-the ordinary path instead, with nothing kept: a head that is the
-slice's signature pc (the detector's if/then there is per slice by
-nature; ``build_trace`` and rule 1 of :meth:`Jit._refusal` make the
-target a trace *head*, never an interior instruction), any if/then, a
-routine or summary that is not a bound method of the resident object,
-an ``IARG_PTR`` value that is not an immutable constant.  The rules:
+one, and where the calls are equal it takes over the kept lowering
+instead of producing it again — where they are not, another run's
+filter or constructor argument is no lie, and the trace starts over.
+What the code observes sends a trace down the ordinary path instead,
+with nothing kept: a head that is the slice's signature pc (the
+detector's if/then there is per slice by nature; ``build_trace`` and
+rule 1 of :meth:`Jit._refusal` make the target a trace *head*, never an
+interior instruction), any if/then, a routine or summary that is not a
+bound method of the resident object, an ``IARG_PTR`` value that is not
+an immutable constant.  The rules:
 
 * pooled semantics (skeletons) **may capture** only what lives as long
   as the engine — ``engine`` itself, ``engine.cpu``, ``cpu.regs`` and
@@ -107,7 +107,11 @@ compile it would see on a fresh engine.
 A generated trace's *loop form* (:mod:`repro.pin.pyjit`) is a second
 function over the same names, lowered lazily from the same still-attached
 calls: interned by its text like every generated function and kept
-beside ``fn``, under the same rules.
+beside ``fn``, under the same rules.  Under ``-spsuppress`` it is also
+where loops are summarized (:func:`summarizable`), so a trace that loops
+to its own head and passes that rule is lowered to generated code at
+every compile, whatever its heat: what its analysis calls count must
+not depend on whether it has a loop form yet.
 
 **Heat** is what a pooled JIT remembers about execution: per trace
 start pc, how often the trace has run and how often it has been
@@ -127,9 +131,8 @@ from ..isa.instructions import MASK64, Op
 from .args import (IARG_ADDRINT, IARG_BRANCH_TAKEN, IARG_BRANCH_TARGET,
                    IARG_CONTEXT, IARG_INST_PTR, IARG_MEMORYREAD_EA,
                    IARG_MEMORYWRITE_EA, IARG_PTR, IARG_REG_VALUE,
-                   IARG_SYSCALL_NUMBER, IARG_UINT64, IArg)
+                   IARG_SYSCALL_NUMBER, IARG_UINT64, IArg, try_static_args)
 from .filter import run_trace_callbacks
-from .suppress import LoopPlan, plan_suppression
 from .trace import BARE, BOUNDARY, build_trace, HOLE, Ins, TraceObj
 
 #: Sentinel step result: the guest has exited.
@@ -489,11 +492,6 @@ class CompiledTrace:
                  "num_ins", "bbl_sizes", "links", "heat", "hot_at")
 
     is_source = False
-    #: A bounded trace retires at most ``num_ins`` instructions per
-    #: invocation — the property the engine's exact-budget mode relies
-    #: on.  Summarized loop traces override this (one invocation may
-    #: retire thousands of instructions).
-    unbounded = False
 
     def __init__(self, start: int, steps: list[Step],
                  instructions: list[Ins], fall_address: int | None,
@@ -583,7 +581,8 @@ class _Skeleton:
         self.texts: list[tuple[str, ...] | None] | None = None
         #: Whether a direct exit of the trace targets its own head —
         #: what gives its generated form a loop form — read off the
-        #: decoded instructions by the first generated lowering.
+        #: decoded instructions the first time it is asked
+        #: (:meth:`Jit._loops`).
         self.loops: bool | None = None
         self.bbl_sizes = [bbl.num_ins for bbl in trace_obj.bbls]
         #: Validation data, filled in by the first *reuse* (a run that
@@ -603,16 +602,14 @@ class _Skeleton:
 class _Kept:
     """The run-dependent half of one compiled trace, verified pure."""
 
-    __slots__ = ("skipped", "fastpath", "plan", "steps", "fn", "source",
-                 "loop")
+    __slots__ = ("skipped", "fastpath", "steps", "fn", "source", "loop")
 
-    def __init__(self, skipped: int, fastpath: int, plan: LoopPlan | None):
+    def __init__(self, skipped: int, fastpath: int):
         #: What the filter counted while the callbacks ran
         #: (``skipped_callbacks`` / ``fastpath_traces``), re-applied by
         #: every compile served from here.
         self.skipped = skipped
         self.fastpath = fastpath
-        self.plan = plan
         #: Each lowering's product, filled in by the first compile (or
         #: promotion) that takes it.
         self.steps: list[Step] | None = None
@@ -628,12 +625,21 @@ def _constant(value) -> bool:
     return value is None or isinstance(value, (int, float, str, bytes))
 
 
-def _same_plan(plan: LoopPlan | None, other: LoopPlan | None) -> bool:
-    """True when two suppression plans of one skeleton lower alike."""
-    if plan is None or other is None:
-        return plan is other
-    return (plan.body_len == other.body_len
-            and plan.summaries == other.summaries)
+def summarizable(instructions: list[Ins]) -> bool:
+    """True when a loop form of ``instructions`` summarizes under
+    ``-spsuppress``: something is attached, and every call is a
+    before-call that declares a summary and whose arguments fold to
+    constants (:func:`~repro.pin.args.try_static_args`)."""
+    found = False
+    for ins in instructions:
+        if ins.if_then or ins.after_calls or ins.taken_calls:
+            return False
+        for call in ins.before_calls:
+            if (call.summary is None
+                    or try_static_args(call.specs, ins) is None):
+                return False
+            found = True
+    return found
 
 
 def _calls(instructions: list[Ins]) -> list[tuple]:
@@ -733,9 +739,9 @@ class Jit:
         # object instrumented last, at a head the slice's detector does
         # not instrument (the signature pc is only ever a trace head).
         # Served: what this template verified, lowered for this memory
-        # mode (generated code sets its unwind markers by it, and the
-        # suppression plan reads it).  Checked: everything else of the
-        # owner's — this template's first compile, or another's work.
+        # mode (generated code sets its unwind markers by it).  Checked:
+        # everything else of the owner's — this template's first
+        # compile, or another's work.
         owner = self.retain_for
         template = (self.template, engine.mem.strict)
         kept = reference = previous = None
@@ -755,7 +761,6 @@ class Jit:
             stats.instrumentation_reuses += 1
             istats.skipped_callbacks += kept.skipped
             istats.fastpath_traces += kept.fastpath
-            plan = kept.plan
         else:
             # Nobody's until the callbacks have run to the end: one that
             # raises leaves a half-instrumented trace behind.
@@ -767,7 +772,6 @@ class Jit:
             skipped, fastpath = (istats.skipped_callbacks,
                                  istats.fastpath_traces)
             run_trace_callbacks(engine, trace_obj)
-            plan = plan_suppression(engine, trace_obj)
             if reference is not None:
                 attached = _calls(skeleton.instructions)
                 if not _servable(attached, owner):
@@ -782,12 +786,11 @@ class Jit:
                     if attached == reference:
                         verified = skeleton.kept = _Kept(
                             istats.skipped_callbacks - skipped,
-                            istats.fastpath_traces - fastpath, plan)
+                            istats.fastpath_traces - fastpath)
                         # Equal calls lower to equal steps — and, where
-                        # the plan and the memory mode it was emitted
-                        # under are equal too, to the same function.
-                        if previous is not None and _same_plan(
-                                plan, previous.plan):
+                        # the memory mode they were emitted under is
+                        # equal too, to the same function.
+                        if previous is not None:
                             verified.steps = previous.steps
                             if was_strict == engine.mem.strict:
                                 verified.fn = previous.fn
@@ -806,12 +809,16 @@ class Jit:
 
         cell = (self.heat.setdefault(address, [0, 0])
                 if self.pool is not None else None)
-        # A summarized loop has one lowering: a loop is what generated
-        # code is for, and its invocations retire whole iterations.
-        if (self.all_generated or plan is not None
+        # A loop its loop form summarizes has one lowering (module
+        # docstring).
+        summarized = (engine.suppress_loops and self._loops(skeleton)
+                      and summarizable(skeleton.instructions))
+        if summarized:
+            istats.summarized_loops += 1
+        if (self.all_generated or summarized
                 or (cell is not None and cell[1] and cell[0]
                     >= cell[1] * HOT_EXECUTIONS_PER_COMPILE)):
-            trace = self._lower_generated(skeleton, plan)
+            trace = self._lower_generated(skeleton)
             stats.hot_compiles += 1
         else:
             trace = CompiledTrace(address, self._lower_threaded(skeleton),
@@ -850,7 +857,7 @@ class Jit:
              if variant.instructions is trace.instructions), None)
         if skeleton is None or trace.hot_at != self._mark(trace.heat):
             return None
-        new = self._lower_generated(skeleton, None)
+        new = self._lower_generated(skeleton)
         new.heat = trace.heat
         self._engine.jit_stats.promotions += 1
         return new
@@ -928,12 +935,11 @@ class Jit:
         """Lower a single-instruction trace (exact-budget stepping).
 
         Instrumentation still runs — the one instruction carries exactly
-        the analysis calls a full compile would attach to it — but
-        suppression never applies (a one-instruction trace has no loop
-        body to summarize), so a step trace retires exactly one
-        instruction per invocation.  Step traces are kept outside the
-        code cache: they exist only so the engine can land on an
-        arbitrary instruction boundary without changing trace shapes.
+        the analysis calls a full compile would attach to it — and a
+        step trace retires exactly one instruction per invocation.  Step
+        traces are kept outside the code cache: they exist only so the
+        engine can land on an arbitrary instruction boundary without
+        changing trace shapes.
         """
         engine = self._engine
         trace_obj = build_trace(engine.mem, address,
@@ -985,7 +991,19 @@ class Jit:
             kept.steps = steps
         return steps
 
-    def _lower_generated(self, skeleton: _Skeleton, plan: LoopPlan | None):
+    @staticmethod
+    def _loops(skeleton: _Skeleton) -> bool:
+        """Whether a direct exit of ``skeleton``'s trace targets its own
+        head (:attr:`_Skeleton.loops`)."""
+        if skeleton.loops is None:
+            address = skeleton.trace_obj.address
+            skeleton.loops = any(
+                ins.imm == address and any(
+                    target == "{imm}" for _, target in SEMANTICS[ins.op][1])
+                for ins in skeleton.instructions)
+        return skeleton.loops
+
+    def _lower_generated(self, skeleton: _Skeleton):
         """Lower ``skeleton``'s instrumented trace to one generated
         function (see :mod:`repro.pin.pyjit`), by the cheapest means
         that applies: the kept function, else the process's code object
@@ -996,33 +1014,22 @@ class Jit:
         trace_obj = skeleton.trace_obj
         address = trace_obj.address
         kept = skeleton.kept
-        if plan is not None:
-            engine.instr_stats.summarized_loops += 1
         if kept is not None and kept.fn is not None:
             fn, source = kept.fn, kept.source
         else:
             if skeleton.texts is None and self.pool is not None:
                 skeleton.texts = [None] * len(skeleton.instructions)
             emitter = _Emitter(engine)
-            if plan is not None:
-                emitter.emit_suppressed_loop(plan)
-            else:
-                emitter.lower_all(skeleton.instructions, skeleton.texts)
+            emitter.lower_all(skeleton.instructions, skeleton.texts)
             fn, source = self._function(emitter, address)
             if kept is not None:
                 kept.fn, kept.source = fn, source
-        if skeleton.loops is None:
-            skeleton.loops = any(
-                ins.imm == address and any(
-                    target == "{imm}" for _, target in SEMANTICS[ins.op][1])
-                for ins in skeleton.instructions)
-        # A summarized loop already holds its loop.
         return SourceCompiledTrace(
             start=address, fn=fn, num_ins=len(skeleton.instructions),
             fall_address=trace_obj.fall_address, source=source,
             bbl_sizes=skeleton.bbl_sizes,
-            instructions=skeleton.instructions, unbounded=plan is not None,
-            origin=skeleton if skeleton.loops and plan is None else None)
+            instructions=skeleton.instructions,
+            origin=skeleton if self._loops(skeleton) else None)
 
     def _function(self, emitter, address: int):
         """What ``emitter`` has emitted for the trace at ``address``, as
@@ -1063,10 +1070,14 @@ class Jit:
             loop = kept.loop if kept is not None else None
             if loop is None:
                 from .pyjit import _LoopEmitter
-                emitter = _LoopEmitter(self._engine, trace.start)
-                emitter.lower_all(skeleton.instructions, None)
+                engine = self._engine
+                instructions = skeleton.instructions
+                emitter = _LoopEmitter(
+                    engine, trace.start, engine.suppress_loops
+                    and summarizable(instructions))
+                emitter.lower_all(instructions, None)
                 loop, _ = self._function(emitter, trace.start)
-                self._engine.jit_stats.loop_builds += 1
+                engine.jit_stats.loop_builds += 1
                 if kept is not None:
                     kept.loop = loop
             trace.loop = loop

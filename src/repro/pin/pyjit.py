@@ -26,10 +26,9 @@ Contract (shared with threaded code):
 * identical instruction counts, and :class:`~repro.pin.jit.StopRun` and
   faults unwind to the raising instruction's boundary — the generated
   code maintains ``engine._stop_pc`` / ``engine._stop_count`` markers
-  before any statement that can raise.  This, the dispatch loop, the
-  summarized loop and the loop form are what this module still states
-  on its own, and what the differential tests
-  (``tests/test_pin/test_pyjit.py``, ``test_looped.py``,
+  before any statement that can raise.  This, the dispatch loop and the
+  loop form are what this module still states on its own, and what the
+  differential tests (``tests/test_pin/test_pyjit.py``, ``test_looped.py``,
   ``test_tiering.py``, ``test_semantics_table.py``) guard; the table
   itself is held against the interpreter in
   ``tests/test_machine/test_golden_model.py``.
@@ -70,6 +69,20 @@ differs inside:
   writes only the registers that may differ from the register file
   where it stands (:meth:`_LoopEmitter._trip`).
 
+**Summarized loops** (``-spsuppress``; "Redundancy Suppression In
+Time-Aware Dynamic Binary Instrumentation", PAPERS.md) are a property
+of the loop form.  Where every call attached to the trace is a
+before-call with a summary and constant arguments
+(:func:`repro.pin.jit.summarizable`), an instruction's calls become a
+bump of a local trip counter, and ``summary(count, *args)`` fires once
+per instruction reached, in program order, in a ``finally`` — so on
+every way the loop form leaves: the epilogue, a ``syscall``'s direct
+return, and the unwind of a stop, a fault or a store into the trace's
+own code.  ``fn`` still calls per trip, so such a trace is generated
+code at every compile (:meth:`repro.pin.jit.Jit.compile`): what its
+analysis calls count then depends on the allowances the engine hands
+its loop form, never on heat.
+
 The plain function stays because a loop form entered one execution at a
 time is slower than it; the capture rules of :mod:`repro.pin.jit` hold
 for both (a loop form is interned by its text and kept beside ``fn``).
@@ -84,10 +97,9 @@ from __future__ import annotations
 
 import re
 
-from .args import IARG_CONTEXT
+from .args import IARG_CONTEXT, try_static_args
 from .jit import (BARE, CONSTANTS, Jit, NEVER, OPERANDS, SEMANTICS,
                   call_values, operands, statements, weave)
-from .suppress import LOOP_TRIP_CAP, LoopPlan
 from .trace import Ins
 
 
@@ -104,8 +116,8 @@ class SourceCompiledTrace:
     """
 
     __slots__ = ("start", "fn", "num_ins", "fall_address", "source",
-                 "bbl_sizes", "instructions", "links", "unbounded", "heat",
-                 "loop", "origin")
+                 "bbl_sizes", "instructions", "links", "heat", "loop",
+                 "origin")
 
     is_source = True
     #: Already generated code: nothing to promote to.
@@ -114,7 +126,7 @@ class SourceCompiledTrace:
     def __init__(self, start: int, fn, num_ins: int,
                  fall_address: int | None, source: str,
                  bbl_sizes: list[int], instructions: list[Ins],
-                 unbounded: bool = False, origin=None):
+                 origin=None):
         self.start = start
         self.fn = fn
         #: The loop form, None until the dispatch loop first follows
@@ -135,10 +147,6 @@ class SourceCompiledTrace:
         #: ``Jit.heat``'s cell for this pc (see
         #: repro.pin.jit.CompiledTrace).
         self.heat: list[int] | None = None
-        #: True when the trace contains a summarized loop: one ``fn()``
-        #: call may then retire far more than ``num_ins`` instructions,
-        #: so the engine's exact-budget mode single-steps it instead.
-        self.unbounded = unbounded
 
 
 class SourceJit(Jit):
@@ -162,16 +170,13 @@ class _Emitter:
         self._engine = engine
         self._lines: list[str] = []
         self._indent = 1
-        #: True once a summarized loop has been emitted for this trace.
-        self.suppressed = False
         #: Where in ``_lines`` each :meth:`lower` began: the function's
         #: ``__lines__`` maps a source line back to its instruction (how
         #: the engine stops a trace right after a store into its code).
         self._starts: list[int] = []
         #: Instruction-count base expression: None for an absolute count
-        #: (the normal whole-trace lowering), or a variable name (the
-        #: post-loop suffix of a summarized trace counts retired
-        #: instructions relative to ``_base``).
+        #: (the whole-trace lowering), or a variable name (the loop form
+        #: counts retired instructions relative to ``_base``).
         self._count_base: str | None = None
         self.namespace: dict[str, object] = {
             **CONSTANTS,
@@ -201,21 +206,25 @@ class _Emitter:
 
     # -- instrumentation ------------------------------------------------------
 
+    def _marks(self, index: int, ins: Ins, calls: bool) -> None:
+        """Progress markers so StopRun/faults unwind exactly, ahead of
+        whatever can raise: ``calls``, a row that raises, and — strict
+        memory can fault on any access — every memory instruction
+        there."""
+        mem = self._engine.mem
+        if (calls or SEMANTICS[ins.op][2]
+                or (mem.strict and (ins.is_memory_read
+                                    or ins.is_memory_write))):
+            self.line(f"E._stop_pc = {ins.address}")
+            self.line(f"E._stop_count = {self._count(index)}")
+
     def _emit_calls(self, index: int, ins: Ins
                     ) -> tuple[list[str], list[str]]:
         """Emit the unwind markers and whatever runs ahead of ``ins``;
         return its (taken, after) statements for the caller to splice
         at the right control point (:func:`repro.pin.jit.weave`)."""
         shape = ins.shape
-        mem = self._engine.mem
-        # Strict memory mode can fault on any access, so every memory
-        # instruction needs exact unwind markers there.
-        if (shape is not BARE or SEMANTICS[ins.op][2]
-                or (mem.strict and (ins.is_memory_read
-                                    or ins.is_memory_write))):
-            # Progress markers so StopRun/faults unwind exactly.
-            self.line(f"E._stop_pc = {ins.address}")
-            self.line(f"E._stop_count = {self._count(index)}")
+        self._marks(index, ins, shape is not BARE)
         if shape is BARE:
             return (), ()
         names, fields, *calls = weave(ins.op, shape, f"{index}_")
@@ -280,81 +289,6 @@ class _Emitter:
             self.lower(index, ins, texts)
         for stmt in self._leave(None, len(instructions)):
             self.line(stmt)
-
-    # -- redundancy suppression ----------------------------------------------
-
-    def emit_suppressed_loop(self, plan: LoopPlan) -> None:
-        """Emit a summarized loop (see repro.pin.suppress) as source.
-
-        Body semantics run per iteration inside a ``while True``; the
-        invariant instrumentation fires once per loop exit (or per
-        ``LOOP_TRIP_CAP`` trips) via the bound summary functions.  The
-        post-loop suffix counts retired instructions relative to
-        ``_base``, keeping unwind markers exact.
-        """
-        self.suppressed = True
-        start = plan.start
-        m = plan.body_len
-        n_calls = len(plan.summaries)
-        bound = []
-        for j, (summary, args) in enumerate(plan.summaries):
-            bound.append((self._bind(f"sf{j}", summary),
-                          self._bind(f"sa{j}", args)))
-
-        def fire(iters: str, trips: str) -> None:
-            # Through ``E``: ``PinVM.reset`` replaces ``instr_stats``,
-            # and this function may outlive the run that emitted it.
-            self.line(f"ctr[0] += {n_calls}")
-            self.line("_s = E.instr_stats")
-            self.line("_s.loop_entries += 1")
-            self.line(f"_s.summarized_calls += {n_calls}")
-            self.line(f"_s.suppressed_calls += {trips} * {n_calls}")
-            for fn_name, args_name in bound:
-                self.line(f"{fn_name}({iters}, *{args_name})")
-
-        self.line("_trips = 0")
-        self.line("while True:")
-        self._indent += 1
-        for ins in plan.body[:-1]:
-            self._semantics(0, ins, ())
-
-        # The back edge: the tail's row, its one exit kept as the
-        # loop's continuation test (None: a ``j``, always taken).
-        tail = plan.tail
-        fields = _literals(tail)
-        body, ((cond, _),), _ = SEMANTICS[tail.op]
-        for text in body:
-            self.line(text.format_map(fields))
-        if cond is not None:
-            self.line(f"if {cond.format_map(fields)}:")
-            self._indent += 1
-        self.line("_trips += 1")
-        self.line(f"if _trips >= {LOOP_TRIP_CAP}:")
-        self._indent += 1
-        self.line(f"E._stop_pc = {start}")
-        self.line(f"E._stop_count = _trips * {m}")
-        fire("_trips", "(_trips - 1)")
-        self.line(f"return ({start}, _trips * {m})")
-        self._indent -= 1
-        if cond is None:
-            # Unconditional back edge: the loop only exits via the cap.
-            self._indent -= 1
-            return
-        self.line("continue")
-        self._indent -= 1
-        self.line("break")
-        self._indent -= 1
-
-        resume = plan.rest[0].address if plan.rest else tail.address + 1
-        self.line("_iters = _trips + 1")
-        self.line(f"_base = _iters * {m}")
-        self.line(f"E._stop_pc = {resume}")
-        self.line("E._stop_count = _base")
-        fire("_iters", "_trips")
-        self._count_base = "_base"
-        for offset, ins in enumerate(plan.rest):
-            self.lower(offset, ins)
-        self.line(f"return (None, {self._count(len(plan.rest))})")
 
     def _semantics(self, index: int, ins: Ins, taken) -> None:
         """Emit ``ins``'s row with its operands as literals; every exit
@@ -436,9 +370,14 @@ class _LoopEmitter(_Emitter):
 
     _rows = _LOCAL_ROWS
 
-    def __init__(self, engine, head: int):
+    def __init__(self, engine, head: int, summarize: bool = False):
         super().__init__(engine)
         self._head = str(head)
+        #: ``(trip counter, instruction)`` for each instruction whose
+        #: calls the loop form summarizes (module docstring), or None:
+        #: every call runs on every trip.
+        self._summaries: list[tuple[str, Ins]] | None = (
+            [] if summarize else None)
         self._count_base = "_base"
         self._indent = 3
         self._named: set[int] = set()
@@ -462,6 +401,44 @@ class _LoopEmitter(_Emitter):
         elif stmt == "continue":
             self._events.append((None, None, True))
         super().line(text)
+
+    def _emit_calls(self, index: int, ins: Ins
+                    ) -> tuple[list[str], list[str]]:
+        """... or, in a loop form that summarizes, a bump of ``ins``'s
+        trip counter where its calls would run."""
+        if self._summaries is None or ins.shape is BARE:
+            return super()._emit_calls(index, ins)
+        self._marks(index, ins, False)
+        counter = f"_c{index}"
+        self._summaries.append((counter, ins))
+        self.line(f"{counter} += 1")
+        return (), ()
+
+    def _summarize(self) -> tuple[str, list[str]]:
+        """The trip counters' initialization, and the ``finally`` body
+        that fires each instruction's summaries once and accounts them:
+        a summary is an analysis call, and the per-trip calls it stands
+        for are suppressed."""
+        counters = [counter for counter, _ in self._summaries]
+        trips = " + ".join(
+            counter if len(ins.before_calls) == 1
+            else f"{len(ins.before_calls)} * {counter}"
+            for counter, ins in self._summaries)
+        # Through ``E``: ``PinVM.reset`` replaces ``instr_stats``, and
+        # this function may outlive the run that emitted it.
+        fire = ["_s = E.instr_stats", "_s.loop_entries += 1",
+                f"_s.suppressed_calls += {trips}"]
+        for counter, ins in self._summaries:
+            calls = ins.before_calls
+            fire += [f"if {counter}:", f"    ctr[0] += {len(calls)}",
+                     f"    _s.summarized_calls += {len(calls)}",
+                     f"    _s.suppressed_calls -= {len(calls)}"]
+            for j, call in enumerate(calls):
+                summary = self._bind(f"sf{counter}_{j}", call.summary)
+                args = self._bind(f"sa{counter}_{j}",
+                                  try_static_args(call.specs, ins))
+                fire.append(f"    {summary}({counter}, *{args})")
+        return " = ".join(counters) + " = 0", fire
 
     def _format(self, stmts, fields: dict) -> list[str]:
         """... and every register an argument names read from its local,
@@ -558,10 +535,16 @@ class _LoopEmitter(_Emitter):
         body = "\n".join(self._lines)
         own = "    _own = True\n" if self._lends else ""
         unwind = f"if _own: {spill}" if self._lends else spill
+        counters, fire = "", ""
+        if self._summaries:
+            init, lines = self._summarize()
+            counters = f"    {init}\n"
+            fire = "    finally:\n" + "".join(f"        {line}\n"
+                                            for line in lines)
         head = (f"def __trace__(_n):  # loop @ {address:#x}\n"
                 f"    {load}\n"
                 f"    _base = 0\n"
-                f"    _x = 1\n{own}"
+                f"    _x = 1\n{own}{counters}"
                 f"    try:\n"
                 f"        while True:\n")
         first = head.count("\n") + 1
@@ -571,5 +554,6 @@ class _LoopEmitter(_Emitter):
                 f"        {unwind}\n"
                 f"        E._stop_trips = _x\n"
                 f"        raise\n"
+                f"{fire}"
                 f"    {spill}\n"
                 f"    return (_to, _base, _x)\n")

@@ -45,9 +45,10 @@ class _Call:
     ipoint: IPoint
     #: Optional loop-summary form: ``summary(iterations, *args)`` must
     #: equal ``iterations`` invocations of ``fn(*args)``.  Declared via
-    #: ``insert_summarized_call``; the suppression pass (repro.pin.
-    #: suppress) may then fire the summary once per loop instead of the
-    #: per-iteration call.  None means the call is never summarizable.
+    #: ``insert_summarized_call``; under ``-spsuppress`` a loop form
+    #: (repro.pin.pyjit) may then fire the summary once per exit instead
+    #: of the per-iteration call.  None means the call is never
+    #: summarizable.
     summary: object | None = None
     #: The kind of each argument, in order.
     kinds: tuple = field(default=(), repr=False, compare=False)

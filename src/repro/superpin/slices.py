@@ -156,7 +156,7 @@ class SliceResult:
     fastpath_traces: int = 0
     #: Tool trace-callback invocations skipped by the filter.
     skipped_callbacks: int = 0
-    #: Loop traces compiled in summarized form (``-spsuppress``).
+    #: Compiles of a trace whose loop form summarizes (``-spsuppress``).
     summarized_loops: int = 0
     #: Per-iteration analysis calls avoided by loop summarization.
     suppressed_calls: int = 0

@@ -59,7 +59,7 @@ Switch                  Meaning
                         other traces compile uninstrumented
 ``-spsuppress <0|1>``   redundancy suppression: summarize invariant
                         loop instrumentation into one call per loop
-                        exit (see repro.pin.suppress; off by default)
+                        exit (see repro.pin.pyjit; off by default)
 ``-spsample <N>``       sampling: instrument every Nth slice only; the
                         other slices run the tool-free fast path (the
                         engine still counts instructions and signature
@@ -216,9 +216,9 @@ class SuperPinConfig:
     #: captures its baseline, so every execution mode sees the same
     #: instrumentation and tool results stay bit-identical.
     spfilter: str | None = None
-    #: Redundancy suppression: compile legal back-edge loops with their
-    #: invariant instrumentation summarized to one call per loop exit
-    #: (see repro.pin.suppress).  Results are bit-identical by the
+    #: Redundancy suppression: a loop form whose calls all declare a
+    #: summary fires each once per loop exit instead of once per trip
+    #: (see repro.pin.pyjit).  Results are bit-identical by the
     #: summary contract; the audit enforces it.
     spsuppress: bool = False
     #: Sampling period: instrument slice indices ``i % spsample == 0``

@@ -38,8 +38,6 @@ base plus the static in-BBL offset gives every hit an exact global
 icount), collect all hits, then ``goto`` the chosen one.  A scan *takes*
 the machine — nothing is live afterwards, and the next read of the
 current position re-materializes it from its own micro-checkpoint.
-Scans run with loop suppression forced off — summarized loops replace
-the per-iteration analysis calls a watchpoint needs.
 
 The machine has one state at a time and :attr:`TimeTravelEngine._state`
 is that state or None: whatever moves the machine takes the state first
@@ -49,7 +47,7 @@ live and the next one starts from a checkpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..errors import DivergenceError, TimeTravelError
 from ..obs.metrics import metrics_for
@@ -154,11 +152,8 @@ class TimeTravelEngine:
         self.jit_stats = JitStats()
         self.metrics = metrics_for(self.config.spmetrics)
         #: The one machine every state of this session is switched onto
-        #: — its engine is built by the first — and what it runs under:
-        #: ``config`` with loop suppression off (a summarized loop fits
-        #: no exact budget, and a scan needs every analysis call).
+        #: — its engine is built by the first.
         self._machine = SliceMachine()
-        self._run_config = replace(self.config, spsuppress=False)
         #: The state the machine is on, or None: nothing is live (before
         #: the first landing, after a scan, after a command that raised).
         self._state: _LiveState | None = None
@@ -345,7 +340,7 @@ class TimeTravelEngine:
 
     def _fork_boundary(self, k: int) -> _LiveState:
         boundary, interval = self.recording.slice_spec(k)
-        vm = self._machine.switch(boundary, interval, self._run_config)
+        vm = self._machine.switch(boundary, interval, self.config)
         return self._switched(vm, k, 0, interval.records)
 
     def _fork_ckpt(self, ckpt: _Ckpt) -> _LiveState:
@@ -357,7 +352,7 @@ class TimeTravelEngine:
                                   start_pos=ckpt.consumed)
         # The memory is re-forked: the cached copy stays pristine.
         vm = self._machine.switch(
-            None, None, self._run_config,
+            None, None, self.config,
             state=(ckpt.cpu, ckpt.mem.fork(), handler))
         return self._switched(vm, ckpt.k, ckpt.local, records)
 

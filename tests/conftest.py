@@ -47,14 +47,12 @@ def loop_one_everywhere(monkeypatch) -> None:
     from repro.pin.pyjit import _LoopEmitter
     lower = Jit._lower_generated
 
-    def lowered(self, skeleton, plan):
-        trace = lower(self, skeleton, plan)
-        if plan is None:
-            emitter = _LoopEmitter(self._engine, trace.start)
-            emitter.lower_all(skeleton.instructions, None)
-            loop = emitter.finish(emitter.source_text(trace.start),
-                                  trace.start)
-            trace.fn = lambda: loop(1)[:2]
+    def lowered(self, skeleton):
+        trace = lower(self, skeleton)
+        emitter = _LoopEmitter(self._engine, trace.start)
+        emitter.lower_all(skeleton.instructions, None)
+        loop = emitter.finish(emitter.source_text(trace.start), trace.start)
+        trace.fn = lambda: loop(1)[:2]
         return trace
     monkeypatch.setattr(Jit, "_lower_generated", lowered)
 

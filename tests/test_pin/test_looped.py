@@ -781,6 +781,18 @@ class TestLazyAndPaidOnce:
         assert report.timeline.master.loop_trips > 0
 
 
+#: What a loop form's summaries move under ``-spsuppress``: the
+#: reference, which has no loop form, summarizes nothing.
+SUMMARIZED = ("analysis_calls", "suppressed_calls",
+              "pin.suppress.loop_entries", "pin.suppress.summarized_calls",
+              "pin.suppress.suppressed_calls")
+
+
+def unsummarized(image: dict) -> dict:
+    return {name: value for name, value in image.items()
+            if name not in SUMMARIZED}
+
+
 def guest(name):
     if name == "multislice":
         return assemble(MULTISLICE), dict(spmsec=500, clock_hz=10_000)
@@ -793,7 +805,9 @@ class TestThroughThePipeline:
     ``PLACEMENT_COUNTERS`` and the tool's report: equal with loop forms
     live and without — with every repeated trace generated, or with
     each promoted in mid-run at its first or sixteenth execution, with
-    and without workers; the master, serial Pin's engine, the same."""
+    and without workers; the master, serial Pin's engine, the same.
+    Under ``-spsuppress`` but for what the summaries move: the loop
+    form is where they are fired."""
 
     @pytest.mark.parametrize("name, promote, workers, extra", [
         *[(name, promote, 0, {}) for promote in (0, 1, 16)
@@ -811,6 +825,7 @@ class TestThroughThePipeline:
         else:
             monkeypatch.setattr(jit, "HOT_EXECUTIONS_PER_COMPILE", 1)
         program, timing = guest(name)
+        strip = unsummarized if extra.get("spsuppress") else dict
 
         def run():
             tool = TOOLS["memtrace" if name == "mcf" else "icount2"]()
@@ -818,8 +833,9 @@ class TestThroughThePipeline:
                 program, tool, SuperPinConfig(
                     spworkers=workers, spmetrics=True,
                     **timing, **extra), kernel=Kernel(seed=11))
-            return ([slice_image(result) for result in report.slices],
-                    virtual_counters(report.metrics), tool.report(),
+            return ([strip(slice_image(result))
+                     for result in report.slices],
+                    strip(virtual_counters(report.metrics)), tool.report(),
                     report.metrics.counters)
         with monkeypatch.context() as reference:
             without_loop_forms(reference)
@@ -831,10 +847,12 @@ class TestThroughThePipeline:
         for counter in ("pin.jit.loop_trips",
                         "superpin.control.master.loop_trips"):
             assert not want[3].get(counter), counter
-        # (Without links a slice never loops, and -spsuppress gives
-        # gzip's loops summarized ones; the master has neither.)
+        # (Without links a slice never loops.)
         assert got[3]["superpin.control.master.loop_trips"] > 0
-        assert got[3]["pin.jit.loop_trips"] > 0 or extra
+        assert (got[3]["pin.jit.loop_trips"] > 0
+                or not extra.get("splinktraces", True))
+        if extra.get("spsuppress"):
+            assert got[3]["pin.suppress.loop_entries"] > 0
         if promote:
             assert got[3]["pin.jit.promotions"] > 0
 
@@ -857,16 +875,19 @@ class TestThroughThePipeline:
             tool.activate(vm)
             result = vm.run()
             tool.fini()
-            return result, image(vm), tool.report(), vm.jit_stats.loop_trips
+            seen = image(vm)
+            if suppress:
+                # (What the summaries move: see ``SUMMARIZED``.)
+                result.analysis_calls = seen["counters"][0] = 0
+            return (result, seen, tool.report(), vm.jit_stats.loop_trips,
+                    vm.instr_stats.loop_entries)
         with monkeypatch.context() as reference:
             without_loop_forms(reference)
             want = run()
         got = run()
         assert got[:3] == want[:3]
-        # (Under -spsuppress the loop is a summarized loop, which holds
-        # its own and gets no loop form — unless strict memory, under
-        # which its load could fault, keeps it from being summarized.)
-        assert want[3] == 0 and (got[3] > 0) == (strict or not suppress)
+        assert want[3] == 0 < got[3]
+        assert want[4] == 0 and (got[4] > 0) == suppress
 
     def test_run_with_pin_counts_its_loop_trips(self, monkeypatch):
         monkeypatch.setattr(jit, "HOT_EXECUTIONS_PER_COMPILE", 150)

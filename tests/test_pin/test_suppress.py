@@ -1,12 +1,21 @@
-"""Redundancy suppression: summarized loops must be invisible to tools."""
+"""Redundancy suppression: summarized loops must be invisible to tools.
+
+Under ``-spsuppress`` a loop form whose calls all declare a summary
+counts trips instead of calling, and fires each summary once on every
+way it leaves (``repro.pin.pyjit``).  The reference is the same run
+without the switch: everything but the analysis-call count equal.
+"""
 
 import pytest
 
+from repro.errors import ArithmeticFault, GuestFault, MemoryFault
 from repro.isa import assemble
-from repro.machine import Kernel
-from repro.pin import (LOOP_TRIP_CAP, Pintool, run_with_pin)
+from repro.machine import Kernel, load_program
+from repro.pin import PinVM, Pintool, RunState, run_with_pin, StopRun
 from repro.pin.args import IARG_END, IARG_REG_VALUE, IPOINT_BEFORE
+from repro.pin.pintool import NullSuperPin
 from repro.tools import ICount1, ICount2, OpcodeMix
+from tests.test_pin.test_looped import faults_on, memory_image
 
 BACKENDS = ["closure", "source"]
 
@@ -24,8 +33,8 @@ loop:
     syscall
 """
 
-#: An unconditional single-BBL loop that exits via the engine budget —
-#: exercises the LOOP_TRIP_CAP path (j head never falls through).
+#: An unconditional loop that only the engine's budget stops (``j``
+#: never falls through).
 SPIN_LOOP = """
 .entry main
 main:
@@ -34,6 +43,121 @@ spin:
     addi t0, t0, 1
     j    spin
 """
+
+
+#: A loop over two basic blocks, each closing on the head: ``icount2``
+#: counts the blocks with different trip counts.
+TWO_BBLS = """
+.entry main
+main:
+    li   t0, 0
+    li   t1, 3001
+loop:
+    addi t0, t0, 1
+    andi t3, t0, 1
+    beqz t3, loop
+    addi t2, t2, 3
+    bne  t0, t1, loop
+    li   a0, SYS_EXIT
+    mov  a1, t2
+    syscall
+"""
+
+#: A loop that divides on every trip.
+DIVIDES = """
+.entry main
+main:
+    li   t0, 0
+    li   t1, 2500
+loop:
+    addi t0, t0, 1
+    div  t3, t1, t0
+    mod  t4, t1, t0
+    add  t2, t2, t3
+    add  t2, t2, t4
+    bne  t0, t1, loop
+    li   a0, SYS_EXIT
+    mov  a1, t2
+    syscall
+"""
+
+#: An inner loop whose trace leaves through a ``syscall`` (``getpid``)
+#: on each of six visits: the loop form's direct return.
+SYSCALL_EXITS = """
+.entry main
+main:
+    li   s0, 0
+    li   s1, 6
+outer:
+    li   t0, 0
+    li   t1, 300
+inner:
+    addi t0, t0, 1
+    add  t2, t2, t0
+    bne  t0, t1, inner
+    li   a0, SYS_GETPID
+    syscall
+    inc  s0
+    blt  s0, s1, outer
+    li   a0, SYS_EXIT
+    mov  a1, t2
+    syscall
+"""
+
+
+def both(source, tool_cls=ICount1, backend="closure", strict=False,
+         observer=None, **run_kwargs):
+    """Run ``source`` under ``tool_cls`` without and with
+    ``suppress_loops`` on a pooled engine; each run's ``(image, vm)``.
+    The image is everything the run leaves but the analysis-call
+    count, with how the run ended in it; ``observer(vm)`` gives a
+    syscall observer to register."""
+    runs = []
+    for suppress in (False, True):
+        vm = PinVM(load_program(assemble(source), Kernel(seed=7),
+                                strict_memory=strict),
+                   jit_backend=backend, suppress_loops=suppress)
+        vm.jit.pool = {}
+        tool = tool_cls()
+        tool.setup(NullSuperPin())
+        tool.activate(vm)
+        if observer is not None:
+            vm.add_syscall_observer(observer(vm))
+        try:
+            result = vm.run(**run_kwargs)
+            outcome = result.state
+            steps = (result.traces_executed, result.linked_dispatches)
+        except GuestFault as fault:
+            outcome, steps = type(fault).__name__, None
+        tool.fini()
+        runs.append(({"outcome": outcome, "steps": steps, "pc": vm.cpu.pc,
+                      "regs": list(vm.cpu.regs),
+                      "memory": memory_image(vm.mem),
+                      "instructions": vm.total_instructions,
+                      "syscalls": vm.total_syscalls,
+                      "inline_checks": vm.counters[1],
+                      "report": tool.report()}, vm))
+    return runs
+
+
+def assert_summarized(runs) -> None:
+    """Equal images, and the suppressed run fired fewer calls."""
+    (plain, plain_vm), (suppressed, vm) = runs
+    assert suppressed == plain
+    assert vm.instr_stats.loop_entries > 0
+    assert vm.counters[0] < plain_vm.counters[0]
+    assert (vm.instr_stats.suppressed_calls
+            == plain_vm.counters[0] - vm.counters[0])
+
+
+def stop_at_syscall(n: int):
+    """An observer that stops the engine at the ``n``-th syscall."""
+    def observer(vm):
+        def observe(outcome):
+            if vm.total_syscalls == n:
+                raise StopRun("stop")
+        return observe
+    return observer
 
 
 def run_pair(program_text, tool_cls, backend, **kwargs):
@@ -89,22 +213,21 @@ class TestSuppressionParity:
             assert sup.total == plain.total
 
 
-class TestTripCap:
+class TestExactBudget:
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_budget_still_enforced_on_uncond_loop(self, backend):
-        """A summarized j-head loop must still honour the run budget."""
-        program = assemble(SPIN_LOOP)
-        tool = ICount1()
-        budget = LOOP_TRIP_CAP * 3
-        result, vm, _ = run_with_pin(program, tool, Kernel(seed=42),
-                                     jit_backend=backend,
-                                     suppress_loops=True,
-                                     max_instructions=budget)
-        # The loop never exits; the budget stopped it, and every retired
-        # instruction was accounted despite the summarized lowering.
-        assert result.instructions >= budget
-        assert vm.instr_stats.summarized_loops >= 1
-        assert vm.instr_stats.loop_entries >= 1
+    @pytest.mark.parametrize("budget", [1, 2, 3, 999, 12289])
+    def test_uncond_loop_lands_on_the_budget(self, backend, budget):
+        """A ``j``-closed loop that never exits lands exactly on an
+        exact budget, with every retired instruction counted."""
+        (plain, _), (suppressed, vm) = both(
+            SPIN_LOOP, backend=backend, max_instructions=budget,
+            exact_budget=True)
+        assert suppressed == plain
+        assert plain["outcome"] is RunState.BUDGET
+        assert plain["instructions"] == plain["report"]["icount"] == budget
+        if budget > 100:
+            assert vm.instr_stats.summarized_loops >= 1
+            assert vm.instr_stats.loop_entries >= 1
 
 
 class TestLegalityBailouts:
@@ -146,25 +269,40 @@ class TestLegalityBailouts:
         assert len(seen) == 40005
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_forced_boundary_in_loop_blocks_suppression(self, backend):
-        """A signature pc inside the loop must observe every iteration."""
-        from repro.machine import load_program
-        from repro.pin.engine import PinVM
-        from repro.pin.pintool import NullSuperPin
+    def test_if_then_at_head_blocks_suppression(self, backend):
+        """A detector-style if/then at the loop head (SuperPin's
+        signature check) must observe every trip, so the loop's calls
+        are not summarized either."""
+        checks = []
+
+        def quick_check(value):
+            checks.append(value)
+            return 0
+
+        def detector(trace, value):
+            head = trace.instructions[0]
+            if head.address == loop_pc:
+                head.insert_if_call(IPOINT_BEFORE, quick_check,
+                                    IARG_REG_VALUE, 8, IARG_END)
+                head.insert_then_call(IPOINT_BEFORE, lambda: None,
+                                      IARG_END)
 
         program = assemble(HOT_LOOP)
-        kernel = Kernel(seed=42)
-        process = load_program(program, kernel)
         loop_pc = program.symbols["loop"]
-        vm = PinVM(process, forced_boundaries=frozenset({loop_pc}),
+        # (The signature pc is a forced boundary, so a trace head.)
+        vm = PinVM(load_program(program, Kernel(seed=42)),
+                   forced_boundaries=frozenset({loop_pc}),
                    jit_backend=backend, suppress_loops=True)
         tool = ICount2()
         tool.setup(NullSuperPin())
         tool.activate(vm)
+        vm.add_trace_callback(detector)
         vm.run()
         tool.fini()
         assert vm.instr_stats.summarized_loops == 0
+        assert vm.instr_stats.loop_entries == 0
         assert tool.total == 40005
+        assert len(checks) == 20000
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_suppression_off_by_default(self, backend):
@@ -175,11 +313,44 @@ class TestLegalityBailouts:
         assert vm.instr_stats.summarized_loops == 0
 
 
-class TestPlanDirect:
-    def test_plan_requires_engine_opt_in(self):
-        from repro.pin.suppress import plan_suppression
+class TestNewlyLegalShapes:
+    """One or more basic blocks, ``div``, faults, stops and a
+    ``syscall`` exit: bit-identical with and without the switch."""
 
-        class FakeEngine:
-            suppress_loops = False
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("tool_cls", [ICount1, ICount2, OpcodeMix])
+    def test_two_bbl_body(self, backend, tool_cls):
+        assert_summarized(both(TWO_BBLS, tool_cls, backend))
 
-        assert plan_suppression(FakeEngine(), None) is None
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_div_and_mod(self, backend, strict):
+        assert_summarized(both(DIVIDES, backend=backend, strict=strict))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("how, fault", [("div", ArithmeticFault),
+                                            ("load", MemoryFault),
+                                            ("fetch", MemoryFault)])
+    def test_fault_mid_loop(self, backend, how, fault):
+        """A strict-memory load (or a divide, or the fetch after a side
+        exit) that faults on the seventh trip: the trips before it are
+        summarized on the way out."""
+        runs = both(faults_on(7, how), backend=backend, strict=True)
+        assert runs[0][0]["outcome"] == fault.__name__
+        assert_summarized(runs)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("tool_cls", [ICount1, ICount2])
+    def test_exit_through_syscall(self, backend, tool_cls):
+        runs = both(SYSCALL_EXITS, tool_cls, backend)
+        assert_summarized(runs)
+        assert runs[1][1].instr_stats.loop_entries == 6
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("at", [1, 3, 6])
+    def test_stoprun_mid_loop(self, backend, at):
+        """``StopRun`` out of the syscall a loop form leaves by."""
+        runs = both(SYSCALL_EXITS, backend=backend,
+                    observer=stop_at_syscall(at))
+        assert runs[0][0]["outcome"] is RunState.STOPPED
+        assert_summarized(runs)

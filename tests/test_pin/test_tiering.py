@@ -125,7 +125,7 @@ def assert_lowering_is_invisible(threshold, guest, tool, **overrides):
     reference = images["inf"]
     assert len(reference["slices"]) >= 3
     assert reference["jit"] == dict.fromkeys(reference["jit"], 0) or (
-        overrides.get("spsuppress"))  # a summarized loop is generated
+        overrides.get("spsuppress"))  # a summarizing loop is generated
     assert images["1"]["jit"]["hot_instructions"] > 0
     for name in ("1", "shipped"):
         assert without(images[name]) == without(reference), name

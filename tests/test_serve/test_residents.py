@@ -194,7 +194,14 @@ class TestAJobThatDidNotFinish:
     def check_next_job_is_cold(self, residents, cold):
         assert residents.kept()["idle_machines"] == 0
         assert residents.metrics.counter("serve.machines.dropped") == 1
-        assert serve(residents, spec_for(MULTISLICE)) == cold["multislice"]
+        result, placement = serve(residents, spec_for(MULTISLICE))
+        assert result == cold["multislice"][0]
+        # (But ``pin.jit.intern_hits``: it counts the process's code
+        # pool, which outlives any resident — and so depends on which
+        # tests this process ran before.)
+        want = dict(cold["multislice"][1])
+        del placement["pin.jit.intern_hits"], want["pin.jit.intern_hits"]
+        assert placement == want
         assert residents.kept()["idle_machines"] == 1
         # (Not vacuous: on a resident that ran the program before, the
         # master — serial Pin's engine — runs the loop generated from its

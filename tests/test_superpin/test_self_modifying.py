@@ -81,6 +81,36 @@ donors:
     addi s2, s2, 7
 """
 
+#: A loop whose loop form summarizes under ``-spsuppress`` stores into
+#: its own next instruction on trip 500 only (every other trip stores
+#: into data): the store lands inside a running loop form.
+IN_A_SUMMARIZED_LOOP = """
+.entry main
+main:
+    li   s0, 0
+    li   s1, 1200
+    li   s3, 500
+    la   t3, donor
+    ld   t4, 0(t3)
+    la   t5, slot
+    li   t0, 0x9000
+    sub  s4, t0, t5
+lp: addi s0, s0, 1
+    sub  t6, s0, s3
+    sltu t6, zero, t6
+    mul  t6, t6, s4
+    add  t7, t5, t6
+    st   t4, 0(t7)
+slot:
+    addi s2, s2, 1
+    bne  s0, s1, lp
+    li   a0, SYS_EXIT
+    mov  a1, s2
+    syscall
+donor:
+    addi s2, s2, 5
+"""
+
 #: name -> (source, timeslice settings, expected exit code).
 GUESTS = {
     "rewritten": (REWRITTEN, dict(spmsec=500), 500 * (1 + 5)),
@@ -88,6 +118,11 @@ GUESTS = {
     "next-instruction": (NEXT_INSTRUCTION, dict(spmsec=200),
                          300 * (3 + 7)),
 }
+
+#: ... and under ``-spsuppress``.
+SUPPRESSED = dict(GUESTS, **{
+    "in-a-summarized-loop": (IN_A_SUMMARIZED_LOOP, dict(spmsec=500),
+                             499 * 1 + 701 * 5)})
 
 #: How every engine lowers: as shipped; every cached trace promoted at
 #: its first or sixteenth execution (``promote_at``); threaded code only.
@@ -161,6 +196,38 @@ class TestEveryEngineIsTheInterpreter:
         for icount in (total // 2, 3 * total // 4, total - 7, total):
             engine.goto(icount)
             assert engine.registers() == interpret(program, icount), icount
+
+
+@pytest.mark.parametrize("lowering", LOWERINGS)
+@pytest.mark.parametrize("guest", SUPPRESSED)
+def test_under_suppression(guest, lowering, monkeypatch):
+    """Under ``-spsuppress`` a store into code the executing loop form
+    would still run stops it like any other, its summaries fired for
+    the trips before: serial Pin and SuperPin, audited, are the
+    interpreter."""
+    source, timing, exit_code = SUPPRESSED[guest]
+    lower(monkeypatch, lowering)
+    program = assemble(source)
+    want = interpret(program)
+    assert want[0] == exit_code
+    tool = ICount1()
+    _, vm, kernel = run_with_pin(program, tool, kernel=Kernel(seed=3),
+                                 suppress_loops=True)
+    assert (vm.exit_code, vm.total_instructions, kernel.stdout_text()) \
+        == want
+    assert tool.total == want[1]
+    assert vm.cache.stats.invalidations > 0
+    if guest == "in-a-summarized-loop":
+        assert vm.instr_stats.loop_entries > 1
+    tool = ICount1()
+    report = run_superpin(
+        program, tool, SuperPinConfig(clock_hz=10_000, spaudit=True,
+                                      spsuppress=True, **timing),
+        kernel=Kernel(seed=3))
+    assert report.audit.ok, report.audit.summary()
+    assert (report.exit_code, report.timeline.total_instructions,
+            report.stdout) == want
+    assert tool.total == want[1]
 
 
 @pytest.mark.parametrize("lowering", LOWERINGS)

@@ -670,3 +670,36 @@ class TestOneMachinePerEngine:
         quiet.goto(1534)
         assert not quiet.metrics.enabled and quiet.stats()[
             "superpin.timetravel.gotos"] == 1
+
+
+class TestUnderSuppression:
+    """A session switches its machine under its own ``config``,
+    ``-spsuppress`` included: a landing attaches nothing and a scan's
+    calls are not summarizable, so nothing it sees moves."""
+
+    def test_landings_and_scans_equal_without(self, program, tmp_path):
+        def session(suppress):
+            path = tmp_path / f"suppress{int(suppress)}.sprec"
+            run_superpin(program, ICount2(),
+                         _config(sprecord=str(path), spsuppress=suppress),
+                         kernel=Kernel(seed=42))
+            tt = TimeTravelEngine(load_recording(path),
+                                  SuperPinConfig(spsuppress=suppress))
+            seen = []
+            for icount in PROBES:
+                tt.goto(icount)
+                seen.append((tt.state_fingerprint(),
+                             tuple(tt.read_memory(0x9000, 8))))
+            hit = tt.last_write_before(WATCH_ADDR, 1534)
+            seen.append((hit.icount, hit.pc))
+            tt.goto(0)
+            tt.breakpoints.add(hit.pc)
+            event = tt.continue_()
+            seen.append((event.kind, event.icount))
+            tt.breakpoints.clear()
+            tt.goto(20000)
+            tt.watchpoints.add(WATCH_ADDR)
+            event = tt.reverse_continue()
+            seen.append((event.kind, event.icount, event.addr))
+            return seen
+        assert session(True) == session(False)
