@@ -1,7 +1,7 @@
 """Dispatch-overhead microbenchmark: trace linking and the loop form.
 
 Measures the host-level cost of **dict dispatch** — a call-heavy guest
-maximises trace-to-trace transitions; with ``-splinktraces`` each
+maximises trace-to-trace transitions; with trace linking each
 transition chains through a patched direct link instead of the
 dispatcher's hash lookup — and of a dispatch per trip of a self-loop,
 which a generated trace's loop form takes inside one function.

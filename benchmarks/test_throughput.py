@@ -60,7 +60,7 @@ def test_pinvm_uninstrumented_throughput(benchmark):
 
 
 def test_pinvm_unlinked_throughput(benchmark):
-    """Dispatcher-dict-only dispatch (-splinktraces 0) against the
+    """Dispatcher-dict-only dispatch (``link_traces=False``) against the
     linked default above; test_dispatch_overhead.py breaks the gap
     down by transition counts."""
     program = _program()

@@ -155,14 +155,13 @@ class PinVM:
               suppress_loops: bool = False) -> None:
         """Make this engine what a newly built one would be.
 
-        The constructor's second half, and the whole of a context switch
-        for an engine that stays resident across runs (a slice machine,
-        :mod:`repro.superpin.slices`): every per-run field is rebuilt
-        here and nowhere else, so a run on a reset engine is bit for bit
-        a run on a fresh one — cold code cache, no callbacks, zeroed
-        statistics.  What survives is identity only: ``process`` /
-        ``cpu`` / ``mem``, the ``counters`` list (zeroed in place —
-        generated code holds it) and ``jit``.
+        The constructor's second half, and the last step of
+        :meth:`switch`: every per-run field is rebuilt here and nowhere
+        else, so a run on a reset engine is bit for bit a run on a fresh
+        one — cold code cache, no callbacks, zeroed statistics.  What
+        survives is identity only: ``process`` / ``cpu`` / ``mem``, the
+        ``counters`` list (zeroed in place — generated code holds it)
+        and ``jit``, with its pool and heat.
         """
         self.forced_boundaries = forced_boundaries or frozenset()
         #: Observability counters (repro.obs).  JIT compiles are counted
@@ -208,7 +207,6 @@ class PinVM:
         #: change trace shapes, statistics or bubble accounting; cleared
         #: with the cache whenever instrumentation changes.
         self._step_cache: dict[int, CompiledTrace] = {}
-        self._step_jit: Jit | None = None
         #: (callback, value, filter) triples called for every newly
         #: compiled trace; ``filter`` is an InstrumentFilter or None
         #: (always instrument).
@@ -221,6 +219,28 @@ class PinVM:
         self.total_instructions = 0
         self.total_traces_executed = 0
         self.total_syscalls = 0
+
+    def switch(self, cpu_snapshot, mem, handler, thread_manager=None,
+               **settings) -> None:
+        """Context-switch onto another state: the one way an engine that
+        stays resident (a slice machine, a run's master, the signature
+        lookahead) is entered.
+
+        Registers are restored in place; ``mem`` is adopted (and spent,
+        :meth:`~repro.machine.memory.Memory.adopt`); ``handler`` and
+        ``thread_manager`` are taken over; the exit flags are cleared;
+        then :meth:`reset` with ``settings`` — after the adopt, so the
+        adopted memory's watched code words are cleared too.  The JIT's
+        pool and heat are kept.
+        """
+        process = self.process
+        process.cpu.restore(cpu_snapshot)
+        process.mem.adopt(mem)
+        process.syscall_handler = handler
+        process.thread_manager = thread_manager
+        process.exited = False
+        process.exit_code = 0
+        self.reset(**settings)
 
     # -- instrumentation registration ---------------------------------------
 
@@ -279,17 +299,14 @@ class PinVM:
     def _step_trace(self, pc: int) -> CompiledTrace:
         """A single-instruction trace at ``pc`` (exact-budget landings).
 
-        Compiled with the closure backend regardless of the configured
-        backend (one instruction has no codegen advantage), carrying the
-        engine's instrumentation like any cold compile, and cached
-        outside the code cache so trace shapes and cache statistics stay
-        untouched.
+        Threaded code under either backend (one instruction has no
+        codegen advantage), carrying the engine's instrumentation like
+        any cold compile, and cached outside the code cache so trace
+        shapes and cache statistics stay untouched.
         """
         trace = self._step_cache.get(pc)
         if trace is None:
-            if self._step_jit is None:
-                self._step_jit = Jit(self)
-            trace = self._step_jit.compile_step(pc)
+            trace = self.jit.compile_step(pc)
             self._step_cache[pc] = trace
             self.mem.watch_code(pc, 1)
         return trace
@@ -361,10 +378,9 @@ class PinVM:
         budget = max_instructions if max_instructions is not None else -1
         budgeted = budget >= 0
         exact = exact_budget and budgeted
-        # A pooled engine keeps heat (see repro.pin.jit): it counts
-        # every trace execution and promotes a trace that crosses its
-        # mark.  ``generated`` is what the source path retired.
-        promoting = jit.pool is not None
+        # The JIT keeps heat (see repro.pin.jit): the loop counts every
+        # trace execution and promotes a trace that crosses its mark.
+        # ``generated`` is what the source path retired.
         generated = 0
         looped = 0
         state = RunState.EXIT
@@ -413,14 +429,12 @@ class PinVM:
                         trace = self._step_trace(pc)
                         unlinked = True
                 traces_executed += 1
-                if promoting and not unlinked:
+                if not unlinked:
                     heat = trace.heat
-                    # (None: compiled before the pool was set.)
-                    if heat is not None:
-                        runs = heat[0] + 1
-                        heat[0] = runs
-                        if runs >= trace.hot_at:
-                            trace = self._promote(trace)
+                    runs = heat[0] + 1
+                    heat[0] = runs
+                    if runs >= trace.hot_at:
+                        trace = self._promote(trace)
 
                 if trace.is_source:
                     # Generated code: one call runs it all.
@@ -464,8 +478,7 @@ class PinVM:
                                 trips -= 1
                                 traces_executed += trips
                                 linked += trips
-                                if promoting and trace.heat is not None:
-                                    trace.heat[0] += trips
+                                trace.heat[0] += trips
                         else:
                             result, completed = trace.fn()
                     except StopRun as stop:

@@ -37,11 +37,10 @@ JIT with the decision pinned to "generated".
 is instrumenting — run the trace callbacks, weave the calls into the
 instrumented instructions — and a half that does not:
 decode the trace and lower every other instruction.  A :class:`Jit`
-whose ``pool`` is a dict (the JIT of a resident slice machine,
-:mod:`repro.superpin.slices`, of the signature lookahead's machine and
-of serial Pin's one engine; every other ``PinVM`` leaves it ``None`` and
-retains nothing) keeps the second half per trace start pc as a
-*skeleton* and redoes only the first half when a later run on the same
+keeps the second half per trace start pc as a *skeleton* in its
+``pool`` (every engine's JIT has one, for the life of the engine: serial
+Pin's, the master's, a resident slice machine's, the signature
+lookahead's) and redoes only the first half when a later run on the same
 engine misses on that pc.  A skeleton is reused only when it is exactly
 what ``build_trace`` would produce now (:meth:`Jit._refusal`) — and a head
 keeps the few shapes ``build_trace`` has produced for it
@@ -113,10 +112,9 @@ to its own head and passes that rule is lowered to generated code at
 every compile, whatever its heat: what its analysis calls count must
 not depend on whether it has a loop form yet.
 
-**Heat** is what a pooled JIT remembers about execution: per trace
-start pc, how often the trace has run and how often it has been
-compiled — served compiles aside — for the life of the engine
-(:attr:`Jit.heat`).
+**Heat** is what a JIT remembers about execution: per trace start pc,
+how often the trace has run and how often it has been compiled — served
+compiles aside — for the life of the engine (:attr:`Jit.heat`).
 """
 
 from __future__ import annotations
@@ -508,8 +506,9 @@ class CompiledTrace:
         #: by CodeCache.flush — a link must never outlive its target.
         self.links: dict[int, object] = {}
         #: This pc's ``[executions, compiles]`` cell of ``Jit.heat``
-        #: (None off a pooled engine) and the ``executions`` at which
-        #: the engine re-lowers this trace as generated code.
+        #: (None on a step trace: it is never counted) and the
+        #: ``executions`` at which the engine re-lowers this trace as
+        #: generated code.
         self.heat: list[int] | None = None
         self.hot_at = NEVER
 
@@ -689,13 +688,12 @@ class Jit:
                        engine.counters)
         #: ``start pc -> [_Skeleton, ...]`` kept across runs of this
         #: engine — the shapes decoded at that head, at most
-        #: :data:`VARIANTS_PER_HEAD`, most recently used first — or None
-        #: (retain nothing).  Set by whoever keeps the engine resident;
-        #: see the module docstring.
-        self.pool: dict[int, list[_Skeleton]] | None = None
+        #: :data:`VARIANTS_PER_HEAD`, most recently used first (see the
+        #: module docstring).
+        self.pool: dict[int, list[_Skeleton]] = {}
         #: ``start pc -> [executions, compiles]``, monotone for the life
-        #: of a pooled engine (empty off one): what the choice of
-        #: lowering — and a profile — reads.  Compiles are counted here,
+        #: of the engine: what the choice of lowering — and a profile —
+        #: reads.  Compiles are counted here,
         #: but for served ones (:data:`HOT_EXECUTIONS_PER_COMPILE`);
         #: executions by the dispatch loop, through ``trace.heat``.
         self.heat: dict[int, list[int]] = {}
@@ -807,8 +805,7 @@ class Jit:
             skeleton.owner = owner
             skeleton.template = template
 
-        cell = (self.heat.setdefault(address, [0, 0])
-                if self.pool is not None else None)
+        cell = self.heat.setdefault(address, [0, 0])
         # A loop its loop form summarizes has one lowering (module
         # docstring).
         summarized = (engine.suppress_loops and self._loops(skeleton)
@@ -816,7 +813,7 @@ class Jit:
         if summarized:
             istats.summarized_loops += 1
         if (self.all_generated or summarized
-                or (cell is not None and cell[1] and cell[0]
+                or (cell[1] and cell[0]
                     >= cell[1] * HOT_EXECUTIONS_PER_COMPILE)):
             trace = self._lower_generated(skeleton)
             stats.hot_compiles += 1
@@ -825,12 +822,11 @@ class Jit:
                                   skeleton.instructions,
                                   trace_obj.fall_address,
                                   skeleton.bbl_sizes)
-        if cell is not None:
-            if kept is None:
-                cell[1] += 1
-            trace.heat = cell
-            if not trace.is_source:
-                trace.hot_at = self._mark(cell)
+        if kept is None:
+            cell[1] += 1
+        trace.heat = cell
+        if not trace.is_source:
+            trace.hot_at = self._mark(cell)
         return trace
 
     @staticmethod
@@ -870,30 +866,27 @@ class Jit:
         ``build_trace`` would produce, otherwise built (and pooled,
         beside the other shapes of this head)."""
         engine = self._engine
-        pool = self.pool
-        variants = refused = None
-        if pool is not None:
-            variants = pool.setdefault(address, [])
-            stats = engine.jit_stats
-            for position, skeleton in enumerate(variants):
-                refused = self._refusal(skeleton, address)
-                if refused is None:
-                    if position:
-                        variants.insert(0, variants.pop(position))
-                    stats.skeleton_reuses += 1
-                    return skeleton, True
-            # One reject a compile, by why the last shape tried was not
-            # what ``build_trace`` would produce.
-            if refused == "cut":
-                stats.rejects_cut += 1
-            elif refused == "words":
-                stats.rejects_words += 1
+        variants = self.pool.setdefault(address, [])
+        stats = engine.jit_stats
+        refused = None
+        for position, skeleton in enumerate(variants):
+            refused = self._refusal(skeleton, address)
+            if refused is None:
+                if position:
+                    variants.insert(0, variants.pop(position))
+                stats.skeleton_reuses += 1
+                return skeleton, True
+        # One reject a compile, by why the last shape tried was not what
+        # ``build_trace`` would produce.
+        if refused == "cut":
+            stats.rejects_cut += 1
+        elif refused == "words":
+            stats.rejects_words += 1
         skeleton = _Skeleton(build_trace(
             engine.mem, address, forced_boundaries=engine.forced_boundaries,
             max_ins=engine.max_trace_ins))
-        if variants is not None:
-            del variants[VARIANTS_PER_HEAD - 1:]
-            variants.insert(0, skeleton)
+        del variants[VARIANTS_PER_HEAD - 1:]
+        variants.insert(0, skeleton)
         return skeleton, False
 
     def _refusal(self, skeleton: _Skeleton, address: int) -> str | None:
@@ -1017,7 +1010,7 @@ class Jit:
         if kept is not None and kept.fn is not None:
             fn, source = kept.fn, kept.source
         else:
-            if skeleton.texts is None and self.pool is not None:
+            if skeleton.texts is None:
                 skeleton.texts = [None] * len(skeleton.instructions)
             emitter = _Emitter(engine)
             emitter.lower_all(skeleton.instructions, skeleton.texts)

@@ -134,16 +134,14 @@ def run_with_pin(program, tool: Pintool, kernel: Kernel | None = None,
     completion under the Pin VM.  Returns the run result, the VM (for its
     statistics) and the kernel (for guest output).  The tool's
     ``instrument_filter`` applies here exactly as under SuperPin, so the
-    audit's serial baseline sees the same instrumentation.  The engine
-    is resident for its one long run, so its JIT keeps a pool (see
-    :mod:`repro.pin.jit`): a trace that turns hot in mid-run is
-    promoted to generated code, as it is on a slice machine.
+    audit's serial baseline sees the same instrumentation.  A trace
+    that turns hot in mid-run is promoted to generated code (see
+    :mod:`repro.pin.jit`), as it is on a slice machine.
     """
     kernel = kernel if kernel is not None else Kernel()
     process = load_program(program, kernel)
     vm = PinVM(process, jit_backend=jit_backend,
                suppress_loops=suppress_loops)
-    vm.jit.pool = {}
     tool.setup(NullSuperPin())
     tool.activate(vm)
     result = vm.run(max_instructions=max_instructions)

@@ -31,9 +31,8 @@ from .recording import (damage_recording, load_recording, Recording,
                         save_recording)
 from .runtime import replay_recording, run_superpin, SuperPinReport
 from .sharedmem import AutoMerge, resolve_shared_areas, SharedArea
-from .signature import (DEFAULT_QUICK_REGS, DetectionStats,
-                        record_signature, select_quick_registers, Signature,
-                        SignatureDetector)
+from .signature import (DEFAULT_QUICK_REGS, DetectionStats, Lookahead,
+                        record_signature, Signature, SignatureDetector)
 from .slices import run_slice, SliceEnd, SliceMachine, SliceResult
 from .supervisor import (slice_deadline, SliceAttempt, SliceOutcome,
                          supervise_slices, SupervisedSlices)
@@ -55,8 +54,8 @@ __all__ = [
     "record_boundary_signature", "record_signatures", "SliceTimings",
     "run_superpin", "SuperPinReport",
     "charge_slices_in_order", "AutoMerge", "resolve_shared_areas",
-    "SharedArea", "DEFAULT_QUICK_REGS", "DetectionStats",
-    "record_signature", "select_quick_registers", "Signature",
+    "SharedArea", "DEFAULT_QUICK_REGS", "DetectionStats", "Lookahead",
+    "record_signature", "Signature",
     "SignatureDetector", "run_slice", "SliceEnd", "SliceMachine",
     "SliceResult",
     "slice_deadline", "SliceAttempt", "SliceOutcome", "supervise_slices",

@@ -44,8 +44,8 @@ from ..machine.kernel import Kernel
 from ..machine.process import load_program
 from ..obs.metrics import NULL_METRICS
 from ..obs.tracer import NULL_TRACER
-from ..pin.engine import PinVM, RunState
-from ..pin.pintool import NullSuperPin, Pintool
+from ..pin.engine import RunState
+from ..pin.pintool import Pintool, run_with_pin
 from .slices import SliceEnd
 from .sysrecord import stream_digest, StreamDigest
 
@@ -214,20 +214,17 @@ def run_serial_baseline(program: Program, tool: Pintool, kernel: Kernel,
                         max_instructions: int) -> SerialBaseline:
     """Run the paper's baseline mode on pristine copies of tool + kernel.
 
-    Mirrors :func:`repro.pin.pintool.run_with_pin` but reserves the §4.1
-    bubble like the control process does, so guest ``mmap`` placement —
-    and hence every address the program computes — is identical across
-    the master, the reference and this baseline.
+    :func:`repro.pin.pintool.run_with_pin` on a kernel whose §4.1 bubble
+    is reserved first, as the control process reserves it, so guest
+    ``mmap`` placement — and hence every address the program computes —
+    is identical across the master, the reference and this baseline.
+    (The reservation is a fixed-address ``mmap``: it does not depend on
+    the ``brk`` the load sets.)
     """
-    process = load_program(program, kernel)
     kernel.layout.do_mmap(abi.BUBBLE_BASE, abi.BUBBLE_WORDS)
-    vm = PinVM(process)
-    tool.setup(NullSuperPin())
-    tool.activate(vm)
-    result = vm.run(max_instructions=max_instructions)
+    result, _, _ = run_with_pin(program, tool, kernel,
+                                max_instructions=max_instructions)
     completed = result.state is RunState.EXIT
-    if completed:
-        tool.fini()
     return SerialBaseline(
         exit_code=result.exit_code,
         instructions=result.instructions,

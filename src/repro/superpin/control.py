@@ -269,20 +269,12 @@ class ControlProcess:
         master = self.master
         if master is None:
             master = PinVM(self.process)
-            master.jit.pool = {}
         else:
-            # The context switch: registers restored in place, the
-            # image's memory adopted (``image`` is spent), its syscall
-            # handler and threads taken over, the engine reset.
-            image, process = self.process, master.process
-            process.cpu.restore(image.cpu.snapshot())
-            process.mem.adopt(image.mem)
-            process.syscall_handler = image.syscall_handler
-            process.thread_manager = image.thread_manager
-            process.exited = False
-            process.exit_code = 0
-            master.reset()
-            self.process = process
+            # Switched onto the loaded image (which is spent).
+            image = self.process
+            master.switch(image.cpu.snapshot(), image.mem,
+                          image.syscall_handler, image.thread_manager)
+            self.process = master.process
         process = self.process
         outcomes: list = []
         master.add_syscall_observer(outcomes.append)

@@ -119,9 +119,9 @@ def unframe_blob(blob: bytes) -> bytes:
 #: they are identical.
 _KEY_FIELDS = (
     "spmsec", "spmp", "spsysrecs", "clock_hz", "jit_backend",
-    "splinktraces", "spsharedcache", "spfilter", "spsuppress", "spsample",
-    "spadaptive", "expected_duration_msec", "signature_stack_words",
-    "quickreg_adaptive", "slice_runaway_factor", "slice_runaway_slack",
+    "spsharedcache", "spfilter", "spsuppress", "spsample", "spadaptive",
+    "expected_duration_msec", "signature_stack_words", "quickreg_adaptive",
+    "slice_runaway_factor", "slice_runaway_slack",
 )
 
 

@@ -45,14 +45,13 @@ import time
 from dataclasses import dataclass
 
 from ..machine.cpu import CpuState
-from ..machine.process import Process
 from ..obs.metrics import metrics_for, NULL_METRICS
 from ..obs.tracer import NULL_TRACER, TrackAllocator
 from .api import SliceToolContext, SPControl
 from .control import Boundary, MasterTimeline
 from .journal import frame_blob
 from .signature import (DEFAULT_QUICK_REGS, Lookahead, record_signature,
-                        select_quick_registers, Signature)
+                        Signature)
 from .slices import run_slice
 from .switches import SuperPinConfig
 
@@ -144,19 +143,17 @@ def record_boundary_signature(boundary: Boundary, config: SuperPinConfig,
 
     ``lookahead`` is the caller's resident lookahead machine — whoever
     records a run of boundaries keeps one, so each lookahead reuses
-    what the last one decoded; without it a fresh engine is built.
+    what the last one decoded; without it one is made on the spot.
     """
     cpu = CpuState()
     cpu.restore(boundary.cpu_snapshot)
     quick = None
     adaptive = False
     if config.quickreg_adaptive:
-        scratch = boundary.mem_fork.scratch_fork()
-        if lookahead is not None:
-            quick = lookahead.select(boundary.cpu_snapshot, scratch)
-        else:
-            quick = select_quick_registers(
-                Process(cpu.copy(), scratch, syscall_handler=None))
+        if lookahead is None:
+            lookahead = Lookahead()
+        quick = lookahead.select(boundary.cpu_snapshot,
+                                 boundary.mem_fork.scratch_fork())
         adaptive = quick is not None
     return record_signature(cpu, boundary.mem_fork, config,
                             quick_regs=quick or DEFAULT_QUICK_REGS,

@@ -70,7 +70,7 @@ FORMAT_VERSION = 1
 #: ``meta["config"]`` of format 1: the result-affecting config of the
 #: recording run, under the names and in the order the format was
 #: defined with.  Nothing reads the table back, but the section is
-#: hashed into ``recording_id``, so the three names that have since
+#: hashed into ``recording_id``, so the four names that have since
 #: stopped being fields (one value was ever in use) keep their slot and
 #: that value: the same program and config still record to the same id.
 _META_CONFIG = (
@@ -80,7 +80,7 @@ _META_CONFIG = (
     "min_timeslice_msec", "signature_stack_words", "quickreg_block_count",
     "quickreg_adaptive", "slice_runaway_factor", "slice_runaway_slack",
 )
-_RETIRED_CONFIG = {"spwarmcache": True,
+_RETIRED_CONFIG = {"splinktraces": True, "spwarmcache": True,
                    "min_timeslice_msec": MIN_TIMESLICE_MSEC,
                    "quickreg_block_count": QUICKREG_BLOCK_COUNT}
 

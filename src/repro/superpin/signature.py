@@ -154,7 +154,7 @@ class _WriteCounter:
                                     IARG_PTR, dests, IARG_END)
 
     def most_written(self, vm: PinVM) -> tuple[int, int] | None:
-        """Run the lookahead on ``vm`` (fresh or just reset) and rank."""
+        """Run the lookahead on ``vm`` (just switched) and rank."""
         writes = self.writes
         writes[:] = [0] * 32
         self.blocks_left = QUICKREG_BLOCK_COUNT
@@ -174,51 +174,36 @@ class _WriteCounter:
         return (top[0], top[1])
 
 
-def select_quick_registers(snapshot_process: Process
-                           ) -> tuple[int, int] | None:
-    """Recording mode: find the two most-written registers.
-
-    Runs the first :data:`QUICKREG_BLOCK_COUNT` basic blocks of the new
-    slice's code on a scratch COW fork under write-counting
-    instrumentation.  Returns None when no register was written (the
-    caller falls back to :data:`DEFAULT_QUICK_REGS`).
-    """
-    scratch = snapshot_process.fork(
-        syscall_handler=_LookaheadSyscallBarrier())
-    return _WriteCounter().most_written(PinVM(scratch))
-
-
 class Lookahead:
     """One resident machine for a run's quick-register lookaheads.
 
-    The recorder looks ahead at every boundary, a score of blocks each
-    time and mostly the same blocks: the master is usually cut inside
-    the loop it was cut in last time.  On one engine whose JIT keeps a
-    pool and one resident :class:`_WriteCounter` it may bind
-    (:mod:`repro.pin.jit`), boundary *k + 1* runs the instrumented code
-    boundary *k* and *k - 1* compiled.  :meth:`select` is
-    :func:`select_quick_registers` for a scratch memory the caller
-    hands over — the choice is the same by construction (same engine
-    defaults, same instrumentation, same bounded run) and by test.
+    Recording mode: :meth:`select` finds the two most-written registers
+    by running the first :data:`QUICKREG_BLOCK_COUNT` basic blocks of
+    the new slice's code on a scratch copy-on-write fork under
+    write-counting instrumentation.  The recorder looks ahead at every
+    boundary, a score of blocks each time and mostly the same blocks:
+    the master is usually cut inside the loop it was cut in last time.
+    On one engine and one resident :class:`_WriteCounter` the JIT may
+    bind (:mod:`repro.pin.jit`), boundary *k + 1* runs the instrumented
+    code boundary *k* and *k - 1* compiled.  The choice is the one a
+    lookahead made on the spot for that boundary alone would make — same
+    engine, same instrumentation, same bounded run — by construction
+    and by test.
     """
 
     def __init__(self):
-        self._process = Process(CpuState(), Memory(),
-                                _LookaheadSyscallBarrier())
+        self._barrier = _LookaheadSyscallBarrier()
         self._counter = _WriteCounter()
-        self._vm = PinVM(self._process)
-        self._vm.jit.pool = {}
+        self._vm = PinVM(Process(CpuState(), Memory(), self._barrier))
         self._vm.jit.retain_for = self._counter
 
     def select(self, cpu_snapshot,
                scratch: Memory) -> tuple[int, int] | None:
         """The quick registers for the state ``(cpu_snapshot,
-        scratch)``; ``scratch`` is adopted and spent."""
-        process = self._process
-        process.cpu.restore(cpu_snapshot)
-        process.mem.adopt(scratch)
-        process.exited = False
-        self._vm.reset()
+        scratch)``, or None when no register was written (the caller
+        falls back to :data:`DEFAULT_QUICK_REGS`); ``scratch`` is
+        adopted and spent."""
+        self._vm.switch(cpu_snapshot, scratch, self._barrier)
         return self._counter.most_written(self._vm)
 
 

@@ -10,8 +10,9 @@ final slice).
 — the supervisor's in-process transport, a pool worker for as long as it
 lives, a time-travel engine for its landings and scans — owns one
 :class:`SliceMachine` (one ``CpuState``, one ``Memory``, one ``PinVM``)
-and :func:`run_slice` switches it onto each boundary: registers restored
-in place, the boundary's memory fork adopted, the engine reset.
+and :func:`run_slice` switches it onto each boundary (``PinVM.switch``):
+registers restored in place, the boundary's memory fork adopted, the
+engine reset.
 Everything a slice is measured by stays per slice — it starts with a
 cold code cache in a freshly released bubble and compiles every trace it
 runs, so its ``SliceResult`` is bit for bit the one a
@@ -127,7 +128,7 @@ class SliceResult:
     #: attribution can be recomputed after parallel execution).
     compile_log: tuple[tuple[int, int], ...] = ()
     #: Trace transitions that chained through a direct link instead of
-    #: the dispatcher dict (``-splinktraces``; informational).
+    #: the dispatcher dict (informational).
     linked_dispatches: int = 0
     #: Distinct trace heads of ``compile_log`` that slice 0 (or a
     #: ``-sptracestore`` entry) had compiled before: a view over the
@@ -249,7 +250,6 @@ class SliceMachine:
         same engine is slow, never wrong.  Made at first use, like
         :attr:`lookahead`."""
         vm = PinVM(Process(CpuState(), Memory(), None))
-        vm.jit.pool = {}
         # It attaches nothing, so a trace's second compile verifies
         # trivially and its third is served.
         vm.jit.retain_for = vm
@@ -271,34 +271,23 @@ class SliceMachine:
         own pages, charged exactly the COW faults it would be charged
         running on the fork itself — and is spent afterwards, like any
         executed boundary.  The engine starts what every slice-shaped
-        run starts from: a cold code cache in the bubble, and
-        ``config``'s linking — serial Pin's engine, but for the
-        signature detector the caller registers."""
+        run starts from: a cold code cache in the bubble — serial Pin's
+        engine, but for the signature detector the caller registers."""
         cpu_snapshot, mem, handler = state or (
             boundary.cpu_snapshot, boundary.mem_fork,
             boundary_handler(boundary, interval))
-        process = self.process
-        process.syscall_handler = handler
-        process.exited = False
-        process.exit_code = 0
-        process.cpu.restore(cpu_snapshot)
-        process.mem.adopt(mem)
-        settings = dict(
-            forced_boundaries=forced_boundaries,
-            code_cache=CodeCache(abi.BUBBLE_BASE, abi.BUBBLE_WORDS,
-                                 metrics=metrics),
-            link_traces=config.splinktraces, metrics=metrics,
-            suppress_loops=config.spsuppress)
         vm = self.vm
         if vm is None or vm.jit_backend != config.jit_backend:
             # Compiled work is pooled per backend: the machine serves
             # one at a time, and starts over when asked for the other.
-            vm = self.vm = PinVM(process, jit_backend=config.jit_backend,
-                                 **settings)
-            vm.jit.pool = {}
-        else:
-            vm.reset(**settings)
-            vm.jit.retain_for = None
+            vm = self.vm = PinVM(self.process,
+                                 jit_backend=config.jit_backend)
+        vm.switch(cpu_snapshot, mem, handler,
+                  forced_boundaries=forced_boundaries,
+                  code_cache=CodeCache(abi.BUBBLE_BASE, abi.BUBBLE_WORDS,
+                                       metrics=metrics),
+                  metrics=metrics, suppress_loops=config.spsuppress)
+        vm.jit.retain_for = None
         return vm
 
     def adopt(self, ctx: SliceToolContext, config: SuperPinConfig):

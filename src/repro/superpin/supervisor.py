@@ -364,7 +364,7 @@ class _Supervisor:
         # The transport: a process pool (built at the first submit), or
         # (0 workers) this process.
         self._workers = max(0, config.spworkers)
-        self._pool: ProcessPoolExecutor | None = None
+        self._executor: ProcessPoolExecutor | None = None
         #: Where in-process attempts run (the 0-worker transport and the
         #: ladder's last rung): the caller's resident machine, or this
         #: phase's own, gone with it.
@@ -556,10 +556,10 @@ class _Supervisor:
             # and stop the master where it stands.
             if self._stream is not None:
                 self._stream.close()
-            self._teardown(self._pool, flights)
+            self._teardown(self._executor, flights)
             raise
-        if self._pool is not None:
-            self._pool.shutdown()
+        if self._executor is not None:
+            self._executor.shutdown()
         timings = slice_timings_from_records(
             self.tracer.records_since(self._mark), len(self.outcomes),
             metrics=self.metrics)
@@ -604,16 +604,16 @@ class _Supervisor:
         if attempt is None:
             self.executions[k] += 1
             attempt = self.executions[k]
-        if self._pool is None:
-            self._pool = self._new_pool()
+        if self._executor is None:
+            self._executor = self._new_pool()
         try:
-            future = self._pool.submit(_worker_attempt, payload, k,
+            future = self._executor.submit(_worker_attempt, payload, k,
                                        attempt, self.config.fault_plan)
         except (BrokenProcessPool, RuntimeError):
             # The pool died between bookkeeping and submit; rebuild and
             # try once more (a second failure propagates).
             self._rebuild_pool()
-            future = self._pool.submit(_worker_attempt, payload, k,
+            future = self._executor.submit(_worker_attempt, payload, k,
                                        attempt, self.config.fault_plan)
         self._flights[future] = _Flight(index=k, attempt=attempt)
 
@@ -775,8 +775,8 @@ class _Supervisor:
     def _rebuild_pool(self) -> None:
         self.metrics.inc("superpin.supervisor.pool_rebuilds")
         self.tracer.instant("pool.rebuild", cat="supervisor")
-        self._teardown(self._pool, None)
-        self._pool = self._new_pool()
+        self._teardown(self._executor, None)
+        self._executor = self._new_pool()
 
     def _new_pool(self) -> ProcessPoolExecutor:
         """A pool of forked workers.
@@ -797,7 +797,7 @@ class _Supervisor:
             mp_context=multiprocessing.get_context("fork"))
 
     @staticmethod
-    def _teardown(pool, flights) -> None:
+    def _teardown(executor, flights) -> None:
         """Shut a pool down promptly: cancel queued work, kill workers.
 
         ``shutdown(cancel_futures=True)`` alone would wait for running
@@ -806,19 +806,19 @@ class _Supervisor:
         but stable across supported CPythons — and degrades to a plain
         prompt shutdown if it ever disappears.
         """
-        if pool is None:
+        if executor is None:
             return
         for future in flights or ():
             future.cancel()
         try:
-            processes = list((getattr(pool, "_processes", None)
+            processes = list((getattr(executor, "_processes", None)
                               or {}).values())
             for process in processes:
                 process.terminate()
         except Exception:
             processes = []
         try:
-            pool.shutdown(wait=False, cancel_futures=True)
+            executor.shutdown(wait=False, cancel_futures=True)
         except Exception:
             pass
         for process in processes:

@@ -44,9 +44,6 @@ Switch                  Meaning
                         writes Chrome-trace JSON (load in Perfetto)
 ``-spmetrics <0|1>``    collect named counters/gauges/histograms for
                         the run (off by default: the null registry)
-``-splinktraces <0|1>`` direct trace linking in slice engines: chain
-                        trace->trace through patched exit links,
-                        bypassing the dispatcher (on by default)
 ``-spaudit <0|1>``      differential replay audit: re-run the program
                         uninstrumented (and once under serial Pin) and
                         compare every slice's architectural end state,
@@ -193,11 +190,6 @@ class SuperPinConfig:
     #: Collect metrics (counters/gauges/histograms).  Off by default:
     #: components then hold the allocation-free null registry.
     spmetrics: bool = False
-    # --- dispatch/compile overhead killers (on by default) -----------------
-    #: Direct trace linking in slice engines (Pin's exit-stub patching):
-    #: compiled traces chain straight to their successors, touching the
-    #: dispatcher only on cold exits.  Architecturally invisible.
-    splinktraces: bool = True
     #: Read by bench/layers.py's engine probe only; 0 is the one legal
     #: value (the second translation cache and ``-sptc2`` were removed).
     sptc2: int = 0
@@ -367,7 +359,6 @@ _FLAG_PARSERS = {
     "-spjit": ("jit_backend", str),
     "-sptrace": ("sptrace", str),
     "-spmetrics": ("spmetrics", lambda v: bool(int(v))),
-    "-splinktraces": ("splinktraces", lambda v: bool(int(v))),
     "-spaudit": ("spaudit", lambda v: bool(int(v))),
     "-spfilter": ("spfilter", str),
     "-spsuppress": ("spsuppress", lambda v: bool(int(v))),

@@ -24,8 +24,8 @@ How ``goto N`` works:
    switch every other executor of slices makes — and drive it forward
    with an exact instruction budget (``PinVM.run(...,
    exact_budget=True)``), which lands on the same architectural boundary
-   with or without linking and under both JIT backends.  The code cache is cold per
-   state, as a slice's is; what the machine's JIT learnt on the way to
+   under both JIT backends.  The code cache is cold per state, as a
+   slice's is; what the machine's JIT learnt on the way to
    earlier landings (decoded traces, verified lowerings, heat) is not;
 4. cache the landing state as an ephemeral micro-checkpoint.  Long
    advances also drop an anchor checkpoint :data:`CKPT_STRIDE`

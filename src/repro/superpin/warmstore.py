@@ -102,8 +102,8 @@ def store_key(source_digest: str, config) -> str:
     pickle digest for live runs, a recording id for replays (the two
     deliberately key separate entries: a recording's slice shapes are
     its own).  ``config`` is the frozen benchmark's call shape and
-    shapes nothing: no switch moves a trace head (backend, filter,
-    suppression and linking all leave the compile logs of
+    shapes nothing: no switch moves a trace head (backend, filter and
+    suppression all leave the compile logs of
     ``tests/conftest.MULTISLICE`` and the bench guests unchanged).
     """
     token = repr((source_digest, isa_fingerprint())).encode()

@@ -58,15 +58,27 @@ def loop_one_everywhere(monkeypatch) -> None:
 
 
 def promote_at(monkeypatch, executions: int) -> None:
-    """A pooled engine's threaded-code trace is swapped for generated
-    code in mid-run (``PinVM._promote``) at its ``executions``-th
-    execution, and compiled as generated code from then on: the one
-    change of lowering a run can make, at a point the test chooses.
-    Only a pooled engine (``vm.jit.pool`` set) keeps the heat it is
-    counted in."""
+    """Every engine's threaded-code trace is swapped for generated code
+    in mid-run (``PinVM._promote``) at its ``executions``-th execution,
+    and compiled as generated code from then on: the one change of
+    lowering a run can make, at a point the test chooses."""
     from repro.pin import jit
     monkeypatch.setattr(jit, "HOT_EXECUTIONS_PER_COMPILE", executions)
     monkeypatch.setattr(jit, "PROMOTE_FACTOR", 1)
+
+
+def unlinked(monkeypatch) -> None:
+    """Every engine — the master's, a slice machine's, serial Pin's —
+    runs with direct trace linking off (``PinVM(link_traces=False)``):
+    every trace transition goes through the dispatcher, and no trace
+    runs as a loop form.  Linking is the engine's, not a switch, so this
+    is how a pipeline test reaches the unlinked dispatch loop."""
+    from repro.pin.engine import PinVM
+    reset = PinVM.reset
+
+    def unlinked_reset(self, **settings):
+        reset(self, **{**settings, "link_traces": False})
+    monkeypatch.setattr(PinVM, "reset", unlinked_reset)
 
 
 # --- canned programs -----------------------------------------------------------

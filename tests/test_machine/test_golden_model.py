@@ -253,11 +253,9 @@ def _run(engine, word, values, strict, a0):
         vm.run(max_instructions=2, exact_budget=True)
 
     if engine == "promoted":
-        # A pooled engine promotes a cached trace on its third
-        # execution (the test patches the threshold to 1): run the
-        # guest twice as threaded code, put everything back, and judge
-        # the third run.
-        vm.jit.pool = {}
+        # The engine promotes a cached trace on its third execution
+        # (the test patches the threshold to 1): run the guest twice as
+        # threaded code, put everything back, and judge the third run.
         pristine, regs = process.mem.deep_copy(), list(process.cpu.regs)
         for _ in range(2):
             try:

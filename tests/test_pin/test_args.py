@@ -298,7 +298,6 @@ def received(program, lowering, context, monkeypatch):
             patch.setattr(Jit, "loop_form", lambda self, trace: None)
         if lowering == "promoted":
             patch.setattr(jit, "HOT_EXECUTIONS_PER_COMPILE", 1)
-            vm.jit.pool = {}
         at = program.symbol("at")
         log = []
 

@@ -9,8 +9,11 @@ from repro.machine import Kernel, load_program
 from repro.machine.interpreter import Interpreter
 from repro.pin import (CodeCache, IARG_END, IARG_INST_PTR, IARG_REG_VALUE,
                        IARG_UINT64, IPOINT_AFTER, IPOINT_BEFORE,
-                       IPOINT_TAKEN_BRANCH, PinVM, RunState, StopRun)
+                       IPOINT_TAKEN_BRANCH, jit, PinVM, RunState, StopRun)
 from tests.conftest import LOOP_SUM, MULTISLICE, promote_at, run_native
+
+#: The shipped lowering threshold, whatever ``--jit-hot-threshold`` says.
+SHIPPED = jit.HOT_EXECUTIONS_PER_COMPILE
 
 
 def make_vm(source: str, seed: int = 42, **kwargs):
@@ -88,18 +91,18 @@ class TestFaultOutOfACompile:
                                                  monkeypatch):
         """The engine's totals after the fault are those of a run that
         the budget stopped just before the compile that raised it —
-        also when the loop before it was promoted in mid-run."""
+        also when the loop before it was promoted in mid-run (at the
+        shipped threshold it is too short to be)."""
         program = assemble(JUMPS_OFF_THE_MAP)
         if promote:
             promote_at(monkeypatch, promote)
+        else:
+            monkeypatch.setattr(jit, "HOT_EXECUTIONS_PER_COMPILE", SHIPPED)
 
         def engine():
-            vm = PinVM(load_program(program, Kernel(seed=42),
-                                    strict_memory=True),
-                       jit_backend=backend)
-            if promote:
-                vm.jit.pool = {}
-            return vm
+            return PinVM(load_program(program, Kernel(seed=42),
+                                      strict_memory=True),
+                         jit_backend=backend)
 
         interp = Interpreter(load_program(program, Kernel(seed=42),
                                           strict_memory=True))

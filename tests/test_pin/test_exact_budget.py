@@ -46,13 +46,11 @@ def reference(program):
     return out
 
 
-def assert_lands_where_the_interpreter_does(program, reference, pooled,
+def assert_lands_where_the_interpreter_does(program, reference,
                                             **settings):
     for budget in BUDGETS:
         process = load_program(program, Kernel(seed=42))
         vm = PinVM(process, **settings)
-        if pooled:
-            vm.jit.pool = {}
         result = vm.run(max_instructions=budget, exact_budget=True)
         ref_ins, ref_pc, ref_regs = reference[budget]
         assert result.instructions == ref_ins == budget, \
@@ -66,19 +64,19 @@ def assert_lands_where_the_interpreter_does(program, reference, pooled,
 @pytest.mark.parametrize("suppress", [False, True])
 def test_exact_budget_matches_interpreter(program, reference, backend,
                                           promote, suppress, monkeypatch):
-    """``promote``: 0, or the execution at which a pooled engine swaps
-    a threaded trace for generated code in mid-run."""
+    """``promote``: 0, or the execution at which the engine swaps a
+    threaded trace for generated code in mid-run."""
     if promote:
         promote_at(monkeypatch, promote)
     assert_lands_where_the_interpreter_does(
-        program, reference, bool(promote), jit_backend=backend,
+        program, reference, jit_backend=backend,
         link_traces=True, suppress_loops=suppress)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_exact_budget_without_links(program, reference, backend):
     assert_lands_where_the_interpreter_does(
-        program, reference, False, jit_backend=backend, link_traces=False)
+        program, reference, jit_backend=backend, link_traces=False)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

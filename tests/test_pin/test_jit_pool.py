@@ -114,7 +114,6 @@ class TestReset:
 
         expected = measure(fresh())
         vm = fresh()
-        vm.jit.pool = {}
         measure(vm)
         again = load_program(assemble(MULTISLICE), Kernel(seed=42))
         vm.process.syscall_handler = again.syscall_handler
@@ -160,7 +159,6 @@ class TestSkeletonValidity:
         self.entry = self.program.entry
         self.vm = PinVM(load_program(self.program, Kernel(seed=1)),
                         jit_backend=self.backend)
-        self.vm.jit.pool = {}
 
     def fresh_shape(self, forced=frozenset(), patch=None):
         process = load_program(self.program, Kernel(seed=1))
@@ -230,7 +228,6 @@ class TestSkeletonValidity:
             VARIANTS_PER_HEAD + 4) + "    halt\n"
         vm = PinVM(load_program(assemble(source), Kernel(seed=1)),
                    jit_backend=self.backend)
-        vm.jit.pool = {}
         entry = vm.cpu.pc
         for cut in range(1, VARIANTS_PER_HEAD + 3):
             vm.reset(forced_boundaries=frozenset({entry + cut}))
@@ -275,7 +272,6 @@ class TestSkeletonValidity:
             return PinVM(process, jit_backend=self.backend)
 
         vm = strict()
-        vm.jit.pool = {}
         entry = vm.cpu.pc
         for turn in range(2):
             vm.reset()
@@ -306,16 +302,6 @@ class TestSkeletonValidity:
         assert self.vm.jit_stats.skeleton_reuses == 1
         assert result.analysis_calls == 0 and tool.icount == 8
 
-    def test_off_a_machine_nothing_is_retained(self):
-        vm = PinVM(load_program(self.program, Kernel(seed=1)),
-                   jit_backend=self.backend)
-        assert vm.jit.pool is None
-        vm.jit.compile(self.entry)
-        vm.reset()
-        vm.jit.compile(self.entry)
-        assert vm.jit.pool is None
-        assert vm.jit_stats.skeleton_reuses == 0
-
 
 class TestSourcePool:
     def setup_method(self):
@@ -323,7 +309,6 @@ class TestSourcePool:
         self.entry = self.program.entry
         self.vm = PinVM(load_program(self.program, Kernel(seed=1)),
                         jit_backend="source")
-        self.vm.jit.pool = {}
 
     def test_same_text_rebinds_the_pooled_code_object(self):
         first = self.vm.jit.compile(self.entry)

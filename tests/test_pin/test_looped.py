@@ -237,12 +237,10 @@ def image(vm, log=None) -> dict:
 
 
 def engine(source, backend="source", strict=False, instrument=None,
-           pooled=False, **kwargs):
+           **kwargs):
     vm = PinVM(load_program(assemble(source), Kernel(seed=3),
                             strict_memory=strict),
                jit_backend=backend, **kwargs)
-    if pooled:
-        vm.jit.pool = {}
     log = []
     if instrument is not None:
         instrument(vm, log)
@@ -251,12 +249,12 @@ def engine(source, backend="source", strict=False, instrument=None,
 
 def promoted(monkeypatch, executions: int) -> dict:
     """``engine`` settings: 0, generated code from a trace's first
-    compile; n, threaded code, pooled, each trace swapped in mid-run for
-    its generated form — loop form and all — at its n-th execution."""
+    compile; n, threaded code, each trace swapped in mid-run for its
+    generated form — loop form and all — at its n-th execution."""
     if not executions:
         return {}
     promote_at(monkeypatch, executions)
-    return {"backend": "closure", "pooled": True}
+    return {"backend": "closure"}
 
 
 def finish(vm, log, **run_kwargs) -> dict:
@@ -815,7 +813,6 @@ class TestThroughThePipeline:
         *[(name, 16, 2, {}) for name in ("multislice", "gzip", "gcc",
                                          "mcf")],
         ("multislice", 16, 0, {"spsuppress": True}),
-        ("multislice", 16, 0, {"splinktraces": False}),
         ("gzip", 16, 0, {"spsuppress": True}),
     ])
     def test_same_slices_with_and_without(self, name, promote, workers,
@@ -847,10 +844,8 @@ class TestThroughThePipeline:
         for counter in ("pin.jit.loop_trips",
                         "superpin.control.master.loop_trips"):
             assert not want[3].get(counter), counter
-        # (Without links a slice never loops.)
         assert got[3]["superpin.control.master.loop_trips"] > 0
-        assert (got[3]["pin.jit.loop_trips"] > 0
-                or not extra.get("splinktraces", True))
+        assert got[3]["pin.jit.loop_trips"] > 0
         if extra.get("spsuppress"):
             assert got[3]["pin.suppress.loop_entries"] > 0
         if promote:
@@ -869,7 +864,6 @@ class TestThroughThePipeline:
             process = load_program(program, Kernel(seed=4),
                                    strict_memory=strict)
             vm = PinVM(process, suppress_loops=suppress)
-            vm.jit.pool = {}
             tool = ICount2()
             tool.setup(NullSuperPin())
             tool.activate(vm)

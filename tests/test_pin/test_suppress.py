@@ -117,7 +117,6 @@ def both(source, tool_cls=ICount1, backend="closure", strict=False,
         vm = PinVM(load_program(assemble(source), Kernel(seed=7),
                                 strict_memory=strict),
                    jit_backend=backend, suppress_loops=suppress)
-        vm.jit.pool = {}
         tool = tool_cls()
         tool.setup(NullSuperPin())
         tool.activate(vm)

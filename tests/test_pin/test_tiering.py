@@ -216,9 +216,7 @@ lp: addi s0, s0, 1
 
 
 def pooled_vm(source, **settings):
-    vm = PinVM(load_program(assemble(source), Kernel(seed=42)), **settings)
-    vm.jit.pool = {}
-    return vm
+    return PinVM(load_program(assemble(source), Kernel(seed=42)), **settings)
 
 
 def rearm(vm, source, **settings):
@@ -368,14 +366,6 @@ lp: addi s0, s0, -1
         vm.run()
         assert vm.jit_stats.promotions > 0
         assert tool.compiles == vm.cache.stats.compiles
-
-    def test_unpooled_engines_never_promote(self, threshold):
-        threshold(1)
-        vm = PinVM(load_program(assemble(LOOP.format(trips=50)),
-                                Kernel(seed=42)))
-        vm.run()
-        assert vm.jit.heat == {} and vm.jit.pool is None
-        assert not any(dataclasses.astuple(vm.jit_stats))
 
 
 # --- the rule -----------------------------------------------------------------
@@ -531,7 +521,6 @@ class TestHotPathSkeletonValidity(test_jit_pool.TestSkeletonValidity):
         program = assemble(MULTISLICE)
         vm = PinVM(load_program(program, Kernel(seed=1)),
                    jit_backend="source")
-        vm.jit.pool = {}
         for tool in (None, ICount1(), ICount2(), None):
             vm.reset()
             fresh = PinVM(load_program(program, Kernel(seed=1)),

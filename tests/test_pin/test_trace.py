@@ -191,7 +191,6 @@ class TestStrictMemoryReadsNoFurtherThanExecution:
                                 lambda self, trace: None)
         process = _strict(source)
         vm = PinVM(process, jit_backend=backend)
-        vm.jit.pool = {}
         assert _ending(process, lambda: vm.run(max_instructions=10_000),
                        lambda: vm.total_instructions) == want
         stats = vm.jit_stats

@@ -10,9 +10,9 @@ class: REPLAY (``time``/``getpid``/``getrandom``/``write``), EMULATE
 boundary forcing and record playback are fuzzed alongside the signature
 machinery.
 
-One more pass forces the master's two-tier engine to switch tiers
-every few instructions (thresholds (2, 1)), so every hand-over between
-its interpreter and its generated code runs under the audit.
+One more pass promotes every cached trace to generated code at its
+second execution, so the master's and the slices' mid-run promotions
+and loop forms run under the audit.
 
 The same harness then mutation-tests the oracle: seeded ``tamper`` and
 unrecoverable ``corrupt`` injections must yield a nonzero
@@ -36,7 +36,7 @@ from repro.machine import Kernel
 from repro.superpin import FaultPlan, run_superpin, SuperPinConfig
 from repro.tools import ICount2
 
-from ..conftest import promote_at
+from ..conftest import promote_at, unlinked
 
 _ALU_RRR = ("add", "sub", "mul", "and", "or", "xor", "slt")
 _ALU_RRI = ("addi", "muli", "andi", "ori", "xori")
@@ -150,8 +150,8 @@ def random_syscall_program(seed: int, blocks: int = 4, block_len: int = 5,
 #: subset to stay inside the CI budget.
 CONFIGS = {
     # Cold dispatch: no links — every trace transition goes through
-    # the dispatcher.
-    "seq-cold": dict(spworkers=0, splinktraces=False),
+    # the dispatcher (``unlinked``, applied by the test).
+    "seq-cold": dict(spworkers=0),
     "seq-linked": dict(spworkers=0),
     "workers": dict(spworkers=2),
     "adaptive": dict(spworkers=0, spadaptive=True,
@@ -184,7 +184,9 @@ def _dump_artifact(tag: str, audit) -> None:
 
 @pytest.mark.parametrize("seed,name", MATRIX,
                          ids=[f"s{s}-{n}" for s, n in MATRIX])
-def test_fuzzed_pipeline_is_divergence_free(seed, name):
+def test_fuzzed_pipeline_is_divergence_free(seed, name, monkeypatch):
+    if name == "seq-cold":
+        unlinked(monkeypatch)
     program = assemble(random_syscall_program(seed))
     report = run_superpin(program, ICount2(), _config(name),
                           kernel=Kernel(seed=seed))
@@ -241,7 +243,7 @@ def test_seeded_corrupt_always_detected(seed):
     """Mutation test: an unrecoverable corrupt slice leaves a hole the
     degrade policy tolerates — and the audit must flag."""
     program = assemble(random_syscall_program(seed))
-    config = _config("seq-cold", spfaults="degrade",
+    config = _config("seq-linked", spfaults="degrade",
                      fault_plan=FaultPlan.parse("corrupt@1:*"))
     report = run_superpin(program, ICount2(), config,
                           kernel=Kernel(seed=seed))

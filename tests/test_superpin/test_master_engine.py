@@ -39,8 +39,8 @@ from ..conftest import MULTISLICE, promote_at
 from .test_threads_superpin import THREADED
 
 #: ``promote_at`` values: 0 is the shipped policy (whatever
-#: ``--jit-hot-threshold`` says); n > 0 promotes every cached trace of a
-#: pooled engine to generated code at its n-th execution, and compiles
+#: ``--jit-hot-threshold`` says); n > 0 promotes every cached trace of
+#: every engine to generated code at its n-th execution, and compiles
 #: every repeated trace generated.
 PROMOTE = (0, 1, 16)
 SHIPPED = jit.HOT_EXECUTIONS_PER_COMPILE
@@ -57,7 +57,6 @@ class Oracle:
         self.process = process
         self._interp = Interpreter(process, stop_after_syscall=True)
         self._observers = []
-        self.jit = SimpleNamespace(pool=None)
         self.jit_stats = JitStats()
         self.cache = CodeCache()
 
@@ -304,7 +303,6 @@ def _engines(program, seed=7):
     reference = Interpreter(load_program(program, Kernel(seed=seed)),
                             stop_after_syscall=True)
     master = PinVM(load_program(program, Kernel(seed=seed)))
-    master.jit.pool = {}
     return reference, master
 
 
@@ -627,7 +625,6 @@ class TestFaultParity:
 
         promote_at(monkeypatch, 2)  # the loop is generated by then
         master = PinVM(load())
-        master.jit.pool = {}
         engines = {
             "interpreter": Interpreter(load()),
             "closure": PinVM(load(), jit_backend="closure"),

@@ -9,11 +9,10 @@ from repro.machine import Kernel, load_program
 from repro.machine.cpu import CpuState
 from repro.machine.interpreter import Interpreter
 from repro.pin import jit
-from repro.superpin import (ControlProcess, DEFAULT_QUICK_REGS,
+from repro.superpin import (ControlProcess, DEFAULT_QUICK_REGS, Lookahead,
                             record_boundary_signature, record_signature,
                             record_signatures, run_superpin,
-                            select_quick_registers, SuperPinConfig)
-from repro.superpin.signature import Lookahead
+                            SuperPinConfig)
 from repro.tools import ICount2
 from repro.workloads import build
 from tests.conftest import MULTISLICE
@@ -63,6 +62,13 @@ class TestRecording:
         sig = record_signature(process.cpu, process.mem, SuperPinConfig(),
                                quick_regs=(5, 6))
         assert sig.quick_values == (111, 222)
+
+
+def select_quick_registers(process):
+    """The quick registers a lookahead made on the spot picks for
+    ``process``'s state, run on a scratch fork of its memory."""
+    return Lookahead().select(process.cpu.snapshot(),
+                              process.mem.scratch_fork())
 
 
 class TestQuickRegisterSelection:

@@ -33,11 +33,13 @@ from repro.superpin.parallel import run_slice_job, slice_job
 from repro.superpin.slices import (PLACEMENT_COUNTERS, run_slice,
                                    SliceMachine)
 from repro.tools import ICount2, TOOLS
-from tests.conftest import MULTISLICE, virtual_counters
+from tests.conftest import MULTISLICE, unlinked, virtual_counters
 from tests.test_superpin.test_threads_superpin import THREADED
 
 BACKENDS = ["closure", "source"]
 CONFIG = dict(spmsec=500, clock_hz=10_000)
+#: The shipped lowering threshold, whatever ``--jit-hot-threshold`` says.
+SHIPPED = jit.HOT_EXECUTIONS_PER_COMPILE
 
 
 class TraceRecords(Pintool):
@@ -227,9 +229,9 @@ class TestParityWithAFreshMachine:
         assert_resident_equals_fresh(THREADED, TOOLS["icount2"],
                                      jit_backend=backend, spmsec=1000)
 
-    def test_no_link(self):
-        assert_resident_equals_fresh(
-            MULTISLICE, TOOLS["icount2"], splinktraces=False)
+    def test_no_link(self, monkeypatch):
+        unlinked(monkeypatch)
+        assert_resident_equals_fresh(MULTISLICE, TOOLS["icount2"])
 
     def test_reuse_is_observed_and_host_side_only(self):
         phase = SlicePhase(MULTISLICE, TOOLS["icount2"](), spmetrics=True)
@@ -828,7 +830,9 @@ class TestOneCodePoolPerProcess:
         the workers fork from a parent whose pool holds the first run's
         slice code, so they rebind it instead of compiling — far more
         often than workers forked from an empty pool — and the account
-        does not move."""
+        does not move.  (At the shipped threshold: with nothing lowered
+        to generated code there is nothing to intern.)"""
+        monkeypatch.setattr(jit, "HOT_EXECUTIONS_PER_COMPILE", SHIPPED)
         monkeypatch.setattr(jit, "_INTERN", collections.OrderedDict())
         cold, _, _ = _report(spworkers=2, spmetrics=True)
         monkeypatch.setattr(jit, "_INTERN", collections.OrderedDict())

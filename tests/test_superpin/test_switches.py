@@ -104,17 +104,6 @@ class TestSupervisionSwitches:
         assert config.spfaults == "failfast"
 
 
-class TestCacheSwitches:
-    def test_defaults_on(self):
-        assert SuperPinConfig().splinktraces is True
-
-    def test_parse_disable(self):
-        assert parse_switches(["-splinktraces", "0"]).splinktraces is False
-
-    def test_parse_explicit_enable(self):
-        assert parse_switches(["-splinktraces", "1"]).splinktraces is True
-
-
 class TestNoSecondTranslationCache:
     """The three names the frozen benchmark still reads accept only 0."""
 

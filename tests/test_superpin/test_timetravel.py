@@ -25,7 +25,7 @@ from repro.superpin import (damage_recording, DebugSession, load_recording,
 from repro.superpin.slices import PLACEMENT_COUNTERS
 from repro.superpin.timetravel import CKPT_CACHE_SIZE
 from repro.tools import ICount2
-from tests.conftest import MULTISLICE, promote_at
+from tests.conftest import MULTISLICE, promote_at, unlinked
 
 JIT_BACKENDS = ["closure", "source"]
 LINKING = [True, False]
@@ -427,13 +427,15 @@ class TestOneMachinePerEngine:
     @pytest.mark.parametrize("backend", JIT_BACKENDS)
     @pytest.mark.parametrize("linking", LINKING)
     def test_any_order_lands_on_the_master_timeline(self, travelled,
-                                                    backend, linking):
+                                                    backend, linking,
+                                                    monkeypatch):
         """(a) A long-lived engine — whatever it visited before, and in
         whatever order — lands where the interpreter was, and so does
         an engine built for that one target."""
+        if not linking:
+            unlinked(monkeypatch)
         recording, timeline = travelled
-        config = SuperPinConfig(jit_backend=backend,
-                                splinktraces=linking)
+        config = SuperPinConfig(jit_backend=backend)
         tt = TimeTravelEngine(recording, config)
         targets = sorted(timeline)
         shuffled = random.Random(7).sample(targets, len(targets))
