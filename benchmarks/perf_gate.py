@@ -102,7 +102,9 @@ REQUIRED_NONZERO = (
     # broke).
     "pin.jit.instrumentation_reuses",
     # ... and those functions' loops are single traces branching to
-    # their own heads, in the slices and in the master, so zero means
+    # their own heads, in the slices (even the loop a slice's signature
+    # pc falls inside: it splits a block, not the trace) and in the
+    # master, so zero means
     # generated code has gone back to one dispatch a trip (the loop
     # form is not being built, or its allowance never reaches two).
     "pin.jit.loop_trips",

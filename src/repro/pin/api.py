@@ -166,9 +166,9 @@ def TRACE_MatchesFilter(trace: TraceObj,
 def BBL_NumMatchingIns(bbl: Bbl, flt: InstrumentFilter | None) -> int:
     """Number of instructions in ``bbl`` matching ``flt``.
 
-    Filter-aware tools count per *instruction*, not per trace: trace
-    shapes differ between serial Pin and sliced execution (forced
-    boundaries split traces at signature pcs), so only an
+    Filter-aware tools count per *instruction*, not per block: block
+    shapes differ between serial Pin and sliced execution (a slice's
+    signature pc splits the block it falls in), so only an
     instruction-granular count is identical across both — the property
     the audit's ``tool.results`` check enforces.
     """

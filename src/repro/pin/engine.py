@@ -109,7 +109,7 @@ class PinVM:
 
     def __init__(self, process: Process,
                  max_trace_ins: int = MAX_TRACE_INS,
-                 forced_boundaries: frozenset[int] | None = None,
+                 signature_pcs: frozenset[int] = frozenset(),
                  code_cache: CodeCache | None = None,
                  jit_backend: str = "closure",
                  link_traces: bool = True,
@@ -144,11 +144,11 @@ class PinVM:
                 f"unknown jit_backend {jit_backend!r}; "
                 f"choose 'closure' or 'source'")
         self.jit_backend = jit_backend
-        self.reset(forced_boundaries=forced_boundaries,
+        self.reset(signature_pcs=signature_pcs,
                    code_cache=code_cache, link_traces=link_traces,
                    metrics=metrics, suppress_loops=suppress_loops)
 
-    def reset(self, forced_boundaries: frozenset[int] | None = None,
+    def reset(self, signature_pcs: frozenset[int] = frozenset(),
               code_cache: CodeCache | None = None,
               link_traces: bool = True,
               metrics=NULL_METRICS,
@@ -163,7 +163,12 @@ class PinVM:
         ``counters`` list (zeroed in place — generated code holds it)
         and ``jit``, with its pool and heat.
         """
-        self.forced_boundaries = forced_boundaries or frozenset()
+        #: Where this run's signature detector instruments (a slice's
+        #: end signature pc; empty on any other run).  Read by the JIT
+        #: alone: a block containing one is split there for the
+        #: callbacks, and a trace containing one is never served kept
+        #: code (repro.pin.jit).
+        self.signature_pcs = signature_pcs
         #: Observability counters (repro.obs).  JIT compiles are counted
         #: live (a compile is already slow); per-dispatch cache lookups
         #: stay in CacheStats and are folded into the registry at slice

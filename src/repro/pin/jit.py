@@ -42,10 +42,14 @@ keeps the second half per trace start pc as a *skeleton* in its
 Pin's, the master's, a resident slice machine's, the signature
 lookahead's) and redoes only the first half when a later run on the same
 engine misses on that pc.  A skeleton is reused only when it is exactly
-what ``build_trace`` would produce now (:meth:`Jit._refusal`) — and a head
-keeps the few shapes ``build_trace`` has produced for it
-(:data:`VARIANTS_PER_HEAD`): a slice whose signature pc falls inside a
-hot trace cuts it there, and neither shape evicts the other.
+what ``build_trace`` would produce now (:meth:`Jit._refusal`), and a head
+has one: ``build_trace`` reads nothing a run chooses, so a slice decodes
+the trace serial Pin decodes.  The one thing a slice sees differently
+is the *blocks*: where its signature pc falls strictly inside one, the
+callbacks are handed the trace with that block split there
+(:meth:`Jit._blocks`), so a per-block tool counts the part before the
+pc apart from the part after, and a slice that stops at the pc has
+counted what it retired.
 
 Generated *text* goes one step further, to the whole process: every
 generated lowering of every engine — a trace's function, its loop form,
@@ -77,12 +81,12 @@ one, and where the calls are equal it takes over the kept lowering
 instead of producing it again — where they are not, another run's
 filter or constructor argument is no lie, and the trace starts over.
 What the code observes sends a trace down the ordinary path instead,
-with nothing kept: a head that is the slice's signature pc (the
-detector's if/then there is per slice by nature; ``build_trace`` and
-rule 1 of :meth:`Jit._refusal` make the target a trace *head*, never an
-interior instruction), any if/then, a routine or summary that is not a
-bound method of the resident object, an ``IARG_PTR`` value that is not
-an immutable constant.  The rules:
+with nothing kept: a trace that contains the slice's signature pc (the
+detector's if/then there is per slice by nature, and so is the split
+block), any if/then, a routine or summary that is not a bound method of
+the resident object, an ``IARG_PTR`` value that is not an immutable
+constant.  So kept code only ever carries a trace's natural blocks.
+The rules:
 
 * pooled semantics (skeletons) **may capture** only what lives as long
   as the engine — ``engine`` itself, ``engine.cpu``, ``cpu.regs`` and
@@ -121,6 +125,7 @@ from __future__ import annotations
 
 import types
 from collections import OrderedDict
+from itertools import accumulate
 from dataclasses import dataclass
 from typing import Callable
 
@@ -131,7 +136,7 @@ from .args import (IARG_ADDRINT, IARG_BRANCH_TAKEN, IARG_BRANCH_TARGET,
                    IARG_MEMORYWRITE_EA, IARG_PTR, IARG_REG_VALUE,
                    IARG_SYSCALL_NUMBER, IARG_UINT64, IArg, try_static_args)
 from .filter import run_trace_callbacks
-from .trace import BARE, BOUNDARY, build_trace, HOLE, Ins, TraceObj
+from .trace import BARE, Bbl, build_trace, HOLE, Ins, TraceObj
 
 #: Sentinel step result: the guest has exited.
 EXIT_GUEST = -2
@@ -157,14 +162,6 @@ HOT_EXECUTIONS_PER_COMPILE = 150
 #: to repay it with.  Long runs cannot tell 1 from 3 (the traces that
 #: matter run thousands of times); short ones can (ROADMAP.md).
 PROMOTE_FACTOR = 3
-
-#: Decoded shapes the pool keeps per trace head, most recently used
-#: first.  ``build_trace`` cuts a trace at the first forced boundary
-#: inside it, so a head has one shape more than there are signature pcs
-#: inside its whole-length trace: over the bench guests' live runs 56 to
-#: 276 shapes on 29 to 267 heads, eight or nine on the hottest loop's
-#: and one or two on most.  The least recently used goes first.
-VARIANTS_PER_HEAD = 8
 
 #: Generated code objects the process keeps (:data:`_INTERN`).  Serial
 #: Pin and SuperPin at zero and two workers on the bench's ``gzip``
@@ -487,20 +484,18 @@ class CompiledTrace:
     """Executable form of one trace (threaded code)."""
 
     __slots__ = ("start", "steps", "instructions", "fall_address",
-                 "num_ins", "bbl_sizes", "links", "heat", "hot_at")
+                 "num_ins", "links", "heat", "hot_at")
 
     is_source = False
 
     def __init__(self, start: int, steps: list[Step],
-                 instructions: list[Ins], fall_address: int | None,
-                 bbl_sizes: list[int]):
+                 instructions: list[Ins], fall_address: int | None):
         self.start = start
         self.steps = steps
         #: The instrumented instructions the steps were lowered from.
         self.instructions = instructions
         self.fall_address = fall_address
         self.num_ins = len(steps)
-        self.bbl_sizes = bbl_sizes
         #: Direct trace links: exit pc -> successor trace, patched lazily
         #: by the engine (Pin's exit-stub patching).  Cleared wholesale
         #: by CodeCache.flush — a link must never outlive its target.
@@ -529,9 +524,6 @@ class JitStats:
     #: changed (self-modified code, another program at that address, a
     #: mapping under strict memory).
     rejects_words: int = 0
-    #: ... because this run's forced boundaries cut the trace somewhere
-    #: else than the run that pooled it.
-    rejects_cut: int = 0
     #: Compiles lowered to generated code.
     hot_compiles: int = 0
     #: Generated lowerings (functions and loop forms) whose text the
@@ -553,8 +545,9 @@ class JitStats:
     #: previous compile attached.
     instrumentation_checks: int = 0
     #: Compiles under a declaring tool sent down the ordinary path by
-    #: something observed: a signature-pc head, an if/then, a routine
-    #: that is no bound method of the resident tool, a mutable argument.
+    #: something observed: a trace that contains the signature pc, an
+    #: if/then, a routine that is no bound method of the resident tool,
+    #: a mutable argument.
     instrumentation_declined: int = 0
 
 
@@ -583,6 +576,8 @@ class _Skeleton:
         #: decoded instructions the first time it is asked
         #: (:meth:`Jit._loops`).
         self.loops: bool | None = None
+        #: The natural blocks, by size: what ``trace_obj.bbls`` is
+        #: split from, and restored to (:meth:`Jit._blocks`).
         self.bbl_sizes = [bbl.num_ins for bbl in trace_obj.bbls]
         #: Validation data, filled in by the first *reuse* (a run that
         #: never revisits a trace — most daemon jobs — pays nothing).
@@ -686,11 +681,9 @@ class Jit:
         #: long as the engine does (the capture rules above).
         self._binds = (engine, cpu, cpu.regs, mem.read, mem.write,
                        engine.counters)
-        #: ``start pc -> [_Skeleton, ...]`` kept across runs of this
-        #: engine — the shapes decoded at that head, at most
-        #: :data:`VARIANTS_PER_HEAD`, most recently used first (see the
-        #: module docstring).
-        self.pool: dict[int, list[_Skeleton]] = {}
+        #: ``start pc -> _Skeleton`` kept across runs of this engine:
+        #: the trace decoded at that head (see the module docstring).
+        self.pool: dict[int, _Skeleton] = {}
         #: ``start pc -> [executions, compiles]``, monotone for the life
         #: of the engine: what the choice of lowering — and a profile —
         #: reads.  Compiles are counted here,
@@ -714,9 +707,8 @@ class Jit:
         """Drop everything kept for ``retain_for`` and its predecessors
         (skeletons stay: they are nobody's)."""
         self.retain_for = None
-        for variants in self.pool.values():
-            for skeleton in variants:
-                skeleton.owner = skeleton.kept = None
+        for skeleton in self.pool.values():
+            skeleton.owner = skeleton.kept = None
 
     def compile(self, address: int):
         """Build, instrument and lower the trace starting at ``address``
@@ -734,8 +726,8 @@ class Jit:
         trace_obj = skeleton.trace_obj
 
         # Who may be served, or checked: a trace this very resident
-        # object instrumented last, at a head the slice's detector does
-        # not instrument (the signature pc is only ever a trace head).
+        # object instrumented last, that does not contain the pc the
+        # slice's detector instruments (and splits a block at).
         # Served: what this template verified, lowered for this memory
         # mode (generated code sets its unwind markers by it).  Checked:
         # everything else of the owner's — this template's first
@@ -743,7 +735,9 @@ class Jit:
         owner = self.retain_for
         template = (self.template, engine.mem.strict)
         kept = reference = previous = None
-        if owner is not None and address in engine.forced_boundaries:
+        end = address + len(skeleton.instructions)
+        if owner is not None and any(address <= pc < end
+                                     for pc in engine.signature_pcs):
             owner = None
             stats.instrumentation_declined += 1
         if reused and owner is not None and skeleton.owner is owner:
@@ -769,6 +763,7 @@ class Jit:
                     ins.clear_calls()
             skipped, fastpath = (istats.skipped_callbacks,
                                  istats.fastpath_traces)
+            self._blocks(skeleton)
             run_trace_callbacks(engine, trace_obj)
             if reference is not None:
                 attached = _calls(skeleton.instructions)
@@ -820,8 +815,7 @@ class Jit:
         else:
             trace = CompiledTrace(address, self._lower_threaded(skeleton),
                                   skeleton.instructions,
-                                  trace_obj.fall_address,
-                                  skeleton.bbl_sizes)
+                                  trace_obj.fall_address)
         if kept is None:
             cell[1] += 1
         trace.heat = cell
@@ -848,10 +842,9 @@ class Jit:
         latest compile off this very skeleton (anything else carries
         other instrumentation), which is what the two checks establish.
         """
-        skeleton = next(
-            (variant for variant in self.pool.get(trace.start, ())
-             if variant.instructions is trace.instructions), None)
-        if skeleton is None or trace.hot_at != self._mark(trace.heat):
+        skeleton = self.pool.get(trace.start)
+        if (skeleton is None or trace.hot_at != self._mark(trace.heat)
+                or skeleton.instructions is not trace.instructions):
             return None
         new = self._lower_generated(skeleton)
         new.heat = trace.heat
@@ -863,66 +856,59 @@ class Jit:
     def _skeleton(self, address: int) -> tuple[_Skeleton, bool]:
         """The decoded trace at ``address`` and whether it is a pooled
         one: pooled if this engine built it before and it is still what
-        ``build_trace`` would produce, otherwise built (and pooled,
-        beside the other shapes of this head)."""
+        ``build_trace`` would produce, otherwise built (and pooled in
+        place of what was refused)."""
         engine = self._engine
-        variants = self.pool.setdefault(address, [])
         stats = engine.jit_stats
-        refused = None
-        for position, skeleton in enumerate(variants):
-            refused = self._refusal(skeleton, address)
-            if refused is None:
-                if position:
-                    variants.insert(0, variants.pop(position))
+        skeleton = self.pool.get(address)
+        if skeleton is not None:
+            if not self._refusal(skeleton, address):
                 stats.skeleton_reuses += 1
                 return skeleton, True
-        # One reject a compile, by why the last shape tried was not what
-        # ``build_trace`` would produce.
-        if refused == "cut":
-            stats.rejects_cut += 1
-        elif refused == "words":
             stats.rejects_words += 1
-        skeleton = _Skeleton(build_trace(
-            engine.mem, address, forced_boundaries=engine.forced_boundaries,
-            max_ins=engine.max_trace_ins))
-        del variants[VARIANTS_PER_HEAD - 1:]
-        variants.insert(0, skeleton)
+        skeleton = self.pool[address] = _Skeleton(
+            build_trace(engine.mem, address, engine.max_trace_ins))
         return skeleton, False
 
-    def _refusal(self, skeleton: _Skeleton, address: int) -> str | None:
-        """None if ``skeleton`` is exactly the trace ``build_trace``
+    def _refusal(self, skeleton: _Skeleton, address: int) -> bool:
+        """False if ``skeleton`` is exactly the trace ``build_trace``
         would decode now (it still carries the instrumentation of its
-        last compile), else why not: ``"cut"`` or ``"words"``.
+        last compile), True if the words under it changed.
 
         ``build_trace`` is a function of the guest words, the start pc,
-        the forced boundaries, the length cap and — under strict memory
-        — which words are mapped.  The cap is the engine's; the rest is
-        checked here: (1) no forced boundary of this run lies strictly
-        inside the trace — it would have to be re-cut there so detection
-        sits at a trace head; (2) a trace that ended *because* a
-        boundary was forced at its end (``TraceObj.ended``) may only be
-        reused where that end is forced again — anywhere else it must
-        extend; (3) the guest words are the ones decoded and, under
-        strict memory, still mapped, which is also what catches code the
-        master rewrote between two boundaries and another program loaded
-        at the same address; (4) a trace that ended ahead of an unmapped
-        word still finds one there.
+        the length cap and — under strict memory — which words are
+        mapped.  The cap is the engine's; the rest is checked here:
+        (1) the guest words are the ones decoded and, under strict
+        memory, still mapped, which is also what catches code the master
+        rewrote between two boundaries and another program loaded at the
+        same address; (2) a trace that ended ahead of an unmapped word
+        still finds one there.
         """
-        engine = self._engine
-        mem = engine.mem
+        mem = self._engine.mem
         if skeleton.words is None:
             skeleton.words = [ins.raw for ins in skeleton.instructions]
-        forced = engine.forced_boundaries
         end = address + len(skeleton.words)
-        ended = skeleton.trace_obj.ended
-        if (any(address < pc < end for pc in forced)
-                or (ended is BOUNDARY and end not in forced)):
-            return "cut"
-        if (not mem.same_words(address, skeleton.words)
-                or (ended is HOLE
-                    and (not mem.strict or mem.is_mapped(end)))):
-            return "words"
-        return None
+        return (not mem.same_words(address, skeleton.words)
+                or (skeleton.trace_obj.ended is HOLE
+                    and (not mem.strict or mem.is_mapped(end))))
+
+    def _blocks(self, skeleton: _Skeleton) -> None:
+        """Give ``skeleton``'s trace the blocks this run's callbacks must
+        see: its natural ones (``bbl_sizes``), each split where one of
+        the engine's signature pcs falls strictly inside it — what makes
+        the pc a block head, so a slice that stops there has run whole
+        blocks.  The instructions are the skeleton's either way."""
+        trace_obj = skeleton.trace_obj
+        instructions = skeleton.instructions
+        end = len(instructions)
+        cuts = {offset for offset in (
+            pc - trace_obj.address for pc in self._engine.signature_pcs)
+            if 0 < offset < end}
+        if cuts or len(trace_obj.bbls) != len(skeleton.bbl_sizes):
+            heads = sorted({*accumulate(skeleton.bbl_sizes[:-1], initial=0),
+                            *cuts})
+            trace_obj.bbls = [Bbl(instructions[begin:stop]) for begin, stop
+                              in zip(heads, heads[1:] + [end])]
 
     def compile_step(self, address: int) -> CompiledTrace:
         """Lower a single-instruction trace (exact-budget stepping).
@@ -935,15 +921,12 @@ class Jit:
         changing trace shapes.
         """
         engine = self._engine
-        trace_obj = build_trace(engine.mem, address,
-                                forced_boundaries=engine.forced_boundaries,
-                                max_ins=1)
+        trace_obj = build_trace(engine.mem, address, max_ins=1)
         run_trace_callbacks(engine, trace_obj)
         ins = trace_obj.instructions[0]
         return CompiledTrace(address, [self._step(ins, ins.shape)],
                              trace_obj.instructions,
-                             trace_obj.fall_address,
-                             [bbl.num_ins for bbl in trace_obj.bbls])
+                             trace_obj.fall_address)
 
     # -- lowering ------------------------------------------------------------
 
@@ -1020,7 +1003,6 @@ class Jit:
         return SourceCompiledTrace(
             start=address, fn=fn, num_ins=len(skeleton.instructions),
             fall_address=trace_obj.fall_address, source=source,
-            bbl_sizes=skeleton.bbl_sizes,
             instructions=skeleton.instructions,
             origin=skeleton if self._loops(skeleton) else None)
 

@@ -116,8 +116,7 @@ class SourceCompiledTrace:
     """
 
     __slots__ = ("start", "fn", "num_ins", "fall_address", "source",
-                 "bbl_sizes", "instructions", "links", "heat", "loop",
-                 "origin")
+                 "instructions", "links", "heat", "loop", "origin")
 
     is_source = True
     #: Already generated code: nothing to promote to.
@@ -125,8 +124,7 @@ class SourceCompiledTrace:
 
     def __init__(self, start: int, fn, num_ins: int,
                  fall_address: int | None, source: str,
-                 bbl_sizes: list[int], instructions: list[Ins],
-                 origin=None):
+                 instructions: list[Ins], origin=None):
         self.start = start
         self.fn = fn
         #: The loop form, None until the dispatch loop first follows
@@ -138,7 +136,6 @@ class SourceCompiledTrace:
         self.num_ins = num_ins
         self.fall_address = fall_address
         self.source = source
-        self.bbl_sizes = bbl_sizes
         #: The instrumented instructions ``fn`` was lowered from.
         self.instructions = instructions
         #: Direct trace links: exit pc -> successor trace (see

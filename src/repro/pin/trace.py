@@ -13,11 +13,16 @@ Trace-building rules (a faithful simplification of Pin's):
   and conditional-fall-through code;
 * a conditional branch ends the current *basic block* but not the trace;
 * an unconditional transfer (``j``/``jr``/``call``/``callr``/``ret``), a
-  ``syscall``, a ``halt``, the instruction-count cap, or a *forced
-  boundary* (used by SuperPin's signature detection, §4.4) ends the trace;
+  ``syscall``, a ``halt`` or the instruction-count cap ends the trace;
 * under strict memory, so does an unmapped word after the first: the
   trace falls through to it, and fetching it faults only if execution
   gets there — where the interpreter's fetch would.
+
+So a trace is a function of the guest words, the start pc, the cap and
+(strict memory) the mapping — nothing a run chooses.  SuperPin's
+signature pc (§4.4) ends no trace: the JIT shows the callbacks of a
+slice that detects it a trace whose *block* is split there
+(``Jit._blocks``).
 """
 
 from __future__ import annotations
@@ -271,9 +276,9 @@ class Bbl:
 
 
 #: Why ``build_trace`` ended a trace (:attr:`TraceObj.ended`): its last
-#: instruction transfers control, the length cap, a forced boundary at
-#: ``fall_address``, an unmapped word there (strict memory).
-TRANSFER, CAP, BOUNDARY, HOLE = "transfer", "cap", "boundary", "hole"
+#: instruction transfers control, the length cap, an unmapped word at
+#: ``fall_address`` (strict memory).
+TRANSFER, CAP, HOLE = "transfer", "cap", "hole"
 
 
 class TraceObj:
@@ -287,7 +292,7 @@ class TraceObj:
         #: when the trace ends in an unconditional transfer).
         self.fall_address = fall_address
         #: Why the trace ends where it does: :data:`TRANSFER`,
-        #: :data:`CAP`, :data:`BOUNDARY` or :data:`HOLE`.
+        #: :data:`CAP` or :data:`HOLE`.
         self.ended = ended
 
     @property
@@ -303,14 +308,11 @@ class TraceObj:
                 f"{self.num_ins} ins)")
 
 
-def build_trace(mem, start: int, forced_boundaries: frozenset[int] | None
-                = None, max_ins: int = MAX_TRACE_INS) -> TraceObj:
+def build_trace(mem, start: int, max_ins: int = MAX_TRACE_INS) -> TraceObj:
     """Decode a trace from guest memory starting at ``start``.
 
-    ``forced_boundaries`` are addresses that must begin their own trace —
-    SuperPin registers its signature-detection address here so detection
-    always sits at a trace head and per-BBL tools (icount2) stay exact
-    when a slice stops there.  Only the word at ``start`` is read
+    The same trace in every engine that runs these words, serial Pin's
+    and a slice's alike.  Only the word at ``start`` is read
     unconditionally (under strict memory it faults there if unmapped).
     """
     bbls: list[Bbl] = []
@@ -323,8 +325,6 @@ def build_trace(mem, start: int, forced_boundaries: frozenset[int] | None
     while True:
         if total >= max_ins:
             ended = CAP
-        elif pc != start and forced_boundaries and pc in forced_boundaries:
-            ended = BOUNDARY
         elif pc != start and mem.strict and not mem.is_mapped(pc):
             ended = HOLE
         if ended is not TRANSFER:

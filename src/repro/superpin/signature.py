@@ -226,18 +226,20 @@ class SignatureDetector:
         self.vm.add_trace_callback(self._instrument)
 
     def _instrument(self, trace, value) -> None:
-        # The signature pc is a forced boundary of the slice's engine,
-        # so ``build_trace`` starts a trace there and never carries one
-        # across it (a pooled trace that does is re-cut,
-        # ``Jit._refusal``): the target is a trace head or absent.
-        if trace.address != self.signature.pc:
+        # The signature pc may sit anywhere in a trace, as in serial
+        # Pin's; the slice's engine makes it a *block* head (it is one
+        # of the engine's ``signature_pcs``, ``Jit._blocks``), so a
+        # match stops the slice between two whole blocks.  A stop
+        # mid-trace unwinds like any ``StopRun``.
+        offset = self.signature.pc - trace.address
+        if not 0 <= offset < trace.num_ins:
             return
         q0, q1 = self.signature.quick_regs
-        head = trace.bbls[0].head
-        head.insert_if_call(IPOINT_BEFORE, self._quick_check,
-                            IARG_REG_VALUE, q0,
-                            IARG_REG_VALUE, q1, IARG_END)
-        head.insert_then_call(IPOINT_BEFORE, self._full_check, IARG_END)
+        ins = trace.instructions[offset]
+        ins.insert_if_call(IPOINT_BEFORE, self._quick_check,
+                           IARG_REG_VALUE, q0,
+                           IARG_REG_VALUE, q1, IARG_END)
+        ins.insert_then_call(IPOINT_BEFORE, self._full_check, IARG_END)
 
     # -- analysis routines ----------------------------------------------------
 

@@ -66,7 +66,6 @@ from .sysrecord import PlaybackHandler
 #: and must stay out of anything compared across runs.
 PLACEMENT_COUNTERS = ("pin.jit.skeleton_reuses",
                       "pin.jit.skeleton_rejects.words",
-                      "pin.jit.skeleton_rejects.forced_cut",
                       "pin.jit.hot_compiles",
                       "pin.jit.intern_hits",
                       "pin.jit.promotions",
@@ -81,7 +80,7 @@ PLACEMENT_COUNTERS = ("pin.jit.skeleton_reuses",
 def placement_counts(jstats) -> tuple[int, ...]:
     """A run's ``JitStats`` in :data:`PLACEMENT_COUNTERS` order."""
     return (jstats.skeleton_reuses, jstats.rejects_words,
-            jstats.rejects_cut, jstats.hot_compiles, jstats.intern_hits,
+            jstats.hot_compiles, jstats.intern_hits,
             jstats.promotions, jstats.hot_instructions, jstats.loop_builds,
             jstats.loop_trips,
             jstats.instrumentation_reuses, jstats.instrumentation_checks,
@@ -257,7 +256,7 @@ class SliceMachine:
 
     def switch(self, boundary: Boundary, interval: Interval,
                config: SuperPinConfig,
-               forced_boundaries: frozenset[int] = frozenset(),
+               signature_pcs: frozenset[int] = frozenset(),
                metrics=NULL_METRICS, state: tuple | None = None) -> PinVM:
         """Context-switch onto a state and return the engine, reset and
         ready to be instrumented.
@@ -283,7 +282,7 @@ class SliceMachine:
             vm = self.vm = PinVM(self.process,
                                  jit_backend=config.jit_backend)
         vm.switch(cpu_snapshot, mem, handler,
-                  forced_boundaries=forced_boundaries,
+                  signature_pcs=signature_pcs,
                   code_cache=CodeCache(abi.BUBBLE_BASE, abi.BUBBLE_WORDS,
                                        metrics=metrics),
                   metrics=metrics, suppress_loops=config.spsuppress)
@@ -357,8 +356,8 @@ def run_slice(boundary: Boundary, interval: Interval,
     # 1-2. Context switch: registers, COW memory and kernel layout of
     #    the boundary; the engine reset, with its own cold code cache in
     #    the bubble.
-    forced = frozenset({end_signature.pc}) if end_signature else frozenset()
-    vm = machine.switch(boundary, interval, config, forced, metrics)
+    pcs = frozenset({end_signature.pc}) if end_signature else frozenset()
+    vm = machine.switch(boundary, interval, config, pcs, metrics)
     process = vm.process
     handler = process.syscall_handler
     cow_mark = process.mem.cow_faults

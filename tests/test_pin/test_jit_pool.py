@@ -2,8 +2,10 @@
 
 The oracle throughout is the freshly built engine: a reset engine must
 *be* one (attribute by attribute), and a compile served from the pool
-must produce the trace a fresh compile produces — so every validity
-check in ``Jit._refusal`` has a test here that fails if it is dropped.
+must produce the trace a fresh compile produces, and hand the callbacks
+the blocks a fresh compile hands them — so every validity check in
+``Jit._refusal`` and every rule of ``Jit._blocks`` has a test here that
+fails if it is dropped.
 """
 
 import dataclasses
@@ -15,8 +17,9 @@ import pytest
 
 from repro.isa import assemble
 from repro.machine import Kernel, load_program
-from repro.pin import CodeCache, jit, PinVM, RunState
-from repro.pin.jit import VARIANTS_PER_HEAD
+from repro.pin import (CodeCache, IARG_END, IARG_UINT64, IPOINT_BEFORE, jit,
+                       PinVM, RunState)
+from repro.pin.jit import _Skeleton
 from repro.tools import ICount1, ICount2
 from tests.conftest import MULTISLICE
 
@@ -58,7 +61,7 @@ def _dirty_engine(backend):
     """An engine every per-run field of which a run has touched."""
     process = load_program(assemble(MULTISLICE), Kernel(seed=42))
     vm = PinVM(process, jit_backend=backend, suppress_loops=True,
-               forced_boundaries=frozenset({3}))
+               signature_pcs=frozenset({3}))
     ICount2().activate(vm)
     vm.add_syscall_observer(lambda outcome: None)
     assert vm.run(max_instructions=5000,
@@ -70,7 +73,7 @@ def _dirty_engine(backend):
 class TestReset:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_reset_engine_equals_fresh_engine(self, backend):
-        settings = dict(forced_boundaries=frozenset({7}),
+        settings = dict(signature_pcs=frozenset({7}),
                         link_traces=True, suppress_loops=False)
         used = _dirty_engine(backend)
         kept = {name: getattr(used, name) for name in RESIDENT}
@@ -125,8 +128,8 @@ class TestReset:
         assert vm.jit_stats.skeleton_reuses > 0
 
 
-#: Straight-line code, so trace shape is decided by the forced
-#: boundaries alone: one trace from ``main`` to the syscall.
+#: Straight-line code: one trace, and one block, from ``main`` to the
+#: syscall.
 STRAIGHT = """
 .entry main
 main:
@@ -143,7 +146,16 @@ main:
 
 def _shape(trace):
     return (trace.start, trace.num_ins, trace.fall_address,
-            trace.bbl_sizes, [ins.address for ins in trace.instructions])
+            [ins.address for ins in trace.instructions])
+
+
+def _watch_blocks(vm):
+    """The block sizes of every trace ``vm``'s callbacks are handed
+    from now on, one list a compile."""
+    seen = []
+    vm.add_trace_callback(
+        lambda trace, value: seen.append([bbl.num_ins for bbl in trace.bbls]))
+    return seen
 
 
 class TestSkeletonValidity:
@@ -160,93 +172,79 @@ class TestSkeletonValidity:
         self.vm = PinVM(load_program(self.program, Kernel(seed=1)),
                         jit_backend=self.backend)
 
-    def fresh_shape(self, forced=frozenset(), patch=None):
+    def fresh_shape(self, patch=None, pcs=frozenset()):
+        """What a fresh engine compiles at the entry, and the blocks its
+        callbacks are handed with ``pcs`` as its signature pcs."""
         process = load_program(self.program, Kernel(seed=1))
         if patch:
             process.mem.write(*patch)
-        vm = PinVM(process, forced_boundaries=forced,
-                   jit_backend=self.backend)
-        return _shape(vm.jit.compile(self.entry))
+        vm = PinVM(process, signature_pcs=pcs, jit_backend=self.backend)
+        blocks = _watch_blocks(vm)
+        return _shape(vm.jit.compile(self.entry)), blocks[0]
+
+    def compile_at(self, pcs=frozenset()):
+        """Reset the pooled engine onto ``pcs`` and compile the entry:
+        its shape, and the blocks its callbacks were handed."""
+        self.vm.reset(signature_pcs=pcs)
+        blocks = _watch_blocks(self.vm)
+        return _shape(self.vm.jit.compile(self.entry)), blocks[0]
 
     def test_unchanged_trace_is_reused(self):
         first = self.vm.jit.compile(self.entry)
         self.vm.reset()
         second = self.vm.jit.compile(self.entry)
         assert self.vm.jit_stats.skeleton_reuses == 1
-        assert _shape(second) == _shape(first) == self.fresh_shape()
+        assert _shape(second) == _shape(first) == self.fresh_shape()[0]
         # Uninstrumented steps *are* the pooled semantics closures.
         assert second.steps == first.steps
 
-    def test_boundary_inside_a_pooled_trace_recuts_it(self):
-        self.vm.jit.compile(self.entry)
-        forced = frozenset({self.entry + 3})
-        self.vm.reset(forced_boundaries=forced)
-        recut = self.vm.jit.compile(self.entry)
-        assert self.vm.jit_stats.rejects_cut == 1
-        assert self.vm.jit_stats.skeleton_reuses == 0
-        assert recut.num_ins == 3 and recut.fall_address == self.entry + 3
-        assert _shape(recut) == self.fresh_shape(forced)
-
-    def test_cut_skeleton_extends_where_its_end_is_not_forced(self):
-        forced = frozenset({self.entry + 3})
-        self.vm.reset(forced_boundaries=forced)
-        assert self.vm.jit.compile(self.entry).num_ins == 3
-        self.vm.reset()
-        whole = self.vm.jit.compile(self.entry)
-        assert self.vm.jit_stats.rejects_cut == 1
-        assert whole.num_ins == 8
-        assert _shape(whole) == self.fresh_shape()
-
-    def test_cut_skeleton_is_reused_where_its_end_is_forced_again(self):
-        forced = frozenset({self.entry + 3})
-        self.vm.reset(forced_boundaries=forced)
-        self.vm.jit.compile(self.entry)
-        self.vm.reset(forced_boundaries=forced)
-        again = self.vm.jit.compile(self.entry)
+    def test_signature_pc_splits_its_block(self):
+        """The trace is the pooled one, whole; only the block the pc
+        falls in is handed over split there."""
+        self.compile_at()
+        pcs = frozenset({self.entry + 3})
+        split = self.compile_at(pcs)
         assert self.vm.jit_stats.skeleton_reuses == 1
-        assert _shape(again) == self.fresh_shape(forced)
+        assert split == self.fresh_shape(pcs=pcs)
+        assert split[1] == [3, 5] and split[0][1] == 8
 
-    def test_two_cuts_of_one_head_do_not_evict_each_other(self):
-        """Runs that force their boundary at two places inside one
-        trace, in turn: each shape is decoded once and then reused —
-        a forced cut refuses a candidate, it does not replace it."""
-        cuts = [frozenset({self.entry + 3}), frozenset({self.entry + 5})]
-        for turn, forced in enumerate(cuts + cuts + [frozenset()] + cuts):
-            self.vm.reset(forced_boundaries=forced)
-            trace = self.vm.jit.compile(self.entry)
-            assert _shape(trace) == self.fresh_shape(forced), turn
-            stats = self.vm.jit_stats
-            # Turn 0 meets an empty pool; turns 1 and 4 a head whose
-            # shapes are all other cuts: one reject a compile.
-            assert (stats.skeleton_reuses, stats.rejects_cut) \
-                == ((0, turn == 1 or turn == 4) if turn in (0, 1, 4)
-                    else (1, 0)), turn
-        assert len(self.vm.jit.pool[self.entry]) == 3
+    def test_without_the_pc_the_blocks_are_whole(self):
+        pcs = frozenset({self.entry + 3})
+        assert self.compile_at(pcs)[1] == [3, 5]
+        whole = self.compile_at()
+        assert self.vm.jit_stats.skeleton_reuses == 1
+        assert whole == self.fresh_shape() and whole[1] == [8]
 
-    def test_a_head_keeps_a_bounded_number_of_shapes(self):
-        source = ".entry main\nmain:\n" + "    addi t0, t0, 1\n" * (
-            VARIANTS_PER_HEAD + 4) + "    halt\n"
+    def test_a_pc_at_a_block_head_splits_nothing(self):
+        """... nor one outside the trace."""
+        self.compile_at()
+        for pcs in (frozenset({self.entry}), frozenset({self.entry + 8}),
+                    frozenset({self.entry - 1})):
+            seen = self.compile_at(pcs)
+            assert seen == self.fresh_shape(pcs=pcs) and seen[1] == [8], pcs
+            assert self.vm.jit_stats.skeleton_reuses == 1
+        # A natural block head stays one: a branch ends its block.
+        source = (".entry main\nmain:\n    li t0, 1\n    beq t0, t0, next\n"
+                  "next:\n    li t1, 2\n    halt\n")
         vm = PinVM(load_program(assemble(source), Kernel(seed=1)),
+                   signature_pcs=frozenset({assemble(source).entry + 2}),
                    jit_backend=self.backend)
-        entry = vm.cpu.pc
-        for cut in range(1, VARIANTS_PER_HEAD + 3):
-            vm.reset(forced_boundaries=frozenset({entry + cut}))
-            assert vm.jit.compile(entry).num_ins == cut
-        assert len(vm.jit.pool[entry]) == VARIANTS_PER_HEAD
-        # The most recent are kept, the first went first.
-        vm.reset(forced_boundaries=frozenset({entry + VARIANTS_PER_HEAD}))
-        vm.jit.compile(entry)
-        assert vm.jit_stats.skeleton_reuses == 1
-        vm.reset(forced_boundaries=frozenset({entry + 1}))
-        vm.jit.compile(entry)
-        assert (vm.jit_stats.skeleton_reuses,
-                vm.jit_stats.rejects_cut) == (0, 1)
+        blocks = _watch_blocks(vm)
+        vm.jit.compile(vm.cpu.pc)
+        assert blocks == [[2, 2]]
 
-    def test_a_boundary_at_the_trace_head_cuts_nothing(self):
-        self.vm.jit.compile(self.entry)
-        self.vm.reset(forced_boundaries=frozenset({self.entry}))
-        assert self.vm.jit.compile(self.entry).num_ins == 8
-        assert self.vm.jit_stats.skeleton_reuses == 1
+    def test_pcs_anywhere_share_one_skeleton(self):
+        """Runs whose signature pcs fall at two places inside one trace,
+        in turn: the trace is decoded once, and each run is handed the
+        blocks a fresh engine hands it."""
+        turns = [frozenset({self.entry + 3}), frozenset({self.entry + 5}),
+                 frozenset(), frozenset({self.entry + 3, self.entry + 5})]
+        for turn, pcs in enumerate(turns + turns):
+            assert self.compile_at(pcs) == self.fresh_shape(pcs=pcs), turn
+            assert self.vm.jit_stats.skeleton_reuses == (turn > 0), turn
+        skeleton = self.vm.jit.pool[self.entry]
+        assert type(skeleton) is _Skeleton
+        assert skeleton.trace_obj.bbls[0].num_ins == 3
 
     def test_rewritten_guest_word_is_decoded_again(self):
         self.vm.jit.compile(self.entry)
@@ -257,13 +255,14 @@ class TestSkeletonValidity:
         changed = self.vm.jit.compile(self.entry)
         assert self.vm.jit_stats.rejects_words == 1
         assert changed.num_ins == 3
-        assert _shape(changed) == self.fresh_shape(patch=patch)
+        assert _shape(changed) == self.fresh_shape(patch=patch)[0]
 
     def test_a_trace_that_stops_ahead_of_a_hole_is_reused_until_it_fills(
             self):
         """Under strict memory ``build_trace`` ends a trace ahead of an
-        unmapped word: that end is no forced cut to refuse for ever, and
-        a mapping over the hole is a change of the words under it."""
+        unmapped word: that end is reused for as long as the hole is
+        there, and a mapping over the hole is a change of the words
+        under it."""
         source = ".entry main\nmain:\n    li t0, 1\n    beq t0, t0, main\n"
 
         def strict():
@@ -277,8 +276,8 @@ class TestSkeletonValidity:
             vm.reset()
             trace = vm.jit.compile(entry)
             assert (trace.num_ins, trace.fall_address) == (2, entry + 2)
-        assert (vm.jit_stats.skeleton_reuses, vm.jit_stats.rejects_cut,
-                vm.jit_stats.rejects_words) == (1, 0, 0)
+        assert (vm.jit_stats.skeleton_reuses,
+                vm.jit_stats.rejects_words) == (1, 0)
         vm.mem.map_region(entry + 2, 1)
         vm.reset()
         longer = vm.jit.compile(entry)
@@ -348,13 +347,26 @@ main:
 
 
 def _engine(source=STRAIGHT, strict=False, tool=None):
-    """A bare engine (no skeleton pool) that generates every trace."""
+    """A new engine that generates every trace."""
     process = load_program(assemble(source), Kernel(seed=1),
                            strict_memory=strict)
     vm = PinVM(process, jit_backend="source")
     if tool is not None:
         tool().activate(vm)
     return vm
+
+
+def _nothing(value):
+    pass
+
+
+def _literal(vm, number):
+    """Reset ``vm`` onto instrumentation that hands one call at each
+    trace head the literal ``number``: one generated text a number."""
+    vm.reset()
+    vm.add_trace_callback(lambda trace, value: trace.instructions[0]
+                          .insert_call(IPOINT_BEFORE, _nothing,
+                                       IARG_UINT64, number, IARG_END))
 
 
 @pytest.fixture
@@ -404,21 +416,21 @@ class TestTheProcessCodePool:
         entry = vm.cpu.pc
         sources = {}
 
-        def compile_cut(cut):
-            vm.reset(forced_boundaries=frozenset({entry + cut}))
+        def compile_with(number):
+            _literal(vm, number)
             hits = vm.jit_stats.intern_hits
-            sources[cut] = vm.jit.compile(entry).source
+            sources[number] = vm.jit.compile(entry).source
             return vm.jit_stats.intern_hits - hits
 
-        assert [compile_cut(cut) for cut in (3, 5, 3, 6)] == [0, 0, 1, 0]
+        assert [compile_with(n) for n in (3, 5, 3, 6)] == [0, 0, 1, 0]
         # 5 was used least recently when 6 came in.
         assert list(intern) == [sources[3], sources[6]]
-        assert [compile_cut(cut) for cut in (3, 5)] == [1, 0]
+        assert [compile_with(n) for n in (3, 5)] == [1, 0]
         assert list(intern) == [sources[3], sources[5]]
 
     def test_two_threads_compiling_at_once_raise_nothing_and_agree(
             self, intern, monkeypatch):
-        """The daemon's job threads compile at once.  Four shapes over a
+        """The daemon's job threads compile at once.  Four texts over a
         pool of two keep both threads evicting while they look up."""
         monkeypatch.setattr(jit, "INTERN_BOUND", 2)
         interval = sys.getswitchinterval()
@@ -431,8 +443,7 @@ class TestTheProcessCodePool:
             entry = vm.cpu.pc
             start.wait()
             for turn in range(60):
-                cut = 3 + turn % 4
-                vm.reset(forced_boundaries=frozenset({entry + cut}))
+                _literal(vm, 3 + turn % 4)
                 trace = vm.jit.compile(entry)
                 seen.setdefault(name, []).append(
                     (trace.source, trace.fn.__code__.co_code))

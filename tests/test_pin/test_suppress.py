@@ -271,7 +271,9 @@ class TestLegalityBailouts:
     def test_if_then_at_head_blocks_suppression(self, backend):
         """A detector-style if/then at the loop head (SuperPin's
         signature check) must observe every trip, so the loop's calls
-        are not summarized either."""
+        are not summarized either.  Like the detector, it instruments
+        the loop pc wherever it sits: inside the entry trace on the
+        first trip, at the head of the loop's own trace on the rest."""
         checks = []
 
         def quick_check(value):
@@ -279,18 +281,19 @@ class TestLegalityBailouts:
             return 0
 
         def detector(trace, value):
-            head = trace.instructions[0]
-            if head.address == loop_pc:
-                head.insert_if_call(IPOINT_BEFORE, quick_check,
-                                    IARG_REG_VALUE, 8, IARG_END)
-                head.insert_then_call(IPOINT_BEFORE, lambda: None,
-                                      IARG_END)
+            offset = loop_pc - trace.address
+            if 0 <= offset < trace.num_ins:
+                ins = trace.instructions[offset]
+                ins.insert_if_call(IPOINT_BEFORE, quick_check,
+                                   IARG_REG_VALUE, 8, IARG_END)
+                ins.insert_then_call(IPOINT_BEFORE, lambda: None,
+                                     IARG_END)
 
         program = assemble(HOT_LOOP)
         loop_pc = program.symbols["loop"]
-        # (The signature pc is a forced boundary, so a trace head.)
+        # (A slice's engine: the signature pc is a block head.)
         vm = PinVM(load_program(program, Kernel(seed=42)),
-                   forced_boundaries=frozenset({loop_pc}),
+                   signature_pcs=frozenset({loop_pc}),
                    jit_backend=backend, suppress_loops=True)
         tool = ICount2()
         tool.setup(NullSuperPin())

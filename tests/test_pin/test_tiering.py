@@ -498,9 +498,9 @@ def test_kept_code_turns_hot_without_a_callback(threshold):
 # --- pool validity on the hot path -------------------------------------------
 
 class TestHotPathSkeletonValidity(test_jit_pool.TestSkeletonValidity):
-    """Every ``Jit._refusal`` mutation test again, with the trace lowered
-    to generated code: the hot lowering decodes through the same
-    skeleton, so the same checks guard it."""
+    """Every ``Jit._refusal`` and ``Jit._blocks`` mutation test again,
+    with the trace lowered to generated code: the hot lowering decodes
+    through the same skeleton, so the same checks guard it."""
 
     backend = "source"
 

@@ -1,5 +1,4 @@
-"""Trace building: BBL splitting, trace termination, forced boundaries,
-strict memory."""
+"""Trace building: BBL splitting, trace termination, strict memory."""
 
 import pytest
 
@@ -62,24 +61,6 @@ class TestTraceShapes:
         trace = build_trace(mem, program.entry)
         assert trace.num_ins == 1
         assert trace.fall_address is None
-
-
-class TestForcedBoundaries:
-    def test_boundary_splits_trace(self):
-        mem, program = _mem_for(
-            "main:\n    li t0, 1\n    li t1, 2\nmark:\n    li t2, 3\n"
-            "    ret\n")
-        mark = program.symbols["mark"]
-        trace = build_trace(mem, program.entry,
-                            forced_boundaries=frozenset({mark}))
-        assert trace.num_ins == 2
-        assert trace.fall_address == mark
-
-    def test_boundary_at_start_does_not_empty_trace(self):
-        mem, program = _mem_for("main:\n    li t0, 1\n    ret\n")
-        trace = build_trace(mem, program.entry,
-                            forced_boundaries=frozenset({program.entry}))
-        assert trace.num_ins == 2  # boundary at the start is ignored
 
 
 class TestInsProperties:

@@ -8,12 +8,13 @@ from repro.isa.registers import RA, SP
 from repro.machine import Kernel, load_program
 from repro.machine.cpu import CpuState
 from repro.machine.interpreter import Interpreter
-from repro.pin import jit
+from repro.pin import jit, run_with_pin
+from repro.pin.trace import build_trace
 from repro.superpin import (ControlProcess, DEFAULT_QUICK_REGS, Lookahead,
                             record_boundary_signature, record_signature,
                             record_signatures, run_superpin,
                             SuperPinConfig)
-from repro.tools import ICount2
+from repro.tools import ICount2, TOOLS
 from repro.workloads import build
 from tests.conftest import MULTISLICE
 from tests.test_superpin.test_audit_fuzz import (random_syscall_program,
@@ -234,6 +235,49 @@ class TestDetectionStatistics:
             # The stack check ran at most a couple of times per slice.
             assert det.stack_checks <= 3
             assert det.stack_mismatches <= det.stack_checks
+
+
+class TestAMidBlockSignaturePc:
+    """A slice decodes the traces serial Pin decodes, so its signature pc
+    may sit strictly inside a block of a trace it entered from above.
+    The slice must still stop between two whole blocks — a per-block
+    tool would otherwise count the rest of the block the pc splits in
+    both slices — and every tool's merged result must be serial Pin's.
+    """
+
+    CONFIG = dict(spmsec=500, clock_hz=10_000)
+
+    def test_the_guest_puts_the_pc_inside_a_block(self):
+        """What the class needs of MULTISLICE: a slice that retires
+        part of a trace, and stops strictly inside one of its natural
+        blocks."""
+        program = assemble(MULTISLICE)
+        report = run_superpin(program, ICount2(),
+                              SuperPinConfig(**self.CONFIG),
+                              kernel=Kernel(seed=42))
+        mem = load_program(program, Kernel(seed=42)).mem
+        inside = 0
+        for result in report.slices[:-1]:
+            for address, _ in set(result.compile_log):
+                trace = build_trace(mem, address)
+                for bbl in trace.bbls:
+                    if bbl.address < result.end_pc <= bbl.tail.address:
+                        inside += 1
+        assert inside > 0
+
+    @pytest.mark.parametrize("spworkers", [0, 2])
+    @pytest.mark.parametrize("tool", ["icount2", "opcodemix", "memtrace"])
+    def test_slices_equal_serial_pin(self, tool, spworkers):
+        program = assemble(MULTISLICE)
+        serial = TOOLS[tool]()
+        run_with_pin(program, serial, Kernel(seed=42))
+        sliced = TOOLS[tool]()
+        report = run_superpin(program, sliced,
+                              SuperPinConfig(spworkers=spworkers,
+                                             **self.CONFIG),
+                              kernel=Kernel(seed=42))
+        assert report.all_exact
+        assert sliced.report() == serial.report()
 
 
 class TestFalsePositive:

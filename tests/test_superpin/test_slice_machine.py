@@ -309,6 +309,42 @@ top:
 """
 
 
+#: Two loops in two functions: no trace of ``xl``'s covers ``yl``, and
+#: the master cuts slices inside either.
+TWO_LOOPS = """
+.entry main
+main:
+    li   s0, 0
+    li   s1, 40
+outer:
+    call fx
+    call fy
+    inc  s0
+    blt  s0, s1, outer
+    li   a0, SYS_EXIT
+    mov  a1, s0
+    syscall
+fx:
+    li   t0, 0
+    li   t1, 300
+xl:
+    add  s2, s2, t0
+    xor  s3, s2, t1
+    addi t0, t0, 1
+    blt  t0, t1, xl
+    ret
+fy:
+    li   t0, 0
+    li   t1, 60
+yl:
+    add  s4, s4, t0
+    xor  s5, s4, t1
+    addi t0, t0, 1
+    blt  t0, t1, yl
+    ret
+"""
+
+
 class TestPoolValidity:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_master_rewrote_an_instruction_between_boundaries(self,
@@ -347,36 +383,59 @@ class TestPoolValidity:
                               jit_backend=backend).run_all(
                 machine_for=lambda k: machine) == fresh
 
-    def test_detection_stays_at_a_trace_head(self):
-        """A trace pooled by one slice that spans a later slice's end
-        signature is cut again there (``forced_cut`` rejects), and the
-        match still stops the slice at exactly its boundary."""
-        phase = SlicePhase(MULTISLICE, TOOLS["icount2"](), spmetrics=True)
-        machine, snapshots = SliceMachine(), []
-        results = [phase.run(k, machine, snapshots)
-                   for k in range(phase.n)]
-        assert sum(s["counters"]["pin.jit.skeleton_rejects.forced_cut"]
-                   for s in snapshots) > 0
-        for result, signature in zip(results, phase.signatures):
-            assert result.reason is SliceEnd.MATCHED and result.exact
-            assert result.end_pc == signature.pc
-            assert (signature.pc, ) <= tuple(
-                address for address, _ in result.compile_log
-                if address == signature.pc)
-            # What the detector (it instruments the head alone) and the
-            # JIT (it serves no trace that starts there) rely on: the
-            # signature pc is never an interior instruction.
-            assert not any(address < signature.pc < address + num_ins
-                           for address, num_ins in result.compile_log)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_one_shape_per_head(self, backend):
+        """Every slice on one machine decodes its traces where serial
+        Pin does, whatever its signature pc: the pool holds one skeleton
+        a head, and every compile at a head the pool knew reuses it,
+        unless the words under it changed."""
+        machine = SliceMachine()
+        for turn in range(2):
+            phase = SlicePhase(MULTISLICE, TOOLS["icount2"](),
+                               jit_backend=backend, spmetrics=True)
+            for k in range(phase.n):
+                phase.run(k, machine)
+            pool = machine.vm.jit.pool
+            assert pool and all(type(skeleton) is jit._Skeleton
+                                for skeleton in pool.values())
+            counters = phase.counters
+            # (The first time round, each head's first compile decodes.)
+            assert counters["pin.jit.skeleton_reuses"] == (
+                counters["pin.jit.compiles"]
+                - counters["pin.jit.skeleton_rejects.words"]
+                - (0 if turn else len(pool))) > 0
 
+    def test_a_kept_trace_is_instrumented_again_around_the_pc(self):
+        """Two slices that end elsewhere verify the trace of loop ``yl``
+        for the resident tool; the next slice on the machine has its
+        signature pc strictly inside that trace.  Its detector must be
+        handed the trace, so the JIT instruments it again instead of
+        serving the kept code — served, the slice would run past its
+        signature to the end of its budget."""
+        phase = SlicePhase(TWO_LOOPS, TOOLS["icount2"](), spmetrics=True)
+        yl = assemble(TWO_LOOPS).symbol("yl")
+        pcs = [signature.pc for signature in phase.signatures]
+        k = min(k for k, pc in enumerate(pcs) if yl < pc < yl + 4)
+        assert not any(yl <= pc < yl + 5 for pc in pcs[k + 1:k + 3])
+        want = slice_image(SlicePhase(TWO_LOOPS, TOOLS["icount2"]()).run(k))
+        machine = SliceMachine()
+        for j in (k + 1, k + 2):
+            phase.run(j, machine)
+        assert machine.vm.jit.pool[yl].kept is not None
+        result = phase.run(k, machine)
+        assert result.reason is SliceEnd.MATCHED
+        assert slice_image(result) == want
+        assert phase.slice_counters[-1][
+            "pin.jit.instrumentation_declined"] > 0
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_slices_that_cut_a_hot_trace_keep_each_others_shapes(
             self, backend, monkeypatch):
         """Two slices whose signature pcs fall at two places inside the
-        hot loop's trace, run in turn on one machine: the second time
-        round neither decodes (nor ``compile()``s) anything, and both
-        are the slices a fresh machine runs, compile logs included."""
+        hot loop's trace, run in turn on one machine, decode it once:
+        the second time round nothing is decoded (or ``compile()``d),
+        and both are the slices a fresh machine runs, compile logs
+        included."""
         fresh = SlicePhase(MULTISLICE, TOOLS["icount2"](),
                            jit_backend=backend)
         pcs = [signature.pc for signature in fresh.signatures[1:3]]
@@ -386,6 +445,7 @@ class TestPoolValidity:
         assert all(any(address == loop for address, _ in
                        want[k]["compile_log"]) for k in (1, 2))
         machine = SliceMachine()
+        decoded = []
         cold_compiles = []
         finish = _Emitter.finish
         monkeypatch.setattr(_Emitter, "finish", lambda *args: (
@@ -396,12 +456,12 @@ class TestPoolValidity:
             del cold_compiles[:]       # (the phase's master made some)
             for k in (1, 2):
                 assert slice_image(phase.run(k, machine)) == want[k]
+                decoded.append(machine.vm.jit.pool[loop])
             if turn:
                 assert phase.counters["pin.jit.skeleton_reuses"] \
                     == phase.counters["pin.jit.compiles"] > 0
-                assert not phase.counters[
-                    "pin.jit.skeleton_rejects.forced_cut"]
                 assert not cold_compiles
+        assert all(skeleton is decoded[0] for skeleton in decoded)
 
 
 class Liar(ICount2):
@@ -548,8 +608,8 @@ class TestPureInstrumentation:
         second = SlicePhase(MULTISLICE, ICount2(), jit_backend=backend,
                             spmetrics=True)
         jit = machine.vm.jit
-        before = {skeleton: skeleton.kept for variants in jit.pool.values()
-                  for skeleton in variants if skeleton.kept is not None}
+        before = {skeleton: skeleton.kept for skeleton in jit.pool.values()
+                  if skeleton.kept is not None}
         handed = []
         compile_trace = jit.compile
         monkeypatch.setattr(jit, "compile", lambda address: (
@@ -574,7 +634,8 @@ class TestPureInstrumentation:
                             for trace in handed for name in ("steps", "fn")}
                 for skeleton, kept in before.items():
                     again = skeleton.kept
-                    # (Not compiled by slice 0, or at its signature pc.)
+                    # (Not compiled by slice 0, or around its signature
+                    # pc.)
                     if again is kept or again is None:
                         continue
                     assert again.steps is kept.steps
@@ -915,12 +976,11 @@ class TestAResidentAcrossRuns:
             counter = report.metrics.counter
             if number in self.REPEATS:
                 # Every trace it compiled the resident had met before:
-                # reused, unless a forced cut or the other program's
-                # words at that address say otherwise.
+                # reused, unless the other program's words at that
+                # address say otherwise.
                 assert counter("pin.jit.skeleton_reuses") == (
                     counter("pin.jit.compiles")
-                    - counter("pin.jit.skeleton_rejects.words")
-                    - counter("pin.jit.skeleton_rejects.forced_cut")) > 0
+                    - counter("pin.jit.skeleton_rejects.words")) > 0
         assert resident.lookahead._vm.jit.pool
 
         # One replay, and a live run after it.
