@@ -1,18 +1,21 @@
 """Ablation: the paper's §8 future-work optimizations, quantified.
 
-The paper proposes two follow-ups and predicts their effect; both are
-implemented behind switches, so this bench measures exactly the claims:
+The paper proposes two follow-ups and predicts their effect; this bench
+measures exactly the claims:
 
-* **adaptive timeslice throttling** — "decrease the timeslice size
-  toward the end of application execution" to attack the pipeline
-  delay;
+* **adaptive timeslice throttling** (``-spexpected N``) — "decrease the
+  timeslice size toward the end of application execution" to attack
+  the pipeline delay;
 * **shared code cache** — "share the code cache across all timeslices"
   to attack the compilation slowdown, at the price of per-trace
-  consistency checks.
+  consistency checks.  A view of the timing model over the same run's
+  compile logs (``SuperPinReport.shared_cache_timing``), so its rows
+  reuse the runs of the rows above them.
 """
 
 from repro.harness import format_table
 from repro.machine import Kernel
+from repro.sched import shared_cache_charges
 from repro.superpin import run_superpin, SuperPinConfig
 from repro.tools import ICount2
 from repro.workloads import build
@@ -31,26 +34,34 @@ def test_future_work_optimizations(benchmark, bench_scale, save_figure):
     def run_all():
         return {
             "baseline": _run(built.program),
-            "adaptive": _run(built.program, spadaptive=True,
+            "adaptive": _run(built.program,
                              expected_duration_msec=expected_msec),
-            "shared cache": _run(built.program, spsharedcache=True),
-            "both": _run(built.program, spadaptive=True,
-                         expected_duration_msec=expected_msec,
-                         spsharedcache=True),
         }
 
-    reports = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    runs = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    # label -> (run, shared code cache?)
+    rows_of = {"baseline": (runs["baseline"], False),
+               "adaptive": (runs["adaptive"], False),
+               "shared cache": (runs["baseline"], True),
+               "both": (runs["adaptive"], True)}
 
-    rows = []
-    for label, report in reports.items():
-        timing = report.timing
+    rows, timings = [], {}
+    for label, (report, shared) in rows_of.items():
+        if shared:
+            timing = report.shared_cache_timing()
+            charges = shared_cache_charges(report.slices).values()
+            compiled_ins = sum(ins for _, ins, _ in charges)
+        else:
+            timing = report.timing
+            compiled_ins = sum(s.compiled_ins for s in report.slices)
+        timings[label] = timing
         rows.append([
             label,
             report.num_slices,
             round(timing.slowdown, 2),
             round(timing.pipeline_cycles / timing.native_cycles * 100, 1),
             round(timing.sleep_cycles / timing.native_cycles * 100, 1),
-            sum(s.compiled_ins for s in report.slices),
+            compiled_ins,
         ])
     table = format_table(
         ["config", "slices", "slowdown_x", "pipeline_%", "sleep_%",
@@ -59,13 +70,13 @@ def test_future_work_optimizations(benchmark, bench_scale, save_figure):
                 "Ablation: paper §8 future-work optimizations (gcc)\n\n"
                 + table)
 
-    base = reports["baseline"].timing
-    adaptive = reports["adaptive"].timing
-    shared = reports["shared cache"].timing
-    both = reports["both"].timing
+    base = timings["baseline"]
+    adaptive = timings["adaptive"]
+    shared = timings["shared cache"]
+    both = timings["both"]
 
     # Everything stays exact.
-    assert all(r.all_exact for r in reports.values())
+    assert all(r.all_exact for r in runs.values())
     # Adaptive throttling cuts the pipeline delay substantially.
     assert adaptive.pipeline_cycles < 0.5 * base.pipeline_cycles
     # The shared cache cuts total runtime (compilation slowdown).

@@ -8,9 +8,11 @@ that actually vary across loop iterations, far fewer quick checks
 escalate into expensive full architectural compares.
 """
 
+import pytest
+
 from repro.isa import assemble
 from repro.machine import Kernel
-from repro.superpin import run_superpin, SuperPinConfig
+from repro.superpin import Lookahead, run_superpin, SuperPinConfig
 from repro.tools import ICount2
 
 # A loop whose stack pointer and return address never change: the
@@ -33,12 +35,16 @@ lp:
 
 
 def _run(adaptive: bool):
+    """One run; ``adaptive=False`` is the static-defaults ablation: the
+    lookahead names no candidate, so every signature keeps the default
+    quick registers (the lookahead itself is not a switch)."""
     program = assemble(HOSTILE_TO_DEFAULTS)
-    config = SuperPinConfig(spmsec=1000, clock_hz=10_000,
-                            quickreg_adaptive=adaptive)
-    report = run_superpin(program, ICount2(), config,
-                          kernel=Kernel(seed=42))
-    return report
+    config = SuperPinConfig(spmsec=1000, clock_hz=10_000)
+    with pytest.MonkeyPatch.context() as patch:
+        if not adaptive:
+            patch.setattr(Lookahead, "select", lambda self, *args: None)
+        return run_superpin(program, ICount2(), config,
+                            kernel=Kernel(seed=42))
 
 
 def test_adaptive_vs_default_escalation(benchmark, save_figure):

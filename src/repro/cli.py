@@ -241,9 +241,12 @@ def _cmd_run(args, extra: list[str]) -> int:
         # Degraded runs have holes, so there is no timing simulation.
         print("virtual time: unavailable (degraded run)")
     else:
+        shared = report.shared_cache_timing()
         print(f"virtual time: native {seconds(timing.native_cycles):.2f}s, "
               f"superpin {seconds(timing.total_cycles):.2f}s "
-              f"(slowdown {timing.slowdown:.2f}x)")
+              f"(slowdown {timing.slowdown:.2f}x; "
+              f"{seconds(shared.total_cycles):.2f}s, "
+              f"{shared.slowdown:.2f}x with §8's shared code cache)")
         breakdown = timing.breakdown()
         print("breakdown: " + ", ".join(
             f"{name} {seconds(value):.2f}s"

@@ -17,7 +17,7 @@ from ..sched.machine_model import MachineModel, PAPER_MACHINE
 from ..sched.stats import TimingReport
 from ..sched.timing import CostModel, DEFAULT_COST_MODEL
 from ..superpin.runtime import run_superpin, SuperPinReport
-from ..superpin.switches import SuperPinConfig
+from ..superpin.switches import RESULT_FIELDS, SuperPinConfig
 from ..tools import TOOLS
 from ..workloads import build
 
@@ -123,5 +123,6 @@ def clear_cache() -> None:
 
 
 def _config_key(config: SuperPinConfig) -> tuple:
-    return (config.spmsec, config.spmp, config.spsysrecs, config.clock_hz,
-            config.signature_stack_words, config.quickreg_adaptive)
+    """The memo's view of ``config``: exactly the fields that change what
+    a run computes, so a differing config never returns another's run."""
+    return tuple(getattr(config, name) for name in RESULT_FIELDS)

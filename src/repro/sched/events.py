@@ -32,7 +32,7 @@ if TYPE_CHECKING:  # imported for annotations only (avoids an import cycle)
     from ..superpin.switches import SuperPinConfig
 from .machine_model import MachineModel, PAPER_MACHINE
 from .stats import SliceSpan, TimingReport
-from .timing import CostModel, DEFAULT_COST_MODEL
+from .timing import CostModel, DEFAULT_COST_MODEL, shared_cache_charges
 
 _EPS = 1e-6
 
@@ -48,8 +48,11 @@ def simulate(timeline: "MasterTimeline",
              slice_results: "list[SliceResult]",
              config: "SuperPinConfig",
              machine: MachineModel = PAPER_MACHINE,
-             cost: CostModel = DEFAULT_COST_MODEL) -> TimingReport:
-    """Simulate the run and return its :class:`TimingReport`."""
+             cost: CostModel = DEFAULT_COST_MODEL,
+             shared_code_cache: bool = False) -> TimingReport:
+    """Simulate the run and return its :class:`TimingReport`; with
+    ``shared_code_cache``, charge compiles as §8's cache shared across
+    slices would (:func:`~repro.sched.timing.shared_cache_charges`)."""
     intervals = timeline.intervals
     boundaries = timeline.boundaries
     n_slices = len(intervals)
@@ -66,7 +69,9 @@ def simulate(timeline: "MasterTimeline",
                 "fork", cost.fork_cycles(boundaries[k + 1].resident_pages),
                 k + 1))
 
-    slice_work = {k: cost.slice_cycles(results[k]) for k in results}
+    charges = shared_cache_charges(slice_results) if shared_code_cache else {}
+    slice_work = {k: cost.slice_cycles(results[k], charges.get(k))
+                  for k in results}
 
     t = 0.0
     phase_idx = 0

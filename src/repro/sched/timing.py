@@ -95,19 +95,47 @@ class CostModel:
     def fork_cycles(self, resident_pages: int) -> float:
         return self.fork_base + self.fork_per_page * resident_pages
 
-    def slice_cycles(self, result: "SliceResult") -> float:
-        """CPU work of one instrumented slice (excluding merge)."""
+    def slice_cycles(self, result: "SliceResult",
+                     charge: tuple[int, int, int] | None = None) -> float:
+        """CPU work of one instrumented slice (excluding merge).
+        ``charge``: its ``(compiles, compiled_ins, reuses)`` under a
+        shared code cache (:func:`shared_cache_charges`); by default it
+        pays for everything it compiled."""
+        compiles, compiled_ins, reuses = charge or (
+            result.compiles, result.compiled_ins, 0)
         return (self.cpi * result.instructions
                 + self.dispatch_per_trace * result.traces_executed
                 + self.analysis_call * result.analysis_calls
                 + self.inline_check * result.inline_checks
-                + self.jit_per_trace * result.compiles
-                + self.jit_per_ins * result.compiled_ins
+                + self.jit_per_trace * compiles
+                + self.jit_per_ins * compiled_ins
                 + self.playback_syscall * result.replayed_syscalls
                 + self.emulate_syscall * result.emulated_syscalls
                 + self.cow_per_page * result.cow_faults
-                + self.shared_cache_check * result.shared_cache_reuses
+                + self.shared_cache_check * reuses
                 + self.signature_record)
+
+
+def shared_cache_charges(results) -> dict[int, tuple[int, int, int]]:
+    """§8 attribution: ``slice index -> (compiles, compiled_ins,
+    reuses)`` had the slices shared one code cache.  Walks the compile
+    logs in slice order; each trace, keyed by ``(address, num_ins)``,
+    costs the lowest-indexed slice that compiled it, and every other
+    compile is a *reuse* paying only the consistency check.  A pure
+    function of the logs: the same for any worker count or completion
+    order, and the results are not touched."""
+    compiled: set[tuple[int, int]] = set()
+    charges: dict[int, tuple[int, int, int]] = {}
+    for result in sorted(results, key=lambda r: r.index):
+        compiles = compiled_ins = 0
+        for shape in result.compile_log:
+            if shape not in compiled:
+                compiled.add(shape)
+                compiles += 1
+                compiled_ins += shape[1]
+        charges[result.index] = (compiles, compiled_ins,
+                                 len(result.compile_log) - compiles)
+    return charges
 
 
 #: The model used by the shipped figures.

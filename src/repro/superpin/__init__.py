@@ -40,9 +40,9 @@ from .switches import (DEFAULT_CLOCK_HZ, FAULT_POLICIES, parse_switches,
                        SuperPinConfig)
 from .sysrecord import PlaybackHandler, RecordedSyscall
 from .timetravel import DebugSession, StopEvent, TimeTravelEngine
-from .warmstore import (charge_slices_in_order, damage_store_entry,
-                        isa_fingerprint, pilot_cold_compiles, store_key,
-                        trace_store_for, TraceStore)
+from .warmstore import (damage_store_entry, isa_fingerprint,
+                        pilot_cold_compiles, store_key, trace_store_for,
+                        TraceStore)
 
 __all__ = [
     "END_SLICE_TOKEN", "SliceToolContext", "SPControl", "AuditInputs",
@@ -53,7 +53,7 @@ __all__ = [
     "FaultKind", "FaultPlan", "FaultSpec", "merge_slices",
     "record_boundary_signature", "record_signatures", "SliceTimings",
     "run_superpin", "SuperPinReport",
-    "charge_slices_in_order", "AutoMerge", "resolve_shared_areas",
+    "AutoMerge", "resolve_shared_areas",
     "SharedArea", "DEFAULT_QUICK_REGS", "DetectionStats", "Lookahead",
     "record_signature", "Signature",
     "SignatureDetector", "run_slice", "SliceEnd", "SliceMachine",

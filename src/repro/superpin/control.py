@@ -199,7 +199,7 @@ class MasterStats:
                 f"{self.loop_trips:,} trace executions inside loop forms")
 
 
-#: The shortest timeslice adaptive throttling (``-spadaptive``) shrinks
+#: The shortest timeslice adaptive throttling (``-spexpected``) shrinks
 #: to, in virtual milliseconds.
 MIN_TIMESLICE_MSEC = 50
 
@@ -356,9 +356,9 @@ class ControlProcess:
     def _next_budget(self, executed_instructions: int) -> int:
         """Instruction budget for the next timeslice.
 
-        With adaptive throttling (paper §8's future-work proposal, here
-        approximated with a profile-guided expected duration) the
-        timeslice shrinks as the application nears its expected end:
+        With an expected duration (``-spexpected N``, N > 0: paper §8's
+        adaptive throttling, here profile-guided) the timeslice shrinks
+        as the application nears its expected end:
         the remaining work is spread over ``spmp + 1`` slices, which
         geometrically shrinks the final slices and with them the
         pipeline delay.  A wrong estimate degrades gracefully: past the
@@ -366,7 +366,7 @@ class ControlProcess:
         """
         config = self.config
         standard = config.timeslice_instructions
-        if not (config.spadaptive and config.expected_duration_msec):
+        if not config.expected_duration_msec:
             return standard
         expected_total = (config.expected_duration_msec * config.clock_hz
                           // 1000)

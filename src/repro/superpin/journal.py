@@ -48,6 +48,7 @@ import struct
 from ..errors import RecordingCorruptError
 from ..fsutil import atomic_write, fsync_directory
 from ..obs.metrics import NULL_METRICS
+from .switches import RESULT_FIELDS
 
 #: Frame magic for worker result blobs ("SuperPin Framed Blob").
 FRAME_MAGIC = b"SPFB"
@@ -111,29 +112,19 @@ def unframe_blob(blob: bytes) -> bytes:
 
 # -- run identity -------------------------------------------------------------
 
-#: Config fields that affect slice *results*.  Fields that only change
-#: how the run executes (worker count, fault policy, observability,
-#: journal/recording paths) are deliberately excluded so a resumed or
-#: replayed run may use a different execution strategy and still adopt
-#: the journaled results — the spworkers parity property guarantees
-#: they are identical.
-_KEY_FIELDS = (
-    "spmsec", "spmp", "spsysrecs", "clock_hz", "jit_backend",
-    "spsharedcache", "spfilter", "spsuppress", "spsample", "spadaptive",
-    "expected_duration_msec", "signature_stack_words", "quickreg_adaptive",
-    "slice_runaway_factor", "slice_runaway_slack",
-)
-
-
 def run_key(source_digest: str, tool_name: str, config) -> str:
     """Identity of one run's *results*: program/artifact + tool + config.
 
     ``source_digest`` identifies what is being executed — a program
     pickle digest for live runs, a recording id for replays.  Two runs
     with the same key produce byte-identical slice results, which is
-    the precondition for adopting each other's journal entries.
+    the precondition for adopting each other's journal entries.  The
+    config enters through :data:`~repro.superpin.switches.RESULT_FIELDS`
+    only, so a resumed or replayed run may use a different execution
+    strategy (workers, fault policy, observability) and still adopt the
+    journaled results.
     """
-    fields = tuple(getattr(config, name, None) for name in _KEY_FIELDS)
+    fields = tuple(getattr(config, name) for name in RESULT_FIELDS)
     token = repr((source_digest, tool_name, fields)).encode()
     return hashlib.sha256(token).hexdigest()
 

@@ -127,7 +127,7 @@ def slice_timings_from_records(records, n_slices: int,
 
 # -- signature phase ----------------------------------------------------------
 
-def record_boundary_signature(boundary: Boundary, config: SuperPinConfig,
+def record_boundary_signature(boundary: Boundary,
                               lookahead: Lookahead | None = None
                               ) -> Signature:
     """Record the signature of one boundary snapshot (recording mode).
@@ -147,23 +147,20 @@ def record_boundary_signature(boundary: Boundary, config: SuperPinConfig,
     """
     cpu = CpuState()
     cpu.restore(boundary.cpu_snapshot)
-    quick = None
-    adaptive = False
-    if config.quickreg_adaptive:
-        if lookahead is None:
-            lookahead = Lookahead()
-        quick = lookahead.select(boundary.cpu_snapshot,
-                                 boundary.mem_fork.scratch_fork())
-        adaptive = quick is not None
-    return record_signature(cpu, boundary.mem_fork, config,
+    if lookahead is None:
+        lookahead = Lookahead()
+    quick = lookahead.select(boundary.cpu_snapshot,
+                             boundary.mem_fork.scratch_fork())
+    return record_signature(cpu, boundary.mem_fork,
                             quick_regs=quick or DEFAULT_QUICK_REGS,
-                            adaptive=adaptive)
+                            adaptive=quick is not None)
 
 
 def record_signatures(timeline: MasterTimeline,
-                      config: SuperPinConfig,
+                      config: SuperPinConfig | None = None,
                       tracer=NULL_TRACER) -> list[Signature]:
-    """Record every interior boundary's signature of a final timeline.
+    """Record every interior boundary's signature of a final timeline
+    (``config`` is accepted and unused: the frozen benchmark passes it).
 
     ``signatures[k]`` is the signature of boundary ``k + 1`` — the end
     signature slice ``k`` must detect (the final slice has none; it runs
@@ -179,7 +176,7 @@ def record_signatures(timeline: MasterTimeline,
         with tracer.span("signature", cat="signature",
                          args={"boundary": k + 1}):
             signatures.append(
-                record_boundary_signature(boundary, config, lookahead))
+                record_boundary_signature(boundary, lookahead))
     return signatures
 
 

@@ -57,7 +57,8 @@ from ..machine.cpu import fingerprint_state
 from ..obs.metrics import NULL_METRICS
 from .control import (Boundary, Interval, MasterTimeline,
                       MIN_TIMESLICE_MSEC)
-from .signature import QUICKREG_BLOCK_COUNT, Signature
+from .signature import QUICKREG_BLOCK_COUNT, Signature, STACK_WORDS
+from .slices import RUNAWAY_FACTOR, RUNAWAY_SLACK
 from .sysrecord import recorded_stream_digest
 
 #: Artifact magic; the trailing revision digit is the format version.
@@ -70,9 +71,10 @@ FORMAT_VERSION = 1
 #: ``meta["config"]`` of format 1: the result-affecting config of the
 #: recording run, under the names and in the order the format was
 #: defined with.  Nothing reads the table back, but the section is
-#: hashed into ``recording_id``, so the four names that have since
-#: stopped being fields (one value was ever in use) keep their slot and
-#: that value: the same program and config still record to the same id.
+#: hashed into ``recording_id``, so the names that have since stopped
+#: being fields (one value was ever in use, or another field implies
+#: it) keep their slot and that value: the same program and config
+#: still record to the same id.
 _META_CONFIG = (
     "spmsec", "spmp", "spsysrecs", "clock_hz", "jit_backend",
     "splinktraces", "spwarmcache", "spsharedcache", "spfilter",
@@ -80,9 +82,13 @@ _META_CONFIG = (
     "min_timeslice_msec", "signature_stack_words", "quickreg_block_count",
     "quickreg_adaptive", "slice_runaway_factor", "slice_runaway_slack",
 )
-_RETIRED_CONFIG = {"splinktraces": True, "spwarmcache": True,
-                   "min_timeslice_msec": MIN_TIMESLICE_MSEC,
-                   "quickreg_block_count": QUICKREG_BLOCK_COUNT}
+_RETIRED_CONFIG = {
+    "splinktraces": True, "spwarmcache": True, "spsharedcache": False,
+    "min_timeslice_msec": MIN_TIMESLICE_MSEC,
+    "signature_stack_words": STACK_WORDS,
+    "quickreg_block_count": QUICKREG_BLOCK_COUNT, "quickreg_adaptive": True,
+    "slice_runaway_factor": RUNAWAY_FACTOR,
+    "slice_runaway_slack": RUNAWAY_SLACK}
 
 #: Sections whose damage is never tolerable — without them there is no
 #: run shape to degrade around.
@@ -105,6 +111,8 @@ def save_recording(path, timeline: MasterTimeline,
     torn one — and a torn artifact would be rejected on load anyway.
     """
     n = len(timeline.intervals)
+    retired = dict(_RETIRED_CONFIG,
+                   spadaptive=config.expected_duration_msec > 0)
     meta = {
         "num_slices": n,
         "exit_code": timeline.exit_code,
@@ -123,7 +131,9 @@ def save_recording(path, timeline: MasterTimeline,
         "interval_instructions": [i.instructions
                                   for i in timeline.intervals],
         "interval_syscalls": [i.syscalls for i in timeline.intervals],
-        "config": {name: getattr(config, name, _RETIRED_CONFIG.get(name))
+        # ``spadaptive`` was throttling's on switch; ``-spexpected N``
+        # alone is now, so the slot records N > 0.
+        "config": {name: getattr(config, name, retired.get(name))
                    for name in _META_CONFIG},
     }
     sections: list[tuple[str, bytes]] = [

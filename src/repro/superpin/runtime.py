@@ -70,7 +70,6 @@ from .signature import Lookahead, Signature
 from .slices import SliceResult
 from .supervisor import SliceOutcome, supervise_slices
 from .switches import SuperPinConfig
-from .warmstore import charge_slices_in_order
 
 
 @dataclass
@@ -162,6 +161,18 @@ class SuperPinReport:
             return 0.0
         busy = sum(t.run_seconds for t in self.slice_timings)
         return busy / self.slice_phase_seconds
+
+    def shared_cache_timing(self, machine: MachineModel = PAPER_MACHINE,
+                            cost: CostModel = DEFAULT_COST_MODEL
+                            ) -> TimingReport | None:
+        """``timing`` had the slices shared one code cache (paper §8;
+        :func:`~repro.sched.timing.shared_cache_charges`).  Pass the
+        ``machine`` and ``cost`` the run was given; None when ``timing``
+        is."""
+        if self.timing is None:
+            return None
+        return simulate(self.timeline, self.slices, self.config,
+                        machine=machine, cost=cost, shared_code_cache=True)
 
     def detection_summary(self) -> dict[str, float]:
         """Aggregate §4.4 statistics across all detecting slices."""
@@ -526,7 +537,7 @@ class _MasterStream:
                 cut = tracer.now()
                 # Through the module: tests sabotage the recorder there.
                 self.signatures.append(parallel.record_boundary_signature(
-                    boundary, config, lookahead=self.lookahead))
+                    boundary, lookahead=self.lookahead))
                 last_signed = tracer.now()
                 if first_cut is None:
                     first_cut = cut
@@ -629,11 +640,6 @@ def _run_pipeline(timeline: MasterTimeline, signatures: list[Signature],
     _apply_artifact_faults(config, len(timeline.intervals))
     results, timings = supervised.results, supervised.timings
     degraded = supervised.degraded
-
-    # Shared-code-cache attribution (§8) is a slice-ordered post-pass, so
-    # the figures do not depend on slice completion order.
-    if config.spsharedcache:
-        charge_slices_in_order(results)
 
     # 4. Merge in slice order, then fini on the master tool.
     progress.phase("merge")

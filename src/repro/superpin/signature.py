@@ -37,7 +37,6 @@ from ..machine.process import Process
 from ..pin.args import IARG_END, IARG_PTR, IARG_REG_VALUE, IPOINT_BEFORE
 from ..pin.engine import PinVM
 from ..pin.jit import StopRun
-from .switches import SuperPinConfig
 
 #: Default quick-check registers when the recorder finds no candidate.
 DEFAULT_QUICK_REGS = (SP, RA)
@@ -45,6 +44,9 @@ DEFAULT_QUICK_REGS = (SP, RA)
 #: Basic blocks the recorder may observe when choosing the two
 #: quick-check registers (paper: "a specified block count").
 QUICKREG_BLOCK_COUNT = 20
+
+#: Live stack words captured in a signature (paper: "top 100 words").
+STACK_WORDS = 100
 
 
 @dataclass(frozen=True)
@@ -84,16 +86,16 @@ class DetectionStats:
         return self.full_checks / self.quick_checks
 
 
-def record_signature(cpu: CpuState, mem: Memory, config: SuperPinConfig,
+def record_signature(cpu: CpuState, mem: Memory,
                      quick_regs: tuple[int, int] | None = None,
                      adaptive: bool = False) -> Signature:
     """Capture the signature of the state ``(cpu, mem)``.
 
-    Records the register file and up to ``signature_stack_words`` live
-    words above the stack pointer, clamped at ``STACK_TOP``.
+    Records the register file and up to :data:`STACK_WORDS` live words
+    above the stack pointer, clamped at ``STACK_TOP``.
     """
     sp = cpu.regs[SP]
-    count = config.signature_stack_words
+    count = STACK_WORDS
     if sp >= abi.STACK_TOP:
         count = 0
     else:

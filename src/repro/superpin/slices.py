@@ -56,6 +56,11 @@ from .signature import (DetectionStats, Lookahead, Signature,
 from .switches import SuperPinConfig
 from .sysrecord import PlaybackHandler
 
+#: The §4.3 runaway guard: a slice may execute ``RUNAWAY_FACTOR`` times
+#: its interval's master instructions plus ``RUNAWAY_SLACK`` before it
+#: is declared runaway.
+RUNAWAY_FACTOR = 4.0
+RUNAWAY_SLACK = 10_000
 
 #: Counters of host-side work a slice was spared and of how its code
 #: was lowered (``JitStats``), in the order :func:`run_slice` folds
@@ -118,13 +123,9 @@ class SliceResult:
     detection: DetectionStats | None
     tool_ctx: SliceToolContext
     exit_code: int = 0
-    #: Traces this slice reused from the shared code cache (§8 extension);
-    #: ``compiles``/``compiled_ins`` then count only first-compilations.
-    shared_cache_reuses: int = 0
     #: Every trace this slice compiled, as ``(address, num_ins)`` in
-    #: compile order — the input to the slice-ordered shared-code-cache
-    #: attribution post-pass (kept even when the extension is off, so
-    #: attribution can be recomputed after parallel execution).
+    #: compile order: the input of the warm account and of §8's
+    #: shared-code-cache attribution.
     compile_log: tuple[tuple[int, int], ...] = ()
     #: Trace transitions that chained through a direct link instead of
     #: the dispatcher dict (informational).
@@ -383,8 +384,7 @@ def run_slice(boundary: Boundary, interval: Interval,
         fun(index, value)
 
     # 5. Run.
-    budget = int(interval.instructions * config.slice_runaway_factor
-                 + config.slice_runaway_slack)
+    budget = int(interval.instructions * RUNAWAY_FACTOR + RUNAWAY_SLACK)
     sp._in_slice = True
     try:
         result = vm.run(max_instructions=budget)

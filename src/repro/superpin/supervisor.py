@@ -186,6 +186,14 @@ LANDED_BEFORE_MASTER_END = "superpin.stream.landed_before_master_end"
 #: item 1); 0.5 ms reads the same as this.
 MASTER_PAUSE_SECONDS = 0.0002
 
+#: Host seconds a slice's deadline grows per master instruction of its
+#: interval, on top of ``-spdeadline`` (the floor).
+DEADLINE_PER_INS = 5e-4
+
+#: Host seconds before a failed slice's first re-execution; doubles per
+#: further failure.
+RETRY_BACKOFF = 0.05
+
 
 def slice_deadline(interval: Interval, config: SuperPinConfig) -> float:
     """Wall-clock deadline for one slice, in host seconds.
@@ -196,7 +204,7 @@ def slice_deadline(interval: Interval, config: SuperPinConfig) -> float:
     §4.3 runaway guard scales the virtual budget.
     """
     return (config.slice_deadline_floor
-            + interval.instructions * config.slice_deadline_per_ins)
+            + interval.instructions * DEADLINE_PER_INS)
 
 
 def _attempt_slice(work, index: int, attempt: int,
@@ -700,9 +708,7 @@ class _Supervisor:
             self.tracer.instant("slice.retry", cat="supervisor",
                                 args={"slice": k,
                                       "failures": self.failures[k]})
-            base = self.config.slice_retry_backoff
-            if base > 0:
-                time.sleep(base * (2 ** max(0, self.failures[k] - 1)))
+            time.sleep(RETRY_BACKOFF * 2 ** max(0, self.failures[k] - 1))
             self._pending.append(k)
         elif self.failures[k] <= self._retries + self._fallbacks:
             self.metrics.inc("superpin.supervisor.inprocess_fallbacks")

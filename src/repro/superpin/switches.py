@@ -1,98 +1,83 @@
 """SuperPin configuration switches.
 
-Mirrors the paper's command-line interface (§5):
+Mirrors the paper's command-line interface (§5).  A switch multiplies
+the test matrix, so each entry ends with why it is the user's choice:
 
 ======================= ==================================================
-Switch                  Meaning
+Switch                  Meaning — why it survives
 ======================= ==================================================
-``-sp 1``               enable SuperPin
-``-spmsec <value>``     timeslice length in (virtual) milliseconds
-``-spmp <value>``       maximum number of *running* slices
+``-sp 1``               enable SuperPin — ``-sp 0`` is serial Pin, every
+                        figure's baseline
+``-spmsec <value>``     timeslice length in (virtual) milliseconds —
+                        Figure 6's axis; the best value is the guest's
+``-spmp <value>``       maximum number of *running* slices — Figure 7's
+                        axis (the modeled processors)
 ``-spsysrecs <value>``  max syscall records per slice; 0 disables
-                        recording (every replayable call then forces a
-                        new slice)
+                        recording — the §4.2 knob and its ablation
 ``-spworkers <value>``  host worker processes for the slice phase; 0
-                        (default) runs slices sequentially in-process
+                        (default) runs slices in-process — the host's
 ``-spfaults <policy>``  slice fault policy: ``failfast`` (default),
-                        ``retry`` or ``degrade``
+                        ``retry`` or ``degrade`` — whether a partial
+                        result will do is the user's call
 ``-spretries <value>``  worker re-executions per failed slice before the
-                        in-process fallback (policies retry/degrade)
-``-spdeadline <secs>``  wall-clock deadline floor per slice; the full
-                        deadline adds a per-instruction allowance
+                        in-process fallback — part of that call
+``-spdeadline <secs>``  wall-clock deadline floor per slice (plus a
+                        per-instruction allowance) — a slow host needs
+                        more
 ``-spinject <spec>``    deterministic fault injection, e.g.
-                        ``crash@0,hang@2:*`` (see superpin.faults)
+                        ``crash@0,hang@2:*`` (superpin.faults) — drives
+                        the fault paths end to end
 ``-spclock <hz>``       virtual cycles per virtual second: converts
-                        ``-spmsec`` to a master instruction budget
-                        (only ratios of times are reported, which clock
-                        scaling preserves)
-``-spadaptive <0|1>``   §8 adaptive timeslice throttling: shrink
-                        timeslices toward the expected end of execution
-                        to cut the pipeline delay (off by default;
-                        needs ``-spexpected``)
-``-spexpected <msec>``  expected run duration in virtual milliseconds,
-                        e.g. from a prior run (for ``-spadaptive``)
-``-spsharedcache <0|1>`` §8 shared code cache in the *virtual* timing
-                        model: each trace's compile cost is charged to
-                        the first slice that needs it, later slices pay
-                        a consistency check (see superpin.warmstore;
-                        off by default)
-``-spjit <backend>``    JIT backend of the slice engines: ``closure``
-                        (threaded code, the default) or ``source``
-                        (generated Python, see repro.pin.pyjit)
-``-sptrace <path>``     export the run's structured trace (repro.obs):
-                        ``*.jsonl`` writes an event log, anything else
-                        writes Chrome-trace JSON (load in Perfetto)
-``-spmetrics <0|1>``    collect named counters/gauges/histograms for
-                        the run (off by default: the null registry)
-``-spaudit <0|1>``      differential replay audit: re-run the program
-                        uninstrumented (and once under serial Pin) and
-                        compare every slice's architectural end state,
-                        syscall stream and tool results against the
-                        reference (see superpin.audit; off by default)
-``-spfilter <spec>``    selective instrumentation: restrict the tool to
-                        traces matching the spec (comma-separated
-                        ``routine:NAME`` / ``range:LO-HI`` /
-                        ``opcode:CLASS`` terms, see repro.pin.filter);
-                        other traces compile uninstrumented
-``-spsuppress <0|1>``   redundancy suppression: summarize invariant
-                        loop instrumentation into one call per loop
-                        exit (see repro.pin.pyjit; off by default)
-``-spsample <N>``       sampling: instrument every Nth slice only; the
-                        other slices run the tool-free fast path (the
-                        engine still counts instructions and signature
-                        detection still runs).  0 (default) disables
-                        sampling.  Tool results then cover only the
-                        sampled slices — an approximation the report
-                        surfaces explicitly
-``-sprecord <path>``    record once: save a durable, content-addressed
-                        recording artifact (initial memory image, slice
-                        boundary table + signatures, per-slice syscall
-                        streams, nondeterminism seed) after the control
-                        and signature phases (see superpin.recording)
-``-spreplay <path>``    replay many: run the tool against a recording
-                        artifact instead of a live master — the master
-                        is re-run exactly zero times.  Every load
-                        verifies the manifest and per-section digests
-``-spjournal <path>``   write-ahead run journal: append each completed
-                        slice's result durably so a crashed run can be
-                        resumed (see superpin.journal)
-``-spresume <0|1>``     resume from ``-spjournal``: adopt the journaled
-                        slices and re-execute only the missing ones,
-                        with byte-identical merged results
-``-sptracestore <dir>`` persistent cross-run trace store: the trace
-                        heads a program's first slice compiled, content-
-                        addressed by (program digest, ISA fingerprint)
-                        and shared across runs and processes, so a
-                        repeated program counts ``warm_starts`` from
-                        its first slice on (an account, not a speed-up;
-                        see superpin.warmstore)
-``-sptracestorelimit``  size budget in bytes for the trace store;
-                        least-recently-used entries are evicted past it
+                        ``-spmsec`` to a master instruction budget —
+                        the experiments' scale (only ratios of times
+                        are reported)
+``-spexpected <msec>``  expected run duration in virtual milliseconds;
+                        N > 0 turns on §8 adaptive throttling (slices
+                        shrink toward the expected end) — only the user
+                        knows N
+``-spjit <backend>``    slice JIT backend, ``closure`` (default) or
+                        ``source`` — the frozen benchmark keys rows by it
+``-sptrace <path>``     export the run's trace (repro.obs): ``*.jsonl``
+                        event log, else Chrome-trace JSON — output
+``-spmetrics <0|1>``    collect counters/gauges/histograms (off: the
+                        null registry) — observing costs time
+``-spaudit <0|1>``      differential replay audit against an
+                        uninstrumented and a serial-Pin run (see
+                        superpin.audit) — roughly doubles run time
+``-spfilter <spec>``    selective instrumentation: ``routine:NAME`` /
+                        ``range:LO-HI`` / ``opcode:CLASS`` terms (see
+                        repro.pin.filter) — which code matters is the
+                        user's question
+``-spsuppress <0|1>``   redundancy suppression: one summarized call per
+                        loop exit (see repro.pin.pyjit) — measured, each
+                        value wins on some guest, and it changes the
+                        reported analysis calls and virtual time
+``-spsample <N>``       instrument every Nth slice only; 0 (default)
+                        disables — tool results then cover the sampled
+                        slices, an approximation the user opts into
+``-sprecord <path>``    record once: save a content-addressed recording
+                        artifact after the control and signature phases
+                        (see superpin.recording)
+``-spreplay <path>``    replay many: run the tool against a verified
+                        artifact; the master runs zero times
+``-spjournal <path>``   write-ahead run journal of completed slices (see
+                        superpin.journal)
+``-spresume <0|1>``     resume from ``-spjournal``, re-executing only
+                        the missing slices — these four name files only
+                        the user can
+``-sptracestore <dir>`` persistent cross-run store of the trace heads a
+                        program's first slice compiled (an account, see
+                        superpin.warmstore) — the frozen benchmark
+                        drives it
+``-sptracestorelimit``  its size budget in bytes (LRU eviction)
 ======================= ==================================================
 
-The reproduction adds knobs the paper fixes implicitly: the virtual clock
-rate that converts milliseconds to simulated cycles, and the signature
-parameters of §4.4 (stack words recorded, quick-register lookahead).
+§8's shared code cache is not a switch: every run has both virtual
+accounts (:meth:`~repro.superpin.runtime.SuperPinReport.
+shared_cache_timing`).  The signature's stack words and the slice
+guards are module constants (``signature.STACK_WORDS``,
+``slices.RUNAWAY_FACTOR`` / ``RUNAWAY_SLACK``,
+``supervisor.DEADLINE_PER_INS`` / ``RETRY_BACKOFF``).
 
 CI hook: the environment variable ``SUPERPIN_SPWORKERS`` overrides the
 *default* of ``spworkers`` (explicit constructor arguments and parsed
@@ -151,35 +136,18 @@ class SuperPinConfig:
     spretries: int = 2
     #: Wall-clock deadline floor per slice, in host seconds.
     slice_deadline_floor: float = 5.0
-    #: Per-master-instruction allowance added to the deadline floor.
-    slice_deadline_per_ins: float = 5e-4
-    #: Base host-seconds backoff between retries (doubles per attempt).
-    slice_retry_backoff: float = 0.05
     #: Deterministic fault-injection plan (:class:`~repro.superpin.
     #: faults.FaultPlan`), or None.  A plan makes chosen slices crash,
     #: hang, corrupt their result, or go runaway on their first M
     #: attempts — the hook that makes the retry/degrade paths testable.
     fault_plan: object = None
     clock_hz: int = DEFAULT_CLOCK_HZ
-    #: Stack words captured in a signature (paper: "top 100 words").
-    signature_stack_words: int = 100
-    #: Disable the adaptive quick-register selection (ablation switch).
-    quickreg_adaptive: bool = True
-    #: Runaway guard: a slice may execute at most this multiple of the
-    #: master's instruction count for its interval before being declared
-    #: runaway.
-    slice_runaway_factor: float = 4.0
-    slice_runaway_slack: int = 10_000
-    # --- §8 future-work extensions (off by default) -----------------------
-    #: Adaptive timeslice throttling: shrink timeslices toward the end of
-    #: execution to cut the pipeline delay.  Requires an expected
-    #: duration (profile-guided, e.g. from a prior run).
-    spadaptive: bool = False
+    #: Expected run duration in virtual milliseconds (profile-guided,
+    #: e.g. from a prior run).  N > 0 turns on §8 adaptive timeslice
+    #: throttling: timeslices shrink toward the expected end of execution
+    #: to cut the pipeline delay.  0 (the default) keeps every timeslice
+    #: at ``spmsec``.
     expected_duration_msec: int = 0
-    #: Share the code cache across timeslices: each trace is compiled by
-    #: the first slice to need it; later slices pay only a small
-    #: consistency check (paper §8's proposed compilation-overhead fix).
-    spsharedcache: bool = False
     #: JIT backend used by slices: "closure" (threaded code) or
     #: "source" (generated Python, see repro.pin.pyjit).
     jit_backend: str = "closure"
@@ -267,27 +235,13 @@ class SuperPinConfig:
             raise ConfigError(
                 f"slice_deadline_floor must be positive, "
                 f"got {self.slice_deadline_floor}")
-        if self.slice_deadline_per_ins < 0:
-            raise ConfigError(
-                f"slice_deadline_per_ins must be >= 0, "
-                f"got {self.slice_deadline_per_ins}")
-        if self.slice_retry_backoff < 0:
-            raise ConfigError(
-                f"slice_retry_backoff must be >= 0, "
-                f"got {self.slice_retry_backoff}")
-        if self.slice_runaway_factor <= 0:
-            raise ConfigError(
-                f"slice_runaway_factor must be positive, "
-                f"got {self.slice_runaway_factor}")
-        if self.slice_runaway_slack < 0:
-            raise ConfigError(
-                f"slice_runaway_slack must be >= 0, "
-                f"got {self.slice_runaway_slack}")
         if self.clock_hz <= 0:
             raise ConfigError(
                 f"clock_hz must be positive, got {self.clock_hz}")
-        if self.signature_stack_words < 0:
-            raise ConfigError("signature_stack_words must be >= 0")
+        if self.expected_duration_msec < 0:
+            raise ConfigError(
+                f"-spexpected must be >= 0, "
+                f"got {self.expected_duration_msec}")
         if self.jit_backend not in ("closure", "source"):
             raise ConfigError(
                 f"jit_backend must be 'closure' or 'source', "
@@ -337,6 +291,19 @@ class SuperPinConfig:
         return cycles / self.clock_hz
 
 
+#: The fields that change what a run computes — its slices, tool results
+#: and virtual account.  The rest only change how the run executes
+#: (worker count, fault policy, observability, artifact paths), which the
+#: ``spworkers`` parity property makes invisible in the results.  Read by
+#: the run journal's key (:func:`repro.superpin.journal.run_key`) and the
+#: figure harness's memo, so a run is reused exactly when it would
+#: compute the same thing.
+RESULT_FIELDS = (
+    "spmsec", "spmp", "spsysrecs", "clock_hz", "jit_backend", "spfilter",
+    "spsuppress", "spsample", "expected_duration_msec",
+)
+
+
 def _parse_inject(value: str):
     from .faults import FaultPlan
     return FaultPlan.parse(value)
@@ -353,9 +320,7 @@ _FLAG_PARSERS = {
     "-spdeadline": ("slice_deadline_floor", float),
     "-spinject": ("fault_plan", _parse_inject),
     "-spclock": ("clock_hz", int),
-    "-spadaptive": ("spadaptive", lambda v: bool(int(v))),
     "-spexpected": ("expected_duration_msec", int),
-    "-spsharedcache": ("spsharedcache", lambda v: bool(int(v))),
     "-spjit": ("jit_backend", str),
     "-sptrace": ("sptrace", str),
     "-spmetrics": ("spmetrics", lambda v: bool(int(v))),

@@ -1,4 +1,4 @@
-"""The warm account, the trace store, and §8 attribution.
+"""The warm account and the trace store.
 
     "The best approach for dramatically reducing the compilation
     overhead may be to share the code cache across all timeslices via
@@ -10,21 +10,19 @@ The shared cache has one host-time implementation — the resident slice
 machine, which keeps each trace's decoded, instrumented and lowered code
 from slice to slice and checks it at the trace's second compile
 (:mod:`repro.pin.jit`) — and the slices' compile logs carry everything
-else anybody asks about it.  This module holds the two *views* over
-those logs and the one thing that outlives a run:
+else anybody asks about it.  This module holds one *view* over those
+logs and the one thing that outlives a run:
 
 * **The warm account** — :func:`count_warm_starts`.  The *warm set* is
   the trace heads slice 0 compiled; ``warm_starts`` of a later slice is
   how many distinct heads of its own compile log the set names — the
   compiles an earlier slice of the run had already paid for once.  A
   function of the compile logs in slice order and nothing else, so it is
-  the same number for any worker count, completion order, retry, journal
-  adoption or ``-spsharedcache`` setting; it stores nothing and no slice
-  is ever told about it.  :func:`pilot_cold_compiles` is the same view's
-  other column.
-* **§8 attribution** — :func:`charge_slices_in_order`
-  (``-spsharedcache``) re-attributes compile cost over the same logs in
-  the *virtual* account; it stores nothing either.
+  the same number for any worker count, completion order, retry or
+  journal adoption; it stores nothing and no slice is ever told about
+  it.  :func:`pilot_cold_compiles` is the same view's other column.
+* (§8's *virtual* account over the same logs is the timing model's:
+  :func:`repro.sched.timing.shared_cache_charges`.)
 * **The trace store** — :class:`TraceStore` (``-sptracestore``): the
   warm set of one program, kept across runs under :func:`store_key`.  On
   a hit the stored heads are the warm set and slice 0 is counted against
@@ -34,8 +32,8 @@ those logs and the one thing that outlives a run:
   ``tests/test_bench_contract.py``) drives ``trace_store_for`` /
   ``store_key`` / ``load`` / ``save`` / ``size_bytes`` and expects a
   cold run to leave an entry; deleting it, ``-sptracestore`` and
-  ``-sptracestorelimit`` waits for benchmark round 2 (ROADMAP item 3),
-  exactly like ``-spjit``.  A process-spanning warm tier
+  ``-sptracestorelimit`` waits for benchmark round 2 (ROADMAP item
+  1(e)), exactly like ``-spjit``.  A process-spanning warm tier
   that saves host time would be a resident slice machine per daemon
   worker, not this file.
 
@@ -324,28 +322,3 @@ def pilot_cold_compiles(results) -> int:
     if not results or results[0].index != 0:
         return 0
     return len(_heads(results[0])) - results[0].warm_starts
-
-
-def charge_slices_in_order(results) -> None:
-    """§8 shared-code-cache attribution (``-spsharedcache``), as a view.
-
-    Slices execute (possibly concurrently, in any completion order) with
-    private caches; this pass walks the results in *slice index order*
-    and leaves each trace's compile cost — keyed by ``(address,
-    num_ins)``, so per-slice boundary splits never alias the shared body
-    — with the lowest-indexed slice that compiled it.  Every other
-    compilation becomes a ``shared_cache_reuse`` that pays only the
-    consistency check.  Mutates the results in place; the figures are
-    identical for any worker count.
-    """
-    compiled: set[tuple[int, int]] = set()
-    for result in sorted(results, key=lambda r: r.index):
-        compiles = compiled_ins = 0
-        for shape in result.compile_log:
-            if shape not in compiled:
-                compiled.add(shape)
-                compiles += 1
-                compiled_ins += shape[1]
-        result.compiles = compiles
-        result.compiled_ins = compiled_ins
-        result.shared_cache_reuses = len(result.compile_log) - compiles

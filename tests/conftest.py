@@ -67,6 +67,25 @@ def promote_at(monkeypatch, executions: int) -> None:
     monkeypatch.setattr(jit, "PROMOTE_FACTOR", 1)
 
 
+#: A second value of each field of ``switches.RESULT_FIELDS``, in its
+#: order: a config that differs from the default in one of them computes
+#: a different run.
+RESULT_FIELD_VALUES = [
+    ("spmsec", 250), ("spmp", 2), ("spsysrecs", 0), ("clock_hz", 20_000),
+    ("jit_backend", "source"), ("spfilter", "opcode:mem"),
+    ("spsuppress", True), ("spsample", 2), ("expected_duration_msec", 3000),
+]
+
+
+def static_quick_regs(monkeypatch) -> None:
+    """Every signature keeps the default quick registers
+    (``DEFAULT_QUICK_REGS``): the §4.4 lookahead names no candidate.
+    The lookahead always runs, so this is how the static-defaults
+    ablation is reached."""
+    from repro.superpin.signature import Lookahead
+    monkeypatch.setattr(Lookahead, "select", lambda self, *args: None)
+
+
 def unlinked(monkeypatch) -> None:
     """Every engine — the master's, a slice machine's, serial Pin's —
     runs with direct trace linking off (``PinVM(link_traces=False)``):

@@ -154,8 +154,7 @@ CONFIGS = {
     "seq-cold": dict(spworkers=0),
     "seq-linked": dict(spworkers=0),
     "workers": dict(spworkers=2),
-    "adaptive": dict(spworkers=0, spadaptive=True,
-                     expected_duration_msec=600),
+    "adaptive": dict(spworkers=0, expected_duration_msec=600),
 }
 _BROAD = ("seq-cold", "seq-linked")          # every seed
 _NARROW = ("workers", "adaptive")            # seed subset

@@ -10,6 +10,8 @@ each resident page.  The recorder must use
 parent's freeze state untouched.
 """
 
+import pytest
+
 from repro.isa import abi, assemble
 from repro.machine import Kernel
 from repro.machine.cpu import CpuState
@@ -18,7 +20,7 @@ from repro.superpin import run_superpin, SuperPinConfig
 from repro.superpin.control import Boundary, BoundaryReason
 from repro.superpin.parallel import record_boundary_signature
 from repro.tools import ICount2
-from tests.conftest import MULTISLICE
+from tests.conftest import MULTISLICE, static_quick_regs
 
 # Register-writing loop: gives the lookahead blocks to observe, with a
 # syscall barrier well past the block budget.
@@ -62,8 +64,7 @@ class TestLookaheadLeavesSnapshotUntouched:
         resident_before = mem.resident_pages
         assert mem.frozen_pages == 0 and mem.cow_faults == 0
 
-        config = SuperPinConfig(quickreg_adaptive=True)
-        signature = record_boundary_signature(boundary, config)
+        signature = record_boundary_signature(boundary)
         # The lookahead really ran and found its write-hot registers.
         assert signature.adaptive
 
@@ -79,12 +80,12 @@ class TestLookaheadLeavesSnapshotUntouched:
         # The scratch run's own writes stayed in the scratch.
         assert mem.resident_pages == resident_before
 
-    def test_signature_identical_with_and_without_adaptive(self):
-        adaptive = record_boundary_signature(
-            _fresh_snapshot_boundary(), SuperPinConfig())
-        plain = record_boundary_signature(
-            _fresh_snapshot_boundary(),
-            SuperPinConfig(quickreg_adaptive=False))
+    def test_signature_identical_with_and_without_adaptive(self,
+                                                          monkeypatch):
+        adaptive = record_boundary_signature(_fresh_snapshot_boundary())
+        static_quick_regs(monkeypatch)
+        plain = record_boundary_signature(_fresh_snapshot_boundary())
+        assert adaptive.adaptive and not plain.adaptive
         # Same captured state; only the quick-register choice may differ.
         assert adaptive.pc == plain.pc
         assert adaptive.regs == plain.regs
@@ -93,16 +94,19 @@ class TestLookaheadLeavesSnapshotUntouched:
 
 class TestEndToEndCowParity:
     def test_slice_cow_faults_independent_of_adaptive(self):
-        """The issue's observable: per-slice cow_faults must be identical
-        with the adaptive recorder on and off — recording a signature may
-        not change what the slice pays for its writes."""
+        """Per-slice cow_faults must be identical with the adaptive
+        recorder on and off — recording a signature may not change what
+        the slice pays for its writes."""
         program = assemble(MULTISLICE)
         per_slice = {}
         for adaptive in (True, False):
-            config = SuperPinConfig(spmsec=500, clock_hz=10_000,
-                                    quickreg_adaptive=adaptive)
-            report = run_superpin(program, ICount2(), config,
-                                  kernel=Kernel(seed=42))
+            with pytest.MonkeyPatch.context() as patch:
+                if not adaptive:
+                    static_quick_regs(patch)
+                report = run_superpin(
+                    program, ICount2(),
+                    SuperPinConfig(spmsec=500, clock_hz=10_000),
+                    kernel=Kernel(seed=42))
             per_slice[adaptive] = [s.cow_faults for s in report.slices]
         assert per_slice[True] == per_slice[False]
         assert sum(per_slice[True]) > 0  # the workload does write

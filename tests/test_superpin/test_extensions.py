@@ -1,12 +1,14 @@
-"""§8 future-work extensions: adaptive timeslices, shared code cache."""
+"""§8 future-work extensions: adaptive timeslices (``-spexpected``) and
+the shared code cache (a view of the timing model, not a run mode)."""
 
 from types import SimpleNamespace
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.machine import Kernel
-from repro.superpin import (charge_slices_in_order, parse_switches,
-                            run_superpin, SuperPinConfig)
+from repro.sched import shared_cache_charges
+from repro.superpin import parse_switches, run_superpin, SuperPinConfig
 from repro.tools import ICount2
 from repro.workloads import build
 
@@ -27,7 +29,6 @@ class TestAdaptiveTimeslice:
     def test_shrinks_pipeline_delay(self, gcc_program):
         t_fixed, fixed = _run(gcc_program, spmsec=2000)
         t_adapt, adaptive = _run(gcc_program, spmsec=2000,
-                                 spadaptive=True,
                                  expected_duration_msec=15_000)
         # Same answer...
         assert t_fixed.total == t_adapt.total
@@ -40,7 +41,7 @@ class TestAdaptiveTimeslice:
         # swim has no syscall-forced boundaries, so slice sizes are set
         # purely by the (throttled) timer.
         program = build("swim", scale=0.15).program
-        _, report = _run(program, spmsec=2000, spadaptive=True,
+        _, report = _run(program, spmsec=2000,
                          expected_duration_msec=int(140 * 0.15 * 1000))
         sizes = [s.expected_instructions for s in report.slices]
         # The last slices are much smaller than the first full ones.
@@ -49,61 +50,83 @@ class TestAdaptiveTimeslice:
     def test_wrong_estimate_degrades_gracefully(self, gcc_program):
         # Expected duration far too small: after it elapses the control
         # process falls back to the standard interval; results exact.
-        tool, report = _run(gcc_program, spmsec=2000, spadaptive=True,
+        tool, report = _run(gcc_program, spmsec=2000,
                             expected_duration_msec=500)
         assert report.all_exact
         t_ref, _ = _run(gcc_program, spmsec=2000)
         assert tool.total == t_ref.total
 
     def test_disabled_without_expectation(self, gcc_program):
-        _, a = _run(gcc_program, spmsec=2000, spadaptive=True)
+        _, a = _run(gcc_program, spmsec=2000, expected_duration_msec=0)
         _, b = _run(gcc_program, spmsec=2000)
-        assert a.num_slices == b.num_slices
+        assert ([s.expected_instructions for s in a.slices]
+                == [s.expected_instructions for s in b.slices])
+        assert a.timing.total_cycles == b.timing.total_cycles
 
     def test_switch_parsing(self):
-        config = parse_switches(["-spadaptive", "1", "-spexpected",
-                                 "30000"])
-        assert config.spadaptive and config.expected_duration_msec == 30000
+        """``-spexpected N`` alone turns throttling on; the old on/off
+        switch is gone, and a negative duration is refused."""
+        config = parse_switches(["-spexpected", "30000"])
+        assert config.expected_duration_msec == 30000
+        with pytest.raises(ConfigError, match="unknown"):
+            parse_switches(["-spadaptive", "1"])
+        with pytest.raises(ConfigError, match="-spexpected"):
+            parse_switches(["-spexpected", "-1"])
 
 
 class TestSharedCodeCache:
+    """The §8 account is a view over one run's compile logs."""
+
     def test_compile_charges_drop(self, gcc_program):
         _, base = _run(gcc_program, spmsec=1000)
-        _, shared = _run(gcc_program, spmsec=1000, spsharedcache=True)
+        charges = shared_cache_charges(base.slices).values()
         base_ins = sum(s.compiled_ins for s in base.slices)
-        shared_ins = sum(s.compiled_ins for s in shared.slices)
+        shared_ins = sum(compiled_ins for _, compiled_ins, _ in charges)
         # gcc recompiles its footprint per slice; sharing collapses that.
         assert shared_ins < base_ins / 3
-        assert sum(s.shared_cache_reuses for s in shared.slices) > 0
+        assert sum(reuses for _, _, reuses in charges) > 0
 
     def test_results_unchanged(self, gcc_program):
-        t_base, base = _run(gcc_program, spmsec=1000)
-        t_shared, shared = _run(gcc_program, spmsec=1000,
-                                spsharedcache=True)
-        assert t_base.total == t_shared.total
-        assert shared.all_exact
+        """Asking for the view changes nothing the run reported: a
+        slice's ``compiles`` keep meaning what that slice compiled."""
+        _, report = _run(gcc_program, spmsec=1000)
+
+        def figures():
+            return ([(s.compiles, s.compiled_ins, s.compile_log)
+                     for s in report.slices], report.timing.total_cycles)
+        before = figures()
+        assert (report.shared_cache_timing().total_cycles
+                == report.shared_cache_timing().total_cycles)
+        assert figures() == before
+        assert all(s.compiles == len(s.compile_log) for s in report.slices)
 
     def test_runtime_improves(self, gcc_program):
         _, base = _run(gcc_program, spmsec=1000)
-        _, shared = _run(gcc_program, spmsec=1000, spsharedcache=True)
-        assert shared.timing.total_cycles < base.timing.total_cycles
+        shared = base.shared_cache_timing()
+        assert shared.total_cycles < base.timing.total_cycles
+        assert shared.native_cycles == base.timing.native_cycles
 
     def test_first_slice_pays(self, gcc_program):
-        _, shared = _run(gcc_program, spmsec=1000, spsharedcache=True)
-        first, rest = shared.slices[0], shared.slices[1:]
+        _, base = _run(gcc_program, spmsec=1000)
+        charges = shared_cache_charges(base.slices)
+        first = base.slices[0]
+        assert charges[0] == (first.compiles, first.compiled_ins, 0)
         assert first.compiled_ins > 0
-        assert any(s.shared_cache_reuses > 0 for s in rest)
+        assert any(charges[s.index][2] > 0 for s in base.slices[1:])
 
     def test_switch_parsing(self):
-        assert parse_switches(["-spsharedcache", "1"]).spsharedcache
+        """Every run reports both accounts, so there is no switch."""
+        with pytest.raises(ConfigError, match="unknown"):
+            parse_switches(["-spsharedcache", "1"])
 
 
 def _charged(*compile_logs):
-    """Stub slice results (in reverse index order) after attribution."""
+    """The §8 charges of stub slice results handed over in reverse
+    index order, listed by index."""
     results = [SimpleNamespace(index=k, compile_log=tuple(log))
                for k, log in enumerate(compile_logs)]
-    charge_slices_in_order(reversed(results))
-    return results
+    charges = shared_cache_charges(reversed(results))
+    return [charges[k] for k in range(len(results))]
 
 
 class TestDirectory:
@@ -114,16 +137,13 @@ class TestDirectory:
                                  [(0x1000, 10), (0x2000, 3)])
         # The lowest-indexed slice to compile a trace pays for it, in
         # whatever order the results arrive ...
-        assert (first.compiles, first.compiled_ins) == (1, 10)
-        assert first.shared_cache_reuses == 0
+        assert first == (1, 10, 0)
         # ... and every later compilation is a reuse.
-        assert (second.compiles, second.compiled_ins) == (1, 3)
-        assert second.shared_cache_reuses == 1
+        assert second == (1, 3, 1)
 
     def test_keyed_by_address_and_length(self):
-        """Detection-split traces (same start, different length) do not
-        alias with the full-length trace compiled by other slices."""
+        """Traces of the same start and a different length (the guest's
+        words changed) do not alias."""
         first, second = _charged([(0x1000, 10)], [(0x1000, 4)])
-        assert (first.compiles, second.compiles) == (1, 1)
-        assert (first.compiled_ins, second.compiled_ins) == (10, 4)
-        assert second.shared_cache_reuses == 0
+        assert first == (1, 10, 0)
+        assert second == (1, 4, 0)

@@ -23,7 +23,7 @@ from repro.superpin import (damage_journal, frame_blob, program_digest,
                             SuperPinConfig, unframe_blob)
 from repro.superpin.faults import CorruptResultFault
 from repro.tools import ICount2, ITrace
-from tests.conftest import MULTISLICE
+from tests.conftest import MULTISLICE, RESULT_FIELD_VALUES
 
 from .test_supervisor import _slice_fingerprint, WORKER_MODES
 
@@ -86,6 +86,12 @@ class TestRunKey:
                        _config()) != base
         assert run_key(program_digest(program), "ICount2",
                        _config(spmsec=250)) != base
+
+    @pytest.mark.parametrize("name,value", RESULT_FIELD_VALUES)
+    def test_sensitive_to_every_result_field(self, program, name, value):
+        digest = program_digest(program)
+        assert run_key(digest, "ICount2", _config(**{name: value})) \
+            != run_key(digest, "ICount2", _config())
 
     def test_invariant_under_execution_strategy(self, program):
         """Worker count, fault policy and observability do not change

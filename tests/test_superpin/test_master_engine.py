@@ -168,8 +168,7 @@ CASES = {
     "force-loop": lambda: (assemble(FORCE_LOOP), _slices(100)),
     "sysrecs-0": lambda: (assemble(REPLAY_LOOP), _slices(700, spsysrecs=0)),
     "adaptive": lambda: (assemble(MULTISLICE), SuperPinConfig(
-        spmsec=300, clock_hz=10_000, spadaptive=True,
-        expected_duration_msec=2000)),
+        spmsec=300, clock_hz=10_000, expected_duration_msec=2000)),
     "cuts-97": lambda: (assemble(REPLAY_LOOP), _slices(97)),
     "self-loop": lambda: (assemble(SELF_LOOP), _slices(97)),
 }

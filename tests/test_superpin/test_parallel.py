@@ -13,6 +13,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.isa import assemble
 from repro.machine import Kernel
+from repro.sched import shared_cache_charges
 from repro.superpin import (AutoMerge, parse_switches, resolve_shared_areas,
                             run_superpin, SharedArea, SPControl,
                             SuperPinConfig)
@@ -64,7 +65,7 @@ def _slice_fingerprint(report):
     """Everything a slice reports that must not depend on how it ran."""
     return [(s.index, s.reason, s.exact, s.instructions,
              s.expected_instructions, s.traces_executed, s.analysis_calls,
-             s.compiles, s.compiled_ins, s.shared_cache_reuses,
+             s.compiles, s.compiled_ins,
              s.replayed_syscalls, s.emulated_syscalls, s.cow_faults,
              s.compile_log)
             for s in report.slices]
@@ -134,21 +135,26 @@ class TestParallelParity:
             == seq_report.timing.breakdown()
 
     def test_shared_cache_attribution_order_independent(self):
-        """§8 shared-cache figures come from the slice-ordered post-pass,
-        so they are identical between sequential and parallel runs."""
+        """§8 shared-cache figures are a slice-ordered view of the
+        compile logs, so they are identical between sequential and
+        parallel runs."""
         program = assemble(MULTISLICE)
         (seq_report, seq_tool), (par_report, par_tool) = _run_pair(
-            program, ICount2, spsharedcache=True)
+            program, ICount2)
         assert par_tool.total == seq_tool.total
         assert _slice_fingerprint(par_report) \
             == _slice_fingerprint(seq_report)
-        # The post-pass actually re-attributed: later slices recompile
-        # the hot loop, so someone must have recorded reuses.
-        assert sum(s.shared_cache_reuses for s in par_report.slices) > 0
+        charges = shared_cache_charges(par_report.slices)
+        assert charges == shared_cache_charges(seq_report.slices)
+        assert par_report.shared_cache_timing() \
+            == seq_report.shared_cache_timing()
+        # The view actually re-attributed: later slices recompile the
+        # hot loop, so someone must have recorded reuses.
+        assert sum(reuses for _, _, reuses in charges.values()) > 0
         # First compilation of each trace is charged exactly once.
         seq_logs = [entry for s in seq_report.slices
                     for entry in s.compile_log]
-        assert sum(s.compiles for s in seq_report.slices) \
+        assert sum(compiles for compiles, _, _ in charges.values()) \
             == len(set(seq_logs))
 
 

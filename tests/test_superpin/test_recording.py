@@ -179,6 +179,29 @@ class TestReplayParity:
             replay_recording(path, ICount2(), _config(spfilter="all"))
 
 
+class TestTheFormatIsFrozen:
+    """``recording_id`` hashes ``meta["config"]``, whose slots outlive
+    the config fields they were named after
+    (``recording._RETIRED_CONFIG``).  The ids below were recorded before
+    eight fields left ``SuperPinConfig``; the same program and config
+    must keep recording to them.  ``-spexpected N`` is what
+    ``-spadaptive 1 -spexpected N`` was, so it keeps that run's id."""
+
+    @pytest.mark.parametrize("switches,recording_id", [
+        ([], "fa3bc31d74ed56b6f3db40b94c05f206"
+             "8c5643c98e9cfc8c19dc09a14e913f72"),
+        (["-spexpected", "6000"], "3bffb2bbbf6c8797f52fbfe89be05f69"
+                                  "80d69506649432137d652f4fb1b91586"),
+    ], ids=["default", "throttled"])
+    def test_recording_id_is_pinned(self, program, tmp_path, switches,
+                                    recording_id):
+        config = parse_switches(
+            switches + ["-sprecord", str(tmp_path / "run.sprec")])
+        report = run_superpin(program, ICount2(), config,
+                              kernel=Kernel(seed=42))
+        assert report.recording_id == recording_id
+
+
 class TestDamageDetection:
     """Every damage kind must be caught at load, taxonomized."""
 

@@ -14,6 +14,7 @@ from repro.superpin import (ControlProcess, DEFAULT_QUICK_REGS, Lookahead,
                             record_boundary_signature, record_signature,
                             record_signatures, run_superpin,
                             SuperPinConfig)
+from repro.superpin.signature import STACK_WORDS
 from repro.tools import ICount2, TOOLS
 from repro.workloads import build
 from tests.conftest import MULTISLICE
@@ -30,18 +31,17 @@ class TestRecording:
         process = load_program(program, Kernel())
         interp = Interpreter(process)
         interp.run(max_instructions=3)  # after the two pushes
-        config = SuperPinConfig()
-        sig = record_signature(process.cpu, process.mem, config)
+        sig = record_signature(process.cpu, process.mem)
         assert sig.pc == process.cpu.pc
         assert sig.regs == tuple(process.cpu.regs)
         assert sig.stack_base == process.cpu.regs[SP]
         assert sig.stack[:2] == (7, 7)
-        assert len(sig.stack) <= config.signature_stack_words
+        assert len(sig.stack) <= STACK_WORDS
 
     def test_stack_clamped_at_stack_top(self):
         program = assemble(".entry main\nmain:\n    halt\n")
         process = load_program(program, Kernel())
-        sig = record_signature(process.cpu, process.mem, SuperPinConfig())
+        sig = record_signature(process.cpu, process.mem)
         assert sig.stack == ()  # empty stack: sp == STACK_TOP
 
     def test_partial_stack_near_top(self):
@@ -49,7 +49,7 @@ class TestRecording:
             ".entry main\nmain:\n    push t0\n    push t1\n    halt\n")
         process = load_program(program, Kernel())
         Interpreter(process).run(max_instructions=2)
-        sig = record_signature(process.cpu, process.mem, SuperPinConfig())
+        sig = record_signature(process.cpu, process.mem)
         assert len(sig.stack) == 2
 
     def test_quick_values_derived_from_regs(self):
@@ -60,8 +60,7 @@ class TestRecording:
         process = load_program(program, Kernel())
         process.cpu.regs[5] = 111
         process.cpu.regs[6] = 222
-        sig = record_signature(process.cpu, process.mem, SuperPinConfig(),
-                               quick_regs=(5, 6))
+        sig = record_signature(process.cpu, process.mem, quick_regs=(5, 6))
         assert sig.quick_values == (111, 222)
 
 
@@ -360,7 +359,7 @@ class TestResidentLookahead:
             clock_hz=10_000)
         timeline = ControlProcess(self.GUESTS[guest](), config,
                                   kernel=Kernel(seed=42)).run()
-        fresh = [record_boundary_signature(boundary, config)
+        fresh = [record_boundary_signature(boundary)
                  for boundary in timeline.boundaries[1:]]
         assert len(fresh) >= 2
         assert any(s.adaptive and s.quick_regs != DEFAULT_QUICK_REGS
@@ -371,12 +370,12 @@ class TestResidentLookahead:
         for boundary, expected in reversed(
                 list(zip(timeline.boundaries[1:], fresh))):
             assert record_boundary_signature(
-                boundary, config, lookahead) == expected
+                boundary, lookahead) == expected
         other = ControlProcess(assemble(MULTISLICE), config,
                                kernel=Kernel(seed=42)).run()
-        record_boundary_signature(other.boundaries[1], config, lookahead)
+        record_boundary_signature(other.boundaries[1], lookahead)
         assert record_boundary_signature(
-            timeline.boundaries[1], config, lookahead) == fresh[0]
+            timeline.boundaries[1], lookahead) == fresh[0]
 
     def test_the_machine_does_reuse_what_it_decoded(self, monkeypatch):
         monkeypatch.setattr(jit, "HOT_EXECUTIONS_PER_COMPILE", SHIPPED)
@@ -386,7 +385,7 @@ class TestResidentLookahead:
         lookahead = Lookahead()
         reuses, served = [], []
         for boundary in timeline.boundaries[1:]:
-            record_boundary_signature(boundary, config, lookahead)
+            record_boundary_signature(boundary, lookahead)
             stats = lookahead._vm.jit_stats
             reuses.append(stats.skeleton_reuses)
             served.append(stats.instrumentation_reuses)

@@ -28,6 +28,7 @@ from repro.superpin import (ControlProcess, FaultPlan, merge_slices,
                             record_signatures, replay_recording,
                             run_superpin, SliceEnd, SliceToolContext,
                             SPControl, SuperPinConfig)
+from repro.superpin import slices as slices_mod, supervisor
 from repro.superpin.control import Boundary
 from repro.superpin.parallel import run_slice_job, slice_job
 from repro.superpin.slices import (PLACEMENT_COUNTERS, run_slice,
@@ -743,12 +744,14 @@ class TestAfterASliceThatDidNotEndWell:
         machine = SliceMachine()
         phase = SlicePhase(MULTISLICE, TOOLS["icount2"]())
         # Slice 1 hunting for slice 2's end signature never finds it.
-        with pytest.raises(RunawaySliceError):
+        with pytest.MonkeyPatch.context() as patch, \
+                pytest.raises(RunawaySliceError):
+            patch.setattr(slices_mod, "RUNAWAY_FACTOR", 0.5)
+            patch.setattr(slices_mod, "RUNAWAY_SLACK", 0)
             run_slice(phase.timeline.boundaries[1],
                       phase.timeline.intervals[1], phase.signatures[2],
-                      phase.template, phase.sp, dataclasses.replace(
-                          phase.config, slice_runaway_factor=0.5,
-                          slice_runaway_slack=0), machine=machine)
+                      phase.template, phase.sp, phase.config,
+                      machine=machine)
         self.check_clean_run_on(machine, expected)
 
     def test_a_hole_is_refused_before_the_switch(self, expected):
@@ -802,7 +805,8 @@ class TestThroughThePipeline:
     @pytest.mark.parametrize("spworkers", [0, 2])
     @pytest.mark.parametrize("policy", ["retry", "degrade"])
     def test_retried_slice_lands_on_a_used_machine(self, clean_fine,
-                                                   policy, spworkers):
+                                                   policy, spworkers,
+                                                   monkeypatch):
         """Which machine a slice lands on is the scheduler's business:
         every injected crash rebuilds the pool, and a rebuilt pool's
         workers have run nothing.  So the guest is cut into more slices
@@ -810,9 +814,9 @@ class TestThroughThePipeline:
         two, and any two slices of this guest share traces (every
         ordered pair of the 21 was run on one machine: the second reuses
         at least three skeletons)."""
+        monkeypatch.setattr(supervisor, "RETRY_BACKOFF", 0.0)
         report, fields, tool_report = _report(
-            spworkers=spworkers, spfaults=policy, spmetrics=True,
-            slice_retry_backoff=0.0, spmsec=150,
+            spworkers=spworkers, spfaults=policy, spmetrics=True, spmsec=150,
             fault_plan=FaultPlan.parse("crash@1,corrupt@2,crash@3:2"))
         # (A crashed worker takes its in-flight neighbours down with it,
         # so the pool transport may recover more than the three named.)

@@ -36,6 +36,7 @@ from repro.superpin import (ControlProcess, merge_slices, parallel,
                             run_superpin, SliceToolContext, SPControl,
                             SuperPinConfig, supervise_slices)
 from repro.superpin.faults import FaultPlan
+from repro.superpin import supervisor
 from repro.superpin.supervisor import _Supervisor
 from repro.tools import BranchProfile, ICount1, ICount2, MemTrace
 from tests.conftest import LOOP_SUM, MULTISLICE, virtual_counters
@@ -84,9 +85,9 @@ def slow_master(monkeypatch, seconds: float) -> None:
     master is live whatever the host does."""
     record = parallel.record_boundary_signature
 
-    def slow(boundary, config, **kwargs):
+    def slow(boundary, **kwargs):
         time.sleep(seconds)
-        return record(boundary, config, **kwargs)
+        return record(boundary, **kwargs)
     monkeypatch.setattr(parallel, "record_boundary_signature", slow)
 
 
@@ -131,6 +132,7 @@ def observe(report, tool) -> dict:
                    timeline.master),
         "signatures": report.signatures,
         "timing": report.timing,
+        "shared_cache_timing": report.shared_cache_timing(),
         "audit": audit and (audit.ok, audit.checks, audit.slices_checked,
                             audit.by_kind()),
     }
@@ -173,7 +175,7 @@ class TestParityTable:
                    for b in forced.timeline.boundaries)
 
     @pytest.mark.parametrize("extra", [
-        dict(spsharedcache=True), dict(spsample=2),
+        dict(expected_duration_msec=2000), dict(spsample=2),
         dict(spfaults="degrade"), dict(spfaults="retry")],
         ids=lambda extra: "-".join(map(str, *extra.items())))
     def test_options_that_touch_the_slice_phase(self, extra):
@@ -309,9 +311,9 @@ from repro.tools import ICount2
 from tests.conftest import MULTISLICE
 
 record = parallel.record_boundary_signature
-def slow(boundary, config, **kwargs):
+def slow(boundary, **kwargs):
     time.sleep(0.01)
-    return record(boundary, config, **kwargs)
+    return record(boundary, **kwargs)
 parallel.record_boundary_signature = slow
 
 def kill_mid_stream(event, payload):
@@ -375,6 +377,10 @@ def clean_thirty():
 
 
 class TestFaultsWhileTheMasterIsLive:
+    @pytest.fixture(autouse=True)
+    def no_backoff(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "RETRY_BACKOFF", 0.0)
+
     @pytest.mark.parametrize("kind", ["crash", "corrupt", "runaway"])
     @pytest.mark.parametrize("where", ["pilot", "second", "last"])
     def test_retry_recovers(self, monkeypatch, clean_thirty, kind, where):
@@ -383,7 +389,6 @@ class TestFaultsWhileTheMasterIsLive:
         slow_master(monkeypatch, 0.002)
         report, tool = run(
             MULTISLICE, spworkers=2, spfaults="retry",
-            slice_retry_backoff=0.0,
             fault_plan=FaultPlan.parse(f"{kind}@{k}"), **THIRTY)
         assert report.slice_outcomes[k].recovered
         assert_same_run(observe(report, tool), clean_thirty,
@@ -391,7 +396,7 @@ class TestFaultsWhileTheMasterIsLive:
 
     @pytest.mark.parametrize("where", ["pilot", "second", "last"])
     def test_degrade_leaves_the_same_hole(self, monkeypatch, where):
-        config = dict(THIRTY, spfaults="degrade", slice_retry_backoff=0.0)
+        config = dict(THIRTY, spfaults="degrade")
         n = run(MULTISLICE, **THIRTY)[0].num_slices
         k = {"pilot": 0, "second": 1, "last": n - 1}[where]
         plan = FaultPlan.parse(f"runaway@{k}:*")
@@ -412,8 +417,7 @@ class TestFaultsWhileTheMasterIsLive:
         slow_master(monkeypatch, 0.03)
         report, tool = run(
             MULTISLICE, spworkers=2, spfaults="retry",
-            slice_deadline_floor=0.4, slice_deadline_per_ins=0.0,
-            slice_retry_backoff=0.0, fault_plan=FaultPlan.parse("hang@1"),
+            slice_deadline_floor=0.4, fault_plan=FaultPlan.parse("hang@1"),
             **THIRTY)
         records = report.trace.records
         # (A stalled host may get an innocent slice reaped as well.)

@@ -22,6 +22,7 @@ from repro.superpin import (ControlProcess, FAULT_POLICIES, FaultKind,
                             FaultPlan, FaultSpec, record_signatures,
                             run_superpin, slice_deadline, SliceToolContext,
                             SPControl, SuperPinConfig, supervise_slices)
+from repro.superpin import supervisor
 from repro.superpin.faults import (CORRUPT_BLOB, maybe_inject,
                                    WorkerCrashFault)
 from repro.tools import ICount2, ITrace
@@ -69,6 +70,12 @@ def program():
 @pytest.fixture(scope="module")
 def clean(program):
     return _clean_report(program)
+
+
+@pytest.fixture
+def flat_deadline(monkeypatch):
+    """Every slice's deadline is the ``-spdeadline`` floor alone."""
+    monkeypatch.setattr(supervisor, "DEADLINE_PER_INS", 0.0)
 
 
 class TestExecutorParity:
@@ -193,12 +200,12 @@ class SlowStartICount(ICount2):
 
 
 class TestDefaultPathDeadline:
-    def test_stalled_worker_is_reaped_under_failfast(self, program):
+    def test_stalled_worker_is_reaped_under_failfast(self, program,
+                                                     flat_deadline):
         """-spworkers N with the default policy and no fault plan still
         enforces the slice deadline (it used to wait for ever)."""
         config = SuperPinConfig(spmsec=500, clock_hz=10_000, spworkers=2,
-                                slice_deadline_floor=0.5,
-                                slice_deadline_per_ins=0.0)
+                                slice_deadline_floor=0.5)
         assert config.spfaults == "failfast" and config.fault_plan is None
         timeline = ControlProcess(program, config,
                                   kernel=Kernel(seed=42)).run()
@@ -264,9 +271,9 @@ class TestFaultPlan:
 
 
 class TestDeadline:
-    def test_floor_plus_per_instruction(self, program):
-        config = SuperPinConfig(slice_deadline_floor=2.0,
-                                slice_deadline_per_ins=1e-3)
+    def test_floor_plus_per_instruction(self, program, monkeypatch):
+        monkeypatch.setattr(supervisor, "DEADLINE_PER_INS", 1e-3)
+        config = SuperPinConfig(slice_deadline_floor=2.0)
         from repro.superpin import ControlProcess
         timeline = ControlProcess(program, SuperPinConfig(
             spmsec=500, clock_hz=10_000), kernel=Kernel(seed=42)).run()
@@ -407,7 +414,8 @@ class TestFailFast:
 
 
 class TestDeadlineReaping:
-    def test_hung_worker_is_reaped_and_retried(self, program, clean):
+    def test_hung_worker_is_reaped_and_retried(self, program, clean,
+                                               flat_deadline):
         """A worker sleeping far past its deadline must be killed within
         roughly that deadline, and the slice re-run successfully."""
         clean_report, clean_tool = clean
@@ -416,8 +424,7 @@ class TestDeadlineReaping:
                                           hang_seconds=60.0),))
         t0 = time.perf_counter()
         report, tool = _supervised_report(
-            program, plan, spworkers=2,
-            slice_deadline_floor=1.0, slice_deadline_per_ins=0.0)
+            program, plan, spworkers=2, slice_deadline_floor=1.0)
         elapsed = time.perf_counter() - t0
         assert tool.total == clean_tool.total
         assert report.all_exact
@@ -427,28 +434,28 @@ class TestDeadlineReaping:
         # Far less than the 60s hang: the deadline (1s) did the work.
         assert elapsed < 30
 
-    def test_queue_wait_does_not_run_the_deadline_clock(self, program):
+    def test_queue_wait_does_not_run_the_deadline_clock(self, program,
+                                                        flat_deadline):
         """One worker, two slow slices back to back: the second queues
         behind the first for most of its deadline, then needs most of a
         deadline itself.  Its clock must start when a worker takes it
         up, not when it was submitted."""
         report, tool = _clean_report(
             program, tool_cls=SlowStartICount, spworkers=1,
-            spfaults="retry", spmetrics=True,
-            slice_deadline_floor=1.0, slice_deadline_per_ins=0.0)
+            spfaults="retry", spmetrics=True, slice_deadline_floor=1.0)
         assert report.all_exact
         assert report.metrics.counter(
             "superpin.supervisor.deadline_hits") == 0
         assert report.supervision_summary()["failed_attempts"] == 0
 
-    def test_hang_on_every_attempt_degrades(self, program):
+    def test_hang_on_every_attempt_degrades(self, program, flat_deadline):
         plan = FaultPlan(specs=(FaultSpec(kind=FaultKind.HANG,
                                           slice_index=1, attempts=None,
                                           hang_seconds=60.0),))
         t0 = time.perf_counter()
         report, _ = _supervised_report(
             program, plan, spworkers=2, spfaults="degrade", spretries=0,
-            slice_deadline_floor=0.5, slice_deadline_per_ins=0.0)
+            slice_deadline_floor=0.5)
         elapsed = time.perf_counter() - t0
         assert report.degraded_slices == [1]
         assert elapsed < 30

@@ -135,24 +135,24 @@ class TestValidation:
     @pytest.mark.parametrize("kwargs", [
         {"spmsec": 0}, {"spmsec": -5}, {"spmp": 0},
         {"spsysrecs": -1}, {"clock_hz": 0},
-        {"signature_stack_words": -1},
+        {"expected_duration_msec": -1},
         {"spworkers": -1}, {"spfaults": "bogus"}, {"spretries": -1},
         {"slice_deadline_floor": 0}, {"slice_deadline_floor": -1.0},
-        {"slice_deadline_per_ins": -1e-6}, {"slice_retry_backoff": -0.1},
-        {"slice_runaway_factor": 0.0}, {"slice_runaway_factor": -2.0},
-        {"slice_runaway_slack": -1},
+        {"jit_backend": "bogus"}, {"sptc2": 1},
+        {"sptracestore_limit": 0}, {"spresume": True},
+        {"sprecord": "a.sprec", "spreplay": "b.sprec"},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             SuperPinConfig(**kwargs)
 
     def test_validation_happens_at_construction(self):
-        """The satellite fix: bad values raise here, not deep inside
+        """Bad values raise here, naming the switch, not deep inside
         the slice phase."""
-        with pytest.raises(ConfigError, match="slice_runaway_factor"):
-            SuperPinConfig(slice_runaway_factor=-1.0)
-        with pytest.raises(ConfigError, match="slice_runaway_slack"):
-            SuperPinConfig(slice_runaway_slack=-5)
+        with pytest.raises(ConfigError, match="slice_deadline_floor"):
+            SuperPinConfig(slice_deadline_floor=-1.0)
+        with pytest.raises(ConfigError, match="-spexpected"):
+            SuperPinConfig(expected_duration_msec=-5)
 
     def test_timeslice_conversion(self):
         config = SuperPinConfig(spmsec=2000, clock_hz=10_000)

@@ -9,7 +9,7 @@ the set names.  The properties under test:
   and every store state, with the totals the pilot → payload protocol
   used to produce (pinned from the revision that still had it);
 - nothing but slice order shapes it: not the worker count, not
-  ``-spsharedcache``, sampling, a degraded slice or a retry (a SIGKILLed
+  sampling, a degraded slice or a retry (a SIGKILLed
   run resumed from its journal: ``test_streaming.TestRecordingAndJournal`` and
   ``test_trace_store`` compare every slice field, this one included);
 - no slice waits for another: slice 1 lands while slice 0 is stalled;
@@ -179,10 +179,6 @@ class TestWarmAccount:
     def test_slice_order_and_nothing_else(self, program, spworkers):
         clean, _ = _report(program, spworkers=spworkers)
         expected = _counted(clean)
-        # -spsharedcache rewrites ``compiles``, not the compile log.
-        shared, _ = _report(program, spworkers=spworkers,
-                            spsharedcache=True)
-        assert _counted(shared) == expected
         # Sampled-out slices compile the same heads tool-free.
         sampled, _ = _report(program, spworkers=spworkers, spsample=2)
         assert _counted(sampled) == expected
