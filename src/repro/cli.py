@@ -226,7 +226,8 @@ def _cmd_run(args, extra: list[str]) -> int:
     if jit is not None:
         print(f"jit: {jit['compiles']:,} compiles, {jit['pooled']:,} from "
               f"pooled skeletons, {jit['served']:,} without "
-              f"re-instrumenting, {jit['hot']:,} hot "
+              f"re-instrumenting ({jit['served_cut']:,} cut by a "
+              f"signature pc), {jit['hot']:,} hot "
               f"({jit['hot_share']:.0%} of instructions in generated "
               f"code, {jit['loop_share']:.0%} of trace executions inside "
               f"{jit['loop_builds']:,} loop forms, {jit['interned']:,} "

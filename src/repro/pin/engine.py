@@ -30,7 +30,8 @@ from ..machine.process import Process
 from ..obs.metrics import NULL_METRICS
 from .codecache import CodeCache
 from .filter import InstrumentationStats
-from .jit import CompiledTrace, EXIT_GUEST, Jit, JitStats, NEVER, StopRun
+from .jit import (CompiledTrace, EXIT_GUEST, Jit, JitStats, NEVER,
+                  SignatureCheck, StopRun)
 from .trace import MAX_TRACE_INS
 
 
@@ -163,12 +164,17 @@ class PinVM:
         ``counters`` list (zeroed in place — generated code holds it)
         and ``jit``, with its pool and heat.
         """
-        #: Where this run's signature detector instruments (a slice's
-        #: end signature pc; empty on any other run).  Read by the JIT
-        #: alone: a block containing one is split there for the
-        #: callbacks, and a trace containing one is never served kept
-        #: code (repro.pin.jit).
+        #: Where this run's signature check sits (a slice's end
+        #: signature pc, added by :meth:`add_signature_check`; empty on
+        #: any other run).  Read by the JIT alone: a block containing
+        #: one is split there for the callbacks, and what it keeps of a
+        #: trace is kept per cut (repro.pin.jit).
         self.signature_pcs = signature_pcs
+        #: SuperPin's two-stage signature check (§4.4), which the JIT
+        #: lowers inline and generated code reaches through the engine:
+        #: None, or a ``repro.pin.jit.SignatureCheck``, set by
+        #: :meth:`add_signature_check`.
+        self.signature_check: SignatureCheck | None = None
         #: Observability counters (repro.obs).  JIT compiles are counted
         #: live (a compile is already slow); per-dispatch cache lookups
         #: stay in CacheStats and are folded into the registry at slice
@@ -261,6 +267,25 @@ class PinVM:
         compiled code, exactly as late instrumentation does in Pin.
         """
         self.trace_callbacks.append((callback, value, trace_filter))
+        self._step_cache.clear()
+        if len(self.cache):
+            self.cache.flush()
+
+    def add_signature_check(self, pc: int, quick_regs: tuple[int, int],
+                            quick_values: tuple[int, int],
+                            full_check) -> None:
+        """Check for a signature at ``pc`` (paper §4.4): before anything
+        else runs there, compare registers ``quick_regs`` with
+        ``quick_values`` (``INS_InsertIfCall``, inlined), and on a match
+        call ``full_check()`` (``INS_InsertThenCall``), which may raise
+        :class:`StopRun`.  A lowering, not a trace callback: the code the
+        JIT emits for it depends only on where ``pc`` cuts a trace and on
+        the two register numbers, so it is kept like any other.  ``pc``
+        joins :attr:`signature_pcs`, and, like adding a callback, this
+        invalidates what was compiled."""
+        self.signature_pcs = self.signature_pcs | {pc}
+        self.signature_check = SignatureCheck(pc, quick_regs, quick_values,
+                                              full_check)
         self._step_cache.clear()
         if len(self.cache):
             self.cache.flush()
@@ -375,6 +400,9 @@ class PinVM:
         jit = self.jit
         counters = self.counters
         start_calls, start_checks = counters
+        check = self.signature_check
+        if check is not None:
+            start_checks -= check.checks
         start_syscalls = self.total_syscalls
         executed = 0
         traces_executed = 0
@@ -588,7 +616,8 @@ class PinVM:
             instructions=executed,
             traces_executed=traces_executed,
             analysis_calls=counters[0] - start_calls,
-            inline_checks=counters[1] - start_checks,
+            inline_checks=counters[1] - start_checks
+            + (check.checks if check is not None else 0),
             syscalls=self.total_syscalls - start_syscalls,
             exit_code=self.exit_code,
             stop_token=stop_token,

@@ -15,9 +15,9 @@ The spec grammar (``-spfilter``) is a comma-separated OR of terms::
     opcode:<class>        instruction class (see OPCODE_CLASSES)
 
 A trace matches when *any* of its instructions matches *any* term.
-Filtering is per-callback: SuperPin's signature detector registers
-unfiltered and always instruments, so detection never depends on the
-tool's filter.
+Filtering is per-callback, and SuperPin's signature check is no
+callback at all (the JIT lowers it into the trace), so detection never
+depends on the tool's filter.
 """
 
 from __future__ import annotations
@@ -195,13 +195,14 @@ def _trace_has_calls(trace_obj) -> bool:
     return False
 
 
-def run_trace_callbacks(engine, trace_obj) -> None:
+def run_trace_callbacks(engine, trace_obj, checked: bool = False) -> None:
     """Invoke the engine's trace callbacks, honouring per-callback filters.
 
     Shared by both JIT backends.  A callback registered with a filter is
     skipped when the trace contains no matching instruction; if every
     skipped trace ends up with zero attached calls it is counted as a
-    fast-path trace.
+    fast-path trace.  ``checked``: the JIT lowers SuperPin's signature
+    check into the trace, which is a call like any other here.
     """
     skipped = 0
     for callback, value, trace_filter in engine.trace_callbacks:
@@ -213,5 +214,5 @@ def run_trace_callbacks(engine, trace_obj) -> None:
     if skipped:
         stats = engine.instr_stats
         stats.skipped_callbacks += skipped
-        if not _trace_has_calls(trace_obj):
+        if not checked and not _trace_has_calls(trace_obj):
             stats.fastpath_traces += 1

@@ -44,12 +44,15 @@ lookahead's) and redoes only the first half when a later run on the same
 engine misses on that pc.  A skeleton is reused only when it is exactly
 what ``build_trace`` would produce now (:meth:`Jit._refusal`), and a head
 has one: ``build_trace`` reads nothing a run chooses, so a slice decodes
-the trace serial Pin decodes.  The one thing a slice sees differently
-is the *blocks*: where its signature pc falls strictly inside one, the
-callbacks are handed the trace with that block split there
-(:meth:`Jit._blocks`), so a per-block tool counts the part before the
-pc apart from the part after, and a slice that stops at the pc has
-counted what it retired.
+the trace serial Pin decodes.  What a slice does differently depends on
+where its signature pc *cuts* a trace (:meth:`Jit._cut`): where the pc
+falls strictly inside a block, the callbacks are handed the trace with
+that block split there (:meth:`Jit._blocks`), so a per-block tool counts
+the part before the pc apart from the part after, and a slice that
+stops at the pc has counted what it retired; and at the pc every
+lowering emits SuperPin's signature check (:data:`SIGNATURE_CHECK`) —
+an inline compare of the two quick registers, the full check behind a
+match — ahead of every call there.
 
 Generated *text* goes one step further, to the whole process: every
 generated lowering of every engine — a trace's function, its loop form,
@@ -72,21 +75,28 @@ on its first compile, instrumented again and compared on its second
 (the paper's §8 consistency check, in host time: a mismatch is an
 :class:`~repro.errors.InstrumentationError`, never a wrong count), and
 *served* from the third on — no callback, no wrapper, a new trace
-object around kept code.  Everything a compile is accounted by happens
-after that and is unchanged.  The owner also names *which* registration
-of the resident object's a run is (:attr:`Jit.template` — a slice
-machine's run template): what another one left is never served on its
-word, but the first compile under the new one is already the comparing
-one, and where the calls are equal it takes over the kept lowering
-instead of producing it again — where they are not, another run's
-filter or constructor argument is no lie, and the trace starts over.
-What the code observes sends a trace down the ordinary path instead,
-with nothing kept: a trace that contains the slice's signature pc (the
-detector's if/then there is per slice by nature, and so is the split
-block), any if/then, a routine or summary that is not a bound method of
-the resident object, an ``IARG_PTR`` value that is not an immutable
-constant.  So kept code only ever carries a trace's natural blocks.
-The rules:
+object around kept code.  A comparing compile that finds the same calls
+takes over what the first lowered, so a trace is lowered once, not
+twice.  Everything a compile is accounted by happens after that and is
+unchanged.  All of this is *per cut*: a skeleton keeps one verified
+lowering for each way a signature pc has cut its trace (none, or the
+pc's offset and the two quick registers), each with the calls it was
+lowered from — the reference its next compile is compared with, and
+what a served compile puts back on the instructions — so the trace that
+holds a slice's pc, usually its hottest loop, is served too, whichever
+of a few offsets the slices' pcs alternate between.  The owner also
+names *which* registration of the resident object's a run is
+(:attr:`Jit.template` — a slice machine's run template): what another
+one left is never served on its word, but the first compile under the
+new one is already the comparing one, and where the calls are equal it
+takes over the kept lowering instead of producing it again — where they
+are not, another run's filter or constructor argument is no lie, and the
+trace starts over.  (Under the same template they are: the compile
+raises :class:`~repro.errors.InstrumentationError`, and that resident
+object is served nothing again.)  What the code observes sends a trace
+down the ordinary path instead, with nothing kept: an if/then pair, a
+routine or summary that is not a bound method of the resident object,
+an ``IARG_PTR`` value that is not an immutable constant.  The rules:
 
 * pooled semantics (skeletons) **may capture** only what lives as long
   as the engine — ``engine`` itself, ``engine.cpu``, ``cpu.regs`` and
@@ -98,10 +108,11 @@ The rules:
   ``retain_for``, the ``IARG_PTR`` constants they are handed, and
   ``engine.counters`` (zeroed in place);
 * nothing pooled or kept **may capture** what ``PinVM.reset`` replaces
-  or a run owns: ``instr_stats`` / ``jit_stats`` (generated code
-  reaches them through ``E``), the code cache, the metrics
-  registry, a signature detector, a syscall handler, a slice's own
-  copy of the tool, or any other object a callback handed over.
+  or a run owns: ``instr_stats`` / ``jit_stats`` and the signature
+  check's values and full check (generated code reaches them through
+  ``E``), the code cache, the metrics registry, a signature detector, a
+  syscall handler, a slice's own copy of the tool, or any other object
+  a callback handed over.
 
 An undeclared tool keeps the whole first half: its callbacks run on
 every compile, so a tool that keeps instrument-time state sees every
@@ -111,9 +122,10 @@ A generated trace's *loop form* (:mod:`repro.pin.pyjit`) is a second
 function over the same names, lowered lazily from the same still-attached
 calls: interned by its text like every generated function and kept
 beside ``fn``, under the same rules.  Under ``-spsuppress`` it is also
-where loops are summarized (:func:`summarizable`), so a trace that loops
-to its own head and passes that rule is lowered to generated code at
-every compile, whatever its heat: what its analysis calls count must
+where loops are summarized (:func:`summarizable`; never a trace that
+holds the signature check, which must see every trip), so a trace that
+loops to its own head and passes that rule is lowered to generated code
+at every compile, whatever its heat: what its analysis calls count must
 not depend on whether it has a loop form yet.
 
 **Heat** is what a JIT remembers about execution: per trace start pc,
@@ -370,7 +382,41 @@ def _argument(op: Op, kind: IArg, taken: bool, slot: str) -> str:
             IARG_CONTEXT: "cpu"}[kind]
 
 
-def weave(op: Op, shape: tuple, qualifier: str = ""):
+class SignatureCheck:
+    """SuperPin's two-stage signature check (§4.4) at ``pc``, as one run
+    of an engine has it (``PinVM.signature_check``): the quick registers
+    ``regs`` and the values ``v0`` / ``v1`` they are compared with, the
+    full check ``full()`` behind a match, and how many quick checks ran.
+    Generated code reaches it through ``E`` (:data:`SIGNATURE_CHECK`),
+    so nothing lowered binds a slice's values."""
+
+    __slots__ = ("pc", "regs", "v0", "v1", "full", "checks")
+
+    def __init__(self, pc: int, regs: tuple[int, int],
+                 values: tuple[int, int], full: Callable[[], None]):
+        self.pc = pc
+        self.regs = tuple(regs)
+        self.v0, self.v1 = values
+        self.full = full
+        self.checks = 0
+
+
+#: The signature check as a lowering rather than a call: the two quick
+#: registers (the fields :data:`QUICK`) compared inline with the run's
+#: :class:`SignatureCheck`'s values, and its full check behind a match.
+#: It counts as an if/then pair does: one inline check per execution
+#: (``checks``, which the engine reports among its ``inline_checks``),
+#: one analysis call per match.
+QUICK = ("q0", "q1")
+FULL_CHECK = "_sig.full()"
+SIGNATURE_CHECK = ("_sig = E.signature_check",
+                   "_sig.checks += 1",
+                   "if regs[{q0}] == _sig.v0 and regs[{q1}] == _sig.v1:",
+                   "    ctr[0] += 1",
+                   "    " + FULL_CHECK)
+
+
+def weave(op: Op, shape: tuple, qualifier: str = "", check: bool = False):
     """The statements of the analysis calls of an ``op`` of call
     ``shape``: ``(names, fields, before, taken, after)``.
 
@@ -382,14 +428,16 @@ def weave(op: Op, shape: tuple, qualifier: str = ""):
     fall-through.  ``names`` are the routines and ``IARG_PTR`` objects
     the statements call and pass, ``fields`` the numbers they format
     (``IARG_UINT64`` values, ``IARG_REG_VALUE`` registers); both in the
-    order :func:`call_values` lists their values.  If/then pairs run
-    before plain before-calls: SuperPin's signature check must fire
-    before any tool analysis at the boundary instruction, because that
-    instruction belongs to the *next* slice (§4.4).
+    order :func:`call_values` lists their values, the fields after the
+    quick registers (:data:`QUICK`) where ``check`` puts the signature
+    check (:data:`SIGNATURE_CHECK`) at this instruction.  That check
+    runs first, then if/then pairs, then plain before-calls: it must
+    fire before any tool analysis at the boundary instruction, because
+    that instruction belongs to the *next* slice (§4.4).
     """
     pairs, *plain_calls = shape
     names: list[str] = []
-    fields: list[str] = []
+    fields: list[str] = list(QUICK) if check else []
 
     def call(fn: str, kinds: tuple[IArg, ...], taken: bool = False) -> str:
         names.append(fn)
@@ -403,7 +451,7 @@ def weave(op: Op, shape: tuple, qualifier: str = ""):
             arguments.append(_argument(op, kind, taken, slot))
         return f"{fn}({', '.join(arguments)})"
 
-    before: list[str] = []
+    before: list[str] = list(SIGNATURE_CHECK) if check else []
     for j, (if_kinds, then_kinds) in enumerate(pairs):
         check = call(f"_if{qualifier}{j}", if_kinds)
         then = call(f"_th{qualifier}{j}", then_kinds)
@@ -443,19 +491,21 @@ def call_values(ins: Ins) -> tuple[list, list[int]]:
 
 _NAMES = dict(zip(OPERANDS, OPERANDS))
 
-#: ``(op, rd != 0, call shape) -> make``, compiled once per process.  A
-#: factory binds nothing (its globals are :data:`CONSTANTS`), so engines
-#: share it like a pooled code object; what a *step* binds is what its
-#: engine passed to ``make``.
+#: ``(op, rd != 0, call shape, signature check) -> make``, compiled once
+#: per process.  A factory binds nothing (its globals are
+#: :data:`CONSTANTS`), so engines share it like a pooled code object;
+#: what a *step* binds is what its engine passed to ``make``.
 _FACTORIES: dict[tuple, Callable[..., Step]] = {}
 _FACTORY_GLOBALS = dict(CONSTANTS)
 
 
-def step_source(op: Op, writes: bool, shape: tuple = BARE) -> str:
+def step_source(op: Op, writes: bool, shape: tuple = BARE,
+                check: bool = False) -> str:
     """The source of the step factory for ``op``: the generated code of
     one instruction, with the operands — and the numbers its calls are
-    handed — as parameters."""
-    names, fields, *calls = weave(op, shape)
+    handed, the quick registers of a signature check among them — as
+    parameters."""
+    names, fields, *calls = weave(op, shape, check=check)
     spelled = dict(_NAMES, **dict(zip(fields, fields)))
     before, taken, after = ([stmt.format_map(spelled) for stmt in part]
                             for part in calls)
@@ -541,13 +591,16 @@ class JitStats:
     #: Compiles served from kept instrumented code: no trace callback,
     #: no call wrapper (see "Instrument once per process").
     instrumentation_reuses: int = 0
+    #: Of those, compiles of a trace a signature pc cuts (the slice's
+    #: inline check, a split block): served from what was kept under
+    #: that cut.
+    cut_reuses: int = 0
     #: First reuses: instrumented again and compared with what the
     #: previous compile attached.
     instrumentation_checks: int = 0
     #: Compiles under a declaring tool sent down the ordinary path by
-    #: something observed: a trace that contains the signature pc, an
-    #: if/then, a routine that is no bound method of the resident tool,
-    #: a mutable argument.
+    #: something observed: an if/then pair, a routine that is no bound
+    #: method of the resident tool, a mutable argument.
     instrumentation_declined: int = 0
 
 
@@ -555,8 +608,8 @@ class _Skeleton:
     """The run-independent half of one compiled trace."""
 
     __slots__ = ("trace_obj", "instructions", "sems", "texts",
-                 "bbl_sizes", "words", "owner", "template",
-                 "kept", "loops")
+                 "bbl_sizes", "words", "owner", "kept", "attached",
+                 "loops")
 
     def __init__(self, trace_obj: TraceObj):
         self.trace_obj = trace_obj
@@ -582,23 +635,44 @@ class _Skeleton:
         #: Validation data, filled in by the first *reuse* (a run that
         #: never revisits a trace — most daemon jobs — pays nothing).
         self.words: list[int] | None = None
-        #: The ``Jit.retain_for`` whose instrumentation ``trace_obj``
-        #: still carries (None: anyone's, or none), under which
-        #: ``(Jit.template, memory strictness)`` it attached it, and
-        #: what the last verified compile under those produced.
-        #: ``kept`` is only ever set while ``trace_obj`` carries exactly
-        #: the instrumentation it was lowered from.
+        #: The ``Jit.retain_for`` whose instrumentation is kept here
+        #: (None: nobody's), and what it attached and lowered, per cut
+        #: (:meth:`Jit._cut`): ``cut -> _Kept``, oldest first, at most
+        #: :data:`KEPT_CUTS` of them.
         self.owner: object | None = None
-        self.template: tuple | None = None
-        self.kept: _Kept | None = None
+        self.kept: dict[object, _Kept] | None = None
+        #: The entry of ``kept`` whose calls the instructions carry right
+        #: now — what a promotion or a loop form is lowered from — or
+        #: None: whatever they carry is nobody's to keep.
+        self.attached: _Kept | None = None
+
+
+#: Cuts a skeleton keeps instrumented code for (:attr:`_Skeleton.kept`).
+#: A slice's signature pc cuts its hot loop at one of a few offsets
+#: (gzip's alternate between two), so a bound only matters to a resident
+#: that lives through many programs' boundaries.
+KEPT_CUTS = 8
 
 
 class _Kept:
-    """The run-dependent half of one compiled trace, verified pure."""
+    """The run-dependent half of one compiled trace under one cut: what
+    its callbacks attached, under which ``(Jit.template, memory
+    strictness)``, and what that was lowered to."""
 
-    __slots__ = ("skipped", "fastpath", "steps", "fn", "source", "loop")
+    __slots__ = ("calls", "template", "verified", "skipped", "fastpath",
+                 "steps", "fn", "source", "loop")
 
-    def __init__(self, skipped: int, fastpath: int):
+    def __init__(self, calls: list[tuple], template: tuple, skipped: int,
+                 fastpath: int):
+        #: :func:`_calls` of the instructions once the callbacks had run:
+        #: the reference the next compile under this cut is compared
+        #: with, and what a served compile puts back on the
+        #: instructions (:func:`_restore`).
+        self.calls = calls
+        self.template = template
+        #: True once a second instrumentation attached the same calls:
+        #: only then is the entry served.
+        self.verified = False
         #: What the filter counted while the callbacks ran
         #: (``skipped_callbacks`` / ``fastpath_traces``), re-applied by
         #: every compile served from here.
@@ -623,7 +697,9 @@ def summarizable(instructions: list[Ins]) -> bool:
     """True when a loop form of ``instructions`` summarizes under
     ``-spsuppress``: something is attached, and every call is a
     before-call that declares a summary and whose arguments fold to
-    constants (:func:`~repro.pin.args.try_static_args`)."""
+    constants (:func:`~repro.pin.args.try_static_args`).  (The caller
+    also rules out a trace holding a signature check: that must see
+    every trip's registers.)"""
     found = False
     for ins in instructions:
         if ins.if_then or ins.after_calls or ins.taken_calls:
@@ -641,7 +717,16 @@ def _calls(instructions: list[Ins]) -> list[tuple]:
     what is attached after ``clear_calls`` and another instrumentation
     (``clear_calls`` rebinds the collections, it does not empty them)."""
     return [(ins.before_calls, ins.after_calls, ins.taken_calls,
-             ins.if_then) for ins in instructions]
+             ins.if_then, ins.shape) for ins in instructions]
+
+
+def _restore(instructions: list[Ins], calls: list[tuple]) -> None:
+    """Attach to ``instructions`` what :func:`_calls` found on them."""
+    for ins, (before, after, taken, if_then, shape) in zip(instructions,
+                                                           calls):
+        ins.before_calls, ins.after_calls, ins.taken_calls = (before, after,
+                                                              taken)
+        ins.if_then, ins.shape = if_then, shape
 
 
 def _servable(attached: list[tuple], owner) -> bool:
@@ -650,7 +735,7 @@ def _servable(attached: list[tuple], owner) -> bool:
     and summary a bound method of ``owner``, every argument value an
     immutable constant."""
     method = types.MethodType
-    for before, after, taken, if_then in attached:
+    for before, after, taken, if_then, _ in attached:
         if if_then:
             return False
         for calls in (before, after, taken):
@@ -702,118 +787,94 @@ class Jit:
         #: under another value is compared again before it is used, and
         #: may differ; under the same value a difference is a lie.
         self.template: object | None = None
+        #: The ``retain_for`` last caught in such a lie: compared on
+        #: every compile from then on, and served nothing.
+        self._liar: object | None = None
 
     def forget_instrumentation(self) -> None:
         """Drop everything kept for ``retain_for`` and its predecessors
         (skeletons stay: they are nobody's)."""
         self.retain_for = None
         for skeleton in self.pool.values():
-            skeleton.owner = skeleton.kept = None
+            skeleton.owner = skeleton.kept = skeleton.attached = None
 
     def compile(self, address: int):
         """Build, instrument and lower the trace starting at ``address``
         — as generated code if it has earned it, else as threaded code.
 
         Under ``retain_for`` the instrumenting half is served from what an
-        earlier compile kept, checked against it, or marked for the
-        next (module docstring); the lowering and everything the caller
-        accounts the compile by are the same either way.
+        earlier compile under the same cut kept, checked against it, or
+        kept for the next (module docstring); the lowering and everything
+        the caller accounts the compile by are the same either way.
         """
         engine = self._engine
         stats = engine.jit_stats
         istats = engine.instr_stats
         skeleton, reused = self._skeleton(address)
         trace_obj = skeleton.trace_obj
+        cut = self._cut(address, len(skeleton.instructions))
+        check = cut[1] if cut is not None else None
 
-        # Who may be served, or checked: a trace this very resident
-        # object instrumented last, that does not contain the pc the
-        # slice's detector instruments (and splits a block at).
-        # Served: what this template verified, lowered for this memory
-        # mode (generated code sets its unwind markers by it).  Checked:
-        # everything else of the owner's — this template's first
-        # compile, or another's work.
+        # Served: what this resident object verified under this cut and
+        # template, lowered for this memory mode (generated code sets
+        # its unwind markers by it).  Checked: anything else it keeps
+        # under this cut — this template's first compile, or another's.
         owner = self.retain_for
         template = (self.template, engine.mem.strict)
-        kept = reference = previous = None
-        end = address + len(skeleton.instructions)
-        if owner is not None and any(address <= pc < end
-                                     for pc in engine.signature_pcs):
-            owner = None
-            stats.instrumentation_declined += 1
-        if reused and owner is not None and skeleton.owner is owner:
-            previous = skeleton.kept
-            if previous is not None and skeleton.template == template:
-                kept = previous
-            else:
-                # What the previous compile attached is still on the
-                # trace, and is the reference.
-                reference = _calls(skeleton.instructions)
+        kept = reference = None
+        if owner is not None:
+            if skeleton.owner is not owner:
+                skeleton.owner, skeleton.kept = owner, {}
+            reference = skeleton.kept.get(cut)
+            if (reference is not None and reference.verified
+                    and reference.template == template):
+                kept, reference = reference, None
 
         if kept is not None:
             stats.instrumentation_reuses += 1
+            if cut is not None:
+                stats.cut_reuses += 1
             istats.skipped_callbacks += kept.skipped
             istats.fastpath_traces += kept.fastpath
+            if skeleton.attached is not kept:
+                _restore(skeleton.instructions, kept.calls)
+                skeleton.attached = kept
         else:
             # Nobody's until the callbacks have run to the end: one that
-            # raises leaves a half-instrumented trace behind.
-            attached_under = skeleton.template
-            skeleton.owner = skeleton.kept = None
+            # raises leaves a half-instrumented trace behind.  Instrumented
+            # for nobody (a tool-free slice, an undeclared tool), nothing
+            # kept survives.
+            skeleton.attached = None
+            if owner is None:
+                skeleton.owner = skeleton.kept = None
             if reused:
                 for ins in skeleton.instructions:
                     ins.clear_calls()
             skipped, fastpath = (istats.skipped_callbacks,
                                  istats.fastpath_traces)
-            self._blocks(skeleton)
-            run_trace_callbacks(engine, trace_obj)
-            if reference is not None:
-                attached = _calls(skeleton.instructions)
-                if not _servable(attached, owner):
-                    owner = None
-                    stats.instrumentation_declined += 1
-                else:
-                    # ``_Call`` equality: ipoint, routine and summary
-                    # (bound methods of one object: their functions),
-                    # arguments.
-                    stats.instrumentation_checks += 1
-                    was_template, was_strict = attached_under
-                    if attached == reference:
-                        verified = skeleton.kept = _Kept(
-                            istats.skipped_callbacks - skipped,
-                            istats.fastpath_traces - fastpath)
-                        # Equal calls lower to equal steps — and, where
-                        # the memory mode they were emitted under is
-                        # equal too, to the same function.
-                        if previous is not None:
-                            verified.steps = previous.steps
-                            if was_strict == engine.mem.strict:
-                                verified.fn = previous.fn
-                                verified.source = previous.source
-                                verified.loop = previous.loop
-                    elif was_template == self.template:
-                        raise InstrumentationError(
-                            f"{type(owner).__name__} declares "
-                            f"pure_instrumentation, but its second "
-                            f"instrumentation of the trace at "
-                            f"{address:#x} differs from its first")
-                    # (Another template's: its filter or constructor
-                    # argument is its own.  This is a first compile.)
-            skeleton.owner = owner
-            skeleton.template = template
+            self._blocks(skeleton, cut[0] if cut is not None else ())
+            run_trace_callbacks(engine, trace_obj, check is not None)
+            if owner is not None:
+                self._keep(skeleton, cut, reference, template,
+                           istats.skipped_callbacks - skipped,
+                           istats.fastpath_traces - fastpath)
 
         cell = self.heat.setdefault(address, [0, 0])
         # A loop its loop form summarizes has one lowering (module
         # docstring).
-        summarized = (engine.suppress_loops and self._loops(skeleton)
+        summarized = (engine.suppress_loops and check is None
+                      and self._loops(skeleton)
                       and summarizable(skeleton.instructions))
         if summarized:
             istats.summarized_loops += 1
         if (self.all_generated or summarized
                 or (cell[1] and cell[0]
                     >= cell[1] * HOT_EXECUTIONS_PER_COMPILE)):
-            trace = self._lower_generated(skeleton)
+            trace = self._lower_generated(skeleton, check)
             stats.hot_compiles += 1
         else:
-            trace = CompiledTrace(address, self._lower_threaded(skeleton),
+            trace = CompiledTrace(address,
+                                  self._lower_threaded(skeleton, check),
                                   skeleton.instructions,
                                   trace_obj.fall_address)
         if kept is None:
@@ -822,6 +883,48 @@ class Jit:
         if not trace.is_source:
             trace.hot_at = self._mark(cell)
         return trace
+
+    def _keep(self, skeleton: _Skeleton, cut, reference: _Kept | None,
+              template: tuple, skipped: int, fastpath: int) -> None:
+        """Keep what the callbacks just attached to ``skeleton`` under
+        ``cut`` for ``retain_for`` — compared with ``reference``, what
+        was kept there before — or nothing, if code lowered from it
+        could bind what a later run must not see."""
+        stats = self._engine.jit_stats
+        kept = skeleton.kept
+        attached = _calls(skeleton.instructions)
+        if not _servable(attached, self.retain_for):
+            kept.pop(cut, None)
+            stats.instrumentation_declined += 1
+            return
+        entry = _Kept(attached, template, skipped, fastpath)
+        if reference is not None:
+            # ``_Call`` equality: ipoint, routine and summary (bound
+            # methods of one object: their functions), arguments.
+            stats.instrumentation_checks += 1
+            if attached == reference.calls:
+                # Equal calls lower to equal steps — and, where the
+                # memory mode they were emitted under is equal too, to
+                # the same function.
+                entry.verified = self.retain_for is not self._liar
+                entry.steps = reference.steps
+                if reference.template[1] == template[1]:
+                    entry.fn, entry.source = reference.fn, reference.source
+                    entry.loop = reference.loop
+            elif reference.template[0] == self.template:
+                owner = self._liar = self.retain_for
+                raise InstrumentationError(
+                    f"{type(owner).__name__} declares "
+                    f"pure_instrumentation, but its second "
+                    f"instrumentation of the trace at "
+                    f"{skeleton.trace_obj.address:#x} differs from its "
+                    f"first")
+            # (Another template's: its filter or constructor argument
+            # is its own.  This is a first compile.)
+            del kept[cut]
+        elif len(kept) >= KEPT_CUTS:
+            del kept[next(iter(kept))]
+        kept[cut] = skeleton.attached = entry
 
     @staticmethod
     def _mark(cell: list[int]) -> int:
@@ -846,7 +949,7 @@ class Jit:
         if (skeleton is None or trace.hot_at != self._mark(trace.heat)
                 or skeleton.instructions is not trace.instructions):
             return None
-        new = self._lower_generated(skeleton)
+        new = self._lower_generated(skeleton, self._check(skeleton))
         new.heat = trace.heat
         self._engine.jit_stats.promotions += 1
         return new
@@ -892,21 +995,46 @@ class Jit:
                 or (skeleton.trace_obj.ended is HOLE
                     and (not mem.strict or mem.is_mapped(end))))
 
-    def _blocks(self, skeleton: _Skeleton) -> None:
+    def _cut(self, address: int, size: int):
+        """How this run's signature pcs cut the trace of ``size``
+        instructions at ``address``: None (no pc falls in it), or
+        ``(split, check)`` — the offsets where :meth:`_blocks` splits a
+        block, and the signature check's ``(offset, r0, r1)`` (of the
+        engine's :attr:`~repro.pin.engine.PinVM.signature_check`) or
+        None.  What callbacks attach and what a lowering emits depend on
+        the pcs through this alone, so instrumented code is kept per
+        cut."""
+        engine = self._engine
+        pcs, check = engine.signature_pcs, engine.signature_check
+        if not pcs and check is None:
+            return None
+        split = tuple(sorted(offset for offset in (pc - address for pc in pcs)
+                             if 0 < offset < size))
+        if check is not None:
+            offset = check.pc - address
+            check = (offset, *check.regs) if 0 <= offset < size else None
+        return (split, check) if split or check else None
+
+    def _check(self, skeleton: _Skeleton):
+        """The signature check this run lowers into ``skeleton``'s trace,
+        or None (:meth:`_cut`)."""
+        cut = self._cut(skeleton.trace_obj.address,
+                        len(skeleton.instructions))
+        return cut[1] if cut is not None else None
+
+    def _blocks(self, skeleton: _Skeleton, split: tuple) -> None:
         """Give ``skeleton``'s trace the blocks this run's callbacks must
-        see: its natural ones (``bbl_sizes``), each split where one of
-        the engine's signature pcs falls strictly inside it — what makes
-        the pc a block head, so a slice that stops there has run whole
-        blocks.  The instructions are the skeleton's either way."""
+        see: its natural ones (``bbl_sizes``), each split at the offsets
+        ``split`` (:meth:`_cut`: where a signature pc falls strictly
+        inside one) — what makes the pc a block head, so a slice that
+        stops there has run whole blocks.  The instructions are the
+        skeleton's either way."""
         trace_obj = skeleton.trace_obj
         instructions = skeleton.instructions
         end = len(instructions)
-        cuts = {offset for offset in (
-            pc - trace_obj.address for pc in self._engine.signature_pcs)
-            if 0 < offset < end}
-        if cuts or len(trace_obj.bbls) != len(skeleton.bbl_sizes):
+        if split or len(trace_obj.bbls) != len(skeleton.bbl_sizes):
             heads = sorted({*accumulate(skeleton.bbl_sizes[:-1], initial=0),
-                            *cuts})
+                            *split})
             trace_obj.bbls = [Bbl(instructions[begin:stop]) for begin, stop
                               in zip(heads, heads[1:] + [end])]
 
@@ -914,49 +1042,59 @@ class Jit:
         """Lower a single-instruction trace (exact-budget stepping).
 
         Instrumentation still runs — the one instruction carries exactly
-        the analysis calls a full compile would attach to it — and a
-        step trace retires exactly one instruction per invocation.  Step
-        traces are kept outside the code cache: they exist only so the
-        engine can land on an arbitrary instruction boundary without
-        changing trace shapes.
+        the analysis calls a full compile would attach to it, and the
+        signature check if it is at the pc — and a step trace retires
+        exactly one instruction per invocation.  Step traces are kept
+        outside the code cache: they exist only so the engine can land
+        on an arbitrary instruction boundary without changing trace
+        shapes.
         """
         engine = self._engine
         trace_obj = build_trace(engine.mem, address, max_ins=1)
-        run_trace_callbacks(engine, trace_obj)
+        cut = self._cut(address, 1)
+        check = cut[1] if cut is not None else None
+        run_trace_callbacks(engine, trace_obj, check is not None)
         ins = trace_obj.instructions[0]
-        return CompiledTrace(address, [self._step(ins, ins.shape)],
+        return CompiledTrace(address,
+                             [self._step(ins, ins.shape,
+                                         check[1:] if check else ())],
                              trace_obj.instructions,
                              trace_obj.fall_address)
 
     # -- lowering ------------------------------------------------------------
 
-    def _step(self, ins: Ins, shape: tuple) -> Step:
+    def _step(self, ins: Ins, shape: tuple, quick: tuple = ()) -> Step:
         """``ins`` as one threaded-code step, its analysis calls (of
-        ``shape``) woven in: its row's factory over this engine, its
-        operands and its calls' values."""
-        key = (ins.op, ins.rd != 0, shape)
+        ``shape``) woven in, behind the signature check of the quick
+        registers ``quick`` if given: its row's factory over this
+        engine, its operands and its calls' values."""
+        key = (ins.op, ins.rd != 0, shape, bool(quick))
         make = _FACTORIES.get(key) or _factory(key)
-        values = ()
+        values = quick
         if shape is not BARE:
             objects, numbers = call_values(ins)
-            values = objects + numbers
+            values = (*objects, *quick, *numbers)
         return make(*self._binds, *operands(ins), *values)
 
-    def _lower_threaded(self, skeleton: _Skeleton) -> list[Step]:
-        """``skeleton``'s instrumented trace as threaded code: the kept
-        steps, else one step per instruction — the pooled one where
-        nothing is attached, which is every instruction of a fast-path
-        trace and most of any other."""
-        kept = skeleton.kept
+    def _lower_threaded(self, skeleton: _Skeleton, check) -> list[Step]:
+        """``skeleton``'s instrumented trace as threaded code, with the
+        signature ``check`` (:meth:`_cut`) if any: the kept steps, else
+        one step per instruction — the pooled one where nothing is
+        attached, which is every instruction of a fast-path trace and
+        most of any other."""
+        kept = skeleton.attached
         if kept is not None and kept.steps is not None:
             return kept.steps
         sems = skeleton.sems
         if sems is None:
             sems = skeleton.sems = [None] * len(skeleton.instructions)
+        at, *quick = check or (-1,)
         steps = []
         for index, ins in enumerate(skeleton.instructions):
             shape = ins.shape
-            if shape is not BARE:
+            if index == at:
+                step = self._step(ins, shape, tuple(quick))
+            elif shape is not BARE:
                 step = self._step(ins, shape)
             else:
                 step = sems[index]
@@ -979,23 +1117,24 @@ class Jit:
                 for ins in skeleton.instructions)
         return skeleton.loops
 
-    def _lower_generated(self, skeleton: _Skeleton):
-        """Lower ``skeleton``'s instrumented trace to one generated
-        function (see :mod:`repro.pin.pyjit`), by the cheapest means
-        that applies: the kept function, else the process's code object
-        for the same text, else ``compile()``."""
+    def _lower_generated(self, skeleton: _Skeleton, check):
+        """Lower ``skeleton``'s instrumented trace, with the signature
+        ``check`` (:meth:`_cut`) if any, to one generated function (see
+        :mod:`repro.pin.pyjit`), by the cheapest means that applies: the
+        kept function, else the process's code object for the same text,
+        else ``compile()``."""
         # Imported here: pyjit builds on this module.
         from .pyjit import _Emitter, SourceCompiledTrace
         engine = self._engine
         trace_obj = skeleton.trace_obj
         address = trace_obj.address
-        kept = skeleton.kept
+        kept = skeleton.attached
         if kept is not None and kept.fn is not None:
             fn, source = kept.fn, kept.source
         else:
             if skeleton.texts is None:
                 skeleton.texts = [None] * len(skeleton.instructions)
-            emitter = _Emitter(engine)
+            emitter = _Emitter(engine, check)
             emitter.lower_all(skeleton.instructions, skeleton.texts)
             fn, source = self._function(emitter, address)
             if kept is not None:
@@ -1041,15 +1180,17 @@ class Jit:
         loop = trace.loop
         skeleton = trace.origin
         if loop is None and skeleton is not None:
-            kept = skeleton.kept
+            kept = skeleton.attached
             loop = kept.loop if kept is not None else None
             if loop is None:
                 from .pyjit import _LoopEmitter
                 engine = self._engine
                 instructions = skeleton.instructions
+                check = self._check(skeleton)
                 emitter = _LoopEmitter(
                     engine, trace.start, engine.suppress_loops
-                    and summarizable(instructions))
+                    and check is None and summarizable(instructions),
+                    check)
                 emitter.lower_all(instructions, None)
                 loop, _ = self._function(emitter, trace.start)
                 engine.jit_stats.loop_builds += 1

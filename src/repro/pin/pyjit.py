@@ -19,9 +19,9 @@ Contract (shared with threaded code):
 * identical architectural effects — by construction: both lowerings
   format the same row of :data:`repro.pin.jit.SEMANTICS`, this one with
   the operands as literals;
-* identical analysis-call ordering (if/then pairs run before plain
-  before-calls at the same instruction — the SuperPin detection rule) —
-  by construction too: the statements come from one
+* identical analysis-call ordering (the signature check, then if/then
+  pairs, then plain before-calls at the same instruction — the SuperPin
+  detection rule) — by construction too: the statements come from one
   :func:`repro.pin.jit.weave`, qualified here by instruction index;
 * identical instruction counts, and :class:`~repro.pin.jit.StopRun` and
   faults unwind to the raising instruction's boundary — the generated
@@ -60,10 +60,10 @@ differs inside:
   registers through its arguments, Pin's contract, so the written ones
   are stored back only in the epilogue every exit breaks to, in the
   unwind handler, and ahead of what reads the register file itself:
-  the *then* half of an if/then pair (the signature detector's full
-  check reads ``cpu.regs``; its quick check is handed two registers,
-  from the locals, so only a match pays), a call handed
-  ``IARG_CONTEXT``, a ``syscall``.  The context call is followed by a
+  the *then* half of an if/then pair or of the signature check (its
+  full check reads ``cpu.regs``; its quick check compares two locals,
+  so only a match pays), a call handed ``IARG_CONTEXT``, a
+  ``syscall``.  The context call is followed by a
   reload, and while it (or a syscall) has the register file the
   handler stores nothing over what it wrote (``_own``).  A store-back
   writes only the registers that may differ from the register file
@@ -98,8 +98,8 @@ from __future__ import annotations
 import re
 
 from .args import IARG_CONTEXT, try_static_args
-from .jit import (BARE, CONSTANTS, Jit, NEVER, OPERANDS, SEMANTICS,
-                  call_values, operands, statements, weave)
+from .jit import (BARE, CONSTANTS, FULL_CHECK, Jit, NEVER, OPERANDS,
+                  SEMANTICS, call_values, operands, statements, weave)
 from .trace import Ins
 
 
@@ -163,8 +163,11 @@ class _Emitter:
     #: The spelling of the semantics table this emitter formats.
     _rows = SEMANTICS
 
-    def __init__(self, engine):
+    def __init__(self, engine, check=None):
         self._engine = engine
+        #: The signature check to lower, ``(offset, r0, r1)``, or None
+        #: (:meth:`repro.pin.jit.Jit._cut`).
+        self._check = check
         self._lines: list[str] = []
         self._indent = 1
         #: Where in ``_lines`` each :meth:`lower` began: the function's
@@ -221,16 +224,20 @@ class _Emitter:
         return its (taken, after) statements for the caller to splice
         at the right control point (:func:`repro.pin.jit.weave`)."""
         shape = ins.shape
-        self._marks(index, ins, shape is not BARE)
-        if shape is BARE:
+        check = self._check
+        checked = check is not None and check[0] == index
+        self._marks(index, ins, checked or shape is not BARE)
+        if shape is BARE and not checked:
             return (), ()
-        names, fields, *calls = weave(ins.op, shape, f"{index}_")
+        names, fields, *calls = weave(ins.op, shape, f"{index}_", checked)
         objects, numbers = call_values(ins)
+        if checked:
+            numbers = [*check[1:], *numbers]
         self.namespace.update(zip(names, objects))
         spelled = dict(_literals(ins), **dict(zip(fields, map(str, numbers))))
         before, taken, after = (self._format(part, spelled) for part in calls)
         for stmt in self._exposed(before, ins, ins.before_calls,
-                                  ins.if_then):
+                                  ins.if_then, checked):
             self.line(stmt)
         return (self._exposed(taken, ins, ins.taken_calls),
                 self._exposed(after, ins, ins.after_calls))
@@ -240,11 +247,11 @@ class _Emitter:
         ``fields``: the operands and numbers as literals."""
         return [stmt.format_map(fields) for stmt in stmts]
 
-    def _exposed(self, stmts, ins: Ins, calls, pairs=()):
+    def _exposed(self, stmts, ins: Ins, calls, pairs=(), checked=False):
         """``stmts`` — the ``calls`` and if/then ``pairs`` of one ipoint
-        of ``ins`` — with whatever must surround them for the calls to
-        see the guest's registers: nothing, where the registers live in
-        ``regs``."""
+        of ``ins``, behind the signature check if ``checked`` — with
+        whatever must surround them for the calls to see the guest's
+        registers: nothing, where the registers live in ``regs``."""
         return stmts
 
     def _leave(self, target, retired: int) -> tuple[str, ...]:
@@ -367,8 +374,9 @@ class _LoopEmitter(_Emitter):
 
     _rows = _LOCAL_ROWS
 
-    def __init__(self, engine, head: int, summarize: bool = False):
-        super().__init__(engine)
+    def __init__(self, engine, head: int, summarize: bool = False,
+                 check=None):
+        super().__init__(engine, check)
         self._head = str(head)
         #: ``(trip counter, instruction)`` for each instruction whose
         #: calls the loop form summarizes (module docstring), or None:
@@ -445,19 +453,21 @@ class _LoopEmitter(_Emitter):
                            for n in _REG.findall(stmt))
         return [_REG.sub(r"r\1", stmt) for stmt in stmts]
 
-    def _exposed(self, stmts, ins: Ins, calls, pairs=()):
+    def _exposed(self, stmts, ins: Ins, calls, pairs=(), checked=False):
         """Store the registers back where a routine reads the register
-        file itself: inside an if/then pair, ahead of its then half (the
-        signature detector's full check reads ``cpu.regs``; its quick
-        check is handed two registers, which read the locals, so only a
-        match pays), and ahead of a call handed ``IARG_CONTEXT`` — which
-        may write them too: they are loaded again after it.  Every other
-        argument is an expression over the locals and costs nothing."""
-        if pairs:
-            # (weave's then half: the one call indented under its check.)
+        file itself: behind a check, ahead of its then half — the
+        signature check's full check reads ``cpu.regs``, and its quick
+        check compares two locals, so only a match pays — and ahead of a
+        call handed ``IARG_CONTEXT``, which may write them too: they are
+        loaded again after it.  Every other argument is an expression
+        over the locals and costs nothing."""
+        if pairs or checked:
+            # (weave's then halves: the one call indented under a check.)
             stmts = [line for stmt in stmts
                      for line in ((f"    {_SPILL}", stmt)
-                                  if stmt.startswith("    _th") else (stmt,))]
+                                  if stmt.startswith("    _th")
+                                  or stmt == "    " + FULL_CHECK
+                                  else (stmt,))]
         calls = (*calls, *(call for pair in pairs for call in pair))
         if not any(kind is IARG_CONTEXT
                    for call in calls for kind, _ in call.specs):

@@ -194,8 +194,9 @@ class SuperPinReport:
         ``-spmetrics``: every dispatcher miss (each one a ``compile`` in
         the virtual account), how many of them the resident machines
         served from pooled work, how many of those without running a
-        trace callback (a tool that declares its instrumentation pure),
-        how many they lowered to generated code (:mod:`repro.pin.jit`)
+        trace callback (a tool that declares its instrumentation pure)
+        and how many of those in a trace a signature pc cuts, how many
+        they lowered to generated code (:mod:`repro.pin.jit`)
         and how many generated lowerings found their code in the
         process's pool instead of calling ``compile()``, the share of
         the slices' instructions that retired in generated code —
@@ -212,6 +213,7 @@ class SuperPinReport:
             "compiles": int(counter("pin.cache.compiles")),
             "pooled": int(counter("pin.jit.skeleton_reuses")),
             "served": int(counter("pin.jit.instrumentation_reuses")),
+            "served_cut": int(counter("pin.jit.cut_reuses")),
             "hot": int(counter("pin.jit.hot_compiles")),
             "interned": int(counter("pin.jit.intern_hits")),
             "promotions": int(counter("pin.jit.promotions")),

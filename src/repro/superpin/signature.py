@@ -12,6 +12,10 @@ signature's instruction pointer with a two-stage check:
 
 On a full match the slice terminates at that instruction boundary.
 
+Both stages are lowered by the JIT rather than attached as calls
+(:class:`SignatureDetector`): the quick check is inline code, and only a
+match pays a call.
+
 The recorder picks the quick-check registers by running the first few
 basic blocks of the new slice *under instrumentation in recording mode*
 on a scratch copy-on-write fork, counting register writes; if no clear
@@ -34,7 +38,7 @@ from ..isa.registers import RA, SP
 from ..machine.cpu import CpuState
 from ..machine.memory import Memory
 from ..machine.process import Process
-from ..pin.args import IARG_END, IARG_PTR, IARG_REG_VALUE, IPOINT_BEFORE
+from ..pin.args import IARG_END, IARG_PTR, IPOINT_BEFORE
 from ..pin.engine import PinVM
 from ..pin.jit import StopRun
 
@@ -210,7 +214,18 @@ class Lookahead:
 
 
 class SignatureDetector:
-    """Per-slice detection-mode instrumentation for one signature."""
+    """Per-slice detection mode for one signature.
+
+    Not a trace callback: :meth:`attach` hands the slice's engine the
+    check (:meth:`~repro.pin.engine.PinVM.add_signature_check`), and the
+    JIT lowers it inline at the signature pc in every lowering — the
+    quick check a compare of two registers with the values the engine
+    holds for this slice, the full check a call of :meth:`full_check`
+    through the engine.  So the code around the pc depends only on
+    where the pc cuts its trace and on the two register numbers, and a
+    resident machine keeps it like any other (:mod:`repro.pin.jit`).
+    The engine counts the quick checks; :meth:`finish` collects them.
+    """
 
     def __init__(self, signature: Signature, vm: PinVM):
         self.signature = signature
@@ -218,39 +233,24 @@ class SignatureDetector:
         self.stats = DetectionStats()
         self._regs = vm.cpu.regs
         self._mem = vm.mem
-        quick = signature.quick_values
-        self._qv0, self._qv1 = quick
-
-    # -- instrumentation -----------------------------------------------------
 
     def attach(self) -> None:
-        """Register the detection trace callback on the slice's VM."""
-        self.vm.add_trace_callback(self._instrument)
+        """Have the slice's engine check for the signature.  The pc may
+        sit anywhere in a trace, as in serial Pin's; the engine makes it
+        a *block* head (it joins the engine's ``signature_pcs``,
+        ``Jit._blocks``), so a match stops the slice between two whole
+        blocks.  A stop mid-trace unwinds like any ``StopRun``."""
+        sig = self.signature
+        self.vm.add_signature_check(sig.pc, sig.quick_regs,
+                                    sig.quick_values, self.full_check)
 
-    def _instrument(self, trace, value) -> None:
-        # The signature pc may sit anywhere in a trace, as in serial
-        # Pin's; the slice's engine makes it a *block* head (it is one
-        # of the engine's ``signature_pcs``, ``Jit._blocks``), so a
-        # match stops the slice between two whole blocks.  A stop
-        # mid-trace unwinds like any ``StopRun``.
-        offset = self.signature.pc - trace.address
-        if not 0 <= offset < trace.num_ins:
-            return
-        q0, q1 = self.signature.quick_regs
-        ins = trace.instructions[offset]
-        ins.insert_if_call(IPOINT_BEFORE, self._quick_check,
-                           IARG_REG_VALUE, q0,
-                           IARG_REG_VALUE, q1, IARG_END)
-        ins.insert_then_call(IPOINT_BEFORE, self._full_check, IARG_END)
+    def finish(self) -> DetectionStats:
+        """The run's detection counters, the engine's quick checks
+        among them."""
+        self.stats.quick_checks = self.vm.signature_check.checks
+        return self.stats
 
-    # -- analysis routines ----------------------------------------------------
-
-    def _quick_check(self, v0: int, v1: int) -> int:
-        """Inlined check of the two likely-to-change registers."""
-        self.stats.quick_checks += 1
-        return 1 if (v0 == self._qv0 and v1 == self._qv1) else 0
-
-    def _full_check(self) -> None:
+    def full_check(self) -> None:
         """Architectural-state compare, then top-of-stack compare."""
         self.stats.full_checks += 1
         sig = self.signature

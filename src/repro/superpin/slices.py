@@ -78,6 +78,7 @@ PLACEMENT_COUNTERS = ("pin.jit.skeleton_reuses",
                       "pin.jit.loop_builds",
                       "pin.jit.loop_trips",
                       "pin.jit.instrumentation_reuses",
+                      "pin.jit.cut_reuses",
                       "pin.jit.instrumentation_checks",
                       "pin.jit.instrumentation_declined")
 
@@ -88,7 +89,8 @@ def placement_counts(jstats) -> tuple[int, ...]:
             jstats.hot_compiles, jstats.intern_hits,
             jstats.promotions, jstats.hot_instructions, jstats.loop_builds,
             jstats.loop_trips,
-            jstats.instrumentation_reuses, jstats.instrumentation_checks,
+            jstats.instrumentation_reuses, jstats.cut_reuses,
+            jstats.instrumentation_checks,
             jstats.instrumentation_declined)
 
 
@@ -256,9 +258,8 @@ class SliceMachine:
         return vm
 
     def switch(self, boundary: Boundary, interval: Interval,
-               config: SuperPinConfig,
-               signature_pcs: frozenset[int] = frozenset(),
-               metrics=NULL_METRICS, state: tuple | None = None) -> PinVM:
+               config: SuperPinConfig, metrics=NULL_METRICS,
+               state: tuple | None = None) -> PinVM:
         """Context-switch onto a state and return the engine, reset and
         ready to be instrumented.
 
@@ -272,7 +273,7 @@ class SliceMachine:
         running on the fork itself — and is spent afterwards, like any
         executed boundary.  The engine starts what every slice-shaped
         run starts from: a cold code cache in the bubble — serial Pin's
-        engine, but for the signature detector the caller registers."""
+        engine, but for the signature check the caller adds."""
         cpu_snapshot, mem, handler = state or (
             boundary.cpu_snapshot, boundary.mem_fork,
             boundary_handler(boundary, interval))
@@ -283,7 +284,6 @@ class SliceMachine:
             vm = self.vm = PinVM(self.process,
                                  jit_backend=config.jit_backend)
         vm.switch(cpu_snapshot, mem, handler,
-                  signature_pcs=signature_pcs,
                   code_cache=CodeCache(abi.BUBBLE_BASE, abi.BUBBLE_WORDS,
                                        metrics=metrics),
                   metrics=metrics, suppress_loops=config.spsuppress)
@@ -357,8 +357,7 @@ def run_slice(boundary: Boundary, interval: Interval,
     # 1-2. Context switch: registers, COW memory and kernel layout of
     #    the boundary; the engine reset, with its own cold code cache in
     #    the bubble.
-    pcs = frozenset({end_signature.pc}) if end_signature else frozenset()
-    vm = machine.switch(boundary, interval, config, pcs, metrics)
+    vm = machine.switch(boundary, interval, config, metrics)
     process = vm.process
     handler = process.syscall_handler
     cow_mark = process.mem.cow_faults
@@ -416,7 +415,7 @@ def run_slice(boundary: Boundary, interval: Interval,
         replayed_syscalls=handler.replayed,
         emulated_syscalls=handler.emulated,
         cow_faults=process.mem.cow_faults - cow_mark,
-        detection=detector.stats if detector else None,
+        detection=detector.finish() if detector else None,
         tool_ctx=ctx,
         exit_code=result.exit_code,
         compile_log=tuple(cache.insert_log),

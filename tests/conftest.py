@@ -47,9 +47,9 @@ def loop_one_everywhere(monkeypatch) -> None:
     from repro.pin.pyjit import _LoopEmitter
     lower = Jit._lower_generated
 
-    def lowered(self, skeleton):
-        trace = lower(self, skeleton)
-        emitter = _LoopEmitter(self._engine, trace.start)
+    def lowered(self, skeleton, check):
+        trace = lower(self, skeleton, check)
+        emitter = _LoopEmitter(self._engine, trace.start, check=check)
         emitter.lower_all(skeleton.instructions, None)
         loop = emitter.finish(emitter.source_text(trace.start), trace.start)
         trace.fn = lambda: loop(1)[:2]

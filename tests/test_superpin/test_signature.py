@@ -1,6 +1,8 @@
 """Signature recording, quick-register selection, detection (§4.4)."""
 
 
+import dataclasses
+
 import pytest
 
 from repro.isa import assemble
@@ -8,12 +10,14 @@ from repro.isa.registers import RA, SP
 from repro.machine import Kernel, load_program
 from repro.machine.cpu import CpuState
 from repro.machine.interpreter import Interpreter
-from repro.pin import jit, run_with_pin
+from repro.pin import (IARG_END, IARG_REG_VALUE, IPOINT_BEFORE, jit,
+                       run_with_pin)
 from repro.pin.trace import build_trace
 from repro.superpin import (ControlProcess, DEFAULT_QUICK_REGS, Lookahead,
                             record_boundary_signature, record_signature,
                             record_signatures, run_superpin,
-                            SuperPinConfig)
+                            SignatureDetector, SuperPinConfig)
+from repro.superpin import slices as slices_mod
 from repro.superpin.signature import STACK_WORDS
 from repro.tools import ICount2, TOOLS
 from repro.workloads import build
@@ -277,6 +281,93 @@ class TestAMidBlockSignaturePc:
                               kernel=Kernel(seed=42))
         assert report.all_exact
         assert sliced.report() == serial.report()
+
+
+class CallbackDetector(SignatureDetector):
+    """The detector as a trace callback registered after the tool's, its
+    quick check an if-call and its full check a then-call: the check
+    attached as a tool would attach it (the reference for the lowered
+    one)."""
+
+    def attach(self):
+        self.vm.signature_pcs = frozenset({self.signature.pc})
+        self.vm.add_trace_callback(self.instrument)
+
+    def instrument(self, trace, value):
+        offset = self.signature.pc - trace.address
+        if 0 <= offset < trace.num_ins:
+            ins = trace.instructions[offset]
+            r0, r1 = self.signature.quick_regs
+            ins.insert_if_call(IPOINT_BEFORE, self.quick_check,
+                               IARG_REG_VALUE, r0, IARG_REG_VALUE, r1,
+                               IARG_END)
+            ins.insert_then_call(IPOINT_BEFORE, self.full_check, IARG_END)
+
+    def quick_check(self, v0, v1):
+        self.stats.quick_checks += 1
+        return int((v0, v1) == self.signature.quick_values)
+
+    def finish(self):
+        return self.stats
+
+
+class TestTheCheckIsLowered:
+    """The signature check is code the JIT lowers at the pc, not a trace
+    callback — yet what it counts is what a callback's if/then pair
+    counts: under a filter that leaves the pc's trace out (it is still
+    no fast-path trace), sampling (a slice without the tool still
+    checks) and suppression (a loop form holding the check does not
+    summarize), every slice and the merged result are the reference's,
+    slice by slice and field by field."""
+
+    CONFIG = dict(spmsec=500, clock_hz=10_000)
+
+    def run(self, **overrides):
+        tool = ICount2()
+        report = run_superpin(assemble(MULTISLICE), tool,
+                              SuperPinConfig(**self.CONFIG, **overrides),
+                              kernel=Kernel(seed=42))
+        assert report.all_exact
+        slices = [{field.name: getattr(result, field.name)
+                   for field in dataclasses.fields(result)
+                   if field.name != "tool_ctx"}
+                  for result in report.slices]
+        return slices, tool.report(), report.detection_summary()
+
+    @pytest.mark.parametrize("backend", ["closure", "source"])
+    @pytest.mark.parametrize("overrides", [
+        dict(spfilter="opcode:syscall"), dict(spfilter="opcode:mem"),
+        dict(spsample=2), dict(spsuppress=True)],
+        ids=["filter-out", "filter-in", "sample", "suppress"])
+    def test_every_slice_counts_what_a_callback_counted(
+            self, overrides, backend, monkeypatch):
+        lowered = self.run(jit_backend=backend, **overrides)
+        with monkeypatch.context() as patch:
+            patch.setattr(slices_mod, "SignatureDetector", CallbackDetector)
+            assert self.run(jit_backend=backend, **overrides) == lowered
+        slices = lowered[0]
+        assert sum(s["detection"].quick_checks for s in slices[:-1]) > 0
+        # (What each variant is there for happened.)
+        if overrides.get("spfilter") == "opcode:syscall":
+            assert sum(s["fastpath_traces"] for s in slices) > 0
+        if "spsample" in overrides:
+            assert not all(s["instrumented"] for s in slices)
+        if "spsuppress" in overrides:
+            assert sum(s["summarized_loops"] for s in slices) > 0
+
+    def test_no_trace_callback_is_registered(self, monkeypatch):
+        """The slice's engine is handed the check, not a callback: a
+        slice the sampler leaves without its tool registers none.  (In
+        process: what the patched ``attach`` sees stays in this one.)"""
+        seen = []
+        attach = SignatureDetector.attach
+        monkeypatch.setattr(SignatureDetector, "attach", lambda detector: (
+            attach(detector),
+            seen.append((detector.vm.trace_callbacks,
+                         detector.vm.signature_check)))[0])
+        self.run(spsample=2, spworkers=0)
+        assert seen and all(check is not None for _, check in seen)
+        assert any(callbacks == [] for callbacks, _ in seen)
 
 
 class TestFalsePositive:

@@ -34,7 +34,8 @@ from repro.superpin.parallel import run_slice_job, slice_job
 from repro.superpin.slices import (PLACEMENT_COUNTERS, run_slice,
                                    SliceMachine)
 from repro.tools import ICount2, TOOLS
-from tests.conftest import MULTISLICE, unlinked, virtual_counters
+from tests.conftest import (MULTISLICE, promote_at, unlinked,
+                            virtual_counters)
 from tests.test_superpin.test_threads_superpin import THREADED
 
 BACKENDS = ["closure", "source"]
@@ -409,10 +410,11 @@ class TestPoolValidity:
     def test_a_kept_trace_is_instrumented_again_around_the_pc(self):
         """Two slices that end elsewhere verify the trace of loop ``yl``
         for the resident tool; the next slice on the machine has its
-        signature pc strictly inside that trace.  Its detector must be
-        handed the trace, so the JIT instruments it again instead of
-        serving the kept code — served, the slice would run past its
-        signature to the end of its budget."""
+        signature pc strictly inside that trace.  What was kept is the
+        trace's uncut code, so the JIT instruments the trace again under
+        the slice's cut — served the uncut code, the slice would run
+        past its signature to the end of its budget — and keeps that
+        beside it."""
         phase = SlicePhase(TWO_LOOPS, TOOLS["icount2"](), spmetrics=True)
         yl = assemble(TWO_LOOPS).symbol("yl")
         pcs = [signature.pc for signature in phase.signatures]
@@ -422,12 +424,119 @@ class TestPoolValidity:
         machine = SliceMachine()
         for j in (k + 1, k + 2):
             phase.run(j, machine)
-        assert machine.vm.jit.pool[yl].kept is not None
+        assert machine.vm.jit.pool[yl].kept[None].verified
         result = phase.run(k, machine)
         assert result.reason is SliceEnd.MATCHED
         assert slice_image(result) == want
-        assert phase.slice_counters[-1][
-            "pin.jit.instrumentation_declined"] > 0
+        counters = phase.slice_counters[-1]
+        assert counters["pin.jit.instrumentation_declined"] == 0
+        assert counters["pin.jit.cut_reuses"] == 0
+        assert len(machine.vm.jit.pool[yl].kept) == 2
+
+    @pytest.mark.parametrize("lowering", ["threaded", "generated",
+                                          "promoted"])
+    def test_alternating_cuts_are_each_served_their_own_code(
+            self, lowering, monkeypatch):
+        """A run whose signature pcs cut the hot loop at alternating
+        offsets (4123, 4122, 4123, 4122, 4121, ...: the pattern of
+        gzip's boundaries), its slices in order on one machine.  Each is
+        the slice a fresh machine runs and ends at its pc, and a (trace,
+        pc) is served from its third visit.  Where the lowering never
+        changes, it is lowered on its first visit only — the comparing
+        second visit takes that lowering over — so no step, generated
+        function or loop form is made for it again; where served
+        threaded code is promoted in mid-run, the promotion is lowered
+        from the calls of the cut served, not of the cut compiled
+        last."""
+        backend = "source" if lowering == "generated" else "closure"
+        if lowering == "promoted":
+            promote_at(monkeypatch, 1)
+        else:
+            monkeypatch.setattr(jit, "HOT_EXECUTIONS_PER_COMPILE",
+                                float("inf"))
+        overrides = dict(jit_backend=backend, spmsec=200)
+        fresh = SlicePhase(MULTISLICE, TOOLS["icount2"](), **overrides)
+        pcs = [signature.pc for signature in fresh.signatures]
+        loop = assemble(MULTISLICE).symbol("wl")
+        assert len(pcs) == fresh.n - 1
+        assert all(loop <= pc < loop + 5 for pc in pcs)
+        assert pcs[:4] == [pcs[0], pcs[1]] * 2 and pcs[0] != pcs[1]
+        want = [slice_image(fresh.run(k)) for k in range(fresh.n)]
+        # What each compile and each loop-form request of the slice did:
+        # ``(compile?, head, instructions, lowered anything, served)``.
+        seen = []
+        lowered = [0]
+        step, function = jit.Jit._step, jit.Jit._function
+        monkeypatch.setattr(jit.Jit, "_step", lambda self, *args: (
+            lowered.append(1), step(self, *args))[1])
+        monkeypatch.setattr(jit.Jit, "_function", lambda self, *args: (
+            lowered.append(1), function(self, *args))[1])
+
+        def watched(method, compiles):
+            def call(self, arg):
+                stats = self._engine.jit_stats
+                mark, reuses = len(lowered), stats.instrumentation_reuses
+                out = method(self, arg)
+                trace = out if compiles else arg
+                seen.append((compiles, trace.start, trace.num_ins,
+                             len(lowered) > mark,
+                             stats.instrumentation_reuses > reuses))
+                return out
+            return call
+        monkeypatch.setattr(jit.Jit, "compile",
+                            watched(jit.Jit.compile, True))
+        monkeypatch.setattr(jit.Jit, "loop_form",
+                            watched(jit.Jit.loop_form, False))
+        machine = SliceMachine()
+        phase = SlicePhase(MULTISLICE, TOOLS["icount2"](), spmetrics=True,
+                           **overrides)
+        compiled, looped = collections.Counter(), set()
+        for k in range(phase.n - 1):
+            del seen[:]                # (the phase's master made some)
+            result = phase.run(k, machine)
+            assert result.reason is SliceEnd.MATCHED
+            assert result.end_pc == pcs[k]
+            assert slice_image(result) == want[k]
+            counters = phase.slice_counters[-1]
+            assert counters["pin.jit.instrumentation_declined"] == 0
+            cut_served = False
+            for compiles, head, size, made, served in seen:
+                pair = (head, pcs[k] if head <= pcs[k] < head + size
+                        else None)
+                if not compiles:
+                    assert (lowering == "promoted" or not made
+                            or pair not in looped), (k, pair)
+                    looped.add(pair)
+                    continue
+                assert (lowering == "promoted" or not made
+                        or not compiled[pair]), (k, pair)
+                assert served == (compiled[pair] >= 2), (k, pair)
+                cut_served |= served and pair[1] is not None
+                compiled[pair] += 1
+            assert (counters["pin.jit.cut_reuses"] > 0) == cut_served, k
+            # What a promotion or a loop form is lowered from: the calls
+            # of the cut served, put back on the instructions.
+            skeleton = machine.vm.jit.pool[loop]
+            assert jit._calls(skeleton.instructions) \
+                == skeleton.attached.calls, k
+        assert max(count for (_, pc), count in compiled.items()
+                   if pc is not None) >= 3
+        assert len(machine.vm.jit.pool[loop].kept) == len(set(pcs))
+
+    def test_a_trace_keeps_a_bounded_number_of_cuts(self, monkeypatch):
+        """Past ``KEPT_CUTS`` the oldest cut's code is dropped, and the
+        trace is instrumented again when a slice cuts it there."""
+        monkeypatch.setattr(jit, "KEPT_CUTS", 2)
+        fresh = SlicePhase(MULTISLICE, TOOLS["icount2"](),
+                           spmsec=200).run_all()
+        machine = SliceMachine()
+        phase = SlicePhase(MULTISLICE, TOOLS["icount2"](), spmsec=200,
+                           spmetrics=True)
+        assert phase.run_all(machine_for=lambda k: machine) == fresh
+        loop = assemble(MULTISLICE).symbol("wl")
+        assert len({signature.pc for signature in phase.signatures}) > 2
+        assert len(machine.vm.jit.pool[loop].kept) == 2
+        assert phase.counters["pin.jit.cut_reuses"] > 0
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_slices_that_cut_a_hot_trace_keep_each_others_shapes(
@@ -609,8 +718,14 @@ class TestPureInstrumentation:
         second = SlicePhase(MULTISLICE, ICount2(), jit_backend=backend,
                             spmetrics=True)
         jit = machine.vm.jit
-        before = {skeleton: skeleton.kept for skeleton in jit.pool.values()
-                  if skeleton.kept is not None}
+
+        def uncut(skeleton):
+            """What is kept, verified, of the trace where no signature pc
+            cuts it."""
+            kept = (skeleton.kept or {}).get(None)
+            return kept if kept is not None and kept.verified else None
+        before = {skeleton: uncut(skeleton) for skeleton in jit.pool.values()
+                  if uncut(skeleton) is not None}
         handed = []
         compile_trace = jit.compile
         monkeypatch.setattr(jit, "compile", lambda address: (
@@ -634,7 +749,7 @@ class TestPureInstrumentation:
                 products = {id(getattr(trace, name, None))
                             for trace in handed for name in ("steps", "fn")}
                 for skeleton, kept in before.items():
-                    again = skeleton.kept
+                    again = uncut(skeleton)
                     # (Not compiled by slice 0, or around its signature
                     # pc.)
                     if again is kept or again is None:

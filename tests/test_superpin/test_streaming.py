@@ -414,7 +414,10 @@ class TestFaultsWhileTheMasterIsLive:
         """Supervision does not wait for the master: the deadline clock
         of a hung worker starts when it is released, and it is reaped
         while cuts are still being made."""
-        slow_master(monkeypatch, 0.03)
+        # (Slow enough that the master outlives slice 1's 0.9 s deadline
+        # by more than one cut — the supervisor reaps between cuts —
+        # however fast the master's own work is.)
+        slow_master(monkeypatch, 0.04)
         report, tool = run(
             MULTISLICE, spworkers=2, spfaults="retry",
             slice_deadline_floor=0.4, fault_plan=FaultPlan.parse("hang@1"),
