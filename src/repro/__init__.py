@@ -29,14 +29,13 @@ Quickstart::
 from .errors import (ArithmeticFault, AssemblerError, ConfigError,
                      DivergenceError, EncodingError, GuestFault,
                      IllegalInstruction, InstrumentationError, LoaderError,
-                     MemoryFault, ReproError, RunawaySliceError,
-                     SyscallError)
+                     ReproError, RunawaySliceError, SyscallError)
 
 __version__ = "1.0.0"
 
 __all__ = [
     "ArithmeticFault", "AssemblerError", "ConfigError", "DivergenceError",
     "EncodingError", "GuestFault", "IllegalInstruction",
-    "InstrumentationError", "LoaderError", "MemoryFault", "ReproError",
+    "InstrumentationError", "LoaderError", "ReproError",
     "RunawaySliceError", "SyscallError", "__version__",
 ]

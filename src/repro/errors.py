@@ -1,8 +1,9 @@
 """Exception hierarchy for the SuperPin reproduction.
 
 All library errors derive from :class:`ReproError` so callers can catch a
-single base class.  Guest-visible machine faults (bad memory access, divide
-by zero, illegal instruction) derive from :class:`GuestFault`; host-side
+single base class.  Guest-visible machine faults (divide by zero, a word
+that does not decode, a bad system call) derive from :class:`GuestFault`
+— guest memory is demand-zero, so no access faults; host-side
 misuse (bad assembler input, API misuse) derives from more specific classes.
 """
 
@@ -42,10 +43,6 @@ class GuestFault(ReproError):
 
 class IllegalInstruction(GuestFault):
     """Fetched word does not decode to a valid instruction."""
-
-
-class MemoryFault(GuestFault):
-    """Access outside any mapped region (only in strict memory mode)."""
 
 
 class ArithmeticFault(GuestFault):

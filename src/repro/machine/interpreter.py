@@ -87,7 +87,6 @@ class Interpreter:
         regs = cpu.regs
         pages = mem._pages
         frozen = mem._frozen
-        strict = mem.strict
         dcache = self._decode_cache
         handler = proc.syscall_handler
         stop_after_syscall = self.stop_after_syscall
@@ -126,8 +125,6 @@ class Interpreter:
                 count += 1
 
                 # --- fetch + decode ---
-                if strict:
-                    mem._check(pc)
                 page = pages.get(pc >> _PAGE_SHIFT)
                 word = page[pc & _OFF_MASK] if page is not None else 0
                 dec = dcache.get(word)
@@ -146,16 +143,12 @@ class Interpreter:
                         regs[rd] = (regs[rs] + regs[rt]) & MASK64
                 elif op == op_ld:
                     addr = (regs[rs] + imm) & MASK64
-                    if strict:
-                        mem._check(addr)
                     page = pages.get(addr >> _PAGE_SHIFT)
                     if rd:
                         regs[rd] = (page[addr & _OFF_MASK]
                                     if page is not None else 0)
                 elif op == op_st:
                     addr = (regs[rs] + imm) & MASK64
-                    if strict:
-                        mem._check(addr)
                     idx = addr >> _PAGE_SHIFT
                     page = pages.get(idx)
                     if page is None:
@@ -209,8 +202,6 @@ class Interpreter:
                 elif op == op_push:
                     addr = (regs[29] - 1) & MASK64
                     regs[29] = addr
-                    if strict:
-                        mem._check(addr)
                     idx = addr >> _PAGE_SHIFT
                     page = pages.get(idx)
                     if page is None:
@@ -225,8 +216,6 @@ class Interpreter:
                     page[addr & _OFF_MASK] = regs[rs]
                 elif op == op_pop:
                     addr = regs[29]
-                    if strict:
-                        mem._check(addr)
                     page = pages.get(addr >> _PAGE_SHIFT)
                     if rd:
                         regs[rd] = (page[addr & _OFF_MASK]

@@ -11,9 +11,9 @@ describes.
 
 Unmapped reads return 0 and unmapped writes allocate a zeroed page: the
 whole address space behaves like anonymous demand-zero memory, which is
-what the synthetic workloads assume.  A *strict* mode instead faults on
-access outside regions registered with :meth:`Memory.map_region`, used by
-tests and by the kernel to police wild pointers.
+what the synthetic workloads assume, and no access faults.  The regions
+the loader and thread spawn register (:meth:`Memory.map_region`) are
+bookkeeping a recording carries; nothing reads them.
 
 An engine that caches decoded code watches its words
 (:meth:`Memory.watch_code`): a write to one calls the engine back once
@@ -22,8 +22,6 @@ pages, so a write to any other page pays nothing for the watch.
 """
 
 from __future__ import annotations
-
-from ..errors import MemoryFault
 
 PAGE_SHIFT = 10
 PAGE_WORDS = 1 << PAGE_SHIFT
@@ -35,18 +33,23 @@ _ZERO_PAGE: list[int] = [0] * PAGE_WORDS
 class Memory:
     """Guest physical memory (word addressed, demand-zero, COW forkable)."""
 
-    __slots__ = ("_pages", "_frozen", "strict", "_regions", "cow_faults",
+    __slots__ = ("_pages", "_frozen", "_regions", "cow_faults",
                  "pages_copied", "_guarded", "_code_pages", "_code_words",
                  "on_code_write")
 
-    #: What a pickle carries: the address space, not who watches it.
-    _STATE = __slots__[:6]
+    #: What a pickle carries, in order: the address space, not who
+    #: watches it.  ``"strict"`` is a retired slot (a memory mode that
+    #: faulted outside the regions), written as False and skipped on
+    #: load, so a recording's bytes — and its id — stay what they were.
+    _STATE = ("_pages", "_frozen", "strict", "_regions", "cow_faults",
+              "pages_copied")
 
-    def __init__(self, strict: bool = False):
+    def __init__(self):
         self._pages: dict[int, list[int]] = {}
         #: Pages shared with a fork peer; must be copied before writing.
         self._frozen: set[int] = set()
-        self.strict = strict
+        #: ``(base, end)`` of every region the loader and thread spawn
+        #: registered: carried by a pickle, read by nothing.
         self._regions: list[tuple[int, int]] = []
         #: Number of copy-on-write page copies performed (for the cost model).
         self.cow_faults = 0
@@ -64,42 +67,28 @@ class Memory:
         self.on_code_write = None
 
     def __getstate__(self):
-        return None, {name: getattr(self, name) for name in self._STATE}
+        return None, {name: (False if name == "strict"
+                             else getattr(self, name))
+                      for name in self._STATE}
 
     def __setstate__(self, state):
         self.__init__()
         for name, value in state[1].items():
-            setattr(self, name, value)
+            if name != "strict":
+                setattr(self, name, value)
         self._guarded = set(self._frozen)
 
-    # -- mapping bookkeeping (strict mode / kernel VMAs) --------------------
+    # -- region bookkeeping --------------------------------------------------
 
     def map_region(self, base: int, length: int) -> None:
-        """Register [base, base+length) as a valid region (strict mode)."""
+        """Register [base, base+length) as a region."""
         if length > 0:
             self._regions.append((base, base + length))
-
-    def unmap_region(self, base: int, length: int) -> None:
-        """Remove a region previously registered with :meth:`map_region`."""
-        self._regions = [r for r in self._regions
-                         if not (r[0] == base and r[1] == base + length)]
-
-    def is_mapped(self, addr: int) -> bool:
-        """True if ``addr`` falls inside any registered region."""
-        return any(lo <= addr < hi for lo, hi in self._regions)
-
-    def _check(self, addr: int) -> None:
-        """Strict mode's test, made by ``read`` / ``write`` only when
-        ``strict`` is set: a lenient access pays no frame for it."""
-        if not self.is_mapped(addr):
-            raise MemoryFault(f"access to unmapped address {addr:#x}")
 
     # -- scalar access -------------------------------------------------------
 
     def read(self, addr: int) -> int:
         """Read the word at ``addr`` (0 for untouched memory)."""
-        if self.strict:
-            self._check(addr)
         page = self._pages.get(addr >> PAGE_SHIFT)
         if page is None:
             return 0
@@ -108,8 +97,6 @@ class Memory:
     def write(self, addr: int, value: int) -> None:
         """Write ``value`` (already masked to 64 bits by the caller);
         on a watched code word, then call :attr:`on_code_write`."""
-        if self.strict:
-            self._check(addr)
         index = addr >> PAGE_SHIFT
         page = self._pages.get(index)
         if page is None or index in self._guarded:
@@ -164,7 +151,7 @@ class Memory:
 
     def fork(self) -> "Memory":
         """Return a copy-on-write child sharing all current pages."""
-        child = Memory(strict=self.strict)
+        child = Memory()
         child._pages = dict(self._pages)
         child._regions = list(self._regions)
         shared = set(self._pages)
@@ -179,20 +166,18 @@ class Memory:
     def adopt(self, other: "Memory") -> None:
         """Become ``other`` while staying the same object.
 
-        Takes over ``other``'s page table, freeze set, regions,
-        strictness, counters and code watch *by reference* (the watch
-        callback stays this object's) — nothing is copied and
-        nothing is frozen, so no COW fault is charged that running on
-        ``other`` itself would not be.  What holds this object — JIT
-        closures over the bound ``read`` / ``write`` — now addresses
-        ``other``'s memory; that is the context switch of a resident
-        slice machine (:mod:`repro.superpin.slices`).  ``other`` is spent:
-        it shares its tables with this object from here on and must not
-        be used again.
+        Takes over ``other``'s page table, freeze set, regions, counters
+        and code watch *by reference* (the watch callback stays this
+        object's) — nothing is copied and nothing is frozen, so no COW
+        fault is charged that running on ``other`` itself would not be.
+        What holds this object — JIT closures over the bound ``read`` /
+        ``write`` — now addresses ``other``'s memory; that is the context
+        switch of a resident slice machine (:mod:`repro.superpin.slices`).
+        ``other`` is spent: it shares its tables with this object from
+        here on and must not be used again.
         """
         self._pages = other._pages
         self._frozen = other._frozen
-        self.strict = other.strict
         self._regions = other._regions
         self.cow_faults = other.cow_faults
         self.pages_copied = other.pages_copied
@@ -202,18 +187,7 @@ class Memory:
 
     def same_words(self, addr: int, words: list[int]) -> bool:
         """True when the ``len(words)`` words at ``addr`` equal ``words``,
-        compared one list slice per page touched.
-
-        The words are a decoded trace's: in strict mode the first is
-        read as a fetch (and faults if unmapped), and an unmapped word
-        after it is a difference — the decoder would have stopped ahead
-        of it (:func:`repro.pin.trace.build_trace`).
-        """
-        if self.strict:
-            self.read(addr)
-            ahead = range(addr + 1, addr + len(words))
-            if not all(map(self.is_mapped, ahead)):
-                return False
+        compared one list slice per page touched."""
         done, count = 0, len(words)
         while done < count:
             offset = (addr + done) & _OFFSET_MASK
@@ -238,7 +212,7 @@ class Memory:
         visible to the child (boundary snapshots are fully frozen, so
         this cannot happen for the lookahead).
         """
-        child = Memory(strict=self.strict)
+        child = Memory()
         child._pages = dict(self._pages)
         child._regions = list(self._regions)
         child._frozen = set(self._pages)
@@ -247,7 +221,7 @@ class Memory:
 
     def deep_copy(self) -> "Memory":
         """Eagerly copy every page (the ablation baseline for COW fork)."""
-        clone = Memory(strict=self.strict)
+        clone = Memory()
         clone._pages = {idx: page[:] for idx, page in self._pages.items()}
         clone._regions = list(self._regions)
         clone.pages_copied = len(self._pages)
@@ -264,10 +238,6 @@ class Memory:
     def frozen_pages(self) -> int:
         """Number of pages currently shared with a fork peer."""
         return len(self._frozen)
-
-    def touched_addresses(self) -> int:
-        """Approximate footprint in words (resident pages * page size)."""
-        return len(self._pages) * PAGE_WORDS
 
     def equal_range(self, other: "Memory", base: int, count: int) -> bool:
         """Compare ``count`` words at ``base`` against ``other``."""

@@ -54,23 +54,21 @@ class Process:
 
 
 def load_program(program: Program, kernel: Kernel,
-                 strict_memory: bool = False,
                  handler: SyscallHandler | None = None,
                  threading: bool = True) -> Process:
     """Load ``program`` into a fresh address space, exec-style.
 
     Sets up the stack (full-descending from ``STACK_TOP``), points the
     kernel's ``brk`` at the first free page after the image, and registers
-    the text/data/stack regions so strict mode can police wild accesses.
+    the text/data/stack/heap regions (:meth:`Memory.map_region`).
     With ``threading`` (the default) a cooperative
     :class:`~repro.machine.threads.ThreadManager` is installed in front
     of the kernel, and its exit trampoline is injected into memory.
     """
     if not program.segments:
         raise LoaderError("program has no segments")
-    mem = Memory(strict=strict_memory)
+    mem = Memory()
     for segment in program.segments:
-        # Map first: in strict mode the write itself is policed.
         mem.map_region(segment.base, len(segment.words))
         mem.write_block(segment.base, segment.words)
     mem.map_region(abi.STACK_TOP - abi.STACK_WORDS, abi.STACK_WORDS)
@@ -80,8 +78,8 @@ def load_program(program: Program, kernel: Kernel,
 
     load_end = program.load_end
     kernel.layout.brk = (load_end + PAGE_WORDS - 1) & ~(PAGE_WORDS - 1)
-    # Heap region: generous strict-mode window; the kernel's brk/mmap
-    # bookkeeping remains the source of truth.
+    # Heap region: a generous window; the kernel's brk/mmap bookkeeping
+    # is the source of truth.
     mem.map_region(kernel.layout.brk, abi.MMAP_BASE - kernel.layout.brk)
 
     process = Process(cpu, mem, handler or kernel)

@@ -166,7 +166,7 @@ class ThreadManager:
         regs = [0] * 32
         regs[A0] = arg
         regs[SP] = abi.STACK_TOP - tid * abi.STACK_WORDS
-        # Register the new thread's stack slab (strict-mode visibility).
+        # Register the new thread's stack slab.
         mem.map_region(regs[SP] - abi.STACK_WORDS, abi.STACK_WORDS)
         regs[RA] = EXIT_TRAMPOLINE
         record = ThreadRecord(tid=tid, regs=regs, pc=entry_pc,

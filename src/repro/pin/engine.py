@@ -110,7 +110,6 @@ class PinVM:
 
     def __init__(self, process: Process,
                  max_trace_ins: int = MAX_TRACE_INS,
-                 signature_pcs: frozenset[int] = frozenset(),
                  code_cache: CodeCache | None = None,
                  jit_backend: str = "closure",
                  link_traces: bool = True,
@@ -145,12 +144,10 @@ class PinVM:
                 f"unknown jit_backend {jit_backend!r}; "
                 f"choose 'closure' or 'source'")
         self.jit_backend = jit_backend
-        self.reset(signature_pcs=signature_pcs,
-                   code_cache=code_cache, link_traces=link_traces,
+        self.reset(code_cache=code_cache, link_traces=link_traces,
                    metrics=metrics, suppress_loops=suppress_loops)
 
-    def reset(self, signature_pcs: frozenset[int] = frozenset(),
-              code_cache: CodeCache | None = None,
+    def reset(self, code_cache: CodeCache | None = None,
               link_traces: bool = True,
               metrics=NULL_METRICS,
               suppress_loops: bool = False) -> None:
@@ -164,16 +161,12 @@ class PinVM:
         ``counters`` list (zeroed in place — generated code holds it)
         and ``jit``, with its pool and heat.
         """
-        #: Where this run's signature check sits (a slice's end
-        #: signature pc, added by :meth:`add_signature_check`; empty on
-        #: any other run).  Read by the JIT alone: a block containing
-        #: one is split there for the callbacks, and what it keeps of a
-        #: trace is kept per cut (repro.pin.jit).
-        self.signature_pcs = signature_pcs
         #: SuperPin's two-stage signature check (§4.4), which the JIT
         #: lowers inline and generated code reaches through the engine:
         #: None, or a ``repro.pin.jit.SignatureCheck``, set by
-        #: :meth:`add_signature_check`.
+        #: :meth:`add_signature_check` (a slice's end signature).  Its
+        #: pc is where the JIT splits a block for the callbacks, and
+        #: what it keeps of a trace is kept per cut (repro.pin.jit).
         self.signature_check: SignatureCheck | None = None
         #: Observability counters (repro.obs).  JIT compiles are counted
         #: live (a compile is already slow); per-dispatch cache lookups
@@ -280,10 +273,8 @@ class PinVM:
         call ``full_check()`` (``INS_InsertThenCall``), which may raise
         :class:`StopRun`.  A lowering, not a trace callback: the code the
         JIT emits for it depends only on where ``pc`` cuts a trace and on
-        the two register numbers, so it is kept like any other.  ``pc``
-        joins :attr:`signature_pcs`, and, like adding a callback, this
-        invalidates what was compiled."""
-        self.signature_pcs = self.signature_pcs | {pc}
+        the two register numbers, so it is kept like any other.  Like
+        adding a callback, this invalidates what was compiled."""
         self.signature_check = SignatureCheck(pc, quick_regs, quick_values,
                                               full_check)
         self._step_cache.clear()

@@ -142,6 +142,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import ArithmeticFault, InstrumentationError
+from ..isa.encoding import is_valid_opcode
 from ..isa.instructions import MASK64, Op
 from .args import (IARG_ADDRINT, IARG_BRANCH_TAKEN, IARG_BRANCH_TARGET,
                    IARG_CONTEXT, IARG_INST_PTR, IARG_MEMORYREAD_EA,
@@ -263,11 +264,11 @@ def _jump(target: str, *body: str):
 #: load still performs its access: only its write is marked).  ``exits``
 #: are ``(condition or None, target)`` pairs tried in order after the
 #: body — an instruction none of whose exits is taken falls through.
-#: ``raises``: the body can raise whatever the memory mode (it says
-#: ``raise`` or calls out of the table), so generated code sets its
-#: unwind markers there; ``RD`` / ``WR`` raise in strict mode only.  A
-#: branch's condition is one expression (a signed compare flips the sign
-#: bits), so an analysis call ahead of the branch can be handed it.
+#: ``raises``: the body can raise (it says ``raise`` or calls out of the
+#: table), so generated code sets its unwind markers there; ``RD`` /
+#: ``WR`` never raise (guest memory is demand-zero).  A branch's
+#: condition is one expression (a signed compare flips the sign bits),
+#: so an analysis call ahead of the branch can be handed it.
 SEMANTICS: dict[Op, tuple[tuple[str, ...], tuple, bool]] = {
     Op.ADD: _alu("(regs[{rs}] + regs[{rt}]) & M"),
     Op.SUB: _alu("(regs[{rs}] - regs[{rt}]) & M"),
@@ -572,7 +573,7 @@ class JitStats:
     skeleton_reuses: int = 0
     #: Pooled skeletons thrown away because the guest words under them
     #: changed (self-modified code, another program at that address, a
-    #: mapping under strict memory).
+    #: valid instruction over the word a trace ended ahead of).
     rejects_words: int = 0
     #: Compiles lowered to generated code.
     hot_compiles: int = 0
@@ -656,13 +657,13 @@ KEPT_CUTS = 8
 
 class _Kept:
     """The run-dependent half of one compiled trace under one cut: what
-    its callbacks attached, under which ``(Jit.template, memory
-    strictness)``, and what that was lowered to."""
+    its callbacks attached, under which :attr:`Jit.template`, and what
+    that was lowered to."""
 
     __slots__ = ("calls", "template", "verified", "skipped", "fastpath",
                  "steps", "fn", "source", "loop")
 
-    def __init__(self, calls: list[tuple], template: tuple, skipped: int,
+    def __init__(self, calls: list[tuple], template, skipped: int,
                  fastpath: int):
         #: :func:`_calls` of the instructions once the callbacks had run:
         #: the reference the next compile under this cut is compared
@@ -813,14 +814,12 @@ class Jit:
         skeleton, reused = self._skeleton(address)
         trace_obj = skeleton.trace_obj
         cut = self._cut(address, len(skeleton.instructions))
-        check = cut[1] if cut is not None else None
 
         # Served: what this resident object verified under this cut and
-        # template, lowered for this memory mode (generated code sets
-        # its unwind markers by it).  Checked: anything else it keeps
-        # under this cut — this template's first compile, or another's.
+        # template.  Checked: anything else it keeps under this cut —
+        # this template's first compile, or another's.
         owner = self.retain_for
-        template = (self.template, engine.mem.strict)
+        template = self.template
         kept = reference = None
         if owner is not None:
             if skeleton.owner is not owner:
@@ -852,8 +851,8 @@ class Jit:
                     ins.clear_calls()
             skipped, fastpath = (istats.skipped_callbacks,
                                  istats.fastpath_traces)
-            self._blocks(skeleton, cut[0] if cut is not None else ())
-            run_trace_callbacks(engine, trace_obj, check is not None)
+            self._blocks(skeleton, cut[0] if cut is not None else 0)
+            run_trace_callbacks(engine, trace_obj, cut is not None)
             if owner is not None:
                 self._keep(skeleton, cut, reference, template,
                            istats.skipped_callbacks - skipped,
@@ -862,7 +861,7 @@ class Jit:
         cell = self.heat.setdefault(address, [0, 0])
         # A loop its loop form summarizes has one lowering (module
         # docstring).
-        summarized = (engine.suppress_loops and check is None
+        summarized = (engine.suppress_loops and cut is None
                       and self._loops(skeleton)
                       and summarizable(skeleton.instructions))
         if summarized:
@@ -870,11 +869,11 @@ class Jit:
         if (self.all_generated or summarized
                 or (cell[1] and cell[0]
                     >= cell[1] * HOT_EXECUTIONS_PER_COMPILE)):
-            trace = self._lower_generated(skeleton, check)
+            trace = self._lower_generated(skeleton, cut)
             stats.hot_compiles += 1
         else:
             trace = CompiledTrace(address,
-                                  self._lower_threaded(skeleton, check),
+                                  self._lower_threaded(skeleton, cut),
                                   skeleton.instructions,
                                   trace_obj.fall_address)
         if kept is None:
@@ -885,7 +884,7 @@ class Jit:
         return trace
 
     def _keep(self, skeleton: _Skeleton, cut, reference: _Kept | None,
-              template: tuple, skipped: int, fastpath: int) -> None:
+              template, skipped: int, fastpath: int) -> None:
         """Keep what the callbacks just attached to ``skeleton`` under
         ``cut`` for ``retain_for`` — compared with ``reference``, what
         was kept there before — or nothing, if code lowered from it
@@ -903,15 +902,12 @@ class Jit:
             # methods of one object: their functions), arguments.
             stats.instrumentation_checks += 1
             if attached == reference.calls:
-                # Equal calls lower to equal steps — and, where the
-                # memory mode they were emitted under is equal too, to
-                # the same function.
+                # Equal calls lower to equal code.
                 entry.verified = self.retain_for is not self._liar
                 entry.steps = reference.steps
-                if reference.template[1] == template[1]:
-                    entry.fn, entry.source = reference.fn, reference.source
-                    entry.loop = reference.loop
-            elif reference.template[0] == self.template:
+                entry.fn, entry.source = reference.fn, reference.source
+                entry.loop = reference.loop
+            elif reference.template == template:
                 owner = self._liar = self.retain_for
                 raise InstrumentationError(
                     f"{type(owner).__name__} declares "
@@ -949,7 +945,8 @@ class Jit:
         if (skeleton is None or trace.hot_at != self._mark(trace.heat)
                 or skeleton.instructions is not trace.instructions):
             return None
-        new = self._lower_generated(skeleton, self._check(skeleton))
+        new = self._lower_generated(
+            skeleton, self._cut(trace.start, len(skeleton.instructions)))
         new.heat = trace.heat
         self._engine.jit_stats.promotions += 1
         return new
@@ -978,14 +975,13 @@ class Jit:
         would decode now (it still carries the instrumentation of its
         last compile), True if the words under it changed.
 
-        ``build_trace`` is a function of the guest words, the start pc,
-        the length cap and — under strict memory — which words are
-        mapped.  The cap is the engine's; the rest is checked here:
-        (1) the guest words are the ones decoded and, under strict
-        memory, still mapped, which is also what catches code the master
-        rewrote between two boundaries and another program loaded at the
-        same address; (2) a trace that ended ahead of an unmapped word
-        still finds one there.
+        ``build_trace`` is a function of the guest words, the start pc
+        and the length cap.  The cap is the engine's; the words are
+        checked here: (1) they are the ones decoded, which is also what
+        catches code the master rewrote between two boundaries and
+        another program loaded at the same address; (2) a trace that
+        ended ahead of a word that does not decode still finds one
+        there.
         """
         mem = self._engine.mem
         if skeleton.words is None:
@@ -993,48 +989,36 @@ class Jit:
         end = address + len(skeleton.words)
         return (not mem.same_words(address, skeleton.words)
                 or (skeleton.trace_obj.ended is HOLE
-                    and (not mem.strict or mem.is_mapped(end))))
+                    and is_valid_opcode(mem.read(end))))
 
     def _cut(self, address: int, size: int):
-        """How this run's signature pcs cut the trace of ``size``
-        instructions at ``address``: None (no pc falls in it), or
-        ``(split, check)`` — the offsets where :meth:`_blocks` splits a
-        block, and the signature check's ``(offset, r0, r1)`` (of the
-        engine's :attr:`~repro.pin.engine.PinVM.signature_check`) or
-        None.  What callbacks attach and what a lowering emits depend on
-        the pcs through this alone, so instrumented code is kept per
-        cut."""
-        engine = self._engine
-        pcs, check = engine.signature_pcs, engine.signature_check
-        if not pcs and check is None:
+        """How this run's signature pc cuts the trace of ``size``
+        instructions at ``address``: None (the pc is not in it, or the
+        run has no :attr:`~repro.pin.engine.PinVM.signature_check`), or
+        ``(offset, r0, r1)`` — where the check sits and its two quick
+        registers; :meth:`_blocks` splits a block at an ``offset``
+        above 0.  What callbacks attach and what a lowering emits
+        depend on the pc through this alone, so instrumented code is
+        kept per cut."""
+        check = self._engine.signature_check
+        if check is None:
             return None
-        split = tuple(sorted(offset for offset in (pc - address for pc in pcs)
-                             if 0 < offset < size))
-        if check is not None:
-            offset = check.pc - address
-            check = (offset, *check.regs) if 0 <= offset < size else None
-        return (split, check) if split or check else None
+        offset = check.pc - address
+        return (offset, *check.regs) if 0 <= offset < size else None
 
-    def _check(self, skeleton: _Skeleton):
-        """The signature check this run lowers into ``skeleton``'s trace,
-        or None (:meth:`_cut`)."""
-        cut = self._cut(skeleton.trace_obj.address,
-                        len(skeleton.instructions))
-        return cut[1] if cut is not None else None
-
-    def _blocks(self, skeleton: _Skeleton, split: tuple) -> None:
+    def _blocks(self, skeleton: _Skeleton, split: int) -> None:
         """Give ``skeleton``'s trace the blocks this run's callbacks must
-        see: its natural ones (``bbl_sizes``), each split at the offsets
-        ``split`` (:meth:`_cut`: where a signature pc falls strictly
-        inside one) — what makes the pc a block head, so a slice that
-        stops there has run whole blocks.  The instructions are the
-        skeleton's either way."""
+        see: its natural ones (``bbl_sizes``), split at the offset
+        ``split`` if above 0 (:meth:`_cut`: where the signature pc falls
+        strictly inside one) — what makes the pc a block head, so a
+        slice that stops there has run whole blocks.  The instructions
+        are the skeleton's either way."""
         trace_obj = skeleton.trace_obj
         instructions = skeleton.instructions
         end = len(instructions)
         if split or len(trace_obj.bbls) != len(skeleton.bbl_sizes):
             heads = sorted({*accumulate(skeleton.bbl_sizes[:-1], initial=0),
-                            *split})
+                            split})
             trace_obj.bbls = [Bbl(instructions[begin:stop]) for begin, stop
                               in zip(heads, heads[1:] + [end])]
 
@@ -1052,12 +1036,11 @@ class Jit:
         engine = self._engine
         trace_obj = build_trace(engine.mem, address, max_ins=1)
         cut = self._cut(address, 1)
-        check = cut[1] if cut is not None else None
-        run_trace_callbacks(engine, trace_obj, check is not None)
+        run_trace_callbacks(engine, trace_obj, cut is not None)
         ins = trace_obj.instructions[0]
         return CompiledTrace(address,
                              [self._step(ins, ins.shape,
-                                         check[1:] if check else ())],
+                                         cut[1:] if cut else ())],
                              trace_obj.instructions,
                              trace_obj.fall_address)
 
@@ -1186,7 +1169,7 @@ class Jit:
                 from .pyjit import _LoopEmitter
                 engine = self._engine
                 instructions = skeleton.instructions
-                check = self._check(skeleton)
+                check = self._cut(trace.start, len(instructions))
                 emitter = _LoopEmitter(
                     engine, trace.start, engine.suppress_loops
                     and check is None and summarizable(instructions),

@@ -208,13 +208,9 @@ class _Emitter:
 
     def _marks(self, index: int, ins: Ins, calls: bool) -> None:
         """Progress markers so StopRun/faults unwind exactly, ahead of
-        whatever can raise: ``calls``, a row that raises, and — strict
-        memory can fault on any access — every memory instruction
-        there."""
-        mem = self._engine.mem
-        if (calls or SEMANTICS[ins.op][2]
-                or (mem.strict and (ins.is_memory_read
-                                    or ins.is_memory_write))):
+        whatever can raise: ``calls``, or a row that raises (a load or
+        store never does)."""
+        if calls or SEMANTICS[ins.op][2]:
             self.line(f"E._stop_pc = {ins.address}")
             self.line(f"E._stop_count = {self._count(index)}")
 

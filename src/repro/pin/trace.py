@@ -14,12 +14,12 @@ Trace-building rules (a faithful simplification of Pin's):
 * a conditional branch ends the current *basic block* but not the trace;
 * an unconditional transfer (``j``/``jr``/``call``/``callr``/``ret``), a
   ``syscall``, a ``halt`` or the instruction-count cap ends the trace;
-* under strict memory, so does an unmapped word after the first: the
-  trace falls through to it, and fetching it faults only if execution
-  gets there — where the interpreter's fetch would.
+* so does a word after the first that does not decode: the trace falls
+  through to it, and decoding it faults only if execution gets there —
+  where the interpreter's fetch would.
 
-So a trace is a function of the guest words, the start pc, the cap and
-(strict memory) the mapping — nothing a run chooses.  SuperPin's
+So a trace is a function of the guest words, the start pc and the cap —
+nothing a run chooses.  SuperPin's
 signature pc (§4.4) ends no trace: the JIT shows the callbacks of a
 slice that detects it a trace whose *block* is split there
 (``Jit._blocks``).
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from ..errors import InstrumentationError
 from ..isa.disassembler import disassemble_word
-from ..isa.encoding import decode
+from ..isa.encoding import decode, is_valid_opcode
 from ..isa.instructions import INFO, Op, OpInfo
 from .args import (check_iargs, IPoint, IPOINT_AFTER, IPOINT_BEFORE,
                    IPOINT_TAKEN_BRANCH, parse_iargs)
@@ -276,8 +276,8 @@ class Bbl:
 
 
 #: Why ``build_trace`` ended a trace (:attr:`TraceObj.ended`): its last
-#: instruction transfers control, the length cap, an unmapped word at
-#: ``fall_address`` (strict memory).
+#: instruction transfers control, the length cap, a word at
+#: ``fall_address`` that does not decode.
 TRANSFER, CAP, HOLE = "transfer", "cap", "hole"
 
 
@@ -312,8 +312,9 @@ def build_trace(mem, start: int, max_ins: int = MAX_TRACE_INS) -> TraceObj:
     """Decode a trace from guest memory starting at ``start``.
 
     The same trace in every engine that runs these words, serial Pin's
-    and a slice's alike.  Only the word at ``start`` is read
-    unconditionally (under strict memory it faults there if unmapped).
+    and a slice's alike.  Only the word at ``start`` is decoded
+    unconditionally (an :class:`~repro.errors.IllegalInstruction` at
+    ``start`` if it does not decode).
     """
     bbls: list[Bbl] = []
     current = Bbl()
@@ -325,12 +326,14 @@ def build_trace(mem, start: int, max_ins: int = MAX_TRACE_INS) -> TraceObj:
     while True:
         if total >= max_ins:
             ended = CAP
-        elif pc != start and mem.strict and not mem.is_mapped(pc):
-            ended = HOLE
+        else:
+            word = mem.read(pc)
+            if pc != start and not is_valid_opcode(word):
+                ended = HOLE
         if ended is not TRANSFER:
             fall_address = pc
             break
-        ins = Ins(pc, mem.read(pc))
+        ins = Ins(pc, word)
         current.instructions.append(ins)
         total += 1
         pc += 1

@@ -237,9 +237,9 @@ class SignatureDetector:
     def attach(self) -> None:
         """Have the slice's engine check for the signature.  The pc may
         sit anywhere in a trace, as in serial Pin's; the engine makes it
-        a *block* head (it joins the engine's ``signature_pcs``,
-        ``Jit._blocks``), so a match stops the slice between two whole
-        blocks.  A stop mid-trace unwinds like any ``StopRun``."""
+        a *block* head (``Jit._blocks``), so a match stops the slice
+        between two whole blocks.  A stop mid-trace unwinds like any
+        ``StopRun``."""
         sig = self.signature
         self.vm.add_signature_check(sig.pc, sig.quick_regs,
                                     sig.quick_values, self.full_check)

@@ -16,6 +16,11 @@ For a direct-mapped cache the reconciliation is *exact*: whether the
 first access to a set hits or misses, the set ends up holding that line,
 so every subsequent access in the slice is unaffected.  The test suite
 asserts exact equality with the serial-Pin cache simulation.
+
+:class:`CacheSim` is the lifecycle both cache simulators share (this
+one and :mod:`repro.tools.dcache_assoc`): the shared area, the
+instrumentation, the merge and ``fini`` around a tool's own
+reconciliation and state install, and the totals.
 """
 
 from __future__ import annotations
@@ -25,51 +30,33 @@ from ..pin.args import (IARG_END, IARG_MEMORYREAD_EA, IARG_MEMORYWRITE_EA,
 from ..pin.pintool import Pintool
 
 
-class DCacheSim(Pintool):
-    """Direct-mapped data-cache hit/miss simulator."""
+class CacheSim(Pintool):
+    """A data-cache simulator driven by every memory access: what the
+    direct-mapped and the set-associative tools share.  A subclass
+    supplies ``access``, ``tool_reset``, :meth:`reconcile` (turn
+    wrong assumptions into misses), :meth:`install` (write the slice's
+    final cache state into the authoritative one) and ``report``."""
 
-    name = "dcache"
     pure_instrumentation = True
 
-    def __init__(self, sets: int = 256, line_words: int = 8):
+    def __init__(self, sets: int, line_words: int):
         self.sets = sets
         self.line_words = line_words
         self.hits = 0
         self.misses = 0
-        #: set index -> resident line address (slice-local view).
-        self.tags: dict[int, int] = {}
-        #: set index -> line assumed present on the slice's first access.
-        self.assumed: dict[int, int] = {}
         self.shared = None
         self._sp_mode = False
 
-    # -- analysis -------------------------------------------------------------
+    def reconcile(self, state: dict) -> None:
+        """Convert each wrong assumption of this slice, judged against
+        the previous slices' final ``state``, from a hit to a miss."""
+        raise NotImplementedError
 
-    def access(self, ea: int) -> None:
-        line = ea // self.line_words
-        index = line % self.sets
-        tags = self.tags
-        resident = tags.get(index)
-        if resident == line:
-            self.hits += 1
-            return
-        if resident is None and self._sp_mode and index not in self.assumed:
-            # First touch of this set in the slice: assume a hit and
-            # remember the assumption for reconciliation (§5.2).
-            self.assumed[index] = line
-            self.hits += 1
-            tags[index] = line
-            return
-        self.misses += 1
-        tags[index] = line
+    def install(self, state: dict) -> None:
+        """Write this slice's final cache state into ``state``."""
+        raise NotImplementedError
 
     # -- SuperPin lifecycle ---------------------------------------------------
-
-    def tool_reset(self, slice_num: int) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.tags = {}
-        self.assumed = {}
 
     def merge(self, slice_num: int, value) -> None:
         """Reconcile assumptions against the authoritative cache state.
@@ -81,12 +68,8 @@ class DCacheSim(Pintool):
         copy.
         """
         shared = self.shared[0]
-        state: dict[int, int] = shared["state"]
-        for index, line in self.assumed.items():
-            if state.get(index) != line:
-                self.hits -= 1
-                self.misses += 1
-        state.update(self.tags)
+        self.reconcile(shared["state"])
+        self.install(shared["state"])
         shared["hits"] += self.hits
         shared["misses"] += self.misses
         shared["slices"] += 1
@@ -117,7 +100,7 @@ class DCacheSim(Pintool):
             # Plain Pin mode: nothing merged; fold the local counters in.
             shared["hits"] += self.hits
             shared["misses"] += self.misses
-            shared["state"].update(self.tags)
+            self.install(shared["state"])
             self.hits = 0
             self.misses = 0
 
@@ -135,6 +118,58 @@ class DCacheSim(Pintool):
     def miss_rate(self) -> float:
         total = self.total_hits + self.total_misses
         return self.total_misses / total if total else 0.0
+
+
+class DCacheSim(CacheSim):
+    """Direct-mapped data-cache hit/miss simulator."""
+
+    name = "dcache"
+
+    def __init__(self, sets: int = 256, line_words: int = 8):
+        super().__init__(sets, line_words)
+        #: set index -> resident line address (slice-local view).
+        self.tags: dict[int, int] = {}
+        #: set index -> line assumed present on the slice's first access.
+        self.assumed: dict[int, int] = {}
+
+    # -- analysis -------------------------------------------------------------
+
+    def access(self, ea: int) -> None:
+        line = ea // self.line_words
+        index = line % self.sets
+        tags = self.tags
+        resident = tags.get(index)
+        if resident == line:
+            self.hits += 1
+            return
+        if resident is None and self._sp_mode and index not in self.assumed:
+            # First touch of this set in the slice: assume a hit and
+            # remember the assumption for reconciliation (§5.2).
+            self.assumed[index] = line
+            self.hits += 1
+            tags[index] = line
+            return
+        self.misses += 1
+        tags[index] = line
+
+    # -- SuperPin lifecycle ---------------------------------------------------
+
+    def tool_reset(self, slice_num: int) -> None:
+        self.hits = 0
+        self.misses = 0
+        self.tags = {}
+        self.assumed = {}
+
+    def reconcile(self, state: dict) -> None:
+        for index, line in self.assumed.items():
+            if state.get(index) != line:
+                self.hits -= 1
+                self.misses += 1
+
+    def install(self, state: dict) -> None:
+        state.update(self.tags)
+
+    # -- results --------------------------------------------------------------
 
     def report(self) -> dict:
         return {

@@ -23,9 +23,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from ..pin.args import (IARG_END, IARG_MEMORYREAD_EA, IARG_MEMORYWRITE_EA,
-                        IPOINT_BEFORE)
-from ..pin.pintool import Pintool
+from .dcache import CacheSim
 
 
 class _Set:
@@ -37,24 +35,18 @@ class _Set:
         self.lines: OrderedDict[int, None] = OrderedDict()
 
 
-class AssocDCacheSim(Pintool):
+class AssocDCacheSim(CacheSim):
     """``ways``-associative LRU data-cache simulator (SuperPin-aware)."""
 
     name = "dcache_assoc"
-    pure_instrumentation = True
 
     def __init__(self, sets: int = 64, ways: int = 2, line_words: int = 8):
-        self.sets = sets
+        super().__init__(sets, line_words)
         self.ways = ways
-        self.line_words = line_words
-        self.hits = 0
-        self.misses = 0
         #: set index -> _Set (slice-local view; starts cold each slice).
         self.cache: dict[int, _Set] = {}
         #: set index -> lines assumed resident on first touches.
         self.assumed: dict[int, list[int]] = {}
-        self.shared = None
-        self._sp_mode = False
 
     # -- analysis -------------------------------------------------------------
 
@@ -93,65 +85,19 @@ class AssocDCacheSim(Pintool):
         self.cache = {}
         self.assumed = {}
 
-    def merge(self, slice_num: int, value) -> None:
-        shared = self.shared[0]
-        state: dict[int, list[int]] = shared["state"]
+    def reconcile(self, state: dict) -> None:
         for index, assumed_lines in self.assumed.items():
             resident = state.get(index, [])
             for line in assumed_lines:
                 if line not in resident:
                     self.hits -= 1
                     self.misses += 1
+
+    def install(self, state: dict) -> None:
         for index, entry in self.cache.items():
             state[index] = list(entry.lines)
-        shared["hits"] += self.hits
-        shared["misses"] += self.misses
-        shared["slices"] += 1
-
-    def setup(self, sp) -> None:
-        self._sp_mode = sp.SP_Init(self.tool_reset)
-        payload = {"hits": 0, "misses": 0, "state": {}, "slices": 0}
-        area = sp.SP_CreateSharedArea([None], 1, 0)
-        if hasattr(area, "merge_from"):
-            area[0] = payload
-            self.shared = area
-        else:
-            self.shared = [payload]
-        sp.SP_AddSliceEndFunction(self.merge, 0)
-
-    def instrument_trace(self, trace, vm) -> None:
-        for ins in trace.instructions:
-            if ins.is_memory_read:
-                ins.insert_call(IPOINT_BEFORE, self.access,
-                                IARG_MEMORYREAD_EA, IARG_END)
-            elif ins.is_memory_write:
-                ins.insert_call(IPOINT_BEFORE, self.access,
-                                IARG_MEMORYWRITE_EA, IARG_END)
-
-    def fini(self) -> None:
-        shared = self.shared[0]
-        if shared["slices"] == 0:
-            shared["hits"] += self.hits
-            shared["misses"] += self.misses
-            for index, entry in self.cache.items():
-                shared["state"][index] = list(entry.lines)
-            self.hits = 0
-            self.misses = 0
 
     # -- results --------------------------------------------------------------
-
-    @property
-    def total_hits(self) -> int:
-        return self.shared[0]["hits"]
-
-    @property
-    def total_misses(self) -> int:
-        return self.shared[0]["misses"]
-
-    @property
-    def miss_rate(self) -> float:
-        total = self.total_hits + self.total_misses
-        return self.total_misses / total if total else 0.0
 
     def report(self) -> dict:
         return {"hits": self.total_hits, "misses": self.total_misses,

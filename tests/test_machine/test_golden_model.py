@@ -144,8 +144,8 @@ main:
 # implementation and the oracle.  Every opcode runs as a one-instruction
 # guest with its register fields drawn from {zero, one shared register,
 # sp, ra} — so every way two fields, or a field and an implicit operand,
-# can name the same register occurs — over corner values, under both
-# memory modes and five engines: the interpreter, each lowering, a
+# can name the same register occurs — over corner values, followed by
+# ``halt`` or by a word that does not decode, and under five engines: the interpreter, each lowering, a
 # threaded trace promoted to generated code in the middle of a run, and
 # generated code's loop form (the same rows over registers in locals),
 # run one execution at a time in place of the plain function.
@@ -168,9 +168,8 @@ def test_every_opcode_has_exactly_one_row():
 
 def test_a_row_that_can_raise_says_so():
     """Generated code sets its unwind markers where a row's ``raises``
-    says to (and at memory instructions in strict mode: ``RD`` / ``WR``),
-    so a row that raises, or calls anything else, without saying so
-    would unwind to stale markers."""
+    says to (``RD`` / ``WR`` never raise), so a row that raises, or calls
+    anything else, without saying so would unwind to stale markers."""
     for op, (body, exits, raises) in jit.SEMANTICS.items():
         text = "\n".join((*body, *(cond or "" for cond, _ in exits)))
         calls = set(re.findall(r"([\w.]+)\(", text)) - {"RD", "WR"}
@@ -200,13 +199,15 @@ def _forms(op):
                form.get("i", form.get("j", 0)))
 
 
-def _machine(word, values, strict, a0):
-    mem = Memory(strict=strict)
-    # (Room for a whole trace past any target: in strict mode the trace
-    # builder reads ahead of execution.)
-    for base, length in ((CODE, 128), (DATA, 128)):
-        mem.map_region(base, length)
-    mem.write_block(CODE, [word, encode(Op.HALT)])
+#: What follows the instruction: ``lenient``, a ``halt`` (every word
+#: the engines read decodes); ``undecodable``, a word that does not
+#: decode — the trace ends ahead of it, and a fall-through faults there.
+_AFTER = {"lenient": encode(Op.HALT), "undecodable": 0xFF}
+
+
+def _machine(word, values, after, a0):
+    mem = Memory()
+    mem.write_block(CODE, [word, after])
     mem.write(TAKEN, encode(Op.HALT))
     # (Low byte 0: a jump into the data decodes, as ``nop``.)
     mem.write_block(DATA, [value << 8 for value in range(0x500, 0x580)])
@@ -224,20 +225,16 @@ def _outcome(process, run, retired):
         run()
     except GuestFault as exc:
         fault = type(exc).__name__
-    # (Not compared after a fault at a later fetch: there the engine
-    # raises out of a compile and ``total_instructions`` misses what the
-    # run retired before it — ``pin/engine.py``, not a lowering's doing.)
-    fetch_fault = fault is not None and process.cpu.pc != CODE
     return {"fault": fault, "pc": process.cpu.pc,
             "regs": list(process.cpu.regs),
-            "retired": None if fetch_fault else retired(),
+            "retired": retired(),
             "exited": process.exited, "exit_code": process.exit_code,
             "memory": {index: page for index, page
                        in process.mem._pages.items() if any(page)}}
 
 
-def _run(engine, word, values, strict, a0):
-    process = _machine(word, values, strict, a0)
+def _run(engine, word, values, after, a0):
+    process = _machine(word, values, after, a0)
     if engine == "interp":
         interp = Interpreter(process)
         return _outcome(process, lambda: interp.run(max_instructions=2),
@@ -245,7 +242,7 @@ def _run(engine, word, values, strict, a0):
     if engine == "loop":
         with pytest.MonkeyPatch.context() as patch:
             loop_one_everywhere(patch)
-            return _run("source", word, values, strict, a0)
+            return _run("source", word, values, after, a0)
     vm = PinVM(process, jit_backend=("closure" if engine == "promoted"
                                      else engine))
 
@@ -275,9 +272,10 @@ def _run(engine, word, values, strict, a0):
     return _outcome(process, run, lambda: vm.total_instructions)
 
 
-@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+@pytest.mark.parametrize("after", _AFTER)
 @pytest.mark.parametrize("op", list(Op), ids=lambda op: op.name.lower())
-def test_aliasing_table_matches_interpreter(op, strict, monkeypatch):
+def test_aliasing_table_matches_interpreter(op, after, monkeypatch):
+    after = _AFTER[after]
     monkeypatch.setattr(jit, "HOT_EXECUTIONS_PER_COMPILE", 1)
     syscalls = ((abi.SYS_EXIT, abi.SYS_GETPID, 0x7777)
                 if op is Op.SYSCALL else (0x106,))
@@ -285,7 +283,7 @@ def test_aliasing_table_matches_interpreter(op, strict, monkeypatch):
         word = encode(op, rd, rs, rt, imm)
         for values in _VALUES:
             for a0 in syscalls:
-                results = {engine: _run(engine, word, values, strict, a0)
+                results = {engine: _run(engine, word, values, after, a0)
                            for engine in _ENGINES}
                 for engine in _ENGINES[1:]:
                     assert results[engine] == results["interp"], (

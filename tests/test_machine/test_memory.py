@@ -1,9 +1,7 @@
-"""Memory: demand-zero semantics, COW fork, strict mode."""
+"""Memory: demand-zero semantics, COW fork."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import MemoryFault
 from repro.machine import Memory, PAGE_WORDS
 
 
@@ -98,38 +96,6 @@ class TestCow:
         assert clone.pages_copied == 2
         clone.write(0, 9)
         assert mem.read(0) == 1
-
-
-class TestStrictMode:
-    def test_unmapped_access_faults(self):
-        mem = Memory(strict=True)
-        with pytest.raises(MemoryFault):
-            mem.read(100)
-        with pytest.raises(MemoryFault):
-            mem.write(100, 1)
-
-    def test_mapped_region_ok(self):
-        mem = Memory(strict=True)
-        mem.map_region(100, 10)
-        mem.write(105, 5)
-        assert mem.read(105) == 5
-        with pytest.raises(MemoryFault):
-            mem.read(110)
-
-    def test_unmap_region(self):
-        mem = Memory(strict=True)
-        mem.map_region(100, 10)
-        mem.unmap_region(100, 10)
-        with pytest.raises(MemoryFault):
-            mem.read(100)
-
-    def test_fork_preserves_regions(self):
-        mem = Memory(strict=True)
-        mem.map_region(0, 10)
-        child = mem.fork()
-        child.write(5, 1)
-        with pytest.raises(MemoryFault):
-            child.write(50, 1)
 
 
 @settings(max_examples=50, deadline=None)

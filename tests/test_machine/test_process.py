@@ -1,17 +1,12 @@
 """Loader and process tests."""
 
-import os
-
 import pytest
 
-from repro.errors import LoaderError, MemoryFault
-from repro.isa import abi, assemble, Program
+from repro.errors import LoaderError
+from repro.isa import abi, Program
 from repro.isa.registers import SP
-from repro.machine import (Interpreter, Kernel, load_program, PAGE_WORDS,
-                           StopReason)
+from repro.machine import Kernel, load_program, PAGE_WORDS
 from repro.machine.cpu import CpuState
-
-EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "..", "examples")
 
 
 class TestLoader:
@@ -39,25 +34,6 @@ class TestLoader:
     def test_empty_program_rejected(self):
         with pytest.raises(LoaderError):
             load_program(Program(), Kernel())
-
-    def test_strict_process_loads_runs_and_faults(self):
-        """``strict_memory=True`` used to fault inside the loader itself:
-        segments were written before their regions were mapped."""
-        with open(os.path.join(EXAMPLES, "hello.s")) as handle:
-            hello = assemble(handle.read())
-        kernel = Kernel()
-        process = load_program(hello, kernel, strict_memory=True)
-        assert process.thread_manager is not None  # trampoline installed
-        result = Interpreter(process).run()
-        assert result.reason is StopReason.EXIT and process.exit_code == 0
-        assert kernel.stdout_text() == "hello, world!\n"
-
-        wild = assemble(".entry main\nmain:\n    li t0, 0x7000000\n"
-                        "    ld t1, 0(t0)\n    halt\n")
-        process = load_program(wild, Kernel(), strict_memory=True)
-        with pytest.raises(MemoryFault):
-            Interpreter(process).run()
-        assert process.cpu.pc == wild.entry + 1
 
 
 class TestProcessFork:

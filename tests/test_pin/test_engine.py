@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.errors import (CodeCacheOverflowError, InstrumentationError,
-                          MemoryFault)
+from repro.errors import (CodeCacheOverflowError, IllegalInstruction,
+                          InstrumentationError)
 from repro.isa import abi, assemble
 from repro.machine import Kernel, load_program
 from repro.machine.interpreter import Interpreter
@@ -68,10 +68,10 @@ class TestExecution:
         assert kernel.stdout_text() == "done"
 
 
-#: Retires 104 instructions, then jumps where nothing is mapped: under
-#: strict memory the fault is raised by the *fetch* — in ``PinVM`` out of
-#: a compile, outside every trace.
-JUMPS_OFF_THE_MAP = """
+#: Retires 104 instructions, then jumps onto a word that does not
+#: decode: the fault is raised by the *fetch* — in ``PinVM`` out of a
+#: compile, outside every trace.
+JUMPS_ONTO_A_BAD_WORD = """
 .entry main
 main:
     li   t0, 0
@@ -79,8 +79,10 @@ main:
 loop:
     addi t0, t0, 1
     bne  t0, t1, loop
-    li   t3, 0x700000
+    li   t3, bad
     jr   t3
+bad:
+    .word 0xff
 """
 
 
@@ -93,29 +95,27 @@ class TestFaultOutOfACompile:
         the budget stopped just before the compile that raised it —
         also when the loop before it was promoted in mid-run (at the
         shipped threshold it is too short to be)."""
-        program = assemble(JUMPS_OFF_THE_MAP)
+        program = assemble(JUMPS_ONTO_A_BAD_WORD)
         if promote:
             promote_at(monkeypatch, promote)
         else:
             monkeypatch.setattr(jit, "HOT_EXECUTIONS_PER_COMPILE", SHIPPED)
 
         def engine():
-            return PinVM(load_program(program, Kernel(seed=42),
-                                      strict_memory=True),
+            return PinVM(load_program(program, Kernel(seed=42)),
                          jit_backend=backend)
 
-        interp = Interpreter(load_program(program, Kernel(seed=42),
-                                          strict_memory=True))
-        with pytest.raises(MemoryFault):
+        interp = Interpreter(load_program(program, Kernel(seed=42)))
+        with pytest.raises(IllegalInstruction):
             interp.run()
         assert interp.total_instructions == 104
 
         stopped = engine()
         assert stopped.run(max_instructions=104).state is RunState.BUDGET
         faulted = engine()
-        with pytest.raises(MemoryFault):
+        with pytest.raises(IllegalInstruction):
             faulted.run()
-        assert faulted.cpu.pc == stopped.cpu.pc == 0x700000
+        assert faulted.cpu.pc == stopped.cpu.pc == program.symbols["bad"]
         totals = [(vm.total_instructions, vm.total_traces_executed,
                    vm.cache.stats.linked_dispatches, list(vm.cpu.regs))
                   for vm in (faulted, stopped)]

@@ -15,7 +15,7 @@ from collections import OrderedDict
 
 import pytest
 
-from repro.isa import assemble
+from repro.isa import assemble, encode, Op
 from repro.machine import Kernel, load_program
 from repro.pin import (CodeCache, IARG_END, IARG_UINT64, IPOINT_BEFORE, jit,
                        PinVM, RunState)
@@ -57,11 +57,19 @@ def _image(value, engine, seen=None):
              for name in names})
 
 
+def _never(vm, pc):
+    """Have ``vm`` check for a signature at ``pc`` (None: nowhere) whose
+    quick values no register ever holds: the pc cuts its trace, and the
+    check never matches."""
+    if pc is not None:
+        vm.add_signature_check(pc, (8, 9), (-1, -1), lambda: None)
+
+
 def _dirty_engine(backend):
     """An engine every per-run field of which a run has touched."""
     process = load_program(assemble(MULTISLICE), Kernel(seed=42))
-    vm = PinVM(process, jit_backend=backend, suppress_loops=True,
-               signature_pcs=frozenset({3}))
+    vm = PinVM(process, jit_backend=backend, suppress_loops=True)
+    _never(vm, vm.cpu.pc + 3)
     ICount2().activate(vm)
     vm.add_syscall_observer(lambda outcome: None)
     assert vm.run(max_instructions=5000,
@@ -73,8 +81,7 @@ def _dirty_engine(backend):
 class TestReset:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_reset_engine_equals_fresh_engine(self, backend):
-        settings = dict(signature_pcs=frozenset({7}),
-                        link_traces=True, suppress_loops=False)
+        settings = dict(link_traces=True, suppress_loops=False)
         used = _dirty_engine(backend)
         kept = {name: getattr(used, name) for name in RESIDENT}
         used.reset(code_cache=CodeCache(), **settings)
@@ -172,20 +179,23 @@ class TestSkeletonValidity:
         self.vm = PinVM(load_program(self.program, Kernel(seed=1)),
                         jit_backend=self.backend)
 
-    def fresh_shape(self, patch=None, pcs=frozenset()):
+    def fresh_shape(self, patch=None, pc=None):
         """What a fresh engine compiles at the entry, and the blocks its
-        callbacks are handed with ``pcs`` as its signature pcs."""
+        callbacks are handed with its signature pc at ``pc``."""
         process = load_program(self.program, Kernel(seed=1))
         if patch:
             process.mem.write(*patch)
-        vm = PinVM(process, signature_pcs=pcs, jit_backend=self.backend)
+        vm = PinVM(process, jit_backend=self.backend)
+        _never(vm, pc)
         blocks = _watch_blocks(vm)
         return _shape(vm.jit.compile(self.entry)), blocks[0]
 
-    def compile_at(self, pcs=frozenset()):
-        """Reset the pooled engine onto ``pcs`` and compile the entry:
-        its shape, and the blocks its callbacks were handed."""
-        self.vm.reset(signature_pcs=pcs)
+    def compile_at(self, pc=None):
+        """Reset the pooled engine onto a signature pc at ``pc`` and
+        compile the entry: its shape, and the blocks its callbacks were
+        handed."""
+        self.vm.reset()
+        _never(self.vm, pc)
         blocks = _watch_blocks(self.vm)
         return _shape(self.vm.jit.compile(self.entry)), blocks[0]
 
@@ -202,15 +212,14 @@ class TestSkeletonValidity:
         """The trace is the pooled one, whole; only the block the pc
         falls in is handed over split there."""
         self.compile_at()
-        pcs = frozenset({self.entry + 3})
-        split = self.compile_at(pcs)
+        pc = self.entry + 3
+        split = self.compile_at(pc)
         assert self.vm.jit_stats.skeleton_reuses == 1
-        assert split == self.fresh_shape(pcs=pcs)
+        assert split == self.fresh_shape(pc=pc)
         assert split[1] == [3, 5] and split[0][1] == 8
 
     def test_without_the_pc_the_blocks_are_whole(self):
-        pcs = frozenset({self.entry + 3})
-        assert self.compile_at(pcs)[1] == [3, 5]
+        assert self.compile_at(self.entry + 3)[1] == [3, 5]
         whole = self.compile_at()
         assert self.vm.jit_stats.skeleton_reuses == 1
         assert whole == self.fresh_shape() and whole[1] == [8]
@@ -218,29 +227,27 @@ class TestSkeletonValidity:
     def test_a_pc_at_a_block_head_splits_nothing(self):
         """... nor one outside the trace."""
         self.compile_at()
-        for pcs in (frozenset({self.entry}), frozenset({self.entry + 8}),
-                    frozenset({self.entry - 1})):
-            seen = self.compile_at(pcs)
-            assert seen == self.fresh_shape(pcs=pcs) and seen[1] == [8], pcs
+        for pc in (self.entry, self.entry + 8, self.entry - 1):
+            seen = self.compile_at(pc)
+            assert seen == self.fresh_shape(pc=pc) and seen[1] == [8], pc
             assert self.vm.jit_stats.skeleton_reuses == 1
         # A natural block head stays one: a branch ends its block.
         source = (".entry main\nmain:\n    li t0, 1\n    beq t0, t0, next\n"
                   "next:\n    li t1, 2\n    halt\n")
         vm = PinVM(load_program(assemble(source), Kernel(seed=1)),
-                   signature_pcs=frozenset({assemble(source).entry + 2}),
                    jit_backend=self.backend)
+        _never(vm, assemble(source).entry + 2)
         blocks = _watch_blocks(vm)
         vm.jit.compile(vm.cpu.pc)
         assert blocks == [[2, 2]]
 
     def test_pcs_anywhere_share_one_skeleton(self):
-        """Runs whose signature pcs fall at two places inside one trace,
-        in turn: the trace is decoded once, and each run is handed the
-        blocks a fresh engine hands it."""
-        turns = [frozenset({self.entry + 3}), frozenset({self.entry + 5}),
-                 frozenset(), frozenset({self.entry + 3, self.entry + 5})]
-        for turn, pcs in enumerate(turns + turns):
-            assert self.compile_at(pcs) == self.fresh_shape(pcs=pcs), turn
+        """Runs whose signature pc falls at two places inside one trace,
+        or nowhere, in turn: the trace is decoded once, and each run is
+        handed the blocks a fresh engine hands it."""
+        turns = [self.entry + 5, None, self.entry + 3]
+        for turn, pc in enumerate(turns + turns):
+            assert self.compile_at(pc) == self.fresh_shape(pc=pc), turn
             assert self.vm.jit_stats.skeleton_reuses == (turn > 0), turn
         skeleton = self.vm.jit.pool[self.entry]
         assert type(skeleton) is _Skeleton
@@ -259,18 +266,19 @@ class TestSkeletonValidity:
 
     def test_a_trace_that_stops_ahead_of_a_hole_is_reused_until_it_fills(
             self):
-        """Under strict memory ``build_trace`` ends a trace ahead of an
-        unmapped word: that end is reused for as long as the hole is
-        there, and a mapping over the hole is a change of the words
-        under it."""
-        source = ".entry main\nmain:\n    li t0, 1\n    beq t0, t0, main\n"
+        """``build_trace`` ends a trace ahead of a word that does not
+        decode: that end is reused for as long as the word is there, and
+        a valid instruction written over it is a change of the words
+        under the trace."""
+        source = (".entry main\nmain:\n    li t0, 1\n    beq t0, t0, main\n"
+                  "    .word 0xff\n    halt\n")
+        program = assemble(source)
 
-        def strict():
-            process = load_program(assemble(source), Kernel(seed=1),
-                                   strict_memory=True)
+        def engine():
+            process = load_program(program, Kernel(seed=1))
             return PinVM(process, jit_backend=self.backend)
 
-        vm = strict()
+        vm = engine()
         entry = vm.cpu.pc
         for turn in range(2):
             vm.reset()
@@ -278,14 +286,15 @@ class TestSkeletonValidity:
             assert (trace.num_ins, trace.fall_address) == (2, entry + 2)
         assert (vm.jit_stats.skeleton_reuses,
                 vm.jit_stats.rejects_words) == (1, 0)
-        vm.mem.map_region(entry + 2, 1)
+        nop = encode(Op.NOP)
+        vm.mem.write(entry + 2, nop)
         vm.reset()
         longer = vm.jit.compile(entry)
         assert vm.jit_stats.rejects_words == 1
-        fresh = strict()
-        fresh.mem.map_region(entry + 2, 1)
+        fresh = engine()
+        fresh.mem.write(entry + 2, nop)
         assert _shape(longer) == _shape(fresh.jit.compile(entry))
-        assert longer.num_ins == 3
+        assert longer.num_ins == 4
 
     def test_reuse_starts_from_bare_instructions(self):
         """The last run's analysis calls must not survive into the next
@@ -332,27 +341,15 @@ class TestSourcePool:
         assert jit._INTERN[second.source] is second.fn.__code__
 
 
-#: Memory traffic, so strict and lenient memory lower it differently
-#: (strict mode sets unwind markers ahead of every access).
-MEMORY = """
-.entry main
-main:
-    li   t0, 7
-    st   t0, 0x9000(zero)
-    ld   t1, 0x9000(zero)
-    li   a0, SYS_EXIT
-    mov  a1, t1
-    syscall
-"""
-
-
-def _engine(source=STRAIGHT, strict=False, tool=None):
-    """A new engine that generates every trace."""
-    process = load_program(assemble(source), Kernel(seed=1),
-                           strict_memory=strict)
+def _engine(tool=None, check=False):
+    """A new engine that generates every trace (with a signature check
+    inside the first, if ``check``)."""
+    process = load_program(assemble(STRAIGHT), Kernel(seed=1))
     vm = PinVM(process, jit_backend="source")
     if tool is not None:
         tool().activate(vm)
+    if check:
+        _never(vm, vm.cpu.pc + 2)
     return vm
 
 
@@ -395,14 +392,12 @@ class TestTheProcessCodePool:
         two.run()
         assert one.process.exit_code == two.process.exit_code == 15
 
-    @pytest.mark.parametrize("other", [
-        dict(tool=ICount1), dict(source=MEMORY, strict=True)],
-        ids=["instrumentation", "strict-memory"])
+    @pytest.mark.parametrize("other", [dict(tool=ICount1), dict(check=True)],
+                             ids=["instrumentation", "signature-check"])
     def test_another_lowering_is_another_code_object(self, intern, other):
-        source = other.get("source", STRAIGHT)
-        plain = _engine(source)
+        plain = _engine()
         first = plain.jit.compile(plain.cpu.pc)
-        vm = _engine(**{"source": source, **other})
+        vm = _engine(**other)
         second = vm.jit.compile(vm.cpu.pc)
         assert second.source != first.source
         assert second.fn.__code__ is not first.fn.__code__

@@ -16,7 +16,7 @@ from collections import OrderedDict
 
 import pytest
 
-from repro.errors import ArithmeticFault, GuestFault, MemoryFault
+from repro.errors import ArithmeticFault, GuestFault, IllegalInstruction
 from repro.isa import assemble
 from repro.machine import Kernel, load_program
 from repro.machine.interpreter import Interpreter
@@ -236,10 +236,8 @@ def image(vm, log=None) -> dict:
             "log": None if log is None else list(log)}
 
 
-def engine(source, backend="source", strict=False, instrument=None,
-           **kwargs):
-    vm = PinVM(load_program(assemble(source), Kernel(seed=3),
-                            strict_memory=strict),
+def engine(source, backend="source", instrument=None, **kwargs):
+    vm = PinVM(load_program(assemble(source), Kernel(seed=3)),
                jit_backend=backend, **kwargs)
     log = []
     if instrument is not None:
@@ -266,9 +264,8 @@ def finish(vm, log, **run_kwargs) -> dict:
     return {**image(vm, log), "outcome": outcome}
 
 
-def by_interpreter(source, strict=False, **run_kwargs):
-    process = load_program(assemble(source), Kernel(seed=3),
-                           strict_memory=strict)
+def by_interpreter(source, **run_kwargs):
+    process = load_program(assemble(source), Kernel(seed=3))
     interp = Interpreter(process)
     fault = None
     try:
@@ -435,10 +432,9 @@ def stop_on_taken(value):
     return instrument
 
 
-#: A loop that faults on trip ``k`` (``t0 == k - 1``), three ways: its
-#: first instruction divides by ``k - 1 - t0``; under strict memory it
-#: loads through a pointer table whose entry ``k - 1`` is unmapped; and
-#: it leaves by a side exit for code that jumps off the map, so the
+#: A loop that faults on trip ``k`` (``t0 == k - 1``), two ways: its
+#: first instruction divides by ``k - 1 - t0``; and it leaves by a side
+#: exit for code that jumps onto a word that does not decode, so the
 #: fetch after the exit faults out of a compile.
 FAULTS = """
 .entry main
@@ -460,8 +456,10 @@ lp: div  t5, t1, s2
     mov  a1, t2
     syscall
 off:
-    li   t7, 0x700000
+    li   t7, bad
     jr   t7
+bad:
+    .word 0xff
 .data
 cell: .word 7
 ptrs: .word {ptrs}
@@ -469,12 +467,9 @@ ptrs: .word {ptrs}
 
 
 def faults_on(trip: int, how: str) -> str:
-    ptrs = ["cell"] * 12
-    if how == "load":
-        ptrs[trip - 1] = "0x700000"
     return FAULTS.format(div_at=trip - 1 if how == "div" else 99,
                          leave_at=trip - 1 if how == "fetch" else 99,
-                         ptrs=", ".join(ptrs))
+                         ptrs=", ".join(["cell"] * 12))
 
 
 class TestUnwinding:
@@ -497,14 +492,12 @@ class TestUnwinding:
 
     @pytest.mark.parametrize("trip", [1, 2, 3, 4, 7])
     @pytest.mark.parametrize("how, fault", [("div", ArithmeticFault),
-                                            ("load", MemoryFault),
-                                            ("fetch", MemoryFault)])
+                                            ("fetch", IllegalInstruction)])
     def test_fault_on_trip_k(self, how, fault, trip, monkeypatch):
         source = faults_on(trip, how)
 
         def faulted():
-            vm, log = engine(source, strict=True,
-                             instrument=record_everything)
+            vm, log = engine(source, instrument=record_everything)
             out = finish(vm, log)
             assert out["outcome"] == fault.__name__
             return vm, out
@@ -516,7 +509,7 @@ class TestUnwinding:
         # (Trip 1 runs in ``main``'s trace, trip 2 is the loop trace's
         # first execution: from trip 3 on the fault is a loop form's.)
         assert (vm.jit_stats.loop_trips > 0) == (trip >= 3)
-        state, raised = by_interpreter(source, strict=True)
+        state, raised = by_interpreter(source)
         assert raised == fault.__name__ and same_state(got, state)
 
     @pytest.mark.parametrize("trip", [4, 5, 8])
@@ -852,17 +845,14 @@ class TestThroughThePipeline:
             assert got[3]["pin.jit.promotions"] > 0
 
     @pytest.mark.parametrize("suppress", [False, True])
-    @pytest.mark.parametrize("strict", [False, True])
-    def test_serial_pin_with_and_without(self, strict, suppress,
-                                         monkeypatch):
+    def test_serial_pin_with_and_without(self, suppress, monkeypatch):
         # (The shipped rule, whatever --jit-hot-threshold says: the
         # loop is promoted in mid-run.)
         monkeypatch.setattr(jit, "HOT_EXECUTIONS_PER_COMPILE", 150)
         program = assemble(MULTISLICE)
 
         def run():
-            process = load_program(program, Kernel(seed=4),
-                                   strict_memory=strict)
+            process = load_program(program, Kernel(seed=4))
             vm = PinVM(process, suppress_loops=suppress)
             tool = ICount2()
             tool.setup(NullSuperPin())

@@ -18,7 +18,7 @@ import threading
 
 import pytest
 
-from repro.errors import GuestFault, MemoryFault
+from repro.errors import GuestFault
 from repro.isa import assemble
 from repro.isa.instructions import Op
 from repro.machine import Kernel, load_program
@@ -45,14 +45,13 @@ def image(process, retired, fault=None):
                        in process.mem._pages.items() if any(page)}}
 
 
-def run_everywhere(source, strict=False):
-    """``source`` under the interpreter, each lowering and — lenient
-    memory only, ``run_with_pin`` has no other — serial Pin's pooled
-    engine: ``{engine: image}`` and the pooled engine."""
+def run_everywhere(source):
+    """``source`` under the interpreter, each lowering and serial Pin's
+    pooled engine: ``{engine: image}`` and the pooled engine."""
     program = assemble(source)
     images, pooled = {}, None
-    for engine in ("interp", "closure", "source") + ("pooled",) * (not strict):
-        process = load_program(program, Kernel(seed=3), strict_memory=strict)
+    for engine in ("interp", "closure", "source", "pooled"):
+        process = load_program(program, Kernel(seed=3))
         fault = None
         try:
             if engine == "interp":
@@ -125,30 +124,6 @@ def test_aliased_stack_and_link_forms_follow_the_interpreter(
     images, pooled = run_everywhere(source.format(trips=trips))
     assert bool(pooled.jit_stats.promotions) == (trips > 1)
     for engine in ("closure", "source", "pooled"):
-        assert images[engine] == images["interp"], engine
-
-
-@pytest.mark.parametrize("load", ["ld   zero, 0(t0)", "pop  zero"],
-                         ids=["ld-zero", "pop-zero"])
-def test_a_load_into_the_zero_register_still_accesses_memory(load):
-    """Only the write is dropped: under strict memory the access faults
-    where the interpreter's does, at the same pc and count (generated
-    code: through its strict-mode unwind markers)."""
-    images, _ = run_everywhere(f"""
-.entry main
-main:
-    li   t0, 0x7000000
-    li   t1, 5
-    mov  sp, t0
-    {load}
-    li   a0, SYS_EXIT
-    li   a1, 7
-    syscall
-""", strict=True)
-    assert images["interp"]["fault"] == MemoryFault.__name__
-    assert images["interp"]["retired"] == 3
-    assert images["interp"]["pc"] == 0x1003
-    for engine in ("closure", "source"):
         assert images[engine] == images["interp"], engine
 
 

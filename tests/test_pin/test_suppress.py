@@ -8,7 +8,7 @@ without the switch: everything but the analysis-call count equal.
 
 import pytest
 
-from repro.errors import ArithmeticFault, GuestFault, MemoryFault
+from repro.errors import ArithmeticFault, GuestFault, IllegalInstruction
 from repro.isa import assemble
 from repro.machine import Kernel, load_program
 from repro.pin import PinVM, Pintool, RunState, run_with_pin, StopRun
@@ -105,8 +105,8 @@ inner:
 """
 
 
-def both(source, tool_cls=ICount1, backend="closure", strict=False,
-         observer=None, **run_kwargs):
+def both(source, tool_cls=ICount1, backend="closure", observer=None,
+         **run_kwargs):
     """Run ``source`` under ``tool_cls`` without and with
     ``suppress_loops`` on a pooled engine; each run's ``(image, vm)``.
     The image is everything the run leaves but the analysis-call
@@ -114,8 +114,7 @@ def both(source, tool_cls=ICount1, backend="closure", strict=False,
     syscall observer to register."""
     runs = []
     for suppress in (False, True):
-        vm = PinVM(load_program(assemble(source), Kernel(seed=7),
-                                strict_memory=strict),
+        vm = PinVM(load_program(assemble(source), Kernel(seed=7)),
                    jit_backend=backend, suppress_loops=suppress)
         tool = tool_cls()
         tool.setup(NullSuperPin())
@@ -291,9 +290,9 @@ class TestLegalityBailouts:
 
         program = assemble(HOT_LOOP)
         loop_pc = program.symbols["loop"]
-        # (A slice's engine: the signature pc is a block head.)
+        # (No signature check of the engine's own: one at the pc would
+        # keep the loop from being summarized by itself.)
         vm = PinVM(load_program(program, Kernel(seed=42)),
-                   signature_pcs=frozenset({loop_pc}),
                    jit_backend=backend, suppress_loops=True)
         tool = ICount2()
         tool.setup(NullSuperPin())
@@ -325,19 +324,17 @@ class TestNewlyLegalShapes:
         assert_summarized(both(TWO_BBLS, tool_cls, backend))
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("strict", [False, True])
-    def test_div_and_mod(self, backend, strict):
-        assert_summarized(both(DIVIDES, backend=backend, strict=strict))
+    def test_div_and_mod(self, backend):
+        assert_summarized(both(DIVIDES, backend=backend))
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("how, fault", [("div", ArithmeticFault),
-                                            ("load", MemoryFault),
-                                            ("fetch", MemoryFault)])
+                                            ("fetch", IllegalInstruction)])
     def test_fault_mid_loop(self, backend, how, fault):
-        """A strict-memory load (or a divide, or the fetch after a side
-        exit) that faults on the seventh trip: the trips before it are
-        summarized on the way out."""
-        runs = both(faults_on(7, how), backend=backend, strict=True)
+        """A divide (or the fetch after a side exit, of a word that does
+        not decode) that faults on the seventh trip: the trips before it
+        are summarized on the way out."""
+        runs = both(faults_on(7, how), backend=backend)
         assert runs[0][0]["outcome"] == fault.__name__
         assert_summarized(runs)
 

@@ -1,13 +1,15 @@
-"""Trace building: BBL splitting, trace termination, strict memory."""
+"""Trace building: BBL splitting, trace termination, words that do not
+decode."""
 
 import pytest
 
-from repro.errors import MemoryFault
+from repro.errors import IllegalInstruction
 from repro.isa import assemble, Op
 from repro.machine import Kernel, load_program
 from repro.machine.interpreter import Interpreter
-from repro.pin import jit, PinVM
+from repro.pin import jit, PinVM, RunState
 from repro.pin.trace import build_trace, HOLE, MAX_TRACE_INS
+from repro.tools import ICount1
 
 
 def _mem_for(source: str):
@@ -81,9 +83,10 @@ class TestInsProperties:
         assert trace.instructions[0].disassemble() == "addi t0, t1, 5"
 
 
-#: The guest ends in a conditional branch, so a trace that reaches its
-#: last word falls through past it into an unmapped word.  ``li t1, 3``
-#: makes ``beq t0, t1, done`` leave for ``halt`` on the third trip.
+#: The guest ends in a conditional branch followed by a word that does
+#: not decode, so a trace that reaches its last instruction would decode
+#: it.  ``li t1, 3`` makes ``beq t0, t1, done`` leave for ``halt`` on
+#: the third trip.
 HOLE_AHEAD = """
 .entry main
 main:
@@ -96,6 +99,7 @@ loop:
     addi t0, t0, 1
     beq  t0, t1, done
     beq  zero, zero, loop
+    .word 0xff
 """
 
 #: ... and one whose loop does fall through into it.
@@ -107,19 +111,60 @@ main:
 loop:
     addi t0, t0, 1
     bne  t0, t1, loop
+    .word 0xff
 """
 
-#: ``(backend, HOT_EXECUTIONS_PER_COMPILE, loop forms)``.
+#: An always-taken branch over the word, inside the loop: every trace
+#: through it ends ahead of the word, and the guest exits ``trips``.
+BEHIND_A_BRANCH = """
+.entry main
+main:
+    li   t0, 0
+    li   t1, {trips}
+loop:
+    addi t0, t0, 1
+    beq  zero, zero, over
+    .word 0xff
+over:
+    blt  t0, t1, loop
+    li   a0, SYS_EXIT
+    mov  a1, t0
+    syscall
+"""
+
+#: A store turns a word the loop's trace decoded into one that does not,
+#: on the last trip, and jumps to it.
+BROKEN_BY_A_STORE = """
+.entry main
+main:
+    li   t0, 0
+    li   t1, {trips}
+    li   t3, 0xff
+    li   t4, target
+loop:
+    addi t0, t0, 1
+    beq  t0, t1, last
+target:
+    addi t2, t2, 1
+    j    loop
+last:
+    st   t3, 0(t4)
+    j    target
+"""
+
+#: ``(backend, HOT_EXECUTIONS_PER_COMPILE, loop forms, exact-budget
+#: stepping)``.
 LOWERINGS = {
-    "threaded": ("closure", float("inf"), True),
-    "generated": ("source", 150, False),
-    "loop form": ("source", 150, True),
-    "promoted": ("closure", 1, True),
+    "threaded": ("closure", float("inf"), True, False),
+    "generated": ("source", 150, False, False),
+    "loop form": ("source", 150, True, False),
+    "promoted": ("closure", 1, True, False),
+    "exact budget": ("closure", 1, True, True),
 }
 
 
-def _strict(source: str):
-    return load_program(assemble(source), Kernel(seed=1), strict_memory=True)
+def _load(source: str):
+    return load_program(assemble(source), Kernel(seed=1))
 
 
 def _ending(process, engine, count) -> tuple:
@@ -127,29 +172,57 @@ def _ending(process, engine, count) -> tuple:
     try:
         engine()
         how = ("exit", process.exit_code)
-    except MemoryFault as fault:
+    except IllegalInstruction as fault:
         how = ("fault", str(fault))
     return how, process.cpu.pc, list(process.cpu.regs), count()
 
 
-class TestStrictMemoryReadsNoFurtherThanExecution:
-    """Under strict memory a trace ends ahead of an unmapped word: its
-    fetch faults where execution goes, and nowhere else."""
+def _on_every_lowering(source, lowering, monkeypatch):
+    """``source`` run by the interpreter and under ``lowering`` with a
+    per-instruction counter: both endings, and the counter's total."""
+    process = _load(source)
+    interp = Interpreter(process)
+    want = _ending(process, lambda: interp.run(max_instructions=10_000),
+                   lambda: interp.total_instructions)
+
+    backend, threshold, loops, exact = LOWERINGS[lowering]
+    monkeypatch.setattr(jit, "HOT_EXECUTIONS_PER_COMPILE", threshold)
+    if not loops:
+        monkeypatch.setattr(jit.Jit, "loop_form", lambda self, trace: None)
+    process = _load(source)
+    vm = PinVM(process, jit_backend=backend)
+    tool = ICount1()
+    tool.activate(vm)
+
+    def run():
+        if not exact:
+            return vm.run(max_instructions=10_000)
+        while vm.run(max_instructions=7,
+                     exact_budget=True).state is RunState.BUDGET:
+            pass
+
+    got = _ending(process, run, lambda: vm.total_instructions)
+    return want, got, vm, tool.icount
+
+
+class TestTheTraceReadsNoFurtherThanExecution:
+    """A trace ends ahead of a word, after its first, that does not
+    decode: its fetch faults where execution goes, and nowhere else."""
 
     def test_the_trace_stops_ahead_of_the_hole(self):
-        process = _strict(HOLE_AHEAD.format(trips=3))
-        loop = assemble(HOLE_AHEAD.format(trips=3)).symbols["loop"]
+        source = HOLE_AHEAD.format(trips=3)
+        process = _load(source)
+        loop = assemble(source).symbols["loop"]
         trace = build_trace(process.mem, loop)
         assert (trace.num_ins, trace.fall_address, trace.ended) \
             == (3, loop + 3, HOLE)
-        # Lenient memory reads zeros there, as it always did.
-        lenient = load_program(assemble(HOLE_AHEAD.format(trips=3)),
-                               Kernel(seed=1))
-        assert build_trace(lenient.mem, loop).num_ins > 3
+        # Without the word, the zeros there decode.
+        zeros = _load(source.replace(".word 0xff", ""))
+        assert build_trace(zeros.mem, loop).num_ins > 3
 
-    def test_an_unmapped_head_still_faults(self):
-        process = _strict(FALLS_IN.format(trips=3))
-        with pytest.raises(MemoryFault):
+    def test_an_undecodable_head_still_faults(self):
+        process = _load(FALLS_IN.format(trips=3))
+        with pytest.raises(IllegalInstruction):
             build_trace(process.mem, process.cpu.pc + 4)
 
     @pytest.mark.parametrize("trips", [3, 400])
@@ -159,23 +232,49 @@ class TestStrictMemoryReadsNoFurtherThanExecution:
     def test_every_lowering_ends_where_the_interpreter_does(
             self, lowering, source, trips, monkeypatch):
         source = source.format(trips=trips)
-        process = _strict(source)
-        interp = Interpreter(process)
-        want = _ending(process, lambda: interp.run(max_instructions=10_000),
-                       lambda: interp.total_instructions)
+        want, got, vm, _ = _on_every_lowering(source, lowering, monkeypatch)
         assert want[0][0] == ("exit" if "halt" in source else "fault")
-
-        backend, threshold, loops = LOWERINGS[lowering]
-        monkeypatch.setattr(jit, "HOT_EXECUTIONS_PER_COMPILE", threshold)
-        if not loops:
-            monkeypatch.setattr(jit.Jit, "loop_form",
-                                lambda self, trace: None)
-        process = _strict(source)
-        vm = PinVM(process, jit_backend=backend)
-        assert _ending(process, lambda: vm.run(max_instructions=10_000),
-                       lambda: vm.total_instructions) == want
+        assert got == want
         stats = vm.jit_stats
         if trips > 3 and lowering == "loop form":
             assert stats.loop_trips > 0
         if trips > 3 and lowering == "promoted":
             assert stats.promotions > 0
+
+
+class TestAWordThatDoesNotDecode:
+    """Every lowering against the interpreter: a word behind an
+    always-taken branch is never fetched; one execution reaches faults
+    at its pc, with what ran before it retired and counted."""
+
+    @pytest.mark.parametrize("lowering", LOWERINGS)
+    def test_behind_an_always_taken_branch_it_runs_to_exit(
+            self, lowering, monkeypatch):
+        want, got, vm, calls = _on_every_lowering(
+            BEHIND_A_BRANCH.format(trips=400), lowering, monkeypatch)
+        assert got == want and want[0] == ("exit", 400)
+        assert calls == want[3] == 3 * 400 + 5
+
+    @pytest.mark.parametrize("lowering", LOWERINGS)
+    def test_reached_mid_trace_it_faults_at_its_pc(self, lowering,
+                                                   monkeypatch):
+        source = ".entry main\nmain:\n    li t0, 1\n    li t1, 5\n" \
+                 "    addi t1, t1, 1\n    .word 0xff\n"
+        want, got, vm, calls = _on_every_lowering(source, lowering,
+                                                  monkeypatch)
+        entry = assemble(source).entry
+        assert got == want
+        assert want[0][0] == "fault" and want[1] == entry + 3
+        assert calls == want[3] == 3
+
+    @pytest.mark.parametrize("lowering", LOWERINGS)
+    def test_a_store_that_breaks_a_decoded_word_faults_there(
+            self, lowering, monkeypatch):
+        source = BROKEN_BY_A_STORE.format(trips=400)
+        want, got, vm, calls = _on_every_lowering(source, lowering,
+                                                  monkeypatch)
+        assert got == want
+        assert want[0][0] == "fault"
+        assert want[1] == assemble(source).symbols["target"]
+        assert calls == want[3]
+        assert vm.cache.stats.invalidations > 0

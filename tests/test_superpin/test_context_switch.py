@@ -60,7 +60,7 @@ donor:
     halt
 """
 
-#: A loop that runs hot, then loads from an unmapped word.
+#: A loop that runs hot, then falls onto a word that does not decode.
 FAULTS = """
 .entry main
 main:
@@ -68,17 +68,14 @@ main:
     li   s1, 600
 lp: addi s0, s0, 1
     bne  s0, s1, lp
-    li   t0, 0x7000000
-    ld   t1, 0(t0)
-    halt
+    .word 0xff
 """
 
 
-def _state(source, strict=False, seed=42):
+def _state(source, seed=42):
     """``(cpu snapshot, memory, handler, thread manager)`` of a freshly
     loaded guest."""
-    process = load_program(assemble(source), Kernel(seed=seed),
-                           strict_memory=strict)
+    process = load_program(assemble(source), Kernel(seed=seed))
     return (process.cpu.snapshot(), process.mem, process.syscall_handler,
             process.thread_manager)
 
@@ -110,7 +107,7 @@ def end_by_stop(vm):
 
 
 def end_by_fault(vm):
-    vm.switch(*_state(FAULTS, strict=True))
+    vm.switch(*_state(FAULTS))
     with pytest.raises(GuestFault):
         vm.run()
 

@@ -453,60 +453,34 @@ SHORT_LOOP = syscall_loop("    li   a0, SYS_TIME\n    syscall", trips=400)
 OTHER_LOOP = syscall_loop("    li   a0, SYS_TIME\n    syscall", trips=400,
                           step=11)
 
-#: Walks memory from ``start`` by ``stride``: two data words decide
-#: whether strict memory lets the second trip's load through.
-WALKER = """
-.entry main
-main:
-    la   t4, start
-    ld   t2, 0(t4)
-    ld   t5, 1(t4)
-    li   s0, 0
-    li   s1, 400
-lp: ld   t3, 0(t2)
-    add  t2, t2, t5
-    inc  s0
-    blt  s0, s1, lp
-    li   a0, SYS_EXIT
-    mov  a1, s0
-    syscall
-.data
-start: .word 0x9000, {stride}
-"""
-
-
 class TestAResidentMaster:
     """A resident master is a fresh master, only sooner: whatever the
     engine ran before, a run on it yields the timeline of a run on an
     engine of its own — and of the oracle."""
 
-    #: ``(name, source, config, kernel seed, strict memory)``, in the
-    #: order one resident runs them.
+    #: ``(name, source, config, kernel seed)``, in the order one
+    #: resident runs them.
     RUNS = [
-        ("seed-1", SHORT_LOOP, _slices(131, spaudit=True), 1, False),
-        ("seed-2", SHORT_LOOP, _slices(131, spaudit=True), 2, False),
-        ("seed-3", SHORT_LOOP, _slices(131, spaudit=True), 3, False),
-        ("seed-4", SHORT_LOOP, _slices(97), 4, False),
-        ("other", OTHER_LOOP, _slices(131, spaudit=True), 5, False),
-        ("again", SHORT_LOOP, _slices(131, spaudit=True), 1, False),
-        ("strict", SHORT_LOOP, _slices(100), 2, True),
-        ("threads", THREADED, _slices(500), 9, False),
-        ("after-threads", SHORT_LOOP, _slices(131), 3, False),
+        ("seed-1", SHORT_LOOP, _slices(131, spaudit=True), 1),
+        ("seed-2", SHORT_LOOP, _slices(131, spaudit=True), 2),
+        ("seed-3", SHORT_LOOP, _slices(131, spaudit=True), 3),
+        ("seed-4", SHORT_LOOP, _slices(97), 4),
+        ("other", OTHER_LOOP, _slices(131, spaudit=True), 5),
+        ("again", SHORT_LOOP, _slices(131, spaudit=True), 1),
+        ("threads", THREADED, _slices(500), 9),
+        ("after-threads", SHORT_LOOP, _slices(131), 3),
     ]
     #: Runs of the short loop on an engine that has seen it run before.
-    WARM = {"seed-2", "seed-3", "seed-4", "again", "strict",
-            "after-threads"}
+    WARM = {"seed-2", "seed-3", "seed-4", "again", "after-threads"}
 
     @staticmethod
     def master_run(monkeypatch, promote, run, engine=None):
-        _, source, config, seed, strict = run
+        _, source, config, seed = run
         with monkeypatch.context() as patch:
             lowering(patch, promote)
-            control_process = ControlProcess(assemble(source), config,
-                                             kernel=Kernel(seed=seed),
-                                             master=engine)
-            control_process.process.mem.strict = strict
-            return control_process.run()
+            return ControlProcess(assemble(source), config,
+                                  kernel=Kernel(seed=seed),
+                                  master=engine).run()
 
     def test_every_run_is_the_run_on_an_engine_of_its_own(self,
                                                           monkeypatch):
@@ -574,41 +548,13 @@ class TestAResidentMaster:
         assert alone.timeline.master.jit_instructions == 0
         assert report.timeline.master.jit_instructions > 0
 
-    def test_kept_code_is_lowered_for_the_memory_mode_it_runs_under(
-            self, monkeypatch):
-        """Generated code sets its unwind markers by the memory mode: a
-        trace generated by lenient runs is lowered again for a strict
-        one, and a fault in it stops where the interpreter stops."""
-        lowering(monkeypatch, 0)
-        lenient = assemble(WALKER.format(stride=0))
-        wild = assemble(WALKER.format(stride=0x7000000))
-        resident = SliceMachine()
-        for _ in range(3):
-            timeline = ControlProcess(lenient, _slices(100),
-                                      master=resident.master).run()
-        assert timeline.master.jit_instructions > 0
-        reference = Interpreter(load_program(wild, Kernel(),
-                                             strict_memory=True))
-        with pytest.raises(GuestFault):
-            reference.run()
-        master = ControlProcess(wild, _slices(10_000),
-                                master=resident.master)
-        master.process.mem.strict = True
-        with pytest.raises(GuestFault):
-            master.run()
-        engine = resident.master
-        # (It came out of generated code: the loop's second trip.)
-        assert engine.cache.get(wild.symbol("lp")).is_source
-        assert (engine.process.cpu.snapshot(), engine.total_instructions) \
-            == (reference.process.cpu.snapshot(),
-                reference.total_instructions)
-        assert reference.process.cpu.pc == wild.symbol("lp")
 
-
+#: What follows the loop, and what the interpreter retires before the
+#: fault: a divide by zero, or a word that does not decode right after
+#: the loop's ``blt`` (a trace through the loop ends ahead of it).
 FAULTS = {
-    "div": "    li   t2, 0\n    div  t3, t0, t2",
-    "ld": "    li   t2, 0x7000000\n    ld   t3, 0(t2)",
-    "st": "    li   t2, 0x7000000\n    st   t0, 0(t2)",
+    "div": ("    li   t2, 0\n    div  t3, t0, t2", 2 + 2 * 5 + 1),
+    "fetch": ("    .word 0xff", 2 + 2 * 5),
 }
 
 
@@ -618,14 +564,14 @@ class TestFaultParity:
 
     @pytest.mark.parametrize("kind", FAULTS)
     def test_engines_agree_on_a_fault(self, kind, monkeypatch):
+        tail, retired = FAULTS[kind]
         program = assemble(
             ".entry main\nmain:\n    li   t0, 0\n    li   t1, 5\n"
-            "lp: inc  t0\n    blt  t0, t1, lp\n"
-            f"{FAULTS[kind]}\nbad:\n    halt\n")
+            f"lp: inc  t0\n    blt  t0, t1, lp\n{tail}\nbad:\n    halt\n")
         fault_pc = program.symbol("bad") - 1
 
         def load():
-            return load_program(program, Kernel(), strict_memory=True)
+            return load_program(program, Kernel())
 
         promote_at(monkeypatch, 2)  # the loop is generated by then
         master = PinVM(load())
@@ -642,7 +588,7 @@ class TestFaultParity:
             seen[name] = (engine.process.cpu.snapshot(),
                           engine.total_instructions)
         assert master.jit_stats.hot_instructions > 0
-        pc, retired = seen["interpreter"][0][0], seen["interpreter"][1]
-        assert (pc, retired) == (fault_pc, 2 + 2 * 5 + 1)
+        snapshot, count = seen["interpreter"]
+        assert (snapshot[0], count) == (fault_pc, retired)
         for name in engines:
             assert seen[name] == seen["interpreter"], name

@@ -287,10 +287,10 @@ class CallbackDetector(SignatureDetector):
     """The detector as a trace callback registered after the tool's, its
     quick check an if-call and its full check a then-call: the check
     attached as a tool would attach it (the reference for the lowered
-    one)."""
+    one).  The engine has no check of its own to split the pc's block
+    at, so :func:`split_at_callback_pcs` has the JIT split it there."""
 
     def attach(self):
-        self.vm.signature_pcs = frozenset({self.signature.pc})
         self.vm.add_trace_callback(self.instrument)
 
     def instrument(self, trace, value):
@@ -309,6 +309,21 @@ class CallbackDetector(SignatureDetector):
 
     def finish(self):
         return self.stats
+
+
+def split_at_callback_pcs(patch):
+    """Have ``Jit._blocks`` split the block a :class:`CallbackDetector`'s
+    pc falls in, as it splits the one the engine's own check is at."""
+    blocks = jit.Jit._blocks
+
+    def split(self, skeleton, offset):
+        for callback, _, _ in self._engine.trace_callbacks:
+            detector = getattr(callback, "__self__", None)
+            if isinstance(detector, CallbackDetector):
+                offset = detector.signature.pc - skeleton.trace_obj.address
+        blocks(self, skeleton,
+               offset if 0 < offset < len(skeleton.instructions) else 0)
+    patch.setattr(jit.Jit, "_blocks", split)
 
 
 class TestTheCheckIsLowered:
@@ -344,6 +359,7 @@ class TestTheCheckIsLowered:
         lowered = self.run(jit_backend=backend, **overrides)
         with monkeypatch.context() as patch:
             patch.setattr(slices_mod, "SignatureDetector", CallbackDetector)
+            split_at_callback_pcs(patch)
             assert self.run(jit_backend=backend, **overrides) == lowered
         slices = lowered[0]
         assert sum(s["detection"].quick_checks for s in slices[:-1]) > 0
