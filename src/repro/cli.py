@@ -13,7 +13,8 @@
 ``--`` is parsed as SuperPin switches (§5's -sp/-spmsec/-spmp/-spsysrecs,
 plus ``-spworkers N`` to fan the slice phase out over N host processes).
 ``superpin replay`` runs one or more tools against a ``-sprecord``
-artifact without re-running the master program.
+artifact without re-running the master program, and prints for each
+the report ``superpin run`` prints.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .errors import ConfigError
 from .harness.figures import FIGURES
 from .harness.report import render_figure
 from .machine import Kernel, load_program
@@ -127,29 +129,26 @@ def main(argv: list[str] | None = None) -> int:
                           help="stop the daemon gracefully")
 
     args, extra = parser.parse_known_args(argv)
-    if args.command == "run":
-        return _cmd_run(args, extra)
-    if args.command == "replay":
-        return _cmd_replay(args, extra)
-    if args.command == "submit":
-        return _cmd_submit(args, extra)
-    if args.command == "debug":
-        return _cmd_debug(args, extra)
+    with_switches = {"run": _cmd_run, "replay": _cmd_replay,
+                     "submit": _cmd_submit, "debug": _cmd_debug}
+    if args.command in with_switches:
+        try:
+            return with_switches[args.command](args, extra)
+        except ConfigError as error:
+            # A bad -sp* switch, or one the command cannot honour.
+            print(f"error: {error}", file=sys.stderr)
+            return 2
     if extra:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    if args.command == "figure":
-        return _cmd_figure(args)
     if args.command == "list":
         return _cmd_list()
-    if args.command == "asm":
-        return _cmd_asm(args)
-    if args.command == "objdump":
-        return _cmd_objdump(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "status":
-        return _cmd_status(args)
-    return 2  # pragma: no cover
+    return {"figure": _cmd_figure, "asm": _cmd_asm, "objdump": _cmd_objdump,
+            "serve": _cmd_serve, "status": _cmd_status}[args.command](args)
+
+
+def _switches(extra: list[str]) -> SuperPinConfig:
+    """The SuperPin switches in what argparse left of the command line."""
+    return parse_switches([s for s in extra if s != "--"])
 
 
 def _cmd_run(args, extra: list[str]) -> int:
@@ -157,8 +156,7 @@ def _cmd_run(args, extra: list[str]) -> int:
         print(f"unknown workload {args.workload!r}; see 'superpin list'",
               file=sys.stderr)
         return 2
-    switches = [s for s in extra if s != "--"]
-    config = parse_switches(switches) if switches else SuperPinConfig()
+    config = _switches(extra)
     built = build(args.workload, clock_hz=config.clock_hz,
                   scale=args.scale)
     tool = TOOLS[args.tool]()
@@ -177,6 +175,13 @@ def _cmd_run(args, extra: list[str]) -> int:
 
     report = run_superpin(built.program, tool, config,
                           kernel=Kernel(seed=42))
+    return _print_report(report, tool, config, gantt=args.gantt)
+
+
+def _print_report(report, tool, config: SuperPinConfig,
+                  gantt: bool = False) -> int:
+    """Print one SuperPin run's report — a live run's or a replay's —
+    and return its exit status: 3 on a failed audit, else 0."""
     timing = report.timing
     seconds = config.seconds
     workers = (f"{config.spworkers} worker processes"
@@ -197,7 +202,8 @@ def _cmd_run(args, extra: list[str]) -> int:
               f"{int(sup['recovered_slices'])} slices recovered"
               f"{degraded}")
     if report.recording_path:
-        print(f"recording: wrote {report.recording_path} "
+        verb = "wrote" if config.sprecord else "replayed"
+        print(f"recording: {verb} {report.recording_path} "
               f"(id {report.recording_id[:12]})")
     if config.spjournal:
         resumed = report.resumed_slices
@@ -272,7 +278,7 @@ def _cmd_run(args, extra: list[str]) -> int:
         print(f"trace: wrote {what} to {config.sptrace}")
     if config.spmetrics or config.sptrace:
         print(report.trace_summary())
-    if args.gantt and timing is not None:
+    if gantt and timing is not None:
         from .harness.report import gantt_chart
         print()
         print(gantt_chart(timing))
@@ -299,8 +305,7 @@ def _cmd_replay(args, extra: list[str]) -> int:
         print(f"unknown tools: {', '.join(unknown) or '<none given>'}; "
               f"see 'superpin list'", file=sys.stderr)
         return 2
-    switches = [s for s in extra if s != "--"]
-    config = parse_switches(switches) if switches else SuperPinConfig()
+    config = _switches(extra)
     tools = [TOOLS[name]() for name in names]
     try:
         reports = replay_recording(args.recording, tools, config)
@@ -312,29 +317,18 @@ def _cmd_replay(args, extra: list[str]) -> int:
         return 2
     status = 0
     for name, tool, report in zip(names, tools, reports):
-        print(f"replay {name}: {report.num_slices} slices from "
-              f"{args.recording} (id {report.recording_id[:12]})")
-        if report.degraded_slices:
-            print("  degraded slices: "
-                  + ",".join(map(str, report.degraded_slices)))
-        print(f"  tool report: {tool.report()}")
-        if report.audit is not None:
-            print(f"  {report.audit.summary()}")
-            for divergence in report.audit.divergences[:10]:
-                print(f"    {divergence}")
-            if not report.audit.ok:
-                status = 3
+        print(f"replay {name}:")
+        status = max(status, _print_report(report, tool, config))
     return status
 
 
 def _cmd_debug(args, extra: list[str]) -> int:
     from .errors import (DivergenceError, RecordingCorruptError,
                          TimeTravelError)
-    from .superpin import load_recording, parse_switches, SuperPinConfig
+    from .superpin import load_recording
     from .superpin.timetravel import DebugSession
 
-    switches = [s for s in extra if s != "--"]
-    config = parse_switches(switches) if switches else SuperPinConfig()
+    config = _switches(extra)
     try:
         recording = load_recording(
             args.recording,

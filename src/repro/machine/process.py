@@ -40,7 +40,7 @@ class Process:
         self.syscall_handler = syscall_handler
         self.exited = False
         self.exit_code = 0
-        #: ThreadManager when the loader enabled cooperative threading.
+        #: The loader's ThreadManager (None under a caller's handler).
         self.thread_manager = None
 
     def fork(self, syscall_handler: SyscallHandler | None = None
@@ -54,16 +54,15 @@ class Process:
 
 
 def load_program(program: Program, kernel: Kernel,
-                 handler: SyscallHandler | None = None,
-                 threading: bool = True) -> Process:
+                 handler: SyscallHandler | None = None) -> Process:
     """Load ``program`` into a fresh address space, exec-style.
 
     Sets up the stack (full-descending from ``STACK_TOP``), points the
     kernel's ``brk`` at the first free page after the image, and registers
     the text/data/stack/heap regions (:meth:`Memory.map_region`).
-    With ``threading`` (the default) a cooperative
+    Unless ``handler`` replaces the kernel, a cooperative
     :class:`~repro.machine.threads.ThreadManager` is installed in front
-    of the kernel, and its exit trampoline is injected into memory.
+    of it, and its exit trampoline is injected into memory.
     """
     if not program.segments:
         raise LoaderError("program has no segments")
@@ -83,7 +82,7 @@ def load_program(program: Program, kernel: Kernel,
     mem.map_region(kernel.layout.brk, abi.MMAP_BASE - kernel.layout.brk)
 
     process = Process(cpu, mem, handler or kernel)
-    if threading and handler is None:
+    if handler is None:
         from .threads import ThreadAwareHandler, ThreadManager
         manager = ThreadManager()
         manager.install_trampoline(mem)

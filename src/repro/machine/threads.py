@@ -119,16 +119,6 @@ class ThreadManager:
         clone._next_tid = self._next_tid
         return clone
 
-    # -- queries --------------------------------------------------------------
-
-    @property
-    def live_threads(self) -> int:
-        return sum(1 for rec in self.threads.values()
-                   if rec.status is not ThreadStatus.DONE)
-
-    def used_threading(self) -> bool:
-        return self._next_tid > 1
-
     # -- the syscall surface --------------------------------------------------
 
     def handle(self, number: int, cpu: CpuState,

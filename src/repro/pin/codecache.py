@@ -153,10 +153,11 @@ class CodeCache:
                     links[pc] = new
 
     def invalidate(self, word: int) -> bool:
-        """Evict every cached trace that decoded the guest word at
-        ``word`` (it has just been written); True if there was one."""
+        """Evict every cached trace whose decode read the guest word at
+        ``word`` (it has just been written; ``num_words`` counts the word
+        a trace stopped ahead of); True if there was one."""
         stale = [trace.start for trace in self._traces.values()
-                 if trace.start <= word < trace.start + trace.num_ins]
+                 if trace.start <= word < trace.start + trace.num_words]
         for address in stale:
             self._evict_one(address)
         self.stats.invalidations += len(stale)

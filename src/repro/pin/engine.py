@@ -8,9 +8,9 @@ process's syscall handler (the seam SuperPin's record/playback plugs
 into).
 
 Like Pin, the engine is transparent to self-modifying code: a guest
-write to a word some cached trace decoded
-(:meth:`~repro.machine.memory.Memory.watch_code`) evicts every such
-trace.  If the executing trace would still run the old decode (a later
+write to a word some cached trace decoded, or stopped ahead of because
+it did not decode (:meth:`~repro.machine.memory.Memory.watch_code`),
+evicts every such trace.  If the executing trace would still run the old decode (a later
 instruction, or a loop form's next trip), it also stops right after the
 store, which counts as retired, exactly where the interpreter's store
 takes effect; any other trace finishes as compiled.
@@ -437,7 +437,7 @@ class PinVM:
                             self.metrics.observe("pin.jit.trace_ins",
                                                  trace.num_ins)
                         cache.insert(pc, trace, trace.num_ins)
-                        self.mem.watch_code(pc, trace.num_ins)
+                        self.mem.watch_code(pc, trace.num_words)
                     if linking and prev is not None:
                         # Patch the predecessor's exit stub: the next time
                         # it exits to ``pc`` the dispatcher is bypassed.

@@ -535,18 +535,21 @@ class CompiledTrace:
     """Executable form of one trace (threaded code)."""
 
     __slots__ = ("start", "steps", "instructions", "fall_address",
-                 "num_ins", "links", "heat", "hot_at")
+                 "num_ins", "num_words", "links", "heat", "hot_at")
 
     is_source = False
 
     def __init__(self, start: int, steps: list[Step],
-                 instructions: list[Ins], fall_address: int | None):
+                 instructions: list[Ins], fall_address: int | None,
+                 num_words: int):
         self.start = start
         self.steps = steps
         #: The instrumented instructions the steps were lowered from.
         self.instructions = instructions
         self.fall_address = fall_address
         self.num_ins = len(steps)
+        #: What the engine watches: :attr:`TraceObj.num_words`.
+        self.num_words = num_words
         #: Direct trace links: exit pc -> successor trace, patched lazily
         #: by the engine (Pin's exit-stub patching).  Cleared wholesale
         #: by CodeCache.flush — a link must never outlive its target.
@@ -875,7 +878,8 @@ class Jit:
             trace = CompiledTrace(address,
                                   self._lower_threaded(skeleton, cut),
                                   skeleton.instructions,
-                                  trace_obj.fall_address)
+                                  trace_obj.fall_address,
+                                  trace_obj.num_words)
         if kept is None:
             cell[1] += 1
         trace.heat = cell
@@ -1042,7 +1046,7 @@ class Jit:
                              [self._step(ins, ins.shape,
                                          cut[1:] if cut else ())],
                              trace_obj.instructions,
-                             trace_obj.fall_address)
+                             trace_obj.fall_address, 1)
 
     # -- lowering ------------------------------------------------------------
 
@@ -1124,6 +1128,7 @@ class Jit:
                 kept.fn, kept.source = fn, source
         return SourceCompiledTrace(
             start=address, fn=fn, num_ins=len(skeleton.instructions),
+            num_words=trace_obj.num_words,
             fall_address=trace_obj.fall_address, source=source,
             instructions=skeleton.instructions,
             origin=skeleton if self._loops(skeleton) else None)

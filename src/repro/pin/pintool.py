@@ -64,10 +64,12 @@ class Pintool:
     #: slices, so every slice — and the audit's serial baseline —
     #: inherits the same filter).  Filter-aware tools must *also* check
     #: per instruction (``INS_MatchesFilter`` / ``BBL_NumMatchingIns``)
-    #: inside ``instrument_trace``: trace shapes differ between serial
-    #: and sliced execution, so only instruction-granular decisions
-    #: produce replay-stable results — the engine's whole-trace skip is
-    #: merely the fast path consistent with that semantics.
+    #: inside ``instrument_trace``: a slice decodes serial Pin's traces,
+    #: but its signature pc splits the block it falls in, so block
+    #: shapes differ between serial and sliced execution and only
+    #: instruction-granular decisions produce replay-stable results —
+    #: the engine's whole-trace skip is merely the fast path consistent
+    #: with that semantics.
     instrument_filter = None
 
     #: The purity contract: True declares that what

@@ -115,14 +115,15 @@ class SourceCompiledTrace:
     it.
     """
 
-    __slots__ = ("start", "fn", "num_ins", "fall_address", "source",
-                 "instructions", "links", "heat", "loop", "origin")
+    __slots__ = ("start", "fn", "num_ins", "num_words", "fall_address",
+                 "source", "instructions", "links", "heat", "loop",
+                 "origin")
 
     is_source = True
     #: Already generated code: nothing to promote to.
     hot_at = NEVER
 
-    def __init__(self, start: int, fn, num_ins: int,
+    def __init__(self, start: int, fn, num_ins: int, num_words: int,
                  fall_address: int | None, source: str,
                  instructions: list[Ins], origin=None):
         self.start = start
@@ -134,6 +135,8 @@ class SourceCompiledTrace:
         self.loop = None
         self.origin = origin
         self.num_ins = num_ins
+        #: See repro.pin.jit.CompiledTrace.num_words.
+        self.num_words = num_words
         self.fall_address = fall_address
         self.source = source
         #: The instrumented instructions ``fn`` was lowered from.

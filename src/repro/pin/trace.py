@@ -303,6 +303,11 @@ class TraceObj:
     def num_ins(self) -> int:
         return sum(bbl.num_ins for bbl in self.bbls)
 
+    @property
+    def num_words(self) -> int:
+        """The guest words the decode read: a :data:`HOLE` one more."""
+        return self.num_ins + (self.ended is HOLE)
+
     def __repr__(self) -> str:
         return (f"TraceObj({self.address:#x}, {len(self.bbls)} bbls, "
                 f"{self.num_ins} ins)")

@@ -56,10 +56,6 @@ class TimingReport:
         return self.total_cycles / self.native_cycles \
             if self.native_cycles else float("inf")
 
-    @property
-    def overhead_percent(self) -> float:
-        return (self.slowdown - 1.0) * 100.0
-
     def breakdown(self) -> dict[str, float]:
         """Figure-6 components, in cycles, summing to ``total_cycles``."""
         return {

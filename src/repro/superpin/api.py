@@ -48,9 +48,6 @@ class SPControl:
         self.areas: list[SharedArea] = []
         self.area_locals: list[object] = []
         self._in_slice = False
-        #: Recording artifact path when the run is an ``-spreplay``
-        #: (set by the runtime before slices run; None for live runs).
-        self.replay_source: str | None = None
 
     # The handle is process-global state; slices share it (tools often
     # stash it on themselves, and the tool is deep-copied per slice).
@@ -109,14 +106,6 @@ class SPControl:
             raise InstrumentationError(
                 "SP_EndSlice is only valid inside a running slice")
         raise StopRun(END_SLICE_TOKEN)
-
-    def SP_ReplaySource(self) -> str | None:
-        """Recording artifact path this run replays, or None when live.
-
-        Lets a tool distinguish "record once, replay many" executions
-        (``-spreplay``) from runs driven by a live master.
-        """
-        return self.replay_source
 
     # -- helpers --------------------------------------------------------------
 

@@ -172,7 +172,7 @@ def reference_from_recording(meta: dict) -> ReferenceRun:
 
     A recording captures the reference data — boundary checkpoints,
     interval stream digests, final architectural state — at record time,
-    so ``-spaudit`` on a replayed run (``-spreplay``) costs nothing: the
+    so ``-spaudit`` on a replay (``superpin replay``) costs nothing: the
     oracle compares against the artifact instead of re-running the
     master.  The digests compared are the *recorded* ones, so a slice
     section mutated inside the artifact (but passing its section digest,

@@ -4,8 +4,9 @@
 boundary snapshots (initial memory image included, as COW forks), the
 slice boundary table with signatures, every interval's recorded syscall
 stream, the nondeterminism seed and the post-run kernel — into one
-versioned, content-addressed artifact.  ``-spreplay PATH`` then runs
-any Pintool against that artifact *without re-running the master*: the
+versioned, content-addressed artifact.  :func:`~repro.superpin.runtime.
+replay_recording` (``superpin replay -r PATH``) then runs any Pintool
+against that artifact *without re-running the master*: the
 slice/supervisor/merge machinery sources its
 ``(Boundary, Interval)`` specs from the artifact instead of a live
 control phase.

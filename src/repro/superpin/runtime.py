@@ -116,7 +116,7 @@ class SuperPinReport:
     #: Differential audit outcome (``-spaudit`` only; None otherwise).
     audit: AuditReport | None = None
     #: Path of the recording artifact this run saved (``-sprecord``) or
-    #: replayed (``-spreplay``); None for plain live runs.
+    #: replayed (:func:`replay_recording`); None for plain live runs.
     recording_path: str | None = None
     #: Content address of that artifact (sha256 over section digests).
     recording_id: str = ""
@@ -371,14 +371,6 @@ def run_superpin(program: Program, tool: Pintool,
     if not config.sp:
         raise ConfigError("run_superpin called with sp disabled; "
                           "use repro.pin.run_with_pin instead")
-    if config.spreplay is not None:
-        # Record once, replay many: the artifact supplies everything the
-        # slice phase needs, so the master is re-run exactly zero times.
-        return replay_recording(config.spreplay, tool, config,
-                                machine=machine, cost=cost,
-                                compute_timing=compute_timing,
-                                tracer=tracer, on_progress=on_progress,
-                                resident=resident)
     tracer = ensure_tracer(tracer)
     metrics = metrics_for(config.spmetrics)
 
@@ -572,11 +564,9 @@ class _MasterStream:
                     config, metrics=self.metrics)
 
 
-def _setup_tool(tool: Pintool, config: SuperPinConfig,
-                replay_source: str | None = None) -> SPControl:
+def _setup_tool(tool: Pintool, config: SuperPinConfig) -> SPControl:
     """Register ``tool`` through the SP API; returns the run's handle."""
     sp = SPControl(config)
-    sp.replay_source = replay_source
     tool.setup(sp)
     if not sp.initialized:
         raise ConfigError(
@@ -723,9 +713,10 @@ def replay_recording(source, tool, config: SuperPinConfig | None = None,
                      resident=None):
     """Replay a recording artifact under one tool — or a list of tools.
 
-    The "replay many" half of ``-sprecord``/``-spreplay``: every run
-    sources its boundaries, signatures and recorded syscall streams from
-    the verified artifact at ``source``; the master is never re-run (no
+    The "replay many" half of ``-sprecord``, and the one way to replay
+    (``superpin replay``): every run sources its boundaries, signatures
+    and recorded syscall streams from the verified artifact at
+    ``source``; the master is never re-run (no
     ``control_phase`` or ``signature_phase`` span exists on a replay's
     trace), and from the slice phase on a replay *is* a live run — the
     same pipeline, phase events and report.  Each tool gets a *fresh*
@@ -738,7 +729,9 @@ def replay_recording(source, tool, config: SuperPinConfig | None = None,
     (hole in the merge) instead of failing the whole replay; any other
     policy raises :class:`~repro.errors.RecordingCorruptError` on load.
     ``resident`` is :func:`run_superpin`'s: every replay's in-process
-    attempts run on it, one after another.
+    attempts run on it, one after another.  ``-spfilter`` and
+    ``-sprecord`` raise :class:`~repro.errors.ConfigError`: the artifact
+    carries no symbol table, and is already recorded.
     """
     config = config or SuperPinConfig()
     single = not isinstance(tool, (list, tuple))
@@ -747,6 +740,10 @@ def replay_recording(source, tool, config: SuperPinConfig | None = None,
             "-spfilter needs the program's symbol table, which a "
             "recording artifact does not carry; apply the filter at "
             "record time instead")
+    if config.sprecord is not None:
+        raise ConfigError(
+            "-sprecord on a replay would only re-serialize the artifact "
+            "it was given")
     reports = []
     for one in [tool] if single else tool:
         run_tracer = ensure_tracer(tracer)
@@ -758,7 +755,7 @@ def replay_recording(source, tool, config: SuperPinConfig | None = None,
             recording = load_recording(
                 source, metrics=metrics,
                 tolerate_damaged=config.spfaults == "degrade")
-        sp = _setup_tool(one, config, replay_source=recording.path)
+        sp = _setup_tool(one, config)
         # -spaudit on a replay is free: the artifact carries the
         # reference checkpoints and stream digests, so the oracle
         # compares against recorded truth without re-running anything.

@@ -57,13 +57,12 @@ Switch                  Meaning — why it survives
                         slices, an approximation the user opts into
 ``-sprecord <path>``    record once: save a content-addressed recording
                         artifact after the control and signature phases
-                        (see superpin.recording)
-``-spreplay <path>``    replay many: run the tool against a verified
-                        artifact; the master runs zero times
+                        (see superpin.recording; ``superpin replay``
+                        replays it)
 ``-spjournal <path>``   write-ahead run journal of completed slices (see
                         superpin.journal)
 ``-spresume <0|1>``     resume from ``-spjournal``, re-executing only
-                        the missing slices — these four name files only
+                        the missing slices — these three name files only
                         the user can
 ``-sptracestore <dir>`` persistent cross-run store of the trace heads a
                         program's first slice compiled (an account, see
@@ -189,13 +188,9 @@ class SuperPinConfig:
     spsample: int = 0
     # --- durable recordings and crash-safe runs (superpin.recording) -------
     #: Save a recording artifact to this path after the control and
-    #: signature phases ("record once").  Mutually exclusive with
-    #: ``spreplay``.
+    #: signature phases ("record once"; :func:`~repro.superpin.runtime.
+    #: replay_recording` replays it).
     sprecord: str | None = None
-    #: Replay against a recording artifact at this path ("replay many"):
-    #: the slice phase sources its boundaries, signatures and syscall
-    #: streams from the verified artifact and the master never runs.
-    spreplay: str | None = None
     #: Write-ahead run journal path: every completed slice's result is
     #: appended durably, making the run crash-safe.
     spjournal: str | None = None
@@ -256,15 +251,10 @@ class SuperPinConfig:
         if self.spfilter is not None and not str(self.spfilter).strip():
             raise ConfigError("-spfilter spec must not be empty")
         for name, flag in (("sprecord", "-sprecord"),
-                           ("spreplay", "-spreplay"),
                            ("spjournal", "-spjournal")):
             value = getattr(self, name)
             if value is not None and not str(value).strip():
                 raise ConfigError(f"{flag} path must not be empty")
-        if self.sprecord is not None and self.spreplay is not None:
-            raise ConfigError(
-                "-sprecord and -spreplay are mutually exclusive (a replay "
-                "would only re-serialize the artifact it was given)")
         if self.spresume and self.spjournal is None:
             raise ConfigError("-spresume requires -spjournal (there is no "
                               "journal to resume from)")
@@ -329,7 +319,6 @@ _FLAG_PARSERS = {
     "-spsuppress": ("spsuppress", lambda v: bool(int(v))),
     "-spsample": ("spsample", int),
     "-sprecord": ("sprecord", str),
-    "-spreplay": ("spreplay", str),
     "-spjournal": ("spjournal", str),
     "-spresume": ("spresume", lambda v: bool(int(v))),
     "-sptracestore": ("sptracestore", str),

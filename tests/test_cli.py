@@ -54,6 +54,28 @@ class TestRun:
         assert "2 worker processes" in out
 
 
+class TestReplay:
+    def test_replay_prints_the_run_report_per_tool(self, tmp_path, capsys):
+        """``superpin replay`` is the one way to replay: it prints each
+        tool the report ``superpin run`` prints, and ``-spreplay`` is an
+        unknown switch."""
+        path = str(tmp_path / "run.sprec")
+        run = ["run", "-t", "icount2", "-w", "gzip", "--scale", "0.05", "--"]
+        assert main(run + ["-sprecord", path]) == 0
+        assert f"recording: wrote {path}" in capsys.readouterr().out
+        code = main(["replay", "-r", path, "-t", "icount2,memtrace",
+                     "--", "-spaudit", "1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        for line in ("detection:", "virtual time:",
+                     f"recording: replayed {path} (id ", "audit: OK"):
+            assert len(re.findall("^" + re.escape(line), out,
+                                  re.MULTILINE)) == 2, line
+        assert main(run + ["-spreplay", path]) == 2
+        assert "error: unknown SuperPin switch '-spreplay'" \
+            in capsys.readouterr().err
+
+
 class TestFigure:
     def test_figure_subset(self, capsys):
         code = main(["figure", "4", "--scale", "0.05",

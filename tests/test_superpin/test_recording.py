@@ -158,25 +158,19 @@ class TestReplayParity:
         assert len(instants) == len(report.audit.divergences) \
             == report.metrics.counters["superpin.audit.divergences"]
 
-    def test_tool_can_ask_if_replaying(self, recorded):
-        path, _, _ = recorded
-        tool = ICount2()
-        seen = {}
-
-        # The wrapper removes itself before delegating so the tool's
-        # instance dict stays picklable for worker-mode slice payloads.
-        def setup(sp):
-            del tool.setup
-            tool.setup(sp)
-            seen["source"] = sp.SP_ReplaySource()
-        tool.setup = setup
-        replay_recording(path, tool, _config())
-        assert seen["source"] == str(path)
-
     def test_replay_rejects_spfilter(self, recorded):
         path, _, _ = recorded
         with pytest.raises(ConfigError):
             replay_recording(path, ICount2(), _config(spfilter="all"))
+
+    def test_replay_rejects_sprecord(self, recorded, tmp_path):
+        """A replay asked to record would only re-serialize the artifact
+        it was given."""
+        path, _, _ = recorded
+        with pytest.raises(ConfigError, match="-sprecord"):
+            replay_recording(path, ICount2(),
+                             _config(sprecord=str(tmp_path / "again.sprec")))
+        assert not (tmp_path / "again.sprec").exists()
 
 
 class TestTheFormatIsFrozen:

@@ -19,6 +19,7 @@ import pytest
 from repro.isa import assemble
 from repro.machine import Interpreter, Kernel, load_program
 from repro.pin import jit, run_with_pin
+from repro.pin.trace import build_trace
 from repro.superpin import (load_recording, replay_recording, run_superpin,
                             SuperPinConfig, TimeTravelEngine)
 from repro.tools import ICount1, ICount2, MemTrace
@@ -109,6 +110,34 @@ slot:
     syscall
 donor:
     addi s2, s2, 5
+"""
+
+#: The trace at ``lp`` ends ahead of ``hole``, a word that does not
+#: decode; trip 100 stores a ``nop`` over it, which changes what a decode
+#: at ``lp`` reads, though the trace never ran that word.
+OVER_A_HOLE = """
+.entry main
+main:
+    li   s0, 0
+    li   s1, 200
+    la   t3, donor
+    ld   t4, 0(t3)
+    la   t5, hole
+lp: addi s0, s0, 1
+    li   t0, 100
+    bne  s0, t0, skip
+    st   t4, 0(t5)
+skip:
+    beq  zero, zero, over
+hole:
+    .word 0xff
+over:
+    blt  s0, s1, lp
+    li   a0, SYS_EXIT
+    mov  a1, s0
+    syscall
+donor:
+    nop
 """
 
 #: name -> (source, timeslice settings, expected exit code).
@@ -253,3 +282,44 @@ def test_per_block_and_memory_tools_agree(guest, lowering, monkeypatch):
     icount2 = ICount2()
     run_with_pin(program, icount2, kernel=Kernel(seed=3))
     assert icount2.total == instructions
+
+
+@pytest.mark.parametrize("lowering", LOWERINGS)
+class TestAStoreOverTheWordATraceStoppedAhead:
+    """A trace that ended ahead of a word that does not decode read that
+    word too: a store over it evicts the trace, so the next decode at
+    ``lp`` runs on past the ``nop``."""
+
+    def test_serial_pin(self, lowering, monkeypatch):
+        lower(monkeypatch, lowering)
+        program = assemble(OVER_A_HOLE)
+        want = interpret(program)
+        assert want[0] == 200
+        lp = program.symbols["lp"]
+        for backend in ("closure", "source"):
+            tool = ICount1()
+            _, vm, kernel = run_with_pin(program, tool, kernel=Kernel(seed=3),
+                                         jit_backend=backend)
+            assert (vm.exit_code, vm.total_instructions,
+                    kernel.stdout_text()) == want, backend
+            assert tool.total == want[1]
+            assert vm.cache.get(lp).num_ins \
+                == build_trace(vm.mem, lp).num_ins == 10, backend
+            assert vm.cache.stats.invalidations >= 1
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_superpin_audited(self, lowering, workers, monkeypatch):
+        lower(monkeypatch, lowering)
+        program = assemble(OVER_A_HOLE)
+        want = interpret(program)
+        tool = ICount1()
+        report = run_superpin(
+            program, tool, SuperPinConfig(clock_hz=10_000, spmsec=20,
+                                          spworkers=workers, spaudit=True),
+            kernel=Kernel(seed=3))
+        assert report.audit.ok, report.audit.summary()
+        assert report.all_exact and report.num_slices > 1
+        assert (report.exit_code, report.timeline.total_instructions,
+                report.stdout) == want
+        assert tool.total == want[1]
+        assert report.timeline.master.code_invalidations > 0

@@ -140,7 +140,6 @@ class TestValidation:
         {"slice_deadline_floor": 0}, {"slice_deadline_floor": -1.0},
         {"jit_backend": "bogus"}, {"sptc2": 1},
         {"sptracestore_limit": 0}, {"spresume": True},
-        {"sprecord": "a.sprec", "spreplay": "b.sprec"},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):
