@@ -21,6 +21,12 @@ trace store (-sptracestore): the first run populates the store, the
 second is the one gated.  It must record ``pin.cache.persistent_hits >
 0`` and report zero pilot cold compiles — if the persistent tier
 silently stops engaging, the gate fails even though nothing got slower.
+
+The streamed pipeline is gated on ``master_overlap_seconds > 0``: the
+master's host seconds after the first slice was released.  A run that
+drains the master before releasing a slice (the old barrier, or
+``-spworkers 0``) reads exactly 0.0.  How many results land before the
+master ends is the host's scheduling, so that counter is not gated.
 """
 
 import argparse
@@ -109,10 +115,6 @@ REQUIRED_NONZERO = (
     # form is not being built, or its allowance never reaches two).
     "pin.jit.loop_trips",
     "superpin.control.master.loop_trips",
-    # The streamed pipeline: on this two-worker run slice results land
-    # while the master is still cutting, so zero means the barrier
-    # between the master and the slice phase is back.
-    LANDED_BEFORE_MASTER_END,
 )
 
 #: Counters that must *equal* the baseline: functions of the guest and
@@ -160,6 +162,7 @@ def measure(trace_path=None):
         "wallclock": {key: wall[key] for key in WALLCLOCK_KEYS},
         "counters": dict(gated.metrics.counters),
         "pilot_cold_compiles": pilot_cold_compiles(gated.slices),
+        "master_overlap_seconds": wall["master_overlap_seconds"],
     }
 
 
@@ -186,6 +189,11 @@ def compare(current, baseline):
         failures.append(
             f"second run reports {current['pilot_cold_compiles']} pilot "
             f"cold compiles; a persistent-store hit must name them all"
+        )
+    if not current["master_overlap_seconds"] > 0:
+        failures.append(
+            "master_overlap_seconds is 0: the master finished before the "
+            "first slice was released (the streamed pipeline is gone)"
         )
     base_counters = baseline["counters"]
     for name in sorted(set(base_counters) | set(current["counters"])):

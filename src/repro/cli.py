@@ -20,6 +20,7 @@ the report ``superpin run`` prints.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import ConfigError
@@ -34,6 +35,19 @@ from .workloads import BENCHMARK_NAMES, build
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        status = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``superpin list | head -1``): point stdout
+        # at devnull, or the flush at exit raises again (the recipe in
+        # the docs of Python's ``signal`` module).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    return status
+
+
+def _main(argv: list[str] | None) -> int:
     parser = argparse.ArgumentParser(
         prog="superpin",
         description="SuperPin reproduction: fork-parallelized dynamic "

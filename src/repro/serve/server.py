@@ -48,7 +48,7 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
 from ..fsutil import atomic_write
-from ..obs.metrics import metrics_for
+from ..obs.metrics import MetricsRegistry
 from .jobs import (Job, JobCancelled, JobLog, JobQueue, QueueFull,
                    recover_jobs)
 from .protocol import (encode_line, decode_line, MAX_LINE_BYTES,
@@ -161,13 +161,13 @@ class ServeDaemon:
     """One daemon instance: queue, pool, socket server, durable log."""
 
     def __init__(self, socket_path, state_dir, workers: int = 1,
-                 max_depth: int = 64, spmetrics: bool = True):
+                 max_depth: int = 64):
         self.socket_path = os.fspath(socket_path)
         self.state_dir = os.fspath(state_dir)
         self.workers = workers
         self.queue = JobQueue(max_depth=max_depth)
         self.jobs: dict[str, Job] = {}
-        self.metrics = metrics_for(spmetrics)
+        self.metrics = MetricsRegistry()
         self.residents = Residents(workers, self.metrics)
         self.trace_store_dir = os.path.join(self.state_dir, "trace_store")
         self._subscribers: dict[str, list[asyncio.Queue]] = {}

@@ -365,7 +365,7 @@ class ControlProcess:
         expected end the standard interval is used again.
         """
         config = self.config
-        standard = config.timeslice_instructions
+        standard = config.timeslice_cycles
         if not config.expected_duration_msec:
             return standard
         expected_total = (config.expected_duration_msec * config.clock_hz

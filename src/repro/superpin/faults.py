@@ -26,21 +26,13 @@ ways the paper's control process must survive:
   can catch it — only the ``-spaudit`` differential oracle, which is
   exactly what it mutation-tests.
 
-Two further kinds target *durable artifacts* rather than slice
-attempts (:data:`ARTIFACT_FAULT_KINDS`; they never fire during slice
-execution):
-
-* ``truncate`` — chop a just-written recording section, or the run
-  journal's tail, mid-byte: the short-write / torn-tail failure mode.
-* ``stale``    — age the artifact: bump a recording's format version or
-  rewrite the journal's run key, so loaders must reject it as written
-  by a different revision or run.
-
 Every fault is scoped to one slice index and to its first ``attempts``
 execution attempts (``None`` = every attempt, i.e. unrecoverable), so a
 plan is fully deterministic: the same run replays the same faults.
-For artifact kinds the "slice index" selects the recording section to
-damage (journals ignore it).
+A saved artifact is damaged after the run instead, by
+:func:`~repro.superpin.recording.damage_recording`,
+:func:`~repro.superpin.journal.damage_journal` and
+:func:`~repro.superpin.warmstore.damage_store_entry`.
 
 Spec strings (for ``-spinject`` and CI) are comma-separated
 ``kind@slice[:attempts]`` entries, with ``*`` for "every attempt"::
@@ -49,8 +41,6 @@ Spec strings (for ``-spinject`` and CI) are comma-separated
     hang@2:*           slice 2 hangs on every attempt (unrecoverable)
     runaway@1:2        slice 1 raises RunawaySliceError on attempts 1-2
     tamper@1           slice 1's result is silently falsified
-    truncate@3         chop recording section slice_0003 (and journal tail)
-    stale@0            age the recording/journal so loads reject it
 """
 
 from __future__ import annotations
@@ -72,13 +62,6 @@ class FaultKind(enum.Enum):
     CORRUPT = "corrupt"
     RUNAWAY = "runaway"
     TAMPER = "tamper"
-    TRUNCATE = "truncate"
-    STALE = "stale"
-
-
-#: Kinds that damage durable artifacts (recordings, journals) after they
-#: are written, instead of firing on slice attempts.
-ARTIFACT_FAULT_KINDS = frozenset((FaultKind.TRUNCATE, FaultKind.STALE))
 
 
 class WorkerCrashFault(ReproError):
@@ -120,22 +103,11 @@ class FaultPlan:
     specs: tuple[FaultSpec, ...] = ()
 
     def spec_for(self, index: int, attempt: int) -> FaultSpec | None:
-        """First spec that fires for this (slice, attempt), else None.
-
-        Artifact kinds never match a slice attempt — they fire only via
-        :meth:`artifact_specs` after the artifact is written.
-        """
+        """First spec that fires for this (slice, attempt), else None."""
         for spec in self.specs:
-            if spec.kind in ARTIFACT_FAULT_KINDS:
-                continue
             if spec.matches(index, attempt):
                 return spec
         return None
-
-    def artifact_specs(self) -> tuple[FaultSpec, ...]:
-        """The plan's artifact-damage specs, in declaration order."""
-        return tuple(spec for spec in self.specs
-                     if spec.kind in ARTIFACT_FAULT_KINDS)
 
     @classmethod
     def parse(cls, text: str) -> "FaultPlan":

@@ -262,7 +262,7 @@ def _scan(data: bytes, key: str, path: str
 
 
 def damage_journal(path, kind: str) -> None:
-    """Deterministically damage a journal (the ``-spinject`` hook).
+    """Deterministically damage a journal (a test hook).
 
     ``truncate`` chops into the last entry (a torn tail — resume must
     re-execute that slice); ``stale`` ages the header's run key so

@@ -407,7 +407,7 @@ def load_recording(path, metrics=NULL_METRICS,
     return recording
 
 
-# -- deterministic damage (the -spinject truncate/stale hook) -----------------
+# -- deterministic damage (a test hook, applied after the save) ---------------
 
 def damage_recording(path, kind: str, slice_index: int | None = None
                      ) -> None:

@@ -62,10 +62,10 @@ from .audit import (audit_against, AuditInputs, AuditReport, perform_audit,
                     reference_from_recording)
 from . import parallel
 from .control import ControlProcess, MasterTimeline
-from .journal import (damage_journal, program_digest, run_key, RunJournal)
+from .journal import program_digest, run_key, RunJournal
 from .merge import merge_slices
 from .parallel import SliceTimings
-from .recording import damage_recording, load_recording, save_recording
+from .recording import load_recording, save_recording
 from .signature import Lookahead, Signature
 from .slices import SliceResult
 from .supervisor import SliceOutcome, supervise_slices
@@ -332,7 +332,6 @@ def run_superpin(program: Program, tool: Pintool,
                  kernel: Kernel | None = None,
                  machine: MachineModel = PAPER_MACHINE,
                  cost: CostModel = DEFAULT_COST_MODEL,
-                 compute_timing: bool = True,
                  tracer: Tracer | None = None,
                  on_progress=None, resident=None) -> SuperPinReport:
     """Run ``program`` with ``tool`` under SuperPin end to end.
@@ -411,9 +410,8 @@ def run_superpin(program: Program, tool: Pintool,
     report = _run_pipeline(master.timeline, master.signatures, tool, sp,
                            config, program_digest(program), master=master,
                            audit=audit, machine=machine, cost=cost,
-                           compute_timing=compute_timing, tracer=tracer,
-                           metrics=metrics, progress=progress,
-                           resident=resident)
+                           tracer=tracer, metrics=metrics,
+                           progress=progress, resident=resident)
     if master.recording_manifest is not None:
         report.recording_path = config.sprecord
         report.recording_id = master.recording_manifest["recording_id"]
@@ -580,8 +578,8 @@ def _run_pipeline(timeline: MasterTimeline, signatures: list[Signature],
                   source_digest: str, *, master: _MasterStream | None = None,
                   damaged=None, audit=None,
                   machine: MachineModel, cost: CostModel,
-                  compute_timing: bool, tracer: Tracer, metrics,
-                  progress: _Progress, resident=None) -> SuperPinReport:
+                  tracer: Tracer, metrics, progress: _Progress,
+                  resident=None) -> SuperPinReport:
     """Pipeline phases 3-6, shared by live runs and replays.
 
     Everything downstream of "a timeline and its signatures exist, or
@@ -629,7 +627,6 @@ def _run_pipeline(timeline: MasterTimeline, signatures: list[Signature],
         ended = tracer.now()
         released = progress.began.get("slice", ended)
         tracer.add_span("slice_phase", released, ended, cat="phase")
-    _apply_artifact_faults(config, len(timeline.intervals))
     results, timings = supervised.results, supervised.timings
     degraded = supervised.degraded
 
@@ -648,8 +645,7 @@ def _run_pipeline(timeline: MasterTimeline, signatures: list[Signature],
     progress.phase("timing")
     with tracer.span("timing_phase", cat="phase"):
         timing = (simulate(timeline, results, config, machine=machine,
-                           cost=cost) if compute_timing and not degraded
-                  else None)
+                           cost=cost) if not degraded else None)
     report = SuperPinReport(
         config=config,
         timeline=timeline,
@@ -685,32 +681,10 @@ def _run_pipeline(timeline: MasterTimeline, signatures: list[Signature],
     return report
 
 
-def _apply_artifact_faults(config: SuperPinConfig, num_slices: int) -> None:
-    """Fire the fault plan's artifact specs against saved artifacts.
-
-    ``truncate``/``stale`` specs (``-spinject``) damage the just-written
-    recording and/or journal — after the save and the journal close, so
-    the damage models post-hoc corruption (bit rot, a torn tail), not a
-    failed write.
-    """
-    plan = config.fault_plan
-    if plan is None or not hasattr(plan, "artifact_specs"):
-        return
-    for spec in plan.artifact_specs():
-        if config.sprecord is not None and num_slices > 0:
-            damage_recording(config.sprecord, spec.kind.value,
-                             slice_index=min(spec.slice_index,
-                                             num_slices - 1))
-        if config.spjournal is not None:
-            damage_journal(config.spjournal, spec.kind.value)
-
-
 def replay_recording(source, tool, config: SuperPinConfig | None = None,
                      machine: MachineModel = PAPER_MACHINE,
                      cost: CostModel = DEFAULT_COST_MODEL,
-                     compute_timing: bool = True,
-                     tracer: Tracer | None = None, on_progress=None,
-                     resident=None):
+                     tracer: Tracer | None = None, on_progress=None):
     """Replay a recording artifact under one tool — or a list of tools.
 
     The "replay many" half of ``-sprecord``, and the one way to replay
@@ -728,10 +702,9 @@ def replay_recording(source, tool, config: SuperPinConfig | None = None,
     ``-spfaults degrade`` a damaged slice section degrades that slice
     (hole in the merge) instead of failing the whole replay; any other
     policy raises :class:`~repro.errors.RecordingCorruptError` on load.
-    ``resident`` is :func:`run_superpin`'s: every replay's in-process
-    attempts run on it, one after another.  ``-spfilter`` and
-    ``-sprecord`` raise :class:`~repro.errors.ConfigError`: the artifact
-    carries no symbol table, and is already recorded.
+    ``-spfilter`` and ``-sprecord`` raise
+    :class:`~repro.errors.ConfigError`: the artifact carries no symbol
+    table, and is already recorded.
     """
     config = config or SuperPinConfig()
     single = not isinstance(tool, (list, tuple))
@@ -765,10 +738,8 @@ def replay_recording(source, tool, config: SuperPinConfig | None = None,
         report = _run_pipeline(
             recording.build_timeline(), recording.signatures(), one, sp,
             config, recording.recording_id, damaged=recording.damaged,
-            audit=audit, machine=machine, cost=cost,
-            compute_timing=compute_timing, tracer=run_tracer,
-            metrics=metrics,
-            progress=_Progress(on_progress, run_tracer), resident=resident)
+            audit=audit, machine=machine, cost=cost, tracer=run_tracer,
+            metrics=metrics, progress=_Progress(on_progress, run_tracer))
         report.recording_path = recording.path
         report.recording_id = recording.recording_id
         metrics.inc("superpin.recording.replayed_slices", report.num_slices)

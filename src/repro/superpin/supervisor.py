@@ -17,7 +17,7 @@ attempts, whose **transport** is either a call in this process
 Around every attempt, whatever the transport:
 
 * the **attempt ladder** — a failed slice is re-executed on the
-  transport up to ``-spretries`` times (exponential backoff between),
+  transport up to :data:`RETRIES` times (exponential backoff between),
   then once in-process, and then the **policy** (``-spfaults``)
   decides: ``retry`` raises :class:`~repro.errors.SliceExecutionError`;
   ``degrade`` records the slice as a hole (:class:`SliceOutcome` with
@@ -189,6 +189,10 @@ MASTER_PAUSE_SECONDS = 0.0002
 #: Host seconds a slice's deadline grows per master instruction of its
 #: interval, on top of ``-spdeadline`` (the floor).
 DEADLINE_PER_INS = 5e-4
+
+#: Re-executions of a failed slice on its transport before the
+#: in-process fallback (policies ``retry`` / ``degrade``).
+RETRIES = 2
 
 #: Host seconds before a failed slice's first re-execution; doubles per
 #: further failure.
@@ -363,12 +367,12 @@ class _Supervisor:
         self._preloaded = preloaded or {}
         self._damaged = damaged or {}
         # The attempt ladder: a failed slice re-runs on the transport
-        # ``spretries`` times, then once in-process, so a fault plan
+        # ``RETRIES`` times, then once in-process, so a fault plan
         # fires on the same attempt numbers for any worker count.
         # ``failfast`` is the same ladder with no rungs.
         failfast = config.spfaults == "failfast"
         self._retries, self._fallbacks = ((0, 0) if failfast
-                                          else (config.spretries, 1))
+                                          else (RETRIES, 1))
         # The transport: a process pool (built at the first submit), or
         # (0 workers) this process.
         self._workers = max(0, config.spworkers)

@@ -19,8 +19,6 @@ Switch                  Meaning — why it survives
 ``-spfaults <policy>``  slice fault policy: ``failfast`` (default),
                         ``retry`` or ``degrade`` — whether a partial
                         result will do is the user's call
-``-spretries <value>``  worker re-executions per failed slice before the
-                        in-process fallback — part of that call
 ``-spdeadline <secs>``  wall-clock deadline floor per slice (plus a
                         per-instruction allowance) — a slow host needs
                         more
@@ -68,7 +66,6 @@ Switch                  Meaning — why it survives
                         program's first slice compiled (an account, see
                         superpin.warmstore) — the frozen benchmark
                         drives it
-``-sptracestorelimit``  its size budget in bytes (LRU eviction)
 ======================= ==================================================
 
 §8's shared code cache is not a switch: every run has both virtual
@@ -76,7 +73,8 @@ accounts (:meth:`~repro.superpin.runtime.SuperPinReport.
 shared_cache_timing`).  The signature's stack words and the slice
 guards are module constants (``signature.STACK_WORDS``,
 ``slices.RUNAWAY_FACTOR`` / ``RUNAWAY_SLACK``,
-``supervisor.DEADLINE_PER_INS`` / ``RETRY_BACKOFF``).
+``supervisor.RETRIES`` / ``DEADLINE_PER_INS`` / ``RETRY_BACKOFF``) and
+so is the trace store's size budget (``warmstore.DEFAULT_STORE_LIMIT``).
 
 CI hook: the environment variable ``SUPERPIN_SPWORKERS`` overrides the
 *default* of ``spworkers`` (explicit constructor arguments and parsed
@@ -125,14 +123,11 @@ class SuperPinConfig:
     # --- slice supervision (fault isolation for the slice phase) ----------
     #: Fault policy for the slice phase: ``failfast`` aborts the run on
     #: the first slice failure (cancelling everything still queued);
-    #: ``retry`` re-executes a failed slice up to ``spretries`` times in
-    #: fresh workers, then once in-process, then raises; ``degrade``
-    #: retries the same way but on final failure records the slice as a
-    #: hole and completes the run with the surviving slices.
+    #: ``retry`` re-executes a failed slice up to ``supervisor.RETRIES``
+    #: times in fresh workers, then once in-process, then raises;
+    #: ``degrade`` retries the same way but on final failure records the
+    #: slice as a hole and completes the run with the surviving slices.
     spfaults: str = "failfast"
-    #: Worker re-executions per failed slice before the in-process
-    #: fallback (policies ``retry``/``degrade``).
-    spretries: int = 2
     #: Wall-clock deadline floor per slice, in host seconds.
     slice_deadline_floor: float = 5.0
     #: Deterministic fault-injection plan (:class:`~repro.superpin.
@@ -204,9 +199,6 @@ class SuperPinConfig:
     #: — counts its ``warm_starts`` against the stored trace heads; on a
     #: miss the first slice's heads are saved for the next run.
     sptracestore: str | None = None
-    #: Size budget (bytes) for the trace store directory; past it the
-    #: least-recently-used entries are evicted.
-    sptracestore_limit: int = 64 * 1024 * 1024
 
     def __post_init__(self) -> None:
         if self.spmsec <= 0:
@@ -223,9 +215,6 @@ class SuperPinConfig:
             raise ConfigError(
                 f"-spfaults must be one of {', '.join(FAULT_POLICIES)}, "
                 f"got {self.spfaults!r}")
-        if self.spretries < 0:
-            raise ConfigError(
-                f"-spretries must be >= 0, got {self.spretries}")
         if self.slice_deadline_floor <= 0:
             raise ConfigError(
                 f"slice_deadline_floor must be positive, "
@@ -261,20 +250,12 @@ class SuperPinConfig:
         if (self.sptracestore is not None
                 and not str(self.sptracestore).strip()):
             raise ConfigError("-sptracestore path must not be empty")
-        if self.sptracestore_limit <= 0:
-            raise ConfigError(
-                f"-sptracestorelimit must be positive, "
-                f"got {self.sptracestore_limit}")
 
     @property
     def timeslice_cycles(self) -> int:
-        """Timeslice interval in virtual cycles."""
+        """Timeslice interval in virtual cycles — also the master's
+        instruction budget per timeslice (native CPI is 1)."""
         return max(1, self.spmsec * self.clock_hz // 1000)
-
-    @property
-    def timeslice_instructions(self) -> int:
-        """Master instruction budget per timeslice (native CPI is 1)."""
-        return self.timeslice_cycles
 
     def seconds(self, cycles: float) -> float:
         """Convert virtual cycles to virtual seconds."""
@@ -283,14 +264,14 @@ class SuperPinConfig:
 
 #: The fields that change what a run computes — its slices, tool results
 #: and virtual account.  The rest only change how the run executes
-#: (worker count, fault policy, observability, artifact paths), which the
-#: ``spworkers`` parity property makes invisible in the results.  Read by
-#: the run journal's key (:func:`repro.superpin.journal.run_key`) and the
-#: figure harness's memo, so a run is reused exactly when it would
-#: compute the same thing.
+#: (worker count, JIT backend, fault policy, observability, artifact
+#: paths), which the parity properties make invisible in the results.
+#: Read by the run journal's key (:func:`repro.superpin.journal.run_key`)
+#: and the figure harness's memo, so a run is reused exactly when it
+#: would compute the same thing.
 RESULT_FIELDS = (
-    "spmsec", "spmp", "spsysrecs", "clock_hz", "jit_backend", "spfilter",
-    "spsuppress", "spsample", "expected_duration_msec",
+    "spmsec", "spmp", "spsysrecs", "clock_hz", "spfilter", "spsuppress",
+    "spsample", "expected_duration_msec",
 )
 
 
@@ -306,7 +287,6 @@ _FLAG_PARSERS = {
     "-spsysrecs": ("spsysrecs", int),
     "-spworkers": ("spworkers", int),
     "-spfaults": ("spfaults", str),
-    "-spretries": ("spretries", int),
     "-spdeadline": ("slice_deadline_floor", float),
     "-spinject": ("fault_plan", _parse_inject),
     "-spclock": ("clock_hz", int),
@@ -322,7 +302,6 @@ _FLAG_PARSERS = {
     "-spjournal": ("spjournal", str),
     "-spresume": ("spresume", lambda v: bool(int(v))),
     "-sptracestore": ("sptracestore", str),
-    "-sptracestorelimit": ("sptracestore_limit", int),
 }
 
 

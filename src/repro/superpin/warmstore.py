@@ -31,11 +31,11 @@ logs and the one thing that outlives a run:
   exists because the frozen benchmark (``bench/layers.py``, pinned by
   ``tests/test_bench_contract.py``) drives ``trace_store_for`` /
   ``store_key`` / ``load`` / ``save`` / ``size_bytes`` and expects a
-  cold run to leave an entry; deleting it, ``-sptracestore`` and
-  ``-sptracestorelimit`` waits for benchmark round 2 (ROADMAP item
-  1(e)), exactly like ``-spjit``.  A process-spanning warm tier
-  that saves host time would be a resident slice machine per daemon
-  worker, not this file.
+  cold run to leave an entry; deleting it and ``-sptracestore`` waits
+  for benchmark round 2 (ROADMAP item 1(e)), exactly like ``-spjit``;
+  its size budget is a constant, :data:`DEFAULT_STORE_LIMIT`.  A
+  process-spanning warm tier that saves host time would be a resident
+  slice machine per daemon worker, not this file.
 
   One ``<key>.spwc`` file per entry: magic, SHA-256 of the payload, the
   heads as a JSON list of integers.  Written with
@@ -69,7 +69,8 @@ STORE_MAGIC = b"SPTS3\n"
 _HEADER_LEN = len(STORE_MAGIC) + 32
 ENTRY_SUFFIX = ".spwc"
 
-#: Default size budget for a store directory (entry files only).
+#: Size budget of a run's store directory (entry files only); only
+#: tests construct a :class:`TraceStore` with another.
 DEFAULT_STORE_LIMIT = 64 * 1024 * 1024
 
 
@@ -254,9 +255,7 @@ def trace_store_for(config, metrics=NULL_METRICS) -> TraceStore | None:
     """The run's :class:`TraceStore`, or None when not configured."""
     if config.sptracestore is None:
         return None
-    return TraceStore(config.sptracestore,
-                      limit_bytes=config.sptracestore_limit,
-                      metrics=metrics)
+    return TraceStore(config.sptracestore, metrics=metrics)
 
 
 def damage_store_entry(root, key: str) -> None:

@@ -67,13 +67,21 @@ def promote_at(monkeypatch, executions: int) -> None:
     monkeypatch.setattr(jit, "PROMOTE_FACTOR", 1)
 
 
+def retries(monkeypatch, count: int) -> None:
+    """A failed slice re-runs ``count`` times on its transport before
+    the in-process fallback (``supervisor.RETRIES``, a constant): the
+    attempt ladder's length at a value the test chooses."""
+    from repro.superpin import supervisor
+    monkeypatch.setattr(supervisor, "RETRIES", count)
+
+
 #: A second value of each field of ``switches.RESULT_FIELDS``, in its
 #: order: a config that differs from the default in one of them computes
 #: a different run.
 RESULT_FIELD_VALUES = [
     ("spmsec", 250), ("spmp", 2), ("spsysrecs", 0), ("clock_hz", 20_000),
-    ("jit_backend", "source"), ("spfilter", "opcode:mem"),
-    ("spsuppress", True), ("spsample", 2), ("expected_duration_msec", 3000),
+    ("spfilter", "opcode:mem"), ("spsuppress", True), ("spsample", 2),
+    ("expected_duration_msec", 3000),
 ]
 
 

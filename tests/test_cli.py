@@ -1,8 +1,15 @@
 """Command-line interface."""
 
+import io
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 from repro.cli import main
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 class TestList:
@@ -10,6 +17,35 @@ class TestList:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "gzip" in out and "icount2" in out and "dcache" in out
+
+
+class TestBrokenPipe:
+    """A reader that goes away (``superpin list | head -1``) ends the
+    command with status 1 and no traceback."""
+
+    def test_write_to_a_closed_pipe(self, monkeypatch, tmp_path):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return spare.fileno()
+
+        with open(tmp_path / "spare", "w") as spare:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            assert main(["list"]) == 1
+
+    def test_python_m_repro_list_into_a_closed_pipe(self):
+        read, write = os.pipe()
+        os.close(read)
+        path = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        child = subprocess.run([sys.executable, "-m", "repro", "list"],
+                               stdout=write, stderr=subprocess.PIPE,
+                               env=env, timeout=120)
+        os.close(write)
+        assert child.returncode == 1
+        assert child.stderr == b""
 
 
 class TestRun:

@@ -34,7 +34,7 @@ class TestTimeoutSlicing:
     def test_timeout_interval_respects_budget(self, multislice_program):
         config = SuperPinConfig(spmsec=500, clock_hz=10_000)
         timeline = run_control(multislice_program, config)
-        budget = config.timeslice_instructions
+        budget = config.timeslice_cycles
         for interval in timeline.intervals:
             if interval.end_reason is BoundaryReason.TIMEOUT:
                 # Timer fires within one syscall-return of the budget.
@@ -167,7 +167,7 @@ lp: addi t0, t0, 1
 
         monkeypatch.setattr(control_mod, "PinVM", SpyVM)
         config = SuperPinConfig(spmsec=2, clock_hz=1000)  # 2-instr slices
-        assert config.timeslice_instructions == 2
+        assert config.timeslice_cycles == 2
         timeline = run_control(self.EXACT_BUDGET, config)
 
         assert budgets, "spy engine never ran"

@@ -94,13 +94,14 @@ class TestRunKey:
             != run_key(digest, "ICount2", _config())
 
     def test_invariant_under_execution_strategy(self, program):
-        """Worker count, fault policy and observability do not change
-        slice *results*, so a resumed run may change them freely."""
+        """Worker count, JIT backend, fault policy and observability do
+        not change slice *results*, so a resumed run may change them
+        freely."""
         digest = program_digest(program)
         base = run_key(digest, "ICount2", _config())
         assert run_key(digest, "ICount2",
                        _config(spworkers=2, spfaults="degrade",
-                               spmetrics=False,
+                               spmetrics=False, jit_backend="source",
                                spjournal="/elsewhere.spjl")) == base
 
 
@@ -210,6 +211,27 @@ class TestResume:
         assert tool.total == base_tool.total
         assert _slice_fingerprint(report) \
             == _slice_fingerprint(base_report)
+
+    def test_closure_journal_resumes_under_source(self, program, baseline,
+                                                  tmp_path):
+        """The JIT backend changes how a slice runs, not what it
+        computes: a source-backend run adopts every slice a closure run
+        journaled and merges the report a source run computes."""
+        base_report, base_tool = baseline
+        path = tmp_path / "run.spjl"
+        run_superpin(program, ICount2(), _config(spjournal=str(path)),
+                     kernel=Kernel(seed=42))
+        source_tool = ICount2()
+        run_superpin(program, source_tool, _config(jit_backend="source"),
+                     kernel=Kernel(seed=42))
+        tool = ICount2()
+        report = run_superpin(program, tool,
+                              _config(spjournal=str(path), spresume=True,
+                                      jit_backend="source"),
+                              kernel=Kernel(seed=42))
+        assert report.resumed_slices == report.num_slices
+        assert tool.report() == source_tool.report() == base_tool.report()
+        assert report.stdout == base_report.stdout
 
     def test_resume_with_wrong_tool_is_stale(self, program, tmp_path):
         path = tmp_path / "run.spjl"

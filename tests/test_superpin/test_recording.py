@@ -13,7 +13,7 @@ import pytest
 from repro.errors import ConfigError, RecordingCorruptError
 from repro.isa import assemble
 from repro.machine import Kernel
-from repro.superpin import (damage_recording, FaultKind, FaultPlan,
+from repro.superpin import (damage_journal, damage_recording, FaultPlan,
                             load_recording,
                             parse_switches, replay_recording,
                             run_superpin, RunJournal, run_key,
@@ -297,36 +297,32 @@ class TestDamageDetection:
         with pytest.raises(RecordingCorruptError):
             recording.slice_spec(last)
 
-    def test_spinject_truncate_damages_saved_recording(self, program,
-                                                       tmp_path):
-        """-spinject truncate@K fires *after* the artifact is saved —
-        the run itself completes clean, the artifact it leaves behind
-        is damaged (models post-hoc bit rot in CI)."""
+    def test_truncate_after_a_clean_run_damages_the_recording(
+            self, program, tmp_path):
+        """Damage lands *after* the artifact is saved — the run itself
+        completes clean, the artifact it leaves behind is damaged
+        (post-hoc bit rot)."""
         path = tmp_path / "run.sprec"
-        config = parse_switches(["-spinject", "truncate@3",
-                                 "-sprecord", str(path),
-                                 "-spmsec", "500"])
-        config.clock_hz = 10_000
         tool = ICount2()
-        report = run_superpin(program, tool, config,
+        report = run_superpin(program, tool, _config(sprecord=str(path)),
                               kernel=Kernel(seed=42))
         assert not report.degraded_slices  # the run was untouched
         assert tool.total > 0
+        assert report.num_slices > 3
+        damage_recording(path, "truncate", slice_index=3)
         with pytest.raises(RecordingCorruptError) as info:
             load_recording(path)
         assert info.value.kind == "truncated"
         assert info.value.section == "slice_0003"
 
-    def test_spinject_stale_ages_recording_and_journal(self, program,
-                                                       tmp_path):
+    def test_stale_after_a_clean_run_ages_recording_and_journal(
+            self, program, tmp_path):
         rec = tmp_path / "run.sprec"
         jrn = tmp_path / "run.spjl"
-        config = parse_switches(["-spinject", "stale@0",
-                                 "-sprecord", str(rec),
-                                 "-spjournal", str(jrn),
-                                 "-spmsec", "500"])
-        config.clock_hz = 10_000
+        config = _config(sprecord=str(rec), spjournal=str(jrn))
         run_superpin(program, ICount2(), config, kernel=Kernel(seed=42))
+        damage_recording(rec, "stale")
+        damage_journal(jrn, "stale")
         with pytest.raises(RecordingCorruptError) as info:
             load_recording(rec)
         assert info.value.kind == "version"
@@ -336,14 +332,11 @@ class TestDamageDetection:
         assert info.value.kind == "stale"
 
     def test_artifact_kinds_never_fire_on_slice_attempts(self):
-        """truncate/stale are artifact faults: spec_for must never
-        inject them into a slice attempt."""
-        config = parse_switches(["-spinject", "truncate@0:*,stale@1:*"])
-        plan = config.fault_plan
-        for k in range(4):
-            assert plan.spec_for(k, 1) is None
-        assert [s.kind for s in plan.artifact_specs()] \
-            == [FaultKind.TRUNCATE, FaultKind.STALE]
+        """Artifacts are damaged after the run (``damage_*``), never by
+        a fault plan: truncate/stale are not fault kinds."""
+        for spec in ("truncate@0", "stale@1:*"):
+            with pytest.raises(ConfigError, match="bad fault spec"):
+                parse_switches(["-spinject", spec])
 
     @pytest.mark.parametrize("spworkers", WORKER_MODES)
     def test_degrade_replay_leaves_hole(self, artifact, recorded,

@@ -116,12 +116,6 @@ class TestSliceStructure:
         parts = timing.breakdown()
         assert sum(parts.values()) == pytest.approx(timing.total_cycles)
 
-    def test_compute_timing_optional(self, hello_program):
-        report = run_superpin(hello_program, ICount2(),
-                              SuperPinConfig(), kernel=Kernel(),
-                              compute_timing=False)
-        assert report.timing is None
-
 
 class TestConfigEnforcement:
     def test_tool_without_sp_init_rejected(self, hello_program):

@@ -25,9 +25,8 @@ from repro.pin.filter import parse_filter
 from repro.pin.pintool import declares_pure_instrumentation
 from repro.pin.pyjit import _Emitter
 from repro.superpin import (ControlProcess, FaultPlan, merge_slices,
-                            record_signatures, replay_recording,
-                            run_superpin, SliceEnd, SliceToolContext,
-                            SPControl, SuperPinConfig)
+                            record_signatures, run_superpin, SliceEnd,
+                            SliceToolContext, SPControl, SuperPinConfig)
 from repro.superpin import slices as slices_mod, supervisor
 from repro.superpin.control import Boundary
 from repro.superpin.parallel import run_slice_job, slice_job
@@ -1086,7 +1085,7 @@ class TestAResidentAcrossRuns:
                                **{"spworkers": 0, **overrides})
         return report, self.image(report, report.tool)
 
-    def test_every_run_equals_the_run_without_it(self, tmp_path):
+    def test_every_run_equals_the_run_without_it(self):
         resident = SliceMachine()
         for number, step in enumerate(self.SEQUENCE):
             _, alone = self.run(step, None)
@@ -1101,20 +1100,6 @@ class TestAResidentAcrossRuns:
                     counter("pin.jit.compiles")
                     - counter("pin.jit.skeleton_rejects.words")) > 0
         assert resident.lookahead._vm.jit.pool
-
-        # One replay, and a live run after it.
-        path = str(tmp_path / "multislice.sprec")
-        _report(sprecord=path)
-        config = SuperPinConfig(**CONFIG, spmetrics=True, spworkers=0)
-        images = []
-        for machine in (None, resident):
-            tool = TOOLS["icount1"]()
-            report = replay_recording(path, tool, config, resident=machine)
-            images.append(self.image(report, tool))
-        assert images[0] == images[1]
-        assert report.metrics.counter("pin.jit.skeleton_reuses") > 0
-        assert self.run(self.SEQUENCE[1], resident)[1] \
-            == self.run(self.SEQUENCE[1], None)[1]
 
     def test_a_one_slice_run_reuses_only_on_a_resident(self):
         """What a daemon job reads to tell warm from cold."""

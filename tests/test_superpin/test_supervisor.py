@@ -26,7 +26,7 @@ from repro.superpin import supervisor
 from repro.superpin.faults import (CORRUPT_BLOB, maybe_inject,
                                    WorkerCrashFault)
 from repro.tools import ICount2, ITrace
-from tests.conftest import MULTISLICE
+from tests.conftest import MULTISLICE, retries
 
 #: Both slice-phase transports; every supervision property must hold
 #: under each (in-process and process pool).
@@ -328,7 +328,7 @@ class TestRetryRecovery:
     def test_attempt_history_recorded(self, program, spworkers):
         report, _ = _supervised_report(program,
                                        FaultPlan.parse("runaway@1:2"),
-                                       spworkers=spworkers, spretries=2)
+                                       spworkers=spworkers)
         outcome = report.slice_outcomes[1]
         assert outcome.status == "ok"
         assert outcome.recovered
@@ -347,23 +347,26 @@ class TestRetryRecovery:
 
 class TestRetryExhaustion:
     @pytest.mark.parametrize("spworkers", WORKER_MODES)
-    def test_unrecoverable_raises_with_history(self, program, spworkers):
+    def test_unrecoverable_raises_with_history(self, program, spworkers,
+                                               monkeypatch):
+        retries(monkeypatch, 1)
         with pytest.raises(SliceExecutionError) as info:
             _supervised_report(program, FaultPlan.parse("runaway@1:*"),
-                               spworkers=spworkers, spretries=1)
+                               spworkers=spworkers)
         exc = info.value
         assert exc.index == 1
-        # 1 initial + spretries retries + 1 in-process fallback.
+        # 1 initial + RETRIES retries + 1 in-process fallback.
         assert len(exc.attempts) == 3
         assert exc.attempts[-1].where == "inprocess"
         assert all(not a.ok for a in exc.attempts)
 
-    def test_zero_retries_still_gets_fallback(self, program):
-        """spretries=0: one worker attempt, then straight in-process —
+    def test_zero_retries_still_gets_fallback(self, program, monkeypatch):
+        """RETRIES 0: one worker attempt, then straight in-process —
         and a first-attempt-only fault is survived by the fallback."""
+        retries(monkeypatch, 0)
         report, tool = _supervised_report(program,
                                           FaultPlan.parse("crash@1:1"),
-                                          spworkers=2, spretries=0)
+                                          spworkers=2)
         outcome = report.slice_outcomes[1]
         assert outcome.status == "ok"
         assert outcome.attempts[-1].where == "inprocess"
@@ -372,12 +375,13 @@ class TestRetryExhaustion:
 class TestDegrade:
     @pytest.mark.parametrize("spworkers", WORKER_MODES)
     def test_unrecoverable_slice_leaves_hole(self, program, clean,
-                                             spworkers):
+                                             spworkers, monkeypatch):
         clean_report, clean_tool = clean
+        retries(monkeypatch, 1)
         report, tool = _supervised_report(program,
                                           FaultPlan.parse("runaway@1:*"),
                                           spworkers=spworkers,
-                                          spfaults="degrade", spretries=1)
+                                          spfaults="degrade")
         assert report.degraded_slices == [1]
         assert not report.all_exact
         assert report.timing is None
@@ -448,13 +452,15 @@ class TestDeadlineReaping:
             "superpin.supervisor.deadline_hits") == 0
         assert report.supervision_summary()["failed_attempts"] == 0
 
-    def test_hang_on_every_attempt_degrades(self, program, flat_deadline):
+    def test_hang_on_every_attempt_degrades(self, program, flat_deadline,
+                                            monkeypatch):
         plan = FaultPlan(specs=(FaultSpec(kind=FaultKind.HANG,
                                           slice_index=1, attempts=None,
                                           hang_seconds=60.0),))
+        retries(monkeypatch, 0)
         t0 = time.perf_counter()
         report, _ = _supervised_report(
-            program, plan, spworkers=2, spfaults="degrade", spretries=0,
+            program, plan, spworkers=2, spfaults="degrade",
             slice_deadline_floor=0.5)
         elapsed = time.perf_counter() - t0
         assert report.degraded_slices == [1]
@@ -475,22 +481,25 @@ class TestPoolReconstruction:
         assert any("pool broken" in (a.error or "")
                    for o in report.slice_outcomes for a in o.attempts)
 
-    def test_repeated_crashes_rebuild_repeatedly(self, program, clean):
+    def test_repeated_crashes_rebuild_repeatedly(self, program, clean,
+                                                 monkeypatch):
         _, clean_tool = clean
+        retries(monkeypatch, 3)
         report, tool = _supervised_report(
-            program, FaultPlan.parse("crash@1:2,crash@4"), spworkers=2,
-            spretries=3)
+            program, FaultPlan.parse("crash@1:2,crash@4"), spworkers=2)
         assert tool.total == clean_tool.total
         assert report.all_exact
 
-    def test_every_attempt_breaks_pool_then_degrades(self, program):
+    def test_every_attempt_breaks_pool_then_degrades(self, program,
+                                                     monkeypatch):
         """A slice whose every worker attempt kills its process must
         rebuild the pool after each break (counter-verified) and only
         degrade once the in-process fallback also fails — never abort
         the run, never skip the rebuilds."""
+        retries(monkeypatch, 1)
         report, _ = _supervised_report(
             program, FaultPlan.parse("crash@2:*"), spworkers=2,
-            spfaults="degrade", spretries=1, spmetrics=True)
+            spfaults="degrade", spmetrics=True)
         assert report.degraded_slices == [2]
         assert report.metrics.counters[
             "superpin.supervisor.pool_rebuilds"] >= 2

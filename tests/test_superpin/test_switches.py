@@ -55,9 +55,12 @@ class TestSupervisionSwitches:
             == "degrade"
 
     def test_parse_retries_and_deadline(self):
-        config = parse_switches(["-spretries", "5", "-spdeadline", "2.5"])
-        assert config.spretries == 5
+        """The deadline floor is the host's; the retry count is a
+        constant (``supervisor.RETRIES``), not a switch."""
+        config = parse_switches(["-spdeadline", "2.5"])
         assert config.slice_deadline_floor == 2.5
+        with pytest.raises(ConfigError, match="unknown SuperPin switch"):
+            parse_switches(["-spretries", "5"])
 
     def test_parse_inject(self):
         config = parse_switches(["-spinject", "crash@0,hang@2:*"])
@@ -87,7 +90,6 @@ class TestSupervisionSwitches:
         monkeypatch.delenv("SUPERPIN_SPWORKERS", raising=False)
         config = SuperPinConfig()
         assert config.spfaults == "failfast"
-        assert config.spretries == 2
         assert config.fault_plan is None
         assert config.slice_deadline_floor > 0
 
@@ -136,10 +138,10 @@ class TestValidation:
         {"spmsec": 0}, {"spmsec": -5}, {"spmp": 0},
         {"spsysrecs": -1}, {"clock_hz": 0},
         {"expected_duration_msec": -1},
-        {"spworkers": -1}, {"spfaults": "bogus"}, {"spretries": -1},
+        {"spworkers": -1}, {"spfaults": "bogus"}, {"sprecord": "  "},
         {"slice_deadline_floor": 0}, {"slice_deadline_floor": -1.0},
         {"jit_backend": "bogus"}, {"sptc2": 1},
-        {"sptracestore_limit": 0}, {"spresume": True},
+        {"spjournal": ""}, {"spresume": True},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -156,7 +158,6 @@ class TestValidation:
     def test_timeslice_conversion(self):
         config = SuperPinConfig(spmsec=2000, clock_hz=10_000)
         assert config.timeslice_cycles == 20_000
-        assert config.timeslice_instructions == 20_000
         assert config.seconds(20_000) == 2.0
 
 
@@ -188,7 +189,8 @@ class TestSelectiveSwitches:
 
 
 class TestSwitchTables:
-    """Every switch the parser accepts is documented where users look."""
+    """Every switch the parser accepts is documented where users look,
+    and no table there documents a switch the parser refuses."""
 
     @pytest.mark.parametrize("where", ["switches.py docstring", "README.md"])
     def test_every_switch_is_listed(self, where):
@@ -206,3 +208,7 @@ class TestSwitchTables:
         missing = [flag for flag in switches._FLAG_PARSERS
                    if not re.search("`" + re.escape(flag) + "[ `]", text)]
         assert missing == []
+        # ... and every row names a switch the parser accepts.
+        row = r"^\| `(-sp\w*)" if where == "README.md" else r"^``(-sp\w*)"
+        rows = re.findall(row, text, re.MULTILINE)
+        assert sorted(rows) == sorted(switches._FLAG_PARSERS)

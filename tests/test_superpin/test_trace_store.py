@@ -33,7 +33,7 @@ from repro.superpin import (damage_store_entry, FaultPlan,
                             SuperPinConfig, trace_store_for, TraceStore)
 from repro.superpin.journal import damage_journal
 from repro.tools import ICount2
-from tests.conftest import MULTISLICE
+from tests.conftest import MULTISLICE, retries
 
 WORKER_MODES = [0, 2]
 
@@ -229,10 +229,11 @@ class TestWarmStartProof:
         third, _ = _report(program, store_dir)
         assert third.metrics.counters["pin.cache.persistent_hits"] == 1
 
-    def test_no_pilot_payload_stores_nothing(self, program, store_dir):
+    def test_no_pilot_payload_stores_nothing(self, program, store_dir,
+                                             monkeypatch):
         """A run whose slice 0 left no result has no warm set to save."""
+        retries(monkeypatch, 1)
         degraded, _ = _report(program, store_dir, spfaults="degrade",
-                              spretries=1,
                               fault_plan=FaultPlan.parse("crash@0:*"))
         assert degraded.degraded_slices == [0]
         assert "pin.cache.persistent_saves" \
@@ -347,11 +348,7 @@ def test_fingerprint_is_stable_and_hex():
 def test_switch_parsing(tmp_path):
     from repro.errors import ConfigError
     from repro.superpin import parse_switches
-    config = parse_switches(["-sptracestore", str(tmp_path),
-                             "-sptracestorelimit", "1024"])
+    config = parse_switches(["-sptracestore", str(tmp_path)])
     assert config.sptracestore == str(tmp_path)
-    assert config.sptracestore_limit == 1024
     with pytest.raises(ConfigError):
         SuperPinConfig(sptracestore="   ")
-    with pytest.raises(ConfigError):
-        SuperPinConfig(sptracestore_limit=0)

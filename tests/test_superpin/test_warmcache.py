@@ -31,7 +31,7 @@ from repro.superpin import (FaultPlan, parallel, program_digest,
                             TraceStore)
 from repro.superpin.warmstore import pilot_cold_compiles, STORE_MAGIC
 from repro.tools import TOOLS
-from tests.conftest import MULTISLICE, virtual_counters
+from tests.conftest import MULTISLICE, retries, virtual_counters
 from tests.test_superpin.test_threads_superpin import THREADED
 
 BACKENDS = ["closure", "source"]
@@ -107,10 +107,12 @@ class TestWarmStartsHappen:
 
 class TestSupervisionInteraction:
     @pytest.mark.parametrize("spworkers", WORKER_MODES)
-    def test_degraded_pilot_falls_back_cold(self, program, spworkers):
+    def test_degraded_pilot_falls_back_cold(self, program, spworkers,
+                                            monkeypatch):
         """A hole at slice 0 names nothing: every slice counts zero."""
+        retries(monkeypatch, 1)
         report, _ = _report(program, spworkers=spworkers,
-                            spfaults="degrade", spretries=1,
+                            spfaults="degrade",
                             fault_plan=FaultPlan.parse("crash@0:*"))
         assert report.degraded_slices == [0]
         assert 0 not in {s.index for s in report.slices}
@@ -176,7 +178,8 @@ class TestWarmAccount:
         assert sum(counts[0].values()) > 0
 
     @pytest.mark.parametrize("spworkers", WORKER_MODES)
-    def test_slice_order_and_nothing_else(self, program, spworkers):
+    def test_slice_order_and_nothing_else(self, program, spworkers,
+                                          monkeypatch):
         clean, _ = _report(program, spworkers=spworkers)
         expected = _counted(clean)
         # Sampled-out slices compile the same heads tool-free.
@@ -189,8 +192,9 @@ class TestWarmAccount:
                              fault_plan=FaultPlan.parse("crash@2"))
         assert retried.slice_outcomes[2].recovered
         assert _counted(retried) == expected
+        retries(monkeypatch, 0)
         holed, _ = _report(program, spworkers=spworkers,
-                           spfaults="degrade", spretries=0,
+                           spfaults="degrade",
                            fault_plan=FaultPlan.parse("crash@2:*"))
         assert holed.degraded_slices == [2]
         assert _counted(holed) == {k: n for k, n in expected.items()
