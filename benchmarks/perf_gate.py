@@ -16,11 +16,9 @@ at 2x in both directions rather than exact equality, so intentional
 small shifts (say a JIT policy change) update the baseline without
 flapping, while a counter that doubles fails loudly.
 
-The gate runs the workload *twice* against a throwaway persistent
-trace store (-sptracestore): the first run populates the store, the
-second is the one gated.  It must record ``pin.cache.persistent_hits >
-0`` and report zero pilot cold compiles — if the persistent tier
-silently stops engaging, the gate fails even though nothing got slower.
+The gate runs the workload *twice* in one process and gates the
+second run: the baseline was taken that way, and a process's first run
+also pays for filling its code pool.
 
 The streamed pipeline is gated on ``master_overlap_seconds > 0``: the
 master's host seconds after the first slice was released.  A run that
@@ -31,9 +29,7 @@ master ends is the host's scheduling, so that counter is not gated.
 
 import argparse
 import json
-import shutil
 import sys
-import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -41,9 +37,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.fsutil import atomic_write  # noqa: E402
 from repro.machine import Kernel  # noqa: E402
 from repro.obs import write_trace  # noqa: E402
-from repro.superpin import (  # noqa: E402
-    pilot_cold_compiles, run_superpin, SuperPinConfig,
-)
+from repro.superpin import run_superpin, SuperPinConfig  # noqa: E402
 from repro.superpin.slices import PLACEMENT_COUNTERS  # noqa: E402
 from repro.superpin.supervisor import (  # noqa: E402
     LANDED_BEFORE_MASTER_END,
@@ -86,7 +80,6 @@ WALLCLOCK_KEYS = (
 REQUIRED_NONZERO = (
     "pin.cache.linked_dispatches",
     "pin.cache.warm_starts",
-    "pin.cache.persistent_hits",
     "pin.filter.fastpath_traces",
     "pin.suppress.summarized_loops",
     # The master is serial Pin's engine with no tool: this
@@ -127,10 +120,9 @@ REQUIRED_EQUAL = ("superpin.stream.ready_before_master_end",)
 HOST_COUNTERS = (*PLACEMENT_COUNTERS, LANDED_BEFORE_MASTER_END)
 
 
-def _run_once(store_dir, trace_path=None):
+def _run_once(trace_path=None):
     config = SuperPinConfig(spworkers=WORKERS, spmetrics=True,
-                            spfilter=FILTER, spsuppress=SUPPRESS,
-                            sptracestore=store_dir)
+                            spfilter=FILTER, spsuppress=SUPPRESS)
     built = build(WORKLOAD, clock_hz=config.clock_hz, scale=SCALE)
     tool = TOOLS[TOOL]()
     report = run_superpin(built.program, tool, config, kernel=Kernel(seed=42))
@@ -141,16 +133,9 @@ def _run_once(store_dir, trace_path=None):
 
 
 def measure(trace_path=None):
-    """One run to populate the trace store, a second to gate."""
-    store_dir = tempfile.mkdtemp(prefix="spgate-store-")
-    try:
-        first = _run_once(store_dir)
-        gated = _run_once(store_dir, trace_path=trace_path)
-    finally:
-        shutil.rmtree(store_dir, ignore_errors=True)
-    if not first.metrics.counters.get("pin.cache.persistent_saves"):
-        print("warning: the first run saved no trace-store entry",
-              file=sys.stderr)
+    """One warm-up run, then the gated one."""
+    _run_once()
+    gated = _run_once(trace_path=trace_path)
     wall = gated.wallclock_summary()
     return {
         "workload": WORKLOAD,
@@ -161,7 +146,6 @@ def measure(trace_path=None):
         "suppress": SUPPRESS,
         "wallclock": {key: wall[key] for key in WALLCLOCK_KEYS},
         "counters": dict(gated.metrics.counters),
-        "pilot_cold_compiles": pilot_cold_compiles(gated.slices),
         "master_overlap_seconds": wall["master_overlap_seconds"],
     }
 
@@ -185,11 +169,6 @@ def compare(current, baseline):
                 f"counter {name}: expected nonzero "
                 f"(got {current['counters'].get(name, 0)})"
             )
-    if current.get("pilot_cold_compiles", 0):
-        failures.append(
-            f"second run reports {current['pilot_cold_compiles']} pilot "
-            f"cold compiles; a persistent-store hit must name them all"
-        )
     if not current["master_overlap_seconds"] > 0:
         failures.append(
             "master_overlap_seconds is 0: the master finished before the "

@@ -1,5 +1,5 @@
-"""Service smoke test: boot the daemon, prove the cross-run store hit
-and the resident machines' saving.
+"""Service smoke test: boot the daemon, prove identical jobs report
+identically and the resident machines' saving.
 
 The CI `service-smoke` job's driver (also runnable locally):
 
@@ -9,11 +9,7 @@ Boots `superpin serve` as a subprocess, submits three concurrent jobs
 through the client — two identical gzip runs plus one distinct mcf
 run — and asserts:
 
-- all three complete with correct, matching reports;
-- the second identical job hits the persistent trace store
-  (``pin.cache.persistent_hits > 0``) and reports zero pilot cold
-  compiles;
-- the distinct job keys its own entry (cold, no false sharing).
+- all three complete, and the two identical jobs report identically.
 
 Those three fan their slices out (``-spworkers 2``), so nothing they run
 touches the daemon's in-process machines.  Two more identical jobs
@@ -38,7 +34,7 @@ prints which one that was, and fails if none did; every one must report
 what the first reported.
 
 On success the daemon is shut down gracefully and its state dir (job
-log, metrics/trace-store exports) is copied to ``--artifacts`` for
+log, metrics export) is copied to ``--artifacts`` for
 upload.
 """
 
@@ -93,10 +89,6 @@ def boot_daemon(socket_path, state_dir):
     raise SystemExit("daemon never became reachable")
 
 
-def hits(final):
-    return final["result"]["counters"].get("pin.cache.persistent_hits", 0)
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--artifacts", default=None,
@@ -109,9 +101,7 @@ def main(argv=None):
     proc, client = boot_daemon(socket_path, state_dir)
     try:
         # Enqueue all three before anything finishes: one worker drains
-        # them j1 -> j3 -> j2 (round-robin across the two tenants), so
-        # the second identical job always runs after the first has
-        # populated the store.
+        # them j1 -> j3 -> j2 (round-robin across the two tenants).
         j1 = client.submit(IDENTICAL, tenant="alice",
                            stream=False)["job_id"]
         j2 = client.submit(IDENTICAL, tenant="alice",
@@ -125,27 +115,12 @@ def main(argv=None):
                 raise SystemExit(f"{job_id} failed: {final}")
             result = final["result"]
             print(f"{job_id}: exit {result['exit_code']}, "
-                  f"{result['num_slices']} slices, persistent hits "
-                  f"{hits(final)}, pilot cold "
-                  f"{result['pilot_cold_compiles']}")
+                  f"{result['num_slices']} slices")
 
         problems = []
-        if hits(finals[j1]) != 0:
-            problems.append(f"{j1} (first) unexpectedly hit the store")
-        if hits(finals[j2]) <= 0:
-            problems.append(f"{j2} (identical resubmission) missed the "
-                            f"persistent trace store")
-        if finals[j2]["result"]["pilot_cold_compiles"] != 0:
-            problems.append(
-                f"{j2} reports "
-                f"{finals[j2]['result']['pilot_cold_compiles']} pilot "
-                f"cold compiles; a store hit must name them all")
         if (finals[j1]["result"]["tool_report"]
                 != finals[j2]["result"]["tool_report"]):
             problems.append("identical jobs produced different reports")
-        if hits(finals[j3]) != 0:
-            problems.append(f"{j3} (distinct program) hit another "
-                            f"program's entry")
 
         # Two identical in-process jobs, the second after the first is
         # done: it runs on the machine the first gave back.
@@ -225,6 +200,8 @@ def main(argv=None):
     finally:
         if proc.poll() is None:
             proc.kill()
+            proc.wait(timeout=10)
+        shutil.rmtree(root, ignore_errors=True)
 
 
 if __name__ == "__main__":

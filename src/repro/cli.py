@@ -109,8 +109,7 @@ def _main(argv: list[str] | None) -> int:
     serve_p.add_argument("--socket", required=True,
                          help="unix socket path to listen on")
     serve_p.add_argument("--state", required=True,
-                         help="state directory (job log, trace store, "
-                              "shutdown exports)")
+                         help="state directory (job log, shutdown exports)")
     serve_p.add_argument("--workers", type=int, default=1,
                          help="concurrent jobs (0: accept only)")
     serve_p.add_argument("--queue-depth", type=int, default=64,
@@ -466,11 +465,8 @@ def _cmd_submit(args, extra: list[str]) -> int:
         print(f"{job_id} failed: {final.get('error')}", file=sys.stderr)
         return 1
     result = final["result"]
-    hits = result["counters"].get("pin.cache.persistent_hits", 0)
     print(f"{job_id} done: exit {result['exit_code']}, "
-          f"{result['num_slices']} slices, "
-          f"persistent hits {hits}, "
-          f"pilot cold compiles {result['pilot_cold_compiles']}")
+          f"{result['num_slices']} slices")
     # Placement counters: how much of the job's compile work the
     # daemon's resident machine had done for an earlier job, and how
     # much of its master ran as code the resident master had kept (an

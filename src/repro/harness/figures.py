@@ -47,10 +47,11 @@ def _suite_runs(tool: str, scale: float,
             for name in names]
 
 
-def figure3(scale: float = 1.0,
-            benchmarks: list[str] | None = None) -> FigureData:
-    """icount1: Pin and SuperPin runtime relative to native (percent)."""
-    runs = _suite_runs("icount1", scale, benchmarks=benchmarks)
+def _relative_to_native(tool: str, figure: str, note: str, scale: float,
+                        benchmarks: list[str] | None) -> FigureData:
+    """Pin and SuperPin runtime under ``tool``, relative to native
+    (percent): Figures 3 and 5."""
+    runs = _suite_runs(tool, scale, benchmarks=benchmarks)
     rows = [[r.benchmark, round(r.pin_relative * 100, 1),
              round(r.superpin_relative * 100, 1)] for r in runs]
     rows.append(["AVG",
@@ -59,11 +60,19 @@ def figure3(scale: float = 1.0,
                  round(sum(r.superpin_relative for r in runs)
                        / len(runs) * 100, 1)])
     return FigureData(
-        figure="3",
-        title="icount1: Pin and SuperPin performance relative to native",
+        figure=figure,
+        title=f"{tool}: Pin and SuperPin performance relative to native",
         headers=["benchmark", "pin_%", "superpin_%"],
         rows=rows,
-        notes=["paper: ~12X average Pin slowdown; SuperPin far lower"])
+        notes=[note])
+
+
+def figure3(scale: float = 1.0,
+            benchmarks: list[str] | None = None) -> FigureData:
+    """icount1: Pin and SuperPin runtime relative to native (percent)."""
+    return _relative_to_native(
+        "icount1", "3", "paper: ~12X average Pin slowdown; SuperPin far lower",
+        scale, benchmarks)
 
 
 def figure4(scale: float = 1.0,
@@ -83,20 +92,9 @@ def figure4(scale: float = 1.0,
 def figure5(scale: float = 1.0,
             benchmarks: list[str] | None = None) -> FigureData:
     """icount2: Pin and SuperPin runtime relative to native (percent)."""
-    runs = _suite_runs("icount2", scale, benchmarks=benchmarks)
-    rows = [[r.benchmark, round(r.pin_relative * 100, 1),
-             round(r.superpin_relative * 100, 1)] for r in runs]
-    rows.append(["AVG",
-                 round(sum(r.pin_relative for r in runs)
-                       / len(runs) * 100, 1),
-                 round(sum(r.superpin_relative for r in runs)
-                       / len(runs) * 100, 1)])
-    return FigureData(
-        figure="5",
-        title="icount2: Pin and SuperPin performance relative to native",
-        headers=["benchmark", "pin_%", "superpin_%"],
-        rows=rows,
-        notes=["paper: ~25% average SuperPin slowdown (7% to <100%)"])
+    return _relative_to_native(
+        "icount2", "5", "paper: ~25% average SuperPin slowdown (7% to <100%)",
+        scale, benchmarks)
 
 
 def figure6(scale: float = 1.0, tool: str = "icount1",

@@ -6,9 +6,8 @@ arrive over a unix socket (newline-delimited JSON,
 :mod:`repro.serve.protocol`), flow through a bounded per-tenant job
 queue (:mod:`repro.serve.jobs`), execute against one shared worker pool
 (:mod:`repro.serve.server`) on the programs and machines earlier jobs
-left resident there, and every job runs against the daemon's persistent
-trace store (``-sptracestore``), so a resubmitted program reports zero
-pilot cold compiles.
+left resident there, so a resubmitted program decodes next to nothing
+and runs its loops as generated code from their first trip.
 
 Clients: :class:`repro.serve.client.ServeClient` (blocking, used by
 ``superpin submit`` / ``superpin status``), or any program that speaks

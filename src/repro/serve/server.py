@@ -18,16 +18,6 @@ switch, not a cold start — and what it may reuse of them is still
 decided trace by trace, by the checks that decide it between two slices
 of one run.
 
-Every job also runs against the daemon's persistent trace store
-(``<state_dir>/trace_store``) unless its switches name their own: the
-first submission of a program leaves the trace heads its first slice
-compiled there, and every later identical submission — any tenant, any
-connection, even after a daemon restart — finds them
-(``pin.cache.persistent_hits`` > 0 on its counters) and reports zero
-pilot cold compiles.  That is an account, in virtual time, of what a
-code cache shared between runs saves (:mod:`repro.superpin.warmstore`);
-the saving in host time is the residents'.
-
 Durability: accepted submissions are fsynced to ``<state_dir>/
 jobs.jsonl`` before the client hears "queued", so a SIGKILLed daemon
 restarted on the same state dir re-enqueues everything it had accepted
@@ -169,7 +159,6 @@ class ServeDaemon:
         self.jobs: dict[str, Job] = {}
         self.metrics = MetricsRegistry()
         self.residents = Residents(workers, self.metrics)
-        self.trace_store_dir = os.path.join(self.state_dir, "trace_store")
         self._subscribers: dict[str, list[asyncio.Queue]] = {}
         self._next_id = 1
         self._running = 0
@@ -246,8 +235,6 @@ class ServeDaemon:
         snapshot = {
             "counters": dict(self.metrics.counters),
             "histograms": self._histograms(),
-            "trace_store": sorted(os.listdir(self.trace_store_dir))
-            if os.path.isdir(self.trace_store_dir) else [],
             "jobs": [self.jobs[job_id].public()
                      for job_id in sorted(self.jobs)],
         }
@@ -305,8 +292,8 @@ class ServeDaemon:
                 {"event": "progress", "job_id": job.job_id,
                  "kind": event, "payload": payload})
 
-        report, tool = run_job_spec(job.spec, self.trace_store_dir,
-                                    self.residents, on_progress=on_progress)
+        report, tool = run_job_spec(job.spec, self.residents,
+                                    on_progress=on_progress)
         return job_result(report, tool)
 
     def _job_finished(self, job: Job, future) -> None:
@@ -535,26 +522,19 @@ def check_job_spec(spec: dict) -> str | None:
     if workload is not None and workload not in BENCHMARK_NAMES:
         return f"unknown workload {workload!r}"
     try:
-        build_job_config(spec, None)
+        build_job_config(spec)
     except Exception as exc:
         return f"bad switches: {exc}"
     return None
 
 
-def build_job_config(spec: dict, trace_store_dir: str | None):
-    """A job's :class:`SuperPinConfig` from its switches list.
-
-    The daemon forces metrics on (clients consume the counters) and
-    points jobs without their own ``-sptracestore`` at the daemon's
-    shared store (the default, not an opt-in).
-    """
+def build_job_config(spec: dict):
+    """A job's :class:`SuperPinConfig` from its switches list, with
+    metrics forced on (clients consume the counters)."""
     from ..superpin import parse_switches, SuperPinConfig
     switches = list(spec.get("switches", []))
     config = parse_switches(switches) if switches else SuperPinConfig()
-    overrides = {"spmetrics": True}
-    if config.sptracestore is None and trace_store_dir is not None:
-        overrides["sptracestore"] = trace_store_dir
-    return dataclasses.replace(config, **overrides)
+    return dataclasses.replace(config, spmetrics=True)
 
 
 def named_program(spec: dict, config):
@@ -573,20 +553,19 @@ def named_program(spec: dict, config):
             lambda: assemble(text, name="<submitted>"))
 
 
-def run_job_spec(spec: dict, trace_store_dir: str | None,
-                 residents: Residents, on_progress=None):
+def run_job_spec(spec: dict, residents: Residents, on_progress=None):
     """Run one job spec to completion; returns ``(report, tool)``.
 
     The program and the machines come from ``residents`` — kept from
     the last job that named the same program, or made now — and go back
     there if the run finishes.  The kernel seed comes from the spec, so
     identical submissions are identical runs: same results whatever the
-    daemon has run before, and the second a guaranteed trace-store hit.
+    daemon has run before.
     """
     from ..machine import Kernel
     from ..superpin import run_superpin
     from ..tools import TOOLS
-    config = build_job_config(spec, trace_store_dir)
+    config = build_job_config(spec)
     tool = TOOLS[spec.get("tool", "icount2")]()
     key, build = named_program(spec, config)
     with residents.checkout(key, build) as (program, resident):
@@ -598,7 +577,6 @@ def run_job_spec(spec: dict, trace_store_dir: str | None,
 
 def job_result(report, tool) -> dict:
     """The client-visible summary of one finished run."""
-    from ..superpin import pilot_cold_compiles
     counters = dict(report.metrics.counters) if report.metrics else {}
     return {
         "exit_code": report.exit_code,
@@ -606,6 +584,5 @@ def job_result(report, tool) -> dict:
         "all_exact": report.all_exact,
         "degraded_slices": list(report.degraded_slices),
         "tool_report": tool.report(),
-        "pilot_cold_compiles": pilot_cold_compiles(report.slices),
         "counters": counters,
     }

@@ -133,7 +133,7 @@ class SliceResult:
     #: the dispatcher dict (informational).
     linked_dispatches: int = 0
     #: Distinct trace heads of ``compile_log`` that slice 0 (or a
-    #: ``-sptracestore`` entry) had compiled before: a view over the
+    #: trace-store entry) had compiled before: a view over the
     #: run's compile logs, filled in slice order once the slices have
     #: landed (:func:`~repro.superpin.warmstore.count_warm_starts`) —
     #: still counted in ``compiles``, and 0 on a bare ``run_slice``.

@@ -289,7 +289,7 @@ def supervise_slices(timeline: MasterTimeline, signatures: list[Signature],
       only); these slices are degraded upfront, never attempted.
 
     * ``source_digest`` — what is being executed (program digest or
-      recording id): the content half of the ``-sptracestore`` key the
+      recording id): the content half of the trace-store key the
       warm account reads and fills.  None (a caller that drove the
       phases itself) counts ``warm_starts`` against slice 0 alone.
     * ``on_progress`` — called in this process as ``on_progress("slice",

@@ -62,10 +62,6 @@ Switch                  Meaning — why it survives
 ``-spresume <0|1>``     resume from ``-spjournal``, re-executing only
                         the missing slices — these three name files only
                         the user can
-``-sptracestore <dir>`` persistent cross-run store of the trace heads a
-                        program's first slice compiled (an account, see
-                        superpin.warmstore) — the frozen benchmark
-                        drives it
 ======================= ==================================================
 
 §8's shared code cache is not a switch: every run has both virtual
@@ -197,7 +193,8 @@ class SuperPinConfig:
     #: store configured the warm account looks the program's warm set
     #: up by content address: on a hit every slice — the first included
     #: — counts its ``warm_starts`` against the stored trace heads; on a
-    #: miss the first slice's heads are saved for the next run.
+    #: miss the first slice's heads are saved for the next run.  No switch
+    #: sets it: only ``bench/layers.py`` and the store's tests (item 11).
     sptracestore: str | None = None
 
     def __post_init__(self) -> None:
@@ -249,7 +246,7 @@ class SuperPinConfig:
                               "journal to resume from)")
         if (self.sptracestore is not None
                 and not str(self.sptracestore).strip()):
-            raise ConfigError("-sptracestore path must not be empty")
+            raise ConfigError("sptracestore path must not be empty")
 
     @property
     def timeslice_cycles(self) -> int:
@@ -301,7 +298,6 @@ _FLAG_PARSERS = {
     "-sprecord": ("sprecord", str),
     "-spjournal": ("spjournal", str),
     "-spresume": ("spresume", lambda v: bool(int(v))),
-    "-sptracestore": ("sptracestore", str),
 }
 
 

@@ -23,19 +23,20 @@ logs and the one thing that outlives a run:
   it.  :func:`pilot_cold_compiles` is the same view's other column.
 * (§8's *virtual* account over the same logs is the timing model's:
   :func:`repro.sched.timing.shared_cache_charges`.)
-* **The trace store** — :class:`TraceStore` (``-sptracestore``): the
-  warm set of one program, kept across runs under :func:`store_key`.  On
-  a hit the stored heads are the warm set and slice 0 is counted against
-  them like every other slice; on a miss slice 0's heads are saved.  An
+* **The trace store** — :class:`TraceStore`: the warm set of one
+  program, kept across runs under :func:`store_key`.  On a hit the
+  stored heads are the warm set and slice 0 is counted against them
+  like every other slice; on a miss slice 0's heads are saved.  An
   entry changes what a run *reports*, never what it executes.  The tier
   exists because the frozen benchmark (``bench/layers.py``, pinned by
   ``tests/test_bench_contract.py``) drives ``trace_store_for`` /
   ``store_key`` / ``load`` / ``save`` / ``size_bytes`` and expects a
-  cold run to leave an entry; deleting it and ``-sptracestore`` waits
-  for benchmark round 2 (ROADMAP item 1(e)), exactly like ``-spjit``;
-  its size budget is a constant, :data:`DEFAULT_STORE_LIMIT`.  A
-  process-spanning warm tier that saves host time would be a resident
-  slice machine per daemon worker, not this file.
+  cold run to leave an entry; only that benchmark and this module's
+  tests set the one way in, ``SuperPinConfig.sptracestore`` (no switch,
+  daemon or CLI).  Deleting it waits for benchmark round 2 (ROADMAP
+  item 1(e)), like ``-spjit``; its size budget is a constant,
+  :data:`DEFAULT_STORE_LIMIT`.  The warm tier that saves host time is
+  the resident slice machine, not this file.
 
   One ``<key>.spwc`` file per entry: magic, SHA-256 of the payload, the
   heads as a JSON list of integers.  Written with
@@ -287,11 +288,11 @@ def count_warm_starts(results, config, source_digest: str | None = None,
     paid for them — counts none; a hole at slice 0 names nothing, so
     every slice counts zero.  With ``source_digest`` (the content half
     of :func:`store_key`; None: no disk tier for this caller) and
-    ``-sptracestore``, a stored set takes slice 0's place and slice 0
-    is counted against it too; on a miss slice 0's heads are saved.
-    Re-compiles after a cache flush are one head: a trace starts warm
-    once.  ``pin.cache.warm_starts`` is incremented here and nowhere
-    else.
+    ``config.sptracestore``, a stored set takes slice 0's place and
+    slice 0 is counted against it too; on a miss slice 0's heads are
+    saved.  Re-compiles after a cache flush are one head: a trace starts
+    warm once.  ``pin.cache.warm_starts`` is incremented here and
+    nowhere else.
     """
     first = results[0] if results and results[0].index == 0 else None
     own = _heads(first) if first is not None else set()
@@ -315,7 +316,7 @@ def count_warm_starts(results, config, source_digest: str | None = None,
 
 def pilot_cold_compiles(results) -> int:
     """Trace heads slice 0 compiled that no stored warm set named —
-    all of them without a ``-sptracestore`` hit, none on a hit of this
+    all of them without a trace-store hit, none on a hit of this
     program's own entry; 0 when slice 0 left no result.  Read off
     counted ``results`` (:func:`count_warm_starts`)."""
     if not results or results[0].index != 0:

@@ -89,6 +89,14 @@ class TestRun:
         assert code == 0
         assert "2 worker processes" in out
 
+    def test_no_switch_reaches_the_trace_store(self, tmp_path, capsys):
+        code = main(["run", "-t", "icount2", "-w", "eon", "--scale", "0.05",
+                     "--", "-sptracestore", str(tmp_path / "store")])
+        assert code == 2
+        assert "error: unknown SuperPin switch '-sptracestore'" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "store").exists()
+
 
 class TestReplay:
     def test_replay_prints_the_run_report_per_tool(self, tmp_path, capsys):

@@ -9,7 +9,8 @@ from repro.machine import Kernel, load_program
 from repro.machine.interpreter import Interpreter
 from repro.pin import jit, PinVM, RunState
 from repro.pin.trace import build_trace, HOLE, MAX_TRACE_INS
-from repro.tools import ICount1
+from repro.superpin import run_superpin, SuperPinConfig
+from repro.tools import ICount1, ICount2
 
 
 def _mem_for(source: str):
@@ -152,6 +153,10 @@ last:
     j    target
 """
 
+#: A word reached mid-trace, after three instructions.
+MID_TRACE = ".entry main\nmain:\n    li t0, 1\n    li t1, 5\n" \
+            "    addi t1, t1, 1\n    .word 0xff\n"
+
 #: ``(backend, HOT_EXECUTIONS_PER_COMPILE, loop forms, exact-budget
 #: stepping)``.
 LOWERINGS = {
@@ -258,11 +263,9 @@ class TestAWordThatDoesNotDecode:
     @pytest.mark.parametrize("lowering", LOWERINGS)
     def test_reached_mid_trace_it_faults_at_its_pc(self, lowering,
                                                    monkeypatch):
-        source = ".entry main\nmain:\n    li t0, 1\n    li t1, 5\n" \
-                 "    addi t1, t1, 1\n    .word 0xff\n"
-        want, got, vm, calls = _on_every_lowering(source, lowering,
+        want, got, vm, calls = _on_every_lowering(MID_TRACE, lowering,
                                                   monkeypatch)
-        entry = assemble(source).entry
+        entry = assemble(MID_TRACE).entry
         assert got == want
         assert want[0][0] == "fault" and want[1] == entry + 3
         assert calls == want[3] == 3
@@ -278,3 +281,32 @@ class TestAWordThatDoesNotDecode:
         assert want[1] == assemble(source).symbols["target"]
         assert calls == want[3]
         assert vm.cache.stats.invalidations > 0
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+class TestAWordThatDoesNotDecodeUnderSuperPin:
+    """SuperPin, audited: the word behind the branch is never fetched,
+    and the word reached mid-trace faults at its pc."""
+
+    def test_behind_a_branch_it_runs_to_exit(self, workers):
+        program = assemble(BEHIND_A_BRANCH.format(trips=3000))
+        process = load_program(program, Kernel(seed=1))
+        interp = Interpreter(process)
+        interp.run()
+        assert (process.exit_code, interp.total_instructions) == (3000, 9005)
+        tool = ICount2()
+        report = run_superpin(program, tool,
+                              SuperPinConfig(spmsec=200, spworkers=workers,
+                                             spaudit=True),
+                              kernel=Kernel(seed=1))
+        assert report.exit_code == 3000 and report.num_slices > 1
+        assert tool.report()["icount"] == 9005
+        assert report.audit.ok, report.audit.summary()
+
+    def test_reached_mid_trace_it_faults_at_its_pc(self, workers):
+        program = assemble(MID_TRACE)
+        with pytest.raises(IllegalInstruction) as fault:
+            run_superpin(program, ICount2(),
+                         SuperPinConfig(spworkers=workers, spaudit=True),
+                         kernel=Kernel(seed=1))
+        assert fault.value.pc == program.entry + 3 == 0x1003

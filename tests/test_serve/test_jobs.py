@@ -171,17 +171,15 @@ class TestSpecChecks:
             {"workload": "gzip", "switches": ["-spworkers", "banana"]})
 
     def test_daemon_config_defaults(self, tmp_path):
-        from repro.serve.server import build_job_config
-        store = str(tmp_path / "ts")
-        config = build_job_config({"workload": "gzip"}, store)
+        from repro.serve.server import build_job_config, check_job_spec
+        config = build_job_config({"workload": "gzip"})
         assert config.spmetrics is True
-        assert config.sptracestore == store
-        # A job naming its own store keeps it.
-        mine = str(tmp_path / "mine")
-        config = build_job_config(
-            {"workload": "gzip", "switches": ["-sptracestore", mine]},
-            store)
-        assert config.sptracestore == mine
+        assert config.sptracestore is None
+        # No switch reaches the trace store.
+        error = check_job_spec(
+            {"workload": "gzip",
+             "switches": ["-sptracestore", str(tmp_path / "mine")]})
+        assert "bad switches" in error and "-sptracestore" in error
 
 
 class _Wire:

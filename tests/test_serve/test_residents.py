@@ -46,7 +46,7 @@ def serve(residents, spec, on_progress=None):
     """One job, as the daemon's job thread runs it: the client-visible
     result, and apart what depends on what its resident ran before —
     the placement counters, and how the master's tiers shared the run."""
-    result = job_result(*run_job_spec(spec, None, residents,
+    result = job_result(*run_job_spec(spec, residents,
                                       on_progress=on_progress))
     counters = result["counters"]
     placement = {name: counters.pop(name) for name in list(counters)

@@ -16,9 +16,10 @@ import math
 
 import pytest
 
+from repro.errors import SelfModifyingCodeError
 from repro.isa import assemble
 from repro.machine import Interpreter, Kernel, load_program
-from repro.pin import jit, run_with_pin
+from repro.pin import IARG_END, IPOINT_AFTER, jit, Pintool, run_with_pin
 from repro.pin.trace import build_trace
 from repro.superpin import (load_recording, replay_recording, run_superpin,
                             SuperPinConfig, TimeTravelEngine)
@@ -138,6 +139,24 @@ over:
     syscall
 donor:
     nop
+"""
+
+#: The first trace stores ``donor`` over ``patch``, a later instruction
+#: of its own: it exits 5, not 1.
+AHEAD_OF_AN_AFTER_CALL = """
+.entry main
+main:
+    la   t3, donor
+    ld   t4, 0(t3)
+    la   t5, patch
+    st   t4, 0(t5)
+patch:
+    addi s2, s2, 1
+    li   a0, SYS_EXIT
+    mov  a1, s2
+    syscall
+donor:
+    addi s2, s2, 5
 """
 
 #: name -> (source, timeslice settings, expected exit code).
@@ -323,3 +342,45 @@ class TestAStoreOverTheWordATraceStoppedAhead:
                 report.stdout) == want
         assert tool.total == want[1]
         assert report.timeline.master.code_invalidations > 0
+
+
+class AfterEveryWrite(Pintool):
+    """One ``IPOINT_AFTER`` call on every instruction that writes memory."""
+
+    name = "after-every-write"
+
+    def __init__(self):
+        self.writes = 0
+
+    def count(self) -> None:
+        self.writes += 1
+
+    def instrument_trace(self, trace, vm) -> None:
+        for ins in trace.instructions:
+            if ins.is_memory_write:
+                ins.insert_call(IPOINT_AFTER, self.count, IARG_END)
+
+
+@pytest.mark.parametrize("backend", ["closure", "source"])
+class TestAStoreAheadOfItsOwnAfterCall:
+    """A store that rewrites a later instruction of its own trace ends
+    that execution right after the store, which would run ahead of the
+    store's after-calls: the engine names the case instead."""
+
+    def test_an_after_call_on_the_store_is_refused(self, backend):
+        program = assemble(AHEAD_OF_AN_AFTER_CALL)
+        with pytest.raises(SelfModifyingCodeError,
+                           match="ahead of its own after-calls"):
+            run_with_pin(program, AfterEveryWrite(), kernel=Kernel(seed=3),
+                         jit_backend=backend)
+
+    def test_a_before_call_tool_is_the_interpreter(self, backend):
+        program = assemble(AHEAD_OF_AN_AFTER_CALL)
+        want = interpret(program)
+        assert want[0] == 5
+        tool = ICount1()
+        _, vm, kernel = run_with_pin(program, tool, kernel=Kernel(seed=3),
+                                     jit_backend=backend)
+        assert (vm.exit_code, vm.total_instructions, kernel.stdout_text()) \
+            == want
+        assert tool.total == want[1]

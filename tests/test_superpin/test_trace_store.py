@@ -346,9 +346,12 @@ def test_fingerprint_is_stable_and_hex():
 
 
 def test_switch_parsing(tmp_path):
+    """No switch reaches the store: only the field does."""
     from repro.errors import ConfigError
-    from repro.superpin import parse_switches
-    config = parse_switches(["-sptracestore", str(tmp_path)])
-    assert config.sptracestore == str(tmp_path)
+    from repro.superpin import parse_switches, trace_store_for
+    with pytest.raises(ConfigError, match="unknown SuperPin switch"):
+        parse_switches(["-sptracestore", str(tmp_path)])
+    store = trace_store_for(SuperPinConfig(sptracestore=str(tmp_path)))
+    assert store is not None and store.root == str(tmp_path)
     with pytest.raises(ConfigError):
         SuperPinConfig(sptracestore="   ")
