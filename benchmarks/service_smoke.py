@@ -21,11 +21,16 @@ report; both jobs' ``run_seconds`` are printed.
 
 Last, a job small enough to be one slice, none of whose loops runs
 often enough in one run to earn generated code, goes in again and again
-(a dozen times at most).  Of the second the smoke requires ``pin.jit.
-instrumentation_checks > 0``: its one slice compiles every trace once,
-so every check is one against what the *first job's* template left
-attached (a daemon that forgets kept code between jobs reports 0).  It
-stops at the first job whose master ran generated code
+(a dozen times at most).  Kept code is keyed by the tool's
+instrumentation digest, equal for identical jobs, and its one slice
+compiles every trace once: the first job keeps each trace unverified,
+the second compares each with what the first left attached
+(``pin.jit.instrumentation_checks`` equal to its compiles), and the
+smoke requires of the third that it is *served* — ``instrumentation_
+checks == 0`` and ``instrumentation_reuses`` equal to its compiles (a
+daemon that forgets kept code between jobs, or keys it by anything
+that differs between identical jobs, reads 0 reuses).  It stops at the
+first job from the third on whose master ran generated code
 (``superpin.control.master.jit_instructions > 0`` — the resident master
 is serial Pin's engine and keeps its ``Jit.heat`` over its life, and a
 compile it serves from kept code costs nothing to repay, so the loop is
@@ -167,11 +172,23 @@ def main(argv=None):
                 problems.append(f"one-slice job {number} reports "
                                 f"{result['num_slices']} slices, "
                                 f"{result['tool_report']}")
-            if number == 2 and not job_counters[
-                    "pin.jit.instrumentation_checks"]:
-                problems.append("the second one-slice job compared nothing "
-                                "with what the first left attached")
-            if job_counters["superpin.control.master.jit_instructions"]:
+            compiles = job_counters["pin.jit.compiles"]
+            checks = job_counters["pin.jit.instrumentation_checks"]
+            served = job_counters["pin.jit.instrumentation_reuses"]
+            if number == 2 and checks != compiles:
+                problems.append(f"the second one-slice job compared "
+                                f"{checks:.0f} of {compiles:.0f} compiles "
+                                f"with what the first left attached")
+            if number == 3:
+                print(f"{final['job_id']} (one-slice job 3): {served:.0f} "
+                      f"of {compiles:.0f} compiles served from kept code")
+                if checks or served != compiles:
+                    problems.append(
+                        f"the third one-slice job was served {served:.0f} "
+                        f"of {compiles:.0f} compiles ({checks:.0f} "
+                        f"compared)")
+            if (number >= 3 and job_counters[
+                    "superpin.control.master.jit_instructions"]):
                 hot_at = number
                 break
         if hot_at is None:

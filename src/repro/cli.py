@@ -468,16 +468,19 @@ def _cmd_submit(args, extra: list[str]) -> int:
     print(f"{job_id} done: exit {result['exit_code']}, "
           f"{result['num_slices']} slices")
     # Placement counters: how much of the job's compile work the
-    # daemon's resident machine had done for an earlier job, and how
-    # much of its master ran as code the resident master had kept (an
-    # exact run's slices retire the master's instructions).
+    # daemon's resident machine had done for an earlier job — decoding,
+    # and instrumenting — and how much of its master ran as code the
+    # resident master had kept (an exact run's slices retire the
+    # master's instructions).
     counters = result["counters"]
     generated = counters.get("superpin.control.master.jit_instructions", 0)
     retired = counters.get("superpin.slices.instructions", 0)
     print(f"jit: {counters.get('pin.jit.compiles', 0):.0f} compiles, "
           f"{counters.get('pin.jit.skeleton_reuses', 0):.0f} from pooled "
-          f"skeletons, {counters.get('pin.jit.hot_compiles', 0):.0f} hot; "
-          f"master {generated / retired if retired else 0.0:.0%} in "
+          f"skeletons, "
+          f"{counters.get('pin.jit.instrumentation_reuses', 0):.0f} served "
+          f"from kept code, {counters.get('pin.jit.hot_compiles', 0):.0f} "
+          f"hot; master {generated / retired if retired else 0.0:.0%} in "
           f"generated code")
     print(f"tool report: {result['tool_report']}")
     return 0

@@ -85,15 +85,19 @@ lowered from — the reference its next compile is compared with, and
 what a served compile puts back on the instructions — so the trace that
 holds a slice's pc, usually its hottest loop, is served too, whichever
 of a few offsets the slices' pcs alternate between.  The owner also
-names *which* registration of the resident object's a run is
-(:attr:`Jit.template` — a slice machine's run template): what another
-one left is never served on its word, but the first compile under the
-new one is already the comparing one, and where the calls are equal it
-takes over the kept lowering instead of producing it again — where they
-are not, another run's filter or constructor argument is no lie, and the
-trace starts over.  (Under the same template they are: the compile
-raises :class:`~repro.errors.InstrumentationError`, and that resident
-object is served nothing again.)  What the code observes sends a trace
+names *what* the resident object's instrumentation can depend on
+(:attr:`Jit.template` — for a slice machine, the tool's instrumentation
+digest: its class and its state when the run's template was made,
+:func:`~repro.superpin.api.instrumentation_digest`), so what one run
+verified serves a later run or daemon job under an equal digest from its
+first compile.  What a template with another digest left is never served
+on its word, but the first compile under the new one is already the
+comparing one, and where the calls are equal it takes over the kept
+lowering instead of producing it again — where they are not, another
+filter or constructor argument is no lie, and the trace starts over.
+(Under an equal digest they are: the compile raises
+:class:`~repro.errors.InstrumentationError`, and that resident object is
+served nothing again.)  What the code observes sends a trace
 down the ordinary path instead, with nothing kept: an if/then pair, a
 routine or summary that is not a bound method of the resident object,
 an ``IARG_PTR`` value that is not an immutable constant.  The rules:
@@ -786,10 +790,11 @@ class Jit:
         #: for a declaring tool; the signature lookahead for its own
         #: counters).  None: instrument every compile, keep nothing.
         self.retain_for: object | None = None
-        #: Which registration of ``retain_for``'s callbacks this run is
-        #: (a slice machine: the run template's id).  What was kept
-        #: under another value is compared again before it is used, and
-        #: may differ; under the same value a difference is a lie.
+        #: What ``retain_for``'s callbacks can depend on (a slice
+        #: machine: the tool's instrumentation digest, equal across runs
+        #: of an equal tool).  What was kept under another value is
+        #: compared again before it is used, and may differ; under the
+        #: same value a difference is a lie.
         self.template: object | None = None
         #: The ``retain_for`` last caught in such a lie: compared on
         #: every compile from then on, and served nothing.

@@ -76,14 +76,21 @@ class Pintool:
     #: :meth:`instrument_trace` attaches is a function of the trace,
     #: :attr:`instrument_filter` and the constructor arguments alone —
     #: the same calls, in the same order, with the same arguments, every
-    #: time it sees that trace — and that running it changes nothing on
-    #: the tool.  A resident slice machine may then keep the
-    #: instrumented, lowered code of a trace and serve a later compile
-    #: from it without calling :meth:`instrument_trace` again
-    #: (:mod:`repro.pin.jit`); the first reuse of every trace is still
-    #: re-instrumented and compared, so a false declaration raises
+    #: time it sees that trace, in this run or any later one — and that
+    #: running it changes nothing on the tool.  A resident slice machine
+    #: may then keep the instrumented, lowered code of a trace and serve
+    #: a later compile from it without calling :meth:`instrument_trace`
+    #: again (:mod:`repro.pin.jit`), across runs and daemon jobs too,
+    #: keyed by the tool's instrumentation digest: its class and its
+    #: state when the run's template is made, shared areas left out
+    #: (:func:`repro.superpin.api.instrumentation_digest`).  The first
+    #: reuse of every trace under a digest is still re-instrumented and
+    #: compared, so a declaration false within a run raises
     #: :class:`~repro.errors.InstrumentationError` instead of producing
-    #: a wrong result.  The promise is made by the class that *defines*
+    #: a wrong result; one false only across runs (instrumentation that
+    #: reads anything but the trace and the tool's own state) is caught
+    #: by ``-spaudit``'s comparison with serial Pin wherever it changes
+    #: a result.  The promise is made by the class that *defines*
     #: ``instrument_trace`` (:func:`declares_pure_instrumentation`): a
     #: subclass that overrides the method makes its own or none.
     pure_instrumentation = False

@@ -72,9 +72,10 @@ class Residents:
     locality hint and nothing more: what a job reuses of a resident is
     decided per trace, against the guest words now loaded
     (``Jit._refusal``), exactly as between two slices of one run, and
-    code *instrumented* for one job serves the next only where that
-    job's tool attaches the same calls, compared trace by trace
-    (``SliceMachine.adopt``, ``Jit.template``).
+    code *instrumented* for one job serves the next under an equal
+    instrumentation digest — the same tool class, constructor arguments
+    and ``-spfilter`` — once a comparison has verified it, as between
+    two slices of one run (``SliceMachine.adopt``, ``Jit.template``).
 
     A job holds its resident **exclusively** from :meth:`checkout` until
     it ends; two concurrent jobs of one program hold two.  Only a job

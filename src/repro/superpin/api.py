@@ -20,6 +20,9 @@ five entry points the paper documents:
 
 from __future__ import annotations
 
+import hashlib
+import io
+import pickle
 import uuid
 from dataclasses import dataclass, field
 
@@ -135,12 +138,13 @@ class SliceToolContext:
     begin_functions: list[tuple[object, object]] = field(default_factory=list)
     end_functions: list[tuple[object, object]] = field(default_factory=list)
     area_locals: list[object] = field(default_factory=list)
-    #: Which template this is a copy of: stamped once per run by
-    #: :meth:`from_control`, carried by every copy and pickle.  What a
-    #: resident slice machine keeps of one slice's instrumentation it
-    #: serves only to copies of the same template
-    #: (:meth:`repro.superpin.slices.SliceMachine.adopt`); a context
-    #: built by hand has none and is served nothing.
+    #: What the tool's instrumentation can depend on
+    #: (:func:`instrumentation_digest`), stamped by :meth:`from_control`
+    #: and carried by every copy and pickle.  What a resident slice
+    #: machine keeps of one slice's instrumentation it serves to copies
+    #: of any template with an equal digest — this run's, or a later
+    #: run's or daemon job's (:meth:`repro.superpin.slices.SliceMachine.
+    #: adopt`); a context built by hand has none and is served nothing.
     template_id: str | None = None
 
     @classmethod
@@ -149,4 +153,32 @@ class SliceToolContext:
                    begin_functions=list(sp.begin_functions),
                    end_functions=list(sp.end_functions),
                    area_locals=list(sp.area_locals),
-                   template_id=uuid.uuid4().hex)
+                   template_id=instrumentation_digest(tool))
+
+
+class _DigestPickler(pickle.Pickler):
+    """Pickles a tool's state with every :class:`SharedArea` handle left
+    out: each run makes its own, and what a pure tool attaches does not
+    depend on one."""
+
+    def persistent_id(self, obj):
+        return "SharedArea" if isinstance(obj, SharedArea) else None
+
+
+def instrumentation_digest(tool) -> str:
+    """A SHA-256 hex digest of what ``tool``'s instrumentation can
+    depend on under the purity contract
+    (:attr:`~repro.pin.pintool.Pintool.pure_instrumentation`): its
+    class, and its state now, :class:`SharedArea` handles left out.  A
+    pure tool reads only its own state, so the state covers its
+    ``instrument_filter`` and every constructor argument.  Two
+    default-constructed tools of one class under one ``-spfilter``
+    digest equally.  A class pickles by its import path, which must name
+    that very class; a class or state that does not pickle gets a
+    run-unique id instead, since an unequal digest only costs reuse."""
+    buffer = io.BytesIO()
+    try:
+        _DigestPickler(buffer).dump((type(tool), vars(tool)))
+    except (pickle.PicklingError, TypeError, AttributeError):
+        return uuid.uuid4().hex
+    return hashlib.sha256(buffer.getvalue()).hexdigest()

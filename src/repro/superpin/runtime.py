@@ -375,9 +375,10 @@ def run_superpin(program: Program, tool: Pintool,
 
     # Selective instrumentation (-spfilter): parse the spec against this
     # program's symbol table and pin it on the tool *before* anything
-    # copies the tool — the slice template, and crucially the audit's
-    # pristine baseline below, must inherit the same filter so serial
-    # Pin and SuperPin produce bit-identical (filtered) tool results.
+    # copies the tool — the slice template (whose instrumentation digest
+    # it enters), and crucially the audit's pristine baseline below,
+    # must inherit the same filter so serial Pin and SuperPin produce
+    # bit-identical (filtered) tool results.
     if config.spfilter is not None:
         from ..pin.filter import parse_filter
         tool.instrument_filter = parse_filter(config.spfilter, program)

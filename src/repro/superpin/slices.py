@@ -218,9 +218,11 @@ class SliceMachine:
     leaves nothing the next one can see.  What crosses a run is what is
     nobody's, or what a check re-earns: every reuse is still decided
     trace by trace (``Jit._refusal``), and kept *instrumented* code
-    crosses a run only where the next run's tool attaches the same calls
-    — each run's template has an id of its own, which :meth:`adopt`
-    hands the JIT, and the first compile of a trace under a new id is
+    crosses a run under the tool's instrumentation digest
+    (:func:`~repro.superpin.api.instrumentation_digest`), which
+    :meth:`adopt` hands the JIT: a later run or daemon job under an
+    equal digest is served what an earlier one verified from its first
+    compile, and under another digest the first compile of a trace is
     the comparing one.
     """
 
@@ -306,13 +308,14 @@ class SliceMachine:
         the resident object's methods, which is what lets the JIT keep
         it (``Jit.retain_for``).  One machine serves one tool class
         and ``-spsuppress`` setting at a time: anything kept for another
-        is dropped first.  Another *template* of the same two — the
-        next run's, perhaps under another ``-spfilter`` or built with
-        another argument — keeps the resident object, and so the code
-        bound to it, and names itself to the JIT (``Jit.template``),
-        which compares before it reuses.  A context without a template
-        id, and a tool class with ``__slots__`` (state a ``__dict__``
-        does not hold), are activated as they are.
+        is dropped first.  Every template names its instrumentation
+        digest to the JIT (``Jit.template``): the next run's, or a
+        daemon job's, with an equal digest is served what this one
+        verified, and one with another — another ``-spfilter``, another
+        constructor argument — keeps the resident object, and so the
+        code bound to it, but is compared before it reuses.  A context
+        without a template id, and a tool class with ``__slots__``
+        (state a ``__dict__`` does not hold), are activated as they are.
         """
         tool = ctx.tool
         klass = type(tool)

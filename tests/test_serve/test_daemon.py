@@ -21,6 +21,8 @@ end.  The headline properties:
 
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -29,6 +31,7 @@ import time
 
 import pytest
 
+from repro.cli import main
 from repro.serve import ServeClient, ServeError
 from tests.conftest import LOOP_SUM, MULTISLICE
 
@@ -42,6 +45,12 @@ IDENTICAL = {"asm": MULTISLICE, "tool": "icount2", "seed": 42,
              "switches": FAST_SWITCHES}
 DISTINCT = {"asm": LOOP_SUM, "tool": "icount1", "seed": 42,
             "switches": FAST_SWITCHES}
+#: A job still running when a cancel or a SIGKILL sent once it leaves
+#: the queue lands: some 300 slices, run in the daemon.  A tenth of
+#: this scale can end inside the status and cancel round trips (it did,
+#: in about 75 ms, after ``tests/test_pin`` had run in the same pytest).
+LONG = {"workload": "gzip", "scale": 6, "tool": "icount2", "seed": 42,
+        "switches": ["-spworkers", "0"]}
 
 
 class Daemon:
@@ -106,13 +115,16 @@ def daemon():
     booted = []
 
     def boot(**kwargs):
-        instance = Daemon(**kwargs).start()
+        instance = Daemon(**kwargs)
         booted.append(instance)
-        return instance
+        return instance.start()
 
     yield boot
     for instance in booted:
         instance.stop()
+    # (A revived daemon reuses its predecessor's root: remove each once.)
+    for root in dict.fromkeys(instance.root for instance in booted):
+        shutil.rmtree(root, ignore_errors=True)
 
 
 def _reuses(final):
@@ -232,6 +244,28 @@ class TestResidents:
         assert exported["counters"]["serve.machines.misses"] == 1
         assert exported["histograms"]["serve.job.run_seconds"]["count"] == 1
 
+    def test_submit_prints_the_compiles_served_from_kept_code(
+            self, daemon, tmp_path, capsys):
+        """``superpin submit``'s ``jit:`` line: a one-slice job keeps,
+        the next identical one compares, and the third is served every
+        compile."""
+        server = daemon(workers=1)
+        source = tmp_path / "one_slice.s"
+        source.write_text(DISTINCT["asm"])
+        lines = []
+        for _ in range(3):
+            assert main(["submit", "--socket", server.socket,
+                         "--asm", str(source), "-t", "icount1", "--",
+                         *FAST_SWITCHES, "-spworkers", "0"]) == 0
+            out = capsys.readouterr().out
+            lines.append(re.search(
+                r"^jit: (\d+) compiles, \d+ from pooled skeletons, "
+                r"(\d+) served from kept code, \d+ hot; master",
+                out, re.M).groups())
+        (compiles,) = {compiles for compiles, _ in lines}
+        assert int(compiles) > 0
+        assert [served for _, served in lines] == ["0", "0", compiles]
+
 
 class TestAdmissionAndCancel:
     def test_queue_full_rejected(self, daemon):
@@ -274,14 +308,11 @@ class TestAdmissionAndCancel:
     def test_cancel_running_job(self, daemon):
         server = daemon(workers=1)
         client = server.client()
-        # A long enough job to still be running when the cancel lands;
-        # cancellation preempts at its next progress event.
-        slow = {"workload": "gzip", "scale": 0.4, "tool": "icount2",
-                "seed": 42, "switches": ["-spworkers", "0"]}
-        job_id = client.submit(slow, stream=False)["job_id"]
+        # Cancellation preempts the job at its next progress event.
+        job_id = client.submit(LONG, stream=False)["job_id"]
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
-            if client.status(job_id)["job"]["state"] == "running":
+            if client.status(job_id)["job"]["state"] != "queued":
                 break
             time.sleep(0.02)
         response = client.cancel(job_id)
@@ -295,13 +326,11 @@ class TestCrashRecovery:
     def test_sigkill_midjob_restart_recovers(self, daemon):
         server = daemon(workers=1)
         client = server.client()
-        slow = {"workload": "gzip", "scale": 0.3, "tool": "icount2",
-                "seed": 42, "switches": ["-spworkers", "0"]}
-        running_id = client.submit(slow, stream=False)["job_id"]
+        running_id = client.submit(LONG, stream=False)["job_id"]
         queued_id = client.submit(IDENTICAL, stream=False)["job_id"]
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
-            if client.status(running_id)["job"]["state"] == "running":
+            if client.status(running_id)["job"]["state"] != "queued":
                 break
             time.sleep(0.02)
         server.sigkill()

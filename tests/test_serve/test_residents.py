@@ -18,10 +18,13 @@ import pytest
 
 import repro.superpin
 from repro.errors import SliceExecutionError
+from repro.isa import assemble
+from repro.machine import Kernel
 from repro.obs.metrics import metrics_for
 from repro.pin import jit
 from repro.serve.jobs import JobCancelled
-from repro.serve.server import (job_result, named_program, Residents,
+from repro.serve.server import (build_job_config, job_result,
+                                named_program, Residents,
                                 RESIDENTS_PER_WORKER, run_job_spec)
 from repro.tools import TOOLS
 from tests.conftest import LOOP_SUM, MULTISLICE, placement_counter
@@ -100,6 +103,54 @@ class TestCheckout:
             # (The one given back last: the warmest.)
             assert program == "program" and again is first
         assert residents.metrics.counter("serve.machines.hits") == 1
+
+
+class TestServedItsInstrumentation:
+    """Kept code is keyed by the tool's instrumentation digest, so an
+    identical job is served what an earlier one verified."""
+
+    @staticmethod
+    def instrumentation(placement, result):
+        return (result["counters"]["pin.jit.compiles"],
+                placement["pin.jit.instrumentation_reuses"],
+                placement["pin.jit.instrumentation_checks"])
+
+    def test_an_identical_job_is_served_from_its_first_compile(self):
+        """A one-slice job compiles every trace once: the first keeps
+        it unverified, the second compares against it, and the third
+        is served every compile — with the tool report of a run that no
+        resident served."""
+        spec = spec_for(LOOP_SUM)
+        residents = new_residents()
+        jobs = [serve(residents, spec) for _ in range(3)]
+        compiles = jobs[0][0]["counters"]["pin.jit.compiles"]
+        assert compiles > 0
+        assert [self.instrumentation(placement, result)
+                for result, placement in jobs] \
+            == [(compiles, 0, 0), (compiles, 0, compiles),
+                (compiles, compiles, 0)]
+        tool = TOOLS["icount2"]()
+        repro.superpin.run_superpin(assemble(LOOP_SUM), tool,
+                                    build_job_config(spec),
+                                    kernel=Kernel(seed=42))
+        assert [result["tool_report"] for result, _ in jobs] \
+            == [tool.report()] * 3
+
+    def test_another_filter_is_compared_not_served(self):
+        """Another ``-spfilter`` is another digest: its first job on the
+        warm resident compares every compile, serves none, and reports
+        what a cold job does."""
+        plain = spec_for(LOOP_SUM)
+        filtered = spec_for(LOOP_SUM, switches=["-spfilter", "opcode:mem"])
+        cold, _ = serve(new_residents(), filtered)
+        residents = new_residents()
+        for _ in range(3):
+            serve(residents, plain)
+        result, placement = serve(residents, filtered)
+        assert result == cold
+        assert self.instrumentation(placement, result) \
+            == (result["counters"]["pin.jit.compiles"], 0,
+                result["counters"]["pin.jit.compiles"])
 
 
 class LockedTable(OrderedDict):

@@ -30,6 +30,7 @@ from repro.superpin import (ControlProcess, FaultPlan, merge_slices,
 from repro.superpin import slices as slices_mod, supervisor
 from repro.superpin.control import Boundary
 from repro.superpin.parallel import run_slice_job, slice_job
+from repro.superpin.sharedmem import AutoMerge, SharedArea
 from repro.superpin.slices import (PLACEMENT_COUNTERS, run_slice,
                                    SliceMachine)
 from repro.tools import ICount2, TOOLS
@@ -39,6 +40,9 @@ from tests.test_superpin.test_threads_superpin import THREADED
 
 BACKENDS = ["closure", "source"]
 CONFIG = dict(spmsec=500, clock_hz=10_000)
+#: A ``-spfilter`` that selects every instruction: a filter-aware tool
+#: attaches under it what it attaches unfiltered, under another digest.
+EVERY_INSTRUCTION = "opcode:mem,opcode:control,opcode:alu"
 #: The shipped lowering threshold, whatever ``--jit-hot-threshold`` says.
 SHIPPED = jit.HOT_EXECUTIONS_PER_COMPILE
 
@@ -704,10 +708,12 @@ class TestPureInstrumentation:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_the_same_calls_take_over_the_kept_lowering(self, backend,
                                                         monkeypatch):
-        """A second template that attaches what the first did: its first
-        compile of a trace is the comparing one, and hands back the very
-        step list / generated function the first template's last compile
-        of it did — the lowering is what is skipped."""
+        """A second template under another digest — a filter that
+        selects every instruction — that attaches what the first did:
+        its first compile of a trace is the comparing one, and hands
+        back the very step list / generated function the first
+        template's last compile of it did — the lowering is what is
+        skipped."""
         fresh = SlicePhase(MULTISLICE, ICount2(),
                            jit_backend=backend).run_all()
         machine = SliceMachine()
@@ -715,7 +721,9 @@ class TestPureInstrumentation:
                           ).run_all(machine_for=lambda k: machine) == fresh
         # (Its master runs now, and may lower what it likes.)
         second = SlicePhase(MULTISLICE, ICount2(), jit_backend=backend,
-                            spmetrics=True)
+                            spmetrics=True, spfilter=EVERY_INSTRUCTION)
+        assert second.template.template_id != SlicePhase(
+            MULTISLICE, ICount2()).template.template_id
         jit = machine.vm.jit
 
         def uncut(skeleton):
@@ -1047,6 +1055,20 @@ class Weighted(ICount2):
                                  bbl.num_ins * self.weight, IARG_END)
 
 
+class Fickle(ICount2):
+    """Declares its instrumentation pure, but weighs it by a class
+    attribute — not its own state — so two runs whose tools digest
+    equally may attach different calls."""
+
+    pure_instrumentation = True
+    weight = 1
+
+    def instrument_trace(self, trace, vm):
+        for bbl in trace.bbls:
+            bbl.head.insert_call(IPOINT_BEFORE, self.docount, IARG_UINT64,
+                                 bbl.num_ins * Fickle.weight, IARG_END)
+
+
 class TestAResidentAcrossRuns:
     """A machine its caller keeps between runs (the serve daemon's
     residents): every run on it is the run on machines of its own,
@@ -1133,3 +1155,119 @@ class TestAResidentAcrossRuns:
         with pytest.raises(SliceExecutionError) as failure:
             _report(tool=Liar(), resident=resident, spworkers=0)
         assert isinstance(failure.value.__cause__, InstrumentationError)
+
+    def test_an_equal_digest_is_served_from_its_first_compile(self):
+        """Runs of equal tools: once a run has compared what an earlier
+        one kept, the next is served every compile — with the result of
+        a run that no resident served."""
+        resident = SliceMachine()
+        alone = _report(spworkers=0)[1:]
+        for _ in range(3):
+            report, *image = _report(resident=resident, spmetrics=True,
+                                     spworkers=0)
+            assert tuple(image) == alone
+        counter = report.metrics.counter
+        assert counter("pin.jit.instrumentation_checks") == 0
+        assert counter("pin.jit.instrumentation_reuses") \
+            == counter("pin.jit.compiles") > 0
+
+    def test_a_difference_under_an_equal_digest_is_a_lie(self,
+                                                         monkeypatch):
+        """A one-slice run keeps every first compile unverified; the
+        next run under an equal digest compares, and a difference there
+        raises as it does within one run."""
+        resident = SliceMachine()
+        one_slice = dict(spmsec=5000, spworkers=0)
+        report, _, _ = _report(OTHER, Fickle(), resident, **one_slice)
+        assert report.num_slices == 1
+        monkeypatch.setattr(Fickle, "weight", 2)
+        with pytest.raises(SliceExecutionError) as failure:
+            _report(OTHER, Fickle(), resident, **one_slice)
+        assert isinstance(failure.value.__cause__, InstrumentationError)
+
+    def test_a_lie_served_across_runs_fails_the_audit(self, monkeypatch):
+        """What two runs verified is served to a third under an equal
+        digest without a comparison; where the tool lied across runs,
+        ``-spaudit``'s comparison with serial Pin fails the run."""
+        resident = SliceMachine()
+        for _ in range(2):
+            _report(tool=Fickle(), resident=resident, spworkers=0)
+        monkeypatch.setattr(Fickle, "weight", 2)
+        report, _, _ = _report(tool=Fickle(), resident=resident,
+                               spworkers=0, spaudit=True, spmetrics=True)
+        assert report.metrics.counter(
+            "pin.jit.instrumentation_checks") == 0
+        assert not report.audit.ok
+
+
+class Unpicklable(ICount2):
+    """Declares, and holds state that does not pickle."""
+
+    pure_instrumentation = True
+
+    def __init__(self):
+        super().__init__()
+        self.scale = lambda count: count
+
+
+def digest(tool, spfilter=None, areas=0):
+    """``tool``'s instrumentation digest once it is set up for a run as
+    ``run_superpin`` sets it up: filter first, then ``setup`` — after
+    ``areas`` other shared areas, so its own are named otherwise."""
+    if spfilter is not None:
+        tool.instrument_filter = parse_filter(spfilter)
+    sp = SPControl(SuperPinConfig(**CONFIG))
+    for _ in range(areas):
+        sp.SP_CreateSharedArea([0], 1, AutoMerge.ADD)
+    tool.setup(sp)
+    return SliceToolContext.from_control(tool, sp).template_id
+
+
+class TestTheInstrumentationDigest:
+    """What keys kept code across runs: the tool's class and its state
+    when the template is made, shared areas left out."""
+
+    @pytest.mark.parametrize("name", sorted(TOOLS))
+    def test_two_default_tools_of_one_class_are_equal(self, name):
+        assert digest(TOOLS[name]()) == digest(TOOLS[name]())
+        assert digest(TOOLS[name](), "opcode:mem") \
+            == digest(TOOLS[name](), "opcode:mem")
+
+    def test_the_class_changes_it(self):
+        assert digest(ICount2()) != digest(TOOLS["icount1"]())
+        assert digest(ICount2()) != digest(Fickle())
+
+    def test_the_filter_changes_it(self):
+        digests = {digest(ICount2(), spfilter)
+                   for spfilter in (None, "opcode:mem", "opcode:branch",
+                                    EVERY_INSTRUCTION)}
+        assert len(digests) == 4
+
+    def test_a_constructor_argument_changes_it(self):
+        dcache, itrace = TOOLS["dcache"], TOOLS["itrace"]
+        assert digest(dcache(sets=64)) == digest(dcache(sets=64))
+        assert digest(dcache(sets=64)) != digest(dcache(sets=128))
+        assert digest(itrace(max_entries=10)) \
+            != digest(itrace(max_entries=20))
+        assert digest(Weighted(1)) != digest(Weighted(2))
+
+    def test_shared_area_handles_do_not_enter_it(self):
+        tool = ICount2()
+        want = digest(tool)
+        assert isinstance(tool.shared_data, SharedArea)
+        tool.shared_data.data[0] = 99
+        assert SliceToolContext.from_control(tool, SPControl(
+            SuperPinConfig())).template_id == want
+        other = ICount2()
+        assert digest(other, areas=2) == want
+        assert other.shared_data.name != tool.shared_data.name
+
+    @pytest.mark.parametrize("make", [Unpicklable,
+                                      lambda: counting(ICount2())],
+                             ids=["state", "class"])
+    def test_what_does_not_pickle_is_its_runs_alone(self, make):
+        """A lambda in the state, or a class its import path does not
+        name (a class made in a function): a run-unique id."""
+        first, second = digest(make()), digest(make())
+        assert first != second
+        assert len(first) < len(digest(ICount2()))
