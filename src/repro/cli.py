@@ -28,6 +28,7 @@ from .harness.figures import FIGURES
 from .harness.report import render_figure
 from .machine import Kernel, load_program
 from .machine.interpreter import Interpreter
+from .pin.filter import parse_filter
 from .pin.pintool import run_with_pin
 from .superpin import parse_switches, run_superpin, SuperPinConfig
 from .tools import TOOLS
@@ -81,8 +82,8 @@ def _main(argv: list[str] | None) -> int:
     debug_p.add_argument("--script", default=None,
                          help="batch command file (one command per line) "
                               "instead of the interactive REPL")
-    # -sp* switches (jit backend, degrade policy) ride in the
-    # unparsed remainder, like 'run'.
+    # -sp* switches (degrade policy, metrics) ride in the unparsed
+    # remainder, like 'run'.
 
     fig_p = sub.add_parser("figure", help="regenerate a paper figure")
     fig_p.add_argument("which", choices=sorted(FIGURES) + ["all"])
@@ -179,8 +180,13 @@ def _cmd_run(args, extra: list[str]) -> int:
           f"{built.rounds} rounds")
 
     if not config.sp:
+        # Serial Pin instruments what SuperPin would (run_superpin).
+        if config.spfilter is not None:
+            tool.instrument_filter = parse_filter(config.spfilter,
+                                                  built.program)
         result, vm, kernel = run_with_pin(built.program, tool,
-                                          Kernel(seed=42))
+                                          Kernel(seed=42),
+                                          suppress_loops=config.spsuppress)
         print(f"mode: classic Pin; {result.instructions} instructions, "
               f"{vm.cache.stats.compiles} traces compiled")
         print(f"tool report: {tool.report()}")

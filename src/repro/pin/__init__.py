@@ -26,7 +26,7 @@ from .filter import (InstrumentationStats, InstrumentFilter, OPCODE_CLASSES,
                      parse_filter)
 from .jit import CompiledTrace, EXIT_GUEST, Jit, StopRun
 from .pintool import NullSuperPin, Pintool, run_with_pin
-from .pyjit import SourceCompiledTrace, SourceJit
+from .pyjit import SourceCompiledTrace
 from .trace import Bbl, build_trace, Ins, MAX_TRACE_INS, TraceObj
 
 __all__ = [
@@ -45,7 +45,7 @@ __all__ = [
     "CacheStats", "CodeCache", "TRACE_HEADER_WORDS",
     "WORDS_PER_COMPILED_INS", "PinRunResult", "PinVM", "RunState",
     "CompiledTrace", "EXIT_GUEST", "Jit", "StopRun", "NullSuperPin",
-    "SourceCompiledTrace", "SourceJit",
+    "SourceCompiledTrace",
     "InstrumentFilter", "InstrumentationStats", "OPCODE_CLASSES",
     "parse_filter", "Pintool", "run_with_pin", "Bbl", "build_trace", "Ins",
     "MAX_TRACE_INS", "TraceObj",

@@ -134,16 +134,13 @@ class PinVM:
         # One JIT, two lowerings (repro.pin.jit): "closure" starts every
         # trace as threaded code and lets the JIT lower the hot ones to
         # generated code; "source" pins every trace to generated code.
-        if jit_backend == "closure":
-            self.jit = Jit(self)
-        elif jit_backend == "source":
-            from .pyjit import SourceJit
-            self.jit = SourceJit(self)
-        else:
+        if jit_backend not in ("closure", "source"):
             raise ConfigError(
                 f"unknown jit_backend {jit_backend!r}; "
                 f"choose 'closure' or 'source'")
-        self.jit_backend = jit_backend
+        self.jit = Jit(self)
+        if jit_backend == "source":
+            self.jit.all_generated = True
         self.reset(code_cache=code_cache, link_traces=link_traces,
                    metrics=metrics, suppress_loops=suppress_loops)
 

@@ -30,8 +30,8 @@ much to produce and runs two to three times faster, so which one a trace
 gets is decided per trace, from what the process has observed
 (:data:`HOT_EXECUTIONS_PER_COMPILE`), by the one :meth:`Jit.compile`
 both go through: same skeleton, same callbacks.
-``jit_backend="source"`` (:class:`~repro.pin.pyjit.SourceJit`) is this
-JIT with the decision pinned to "generated".
+:attr:`Jit.all_generated` pins the decision to "generated"
+(``PinVM(..., jit_backend="source")``): the reference lowering.
 
 **Compile once per process.**  A compile has a half that depends on who
 is instrumenting — run the trace callbacks, weave the calls into the
@@ -764,7 +764,7 @@ class Jit:
     """Compiles guest code regions for one engine."""
 
     #: True pins every trace to the generated-code lowering
-    #: (:class:`~repro.pin.pyjit.SourceJit`).
+    #: (``PinVM(..., jit_backend="source")`` sets it on its own JIT).
     all_generated = False
 
     def __init__(self, engine):

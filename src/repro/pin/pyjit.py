@@ -9,10 +9,11 @@ one callable, branches become early returns, and instrumentation is
 spliced between statements.
 
 :class:`_Emitter` is the lowering; which traces get it is the JIT's
-decision (:meth:`repro.pin.jit.Jit.compile`).  :class:`SourceJit` is
-that JIT with the decision pinned — ``PinVM(..., jit_backend="source")``
-or ``SuperPinConfig(jit_backend="source")``: every trace generated, the
-reference the differential tests hold the default against.
+decision (:meth:`repro.pin.jit.Jit.compile`).  ``Jit.all_generated``
+pins the decision — ``PinVM(..., jit_backend="source")`` for serial Pin,
+``tests/conftest.all_generated`` for every engine of a run: every trace
+generated, the reference the differential tests hold the default
+against.
 
 Contract (shared with threaded code):
 
@@ -98,7 +99,7 @@ from __future__ import annotations
 import re
 
 from .args import IARG_CONTEXT, try_static_args
-from .jit import (BARE, CONSTANTS, FULL_CHECK, Jit, NEVER, OPERANDS,
+from .jit import (BARE, CONSTANTS, FULL_CHECK, NEVER, OPERANDS,
                   SEMANTICS, call_values, operands, statements, weave)
 from .trace import Ins
 
@@ -147,12 +148,6 @@ class SourceCompiledTrace:
         #: ``Jit.heat``'s cell for this pc (see
         #: repro.pin.jit.CompiledTrace).
         self.heat: list[int] | None = None
-
-
-class SourceJit(Jit):
-    """The JIT with every trace lowered to generated code."""
-
-    all_generated = True
 
 
 def _literals(ins: Ins) -> dict[str, int]:

@@ -84,7 +84,8 @@ _META_CONFIG = (
     "quickreg_adaptive", "slice_runaway_factor", "slice_runaway_slack",
 )
 _RETIRED_CONFIG = {
-    "splinktraces": True, "spwarmcache": True, "spsharedcache": False,
+    "jit_backend": "closure", "splinktraces": True, "spwarmcache": True,
+    "spsharedcache": False,
     "min_timeslice_msec": MIN_TIMESLICE_MSEC,
     "signature_stack_words": STACK_WORDS,
     "quickreg_block_count": QUICKREG_BLOCK_COUNT, "quickreg_adaptive": True,

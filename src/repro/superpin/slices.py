@@ -280,11 +280,8 @@ class SliceMachine:
             boundary.cpu_snapshot, boundary.mem_fork,
             boundary_handler(boundary, interval))
         vm = self.vm
-        if vm is None or vm.jit_backend != config.jit_backend:
-            # Compiled work is pooled per backend: the machine serves
-            # one at a time, and starts over when asked for the other.
-            vm = self.vm = PinVM(self.process,
-                                 jit_backend=config.jit_backend)
+        if vm is None:
+            vm = self.vm = PinVM(self.process)
         vm.switch(cpu_snapshot, mem, handler,
                   code_cache=CodeCache(abi.BUBBLE_BASE, abi.BUBBLE_WORDS,
                                        metrics=metrics),

@@ -186,8 +186,12 @@ LANDED_BEFORE_MASTER_END = "superpin.stream.landed_before_master_end"
 #: item 1); 0.5 ms reads the same as this.
 MASTER_PAUSE_SECONDS = 0.0002
 
+#: Host seconds every slice's deadline starts from: fixed costs
+#: (payload materialization, pool scheduling).
+DEADLINE_FLOOR = 5.0
+
 #: Host seconds a slice's deadline grows per master instruction of its
-#: interval, on top of ``-spdeadline`` (the floor).
+#: interval, on top of :data:`DEADLINE_FLOOR`.
 DEADLINE_PER_INS = 5e-4
 
 #: Re-executions of a failed slice on its transport before the
@@ -199,16 +203,14 @@ RETRIES = 2
 RETRY_BACKOFF = 0.05
 
 
-def slice_deadline(interval: Interval, config: SuperPinConfig) -> float:
+def slice_deadline(interval: Interval) -> float:
     """Wall-clock deadline for one slice, in host seconds.
 
-    The configurable floor covers fixed costs (payload materialization,
-    pool scheduling); the per-instruction allowance scales with the
-    master's instruction count for the interval, mirroring how the
-    §4.3 runaway guard scales the virtual budget.
+    The floor covers fixed costs; the per-instruction allowance scales
+    with the master's instruction count for the interval, mirroring how
+    the §4.3 runaway guard scales the virtual budget.
     """
-    return (config.slice_deadline_floor
-            + interval.instructions * DEADLINE_PER_INS)
+    return DEADLINE_FLOOR + interval.instructions * DEADLINE_PER_INS
 
 
 def _attempt_slice(work, index: int, attempt: int,
@@ -492,7 +494,7 @@ class _Supervisor:
         for k in range(len(self.outcomes), ready):
             self.outcomes.append(SliceOutcome(
                 index=k, deadline_seconds=slice_deadline(
-                    self.timeline.intervals[k], self.config)))
+                    self.timeline.intervals[k])))
             self.executions.append(0)
             self.failures.append(0)
             self.payloads.append(None)

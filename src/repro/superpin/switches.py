@@ -19,9 +19,6 @@ Switch                  Meaning — why it survives
 ``-spfaults <policy>``  slice fault policy: ``failfast`` (default),
                         ``retry`` or ``degrade`` — whether a partial
                         result will do is the user's call
-``-spdeadline <secs>``  wall-clock deadline floor per slice (plus a
-                        per-instruction allowance) — a slow host needs
-                        more
 ``-spinject <spec>``    deterministic fault injection, e.g.
                         ``crash@0,hang@2:*`` (superpin.faults) — drives
                         the fault paths end to end
@@ -33,8 +30,6 @@ Switch                  Meaning — why it survives
                         N > 0 turns on §8 adaptive throttling (slices
                         shrink toward the expected end) — only the user
                         knows N
-``-spjit <backend>``    slice JIT backend, ``closure`` (default) or
-                        ``source`` — the frozen benchmark keys rows by it
 ``-sptrace <path>``     export the run's trace (repro.obs): ``*.jsonl``
                         event log, else Chrome-trace JSON — output
 ``-spmetrics <0|1>``    collect counters/gauges/histograms (off: the
@@ -66,11 +61,13 @@ Switch                  Meaning — why it survives
 
 §8's shared code cache is not a switch: every run has both virtual
 accounts (:meth:`~repro.superpin.runtime.SuperPinReport.
-shared_cache_timing`).  The signature's stack words and the slice
-guards are module constants (``signature.STACK_WORDS``,
-``slices.RUNAWAY_FACTOR`` / ``RUNAWAY_SLACK``,
-``supervisor.RETRIES`` / ``DEADLINE_PER_INS`` / ``RETRY_BACKOFF``) and
-so is the trace store's size budget (``warmstore.DEFAULT_STORE_LIMIT``).
+shared_cache_timing`).  Nor is which lowering a trace gets: the JIT
+decides it per trace (:meth:`repro.pin.jit.Jit.compile`).  The
+signature's stack words and the slice guards are module constants
+(``signature.STACK_WORDS``, ``slices.RUNAWAY_FACTOR`` /
+``RUNAWAY_SLACK``, ``supervisor.RETRIES`` / ``DEADLINE_FLOOR`` /
+``DEADLINE_PER_INS`` / ``RETRY_BACKOFF``) and so is the trace store's
+size budget (``warmstore.DEFAULT_STORE_LIMIT``).
 
 CI hook: the environment variable ``SUPERPIN_SPWORKERS`` overrides the
 *default* of ``spworkers`` (explicit constructor arguments and parsed
@@ -124,8 +121,6 @@ class SuperPinConfig:
     #: ``degrade`` retries the same way but on final failure records the
     #: slice as a hole and completes the run with the surviving slices.
     spfaults: str = "failfast"
-    #: Wall-clock deadline floor per slice, in host seconds.
-    slice_deadline_floor: float = 5.0
     #: Deterministic fault-injection plan (:class:`~repro.superpin.
     #: faults.FaultPlan`), or None.  A plan makes chosen slices crash,
     #: hang, corrupt their result, or go runaway on their first M
@@ -138,9 +133,6 @@ class SuperPinConfig:
     #: to cut the pipeline delay.  0 (the default) keeps every timeslice
     #: at ``spmsec``.
     expected_duration_msec: int = 0
-    #: JIT backend used by slices: "closure" (threaded code) or
-    #: "source" (generated Python, see repro.pin.pyjit).
-    jit_backend: str = "closure"
     # --- observability (repro.obs) ----------------------------------------
     #: Trace export path, or None.  ``*.jsonl`` writes the JSONL event
     #: log; any other path writes Chrome-trace JSON for Perfetto.
@@ -148,9 +140,6 @@ class SuperPinConfig:
     #: Collect metrics (counters/gauges/histograms).  Off by default:
     #: components then hold the allocation-free null registry.
     spmetrics: bool = False
-    #: Read by bench/layers.py's engine probe only; 0 is the one legal
-    #: value (the second translation cache and ``-sptc2`` were removed).
-    sptc2: int = 0
     # --- differential replay audit (off by default) ------------------------
     #: Run the lockstep divergence oracle: a reference (uninstrumented)
     #: run records per-boundary architectural checkpoints and syscall
@@ -197,6 +186,13 @@ class SuperPinConfig:
     #: sets it: only ``bench/layers.py`` and the store's tests (item 11).
     sptracestore: str | None = None
 
+    # --- constants, not fields ---------------------------------------------
+    #: What ``bench/layers.py`` reads of the slices' lowering and of the
+    #: removed second translation cache: a slice runs serial Pin's
+    #: engine, whose JIT picks each trace's lowering itself.
+    jit_backend = "closure"
+    sptc2 = 0
+
     def __post_init__(self) -> None:
         if self.spmsec <= 0:
             raise ConfigError(f"-spmsec must be positive, got {self.spmsec}")
@@ -212,10 +208,6 @@ class SuperPinConfig:
             raise ConfigError(
                 f"-spfaults must be one of {', '.join(FAULT_POLICIES)}, "
                 f"got {self.spfaults!r}")
-        if self.slice_deadline_floor <= 0:
-            raise ConfigError(
-                f"slice_deadline_floor must be positive, "
-                f"got {self.slice_deadline_floor}")
         if self.clock_hz <= 0:
             raise ConfigError(
                 f"clock_hz must be positive, got {self.clock_hz}")
@@ -223,17 +215,9 @@ class SuperPinConfig:
             raise ConfigError(
                 f"-spexpected must be >= 0, "
                 f"got {self.expected_duration_msec}")
-        if self.jit_backend not in ("closure", "source"):
-            raise ConfigError(
-                f"jit_backend must be 'closure' or 'source', "
-                f"got {self.jit_backend!r}")
         if self.spsample < 0:
             raise ConfigError(
                 f"-spsample must be >= 0, got {self.spsample}")
-        if self.sptc2:
-            raise ConfigError(
-                f"sptc2 must be 0 (the second translation cache was "
-                f"removed), got {self.sptc2}")
         if self.spfilter is not None and not str(self.spfilter).strip():
             raise ConfigError("-spfilter spec must not be empty")
         for name, flag in (("sprecord", "-sprecord"),
@@ -261,8 +245,8 @@ class SuperPinConfig:
 
 #: The fields that change what a run computes — its slices, tool results
 #: and virtual account.  The rest only change how the run executes
-#: (worker count, JIT backend, fault policy, observability, artifact
-#: paths), which the parity properties make invisible in the results.
+#: (worker count, fault policy, observability, artifact paths), which
+#: the parity properties make invisible in the results.
 #: Read by the run journal's key (:func:`repro.superpin.journal.run_key`)
 #: and the figure harness's memo, so a run is reused exactly when it
 #: would compute the same thing.
@@ -284,11 +268,9 @@ _FLAG_PARSERS = {
     "-spsysrecs": ("spsysrecs", int),
     "-spworkers": ("spworkers", int),
     "-spfaults": ("spfaults", str),
-    "-spdeadline": ("slice_deadline_floor", float),
     "-spinject": ("fault_plan", _parse_inject),
     "-spclock": ("clock_hz", int),
     "-spexpected": ("expected_duration_msec", int),
-    "-spjit": ("jit_backend", str),
     "-sptrace": ("sptrace", str),
     "-spmetrics": ("spmetrics", lambda v: bool(int(v))),
     "-spaudit": ("spaudit", lambda v: bool(int(v))),

@@ -34,8 +34,8 @@ logs and the one thing that outlives a run:
   cold run to leave an entry; only that benchmark and this module's
   tests set the one way in, ``SuperPinConfig.sptracestore`` (no switch,
   daemon or CLI).  Deleting it waits for benchmark round 2 (ROADMAP
-  item 1(e)), like ``-spjit``; its size budget is a constant,
-  :data:`DEFAULT_STORE_LIMIT`.  The warm tier that saves host time is
+  item 1(e)); its size budget is a constant, :data:`DEFAULT_STORE_LIMIT`.
+  The warm tier that saves host time is
   the resident slice machine, not this file.
 
   One ``<key>.spwc`` file per entry: magic, SHA-256 of the payload, the

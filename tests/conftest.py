@@ -67,6 +67,25 @@ def promote_at(monkeypatch, executions: int) -> None:
     monkeypatch.setattr(jit, "PROMOTE_FACTOR", 1)
 
 
+def all_generated(monkeypatch) -> None:
+    """Every engine — the master's, the lookahead's, a slice machine's,
+    the debugger's, serial Pin's, a forked pool worker's — lowers every
+    trace to generated code from its first compile (``Jit.all_generated``):
+    the reference lowering the JIT's own choice is held against.  Which
+    lowering a trace gets is the JIT's, not a switch, so this is how a
+    pipeline test reaches it."""
+    from repro.pin.jit import Jit
+    monkeypatch.setattr(Jit, "all_generated", True)
+
+
+def deadline_floor(monkeypatch, seconds: float) -> None:
+    """Every slice's wall-clock deadline starts from ``seconds``
+    (``supervisor.DEADLINE_FLOOR``, a constant) instead of the shipped
+    floor."""
+    from repro.superpin import supervisor
+    monkeypatch.setattr(supervisor, "DEADLINE_FLOOR", seconds)
+
+
 def retries(monkeypatch, count: int) -> None:
     """A failed slice re-runs ``count`` times on its transport before
     the in-process fallback (``supervisor.RETRIES``, a constant): the

@@ -7,9 +7,17 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 from repro.cli import main
+from tests.conftest import all_generated
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+GOLDEN = REPO_ROOT / "tests" / "golden"
+
+
+def tool_report(out: str) -> str:
+    return re.search(r"^tool report: .*$", out, re.MULTILINE).group(0)
 
 
 class TestList:
@@ -70,6 +78,20 @@ class TestRun:
         assert code == 0
         assert "classic Pin" in out
 
+    def test_serial_pin_instruments_what_superpin_does(self, capsys):
+        """``-sp 0`` honours ``-spfilter`` and ``-spsuppress`` as
+        ``-sp 1`` does: the same tool report."""
+        reports = []
+        for sp in ("0", "1"):
+            assert main(["run", "-t", "icount2", "-w", "gzip", "--scale",
+                         "0.05", "--", "-sp", sp, "-spfilter", "opcode:mem",
+                         "-spsuppress", "1"]) == 0
+            reports.append(tool_report(capsys.readouterr().out))
+        assert reports[0] == reports[1]
+        assert main(["run", "-t", "icount2", "-w", "gzip", "--scale",
+                     "0.05", "--", "-sp", "0"]) == 0
+        assert tool_report(capsys.readouterr().out) != reports[0]
+
     def test_unknown_workload(self, capsys):
         assert main(["run", "-w", "nope"]) == 2
         assert "unknown workload" in capsys.readouterr().err
@@ -118,6 +140,25 @@ class TestReplay:
         assert main(run + ["-spreplay", path]) == 2
         assert "error: unknown SuperPin switch '-spreplay'" \
             in capsys.readouterr().err
+
+
+class TestDebug:
+    @pytest.mark.parametrize("lowering", ["chosen", "generated"])
+    def test_scripted_session_matches_the_golden(self, lowering, tmp_path,
+                                                 capsys, monkeypatch):
+        """``superpin debug --script`` over the gzip recording prints
+        the golden transcript byte for byte, whichever lowering its
+        landings run."""
+        path = str(tmp_path / "smoke.sprec")
+        assert main(["run", "-w", "gzip", "-t", "icount2", "--scale",
+                     "0.25", "--", "-sprecord", path]) == 0
+        capsys.readouterr()
+        if lowering == "generated":
+            all_generated(monkeypatch)
+        assert main(["debug", path, "--script",
+                     str(GOLDEN / "debug_smoke.ttd")]) == 0
+        assert capsys.readouterr().out \
+            == (GOLDEN / "debug_smoke.txt").read_text()
 
 
 class TestFigure:

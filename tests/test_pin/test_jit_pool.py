@@ -28,7 +28,7 @@ BACKENDS = ["closure", "source"]
 #: What outlives a reset, by identity ...
 RESIDENT = {"process", "cpu", "mem", "counters", "jit"}
 #: ... and what is fixed at construction.
-CONSTRUCTION = RESIDENT | {"max_trace_ins", "jit_backend"}
+CONSTRUCTION = RESIDENT | {"max_trace_ins"}
 
 _ATOMS = (int, float, str, bytes, bool, type(None), frozenset)
 

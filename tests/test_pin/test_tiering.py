@@ -4,8 +4,8 @@ One table, three pins.  ``HOT_EXECUTIONS_PER_COMPILE`` decides per trace
 whether it runs as threaded code or as generated code; forced to 1 it
 promotes every cached trace on its third execution and lowers every
 repeated compile hot, at infinity nothing is ever generated, and the
-shipped value sits between.  Whatever it is, and under ``-spjit source``
-too, a run must produce the same slices, the same tool report, the same
+shipped value sits between.  Whatever it is, and with every trace
+generated (``conftest.all_generated``) too, a run must produce the same slices, the same tool report, the same
 per-slice callback counts and the same audit verdict — only host time
 and the ``pin.jit.*`` placement counters may tell the runs apart.  The
 same holds for code a resident machine *keeps* under a tool's purity
@@ -30,7 +30,8 @@ from repro.pin.pyjit import SourceCompiledTrace
 from repro.superpin import run_superpin, SuperPinConfig
 from repro.superpin.slices import SliceMachine
 from repro.tools import ICount1, ICount2
-from tests.conftest import MULTISLICE, promote_at, virtual_counters
+from tests.conftest import (all_generated, MULTISLICE, promote_at,
+                            virtual_counters)
 from tests.test_pin import test_jit_pool
 from tests.test_superpin.test_slice_machine import (REWRITTEN, slice_image,
                                                     SlicePhase,
@@ -121,7 +122,9 @@ def assert_lowering_is_invisible(threshold, guest, tool, **overrides):
         threshold(value)
         images[name] = pipeline_image(guest, tool, **overrides)
     threshold(SHIPPED)
-    source = pipeline_image(guest, tool, jit_backend="source", **overrides)
+    with pytest.MonkeyPatch.context() as patch:
+        all_generated(patch)
+        source = pipeline_image(guest, tool, **overrides)
     reference = images["inf"]
     assert len(reference["slices"]) >= 3
     assert reference["jit"] == dict.fromkeys(reference["jit"], 0) or (

@@ -23,7 +23,7 @@ from repro.superpin import (damage_journal, frame_blob, program_digest,
                             SuperPinConfig, unframe_blob)
 from repro.superpin.faults import CorruptResultFault
 from repro.tools import ICount2, ITrace
-from tests.conftest import MULTISLICE, RESULT_FIELD_VALUES
+from tests.conftest import all_generated, MULTISLICE, RESULT_FIELD_VALUES
 
 from .test_supervisor import _slice_fingerprint, WORKER_MODES
 
@@ -94,14 +94,13 @@ class TestRunKey:
             != run_key(digest, "ICount2", _config())
 
     def test_invariant_under_execution_strategy(self, program):
-        """Worker count, JIT backend, fault policy and observability do
-        not change slice *results*, so a resumed run may change them
-        freely."""
+        """Worker count, fault policy and observability do not change
+        slice *results*, so a resumed run may change them freely."""
         digest = program_digest(program)
         base = run_key(digest, "ICount2", _config())
         assert run_key(digest, "ICount2",
                        _config(spworkers=2, spfaults="degrade",
-                               spmetrics=False, jit_backend="source",
+                               spmetrics=False,
                                spjournal="/elsewhere.spjl")) == base
 
 
@@ -213,21 +212,21 @@ class TestResume:
             == _slice_fingerprint(base_report)
 
     def test_closure_journal_resumes_under_source(self, program, baseline,
-                                                  tmp_path):
-        """The JIT backend changes how a slice runs, not what it
-        computes: a source-backend run adopts every slice a closure run
-        journaled and merges the report a source run computes."""
+                                                  tmp_path, monkeypatch):
+        """The lowering changes how a slice runs, not what it computes:
+        a run with every trace generated adopts every slice a run of the
+        JIT's own choice journaled, and merges the report it computes."""
         base_report, base_tool = baseline
         path = tmp_path / "run.spjl"
         run_superpin(program, ICount2(), _config(spjournal=str(path)),
                      kernel=Kernel(seed=42))
+        all_generated(monkeypatch)
         source_tool = ICount2()
-        run_superpin(program, source_tool, _config(jit_backend="source"),
+        run_superpin(program, source_tool, _config(),
                      kernel=Kernel(seed=42))
         tool = ICount2()
         report = run_superpin(program, tool,
-                              _config(spjournal=str(path), spresume=True,
-                                      jit_backend="source"),
+                              _config(spjournal=str(path), spresume=True),
                               kernel=Kernel(seed=42))
         assert report.resumed_slices == report.num_slices
         assert tool.report() == source_tool.report() == base_tool.report()

@@ -6,6 +6,7 @@ instruction count equals the native count, slices partition the
 execution exactly, and the timing report is internally consistent.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.isa import assemble
@@ -13,7 +14,7 @@ from repro.machine import Kernel, load_program
 from repro.machine.interpreter import Interpreter
 from repro.superpin import run_superpin, SuperPinConfig
 from repro.tools import ICount2
-from tests.conftest import random_program
+from tests.conftest import all_generated, random_program
 
 
 @settings(max_examples=12, deadline=None)
@@ -36,8 +37,12 @@ def test_superpin_invariants_hold(seed, blocks, loop_iters, spmsec, spmp,
 
     tool = ICount2()
     config = SuperPinConfig(spmsec=spmsec, spmp=spmp, spsysrecs=spsysrecs,
-                            clock_hz=10_000, jit_backend=backend)
-    report = run_superpin(program, tool, config, kernel=Kernel(seed=seed))
+                            clock_hz=10_000)
+    with pytest.MonkeyPatch.context() as patch:
+        if backend == "source":
+            all_generated(patch)
+        report = run_superpin(program, tool, config,
+                              kernel=Kernel(seed=seed))
 
     # Functional exactness.
     assert tool.total == native

@@ -2,7 +2,7 @@
 
 Parity is the contract: replaying a recorded run must reproduce the
 live run's tool output and slice fingerprints — across worker modes
-and JIT backends — with the master re-executed exactly zero times.
+and lowerings — with the master re-executed exactly zero times.
 Damage must surface as a taxonomized
 :class:`~repro.errors.RecordingCorruptError` (or a per-slice degrade
 under ``-spfaults degrade``), never as a wrong-but-clean replay.
@@ -19,10 +19,12 @@ from repro.superpin import (damage_journal, damage_recording, FaultPlan,
                             run_superpin, RunJournal, run_key,
                             program_digest, SuperPinConfig)
 from repro.tools import ICount2, ITrace
-from tests.conftest import MULTISLICE
+from tests.conftest import all_generated, MULTISLICE
 
 from .test_supervisor import _slice_fingerprint, WORKER_MODES
 
+#: The JIT's own choice of lowering, and every trace generated
+#: (``conftest.all_generated``).
 JIT_BACKENDS = ["closure", "source"]
 
 
@@ -84,11 +86,12 @@ class TestReplayParity:
     @pytest.mark.parametrize("spworkers", WORKER_MODES)
     @pytest.mark.parametrize("jit_backend", JIT_BACKENDS)
     def test_replay_matches_live_run(self, recorded, spworkers,
-                                     jit_backend):
+                                     jit_backend, monkeypatch):
+        if jit_backend == "source":
+            all_generated(monkeypatch)
         path, live_report, live_tool = recorded
         tool = ICount2()
-        report = replay_recording(path, tool, _config(
-            spworkers=spworkers, jit_backend=jit_backend))
+        report = replay_recording(path, tool, _config(spworkers=spworkers))
         assert tool.total == live_tool.total
         assert report.exit_code == live_report.exit_code
         assert report.stdout == live_report.stdout

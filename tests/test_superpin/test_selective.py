@@ -13,21 +13,22 @@ from repro.machine import Kernel
 from repro.pin import parse_filter, run_with_pin
 from repro.superpin import run_superpin, SuperPinConfig
 from repro.tools import ICount1, ICount2
+from tests.conftest import all_generated
 
+#: The JIT's own choice of lowering, and every trace generated
+#: (``conftest.all_generated``).
 BACKENDS = ["closure", "source"]
 WORKERS = [0, 2]
 
 BASE = dict(spmsec=500, clock_hz=10_000)
 
 
-def serial_total(program, tool_cls, backend, filter_spec=None,
-                 suppress=False):
+def serial_total(program, tool_cls, filter_spec=None, suppress=False):
     """Serial-Pin ground truth with the same selective settings."""
     tool = tool_cls()
     if filter_spec is not None:
         tool.instrument_filter = parse_filter(filter_spec, program)
-    run_with_pin(program, tool, Kernel(seed=42), jit_backend=backend,
-                 suppress_loops=suppress)
+    run_with_pin(program, tool, Kernel(seed=42), suppress_loops=suppress)
     return tool.total
 
 
@@ -35,14 +36,16 @@ def serial_total(program, tool_cls, backend, filter_spec=None,
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestFilteredParity:
     def test_filtered_superpin_matches_filtered_serial(
-            self, multislice_program, workers, backend):
-        expected = serial_total(multislice_program, ICount2, backend,
+            self, multislice_program, workers, backend, monkeypatch):
+        if backend == "source":
+            all_generated(monkeypatch)
+        expected = serial_total(multislice_program, ICount2,
                                 filter_spec="routine:work")
         tool = ICount2()
         report = run_superpin(
             multislice_program, tool,
             SuperPinConfig(spfilter="routine:work", spworkers=workers,
-                           jit_backend=backend, **BASE),
+                           **BASE),
             kernel=Kernel(seed=42))
         assert tool.total == expected
         assert report.all_exact
@@ -53,22 +56,23 @@ class TestFilteredParity:
         full = ICount2()
         full_report = run_superpin(
             multislice_program, full,
-            SuperPinConfig(spworkers=workers, jit_backend=backend,
-                           **BASE),
+            SuperPinConfig(spworkers=workers, **BASE),
             kernel=Kernel(seed=42))
         full_instr = full_report.instrumentation_summary()
         assert 0 < instr["analysis_calls"] < full_instr["analysis_calls"]
         assert tool.total < full.total
 
     def test_filtered_audit_clean(self, multislice_program, workers,
-                                  backend):
+                                  backend, monkeypatch):
         """The audit's serial baseline inherits the filter, so the
         tool.results comparison stays live and passes."""
+        if backend == "source":
+            all_generated(monkeypatch)
         tool = ICount2()
         report = run_superpin(
             multislice_program, tool,
             SuperPinConfig(spfilter="routine:work", spworkers=workers,
-                           jit_backend=backend, spaudit=True, **BASE),
+                           spaudit=True, **BASE),
             kernel=Kernel(seed=42))
         assert report.audit is not None
         assert report.audit.ok, report.audit.summary()
@@ -81,17 +85,19 @@ class TestFilteredParity:
 class TestSuppressedParity:
     @pytest.mark.parametrize("tool_cls", [ICount1, ICount2])
     def test_suppressed_superpin_matches_full(self, multislice_program,
-                                              workers, backend, tool_cls):
+                                              workers, backend, tool_cls,
+                                              monkeypatch):
+        if backend == "source":
+            all_generated(monkeypatch)
         full = tool_cls()
         run_superpin(multislice_program, full,
-                     SuperPinConfig(spworkers=workers,
-                                    jit_backend=backend, **BASE),
+                     SuperPinConfig(spworkers=workers, **BASE),
                      kernel=Kernel(seed=42))
         tool = tool_cls()
         report = run_superpin(
             multislice_program, tool,
             SuperPinConfig(spsuppress=True, spworkers=workers,
-                           jit_backend=backend, **BASE),
+                           **BASE),
             kernel=Kernel(seed=42))
         assert tool.total == full.total
         assert report.all_exact
@@ -100,12 +106,14 @@ class TestSuppressedParity:
         assert instr["suppressed_calls"] > 0
 
     def test_suppressed_audit_clean(self, multislice_program, workers,
-                                    backend):
+                                    backend, monkeypatch):
+        if backend == "source":
+            all_generated(monkeypatch)
         tool = ICount2()
         report = run_superpin(
             multislice_program, tool,
             SuperPinConfig(spsuppress=True, spworkers=workers,
-                           jit_backend=backend, spaudit=True, **BASE),
+                           spaudit=True, **BASE),
             kernel=Kernel(seed=42))
         assert report.audit is not None
         assert report.audit.ok, report.audit.summary()
@@ -114,17 +122,18 @@ class TestSuppressedParity:
 class TestCombined:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_filter_plus_suppress_audit_clean(self, multislice_program,
-                                              backend):
+                                              backend, monkeypatch):
+        if backend == "source":
+            all_generated(monkeypatch)
         tool = ICount2()
         report = run_superpin(
             multislice_program, tool,
             SuperPinConfig(spfilter="routine:work", spsuppress=True,
-                           jit_backend=backend, spaudit=True, **BASE),
+                           spaudit=True, **BASE),
             kernel=Kernel(seed=42))
         assert report.audit is not None
         assert report.audit.ok, report.audit.summary()
         assert tool.total == serial_total(multislice_program, ICount2,
-                                          backend,
                                           filter_spec="routine:work")
 
     def test_all_three_with_audit(self, multislice_program):

@@ -21,7 +21,7 @@ from repro.superpin import slices as slices_mod
 from repro.superpin.signature import STACK_WORDS
 from repro.tools import ICount2, TOOLS
 from repro.workloads import build
-from tests.conftest import MULTISLICE
+from tests.conftest import all_generated, MULTISLICE
 from tests.test_superpin.test_audit_fuzz import (random_syscall_program,
                                                  SEEDS)
 from tests.test_superpin.test_threads_superpin import THREADED
@@ -356,11 +356,13 @@ class TestTheCheckIsLowered:
         ids=["filter-out", "filter-in", "sample", "suppress"])
     def test_every_slice_counts_what_a_callback_counted(
             self, overrides, backend, monkeypatch):
-        lowered = self.run(jit_backend=backend, **overrides)
+        if backend == "source":
+            all_generated(monkeypatch)
+        lowered = self.run(**overrides)
         with monkeypatch.context() as patch:
             patch.setattr(slices_mod, "SignatureDetector", CallbackDetector)
             split_at_callback_pcs(patch)
-            assert self.run(jit_backend=backend, **overrides) == lowered
+            assert self.run(**overrides) == lowered
         slices = lowered[0]
         assert sum(s["detection"].quick_checks for s in slices[:-1]) > 0
         # (What each variant is there for happened.)

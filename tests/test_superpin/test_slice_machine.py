@@ -34,10 +34,12 @@ from repro.superpin.sharedmem import AutoMerge, SharedArea
 from repro.superpin.slices import (PLACEMENT_COUNTERS, run_slice,
                                    SliceMachine)
 from repro.tools import ICount2, TOOLS
-from tests.conftest import (MULTISLICE, promote_at, unlinked,
-                            virtual_counters)
+from tests.conftest import (all_generated, MULTISLICE, promote_at,
+                            unlinked, virtual_counters)
 from tests.test_superpin.test_threads_superpin import THREADED
 
+#: The JIT's own choice of lowering, and every trace generated
+#: (``conftest.all_generated``).
 BACKENDS = ["closure", "source"]
 CONFIG = dict(spmsec=500, clock_hz=10_000)
 #: A ``-spfilter`` that selects every instruction: a filter-aware tool
@@ -213,26 +215,31 @@ class TestParityWithAFreshMachine:
     @pytest.mark.parametrize("spsuppress", [False, True])
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("tool", list(TOOL_FACTORIES))
-    def test_matrix(self, tool, backend, spsuppress, spfilter):
+    def test_matrix(self, tool, backend, spsuppress, spfilter, monkeypatch):
+        if backend == "source":
+            all_generated(monkeypatch)
         assert_resident_equals_fresh(
-            MULTISLICE, TOOL_FACTORIES[tool], jit_backend=backend,
-            spsuppress=spsuppress, spfilter=spfilter)
+            MULTISLICE, TOOL_FACTORIES[tool], spsuppress=spsuppress,
+            spfilter=spfilter)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_sampled_slices(self, backend):
+    def test_sampled_slices(self, backend, monkeypatch):
         """``-spsample 2``: tool-free and instrumented slices alternate
         on one machine, so every reuse changes instrumentation — and
         nothing a tool-free slice compiled may be served to the next."""
+        if backend == "source":
+            all_generated(monkeypatch)
         assert_resident_equals_fresh(MULTISLICE, TOOLS["icount1"],
-                                     served=False, jit_backend=backend,
-                                     spsample=2)
+                                     served=False, spsample=2)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_cooperative_threads(self, backend):
+    def test_cooperative_threads(self, backend, monkeypatch):
         """Slices fork mid-thread and context-switch *inside* the guest:
         the scheduler rewrites the resident register list in place."""
+        if backend == "source":
+            all_generated(monkeypatch)
         assert_resident_equals_fresh(THREADED, TOOLS["icount2"],
-                                     jit_backend=backend, spmsec=1000)
+                                     spmsec=1000)
 
     def test_no_link(self, monkeypatch):
         unlinked(monkeypatch)
@@ -352,14 +359,15 @@ yl:
 
 class TestPoolValidity:
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_master_rewrote_an_instruction_between_boundaries(self,
-                                                              backend):
+    def test_master_rewrote_an_instruction_between_boundaries(
+            self, backend, monkeypatch):
+        if backend == "source":
+            all_generated(monkeypatch)
         # (Every trace a second slice of this guest revisits starts at
         # that slice's signature pc: none is ever served.)
         assert_resident_equals_fresh(REWRITTEN, TOOLS["icount1"],
-                                     served=None, jit_backend=backend)
-        phase = SlicePhase(REWRITTEN, TOOLS["icount1"](),
-                           jit_backend=backend, spmetrics=True)
+                                     served=None)
+        phase = SlicePhase(REWRITTEN, TOOLS["icount1"](), spmetrics=True)
         assert phase.timeline.exit_code == 500 * (1 + 5)
         if backend == "closure":
             machine, snapshots = SliceMachine(), []
@@ -369,35 +377,40 @@ class TestPoolValidity:
                        for s in snapshots) > 0
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_two_programs_back_to_back(self, backend):
+    def test_two_programs_back_to_back(self, backend, monkeypatch):
+        if backend == "source":
+            all_generated(monkeypatch)
         machine = SliceMachine()
         for source in (MULTISLICE, OTHER, MULTISLICE):
-            fresh = SlicePhase(source, TOOLS["icount2"](),
-                               jit_backend=backend).run_all()
-            resident = SlicePhase(source, TOOLS["icount2"](),
-                                  jit_backend=backend).run_all(
+            fresh = SlicePhase(source, TOOLS["icount2"]()).run_all()
+            resident = SlicePhase(source, TOOLS["icount2"]()).run_all(
                 machine_for=lambda k: machine)
             assert resident == fresh
 
-    def test_backends_alternating_on_one_machine(self):
+    def test_backends_alternating_on_one_machine(self, monkeypatch):
+        """One engine whose lowering is pinned and unpinned between
+        runs: what it kept under one lowering serves the other."""
         machine = SliceMachine()
         for backend in ("closure", "source", "closure"):
-            fresh = SlicePhase(MULTISLICE, TOOLS["icount2"](),
-                               jit_backend=backend).run_all()
-            assert SlicePhase(MULTISLICE, TOOLS["icount2"](),
-                              jit_backend=backend).run_all(
-                machine_for=lambda k: machine) == fresh
+            with monkeypatch.context() as patch:
+                if backend == "source":
+                    all_generated(patch)
+                fresh = SlicePhase(MULTISLICE, TOOLS["icount2"]()).run_all()
+                assert SlicePhase(MULTISLICE, TOOLS["icount2"]()).run_all(
+                    machine_for=lambda k: machine) == fresh
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_one_shape_per_head(self, backend):
+    def test_one_shape_per_head(self, backend, monkeypatch):
         """Every slice on one machine decodes its traces where serial
         Pin does, whatever its signature pc: the pool holds one skeleton
         a head, and every compile at a head the pool knew reuses it,
         unless the words under it changed."""
+        if backend == "source":
+            all_generated(monkeypatch)
         machine = SliceMachine()
         for turn in range(2):
             phase = SlicePhase(MULTISLICE, TOOLS["icount2"](),
-                               jit_backend=backend, spmetrics=True)
+                               spmetrics=True)
             for k in range(phase.n):
                 phase.run(k, machine)
             pool = machine.vm.jit.pool
@@ -451,13 +464,14 @@ class TestPoolValidity:
         threaded code is promoted in mid-run, the promotion is lowered
         from the calls of the cut served, not of the cut compiled
         last."""
-        backend = "source" if lowering == "generated" else "closure"
+        if lowering == "generated":
+            all_generated(monkeypatch)
         if lowering == "promoted":
             promote_at(monkeypatch, 1)
         else:
             monkeypatch.setattr(jit, "HOT_EXECUTIONS_PER_COMPILE",
                                 float("inf"))
-        overrides = dict(jit_backend=backend, spmsec=200)
+        overrides = dict(spmsec=200)
         fresh = SlicePhase(MULTISLICE, TOOLS["icount2"](), **overrides)
         pcs = [signature.pc for signature in fresh.signatures]
         loop = assemble(MULTISLICE).symbol("wl")
@@ -549,8 +563,9 @@ class TestPoolValidity:
         the second time round nothing is decoded (or ``compile()``d),
         and both are the slices a fresh machine runs, compile logs
         included."""
-        fresh = SlicePhase(MULTISLICE, TOOLS["icount2"](),
-                           jit_backend=backend)
+        if backend == "source":
+            all_generated(monkeypatch)
+        fresh = SlicePhase(MULTISLICE, TOOLS["icount2"]())
         pcs = [signature.pc for signature in fresh.signatures[1:3]]
         loop = assemble(MULTISLICE).symbol("wl")
         assert pcs[0] != pcs[1] and all(loop < pc < loop + 5 for pc in pcs)
@@ -565,7 +580,7 @@ class TestPoolValidity:
             cold_compiles.append(args[2]), finish(*args))[1])
         for turn in range(2):
             phase = SlicePhase(MULTISLICE, TOOLS["icount2"](),
-                               jit_backend=backend, spmetrics=True)
+                               spmetrics=True)
             del cold_compiles[:]       # (the phase's master made some)
             for k in (1, 2):
                 assert slice_image(phase.run(k, machine)) == want[k]
@@ -714,14 +729,15 @@ class TestPureInstrumentation:
         back the very step list / generated function the first
         template's last compile of it did — the lowering is what is
         skipped."""
-        fresh = SlicePhase(MULTISLICE, ICount2(),
-                           jit_backend=backend).run_all()
+        if backend == "source":
+            all_generated(monkeypatch)
+        fresh = SlicePhase(MULTISLICE, ICount2()).run_all()
         machine = SliceMachine()
-        assert SlicePhase(MULTISLICE, ICount2(), jit_backend=backend
-                          ).run_all(machine_for=lambda k: machine) == fresh
+        assert SlicePhase(MULTISLICE, ICount2()).run_all(
+            machine_for=lambda k: machine) == fresh
         # (Its master runs now, and may lower what it likes.)
-        second = SlicePhase(MULTISLICE, ICount2(), jit_backend=backend,
-                            spmetrics=True, spfilter=EVERY_INSTRUCTION)
+        second = SlicePhase(MULTISLICE, ICount2(), spmetrics=True,
+                            spfilter=EVERY_INSTRUCTION)
         assert second.template.template_id != SlicePhase(
             MULTISLICE, ICount2()).template.template_id
         jit = machine.vm.jit
@@ -953,11 +969,14 @@ class TestThroughThePipeline:
 
     @pytest.mark.parametrize("overrides", [
         dict(spworkers=0), dict(spworkers=2),
-        dict(spworkers=0, jit_backend="source", spsuppress=True),
+        dict(spworkers=0, generated=True, spsuppress=True),
         dict(spworkers=2, spfaults="retry",
              fault_plan=FaultPlan.parse("crash@1")),
     ], ids=["w0", "w2", "w0-source-suppress", "w2-retry"])
-    def test_audit_is_clean(self, overrides):
+    def test_audit_is_clean(self, overrides, monkeypatch):
+        overrides = dict(overrides)
+        if overrides.pop("generated", False):
+            all_generated(monkeypatch)
         report, _, _ = _report(spaudit=True, **overrides)
         assert report.audit.ok, report.audit.summary()
 
@@ -1075,23 +1094,23 @@ class TestAResidentAcrossRuns:
     only sooner."""
 
     #: ``(source, tool, overrides)``: two programs loaded at the same
-    #: base, three tools, a filter, suppression, both lowerings, both
-    #: transports.  Runs 2, 4 and 9 repeat a program the resident's
-    #: current engine has run in-process (one engine serves one
-    #: lowering: run 5 starts over, and so does run 8).
+    #: base, three tools, a filter, suppression, both lowerings
+    #: (``generated``: ``conftest.all_generated``), both transports.
+    #: Runs 2, 4, 5, 8 and 9 repeat a program the resident's engine has
+    #: run in-process.
     SEQUENCE = [
         (MULTISLICE, "icount2", {}),
         (OTHER, "icount1", {}),
         (MULTISLICE, "icount2", {}),
         (MULTISLICE, "memtrace", dict(spfilter="opcode:mem")),
         (OTHER, "icount1", dict(spsuppress=True)),
-        (MULTISLICE, "icount1", dict(jit_backend="source")),
+        (MULTISLICE, "icount1", dict(generated=True)),
         (MULTISLICE, "icount2", dict(spworkers=2)),
         (OTHER, "memtrace", dict(spworkers=2)),
         (MULTISLICE, "icount2", {}),
         (MULTISLICE, "icount1", {}),
     ]
-    REPEATS = (2, 4, 9)
+    REPEATS = (2, 4, 5, 8, 9)
 
     @staticmethod
     def image(report, tool):
@@ -1099,19 +1118,23 @@ class TestAResidentAcrossRuns:
                 report.exit_code, virtual_counters(report.metrics),
                 report.timing, report.degraded_slices)
 
-    def run(self, step, resident):
+    def run(self, step, resident, monkeypatch):
         source, tool, overrides = step
-        # (In-process unless the step says otherwise, whatever
-        # SUPERPIN_SPWORKERS makes the default.)
-        report, _, _ = _report(source, tool, resident, spmetrics=True,
-                               **{"spworkers": 0, **overrides})
+        overrides = dict(overrides)
+        with monkeypatch.context() as patch:
+            if overrides.pop("generated", False):
+                all_generated(patch)
+            # (In-process unless the step says otherwise, whatever
+            # SUPERPIN_SPWORKERS makes the default.)
+            report, _, _ = _report(source, tool, resident, spmetrics=True,
+                                   **{"spworkers": 0, **overrides})
         return report, self.image(report, report.tool)
 
-    def test_every_run_equals_the_run_without_it(self):
+    def test_every_run_equals_the_run_without_it(self, monkeypatch):
         resident = SliceMachine()
         for number, step in enumerate(self.SEQUENCE):
-            _, alone = self.run(step, None)
-            report, image = self.run(step, resident)
+            _, alone = self.run(step, None, monkeypatch)
+            report, image = self.run(step, resident, monkeypatch)
             assert image == alone, number
             counter = report.metrics.counter
             if number in self.REPEATS:

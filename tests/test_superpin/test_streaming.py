@@ -39,7 +39,8 @@ from repro.superpin.faults import FaultPlan
 from repro.superpin import supervisor
 from repro.superpin.supervisor import _Supervisor
 from repro.tools import BranchProfile, ICount1, ICount2, MemTrace
-from tests.conftest import LOOP_SUM, MULTISLICE, virtual_counters
+from tests.conftest import (all_generated, deadline_floor, LOOP_SUM,
+                            MULTISLICE, virtual_counters)
 
 from .test_master_engine import FORCE_LOOP
 from .test_threads_superpin import THREADED
@@ -147,21 +148,24 @@ def assert_same_run(streamed, drained, but=()) -> None:
 
 
 class TestParityTable:
-    """Guest × tool × workers × backend: streamed ≡ drained."""
+    """Guest × tool × workers × lowering: streamed ≡ drained."""
 
     @pytest.mark.parametrize("tool", TOOLS)
     @pytest.mark.parametrize("guest", GUESTS)
-    def test_streamed_equals_drained(self, guest, tool):
+    def test_streamed_equals_drained(self, guest, tool, monkeypatch):
         source, shape = GUESTS[guest]
-        for backend in ("closure", "source"):
-            config = dict(shape, jit_backend=backend, spaudit=True)
-            drained = observe(*run(source, TOOLS[tool], spworkers=0,
-                                   **config))
-            assert drained["audit"][0], drained["audit"]
-            for workers in (1, 2):
-                streamed = observe(*run(source, TOOLS[tool],
-                                        spworkers=workers, **config))
-                assert_same_run(streamed, drained)
+        config = dict(shape, spaudit=True)
+        for generated in (False, True):
+            with monkeypatch.context() as patch:
+                if generated:
+                    all_generated(patch)
+                drained = observe(*run(source, TOOLS[tool], spworkers=0,
+                                       **config))
+                assert drained["audit"][0], drained["audit"]
+                for workers in (1, 2):
+                    streamed = observe(*run(source, TOOLS[tool],
+                                            spworkers=workers, **config))
+                    assert_same_run(streamed, drained)
 
     def test_the_guests_have_the_shapes_they_are_named_for(self):
         slices = {name: run(source, **shape)[0].num_slices
@@ -418,10 +422,10 @@ class TestFaultsWhileTheMasterIsLive:
         # by more than one cut — the supervisor reaps between cuts —
         # however fast the master's own work is.)
         slow_master(monkeypatch, 0.04)
+        deadline_floor(monkeypatch, 0.4)
         report, tool = run(
             MULTISLICE, spworkers=2, spfaults="retry",
-            slice_deadline_floor=0.4, fault_plan=FaultPlan.parse("hang@1"),
-            **THIRTY)
+            fault_plan=FaultPlan.parse("hang@1"), **THIRTY)
         records = report.trace.records
         # (A stalled host may get an innocent slice reaped as well.)
         reaped = next(r for r in records if r.name == "deadline.reaped"

@@ -26,7 +26,7 @@ from repro.superpin import supervisor
 from repro.superpin.faults import (CORRUPT_BLOB, maybe_inject,
                                    WorkerCrashFault)
 from repro.tools import ICount2, ITrace
-from tests.conftest import MULTISLICE, retries
+from tests.conftest import deadline_floor, MULTISLICE, retries
 
 #: Both slice-phase transports; every supervision property must hold
 #: under each (in-process and process pool).
@@ -74,7 +74,9 @@ def clean(program):
 
 @pytest.fixture
 def flat_deadline(monkeypatch):
-    """Every slice's deadline is the ``-spdeadline`` floor alone."""
+    """Every slice's deadline is the floor alone
+    (``supervisor.DEADLINE_FLOOR``; a test sets it with
+    ``conftest.deadline_floor``)."""
     monkeypatch.setattr(supervisor, "DEADLINE_PER_INS", 0.0)
 
 
@@ -201,11 +203,12 @@ class SlowStartICount(ICount2):
 
 class TestDefaultPathDeadline:
     def test_stalled_worker_is_reaped_under_failfast(self, program,
-                                                     flat_deadline):
+                                                     flat_deadline,
+                                                     monkeypatch):
         """-spworkers N with the default policy and no fault plan still
         enforces the slice deadline (it used to wait for ever)."""
-        config = SuperPinConfig(spmsec=500, clock_hz=10_000, spworkers=2,
-                                slice_deadline_floor=0.5)
+        deadline_floor(monkeypatch, 0.5)
+        config = SuperPinConfig(spmsec=500, clock_hz=10_000, spworkers=2)
         assert config.spfaults == "failfast" and config.fault_plan is None
         timeline = ControlProcess(program, config,
                                   kernel=Kernel(seed=42)).run()
@@ -273,12 +276,12 @@ class TestFaultPlan:
 class TestDeadline:
     def test_floor_plus_per_instruction(self, program, monkeypatch):
         monkeypatch.setattr(supervisor, "DEADLINE_PER_INS", 1e-3)
-        config = SuperPinConfig(slice_deadline_floor=2.0)
+        deadline_floor(monkeypatch, 2.0)
         from repro.superpin import ControlProcess
         timeline = ControlProcess(program, SuperPinConfig(
             spmsec=500, clock_hz=10_000), kernel=Kernel(seed=42)).run()
         interval = timeline.intervals[0]
-        assert slice_deadline(interval, config) == pytest.approx(
+        assert slice_deadline(interval) == pytest.approx(
             2.0 + interval.instructions * 1e-3)
 
     def test_recorded_on_outcomes(self, clean):
@@ -419,16 +422,16 @@ class TestFailFast:
 
 class TestDeadlineReaping:
     def test_hung_worker_is_reaped_and_retried(self, program, clean,
-                                               flat_deadline):
+                                               flat_deadline, monkeypatch):
         """A worker sleeping far past its deadline must be killed within
         roughly that deadline, and the slice re-run successfully."""
+        deadline_floor(monkeypatch, 1.0)
         clean_report, clean_tool = clean
         plan = FaultPlan(specs=(FaultSpec(kind=FaultKind.HANG,
                                           slice_index=2, attempts=1,
                                           hang_seconds=60.0),))
         t0 = time.perf_counter()
-        report, tool = _supervised_report(
-            program, plan, spworkers=2, slice_deadline_floor=1.0)
+        report, tool = _supervised_report(program, plan, spworkers=2)
         elapsed = time.perf_counter() - t0
         assert tool.total == clean_tool.total
         assert report.all_exact
@@ -439,14 +442,16 @@ class TestDeadlineReaping:
         assert elapsed < 30
 
     def test_queue_wait_does_not_run_the_deadline_clock(self, program,
-                                                        flat_deadline):
+                                                        flat_deadline,
+                                                        monkeypatch):
         """One worker, two slow slices back to back: the second queues
         behind the first for most of its deadline, then needs most of a
         deadline itself.  Its clock must start when a worker takes it
         up, not when it was submitted."""
+        deadline_floor(monkeypatch, 1.0)
         report, tool = _clean_report(
             program, tool_cls=SlowStartICount, spworkers=1,
-            spfaults="retry", spmetrics=True, slice_deadline_floor=1.0)
+            spfaults="retry", spmetrics=True)
         assert report.all_exact
         assert report.metrics.counter(
             "superpin.supervisor.deadline_hits") == 0
@@ -458,10 +463,10 @@ class TestDeadlineReaping:
                                           slice_index=1, attempts=None,
                                           hang_seconds=60.0),))
         retries(monkeypatch, 0)
+        deadline_floor(monkeypatch, 0.5)
         t0 = time.perf_counter()
         report, _ = _supervised_report(
-            program, plan, spworkers=2, spfaults="degrade",
-            slice_deadline_floor=0.5)
+            program, plan, spworkers=2, spfaults="degrade")
         elapsed = time.perf_counter() - t0
         assert report.degraded_slices == [1]
         assert elapsed < 30

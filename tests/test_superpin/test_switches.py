@@ -1,5 +1,7 @@
 """SuperPin switch parsing and config validation."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigError
@@ -7,7 +9,7 @@ from repro.isa import assemble
 from repro.machine import Kernel, load_program
 from repro.pin import PinVM
 from repro.superpin import (FaultKind, FaultPlan, parse_switches,
-                            run_superpin, SuperPinConfig)
+                            run_superpin, SuperPinConfig, supervisor)
 from repro.tools import ICount2
 from tests.conftest import MULTISLICE
 
@@ -35,6 +37,18 @@ class TestParsing:
         with pytest.raises(ConfigError, match="unknown"):
             parse_switches(["-bogus", "1"])
 
+    def test_the_lowering_is_not_a_switch(self):
+        """Which lowering a trace gets is the JIT's decision: there is
+        no ``-spjit`` and no field, only the constant the frozen
+        benchmark reads."""
+        with pytest.raises(ConfigError, match="unknown SuperPin switch"):
+            parse_switches(["-spjit", "source"])
+        with pytest.raises(TypeError):
+            SuperPinConfig(jit_backend="source")
+        assert SuperPinConfig().jit_backend == "closure"
+        assert "jit_backend" not in {
+            field.name for field in dataclasses.fields(SuperPinConfig)}
+
     def test_missing_value(self):
         with pytest.raises(ConfigError, match="requires a value"):
             parse_switches(["-spmsec"])
@@ -55,12 +69,16 @@ class TestSupervisionSwitches:
             == "degrade"
 
     def test_parse_retries_and_deadline(self):
-        """The deadline floor is the host's; the retry count is a
-        constant (``supervisor.RETRIES``), not a switch."""
-        config = parse_switches(["-spdeadline", "2.5"])
-        assert config.slice_deadline_floor == 2.5
-        with pytest.raises(ConfigError, match="unknown SuperPin switch"):
-            parse_switches(["-spretries", "5"])
+        """The retry count and the deadline floor are constants
+        (``supervisor.RETRIES`` / ``DEADLINE_FLOOR``), not switches or
+        fields."""
+        for flag, value in (("-spretries", "5"), ("-spdeadline", "2.5")):
+            with pytest.raises(ConfigError,
+                               match="unknown SuperPin switch"):
+                parse_switches([flag, value])
+        with pytest.raises(TypeError):
+            SuperPinConfig(slice_deadline_floor=2.5)
+        assert supervisor.DEADLINE_FLOOR > 0
 
     def test_parse_inject(self):
         config = parse_switches(["-spinject", "crash@0,hang@2:*"])
@@ -91,7 +109,6 @@ class TestSupervisionSwitches:
         config = SuperPinConfig()
         assert config.spfaults == "failfast"
         assert config.fault_plan is None
-        assert config.slice_deadline_floor > 0
 
     def test_env_overrides_defaults_only(self, monkeypatch):
         """The CI hook: the env var moves the default, explicit values
@@ -107,11 +124,13 @@ class TestSupervisionSwitches:
 
 
 class TestNoSecondTranslationCache:
-    """The three names the frozen benchmark still reads accept only 0."""
+    """The three names the frozen benchmark still reads hold or accept
+    only 0."""
 
     def test_config_field_accepts_only_zero(self):
+        """``sptc2`` is a constant of the config, not a field."""
         assert SuperPinConfig().sptc2 == 0
-        with pytest.raises(ConfigError, match="sptc2 must be 0"):
+        with pytest.raises(TypeError):
             SuperPinConfig(sptc2=4)
 
     def test_switch_is_unknown(self):
@@ -139,8 +158,8 @@ class TestValidation:
         {"spsysrecs": -1}, {"clock_hz": 0},
         {"expected_duration_msec": -1},
         {"spworkers": -1}, {"spfaults": "bogus"}, {"sprecord": "  "},
-        {"slice_deadline_floor": 0}, {"slice_deadline_floor": -1.0},
-        {"jit_backend": "bogus"}, {"sptc2": 1},
+        {"spsample": -1}, {"spfilter": " "}, {"sptracestore": " "},
+        {"clock_hz": -1},
         {"spjournal": ""}, {"spresume": True},
     ])
     def test_invalid_rejected(self, kwargs):
@@ -150,8 +169,8 @@ class TestValidation:
     def test_validation_happens_at_construction(self):
         """Bad values raise here, naming the switch, not deep inside
         the slice phase."""
-        with pytest.raises(ConfigError, match="slice_deadline_floor"):
-            SuperPinConfig(slice_deadline_floor=-1.0)
+        with pytest.raises(ConfigError, match="-spmp"):
+            SuperPinConfig(spmp=0)
         with pytest.raises(ConfigError, match="-spexpected"):
             SuperPinConfig(expected_duration_msec=-5)
 

@@ -14,6 +14,7 @@ from repro.machine.interpreter import Interpreter
 from repro.pin import run_with_pin
 from repro.superpin import run_superpin, SliceEnd, SuperPinConfig
 from repro.tools import DCacheSim, ICount2, ITrace
+from tests.conftest import all_generated
 
 THREADED = """
 .entry main
@@ -120,11 +121,12 @@ class TestExactness:
         assert (serial.total_hits, serial.total_misses) \
             == (parallel.total_hits, parallel.total_misses)
 
-    def test_source_backend_too(self, program, native):
+    def test_source_backend_too(self, program, native, monkeypatch):
+        """Every trace generated (``conftest.all_generated``)."""
+        all_generated(monkeypatch)
         _, interp = native
         tool = ICount2()
-        config = SuperPinConfig(spmsec=500, clock_hz=10_000,
-                                jit_backend="source")
+        config = SuperPinConfig(spmsec=500, clock_hz=10_000)
         report = run_superpin(program, tool, config, kernel=Kernel(seed=9))
         assert tool.total == interp.total_instructions
         assert report.all_exact

@@ -3,7 +3,7 @@
 The contract under test: ``goto``/``step-back``/``reverse-continue``
 resolve purely from the recording artifact (the master is never
 re-run), and the materialized state at a given icount is byte-identical
-across repeated visits, JIT backends and tier-2 settings — and equal to
+across repeated visits, lowerings and linking — and equal to
 the master's own state at that icount (interpreter ground truth).
 """
 
@@ -25,8 +25,10 @@ from repro.superpin import (damage_recording, DebugSession, load_recording,
 from repro.superpin.slices import PLACEMENT_COUNTERS
 from repro.superpin.timetravel import CKPT_CACHE_SIZE
 from repro.tools import ICount2
-from tests.conftest import MULTISLICE, promote_at, unlinked
+from tests.conftest import all_generated, MULTISLICE, promote_at, unlinked
 
+#: The JIT's own choice of lowering, and every trace generated
+#: (``conftest.all_generated``).
 JIT_BACKENDS = ["closure", "source"]
 LINKING = [True, False]
 #: 0: the shipped lowering rule; n: a landing's threaded traces are
@@ -74,9 +76,8 @@ def master_states(program):
     return out
 
 
-def _engine(path, backend="closure"):
-    recording = load_recording(path)
-    return TimeTravelEngine(recording, SuperPinConfig(jit_backend=backend))
+def _engine(path):
+    return TimeTravelEngine(load_recording(path), SuperPinConfig())
 
 
 class TestGotoDeterminism:
@@ -86,7 +87,9 @@ class TestGotoDeterminism:
                                                 promote, monkeypatch):
         if promote:
             promote_at(monkeypatch, promote)
-        tt = _engine(recorded, backend)
+        if backend == "source":
+            all_generated(monkeypatch)
+        tt = _engine(recorded)
         first = {}
         for icount in PROBES:
             tt.goto(icount)
@@ -107,7 +110,9 @@ class TestGotoDeterminism:
         without the master ever being re-run by the engine."""
         if promote:
             promote_at(monkeypatch, promote)
-        tt = _engine(recorded, backend)
+        if backend == "source":
+            all_generated(monkeypatch)
+        tt = _engine(recorded)
         for icount in PROBES:
             tt.goto(icount)
             pc, regs = master_states[icount]
@@ -176,7 +181,9 @@ class TestWatchpoints:
                                                       monkeypatch):
         if promote:
             promote_at(monkeypatch, promote)
-        tt = _engine(recorded, backend)
+        if backend == "source":
+            all_generated(monkeypatch)
+        tt = _engine(recorded)
         hit = tt.last_write_before(WATCH_ADDR, 1534)
         assert hit is not None and hit.icount < 1534
         # The hit is the *about to write* point: the target word changes
@@ -301,14 +308,17 @@ class TestDebugSession:
                             for line in self.SCRIPT])
         assert outputs[0] == outputs[1]
 
-    def test_backends_produce_identical_transcripts(self, recorded):
+    def test_backends_produce_identical_transcripts(self, recorded,
+                                                    monkeypatch):
         recording = load_recording(recorded)
         transcripts = []
         for backend in JIT_BACKENDS:
-            session = DebugSession(recording, SuperPinConfig(
-                jit_backend=backend))
-            transcripts.append([session.execute(line)
-                                for line in self.SCRIPT])
+            with monkeypatch.context() as patch:
+                if backend == "source":
+                    all_generated(patch)
+                session = DebugSession(recording, SuperPinConfig())
+                transcripts.append([session.execute(line)
+                                    for line in self.SCRIPT])
         assert transcripts[0] == transcripts[1]
 
     def test_unknown_command_raises(self, recorded):
@@ -434,8 +444,10 @@ class TestOneMachinePerEngine:
         an engine built for that one target."""
         if not linking:
             unlinked(monkeypatch)
+        if backend == "source":
+            all_generated(monkeypatch)
         recording, timeline = travelled
-        config = SuperPinConfig(jit_backend=backend)
+        config = SuperPinConfig()
         tt = TimeTravelEngine(recording, config)
         targets = sorted(timeline)
         shuffled = random.Random(7).sample(targets, len(targets))

@@ -33,7 +33,7 @@ from repro.superpin import (damage_store_entry, FaultPlan,
                             SuperPinConfig, trace_store_for, TraceStore)
 from repro.superpin.journal import damage_journal
 from repro.tools import ICount2
-from tests.conftest import MULTISLICE, retries
+from tests.conftest import all_generated, MULTISLICE, retries
 
 WORKER_MODES = [0, 2]
 
@@ -100,16 +100,21 @@ class TestStoreBasics:
         assert store_key(digest, SuperPinConfig()) == base
         assert store_key("other-digest", SuperPinConfig()) != base
         # No switch moves a trace head, so none shapes the key.
-        for other in (dict(jit_backend="source"), dict(spsuppress=True),
-                      dict(spworkers=2), dict(spmsec=250)):
+        for other in (dict(spsuppress=True), dict(spworkers=2),
+                      dict(spmsec=250)):
             assert store_key(digest, SuperPinConfig(**other)) == base
 
     @pytest.mark.parametrize("other", [
-        dict(jit_backend="source"), dict(spsuppress=True),
-        dict(spfilter="opcode:mem")], ids=lambda other: next(iter(other)))
-    def test_no_switch_moves_a_trace_head(self, program, other):
-        """Why ``store_key`` reads nothing off the config."""
+        "generated", dict(spsuppress=True), dict(spfilter="opcode:mem")],
+        ids=["jit_backend", "spsuppress", "spfilter"])
+    def test_no_switch_moves_a_trace_head(self, program, other,
+                                          monkeypatch):
+        """Why ``store_key`` reads nothing off the config — and nothing
+        of the lowering (``generated``: every trace generated)."""
         base, _ = _report(program, None)
+        if other == "generated":
+            all_generated(monkeypatch)
+            other = {}
         report, _ = _report(program, None, **other)
         assert [s.compile_log for s in report.slices] \
             == [s.compile_log for s in base.slices]

@@ -5,7 +5,7 @@ entry takes their place on a hit, and then slice 0 is counted too);
 ``warm_starts[k]`` is how many distinct heads of slice k's compile log
 the set names.  The properties under test:
 
-- the count *is* that expression — for both backends, any worker count
+- the count *is* that expression — under either lowering, any worker count
   and every store state, with the totals the pilot → payload protocol
   used to produce (pinned from the revision that still had it);
 - nothing but slice order shapes it: not the worker count, not
@@ -31,9 +31,12 @@ from repro.superpin import (FaultPlan, parallel, program_digest,
                             TraceStore)
 from repro.superpin.warmstore import pilot_cold_compiles, STORE_MAGIC
 from repro.tools import TOOLS
-from tests.conftest import MULTISLICE, retries, virtual_counters
+from tests.conftest import (all_generated, MULTISLICE, retries,
+                            virtual_counters)
 from tests.test_superpin.test_threads_superpin import THREADED
 
+#: The JIT's own choice of lowering, and every trace generated
+#: (``conftest.all_generated``).
 BACKENDS = ["closure", "source"]
 WORKER_MODES = [0, 2]
 
@@ -84,9 +87,11 @@ def program():
 class TestWarmStartsHappen:
     @pytest.mark.parametrize("spworkers", WORKER_MODES)
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_later_slices_start_warm(self, program, backend, spworkers):
-        report, _ = _report(program, jit_backend=backend,
-                            spworkers=spworkers)
+    def test_later_slices_start_warm(self, program, backend, spworkers,
+                                     monkeypatch):
+        if backend == "source":
+            all_generated(monkeypatch)
+        report, _ = _report(program, spworkers=spworkers)
         assert report.num_slices >= 3
         by_index = {s.index: s for s in report.slices}
         # Slice 0 paid for the warm set; the working set recurs, so the
@@ -132,11 +137,13 @@ class TestParityTable:
     @pytest.mark.parametrize("store_state", list(_PERSISTENT))
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_workers_and_store_states_agree(self, program, tmp_path,
-                                            backend, store_state):
+                                            backend, store_state,
+                                            monkeypatch):
+        if backend == "source":
+            all_generated(monkeypatch)
         runs = []
         for spworkers in WORKER_MODES:
-            kwargs = dict(jit_backend=backend, spworkers=spworkers,
-                          spmetrics=True)
+            kwargs = dict(spworkers=spworkers, spmetrics=True)
             if store_state != "none":
                 kwargs["sptracestore"] = str(tmp_path / f"w{spworkers}")
             if store_state == "hit":
@@ -151,7 +158,7 @@ class TestParityTable:
                 if "persistent" in name} == _PERSISTENT[store_state]
         # The count is the expression over the compile logs — against
         # the stored heads on a hit, where slice 0 counts too — and the
-        # number the payload protocol produced, on either backend.
+        # number the payload protocol produced, under either lowering.
         stored = _heads(seq.slices[0]) if store_state == "hit" else None
         assert _counted(seq) == _expected(seq, stored)
         assert sum(_counted(seq).values()) == PINNED[store_state]
@@ -161,19 +168,22 @@ class TestParityTable:
 
 class TestWarmAccount:
     @pytest.mark.parametrize("guest", ["threads", "sysforced"])
-    def test_identity_on_other_guests(self, guest):
+    def test_identity_on_other_guests(self, guest, monkeypatch):
         source, shape = {
             "threads": (THREADED, dict(spmsec=1000)),
             "sysforced": (MULTISLICE, dict(spmsec=100_000, spsysrecs=3)),
         }[guest]
         counts = []
         for backend in BACKENDS:
-            for spworkers in WORKER_MODES:
-                report, _ = _report(assemble(source), jit_backend=backend,
-                                    spworkers=spworkers, **shape)
-                assert report.num_slices >= 3
-                assert _counted(report) == _expected(report)
-                counts.append(_counted(report))
+            with monkeypatch.context() as patch:
+                if backend == "source":
+                    all_generated(patch)
+                for spworkers in WORKER_MODES:
+                    report, _ = _report(assemble(source),
+                                        spworkers=spworkers, **shape)
+                    assert report.num_slices >= 3
+                    assert _counted(report) == _expected(report)
+                    counts.append(_counted(report))
         assert all(count == counts[0] for count in counts)
         assert sum(counts[0].values()) > 0
 
