@@ -160,6 +160,12 @@ def _main(argv: list[str] | None) -> int:
             "serve": _cmd_serve, "status": _cmd_status}[args.command](args)
 
 
+#: Switches only a SuperPin run acts on: serial Pin (``-sp 0``) refuses
+#: a command line that names one instead of ignoring it.
+_SUPERPIN_ONLY = ("-sprecord", "-spsample", "-spaudit", "-sptrace",
+                  "-spmetrics", "-spjournal", "-spworkers")
+
+
 def _switches(extra: list[str]) -> SuperPinConfig:
     """The SuperPin switches in what argparse left of the command line."""
     return parse_switches([s for s in extra if s != "--"])
@@ -171,6 +177,13 @@ def _cmd_run(args, extra: list[str]) -> int:
               file=sys.stderr)
         return 2
     config = _switches(extra)
+    if not config.sp:
+        # parse_switches took the line as flag/value pairs.
+        flags = [s for s in extra if s != "--"][::2]
+        ignored = [flag for flag in flags if flag in _SUPERPIN_ONLY]
+        if ignored:
+            raise ConfigError(f"serial Pin (-sp 0) cannot honour "
+                              f"{', '.join(ignored)}")
     built = build(args.workload, clock_hz=config.clock_hz,
                   scale=args.scale)
     tool = TOOLS[args.tool]()
@@ -284,6 +297,7 @@ def _print_report(report, tool, config: SuperPinConfig,
           f"slices), slice phase {wall['slice_phase_seconds']:.3f}s "
           f"(run {wall['slice_run_seconds']:.3f}s, "
           f"pickle {wall['slice_pickle_seconds']:.3f}s, "
+          f"transport {wall['transport_seconds']:.3f}s, "
           f"parallelism {wall['measured_parallelism']:.2f}x)")
     print(f"pipeline: first result after "
           f"{wall['first_result_seconds']:.3f}s, last "

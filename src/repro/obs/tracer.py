@@ -5,7 +5,7 @@ overhead into pipeline delay, compilation slowdown and master slowdown —
 so the runtime needs to see where its own wall-clock time goes.  A
 :class:`Tracer` records **spans** (named intervals with key/value
 arguments, nested phase → slice → attempt) and **instants** (point
-events: a retry, a deadline reap, a pool rebuild) against one monotonic
+events: a retry, a deadline reap, a lost worker) against one monotonic
 origin, cheap enough to leave on for every run: a span costs two clock
 reads, one small object and one list append.
 

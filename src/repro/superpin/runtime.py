@@ -106,6 +106,11 @@ class SuperPinReport:
     #: Measured host seconds for the whole slice phase: first release
     #: to the last result and the pool's shutdown.
     slice_phase_seconds: float = 0.0
+    #: CPU seconds the supervising thread spent on the pool transport:
+    #: writing jobs, polling the pool, reading and decoding results (0.0
+    #: at ``-spworkers 0``); the decode is in ``slice_pickle_seconds``
+    #: too.
+    transport_seconds: float = 0.0
     #: The run's structured trace (repro.obs): phase spans, per-slice
     #: pickle/fork/run/merge spans, supervision events.  None only for
     #: hand-built reports.
@@ -274,7 +279,8 @@ class SuperPinReport:
                 "pipeline_delay_seconds", "slice_phase_seconds",
                 "slice_run_seconds", "slice_pickle_seconds",
                 "slice_fork_seconds", "slice_merge_seconds",
-                "mean_slice_run_seconds", "measured_parallelism"), 0.0)
+                "transport_seconds", "mean_slice_run_seconds",
+                "measured_parallelism"), 0.0)
         run_seconds = sum(t.run_seconds for t in self.slice_timings)
         return {
             "control_phase_seconds": self.control_phase_seconds,
@@ -290,6 +296,7 @@ class SuperPinReport:
                                       for t in self.slice_timings),
             "slice_merge_seconds": sum(t.merge_seconds
                                        for t in self.slice_timings),
+            "transport_seconds": self.transport_seconds,
             "mean_slice_run_seconds": run_seconds / len(self.slice_timings),
             "measured_parallelism": self.measured_parallelism,
         }
@@ -659,6 +666,7 @@ def _run_pipeline(timeline: MasterTimeline, signatures: list[Signature],
         slice_outcomes=supervised.outcomes,
         degraded_slices=degraded,
         slice_phase_seconds=ended - released,
+        transport_seconds=supervised.transport_seconds,
         trace=tracer,
         metrics=metrics,
     )

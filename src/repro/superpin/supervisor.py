@@ -35,7 +35,7 @@ cut one more boundary and records its signature, and slice ``k`` is
 *ready* once ``signatures[k]`` exists or the master is exhausted — the
 paper's sleep condition.  Per-slice tables are appended as slices become
 ready; with a pool the loop advances the master one cut per turn,
-between a submit and a bounded wait, so the master, the signatures and
+between a submit and a poll, so the master, the signatures and
 the slices overlap in host time and supervision (deadline clocks,
 reaping) never waits for the master; with no workers it exhausts the
 master before the first in-process attempt — nothing to overlap with —
@@ -52,19 +52,30 @@ compiled is re-instrumented, not re-translated.  The
 machine shows in no result: a retried slice lands on a machine that ran
 other slices and still produces the clean first attempt's record.
 
-The pool transport adds what only separate processes need:
+The pool transport is this module's own pool: ``-spworkers`` forked
+worker processes, each with one job pipe, one result pipe and its
+resident machine, driven by the supervisor's one thread.  No helper
+thread runs in this process, so the master never hands the GIL to one:
+a submit is one length-prefixed write, and while the master is live a
+turn of the loop polls the result pipes and the process sentinels
+without waiting.  A worker serves its jobs in order and holds at most
+one queued behind the running one, so the parent always knows which
+slice each worker is running; it runs at a lower scheduling priority
+than the master, whose cuts every slice waits for.  What only separate
+processes need:
 
 * a **wall-clock deadline** per slice, derived from its master
-  instruction count plus a configurable floor
-  (:func:`slice_deadline`); a worker still running past it is reaped
-  (worker processes terminated, pool rebuilt, innocent in-flight
-  slices resubmitted without touching their retry budget).  An
-  in-process attempt cannot be preempted by a single-threaded parent,
-  so there only injected hangs surface as
+  instruction count plus a floor (:func:`slice_deadline`); a worker
+  still running a slice past it is killed and replaced, alone, and the
+  slice is charged.  An in-process attempt cannot be preempted by a
+  single-threaded parent, so there only injected hangs surface as
   :class:`~repro.errors.SliceDeadlineError`;
-* **pool reconstruction**: a ``BrokenProcessPool`` (a worker died)
-  rebuilds the pool and resubmits every in-flight slice instead of
-  aborting the run.
+* a worker that **dies** (its result pipe ends, or its process
+  sentinel fires) is replaced, and the slice it was running is charged.
+
+Either way, a job queued behind the failed slice never ran: it is
+resubmitted under the same attempt number and charged nothing, and
+every other worker goes on with what it holds.
 
 Every attempt is recorded as a :class:`SliceAttempt` on the slice's
 :class:`SliceOutcome`, which lands on ``SuperPinReport.slice_outcomes``
@@ -84,23 +95,26 @@ for another.
 
 from __future__ import annotations
 
+import fcntl
 import functools
 import multiprocessing
+import multiprocessing.connection
+import os
 import pickle
+import select
+import struct
 import time
+import traceback
 from collections import deque
-from itertools import islice
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
-from ..errors import SliceDeadlineError, SliceExecutionError
+from ..errors import ReproError, SliceDeadlineError, SliceExecutionError
 from ..obs.metrics import NULL_METRICS
 from ..obs.tracer import ensure_tracer, TrackAllocator
 from .api import SliceToolContext, SPControl
 from .control import Interval, MasterTimeline
 from .faults import (CORRUPT_BLOB, CorruptResultFault, FaultKind, FaultPlan,
-                     maybe_inject, tamper_result)
+                     maybe_inject, tamper_result, WorkerCrashFault)
 from .journal import unframe_blob
 from .parallel import (frame_record, run_slice_job, slice_job,
                        slice_timings_from_records, SliceTimings,
@@ -125,10 +139,6 @@ class SliceAttempt:
     seconds: float = 0.0
     #: ``None`` on success, else a one-line description of the failure.
     error: str | None = None
-    #: False when the attempt ended through no fault of its own (the
-    #: pool was torn down to reap a neighbour) and was resubmitted
-    #: without touching the slice's retry budget.
-    charged: bool = True
 
     @property
     def ok(self) -> bool:
@@ -167,6 +177,10 @@ class SupervisedSlices:
     results: list[SliceResult]
     timings: list[SliceTimings]
     outcomes: list[SliceOutcome]
+    #: CPU seconds the supervising thread spent on the pool transport:
+    #: writing jobs, polling the pool, reading and decoding results (0.0
+    #: in-process).
+    transport_seconds: float = 0.0
 
     @property
     def degraded(self) -> list[int]:
@@ -179,12 +193,6 @@ class SupervisedSlices:
 #: compared across runs.
 LANDED_BEFORE_MASTER_END = "superpin.stream.landed_before_master_end"
 
-
-#: The longest the loop waits for a result between two cuts of a live
-#: master.  Polling ``future.done()`` instead read 12% slower in a
-#: two-core spell (0.251 against 0.224 s raw on ``gzip-loop``, ROADMAP
-#: item 1); 0.5 ms reads the same as this.
-MASTER_PAUSE_SECONDS = 0.0002
 
 #: Host seconds every slice's deadline starts from: fixed costs
 #: (payload materialization, pool scheduling).
@@ -237,31 +245,112 @@ def _attempt_slice(work, index: int, attempt: int,
     return record
 
 
-#: The resident machine of *this pool worker*, made by the pool's
-#: initializer: every slice a worker runs is a context switch onto it,
-#: for as long as the worker lives.  None in every process that is not a
-#: pool worker — the in-process transport keeps its machine on the
-#: supervisor, so no two runs in one process ever share one.
-_worker_machine: SliceMachine | None = None
+#: A job message's head: slice index and attempt number.  The pickled
+#: job follows.
+_JOB_HEADER = struct.Struct("<II")
 
+#: A result message's first byte: a framed record follows, or the
+#: pickled exception the attempt raised.
+_RECORD, _RAISED = b"r", b"e"
 
-def _init_worker() -> None:
-    """``ProcessPoolExecutor`` initializer (runs once, in the worker)."""
-    global _worker_machine
-    _worker_machine = SliceMachine()
+#: Bytes a job message may take in its pipe beyond its own length (the
+#: connection's length prefix, with room to spare).
+_MESSAGE_SLACK = 16
+
+#: How far a worker lowers its own scheduling priority.  The master is
+#: the pipeline's critical path — no slice can start before it cuts the
+#: slice — and with ``-spworkers`` as large as the cores there are, a
+#: live master shares them with the workers.  At this niceness a worker
+#: that shares a core with the master gets about a tenth of it, and all
+#: of it as soon as the master sleeps or ends.  ``gzip-loop`` at
+#: ``-spworkers 2`` on two cores: 9 of 10 pairs faster than at the
+#: master's own priority, 0.084 against 0.092 s calibrated.
+_WORKER_NICENESS = 10
 
 
 def _worker_attempt(payload: bytes, index: int, attempt: int,
-                    plan: FaultPlan | None) -> bytes:
-    """Process-pool entry point: one attempt, its record framed."""
+                    plan: FaultPlan | None, machine: SliceMachine) -> bytes:
+    """One attempt in a pool worker, its record framed."""
     try:
         return frame_record(
             _attempt_slice(payload, index, attempt, plan, "worker",
-                           _worker_machine))
+                           machine))
     except CorruptResultFault:
         # A corrupt fault in a worker is garbage on the wire, so the
         # parent's undecodable-blob handling is what gets exercised.
         return CORRUPT_BLOB
+
+
+class _WorkerTraceback(Exception):
+    """Where in a pool worker an attempt's exception was raised: the
+    ``__cause__`` the parent gives the exception."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+def _pickled_error(exc: Exception) -> bytes:
+    """``exc`` and its formatted traceback, pickled for the parent; an
+    exception that does not make the round trip becomes a plain
+    :class:`~repro.errors.ReproError` naming it."""
+    trace = traceback.format_exc()
+    try:
+        data = pickle.dumps((exc, trace), pickle.HIGHEST_PROTOCOL)
+        pickle.loads(data)
+        return data
+    except Exception:
+        return pickle.dumps(
+            (ReproError(f"{type(exc).__name__}: {exc}"), trace))
+
+
+def _raised(data: bytes) -> Exception:
+    """The exception a worker's attempt raised, from its pickle."""
+    error, trace = pickle.loads(data)
+    error.__cause__ = _WorkerTraceback(trace)
+    return error
+
+
+def _serve_jobs(jobs, results, plan: FaultPlan | None, parent_ends) -> None:
+    """A pool worker's whole life: run each job its pipe brings on the
+    resident machine and write back the outcome, until the parent kills
+    it or goes (its job pipe ends, or its result pipe breaks)."""
+    for conn in parent_ends:
+        # The parent's ends of every worker's pipes, this one's too,
+        # inherited through the fork: held here, they would keep a pipe
+        # from ending when the process at its other end has gone.
+        conn.close()
+    try:
+        os.nice(_WORKER_NICENESS)
+    except OSError:
+        pass
+    # The worker's resident machine: every slice it runs is a context
+    # switch onto it, for as long as the worker lives.
+    machine = SliceMachine()
+    while True:
+        try:
+            message = jobs.recv_bytes()
+        except EOFError:
+            return
+        index, attempt = _JOB_HEADER.unpack_from(message)
+        try:
+            reply = _RECORD + _worker_attempt(
+                message[_JOB_HEADER.size:], index, attempt, plan, machine)
+        except Exception as exc:
+            reply = _RAISED + _pickled_error(exc)
+        try:
+            results.send_bytes(reply)
+        except OSError:
+            return
+
+
+def _pipe_capacity(conn) -> int:
+    """Bytes ``conn``'s pipe holds before a write has to wait for the
+    reader: what Linux reports, elsewhere the POSIX floor (so no job is
+    ever queued that could make a write wait)."""
+    try:
+        return fcntl.fcntl(conn.fileno(), fcntl.F_GETPIPE_SZ)
+    except (AttributeError, OSError):
+        return select.PIPE_BUF
 
 
 def supervise_slices(timeline: MasterTimeline, signatures: list[Signature],
@@ -318,16 +407,50 @@ def supervise_slices(timeline: MasterTimeline, signatures: list[Signature],
 
 @dataclass
 class _Flight:
-    """Bookkeeping for one in-flight worker attempt."""
+    """Bookkeeping for one attempt written to a worker."""
 
     index: int
     attempt: int
-    #: ``perf_counter()`` when a worker (approximately) took the attempt
-    #: up and its deadline clock started; None while it is still queued.
+    #: Bytes its job message may take in the worker's pipe.
+    size: int
+    #: ``perf_counter()`` when its worker took the attempt up and its
+    #: deadline clock started; None while it is queued behind another.
     started: float | None = None
 
     def elapsed(self, now: float) -> float:
         return 0.0 if self.started is None else now - self.started
+
+
+class _Worker:
+    """One pool process, this process's ends of its two pipes, and the
+    attempts written to it, the one it is running first."""
+
+    def __init__(self, process, jobs, results):
+        self.process = process
+        self.jobs = jobs
+        self.results = results
+        self.flights: deque[_Flight] = deque()
+
+    def takes(self, size: int, capacity: int) -> bool:
+        """Whether a job of ``size`` bytes can be written now without
+        the write waiting on this worker: it is idle (and reads the job
+        whole), or it holds one job — perhaps still unread in the pipe —
+        and both fit the pipe.  So this process never waits on a job
+        write while the worker waits on a result write."""
+        return not self.flights or (
+            len(self.flights) == 1
+            and self.flights[0].size + size <= capacity)
+
+    def shut(self) -> int:
+        """Kill the process (if it still runs), reap it and close the
+        pipes; returns its exit code."""
+        self.process.kill()
+        self.process.join()
+        code = self.process.exitcode
+        self.process.close()
+        self.jobs.close()
+        self.results.close()
+        return code
 
 
 class _Supervisor:
@@ -359,8 +482,8 @@ class _Supervisor:
         self.outcomes: list[SliceOutcome] = []
         self.results: dict[int, SliceResult] = {}
         #: Per-slice execution counter — the attempt numbers the fault
-        #: plan sees.  Resubmissions after a neighbour's reap re-run the
-        #: *same* attempt number (the original never got to finish).
+        #: plan sees.  A job queued behind a failed slice is resubmitted
+        #: under the *same* attempt number (it never ran).
         self.executions: list[int] = []
         #: Per-slice charged failures, spent against the attempt ladder.
         self.failures: list[int] = []
@@ -375,15 +498,19 @@ class _Supervisor:
         failfast = config.spfaults == "failfast"
         self._retries, self._fallbacks = ((0, 0) if failfast
                                           else (RETRIES, 1))
-        # The transport: a process pool (built at the first submit), or
-        # (0 workers) this process.
+        # The transport: a process pool (launched at the first submit),
+        # or (0 workers) this process.
         self._workers = max(0, config.spworkers)
-        self._executor: ProcessPoolExecutor | None = None
+        #: The pool's slots, empty until the first submit; a slot whose
+        #: worker was lost is None until a job needs it again.
+        self._pool: list[_Worker | None] = []
+        #: What a worker's job pipe holds (`_Worker.takes`).
+        self._capacity = 0
+        self.transport_seconds = 0.0
         #: Where in-process attempts run (the 0-worker transport and the
         #: ladder's last rung): the caller's resident machine, or this
         #: phase's own, gone with it.
         self._machine = resident if resident is not None else SliceMachine()
-        self._flights: dict = {}
         # A job is pickled only when something may read the bytes: a
         # pool worker, or a retry — which needs the pristine boundary,
         # because run_slice adopts ``boundary.mem_fork``'s own pages (a
@@ -508,7 +635,7 @@ class _Supervisor:
     # -- the executor --------------------------------------------------------
 
     def run(self) -> SupervisedSlices:
-        pending, flights = self._pending, self._flights
+        pending = self._pending
         try:
             while True:
                 if self._stream is not None:
@@ -520,7 +647,8 @@ class _Supervisor:
                         # stream's tail) must serialize first: drain.
                         continue
                 self._release()
-                if not (pending or flights or self._stream is not None):
+                in_flight = self._in_flight()
+                if not (pending or in_flight or self._stream is not None):
                     break
                 if not self._workers:
                     self._attempt_here(pending.popleft())
@@ -529,38 +657,20 @@ class _Supervisor:
                 # behind them, so a freed worker never idles for a round
                 # trip through this process — plus one more while the
                 # master is live, because then that round trip waits for
-                # a cut to finish (measured, ROADMAP item 1).  The pool
-                # serves its queue FIFO, so the front `workers` flights
-                # are (approximately) running: their deadline clocks
-                # start here, a queued one's only once it moves up —
-                # every clock is fair.
+                # a cut to finish.
                 live = self._stream is not None
-                while pending and len(flights) <= self._workers + live:
-                    self._submit(pending.popleft())
-                if not flights:
+                while (pending and in_flight <= self._workers + live
+                       and self._submit_next()):
+                    in_flight += 1
+                if not in_flight:
                     # Nothing ready yet, or everything left was adopted
                     # or degraded; loop around (to the master, or out)
-                    # instead of waiting on an empty flight set.
+                    # instead of waiting on an empty pool.
                     continue
-                now = time.perf_counter()
-                running = list(islice(flights.values(), self._workers))
-                for flight in running:
-                    if flight.started is None:
-                        flight.started = now
-                if live:
-                    # The next turn of the loop is the master's next
-                    # cut: wait just long enough for the pool's own
-                    # threads to take the GIL (the master is CPU-bound
-                    # Python in this one; without the pause they move a
-                    # job to a worker tens of milliseconds late).
-                    timeout = MASTER_PAUSE_SECONDS
-                else:
-                    timeout = max(0.01, min(
-                        self.outcomes[f.index].deadline_seconds
-                        - f.elapsed(now) for f in running))
-                done, _ = wait(set(flights), timeout=timeout,
-                               return_when=FIRST_COMPLETED)
-                self._process_done(done)
+                # While the master is live the next turn is its next
+                # cut, so only look; after it, block until a result, a
+                # death or the nearest deadline.
+                self._poll(0.0 if live else self._until_deadline())
                 # Every turn, not only an idle one: neighbours that keep
                 # landing must not keep a hung worker alive.
                 self._reap_expired()
@@ -570,10 +680,9 @@ class _Supervisor:
             # and stop the master where it stands.
             if self._stream is not None:
                 self._stream.close()
-            self._teardown(self._executor, flights)
+            self._close_pool()
             raise
-        if self._executor is not None:
-            self._executor.shutdown()
+        self._close_pool()
         timings = slice_timings_from_records(
             self.tracer.records_since(self._mark), len(self.outcomes),
             metrics=self.metrics)
@@ -583,7 +692,8 @@ class _Supervisor:
         count_warm_starts(results, self.config, self._source_digest,
                           self.metrics)
         return SupervisedSlices(results=results, timings=timings,
-                                outcomes=self.outcomes)
+                                outcomes=self.outcomes,
+                                transport_seconds=self.transport_seconds)
 
     def _attempt_here(self, k: int) -> None:
         """In-process transport, and the ladder's last-resort fallback.
@@ -612,57 +722,112 @@ class _Supervisor:
             self._land(k, attempt, "inprocess", time.perf_counter() - t0,
                        self.tracer.now(), record)
 
-    def _submit(self, k: int, attempt: int | None = None) -> None:
-        """Launch one worker attempt (new attempt number unless given)."""
-        payload = self._work(k)
-        if attempt is None:
-            self.executions[k] += 1
-            attempt = self.executions[k]
-        if self._executor is None:
-            self._executor = self._new_pool()
-        try:
-            future = self._executor.submit(_worker_attempt, payload, k,
-                                       attempt, self.config.fault_plan)
-        except (BrokenProcessPool, RuntimeError):
-            # The pool died between bookkeeping and submit; rebuild and
-            # try once more (a second failure propagates).
-            self._rebuild_pool()
-            future = self._executor.submit(_worker_attempt, payload, k,
-                                       attempt, self.config.fault_plan)
-        self._flights[future] = _Flight(index=k, attempt=attempt)
+    def _in_flight(self) -> int:
+        return sum(len(w.flights) for w in self._pool if w is not None)
 
-    def _process_done(self, done) -> None:
-        for future in done:
-            flight = self._flights.pop(future, None)
-            if flight is None:
+    def _submit_next(self) -> bool:
+        """Write the next pending slice's next attempt to a worker that
+        takes it; False, with nothing consumed, when none does."""
+        k = self._pending[0]
+        payload = self._work(k)
+        size = _JOB_HEADER.size + len(payload) + _MESSAGE_SLACK
+        slot = self._place(size)
+        if slot is None:
+            return False
+        worker = self._pool[slot]
+        self._pending.popleft()
+        self.executions[k] += 1
+        flight = _Flight(index=k, attempt=self.executions[k], size=size)
+        cpu = time.thread_time()
+        try:
+            worker.jobs.send_bytes(
+                _JOB_HEADER.pack(k, flight.attempt) + payload)
+        except OSError:
+            # The worker died since the last poll: the job never left.
+            self.executions[k] -= 1
+            self._pending.appendleft(k)
+            self._lose(slot)
+            return False
+        finally:
+            self.transport_seconds += time.thread_time() - cpu
+        if not worker.flights:
+            flight.started = time.perf_counter()
+        worker.flights.append(flight)
+        return True
+
+    def _place(self, size: int) -> int | None:
+        """The slot a job of ``size`` bytes goes to: an idle worker; else
+        an empty slot, given a worker now; else the busy worker that
+        takes it and has run its slice longest.  None when none can."""
+        if not self._pool:
+            self._launch_pool()
+        best, best_key = None, None
+        for slot, worker in enumerate(self._pool):
+            if worker is None:
+                key = (0, 0.0)
+            elif not worker.flights:
+                return slot
+            elif worker.takes(size, self._capacity):
+                key = (1, worker.flights[0].started)
+            else:
                 continue
-            k, attempt = flight.index, flight.attempt
-            seconds = flight.elapsed(time.perf_counter())
+            if best_key is None or key < best_key:
+                best, best_key = slot, key
+        if best is not None and self._pool[best] is None:
+            self._launch(best)
+        return best
+
+    def _poll(self, timeout: float) -> None:
+        """Wait up to ``timeout`` for a result or a worker's exit, then
+        collect from every worker that has something to say."""
+        ready_for = {}
+        for slot, worker in enumerate(self._pool):
+            if worker is not None:
+                ready_for[worker.results] = ready_for[
+                    worker.process.sentinel] = slot
+        cpu = time.thread_time()
+        ready = multiprocessing.connection.wait(list(ready_for), timeout)
+        self.transport_seconds += time.thread_time() - cpu
+        for slot in sorted({ready_for[r] for r in ready}):
+            self._collect(slot)
+
+    def _collect(self, slot: int) -> None:
+        """File every result worker ``slot`` has written, in order; lose
+        the worker if its pipe has ended or its process has exited."""
+        worker = self._pool[slot]
+        while worker.flights and worker.results.poll():
+            cpu = time.thread_time()
+            try:
+                message = worker.results.recv_bytes()
+            except (EOFError, OSError):
+                break  # the pipe ended: the worker has died
+            now = time.perf_counter()
+            flight = worker.flights.popleft()
+            if worker.flights:
+                # The job queued behind it is the one running now.
+                worker.flights[0].started = now
+            k = flight.index
             done_at = self.tracer.now()
             try:
-                blob = future.result()
+                if message[:1] == _RAISED:
+                    raise _raised(message[1:])
+                blob = message[1:]
                 record = self._decode(k, blob)
-            except BrokenProcessPool as exc:
-                # A worker died; every in-flight future died with it and
-                # the culprit is unknowable, so all of them are charged
-                # and rescheduled (innocents succeed on their next try).
-                casualties = [flight] + list(self._flights.values())
-                self._flights.clear()
-                self._rebuild_pool()
-                now = time.perf_counter()
-                for casualty in casualties:
-                    self._record_failure(
-                        casualty.index, casualty.attempt, "worker",
-                        min(seconds, casualty.elapsed(now)),
-                        "worker process died (process pool broken)")
-                    self._after_failure(casualty.index, exc)
-                return
             except Exception as exc:
-                self._record_failure(k, attempt, "worker", seconds, exc)
+                self.transport_seconds += time.thread_time() - cpu
+                self._record_failure(k, flight.attempt, "worker",
+                                     flight.elapsed(now), exc)
                 self._after_failure(k, exc)
             else:
-                self._land(k, attempt, "worker", seconds, done_at, record,
-                           blob)
+                self.transport_seconds += time.thread_time() - cpu
+                self._land(k, flight.attempt, "worker",
+                           flight.elapsed(now), done_at, record, blob)
+        else:
+            # Nothing (more) to read: lose the worker only if its
+            # process has exited.
+            if worker.process.is_alive():
+                return
+        self._lose(slot)
 
     # -- attempt bookkeeping and the policy ladder ---------------------------
 
@@ -692,20 +857,18 @@ class _Supervisor:
                 k, blob if blob is not None else frame_record(record))
 
     def _record_failure(self, k: int, attempt: int, where: str,
-                        seconds: float, error: BaseException | str,
-                        charged: bool = True) -> None:
+                        seconds: float, error: BaseException | str) -> None:
         self.outcomes[k].attempts.append(
             SliceAttempt(number=attempt, where=where, seconds=seconds,
-                         error=str(error), charged=charged))
+                         error=str(error)))
         now = self.tracer.now()
         self.tracer.add_span(
             "slice.attempt", max(0.0, now - seconds), now, cat="attempt",
             track=self._tracks.place(max(0.0, now - seconds), now),
             args={"slice": k, "attempt": attempt, "where": where,
-                  "ok": False, "charged": charged, "error": str(error)})
-        if charged:
-            self.failures[k] += 1
-            self.metrics.inc("superpin.supervisor.failed_attempts")
+                  "ok": False, "error": str(error)})
+        self.failures[k] += 1
+        self.metrics.inc("superpin.supervisor.failed_attempts")
 
     def _after_failure(self, k: int, error: BaseException) -> None:
         """Route a charged failure down the attempt ladder."""
@@ -738,103 +901,111 @@ class _Supervisor:
 
     # -- pool upkeep ---------------------------------------------------------
 
-    def _reap_expired(self) -> None:
-        """Kill the pool if any in-flight slice blew its deadline.
-
-        A ``ProcessPoolExecutor`` cannot cancel a *running* future, so
-        reaping means terminating the worker processes and rebuilding
-        the pool.  The expired slice is charged a deadline failure;
-        innocent in-flight slices are resubmitted with the same attempt
-        number and an untouched retry budget.
-        """
+    def _until_deadline(self) -> float:
+        """Host seconds until the nearest running slice's deadline."""
         now = time.perf_counter()
-        expired, innocent = [], []
-        for flight in self._flights.values():
-            if (flight.elapsed(now)
-                    > self.outcomes[flight.index].deadline_seconds):
-                expired.append(flight)
-            else:
-                innocent.append(flight)
-        if not expired:
-            return
-        for flight in expired:
+        return max(0.01, min(
+            self.outcomes[w.flights[0].index].deadline_seconds
+            - w.flights[0].elapsed(now)
+            for w in self._pool if w is not None and w.flights))
+
+    def _reap_expired(self) -> None:
+        """Kill and replace each worker still running a slice past the
+        slice's deadline; that slice alone is charged."""
+        now = time.perf_counter()
+        for slot, worker in enumerate(self._pool):
+            if worker is None or not worker.flights:
+                continue
+            flight = worker.flights[0]
+            deadline = self.outcomes[flight.index].deadline_seconds
+            if flight.elapsed(now) <= deadline:
+                continue
+            if worker.results.poll():
+                # Its result arrived while this process was busy (an
+                # in-process fallback): it made the deadline.
+                self._collect(slot)
+                continue
             self.metrics.inc("superpin.supervisor.deadline_hits")
             self.tracer.instant(
                 "deadline.reaped", cat="supervisor",
                 args={"slice": flight.index, "attempt": flight.attempt,
-                      "deadline_seconds":
-                          self.outcomes[flight.index].deadline_seconds})
-        self._flights.clear()
-        self._rebuild_pool()
-        for flight in innocent:
-            self._record_failure(
-                flight.index, flight.attempt, "worker",
-                flight.elapsed(now),
-                "interrupted by pool teardown (neighbour reaped); "
-                "resubmitted", charged=False)
-            self._submit(flight.index, attempt=flight.attempt)
-        for flight in expired:
-            deadline = self.outcomes[flight.index].deadline_seconds
-            self._record_failure(
-                flight.index, flight.attempt, "worker",
-                flight.elapsed(now),
-                f"deadline exceeded ({deadline:.2f}s); worker reaped")
-            self._after_failure(
-                flight.index,
-                SliceDeadlineError(f"slice {flight.index} missed its "
-                                   f"{deadline:.2f}s deadline"))
+                      "deadline_seconds": deadline})
+            self._lose(slot,
+                       f"deadline exceeded ({deadline:.2f}s); worker reaped",
+                       SliceDeadlineError(f"slice {flight.index} missed its "
+                                          f"{deadline:.2f}s deadline"))
 
-    def _rebuild_pool(self) -> None:
+    def _lose(self, slot: int, error: str | None = None,
+              cause: BaseException | None = None) -> None:
+        """Take worker ``slot`` out of the pool — killed, if it still
+        runs — and settle what it held.
+
+        The slice it was running is charged ``error`` (by default, the
+        worker's death).  A job queued behind that one never ran: it
+        goes back to the front of the queue under the same attempt
+        number, uncharged.  The slot gets a fresh worker when a job next
+        needs it.
+        """
+        worker = self._pool[slot]
+        self._pool[slot] = None
+        code = worker.shut()
+        if error is None:
+            error = f"worker process died (exit code {code})"
+            cause = WorkerCrashFault(error)
         self.metrics.inc("superpin.supervisor.pool_rebuilds")
-        self.tracer.instant("pool.rebuild", cat="supervisor")
-        self._teardown(self._executor, None)
-        self._executor = self._new_pool()
+        self.tracer.instant("worker.lost", cat="supervisor",
+                            args={"slot": slot, "error": error})
+        if not worker.flights:
+            return
+        running, *queued = worker.flights
+        for flight in reversed(queued):
+            self.executions[flight.index] = flight.attempt - 1
+            self._pending.appendleft(flight.index)
+        self._record_failure(running.index, running.attempt, "worker",
+                             running.elapsed(time.perf_counter()), error)
+        self._after_failure(running.index, cause)
 
-    def _new_pool(self) -> ProcessPoolExecutor:
-        """A pool of forked workers.
+    def _launch_pool(self) -> None:
+        """Fork the pool, every worker at once, at the first submit —
+        with a live master one cut into the run, when this process's
+        heap is smallest.  Once the master is exhausted the pool is
+        sized to no more than the slices there are."""
+        size = self._workers
+        if self._stream is None:
+            size = min(size, len(self.outcomes))
+        self._pool = [None] * size
+        for slot in range(size):
+            self._launch(slot)
+
+    def _launch(self, slot: int) -> None:
+        """Fork a worker into ``slot``.
 
         ``fork``, explicitly: it is the mechanism being reproduced (a
         slice is a fork of the master), and a worker must inherit the
         loaded program rather than re-import it — under ``forkserver``
         (the POSIX default from Python 3.14) every worker of every run
-        would pay the import, about one whole small run.  A fork pool
-        launches all its workers at the first submit, so once the master
-        is exhausted it is sized to no more than the slices there are.
+        would pay the import, about one whole small run.
         """
-        workers = self._workers
-        if self._stream is None:
-            workers = min(workers, len(self.outcomes))
-        return ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker,
-            mp_context=multiprocessing.get_context("fork"))
+        context = multiprocessing.get_context("fork")
+        job_reader, job_writer = context.Pipe(duplex=False)
+        result_reader, result_writer = context.Pipe(duplex=False)
+        parent_ends = [conn for w in self._pool if w is not None
+                       for conn in (w.jobs, w.results)]
+        process = context.Process(
+            target=_serve_jobs, daemon=True,
+            args=(job_reader, result_writer, self.config.fault_plan,
+                  parent_ends + [job_writer, result_reader]))
+        process.start()
+        job_reader.close()
+        result_writer.close()
+        self._pool[slot] = _Worker(process, job_writer, result_reader)
+        if not self._capacity:
+            self._capacity = _pipe_capacity(job_writer)
 
-    @staticmethod
-    def _teardown(executor, flights) -> None:
-        """Shut a pool down promptly: cancel queued work, kill workers.
-
-        ``shutdown(cancel_futures=True)`` alone would wait for running
-        (possibly hung) workers, so the worker processes are terminated
-        first.  Touches the executor's ``_processes`` map — internal,
-        but stable across supported CPythons — and degrades to a plain
-        prompt shutdown if it ever disappears.
-        """
-        if executor is None:
-            return
-        for future in flights or ():
-            future.cancel()
-        try:
-            processes = list((getattr(executor, "_processes", None)
-                              or {}).values())
-            for process in processes:
-                process.terminate()
-        except Exception:
-            processes = []
-        try:
-            executor.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass
-        for process in processes:
-            try:
-                process.join(timeout=5.0)
-            except Exception:
-                pass
+    def _close_pool(self) -> None:
+        """Kill and reap every worker: idle ones when the phase is done,
+        whatever they run when it is aborted."""
+        for worker in self._pool:
+            if worker is not None:
+                worker.shut()
+        self._pool = []

@@ -86,6 +86,31 @@ def deadline_floor(monkeypatch, seconds: float) -> None:
     monkeypatch.setattr(supervisor, "DEADLINE_FLOOR", seconds)
 
 
+def child_pids() -> set[int]:
+    """This process's child processes as the kernel lists them, whichever
+    thread forked them — running, or exited and not yet reaped."""
+    pids: set[int] = set()
+    try:
+        for task in os.listdir("/proc/self/task"):
+            with open(f"/proc/self/task/{task}/children") as listing:
+                pids.update(map(int, listing.read().split()))
+        return pids
+    except FileNotFoundError:
+        pass
+    # No per-task children lists: every process whose parent is this one.
+    me = str(os.getpid())
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat") as stat:
+                    fields = stat.read().rsplit(")", 1)[1].split()
+            except OSError:
+                continue
+            if fields[1] == me:
+                pids.add(int(entry))
+    return pids
+
+
 def retries(monkeypatch, count: int) -> None:
     """A failed slice re-runs ``count`` times on its transport before
     the in-process fallback (``supervisor.RETRIES``, a constant): the

@@ -92,6 +92,31 @@ class TestRun:
                      "0.05", "--", "-sp", "0"]) == 0
         assert tool_report(capsys.readouterr().out) != reports[0]
 
+    @pytest.mark.parametrize("switch, value", [
+        ("-sprecord", "run.sprec"), ("-spsample", "2"), ("-spaudit", "1"),
+        ("-sptrace", "trace.json"), ("-spmetrics", "1"),
+        ("-spjournal", "run.journal"), ("-spworkers", "2")])
+    def test_serial_pin_refuses_what_it_cannot_honour(self, switch, value,
+                                                      tmp_path, capsys,
+                                                      monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = main(["run", "-t", "icount2", "-w", "gzip", "--scale",
+                     "0.05", "--", "-sp", "0", switch, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert switch in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_serial_pin_ignores_the_worker_default(self, capsys,
+                                                   monkeypatch):
+        """``SUPERPIN_SPWORKERS`` moves a default; it names no switch."""
+        monkeypatch.setenv("SUPERPIN_SPWORKERS", "2")
+        assert main(["run", "-t", "icount2", "-w", "gzip", "--scale",
+                     "0.05", "--", "-sp", "0"]) == 0
+        assert "classic Pin" in capsys.readouterr().out
+
     def test_unknown_workload(self, capsys):
         assert main(["run", "-w", "nope"]) == 2
         assert "unknown workload" in capsys.readouterr().err

@@ -946,22 +946,23 @@ class TestThroughThePipeline:
                                                    policy, spworkers,
                                                    monkeypatch):
         """Which machine a slice lands on is the scheduler's business:
-        every injected crash rebuilds the pool, and a rebuilt pool's
-        workers have run nothing.  So the guest is cut into more slices
-        than the run can have built machines — then some machine landed
-        two, and any two slices of this guest share traces (every
-        ordered pair of the 21 was run on one machine: the second reuses
-        at least three skeletons)."""
+        every injected crash replaces a worker, and a replacement has
+        run nothing.  So the guest is cut into more slices than the run
+        can have built machines — then some machine landed two, and any
+        two slices of this guest share traces (every ordered pair of the
+        21 was run on one machine: the second reuses at least three
+        skeletons)."""
         monkeypatch.setattr(supervisor, "RETRY_BACKOFF", 0.0)
         report, fields, tool_report = _report(
             spworkers=spworkers, spfaults=policy, spmetrics=True, spmsec=150,
             fault_plan=FaultPlan.parse("crash@1,corrupt@2,crash@3:2"))
-        # (A crashed worker takes its in-flight neighbours down with it,
-        # so the pool transport may recover more than the three named.)
-        assert report.supervision_summary()["recovered_slices"] >= 3
+        # A crashed worker costs its neighbours nothing: the three named
+        # slices are the only ones recovered, on either transport.
+        assert report.supervision_summary()["recovered_slices"] == 3
         assert not report.degraded_slices
         assert (fields, tool_report) == clean_fine[1:]
-        # The supervisor's own machine, and two workers a pool.
+        # The supervisor's own machine and the pool's (at most: each
+        # lost worker is replaced by one more).
         machines = 1 + spworkers * (1 + report.metrics.counter(
             "superpin.supervisor.pool_rebuilds"))
         assert report.num_slices > machines

@@ -39,8 +39,8 @@ from repro.superpin.faults import FaultPlan
 from repro.superpin import supervisor
 from repro.superpin.supervisor import _Supervisor
 from repro.tools import BranchProfile, ICount1, ICount2, MemTrace
-from tests.conftest import (all_generated, deadline_floor, LOOP_SUM,
-                            MULTISLICE, virtual_counters)
+from tests.conftest import (all_generated, child_pids, deadline_floor,
+                            LOOP_SUM, MULTISLICE, virtual_counters)
 
 from .test_master_engine import FORCE_LOOP
 from .test_threads_superpin import THREADED
@@ -76,6 +76,22 @@ GUESTS = {
 }
 TOOLS = {"icount1": ICount1, "icount2": ICount2, "memtrace": MemTrace,
          "branchprofile": BranchProfile}
+
+def _running_in_group(pgid: int) -> list[int]:
+    """Processes of process group ``pgid`` that have not exited."""
+    running = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as stat:
+                state, _, group = stat.read().rsplit(")", 1)[1].split()[:3]
+        except OSError:
+            continue
+        if int(group) == pgid and state != "Z":
+            running.append(int(entry))
+    return running
+
 
 #: MULTISLICE cut into about thirty slices.
 THIRTY = dict(spmsec=100, clock_hz=10_000)
@@ -279,11 +295,14 @@ class TestTheStreamItself:
             timeline, record_signatures(timeline, config), None, sp,
             config, None, NULL_METRICS, None, None, None, None, None, None)
         supervisor._release()
-        pool = supervisor._new_pool()
+        supervisor._launch_pool()
         try:
-            assert pool._mp_context.get_start_method() == "fork"
+            assert len(supervisor._pool) == 2
+            assert all(type(worker.process)
+                       is multiprocessing.get_context("fork").Process
+                       for worker in supervisor._pool)
         finally:
-            pool.shutdown()
+            supervisor._close_pool()
 
 
 class TestRecordingAndJournal:
@@ -337,15 +356,20 @@ raise SystemExit("unreachable: the run should have been killed")
         journal = tmp_path / "run.spjl"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(REPO_ROOT / "src"), str(REPO_ROOT)]))
-        # Its own session: a SIGKILLed run orphans its pool workers
-        # (each holds the others' pipe ends open), so the group is
-        # killed after it.  No pipes to this process for the same reason.
+        # Its own session, so that what it leaves can be found.  Its
+        # pool workers must not outlive it: once their job pipes end
+        # they exit by themselves.
         child = subprocess.Popen(
             [sys.executable, "-c", self._KILLED, str(journal)], env=env,
             cwd=REPO_ROOT, start_new_session=True,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         try:
             assert child.wait(timeout=120) == -signal.SIGKILL
+            deadline = time.monotonic() + 30.0
+            while (_running_in_group(child.pid)
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            assert _running_in_group(child.pid) == []
         finally:
             try:
                 os.killpg(child.pid, signal.SIGKILL)
@@ -456,8 +480,13 @@ class TestFaultsWhileTheMasterIsLive:
                     raise Cancelled
             kwargs = dict(on_progress=cancel)
             error = Cancelled
+        children = child_pids()
         with pytest.raises(error):
             run(MULTISLICE, spworkers=2, tracer=tracer, **kwargs, **THIRTY)
+        # ... and the pool is gone, every worker reaped, by the time
+        # the error reaches the caller.
+        assert child_pids() == children
+        assert multiprocessing.active_children() == []
         aborted_at = tracer.now()
         made = [r for r in tracer.records if r.name == "timeslice.cut"]
         assert 0 < len(made) < cuts
@@ -466,13 +495,6 @@ class TestFaultsWhileTheMasterIsLive:
         master, = (r for r in tracer.records if r.name == "control_phase")
         assert made[-1].start <= master.end <= aborted_at
         assert master.args is None  # no totals: the master never exited
-        # ... and the pool is gone (the executor's own thread may still
-        # be reaping a worker this one has already terminated).
-        deadline = time.monotonic() + 2.0
-        while (multiprocessing.active_children()
-               and time.monotonic() < deadline):
-            time.sleep(0.01)
-        assert multiprocessing.active_children() == []
 
     def test_landed_jobs_are_dropped(self):
         """A long run holds the pickles of in-flight slices only."""

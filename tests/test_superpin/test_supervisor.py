@@ -1,5 +1,5 @@
 """The one slice executor: transport/policy/journal parity, deadlines,
-retries, pool rebuild, degradation.
+retries, worker replacement, degradation.
 
 Every failure here is *injected* through the deterministic
 :mod:`repro.superpin.faults` harness (or, for the default-path
@@ -8,7 +8,10 @@ run in CI on every push, not just in anger.
 """
 
 import dataclasses
+import functools
 import itertools
+import multiprocessing
+import signal
 import time
 
 import pytest
@@ -26,7 +29,7 @@ from repro.superpin import supervisor
 from repro.superpin.faults import (CORRUPT_BLOB, maybe_inject,
                                    WorkerCrashFault)
 from repro.tools import ICount2, ITrace
-from tests.conftest import deadline_floor, MULTISLICE, retries
+from tests.conftest import child_pids, deadline_floor, MULTISLICE, retries
 
 #: Both slice-phase transports; every supervision property must hold
 #: under each (in-process and process pool).
@@ -440,6 +443,12 @@ class TestDeadlineReaping:
         assert any("deadline exceeded" in a.error for a in reaped)
         # Far less than the 60s hang: the deadline (1s) did the work.
         assert elapsed < 30
+        # Only the hung slice was charged: killing its worker cost the
+        # slice queued behind it, and the other worker, nothing.
+        assert [(o.index, a.number) for o in report.slice_outcomes
+                for a in o.attempts if not a.ok] == [(2, 1)]
+        assert all(o.num_attempts == 1 for o in report.slice_outcomes
+                   if o.index != 2)
 
     def test_queue_wait_does_not_run_the_deadline_clock(self, program,
                                                         flat_deadline,
@@ -474,17 +483,27 @@ class TestDeadlineReaping:
 
 class TestPoolReconstruction:
     def test_crash_mid_phase_completes_run(self, program, clean):
-        """A hard worker death (BrokenProcessPool) must rebuild the pool
-        and resubmit the in-flight slices, not abort the run."""
+        """A hard worker death must replace that worker and re-run its
+        slice, not abort the run — and charge that slice alone: a job
+        queued behind it, or running on the other worker, gets no failed
+        attempt."""
         clean_report, clean_tool = clean
         report, tool = _supervised_report(program,
                                           FaultPlan.parse("crash@3"),
-                                          spworkers=2)
+                                          spworkers=2, spmetrics=True)
         assert tool.total == clean_tool.total
         assert _slice_fingerprint(report) \
             == _slice_fingerprint(clean_report)
-        assert any("pool broken" in (a.error or "")
-                   for o in report.slice_outcomes for a in o.attempts)
+        failed = [(o.index, a.number, a.error)
+                  for o in report.slice_outcomes for a in o.attempts
+                  if not a.ok]
+        assert failed == [(3, 1, "worker process died (exit code 13)")]
+        assert [[a.number for a in o.attempts]
+                for o in report.slice_outcomes] \
+            == [[1, 2] if o.index == 3 else [1]
+                for o in report.slice_outcomes]
+        assert report.metrics.counter(
+            "superpin.supervisor.pool_rebuilds") == 1
 
     def test_repeated_crashes_rebuild_repeatedly(self, program, clean,
                                                  monkeypatch):
@@ -498,24 +517,103 @@ class TestPoolReconstruction:
     def test_every_attempt_breaks_pool_then_degrades(self, program,
                                                      monkeypatch):
         """A slice whose every worker attempt kills its process must
-        rebuild the pool after each break (counter-verified) and only
-        degrade once the in-process fallback also fails — never abort
-        the run, never skip the rebuilds."""
+        have that worker replaced after each death (counter-verified)
+        and only degrade once the in-process fallback also fails — never
+        abort the run, never skip a replacement."""
         retries(monkeypatch, 1)
         report, _ = _supervised_report(
             program, FaultPlan.parse("crash@2:*"), spworkers=2,
             spfaults="degrade", spmetrics=True)
         assert report.degraded_slices == [2]
         assert report.metrics.counters[
-            "superpin.supervisor.pool_rebuilds"] >= 2
+            "superpin.supervisor.pool_rebuilds"] == 2
         outcome = report.slice_outcomes[2]
         assert outcome.status == "degraded"
         assert sum(1 for a in outcome.attempts
-                   if "pool broken" in (a.error or "")) >= 2
+                   if "worker process died" in (a.error or "")) == 2
         assert outcome.attempts[-1].where == "inprocess"
         # Every other slice still completed exactly.
         assert [s.index for s in report.slices] \
             == [k for k in range(len(report.slice_outcomes)) if k != 2]
+
+
+class BallastICount(ICount2):
+    """Carries a quarter of a MiB in every job and every result: four
+    times what a Linux pipe holds by default."""
+
+    def __init__(self):
+        super().__init__()
+        self.ballast = bytes(range(256)) * 1024
+
+
+class TestThePool:
+    """The pool the supervisor drives itself: no process it forks
+    outlives the run, and large messages cannot wedge it."""
+
+    @pytest.mark.parametrize("how", ["finished", "aborted", "failfast",
+                                     "reaped"])
+    def test_no_worker_outlives_its_run(self, program, flat_deadline,
+                                        monkeypatch, how):
+        deadline_floor(monkeypatch, 0.5)
+        kwargs = dict(spworkers=2)
+        error = None
+        if how == "aborted":
+            class Cancelled(Exception):
+                pass
+
+            def cancel(event, payload):
+                if event == "slice":
+                    raise Cancelled
+            kwargs.update(on_progress=cancel)
+            error = Cancelled
+        elif how == "failfast":
+            kwargs.update(spfaults="failfast",
+                          fault_plan=FaultPlan.parse("runaway@1:*"))
+            error = SliceExecutionError
+        elif how == "reaped":
+            kwargs.update(spfaults="retry", fault_plan=FaultPlan(specs=(
+                FaultSpec(kind=FaultKind.HANG, slice_index=1, attempts=1,
+                          hang_seconds=60.0),)))
+        on_progress = kwargs.pop("on_progress", None)
+        children = child_pids()
+        config = SuperPinConfig(spmsec=500, clock_hz=10_000, **kwargs)
+        run = functools.partial(run_superpin, program, ICount2(), config,
+                                kernel=Kernel(seed=42),
+                                on_progress=on_progress)
+        if error is None:
+            report = run()
+            assert report.all_exact
+            if how == "reaped":
+                assert report.slice_outcomes[1].recovered
+        else:
+            with pytest.raises(error):
+                run()
+        assert child_pids() == children
+        assert multiprocessing.active_children() == []
+
+    def test_jobs_and_results_larger_than_a_pipe(self, program):
+        """A job the pipe cannot hold stays here until its worker is
+        idle, so this process never waits on a job write while the
+        worker waits on a result write.  A wedged pool would hang; the
+        alarm turns that into a failure."""
+        class Wedged(Exception):
+            pass
+
+        def wedged(signum, frame):
+            raise Wedged("the pool wedged on a pipe")
+
+        previous = signal.signal(signal.SIGALRM, wedged)
+        signal.alarm(120)
+        try:
+            report, tool = _clean_report(program, tool_cls=BallastICount,
+                                         spworkers=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        _, clean_tool = _clean_report(program)
+        assert tool.total == clean_tool.total
+        assert report.num_slices > 4
+        assert report.supervision_summary()["failed_attempts"] == 0
 
 
 class TestSupervisionSummary:
