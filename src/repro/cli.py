@@ -23,12 +23,11 @@ import argparse
 import os
 import sys
 
-from .errors import ConfigError
+from .errors import ConfigError, RecordingCorruptError
 from .harness.figures import FIGURES
 from .harness.report import render_figure
 from .machine import Kernel, load_program
 from .machine.interpreter import Interpreter
-from .pin.filter import parse_filter
 from .pin.pintool import run_with_pin
 from .superpin import parse_switches, run_superpin, SuperPinConfig
 from .tools import TOOLS
@@ -148,8 +147,11 @@ def _main(argv: list[str] | None) -> int:
     if args.command in with_switches:
         try:
             return with_switches[args.command](args, extra)
-        except ConfigError as error:
-            # A bad -sp* switch, or one the command cannot honour.
+        except BrokenPipeError:
+            raise
+        except (ConfigError, RecordingCorruptError, OSError) as error:
+            # A bad -sp* switch, one the command cannot honour, or a
+            # file it cannot read (or a recording that fails to verify).
             print(f"error: {error}", file=sys.stderr)
             return 2
     if extra:
@@ -158,12 +160,6 @@ def _main(argv: list[str] | None) -> int:
         return _cmd_list()
     return {"figure": _cmd_figure, "asm": _cmd_asm, "objdump": _cmd_objdump,
             "serve": _cmd_serve, "status": _cmd_status}[args.command](args)
-
-
-#: Switches only a SuperPin run acts on: serial Pin (``-sp 0``) refuses
-#: a command line that names one instead of ignoring it.
-_SUPERPIN_ONLY = ("-sprecord", "-spsample", "-spaudit", "-sptrace",
-                  "-spmetrics", "-spjournal", "-spworkers")
 
 
 def _switches(extra: list[str]) -> SuperPinConfig:
@@ -177,13 +173,6 @@ def _cmd_run(args, extra: list[str]) -> int:
               file=sys.stderr)
         return 2
     config = _switches(extra)
-    if not config.sp:
-        # parse_switches took the line as flag/value pairs.
-        flags = [s for s in extra if s != "--"][::2]
-        ignored = [flag for flag in flags if flag in _SUPERPIN_ONLY]
-        if ignored:
-            raise ConfigError(f"serial Pin (-sp 0) cannot honour "
-                              f"{', '.join(ignored)}")
     built = build(args.workload, clock_hz=config.clock_hz,
                   scale=args.scale)
     tool = TOOLS[args.tool]()
@@ -191,20 +180,6 @@ def _cmd_run(args, extra: list[str]) -> int:
     print(f"workload {args.workload} (scale {args.scale}): "
           f"{built.static_instructions} static instructions, "
           f"{built.rounds} rounds")
-
-    if not config.sp:
-        # Serial Pin instruments what SuperPin would (run_superpin).
-        if config.spfilter is not None:
-            tool.instrument_filter = parse_filter(config.spfilter,
-                                                  built.program)
-        result, vm, kernel = run_with_pin(built.program, tool,
-                                          Kernel(seed=42),
-                                          suppress_loops=config.spsuppress)
-        print(f"mode: classic Pin; {result.instructions} instructions, "
-              f"{vm.cache.stats.compiles} traces compiled")
-        print(f"tool report: {tool.report()}")
-        return 0
-
     report = run_superpin(built.program, tool, config,
                           kernel=Kernel(seed=42))
     return _print_report(report, tool, config, gantt=args.gantt)
@@ -212,16 +187,21 @@ def _cmd_run(args, extra: list[str]) -> int:
 
 def _print_report(report, tool, config: SuperPinConfig,
                   gantt: bool = False) -> int:
-    """Print one SuperPin run's report — a live run's or a replay's —
+    """Print one run's report — a live run's, a replay's or serial Pin's
+    (no slices, so no slice, detection, breakdown or host-time lines) —
     and return its exit status: 3 on a failed audit, else 0."""
     timing = report.timing
     seconds = config.seconds
-    workers = (f"{config.spworkers} worker processes"
-               if config.spworkers else "sequential slice phase")
-    print(f"mode: SuperPin ({config.spmp} max slices, "
-          f"{config.spmsec} ms timeslice, {workers})")
-    print(f"slices: {report.num_slices} "
-          f"({sum(1 for s in report.slices if s.exact)} exact)")
+    if not config.sp:
+        print(f"mode: classic Pin ({report.timeline.total_instructions:,} "
+              f"instructions, one instrumented process)")
+    else:
+        workers = (f"{config.spworkers} worker processes"
+                   if config.spworkers else "sequential slice phase")
+        print(f"mode: SuperPin ({config.spmp} max slices, "
+              f"{config.spmsec} ms timeslice, {workers})")
+        print(f"slices: {report.num_slices} "
+              f"({sum(1 for s in report.slices if s.exact)} exact)")
     sup = report.supervision_summary()
     if (config.spfaults != "failfast" or config.fault_plan is not None
             or sup["failed_attempts"]):
@@ -272,37 +252,42 @@ def _print_report(report, tool, config: SuperPinConfig,
               f"from the process's code pool), {jit['seconds']:.2f} s")
     if report.timeline.master is not None:
         print(f"master: {report.timeline.master.summary()}")
-    det = report.detection_summary()
-    print(f"detection: {det['quick_checks']} quick checks, "
-          f"{det['full_checks']} full "
-          f"({det['full_check_rate']:.2%} escalation)")
-    if timing is None:
-        # Degraded runs have holes, so there is no timing simulation.
-        print("virtual time: unavailable (degraded run)")
-    else:
-        shared = report.shared_cache_timing()
+    if not config.sp:
         print(f"virtual time: native {seconds(timing.native_cycles):.2f}s, "
-              f"superpin {seconds(timing.total_cycles):.2f}s "
-              f"(slowdown {timing.slowdown:.2f}x; "
-              f"{seconds(shared.total_cycles):.2f}s, "
-              f"{shared.slowdown:.2f}x with §8's shared code cache)")
-        breakdown = timing.breakdown()
-        print("breakdown: " + ", ".join(
-            f"{name} {seconds(value):.2f}s"
-            for name, value in breakdown.items()))
-    wall = report.wallclock_summary()
-    print(f"measured: control {wall['control_phase_seconds']:.3f}s, "
-          f"signatures {wall['signature_phase_seconds']:.3f}s "
-          f"({wall['master_overlap_seconds']:.3f}s of both beside "
-          f"slices), slice phase {wall['slice_phase_seconds']:.3f}s "
-          f"(run {wall['slice_run_seconds']:.3f}s, "
-          f"pickle {wall['slice_pickle_seconds']:.3f}s, "
-          f"transport {wall['transport_seconds']:.3f}s, "
-          f"parallelism {wall['measured_parallelism']:.2f}x)")
-    print(f"pipeline: first result after "
-          f"{wall['first_result_seconds']:.3f}s, last "
-          f"{wall['pipeline_delay_seconds']:.3f}s after the master "
-          f"ended (pipeline delay)")
+              f"classic Pin {seconds(timing.total_cycles):.2f}s "
+              f"(slowdown {timing.slowdown:.2f}x)")
+    else:
+        det = report.detection_summary()
+        print(f"detection: {det['quick_checks']} quick checks, "
+              f"{det['full_checks']} full "
+              f"({det['full_check_rate']:.2%} escalation)")
+        if timing is None:
+            # Degraded runs have holes, so there is no timing simulation.
+            print("virtual time: unavailable (degraded run)")
+        else:
+            shared = report.shared_cache_timing()
+            print(f"virtual time: native "
+                  f"{seconds(timing.native_cycles):.2f}s, "
+                  f"superpin {seconds(timing.total_cycles):.2f}s "
+                  f"(slowdown {timing.slowdown:.2f}x; "
+                  f"{seconds(shared.total_cycles):.2f}s, "
+                  f"{shared.slowdown:.2f}x with §8's shared code cache)")
+            print("breakdown: " + ", ".join(
+                f"{name} {seconds(value):.2f}s"
+                for name, value in timing.breakdown().items()))
+        wall = report.wallclock_summary()
+        print(f"measured: control {wall['control_phase_seconds']:.3f}s, "
+              f"signatures {wall['signature_phase_seconds']:.3f}s "
+              f"({wall['master_overlap_seconds']:.3f}s of both beside "
+              f"slices), slice phase {wall['slice_phase_seconds']:.3f}s "
+              f"(run {wall['slice_run_seconds']:.3f}s, "
+              f"pickle {wall['slice_pickle_seconds']:.3f}s, "
+              f"transport {wall['transport_seconds']:.3f}s, "
+              f"parallelism {wall['measured_parallelism']:.2f}x)")
+        print(f"pipeline: first result after "
+              f"{wall['first_result_seconds']:.3f}s, last "
+              f"{wall['pipeline_delay_seconds']:.3f}s after the master "
+              f"ended (pipeline delay)")
     if config.sptrace:
         from .obs import write_trace
         kind = write_trace(config.sptrace, report.trace, report.metrics)
@@ -329,7 +314,6 @@ def _print_report(report, tool, config: SuperPinConfig,
 
 
 def _cmd_replay(args, extra: list[str]) -> int:
-    from .errors import RecordingCorruptError
     from .superpin import replay_recording
 
     names = [name.strip() for name in args.tools.split(",") if name.strip()]
@@ -340,14 +324,7 @@ def _cmd_replay(args, extra: list[str]) -> int:
         return 2
     config = _switches(extra)
     tools = [TOOLS[name]() for name in names]
-    try:
-        reports = replay_recording(args.recording, tools, config)
-    except RecordingCorruptError as error:
-        print(f"recording rejected: {error}", file=sys.stderr)
-        return 2
-    except OSError as error:
-        print(f"cannot read recording: {error}", file=sys.stderr)
-        return 2
+    reports = replay_recording(args.recording, tools, config)
     status = 0
     for name, tool, report in zip(names, tools, reports):
         print(f"replay {name}:")
@@ -356,72 +333,56 @@ def _cmd_replay(args, extra: list[str]) -> int:
 
 
 def _cmd_debug(args, extra: list[str]) -> int:
-    from .errors import (DivergenceError, RecordingCorruptError,
-                         TimeTravelError)
+    from .errors import DivergenceError, TimeTravelError
     from .superpin import load_recording
     from .superpin.timetravel import DebugSession
 
     config = _switches(extra)
-    try:
-        recording = load_recording(
-            args.recording,
-            tolerate_damaged=config.spfaults == "degrade")
-    except RecordingCorruptError as error:
-        print(f"recording rejected: {error}", file=sys.stderr)
-        return 2
-    except OSError as error:
-        print(f"cannot read recording: {error}", file=sys.stderr)
-        return 2
+    recording = load_recording(args.recording,
+                               tolerate_damaged=config.spfaults == "degrade")
     session = DebugSession(recording, config)
-
     if args.script:
-        try:
-            with open(args.script, "r", encoding="utf-8") as handle:
-                lines = handle.read().splitlines()
-        except OSError as error:
-            print(f"cannot read script: {error}", file=sys.stderr)
-            return 2
-        for line in lines:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        with open(args.script, "r", encoding="utf-8") as handle:
+            lines = [line.strip() for line in handle.read().splitlines()]
+        lines = [line for line in lines
+                 if line and not line.startswith("#")]
+    else:
+        print(f"debug {args.recording}: {recording.num_slices} slices, "
+              f"{recording.total_instructions} instructions "
+              f"(id {recording.recording_id[:12]})")
+        print("type 'help' for commands, 'quit' to leave")
+        lines = _prompted("(ttd) ")
+    # A script stops at its first error; the REPL reports it and goes on.
+    for line in lines:
+        if args.script:
             print(f"(ttd) {line}")
-            try:
-                output = session.execute(line)
-            except TimeTravelError as error:
-                print(f"error: {error}")
-                return 2
-            except DivergenceError as error:
-                print(f"divergence: {error}")
-                return 3
-            if output is None:
-                break
-            for text in output:
-                print(text)
-        return 0
-
-    print(f"debug {args.recording}: {recording.num_slices} slices, "
-          f"{recording.total_instructions} instructions "
-          f"(id {recording.recording_id[:12]})")
-    print("type 'help' for commands, 'quit' to leave")
-    while True:
-        try:
-            line = input("(ttd) ")
-        except EOFError:
-            print()
-            return 0
         try:
             output = session.execute(line)
         except TimeTravelError as error:
             print(f"error: {error}")
+            if args.script:
+                return 2
             continue
         except DivergenceError as error:
             print(f"divergence: {error}")
+            if args.script:
+                return 3
             continue
         if output is None:
-            return 0
+            break
         for text in output:
             print(text)
+    return 0
+
+
+def _prompted(prompt: str):
+    """The lines typed at ``prompt`` until end of input."""
+    while True:
+        try:
+            yield input(prompt)
+        except EOFError:
+            print()
+            return
 
 
 def _cmd_serve(args) -> int:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from ..machine import Kernel, load_program
 from ..machine.interpreter import Interpreter
-from ..pin.pintool import run_with_pin
 from ..sched.machine_model import MachineModel, PAPER_MACHINE
 from ..sched.stats import TimingReport
 from ..sched.timing import CostModel, DEFAULT_COST_MODEL
@@ -89,18 +88,10 @@ def run_benchmark(benchmark: str, tool: str = "icount1",
     native_cycles = cost.native_cycles(interp.total_instructions,
                                        interp.total_syscalls)
 
-    # Classic Pin.
-    pin_tool = tool_factory()
-    pin_result, vm, _ = run_with_pin(built.program, pin_tool,
-                                     Kernel(seed=EXPERIMENT_SEED))
-    pin_cycles = cost.pin_cycles(
-        instructions=pin_result.instructions,
-        syscalls=pin_result.syscalls,
-        traces_executed=pin_result.traces_executed,
-        analysis_calls=pin_result.analysis_calls,
-        inline_checks=pin_result.inline_checks,
-        compiles=vm.cache.stats.compiles,
-        compiled_ins=vm.cache.stats.compiled_ins)
+    # Classic Pin: the same front door at -sp 0.
+    pin = run_superpin(built.program, tool_factory(),
+                       SuperPinConfig(sp=False, clock_hz=config.clock_hz),
+                       kernel=Kernel(seed=EXPERIMENT_SEED), cost=cost)
 
     # SuperPin.
     sp_tool = tool_factory()
@@ -110,7 +101,7 @@ def run_benchmark(benchmark: str, tool: str = "icount1",
 
     run = BenchmarkRun(
         benchmark=benchmark, tool=tool, scale=scale,
-        native_cycles=native_cycles, pin_cycles=pin_cycles,
+        native_cycles=native_cycles, pin_cycles=pin.timing.total_cycles,
         superpin=report, instructions=interp.total_instructions,
         syscalls=interp.total_syscalls)
     if use_cache:

@@ -22,6 +22,7 @@ areas opt out of the copy (see :mod:`repro.superpin.sharedmem`).
 from __future__ import annotations
 
 from ..machine.kernel import Kernel
+from ..obs.metrics import NULL_METRICS
 from ..machine.process import load_program
 from .engine import PinRunResult, PinVM, RunState
 
@@ -135,7 +136,7 @@ def declares_pure_instrumentation(tool) -> bool:
 def run_with_pin(program, tool: Pintool, kernel: Kernel | None = None,
                  max_instructions: int | None = None,
                  jit_backend: str = "closure",
-                 suppress_loops: bool = False
+                 suppress_loops: bool = False, metrics=NULL_METRICS
                  ) -> tuple[PinRunResult, PinVM, Kernel]:
     """Classic (serial) Pin execution: the paper's baseline mode.
 
@@ -145,12 +146,14 @@ def run_with_pin(program, tool: Pintool, kernel: Kernel | None = None,
     ``instrument_filter`` applies here exactly as under SuperPin, so the
     audit's serial baseline sees the same instrumentation.  A trace
     that turns hot in mid-run is promoted to generated code (see
-    :mod:`repro.pin.jit`), as it is on a slice machine.
+    :mod:`repro.pin.jit`), as it is on a slice machine.  It is the
+    body of ``run_superpin`` at ``-sp 0``, which adds the report, trace
+    and counters (``metrics``: the engine's registry).
     """
     kernel = kernel if kernel is not None else Kernel()
     process = load_program(program, kernel)
     vm = PinVM(process, jit_backend=jit_backend,
-               suppress_loops=suppress_loops)
+               suppress_loops=suppress_loops, metrics=metrics)
     tool.setup(NullSuperPin())
     tool.activate(vm)
     result = vm.run(max_instructions=max_instructions)

@@ -52,7 +52,7 @@ from ..isa.program import Program
 from ..machine.kernel import Kernel
 from ..obs.metrics import metrics_for, MetricsRegistry
 from ..obs.tracer import ensure_tracer, MASTER_TRACK, Tracer
-from ..pin.pintool import Pintool
+from ..pin.pintool import Pintool, run_with_pin
 from ..sched.events import simulate
 from ..sched.machine_model import MachineModel, PAPER_MACHINE
 from ..sched.stats import TimingReport
@@ -61,15 +61,15 @@ from .api import SliceToolContext, SPControl
 from .audit import (audit_against, AuditInputs, AuditReport, perform_audit,
                     reference_from_recording)
 from . import parallel
-from .control import ControlProcess, MasterTimeline
+from .control import ControlProcess, MasterStats, MasterTimeline
 from .journal import program_digest, run_key, RunJournal
 from .merge import merge_slices
 from .parallel import SliceTimings
 from .recording import load_recording, save_recording
 from .signature import Lookahead, Signature
-from .slices import SliceResult
+from .slices import fold_engine_counters, SliceResult
 from .supervisor import SliceOutcome, supervise_slices
-from .switches import SuperPinConfig
+from .switches import refuse_serial, SuperPinConfig
 
 
 @dataclass
@@ -125,6 +125,9 @@ class SuperPinReport:
     recording_path: str | None = None
     #: Content address of that artifact (sha256 over section digests).
     recording_id: str = ""
+    #: Serial Pin's (``-sp 0``) :meth:`instrumentation_summary`, which
+    #: has no slices to sum; None on a SuperPin run.
+    serial_instrumentation: dict[str, int] | None = None
 
     @property
     def num_slices(self) -> int:
@@ -207,8 +210,10 @@ class SuperPinReport:
         the slices' instructions that retired in generated code —
         compiled so or promoted in mid-run — the share of their trace
         executions that ran inside a loop form, and the directly
-        measured seconds all the compiles took."""
-        if self.metrics is None or not self.metrics.enabled:
+        measured seconds all the compiles took.  None too at ``-sp 0``:
+        serial Pin's engine is on the ``master:`` line."""
+        if (self.metrics is None or not self.metrics.enabled
+                or not self.config.sp):
             return None
         counter = self.metrics.counter
         timed = self.metrics.histogram("pin.jit.compile_seconds")
@@ -233,6 +238,8 @@ class SuperPinReport:
     def instrumentation_summary(self) -> dict[str, int]:
         """Selective-instrumentation and suppression totals (-spfilter /
         -spsuppress / -spsample) aggregated across slices."""
+        if self.serial_instrumentation is not None:
+            return self.serial_instrumentation
         return {
             "analysis_calls": sum(s.analysis_calls for s in self.slices),
             "fastpath_traces": sum(s.fastpath_traces for s in self.slices),
@@ -272,17 +279,8 @@ class SuperPinReport:
         slice was given up on, or a hand-built report — every figure is
         0.0 rather than a division error or a misleading mean.
         """
-        if not self.slice_timings:
-            return dict.fromkeys((
-                "control_phase_seconds", "signature_phase_seconds",
-                "master_overlap_seconds", "first_result_seconds",
-                "pipeline_delay_seconds", "slice_phase_seconds",
-                "slice_run_seconds", "slice_pickle_seconds",
-                "slice_fork_seconds", "slice_merge_seconds",
-                "transport_seconds", "mean_slice_run_seconds",
-                "measured_parallelism"), 0.0)
         run_seconds = sum(t.run_seconds for t in self.slice_timings)
-        return {
+        summary = {
             "control_phase_seconds": self.control_phase_seconds,
             "signature_phase_seconds": self.signature_phase_seconds,
             "master_overlap_seconds": self.master_overlap_seconds,
@@ -297,9 +295,11 @@ class SuperPinReport:
             "slice_merge_seconds": sum(t.merge_seconds
                                        for t in self.slice_timings),
             "transport_seconds": self.transport_seconds,
-            "mean_slice_run_seconds": run_seconds / len(self.slice_timings),
+            "mean_slice_run_seconds": run_seconds / max(
+                1, len(self.slice_timings)),
             "measured_parallelism": self.measured_parallelism,
         }
+        return summary if self.slice_timings else dict.fromkeys(summary, 0.0)
 
     def trace_summary(self) -> str:
         """Render the run's trace (and counters) as an ASCII table.
@@ -372,11 +372,14 @@ def run_superpin(program: Program, tool: Pintool,
     generated code from its first trip.  Which machine ran what shows
     only in ``PLACEMENT_COUNTERS`` and ``superpin.control.master.*``;
     None (every caller but the serve daemon) builds all three as before.
+
+    At ``-sp 0`` it runs serial Pin (phase ``pin``): :func:`~repro.pin.
+    pintool.run_with_pin` after the same filter, reported with no slices,
+    the engine as ``timeline.master``, the classic-Pin virtual account
+    as ``timing`` and one ``pin_phase`` span; ``resident`` plays no part
+    and the config refuses what it cannot honour (``SERIAL_FIELDS``).
     """
     config = config or SuperPinConfig()
-    if not config.sp:
-        raise ConfigError("run_superpin called with sp disabled; "
-                          "use repro.pin.run_with_pin instead")
     tracer = ensure_tracer(tracer)
     metrics = metrics_for(config.spmetrics)
 
@@ -389,6 +392,10 @@ def run_superpin(program: Program, tool: Pintool,
     if config.spfilter is not None:
         from ..pin.filter import parse_filter
         tool.instrument_filter = parse_filter(config.spfilter, program)
+    if not config.sp:
+        _Progress(on_progress, tracer).phase("pin")
+        return _run_serial(program, tool, config, kernel, cost, tracer,
+                           metrics)
 
     # The differential audit (-spaudit) re-runs the program from scratch
     # twice — reference + serial baseline, then the lockstep comparison —
@@ -424,6 +431,37 @@ def run_superpin(program: Program, tool: Pintool,
         report.recording_path = config.sprecord
         report.recording_id = master.recording_manifest["recording_id"]
     return report
+
+
+def _run_serial(program: Program, tool: Pintool, config: SuperPinConfig,
+                kernel, cost: CostModel, tracer: Tracer,
+                metrics) -> SuperPinReport:
+    """Serial Pin's run and report (:func:`run_superpin` at ``-sp 0``)."""
+    began = tracer.now()
+    result, vm, kernel = run_with_pin(program, tool, kernel,
+                                      suppress_loops=config.spsuppress,
+                                      metrics=metrics)
+    engine = MasterStats.of(vm)
+    tracer.add_span("pin_phase", began, tracer.now(), cat="phase",
+                    args=engine.counters())
+    fold_engine_counters(vm, metrics)
+    ins, syscalls = result.instructions, result.syscalls
+    pin = cost.pin_cycles(ins, syscalls, result.traces_executed,
+                          result.analysis_calls, result.inline_checks,
+                          vm.cache.stats.compiles,
+                          vm.cache.stats.compiled_ins)
+    return SuperPinReport(
+        config=config, slices=[], signatures=[], tool=tool,
+        timeline=MasterTimeline([], [], result.exit_code, ins, syscalls,
+                                kernel, master=engine),
+        timing=TimingReport(pin, cost.native_cycles(ins, syscalls), pin,
+                            sleep_cycles=0.0, fork_cycles=0.0),
+        exit_code=result.exit_code, trace=tracer, metrics=metrics,
+        serial_instrumentation=dict(
+            analysis_calls=result.analysis_calls,
+            **{name: getattr(vm.instr_stats, name) for name in (
+                "fastpath_traces", "skipped_callbacks",
+                "summarized_loops", "suppressed_calls")}))
 
 
 class _Progress:
@@ -711,11 +749,12 @@ def replay_recording(source, tool, config: SuperPinConfig | None = None,
     ``-spfaults degrade`` a damaged slice section degrades that slice
     (hole in the merge) instead of failing the whole replay; any other
     policy raises :class:`~repro.errors.RecordingCorruptError` on load.
-    ``-spfilter`` and ``-sprecord`` raise
-    :class:`~repro.errors.ConfigError`: the artifact carries no symbol
-    table, and is already recorded.
+    ``-sp 0``, ``-spfilter`` and ``-sprecord`` raise
+    :class:`~repro.errors.ConfigError`: serial Pin runs no slices, the
+    artifact carries no symbol table, and is already recorded.
     """
     config = config or SuperPinConfig()
+    refuse_serial(config, "a replay")
     single = not isinstance(tool, (list, tuple))
     if config.spfilter is not None:
         raise ConfigError(

@@ -94,6 +94,27 @@ def placement_counts(jstats) -> tuple[int, ...]:
             jstats.instrumentation_declined)
 
 
+def fold_engine_counters(vm, metrics) -> None:
+    """Fold what ``vm`` kept off its dispatch loop — ``CacheStats``,
+    ``JitStats``, ``InstrumentationStats`` — into ``metrics`` once, at
+    the end of its run (a slice's, or serial Pin's)."""
+    cache, istats = vm.cache.stats, vm.instr_stats
+    metrics.inc("pin.cache.lookups", cache.lookups)
+    metrics.inc("pin.cache.hits", cache.hits)
+    metrics.inc("pin.cache.linked_dispatches", cache.linked_dispatches)
+    # (pin.cache.reinserts is counted live inside CodeCache.insert,
+    # like pin.cache.compiles.)
+    for name, value in zip(PLACEMENT_COUNTERS,
+                           placement_counts(vm.jit_stats)):
+        metrics.inc(name, value)
+    metrics.inc("pin.filter.fastpath_traces", istats.fastpath_traces)
+    metrics.inc("pin.filter.skipped_callbacks", istats.skipped_callbacks)
+    metrics.inc("pin.suppress.summarized_loops", istats.summarized_loops)
+    metrics.inc("pin.suppress.loop_entries", istats.loop_entries)
+    metrics.inc("pin.suppress.summarized_calls", istats.summarized_calls)
+    metrics.inc("pin.suppress.suppressed_calls", istats.suppressed_calls)
+
+
 class SliceEnd(enum.Enum):
     """How a slice terminated."""
 
@@ -442,26 +463,7 @@ def run_slice(boundary: Boundary, interval: Interval,
         if result_record.leftover_records:
             metrics.inc("superpin.sysrecord.leftover",
                         result_record.leftover_records)
-        metrics.inc("pin.cache.lookups", cache.stats.lookups)
-        metrics.inc("pin.cache.hits", cache.stats.hits)
-        metrics.inc("pin.cache.linked_dispatches",
-                    cache.stats.linked_dispatches)
-        # (pin.cache.reinserts is counted live inside CodeCache.insert,
-        # like pin.cache.compiles.)
-        for name, value in zip(PLACEMENT_COUNTERS,
-                               placement_counts(vm.jit_stats)):
-            metrics.inc(name, value)
-        istats = vm.instr_stats
-        metrics.inc("pin.filter.fastpath_traces", istats.fastpath_traces)
-        metrics.inc("pin.filter.skipped_callbacks",
-                    istats.skipped_callbacks)
-        metrics.inc("pin.suppress.summarized_loops",
-                    istats.summarized_loops)
-        metrics.inc("pin.suppress.loop_entries", istats.loop_entries)
-        metrics.inc("pin.suppress.summarized_calls",
-                    istats.summarized_calls)
-        metrics.inc("pin.suppress.suppressed_calls",
-                    istats.suppressed_calls)
+        fold_engine_counters(vm, metrics)
         if not instrumented:
             metrics.inc("superpin.sample.skipped_slices")
         metrics.observe("superpin.slice.instructions",

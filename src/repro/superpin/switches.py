@@ -1,63 +1,66 @@
 """SuperPin configuration switches.
 
 Mirrors the paper's command-line interface (§5).  A switch multiplies
-the test matrix, so each entry ends with why it is the user's choice:
+the test matrix, so each entry ends with why it is the user's choice.
+The ``-sp 0`` column says which ones serial Pin honours
+(:data:`SERIAL_FIELDS`); any other set away from its default is a
+:class:`ConfigError` — ``-spaudit`` too: its serial half *is* the run.
 
-======================= ==================================================
-Switch                  Meaning — why it survives
-======================= ==================================================
-``-sp 1``               enable SuperPin — ``-sp 0`` is serial Pin, every
-                        figure's baseline
-``-spmsec <value>``     timeslice length in (virtual) milliseconds —
-                        Figure 6's axis; the best value is the guest's
-``-spmp <value>``       maximum number of *running* slices — Figure 7's
-                        axis (the modeled processors)
-``-spsysrecs <value>``  max syscall records per slice; 0 disables
-                        recording — the §4.2 knob and its ablation
-``-spworkers <value>``  host worker processes for the slice phase; 0
-                        (default) runs slices in-process — the host's
-``-spfaults <policy>``  slice fault policy: ``failfast`` (default),
-                        ``retry`` or ``degrade`` — whether a partial
-                        result will do is the user's call
-``-spinject <spec>``    deterministic fault injection, e.g.
-                        ``crash@0,hang@2:*`` (superpin.faults) — drives
-                        the fault paths end to end
-``-spclock <hz>``       virtual cycles per virtual second: converts
-                        ``-spmsec`` to a master instruction budget —
-                        the experiments' scale (only ratios of times
-                        are reported)
-``-spexpected <msec>``  expected run duration in virtual milliseconds;
-                        N > 0 turns on §8 adaptive throttling (slices
-                        shrink toward the expected end) — only the user
-                        knows N
-``-sptrace <path>``     export the run's trace (repro.obs): ``*.jsonl``
-                        event log, else Chrome-trace JSON — output
-``-spmetrics <0|1>``    collect counters/gauges/histograms (off: the
-                        null registry) — observing costs time
-``-spaudit <0|1>``      differential replay audit against an
-                        uninstrumented and a serial-Pin run (see
-                        superpin.audit) — roughly doubles run time
-``-spfilter <spec>``    selective instrumentation: ``routine:NAME`` /
-                        ``range:LO-HI`` / ``opcode:CLASS`` terms (see
-                        repro.pin.filter) — which code matters is the
-                        user's question
-``-spsuppress <0|1>``   redundancy suppression: one summarized call per
-                        loop exit (see repro.pin.pyjit) — measured, each
-                        value wins on some guest, and it changes the
-                        reported analysis calls and virtual time
-``-spsample <N>``       instrument every Nth slice only; 0 (default)
-                        disables — tool results then cover the sampled
-                        slices, an approximation the user opts into
-``-sprecord <path>``    record once: save a content-addressed recording
-                        artifact after the control and signature phases
-                        (see superpin.recording; ``superpin replay``
-                        replays it)
-``-spjournal <path>``   write-ahead run journal of completed slices (see
-                        superpin.journal)
-``-spresume <0|1>``     resume from ``-spjournal``, re-executing only
-                        the missing slices — these three name files only
-                        the user can
-======================= ==================================================
+====================== ===== ==================================================
+Switch                 -sp 0 Meaning — why it survives
+====================== ===== ==================================================
+``-sp 1``                    enable SuperPin — ``-sp 0`` is serial Pin, every
+                             figure's baseline
+``-spmsec <value>``    no    timeslice length in (virtual) milliseconds —
+                             Figure 6's axis; the best value is the guest's
+``-spmp <value>``      no    maximum number of *running* slices — Figure 7's
+                             axis (the modeled processors)
+``-spsysrecs <value>`` no    max syscall records per slice; 0 disables
+                             recording — the §4.2 knob and its ablation
+``-spworkers <value>`` no    host worker processes for the slice phase; 0
+                             (default) runs slices in-process — the host's
+``-spfaults <policy>`` no    slice fault policy: ``failfast`` (default),
+                             ``retry`` or ``degrade`` — whether a partial
+                             result will do is the user's call
+``-spinject <spec>``   no    deterministic fault injection, e.g.
+                             ``crash@0,hang@2:*`` (superpin.faults) — drives
+                             the fault paths end to end
+``-spclock <hz>``      yes   virtual cycles per virtual second: converts
+                             ``-spmsec`` to a master instruction budget —
+                             the experiments' scale (only ratios of times
+                             are reported)
+``-spexpected <msec>`` no    expected run duration in virtual milliseconds;
+                             N > 0 turns on §8 adaptive throttling (slices
+                             shrink toward the expected end) — only the user
+                             knows N
+``-sptrace <path>``    yes   export the run's trace (repro.obs): ``*.jsonl``
+                             event log, else Chrome-trace JSON — output
+``-spmetrics <0|1>``   yes   collect counters/gauges/histograms (off: the
+                             null registry) — observing costs time
+``-spaudit <0|1>``     no    differential replay audit against an
+                             uninstrumented and a serial-Pin run (see
+                             superpin.audit) — roughly doubles run time
+``-spfilter <spec>``   yes   selective instrumentation: ``routine:NAME`` /
+                             ``range:LO-HI`` / ``opcode:CLASS`` terms (see
+                             repro.pin.filter) — which code matters is the
+                             user's question
+``-spsuppress <0|1>``  yes   redundancy suppression: one summarized call per
+                             loop exit (see repro.pin.pyjit) — measured, each
+                             value wins on some guest, and it changes the
+                             reported analysis calls and virtual time
+``-spsample <N>``      no    instrument every Nth slice only; 0 (default)
+                             disables — tool results then cover the sampled
+                             slices, an approximation the user opts into
+``-sprecord <path>``   no    record once: save a content-addressed recording
+                             artifact after the control and signature phases
+                             (see superpin.recording; ``superpin replay``
+                             replays it)
+``-spjournal <path>``  no    write-ahead run journal of completed slices (see
+                             superpin.journal)
+``-spresume <0|1>``    no    resume from ``-spjournal``, re-executing only
+                             the missing slices — these three name files only
+                             the user can
+====================== ===== ==================================================
 
 §8's shared code cache is not a switch: every run has both virtual
 accounts (:meth:`~repro.superpin.runtime.SuperPinReport.
@@ -73,7 +76,7 @@ CI hook: the environment variable ``SUPERPIN_SPWORKERS`` overrides the
 *default* of ``spworkers`` (explicit constructor arguments and parsed
 switches always win).  The fault-injection CI job uses it to push the
 whole test suite through the process-pool transport without editing
-every test.
+every test; being a default, it is no error at ``-sp 0``.
 """
 
 from __future__ import annotations
@@ -92,10 +95,6 @@ DEFAULT_CLOCK_HZ = 10_000
 FAULT_POLICIES = ("failfast", "retry", "degrade")
 
 
-def _default_spworkers() -> int:
-    return int(os.environ.get("SUPERPIN_SPWORKERS", "0") or 0)
-
-
 @dataclass
 class SuperPinConfig:
     """All SuperPin tunables; defaults match the paper's."""
@@ -112,7 +111,8 @@ class SuperPinConfig:
     #: processes with functionally identical results.  Distinct from
     #: ``spmp``, which bounds the *modeled* concurrency in the timing
     #: simulation.
-    spworkers: int = field(default_factory=_default_spworkers)
+    spworkers: int = field(default_factory=lambda: int(
+        os.environ.get("SUPERPIN_SPWORKERS", "0") or 0))
     # --- slice supervision (fault isolation for the slice phase) ----------
     #: Fault policy for the slice phase: ``failfast`` aborts the run on
     #: the first slice failure (cancelling everything still queued);
@@ -194,43 +194,34 @@ class SuperPinConfig:
     sptc2 = 0
 
     def __post_init__(self) -> None:
-        if self.spmsec <= 0:
-            raise ConfigError(f"-spmsec must be positive, got {self.spmsec}")
-        if self.spmp < 1:
-            raise ConfigError(f"-spmp must be >= 1, got {self.spmp}")
-        if self.spsysrecs < 0:
-            raise ConfigError(
-                f"-spsysrecs must be >= 0, got {self.spsysrecs}")
-        if self.spworkers < 0:
-            raise ConfigError(
-                f"-spworkers must be >= 0, got {self.spworkers}")
+        # Every message names the switch (or the field no switch sets).
+        for name, least in (("spmsec", 1), ("spmp", 1), ("spsysrecs", 0),
+                            ("spworkers", 0), ("clock_hz", 1),
+                            ("expected_duration_msec", 0), ("spsample", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{_SWITCHES[name]} must be >= {least}, "
+                                  f"got {getattr(self, name)}")
+        for name in ("spfilter", "sprecord", "spjournal", "sptracestore"):
+            value = getattr(self, name)
+            if value is not None and not str(value).strip():
+                raise ConfigError(
+                    f"{_SWITCHES.get(name, name)} must not be empty")
         if self.spfaults not in FAULT_POLICIES:
             raise ConfigError(
                 f"-spfaults must be one of {', '.join(FAULT_POLICIES)}, "
                 f"got {self.spfaults!r}")
-        if self.clock_hz <= 0:
-            raise ConfigError(
-                f"clock_hz must be positive, got {self.clock_hz}")
-        if self.expected_duration_msec < 0:
-            raise ConfigError(
-                f"-spexpected must be >= 0, "
-                f"got {self.expected_duration_msec}")
-        if self.spsample < 0:
-            raise ConfigError(
-                f"-spsample must be >= 0, got {self.spsample}")
-        if self.spfilter is not None and not str(self.spfilter).strip():
-            raise ConfigError("-spfilter spec must not be empty")
-        for name, flag in (("sprecord", "-sprecord"),
-                           ("spjournal", "-spjournal")):
-            value = getattr(self, name)
-            if value is not None and not str(value).strip():
-                raise ConfigError(f"{flag} path must not be empty")
         if self.spresume and self.spjournal is None:
             raise ConfigError("-spresume requires -spjournal (there is no "
                               "journal to resume from)")
-        if (self.sptracestore is not None
-                and not str(self.sptracestore).strip()):
-            raise ConfigError("sptracestore path must not be empty")
+        if not self.sp:
+            default = SuperPinConfig()
+            ignored = [_SWITCHES.get(name, name)
+                       for name, value in vars(self).items()
+                       if name not in ("sp", *SERIAL_FIELDS)
+                       and value != getattr(default, name)]
+            if ignored:
+                raise ConfigError(f"serial Pin (-sp 0) cannot honour "
+                                  f"{', '.join(ignored)}")
 
     @property
     def timeslice_cycles(self) -> int:
@@ -254,6 +245,10 @@ RESULT_FIELDS = (
     "spmsec", "spmp", "spsysrecs", "clock_hz", "spfilter", "spsuppress",
     "spsample", "expected_duration_msec",
 )
+
+#: What serial Pin (``-sp 0``) honours: it has no slices, artifact or audit.
+SERIAL_FIELDS = ("spfilter", "spsuppress", "clock_hz", "sptrace",
+                 "spmetrics")
 
 
 def _parse_inject(value: str):
@@ -281,6 +276,14 @@ _FLAG_PARSERS = {
     "-spjournal": ("spjournal", str),
     "-spresume": ("spresume", lambda v: bool(int(v))),
 }
+#: Field name -> the switch that sets it.
+_SWITCHES = {name: flag for flag, (name, _) in _FLAG_PARSERS.items()}
+
+
+def refuse_serial(config: SuperPinConfig, what: str) -> None:
+    """``what`` re-executes a recording's slices: it has no ``-sp 0``."""
+    if not config.sp:
+        raise ConfigError(f"{what} has no serial form (-sp 0)")
 
 
 def parse_switches(argv: list[str], **overrides) -> SuperPinConfig:

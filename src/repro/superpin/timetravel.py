@@ -57,7 +57,7 @@ from ..pin.engine import PinVM
 from ..pin.jit import JitStats
 from .recording import Recording
 from .slices import PLACEMENT_COUNTERS, placement_counts, SliceMachine
-from .switches import SuperPinConfig
+from .switches import refuse_serial, SuperPinConfig
 from .sysrecord import PlaybackHandler
 
 #: Anchor-checkpoint distance: a long advance leaves a micro-checkpoint
@@ -139,6 +139,7 @@ class TimeTravelEngine:
                  config: SuperPinConfig | None = None):
         self.recording = recording
         self.config = config if config is not None else SuperPinConfig()
+        refuse_serial(self.config, "the time-travel debugger")
         self.breakpoints: set[int] = set()
         self.watchpoints: set[int] = set()
         self.position = 0

@@ -77,6 +77,14 @@ class TestRun:
         out = capsys.readouterr().out
         assert code == 0
         assert "classic Pin" in out
+        # The run report, less what only slices make.
+        assert re.search(r"^master: \d+% of [\d,]+ instructions in "
+                         r"generated code", out, re.MULTILINE)
+        assert re.search(r"^virtual time: native [\d.]+s, classic Pin "
+                         r"[\d.]+s \(slowdown [\d.]+x\)$", out, re.MULTILINE)
+        for line in ("slices:", "detection:", "breakdown:", "measured:",
+                     "pipeline:", "jit:"):
+            assert f"\n{line}" not in out, line
 
     def test_serial_pin_instruments_what_superpin_does(self, capsys):
         """``-sp 0`` honours ``-spfilter`` and ``-spsuppress`` as
@@ -94,12 +102,14 @@ class TestRun:
 
     @pytest.mark.parametrize("switch, value", [
         ("-sprecord", "run.sprec"), ("-spsample", "2"), ("-spaudit", "1"),
-        ("-sptrace", "trace.json"), ("-spmetrics", "1"),
-        ("-spjournal", "run.journal"), ("-spworkers", "2")])
+        ("-spjournal", "run.journal"), ("-spworkers", "2"),
+        ("-spinject", "crash@0"), ("-spfaults", "degrade"),
+        ("-spmsec", "5")])
     def test_serial_pin_refuses_what_it_cannot_honour(self, switch, value,
                                                       tmp_path, capsys,
                                                       monkeypatch):
         monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("SUPERPIN_SPWORKERS", raising=False)
         code = main(["run", "-t", "icount2", "-w", "gzip", "--scale",
                      "0.05", "--", "-sp", "0", switch, value])
         captured = capsys.readouterr()
@@ -108,6 +118,36 @@ class TestRun:
         assert switch in captured.err
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+    def test_serial_pin_names_every_switch_it_refuses(self, tmp_path,
+                                                     capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = main(["run", "-t", "icount2", "-w", "gzip", "--scale",
+                     "0.05", "--", "-sp", "0", "-spinject", "crash@0",
+                     "-spfaults", "degrade", "-spmsec", "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("error: serial Pin (-sp 0) cannot honour "
+                                "-spmsec, -spfaults, -spinject\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("sink", ["trace.json", "trace.jsonl"])
+    def test_serial_pin_traces_and_counts(self, sink, tmp_path, capsys):
+        """``-sptrace`` and ``-spmetrics`` observe a serial run: one
+        ``pin_phase`` span and the engine's ``pin.*`` counters."""
+        path = tmp_path / sink
+        assert main(["run", "-t", "icount2", "-w", "gzip", "--scale",
+                     "0.05", "--", "-sp", "0", "-sptrace", str(path),
+                     "-spmetrics", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "trace: wrote" in out and str(path) in out
+        assert re.search(r"^  pin_phase +1 ", out, re.MULTILINE)
+        for counter in ("pin.cache.compiles", "pin.jit.compiles",
+                        "pin.jit.loop_trips", "pin.cache.lookups"):
+            assert re.search(rf"^  {re.escape(counter)} +[1-9]", out,
+                             re.MULTILINE), counter
+        assert "pin_phase" in path.read_text()
 
     def test_serial_pin_ignores_the_worker_default(self, capsys,
                                                    monkeypatch):
@@ -165,6 +205,38 @@ class TestReplay:
         assert main(run + ["-spreplay", path]) == 2
         assert "error: unknown SuperPin switch '-spreplay'" \
             in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["replay", "debug"])
+    def test_an_unreadable_recording_is_an_error(self, command, tmp_path,
+                                                 capsys):
+        garbage = tmp_path / "garbage.sprec"
+        garbage.write_bytes(b"not a recording")
+        for path in (garbage, tmp_path / "missing.sprec"):
+            argv = (["replay", "-r", str(path)] if command == "replay"
+                    else ["debug", str(path)])
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ")
+            assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["replay", "debug"])
+    def test_a_replay_has_no_serial_form(self, command, tmp_path, capsys,
+                                         monkeypatch):
+        """``-sp 0`` on a recording is an error, not a SuperPin replay
+        that ignores it."""
+        path = str(tmp_path / "run.sprec")
+        assert main(["run", "-t", "icount2", "-w", "gzip", "--scale",
+                     "0.05", "--", "-sprecord", path]) == 0
+        capsys.readouterr()
+        monkeypatch.chdir(tmp_path)
+        argv = (["replay", "-r", path, "-t", "icount2"]
+                if command == "replay" else ["debug", path])
+        assert main(argv + ["--", "-sp", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "no serial form (-sp 0)" in captured.err
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == ["run.sprec"]
 
 
 class TestDebug:

@@ -67,3 +67,18 @@ def test_every_emitted_metric_is_documented(tool, workers):
     missing = sorted(name for name in emitted(tool, workers)
                      if not any(p.fullmatch(name) for p in patterns))
     assert missing == []
+
+
+@pytest.mark.parametrize("tool", ["icount2", "memtrace"])
+def test_every_serial_pin_metric_is_documented(tool):
+    """Serial Pin (``-sp 0``) counts what its one engine did."""
+    report = run_superpin(build("gzip", scale=0.1).program, TOOLS[tool](),
+                          SuperPinConfig(sp=False, spmetrics=True),
+                          kernel=Kernel(seed=3))
+    metrics = report.metrics
+    names = set(metrics.counters) | set(metrics.gauges) | set(
+        metrics.histograms)
+    assert "pin.jit.loop_trips" in names
+    patterns = documented_patterns()
+    assert sorted(name for name in names
+                  if not any(p.fullmatch(name) for p in patterns)) == []

@@ -267,6 +267,40 @@ class TestResidents:
         assert [served for _, served in lines] == ["0", "0", compiles]
 
 
+class TestSerialJobs:
+    def test_a_serial_job_is_serial_pin(self, daemon, monkeypatch):
+        """``-sp 0`` goes through the daemon's front door like any job:
+        it reports what serial Pin reports, with the engine's counters
+        (the daemon forces ``-spmetrics 1``, which serial Pin honours);
+        a switch serial Pin cannot honour is a bad spec."""
+        from repro.isa import assemble
+        from repro.machine import Kernel
+        from repro.pin import run_with_pin
+        from repro.tools import ICount2
+        # The worker default moves with the environment; the daemon's
+        # own must not make -spworkers 2 its default.
+        monkeypatch.delenv("SUPERPIN_SPWORKERS", raising=False)
+        server = daemon(workers=1)
+        client = server.client()
+        spec = {"asm": MULTISLICE, "tool": "icount2", "seed": 42,
+                "switches": ["-sp", "0"]}
+        final = client.submit(spec)["final"]
+        assert final["event"] == "done", final
+        tool = ICount2()
+        result, _, _ = run_with_pin(assemble(MULTISLICE), tool,
+                                    Kernel(seed=42))
+        assert final["result"]["tool_report"] \
+            == json.loads(json.dumps(tool.report()))
+        assert final["result"]["exit_code"] == result.exit_code
+        assert final["result"]["num_slices"] == 0
+        assert final["result"]["counters"]["pin.cache.compiles"] > 0
+        with pytest.raises(ServeError) as excinfo:
+            client.submit({**spec, "switches": ["-sp", "0", "-spworkers",
+                                                "2"]}, stream=False)
+        assert excinfo.value.code == "bad_spec"
+        assert "-spworkers" in str(excinfo.value)
+
+
 class TestAdmissionAndCancel:
     def test_queue_full_rejected(self, daemon):
         # workers=0: accept-only mode, so the queue fills determinately.

@@ -125,10 +125,31 @@ class TestConfigEnforcement:
         with pytest.raises(ConfigError, match="SP_Init"):
             run_superpin(hello_program, NoInitTool(), SuperPinConfig())
 
-    def test_sp_disabled_rejected(self, hello_program):
-        with pytest.raises(ConfigError, match="sp disabled"):
-            run_superpin(hello_program, ICount2(),
-                         SuperPinConfig(sp=False))
+    def test_sp_disabled_runs_serial_pin(self, multislice_program):
+        """``sp=0`` is serial Pin behind the same front door: a report
+        with no slices, the engine as its master and the classic-Pin
+        virtual account."""
+        tool = ICount2()
+        report = run_superpin(multislice_program, tool,
+                              SuperPinConfig(sp=False),
+                              kernel=Kernel(seed=42))
+        baseline = ICount2()
+        result, vm, kernel = run_with_pin(multislice_program, baseline,
+                                          Kernel(seed=42))
+        assert tool.report() == baseline.report()
+        assert (report.exit_code, report.stdout) \
+            == (result.exit_code, kernel.stdout_text())
+        assert report.slices == [] and report.signatures == []
+        assert report.timeline.total_instructions == result.instructions
+        assert report.timeline.master.compiled_traces \
+            == vm.cache.stats.compiles
+        assert report.timing.native_cycles < report.timing.total_cycles
+        assert report.timing.master_finish_cycles \
+            == report.timing.total_cycles
+        assert [r.name for r in report.trace.records] == ["pin_phase"]
+        assert report.instrumentation_summary()["analysis_calls"] \
+            == result.analysis_calls
+        assert report.wallclock_summary()["slice_phase_seconds"] == 0.0
 
 
 class TestSysrecsZero:

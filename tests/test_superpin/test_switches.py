@@ -231,3 +231,63 @@ class TestSwitchTables:
         row = r"^\| `(-sp\w*)" if where == "README.md" else r"^``(-sp\w*)"
         rows = re.findall(row, text, re.MULTILINE)
         assert sorted(rows) == sorted(switches._FLAG_PARSERS)
+
+
+#: Every field but ``sp`` away from its default (a value its own
+#: validation accepts).  A field missing here fails the table below.
+AWAY_FROM_DEFAULT = {
+    "spmsec": 5, "spmp": 2, "spsysrecs": 0, "spworkers": 2,
+    "spfaults": "degrade", "fault_plan": FaultPlan.parse("crash@0"),
+    "clock_hz": 20_000, "expected_duration_msec": 3000,
+    "sptrace": "t.json", "spmetrics": True, "spaudit": True,
+    "spfilter": "opcode:mem", "spsuppress": True, "spsample": 2,
+    "sprecord": "r.sprec", "spjournal": "r.journal", "spresume": True,
+    "sptracestore": "store",
+}
+
+
+class TestSerialPin:
+    """What serial Pin (``-sp 0``) honours is one rule, at construction:
+    ``switches.SERIAL_FIELDS``; any other field away from its default
+    is a :class:`ConfigError` naming its switch."""
+
+    @pytest.mark.parametrize("name", [
+        f.name for f in dataclasses.fields(SuperPinConfig)
+        if f.name != "sp"])
+    def test_every_field(self, name, monkeypatch):
+        from repro.superpin.switches import _SWITCHES, SERIAL_FIELDS
+        monkeypatch.delenv("SUPERPIN_SPWORKERS", raising=False)
+        kwargs = {name: AWAY_FROM_DEFAULT[name]}
+        if name == "spresume":
+            kwargs["spjournal"] = "r.journal"
+        SuperPinConfig(**kwargs)  # valid under SuperPin
+        if name in SERIAL_FIELDS:
+            assert getattr(SuperPinConfig(sp=False, **kwargs), name) \
+                == AWAY_FROM_DEFAULT[name]
+        else:
+            with pytest.raises(ConfigError, match="serial Pin") as error:
+                SuperPinConfig(sp=False, **kwargs)
+            assert _SWITCHES.get(name, name) in str(error.value)
+
+    def test_the_worker_default_is_no_error(self, monkeypatch):
+        monkeypatch.setenv("SUPERPIN_SPWORKERS", "2")
+        assert SuperPinConfig(sp=False).spworkers == 2
+        assert parse_switches(["-sp", "0"]).spworkers == 2
+
+    def test_the_message_names_each_switch(self):
+        with pytest.raises(ConfigError) as error:
+            parse_switches(["-sp", "0", "-spaudit", "1", "-spsample", "2"])
+        assert str(error.value) \
+            == "serial Pin (-sp 0) cannot honour -spaudit, -spsample"
+
+    def test_the_table_says_what_it_honours(self):
+        """The docstring table's ``-sp 0`` column is the rule."""
+        import re
+
+        from repro.superpin import switches
+        rows = dict(re.findall(r"^``(-sp\w*)[^`]*``\s+(yes|no)?",
+                               switches.__doc__, re.MULTILINE))
+        honoured = {flag for flag, mark in rows.items() if mark == "yes"}
+        assert honoured == {switches._SWITCHES[name]
+                            for name in switches.SERIAL_FIELDS}
+        assert {flag for flag, mark in rows.items() if not mark} == {"-sp"}
