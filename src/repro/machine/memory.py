@@ -18,10 +18,18 @@ bookkeeping a recording carries; nothing reads them.
 An engine that caches decoded code watches its words
 (:meth:`Memory.watch_code`): a write to one calls the engine back once
 it has landed.  Their pages share the write slow path with copy-on-write
-pages, so a write to any other page pays nothing for the watch.
+pages, so a write to any other page pays nothing for the watch.  An
+engine that keeps its code from one memory to the next
+(``repro.pin.engine.WarmCache``) notes the pages it decoded
+(:meth:`Memory.page_refs`), checks them against the next memory
+(:meth:`Memory.changed_words`) and hands that memory its watch
+(:meth:`Memory.take_watch`) — each O(pages).
 """
 
 from __future__ import annotations
+
+from itertools import compress
+from operator import ne
 
 PAGE_SHIFT = 10
 PAGE_WORDS = 1 << PAGE_SHIFT
@@ -128,12 +136,44 @@ class Memory:
             self._guarded.add(index)
 
     def unwatch_code(self, addr: int | None = None) -> None:
-        """Stop watching the word at ``addr``, or (None) every word."""
+        """Stop watching the word at ``addr``, or (None) every word —
+        by new sets, so a watch handed over by :meth:`take_watch` stays
+        its owner's."""
         if addr is not None:
             self._code_words.discard(addr)
         else:
-            self._code_words.clear()
-            self._code_pages.clear()
+            self._code_words = set()
+            self._code_pages = set()
+
+    def take_watch(self, words: set[int], pages: set[int]) -> None:
+        """Watch ``words``, which lie on ``pages``, instead of what this
+        memory watches: the sets are taken by reference, so what
+        :meth:`watch_code` and :meth:`unwatch_code` do from here on is
+        done to them."""
+        self._code_words = words
+        self._code_pages = pages
+        self._guarded |= pages
+
+    def page_refs(self, indices) -> dict[int, list[int]]:
+        """The page at each of ``indices`` — the list itself, or the
+        shared zero page where none is materialized — for
+        :meth:`changed_words` to compare a later memory with."""
+        pages = self._pages
+        return {index: pages.get(index, _ZERO_PAGE) for index in indices}
+
+    def changed_words(self, refs: dict[int, list[int]]) -> list[int]:
+        """The addresses at which this memory's words differ from those
+        of the pages in ``refs`` (:meth:`page_refs`).  A page that is
+        the same list, or an equal one, costs one comparison."""
+        changed = []
+        pages = self._pages
+        for index, ref in refs.items():
+            page = pages.get(index, _ZERO_PAGE)
+            if page is not ref and page != ref:
+                base = index << PAGE_SHIFT
+                changed += compress(range(base, base + PAGE_WORDS),
+                                    map(ne, page, ref))
+        return changed
 
     # -- bulk access ---------------------------------------------------------
 
@@ -143,9 +183,24 @@ class Memory:
 
     def write_block(self, addr: int, values: list[int] | tuple[int, ...]
                     ) -> None:
-        """Write consecutive ``values`` starting at ``addr``."""
-        for i, value in enumerate(values):
-            self.write(addr + i, value)
+        """Write consecutive ``values`` starting at ``addr``: one list
+        slice per page :meth:`write` would write in place, and word by
+        word — copy-on-write, the code watch — on a guarded one."""
+        done, count = 0, len(values)
+        pages, guarded = self._pages, self._guarded
+        while done < count:
+            at = addr + done
+            index, offset = at >> PAGE_SHIFT, at & _OFFSET_MASK
+            span = min(count - done, PAGE_WORDS - offset)
+            if index in guarded:
+                for i in range(done, done + span):
+                    self.write(addr + i, values[i])
+            else:
+                page = pages.get(index)
+                if page is None:
+                    page = pages[index] = _ZERO_PAGE[:]
+                page[offset:offset + span] = values[done:done + span]
+            done += span
 
     # -- fork ----------------------------------------------------------------
 

@@ -14,6 +14,10 @@ evicts every such trace.  If the executing trace would still run the old decode 
 instruction, or a loop form's next trip), it also stops right after the
 store, which counts as retired, exactly where the interpreter's store
 takes effect; any other trace finishes as compiled.
+
+An engine switched from state to state starts each on a cold code
+cache, unless the switch hands it a :class:`WarmCache`: code kept from
+the states before, checked page by page against the new one.
 """
 
 from __future__ import annotations
@@ -85,6 +89,53 @@ def _stop_after(word: int) -> tuple[int, int] | None:
             f"a store in the trace at {trace.start:#x} rewrote code the "
             f"trace would still run, ahead of its own after-calls")
     return trace.start + index + 1, base + 1
+
+
+class WarmCache:
+    """A code cache an engine keeps from one state to the next
+    (``PinVM.switch(..., warm=)``): the :class:`CodeCache`, the
+    engine's single-instruction step traces, and the watch over the
+    guest words they decoded — the words, and the pages they lie on.
+
+    When the engine leaves it, the cache notes the page lists it ran on
+    (:meth:`~repro.machine.memory.Memory.page_refs`); the cached code
+    is true to them, because a write to a watched word evicts what
+    decoded it.  A switch onto another state keeps the code if no
+    watched word differs on those pages there — a page that is the same
+    list, or an equal one, is one comparison; data beside the code may
+    differ — and flushes it all otherwise; then it hands the state's
+    memory the watch, so a store into kept code still evicts it.  Both
+    cost O(pages), not O(traces).  Who runs the states owns the cache;
+    one that needs a cold cache per state (a slice, for its virtual
+    account) passes none.
+    """
+
+    def __init__(self):
+        self.cache = CodeCache()
+        self.steps: dict[int, CompiledTrace] = {}
+        self.words: set[int] = set()
+        self.pages: set[int] = set()
+        self.refs: dict[int, list[int]] = {}
+        #: Switches onto a state that kept cached code, and that found
+        #: the state's code different and flushed it.
+        self.reuses = 0
+        self.flushes = 0
+
+    def enter(self, mem) -> None:
+        """Check the cached code against ``mem``, the memory it is about
+        to run on; flush it if any word it decoded differs."""
+        if not self.pages:
+            return
+        words = self.words
+        if not any(word in words for word in mem.changed_words(self.refs)):
+            self.reuses += 1
+            return
+        self.flushes += 1
+        self.cache.flush()
+        self.steps.clear()
+        self.words.clear()
+        self.pages.clear()
+        self.refs = {}
 
 
 @dataclass
@@ -195,6 +246,9 @@ class PinVM:
         #: (module docstring); True while a trace may be executing,
         #: False inside a syscall and outside :meth:`run`.
         self.mem.unwatch_code()
+        #: The :class:`WarmCache` the engine runs on, if a switch handed
+        #: it one.
+        self._warm: WarmCache | None = None
         self.mem.on_code_write = self._code_written
         self._executing = False
         #: Unwind markers maintained by generated code (source backend);
@@ -222,7 +276,7 @@ class PinVM:
         self.total_syscalls = 0
 
     def switch(self, cpu_snapshot, mem, handler, thread_manager=None,
-               **settings) -> None:
+               warm: WarmCache | None = None, **settings) -> None:
         """Context-switch onto another state: the one way an engine that
         stays resident (a slice machine, a run's master, the signature
         lookahead) is entered.
@@ -232,16 +286,28 @@ class PinVM:
         ``thread_manager`` are taken over; the exit flags are cleared;
         then :meth:`reset` with ``settings`` — after the adopt, so the
         adopted memory's watched code words are cleared too.  The JIT's
-        pool and heat are kept.
+        pool and heat are kept.  With ``warm`` the engine runs on that
+        cache instead of a cold one, checked against the adopted memory
+        and watched on it (:class:`WarmCache`).
         """
         process = self.process
+        left = self._warm
+        if left is not None:
+            left.refs = process.mem.page_refs(left.pages)
         process.cpu.restore(cpu_snapshot)
         process.mem.adopt(mem)
         process.syscall_handler = handler
         process.thread_manager = thread_manager
         process.exited = False
         process.exit_code = 0
-        self.reset(**settings)
+        if warm is None:
+            self.reset(**settings)
+            return
+        warm.enter(process.mem)
+        self.reset(code_cache=warm.cache, **settings)
+        self._warm = warm
+        self._step_cache = warm.steps
+        process.mem.take_watch(warm.words, warm.pages)
 
     # -- instrumentation registration ---------------------------------------
 

@@ -47,7 +47,7 @@ from ..machine.memory import Memory
 from ..machine.process import Process
 from ..obs.metrics import NULL_METRICS
 from ..pin.codecache import CodeCache
-from ..pin.engine import PinVM, RunState
+from ..pin.engine import PinVM, RunState, WarmCache
 from ..pin.pintool import declares_pure_instrumentation
 from .api import END_SLICE_TOKEN, SliceToolContext, SPControl
 from .control import Boundary, Interval
@@ -282,7 +282,8 @@ class SliceMachine:
 
     def switch(self, boundary: Boundary, interval: Interval,
                config: SuperPinConfig, metrics=NULL_METRICS,
-               state: tuple | None = None) -> PinVM:
+               state: tuple | None = None,
+               warm: WarmCache | None = None) -> PinVM:
         """Context-switch onto a state and return the engine, reset and
         ready to be instrumented.
 
@@ -296,17 +297,24 @@ class SliceMachine:
         running on the fork itself — and is spent afterwards, like any
         executed boundary.  The engine starts what every slice-shaped
         run starts from: a cold code cache in the bubble — serial Pin's
-        engine, but for the signature check the caller adds."""
+        engine, but for the signature check the caller adds — unless
+        the caller hands it ``warm``, the cache it keeps from state to
+        state (a time-travel session's landings, which have no virtual
+        account to charge compiles to)."""
         cpu_snapshot, mem, handler = state or (
             boundary.cpu_snapshot, boundary.mem_fork,
             boundary_handler(boundary, interval))
         vm = self.vm
         if vm is None:
             vm = self.vm = PinVM(self.process)
-        vm.switch(cpu_snapshot, mem, handler,
-                  code_cache=CodeCache(abi.BUBBLE_BASE, abi.BUBBLE_WORDS,
-                                       metrics=metrics),
-                  metrics=metrics, suppress_loops=config.spsuppress)
+        if warm is None:
+            vm.switch(cpu_snapshot, mem, handler,
+                      code_cache=CodeCache(abi.BUBBLE_BASE, abi.BUBBLE_WORDS,
+                                           metrics=metrics),
+                      metrics=metrics, suppress_loops=config.spsuppress)
+        else:
+            vm.switch(cpu_snapshot, mem, handler, warm=warm,
+                      metrics=metrics, suppress_loops=config.spsuppress)
         vm.jit.retain_for = None
         return vm
 

@@ -5,6 +5,8 @@ the test matrix, so each entry ends with why it is the user's choice.
 The ``-sp 0`` column says which ones serial Pin honours
 (:data:`SERIAL_FIELDS`); any other set away from its default is a
 :class:`ConfigError` — ``-spaudit`` too: its serial half *is* the run.
+The time-travel debugger honours :data:`DEBUG_FIELDS` by the same rule
+(:func:`refuse_unhonoured`).
 
 ====================== ===== ==================================================
 Switch                 -sp 0 Meaning — why it survives
@@ -214,14 +216,7 @@ class SuperPinConfig:
             raise ConfigError("-spresume requires -spjournal (there is no "
                               "journal to resume from)")
         if not self.sp:
-            default = SuperPinConfig()
-            ignored = [_SWITCHES.get(name, name)
-                       for name, value in vars(self).items()
-                       if name not in ("sp", *SERIAL_FIELDS)
-                       and value != getattr(default, name)]
-            if ignored:
-                raise ConfigError(f"serial Pin (-sp 0) cannot honour "
-                                  f"{', '.join(ignored)}")
+            refuse_unhonoured(self, SERIAL_FIELDS, "serial Pin (-sp 0)")
 
     @property
     def timeslice_cycles(self) -> int:
@@ -249,6 +244,12 @@ RESULT_FIELDS = (
 #: What serial Pin (``-sp 0``) honours: it has no slices, artifact or audit.
 SERIAL_FIELDS = ("spfilter", "spsuppress", "clock_hz", "sptrace",
                  "spmetrics")
+
+#: What the time-travel debugger (``superpin debug``) honours: a damaged
+#: artifact opened around its holes, the session's counters, and the
+#: suppression its machine is switched under.  It records, traces,
+#: audits, filters and schedules nothing.
+DEBUG_FIELDS = ("spfaults", "spmetrics", "spsuppress")
 
 
 def _parse_inject(value: str):
@@ -278,6 +279,20 @@ _FLAG_PARSERS = {
 }
 #: Field name -> the switch that sets it.
 _SWITCHES = {name: flag for flag, (name, _) in _FLAG_PARSERS.items()}
+
+
+def refuse_unhonoured(config: SuperPinConfig, fields: tuple[str, ...],
+                      what: str) -> None:
+    """Raise :class:`ConfigError` naming every switch ``config`` sets
+    away from its default (so a ``SUPERPIN_SPWORKERS`` default is none)
+    that ``what`` does not honour: any field but ``sp`` and ``fields``."""
+    default = SuperPinConfig()
+    ignored = [_SWITCHES.get(name, name)
+               for name, value in vars(config).items()
+               if name not in ("sp", *fields)
+               and value != getattr(default, name)]
+    if ignored:
+        raise ConfigError(f"{what} cannot honour {', '.join(ignored)}")
 
 
 def refuse_serial(config: SuperPinConfig, what: str) -> None:

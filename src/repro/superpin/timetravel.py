@@ -24,9 +24,13 @@ How ``goto N`` works:
    switch every other executor of slices makes — and drive it forward
    with an exact instruction budget (``PinVM.run(...,
    exact_budget=True)``), which lands on the same architectural boundary
-   under both JIT backends.  The code cache is cold per state, as a
-   slice's is; what the machine's JIT learnt on the way to
-   earlier landings (decoded traces, verified lowerings, heat) is not;
+   under both JIT backends.  Every landing runs on one session code
+   cache (:class:`~repro.pin.engine.WarmCache`: compiled traces, step
+   traces and their code watch), checked page by page against the
+   state it lands on and flushed where the state's code differs — a
+   landing has no virtual account that would want it cold, as a
+   slice's does; and what the machine's JIT learnt (decoded traces,
+   verified lowerings, heat) serves what the cache does not hold;
 4. cache the landing state as an ephemeral micro-checkpoint.  Long
    advances also drop an anchor checkpoint :data:`CKPT_STRIDE`
    instructions short of the target, so a run of ``step-back`` commands
@@ -36,8 +40,9 @@ Breakpoint/watchpoint scans re-execute one slice at a time from its
 boundary under counting instrumentation (a per-BBL retired-instruction
 base plus the static in-BBL offset gives every hit an exact global
 icount), collect all hits, then ``goto`` the chosen one.  A scan *takes*
-the machine — nothing is live afterwards, and the next read of the
-current position re-materializes it from its own micro-checkpoint.
+the machine — on a cold cache of its own, since it attaches
+instrumentation — so nothing is live afterwards, and the next read of
+the current position re-materializes it from its own micro-checkpoint.
 
 The machine has one state at a time and :attr:`TimeTravelEngine._state`
 is that state or None: whatever moves the machine takes the state first
@@ -53,11 +58,12 @@ from ..errors import DivergenceError, TimeTravelError
 from ..obs.metrics import metrics_for
 from ..pin.args import (IARG_END, IARG_MEMORYWRITE_EA, IARG_PTR,
                         IPOINT_BEFORE)
-from ..pin.engine import PinVM
+from ..pin.engine import PinVM, WarmCache
 from ..pin.jit import JitStats
 from .recording import Recording
 from .slices import PLACEMENT_COUNTERS, placement_counts, SliceMachine
-from .switches import refuse_serial, SuperPinConfig
+from .switches import (DEBUG_FIELDS, refuse_serial, refuse_unhonoured,
+                       SuperPinConfig)
 from .sysrecord import PlaybackHandler
 
 #: Anchor-checkpoint distance: a long advance leaves a micro-checkpoint
@@ -75,7 +81,10 @@ CKPT_CACHE_SIZE = 16
 #: ``reexecuted_instructions`` is every guest instruction the machine
 #: retired for the session, landings and scans; ``scans`` are the
 #: ``continue`` / ``reverse-continue`` / ``lastwrite`` commands and
-#: ``scanned_slices`` the slices they re-executed.
+#: ``scanned_slices`` the slices they re-executed.  (:meth:`stats` adds
+#: what the session code cache counts: ``warm_landings``, the switches
+#: that reused it, and ``cache_flushes``, those onto a state whose code
+#: differed.)
 COUNTERS = ("gotos", "in_place", "from_checkpoint", "from_boundary",
             "reexecuted_instructions", "scans", "scanned_slices")
 
@@ -140,6 +149,8 @@ class TimeTravelEngine:
         self.recording = recording
         self.config = config if config is not None else SuperPinConfig()
         refuse_serial(self.config, "the time-travel debugger")
+        refuse_unhonoured(self.config, DEBUG_FIELDS,
+                          "the time-travel debugger")
         self.breakpoints: set[int] = set()
         self.watchpoints: set[int] = set()
         self.position = 0
@@ -153,8 +164,10 @@ class TimeTravelEngine:
         self.jit_stats = JitStats()
         self.metrics = metrics_for(self.config.spmetrics)
         #: The one machine every state of this session is switched onto
-        #: — its engine is built by the first.
+        #: — its engine is built by the first — and the code cache every
+        #: landing runs on.
         self._machine = SliceMachine()
+        self._warm = WarmCache()
         #: The state the machine is on, or None: nothing is live (before
         #: the first landing, after a scan, after a command that raised).
         self._state: _LiveState | None = None
@@ -289,6 +302,8 @@ class TimeTravelEngine:
         stands."""
         out = {f"superpin.timetravel.{name}": value
                for name, value in self.counters.items()}
+        out["superpin.timetravel.warm_landings"] = self._warm.reuses
+        out["superpin.timetravel.cache_flushes"] = self._warm.flushes
         out.update(zip(PLACEMENT_COUNTERS,
                        placement_counts(self.jit_stats)))
         return out
@@ -321,7 +336,7 @@ class TimeTravelEngine:
             state = self._fork_ckpt(base)
         else:
             self.counters["from_boundary"] += 1
-            state = self._fork_boundary(k)
+            state = self._fork_boundary(k, self._warm)
         delta = local - state.local
         if delta > CKPT_STRIDE:
             # Drop an anchor just short of the target so a subsequent
@@ -336,12 +351,15 @@ class TimeTravelEngine:
     # Two ways of naming a state to ``SliceMachine.switch``.  Either way
     # the playback handler and the record list it reads are fresh, the
     # engine is reset, and ``self`` is whom the JIT keeps instrumented
-    # code for: a landing attaches nothing, which is template None; a
-    # scan names what it attaches (``_scan_slice``).
+    # code for: a landing attaches nothing, which is template None, and
+    # runs on the session code cache; a scan names what it attaches
+    # (``_scan_slice``) and runs on a cold one (``warm`` None).
 
-    def _fork_boundary(self, k: int) -> _LiveState:
+    def _fork_boundary(self, k: int,
+                       warm: WarmCache | None = None) -> _LiveState:
         boundary, interval = self.recording.slice_spec(k)
-        vm = self._machine.switch(boundary, interval, self.config)
+        vm = self._machine.switch(boundary, interval, self.config,
+                                  warm=warm)
         return self._switched(vm, k, 0, interval.records)
 
     def _fork_ckpt(self, ckpt: _Ckpt) -> _LiveState:
@@ -354,7 +372,7 @@ class TimeTravelEngine:
         # The memory is re-forked: the cached copy stays pristine.
         vm = self._machine.switch(
             None, None, self.config,
-            state=(ckpt.cpu, ckpt.mem.fork(), handler))
+            state=(ckpt.cpu, ckpt.mem.fork(), handler), warm=self._warm)
         return self._switched(vm, ckpt.k, ckpt.local, records)
 
     def _switched(self, vm: PinVM, k: int, local: int,

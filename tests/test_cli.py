@@ -239,7 +239,69 @@ class TestReplay:
         assert os.listdir(tmp_path) == ["run.sprec"]
 
 
+@pytest.fixture(scope="module")
+def small_recording(tmp_path_factory):
+    """A gzip recording at smoke scale, shared by the debugger's tests."""
+    path = str(tmp_path_factory.mktemp("debug") / "small.sprec")
+    assert main(["run", "-t", "icount2", "-w", "gzip", "--scale", "0.05",
+                 "--", "-sprecord", path]) == 0
+    return path
+
+
 class TestDebug:
+    SCRIPT = "goto 1000\nregs\nstep-back 3\nquit\n"
+
+    def debug(self, recording, tmp_path, *switches) -> int:
+        script = tmp_path / "session.ttd"
+        script.write_text(self.SCRIPT)
+        argv = ["debug", recording, "--script", str(script)]
+        return main(argv + ["--", *switches] if switches else argv)
+
+    @pytest.mark.parametrize("switch, value", [
+        ("-spfilter", "opcode:mem"), ("-sprecord", "x.sprec"),
+        ("-sptrace", "t.json"), ("-spaudit", "1"), ("-spworkers", "2"),
+        ("-spmsec", "5"), ("-spinject", "crash@0"),
+        ("-spjournal", "run.journal")])
+    def test_refuses_what_it_cannot_honour(self, switch, value,
+                                           small_recording, tmp_path,
+                                           capsys, monkeypatch):
+        """A switch the debugger does not read is ``error:`` and exit 2,
+        as on ``replay`` — not a session that silently ignores it."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("SUPERPIN_SPWORKERS", raising=False)
+        capsys.readouterr()
+        assert self.debug(small_recording, tmp_path, switch, value) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert switch in captured.err
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == ["session.ttd"]
+
+    def test_names_every_switch_it_refuses(self, small_recording, tmp_path,
+                                           capsys):
+        capsys.readouterr()
+        assert self.debug(small_recording, tmp_path, "-spfilter",
+                          "opcode:mem", "-sprecord", "x.sprec", "-sptrace",
+                          "t.json", "-spaudit", "1") == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: the time-travel debugger cannot "
+                                "honour -sptrace, -spaudit, -spfilter, "
+                                "-sprecord\n")
+        assert captured.out == ""
+
+    def test_honours_its_own_switches(self, small_recording, tmp_path,
+                                      capsys, monkeypatch):
+        """``-spfaults``, ``-spmetrics`` and ``-spsuppress`` are read, and
+        a ``SUPERPIN_SPWORKERS`` default is no switch at all."""
+        capsys.readouterr()
+        assert self.debug(small_recording, tmp_path) == 0
+        plain = capsys.readouterr().out
+        monkeypatch.setenv("SUPERPIN_SPWORKERS", "2")
+        assert self.debug(small_recording, tmp_path, "-spfaults", "degrade",
+                          "-spmetrics", "1", "-spsuppress", "1") == 0
+        assert capsys.readouterr().out == plain
+        assert "stopped at icount=997" in plain
+
     @pytest.mark.parametrize("lowering", ["chosen", "generated"])
     def test_scripted_session_matches_the_golden(self, lowering, tmp_path,
                                                  capsys, monkeypatch):
@@ -256,6 +318,24 @@ class TestDebug:
                      str(GOLDEN / "debug_smoke.ttd")]) == 0
         assert capsys.readouterr().out \
             == (GOLDEN / "debug_smoke.txt").read_text()
+
+    def test_the_golden_again_on_warm_landings(self, tmp_path, capsys):
+        """The script twice in one session (CI ``debug-smoke``'s second
+        pass): the second half lands on the code the first left in the
+        session cache, and prints the golden all the same."""
+        path = str(tmp_path / "smoke.sprec")
+        assert main(["run", "-w", "gzip", "-t", "icount2", "--scale",
+                     "0.25", "--", "-sprecord", path]) == 0
+        capsys.readouterr()
+        script = (GOLDEN / "debug_smoke.ttd").read_text().splitlines()
+        twice = tmp_path / "twice.ttd"
+        twice.write_text("\n".join(
+            [line for line in script if line != "quit"]
+            + ["unwatch 0x1400"] + script) + "\n")
+        assert main(["debug", path, "--script", str(twice)]) == 0
+        golden = (GOLDEN / "debug_smoke.txt").read_text().splitlines()
+        assert capsys.readouterr().out.splitlines()[-len(golden):] \
+            == golden
 
 
 class TestFigure:

@@ -1,5 +1,6 @@
 """Memory: demand-zero semantics, COW fork."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.machine import Memory, PAGE_WORDS
@@ -137,3 +138,52 @@ def test_equal_range_matches_fork(addrs):
     assert mem.equal_range(child, lo, hi - lo + 1)
     child.write(lo, 999999)
     assert not mem.equal_range(child, lo, 1)
+
+
+def _block_setup(kind: str):
+    """``(memory to write, the fork parent or None, code writes seen)``:
+    pages 0 and 2 materialized, page 1 not; ``cow``: the memory is a
+    fork, every page frozen; ``watched``: words of page 2 are watched
+    code, as an engine watches what it decoded."""
+    mem = Memory()
+    mem.write_block(0, list(range(1, PAGE_WORDS + 1)))
+    mem.write(2 * PAGE_WORDS + 7, 77)
+    parent = None
+    if kind == "cow":
+        parent, mem = mem, mem.fork()
+    seen = []
+    if kind == "watched":
+        mem.watch_code(2 * PAGE_WORDS + 3, 6)
+        mem.on_code_write = seen.append
+    return mem, parent, seen
+
+
+def _image(mem: Memory):
+    return ({index: list(page) for index, page in mem._pages.items()},
+            mem.cow_faults, mem.pages_copied, set(mem._frozen),
+            set(mem._guarded), set(mem._code_words))
+
+
+@pytest.mark.parametrize("kind", ["fresh", "cow", "watched"])
+@pytest.mark.parametrize("addr, count", [
+    (5, 3), (PAGE_WORDS - 4, 10), (PAGE_WORDS // 2, 2 * PAGE_WORDS + 9),
+    (2 * PAGE_WORDS, 12), (3 * PAGE_WORDS - 1, 2)])
+def test_write_block_is_per_word_writes(kind, addr, count):
+    """The page-slice fast path of ``write_block`` leaves what writing
+    word by word leaves — pages, COW faults and copies, frozen, guarded
+    and watched sets, the fork parent, each code write called back."""
+    values = [(addr * 31 + i) % 1000 + 1000 for i in range(count)]
+    block, block_parent, block_seen = _block_setup(kind)
+    words, words_parent, words_seen = _block_setup(kind)
+    if block_parent is not None:
+        before = _image(block_parent)
+    block.write_block(addr, values)
+    for i, value in enumerate(values):
+        words.write(addr + i, value)
+    assert _image(block) == _image(words)
+    assert block_seen == words_seen
+    if kind == "watched" and addr <= 2 * PAGE_WORDS + 8 \
+            and addr + count > 2 * PAGE_WORDS + 3:
+        assert block_seen
+    if block_parent is not None:
+        assert _image(block_parent) == before == _image(words_parent)

@@ -14,7 +14,8 @@ import re
 import pytest
 
 from repro.machine import Kernel
-from repro.superpin import run_superpin, SuperPinConfig
+from repro.superpin import (load_recording, run_superpin, SuperPinConfig,
+                            TimeTravelEngine)
 from repro.tools import TOOLS
 from repro.workloads import build
 
@@ -79,6 +80,24 @@ def test_every_serial_pin_metric_is_documented(tool):
     names = set(metrics.counters) | set(metrics.gauges) | set(
         metrics.histograms)
     assert "pin.jit.loop_trips" in names
+    patterns = documented_patterns()
+    assert sorted(name for name in names
+                  if not any(p.fullmatch(name) for p in patterns)) == []
+
+
+def test_every_debugger_metric_is_documented(tmp_path):
+    """A time-travel session counts its landings, scans and code cache
+    (``TimeTravelEngine.stats()``, the ``stats`` debugger command)."""
+    path = tmp_path / "run.sprec"
+    run_superpin(build("gzip", scale=0.05).program, TOOLS["icount2"](),
+                 SuperPinConfig(sprecord=str(path)), kernel=Kernel(seed=3))
+    engine = TimeTravelEngine(load_recording(path))
+    total = engine.total_instructions
+    for icount in (total // 2, total // 3, total - 1):
+        engine.goto(icount)
+    engine.last_write_before(0x1400)
+    names = set(engine.stats())
+    assert "superpin.timetravel.warm_landings" in names
     patterns = documented_patterns()
     assert sorted(name for name in names
                   if not any(p.fullmatch(name) for p in patterns)) == []

@@ -291,3 +291,27 @@ class TestSerialPin:
         assert honoured == {switches._SWITCHES[name]
                             for name in switches.SERIAL_FIELDS}
         assert {flag for flag, mark in rows.items() if not mark} == {"-sp"}
+
+
+class TestTheDebugger:
+    """What the time-travel debugger honours is the same rule over
+    ``switches.DEBUG_FIELDS``, applied when its engine is built."""
+
+    @pytest.mark.parametrize("name", [
+        f.name for f in dataclasses.fields(SuperPinConfig)
+        if f.name != "sp"])
+    def test_every_field(self, name, monkeypatch):
+        from repro.superpin.switches import (_SWITCHES, DEBUG_FIELDS,
+                                             refuse_unhonoured)
+        monkeypatch.delenv("SUPERPIN_SPWORKERS", raising=False)
+        kwargs = {name: AWAY_FROM_DEFAULT[name]}
+        if name == "spresume":
+            kwargs["spjournal"] = "r.journal"
+        config = SuperPinConfig(**kwargs)
+        if name in DEBUG_FIELDS:
+            refuse_unhonoured(config, DEBUG_FIELDS, "the debugger")
+        else:
+            with pytest.raises(ConfigError,
+                               match="the debugger cannot honour") as error:
+                refuse_unhonoured(config, DEBUG_FIELDS, "the debugger")
+            assert _SWITCHES.get(name, name) in str(error.value)

@@ -463,8 +463,9 @@ class TestOneMachinePerEngine:
 
     def test_a_revisited_slice_is_paid_for_once(self, travelled,
                                                 monkeypatch):
-        """(b) Nothing on the way to a landing is decoded, instrumented
-        or ``compile()``d again, and one engine is one ``PinVM``."""
+        """(b) Nothing on the way to a landing is decoded, instrumented,
+        compiled or ``compile()``d again — a revisit runs on the code
+        the session cache kept — and one engine is one ``PinVM``."""
         from repro.pin.engine import PinVM
         recording, _ = travelled
         built = []
@@ -480,18 +481,18 @@ class TestOneMachinePerEngine:
         def revisit():
             """From slice 1's boundary (the landings in between have
             pushed every checkpoint of it out of the cache) to 300
-            instructions in; returns the compiles it made."""
+            instructions in; returns the compiles it made and what the
+            session counted."""
             for step in range(CKPT_CACHE_SIZE):
                 tt.goto(far + step)
             before = tt.stats()
+            compiled = tt._machine.vm.cache.stats.compiles
             tt.goto(start + 300)
             after = tt.stats()
             assert after["superpin.timetravel.from_boundary"] \
                 == before["superpin.timetravel.from_boundary"] + 1
-            compiles = tt._machine.vm.cache.stats.compiles
-            assert compiles > 0
-            return compiles, {name: after[name] - before[name]
-                              for name in after}
+            return (tt._machine.vm.cache.stats.compiles - compiled,
+                    {name: after[name] - before[name] for name in after})
 
         for _ in range(3):
             revisit()
@@ -502,8 +503,10 @@ class TestOneMachinePerEngine:
                 compiled.append(a), compile_(*a, **kw))[1])
             compiles, spent = revisit()
         assert not compiled
-        assert spent["pin.jit.skeleton_reuses"] == compiles
-        assert spent["pin.jit.instrumentation_reuses"] > 0
+        assert compiles == 0
+        assert spent["superpin.timetravel.warm_landings"] == 1
+        assert spent["superpin.timetravel.cache_flushes"] == 0
+        assert spent["pin.jit.skeleton_reuses"] == 0
         rng = random.Random(3)
         for _ in range(100):
             tt.goto(rng.randrange(recording.total_instructions + 1))
@@ -667,11 +670,13 @@ class TestOneMachinePerEngine:
                  if name.startswith("superpin.timetravel.")}
         assert set(spent) == {"gotos", "in_place", "from_checkpoint",
                               "from_boundary", "reexecuted_instructions",
-                              "scans", "scanned_slices"}
+                              "scans", "scanned_slices", "warm_landings",
+                              "cache_flushes"}
         assert spent["gotos"] == (spent["in_place"]
                                   + spent["from_checkpoint"]
                                   + spent["from_boundary"])
         assert spent["in_place"] >= 1 and spent["from_boundary"] >= 2
+        assert spent["warm_landings"] >= 2 and spent["cache_flushes"] == 0
         assert spent["scans"] == 1 and spent["scanned_slices"] >= 1
         assert spent["reexecuted_instructions"] > 20000 - 15000
         assert set(stats) - {f"superpin.timetravel.{name}"
