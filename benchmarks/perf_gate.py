@@ -54,12 +54,12 @@ SCALE = 0.25
 TOOL = "icount2"
 WORKERS = 2
 
-#: Selective-instrumentation settings for the gated run.  The mem
-#: opcode class is the one gzip filter that leaves both features with
-#: work to do: plenty of non-matching traces take the uninstrumented
-#: fast path *and* enough counting loops survive to be summarized.
+#: Selective-instrumentation setting for the gated run.  The mem
+#: opcode class is the one gzip filter that leaves both the filter and
+#: the loop summaries with work to do: plenty of non-matching traces
+#: take the uninstrumented fast path *and* enough counting loops
+#: survive to be summarized.
 FILTER = "opcode:mem"
-SUPPRESS = True
 
 #: Upper-bound factor for wall-clock figures, both-ways factor for
 #: counters.
@@ -122,7 +122,7 @@ HOST_COUNTERS = (*PLACEMENT_COUNTERS, LANDED_BEFORE_MASTER_END)
 
 def _run_once(trace_path=None):
     config = SuperPinConfig(spworkers=WORKERS, spmetrics=True,
-                            spfilter=FILTER, spsuppress=SUPPRESS)
+                            spfilter=FILTER)
     built = build(WORKLOAD, clock_hz=config.clock_hz, scale=SCALE)
     tool = TOOLS[TOOL]()
     report = run_superpin(built.program, tool, config, kernel=Kernel(seed=42))
@@ -143,7 +143,6 @@ def measure(trace_path=None):
         "tool": TOOL,
         "workers": WORKERS,
         "filter": FILTER,
-        "suppress": SUPPRESS,
         "wallclock": {key: wall[key] for key in WALLCLOCK_KEYS},
         "counters": dict(gated.metrics.counters),
         "master_overlap_seconds": wall["master_overlap_seconds"],

@@ -1,15 +1,20 @@
-"""Ablation: selective instrumentation + redundancy suppression.
+"""Ablation: selective instrumentation, with the loop summaries every run
+fires.
 
-The fig3/fig5 counting tools re-measured with the -spfilter /
--spsuppress switches, isolating what each recovers:
+The fig3/fig5 counting tools re-measured with the -spfilter switch,
+isolating what it recovers:
 
-* **suppress** — loops summarized in their loop forms, tool results
-  bit-identical to full;
+* **full** — every instruction instrumented; hot loops summarized in
+  their loop forms (no switch: the ``pin.suppress.*`` counters, read
+  under ``spmetrics``, say how many loops and how many calls they
+  saved; a summary counts as the calls it stands for, so
+  ``analysis_calls`` is what the tool asked for);
 * **filter** — instruction-subset instrumentation (here ``func0``),
-  non-matching traces compile as uninstrumented fast paths;
-* **filter+suppress** — the combination the acceptance bar measures:
-  analysis-call volume must drop at least 5x versus full
-  instrumentation while the differential audit stays silent.
+  non-matching traces compile as uninstrumented fast paths.  The
+  acceptance bar: analysis-call volume must drop at least 5x versus
+  full instrumentation while the differential audit stays silent;
+* **memfilter** — an opcode-class filter that leaves both the fast
+  path and summarized loops with work to do.
 """
 
 from repro.harness import format_table
@@ -26,7 +31,7 @@ OPCODE_SPEC = "opcode:mem"
 
 
 def _run(program, tool_cls, **kwargs):
-    config = SuperPinConfig(spmsec=2000, **kwargs)
+    config = SuperPinConfig(spmsec=2000, spmetrics=True, **kwargs)
     tool = tool_cls()
     report = run_superpin(program, tool, config, kernel=Kernel(seed=42))
     return tool, report
@@ -40,20 +45,19 @@ def test_filter_suppress_ablation(benchmark, bench_scale, save_figure):
         out = {}
         for name, tool_cls in (("icount1", ICount1), ("icount2", ICount2)):
             out[name, "full"] = _run(built.program, tool_cls)
-            out[name, "suppress"] = _run(built.program, tool_cls,
-                                         spsuppress=True)
+            # The audited headline configuration.
             out[name, "filter"] = _run(built.program, tool_cls,
-                                       spfilter=ROUTINE_SPEC)
-            # The audited headline configuration: both switches on.
-            out[name, "filter+suppress"] = _run(
-                built.program, tool_cls, spfilter=ROUTINE_SPEC,
-                spsuppress=True, spaudit=True)
-            out[name, "memfilter+suppress"] = _run(
-                built.program, tool_cls, spfilter=OPCODE_SPEC,
-                spsuppress=True)
+                                       spfilter=ROUTINE_SPEC, spaudit=True)
+            out[name, "memfilter"] = _run(built.program, tool_cls,
+                                          spfilter=OPCODE_SPEC)
         return out
 
     runs = benchmark.pedantic(run_all, rounds=1, iterations=1)
+
+    def summarized(report):
+        counter = report.metrics.counter
+        return (int(counter("pin.suppress.summarized_loops")),
+                int(counter("pin.suppress.suppressed_calls")))
 
     rows = []
     for (tool_name, config_name), (tool, report) in runs.items():
@@ -61,52 +65,48 @@ def test_filter_suppress_ablation(benchmark, bench_scale, save_figure):
         rows.append([
             tool_name, config_name, tool.total,
             instr["analysis_calls"], instr["fastpath_traces"],
-            instr["summarized_loops"], instr["suppressed_calls"],
+            *summarized(report),
         ])
     table = format_table(
         ["tool", "config", "icount", "analysis_calls", "fastpath",
          "summ_loops", "suppressed"], rows)
     save_figure("ablation_filter",
-                "Ablation: selective instrumentation + suppression "
-                "(gzip)\n\n" + table)
+                "Ablation: selective instrumentation, loop summaries "
+                "counted (gzip)\n\n" + table)
 
     for tool_name in ("icount1", "icount2"):
         full_tool, full_report = runs[tool_name, "full"]
-        sup_tool, sup_report = runs[tool_name, "suppress"]
         flt_tool, flt_report = runs[tool_name, "filter"]
-        both_tool, both_report = runs[tool_name, "filter+suppress"]
+        mem_tool, mem_report = runs[tool_name, "memfilter"]
 
         # Execution stays exact everywhere.
         for _, report in (runs[tool_name, c] for c in
-                          ("full", "suppress", "filter",
-                           "filter+suppress", "memfilter+suppress")):
+                          ("full", "filter", "memfilter")):
             assert report.all_exact
 
-        # Suppression is invisible to the tool.
-        assert sup_tool.total == full_tool.total
-        assert (sup_report.instrumentation_summary()["summarized_loops"]
-                > 0)
+        # Loops are summarized by default, and a summary counts the
+        # calls it stands for: every instruction is counted by a call.
+        assert summarized(full_report)[0] > 0
+        if tool_name == "icount1":
+            assert (full_report.instrumentation_summary()["analysis_calls"]
+                    >= full_tool.total)
 
-        # Filtering engages the fast path and the filtered subset is
-        # identical whether or not suppression is on.
+        # Filtering engages the fast path.
         assert (flt_report.instrumentation_summary()["fastpath_traces"]
                 > 0)
-        assert both_tool.total == flt_tool.total
 
-        # The acceptance bar: filter+suppress drops analysis calls at
-        # least 5x versus full instrumentation, audited divergence-free
-        # (the audit's serial baseline runs the same filter, so the
+        # The acceptance bar: the filter drops analysis calls at least
+        # 5x versus full instrumentation, audited divergence-free (the
+        # audit's serial baseline runs the same filter, so the
         # tool.results check is live and must pass).
         full_calls = full_report.instrumentation_summary()[
             "analysis_calls"]
-        both_calls = both_report.instrumentation_summary()[
-            "analysis_calls"]
-        assert both_calls * 5 <= full_calls
-        assert both_report.audit is not None
-        assert both_report.audit.ok, both_report.audit.summary()
+        flt_calls = flt_report.instrumentation_summary()["analysis_calls"]
+        assert flt_calls * 5 <= full_calls
+        assert flt_report.audit is not None
+        assert flt_report.audit.ok, flt_report.audit.summary()
 
-        # The opcode-class combination engages both features at once.
-        mem_instr = runs[tool_name, "memfilter+suppress"][1] \
-            .instrumentation_summary()
-        assert mem_instr["fastpath_traces"] > 0
-        assert mem_instr["summarized_loops"] > 0
+        # The opcode-class filter engages both features at once.
+        assert mem_report.instrumentation_summary()["fastpath_traces"] > 0
+        assert summarized(mem_report)[0] > 0
+        assert 0 < mem_tool.total < full_tool.total

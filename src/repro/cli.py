@@ -224,15 +224,18 @@ def _print_report(report, tool, config: SuperPinConfig,
         print(f"journal: {config.spjournal} ({state})")
     print(f"tool report: {tool.report()}")
     instr = report.instrumentation_summary()
-    if config.spfilter is not None or config.spsuppress:
+    if config.spfilter is not None or config.spmetrics:
         parts = [f"{instr['analysis_calls']} analysis calls"]
         if config.spfilter is not None:
             parts.append(f"filter '{config.spfilter}' skipped "
                          f"{instr['skipped_callbacks']} callbacks "
                          f"({instr['fastpath_traces']} fast-path traces)")
-        if config.spsuppress:
-            parts.append(f"{instr['summarized_loops']} summarized loops "
-                         f"suppressed {instr['suppressed_calls']} calls")
+        if config.spmetrics:
+            counter = report.metrics.counter
+            parts.append(
+                f"{int(counter('pin.suppress.summarized_loops'))} "
+                f"summarized loops saved "
+                f"{int(counter('pin.suppress.suppressed_calls'))} calls")
         print("instrumentation: " + ", ".join(parts))
     if config.spsample > 0:
         samp = report.sampling_summary()

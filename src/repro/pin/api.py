@@ -135,8 +135,9 @@ def INS_InsertSummarizedCall(ins: Ins, ipoint, fn, summary, *iargs) -> None:
     """``INS_InsertCall`` that also declares the call's summary form.
 
     ``summary(iterations, *args)`` must equal ``iterations`` invocations
-    of ``fn(*args)``; under ``-spsuppress`` a loop form may then fire
-    the summary once per exit instead of the call once per iteration.
+    of ``fn(*args)``: a loop form fires the summary once per exit
+    instead of the call once per iteration wherever it can, and counts
+    it as the ``iterations`` calls (docs/writing_tools.md).
     """
     ins.insert_summarized_call(ipoint, fn, summary, *iargs)
 

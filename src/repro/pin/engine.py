@@ -165,7 +165,6 @@ class PinVM:
                  jit_backend: str = "closure",
                  link_traces: bool = True,
                  metrics=NULL_METRICS,
-                 suppress_loops: bool = False,
                  tc2_threshold: int = 0):
         # ``tc2_threshold`` is accepted for bench/layers.py's engine
         # probe only: the second translation cache is gone.
@@ -193,12 +192,11 @@ class PinVM:
         if jit_backend == "source":
             self.jit.all_generated = True
         self.reset(code_cache=code_cache, link_traces=link_traces,
-                   metrics=metrics, suppress_loops=suppress_loops)
+                   metrics=metrics)
 
     def reset(self, code_cache: CodeCache | None = None,
               link_traces: bool = True,
-              metrics=NULL_METRICS,
-              suppress_loops: bool = False) -> None:
+              metrics=NULL_METRICS) -> None:
         """Make this engine what a newly built one would be.
 
         The constructor's second half, and the last step of
@@ -231,13 +229,8 @@ class PinVM:
         #: dispatcher only on cold exits.  Architecturally invisible —
         #: differential tests enforce identical results either way.
         self.link_traces = link_traces
-        #: Redundancy suppression (``-spsuppress``): a loop form whose
-        #: calls are all summarizable fires each summary once per exit
-        #: instead of the calls on every trip (repro.pin.pyjit).
-        self.suppress_loops = suppress_loops
-        #: Selective-instrumentation / suppression counters, folded into
-        #: the metrics registry at slice end (``pin.filter.*`` /
-        #: ``pin.suppress.*``).
+        #: Selective-instrumentation counters, folded into the metrics
+        #: registry at slice end (``pin.filter.*``).
         self.instr_stats = InstrumentationStats()
         #: What the JIT's in-process pool did for this run (see
         #: repro.pin.jit), folded at slice end like ``instr_stats``.

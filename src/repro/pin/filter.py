@@ -164,11 +164,11 @@ def parse_filter(spec: str, program=None) -> InstrumentFilter:
 
 @dataclass
 class InstrumentationStats:
-    """Per-engine selective-instrumentation and suppression counters.
+    """Per-engine selective-instrumentation counters.
 
-    Folded into the metrics registry at slice end (``pin.filter.*`` /
-    ``pin.suppress.*``), mirroring how CacheStats keeps the dispatch
-    loop free of metric calls.
+    Folded into the metrics registry at slice end (``pin.filter.*``),
+    mirroring how CacheStats keeps the dispatch loop free of metric
+    calls.
     """
 
     #: Callback invocations skipped because the trace missed the filter.
@@ -176,14 +176,6 @@ class InstrumentationStats:
     #: Traces compiled with zero analysis calls because every attached
     #: callback was filtered out — the uninstrumented fast path.
     fastpath_traces: int = 0
-    #: Compiles of a trace whose loop form summarizes.
-    summarized_loops: int = 0
-    #: Exits from such a loop form (one summary burst each).
-    loop_entries: int = 0
-    #: Summary invocations fired (counted in ``analysis_calls`` too).
-    summarized_calls: int = 0
-    #: Per-iteration analysis calls avoided by summarization.
-    suppressed_calls: int = 0
 
 
 def _trace_has_calls(trace_obj) -> bool:

@@ -125,12 +125,12 @@ compile it would see on a fresh engine.
 A generated trace's *loop form* (:mod:`repro.pin.pyjit`) is a second
 function over the same names, lowered lazily from the same still-attached
 calls: interned by its text like every generated function and kept
-beside ``fn``, under the same rules.  Under ``-spsuppress`` it is also
-where loops are summarized (:func:`summarizable`; never a trace that
-holds the signature check, which must see every trip), so a trace that
-loops to its own head and passes that rule is lowered to generated code
-at every compile, whatever its heat: what its analysis calls count must
-not depend on whether it has a loop form yet.
+beside ``fn``, under the same rules.  It is also where loops are
+summarized, wherever :func:`summarizable` allows (never in a trace that
+holds the signature check, which must see every trip).  A summary is
+counted as the calls it stands for, so what the analysis calls count
+does not depend on whether a loop has a loop form yet, and the lowering
+stays a matter of heat.
 
 **Heat** is what a JIT remembers about execution: per trace start pc,
 how often the trace has run and how often it has been compiled — served
@@ -596,6 +596,17 @@ class JitStats:
     #: code is not counted), and trace executions that ran inside one.
     loop_builds: int = 0
     loop_trips: int = 0
+    #: Of the loop forms lowered, those that summarize
+    #: (``pin.suppress.*``, like the three below: which loops earn a
+    #: loop form is a matter of heat).
+    summarized_loops: int = 0
+    #: Exits from a summarizing loop form (one summary burst each).
+    loop_entries: int = 0
+    #: Summary invocations fired.
+    summarized_calls: int = 0
+    #: Per-trip analysis calls a summary stood for, less the summary
+    #: invocations themselves: the calls the summaries saved.
+    suppressed_calls: int = 0
     #: Compiles served from kept instrumented code: no trace callback,
     #: no call wrapper (see "Instrument once per process").
     instrumentation_reuses: int = 0
@@ -702,8 +713,8 @@ def _constant(value) -> bool:
 
 
 def summarizable(instructions: list[Ins]) -> bool:
-    """True when a loop form of ``instructions`` summarizes under
-    ``-spsuppress``: something is attached, and every call is a
+    """True when a loop form of ``instructions`` summarizes its calls:
+    something is attached, and every call is a
     before-call that declares a summary and whose arguments fold to
     constants (:func:`~repro.pin.args.try_static_args`).  (The caller
     also rules out a trace holding a signature check: that must see
@@ -867,14 +878,7 @@ class Jit:
                            istats.fastpath_traces - fastpath)
 
         cell = self.heat.setdefault(address, [0, 0])
-        # A loop its loop form summarizes has one lowering (module
-        # docstring).
-        summarized = (engine.suppress_loops and cut is None
-                      and self._loops(skeleton)
-                      and summarizable(skeleton.instructions))
-        if summarized:
-            istats.summarized_loops += 1
-        if (self.all_generated or summarized
+        if (self.all_generated
                 or (cell[1] and cell[0]
                     >= cell[1] * HOT_EXECUTIONS_PER_COMPILE)):
             trace = self._lower_generated(skeleton, cut)
@@ -1180,13 +1184,13 @@ class Jit:
                 engine = self._engine
                 instructions = skeleton.instructions
                 check = self._cut(trace.start, len(instructions))
-                emitter = _LoopEmitter(
-                    engine, trace.start, engine.suppress_loops
-                    and check is None and summarizable(instructions),
-                    check)
+                summarize = check is None and summarizable(instructions)
+                emitter = _LoopEmitter(engine, trace.start, summarize,
+                                       check)
                 emitter.lower_all(instructions, None)
                 loop, _ = self._function(emitter, trace.start)
                 engine.jit_stats.loop_builds += 1
+                engine.jit_stats.summarized_loops += summarize
                 if kept is not None:
                     kept.loop = loop
             trace.loop = loop

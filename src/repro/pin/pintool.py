@@ -135,8 +135,7 @@ def declares_pure_instrumentation(tool) -> bool:
 
 def run_with_pin(program, tool: Pintool, kernel: Kernel | None = None,
                  max_instructions: int | None = None,
-                 jit_backend: str = "closure",
-                 suppress_loops: bool = False, metrics=NULL_METRICS
+                 jit_backend: str = "closure", metrics=NULL_METRICS
                  ) -> tuple[PinRunResult, PinVM, Kernel]:
     """Classic (serial) Pin execution: the paper's baseline mode.
 
@@ -152,8 +151,7 @@ def run_with_pin(program, tool: Pintool, kernel: Kernel | None = None,
     """
     kernel = kernel if kernel is not None else Kernel()
     process = load_program(program, kernel)
-    vm = PinVM(process, jit_backend=jit_backend,
-               suppress_loops=suppress_loops, metrics=metrics)
+    vm = PinVM(process, jit_backend=jit_backend, metrics=metrics)
     tool.setup(NullSuperPin())
     tool.activate(vm)
     result = vm.run(max_instructions=max_instructions)

@@ -70,19 +70,18 @@ differs inside:
   writes only the registers that may differ from the register file
   where it stands (:meth:`_LoopEmitter._trip`).
 
-**Summarized loops** (``-spsuppress``; "Redundancy Suppression In
-Time-Aware Dynamic Binary Instrumentation", PAPERS.md) are a property
-of the loop form.  Where every call attached to the trace is a
-before-call with a summary and constant arguments
-(:func:`repro.pin.jit.summarizable`), an instruction's calls become a
-bump of a local trip counter, and ``summary(count, *args)`` fires once
-per instruction reached, in program order, in a ``finally`` — so on
-every way the loop form leaves: the epilogue, a ``syscall``'s direct
-return, and the unwind of a stop, a fault or a store into the trace's
-own code.  ``fn`` still calls per trip, so such a trace is generated
-code at every compile (:meth:`repro.pin.jit.Jit.compile`): what its
-analysis calls count then depends on the allowances the engine hands
-its loop form, never on heat.
+**Summarized loops** ("Redundancy Suppression In Time-Aware Dynamic
+Binary Instrumentation", PAPERS.md) are a property of the loop form.
+Where every call attached to the trace is a before-call with a summary
+and constant arguments (:func:`repro.pin.jit.summarizable`) and the
+trace holds no signature check, an instruction's calls become a bump of
+a local trip counter, and ``summary(count, *args)`` fires once per
+instruction reached, in program order, in a ``finally`` — so on every
+way the loop form leaves: the epilogue, a ``syscall``'s direct return,
+and the unwind of a stop, a fault or a store into the trace's own code.
+``fn`` still calls per trip.  A summary counts as the ``count`` calls
+it stands for, so the analysis calls a run reports are the calls the
+tool asked for, whichever lowering ran them.
 
 The plain function stays because a loop form entered one execution at a
 time is slower than it; the capture rules of :mod:`repro.pin.jit` hold
@@ -416,20 +415,20 @@ class _LoopEmitter(_Emitter):
     def _summarize(self) -> tuple[str, list[str]]:
         """The trip counters' initialization, and the ``finally`` body
         that fires each instruction's summaries once and accounts them:
-        a summary is an analysis call, and the per-trip calls it stands
-        for are suppressed."""
+        a summary counts as the per-trip calls it stands for."""
         counters = [counter for counter, _ in self._summaries]
         trips = " + ".join(
             counter if len(ins.before_calls) == 1
             else f"{len(ins.before_calls)} * {counter}"
             for counter, ins in self._summaries)
-        # Through ``E``: ``PinVM.reset`` replaces ``instr_stats``, and
+        # Through ``E``: ``PinVM.reset`` replaces ``jit_stats``, and
         # this function may outlive the run that emitted it.
-        fire = ["_s = E.instr_stats", "_s.loop_entries += 1",
-                f"_s.suppressed_calls += {trips}"]
+        fire = ["_s = E.jit_stats", "_s.loop_entries += 1",
+                f"_s.suppressed_calls += {trips}",
+                f"ctr[0] += {trips}"]
         for counter, ins in self._summaries:
             calls = ins.before_calls
-            fire += [f"if {counter}:", f"    ctr[0] += {len(calls)}",
+            fire += [f"if {counter}:",
                      f"    _s.summarized_calls += {len(calls)}",
                      f"    _s.suppressed_calls -= {len(calls)}"]
             for j, call in enumerate(calls):

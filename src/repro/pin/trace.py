@@ -50,9 +50,9 @@ class _Call:
     ipoint: IPoint
     #: Optional loop-summary form: ``summary(iterations, *args)`` must
     #: equal ``iterations`` invocations of ``fn(*args)``.  Declared via
-    #: ``insert_summarized_call``; under ``-spsuppress`` a loop form
-    #: (repro.pin.pyjit) may then fire the summary once per exit instead
-    #: of the per-iteration call.  None means the call is never
+    #: ``insert_summarized_call``; a loop form (repro.pin.pyjit) then
+    #: fires the summary once per exit instead of the per-iteration
+    #: call wherever it can.  None means the call is never
     #: summarizable.
     summary: object | None = None
     #: The kind of each argument, in order.

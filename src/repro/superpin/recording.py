@@ -85,7 +85,7 @@ _META_CONFIG = (
 )
 _RETIRED_CONFIG = {
     "jit_backend": "closure", "splinktraces": True, "spwarmcache": True,
-    "spsharedcache": False,
+    "spsharedcache": False, "spsuppress": False,
     "min_timeslice_msec": MIN_TIMESLICE_MSEC,
     "signature_stack_words": STACK_WORDS,
     "quickreg_block_count": QUICKREG_BLOCK_COUNT, "quickreg_adaptive": True,

@@ -236,8 +236,8 @@ class SuperPinReport:
         }
 
     def instrumentation_summary(self) -> dict[str, int]:
-        """Selective-instrumentation and suppression totals (-spfilter /
-        -spsuppress / -spsample) aggregated across slices."""
+        """Selective-instrumentation totals (-spfilter / -spsample)
+        aggregated across slices."""
         if self.serial_instrumentation is not None:
             return self.serial_instrumentation
         return {
@@ -245,10 +245,6 @@ class SuperPinReport:
             "fastpath_traces": sum(s.fastpath_traces for s in self.slices),
             "skipped_callbacks": sum(s.skipped_callbacks
                                      for s in self.slices),
-            "summarized_loops": sum(s.summarized_loops
-                                    for s in self.slices),
-            "suppressed_calls": sum(s.suppressed_calls
-                                    for s in self.slices),
         }
 
     def sampling_summary(self) -> dict[str, int]:
@@ -439,7 +435,6 @@ def _run_serial(program: Program, tool: Pintool, config: SuperPinConfig,
     """Serial Pin's run and report (:func:`run_superpin` at ``-sp 0``)."""
     began = tracer.now()
     result, vm, kernel = run_with_pin(program, tool, kernel,
-                                      suppress_loops=config.spsuppress,
                                       metrics=metrics)
     engine = MasterStats.of(vm)
     tracer.add_span("pin_phase", began, tracer.now(), cat="phase",
@@ -459,9 +454,8 @@ def _run_serial(program: Program, tool: Pintool, config: SuperPinConfig,
         exit_code=result.exit_code, trace=tracer, metrics=metrics,
         serial_instrumentation=dict(
             analysis_calls=result.analysis_calls,
-            **{name: getattr(vm.instr_stats, name) for name in (
-                "fastpath_traces", "skipped_callbacks",
-                "summarized_loops", "suppressed_calls")}))
+            fastpath_traces=vm.instr_stats.fastpath_traces,
+            skipped_callbacks=vm.instr_stats.skipped_callbacks))
 
 
 class _Progress:

@@ -80,7 +80,11 @@ PLACEMENT_COUNTERS = ("pin.jit.skeleton_reuses",
                       "pin.jit.instrumentation_reuses",
                       "pin.jit.cut_reuses",
                       "pin.jit.instrumentation_checks",
-                      "pin.jit.instrumentation_declined")
+                      "pin.jit.instrumentation_declined",
+                      "pin.suppress.summarized_loops",
+                      "pin.suppress.loop_entries",
+                      "pin.suppress.summarized_calls",
+                      "pin.suppress.suppressed_calls")
 
 
 def placement_counts(jstats) -> tuple[int, ...]:
@@ -91,7 +95,9 @@ def placement_counts(jstats) -> tuple[int, ...]:
             jstats.loop_trips,
             jstats.instrumentation_reuses, jstats.cut_reuses,
             jstats.instrumentation_checks,
-            jstats.instrumentation_declined)
+            jstats.instrumentation_declined,
+            jstats.summarized_loops, jstats.loop_entries,
+            jstats.summarized_calls, jstats.suppressed_calls)
 
 
 def fold_engine_counters(vm, metrics) -> None:
@@ -109,10 +115,6 @@ def fold_engine_counters(vm, metrics) -> None:
         metrics.inc(name, value)
     metrics.inc("pin.filter.fastpath_traces", istats.fastpath_traces)
     metrics.inc("pin.filter.skipped_callbacks", istats.skipped_callbacks)
-    metrics.inc("pin.suppress.summarized_loops", istats.summarized_loops)
-    metrics.inc("pin.suppress.loop_entries", istats.loop_entries)
-    metrics.inc("pin.suppress.summarized_calls", istats.summarized_calls)
-    metrics.inc("pin.suppress.suppressed_calls", istats.suppressed_calls)
 
 
 class SliceEnd(enum.Enum):
@@ -180,10 +182,6 @@ class SliceResult:
     fastpath_traces: int = 0
     #: Tool trace-callback invocations skipped by the filter.
     skipped_callbacks: int = 0
-    #: Compiles of a trace whose loop form summarizes (``-spsuppress``).
-    summarized_loops: int = 0
-    #: Per-iteration analysis calls avoided by loop summarization.
-    suppressed_calls: int = 0
     #: Always 0: read by bench/layers.py's ``engine.tc2_*`` rows only
     #: (the second translation cache was removed).
     tc2_dispatches: int = 0
@@ -250,10 +248,10 @@ class SliceMachine:
     def __init__(self):
         self.process = Process(CpuState(), Memory(), None)
         self.vm: PinVM | None = None
-        #: The resident tool (see :meth:`adopt`) and what it serves:
-        #: ``(tool class, -spsuppress)``.
+        #: The resident tool (see :meth:`adopt`) and the tool class it
+        #: serves.
         self._resident = None
-        self._serving: tuple | None = None
+        self._serving: type | None = None
 
     @functools.cached_property
     def lookahead(self) -> Lookahead:
@@ -281,7 +279,7 @@ class SliceMachine:
         return vm
 
     def switch(self, boundary: Boundary, interval: Interval,
-               config: SuperPinConfig, metrics=NULL_METRICS,
+               metrics=NULL_METRICS,
                state: tuple | None = None,
                warm: WarmCache | None = None) -> PinVM:
         """Context-switch onto a state and return the engine, reset and
@@ -311,14 +309,14 @@ class SliceMachine:
             vm.switch(cpu_snapshot, mem, handler,
                       code_cache=CodeCache(abi.BUBBLE_BASE, abi.BUBBLE_WORDS,
                                            metrics=metrics),
-                      metrics=metrics, suppress_loops=config.spsuppress)
+                      metrics=metrics)
         else:
             vm.switch(cpu_snapshot, mem, handler, warm=warm,
-                      metrics=metrics, suppress_loops=config.spsuppress)
+                      metrics=metrics)
         vm.jit.retain_for = None
         return vm
 
-    def adopt(self, ctx: SliceToolContext, config: SuperPinConfig):
+    def adopt(self, ctx: SliceToolContext):
         """The tool object to activate for the slice the machine was
         just switched onto: ``ctx.tool``, the slice's own copy — or,
         for a tool that declares its instrumentation pure, the
@@ -332,16 +330,16 @@ class SliceMachine:
         done to the copy ``SliceResult.tool_ctx`` carries, and the next
         adoption leaves that copy behind for good.  Compiled code binds
         the resident object's methods, which is what lets the JIT keep
-        it (``Jit.retain_for``).  One machine serves one tool class
-        and ``-spsuppress`` setting at a time: anything kept for another
-        is dropped first.  Every template names its instrumentation
-        digest to the JIT (``Jit.template``): the next run's, or a
-        daemon job's, with an equal digest is served what this one
-        verified, and one with another — another ``-spfilter``, another
-        constructor argument — keeps the resident object, and so the
-        code bound to it, but is compared before it reuses.  A context
-        without a template id, and a tool class with ``__slots__``
-        (state a ``__dict__`` does not hold), are activated as they are.
+        it (``Jit.retain_for``).  One machine serves one tool class at
+        a time: anything kept for another is dropped first.  Every
+        template names its instrumentation digest to the JIT
+        (``Jit.template``): the next run's, or a daemon job's, with an
+        equal digest is served what this one verified, and one with
+        another — another ``-spfilter``, another constructor argument —
+        keeps the resident object, and so the code bound to it, but is
+        compared before it reuses.  A context without a template id,
+        and a tool class with ``__slots__`` (state a ``__dict__`` does
+        not hold), are activated as they are.
         """
         tool = ctx.tool
         klass = type(tool)
@@ -351,9 +349,8 @@ class SliceMachine:
                        for base in klass.__mro__)):
             return tool
         jit = self.vm.jit
-        serving = (klass, config.spsuppress)
-        if serving != self._serving:
-            self._serving = serving
+        if klass is not self._serving:
+            self._serving = klass
             self._resident = object.__new__(klass)
             jit.forget_instrumentation()
         resident = self._resident
@@ -386,7 +383,7 @@ def run_slice(boundary: Boundary, interval: Interval,
     # 1-2. Context switch: registers, COW memory and kernel layout of
     #    the boundary; the engine reset, with its own cold code cache in
     #    the bubble.
-    vm = machine.switch(boundary, interval, config, metrics)
+    vm = machine.switch(boundary, interval, metrics)
     process = vm.process
     handler = process.syscall_handler
     cow_mark = process.mem.cow_faults
@@ -399,7 +396,7 @@ def run_slice(boundary: Boundary, interval: Interval,
     instrumented = config.spsample == 0 or index % config.spsample == 0
     ctx: SliceToolContext = copy.deepcopy(template)
     if instrumented:
-        machine.adopt(ctx, config).activate(vm)
+        machine.adopt(ctx).activate(vm)
     detector: SignatureDetector | None = None
     if end_signature is not None:
         detector = SignatureDetector(end_signature, vm)
@@ -456,8 +453,6 @@ def run_slice(boundary: Boundary, interval: Interval,
         instrumented=instrumented,
         fastpath_traces=vm.instr_stats.fastpath_traces,
         skipped_callbacks=vm.instr_stats.skipped_callbacks,
-        summarized_loops=vm.instr_stats.summarized_loops,
-        suppressed_calls=vm.instr_stats.suppressed_calls,
     )
     if metrics.enabled:
         # Hot-path counters are folded once per slice from CacheStats

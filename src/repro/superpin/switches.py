@@ -46,10 +46,6 @@ Switch                 -sp 0 Meaning — why it survives
                              ``range:LO-HI`` / ``opcode:CLASS`` terms (see
                              repro.pin.filter) — which code matters is the
                              user's question
-``-spsuppress <0|1>``  yes   redundancy suppression: one summarized call per
-                             loop exit (see repro.pin.pyjit) — measured, each
-                             value wins on some guest, and it changes the
-                             reported analysis calls and virtual time
 ``-spsample <N>``      no    instrument every Nth slice only; 0 (default)
                              disables — tool results then cover the sampled
                              slices, an approximation the user opts into
@@ -67,7 +63,10 @@ Switch                 -sp 0 Meaning — why it survives
 §8's shared code cache is not a switch: every run has both virtual
 accounts (:meth:`~repro.superpin.runtime.SuperPinReport.
 shared_cache_timing`).  Nor is which lowering a trace gets: the JIT
-decides it per trace (:meth:`repro.pin.jit.Jit.compile`).  The
+decides it per trace (:meth:`repro.pin.jit.Jit.compile`); nor whether a
+loop's analysis calls are summarized: every loop form summarizes what
+its tool declares a summary for (:mod:`repro.pin.pyjit`), and the
+calls a summary stands for are counted as called.  The
 signature's stack words and the slice guards are module constants
 (``signature.STACK_WORDS``, ``slices.RUNAWAY_FACTOR`` /
 ``RUNAWAY_SLACK``, ``supervisor.RETRIES`` / ``DEADLINE_FLOOR`` /
@@ -76,9 +75,11 @@ size budget (``warmstore.DEFAULT_STORE_LIMIT``).
 
 CI hook: the environment variable ``SUPERPIN_SPWORKERS`` overrides the
 *default* of ``spworkers`` (explicit constructor arguments and parsed
-switches always win).  The fault-injection CI job uses it to push the
-whole test suite through the process-pool transport without editing
-every test; being a default, it is no error at ``-sp 0``.
+switches always win); a value that is not an integer >= 0 is a
+:class:`ConfigError` naming the variable.  The fault-injection CI job
+uses it to push the whole test suite through the process-pool
+transport without editing every test; being a default, it is no error
+at ``-sp 0``.
 """
 
 from __future__ import annotations
@@ -97,6 +98,18 @@ DEFAULT_CLOCK_HZ = 10_000
 FAULT_POLICIES = ("failfast", "retry", "degrade")
 
 
+def _env_workers() -> int:
+    """The ``spworkers`` default: ``SUPERPIN_SPWORKERS``, outside input
+    (module docstring), or 0."""
+    value = os.environ.get("SUPERPIN_SPWORKERS", "")
+    if not value:
+        return 0
+    if not value.strip().isdigit():
+        raise ConfigError(f"SUPERPIN_SPWORKERS must be an integer >= 0, "
+                          f"got {value!r}")
+    return int(value)
+
+
 @dataclass
 class SuperPinConfig:
     """All SuperPin tunables; defaults match the paper's."""
@@ -113,8 +126,7 @@ class SuperPinConfig:
     #: processes with functionally identical results.  Distinct from
     #: ``spmp``, which bounds the *modeled* concurrency in the timing
     #: simulation.
-    spworkers: int = field(default_factory=lambda: int(
-        os.environ.get("SUPERPIN_SPWORKERS", "0") or 0))
+    spworkers: int = field(default_factory=_env_workers)
     # --- slice supervision (fault isolation for the slice phase) ----------
     #: Fault policy for the slice phase: ``failfast`` aborts the run on
     #: the first slice failure (cancelling everything still queued);
@@ -150,21 +162,16 @@ class SuperPinConfig:
     #: compared.  The :class:`~repro.superpin.audit.AuditReport` lands
     #: on ``SuperPinReport.audit``.  Roughly doubles run time.
     spaudit: bool = False
-    # --- selective instrumentation / suppression / sampling ----------------
+    # --- selective instrumentation / sampling -----------------------------
     #: Instrumentation filter spec (see :func:`repro.pin.filter.
     #: parse_filter`), or None for full instrumentation.  Applied to the
     #: tool *before* it is copied into slices and before the audit
     #: captures its baseline, so every execution mode sees the same
     #: instrumentation and tool results stay bit-identical.
     spfilter: str | None = None
-    #: Redundancy suppression: a loop form whose calls all declare a
-    #: summary fires each once per loop exit instead of once per trip
-    #: (see repro.pin.pyjit).  Results are bit-identical by the
-    #: summary contract; the audit enforces it.
-    spsuppress: bool = False
     #: Sampling period: instrument slice indices ``i % spsample == 0``
     #: only; other slices skip tool activation entirely.  0 disables.
-    #: Unlike -spfilter/-spsuppress this *changes tool results* (they
+    #: Unlike -spfilter this *changes tool results* (they
     #: cover the sampled slices only), so the audit skips the
     #: tool-results comparison when sampling is on.
     spsample: int = 0
@@ -237,19 +244,24 @@ class SuperPinConfig:
 #: and the figure harness's memo, so a run is reused exactly when it
 #: would compute the same thing.
 RESULT_FIELDS = (
-    "spmsec", "spmp", "spsysrecs", "clock_hz", "spfilter", "spsuppress",
-    "spsample", "expected_duration_msec",
+    "spmsec", "spmp", "spsysrecs", "clock_hz", "spfilter", "spsample",
+    "expected_duration_msec",
 )
 
 #: What serial Pin (``-sp 0``) honours: it has no slices, artifact or audit.
-SERIAL_FIELDS = ("spfilter", "spsuppress", "clock_hz", "sptrace",
-                 "spmetrics")
+SERIAL_FIELDS = ("spfilter", "clock_hz", "sptrace", "spmetrics")
 
 #: What the time-travel debugger (``superpin debug``) honours: a damaged
-#: artifact opened around its holes, the session's counters, and the
-#: suppression its machine is switched under.  It records, traces,
-#: audits, filters and schedules nothing.
-DEBUG_FIELDS = ("spfaults", "spmetrics", "spsuppress")
+#: artifact opened around its holes and the session's counters.  It
+#: records, traces, audits, filters and schedules nothing.
+DEBUG_FIELDS = ("spfaults", "spmetrics")
+
+
+def _flag(value: str) -> bool:
+    """A ``<0|1>`` switch's value."""
+    if value not in ("0", "1"):
+        raise ValueError(value)
+    return value == "1"
 
 
 def _parse_inject(value: str):
@@ -258,7 +270,7 @@ def _parse_inject(value: str):
 
 
 _FLAG_PARSERS = {
-    "-sp": ("sp", lambda v: bool(int(v))),
+    "-sp": ("sp", _flag),
     "-spmsec": ("spmsec", int),
     "-spmp": ("spmp", int),
     "-spsysrecs": ("spsysrecs", int),
@@ -268,14 +280,13 @@ _FLAG_PARSERS = {
     "-spclock": ("clock_hz", int),
     "-spexpected": ("expected_duration_msec", int),
     "-sptrace": ("sptrace", str),
-    "-spmetrics": ("spmetrics", lambda v: bool(int(v))),
-    "-spaudit": ("spaudit", lambda v: bool(int(v))),
+    "-spmetrics": ("spmetrics", _flag),
+    "-spaudit": ("spaudit", _flag),
     "-spfilter": ("spfilter", str),
-    "-spsuppress": ("spsuppress", lambda v: bool(int(v))),
     "-spsample": ("spsample", int),
     "-sprecord": ("sprecord", str),
     "-spjournal": ("spjournal", str),
-    "-spresume": ("spresume", lambda v: bool(int(v))),
+    "-spresume": ("spresume", _flag),
 }
 #: Field name -> the switch that sets it.
 _SWITCHES = {name: flag for flag, (name, _) in _FLAG_PARSERS.items()}

@@ -358,8 +358,7 @@ class TimeTravelEngine:
     def _fork_boundary(self, k: int,
                        warm: WarmCache | None = None) -> _LiveState:
         boundary, interval = self.recording.slice_spec(k)
-        vm = self._machine.switch(boundary, interval, self.config,
-                                  warm=warm)
+        vm = self._machine.switch(boundary, interval, warm=warm)
         return self._switched(vm, k, 0, interval.records)
 
     def _fork_ckpt(self, ckpt: _Ckpt) -> _LiveState:
@@ -371,8 +370,8 @@ class TimeTravelEngine:
                                   start_pos=ckpt.consumed)
         # The memory is re-forked: the cached copy stays pristine.
         vm = self._machine.switch(
-            None, None, self.config,
-            state=(ckpt.cpu, ckpt.mem.fork(), handler), warm=self._warm)
+            None, None, state=(ckpt.cpu, ckpt.mem.fork(), handler),
+            warm=self._warm)
         return self._switched(vm, ckpt.k, ckpt.local, records)
 
     def _switched(self, vm: PinVM, k: int, local: int,

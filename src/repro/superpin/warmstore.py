@@ -103,7 +103,7 @@ def store_key(source_digest: str, config) -> str:
     deliberately key separate entries: a recording's slice shapes are
     its own).  ``config`` is the frozen benchmark's call shape and
     shapes nothing: no switch moves a trace head (backend, filter and
-    suppression all leave the compile logs of
+    loop summaries all leave the compile logs of
     ``tests/conftest.MULTISLICE`` and the bench guests unchanged).
     """
     token = repr((source_digest, isa_fingerprint())).encode()

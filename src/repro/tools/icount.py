@@ -10,7 +10,9 @@ Two variants ship with Pin and both are reproduced here:
   ``ToolReset`` passed to ``SP_Init``, and a manual ``Merge`` registered
   as a slice-end function.
 
-Both produce identical counts; they differ only in overhead.
+Both produce identical counts; they differ only in overhead.  Both
+declare a summary form, which a loop form fires once per loop exit
+(:mod:`repro.pin.pyjit`), counted as the calls it stands for.
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ class ICount2(Pintool):
             # Count per-instruction against the filter (trace shapes
             # differ between serial and sliced runs, so a per-trace
             # decision would not be replay-stable).  The increment is
-            # invariant (a literal), so declare the summary form:
-            # -spsuppress may fire it once per loop with the trip count
+            # invariant (a literal), so declare the summary form: a loop
+            # form fires it once per loop exit with the trip count
             # instead of once per iteration.
             count = BBL_NumMatchingIns(bbl, self.instrument_filter)
             if count:

@@ -50,7 +50,7 @@ class OpcodeMix(Pintool):
             # Per-instruction filter check keeps the counted set stable
             # across serial and sliced trace shapes.  The opcode is
             # static: it travels as a literal argument, and the call
-            # declares its affine summary form for loop suppression.
+            # declares its affine summary form for loop summaries.
             if INS_MatchesFilter(ins, self.instrument_filter):
                 ins.insert_summarized_call(
                     IPOINT_BEFORE, self.bump, self.bump_summary,

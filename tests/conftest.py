@@ -78,6 +78,13 @@ def all_generated(monkeypatch) -> None:
     monkeypatch.setattr(Jit, "all_generated", True)
 
 
+def without_loop_forms(monkeypatch) -> None:
+    """The reference: every execution is a dispatch of ``fn`` — no
+    trace has a loop form, so no loop is summarized either."""
+    from repro.pin.jit import Jit
+    monkeypatch.setattr(Jit, "loop_form", lambda self, trace: None)
+
+
 def deadline_floor(monkeypatch, seconds: float) -> None:
     """Every slice's wall-clock deadline starts from ``seconds``
     (``supervisor.DEADLINE_FLOOR``, a constant) instead of the shipped
@@ -124,7 +131,7 @@ def retries(monkeypatch, count: int) -> None:
 #: a different run.
 RESULT_FIELD_VALUES = [
     ("spmsec", 250), ("spmp", 2), ("spsysrecs", 0), ("clock_hz", 20_000),
-    ("spfilter", "opcode:mem"), ("spsuppress", True), ("spsample", 2),
+    ("spfilter", "opcode:mem"), ("spsample", 2),
     ("expected_duration_msec", 3000),
 ]
 

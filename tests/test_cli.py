@@ -87,13 +87,13 @@ class TestRun:
             assert f"\n{line}" not in out, line
 
     def test_serial_pin_instruments_what_superpin_does(self, capsys):
-        """``-sp 0`` honours ``-spfilter`` and ``-spsuppress`` as
-        ``-sp 1`` does: the same tool report."""
+        """``-sp 0`` honours ``-spfilter`` as ``-sp 1`` does: the same
+        tool report."""
         reports = []
         for sp in ("0", "1"):
             assert main(["run", "-t", "icount2", "-w", "gzip", "--scale",
-                         "0.05", "--", "-sp", sp, "-spfilter", "opcode:mem",
-                         "-spsuppress", "1"]) == 0
+                         "0.05", "--", "-sp", sp, "-spfilter",
+                         "opcode:mem"]) == 0
             reports.append(tool_report(capsys.readouterr().out))
         assert reports[0] == reports[1]
         assert main(["run", "-t", "icount2", "-w", "gzip", "--scale",
@@ -183,6 +183,31 @@ class TestRun:
         assert "error: unknown SuperPin switch '-sptracestore'" \
             in capsys.readouterr().err
         assert not (tmp_path / "store").exists()
+
+    def test_bad_switch_values_and_env_default_are_errors(self, capsys,
+                                                          monkeypatch):
+        run = ["run", "-t", "icount2", "-w", "gzip", "--scale", "0.01"]
+        assert main(run + ["--", "-sp", "7"]) == 2
+        assert capsys.readouterr().err \
+            == "error: bad value '7' for '-sp'\n"
+        monkeypatch.setenv("SUPERPIN_SPWORKERS", "abc")
+        assert main(run) == 2
+        assert capsys.readouterr().err == ("error: SUPERPIN_SPWORKERS must "
+                                           "be an integer >= 0, got 'abc'\n")
+
+    def test_loop_summaries_are_counted_not_switched(self, capsys):
+        """The ``instrumentation:`` line prints the summarized loops
+        under ``-spmetrics``; ``-spsuppress`` is no switch."""
+        run = ["run", "-t", "icount1", "-w", "gzip", "--scale", "0.25",
+               "--", "-spmetrics", "1"]
+        assert main(run) == 0
+        line = re.search(r"^instrumentation: (\d+) analysis calls, (\d+) "
+                         r"summarized loops saved (\d+) calls$",
+                         capsys.readouterr().out, re.MULTILINE)
+        assert line and int(line[2]) > 0 and int(line[3]) > 0
+        assert main(run + ["-spsuppress", "1"]) == 2
+        assert "error: unknown SuperPin switch '-spsuppress'" \
+            in capsys.readouterr().err
 
 
 class TestReplay:
@@ -291,14 +316,14 @@ class TestDebug:
 
     def test_honours_its_own_switches(self, small_recording, tmp_path,
                                       capsys, monkeypatch):
-        """``-spfaults``, ``-spmetrics`` and ``-spsuppress`` are read, and
-        a ``SUPERPIN_SPWORKERS`` default is no switch at all."""
+        """``-spfaults`` and ``-spmetrics`` are read, and a
+        ``SUPERPIN_SPWORKERS`` default is no switch at all."""
         capsys.readouterr()
         assert self.debug(small_recording, tmp_path) == 0
         plain = capsys.readouterr().out
         monkeypatch.setenv("SUPERPIN_SPWORKERS", "2")
         assert self.debug(small_recording, tmp_path, "-spfaults", "degrade",
-                          "-spmetrics", "1", "-spsuppress", "1") == 0
+                          "-spmetrics", "1") == 0
         assert capsys.readouterr().out == plain
         assert "stopped at icount=997" in plain
 

@@ -2,12 +2,13 @@
 
 ``PinVM.run(..., exact_budget=True)`` must stop after retiring *exactly*
 N instructions with the interpreter's landing state — same pc, same
-register file — regardless of JIT backend, trace linking, loop
-suppression or a promotion in mid-run.  This is the prerequisite for
-deterministic ``goto <icount>`` in the time-travel debugger: a budget
-that expires on a syscall instruction must still execute that syscall
-(the interpreter's Nth-instruction-retires rule), and a budget landing
-mid-trace must not overshoot to the trace boundary.
+register file — regardless of JIT backend, trace linking, loop forms
+(and the loop summaries they fire) or a promotion in mid-run.  This is
+the prerequisite for deterministic ``goto <icount>`` in the time-travel
+debugger: a budget that expires on a syscall instruction must still
+execute that syscall (the interpreter's Nth-instruction-retires rule),
+and a budget landing mid-trace must not overshoot to the trace
+boundary.
 """
 
 import pytest
@@ -16,7 +17,7 @@ from repro.isa import assemble
 from repro.machine import Kernel, load_program
 from repro.machine.interpreter import Interpreter
 from repro.pin.engine import PinVM, RunState
-from tests.conftest import MULTISLICE, promote_at
+from tests.conftest import MULTISLICE, promote_at, without_loop_forms
 
 BACKENDS = ["closure", "source"]
 
@@ -61,16 +62,17 @@ def assert_lands_where_the_interpreter_does(program, reference,
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("promote", [0, 4])
-@pytest.mark.parametrize("suppress", [False, True])
+@pytest.mark.parametrize("loop_forms", [False, True])
 def test_exact_budget_matches_interpreter(program, reference, backend,
-                                          promote, suppress, monkeypatch):
+                                          promote, loop_forms, monkeypatch):
     """``promote``: 0, or the execution at which the engine swaps a
     threaded trace for generated code in mid-run."""
     if promote:
         promote_at(monkeypatch, promote)
+    if not loop_forms:
+        without_loop_forms(monkeypatch)
     assert_lands_where_the_interpreter_does(
-        program, reference, jit_backend=backend,
-        link_traces=True, suppress_loops=suppress)
+        program, reference, jit_backend=backend, link_traces=True)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -68,7 +68,7 @@ def _never(vm, pc):
 def _dirty_engine(backend):
     """An engine every per-run field of which a run has touched."""
     process = load_program(assemble(MULTISLICE), Kernel(seed=42))
-    vm = PinVM(process, jit_backend=backend, suppress_loops=True)
+    vm = PinVM(process, jit_backend=backend)
     _never(vm, vm.cpu.pc + 3)
     ICount2().activate(vm)
     vm.add_syscall_observer(lambda outcome: None)
@@ -81,7 +81,7 @@ def _dirty_engine(backend):
 class TestReset:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_reset_engine_equals_fresh_engine(self, backend):
-        settings = dict(link_traces=True, suppress_loops=False)
+        settings = dict(link_traces=True)
         used = _dirty_engine(backend)
         kept = {name: getattr(used, name) for name in RESIDENT}
         used.reset(code_cache=CodeCache(), **settings)

@@ -32,7 +32,8 @@ from repro.superpin.slices import PLACEMENT_COUNTERS, SliceMachine
 from repro.tools import ICount2, TOOLS
 from repro.workloads import build
 from tests.conftest import (loop_one_everywhere, MULTISLICE, promote_at,
-                            random_program, virtual_counters)
+                            random_program, virtual_counters,
+                            without_loop_forms)
 from tests.test_superpin.test_slice_machine import slice_image, SlicePhase
 
 T0, T2 = 8, 10
@@ -167,11 +168,6 @@ on: add  t2, t2, t3
     mov  a1, t2
     syscall
 """
-
-
-def without_loop_forms(monkeypatch) -> None:
-    """The reference: every execution is a dispatch of ``fn``."""
-    monkeypatch.setattr(Jit, "loop_form", lambda self, trace: None)
 
 
 def allow_at_most(monkeypatch, n: int) -> None:
@@ -772,16 +768,15 @@ class TestLazyAndPaidOnce:
         assert report.timeline.master.loop_trips > 0
 
 
-#: What a loop form's summaries move under ``-spsuppress``: the
-#: reference, which has no loop form, summarizes nothing.
-SUMMARIZED = ("analysis_calls", "suppressed_calls",
-              "pin.suppress.loop_entries", "pin.suppress.summarized_calls",
-              "pin.suppress.suppressed_calls")
+class Unsummarized(ICount2):
+    """``icount2`` with no summary declared: no loop form summarizes
+    its calls."""
 
-
-def unsummarized(image: dict) -> dict:
-    return {name: value for name, value in image.items()
-            if name not in SUMMARIZED}
+    def instrument_trace(self, trace, vm) -> None:
+        super().instrument_trace(trace, vm)
+        for ins in trace.instructions:
+            for call in ins.before_calls:
+                call.summary = None
 
 
 def guest(name):
@@ -797,16 +792,16 @@ class TestThroughThePipeline:
     live and without — with every repeated trace generated, or with
     each promoted in mid-run at its first or sixteenth execution, with
     and without workers; the master, serial Pin's engine, the same.
-    Under ``-spsuppress`` but for what the summaries move: the loop
-    form is where they are fired."""
+    The loop form is where summaries are fired, so the reference fires
+    none; ``icount1`` (a summary per instruction) runs too."""
 
     @pytest.mark.parametrize("name, promote, workers, extra", [
         *[(name, promote, 0, {}) for promote in (0, 1, 16)
           for name in ("multislice", "gzip", "gcc", "mcf")],
         *[(name, 16, 2, {}) for name in ("multislice", "gzip", "gcc",
                                          "mcf")],
-        ("multislice", 16, 0, {"spsuppress": True}),
-        ("gzip", 16, 0, {"spsuppress": True}),
+        ("multislice", 16, 0, {"tool": "icount1"}),
+        ("gzip", 16, 0, {"tool": "icount1"}),
     ])
     def test_same_slices_with_and_without(self, name, promote, workers,
                                           extra, monkeypatch):
@@ -815,17 +810,16 @@ class TestThroughThePipeline:
         else:
             monkeypatch.setattr(jit, "HOT_EXECUTIONS_PER_COMPILE", 1)
         program, timing = guest(name)
-        strip = unsummarized if extra.get("spsuppress") else dict
 
         def run():
-            tool = TOOLS["memtrace" if name == "mcf" else "icount2"]()
+            tool = TOOLS[extra.get("tool") or (
+                "memtrace" if name == "mcf" else "icount2")]()
             report = run_superpin(
                 program, tool, SuperPinConfig(
-                    spworkers=workers, spmetrics=True,
-                    **timing, **extra), kernel=Kernel(seed=11))
-            return ([strip(slice_image(result))
-                     for result in report.slices],
-                    strip(virtual_counters(report.metrics)), tool.report(),
+                    spworkers=workers, spmetrics=True, **timing),
+                kernel=Kernel(seed=11))
+            return ([slice_image(result) for result in report.slices],
+                    virtual_counters(report.metrics), tool.report(),
                     report.metrics.counters)
         with monkeypatch.context() as reference:
             without_loop_forms(reference)
@@ -839,13 +833,15 @@ class TestThroughThePipeline:
             assert not want[3].get(counter), counter
         assert got[3]["superpin.control.master.loop_trips"] > 0
         assert got[3]["pin.jit.loop_trips"] > 0
-        if extra.get("spsuppress"):
+        assert not want[3].get("pin.suppress.loop_entries")
+        if name != "mcf":
             assert got[3]["pin.suppress.loop_entries"] > 0
         if promote:
             assert got[3]["pin.jit.promotions"] > 0
 
-    @pytest.mark.parametrize("suppress", [False, True])
-    def test_serial_pin_with_and_without(self, suppress, monkeypatch):
+    @pytest.mark.parametrize("summarized", [False, True])
+    def test_serial_pin_with_and_without(self, summarized, monkeypatch):
+        """With a tool that declares summaries and one that does not."""
         # (The shipped rule, whatever --jit-hot-threshold says: the
         # loop is promoted in mid-run.)
         monkeypatch.setattr(jit, "HOT_EXECUTIONS_PER_COMPILE", 150)
@@ -853,25 +849,21 @@ class TestThroughThePipeline:
 
         def run():
             process = load_program(program, Kernel(seed=4))
-            vm = PinVM(process, suppress_loops=suppress)
-            tool = ICount2()
+            vm = PinVM(process)
+            tool = ICount2() if summarized else Unsummarized()
             tool.setup(NullSuperPin())
             tool.activate(vm)
             result = vm.run()
             tool.fini()
-            seen = image(vm)
-            if suppress:
-                # (What the summaries move: see ``SUMMARIZED``.)
-                result.analysis_calls = seen["counters"][0] = 0
-            return (result, seen, tool.report(), vm.jit_stats.loop_trips,
-                    vm.instr_stats.loop_entries)
+            return (result, image(vm), tool.report(),
+                    vm.jit_stats.loop_trips, vm.jit_stats.loop_entries)
         with monkeypatch.context() as reference:
             without_loop_forms(reference)
             want = run()
         got = run()
         assert got[:3] == want[:3]
         assert want[3] == 0 < got[3]
-        assert want[4] == 0 and (got[4] > 0) == suppress
+        assert want[4] == 0 and (got[4] > 0) == summarized
 
     def test_run_with_pin_counts_its_loop_trips(self, monkeypatch):
         monkeypatch.setattr(jit, "HOT_EXECUTIONS_PER_COMPILE", 150)

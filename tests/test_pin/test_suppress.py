@@ -1,9 +1,15 @@
-"""Redundancy suppression: summarized loops must be invisible to tools.
+"""Loop summaries: summarized loops must be invisible to tools.
 
-Under ``-spsuppress`` a loop form whose calls all declare a summary
-counts trips instead of calling, and fires each summary once on every
-way it leaves (``repro.pin.pyjit``).  The reference is the same run
-without the switch: everything but the analysis-call count equal.
+A loop form whose calls all declare a summary counts trips instead of
+calling, and fires each summary once on every way it leaves
+(``repro.pin.pyjit``); it counts a summary as the calls it stands for.
+There is no switch: the reference is the same run with no loop form
+(``conftest.without_loop_forms``), which summarizes nothing, and
+everything must be equal, the analysis-call count included.  Each test
+runs at two lowerings: ``closure``, threaded code promoted in mid-run
+at a trace's second execution, and ``source``, generated code from the
+first compile — so the loops summarize whatever ``--jit-hot-threshold``
+says.
 """
 
 import pytest
@@ -11,15 +17,16 @@ import pytest
 from repro.errors import ArithmeticFault, GuestFault, IllegalInstruction
 from repro.isa import assemble
 from repro.machine import Kernel, load_program
-from repro.pin import PinVM, Pintool, RunState, run_with_pin, StopRun
+from repro.pin import jit, PinVM, Pintool, RunState, run_with_pin, StopRun
 from repro.pin.args import IARG_END, IARG_REG_VALUE, IPOINT_BEFORE
 from repro.pin.pintool import NullSuperPin
 from repro.tools import ICount1, ICount2, OpcodeMix
+from tests.conftest import promote_at, without_loop_forms
 from tests.test_pin.test_looped import faults_on, memory_image
 
 BACKENDS = ["closure", "source"]
 
-#: A hot single-BBL counted loop: the canonical suppression target.
+#: A hot single-BBL counted loop: the canonical summary target.
 HOT_LOOP = """
 .entry main
 main:
@@ -105,17 +112,24 @@ inner:
 """
 
 
-def both(source, tool_cls=ICount1, backend="closure", observer=None,
-         **run_kwargs):
-    """Run ``source`` under ``tool_cls`` without and with
-    ``suppress_loops`` on a pooled engine; each run's ``(image, vm)``.
-    The image is everything the run leaves but the analysis-call
-    count, with how the run ended in it; ``observer(vm)`` gives a
-    syscall observer to register."""
-    runs = []
-    for suppress in (False, True):
+def lowered(monkeypatch, backend: str) -> str:
+    """The ``jit_backend`` to run ``backend`` at (module docstring)."""
+    if backend == "closure":
+        promote_at(monkeypatch, 2)
+    return backend
+
+
+def both(monkeypatch, source, tool_cls=ICount1, backend="closure",
+         observer=None, **run_kwargs):
+    """Run ``source`` under ``tool_cls`` without loop forms and as
+    shipped on a pooled engine; each run's ``(image, vm)``.  The image
+    is everything the run leaves, with how the run ended in it;
+    ``observer(vm)`` gives a syscall observer to register."""
+    backend = lowered(monkeypatch, backend)
+
+    def run():
         vm = PinVM(load_program(assemble(source), Kernel(seed=7)),
-                   jit_backend=backend, suppress_loops=suppress)
+                   jit_backend=backend)
         tool = tool_cls()
         tool.setup(NullSuperPin())
         tool.activate(vm)
@@ -128,24 +142,34 @@ def both(source, tool_cls=ICount1, backend="closure", observer=None,
         except GuestFault as fault:
             outcome, steps = type(fault).__name__, None
         tool.fini()
-        runs.append(({"outcome": outcome, "steps": steps, "pc": vm.cpu.pc,
-                      "regs": list(vm.cpu.regs),
-                      "memory": memory_image(vm.mem),
-                      "instructions": vm.total_instructions,
-                      "syscalls": vm.total_syscalls,
-                      "inline_checks": vm.counters[1],
-                      "report": tool.report()}, vm))
-    return runs
+        return ({"outcome": outcome, "steps": steps, "pc": vm.cpu.pc,
+                 "regs": list(vm.cpu.regs),
+                 "memory": memory_image(vm.mem),
+                 "instructions": vm.total_instructions,
+                 "syscalls": vm.total_syscalls,
+                 "analysis_calls": vm.counters[0],
+                 "inline_checks": vm.counters[1],
+                 "report": tool.report()}, vm)
+    with monkeypatch.context() as reference:
+        without_loop_forms(reference)
+        runs = [run()]
+    return runs + [run()]
+
+
+def calls_made(vm) -> int:
+    """The analysis routines ``vm`` actually called: what it counts,
+    less the per-trip calls its summaries stood for."""
+    return vm.counters[0] - vm.jit_stats.suppressed_calls
 
 
 def assert_summarized(runs) -> None:
-    """Equal images, and the suppressed run fired fewer calls."""
-    (plain, plain_vm), (suppressed, vm) = runs
-    assert suppressed == plain
-    assert vm.instr_stats.loop_entries > 0
-    assert vm.counters[0] < plain_vm.counters[0]
-    assert (vm.instr_stats.suppressed_calls
-            == plain_vm.counters[0] - vm.counters[0])
+    """Equal images, analysis calls included, and the summarizing run
+    called the tool's routines fewer times."""
+    (plain, plain_vm), (summarized, vm) = runs
+    assert summarized == plain
+    assert plain_vm.jit_stats.loop_entries == 0
+    assert vm.jit_stats.loop_entries > 0
+    assert calls_made(vm) < calls_made(plain_vm) == plain_vm.counters[0]
 
 
 def stop_at_syscall(n: int):
@@ -158,79 +182,85 @@ def stop_at_syscall(n: int):
     return observer
 
 
-def run_pair(program_text, tool_cls, backend, **kwargs):
-    """Run a tool with and without -spsuppress; return both (tool, vm)."""
+def run_pair(monkeypatch, program_text, tool_cls, backend, **kwargs):
+    """Run a tool without loop forms and as shipped; both (tool, vm)."""
     program = assemble(program_text)
-    plain_tool = tool_cls()
-    _, plain_vm, _ = run_with_pin(program, plain_tool, Kernel(seed=42),
-                                  jit_backend=backend, **kwargs)
-    sup_tool = tool_cls()
-    _, sup_vm, _ = run_with_pin(program, sup_tool, Kernel(seed=42),
-                                jit_backend=backend, suppress_loops=True,
-                                **kwargs)
-    return plain_tool, plain_vm, sup_tool, sup_vm
+    backend = lowered(monkeypatch, backend)
+    runs = []
+    for reference in (True, False):
+        with monkeypatch.context() as patch:
+            if reference:
+                without_loop_forms(patch)
+            tool = tool_cls()
+            _, vm, _ = run_with_pin(program, tool, Kernel(seed=42),
+                                    jit_backend=backend, **kwargs)
+            runs += [tool, vm]
+    return runs
 
 
 class TestSuppressionParity:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("tool_cls", [ICount1, ICount2])
-    def test_icount_bit_identical(self, backend, tool_cls):
-        plain, plain_vm, sup, sup_vm = run_pair(HOT_LOOP, tool_cls, backend)
+    def test_icount_bit_identical(self, backend, tool_cls, monkeypatch):
+        plain, plain_vm, sup, sup_vm = run_pair(monkeypatch, HOT_LOOP,
+                                                tool_cls, backend)
         assert sup.total == plain.total
-        assert sup_vm.instr_stats.summarized_loops >= 1
-        assert sup_vm.instr_stats.suppressed_calls > 0
+        assert sup_vm.counters[0] == plain_vm.counters[0]
+        assert sup_vm.jit_stats.summarized_loops >= 1
+        assert sup_vm.jit_stats.suppressed_calls > 0
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_opcodemix_bit_identical(self, backend):
-        plain, _, sup, sup_vm = run_pair(HOT_LOOP, OpcodeMix, backend)
+    def test_opcodemix_bit_identical(self, backend, monkeypatch):
+        plain, plain_vm, sup, sup_vm = run_pair(monkeypatch, HOT_LOOP,
+                                                OpcodeMix, backend)
         assert sup.report() == plain.report()
-        assert sup_vm.instr_stats.summarized_loops >= 1
+        assert sup_vm.counters[0] == plain_vm.counters[0]
+        assert sup_vm.jit_stats.summarized_loops >= 1
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_analysis_calls_drop_at_least_5x(self, backend):
-        _, plain_vm, sup, sup_vm = run_pair(HOT_LOOP, ICount2, backend)
+    def test_analysis_calls_drop_at_least_5x(self, backend, monkeypatch):
+        """The routines called drop at least five-fold; the analysis
+        calls counted do not move."""
+        _, plain_vm, _, sup_vm = run_pair(monkeypatch, HOT_LOOP, ICount2,
+                                          backend)
         plain_calls = plain_vm.counters[0]
-        sup_calls = sup_vm.counters[0]
-        assert sup_calls * 5 <= plain_calls
-        # The skipped work is accounted, not lost.
-        assert (sup_vm.instr_stats.suppressed_calls
-                == plain_calls - sup_calls)
+        assert sup_vm.counters[0] == plain_calls
+        assert calls_made(sup_vm) * 5 <= plain_calls
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_random_programs_unchanged(self, backend):
+    def test_random_programs_unchanged(self, backend, monkeypatch):
         from tests.conftest import random_program
         for seed in range(3):
-            program = assemble(random_program(seed, blocks=3,
-                                              block_len=8, loop_iters=30))
-            plain = ICount2()
-            run_with_pin(program, plain, Kernel(seed=seed),
-                         jit_backend=backend)
-            sup = ICount2()
-            run_with_pin(program, sup, Kernel(seed=seed),
-                         jit_backend=backend, suppress_loops=True)
+            program = random_program(seed, blocks=3, block_len=8,
+                                     loop_iters=30)
+            plain, plain_vm, sup, sup_vm = run_pair(
+                monkeypatch, program, ICount2, backend)
             assert sup.total == plain.total
+            assert sup_vm.counters[0] == plain_vm.counters[0]
 
 
 class TestExactBudget:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("budget", [1, 2, 3, 999, 12289])
-    def test_uncond_loop_lands_on_the_budget(self, backend, budget):
+    def test_uncond_loop_lands_on_the_budget(self, backend, budget,
+                                             monkeypatch):
         """A ``j``-closed loop that never exits lands exactly on an
         exact budget, with every retired instruction counted."""
-        (plain, _), (suppressed, vm) = both(
-            SPIN_LOOP, backend=backend, max_instructions=budget,
-            exact_budget=True)
-        assert suppressed == plain
+        (plain, _), (summarized, vm) = both(
+            monkeypatch, SPIN_LOOP, backend=backend,
+            max_instructions=budget, exact_budget=True)
+        assert summarized == plain
         assert plain["outcome"] is RunState.BUDGET
         assert plain["instructions"] == plain["report"]["icount"] == budget
         if budget > 100:
-            assert vm.instr_stats.summarized_loops >= 1
-            assert vm.instr_stats.loop_entries >= 1
+            assert vm.jit_stats.summarized_loops >= 1
+            assert vm.jit_stats.loop_entries >= 1
 
 
 class TestLegalityBailouts:
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_plain_insert_call_blocks_suppression(self, backend):
+    def test_plain_insert_call_blocks_suppression(self, backend,
+                                                  monkeypatch):
         """A callback with no summary form must never be summarized."""
         calls = []
 
@@ -242,12 +272,13 @@ class TestLegalityBailouts:
 
         program = assemble(HOT_LOOP)
         _, vm, _ = run_with_pin(program, NoSummary(), Kernel(seed=42),
-                                jit_backend=backend, suppress_loops=True)
-        assert vm.instr_stats.summarized_loops == 0
-        assert len(calls) == 40005
+                                jit_backend=lowered(monkeypatch, backend))
+        assert vm.jit_stats.loop_builds >= 1
+        assert vm.jit_stats.summarized_loops == 0
+        assert len(calls) == vm.counters[0] == 40005
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_dynamic_args_block_suppression(self, backend):
+    def test_dynamic_args_block_suppression(self, backend, monkeypatch):
         """A per-iteration register argument is not summarizable."""
         seen = []
 
@@ -261,13 +292,14 @@ class TestLegalityBailouts:
 
         program = assemble(HOT_LOOP)
         _, vm, _ = run_with_pin(program, RegWatcher(), Kernel(seed=42),
-                                jit_backend=backend, suppress_loops=True)
-        assert vm.instr_stats.summarized_loops == 0
+                                jit_backend=lowered(monkeypatch, backend))
+        assert vm.jit_stats.summarized_loops == 0
         # Every iteration observed its own register value.
-        assert len(seen) == 40005
+        assert len(seen) == vm.counters[0] == 40005
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_if_then_at_head_blocks_suppression(self, backend):
+    def test_if_then_at_head_blocks_suppression(self, backend,
+                                                monkeypatch):
         """A detector-style if/then at the loop head (SuperPin's
         signature check) must observe every trip, so the loop's calls
         are not summarized either.  Like the detector, it instruments
@@ -293,63 +325,78 @@ class TestLegalityBailouts:
         # (No signature check of the engine's own: one at the pc would
         # keep the loop from being summarized by itself.)
         vm = PinVM(load_program(program, Kernel(seed=42)),
-                   jit_backend=backend, suppress_loops=True)
+                   jit_backend=lowered(monkeypatch, backend))
         tool = ICount2()
         tool.setup(NullSuperPin())
         tool.activate(vm)
         vm.add_trace_callback(detector)
         vm.run()
         tool.fini()
-        assert vm.instr_stats.summarized_loops == 0
-        assert vm.instr_stats.loop_entries == 0
+        assert vm.jit_stats.summarized_loops == 0
+        assert vm.jit_stats.loop_entries == 0
         assert tool.total == 40005
         assert len(checks) == 20000
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_suppression_off_by_default(self, backend):
+    def test_suppression_off_by_default(self, backend, monkeypatch):
+        """Nothing is summarized where no loop form runs: threaded code
+        left unpromoted (the ``--jit-hot-threshold inf`` hook) calls
+        per trip, and counts what the summarizing run counts."""
         program = assemble(HOT_LOOP)
-        tool = ICount2()
-        _, vm, _ = run_with_pin(program, tool, Kernel(seed=42),
-                                jit_backend=backend)
-        assert vm.instr_stats.summarized_loops == 0
+        runs = []
+        for threshold in (float("inf"), None):
+            with monkeypatch.context() as patch:
+                if threshold is not None:
+                    patch.setattr(jit, "HOT_EXECUTIONS_PER_COMPILE",
+                                  threshold)
+                tool = ICount2()
+                _, vm, _ = run_with_pin(
+                    program, tool, Kernel(seed=42),
+                    jit_backend=("closure" if threshold is not None
+                                 else lowered(patch, backend)))
+                runs.append((tool.total, vm.counters[0],
+                             vm.jit_stats.summarized_loops))
+        (total, calls, summarized), shipped = runs
+        assert summarized == 0 < shipped[2]
+        assert (total, calls) == shipped[:2]
 
 
 class TestNewlyLegalShapes:
     """One or more basic blocks, ``div``, faults, stops and a
-    ``syscall`` exit: bit-identical with and without the switch."""
+    ``syscall`` exit: bit-identical with and without loop forms."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("tool_cls", [ICount1, ICount2, OpcodeMix])
-    def test_two_bbl_body(self, backend, tool_cls):
-        assert_summarized(both(TWO_BBLS, tool_cls, backend))
+    def test_two_bbl_body(self, backend, tool_cls, monkeypatch):
+        assert_summarized(both(monkeypatch, TWO_BBLS, tool_cls, backend))
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_div_and_mod(self, backend):
-        assert_summarized(both(DIVIDES, backend=backend))
+    def test_div_and_mod(self, backend, monkeypatch):
+        assert_summarized(both(monkeypatch, DIVIDES, backend=backend))
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("how, fault", [("div", ArithmeticFault),
                                             ("fetch", IllegalInstruction)])
-    def test_fault_mid_loop(self, backend, how, fault):
+    def test_fault_mid_loop(self, backend, how, fault, monkeypatch):
         """A divide (or the fetch after a side exit, of a word that does
         not decode) that faults on the seventh trip: the trips before it
         are summarized on the way out."""
-        runs = both(faults_on(7, how), backend=backend)
+        runs = both(monkeypatch, faults_on(7, how), backend=backend)
         assert runs[0][0]["outcome"] == fault.__name__
         assert_summarized(runs)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("tool_cls", [ICount1, ICount2])
-    def test_exit_through_syscall(self, backend, tool_cls):
-        runs = both(SYSCALL_EXITS, tool_cls, backend)
+    def test_exit_through_syscall(self, backend, tool_cls, monkeypatch):
+        runs = both(monkeypatch, SYSCALL_EXITS, tool_cls, backend)
         assert_summarized(runs)
-        assert runs[1][1].instr_stats.loop_entries == 6
+        assert runs[1][1].jit_stats.loop_entries == 6
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("at", [1, 3, 6])
-    def test_stoprun_mid_loop(self, backend, at):
+    def test_stoprun_mid_loop(self, backend, at, monkeypatch):
         """``StopRun`` out of the syscall a loop form leaves by."""
-        runs = both(SYSCALL_EXITS, backend=backend,
+        runs = both(monkeypatch, SYSCALL_EXITS, backend=backend,
                     observer=stop_at_syscall(at))
         assert runs[0][0]["outcome"] is RunState.STOPPED
         assert_summarized(runs)

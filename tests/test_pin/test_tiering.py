@@ -31,7 +31,7 @@ from repro.superpin import run_superpin, SuperPinConfig
 from repro.superpin.slices import SliceMachine
 from repro.tools import ICount1, ICount2
 from tests.conftest import (all_generated, MULTISLICE, promote_at,
-                            virtual_counters)
+                            virtual_counters, without_loop_forms)
 from tests.test_pin import test_jit_pool
 from tests.test_superpin.test_slice_machine import (REWRITTEN, slice_image,
                                                     SlicePhase,
@@ -127,8 +127,7 @@ def assert_lowering_is_invisible(threshold, guest, tool, **overrides):
         source = pipeline_image(guest, tool, **overrides)
     reference = images["inf"]
     assert len(reference["slices"]) >= 3
-    assert reference["jit"] == dict.fromkeys(reference["jit"], 0) or (
-        overrides.get("spsuppress"))  # a summarizing loop is generated
+    assert reference["jit"] == dict.fromkeys(reference["jit"], 0)
     assert images["1"]["jit"]["hot_instructions"] > 0
     for name in ("1", "shipped"):
         assert without(images[name]) == without(reference), name
@@ -151,12 +150,14 @@ def assert_lowering_is_invisible(threshold, guest, tool, **overrides):
 
 class TestPipelineTable:
     @pytest.mark.parametrize("spfilter", [None, "opcode:mem"])
-    @pytest.mark.parametrize("spsuppress", [False, True])
+    @pytest.mark.parametrize("loop_forms", [False, True])
     @pytest.mark.parametrize("tool", list(COUNTING))
-    def test_multislice(self, threshold, tool, spsuppress, spfilter):
+    def test_multislice(self, threshold, tool, loop_forms, spfilter,
+                        monkeypatch):
+        if not loop_forms:
+            without_loop_forms(monkeypatch)
         assert_lowering_is_invisible(
-            threshold, "multislice", tool, spworkers=0,
-            spsuppress=spsuppress, spfilter=spfilter)
+            threshold, "multislice", tool, spworkers=0, spfilter=spfilter)
 
     @pytest.mark.parametrize("tool", ["icount2", "memtrace",
                                       "tracerecords"])
@@ -172,11 +173,10 @@ class TestPipelineTable:
         """Each pool worker keeps its own heat; the table still holds,
         and equals the in-process run."""
         images = assert_lowering_is_invisible(
-            threshold, guest, tool, spworkers=2, spsuppress=True,
-            spfilter="opcode:mem")
+            threshold, guest, tool, spworkers=2, spfilter="opcode:mem")
         threshold(SHIPPED)
         in_process = pipeline_image(guest, tool, spworkers=0,
-                                    spsuppress=True, spfilter="opcode:mem")
+                                    spfilter="opcode:mem")
         assert without(images["shipped"]) == without(in_process)
 
     @pytest.mark.parametrize("spworkers", [0, 2])

@@ -172,7 +172,7 @@ class SliceOwner:
         self.machine = SliceMachine()
 
     def engine(self) -> PinVM:
-        return self.machine.switch(None, None, CONFIG,
+        return self.machine.switch(None, None,
                                    state=_state(MULTISLICE)[:3])
 
     def enter(self, monkeypatch) -> dict:
@@ -185,7 +185,7 @@ class SliceOwner:
             vm = PinVM(process, metrics=metrics, code_cache=CodeCache(
                 abi.BUBBLE_BASE, abi.BUBBLE_WORDS, metrics=metrics))
         else:
-            vm = self.machine.switch(None, None, CONFIG, metrics=metrics,
+            vm = self.machine.switch(None, None, metrics=metrics,
                                      state=state)
         tool = ICount2()
         tool.setup(NullSuperPin())

@@ -1,9 +1,10 @@
-"""Selective instrumentation, suppression and sampling under SuperPin.
+"""Selective instrumentation, loop summaries and sampling under SuperPin.
 
-The parity contract: ``-spfilter`` and ``-spsuppress`` change *how much*
+The parity contract: ``-spfilter`` and loop summaries change *how much*
 instrumentation runs, never *what the tool reports* — filtered SuperPin
-must match filtered serial Pin bit for bit, and suppressed must match
-unsuppressed.  ``-spsample`` is the one switch allowed to change tool
+must match filtered serial Pin bit for bit, and a run with summaries
+must match one with no loop form (which fires none), analysis calls
+included.  ``-spsample`` is the one switch allowed to change tool
 results (a declared approximation), and the audit must treat it so.
 """
 
@@ -13,7 +14,7 @@ from repro.machine import Kernel
 from repro.pin import parse_filter, run_with_pin
 from repro.superpin import run_superpin, SuperPinConfig
 from repro.tools import ICount1, ICount2
-from tests.conftest import all_generated
+from tests.conftest import all_generated, without_loop_forms
 
 #: The JIT's own choice of lowering, and every trace generated
 #: (``conftest.all_generated``).
@@ -23,13 +24,20 @@ WORKERS = [0, 2]
 BASE = dict(spmsec=500, clock_hz=10_000)
 
 
-def serial_total(program, tool_cls, filter_spec=None, suppress=False):
+def serial_total(program, tool_cls, filter_spec=None):
     """Serial-Pin ground truth with the same selective settings."""
     tool = tool_cls()
     if filter_spec is not None:
         tool.instrument_filter = parse_filter(filter_spec, program)
-    run_with_pin(program, tool, Kernel(seed=42), suppress_loops=suppress)
+    run_with_pin(program, tool, Kernel(seed=42))
     return tool.total
+
+
+def unsummarized(monkeypatch, run):
+    """``run()`` with no loop form, so with no summary fired."""
+    with monkeypatch.context() as reference:
+        without_loop_forms(reference)
+        return run()
 
 
 @pytest.mark.parametrize("workers", WORKERS)
@@ -89,34 +97,45 @@ class TestSuppressedParity:
                                               monkeypatch):
         if backend == "source":
             all_generated(monkeypatch)
-        full = tool_cls()
-        run_superpin(multislice_program, full,
-                     SuperPinConfig(spworkers=workers, **BASE),
-                     kernel=Kernel(seed=42))
-        tool = tool_cls()
-        report = run_superpin(
-            multislice_program, tool,
-            SuperPinConfig(spsuppress=True, spworkers=workers,
-                           **BASE),
-            kernel=Kernel(seed=42))
+
+        def run():
+            tool = tool_cls()
+            report = run_superpin(
+                multislice_program, tool,
+                SuperPinConfig(spworkers=workers, spmetrics=True, **BASE),
+                kernel=Kernel(seed=42))
+            return tool, report
+        full, full_report = unsummarized(monkeypatch, run)
+        tool, report = run()
         assert tool.total == full.total
         assert report.all_exact
-        instr = report.instrumentation_summary()
-        assert instr["summarized_loops"] > 0
-        assert instr["suppressed_calls"] > 0
+        assert (report.instrumentation_summary()
+                == full_report.instrumentation_summary())
+        counter = report.metrics.counter
+        assert not full_report.metrics.counter(
+            "pin.suppress.summarized_loops")
+        if backend == "source":
+            assert counter("pin.suppress.summarized_loops") > 0
+            assert counter("pin.suppress.suppressed_calls") > 0
 
     def test_suppressed_audit_clean(self, multislice_program, workers,
                                     backend, monkeypatch):
         if backend == "source":
             all_generated(monkeypatch)
-        tool = ICount2()
-        report = run_superpin(
-            multislice_program, tool,
-            SuperPinConfig(spsuppress=True, spworkers=workers,
-                           spaudit=True, **BASE),
-            kernel=Kernel(seed=42))
+
+        def run():
+            return run_superpin(
+                multislice_program, ICount2(),
+                SuperPinConfig(spworkers=workers, spaudit=True, **BASE),
+                kernel=Kernel(seed=42))
+        reference = unsummarized(monkeypatch, run)
+        report = run()
         assert report.audit is not None
         assert report.audit.ok, report.audit.summary()
+        assert (report.audit.merged_tool_report
+                == reference.audit.merged_tool_report)
+        assert (report.instrumentation_summary()["analysis_calls"]
+                == reference.instrumentation_summary()["analysis_calls"])
 
 
 class TestCombined:
@@ -125,26 +144,31 @@ class TestCombined:
                                               backend, monkeypatch):
         if backend == "source":
             all_generated(monkeypatch)
-        tool = ICount2()
-        report = run_superpin(
-            multislice_program, tool,
-            SuperPinConfig(spfilter="routine:work", spsuppress=True,
-                           spaudit=True, **BASE),
-            kernel=Kernel(seed=42))
+
+        def run():
+            return run_superpin(
+                multislice_program, ICount2(),
+                SuperPinConfig(spfilter="routine:work", spaudit=True,
+                               **BASE),
+                kernel=Kernel(seed=42))
+        reference = unsummarized(monkeypatch, run)
+        report = run()
         assert report.audit is not None
         assert report.audit.ok, report.audit.summary()
-        assert tool.total == serial_total(multislice_program, ICount2,
-                                          filter_spec="routine:work")
+        assert report.tool.total == serial_total(
+            multislice_program, ICount2, filter_spec="routine:work")
+        assert (report.instrumentation_summary()
+                == reference.instrumentation_summary())
 
     def test_all_three_with_audit(self, multislice_program):
-        """-spfilter + -spsuppress + -spsample + -spaudit together: the
+        """-spfilter + -spsample + -spaudit together: the
         audit waives only the tool-results check (sampling is a declared
         approximation) and everything architectural stays clean."""
         tool = ICount2()
         report = run_superpin(
             multislice_program, tool,
-            SuperPinConfig(spfilter="routine:work", spsuppress=True,
-                           spsample=2, spaudit=True, **BASE),
+            SuperPinConfig(spfilter="routine:work", spsample=2,
+                           spaudit=True, **BASE),
             kernel=Kernel(seed=42))
         assert report.audit is not None
         assert report.audit.ok, report.audit.summary()

@@ -25,7 +25,7 @@ from repro.superpin import (load_recording, replay_recording, run_superpin,
                             SuperPinConfig, TimeTravelEngine)
 from repro.tools import ICount1, ICount2, MemTrace
 
-from ..conftest import promote_at
+from ..conftest import promote_at, without_loop_forms
 from .test_slice_machine import REWRITTEN
 
 #: ``f`` is hot — promoted, its caller's trace linked to it — when the
@@ -83,7 +83,7 @@ donors:
     addi s2, s2, 7
 """
 
-#: A loop whose loop form summarizes under ``-spsuppress`` stores into
+#: A loop whose loop form summarizes its calls stores into
 #: its own next instruction on trip 500 only (every other trip stores
 #: into data): the store lands inside a running loop form.
 IN_A_SUMMARIZED_LOOP = """
@@ -167,7 +167,7 @@ GUESTS = {
                          300 * (3 + 7)),
 }
 
-#: ... and under ``-spsuppress``.
+#: ... and where a loop form summarizes.
 SUPPRESSED = dict(GUESTS, **{
     "in-a-summarized-loop": (IN_A_SUMMARIZED_LOOP, dict(spmsec=500),
                              499 * 1 + 701 * 5)})
@@ -249,33 +249,43 @@ class TestEveryEngineIsTheInterpreter:
 @pytest.mark.parametrize("lowering", LOWERINGS)
 @pytest.mark.parametrize("guest", SUPPRESSED)
 def test_under_suppression(guest, lowering, monkeypatch):
-    """Under ``-spsuppress`` a store into code the executing loop form
-    would still run stops it like any other, its summaries fired for
-    the trips before: serial Pin and SuperPin, audited, are the
-    interpreter."""
+    """A store into code the executing loop form would still run stops
+    it like any other, its summaries fired for the trips before: serial
+    Pin and SuperPin, audited, are the interpreter, and count the
+    analysis calls of a run with no loop form, which summarizes
+    nothing."""
     source, timing, exit_code = SUPPRESSED[guest]
     lower(monkeypatch, lowering)
     program = assemble(source)
     want = interpret(program)
     assert want[0] == exit_code
-    tool = ICount1()
-    _, vm, kernel = run_with_pin(program, tool, kernel=Kernel(seed=3),
-                                 suppress_loops=True)
+
+    def runs():
+        tool = ICount1()
+        _, vm, kernel = run_with_pin(program, tool, kernel=Kernel(seed=3))
+        report = run_superpin(
+            program, ICount1(), SuperPinConfig(clock_hz=10_000,
+                                               spaudit=True, **timing),
+            kernel=Kernel(seed=3))
+        return tool, vm, kernel, report
+    with monkeypatch.context() as reference:
+        without_loop_forms(reference)
+        *_, plain_vm, _, plain = runs()
+    tool, vm, kernel, report = runs()
     assert (vm.exit_code, vm.total_instructions, kernel.stdout_text()) \
         == want
     assert tool.total == want[1]
+    assert vm.counters[0] == plain_vm.counters[0]
     assert vm.cache.stats.invalidations > 0
-    if guest == "in-a-summarized-loop":
-        assert vm.instr_stats.loop_entries > 1
-    tool = ICount1()
-    report = run_superpin(
-        program, tool, SuperPinConfig(clock_hz=10_000, spaudit=True,
-                                      spsuppress=True, **timing),
-        kernel=Kernel(seed=3))
+    if (guest == "in-a-summarized-loop"
+            and jit.HOT_EXECUTIONS_PER_COMPILE < math.inf):
+        assert vm.jit_stats.loop_entries > 1
     assert report.audit.ok, report.audit.summary()
     assert (report.exit_code, report.timeline.total_instructions,
             report.stdout) == want
-    assert tool.total == want[1]
+    assert report.tool.total == want[1]
+    assert (report.instrumentation_summary()["analysis_calls"]
+            == plain.instrumentation_summary()["analysis_calls"])
 
 
 @pytest.mark.parametrize("lowering", LOWERINGS)

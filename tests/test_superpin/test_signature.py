@@ -21,7 +21,7 @@ from repro.superpin import slices as slices_mod
 from repro.superpin.signature import STACK_WORDS
 from repro.tools import ICount2, TOOLS
 from repro.workloads import build
-from tests.conftest import all_generated, MULTISLICE
+from tests.conftest import all_generated, MULTISLICE, without_loop_forms
 from tests.test_superpin.test_audit_fuzz import (random_syscall_program,
                                                  SEEDS)
 from tests.test_superpin.test_threads_superpin import THREADED
@@ -331,9 +331,10 @@ class TestTheCheckIsLowered:
     callback — yet what it counts is what a callback's if/then pair
     counts: under a filter that leaves the pc's trace out (it is still
     no fast-path trace), sampling (a slice without the tool still
-    checks) and suppression (a loop form holding the check does not
-    summarize), every slice and the merged result are the reference's,
-    slice by slice and field by field."""
+    checks) and loop summaries (a loop form holding the check does not
+    summarize; the ``suppress`` row also holds the run against one with
+    no loop form, which summarizes nothing), every slice and the merged
+    result are the reference's, slice by slice and field by field."""
 
     CONFIG = dict(spmsec=500, clock_hz=10_000)
 
@@ -343,6 +344,7 @@ class TestTheCheckIsLowered:
                               SuperPinConfig(**self.CONFIG, **overrides),
                               kernel=Kernel(seed=42))
         assert report.all_exact
+        self.metrics = report.metrics
         slices = [{field.name: getattr(result, field.name)
                    for field in dataclasses.fields(result)
                    if field.name != "tool_ctx"}
@@ -352,7 +354,7 @@ class TestTheCheckIsLowered:
     @pytest.mark.parametrize("backend", ["closure", "source"])
     @pytest.mark.parametrize("overrides", [
         dict(spfilter="opcode:syscall"), dict(spfilter="opcode:mem"),
-        dict(spsample=2), dict(spsuppress=True)],
+        dict(spsample=2), dict(spmetrics=True)],
         ids=["filter-out", "filter-in", "sample", "suppress"])
     def test_every_slice_counts_what_a_callback_counted(
             self, overrides, backend, monkeypatch):
@@ -370,8 +372,13 @@ class TestTheCheckIsLowered:
             assert sum(s["fastpath_traces"] for s in slices) > 0
         if "spsample" in overrides:
             assert not all(s["instrumented"] for s in slices)
-        if "spsuppress" in overrides:
-            assert sum(s["summarized_loops"] for s in slices) > 0
+        if "spmetrics" in overrides:
+            if backend == "source":
+                assert self.metrics.counter(
+                    "pin.suppress.summarized_loops") > 0
+            with monkeypatch.context() as patch:
+                without_loop_forms(patch)
+                assert self.run(**overrides) == lowered
 
     def test_no_trace_callback_is_registered(self, monkeypatch):
         """The slice's engine is handed the check, not a callback: a

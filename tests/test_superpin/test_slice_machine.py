@@ -35,7 +35,7 @@ from repro.superpin.slices import (PLACEMENT_COUNTERS, run_slice,
                                    SliceMachine)
 from repro.tools import ICount2, TOOLS
 from tests.conftest import (all_generated, MULTISLICE, promote_at,
-                            unlinked, virtual_counters)
+                            unlinked, virtual_counters, without_loop_forms)
 from tests.test_superpin.test_threads_superpin import THREADED
 
 #: The JIT's own choice of lowering, and every trace generated
@@ -212,15 +212,17 @@ def assert_resident_equals_fresh(source, make_tool, served=True,
 
 class TestParityWithAFreshMachine:
     @pytest.mark.parametrize("spfilter", [None, "opcode:mem"])
-    @pytest.mark.parametrize("spsuppress", [False, True])
+    @pytest.mark.parametrize("loop_forms", [False, True])
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("tool", list(TOOL_FACTORIES))
-    def test_matrix(self, tool, backend, spsuppress, spfilter, monkeypatch):
+    def test_matrix(self, tool, backend, loop_forms, spfilter, monkeypatch):
+        """... with loop forms, which summarize, and without."""
         if backend == "source":
             all_generated(monkeypatch)
+        if not loop_forms:
+            without_loop_forms(monkeypatch)
         assert_resident_equals_fresh(
-            MULTISLICE, TOOL_FACTORIES[tool], spsuppress=spsuppress,
-            spfilter=spfilter)
+            MULTISLICE, TOOL_FACTORIES[tool], spfilter=spfilter)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_sampled_slices(self, backend, monkeypatch):
@@ -790,16 +792,16 @@ class TestPureInstrumentation:
         assert first["pin.jit.instrumentation_checks"] \
             >= len(taken_over) > 0
 
-    @pytest.mark.parametrize("spsuppress", [False, True])
+    @pytest.mark.parametrize("loop_forms", [False, True])
     @pytest.mark.parametrize("klass", [ClosureCount, SlottedCount])
-    def test_shapes_that_stay_on_the_old_path(self, klass, spsuppress):
-        fresh = SlicePhase(MULTISLICE, klass(),
-                           spsuppress=spsuppress).run_all()
-        phase, resident = self.run_on_one_machine(klass,
-                                                  spsuppress=spsuppress)
+    def test_shapes_that_stay_on_the_old_path(self, klass, loop_forms,
+                                              monkeypatch):
+        if not loop_forms:
+            without_loop_forms(monkeypatch)
+        fresh = SlicePhase(MULTISLICE, klass()).run_all()
+        phase, resident = self.run_on_one_machine(klass)
         assert resident == fresh
-        assert resident[1] == SlicePhase(
-            MULTISLICE, ICount2(), spsuppress=spsuppress).run_all()[1]
+        assert resident[1] == SlicePhase(MULTISLICE, ICount2()).run_all()[1]
         assert phase.counters["pin.jit.skeleton_reuses"] > 0
         assert phase.counters["pin.jit.instrumentation_reuses"] == 0
         # A closure is observed (and declined) trace by trace; a tool
@@ -970,16 +972,23 @@ class TestThroughThePipeline:
 
     @pytest.mark.parametrize("overrides", [
         dict(spworkers=0), dict(spworkers=2),
-        dict(spworkers=0, generated=True, spsuppress=True),
+        dict(spworkers=0, generated=True, unsummarized=True),
         dict(spworkers=2, spfaults="retry",
              fault_plan=FaultPlan.parse("crash@1")),
     ], ids=["w0", "w2", "w0-source-suppress", "w2-retry"])
     def test_audit_is_clean(self, overrides, monkeypatch):
+        """(``unsummarized``: and every slice field, the analysis calls
+        among them, is the run's with no loop form, which summarizes
+        nothing.)"""
         overrides = dict(overrides)
         if overrides.pop("generated", False):
             all_generated(monkeypatch)
-        report, _, _ = _report(spaudit=True, **overrides)
+        unsummarized = overrides.pop("unsummarized", False)
+        report, *image = _report(spaudit=True, **overrides)
         assert report.audit.ok, report.audit.summary()
+        if unsummarized:
+            without_loop_forms(monkeypatch)
+            assert _report(spaudit=True, **overrides)[1:] == tuple(image)
 
     @pytest.mark.parametrize("spworkers", [0, 2])
     @pytest.mark.parametrize("tool", sorted(set(TOOLS) - {"sampler"}))
@@ -1095,7 +1104,7 @@ class TestAResidentAcrossRuns:
     only sooner."""
 
     #: ``(source, tool, overrides)``: two programs loaded at the same
-    #: base, three tools, a filter, suppression, both lowerings
+    #: base, three tools, a filter, both lowerings
     #: (``generated``: ``conftest.all_generated``), both transports.
     #: Runs 2, 4, 5, 8 and 9 repeat a program the resident's engine has
     #: run in-process.
@@ -1104,7 +1113,7 @@ class TestAResidentAcrossRuns:
         (OTHER, "icount1", {}),
         (MULTISLICE, "icount2", {}),
         (MULTISLICE, "memtrace", dict(spfilter="opcode:mem")),
-        (OTHER, "icount1", dict(spsuppress=True)),
+        (OTHER, "icount1", {}),
         (MULTISLICE, "icount1", dict(generated=True)),
         (MULTISLICE, "icount2", dict(spworkers=2)),
         (OTHER, "memtrace", dict(spworkers=2)),

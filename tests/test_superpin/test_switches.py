@@ -61,6 +61,15 @@ class TestParsing:
         config = parse_switches(["-spmp", "4"], spmp=2)
         assert config.spmp == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("-sp", "7"), ("-spmetrics", "-1"), ("-spaudit", "5"),
+        ("-spresume", "2")])
+    def test_a_boolean_switch_takes_0_or_1(self, flag, value):
+        with pytest.raises(ConfigError) as error:
+            parse_switches(["-spjournal", "r.journal", flag, value])
+        assert str(error.value) == f"bad value {value!r} for {flag!r}"
+        assert parse_switches(["-spjournal", "r.journal", flag, "1"])
+
 
 class TestSupervisionSwitches:
     def test_parse_faults_policy(self):
@@ -121,6 +130,17 @@ class TestSupervisionSwitches:
                                  "failfast"])
         assert config.spworkers == 1
         assert config.spfaults == "failfast"
+
+    @pytest.mark.parametrize("value", ["abc", "-3", "1.5", " "])
+    def test_a_malformed_env_default_names_the_variable(self, value,
+                                                        monkeypatch):
+        monkeypatch.setenv("SUPERPIN_SPWORKERS", value)
+        with pytest.raises(ConfigError) as error:
+            SuperPinConfig()
+        assert str(error.value) == (f"SUPERPIN_SPWORKERS must be an "
+                                    f"integer >= 0, got {value!r}")
+        # An explicit value needs no default.
+        assert SuperPinConfig(spworkers=1).spworkers == 1
 
 
 class TestNoSecondTranslationCache:
@@ -184,7 +204,6 @@ class TestSelectiveSwitches:
     def test_defaults_off(self):
         config = SuperPinConfig()
         assert config.spfilter is None
-        assert config.spsuppress is False
         assert config.spsample == 0
 
     def test_parse_filter_spec(self):
@@ -192,8 +211,14 @@ class TestSelectiveSwitches:
         assert config.spfilter == "routine:work,opcode:mem"
 
     def test_parse_suppress(self):
-        assert parse_switches(["-spsuppress", "1"]).spsuppress is True
-        assert parse_switches(["-spsuppress", "0"]).spsuppress is False
+        """Loop summaries are no switch: every loop form summarizes
+        what it can (``repro.pin.pyjit``)."""
+        for value in ("0", "1"):
+            with pytest.raises(ConfigError,
+                               match="unknown SuperPin switch '-spsuppress'"):
+                parse_switches(["-spsuppress", value])
+        with pytest.raises(TypeError):
+            SuperPinConfig(spsuppress=True)
 
     def test_parse_sample(self):
         assert parse_switches(["-spsample", "4"]).spsample == 4
@@ -240,7 +265,7 @@ AWAY_FROM_DEFAULT = {
     "spfaults": "degrade", "fault_plan": FaultPlan.parse("crash@0"),
     "clock_hz": 20_000, "expected_duration_msec": 3000,
     "sptrace": "t.json", "spmetrics": True, "spaudit": True,
-    "spfilter": "opcode:mem", "spsuppress": True, "spsample": 2,
+    "spfilter": "opcode:mem", "spsample": 2,
     "sprecord": "r.sprec", "spjournal": "r.journal", "spresume": True,
     "sptracestore": "store",
 }

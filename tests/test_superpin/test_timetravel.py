@@ -25,7 +25,8 @@ from repro.superpin import (damage_recording, DebugSession, load_recording,
 from repro.superpin.slices import PLACEMENT_COUNTERS
 from repro.superpin.timetravel import CKPT_CACHE_SIZE
 from repro.tools import ICount2
-from tests.conftest import all_generated, MULTISLICE, promote_at, unlinked
+from tests.conftest import (all_generated, MULTISLICE, promote_at, unlinked,
+                            without_loop_forms)
 
 #: The JIT's own choice of lowering, and every trace generated
 #: (``conftest.all_generated``).
@@ -692,18 +693,19 @@ class TestOneMachinePerEngine:
 
 
 class TestUnderSuppression:
-    """A session switches its machine under its own ``config``,
-    ``-spsuppress`` included: a landing attaches nothing and a scan's
-    calls are not summarizable, so nothing it sees moves."""
+    """Loop forms summarize wherever they can, but a landing attaches
+    nothing and a scan's calls are not summarizable, so nothing a
+    session sees moves against one with no loop form."""
 
-    def test_landings_and_scans_equal_without(self, program, tmp_path):
-        def session(suppress):
-            path = tmp_path / f"suppress{int(suppress)}.sprec"
-            run_superpin(program, ICount2(),
-                         _config(sprecord=str(path), spsuppress=suppress),
+    def test_landings_and_scans_equal_without(self, program, tmp_path,
+                                              monkeypatch):
+        def session(loop_forms):
+            if not loop_forms:
+                without_loop_forms(monkeypatch)
+            path = tmp_path / f"loops{int(loop_forms)}.sprec"
+            run_superpin(program, ICount2(), _config(sprecord=str(path)),
                          kernel=Kernel(seed=42))
-            tt = TimeTravelEngine(load_recording(path),
-                                  SuperPinConfig(spsuppress=suppress))
+            tt = TimeTravelEngine(load_recording(path))
             seen = []
             for icount in PROBES:
                 tt.goto(icount)
