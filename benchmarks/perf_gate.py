@@ -100,6 +100,11 @@ REQUIRED_NONZERO = (
     # compile (the declaration, the adoption or a per-trace condition
     # broke).
     "pin.jit.instrumentation_reuses",
+    # ... and what a slice is served is mostly the very trace an earlier
+    # slice on the machine compiled, taken back from the machine's trace
+    # store, so zero means the store is no longer handed to the switch
+    # or no longer offers what the JIT would serve.
+    "pin.cache.readmitted",
     # ... and those functions' loops are single traces branching to
     # their own heads, in the slices (even the loop a slice's signature
     # pc falls inside: it splits a block, not the trace) and in the

@@ -31,7 +31,7 @@ from .machine.interpreter import Interpreter
 from .pin.pintool import run_with_pin
 from .superpin import parse_switches, run_superpin, SuperPinConfig
 from .tools import TOOLS
-from .workloads import BENCHMARK_NAMES, build
+from .workloads import BENCHMARK_NAMES, build, positive_scale
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -47,6 +47,15 @@ def main(argv: list[str] | None = None) -> int:
     return status
 
 
+def _scale(text: str) -> float:
+    """``--scale``'s type: :func:`~repro.workloads.positive_scale` of
+    the number ``text`` spells."""
+    try:
+        return positive_scale(float(text))
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+
+
 def _main(argv: list[str] | None) -> int:
     parser = argparse.ArgumentParser(
         prog="superpin",
@@ -59,7 +68,7 @@ def _main(argv: list[str] | None) -> int:
                        choices=sorted(TOOLS))
     run_p.add_argument("-w", "--workload", required=True,
                        help="suite benchmark name (see 'superpin list')")
-    run_p.add_argument("--scale", type=float, default=0.5,
+    run_p.add_argument("--scale", type=_scale, default=0.5,
                        help="duration scale factor (default 0.5)")
     run_p.add_argument("--gantt", action="store_true",
                        help="draw the slice schedule (the paper's Fig. 1)")
@@ -86,7 +95,7 @@ def _main(argv: list[str] | None) -> int:
 
     fig_p = sub.add_parser("figure", help="regenerate a paper figure")
     fig_p.add_argument("which", choices=sorted(FIGURES) + ["all"])
-    fig_p.add_argument("--scale", type=float, default=1.0)
+    fig_p.add_argument("--scale", type=_scale, default=1.0)
     fig_p.add_argument("--benchmarks", default=None,
                        help="comma-separated subset (figures 3/4/5)")
 
@@ -124,7 +133,7 @@ def _main(argv: list[str] | None) -> int:
                           help="suite benchmark name")
     submit_p.add_argument("--asm", default=None,
                           help="assembly source file to submit instead")
-    submit_p.add_argument("--scale", type=float, default=0.25)
+    submit_p.add_argument("--scale", type=_scale, default=0.25)
     submit_p.add_argument("--seed", type=int, default=42)
     submit_p.add_argument("--tenant", default="default")
     submit_p.add_argument("--no-stream", action="store_true",
@@ -248,7 +257,8 @@ def _print_report(report, tool, config: SuperPinConfig,
         print(f"jit: {jit['compiles']:,} compiles, {jit['pooled']:,} from "
               f"pooled skeletons, {jit['served']:,} without "
               f"re-instrumenting ({jit['served_cut']:,} cut by a "
-              f"signature pc), {jit['hot']:,} hot "
+              f"signature pc), {jit['readmitted']:,} re-admitted from the "
+              f"trace store, {jit['hot']:,} hot "
               f"({jit['hot_share']:.0%} of instructions in generated "
               f"code, {jit['loop_share']:.0%} of trace executions inside "
               f"{jit['loop_builds']:,} loop forms, {jit['interned']:,} "

@@ -105,7 +105,11 @@ class CodeCache:
         bubble charge refunded.  A re-insert updates neither
         ``compiles``/``compiled_ins`` nor the insert log (the shared
         code-cache directory keys attribution by first insert), only
-        the ``reinserts`` counter.
+        the ``reinserts`` counter.  Only what this cache holds counts:
+        a trace an engine's store holds for the address
+        (``repro.pin.engine.WarmCache``) is no earlier insert here, so
+        putting it — or a compile over it — in a run's cache is an
+        insert like any other.
         """
         need = TRACE_HEADER_WORDS + num_ins * WORDS_PER_COMPILED_INS
         if need > self.bubble_words:
@@ -134,6 +138,13 @@ class CodeCache:
         self.insert_log.append((address, num_ins))
         self.metrics.inc("pin.cache.compiles")
         self.metrics.inc("pin.cache.compiled_ins", num_ins)
+
+    def keep(self, other: CodeCache) -> None:
+        """Hold every trace ``other`` holds, each in place of what this
+        cache holds at its address: a trace store taking what a run
+        cached (``repro.pin.engine.WarmCache``).  Not an insert —
+        nothing is charged, counted or logged here."""
+        self._traces.update(other._traces)
 
     def replace(self, old, new) -> None:
         """Put ``new`` where ``old`` is cached: the same trace in another

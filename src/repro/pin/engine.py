@@ -15,9 +15,14 @@ instruction, or a loop form's next trip), it also stops right after the
 store, which counts as retired, exactly where the interpreter's store
 takes effect; any other trace finishes as compiled.
 
-An engine switched from state to state starts each on a cold code
-cache, unless the switch hands it a :class:`WarmCache`: code kept from
-the states before, checked page by page against the new one.
+An engine switched from state to state keeps a :class:`WarmCache`
+across the switches, its *trace store*: the code the states before it
+compiled, checked page by page against the new one.  A run with a
+virtual account to charge (a slice's) starts on a cold code cache of
+its own all the same, and a miss there takes the store's trace for the
+pc wherever the JIT would have served that very product
+(:meth:`~repro.pin.jit.Jit.readmit`); one without (a time-travel
+landing) runs on the store's cache itself.
 """
 
 from __future__ import annotations
@@ -92,22 +97,29 @@ def _stop_after(word: int) -> tuple[int, int] | None:
 
 
 class WarmCache:
-    """A code cache an engine keeps from one state to the next
-    (``PinVM.switch(..., warm=)``): the :class:`CodeCache`, the
-    engine's single-instruction step traces, and the watch over the
-    guest words they decoded — the words, and the pages they lie on.
+    """The traces an engine keeps from one state to the next
+    (``PinVM.switch(..., warm=)``) — its *trace store*: a
+    :class:`CodeCache` of them, the engine's single-instruction step
+    traces, and the watch over the guest words they decoded — the
+    words, and the pages they lie on.
 
-    When the engine leaves it, the cache notes the page lists it ran on
-    (:meth:`~repro.machine.memory.Memory.page_refs`); the cached code
-    is true to them, because a write to a watched word evicts what
-    decoded it.  A switch onto another state keeps the code if no
-    watched word differs on those pages there — a page that is the same
-    list, or an equal one, is one comparison; data beside the code may
-    differ — and flushes it all otherwise; then it hands the state's
-    memory the watch, so a store into kept code still evicts it.  Both
-    cost O(pages), not O(traces).  Who runs the states owns the cache;
-    one that needs a cold cache per state (a slice, for its virtual
-    account) passes none.
+    When the engine leaves it, the store takes what the run's own cache
+    holds, each trace in the place of what it held at that pc, and
+    notes the page lists the run ended on
+    (:meth:`~repro.machine.memory.Memory.page_refs`); the kept code is
+    true to them, because a write to a watched word evicts what decoded
+    it.  A switch onto another state keeps the code if no watched word
+    differs on those pages there — a page that is the same list, or an
+    equal one, is one comparison; data beside the code may differ — and
+    flushes it all otherwise; then it hands the state's memory the
+    watch, so a store into kept code still evicts it.  Both cost
+    O(pages), not O(traces).
+
+    Who runs the states owns the store: a slice machine and the
+    signature lookahead for every run they make, each run starting on
+    a cold cache of its own that a miss fills from here
+    (:meth:`~repro.pin.jit.Jit.readmit`); a time-travel session for its
+    landings, which run on :attr:`cache` itself.
     """
 
     def __init__(self):
@@ -122,7 +134,7 @@ class WarmCache:
         self.flushes = 0
 
     def enter(self, mem) -> None:
-        """Check the cached code against ``mem``, the memory it is about
+        """Check the kept code against ``mem``, the memory it is about
         to run on; flush it if any word it decoded differs."""
         if not self.pages:
             return
@@ -131,11 +143,23 @@ class WarmCache:
             self.reuses += 1
             return
         self.flushes += 1
+        self.flush()
+
+    def flush(self) -> None:
+        """Keep nothing."""
         self.cache.flush()
         self.steps.clear()
         self.words.clear()
         self.pages.clear()
         self.refs = {}
+
+    def leave(self, mem, cache: CodeCache) -> None:
+        """The engine leaves ``mem``, on which it ran ``cache``: keep
+        what ``cache`` holds (nothing to do if that is :attr:`cache`)
+        and note the pages the kept code lies on."""
+        if cache is not self.cache:
+            self.cache.keep(cache)
+        self.refs = mem.page_refs(self.pages)
 
 
 @dataclass
@@ -239,9 +263,11 @@ class PinVM:
         #: (module docstring); True while a trace may be executing,
         #: False inside a syscall and outside :meth:`run`.
         self.mem.unwatch_code()
-        #: The :class:`WarmCache` the engine runs on, if a switch handed
-        #: it one.
+        #: The :class:`WarmCache` the engine keeps, if a switch handed
+        #: it one, and its cache, where a miss in this run's own
+        #: cache looks next (None when the run is on that cache).
         self._warm: WarmCache | None = None
+        self._store: CodeCache | None = None
         self.mem.on_code_write = self._code_written
         self._executing = False
         #: Unwind markers maintained by generated code (source backend);
@@ -279,14 +305,17 @@ class PinVM:
         ``thread_manager`` are taken over; the exit flags are cleared;
         then :meth:`reset` with ``settings`` — after the adopt, so the
         adopted memory's watched code words are cleared too.  The JIT's
-        pool and heat are kept.  With ``warm`` the engine runs on that
-        cache instead of a cold one, checked against the adopted memory
-        and watched on it (:class:`WarmCache`).
+        pool and heat are kept.  With ``warm`` the engine keeps that
+        trace store (:class:`WarmCache`), checked against the adopted
+        memory and watched on it: the run is on the ``code_cache`` of
+        ``settings`` and a miss there asks the store, or, given none, on
+        the store's cache itself.  The store the engine leaves takes
+        what the run it ends cached.
         """
         process = self.process
         left = self._warm
         if left is not None:
-            left.refs = process.mem.page_refs(left.pages)
+            left.leave(process.mem, self.cache)
         process.cpu.restore(cpu_snapshot)
         process.mem.adopt(mem)
         process.syscall_handler = handler
@@ -297,9 +326,14 @@ class PinVM:
             self.reset(**settings)
             return
         warm.enter(process.mem)
-        self.reset(code_cache=warm.cache, **settings)
+        if settings.get("code_cache") is None:
+            settings["code_cache"] = warm.cache
+        self.reset(**settings)
         self._warm = warm
-        self._step_cache = warm.steps
+        if self.cache is warm.cache:
+            self._step_cache = warm.steps
+        else:
+            self._store = warm.cache
         process.mem.take_watch(warm.words, warm.pages)
 
     # -- instrumentation registration ---------------------------------------
@@ -366,6 +400,8 @@ class PinVM:
         store if it would still run the old decode."""
         self.mem.unwatch_code(word)
         self._step_cache.pop(word, None)
+        if self._store is not None:
+            self._store.invalidate(word)
         if self.cache.invalidate(word) and self._executing:
             stop = _stop_after(word)
             if stop is not None:
@@ -386,6 +422,31 @@ class PinVM:
             trace = self.jit.compile_step(pc)
             self._step_cache[pc] = trace
             self.mem.watch_code(pc, 1)
+        return trace
+
+    def _translate(self, pc: int):
+        """What a dispatcher miss on ``pc`` puts in the run's code
+        cache — a compile in the virtual account either way: the trace
+        the store holds for ``pc`` where the JIT would serve this run
+        that product (:meth:`~repro.pin.jit.Jit.readmit`), else a
+        compile, whose code is watched from here on."""
+        metrics = self.metrics
+        timed = metrics.enabled
+        if timed:
+            # A miss is already slow: time each directly.
+            started = time.perf_counter()
+        store = self._store
+        trace = store.get(pc) if store is not None else None
+        compiled = trace is None or not self.jit.readmit(trace)
+        if compiled:
+            trace = self.jit.compile(pc)
+        if timed:
+            metrics.observe("pin.jit.compile_seconds",
+                            time.perf_counter() - started)
+            metrics.inc("pin.jit.compiles")
+            metrics.observe("pin.jit.trace_ins", trace.num_ins)
+        if compiled:
+            self.mem.watch_code(pc, trace.num_words)
         return trace
 
     def _promote(self, trace):
@@ -480,20 +541,8 @@ class PinVM:
                 if trace is None:
                     trace = cache.lookup(pc)
                     if trace is None:
-                        timed = self.metrics.enabled
-                        if timed:
-                            # A miss is already slow: time each directly.
-                            compile_start = time.perf_counter()
-                        trace = jit.compile(pc)
-                        if timed:
-                            self.metrics.observe(
-                                "pin.jit.compile_seconds",
-                                time.perf_counter() - compile_start)
-                            self.metrics.inc("pin.jit.compiles")
-                            self.metrics.observe("pin.jit.trace_ins",
-                                                 trace.num_ins)
+                        trace = self._translate(pc)
                         cache.insert(pc, trace, trace.num_ins)
-                        self.mem.watch_code(pc, trace.num_words)
                     if linking and prev is not None:
                         # Patch the predecessor's exit stub: the next time
                         # it exits to ``pc`` the dispatcher is bypassed.

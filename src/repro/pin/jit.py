@@ -539,7 +539,7 @@ class CompiledTrace:
     """Executable form of one trace (threaded code)."""
 
     __slots__ = ("start", "steps", "instructions", "fall_address",
-                 "num_ins", "num_words", "links", "heat", "hot_at")
+                 "num_ins", "num_words", "links", "heat", "hot_at", "kept")
 
     is_source = False
 
@@ -564,6 +564,12 @@ class CompiledTrace:
         #: generated code.
         self.heat: list[int] | None = None
         self.hot_at = NEVER
+        #: What :meth:`Jit.compile` lowered the trace from, which is
+        #: what :meth:`Jit.readmit` asks of it: the :class:`_Kept`
+        #: entry whose calls it carries (a resident object's), ``(cut,)``
+        #: where no trace callback ran at all (:meth:`Jit._cut`), or
+        #: None — code no later run may be handed.
+        self.kept = None
 
 
 @dataclass
@@ -621,6 +627,14 @@ class JitStats:
     #: something observed: an if/then pair, a routine that is no bound
     #: method of the resident tool, a mutable argument.
     instrumentation_declined: int = 0
+    #: Dispatcher misses answered from the engine's trace store
+    #: (``repro.pin.engine.WarmCache``): a trace an earlier run on the
+    #: engine compiled, put back in the run's cache with no compile
+    #: (:meth:`Jit.readmit`).  Counted among the ``skeleton_reuses`` —
+    #: and, where a resident object's calls are put back, among the
+    #: ``instrumentation_reuses`` — like the served compile it stands
+    #: for.
+    readmitted: int = 0
 
 
 class _Skeleton:
@@ -894,7 +908,73 @@ class Jit:
         trace.heat = cell
         if not trace.is_source:
             trace.hot_at = self._mark(cell)
+        if owner is not None:
+            trace.kept = skeleton.attached
+        elif not engine.trace_callbacks:
+            trace.kept = (cut,)
         return trace
+
+    def readmit(self, trace) -> bool:
+        """Whether ``trace``, which an earlier run on this engine
+        compiled, is what a compile of its pc would serve this run; if
+        so, the compile it stands for is done — accounted as a served
+        one, its calls put back on the skeleton — and the caller puts
+        ``trace`` itself in the run's code cache.
+
+        Served means: lowered off the skeleton the pool holds for the
+        pc, around this run's cut (:meth:`_cut`), and from either the
+        verified entry :meth:`compile` would serve under this
+        ``retain_for`` and ``template``, or — for a run that registered
+        no trace callback — from nothing attached at all; and in the
+        lowering the compile would choose now.  Anything else the caller
+        compiles.
+        """
+        kept = trace.kept
+        address = trace.start
+        skeleton = self.pool.get(address)
+        if (kept is None or skeleton is None
+                or skeleton.instructions is not trace.instructions):
+            return False
+        cell = trace.heat
+        if trace.is_source != (self.all_generated or (
+                cell[1] > 0
+                and cell[0] >= cell[1] * HOT_EXECUTIONS_PER_COMPILE)):
+            return False
+        engine = self._engine
+        instructions = skeleton.instructions
+        stats = engine.jit_stats
+        if type(kept) is tuple:
+            if (engine.trace_callbacks
+                    or kept[0] != self._cut(address, len(instructions))):
+                return False
+            if (skeleton.attached is not None
+                    or any(ins.shape is not BARE for ins in instructions)):
+                for ins in instructions:
+                    ins.clear_calls()
+                skeleton.attached = None
+        else:
+            owner = self.retain_for
+            if (owner is None or skeleton.owner is not owner
+                    or not kept.verified or kept.template != self.template):
+                return False
+            cut = self._cut(address, len(instructions))
+            if skeleton.kept.get(cut) is not kept:
+                return False
+            stats.instrumentation_reuses += 1
+            if cut is not None:
+                stats.cut_reuses += 1
+            istats = engine.instr_stats
+            istats.skipped_callbacks += kept.skipped
+            istats.fastpath_traces += kept.fastpath
+            if skeleton.attached is not kept:
+                _restore(instructions, kept.calls)
+                skeleton.attached = kept
+        stats.skeleton_reuses += 1
+        stats.readmitted += 1
+        trace.links.clear()
+        if not trace.is_source:
+            trace.hot_at = self._mark(cell)
+        return True
 
     def _keep(self, skeleton: _Skeleton, cut, reference: _Kept | None,
               template, skipped: int, fastpath: int) -> None:
@@ -939,8 +1019,8 @@ class Jit:
     def _mark(cell: list[int]) -> int:
         """The ``executions`` at which the product of this pc's latest
         compile has earned generated code."""
-        return min(cell[1] * HOT_EXECUTIONS_PER_COMPILE * PROMOTE_FACTOR,
-                   NEVER)
+        mark = cell[1] * HOT_EXECUTIONS_PER_COMPILE * PROMOTE_FACTOR
+        return mark if mark < NEVER else NEVER
 
     def promote(self, trace: CompiledTrace):
         """The generated-code form of cached threaded-code ``trace``,
@@ -961,6 +1041,7 @@ class Jit:
         new = self._lower_generated(
             skeleton, self._cut(trace.start, len(skeleton.instructions)))
         new.heat = trace.heat
+        new.kept = trace.kept
         self._engine.jit_stats.promotions += 1
         return new
 

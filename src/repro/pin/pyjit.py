@@ -117,7 +117,7 @@ class SourceCompiledTrace:
 
     __slots__ = ("start", "fn", "num_ins", "num_words", "fall_address",
                  "source", "instructions", "links", "heat", "loop",
-                 "origin")
+                 "origin", "kept")
 
     is_source = True
     #: Already generated code: nothing to promote to.
@@ -144,9 +144,10 @@ class SourceCompiledTrace:
         #: Direct trace links: exit pc -> successor trace (see
         #: repro.pin.jit.CompiledTrace.links).
         self.links: dict[int, object] = {}
-        #: ``Jit.heat``'s cell for this pc (see
-        #: repro.pin.jit.CompiledTrace).
+        #: ``Jit.heat``'s cell for this pc and what the trace was
+        #: lowered from (see repro.pin.jit.CompiledTrace).
         self.heat: list[int] | None = None
+        self.kept = None
 
 
 def _literals(ins: Ins) -> dict[str, int]:

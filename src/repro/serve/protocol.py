@@ -41,6 +41,8 @@ from __future__ import annotations
 
 import json
 
+from ..workloads.spec import positive_scale
+
 #: Upper bound for one protocol line (requests carry inline assembly
 #: sources, so this is generous — but still a bound).
 MAX_LINE_BYTES = 4 * 1024 * 1024
@@ -51,6 +53,12 @@ OPS = ("ping", "submit", "status", "watch", "cancel", "shutdown")
 
 class ProtocolError(ValueError):
     """A malformed request or frame; the connection is closed."""
+
+
+class BadJobSpec(ProtocolError):
+    """A well-formed ``submit`` whose job spec is malformed: answered
+    ``bad_spec``, like a spec naming what the daemon cannot run, and the
+    connection stays open."""
 
 
 def encode_line(obj) -> bytes:
@@ -98,22 +106,24 @@ def validate_request(request: dict) -> str:
 
 
 def validate_job_spec(spec: dict) -> None:
-    """Check one job spec: program source, tool, switches, seed."""
+    """Check one job spec's shape — program source, tool, switches,
+    scale, seed — raising :class:`BadJobSpec` at the first problem."""
     has_workload = isinstance(spec.get("workload"), str)
     has_asm = isinstance(spec.get("asm"), str)
     if has_workload == has_asm:
-        raise ProtocolError(
+        raise BadJobSpec(
             "job spec needs exactly one of 'workload' or 'asm'")
     tool = spec.get("tool", "icount2")
     if not isinstance(tool, str):
-        raise ProtocolError("'tool' must be a string")
+        raise BadJobSpec("'tool' must be a string")
     switches = spec.get("switches", [])
     if (not isinstance(switches, list)
             or not all(isinstance(s, str) for s in switches)):
-        raise ProtocolError("'switches' must be a list of strings")
-    scale = spec.get("scale", 0.25)
-    if not isinstance(scale, (int, float)) or scale <= 0:
-        raise ProtocolError("'scale' must be a positive number")
+        raise BadJobSpec("'switches' must be a list of strings")
+    try:
+        positive_scale(spec.get("scale", 0.25))
+    except ValueError as error:
+        raise BadJobSpec(f"'scale': {error}") from None
     seed = spec.get("seed", 42)
     if not isinstance(seed, int):
-        raise ProtocolError("'seed' must be an integer")
+        raise BadJobSpec("'seed' must be an integer")

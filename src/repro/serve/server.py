@@ -41,8 +41,8 @@ from ..fsutil import atomic_write
 from ..obs.metrics import MetricsRegistry
 from .jobs import (Job, JobCancelled, JobLog, JobQueue, QueueFull,
                    recover_jobs)
-from .protocol import (encode_line, decode_line, MAX_LINE_BYTES,
-                       ProtocolError, validate_request)
+from .protocol import (BadJobSpec, encode_line, decode_line,
+                       MAX_LINE_BYTES, ProtocolError, validate_request)
 
 #: Events a subscriber queue can carry; ``done``/``failed`` terminate.
 TERMINAL_EVENTS = ("done", "failed")
@@ -363,6 +363,13 @@ class ServeDaemon:
                 try:
                     request = decode_line(line)
                     op = validate_request(request)
+                except BadJobSpec as exc:
+                    self.metrics.inc("serve.jobs.rejected")
+                    writer.write(encode_line({"ok": False,
+                                              "code": "bad_spec",
+                                              "error": str(exc)}))
+                    await writer.drain()
+                    continue
                 except ProtocolError as exc:
                     writer.write(encode_line({"ok": False,
                                               "code": "protocol",

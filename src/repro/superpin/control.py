@@ -362,7 +362,10 @@ class ControlProcess:
         the remaining work is spread over ``spmp + 1`` slices, which
         geometrically shrinks the final slices and with them the
         pipeline delay.  A wrong estimate degrades gracefully: past the
-        expected end the standard interval is used again.
+        expected end the standard interval is used again.  Throttling
+        only ever shrinks a timeslice: the floor
+        (:data:`MIN_TIMESLICE_MSEC`) gives way to a standard interval
+        that is shorter still.
         """
         config = self.config
         standard = config.timeslice_cycles
@@ -373,7 +376,8 @@ class ControlProcess:
         remaining = expected_total - executed_instructions
         if remaining <= 0:
             return standard
-        floor = max(1, MIN_TIMESLICE_MSEC * config.clock_hz // 1000)
+        floor = min(max(1, MIN_TIMESLICE_MSEC * config.clock_hz // 1000),
+                    standard)
         throttled = remaining // (config.spmp + 1)
         return max(floor, min(standard, throttled))
 

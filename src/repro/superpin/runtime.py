@@ -204,7 +204,9 @@ class SuperPinReport:
         served from pooled work, how many of those without running a
         trace callback (a tool that declares its instrumentation pure)
         and how many of those in a trace a signature pc cuts, how many
-        they lowered to generated code (:mod:`repro.pin.jit`)
+        put back a trace an earlier slice on the machine had compiled
+        (its trace store: no compile at all), how many they lowered to
+        generated code (:mod:`repro.pin.jit`)
         and how many generated lowerings found their code in the
         process's pool instead of calling ``compile()``, the share of
         the slices' instructions that retired in generated code —
@@ -224,6 +226,7 @@ class SuperPinReport:
             "pooled": int(counter("pin.jit.skeleton_reuses")),
             "served": int(counter("pin.jit.instrumentation_reuses")),
             "served_cut": int(counter("pin.jit.cut_reuses")),
+            "readmitted": int(counter("pin.cache.readmitted")),
             "hot": int(counter("pin.jit.hot_compiles")),
             "interned": int(counter("pin.jit.intern_hits")),
             "promotions": int(counter("pin.jit.promotions")),

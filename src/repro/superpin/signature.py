@@ -39,7 +39,8 @@ from ..machine.cpu import CpuState
 from ..machine.memory import Memory
 from ..machine.process import Process
 from ..pin.args import IARG_END, IARG_PTR, IPOINT_BEFORE
-from ..pin.engine import PinVM
+from ..pin.codecache import CodeCache
+from ..pin.engine import PinVM, WarmCache
 from ..pin.jit import StopRun
 
 #: Default quick-check registers when the recorder finds no candidate.
@@ -191,10 +192,13 @@ class Lookahead:
     the master is usually cut inside the loop it was cut in last time.
     On one engine and one resident :class:`_WriteCounter` the JIT may
     bind (:mod:`repro.pin.jit`), boundary *k + 1* runs the instrumented
-    code boundary *k* and *k - 1* compiled.  The choice is the one a
-    lookahead made on the spot for that boundary alone would make — same
-    engine, same instrumentation, same bounded run — by construction
-    and by test.
+    code boundary *k* and *k - 1* compiled: each lookahead starts on a
+    cold code cache over the engine's trace store
+    (``repro.pin.engine.WarmCache``), and a miss takes back the very
+    trace an earlier lookahead compiled once the JIT has verified what
+    it attaches.  The choice is the one a lookahead made on the spot for
+    that boundary alone would make — same engine, same instrumentation,
+    same bounded run — by construction and by test.
     """
 
     def __init__(self):
@@ -202,6 +206,7 @@ class Lookahead:
         self._counter = _WriteCounter()
         self._vm = PinVM(Process(CpuState(), Memory(), self._barrier))
         self._vm.jit.retain_for = self._counter
+        self._store = WarmCache()
 
     def select(self, cpu_snapshot,
                scratch: Memory) -> tuple[int, int] | None:
@@ -209,7 +214,8 @@ class Lookahead:
         scratch)``, or None when no register was written (the caller
         falls back to :data:`DEFAULT_QUICK_REGS`); ``scratch`` is
         adopted and spent."""
-        self._vm.switch(cpu_snapshot, scratch, self._barrier)
+        self._vm.switch(cpu_snapshot, scratch, self._barrier,
+                        warm=self._store, code_cache=CodeCache())
         return self._counter.most_written(self._vm)
 
 

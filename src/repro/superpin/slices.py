@@ -18,8 +18,14 @@ cold code cache in a freshly released bubble and compiles every trace it
 runs, so its ``SliceResult`` is bit for bit the one a
 newly built machine produces.  That cold cache is a property of the
 *virtual* account (the paper's "compilation slowdown", §1); in host time
-the machine's JIT keeps the run-independent half of each compile
-(:mod:`repro.pin.jit`), so a trace an earlier slice compiled is
+the machine keeps what earlier slices compiled.  Its engine keeps a
+trace store (``repro.pin.engine.WarmCache``): a miss in the slice's cold
+cache puts back the trace an earlier slice compiled for that pc,
+charged as a compile, wherever the JIT would serve this slice that very
+product (``Jit.readmit``: same resident tool, template and signature
+cut, verified — or nothing attached at all).  Below that the machine's
+JIT keeps the run-independent half of each compile
+(:mod:`repro.pin.jit`), so any other trace an earlier slice compiled is
 re-instrumented, not re-translated — and it remembers how often each
 trace ran per compile, so the traces that carry the slices' work are
 lowered to generated code, the rest to threaded code.  The slice's own
@@ -81,6 +87,7 @@ PLACEMENT_COUNTERS = ("pin.jit.skeleton_reuses",
                       "pin.jit.cut_reuses",
                       "pin.jit.instrumentation_checks",
                       "pin.jit.instrumentation_declined",
+                      "pin.cache.readmitted",
                       "pin.suppress.summarized_loops",
                       "pin.suppress.loop_entries",
                       "pin.suppress.summarized_calls",
@@ -95,7 +102,7 @@ def placement_counts(jstats) -> tuple[int, ...]:
             jstats.loop_trips,
             jstats.instrumentation_reuses, jstats.cut_reuses,
             jstats.instrumentation_checks,
-            jstats.instrumentation_declined,
+            jstats.instrumentation_declined, jstats.readmitted,
             jstats.summarized_loops, jstats.loop_entries,
             jstats.summarized_calls, jstats.suppressed_calls)
 
@@ -231,12 +238,14 @@ class SliceMachine:
     job's ``resident`` (:class:`repro.serve.server.Residents`).  Its
     identity is what compiled code closes over, so the engine's JIT may
     keep compiled work and execution counts from slice to slice, and
-    from run to run (``vm.jit.pool``, ``vm.jit.heat``); its *state*
+    from run to run (``vm.jit.pool``, ``vm.jit.heat``), and the engine
+    the compiled traces themselves (:attr:`store`); its *state*
     belongs to the slice it was last switched onto, and every
     :meth:`switch` replaces all of it — a slice that raised mid-run
     leaves nothing the next one can see.  What crosses a run is what is
     nobody's, or what a check re-earns: every reuse is still decided
-    trace by trace (``Jit._refusal``), and kept *instrumented* code
+    trace by trace (``Jit._refusal``, ``Jit.readmit``), and kept
+    *instrumented* code
     crosses a run under the tool's instrumentation digest
     (:func:`~repro.superpin.api.instrumentation_digest`), which
     :meth:`adopt` hands the JIT: a later run or daemon job under an
@@ -248,6 +257,10 @@ class SliceMachine:
     def __init__(self):
         self.process = Process(CpuState(), Memory(), None)
         self.vm: PinVM | None = None
+        #: The engine's trace store: what the runs before compiled,
+        #: which a run's misses take back where the JIT would serve it
+        #: (:meth:`switch`).
+        self.store = WarmCache()
         #: The resident tool (see :meth:`adopt`) and the tool class it
         #: serves.
         self._resident = None
@@ -293,26 +306,31 @@ class SliceMachine:
         for the two).  The memory is adopted — the run is on that fork's
         own pages, charged exactly the COW faults it would be charged
         running on the fork itself — and is spent afterwards, like any
-        executed boundary.  The engine starts what every slice-shaped
-        run starts from: a cold code cache in the bubble — serial Pin's
-        engine, but for the signature check the caller adds — unless
-        the caller hands it ``warm``, the cache it keeps from state to
-        state (a time-travel session's landings, which have no virtual
-        account to charge compiles to)."""
+        executed boundary.
+
+        The engine starts what every slice-shaped run starts from: a
+        cold code cache in the bubble — serial Pin's engine, but for the
+        signature check the caller adds — over the machine's
+        :attr:`store`.  A miss in the cold cache takes the store's trace
+        for the pc where the JIT would serve this run that very product
+        (:meth:`~repro.pin.jit.Jit.readmit`) — charged, counted and
+        logged as the compile it stands for — so the virtual account is
+        a cold run's and only host time is spared.  A caller with no
+        virtual account to charge hands ``warm``, a store it keeps
+        itself, and the run is on that store's cache (a time-travel
+        session's landings)."""
         cpu_snapshot, mem, handler = state or (
             boundary.cpu_snapshot, boundary.mem_fork,
             boundary_handler(boundary, interval))
         vm = self.vm
         if vm is None:
             vm = self.vm = PinVM(self.process)
-        if warm is None:
-            vm.switch(cpu_snapshot, mem, handler,
-                      code_cache=CodeCache(abi.BUBBLE_BASE, abi.BUBBLE_WORDS,
-                                           metrics=metrics),
-                      metrics=metrics)
-        else:
-            vm.switch(cpu_snapshot, mem, handler, warm=warm,
-                      metrics=metrics)
+        vm.switch(cpu_snapshot, mem, handler,
+                  warm=self.store if warm is None else warm,
+                  code_cache=(CodeCache(abi.BUBBLE_BASE, abi.BUBBLE_WORDS,
+                                        metrics=metrics)
+                              if warm is None else None),
+                  metrics=metrics)
         vm.jit.retain_for = None
         return vm
 
@@ -382,7 +400,7 @@ def run_slice(boundary: Boundary, interval: Interval,
 
     # 1-2. Context switch: registers, COW memory and kernel layout of
     #    the boundary; the engine reset, with its own cold code cache in
-    #    the bubble.
+    #    the bubble over the machine's trace store.
     vm = machine.switch(boundary, interval, metrics)
     process = vm.process
     handler = process.syscall_handler

@@ -41,7 +41,9 @@ boundary under counting instrumentation (a per-BBL retired-instruction
 base plus the static in-BBL offset gives every hit an exact global
 icount), collect all hits, then ``goto`` the chosen one.  A scan *takes*
 the machine — on a cold cache of its own, since it attaches
-instrumentation — so nothing is live afterwards, and the next read of
+instrumentation, over the machine's trace store, which hands a scan
+back only what the JIT would serve it (code lowered under the same
+breakpoints) — so nothing is live afterwards, and the next read of
 the current position re-materializes it from its own micro-checkpoint.
 
 The machine has one state at a time and :attr:`TimeTravelEngine._state`
@@ -353,7 +355,8 @@ class TimeTravelEngine:
     # engine is reset, and ``self`` is whom the JIT keeps instrumented
     # code for: a landing attaches nothing, which is template None, and
     # runs on the session code cache; a scan names what it attaches
-    # (``_scan_slice``) and runs on a cold one (``warm`` None).
+    # (``_scan_slice``) and runs on a cold one over the machine's own
+    # trace store (``warm`` None).
 
     def _fork_boundary(self, k: int,
                        warm: WarmCache | None = None) -> _LiveState:

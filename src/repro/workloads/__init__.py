@@ -3,9 +3,10 @@
 from .generators import (build_workload, BuiltWorkload, KERNEL_KINDS,
                          WorkloadSpec)
 from .spec import (BENCHMARK_NAMES, build, FLOATING_POINT, INTEGER,
-                   SPEC2000)
+                   positive_scale, SPEC2000)
 
 __all__ = [
     "build_workload", "BuiltWorkload", "KERNEL_KINDS", "WorkloadSpec",
-    "BENCHMARK_NAMES", "build", "FLOATING_POINT", "INTEGER", "SPEC2000",
+    "BENCHMARK_NAMES", "build", "FLOATING_POINT", "INTEGER",
+    "positive_scale", "SPEC2000",
 ]

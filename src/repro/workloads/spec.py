@@ -19,6 +19,8 @@ computation:
 
 from __future__ import annotations
 
+import math
+
 from ..superpin.switches import DEFAULT_CLOCK_HZ
 from .generators import build_workload, BuiltWorkload, WorkloadSpec
 
@@ -110,6 +112,19 @@ BENCHMARK_NAMES = sorted(SPEC2000)
 INTEGER = ("bzip2", "crafty", "eon", "gap", "gcc", "gzip", "mcf",
            "parser", "perlbmk", "twolf", "vortex", "vpr")
 FLOATING_POINT = tuple(n for n in BENCHMARK_NAMES if n not in INTEGER)
+
+
+def positive_scale(value) -> float:
+    """``value`` as a workload's duration scale: a finite number above
+    0 (not a bool); a ``ValueError`` saying so otherwise.  The one check
+    of every outside ``scale`` — a command line's, a daemon job's — since
+    :func:`build` would make a one-round program of a scale of -1 and
+    fail deep in the generator on ``nan`` or ``inf``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or value <= 0):
+        raise ValueError(f"scale must be a positive finite number, "
+                         f"got {value!r}")
+    return float(value)
 
 
 def build(name: str, clock_hz: int = DEFAULT_CLOCK_HZ,

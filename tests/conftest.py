@@ -78,6 +78,18 @@ def all_generated(monkeypatch) -> None:
     monkeypatch.setattr(Jit, "all_generated", True)
 
 
+def without_trace_store(monkeypatch) -> None:
+    """Every switch hands its engine an empty trace store
+    (``repro.pin.engine.WarmCache.enter`` keeps nothing, whatever it
+    held): a slice or a lookahead compiles every trace it runs, as it
+    did before the store re-admitted any — the reference a run on the
+    store is held against (``test_readmission.py``).  A time-travel
+    landing runs on a cold cache too.  Forked pool workers inherit it,
+    like :func:`all_generated`."""
+    from repro.pin.engine import WarmCache
+    monkeypatch.setattr(WarmCache, "enter", lambda self, mem: self.flush())
+
+
 def without_loop_forms(monkeypatch) -> None:
     """The reference: every execution is a dispatch of ``fn`` — no
     trace has a loop form, so no loop is summarized either."""

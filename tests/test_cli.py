@@ -195,6 +195,21 @@ class TestRun:
         assert capsys.readouterr().err == ("error: SUPERPIN_SPWORKERS must "
                                            "be an integer >= 0, got 'abc'\n")
 
+    @pytest.mark.parametrize("command", [
+        ["run", "-w", "gzip", "-t", "icount2"], ["figure", "3"],
+        ["submit", "--socket", "unused.sock", "-w", "gzip"]],
+        ids=["run", "figure", "submit"])
+    @pytest.mark.parametrize("scale", ["-1", "0", "nan", "inf"])
+    def test_a_scale_that_cannot_run_is_an_error(self, command, scale,
+                                                 capsys):
+        """``--scale`` is checked where it is parsed: ``error: …``,
+        exit 2, nothing built or run."""
+        with pytest.raises(SystemExit) as exited:
+            main(command + [f"--scale={scale}"])
+        assert exited.value.code == 2
+        assert ("error: argument --scale: scale must be a positive "
+                "finite number") in capsys.readouterr().err
+
     def test_loop_summaries_are_counted_not_switched(self, capsys):
         """The ``instrumentation:`` line prints the summarized loops
         under ``-spmetrics``; ``-spsuppress`` is no switch."""

@@ -322,6 +322,21 @@ class TestAdmissionAndCancel:
                                    stream=False)
         assert excinfo.value.code == "bad_spec"
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), True,
+                                       -1])
+    def test_a_scale_that_cannot_run_is_a_bad_spec(self, daemon, scale):
+        """A scale no workload can be built at is the job spec's fault,
+        answered like an unknown workload; the daemon serves on."""
+        server = daemon(workers=0)
+        client = server.client()
+        with pytest.raises(ServeError) as excinfo:
+            client.submit({"workload": "gzip", "scale": scale},
+                          stream=False)
+        assert excinfo.value.code == "bad_spec"
+        assert "positive finite number" in str(excinfo.value)
+        assert client.status()["daemon"]["counters"][
+            "serve.jobs.rejected"] == 1
+
     def test_unknown_job(self, daemon):
         server = daemon(workers=0)
         with pytest.raises(ServeError) as excinfo:

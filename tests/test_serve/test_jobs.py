@@ -159,6 +159,13 @@ class TestProtocol:
             with pytest.raises(ProtocolError):
                 validate_request({"op": "submit", "job": spec})
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"),
+                                       float("-inf"), True, 0, "1"])
+    def test_a_scale_must_be_a_positive_finite_number(self, scale):
+        with pytest.raises(ProtocolError, match="positive finite"):
+            validate_request({"op": "submit",
+                              "job": {"workload": "gzip", "scale": scale}})
+
 
 class TestSpecChecks:
     def test_semantic_rejections(self):

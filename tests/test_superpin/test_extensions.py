@@ -63,6 +63,20 @@ class TestAdaptiveTimeslice:
                 == [s.expected_instructions for s in b.slices])
         assert a.timing.total_cycles == b.timing.total_cycles
 
+    def test_throttling_never_lengthens_a_timeslice(self):
+        """A standard timeslice shorter than the throttling floor
+        (``MIN_TIMESLICE_MSEC``) is not stretched to the floor: throttled
+        far from the expected end, gzip's 10 ms timeslices stay the
+        timeslices the run cuts without ``-spexpected``."""
+        program = build("gzip", scale=0.05).program
+        _, plain = _run(program, spmsec=10, spworkers=0)
+        _, throttled = _run(program, spmsec=10, spworkers=0,
+                            expected_duration_msec=100_000)
+        standard = SuperPinConfig(spmsec=10).timeslice_cycles
+        sizes = [s.expected_instructions for s in throttled.slices]
+        assert max(sizes) <= standard
+        assert sizes == [s.expected_instructions for s in plain.slices]
+
     def test_switch_parsing(self):
         """``-spexpected N`` alone turns throttling on; the old on/off
         switch is gone, and a negative duration is refused."""
